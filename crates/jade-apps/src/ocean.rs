@@ -61,9 +61,13 @@ impl OceanConfig {
         }
     }
 
+    /// A seconds-scale grid: 32 columns, widened once the processor count
+    /// needs more than that for its blocks and boundary pairs (see
+    /// [`layout`]).
     pub fn small(procs: usize) -> OceanConfig {
+        let blocks = procs.saturating_sub(1).max(1);
         OceanConfig {
-            n: 32,
+            n: 32.max(3 * blocks),
             iterations: 12,
             procs,
         }
@@ -132,11 +136,11 @@ pub fn layout(n: usize, blocks: usize) -> Layout {
         };
     }
     let nb = blocks - 1;
-    let interior_cols = n - 2 * nb;
-    assert!(
-        interior_cols >= blocks,
-        "grid too small for {blocks} blocks"
-    );
+    // Checked: a release build must reject a narrow grid too, not wrap.
+    let interior_cols = n
+        .checked_sub(2 * nb)
+        .filter(|&cols| cols >= blocks)
+        .unwrap_or_else(|| panic!("grid too small for {blocks} blocks"));
     let widths = chunk_ranges(interior_cols, blocks);
     let mut interior = Vec::with_capacity(blocks);
     let mut boundary = Vec::with_capacity(nb);
@@ -504,6 +508,25 @@ mod tests {
                 assert_eq!(total, n, "n={n} blocks={blocks}");
                 assert_eq!(lay.boundary.len(), blocks - 1);
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "grid too small")]
+    fn layout_rejects_a_grid_narrower_than_its_boundaries() {
+        // 2 * 31 boundary columns alone exceed the 32-column grid: the
+        // subtraction must not wrap in a release build.
+        layout(32, 32);
+    }
+
+    #[test]
+    fn small_runs_at_every_processor_count() {
+        for procs in 1..=64 {
+            let cfg = OceanConfig::small(procs);
+            assert_eq!(cfg.n == 32, procs <= 11, "procs={procs}");
+            let (trace, out) = run_trace(&cfg);
+            assert_eq!(trace.task_count(), expected_tasks(&cfg), "procs={procs}");
+            assert!(out.residual.is_finite(), "procs={procs}");
         }
     }
 

@@ -81,10 +81,12 @@ impl PagerankConfig {
         }
     }
 
+    /// A seconds-scale graph: 96 nodes, more once the processor count
+    /// asks for more partitions than that ([`plan`] needs a node each).
     pub fn small(procs: usize) -> PagerankConfig {
         let workers = procs.saturating_sub(1).max(1);
         PagerankConfig {
-            nodes: 96,
+            nodes: 96.max(6 * workers),
             edges_per_node: 3,
             iterations: 4,
             parts: 6 * workers,
@@ -455,6 +457,16 @@ mod tests {
         let mean = g.edges.len() as f64 / 4096.0;
         let max = *indeg.iter().max().unwrap() as f64;
         assert!(max > 8.0 * mean, "max {max} vs mean {mean}");
+    }
+
+    #[test]
+    fn small_runs_at_every_processor_count() {
+        for procs in 1..=64 {
+            let cfg = PagerankConfig::small(procs);
+            assert_eq!(cfg.nodes == 96, procs <= 17, "procs={procs}");
+            let (trace, _) = run_trace(&cfg);
+            assert_eq!(trace.task_count(), expected_tasks(&cfg), "procs={procs}");
+        }
     }
 
     #[test]

@@ -348,7 +348,7 @@ pub fn validate_chrome_trace(text: &str, procs: usize) -> Result<usize, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{Component, EventSink};
+    use crate::events::{Component, EventSink, Sink};
     use crate::ids::TaskId;
 
     fn sample_events() -> Vec<Event> {

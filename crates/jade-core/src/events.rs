@@ -6,14 +6,17 @@
 //! This module gives the reproduction the same substrate. All backends —
 //! the [`Synchronizer`](crate::Synchronizer), the DASH and iPSC/860 machine
 //! simulators, and the real `jade-threads` executor — emit the same
-//! [`Event`] schema into an [`EventSink`], and the [`Metrics`] aggregator
+//! [`Event`] schema into a [`Sink`], and the [`Metrics`] aggregator
 //! reconstructs every reported counter and component-time breakdown from
 //! the event stream alone.
 //!
 //! Three consumers sit on top:
 //!
-//! * [`Metrics::from_events`] — the single aggregation path for counters
-//!   and per-processor `app`/`comm`/`mgmt` time breakdowns;
+//! * [`MetricsFold`] — the single aggregation path for counters and
+//!   per-processor `app`/`comm`/`mgmt` time breakdowns: a streaming fold,
+//!   O(1) per event, that is itself a [`Sink`]. The simulators emit into
+//!   it directly; [`Metrics::from_events`] loops a recorded stream
+//!   through it;
 //! * [`check_lifecycle`] / [`check_conservation`] — structural invariants:
 //!   every task has exactly one created → dispatched → started → completed
 //!   chain, and per-processor busy intervals tile the simulated makespan
@@ -21,12 +24,14 @@
 //! * [`crate::chrome`] — a Chrome `trace_event` exporter so any run can be
 //!   opened in `chrome://tracing` / Perfetto.
 //!
-//! The sink is an enum, not a trait object: the [`EventSink::Disabled`]
-//! arm makes every emission a branch on a discriminant that the optimizer
-//! removes, so backends that run untraced (the default for
-//! `jade-threads`) pay nothing.
+//! Emission sites are generic over [`Sink`], so what an event costs is
+//! decided where the sink type is chosen: [`NullSink`] compiles every
+//! emission away (the default for `jade-threads`), [`EventSink`] records
+//! or discards behind one run-time branch, [`MetricsFold`] aggregates
+//! without storing, and a pair `(A, B)` does both.
 
 use crate::ids::{ObjectId, ProcId, TaskId};
+use std::collections::HashMap;
 
 /// Which component of the implementation a busy interval belongs to — the
 /// paper's three-way breakdown of processor time (Figures 10/11 and 20/21
@@ -208,8 +213,11 @@ impl EventKind {
     }
 }
 
-/// Destination for emitted events. `Disabled` costs one predictable branch
-/// per emission site; `Record` appends to an in-memory vector.
+/// The recorder: a [`Sink`] whose recording can be switched at run time.
+/// `Disabled` costs one predictable branch per emission site; `Record`
+/// appends to an in-memory vector. The inherent `emit*` methods mirror the
+/// trait's for callers that hold the concrete type; [`Sink::span`] exists
+/// on the trait only.
 #[derive(Clone, Debug, Default)]
 pub enum EventSink {
     #[default]
@@ -278,28 +286,6 @@ impl EventSink {
         });
     }
 
-    /// Emit a processor-busy span. Zero-length spans are dropped: they
-    /// carry no time and would only complicate the tiling invariant.
-    #[inline]
-    pub fn span(
-        &mut self,
-        start_ps: u64,
-        proc: ProcId,
-        component: Component,
-        dur_ps: u64,
-        task: Option<TaskId>,
-    ) {
-        if dur_ps > 0 {
-            self.push(Event {
-                time_ps: start_ps,
-                proc,
-                kind: EventKind::Span { component, dur_ps },
-                task,
-                object: None,
-            });
-        }
-    }
-
     /// Take the recorded events, leaving an empty recording sink.
     pub fn take(&mut self) -> Vec<Event> {
         match self {
@@ -326,7 +312,8 @@ impl EventSink {
 /// optimizer deletes the surrounding bookkeeping (clock ticks, event
 /// buffers) outright — the untraced hot path carries **zero** event cost,
 /// statically. Instantiated with [`EventSink`] it behaves exactly like the
-/// dynamic enum, so simulators that flip tracing at runtime keep working.
+/// dynamic enum; with [`MetricsFold`] each event is aggregated and
+/// dropped; with a pair of sinks it goes to both.
 pub trait Sink {
     /// `false` promises every event is discarded, letting callers skip
     /// even the *construction* of event data (timestamps, lookups) behind
@@ -385,6 +372,28 @@ pub trait Sink {
         }
     }
 
+    /// Emit a processor-busy span. Zero-length spans are dropped: they
+    /// carry no time and would only complicate the tiling invariant.
+    #[inline]
+    fn span(
+        &mut self,
+        start_ps: u64,
+        proc: ProcId,
+        component: Component,
+        dur_ps: u64,
+        task: Option<TaskId>,
+    ) {
+        if Self::ACTIVE && dur_ps > 0 {
+            self.push(Event {
+                time_ps: start_ps,
+                proc,
+                kind: EventKind::Span { component, dur_ps },
+                task,
+                object: None,
+            });
+        }
+    }
+
     /// Consume the sink, returning whatever it recorded ([`NullSink`]
     /// recorded nothing).
     fn into_events(self) -> Vec<Event>
@@ -421,6 +430,20 @@ impl Sink for NullSink {
     fn push(&mut self, _ev: Event) {}
 }
 
+/// A tee: every event goes to both sinks. The machine simulators run on
+/// `(MetricsFold, R)` — `R = NullSink` untraced (the second push is empty
+/// and compiles away), `R = EventSink` traced. A tee is only a way in:
+/// destructure it and ask each half for what it holds.
+impl<A: Sink, B: Sink> Sink for (A, B) {
+    const ACTIVE: bool = A::ACTIVE || B::ACTIVE;
+
+    #[inline]
+    fn push(&mut self, ev: Event) {
+        self.0.push(ev);
+        self.1.push(ev);
+    }
+}
+
 /// Per-processor busy time, split by component (picoseconds).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProcTimes {
@@ -437,7 +460,7 @@ impl ProcTimes {
 
 /// Start/end bounds of one phase of the computation, from
 /// `PhaseStart`/`PhaseEnd` events.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     pub start_ps: Option<u64>,
     pub end_ps: Option<u64>,
@@ -448,7 +471,7 @@ pub struct PhaseTimes {
 /// All sums are integer picoseconds/bytes, so aggregation is exact and
 /// independent of event order — event-derived numbers match the machine
 /// models' own accounting bit-for-bit.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     pub tasks_created: usize,
     pub tasks_enabled: usize,
@@ -543,157 +566,194 @@ pub struct Metrics {
     pub overlap_ps: u64,
 }
 
-impl Metrics {
-    /// Aggregate an event stream. `procs` sizes the per-processor table;
-    /// events from higher processor indices grow it as needed.
-    pub fn from_events(events: &[Event], procs: usize) -> Metrics {
-        let mut m = Metrics {
-            per_proc: vec![ProcTimes::default(); procs],
-            ..Metrics::default()
-        };
-        // Per-task fetch window: (first request sent, last arrival).
-        let mut windows: Vec<(TaskId, u64, u64)> = Vec::new();
-        // Per-processor App spans and per-fetch in-flight windows, for the
-        // overlap metric computed after the pass.
-        let mut app_spans: Vec<Vec<(u64, u64)>> = vec![Vec::new(); procs];
-        let mut flights: Vec<(ProcId, u64, u64)> = Vec::new();
-        fn window_of(windows: &mut Vec<(TaskId, u64, u64)>, task: TaskId) -> usize {
-            match windows.iter().position(|w| w.0 == task) {
-                Some(i) => i,
-                None => {
-                    windows.push((task, u64::MAX, 0));
-                    windows.len() - 1
+/// The streaming aggregator behind every [`Metrics`]: push events one at a
+/// time, in any order, then [`finish`](MetricsFold::finish).
+///
+/// Each event is folded in O(1): counters and byte/time sums go straight
+/// into the `Metrics` under construction, and a task's fetch window
+/// (first request, last arrival) lives in a hash table keyed by task id, so
+/// its size follows the number of tasks that fetch, never the magnitude of
+/// an id. Two things are still buffered until `finish`, because the
+/// overlap metric intersects them and neither side arrives in time order:
+/// one `(proc, sent, arrived)` triple per fetch with non-zero latency, and
+/// one `(start, end)` pair per `App` span. Nothing else of the stream is
+/// kept.
+///
+/// As a [`Sink`] the fold *is* the event destination: the machine
+/// simulators emit into it directly, so an untraced run never materialises
+/// its stream, and a traced run tees every event into the fold and a
+/// recorder (`(MetricsFold, EventSink)`). Both go through
+/// [`MetricsFold::push`], as does [`Metrics::from_events`], which is why
+/// the result of a run and the aggregation of its recorded stream cannot
+/// differ.
+#[derive(Clone, Debug)]
+pub struct MetricsFold {
+    m: Metrics,
+    /// Per-task fetch window: (first request sent, last arrival).
+    windows: HashMap<TaskId, (u64, u64)>,
+    /// Per-processor `App` spans as `(start, end)`.
+    app_spans: Vec<Vec<(u64, u64)>>,
+    /// Per-fetch in-flight windows as `(proc, sent, arrived)`.
+    flights: Vec<(ProcId, u64, u64)>,
+}
+
+impl MetricsFold {
+    /// `procs` sizes the per-processor table; events from higher processor
+    /// indices grow it as needed.
+    pub fn new(procs: usize) -> MetricsFold {
+        MetricsFold {
+            m: Metrics {
+                per_proc: vec![ProcTimes::default(); procs],
+                ..Metrics::default()
+            },
+            windows: HashMap::new(),
+            app_spans: vec![Vec::new(); procs],
+            flights: Vec::new(),
+        }
+    }
+
+    /// Fold one event into the aggregate.
+    #[inline]
+    pub fn push(&mut self, e: &Event) {
+        let m = &mut self.m;
+        match e.kind {
+            EventKind::TaskCreated => m.tasks_created += 1,
+            EventKind::TaskEnabled => m.tasks_enabled += 1,
+            EventKind::TaskDispatched { stolen, locality } => {
+                m.tasks_dispatched += 1;
+                if stolen {
+                    m.steals += 1;
+                }
+                match locality {
+                    Locality::Hit => {
+                        m.locality_tracked += 1;
+                        m.locality_hits += 1;
+                    }
+                    Locality::Miss => m.locality_tracked += 1,
+                    Locality::Untracked => {}
                 }
             }
-        }
-        for e in events {
-            match e.kind {
-                EventKind::TaskCreated => m.tasks_created += 1,
-                EventKind::TaskEnabled => m.tasks_enabled += 1,
-                EventKind::TaskDispatched { stolen, locality } => {
-                    m.tasks_dispatched += 1;
-                    if stolen {
-                        m.steals += 1;
-                    }
-                    match locality {
-                        Locality::Hit => {
-                            m.locality_tracked += 1;
-                            m.locality_hits += 1;
-                        }
-                        Locality::Miss => m.locality_tracked += 1,
-                        Locality::Untracked => {}
-                    }
+            EventKind::TaskPooled => m.pooled += 1,
+            EventKind::TaskStarted => m.tasks_started += 1,
+            EventKind::TaskCompleted => m.tasks_completed += 1,
+            EventKind::AccessReleased => m.releases += 1,
+            EventKind::ObjectRequest { bytes } => {
+                m.requests += 1;
+                m.request_bytes += bytes;
+                if let Some(t) = e.task {
+                    let w = self.windows.entry(t).or_insert((u64::MAX, 0));
+                    w.0 = w.0.min(e.time_ps);
                 }
-                EventKind::TaskPooled => m.pooled += 1,
-                EventKind::TaskStarted => m.tasks_started += 1,
-                EventKind::TaskCompleted => m.tasks_completed += 1,
-                EventKind::AccessReleased => m.releases += 1,
-                EventKind::ObjectRequest { bytes } => {
-                    m.requests += 1;
-                    m.request_bytes += bytes;
-                    if let Some(t) = e.task {
-                        let i = window_of(&mut windows, t);
-                        windows[i].1 = windows[i].1.min(e.time_ps);
-                    }
-                }
-                EventKind::ObjectFetch { bytes, latency_ps } => {
-                    m.fetches += 1;
-                    m.fetch_bytes += bytes;
-                    m.object_latency_ps += latency_ps;
-                    if latency_ps > 0 {
-                        flights.push((e.proc, e.time_ps.saturating_sub(latency_ps), e.time_ps));
-                    }
-                    if let Some(t) = e.task {
-                        let i = window_of(&mut windows, t);
-                        windows[i].2 = windows[i].2.max(e.time_ps);
-                    }
-                }
-                EventKind::AggregatedFetch { objects, bytes } => {
-                    m.agg_fetches += 1;
-                    m.agg_objects += objects as u64;
-                    m.agg_bytes += bytes;
-                }
-                EventKind::ObjectInvalidate => m.invalidations += 1,
-                EventKind::ObjectBroadcast { bytes, receivers } => {
-                    m.broadcasts += 1;
-                    m.broadcast_bytes += bytes * receivers as u64;
-                }
-                EventKind::EagerPush { bytes } => {
-                    m.eager_sends += 1;
-                    m.eager_bytes += bytes;
-                }
-                EventKind::MsgSend { bytes } => {
-                    m.msg_sends += 1;
-                    m.msg_bytes += bytes;
-                }
-                EventKind::MsgRecv { .. } => m.msg_recvs += 1,
-                EventKind::PhaseStart { phase } => {
-                    let ph = Self::phase_mut(&mut m.phases, phase);
-                    if ph.start_ps.is_none() {
-                        ph.start_ps = Some(e.time_ps);
-                    }
-                }
-                EventKind::PhaseEnd { phase } => {
-                    let ph = Self::phase_mut(&mut m.phases, phase);
-                    ph.end_ps = Some(ph.end_ps.unwrap_or(0).max(e.time_ps));
-                }
-                EventKind::Span { component, dur_ps } => {
-                    if e.proc >= m.per_proc.len() {
-                        m.per_proc.resize(e.proc + 1, ProcTimes::default());
-                    }
-                    if e.proc >= app_spans.len() {
-                        app_spans.resize(e.proc + 1, Vec::new());
-                    }
-                    let pt = &mut m.per_proc[e.proc];
-                    match component {
-                        Component::App => {
-                            pt.app_ps += dur_ps;
-                            app_spans[e.proc].push((e.time_ps, e.time_ps + dur_ps));
-                        }
-                        Component::Comm => pt.comm_ps += dur_ps,
-                        Component::Mgmt => pt.mgmt_ps += dur_ps,
-                    }
-                    m.makespan_ps = m.makespan_ps.max(e.time_ps + dur_ps);
-                    if e.task.is_some() && component != Component::Mgmt {
-                        m.task_span_ps += dur_ps;
-                    }
-                }
-                EventKind::MsgDropped { bytes } => {
-                    m.msgs_dropped += 1;
-                    m.dropped_bytes += bytes;
-                }
-                EventKind::MsgRetried { .. } => m.msgs_retried += 1,
-                EventKind::MsgDiscarded { bytes } => {
-                    m.msgs_discarded += 1;
-                    m.discarded_bytes += bytes;
-                }
-                EventKind::ProcStalled { dur_ps } => {
-                    m.stalls += 1;
-                    m.stall_ps += dur_ps;
-                }
-                EventKind::WorkerFailed => m.workers_failed += 1,
-                EventKind::TaskReExecuted => m.tasks_reexecuted += 1,
-                EventKind::CheckpointTaken { bytes } => {
-                    m.checkpoints += 1;
-                    m.checkpoint_bytes += bytes;
-                }
-                EventKind::CheckpointRestored { bytes } => {
-                    m.checkpoint_restores += 1;
-                    m.checkpoint_restored_bytes += bytes;
-                }
-                EventKind::ObjectRestored { bytes } => {
-                    m.object_restores += 1;
-                    m.restore_bytes += bytes;
-                }
-                EventKind::PrefetchIssued { bytes } => {
-                    m.prefetches_issued += 1;
-                    m.prefetch_bytes += bytes;
-                }
-                EventKind::PrefetchHit { .. } => m.prefetch_hits += 1,
-                EventKind::PrefetchStale { .. } => m.prefetch_stale += 1,
             }
+            EventKind::ObjectFetch { bytes, latency_ps } => {
+                m.fetches += 1;
+                m.fetch_bytes += bytes;
+                m.object_latency_ps += latency_ps;
+                if latency_ps > 0 {
+                    self.flights
+                        .push((e.proc, e.time_ps.saturating_sub(latency_ps), e.time_ps));
+                }
+                if let Some(t) = e.task {
+                    let w = self.windows.entry(t).or_insert((u64::MAX, 0));
+                    w.1 = w.1.max(e.time_ps);
+                }
+            }
+            EventKind::AggregatedFetch { objects, bytes } => {
+                m.agg_fetches += 1;
+                m.agg_objects += objects as u64;
+                m.agg_bytes += bytes;
+            }
+            EventKind::ObjectInvalidate => m.invalidations += 1,
+            EventKind::ObjectBroadcast { bytes, receivers } => {
+                m.broadcasts += 1;
+                m.broadcast_bytes += bytes * receivers as u64;
+            }
+            EventKind::EagerPush { bytes } => {
+                m.eager_sends += 1;
+                m.eager_bytes += bytes;
+            }
+            EventKind::MsgSend { bytes } => {
+                m.msg_sends += 1;
+                m.msg_bytes += bytes;
+            }
+            EventKind::MsgRecv { .. } => m.msg_recvs += 1,
+            EventKind::PhaseStart { phase } => {
+                // Emitters mark each phase once; the minimum keeps the
+                // fold order-independent if a stream carries more.
+                let ph = Metrics::phase_mut(&mut m.phases, phase);
+                ph.start_ps = Some(ph.start_ps.map_or(e.time_ps, |s| s.min(e.time_ps)));
+            }
+            EventKind::PhaseEnd { phase } => {
+                let ph = Metrics::phase_mut(&mut m.phases, phase);
+                ph.end_ps = Some(ph.end_ps.unwrap_or(0).max(e.time_ps));
+            }
+            EventKind::Span { component, dur_ps } => {
+                if e.proc >= m.per_proc.len() {
+                    m.per_proc.resize(e.proc + 1, ProcTimes::default());
+                }
+                let pt = &mut m.per_proc[e.proc];
+                match component {
+                    Component::App => {
+                        pt.app_ps += dur_ps;
+                        if e.proc >= self.app_spans.len() {
+                            self.app_spans.resize(e.proc + 1, Vec::new());
+                        }
+                        self.app_spans[e.proc].push((e.time_ps, e.time_ps + dur_ps));
+                    }
+                    Component::Comm => pt.comm_ps += dur_ps,
+                    Component::Mgmt => pt.mgmt_ps += dur_ps,
+                }
+                m.makespan_ps = m.makespan_ps.max(e.time_ps + dur_ps);
+                if e.task.is_some() && component != Component::Mgmt {
+                    m.task_span_ps += dur_ps;
+                }
+            }
+            EventKind::MsgDropped { bytes } => {
+                m.msgs_dropped += 1;
+                m.dropped_bytes += bytes;
+            }
+            EventKind::MsgRetried { .. } => m.msgs_retried += 1,
+            EventKind::MsgDiscarded { bytes } => {
+                m.msgs_discarded += 1;
+                m.discarded_bytes += bytes;
+            }
+            EventKind::ProcStalled { dur_ps } => {
+                m.stalls += 1;
+                m.stall_ps += dur_ps;
+            }
+            EventKind::WorkerFailed => m.workers_failed += 1,
+            EventKind::TaskReExecuted => m.tasks_reexecuted += 1,
+            EventKind::CheckpointTaken { bytes } => {
+                m.checkpoints += 1;
+                m.checkpoint_bytes += bytes;
+            }
+            EventKind::CheckpointRestored { bytes } => {
+                m.checkpoint_restores += 1;
+                m.checkpoint_restored_bytes += bytes;
+            }
+            EventKind::ObjectRestored { bytes } => {
+                m.object_restores += 1;
+                m.restore_bytes += bytes;
+            }
+            EventKind::PrefetchIssued { bytes } => {
+                m.prefetches_issued += 1;
+                m.prefetch_bytes += bytes;
+            }
+            EventKind::PrefetchHit { .. } => m.prefetch_hits += 1,
+            EventKind::PrefetchStale { .. } => m.prefetch_stale += 1,
         }
-        for (_, first, last) in windows {
+    }
+
+    /// Close the fold: settle the per-task fetch windows and the overlap
+    /// metric, and hand back the finished [`Metrics`].
+    pub fn finish(self) -> Metrics {
+        let MetricsFold {
+            mut m,
+            windows,
+            mut app_spans,
+            flights,
+        } = self;
+        for (first, last) in windows.into_values() {
             if first != u64::MAX && last >= first {
                 m.task_latency_ps += last - first;
             }
@@ -722,6 +782,28 @@ impl Metrics {
             }
         }
         m
+    }
+}
+
+impl Sink for MetricsFold {
+    const ACTIVE: bool = true;
+
+    #[inline]
+    fn push(&mut self, ev: Event) {
+        MetricsFold::push(self, &ev);
+    }
+}
+
+impl Metrics {
+    /// Aggregate a recorded event stream: a loop over [`MetricsFold`], the
+    /// one aggregation path. `procs` sizes the per-processor table; events
+    /// from higher processor indices grow it as needed.
+    pub fn from_events(events: &[Event], procs: usize) -> Metrics {
+        let mut fold = MetricsFold::new(procs);
+        for e in events {
+            fold.push(e);
+        }
+        fold.finish()
     }
 
     fn phase_mut(phases: &mut Vec<PhaseTimes>, phase: u32) -> &mut PhaseTimes {

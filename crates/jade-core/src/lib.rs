@@ -54,7 +54,7 @@ pub use access::{AccessDecl, AccessMode, AccessSpec};
 pub use events::{
     check_conservation, check_conservation_per_tenant, check_lifecycle, check_lifecycle_per_tenant,
     split_by_tenant, tag_events, Component, Event, EventKind, EventSink, Locality, Metrics,
-    NullSink, ProcTimes, Sink, TaggedEvent, TenantId,
+    MetricsFold, NullSink, ProcTimes, Sink, TaggedEvent, TenantId,
 };
 pub use ids::{Handle, LocalityMode, ObjectId, ProcId, TaskId, MAIN_PROC};
 pub use runtime::JadeRuntime;

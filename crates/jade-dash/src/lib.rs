@@ -43,4 +43,6 @@ pub use costs::DashCosts;
 pub use error::DashError;
 pub use memsim::MemSim;
 pub use scheduler::{DashScheduler, LocalityMode};
-pub use sim::{run, run_traced, try_run, try_run_traced, DashConfig, DashRunResult};
+pub use sim::{
+    run, run_traced, try_run, try_run_folded, try_run_traced, DashConfig, DashRunResult,
+};

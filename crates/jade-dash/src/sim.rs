@@ -18,8 +18,8 @@ use dsim::{
     Calendar, DashSpec, FaultInjector, FaultPlan, ProcClock, ProcId, SimDuration, SimTime, TimeKind,
 };
 use jade_core::{
-    AccessMode, Component, Event, EventKind, EventSink, Locality, Metrics, Synchronizer, TaskId,
-    Trace,
+    AccessMode, Component, Event, EventKind, EventSink, Locality, MetricsFold, NullSink, Sink,
+    Synchronizer, TaskId, Trace,
 };
 
 /// Configuration of one DASH run.
@@ -157,7 +157,7 @@ enum Ev {
 /// (object, write-epoch) pairs captured at enable time.
 type PrefetchMark = (usize, Vec<(jade_core::ObjectId, u64)>);
 
-struct Sim<'a> {
+struct Sim<'a, R: Sink> {
     trace: &'a Trace,
     cfg: &'a DashConfig,
     cal: Calendar<Ev>,
@@ -179,9 +179,10 @@ struct Sim<'a> {
     /// system would otherwise develop accidental processor/task affinity.
     lcg: u64,
     /// Every measurement below comes out of this event stream: the run's
-    /// counters are aggregated from it by [`Metrics::from_events`], not
-    /// kept as ad-hoc tallies.
-    events: EventSink,
+    /// counters are folded from it as it is emitted ([`MetricsFold`]), not
+    /// kept as ad-hoc tallies. `R` records the stream as well
+    /// ([`EventSink`]) or discards it ([`NullSink`]).
+    events: (MetricsFold, R),
     /// Fault decision stream (transient stalls only on this machine).
     inj: FaultInjector,
     /// Native stall tally, cross-checked against the event stream.
@@ -219,16 +220,38 @@ pub fn run_traced(trace: &Trace, cfg: &DashConfig) -> (DashRunResult, Vec<Event>
     try_run_traced(trace, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible variant of [`run`].
+/// Fallible variant of [`run`]. Folds each event into the result as it is
+/// emitted and never builds the stream; debug builds record it anyway so
+/// the span-conservation check still runs.
 pub fn try_run(trace: &Trace, cfg: &DashConfig) -> Result<DashRunResult, DashError> {
-    Ok(try_run_traced(trace, cfg)?.0)
+    if cfg!(debug_assertions) {
+        return Ok(try_run_traced(trace, cfg)?.0);
+    }
+    try_run_folded(trace, cfg)
+}
+
+/// The fold-only run in every build profile — what release [`try_run`] is.
+/// For tests that compare it with [`try_run_traced`] under `cargo test`.
+#[doc(hidden)]
+pub fn try_run_folded(trace: &Trace, cfg: &DashConfig) -> Result<DashRunResult, DashError> {
+    Ok(simulate(trace, cfg, NullSink)?.0)
 }
 
 /// Fallible variant of [`run_traced`]: configuration problems and wedged
-/// event loops come back as [`DashError`] instead of panics.
+/// event loops come back as [`DashError`] instead of panics. The result is
+/// the same fold [`try_run`] computes, with every event also recorded.
 pub fn try_run_traced(
     trace: &Trace,
     cfg: &DashConfig,
+) -> Result<(DashRunResult, Vec<Event>), DashError> {
+    simulate(trace, cfg, EventSink::recording())
+}
+
+/// The one simulation body: every event goes to the fold and to `rec`.
+fn simulate<R: Sink>(
+    trace: &Trace,
+    cfg: &DashConfig,
+    rec: R,
 ) -> Result<(DashRunResult, Vec<Event>), DashError> {
     let procs = cfg.machine.procs;
     if procs < 1 {
@@ -262,7 +285,7 @@ pub fn try_run_traced(
         running: vec![None; procs],
         retry_pending: vec![false; procs],
         lcg: 0x9E3779B97F4A7C15,
-        events: EventSink::recording(),
+        events: (MetricsFold::new(procs), rec),
         inj: FaultInjector::new(cfg.faults),
         n_stalls: 0,
         marks: vec![None; trace.tasks.len()],
@@ -292,8 +315,9 @@ pub fn try_run_traced(
             live_tasks: sim.sync.live_tasks(),
         });
     }
-    let events = sim.events.into_events();
-    let m = Metrics::from_events(&events, procs);
+    let (fold, rec) = sim.events;
+    let m = fold.finish();
+    let events = rec.into_events();
     debug_assert_eq!(
         m.steals, sim.sched.steals,
         "event steals disagree with scheduler"
@@ -319,10 +343,12 @@ pub fn try_run_traced(
         m.prefetch_stale, sim.n_prefetch_stale,
         "event prefetch staleness disagrees with simulator"
     );
-    debug_assert!(
-        jade_core::check_conservation(&events, procs, sim.pc.horizon().0).is_ok(),
-        "busy spans do not tile the makespan"
-    );
+    if R::ACTIVE {
+        debug_assert!(
+            jade_core::check_conservation(&events, procs, sim.pc.horizon().0).is_ok(),
+            "busy spans do not tile the makespan"
+        );
+    }
     let total = m.total();
     let result = DashRunResult {
         procs,
@@ -364,7 +390,7 @@ fn jitter(id: TaskId, frac: f64) -> f64 {
     1.0 + frac * (u - 0.5)
 }
 
-impl Sim<'_> {
+impl<R: Sink> Sim<'_, R> {
     fn is_idle(&self, p: ProcId) -> bool {
         self.running[p].is_none() && (p != 0 || self.main_available())
     }
@@ -755,7 +781,7 @@ impl Sim<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jade_core::{AccessSpec, ObjectId, TraceBuilder};
+    use jade_core::{AccessSpec, Metrics, ObjectId, TraceBuilder};
 
     fn spec(reads: &[ObjectId], writes: &[ObjectId]) -> AccessSpec {
         let mut s = AccessSpec::new();

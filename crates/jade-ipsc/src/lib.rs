@@ -45,5 +45,6 @@ pub use error::IpscError;
 pub use jade_core::LocalityMode;
 pub use scheduler::{Decision, IpscScheduler};
 pub use sim::{
-    run, run_traced, try_run, try_run_traced, IpscConfig, IpscRunResult, PinnedSchedule,
+    run, run_traced, try_run, try_run_folded, try_run_traced, IpscConfig, IpscRunResult,
+    PinnedSchedule,
 };

@@ -61,8 +61,8 @@ use dsim::{
     Calendar, FaultInjector, FaultPlan, IpscSpec, ProcClock, ProcId, SimDuration, SimTime, TimeKind,
 };
 use jade_core::{
-    Component, Event, EventKind, EventSink, Locality, LocalityMode, Metrics, ObjectId,
-    SyncSnapshot, Synchronizer, TaskId, Trace,
+    Component, Event, EventKind, EventSink, Locality, LocalityMode, MetricsFold, NullSink,
+    ObjectId, Sink, SyncSnapshot, Synchronizer, TaskId, Trace,
 };
 use std::collections::VecDeque;
 
@@ -468,7 +468,7 @@ struct Checkpoint {
     sync: SyncSnapshot,
 }
 
-struct Sim<'a> {
+struct Sim<'a, R: Sink> {
     trace: &'a Trace,
     cfg: &'a IpscConfig,
     cal: Calendar<Ev>,
@@ -492,8 +492,9 @@ struct Sim<'a> {
     /// pseudo-processor and gets no event spans.
     wire: Option<ProcClock>,
     /// Structured event stream; every statistic in [`IpscRunResult`] is
-    /// reconstructed from it.
-    events: EventSink,
+    /// folded from it as it is emitted ([`MetricsFold`]). `R` records the
+    /// stream as well ([`EventSink`]) or discards it ([`NullSink`]).
+    events: (MetricsFold, R),
     /// Phases whose `PhaseStart` has been emitted.
     phase_started: Vec<bool>,
     /// Fault decision stream for this run.
@@ -551,9 +552,21 @@ pub fn run_traced(trace: &Trace, cfg: &IpscConfig) -> (IpscRunResult, Vec<Event>
     try_run_traced(trace, cfg).unwrap_or_else(|e| panic!("ipsc simulation failed: {e}"))
 }
 
-/// Fallible variant of [`run`].
+/// Fallible variant of [`run`]. Folds each event into the result as it is
+/// emitted and never builds the stream; debug builds record it anyway so
+/// the span-conservation check still runs.
 pub fn try_run(trace: &Trace, cfg: &IpscConfig) -> Result<IpscRunResult, IpscError> {
-    Ok(try_run_traced(trace, cfg)?.0)
+    if cfg!(debug_assertions) {
+        return Ok(try_run_traced(trace, cfg)?.0);
+    }
+    try_run_folded(trace, cfg)
+}
+
+/// The fold-only run in every build profile — what release [`try_run`] is.
+/// For tests that compare it with [`try_run_traced`] under `cargo test`.
+#[doc(hidden)]
+pub fn try_run_folded(trace: &Trace, cfg: &IpscConfig) -> Result<IpscRunResult, IpscError> {
+    Ok(simulate(trace, cfg, NullSink)?.0)
 }
 
 /// Reject machine/cost parameters that would poison virtual-time
@@ -602,11 +615,23 @@ fn validate_machine(cfg: &IpscConfig) -> Result<(), IpscError> {
     Ok(())
 }
 
-/// Fallible variant of [`run_traced`]. The result is computed from the
-/// events (via [`Metrics::from_events`]), so the two views cannot diverge.
+/// Fallible variant of [`run_traced`]. The result is the same fold
+/// [`try_run`] computes — the one [`Metrics::from_events`] loops over — with
+/// every event also recorded, so the two views cannot diverge.
+///
+/// [`Metrics::from_events`]: jade_core::Metrics::from_events
 pub fn try_run_traced(
     trace: &Trace,
     cfg: &IpscConfig,
+) -> Result<(IpscRunResult, Vec<Event>), IpscError> {
+    simulate(trace, cfg, EventSink::recording())
+}
+
+/// The one simulation body: every event goes to the fold and to `rec`.
+fn simulate<R: Sink>(
+    trace: &Trace,
+    cfg: &IpscConfig,
+    rec: R,
 ) -> Result<(IpscRunResult, Vec<Event>), IpscError> {
     let procs = cfg.machine.procs;
     if procs < 1 {
@@ -668,7 +693,7 @@ pub fn try_run_traced(
         debt_comm: vec![SimDuration::ZERO; procs],
         debt_mgmt: vec![SimDuration::ZERO; procs],
         wire: cfg.shared_medium.then(|| ProcClock::new(1)),
-        events: EventSink::recording(),
+        events: (MetricsFold::new(procs), rec),
         phase_started: vec![false; nphases],
         inj: FaultInjector::new(plan),
         lossy: plan.drop_p > 0.0 || plan.dup_p > 0.0 || plan.delay_p > 0.0 || plan.reorder_p > 0.0,
@@ -720,8 +745,9 @@ pub fn try_run_traced(
             live_tasks: sim.sync.live_tasks(),
         });
     }
-    let events = sim.events.into_events();
-    let m = Metrics::from_events(&events, procs);
+    let (fold, rec) = sim.events;
+    let m = fold.finish();
+    let events = rec.into_events();
     // The event stream must reproduce the machine model's own books.
     debug_assert_eq!(m.comm_bytes(), sim.comm.bytes_transferred);
     debug_assert_eq!(m.fetches, sim.comm.object_sends);
@@ -744,10 +770,12 @@ pub fn try_run_traced(
         m.workers_failed,
         sim.dead.iter().filter(|&&d| d).count() as u64
     );
-    debug_assert_eq!(
-        jade_core::check_conservation(&events, procs, sim.pc.horizon().0).err(),
-        None
-    );
+    if R::ACTIVE {
+        debug_assert_eq!(
+            jade_core::check_conservation(&events, procs, sim.pc.horizon().0).err(),
+            None
+        );
+    }
     let task_secs = SimDuration(m.task_span_ps).as_secs_f64();
     let phase_lengths: Vec<f64> = m
         .phases
@@ -821,7 +849,7 @@ fn jitter(id: TaskId, frac: f64) -> f64 {
     1.0 + frac * (u - 0.5)
 }
 
-impl Sim<'_> {
+impl<R: Sink> Sim<'_, R> {
     fn handle(&mut self, t: SimTime, ev: Ev) {
         match ev {
             Ev::MainStep => self.main_step(t),

@@ -859,10 +859,29 @@ impl<'a, S: Sink> Sharded<'a, S> {
     /// Pop own queue, else steal from a random victim. The pop order (FIFO
     /// for [`DequeImpl::Locked`], LIFO for [`DequeImpl::ChaseLev`]) is a
     /// scheduling freedom — only enabled tasks are ever queued.
-    fn try_pick(&self, w: usize, rng: &mut XorShift64, budget: usize) -> Option<(usize, bool)> {
+    ///
+    /// The own queue running dry is also the flush point for buffered
+    /// completions: they may enable successors routed right back here, and
+    /// a stolen task is someone else's backlog that may run long — carried
+    /// into it, the buffer would withhold those successors from every
+    /// other (possibly parked) worker, a deadlock if the stolen task waits
+    /// on one of them. So a steal is only ever attempted, and `None` only
+    /// ever returned, with an empty buffer.
+    fn try_pick(
+        &self,
+        w: usize,
+        rng: &mut XorShift64,
+        budget: usize,
+        ws: &WorkerScratch,
+    ) -> Option<(usize, bool)> {
         let own = &self.queues[w];
-        if !own.is_empty_hint() {
-            if let Some(local) = own.pop() {
+        let pop_own = || (!own.is_empty_hint()).then(|| own.pop()).flatten();
+        if let Some(local) = pop_own() {
+            return Some((local, false));
+        }
+        if !ws.buf.borrow().is_empty() {
+            self.flush(w, &ws.buf, &mut ws.newly.borrow_mut());
+            if let Some(local) = pop_own() {
                 return Some((local, false));
             }
         }
@@ -1143,24 +1162,21 @@ fn sharded_worker<S: Sink>(w: usize, sh: &Sharded<'_, S>, ws: &mut WorkerScratch
         // Epoch read precedes the scan: any push racing the scan either
         // lands in it or changes the epoch and defeats the park below.
         let epoch = sh.epoch.load(Ordering::SeqCst);
-        match sh.try_pick(w, &mut rng, sh.steal_budget) {
+        match sh.try_pick(w, &mut rng, sh.steal_budget, ws) {
             Some((local, stolen)) => {
                 if !sh.execute(w, local, stolen, &mut stats, ws) {
                     return stats;
                 }
             }
             None => {
-                // Out of work: flush buffered completions before parking —
-                // they may enable the only runnable successors (or drain
-                // the batch), and `live` only reaches zero once every
-                // buffered completion lands. Park only with an empty
-                // buffer, and only after an *exhaustive* steal sweep — a
-                // tuned budget shorter than the ring must never park past
-                // work sitting in an unprobed queue.
-                if !ws.buf.borrow().is_empty() {
-                    sh.flush(w, &ws.buf, &mut ws.newly.borrow_mut());
-                } else if sh.steal_budget + 1 < sh.workers {
-                    match sh.try_pick(w, &mut rng, usize::MAX) {
+                // Out of work, and `try_pick` flushed on the way here: every
+                // completion this worker buffered has landed (`live` only
+                // reaches zero once they all have). Park only after an
+                // *exhaustive* steal sweep — a tuned budget shorter than
+                // the ring must never park past work sitting in an
+                // unprobed queue.
+                if sh.steal_budget + 1 < sh.workers {
+                    match sh.try_pick(w, &mut rng, usize::MAX, ws) {
                         Some((local, stolen)) => {
                             if !sh.execute(w, local, stolen, &mut stats, ws) {
                                 return stats;
@@ -1584,6 +1600,21 @@ fn global_worker_loop(
             };
             claim(&mut guard, w, local, false, &mut claims);
         }
+        if claims.is_empty() && !buf.borrow().is_empty() {
+            // Own queue dry: flush buffered completions before stealing or
+            // waiting — they may enable the only runnable successors (or
+            // drain the batch), and a stolen task may run long enough to
+            // starve them. Steal and wait only with an empty buffer.
+            flush_shared(
+                &mut guard,
+                &mut buf.borrow_mut(),
+                &mut newly.borrow_mut(),
+                base,
+                w,
+                cv,
+            );
+            continue;
+        }
         if claims.is_empty() {
             for k in 1..workers {
                 let v = (w + k) % workers;
@@ -1594,20 +1625,6 @@ fn global_worker_loop(
             }
         }
         if claims.is_empty() {
-            // Out of work: flush buffered completions before waiting —
-            // they may enable the only runnable successors (or drain the
-            // batch). Wait only with an empty buffer.
-            if !buf.borrow().is_empty() {
-                flush_shared(
-                    &mut guard,
-                    &mut buf.borrow_mut(),
-                    &mut newly.borrow_mut(),
-                    base,
-                    w,
-                    cv,
-                );
-                continue;
-            }
             guard = cv.wait(guard).unwrap_or_else(|e| e.into_inner());
             continue;
         }
@@ -2733,18 +2750,38 @@ mod tests {
         // buffers fill to DRAIN_BATCH, so synchronizer-lock acquisitions
         // fall well below one per task; under PerTask every completion
         // takes the lock.
+        //
+        // Batching covers the tasks a worker pops from its own queue (a
+        // steal is preceded by a flush, see `try_pick`), and how many tasks
+        // get stolen depends on when the workers happen to start. So the
+        // work sits on worker 0 and worker 1 is pinned inside `hold` until
+        // every other body has run: at most one steal (`hold` itself, if
+        // worker 1 never got going), whatever the host does.
+        const WORK: usize = 399;
         let run = |policy: BatchPolicy| {
             let mut rt = ThreadRuntime::new(2);
             rt.set_batch_policy(policy);
-            let outs: Vec<_> = (0..400)
+            let ran = Arc::new(AtomicUsize::new(0));
+            let outs: Vec<_> = (0..WORK)
                 .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
                 .collect();
             for (i, &o) in outs.iter().enumerate() {
-                rt.submit(TaskBuilder::new("w").wr(o).body(move |ctx| {
+                let ran = ran.clone();
+                rt.submit(TaskBuilder::new("w").wr(o).place(0).body(move |ctx| {
                     *ctx.wr(o) = i as u64;
+                    ran.fetch_add(1, Ordering::SeqCst);
                 }));
             }
+            let seen = ran.clone();
+            rt.submit(TaskBuilder::new("hold").place(1).body(move |_| {
+                // Bounded only so a scheduler bug fails instead of hanging.
+                let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+                while seen.load(Ordering::SeqCst) < WORK && std::time::Instant::now() < give_up {
+                    std::hint::spin_loop();
+                }
+            }));
             rt.finish();
+            assert_eq!(ran.load(Ordering::SeqCst), WORK);
             for (i, &o) in outs.iter().enumerate() {
                 assert_eq!(*rt.store().read(o), i as u64);
             }
@@ -2754,6 +2791,7 @@ mod tests {
         let auto = run(BatchPolicy::Auto);
         assert_eq!(per_task.executed, 400);
         assert_eq!(auto.executed, 400);
+        assert!(auto.steals <= 1, "{} steals", auto.steals);
         assert_eq!(
             per_task.sync_locks, 400,
             "PerTask takes the lock once per completion"
@@ -2763,6 +2801,34 @@ mod tests {
             "Auto must amortize: {} locks for {} tasks",
             auto.sync_locks,
             auto.executed
+        );
+    }
+
+    #[test]
+    fn a_steal_costs_at_most_one_sync_lock() {
+        // The price of flushing before a steal, stated: with the work
+        // spread over both workers and steals left to chance, every
+        // acquisition is a full drain buffer, a flush ahead of a steal, or
+        // a worker's last flush before it parks.
+        let workers = 2;
+        let mut rt = ThreadRuntime::new(workers);
+        let outs: Vec<_> = (0..400)
+            .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
+            .collect();
+        for (i, &o) in outs.iter().enumerate() {
+            rt.submit(TaskBuilder::new("w").wr(o).body(move |ctx| {
+                *ctx.wr(o) = i as u64;
+            }));
+        }
+        rt.finish();
+        let st = rt.last_stats();
+        assert_eq!(st.executed, 400);
+        assert!(
+            st.sync_locks <= st.executed / DRAIN_BATCH + st.steals + workers,
+            "{} locks for {} tasks, {} stolen",
+            st.sync_locks,
+            st.executed,
+            st.steals
         );
     }
 
@@ -2923,6 +2989,92 @@ mod tests {
         assert_eq!(*rt.store().read(y), 1);
         assert_eq!(*rt.store().read(flag), 8);
         assert_eq!(rt.last_stats().executed, 3);
+    }
+
+    #[test]
+    fn buffered_completion_is_flushed_before_a_stolen_task_runs() {
+        // Worker 1 runs `a` (its completion sits in the drain buffer, below
+        // the flush threshold), then steals `blocker` — which spins until
+        // `b`, a successor of `a`, has run. Unless the buffer is flushed
+        // before the stolen task starts, `b` is never enabled and the batch
+        // deadlocks. The interleaving is forced with flags: worker 0 is
+        // pinned inside `z` until `blocker` has started, and `blocker` can
+        // only be started by the thief. The spin bounds only turn a
+        // deadlock into a failure; they play no part in the ordering.
+        let spin_until = |flag: &AtomicUsize| {
+            let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while flag.load(Ordering::SeqCst) == 0 {
+                if std::time::Instant::now() > give_up {
+                    return false;
+                }
+                std::hint::spin_loop();
+            }
+            true
+        };
+        for (mode, deque) in [
+            (SchedMode::Sharded, DequeImpl::ChaseLev),
+            (SchedMode::Sharded, DequeImpl::Locked),
+            (SchedMode::GlobalLock, DequeImpl::Locked),
+        ] {
+            let mut rt = ThreadRuntime::with_mode(2, mode);
+            rt.set_deque_impl(deque);
+            let started = Arc::new(AtomicUsize::new(0));
+            let b_ran = Arc::new(AtomicUsize::new(0));
+            let timed_out = Arc::new(AtomicUsize::new(0));
+            let x = rt.create("x", 8, 0u64);
+            let out = rt.create("out", 8, 0u64);
+            let (s0, d0, t0) = (started.clone(), b_ran.clone(), timed_out.clone());
+            let blocker = TaskBuilder::new("blocker").place(0).body(move |_| {
+                s0.store(1, Ordering::SeqCst);
+                if !spin_until(&d0) {
+                    t0.store(1, Ordering::SeqCst);
+                }
+            });
+            let (s1, t1) = (started.clone(), timed_out.clone());
+            let z = TaskBuilder::new("z").place(0).body(move |_| {
+                if !spin_until(&s1) {
+                    t1.store(1, Ordering::SeqCst);
+                }
+            });
+            // Queue 0 holds `z`, fillers and `blocker`, ordered so the owner
+            // takes `z` first and the thief takes `blocker`: the Chase-Lev
+            // owner pops the newest entry, the others the oldest. The
+            // fillers exhaust GlobalLock's claim run (DRAIN_BATCH tasks per
+            // acquisition), which would otherwise claim `blocker` too.
+            let mut queue0 = vec![z];
+            queue0.extend((1..DRAIN_BATCH).map(|_| TaskBuilder::new("f").place(0).body(|_| {})));
+            queue0.push(blocker);
+            if deque == DequeImpl::ChaseLev {
+                queue0.reverse();
+            }
+            for t in queue0 {
+                rt.submit(t);
+            }
+            rt.submit(
+                TaskBuilder::new("a")
+                    .wr(x)
+                    .place(1)
+                    .body(move |ctx| *ctx.wr(x) = 7),
+            );
+            let d1 = b_ran.clone();
+            rt.submit(
+                TaskBuilder::new("b")
+                    .rd(x)
+                    .wr(out)
+                    .place(0)
+                    .body(move |ctx| {
+                        *ctx.wr(out) = *ctx.rd(x) + 1;
+                        d1.store(1, Ordering::SeqCst);
+                    }),
+            );
+            rt.finish();
+            assert_eq!(
+                timed_out.load(Ordering::SeqCst),
+                0,
+                "{mode:?}/{deque:?}: `b` was withheld behind the stolen task"
+            );
+            assert_eq!(*rt.store().read(out), 8);
+        }
     }
 
     #[test]
