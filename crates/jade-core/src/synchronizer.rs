@@ -239,6 +239,26 @@ impl Synchronizer {
         self.decls.clear();
     }
 
+    /// Return to the state of [`Synchronizer::new`] from *any* state,
+    /// keeping every allocation. Like [`recycle`](Self::recycle) it clears
+    /// the task and declaration slabs, but it rewinds `base` to 0 and also
+    /// clears granted counts and parked waiters, so it is safe on a
+    /// synchronizer abandoned mid-flight (a cancelled service tenant). The
+    /// object queues stay allocated (empty), so a later
+    /// [`snapshot`](Self::snapshot) may list trailing empty queues a fresh
+    /// synchronizer would not; nothing else can tell the two apart.
+    pub fn reset(&mut self) {
+        for q in &mut self.queues {
+            q.granted_reads = 0;
+            q.granted_writer = false;
+            q.waiting.clear();
+        }
+        self.tasks.clear();
+        self.decls.clear();
+        self.live_tasks = 0;
+        self.base = 0;
+    }
+
     /// Id of the first task in the current window (tasks below it were
     /// retired by [`recycle`](Self::recycle); 0 unless recycling is used).
     pub fn base_task(&self) -> u32 {
@@ -1381,5 +1401,117 @@ mod tests {
         restored.complete(TaskId(1), &mut eb);
         assert_eq!(ea, eb);
         assert_eq!(ea, vec![TaskId(2)]);
+    }
+
+    /// Register `specs`, then take up to `steps` seeded transitions, each a
+    /// mid-task release or the completion of some enabled task. Returns
+    /// every answer the synchronizer gave (the initially enabled set, then
+    /// each transition's `newly_enabled`) and the traced stream.
+    fn drive(
+        sync: &mut Synchronizer,
+        specs: &[AccessSpec],
+        mut seed: u64,
+        steps: usize,
+    ) -> (Vec<Vec<TaskId>>, Vec<crate::events::Event>) {
+        let mut sink = crate::events::EventSink::recording();
+        let mut clock = 0u64..;
+        let mut enabled = Vec::new();
+        for (i, s) in specs.iter().enumerate() {
+            let id = TaskId(i as u32);
+            if sync.add_task_traced(id, s, &mut sink, clock.next().unwrap(), 0) {
+                enabled.push(id);
+            }
+        }
+        let mut answers = vec![enabled.clone()];
+        // Declarations each task has released so far, in declaration order.
+        let mut released = vec![0usize; specs.len()];
+        let mut next = || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (seed >> 33) as usize
+        };
+        for _ in 0..steps {
+            if enabled.is_empty() {
+                break;
+            }
+            let at = next() % enabled.len();
+            let t = enabled[at];
+            let decls = specs[t.index()].decls();
+            let mut newly = Vec::new();
+            let time = clock.next().unwrap();
+            if next() % 2 == 0 && released[t.index()] < decls.len() {
+                let object = decls[released[t.index()]].object;
+                released[t.index()] += 1;
+                sync.release_traced(t, object, &mut newly, &mut sink, time, 0);
+            } else {
+                enabled.swap_remove(at);
+                sync.complete_traced(t, &mut newly, &mut sink, time, 0);
+            }
+            enabled.extend(&newly);
+            answers.push(newly);
+        }
+        (answers, sink.take())
+    }
+
+    use proptest::prelude::*;
+
+    fn program(max_tasks: usize) -> impl Strategy<Value = Vec<Vec<(u8, bool)>>> {
+        prop::collection::vec(
+            prop::collection::vec(((0..6u8), any::<bool>()), 0..5),
+            1..max_tasks,
+        )
+    }
+
+    fn specs_of(prog: &[Vec<(u8, bool)>]) -> Vec<AccessSpec> {
+        let spec_of = |accesses: &Vec<(u8, bool)>| {
+            let mut s = AccessSpec::new();
+            for &(obj, write) in accesses {
+                if write {
+                    s.wr(o(obj as u32));
+                } else {
+                    s.rd(o(obj as u32));
+                }
+            }
+            s
+        };
+        prog.iter().map(spec_of).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `reset` from any partial state — tasks completed, accesses
+        /// granted, waiters parked, declarations released mid-task — leaves
+        /// a synchronizer that answers a second program exactly as a new
+        /// one does: same enabled sets in the same order, same stream.
+        #[test]
+        fn reset_from_any_state_equals_new(
+            first in program(30),
+            second in program(30),
+            stop in any::<u64>(),
+            seed in any::<u64>(),
+            replication in any::<bool>(),
+        ) {
+            let first = specs_of(&first);
+            let mut used = Synchronizer::new(replication);
+            drive(&mut used, &first, seed, (stop % (3 * first.len() as u64 + 1)) as usize);
+            if used.all_complete() {
+                // A finished window may have been retired: `base` moves.
+                used.recycle();
+            }
+            used.reset();
+            prop_assert_eq!(used.task_count(), 0);
+            prop_assert_eq!(used.base_task(), 0);
+            prop_assert!(used.all_complete());
+
+            let second = specs_of(&second);
+            let mut fresh = Synchronizer::new(replication);
+            let after_reset = drive(&mut used, &second, seed ^ stop, usize::MAX);
+            let from_new = drive(&mut fresh, &second, seed ^ stop, usize::MAX);
+            prop_assert_eq!(&after_reset, &from_new);
+            prop_assert!(used.all_complete(), "the second program ran to the end");
+            for obj in 0..6 {
+                prop_assert_eq!(used.queue_len(o(obj)), 0);
+            }
+        }
     }
 }

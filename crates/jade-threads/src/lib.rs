@@ -236,6 +236,16 @@ impl OwnerTable {
         }
     }
 
+    /// Forget every recorded write, keeping the slots: the table of a
+    /// retired service tenant must not route (or report locality for) the
+    /// next tenant that reuses it.
+    pub(crate) fn reset(&mut self) {
+        for slot in &mut self.slots {
+            *slot.get_mut() = 0;
+        }
+        *self.stamp.get_mut() = 0;
+    }
+
     /// Record that worker `w` wrote `o`. Relaxed is enough: the table is a
     /// heuristic — a stale read changes *where* a task runs, never whether
     /// it runs correctly.
@@ -3083,18 +3093,38 @@ mod tests {
         // the lock for every pick regardless of policy, so `batch=1` and
         // `auto` measured identical sync_locks. The claim loop must take
         // several tasks per acquisition under Auto.
+        //
+        // A claim run covers a worker's own queue; a steal is one task per
+        // acquisition, and how many tasks get stolen depends on when the
+        // workers happen to start. So, as in its Sharded twin
+        // `auto_batching_amortizes_sync_locks`, the work sits on worker 0
+        // and worker 1 is pinned inside `hold` until every other body has
+        // run: at most one steal, whatever the host does.
+        const WORK: usize = 399;
         let run = |policy: BatchPolicy| {
             let mut rt = ThreadRuntime::with_mode(2, SchedMode::GlobalLock);
             rt.set_batch_policy(policy);
-            let outs: Vec<_> = (0..400)
+            let ran = Arc::new(AtomicUsize::new(0));
+            let outs: Vec<_> = (0..WORK)
                 .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
                 .collect();
             for (i, &o) in outs.iter().enumerate() {
-                rt.submit(TaskBuilder::new("w").wr(o).body(move |ctx| {
+                let ran = ran.clone();
+                rt.submit(TaskBuilder::new("w").wr(o).place(0).body(move |ctx| {
                     *ctx.wr(o) = i as u64;
+                    ran.fetch_add(1, Ordering::SeqCst);
                 }));
             }
+            let seen = ran.clone();
+            rt.submit(TaskBuilder::new("hold").place(1).body(move |_| {
+                // Bounded only so a scheduler bug fails instead of hanging.
+                let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+                while seen.load(Ordering::SeqCst) < WORK && std::time::Instant::now() < give_up {
+                    std::thread::yield_now();
+                }
+            }));
             rt.finish();
+            assert_eq!(ran.load(Ordering::SeqCst), WORK);
             for (i, &o) in outs.iter().enumerate() {
                 assert_eq!(*rt.store().read(o), i as u64);
             }

@@ -4,7 +4,7 @@
 //! This test binary installs a counting `#[global_allocator]` shim (the
 //! same ~12 lines as the `repro` binary — it cannot live in a library:
 //! `jade-bench` is `#![forbid(unsafe_code)]`, and Rust allows exactly one
-//! global allocator per binary). Three things are covered:
+//! global allocator per binary). Four things are covered:
 //!
 //! 1. the counter actually observes a deliberate allocation (the harness
 //!    is not vacuously "passing" a dead counter);
@@ -13,13 +13,20 @@
 //!    on the SchedStress shape, for both deque implementations — measured
 //!    differentially (a 2N-task batch must allocate exactly as much as an
 //!    N-task batch, so per-batch fixed costs like thread spawns cancel);
-//! 3. when no counting shim feeds the counter (another global allocator
+//! 3. a warmed `JadeService` allocates per DAG, not per task: its slabs
+//!    come from a retired tenant's slot, so submit → `wait` of a 2N-task
+//!    chain allocates exactly as often as an N-task chain (what is left is
+//!    the `Arc<Store>`, the event `Vec` and the report);
+//! 4. when no counting shim feeds the counter (another global allocator
 //!    is active), the probe reports inactive and the assertions skip
 //!    cleanly — the probe side of that contract is exercised in
 //!    `jade-bench`'s in-crate tests, which install no shim.
 
 use jade_core::{JadeRuntime, TaskBuilder};
-use jade_threads::{DequeImpl, SchedMode, ThreadRuntime};
+use jade_threads::{
+    DequeImpl, JadeService, Outcome, Program, SchedMode, ServiceConfig, TenantOptions,
+    ThreadRuntime,
+};
 use std::sync::Mutex;
 
 struct CountingAlloc;
@@ -138,4 +145,55 @@ fn steady_state_allocs_per_task_is_zero_for_both_deques() {
             );
         }
     }
+}
+
+/// An `n`-task chain on one counter, built outside the measured window.
+fn service_chain(n: usize) -> Program {
+    let mut prog = Program::new();
+    let acc = prog.create("acc", 8, 0u64);
+    for _ in 0..n {
+        prog.submit(TaskBuilder::new("inc").rd_wr(acc).body(move |ctx| {
+            *ctx.wr(acc) += 1;
+        }));
+    }
+    prog
+}
+
+#[test]
+fn warmed_service_allocates_per_dag_not_per_task() {
+    let _guard = SERIAL.lock().unwrap();
+    if counting_inactive() {
+        return;
+    }
+    let n = 500usize;
+    let svc = JadeService::new(ServiceConfig::new(1));
+    let run = |tasks: usize| {
+        let prog = service_chain(tasks);
+        let (allocs, report) = jade_bench::alloc::allocs_during(|| {
+            let id = svc
+                .submit(prog, TenantOptions::default())
+                .expect("admitted");
+            svc.wait(id)
+        });
+        assert_eq!(report.outcome, Outcome::Completed);
+        assert_eq!(report.tasks_completed, tasks);
+        allocs
+    };
+    // As above: the harness's own threads can only inflate a window, so the
+    // first clean attempt decides; a per-task allocation adds >= 500 to all.
+    let mut seen = Vec::new();
+    let clean = (0..5).any(|_| {
+        for _ in 0..3 {
+            run(2 * n);
+        }
+        let (small, large) = (run(n), run(2 * n));
+        seen.push((small, large));
+        small == large
+    });
+    assert!(
+        clean,
+        "submit -> wait kept allocating per task ((N, 2N) allocations across attempts: {seen:?})"
+    );
+    let (per_dag, _) = seen[seen.len() - 1];
+    assert!(per_dag <= 8, "{per_dag} allocations for one warmed DAG");
 }

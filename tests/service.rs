@@ -50,20 +50,24 @@ fn program_strategy(max_tasks: usize) -> impl Strategy<Value = Vec<Vec<(u8, bool
 /// Materialize a random program as a service `Program` (each task appends
 /// its index to every object it writes).
 fn build_program(prog: &[Vec<(u8, bool)>]) -> (Program, Vec<jade::Handle<Vec<u32>>>) {
+    build_program_over(prog, OBJECTS, None)
+}
+
+/// [`build_program`] over `objects <= OBJECTS` objects (accesses fold onto
+/// them), with task `bug`, if any, panicking before it writes.
+fn build_program_over(
+    prog: &[Vec<(u8, bool)>],
+    objects: usize,
+    bug: Option<usize>,
+) -> (Program, Vec<jade::Handle<Vec<u32>>>) {
     let mut p = Program::new();
-    let objs: Vec<_> = (0..OBJECTS)
+    let objs: Vec<_> = (0..objects)
         .map(|i| p.create(format!("o{i}"), 8, Vec::<u32>::new()))
         .collect();
-    for (i, accesses) in prog.iter().enumerate() {
+    for i in 0..prog.len() {
         let mut tb = TaskBuilder::new("p");
         let mut writes = Vec::new();
-        let mut seen = [false; OBJECTS];
-        for &(o, w) in accesses {
-            let o = o as usize % OBJECTS;
-            if seen[o] {
-                continue;
-            }
-            seen[o] = true;
+        for (o, w) in declared(prog, i, objects) {
             if w {
                 tb = tb.rd_wr(objs[o]);
                 writes.push(objs[o]);
@@ -72,12 +76,28 @@ fn build_program(prog: &[Vec<(u8, bool)>]) -> (Program, Vec<jade::Handle<Vec<u32
             }
         }
         p.submit(tb.body(move |ctx| {
+            if bug == Some(i) {
+                panic!("hostile bug");
+            }
             for &h in &writes {
                 ctx.wr(h).push(i as u32);
             }
         }));
     }
     (p, objs)
+}
+
+/// The objects task `k` of `prog` declares, folded onto `objects` (an
+/// object's first mention decides), and whether it writes each.
+fn declared(prog: &[Vec<(u8, bool)>], k: usize, objects: usize) -> Vec<(usize, bool)> {
+    let mut out: Vec<(usize, bool)> = Vec::new();
+    for &(o, w) in &prog[k] {
+        let o = o as usize % objects;
+        if !out.iter().any(|&(seen, _)| seen == o) {
+            out.push((o, w));
+        }
+    }
+    out
 }
 
 /// A program whose second task has a genuine bug.
@@ -150,9 +170,17 @@ fn run_on_thread_runtime(prog: &[Vec<(u8, bool)>], deque: DequeImpl) -> Vec<Vec<
 
 /// Run `clean` as the only tenant of a fresh service and observe it.
 fn observe_solo(clean: &[Vec<(u8, bool)>]) -> Observation {
+    observe_solo_over(clean, OBJECTS, TenantOptions::default())
+}
+
+fn observe_solo_over(
+    clean: &[Vec<(u8, bool)>],
+    objects: usize,
+    opts: TenantOptions,
+) -> Observation {
     let svc = JadeService::new(ServiceConfig::new(WORKERS));
-    let (p, objs) = build_program(clean);
-    let id = svc.submit(p, TenantOptions::default()).expect("admit");
+    let (p, objs) = build_program_over(clean, objects, None);
+    let id = svc.submit(p, opts).expect("admit");
     let r = svc.wait(id);
     assert_eq!(r.outcome, Outcome::Completed, "solo run must complete");
     let outs = objs.iter().map(|&h| r.store.read(h).clone()).collect();
@@ -208,6 +236,79 @@ proptest! {
         }
         prop_assert!(saw_failure, "the buggy neighbor must fail in isolation");
         prop_assert_eq!(&solo, &concurrent, "clean tenant diverged next to hostile neighbors");
+    }
+
+    /// Slot recycling keeps the isolation invariant: with one active slot,
+    /// every clean tenant is registered into the slot a cancelled tenant —
+    /// zero-deadline, or panicking part-way (after injected crashes, in a
+    /// third of the rounds) with accesses granted and waiters parked — has
+    /// just vacated, and it still observes exactly its solo run, injected
+    /// crashes of its own included. The programs differ in shape and object
+    /// count, so slabs are reused larger and smaller than they were left.
+    #[test]
+    fn clean_tenants_are_unaffected_by_the_slot_they_inherit(
+        rounds in prop::collection::vec(
+            (program_strategy(20), 1..OBJECTS + 1, any::<u8>(), program_strategy(25), 1..OBJECTS + 1),
+            2..4,
+        ),
+    ) {
+        quiet_expected_panics();
+        let mut cfg = ServiceConfig::new(WORKERS);
+        cfg.max_active = 1;
+        let svc = JadeService::new(cfg);
+        let mut hostile_ids = Vec::new();
+        let mut clean_runs = Vec::new();
+        for (hostile, h_objs, kind, clean, c_objs) in &rounds {
+            let crashing = |panic_p| TenantOptions::default().with_faults(FaultPlan {
+                panic_p,
+                seed: *kind as u64,
+                ..FaultPlan::none()
+            });
+            // The hostile tenant expires before its first dispatch, or its
+            // task `bug` panics, with or without injected crashes before it.
+            let bug = (kind % 3 != 0).then_some(*kind as usize / 6 % hostile.len());
+            let opts = match kind % 3 {
+                0 => TenantOptions::default().with_deadline(Duration::ZERO),
+                1 => TenantOptions::default(),
+                _ => crashing(0.4),
+            };
+            let (ph, _) = build_program_over(hostile, *h_objs, bug);
+            hostile_ids.push(svc.submit(ph, opts).unwrap());
+            let opts = if kind / 3 % 2 == 0 { TenantOptions::default() } else { crashing(0.3) };
+            let (pc, objs) = build_program_over(clean, *c_objs, None);
+            let id = svc.submit(pc, opts.clone()).unwrap();
+            clean_runs.push((id, objs, clean, *c_objs, opts));
+        }
+        for id in hostile_ids {
+            prop_assert_ne!(svc.wait(id).outcome, Outcome::Completed);
+        }
+        for (id, objs, clean, c_objs, opts) in clean_runs {
+            let r = svc.wait(id);
+            prop_assert_eq!(&r.outcome, &Outcome::Completed);
+            let outs: Vec<Vec<u32>> = objs.iter().map(|&h| r.store.read(h).clone()).collect();
+            let recycled = (outs, counters(&r.metrics(WORKERS)));
+            prop_assert_eq!(&observe_solo_over(clean, c_objs, opts), &recycled);
+            // The write-owner table came back empty: a dispatch reports a
+            // locality hit or miss only where an earlier task of this very
+            // tenant wrote one of the task's objects.
+            for e in &r.events {
+                use jade::core::{EventKind, Locality};
+                let EventKind::TaskDispatched { locality, .. } = e.kind else {
+                    continue;
+                };
+                if locality == Locality::Untracked {
+                    continue;
+                }
+                let k = e.task.expect("a dispatch names its task").index();
+                let mine = declared(clean, k, c_objs);
+                let written_before = (0..k).any(|j| {
+                    declared(clean, j, c_objs)
+                        .iter()
+                        .any(|&(o, w)| w && mine.iter().any(|&(m, _)| m == o))
+                });
+                prop_assert!(written_before, "task {} routed by a stranger's write", k);
+            }
+        }
     }
 
     /// Injected crashes are themselves deterministic: a faulty tenant
