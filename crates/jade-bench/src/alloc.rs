@@ -3,11 +3,10 @@
 //! The counter itself is safe code (this crate is
 //! `#![forbid(unsafe_code)]`); the `#[global_allocator]` shim that feeds
 //! it is a ~12-line `unsafe impl GlobalAlloc` delegating to
-//! [`std::alloc::System`], duplicated verbatim in the crate roots that opt
-//! in: the `repro` binary (so `repro bench` can report `allocs_per_task`)
-//! and the workspace-level `tests/allocs.rs`. Binaries that do *not*
-//! install the shim — every other test binary, or one using a different
-//! global allocator — see a counter that never moves, which
+//! [`std::alloc::System`], installed by the one crate root that opts in:
+//! the workspace-level `tests/allocs.rs`. Binaries that do *not* install
+//! the shim — every other binary, or one using a different global
+//! allocator — see a counter that never moves, which
 //! [`counting_active`] detects so alloc assertions skip cleanly instead of
 //! failing vacuously.
 //!

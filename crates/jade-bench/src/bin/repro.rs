@@ -24,33 +24,6 @@ use jade_bench::experiments as ex;
 use jade_bench::{App, Harness, TraceBackend};
 use jade_core::LocalityMode;
 
-/// Counting global allocator feeding `jade_bench::alloc`, so `repro
-/// bench` can report `allocs_per_task`. Lives in this binary root (not
-/// the library, which is `#![forbid(unsafe_code)]`); the identical shim
-/// appears in the workspace `tests/allocs.rs`.
-struct CountingAlloc;
-
-// SAFETY: pure delegation to the system allocator — same layout
-// contracts, same returned pointers; the only addition is a relaxed
-// counter increment on the allocating paths.
-#[allow(unsafe_code)]
-unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        jade_bench::alloc::note_alloc();
-        std::alloc::GlobalAlloc::alloc(&std::alloc::System, layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        std::alloc::GlobalAlloc::dealloc(&std::alloc::System, ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        jade_bench::alloc::note_alloc();
-        std::alloc::GlobalAlloc::realloc(&std::alloc::System, ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick] [--trace-out FILE] [--faults SPEC] [--fault-seed N]\n\
@@ -59,7 +32,7 @@ fn usage() -> ! {
          experiments: all, tables, figures, table1..table14, fig2..fig21,\n\
          replication, bcast-analysis, latency-hiding, concurrent-fetch, ablations,\n\
          utilization, fault-sweep, checkpoint-sweep, aggregation-sweep,\n\
-         overlap-sweep, service-stress, tune-sweep, bench\n\
+         overlap-sweep, service-stress, tune-sweep\n\
          --app NAME        run one application on the simulated iPSC/860 and\n\
                            print its communication profile; NAME is one of\n\
                            water, string, ocean, cholesky, pagerank, halo\n\
@@ -75,9 +48,6 @@ fn usage() -> ! {
                            pass (DESIGN.md \u{a7}15) for --app runs\n\
          --prefetch        enable the split-phase prefetch path (DESIGN.md \u{a7}17)\n\
                            for --app runs\n\
-         bench: wall-clock (host Instant) benchmark of the thread backend\n\
-                (Sharded vs GlobalLock, 1/2/4/8 workers) and the simulators;\n\
-                writes BENCH_threads.json + BENCH_sim.json at the repo root\n\
          --trace-out FILE  also write a Chrome trace_event JSON of a\n\
                            representative run (Ocean, 8 procs, iPSC/860);\n\
                            open it in chrome://tracing or ui.perfetto.dev\n\
@@ -329,12 +299,6 @@ fn run_one(h: &mut Harness, what: &str, plan: dsim::FaultPlan, ckpt_intervals: &
         "utilization" => {
             for app in [App::Water, App::Ocean, App::Cholesky] {
                 ex::utilization(h, app, 8);
-            }
-        }
-        "bench" => {
-            if let Err(why) = jade_bench::bench::run(h.quick) {
-                eprintln!("bench FAILED: {why}");
-                std::process::exit(1);
             }
         }
         "fault-sweep" => {

@@ -1062,6 +1062,15 @@ pub fn aggregation_sweep(h: &mut Harness) -> Result<(), String> {
     Ok(())
 }
 
+/// Write a sweep's result file atomically: dump to `<path>.tmp`, then
+/// rename over `path`, so an interrupted run never leaves a truncated file
+/// where a committed one was.
+fn write_json(path: &str, body: &str) -> Result<(), String> {
+    let tmp = format!("{path}.tmp");
+    std::fs::write(&tmp, body).map_err(|e| format!("cannot write {tmp}: {e}"))?;
+    std::fs::rename(&tmp, path).map_err(|e| format!("cannot rename {tmp} -> {path}: {e}"))
+}
+
 /// Overlap sweep (DESIGN.md §17): run all six applications with the
 /// split-phase prefetch path off and on, and check the tentpole
 /// invariants — issuing fetches at task-enable time may only *hide*
@@ -1263,7 +1272,7 @@ pub fn overlap_sweep(h: &mut Harness) -> Result<(), String> {
         ));
     }
     body.push_str("  ]\n}\n");
-    crate::bench::write_json("OVERLAP_sweep.json", &body)?;
+    write_json("OVERLAP_sweep.json", &body)?;
     println!("  wrote OVERLAP_sweep.json ({} points)", rows.len());
 
     println!(
@@ -1767,7 +1776,7 @@ pub fn service_stress(h: &mut Harness) -> Result<(), String> {
         ));
     }
     body.push_str("  ]\n}\n");
-    crate::bench::write_json("SERVICE_tenants.json", &body)?;
+    write_json("SERVICE_tenants.json", &body)?;
     println!("  wrote SERVICE_tenants.json ({} tenants)", rows.len());
 
     println!(
@@ -2006,7 +2015,7 @@ pub fn tune_sweep(h: &mut Harness) -> Result<(), String> {
         ));
     }
     body.push_str("  ]\n}\n");
-    crate::bench::write_json("TUNE_sweep.json", &body)?;
+    write_json("TUNE_sweep.json", &body)?;
     println!("  wrote TUNE_sweep.json ({} apps)", rows.len());
 
     println!(

@@ -10,7 +10,6 @@
 
 pub mod alloc;
 pub mod apps;
-pub mod bench;
 pub mod experiments;
 pub mod harness;
 pub mod paper_data;

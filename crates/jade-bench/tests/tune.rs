@@ -11,7 +11,7 @@
 use dsim::FaultPlan;
 use jade_core::{AccessSpec, JadeRuntime, LocalityMode, TaskBuilder, TraceBuilder};
 use jade_ipsc::IpscConfig;
-use jade_threads::{DequeImpl, SchedMode, ThreadRuntime};
+use jade_threads::ThreadRuntime;
 use proptest::prelude::*;
 
 /// Build a random multi-phase trace: every task writes one object (so
@@ -113,7 +113,7 @@ proptest! {
     /// Thread backend: tuned runs produce the same store contents and task
     /// counts as untuned, the decision logs repeat bit-for-bit across runs
     /// (they derive from batch shapes, not OS scheduling), and knobs stay
-    /// in range — across random batch splits × schedulers × deques.
+    /// in range — across random batch splits and checkpoint intervals.
     #[test]
     fn threads_tuned_runs_match_untuned_and_log_identically(
         workers in 1usize..5,
@@ -121,13 +121,9 @@ proptest! {
         tasks in prop::collection::vec((any::<u8>(), 1u64..100), 1..60),
         split in any::<u8>(),
         ckpt_every in 1usize..16,
-        global in any::<bool>(),
-        chase_lev in any::<bool>(),
     ) {
         let run = |tune: bool| {
-            let mode = if global { SchedMode::GlobalLock } else { SchedMode::Sharded };
-            let mut rt = ThreadRuntime::with_mode(workers, mode);
-            rt.set_deque_impl(if chase_lev { DequeImpl::ChaseLev } else { DequeImpl::Locked });
+            let mut rt = ThreadRuntime::new(workers);
             rt.checkpoint_every(ckpt_every);
             if tune {
                 rt.enable_tuning();

@@ -1,10 +1,10 @@
-//! Work-stealing queues for the sharded scheduler: the seed
-//! `Mutex<VecDeque>` implementation and a vendored lock-free Chase-Lev
-//! deque, selectable per runtime via [`DequeImpl`].
+//! The work-stealing ready queue of the thread executor: a vendored
+//! lock-free Chase-Lev deque per worker, paired with a small locked inbox
+//! for pushes from other threads ([`TaskQueue`]).
 //!
 //! This module is the **only** place in the workspace's library crates
 //! where `unsafe` appears (the crate root is `#![deny(unsafe_code)]`; this
-//! module opts back in). The full safety argument lives in DESIGN.md §18;
+//! module opts back in). The full safety argument lives in DESIGN.md §13;
 //! the load-bearing facts are inlined next to each `unsafe` block.
 //!
 //! # The Chase-Lev deque, in brief
@@ -49,33 +49,8 @@
 #![allow(unsafe_code)]
 
 use crate::lock;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Which per-worker ready-queue implementation the sharded scheduler uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DequeImpl {
-    /// The seed implementation: a `Mutex<VecDeque>` per worker with an
-    /// atomic length hint. Owner pops the front (FIFO program order),
-    /// thieves pop the back.
-    #[default]
-    Locked,
-    /// The vendored lock-free Chase-Lev deque (owner LIFO at the bottom,
-    /// thieves CAS-steal at the top) plus a locked inject inbox for remote
-    /// pushes. Owner-side push/pop take no lock at all.
-    ChaseLev,
-}
-
-impl DequeImpl {
-    /// Stable lowercase name used in bench output and sweeps.
-    pub fn name(self) -> &'static str {
-        match self {
-            DequeImpl::Locked => "locked",
-            DequeImpl::ChaseLev => "chase-lev",
-        }
-    }
-}
 
 /// A power-of-two ring of atomic slots. Indexed by the *unwrapped*
 /// monotone top/bottom counters; the mask wraps them.
@@ -260,43 +235,24 @@ impl ChaseLev {
     }
 }
 
-/// One worker's ready queue: either the seed locked deque or Chase-Lev plus
-/// its inject inbox. The scheduler talks only to this wrapper.
-pub(crate) enum TaskQueue {
-    Locked {
-        jobs: Mutex<VecDeque<usize>>,
-        /// Length hint maintained under the lock so pickers can skip empty
-        /// queues without touching the mutex.
-        len: AtomicUsize,
-    },
-    ChaseLev {
-        deque: ChaseLev,
-        /// Remote pushes land here (bottom ops are owner-only); drained by
-        /// the owner when its deque runs dry, stealable by thieves.
-        inbox: Mutex<Vec<usize>>,
-        inbox_len: AtomicUsize,
-    },
+/// One worker's ready queue: a Chase-Lev deque plus its inject inbox. The
+/// scheduler talks only to this wrapper.
+pub(crate) struct TaskQueue {
+    deque: ChaseLev,
+    /// Remote pushes land here (bottom ops are owner-only); drained by the
+    /// owner when its deque runs dry, stealable by thieves.
+    inbox: Mutex<Vec<usize>>,
+    /// Inbox length, maintained under the lock so pickers can skip an empty
+    /// inbox without touching the mutex.
+    inbox_len: AtomicUsize,
 }
 
 impl TaskQueue {
-    pub(crate) fn new(which: DequeImpl, capacity: usize) -> TaskQueue {
-        match which {
-            DequeImpl::Locked => TaskQueue::Locked {
-                jobs: Mutex::new(VecDeque::with_capacity(capacity)),
-                len: AtomicUsize::new(0),
-            },
-            DequeImpl::ChaseLev => TaskQueue::ChaseLev {
-                deque: ChaseLev::with_capacity(capacity),
-                inbox: Mutex::new(Vec::with_capacity(capacity)),
-                inbox_len: AtomicUsize::new(0),
-            },
-        }
-    }
-
-    pub(crate) fn kind(&self) -> DequeImpl {
-        match self {
-            TaskQueue::Locked { .. } => DequeImpl::Locked,
-            TaskQueue::ChaseLev { .. } => DequeImpl::ChaseLev,
+    pub(crate) fn new(capacity: usize) -> TaskQueue {
+        TaskQueue {
+            deque: ChaseLev::with_capacity(capacity),
+            inbox: Mutex::new(Vec::with_capacity(capacity)),
+            inbox_len: AtomicUsize::new(0),
         }
     }
 
@@ -305,141 +261,75 @@ impl TaskQueue {
     /// (batch setup happens-before the spawn of every worker, so the
     /// owner-only bottom push is safe from the setup thread too).
     pub(crate) fn push(&self, local: usize, owner: bool) {
-        match self {
-            TaskQueue::Locked { jobs, len } => {
-                let mut jobs = lock(jobs);
-                jobs.push_back(local);
-                len.store(jobs.len(), Ordering::Release);
-            }
-            TaskQueue::ChaseLev {
-                deque,
-                inbox,
-                inbox_len,
-            } => {
-                if owner {
-                    deque.push(local);
-                } else {
-                    let mut inbox = lock(inbox);
-                    inbox.push(local);
-                    inbox_len.store(inbox.len(), Ordering::Release);
-                }
-            }
+        if owner {
+            self.deque.push(local);
+        } else {
+            let mut inbox = lock(&self.inbox);
+            inbox.push(local);
+            self.inbox_len.store(inbox.len(), Ordering::Release);
         }
     }
 
-    /// Owner-side pick. Locked pops the front (FIFO); Chase-Lev pops the
-    /// bottom (LIFO), falling back to draining the inject inbox. Execution
-    /// order is a scheduling freedom either way: the synchronizer enforces
-    /// every dependence ordering, so only enabled tasks are ever queued.
+    /// Owner-side pick: pop the bottom (LIFO), falling back to draining the
+    /// inject inbox. Execution order is a scheduling freedom: the
+    /// synchronizer enforces every dependence ordering, so only enabled
+    /// tasks are ever queued.
     pub(crate) fn pop(&self) -> Option<usize> {
-        match self {
-            TaskQueue::Locked { jobs, len } => {
-                let mut jobs = lock(jobs);
-                let picked = jobs.pop_front();
-                if picked.is_some() {
-                    len.store(jobs.len(), Ordering::Release);
-                }
-                picked
+        self.deque.pop().or_else(|| {
+            // Deque dry: adopt everything parked in the inbox, then retry.
+            // The pop takes the most recently adopted entry; FIFO-vs-LIFO
+            // here is again a pure scheduling freedom.
+            let mut inbox = lock(&self.inbox);
+            if inbox.is_empty() {
+                return None;
             }
-            TaskQueue::ChaseLev {
-                deque,
-                inbox,
-                inbox_len,
-            } => deque.pop().or_else(|| {
-                // Deque dry: adopt everything parked in the inbox, then
-                // retry. The pop takes the most recently adopted entry;
-                // FIFO-vs-LIFO here is again a pure scheduling freedom.
-                let mut inbox = lock(inbox);
-                if inbox.is_empty() {
-                    return None;
-                }
-                for v in inbox.drain(..) {
-                    deque.push(v);
-                }
-                inbox_len.store(0, Ordering::Release);
-                drop(inbox);
-                deque.pop()
-            }),
-        }
+            for v in inbox.drain(..) {
+                self.deque.push(v);
+            }
+            self.inbox_len.store(0, Ordering::Release);
+            drop(inbox);
+            self.deque.pop()
+        })
     }
 
-    /// Thief-side pick from another worker's queue. For Chase-Lev the
-    /// victim's inbox is also fair game — without that, work injected onto
-    /// a worker that never goes idle (it may be spinning inside a task)
-    /// would be unreachable and the scheduler could deadlock.
+    /// Thief-side pick from another worker's queue. The victim's inbox is
+    /// also fair game — without that, work injected onto a worker that
+    /// never goes idle (it may be spinning inside a task) would be
+    /// unreachable and the scheduler could deadlock.
     pub(crate) fn steal(&self) -> Option<usize> {
-        match self {
-            TaskQueue::Locked { jobs, len } => {
-                let mut jobs = lock(jobs);
-                let picked = jobs.pop_back();
-                if picked.is_some() {
-                    len.store(jobs.len(), Ordering::Release);
-                }
-                picked
+        self.deque.steal().or_else(|| {
+            if self.inbox_len.load(Ordering::Acquire) == 0 {
+                return None;
             }
-            TaskQueue::ChaseLev {
-                deque,
-                inbox,
-                inbox_len,
-            } => deque.steal().or_else(|| {
-                if inbox_len.load(Ordering::Acquire) == 0 {
-                    return None;
-                }
-                let mut inbox = lock(inbox);
-                let picked = inbox.pop();
-                inbox_len.store(inbox.len(), Ordering::Release);
-                picked
-            }),
-        }
+            let mut inbox = lock(&self.inbox);
+            let picked = inbox.pop();
+            self.inbox_len.store(inbox.len(), Ordering::Release);
+            picked
+        })
     }
 
     /// True when a scan may skip this queue without locking anything. A
-    /// racing push can make the hint stale — exactly as with the seed
-    /// queue's length hint — and the epoch-parking protocol covers that
-    /// window.
+    /// racing push can make the hint stale; the epoch-parking protocol
+    /// covers that window.
     pub(crate) fn is_empty_hint(&self) -> bool {
-        match self {
-            TaskQueue::Locked { len, .. } => len.load(Ordering::Acquire) == 0,
-            TaskQueue::ChaseLev {
-                deque, inbox_len, ..
-            } => deque.len_hint() == 0 && inbox_len.load(Ordering::Acquire) == 0,
-        }
+        self.deque.len_hint() == 0 && self.inbox_len.load(Ordering::Acquire) == 0
     }
 
     /// Exclusive-access reset for arena reuse between batches: drop any
     /// leftovers (an aborted batch may leave entries) and pre-size for `n`
     /// pushes. Returns `true` if storage had to be (re)allocated.
     pub(crate) fn reset(&mut self, n: usize) -> bool {
-        match self {
-            TaskQueue::Locked { jobs, len } => {
-                let jobs = jobs.get_mut().unwrap_or_else(|e| e.into_inner());
-                jobs.clear();
-                *len.get_mut() = 0;
-                let grew = jobs.capacity() < n;
-                if grew {
-                    // `reserve` is relative to `len` (0 after the clear).
-                    jobs.reserve(n);
-                }
-                grew
-            }
-            TaskQueue::ChaseLev {
-                deque,
-                inbox,
-                inbox_len,
-            } => {
-                // Drain leftovers so top == bottom before reserving.
-                while deque.pop().is_some() {}
-                let inbox = inbox.get_mut().unwrap_or_else(|e| e.into_inner());
-                inbox.clear();
-                *inbox_len.get_mut() = 0;
-                let mut grew = deque.reserve(n);
-                if inbox.capacity() < n {
-                    inbox.reserve(n);
-                    grew = true;
-                }
-                grew
-            }
+        // Drain leftovers so top == bottom before reserving.
+        while self.deque.pop().is_some() {}
+        let inbox = self.inbox.get_mut().unwrap_or_else(|e| e.into_inner());
+        inbox.clear();
+        *self.inbox_len.get_mut() = 0;
+        let mut grew = self.deque.reserve(n);
+        if inbox.capacity() < n {
+            inbox.reserve(n);
+            grew = true;
         }
+        grew
     }
 }
 
@@ -560,23 +450,8 @@ mod tests {
     }
 
     #[test]
-    fn task_queue_locked_is_fifo_for_owner_and_steals_back() {
-        let q = TaskQueue::new(DequeImpl::Locked, 8);
-        assert!(q.is_empty_hint());
-        q.push(1, true);
-        q.push(2, false); // pusher identity is irrelevant for Locked
-        q.push(3, true);
-        assert!(!q.is_empty_hint());
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.steal(), Some(3));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty_hint());
-    }
-
-    #[test]
-    fn task_queue_chase_lev_routes_remote_pushes_through_inbox() {
-        let q = TaskQueue::new(DequeImpl::ChaseLev, 8);
+    fn task_queue_routes_remote_pushes_through_inbox() {
+        let q = TaskQueue::new(8);
         q.push(1, false);
         q.push(2, false);
         assert!(!q.is_empty_hint(), "inbox contents count toward the hint");
@@ -592,16 +467,13 @@ mod tests {
 
     #[test]
     fn task_queue_reset_reuses_and_reports_growth() {
-        for which in [DequeImpl::Locked, DequeImpl::ChaseLev] {
-            let mut q = TaskQueue::new(which, 16);
-            assert_eq!(q.kind(), which);
-            q.push(1, true);
-            q.push(2, false);
-            assert!(!q.reset(8), "{which:?}: shrink-fit reset must not grow");
-            assert!(q.is_empty_hint(), "{which:?}: reset drains leftovers");
-            assert_eq!(q.pop(), None);
-            assert!(q.reset(4096), "{which:?}: bigger batch must grow");
-            assert!(!q.reset(4096), "{which:?}: same-shape reset reuses");
-        }
+        let mut q = TaskQueue::new(16);
+        q.push(1, true);
+        q.push(2, false);
+        assert!(!q.reset(8), "shrink-fit reset must not grow");
+        assert!(q.is_empty_hint(), "reset drains leftovers");
+        assert_eq!(q.pop(), None);
+        assert!(q.reset(4096), "bigger batch must grow");
+        assert!(!q.reset(4096), "same-shape reset reuses");
     }
 }

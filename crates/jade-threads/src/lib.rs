@@ -11,14 +11,14 @@
 //! * the **same program text** runs here and on the simulators — apps are
 //!   generic over [`jade_core::JadeRuntime`];
 //! * the queue-based [`jade_core::Synchronizer`] decides when tasks may run;
-//! * the default [`SchedMode::Sharded`] scheduler mirrors the paper's
-//!   *distributed* shared-memory scheduler (§4.1): per-worker deques with a
-//!   dynamic **locality heuristic** (each enabled task goes to the worker
-//!   that most recently wrote one of its objects, falling back to the
-//!   object's declared home) and **randomized stealing** from the back of
-//!   other workers' deques. Only synchronizer transitions take a global
-//!   lock; dispatch is per-worker. The seed single-lock scheduler is kept
-//!   as [`SchedMode::GlobalLock`] for A/B benchmarking;
+//! * the one scheduler mirrors the paper's *distributed* shared-memory
+//!   scheduler (§4.1): per-worker Chase-Lev deques with a dynamic
+//!   **locality heuristic** (each enabled task goes to the worker that most
+//!   recently wrote one of its objects, falling back to the object's
+//!   declared home) and **randomized stealing** from the top of other
+//!   workers' deques. Only synchronizer transitions take a global lock, and
+//!   completions reach it through per-worker drain buffers, several per
+//!   acquisition; dispatch is per-worker (DESIGN.md §13);
 //! * every object access is runtime-checked against the declared access
 //!   specification, and per-object `RwLock`s verify the synchronizer's
 //!   exclusion guarantee mechanically: a data race would panic, not corrupt.
@@ -44,26 +44,24 @@
 
 // `deny` rather than `forbid`: the vendored Chase-Lev deque (`deque`
 // module) opts back in with a scoped `allow` and a written safety argument
-// (DESIGN.md §18). Everything else in the crate remains unsafe-free.
+// (DESIGN.md §13). Everything else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 
 mod deque;
 pub mod service;
 
-pub use deque::DequeImpl;
 use deque::TaskQueue;
 pub use dsim::FaultPlan;
 use jade_core::tune::{BatchShape, Controller, TuneLog};
 use jade_core::{
     Event, EventKind, EventSink, JadeRuntime, Locality, NullSink, ObjectId, Sink, Store,
-    SyncSnapshot, Synchronizer, TaskCtx, TaskDef, TaskId, Transition, TransitionBatch,
+    SyncSnapshot, Synchronizer, TaskCtx, TaskDef, TaskId, TransitionBatch,
 };
 pub use service::{
     JadeService, Outcome, Program, ServiceConfig, ShedPolicy, SubmitError, TenantOptions,
     TenantReport,
 };
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -105,52 +103,14 @@ fn checkpoint_tasks(secs: f64) -> Result<usize, String> {
     Ok((tasks as usize).max(1))
 }
 
-/// Drain-buffer size under [`BatchPolicy::Auto`]: how many locally
-/// finished tasks a worker accumulates before flushing them to the
-/// synchronizer in one lock acquisition. Small enough that successors are
-/// enabled promptly, large enough to amortize the lock on
-/// overhead-dominated workloads.
+/// Drain-buffer size: how many locally finished tasks a worker accumulates
+/// before flushing them to the synchronizer in one lock acquisition (it
+/// also flushes whenever its own queue runs dry). Small enough that
+/// successors are enabled promptly, large enough to amortize the lock on
+/// overhead-dominated workloads. [`ThreadRuntime::enable_tuning`] replaces
+/// it with a per-batch decision; a traced batch flushes per task whatever
+/// the threshold (see `Sharded::drain`).
 const DRAIN_BATCH: usize = 8;
-
-/// How workers hand completed tasks back to the synchronizer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// Flush after every completion — the pre-batching behavior (one
-    /// synchronizer-lock acquisition per task). The `batch=1` baseline in
-    /// `repro bench`.
-    PerTask,
-    /// Accumulate up to [`DRAIN_BATCH`] completions in a per-worker drain
-    /// buffer; flush on the size threshold or when the worker runs out of
-    /// work. With event tracing enabled the effective threshold is clamped
-    /// to 1 — tracing already takes the state lock per task (dispatch/start
-    /// events), so there is nothing to amortize, and the eager flush is
-    /// what keeps traced streams bit-identical to `PerTask` runs.
-    #[default]
-    Auto,
-}
-
-impl BatchPolicy {
-    /// The untraced drain-buffer flush threshold this policy requests.
-    fn threshold(self) -> usize {
-        match self {
-            BatchPolicy::PerTask => 1,
-            BatchPolicy::Auto => DRAIN_BATCH,
-        }
-    }
-}
-
-/// Which scheduler [`ThreadRuntime::finish`] runs the batch on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Per-worker deques, dynamic write-owner locality, randomized
-    /// stealing; the global lock covers only synchronizer transitions.
-    #[default]
-    Sharded,
-    /// The original single `Mutex<Shared>` scheduler: every pick, steal and
-    /// completion serializes on one lock. Kept as the A/B baseline for
-    /// `repro bench` and the differential determinism tests.
-    GlobalLock,
-}
 
 /// Statistics from the most recent [`ThreadRuntime::finish`] batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -172,12 +132,13 @@ pub struct BatchStats {
     pub checkpoint_restores: usize,
     /// Acquisitions of the lock guarding the synchronizer during the batch
     /// (flushes of the drain buffer, plus traced/recovery/checkpoint
-    /// bookkeeping that must hold the same lock). The `repro bench`
-    /// lock-amortization figure is `sync_locks / executed`.
+    /// bookkeeping that must hold the same lock). `sync_locks / executed`
+    /// is the lock-amortization figure: well below one per task untraced,
+    /// at least one per task traced.
     pub sync_locks: usize,
     /// Tasks whose write ownership was pre-published to the locality table
     /// at dispatch time (see [`ThreadRuntime::enable_prefetch`]); `0`
-    /// unless prefetch routing is enabled on the sharded scheduler.
+    /// unless prefetch routing is enabled.
     pub prefetch_routes: usize,
 }
 
@@ -296,8 +257,6 @@ pub struct ThreadRuntime {
     next_id: u32,
     last_stats: BatchStats,
     total_stats: BatchStats,
-    mode: SchedMode,
-    batch: BatchPolicy,
     /// Record structured events for subsequent batches.
     trace_events: bool,
     /// Events accumulated by finished batches (drained by `take_events`).
@@ -314,13 +273,11 @@ pub struct ThreadRuntime {
     /// write ownership when it is *queued*, not when it completes.
     prefetch: bool,
     /// Self-tuning feedback controller (DESIGN.md §19); `None` (the
-    /// default) keeps the static [`BatchPolicy`] threshold and the
+    /// default) keeps the static [`DRAIN_BATCH`] threshold and the
     /// exhaustive steal sweep.
     tune: Option<Controller>,
     /// Dynamic locality: which worker last wrote each object.
     owners: OwnerTable,
-    /// Which per-worker queue implementation the sharded scheduler uses.
-    deque: DequeImpl,
     /// Recycled scheduling storage (queues, bodies, attempt counters, drain
     /// buffers): batches after the first reuse it instead of reallocating,
     /// which is what makes the equilibrium task cycle allocation-free.
@@ -338,8 +295,6 @@ impl ThreadRuntime {
             next_id: 0,
             last_stats: BatchStats::default(),
             total_stats: BatchStats::default(),
-            mode: SchedMode::default(),
-            batch: BatchPolicy::default(),
             trace_events: false,
             events: Vec::new(),
             event_clock: 0,
@@ -348,51 +303,13 @@ impl ThreadRuntime {
             prefetch: false,
             tune: None,
             owners: OwnerTable::default(),
-            deque: DequeImpl::default(),
             arena: SchedArena::default(),
         }
-    }
-
-    /// Create a runtime with an explicit scheduler mode.
-    pub fn with_mode(workers: usize, mode: SchedMode) -> ThreadRuntime {
-        let mut rt = ThreadRuntime::new(workers);
-        rt.mode = mode;
-        rt
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The scheduler subsequent batches will run on.
-    pub fn sched_mode(&self) -> SchedMode {
-        self.mode
-    }
-
-    /// Select the scheduler for subsequent batches (A/B comparisons).
-    pub fn set_sched_mode(&mut self, mode: SchedMode) {
-        self.mode = mode;
-    }
-
-    /// Which per-worker ready-queue implementation the sharded scheduler
-    /// runs on ([`DequeImpl::Locked`] by default).
-    pub fn deque_impl(&self) -> DequeImpl {
-        self.deque
-    }
-
-    /// Select the sharded scheduler's ready-queue implementation for
-    /// subsequent batches. [`DequeImpl::ChaseLev`] swaps the per-worker
-    /// `Mutex<VecDeque>` for the vendored lock-free Chase-Lev deque: the
-    /// owning worker's push/pop take no lock, and the owner drains its own
-    /// queue LIFO instead of FIFO. Both orders are correct — the
-    /// synchronizer enforces every dependence edge and only enabled tasks
-    /// are ever queued — but the *dispatch event order* of a run can
-    /// differ, so A/B comparisons should assert on results and
-    /// deterministic counters, not raw event streams. No effect on
-    /// [`SchedMode::GlobalLock`].
-    pub fn set_deque_impl(&mut self, deque: DequeImpl) {
-        self.deque = deque;
     }
 
     /// Statistics from the most recently finished batch.
@@ -405,19 +322,12 @@ impl ThreadRuntime {
         self.total_stats
     }
 
-    /// How subsequent batches flush completed tasks to the synchronizer.
-    pub fn batch_policy(&self) -> BatchPolicy {
-        self.batch
-    }
-
-    /// Select the drain-buffer flush policy for subsequent batches.
-    pub fn set_batch_policy(&mut self, policy: BatchPolicy) {
-        self.batch = policy;
-    }
-
     /// Record structured lifecycle events ([`jade_core::events`]) for every
     /// subsequent batch. Events carry a logical sequence number as their
-    /// time, so with one worker the stream is fully deterministic.
+    /// time, so with one worker the stream is fully deterministic: two runs
+    /// of one program record the same stream. It is not the program-order
+    /// stream — the worker pops its own queue newest-first — but every
+    /// dependence the synchronizer enforces is visible in it.
     pub fn enable_events(&mut self) {
         self.trace_events = true;
     }
@@ -475,7 +385,7 @@ impl ThreadRuntime {
     /// subsequent batches: the drain-batch threshold and the steal sweep
     /// budget are decided per batch from its deterministic shape (task
     /// count, worker count, initial parallelism width) instead of the
-    /// static [`BatchPolicy`] constant. Decisions are pure functions of
+    /// static `DRAIN_BATCH` (8) threshold. Decisions are pure functions of
     /// the batch shape — no wall-clock, no interleaving-dependent counter
     /// — so controller-on runs stay bit-identical across repeats and
     /// produce the same results as controller-off runs. Every decision is
@@ -492,10 +402,10 @@ impl ThreadRuntime {
         self.tune.as_ref().map(|c| &c.log)
     }
 
-    /// Enable prefetch routing on the sharded scheduler: when a task is
-    /// pushed onto a worker's deque, its *write* ownership is published to
-    /// the locality table immediately — the split-phase analogue of the
-    /// simulators' enable-time prefetch. Successors that become enabled
+    /// Enable prefetch routing: when a task is pushed onto a worker's
+    /// queue, its *write* ownership is published to the locality table
+    /// immediately — the split-phase analogue of the simulators'
+    /// enable-time prefetch. Successors that become enabled
     /// while the writer is still queued already route to its worker instead
     /// of falling back to declared homes; the completion-time record then
     /// confirms (or, after a steal, corrects) the hint. A pure routing
@@ -518,18 +428,6 @@ impl ThreadRuntime {
     pub fn checkpoint_every(&mut self, every: usize) {
         assert!(every > 0, "checkpoint interval must be at least one task");
         self.ckpt_every = Some(every);
-    }
-
-    /// Static placement: explicit placement, else the locality object's
-    /// declared home (the `GlobalLock` scheduler's whole heuristic; the
-    /// sharded scheduler's fallback when no declared object has a recorded
-    /// writer yet).
-    fn target_worker(&self, def: &TaskDef) -> usize {
-        let home = |o: ObjectId| self.store.home(o).unwrap_or(jade_core::MAIN_PROC);
-        def.placement
-            .or_else(|| def.spec.locality_object().map(home))
-            .unwrap_or(jade_core::MAIN_PROC)
-            % self.workers
     }
 }
 
@@ -562,19 +460,19 @@ impl JadeRuntime for ThreadRuntime {
             return;
         }
         let batch = std::mem::take(&mut self.pending);
-        match (self.mode, self.trace_events) {
-            // The sink type is chosen statically: untraced sharded batches
-            // monomorphize every emission (and the locks guarding only
-            // emissions) away entirely.
-            (SchedMode::Sharded, false) => self.run_sharded(batch, NullSink),
-            (SchedMode::Sharded, true) => self.run_sharded(batch, EventSink::recording()),
-            (SchedMode::GlobalLock, _) => self.run_global(batch),
+        // The sink type is chosen statically: untraced batches
+        // monomorphize every emission (and the locks guarding only
+        // emissions) away entirely.
+        if self.trace_events {
+            self.run_sharded(batch, EventSink::recording())
+        } else {
+            self.run_sharded(batch, NullSink)
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Sharded scheduler (default)
+// The scheduler: per-worker queues, one lock around the synchronizer
 // ---------------------------------------------------------------------------
 
 /// Per-worker mutable scratch handed to each worker thread by `&mut` and
@@ -588,14 +486,13 @@ pub(crate) struct WorkerScratch {
     newly: RefCell<Vec<TaskId>>,
 }
 
-/// Recycled sharded-scheduler storage owned by the [`ThreadRuntime`].
-/// `run_sharded` used to rebuild every slab per batch; reusing them is what
-/// takes the equilibrium dispatch→execute→complete→retire cycle to zero
-/// heap allocations (asserted by `tests/allocs.rs` and gated in
-/// `repro bench`).
+/// Recycled scheduler storage owned by the [`ThreadRuntime`]. Reusing the
+/// slabs across batches is what takes the equilibrium
+/// dispatch→execute→complete→retire cycle to zero heap allocations
+/// (asserted by `tests/allocs.rs`).
 #[derive(Default)]
 pub(crate) struct SchedArena {
-    /// One ready queue per worker ([`DequeImpl`] selected at prepare time).
+    /// One ready queue per worker.
     queues: Vec<TaskQueue>,
     /// Task bodies, taken by the executing worker. A task index lives in
     /// exactly one queue at a time, so each mutex is uncontended — it
@@ -618,19 +515,15 @@ pub(crate) struct SchedArena {
 }
 
 impl SchedArena {
-    /// Make every slab ready for a batch of `n` tasks on `workers` workers
-    /// using the `deque` queue implementation, reusing existing capacity
-    /// wherever shapes allow. Slots are cleared (an aborted batch may leave
-    /// stale bodies or queued indices behind); `ids` is left empty for the
-    /// registration loop to fill.
-    fn prepare(&mut self, n: usize, workers: usize, deque: DequeImpl) {
-        let rebuild =
-            self.queues.len() != workers || self.queues.first().is_some_and(|q| q.kind() != deque);
-        if rebuild {
+    /// Make every slab ready for a batch of `n` tasks on `workers` workers,
+    /// reusing existing capacity wherever shapes allow. Slots are cleared
+    /// (an aborted batch may leave stale bodies or queued indices behind);
+    /// `ids` is left empty for the registration loop to fill.
+    fn prepare(&mut self, n: usize, workers: usize) {
+        if self.queues.len() != workers {
             self.grows += 1;
             self.queues.clear();
-            self.queues
-                .extend((0..workers).map(|_| TaskQueue::new(deque, n)));
+            self.queues.extend((0..workers).map(|_| TaskQueue::new(n)));
         } else {
             for q in &mut self.queues {
                 if q.reset(n) {
@@ -737,7 +630,13 @@ struct Sharded<'a, S> {
     store: &'a Store,
     base: usize,
     workers: usize,
-    /// Drain-buffer flush threshold (1 when tracing — see [`BatchPolicy`]).
+    /// Drain-buffer flush threshold: [`DRAIN_BATCH`] or the tuner's
+    /// decision, and 1 when tracing. A traced task takes the state lock for
+    /// its dispatch/start events anyway, so there is nothing to amortize;
+    /// and flushing each completion at once stamps it before the worker's
+    /// next dispatch, so a worker's task intervals in the recorded stream
+    /// never overlap and the stream does not depend on the threshold (a
+    /// tuned and an untuned traced run record the same one-worker stream).
     drain: usize,
     /// Victims a failed own-pop probes before giving up the round. The
     /// pre-park sweep stays exhaustive, so a bounded budget affects only
@@ -771,7 +670,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
     }
 
     /// Lock the synchronizer state, counting the acquisition
-    /// ([`BatchStats::sync_locks`] — the figure `repro bench` amortizes).
+    /// ([`BatchStats::sync_locks`] — the figure the drain buffers amortize).
     fn lock_state(&self) -> MutexGuard<'_, SyncState<S>> {
         self.sync_locks.fetch_add(1, Ordering::Relaxed);
         lock(&self.state)
@@ -866,9 +765,9 @@ impl<'a, S: Sink> Sharded<'a, S> {
         self.announce();
     }
 
-    /// Pop own queue, else steal from a random victim. The pop order (FIFO
-    /// for [`DequeImpl::Locked`], LIFO for [`DequeImpl::ChaseLev`]) is a
-    /// scheduling freedom — only enabled tasks are ever queued.
+    /// Pop own queue (newest first), else steal from a random victim
+    /// (oldest first). The pop order is a scheduling freedom — only enabled
+    /// tasks are ever queued.
     ///
     /// The own queue running dry is also the flush point for buffered
     /// completions: they may enable successors routed right back here, and
@@ -954,7 +853,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
     /// cadence) runs inside the loop so `checkpoints` counts exactly as if
     /// each completion had been flushed individually — the counter stays a
     /// pure function of the interval and the task count, independent of
-    /// batching, interleaving and scheduler mode.
+    /// batching and interleaving.
     fn flush(&self, w: usize, buf: &RefCell<TransitionBatch>, scratch: &mut Vec<TaskId>) -> bool {
         let mut batch = buf.borrow_mut();
         if batch.is_empty() {
@@ -1078,8 +977,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 // synchronizer lock is only taken when the buffer reaches
                 // the flush threshold (or the worker runs dry — see
                 // `sharded_worker`). With tracing active `drain` is 1, so
-                // the flush below runs unconditionally and the event stream
-                // is byte-identical to per-task flushing.
+                // the flush below runs unconditionally.
                 ws.buf.borrow_mut().complete(id);
                 if ws.buf.borrow().len() >= self.drain {
                     self.flush(w, &ws.buf, &mut ws.newly.borrow_mut());
@@ -1129,7 +1027,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 }
                 *lock(&self.bodies[local]) = Some(def);
                 // Original target kept: the re-pick on the next worker
-                // counts as neither hit nor steal, like the seed scheduler.
+                // counts as neither hit nor steal.
                 self.push_to((w + 1) % self.workers, local, w);
                 true
             }
@@ -1161,8 +1059,8 @@ fn sharded_worker<S: Sink>(w: usize, sh: &Sharded<'_, S>, ws: &mut WorkerScratch
     // `ws` holds the worker-local drain buffer of finished-but-unflushed
     // transitions plus the enable scratch, both recycled across batches. A
     // panic exit abandons the buffer — the recorded panic resumes before
-    // `run_sharded`'s drained assertion, the same contract the per-task
-    // scheduler had (the arena clears it before the next batch).
+    // `run_sharded`'s drained assertion, and the arena clears the buffer
+    // before the next batch.
     let ws = &*ws;
     loop {
         if sh.live.load(Ordering::SeqCst) == 0 || sh.panicked.load(Ordering::SeqCst) {
@@ -1214,7 +1112,7 @@ impl ThreadRuntime {
         }
         self.owners.ensure(self.store.len());
         let workers = self.workers;
-        self.arena.prepare(n, workers, self.deque);
+        self.arena.prepare(n, workers);
         let mut state = SyncState {
             sync: std::mem::take(&mut self.sync),
             events,
@@ -1258,17 +1156,13 @@ impl ThreadRuntime {
                     workers,
                     enabled0: enabled0.len(),
                 };
-                let d = ctl.drain_threshold(&shape);
-                let b = ctl.steal_budget(&shape);
-                // Tracing still clamps the *applied* drain to 1 (see the
-                // `drain` field note below); the decision stays logged.
-                (if S::ACTIVE { 1 } else { d }, b)
+                (ctl.drain_threshold(&shape), ctl.steal_budget(&shape))
             }
-            None => (
-                if S::ACTIVE { 1 } else { self.batch.threshold() },
-                workers.saturating_sub(1).max(1),
-            ),
+            None => (DRAIN_BATCH, workers.saturating_sub(1).max(1)),
         };
+        // Tracing clamps the *applied* drain to 1 (see `Sharded::drain`);
+        // the tuner's decision stays logged.
+        let drain = if S::ACTIVE { 1 } else { drain };
         let sh = Sharded {
             queues: &queues[..workers],
             bodies: &bodies[..n],
@@ -1289,9 +1183,6 @@ impl ThreadRuntime {
             store: &self.store,
             base,
             workers,
-            // Traced runs flush per task: tracing takes the state lock per
-            // task anyway (dispatch/start events), and the eager flush is
-            // what keeps 1-worker event streams identical across policies.
             drain,
             steal_budget,
             sync_locks: AtomicUsize::new(0),
@@ -1353,429 +1244,6 @@ impl ThreadRuntime {
             "worker pool exited with live tasks"
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// Global-lock scheduler (seed baseline, kept for A/B)
-// ---------------------------------------------------------------------------
-
-struct Shared {
-    /// Per-worker FIFO queues of runnable batch-local task indices.
-    queues: Vec<VecDeque<usize>>,
-    /// Task bodies, taken by the executing worker.
-    bodies: Vec<Option<TaskDef>>,
-    /// Map batch-local index -> global TaskId.
-    ids: Vec<TaskId>,
-    /// Target worker per task (static locality heuristic).
-    targets: Vec<usize>,
-    sync: Synchronizer,
-    live: usize,
-    stats: BatchStats,
-    events: EventSink,
-    clock: u64,
-    panic: Option<Box<dyn std::any::Any + Send>>,
-    /// Injected-fault plan for this batch (`None` = no injection).
-    faults: Option<FaultPlan>,
-    /// Execution attempts per batch-local task (keys the fault hash).
-    attempts: Vec<u32>,
-    /// Checkpoint interval in completed tasks (`None` = no capture).
-    ckpt_every: Option<usize>,
-    /// Completions since the last checkpoint.
-    since_ckpt: usize,
-    /// Latest captured synchronizer checkpoint; recovery consults it.
-    last_ckpt: Option<SyncSnapshot>,
-    /// Drain-buffer flush threshold (1 when tracing — see [`BatchPolicy`]).
-    drain: usize,
-}
-
-impl Shared {
-    fn tick(&mut self) -> u64 {
-        let t = self.clock;
-        self.clock += 1;
-        t
-    }
-}
-
-/// Lock the global scheduler state, counting the acquisition
-/// ([`BatchStats::sync_locks`]). On this scheduler every pick already
-/// serializes on the same lock, so the figure honestly stays at ≈1 per
-/// task however large the drain buffer — the amortization only pays off
-/// once the lock is confined to the synchronizer (`SchedMode::Sharded`).
-fn lock_counted(shared: &Mutex<Shared>) -> MutexGuard<'_, Shared> {
-    let mut g = lock(shared);
-    g.stats.sync_locks += 1;
-    g
-}
-
-/// Apply every buffered transition under the already-held global lock,
-/// with the same per-completion bookkeeping as the sharded flush (see
-/// `Sharded::flush`), then route the newly enabled tasks and wake waiters
-/// once. `newly` is caller-owned scratch (cleared here) so a steady-state
-/// flush performs no allocation.
-fn flush_shared(
-    sh: &mut Shared,
-    buf: &mut TransitionBatch,
-    newly: &mut Vec<TaskId>,
-    base: usize,
-    w: usize,
-    cv: &Condvar,
-) {
-    if buf.is_empty() {
-        return;
-    }
-    newly.clear();
-    for tr in buf.drain() {
-        let is_completion = matches!(tr, Transition::Complete(_));
-        let t = sh.tick();
-        sh.sync.apply_traced(tr, newly, &mut sh.events, t, w);
-        if is_completion {
-            sh.live -= 1;
-            sh.since_ckpt += 1;
-            // Interval checkpoint: capture the synchronizer state every
-            // N completions (nothing left to protect once the batch is
-            // drained). The count is interleaving-independent — it only
-            // depends on how many tasks completed.
-            if let Some(every) = sh.ckpt_every {
-                if sh.since_ckpt >= every && sh.live > 0 {
-                    sh.since_ckpt = 0;
-                    let snap = sh.sync.snapshot();
-                    let bytes = snap.encoded_len() as u64;
-                    let t = sh.tick();
-                    sh.events.emit(t, w, EventKind::CheckpointTaken { bytes });
-                    sh.stats.checkpoints += 1;
-                    sh.last_ckpt = Some(snap);
-                }
-            }
-        }
-    }
-    for n in newly.iter() {
-        let local = n.index() - base;
-        let target = sh.targets[local];
-        sh.queues[target].push_back(local);
-    }
-    cv.notify_all();
-}
-
-impl ThreadRuntime {
-    fn run_global(&mut self, batch: Vec<(TaskId, TaskDef)>) {
-        let n = batch.len();
-        // Same window retirement as the sharded path (see `run_sharded`).
-        if self.sync.all_complete() && self.sync.task_count() > 0 {
-            self.sync.recycle();
-        }
-        let mut shared = Shared {
-            queues: vec![VecDeque::new(); self.workers],
-            bodies: Vec::with_capacity(n),
-            ids: Vec::with_capacity(n),
-            targets: Vec::with_capacity(n),
-            sync: std::mem::take(&mut self.sync),
-            live: n,
-            stats: BatchStats::default(),
-            events: if self.trace_events {
-                EventSink::recording()
-            } else {
-                EventSink::default()
-            },
-            clock: self.event_clock,
-            panic: None,
-            faults: self.faults,
-            attempts: vec![0; n],
-            ckpt_every: self.ckpt_every,
-            since_ckpt: 0,
-            last_ckpt: None,
-            // Traced runs flush per task, keeping 1-worker event streams
-            // identical across batch policies (see `BatchPolicy::Auto`).
-            drain: if self.trace_events {
-                1
-            } else {
-                self.batch.threshold()
-            },
-        };
-        // Register in serial program order; queue the initially-enabled.
-        let base = batch[0].0.index();
-        for (id, def) in batch {
-            let local = id.index() - base;
-            let target = self.target_worker(&def);
-            let t = shared.tick();
-            let enabled = shared
-                .sync
-                .add_task_traced(id, &def.spec, &mut shared.events, t, 0);
-            shared.ids.push(id);
-            shared.targets.push(target);
-            shared.bodies.push(Some(def));
-            if enabled {
-                shared.queues[target].push_back(local);
-            }
-        }
-        // Controller-on batches tune the drain threshold from the batch
-        // shape (same law as the sharded path; tracing keeps the applied
-        // value clamped to 1, the decision stays logged).
-        if let Some(ctl) = self.tune.as_mut() {
-            let enabled0 = shared.queues.iter().map(|q| q.len()).sum();
-            let d = ctl.drain_threshold(&BatchShape {
-                tasks: n,
-                workers: self.workers,
-                enabled0,
-            });
-            if !self.trace_events {
-                shared.drain = d;
-            }
-        }
-        let shared = Mutex::new(shared);
-        let cv = Condvar::new();
-        let store = &self.store;
-        let workers = self.workers;
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let shared = &shared;
-                let cv = &cv;
-                scope.spawn(move || global_worker_loop(w, workers, base, store, shared, cv));
-            }
-        });
-        let mut sh = shared.into_inner().unwrap_or_else(|e| e.into_inner());
-        self.sync = std::mem::take(&mut sh.sync);
-        self.last_stats = sh.stats;
-        self.total_stats.absorb(&sh.stats);
-        self.event_clock = sh.clock;
-        self.events.extend(sh.events.take());
-        if let Some(p) = sh.panic.take() {
-            // Same abort semantics as the sharded path: reset the
-            // synchronizer and task numbering so the runtime stays usable
-            // for the next batch after the panic propagates.
-            self.sync = Synchronizer::new(true);
-            self.next_id = 0;
-            resume_unwind(p);
-        }
-        assert_eq!(sh.live, 0, "worker pool exited with live tasks");
-    }
-}
-
-/// One claimed task: batch-local index, its taken body, id, attempt
-/// number, and the injected-failure roll (steal accounting happens at
-/// claim time, so `stolen` is not carried).
-struct Claim {
-    local: usize,
-    def: TaskDef,
-    id: TaskId,
-    attempt: u32,
-    injected: bool,
-}
-
-fn global_worker_loop(
-    w: usize,
-    workers: usize,
-    base: usize,
-    store: &Store,
-    shared: &Mutex<Shared>,
-    cv: &Condvar,
-) {
-    // Worker-local drain buffer; a RefCell so the mid-task release hook
-    // (an `Fn`) can reach it. Abandoned on the panic exit, like the
-    // sharded scheduler's. `newly` is the flush's enable scratch, `claims`
-    // the tasks taken under the current lock acquisition — all reused so
-    // the steady state allocates nothing.
-    let buf = RefCell::new(TransitionBatch::new());
-    let newly: RefCell<Vec<TaskId>> = RefCell::new(Vec::new());
-    let mut claims: Vec<Claim> = Vec::new();
-    let mut guard = lock_counted(shared);
-    loop {
-        // Flush buffered completions from the previous round under the
-        // guard we already hold. With tracing (`drain == 1`) this runs
-        // before the next dispatch is emitted, which keeps the event
-        // stream byte-identical to per-task flushing.
-        if buf.borrow().len() >= guard.drain {
-            flush_shared(
-                &mut guard,
-                &mut buf.borrow_mut(),
-                &mut newly.borrow_mut(),
-                base,
-                w,
-                cv,
-            );
-        }
-        if guard.live == 0 || guard.panic.is_some() {
-            cv.notify_all();
-            return;
-        }
-        // Claim up to `drain` tasks from our own queue (front; FIFO), else
-        // steal one from the back of another worker's. Claiming a run of
-        // tasks under ONE acquisition and executing them outside the lock
-        // is what lets this scheduler amortize the global lock under
-        // `BatchPolicy::Auto` — before, every pick reacquired it, so
-        // `batch=1` and `auto` measured identically.
-        debug_assert!(claims.is_empty());
-        while claims.len() < guard.drain {
-            let Some(local) = guard.queues[w].pop_front() else {
-                break;
-            };
-            claim(&mut guard, w, local, false, &mut claims);
-        }
-        if claims.is_empty() && !buf.borrow().is_empty() {
-            // Own queue dry: flush buffered completions before stealing or
-            // waiting — they may enable the only runnable successors (or
-            // drain the batch), and a stolen task may run long enough to
-            // starve them. Steal and wait only with an empty buffer.
-            flush_shared(
-                &mut guard,
-                &mut buf.borrow_mut(),
-                &mut newly.borrow_mut(),
-                base,
-                w,
-                cv,
-            );
-            continue;
-        }
-        if claims.is_empty() {
-            for k in 1..workers {
-                let v = (w + k) % workers;
-                if let Some(local) = guard.queues[v].pop_back() {
-                    claim(&mut guard, w, local, true, &mut claims);
-                    break;
-                }
-            }
-        }
-        if claims.is_empty() {
-            guard = cv.wait(guard).unwrap_or_else(|e| e.into_inner());
-            continue;
-        }
-        drop(guard);
-
-        for c in claims.drain(..) {
-            let Claim {
-                local,
-                def,
-                id,
-                attempt,
-                injected,
-            } = c;
-            // The task body stays outside the closure (`TaskBody` is
-            // `Fn`), so a caught unwind leaves `def` intact for
-            // re-execution.
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if injected {
-                    // Simulated worker crash before the body runs: unwind
-                    // quietly (no panic hook) — this is an injected fault,
-                    // not a bug worth a backtrace. Crashing *before* any
-                    // body effect is what makes the re-execution exact.
-                    resume_unwind(Box::new(InjectedFailure));
-                }
-                // Mid-task releases (Jade's pipelining statements) flush
-                // eagerly — a buffered release could deadlock a pipeline
-                // whose consumer is the only other runnable task. The
-                // flush also applies any completions already sitting in
-                // the buffer, so the release still costs a single
-                // acquisition.
-                let hook = |obj: ObjectId| {
-                    let mut g = lock_counted(shared);
-                    let mut b = buf.borrow_mut();
-                    b.release(id, obj);
-                    flush_shared(&mut g, &mut b, &mut newly.borrow_mut(), base, w, cv);
-                };
-                let ctx = TaskCtx::with_release_hook(store, id, def.label, &def.spec, &hook);
-                (def.body)(&ctx);
-            }));
-
-            match result {
-                Ok(()) => {
-                    // The completion lands in the drain buffer; the
-                    // synchronizer transition is deferred until the buffer
-                    // reaches the flush threshold or the worker runs dry
-                    // (both checked at the top of the loop, under the next
-                    // acquisition).
-                    buf.borrow_mut().complete(id);
-                }
-                Err(_) if injected && attempt + 1 < MAX_TASK_ATTEMPTS => {
-                    // Recovery: quarantine the task off this (logically
-                    // crashed) worker and hand it to the next one; the
-                    // bumped attempt number re-rolls the fault hash. The
-                    // execution/start tallies at claim time deliberately
-                    // count the failed attempt — they match the event
-                    // stream's `tasks_started`.
-                    let mut g = lock_counted(shared);
-                    let sh = &mut *g;
-                    sh.attempts[local] = attempt + 1;
-                    sh.stats.recoveries += 1;
-                    let t = sh.tick();
-                    sh.events.emit(t, w, EventKind::WorkerFailed);
-                    // With a checkpoint on file, recovery restores the
-                    // crashed task's scheduling state from it: the capture
-                    // must agree that the task had not committed (a
-                    // committed task is never re-executed).
-                    if let Some(snap) = &sh.last_ckpt {
-                        debug_assert!(
-                            !snap.completed(id),
-                            "checkpoint marks crashed task {id:?} committed"
-                        );
-                        let bytes = snap.encoded_len() as u64;
-                        sh.stats.checkpoint_restores += 1;
-                        let t = sh.tick();
-                        sh.events
-                            .emit(t, w, EventKind::CheckpointRestored { bytes });
-                    }
-                    let t = sh.tick();
-                    sh.events.emit_task(t, w, EventKind::TaskReExecuted, id);
-                    sh.bodies[local] = Some(def);
-                    sh.queues[(w + 1) % workers].push_back(local);
-                    cv.notify_all();
-                }
-                Err(p) => {
-                    // Genuine application panic (or an exhausted retry
-                    // budget): first panic wins; wake everyone so the pool
-                    // drains. Returning drops the remaining claims — the
-                    // batch is aborting anyway.
-                    let mut g = lock(shared);
-                    if g.panic.is_none() {
-                        g.panic = Some(p);
-                    }
-                    cv.notify_all();
-                    return;
-                }
-            }
-        }
-        guard = lock_counted(shared);
-    }
-}
-
-/// Take `local`'s body and account its pick under the held guard
-/// (dispatch/start events, executed/steal/locality tallies) — the
-/// claim half of `global_worker_loop`'s claim-then-execute round.
-fn claim(
-    guard: &mut MutexGuard<'_, Shared>,
-    w: usize,
-    local: usize,
-    stolen: bool,
-    out: &mut Vec<Claim>,
-) {
-    let sh = &mut **guard;
-    let def = sh.bodies[local].take().expect("task queued twice");
-    let id = sh.ids[local];
-    let attempt = sh.attempts[local];
-    let injected = sh
-        .faults
-        .as_ref()
-        .is_some_and(|plan| plan.task_fails(id.0 as u64, attempt));
-    sh.stats.executed += 1;
-    // A worker's own queue normally only holds tasks targeted at it — but
-    // a recovered task is re-queued on the *next* worker, so the locality
-    // of a non-stolen pick still has to be checked.
-    let hit = !stolen && sh.targets[local] == w;
-    if stolen {
-        sh.stats.steals += 1;
-    } else if hit {
-        sh.stats.locality_hits += 1;
-    }
-    let t = sh.tick();
-    let locality = if hit { Locality::Hit } else { Locality::Miss };
-    sh.events
-        .emit_task(t, w, EventKind::TaskDispatched { stolen, locality }, id);
-    sh.events.emit_task(t, w, EventKind::TaskStarted, id);
-    out.push(Claim {
-        local,
-        def,
-        id,
-        attempt,
-        injected,
-    });
 }
 
 #[cfg(test)]
@@ -2493,43 +1961,10 @@ mod tests {
         rt.tune_log().unwrap().check_ranges().unwrap();
     }
 
-    #[test]
-    fn single_worker_degenerates_to_serial() {
-        let mut rt = ThreadRuntime::new(1);
-        let order = Arc::new(AtomicUsize::new(0));
-        let outs: Vec<_> = (0..10)
-            .map(|i| rt.create(&format!("o{i}"), 8, 0usize))
-            .collect();
-        for &o in &outs {
-            let order = Arc::clone(&order);
-            rt.submit(TaskBuilder::new("w").wr(o).body(move |ctx| {
-                *ctx.wr(o) = order.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        rt.finish();
-        // With one worker, tasks run in program order.
-        for (i, &o) in outs.iter().enumerate() {
-            assert_eq!(*rt.store().read(o), i);
-        }
-    }
-
-    /// Run the same little mixed workload on a fresh runtime in `mode`,
-    /// returning (store values, stats, events).
-    fn run_reference_workload(
-        mode: SchedMode,
-        workers: usize,
-    ) -> (Vec<u64>, BatchStats, Vec<Event>) {
-        run_reference_workload_with(mode, workers, BatchPolicy::default())
-    }
-
-    fn run_reference_workload_with(
-        mode: SchedMode,
-        workers: usize,
-        policy: BatchPolicy,
-    ) -> (Vec<u64>, BatchStats, Vec<Event>) {
-        let mut rt = ThreadRuntime::with_mode(workers, mode);
-        rt.set_batch_policy(policy);
-        rt.enable_events();
+    /// A little mixed workload, generic over the runtime: 24 independent
+    /// writers, then an order-sensitive fold of every output into `acc`.
+    /// Returns the final store values.
+    fn reference_workload<R: JadeRuntime>(rt: &mut R) -> Vec<u64> {
         let outs: Vec<_> = (0..24)
             .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
             .collect();
@@ -2541,69 +1976,44 @@ mod tests {
         }
         for &o in &outs {
             rt.submit(TaskBuilder::new("fold").rd(o).rd_wr(acc).body(move |ctx| {
-                *ctx.wr(acc) += *ctx.rd(o);
+                let mut a = ctx.wr(acc);
+                *a = a.wrapping_mul(31).wrapping_add(*ctx.rd(o));
             }));
         }
         rt.finish();
-        let values = outs
-            .iter()
+        outs.iter()
             .map(|&o| *rt.store().read(o))
             .chain(std::iter::once(*rt.store().read(acc)))
-            .collect();
-        (values, rt.last_stats(), rt.take_events())
+            .collect()
     }
 
     #[test]
-    fn sharded_and_global_lock_agree_on_results_and_metrics() {
-        for workers in [1, 2, 4] {
-            let (va, sa, ea) = run_reference_workload(SchedMode::Sharded, workers);
-            let (vb, sb, eb) = run_reference_workload(SchedMode::GlobalLock, workers);
-            assert_eq!(va, vb, "bit-identical results at {workers} workers");
-            assert_eq!(sa.executed, sb.executed);
-            jade_core::check_lifecycle(&ea).unwrap();
-            jade_core::check_lifecycle(&eb).unwrap();
-            let ma = jade_core::Metrics::from_events(&ea, workers);
-            let mb = jade_core::Metrics::from_events(&eb, workers);
-            // Steal/locality counts legitimately differ between schedulers;
-            // every deterministic counter must agree.
-            assert_eq!(ma.tasks_created, mb.tasks_created);
-            assert_eq!(ma.tasks_enabled, mb.tasks_enabled);
-            assert_eq!(ma.tasks_dispatched, mb.tasks_dispatched);
-            assert_eq!(ma.tasks_started, mb.tasks_started);
-            assert_eq!(ma.tasks_completed, mb.tasks_completed);
-            assert_eq!(ma.releases, mb.releases);
-        }
-    }
-
-    #[test]
-    fn one_worker_event_streams_are_identical_across_modes() {
-        // With a single worker both schedulers are deterministic FIFO
-        // executors; their event streams must match event-for-event. This
-        // is the strongest form of the A/B equivalence the bench harness
-        // relies on.
-        let (va, _, ea) = run_reference_workload(SchedMode::Sharded, 1);
-        let (vb, _, eb) = run_reference_workload(SchedMode::GlobalLock, 1);
-        assert_eq!(va, vb);
-        assert_eq!(ea, eb, "event streams diverged at one worker");
-    }
-
-    #[test]
-    fn global_lock_mode_recovers_from_injected_faults() {
-        let mut rt = ThreadRuntime::with_mode(4, SchedMode::GlobalLock);
-        rt.inject_faults(FaultPlan {
-            panic_p: 0.3,
-            seed: 11,
-            ..FaultPlan::none()
-        });
-        let v = rt.create("v", 0, Vec::<u32>::new());
-        for i in 0..40u32 {
-            rt.submit(TaskBuilder::new("push").wr(v).body(move |ctx| {
-                ctx.wr(v).push(i);
-            }));
-        }
-        rt.finish();
-        assert_eq!(*rt.store().read(v), (0..40).collect::<Vec<_>>());
-        assert!(rt.last_stats().recoveries > 0);
+    fn single_worker_degenerates_to_serial() {
+        // The one-worker contract: results equal the serial elaboration and
+        // the run is deterministic — the same event stream every time, with
+        // clean lifecycles. The stream is *not* program order (the worker
+        // pops its own queue newest-first), and it does not depend on the
+        // drain threshold: tracing clamps it to one, so a tuned run records
+        // the same stream as an untuned one.
+        let run = |tuned: bool| {
+            let mut rt = ThreadRuntime::new(1);
+            rt.enable_events();
+            if tuned {
+                rt.enable_tuning();
+            }
+            let values = reference_workload(&mut rt);
+            (values, rt.take_events())
+        };
+        let serial = reference_workload(&mut jade_core::TraceRuntime::new());
+        let (va, ea) = run(false);
+        let (vb, eb) = run(false);
+        let (vc, ec) = run(true);
+        assert_eq!(va, serial, "one worker must compute the serial result");
+        assert_eq!(vb, va);
+        assert_eq!(vc, va, "tuning changed the one-worker result");
+        jade_core::check_lifecycle(&ea).unwrap();
+        assert_eq!(ea, eb, "one-worker event streams differ between runs");
+        assert_eq!(ea, ec, "tuning changed the traced one-worker stream");
     }
 
     #[test]
@@ -2653,30 +2063,16 @@ mod tests {
         // Two workers; a blocker task placed on worker 1 spins until all
         // consumer tasks (also placed on worker 1) have run. Worker 1 is
         // stuck in the blocker, so every consumer MUST be stolen by worker
-        // 0 — pinning `stats.steals` exactly. Consumers wait for the
-        // blocker to start so worker 0 can never drain queue 1 before
-        // worker 1 has claimed the blocker off its front.
+        // 0 — pinning `stats.steals` exactly. The blocker is submitted
+        // last, so it sits at the bottom of queue 1 where the owner's first
+        // pop takes it, while thieves take consumers from the top; and
+        // consumers wait for the blocker to start, so worker 0 (stuck in
+        // its first stolen consumer until then) can never empty queue 1
+        // down to the blocker before worker 1 has claimed it.
         const CONSUMERS: usize = 12;
         let mut rt = ThreadRuntime::new(2);
         let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let done = Arc::new(AtomicUsize::new(0));
-        let blocker_out = rt.create("blocker", 8, 0u64);
-        {
-            let started = Arc::clone(&started);
-            let done = Arc::clone(&done);
-            rt.submit(
-                TaskBuilder::new("blocker")
-                    .wr(blocker_out)
-                    .place(1)
-                    .body(move |ctx| {
-                        started.store(true, Ordering::SeqCst);
-                        while done.load(Ordering::SeqCst) < CONSUMERS {
-                            std::hint::spin_loop();
-                        }
-                        *ctx.wr(blocker_out) = 1;
-                    }),
-            );
-        }
         let outs: Vec<_> = (0..CONSUMERS)
             .map(|i| rt.create(&format!("c{i}"), 8, 0u64))
             .collect();
@@ -2696,6 +2092,23 @@ mod tests {
                     }),
             );
         }
+        let blocker_out = rt.create("blocker", 8, 0u64);
+        {
+            let started = Arc::clone(&started);
+            let done = Arc::clone(&done);
+            rt.submit(
+                TaskBuilder::new("blocker")
+                    .wr(blocker_out)
+                    .place(1)
+                    .body(move |ctx| {
+                        started.store(true, Ordering::SeqCst);
+                        while done.load(Ordering::SeqCst) < CONSUMERS {
+                            std::hint::spin_loop();
+                        }
+                        *ctx.wr(blocker_out) = 1;
+                    }),
+            );
+        }
         rt.finish();
         for (i, &o) in outs.iter().enumerate() {
             assert_eq!(*rt.store().read(o), i as u64 + 1);
@@ -2707,59 +2120,27 @@ mod tests {
     }
 
     #[test]
-    fn batch_policies_agree_on_results() {
-        for mode in [SchedMode::Sharded, SchedMode::GlobalLock] {
-            let mut results = Vec::new();
-            for policy in [BatchPolicy::PerTask, BatchPolicy::Auto] {
-                let mut rt = ThreadRuntime::with_mode(4, mode);
-                rt.set_batch_policy(policy);
-                let v = rt.create("v", 0, Vec::<u32>::new());
-                let outs: Vec<_> = (0..30)
-                    .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
-                    .collect();
-                for i in 0..30u32 {
-                    rt.submit(TaskBuilder::new("push").wr(v).body(move |ctx| {
-                        ctx.wr(v).push(i);
-                    }));
-                    let o = outs[i as usize];
-                    rt.submit(TaskBuilder::new("sq").wr(o).body(move |ctx| {
-                        *ctx.wr(o) = u64::from(i) * u64::from(i);
-                    }));
-                }
-                rt.finish();
-                let vals: Vec<u64> = outs.iter().map(|&o| *rt.store().read(o)).collect();
-                results.push((rt.store().read(v).clone(), vals, rt.last_stats().executed));
-            }
-            assert_eq!(results[0], results[1], "{mode:?}: policies diverged");
-        }
-    }
-
-    #[test]
     fn drain_buffer_flushes_when_idle() {
         // A dependency chain shorter than DRAIN_BATCH with more workers
         // than work: the completion that enables each successor sits in a
         // drain buffer below the flush threshold, so the run hangs unless
         // idle workers flush before parking.
-        for mode in [SchedMode::Sharded, SchedMode::GlobalLock] {
-            let mut rt = ThreadRuntime::with_mode(4, mode);
-            rt.set_batch_policy(BatchPolicy::Auto);
-            let x = rt.create("x", 8, 0u64);
-            for _ in 0..DRAIN_BATCH / 2 {
-                rt.submit(TaskBuilder::new("inc").rd_wr(x).body(move |ctx| {
-                    *ctx.wr(x) += 1;
-                }));
-            }
-            rt.finish();
-            assert_eq!(*rt.store().read(x), DRAIN_BATCH as u64 / 2, "{mode:?}");
+        let mut rt = ThreadRuntime::new(4);
+        let x = rt.create("x", 8, 0u64);
+        for _ in 0..DRAIN_BATCH / 2 {
+            rt.submit(TaskBuilder::new("inc").rd_wr(x).body(move |ctx| {
+                *ctx.wr(x) += 1;
+            }));
         }
+        rt.finish();
+        assert_eq!(*rt.store().read(x), DRAIN_BATCH as u64 / 2);
     }
 
     #[test]
     fn auto_batching_amortizes_sync_locks() {
-        // Overhead-dominated independent tasks: under Auto the drain
-        // buffers fill to DRAIN_BATCH, so synchronizer-lock acquisitions
-        // fall well below one per task; under PerTask every completion
-        // takes the lock.
+        // Overhead-dominated independent tasks: the drain buffers fill to
+        // DRAIN_BATCH, so synchronizer-lock acquisitions fall well below
+        // one per task.
         //
         // Batching covers the tasks a worker pops from its own queue (a
         // steal is preceded by a flush, see `try_pick`), and how many tasks
@@ -2768,49 +2149,39 @@ mod tests {
         // every other body has run: at most one steal (`hold` itself, if
         // worker 1 never got going), whatever the host does.
         const WORK: usize = 399;
-        let run = |policy: BatchPolicy| {
-            let mut rt = ThreadRuntime::new(2);
-            rt.set_batch_policy(policy);
-            let ran = Arc::new(AtomicUsize::new(0));
-            let outs: Vec<_> = (0..WORK)
-                .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
-                .collect();
-            for (i, &o) in outs.iter().enumerate() {
-                let ran = ran.clone();
-                rt.submit(TaskBuilder::new("w").wr(o).place(0).body(move |ctx| {
-                    *ctx.wr(o) = i as u64;
-                    ran.fetch_add(1, Ordering::SeqCst);
-                }));
-            }
-            let seen = ran.clone();
-            rt.submit(TaskBuilder::new("hold").place(1).body(move |_| {
-                // Bounded only so a scheduler bug fails instead of hanging.
-                let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
-                while seen.load(Ordering::SeqCst) < WORK && std::time::Instant::now() < give_up {
-                    std::hint::spin_loop();
-                }
+        let mut rt = ThreadRuntime::new(2);
+        let ran = Arc::new(AtomicUsize::new(0));
+        let outs: Vec<_> = (0..WORK)
+            .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
+            .collect();
+        for (i, &o) in outs.iter().enumerate() {
+            let ran = ran.clone();
+            rt.submit(TaskBuilder::new("w").wr(o).place(0).body(move |ctx| {
+                *ctx.wr(o) = i as u64;
+                ran.fetch_add(1, Ordering::SeqCst);
             }));
-            rt.finish();
-            assert_eq!(ran.load(Ordering::SeqCst), WORK);
-            for (i, &o) in outs.iter().enumerate() {
-                assert_eq!(*rt.store().read(o), i as u64);
+        }
+        let seen = ran.clone();
+        rt.submit(TaskBuilder::new("hold").place(1).body(move |_| {
+            // Bounded only so a scheduler bug fails instead of hanging.
+            let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while seen.load(Ordering::SeqCst) < WORK && std::time::Instant::now() < give_up {
+                std::hint::spin_loop();
             }
-            rt.last_stats()
-        };
-        let per_task = run(BatchPolicy::PerTask);
-        let auto = run(BatchPolicy::Auto);
-        assert_eq!(per_task.executed, 400);
-        assert_eq!(auto.executed, 400);
-        assert!(auto.steals <= 1, "{} steals", auto.steals);
-        assert_eq!(
-            per_task.sync_locks, 400,
-            "PerTask takes the lock once per completion"
-        );
+        }));
+        rt.finish();
+        assert_eq!(ran.load(Ordering::SeqCst), WORK);
+        for (i, &o) in outs.iter().enumerate() {
+            assert_eq!(*rt.store().read(o), i as u64);
+        }
+        let st = rt.last_stats();
+        assert_eq!(st.executed, 400);
+        assert!(st.steals <= 1, "{} steals", st.steals);
         assert!(
-            auto.sync_locks * 2 <= auto.executed,
-            "Auto must amortize: {} locks for {} tasks",
-            auto.sync_locks,
-            auto.executed
+            st.sync_locks * 2 <= st.executed,
+            "drain buffers must amortize: {} locks for {} tasks",
+            st.sync_locks,
+            st.executed
         );
     }
 
@@ -2840,20 +2211,6 @@ mod tests {
             st.executed,
             st.steals
         );
-    }
-
-    #[test]
-    fn one_worker_event_streams_are_identical_across_batch_policies() {
-        // Tracing clamps the drain threshold to one, so a traced 1-worker
-        // run is byte-identical however the batch policy is set — the
-        // bit-for-bit parity contract of the bench harness.
-        for mode in [SchedMode::Sharded, SchedMode::GlobalLock] {
-            let (va, sa, ea) = run_reference_workload_with(mode, 1, BatchPolicy::PerTask);
-            let (vb, sb, eb) = run_reference_workload_with(mode, 1, BatchPolicy::Auto);
-            assert_eq!(va, vb, "{mode:?}: outputs diverged");
-            assert_eq!(sa.executed, sb.executed);
-            assert_eq!(ea, eb, "{mode:?}: event streams diverged across policies");
-        }
     }
 
     #[test]
@@ -2891,68 +2248,25 @@ mod tests {
 
     #[test]
     fn second_same_shape_batch_triggers_zero_slab_growth() {
-        for deque in [DequeImpl::Locked, DequeImpl::ChaseLev] {
-            for workers in [1, 3] {
-                let mut rt = ThreadRuntime::new(workers);
-                rt.set_deque_impl(deque);
-                let handles: Vec<_> = (0..8)
-                    .map(|i| rt.create(&format!("c{i}"), 8, 0u64))
-                    .collect();
-                run_counter_batch(&mut rt, 64, &handles);
-                let grows = rt.arena.grows;
-                assert!(grows > 0, "first batch must build the arena");
-                run_counter_batch(&mut rt, 64, &handles);
-                assert_eq!(
-                    rt.arena.grows, grows,
-                    "{deque:?}/{workers}w: same-shape batch re-grew the arena"
-                );
-                // A smaller batch must reuse as well; only a bigger one grows.
-                run_counter_batch(&mut rt, 32, &handles);
-                assert_eq!(rt.arena.grows, grows, "{deque:?}: smaller batch re-grew");
-                run_counter_batch(&mut rt, 256, &handles);
-                assert!(rt.arena.grows > grows, "{deque:?}: bigger batch must grow");
-                assert_eq!(*rt.store().read(handles[0]), (64 + 64 + 32 + 256) / 8);
-            }
-        }
-    }
-
-    #[test]
-    fn chase_lev_matches_locked_results_and_counters() {
-        // The deque impl is a scheduling freedom: outputs and the
-        // deterministic counters must be bit-identical; dispatch order
-        // (and hence steal/locality split) may differ.
-        for workers in [1, 2, 4] {
-            let run = |deque: DequeImpl| {
-                let mut rt = ThreadRuntime::new(workers);
-                rt.set_deque_impl(deque);
-                let outs: Vec<_> = (0..24)
-                    .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
-                    .collect();
-                let acc = rt.create("acc", 8, 0u64);
-                for (i, &o) in outs.iter().enumerate() {
-                    rt.submit(TaskBuilder::new("w").wr(o).body(move |ctx| {
-                        *ctx.wr(o) = (i as u64 + 1) * 3;
-                    }));
-                }
-                for &o in &outs {
-                    rt.submit(TaskBuilder::new("acc").rd(o).rd_wr(acc).body(move |ctx| {
-                        *ctx.wr(acc) += *ctx.rd(o);
-                    }));
-                }
-                rt.finish();
-                let vals: Vec<u64> = outs
-                    .iter()
-                    .map(|&o| *rt.store().read(o))
-                    .chain(std::iter::once(*rt.store().read(acc)))
-                    .collect();
-                (vals, rt.last_stats())
-            };
-            let (va, sa) = run(DequeImpl::Locked);
-            let (vb, sb) = run(DequeImpl::ChaseLev);
-            assert_eq!(va, vb, "outputs diverged at {workers} workers");
-            assert_eq!(sa.executed, sb.executed);
-            assert_eq!(sa.recoveries, sb.recoveries);
-            assert_eq!(sa.locality_hits + sa.steals, sb.locality_hits + sb.steals);
+        for workers in [1, 3] {
+            let mut rt = ThreadRuntime::new(workers);
+            let handles: Vec<_> = (0..8)
+                .map(|i| rt.create(&format!("c{i}"), 8, 0u64))
+                .collect();
+            run_counter_batch(&mut rt, 64, &handles);
+            let grows = rt.arena.grows;
+            assert!(grows > 0, "first batch must build the arena");
+            run_counter_batch(&mut rt, 64, &handles);
+            assert_eq!(
+                rt.arena.grows, grows,
+                "{workers}w: same-shape batch re-grew the arena"
+            );
+            // A smaller batch must reuse as well; only a bigger one grows.
+            run_counter_batch(&mut rt, 32, &handles);
+            assert_eq!(rt.arena.grows, grows, "smaller batch re-grew");
+            run_counter_batch(&mut rt, 256, &handles);
+            assert!(rt.arena.grows > grows, "bigger batch must grow");
+            assert_eq!(*rt.store().read(handles[0]), (64 + 64 + 32 + 256) / 8);
         }
     }
 
@@ -2960,10 +2274,9 @@ mod tests {
     fn chase_lev_inbox_work_is_stealable_while_owner_spins() {
         // Liveness: work remote-pushed onto a worker that never goes idle
         // (its owner is spinning inside a task) must still be reachable by
-        // thieves — the Chase-Lev inject inbox would otherwise deadlock
-        // this pipeline.
+        // thieves — the inject inbox would otherwise deadlock this
+        // pipeline.
         let mut rt = ThreadRuntime::new(2);
-        rt.set_deque_impl(DequeImpl::ChaseLev);
         let done = Arc::new(AtomicUsize::new(0));
         let x = rt.create("x", 8, 0u64);
         let y = rt.create("y", 8, 0u64);
@@ -3021,134 +2334,50 @@ mod tests {
             }
             true
         };
-        for (mode, deque) in [
-            (SchedMode::Sharded, DequeImpl::ChaseLev),
-            (SchedMode::Sharded, DequeImpl::Locked),
-            (SchedMode::GlobalLock, DequeImpl::Locked),
-        ] {
-            let mut rt = ThreadRuntime::with_mode(2, mode);
-            rt.set_deque_impl(deque);
-            let started = Arc::new(AtomicUsize::new(0));
-            let b_ran = Arc::new(AtomicUsize::new(0));
-            let timed_out = Arc::new(AtomicUsize::new(0));
-            let x = rt.create("x", 8, 0u64);
-            let out = rt.create("out", 8, 0u64);
-            let (s0, d0, t0) = (started.clone(), b_ran.clone(), timed_out.clone());
-            let blocker = TaskBuilder::new("blocker").place(0).body(move |_| {
-                s0.store(1, Ordering::SeqCst);
-                if !spin_until(&d0) {
-                    t0.store(1, Ordering::SeqCst);
-                }
-            });
-            let (s1, t1) = (started.clone(), timed_out.clone());
-            let z = TaskBuilder::new("z").place(0).body(move |_| {
-                if !spin_until(&s1) {
-                    t1.store(1, Ordering::SeqCst);
-                }
-            });
-            // Queue 0 holds `z`, fillers and `blocker`, ordered so the owner
-            // takes `z` first and the thief takes `blocker`: the Chase-Lev
-            // owner pops the newest entry, the others the oldest. The
-            // fillers exhaust GlobalLock's claim run (DRAIN_BATCH tasks per
-            // acquisition), which would otherwise claim `blocker` too.
-            let mut queue0 = vec![z];
-            queue0.extend((1..DRAIN_BATCH).map(|_| TaskBuilder::new("f").place(0).body(|_| {})));
-            queue0.push(blocker);
-            if deque == DequeImpl::ChaseLev {
-                queue0.reverse();
+        let mut rt = ThreadRuntime::new(2);
+        let started = Arc::new(AtomicUsize::new(0));
+        let b_ran = Arc::new(AtomicUsize::new(0));
+        let timed_out = Arc::new(AtomicUsize::new(0));
+        let x = rt.create("x", 8, 0u64);
+        let out = rt.create("out", 8, 0u64);
+        let (s0, d0, t0) = (started.clone(), b_ran.clone(), timed_out.clone());
+        // Queue 0 holds `blocker` then `z`: the owner pops the newest entry
+        // (`z`), the thief steals the oldest (`blocker`).
+        rt.submit(TaskBuilder::new("blocker").place(0).body(move |_| {
+            s0.store(1, Ordering::SeqCst);
+            if !spin_until(&d0) {
+                t0.store(1, Ordering::SeqCst);
             }
-            for t in queue0 {
-                rt.submit(t);
+        }));
+        let (s1, t1) = (started.clone(), timed_out.clone());
+        rt.submit(TaskBuilder::new("z").place(0).body(move |_| {
+            if !spin_until(&s1) {
+                t1.store(1, Ordering::SeqCst);
             }
-            rt.submit(
-                TaskBuilder::new("a")
-                    .wr(x)
-                    .place(1)
-                    .body(move |ctx| *ctx.wr(x) = 7),
-            );
-            let d1 = b_ran.clone();
-            rt.submit(
-                TaskBuilder::new("b")
-                    .rd(x)
-                    .wr(out)
-                    .place(0)
-                    .body(move |ctx| {
-                        *ctx.wr(out) = *ctx.rd(x) + 1;
-                        d1.store(1, Ordering::SeqCst);
-                    }),
-            );
-            rt.finish();
-            assert_eq!(
-                timed_out.load(Ordering::SeqCst),
-                0,
-                "{mode:?}/{deque:?}: `b` was withheld behind the stolen task"
-            );
-            assert_eq!(*rt.store().read(out), 8);
-        }
-    }
-
-    #[test]
-    fn global_lock_auto_batching_amortizes_locks() {
-        // Regression for the dishonest A/B: GlobalLock used to reacquire
-        // the lock for every pick regardless of policy, so `batch=1` and
-        // `auto` measured identical sync_locks. The claim loop must take
-        // several tasks per acquisition under Auto.
-        //
-        // A claim run covers a worker's own queue; a steal is one task per
-        // acquisition, and how many tasks get stolen depends on when the
-        // workers happen to start. So, as in its Sharded twin
-        // `auto_batching_amortizes_sync_locks`, the work sits on worker 0
-        // and worker 1 is pinned inside `hold` until every other body has
-        // run: at most one steal, whatever the host does.
-        const WORK: usize = 399;
-        let run = |policy: BatchPolicy| {
-            let mut rt = ThreadRuntime::with_mode(2, SchedMode::GlobalLock);
-            rt.set_batch_policy(policy);
-            let ran = Arc::new(AtomicUsize::new(0));
-            let outs: Vec<_> = (0..WORK)
-                .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
-                .collect();
-            for (i, &o) in outs.iter().enumerate() {
-                let ran = ran.clone();
-                rt.submit(TaskBuilder::new("w").wr(o).place(0).body(move |ctx| {
-                    *ctx.wr(o) = i as u64;
-                    ran.fetch_add(1, Ordering::SeqCst);
-                }));
-            }
-            let seen = ran.clone();
-            rt.submit(TaskBuilder::new("hold").place(1).body(move |_| {
-                // Bounded only so a scheduler bug fails instead of hanging.
-                let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
-                while seen.load(Ordering::SeqCst) < WORK && std::time::Instant::now() < give_up {
-                    std::thread::yield_now();
-                }
-            }));
-            rt.finish();
-            assert_eq!(ran.load(Ordering::SeqCst), WORK);
-            for (i, &o) in outs.iter().enumerate() {
-                assert_eq!(*rt.store().read(o), i as u64);
-            }
-            rt.last_stats()
-        };
-        let per_task = run(BatchPolicy::PerTask);
-        let auto = run(BatchPolicy::Auto);
-        assert_eq!(per_task.executed, 400);
-        assert_eq!(auto.executed, 400);
-        assert!(
-            per_task.sync_locks >= 400,
-            "PerTask takes the lock at least once per completion"
+        }));
+        rt.submit(
+            TaskBuilder::new("a")
+                .wr(x)
+                .place(1)
+                .body(move |ctx| *ctx.wr(x) = 7),
         );
-        assert!(
-            (auto.sync_locks as f64) < 1.0 * auto.executed as f64,
-            "GlobalLock auto must amortize below one lock per task: {} locks / {} tasks",
-            auto.sync_locks,
-            auto.executed
+        let d1 = b_ran.clone();
+        rt.submit(
+            TaskBuilder::new("b")
+                .rd(x)
+                .wr(out)
+                .place(0)
+                .body(move |ctx| {
+                    *ctx.wr(out) = *ctx.rd(x) + 1;
+                    d1.store(1, Ordering::SeqCst);
+                }),
         );
-        assert!(
-            auto.sync_locks * 2 <= auto.executed,
-            "GlobalLock auto should amortize well below one lock per task: {} locks / {} tasks",
-            auto.sync_locks,
-            auto.executed
+        rt.finish();
+        assert_eq!(
+            timed_out.load(Ordering::SeqCst),
+            0,
+            "`b` was withheld behind the stolen task"
         );
+        assert_eq!(*rt.store().read(out), 8);
     }
 }

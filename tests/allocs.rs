@@ -1,18 +1,18 @@
 //! The counting-allocator harness and the zero-allocation steady-state
 //! gate.
 //!
-//! This test binary installs a counting `#[global_allocator]` shim (the
-//! same ~12 lines as the `repro` binary — it cannot live in a library:
-//! `jade-bench` is `#![forbid(unsafe_code)]`, and Rust allows exactly one
-//! global allocator per binary). Four things are covered:
+//! This test binary installs a counting `#[global_allocator]` shim (it
+//! cannot live in a library: `jade-bench` is `#![forbid(unsafe_code)]`, and
+//! Rust allows exactly one global allocator per binary). Four things are
+//! covered:
 //!
 //! 1. the counter actually observes a deliberate allocation (the harness
 //!    is not vacuously "passing" a dead counter);
-//! 2. at equilibrium, the sharded scheduler's dispatch → execute →
-//!    complete → retire cycle performs **zero** heap allocations per task
-//!    on the SchedStress shape, for both deque implementations — measured
-//!    differentially (a 2N-task batch must allocate exactly as much as an
-//!    N-task batch, so per-batch fixed costs like thread spawns cancel);
+//! 2. at equilibrium, the scheduler's dispatch → execute → complete →
+//!    retire cycle performs **zero** heap allocations per task on the
+//!    SchedStress shape — measured differentially (a 2N-task batch must
+//!    allocate exactly as much as an N-task batch, so per-batch fixed
+//!    costs like thread spawns cancel);
 //! 3. a warmed `JadeService` allocates per DAG, not per task: its slabs
 //!    come from a retired tenant's slot, so submit → `wait` of a 2N-task
 //!    chain allocates exactly as often as an N-task chain (what is left is
@@ -23,10 +23,7 @@
 //!    `jade-bench`'s in-crate tests, which install no shim.
 
 use jade_core::{JadeRuntime, TaskBuilder};
-use jade_threads::{
-    DequeImpl, JadeService, Outcome, Program, SchedMode, ServiceConfig, TenantOptions,
-    ThreadRuntime,
-};
+use jade_threads::{JadeService, Outcome, Program, ServiceConfig, TenantOptions, ThreadRuntime};
 use std::sync::Mutex;
 
 struct CountingAlloc;
@@ -115,35 +112,31 @@ fn steady_state_alloc_delta(rt: &mut ThreadRuntime, counters: &[jade_core::Handl
 }
 
 #[test]
-fn steady_state_allocs_per_task_is_zero_for_both_deques() {
+fn steady_state_allocs_per_task_is_zero() {
     let _guard = SERIAL.lock().unwrap();
     if counting_inactive() {
         return;
     }
-    for deque in [DequeImpl::Locked, DequeImpl::ChaseLev] {
-        for workers in [1usize, 2] {
-            let mut rt = ThreadRuntime::with_mode(workers, SchedMode::Sharded);
-            rt.set_deque_impl(deque);
-            let counters: Vec<_> = (0..STRESS_OBJECTS)
-                .map(|i| rt.create(&format!("c{i}"), 8, 0u64))
-                .collect();
-            // The test-harness runner may allocate on its own threads
-            // mid-window (it only ever inflates the count), so accept
-            // the first of a few attempts that lands clean; a genuine
-            // per-task allocation inflates *every* attempt by >= 1000.
-            let mut deltas = Vec::new();
-            let clean = (0..5).any(|_| {
-                let d = steady_state_alloc_delta(&mut rt, &counters);
-                deltas.push(d);
-                d == 0
-            });
-            assert!(
-                clean,
-                "{} @ {workers} workers: steady-state batches kept allocating \
-                 (extra allocs for +1000 tasks across attempts: {deltas:?})",
-                deque.name()
-            );
-        }
+    for workers in [1usize, 2] {
+        let mut rt = ThreadRuntime::new(workers);
+        let counters: Vec<_> = (0..STRESS_OBJECTS)
+            .map(|i| rt.create(&format!("c{i}"), 8, 0u64))
+            .collect();
+        // The test-harness runner may allocate on its own threads
+        // mid-window (it only ever inflates the count), so accept the
+        // first of a few attempts that lands clean; a genuine per-task
+        // allocation inflates *every* attempt by >= 1000.
+        let mut deltas = Vec::new();
+        let clean = (0..5).any(|_| {
+            let d = steady_state_alloc_delta(&mut rt, &counters);
+            deltas.push(d);
+            d == 0
+        });
+        assert!(
+            clean,
+            "{workers} workers: steady-state batches kept allocating \
+             (extra allocs for +1000 tasks across attempts: {deltas:?})"
+        );
     }
 }
 

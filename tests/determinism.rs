@@ -1,25 +1,24 @@
-//! Differential determinism between the two thread-backend schedulers and
-//! the two batch policies.
+//! Determinism of the thread backend, against oracles that share no
+//! scheduler code with it.
 //!
-//! The sharded work-stealing executor must be *observationally identical*
-//! to the seed single-lock scheduler: for any random task DAG, any worker
-//! count and any injected-fault plan, both modes must produce bit-identical
-//! application results and the same deterministic event counters. The same
-//! contract holds for transition batching: a run that flushes completions
-//! through per-worker drain buffers (`BatchPolicy::Auto`) must be
-//! indistinguishable from per-task flushing (`BatchPolicy::PerTask`)
-//! except in speed. Stealing and locality splits are scheduling accidents
-//! and legitimately differ; everything Jade semantics pins down must not.
+//! For any random task DAG, any worker count and any injected-fault plan,
+//! `ThreadRuntime` must produce the application results of the serial
+//! `TraceRuntime` bit for bit, the deterministic event counters of its own
+//! one-worker run, exactly the re-executions `FaultPlan::task_fails`
+//! predicts and exactly the checkpoints the interval predicts — traced
+//! (completions flushed one by one) and untraced (completions batched
+//! through the per-worker drain buffers) alike. Stealing and locality
+//! splits are scheduling accidents and legitimately differ; everything
+//! Jade semantics pins down must not.
 
 use jade::apps::pagerank::{self, PagerankConfig};
-use jade::core::Metrics;
+use jade::core::{Metrics, TraceRuntime};
 use jade::threads::FaultPlan;
-use jade::{
-    BatchPolicy, DequeImpl, JadeRuntime, LocalityMode, SchedMode, TaskBuilder, ThreadRuntime,
-};
+use jade::{JadeRuntime, LocalityMode, TaskBuilder, ThreadRuntime};
 use proptest::prelude::*;
 
 const OBJECTS: usize = 4;
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 /// A random program: for each task, a set of (object, is_write) accesses.
 fn program_strategy(max_tasks: usize) -> impl Strategy<Value = Vec<Vec<(u8, bool)>>> {
@@ -47,8 +46,13 @@ fn deterministic_counters(m: &Metrics) -> Counters {
     )
 }
 
-/// Submit the random program's tasks to `rt` and return the object handles.
-fn submit_program(rt: &mut ThreadRuntime, prog: &[Vec<(u8, bool)>]) -> Vec<jade::Handle<Vec<u32>>> {
+/// Submit the random program's tasks to `rt` and return the object
+/// handles. Each task appends its id to each object it writes, so the
+/// final logs record the order conflicting writers ran in.
+fn submit_program<R: JadeRuntime>(
+    rt: &mut R,
+    prog: &[Vec<(u8, bool)>],
+) -> Vec<jade::Handle<Vec<u32>>> {
     let objs: Vec<_> = (0..OBJECTS)
         .map(|i| rt.create(&format!("o{i}"), 8, Vec::<u32>::new()))
         .collect();
@@ -78,280 +82,159 @@ fn submit_program(rt: &mut ThreadRuntime, prog: &[Vec<(u8, bool)>]) -> Vec<jade:
     objs
 }
 
-/// Run `prog` on a fresh *traced* runtime; return the final value of every
-/// object (each task appends its id to each object it writes) plus the
-/// deterministic counters.
-fn run_mode(
-    prog: &[Vec<(u8, bool)>],
-    workers: usize,
-    mode: SchedMode,
-    deque: DequeImpl,
-    policy: BatchPolicy,
-    plan: Option<FaultPlan>,
-) -> (Vec<Vec<u32>>, Counters) {
-    let mut rt = ThreadRuntime::with_mode(workers, mode);
-    rt.set_deque_impl(deque);
-    rt.set_batch_policy(policy);
-    rt.enable_events();
-    if let Some(p) = plan {
-        rt.inject_faults(p);
-    }
-    let objs = submit_program(&mut rt, prog);
+/// Run `prog` on `rt` and return the final value of every object.
+fn results_on<R: JadeRuntime>(rt: &mut R, prog: &[Vec<(u8, bool)>]) -> Vec<Vec<u32>> {
+    let objs = submit_program(rt, prog);
     rt.finish();
-    let results = objs.iter().map(|&h| rt.store().read(h).clone()).collect();
-    let events = rt.take_events();
-    jade::core::check_lifecycle(&events).expect("lifecycle holds");
-    let m = Metrics::from_events(&events, workers);
-    (results, deterministic_counters(&m))
+    objs.iter().map(|&h| rt.store().read(h).clone()).collect()
 }
 
-/// Run `prog` *untraced*, so `BatchPolicy::Auto` drain buffers genuinely
-/// fill (tracing clamps the flush threshold to one). Returns outputs plus
-/// the deterministic slice of `BatchStats`.
-fn run_mode_untraced(
-    prog: &[Vec<(u8, bool)>],
-    workers: usize,
-    mode: SchedMode,
-    deque: DequeImpl,
-    policy: BatchPolicy,
-    plan: Option<FaultPlan>,
-) -> (Vec<Vec<u32>>, (usize, usize, usize)) {
-    let mut rt = ThreadRuntime::with_mode(workers, mode);
-    rt.set_deque_impl(deque);
-    rt.set_batch_policy(policy);
-    if let Some(p) = plan {
-        rt.inject_faults(p);
+/// Re-executions `plan` causes over tasks `0..tasks`, from the plan alone:
+/// a task is re-executed once per consecutive failing attempt.
+fn predicted_reexecutions(plan: Option<FaultPlan>, tasks: usize) -> u64 {
+    let Some(plan) = plan else { return 0 };
+    (0..tasks as u64)
+        .map(|id| (0..).take_while(|&a| plan.task_fails(id, a)).count() as u64)
+        .sum()
+}
+
+/// Checkpoints an `every`-completions interval takes over `tasks`
+/// completions: one per full interval, none at the completion that drains
+/// the batch.
+fn predicted_checkpoints(every: Option<usize>, tasks: usize) -> u64 {
+    every.map_or(0, |every| ((tasks - 1) / every) as u64)
+}
+
+/// The whole contract, for one program under one plan: at every worker
+/// count, traced and untraced, results equal the serial run, deterministic
+/// counters equal the one-worker run, and re-executions and checkpoints
+/// equal what the plan predicts.
+fn check_against_oracles(prog: &[Vec<(u8, bool)>], plan: Option<FaultPlan>, every: Option<usize>) {
+    let serial = results_on(&mut TraceRuntime::new(), prog);
+    let reexecuted = predicted_reexecutions(plan, prog.len());
+    let checkpoints = predicted_checkpoints(every, prog.len());
+    let configure = |rt: &mut ThreadRuntime| {
+        if let Some(p) = plan {
+            rt.inject_faults(p);
+        }
+        if let Some(every) = every {
+            rt.checkpoint_every(every);
+        }
+    };
+    let mut one_worker = None;
+    for workers in WORKERS {
+        let what = format!("{workers} workers, plan {plan:?}, checkpoint every {every:?}");
+
+        let mut rt = ThreadRuntime::new(workers);
+        rt.enable_events();
+        configure(&mut rt);
+        assert_eq!(results_on(&mut rt, prog), serial, "traced results: {what}");
+        let events = rt.take_events();
+        jade::core::check_lifecycle(&events).expect("lifecycle holds");
+        let m = Metrics::from_events(&events, workers);
+        let counters = deterministic_counters(&m);
+        assert_eq!(
+            &counters,
+            one_worker.get_or_insert(counters),
+            "counters vs one worker: {what}"
+        );
+        assert_eq!(m.tasks_reexecuted, reexecuted, "re-executions: {what}");
+        assert_eq!(m.workers_failed, reexecuted, "worker failures: {what}");
+        assert_eq!(m.checkpoints, checkpoints, "checkpoints: {what}");
+
+        // Untraced, so the drain buffers genuinely fill (tracing clamps the
+        // flush threshold to one).
+        let mut rt = ThreadRuntime::new(workers);
+        configure(&mut rt);
+        assert_eq!(
+            results_on(&mut rt, prog),
+            serial,
+            "untraced results: {what}"
+        );
+        let s = rt.last_stats();
+        assert_eq!(s.executed as u64, prog.len() as u64 + reexecuted, "{what}");
+        assert_eq!(s.recoveries as u64, reexecuted, "{what}");
+        assert_eq!(s.checkpoints as u64, checkpoints, "{what}");
     }
-    let objs = submit_program(&mut rt, prog);
-    rt.finish();
-    let results = objs.iter().map(|&h| rt.store().read(h).clone()).collect();
-    let s = rt.last_stats();
-    (results, (s.executed, s.recoveries, s.checkpoints))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fault-free: both schedulers — and both sharded deque impls — agree
-    /// on results and counters for every worker count.
+    /// Fault-free, with and without a checkpoint interval.
     #[test]
-    fn modes_agree_without_faults(prog in program_strategy(40)) {
-        for workers in [1usize, 2, 4, 8] {
-            let (rb, cb) = run_mode(
-                &prog, workers, SchedMode::GlobalLock, DequeImpl::Locked, BatchPolicy::Auto, None,
-            );
-            for deque in [DequeImpl::Locked, DequeImpl::ChaseLev] {
-                let (ra, ca) = run_mode(
-                    &prog, workers, SchedMode::Sharded, deque, BatchPolicy::Auto, None,
-                );
-                prop_assert_eq!(
-                    &ra, &rb, "results diverged at {} workers ({:?})", workers, deque
-                );
-                prop_assert_eq!(
-                    ca, cb, "counters diverged at {} workers ({:?})", workers, deque
-                );
-            }
-        }
+    fn threads_agree_with_serial_without_faults(
+        prog in program_strategy(40),
+        every in 0usize..8,
+    ) {
+        check_against_oracles(&prog, None, (every > 0).then_some(every));
     }
 
-    /// Under injected crashes (and checkpointing), recovery keeps both
-    /// schedulers bit-identical: `FaultPlan::task_fails` is a pure hash of
-    /// (seed, task, attempt), so even the re-execution counts must match.
+    /// Under injected crashes, with and without checkpointing: recovery
+    /// keeps results bit-identical, and `FaultPlan::task_fails` is a pure
+    /// hash of (seed, task, attempt), so even the re-execution counts are
+    /// predictable from the plan alone.
     #[test]
-    fn modes_agree_under_fault_injection(
+    fn threads_agree_with_serial_under_fault_injection(
         prog in program_strategy(30),
         seed in any::<u64>(),
-        wsel in 0usize..4,
         psel in 0usize..3,
+        every in 0usize..8,
     ) {
-        let workers = [1usize, 2, 4, 8][wsel];
-        let panic_p = [0.1, 0.3, 0.5][psel];
-        let plan = FaultPlan {
-            panic_p,
-            seed,
-            checkpoint: Some(jade::dsim::SimDuration::from_secs_f64(5.0)),
-            ..FaultPlan::none()
-        };
-        let (rb, cb) = run_mode(
-            &prog, workers, SchedMode::GlobalLock, DequeImpl::Locked, BatchPolicy::Auto, Some(plan),
-        );
-        for deque in [DequeImpl::Locked, DequeImpl::ChaseLev] {
-            let (ra, ca) = run_mode(
-                &prog, workers, SchedMode::Sharded, deque, BatchPolicy::Auto, Some(plan),
-            );
-            prop_assert_eq!(
-                &ra, &rb, "results diverged: {} workers, p={}, {:?}", workers, panic_p, deque
-            );
-            prop_assert_eq!(
-                ca, cb, "counters diverged: {} workers, p={}, {:?}", workers, panic_p, deque
-            );
-        }
+        let plan = FaultPlan { panic_p: [0.1, 0.3, 0.5][psel], seed, ..FaultPlan::none() };
+        check_against_oracles(&prog, Some(plan), (every > 0).then_some(every));
     }
 
-    /// Batched (`auto`) vs per-task (`batch=1`) flushing, untraced so the
-    /// drain buffers genuinely fill: bit-identical outputs and identical
-    /// deterministic stats, in both scheduler modes, across worker counts
-    /// and random crash injection.
-    #[test]
-    fn batch_policies_agree(
-        prog in program_strategy(30),
-        seed in any::<u64>(),
-        wsel in 0usize..4,
-        fsel in 0usize..3,
-    ) {
-        let workers = [1usize, 2, 4, 8][wsel];
-        let plan = match fsel {
-            0 => None,
-            1 => Some(FaultPlan { panic_p: 0.3, seed, ..FaultPlan::none() }),
-            _ => Some(FaultPlan {
-                panic_p: 0.2,
-                seed,
-                checkpoint: Some(jade::dsim::SimDuration::from_secs_f64(4.0)),
-                ..FaultPlan::none()
-            }),
-        };
-        for (mode, deque) in [
-            (SchedMode::Sharded, DequeImpl::Locked),
-            (SchedMode::Sharded, DequeImpl::ChaseLev),
-            (SchedMode::GlobalLock, DequeImpl::Locked),
-        ] {
-            let (ra, sa) = run_mode_untraced(&prog, workers, mode, deque, BatchPolicy::Auto, plan);
-            let (rb, sb) = run_mode_untraced(&prog, workers, mode, deque, BatchPolicy::PerTask, plan);
-            prop_assert_eq!(
-                &ra, &rb,
-                "{:?}/{:?}: batched results diverged from batch=1 at {} workers (faults {})",
-                mode, deque, workers, fsel
-            );
-            prop_assert_eq!(
-                sa, sb,
-                "{:?}/{:?}: deterministic stats diverged at {} workers (faults {})",
-                mode, deque, workers, fsel
-            );
-        }
-    }
-
-    /// Traced runs must be *event-stream* identical across batch policies
-    /// at one worker, and counter-identical at any worker count — batching
-    /// may never change what the metrics layer reconstructs.
-    #[test]
-    fn batch_policies_agree_on_traced_counters(
-        prog in program_strategy(25),
-        seed in any::<u64>(),
-        wsel in 0usize..4,
-    ) {
-        let workers = [1usize, 2, 4, 8][wsel];
-        let plan = FaultPlan { panic_p: 0.2, seed, ..FaultPlan::none() };
-        for (mode, deque) in [
-            (SchedMode::Sharded, DequeImpl::Locked),
-            (SchedMode::Sharded, DequeImpl::ChaseLev),
-            (SchedMode::GlobalLock, DequeImpl::Locked),
-        ] {
-            let (ra, ca) = run_mode(&prog, workers, mode, deque, BatchPolicy::Auto, Some(plan));
-            let (rb, cb) = run_mode(&prog, workers, mode, deque, BatchPolicy::PerTask, Some(plan));
-            prop_assert_eq!(
-                &ra, &rb, "{:?}/{:?}: results diverged at {} workers", mode, deque, workers
-            );
-            prop_assert_eq!(
-                ca, cb, "{:?}/{:?}: counters diverged at {} workers", mode, deque, workers
-            );
-        }
-    }
-
-    /// One worker erases all scheduling freedom: the two modes and the two
-    /// batch policies must emit *identical event streams*, not just
-    /// identical counters. (The default `DequeImpl::Locked` only: the
-    /// Chase-Lev deque pops owner-LIFO, a different — equally legal —
-    /// dispatch order, so its streams are covered by the counter and
-    /// output checks above instead.)
+    /// One worker erases all scheduling freedom: two runs of one program
+    /// record *identical event streams*, not just identical counters. (The
+    /// stream is not program order — the worker pops its own queue
+    /// newest-first — so it is compared with itself, not with a serial
+    /// stream.)
     #[test]
     fn one_worker_streams_identical(prog in program_strategy(25)) {
-        let run = |mode: SchedMode, policy: BatchPolicy| {
-            let mut rt = ThreadRuntime::with_mode(1, mode);
-            rt.set_batch_policy(policy);
+        let run = || {
+            let mut rt = ThreadRuntime::new(1);
             rt.enable_events();
-            let objs: Vec<_> = (0..OBJECTS)
-                .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
-                .collect();
-            for (i, accesses) in prog.iter().enumerate() {
-                let mut tb = TaskBuilder::new("p");
-                let mut writes = Vec::new();
-                let mut seen = [false; OBJECTS];
-                for &(o, w) in accesses {
-                    let o = o as usize % OBJECTS;
-                    if seen[o] {
-                        continue;
-                    }
-                    seen[o] = true;
-                    if w {
-                        tb = tb.rd_wr(objs[o]);
-                        writes.push(objs[o]);
-                    } else {
-                        tb = tb.rd(objs[o]);
-                    }
-                }
-                rt.submit(tb.body(move |ctx| {
-                    for &h in &writes {
-                        *ctx.wr(h) += i as u64;
-                    }
-                }));
-            }
-            rt.finish();
+            results_on(&mut rt, &prog);
             rt.take_events()
         };
-        let reference = run(SchedMode::Sharded, BatchPolicy::PerTask);
-        for (mode, policy) in [
-            (SchedMode::Sharded, BatchPolicy::Auto),
-            (SchedMode::GlobalLock, BatchPolicy::PerTask),
-            (SchedMode::GlobalLock, BatchPolicy::Auto),
-        ] {
-            let eb = run(mode, policy);
-            prop_assert_eq!(
-                &reference, &eb,
-                "one-worker event streams diverged ({:?}, {:?})", mode, policy
-            );
-        }
+        prop_assert_eq!(run(), run(), "one-worker event streams differ between runs");
     }
 
     /// Irregular access sets don't weaken the contract: PageRank over a
     /// *random* power-law graph (access sets computed from the graph at
-    /// spawn time) must produce bit-identical ranks and identical
-    /// deterministic counters across schedulers and worker counts.
+    /// spawn time) must produce the serial run's ranks bit for bit and
+    /// identical deterministic counters across worker counts.
     #[test]
-    fn pagerank_modes_agree(
+    fn pagerank_workers_agree(
         seed in any::<u64>(),
         nodes in 48usize..160,
         epn in 2usize..5,
         iters in 1usize..4,
     ) {
-        let run = |workers: usize, mode: SchedMode, deque: DequeImpl| {
-            let cfg = PagerankConfig {
-                nodes,
-                edges_per_node: epn,
-                iterations: iters,
-                ..PagerankConfig::small(workers)
-            };
-            let cfg = PagerankConfig { seed, ..cfg };
-            let mut rt = ThreadRuntime::with_mode(workers, mode);
-            rt.set_deque_impl(deque);
+        // The decomposition is part of the program: fix it, vary the workers.
+        let cfg = PagerankConfig {
+            nodes,
+            edges_per_node: epn,
+            iterations: iters,
+            seed,
+            ..PagerankConfig::small(4)
+        };
+        let (_, serial) = pagerank::run_trace(&cfg);
+        let mut one_worker = None;
+        for workers in [1usize, 2, 4] {
+            let mut rt = ThreadRuntime::new(workers);
             rt.enable_events();
             let out = pagerank::run_on(&mut rt, &cfg);
+            prop_assert_eq!(&out, &serial, "ranks diverged at {} workers (seed {})", workers, seed);
             let events = rt.take_events();
             jade::core::check_lifecycle(&events).expect("lifecycle holds");
-            let m = Metrics::from_events(&events, workers);
-            (out, deterministic_counters(&m))
-        };
-        for workers in [1usize, 2, 4] {
-            let (rb, cb) = run(workers, SchedMode::GlobalLock, DequeImpl::Locked);
-            for deque in [DequeImpl::Locked, DequeImpl::ChaseLev] {
-                let (ra, ca) = run(workers, SchedMode::Sharded, deque);
-                prop_assert_eq!(
-                    ra, rb.clone(),
-                    "ranks diverged at {} workers (seed {}, {:?})", workers, seed, deque
-                );
-                prop_assert_eq!(
-                    ca, cb, "counters diverged at {} workers (seed {}, {:?})", workers, seed, deque
-                );
-            }
+            let counters = deterministic_counters(&Metrics::from_events(&events, workers));
+            prop_assert_eq!(
+                &counters,
+                one_worker.get_or_insert(counters),
+                "counters diverged at {} workers (seed {})", workers, seed
+            );
         }
     }
 

@@ -21,7 +21,7 @@ use jade::core::{
 use jade::dash::{self, DashConfig};
 use jade::dsim::{FaultPlan, SimDuration};
 use jade::ipsc::{self, IpscConfig};
-use jade::{DequeImpl, JadeRuntime, LocalityMode, TaskBuilder, ThreadRuntime};
+use jade::{JadeRuntime, LocalityMode, TaskBuilder, ThreadRuntime};
 use proptest::prelude::*;
 
 /// A random program: for each task, a set of (object, is_write) accesses.
@@ -174,9 +174,8 @@ proptest! {
         panic_pct in 0u32..41,
         seed in any::<u64>(),
     ) {
-        let run = |faults: Option<FaultPlan>, deque: DequeImpl| {
+        let run = |faults: Option<FaultPlan>| {
             let mut rt = ThreadRuntime::new(workers);
-            rt.set_deque_impl(deque);
             if let Some(plan) = faults {
                 rt.inject_faults(plan);
             }
@@ -211,22 +210,15 @@ proptest! {
             let logs: Vec<Vec<u32>> = objs.iter().map(|&h| rt.store().read(h).clone()).collect();
             (logs, stats)
         };
-        let (clean_logs, clean_stats) = run(None, DequeImpl::Locked);
-        for deque in [DequeImpl::Locked, DequeImpl::ChaseLev] {
-            let plan = FaultPlan {
-                panic_p: panic_pct as f64 / 100.0,
-                seed,
-                ..FaultPlan::none()
-            };
-            let (logs, stats) = run(Some(plan), deque);
-            prop_assert_eq!(
-                logs,
-                clean_logs.clone(),
-                "{:?}: results must be bit-identical to fault-free",
-                deque
-            );
-            prop_assert_eq!(stats.executed, clean_stats.executed + stats.recoveries);
-        }
+        let (clean_logs, clean_stats) = run(None);
+        let plan = FaultPlan {
+            panic_p: panic_pct as f64 / 100.0,
+            seed,
+            ..FaultPlan::none()
+        };
+        let (logs, stats) = run(Some(plan));
+        prop_assert_eq!(logs, clean_logs, "results must be bit-identical to fault-free");
+        prop_assert_eq!(stats.executed, clean_stats.executed + stats.recoveries);
     }
 
     /// Owner death resets the adaptive-broadcast trigger: the object drops

@@ -12,7 +12,7 @@
 use jade::core::Metrics;
 use jade::threads::FaultPlan;
 use jade::{
-    DequeImpl, JadeRuntime, JadeService, Outcome, Program, ServiceConfig, SubmitError, TaskBuilder,
+    JadeRuntime, JadeService, Outcome, Program, ServiceConfig, SubmitError, TaskBuilder,
     TenantOptions, ThreadRuntime,
 };
 use proptest::prelude::*;
@@ -133,11 +133,9 @@ type Observation = (
 );
 
 /// Run the same random program directly on a standalone [`ThreadRuntime`]
-/// (no service front end) with the given deque implementation, returning
-/// the final per-object write logs.
-fn run_on_thread_runtime(prog: &[Vec<(u8, bool)>], deque: DequeImpl) -> Vec<Vec<u32>> {
+/// (no service front end), returning the final per-object write logs.
+fn run_on_thread_runtime(prog: &[Vec<(u8, bool)>]) -> Vec<Vec<u32>> {
     let mut rt = ThreadRuntime::new(WORKERS);
-    rt.set_deque_impl(deque);
     let objs: Vec<_> = (0..OBJECTS)
         .map(|i| rt.create(&format!("o{i}"), 8, Vec::<u32>::new()))
         .collect();
@@ -337,23 +335,16 @@ proptest! {
     }
 
     /// The service front end and a standalone `ThreadRuntime` agree on
-    /// final object state — for both work-stealing deque implementations.
-    /// (The service pool has its own dispatch loop; this pins the whole
-    /// stack to one observable semantics regardless of the deque choice.)
+    /// final object state. (The service pool has its own dispatch loop;
+    /// this pins the whole stack to one observable semantics.)
     #[test]
-    fn service_agrees_with_solo_thread_runtime_for_both_deques(
-        prog in program_strategy(25),
-    ) {
+    fn service_agrees_with_solo_thread_runtime(prog in program_strategy(25)) {
         let (svc_outs, _) = observe_solo(&prog);
-        for deque in [DequeImpl::Locked, DequeImpl::ChaseLev] {
-            let rt_outs = run_on_thread_runtime(&prog, deque);
-            prop_assert_eq!(
-                &svc_outs,
-                &rt_outs,
-                "service and ThreadRuntime({}) diverged",
-                deque.name()
-            );
-        }
+        prop_assert_eq!(
+            svc_outs,
+            run_on_thread_runtime(&prog),
+            "service and ThreadRuntime diverged"
+        );
     }
 }
 
@@ -414,14 +405,7 @@ fn overload_surfaces_as_submit_error() {
 #[test]
 fn thread_runtime_survives_a_caught_mid_batch_panic() {
     quiet_expected_panics();
-    for deque in [DequeImpl::Locked, DequeImpl::ChaseLev] {
-        survives_mid_batch_panic(deque);
-    }
-}
-
-fn survives_mid_batch_panic(deque: DequeImpl) {
     let mut rt = ThreadRuntime::new(3);
-    rt.set_deque_impl(deque);
     let a = rt.create("a", 8, 0u64);
     for i in 0..5u64 {
         rt.submit(TaskBuilder::new("ok").rd_wr(a).body(move |ctx| {
