@@ -26,6 +26,7 @@
 
 use crate::common::{checksum, chunk_ranges, worker_ring, SplitMix64};
 use jade_core::{Handle, JadeRuntime, TaskBuilder, Trace, TraceRuntime};
+use std::sync::Arc;
 
 /// Calibration anchors. PageRank is not one of the paper's applications, so
 /// these are synthetic: chosen to give the app a serial running time of the
@@ -254,9 +255,12 @@ pub struct PagerankHandles {
 /// Build and submit the whole PageRank program on any Jade runtime.
 pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &PagerankConfig) -> PagerankHandles {
     let g = power_law_graph(cfg.nodes, cfg.edges_per_node, cfg.seed);
-    let pl = plan(&g, cfg.parts);
+    // The inspector's plan is read-only, so the scatter tasks share one
+    // copy: a runtime may hold every closure until `finish`, and a copy per
+    // task would be resident `iterations` times over.
+    let pl = Arc::new(plan(&g, cfg.parts));
     let ring = worker_ring(cfg.procs);
-    let bucket_sizes: Vec<usize> = pl.ranges.iter().map(|&(s, e)| e - s).collect();
+    let bucket_sizes: Arc<[usize]> = pl.ranges.iter().map(|&(s, e)| e - s).collect();
 
     // Rank vectors, double-buffered by iteration parity; the initial mass
     // 1/N lives in the parity-0 buffers.
@@ -296,9 +300,7 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &PagerankConfig) -> PagerankHandle
         let new = (iter + 1) % 2;
         for p in 0..cfg.parts {
             let (s, e) = pl.ranges[p];
-            let edges = pl.part_edges[p].clone();
-            let outdeg = pl.outdeg[p].clone();
-            let sizes = bucket_sizes.clone();
+            let (pl, sizes) = (Arc::clone(&pl), Arc::clone(&bucket_sizes));
             let (ch, rh) = (contrib[p], rank[p][old]);
             let placement = ring[p % ring.len()];
             rt.submit(
@@ -307,8 +309,9 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &PagerankConfig) -> PagerankHandle
                     .rd(rh)
                     .place(placement)
                     .body(move |ctx| {
+                        let edges = &pl.part_edges[p];
                         let ranks = ctx.rd(rh);
-                        *ctx.wr(ch) = scatter_contribs(&edges, &ranks, &outdeg, &sizes);
+                        *ctx.wr(ch) = scatter_contribs(edges, &ranks, &pl.outdeg[p], &sizes);
                         ctx.charge(edges.len() as f64 * C_EDGE + (e - s) as f64 * C_NODE);
                     }),
             );

@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the runtime components themselves: synchronizer
-//! throughput, simulator event rates, trace generation, and the real
-//! thread backend.
+//! throughput, simulator event rates, trace generation, the real thread
+//! backend, and element access through a store guard.
 //!
 //! Plain self-timing harness (`harness = false`): each benchmark runs a
 //! fixed number of iterations and reports the mean wall-clock time per
@@ -8,7 +8,7 @@
 
 use jade_core::LocalityMode;
 use jade_core::{
-    AccessSpec, JadeRuntime, ObjectId, Synchronizer, TaskBuilder, TaskId, TraceBuilder,
+    AccessSpec, JadeRuntime, ObjectId, Store, Synchronizer, TaskBuilder, TaskId, TraceBuilder,
 };
 use jade_threads::ThreadRuntime;
 
@@ -118,9 +118,42 @@ fn thread_backend() {
     });
 }
 
+/// Sum `v[0..n]` by index, dereferencing `v` anew for every element — what
+/// a task body does when it writes `pos[i]` on a guard inside a loop.
+fn indexed_sum<V>(name: &str, v: &V, n: usize, expect: f64)
+where
+    V: std::ops::Deref,
+    V::Target: std::ops::Index<usize, Output = f64>,
+{
+    bench(name, 2_000, || {
+        let v = std::hint::black_box(v);
+        let mut sum = 0.0;
+        for i in 0..n {
+            sum += v[i];
+        }
+        assert_eq!(std::hint::black_box(sum), expect);
+    });
+}
+
+/// The same indexed sum three ways: the guard must cost what the slice
+/// costs. A per-element price in `ReadGuard::deref` (a downcast, say) shows
+/// up as the first row standing apart from the other two.
+fn store_guard_index() {
+    let n = 4096usize;
+    let mut store = Store::new();
+    let h = store.create("v", 8 * n, (0..n).map(|i| i as f64).collect::<Vec<f64>>());
+    let expect = (n * (n - 1) / 2) as f64;
+    let plain = store.snapshot(h);
+    let guard = store.read(h);
+    indexed_sum("store/guard_index/guard", &guard, n, expect);
+    indexed_sum("store/guard_index/deref_once", &*guard, n, expect);
+    indexed_sum("store/guard_index/slice", &plain.as_slice(), n, expect);
+}
+
 fn main() {
     synchronizer_throughput();
     simulator_event_rate();
     trace_generation();
     thread_backend();
+    store_guard_index();
 }

@@ -12,19 +12,23 @@
 //!
 //! Only `alloc` and `realloc` are counted. Deallocations are free to
 //! batch up (dropping a recycled buffer is not allocation pressure), and
-//! counting them would double-charge realloc.
+//! counting them would double-charge realloc. Beside the call count the
+//! shim reports each request's size, so a gate can bound *how much* a
+//! region allocates (a realloc is charged its whole new size).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Record one allocation. Called by an installed allocator shim on every
-/// `alloc`/`realloc`; `Relaxed` because only totals matter, and the shim
-/// must add no synchronization to the paths it measures.
+/// Record one allocation of `bytes`. Called by an installed allocator shim
+/// on every `alloc`/`realloc`; `Relaxed` because only totals matter, and
+/// the shim must add no synchronization to the paths it measures.
 #[inline]
-pub fn note_alloc() {
+pub fn note_alloc(bytes: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
 /// Total allocations observed since process start. Zero forever if no
@@ -32,6 +36,12 @@ pub fn note_alloc() {
 #[inline]
 pub fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Total bytes requested since process start (zero without a shim).
+#[inline]
+pub fn alloc_bytes() -> u64 {
+    BYTES.load(Ordering::Relaxed)
 }
 
 /// Is a counting shim actually installed as the global allocator?
@@ -59,9 +69,20 @@ pub fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (allocs().wrapping_sub(before), r)
 }
 
+/// Bytes requested from the allocator while running `f`, plus `f`'s result.
+pub fn bytes_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = alloc_bytes();
+    let r = f();
+    (alloc_bytes().wrapping_sub(before), r)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one test that feeds the process-wide counter must not run inside
+    /// the window of the one that asserts it stays still.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// This test binary installs no `#[global_allocator]` shim, so the
     /// counter never moves — the exact situation in which alloc
@@ -70,6 +91,7 @@ mod tests {
     /// the workspace-level `tests/allocs.rs`, which installs one.)
     #[test]
     fn probe_reports_inactive_without_an_installed_shim() {
+        let _guard = SERIAL.lock().unwrap();
         assert!(!counting_active());
         let (n, _) = allocs_during(|| std::hint::black_box(vec![0u8; 4096]));
         assert_eq!(n, 0, "no shim, so nothing feeds the counter");
@@ -77,9 +99,11 @@ mod tests {
 
     #[test]
     fn counter_moves_when_fed_directly() {
-        let before = allocs();
-        note_alloc();
-        note_alloc();
+        let _guard = SERIAL.lock().unwrap();
+        let (before, bytes_before) = (allocs(), alloc_bytes());
+        note_alloc(24);
+        note_alloc(40);
         assert_eq!(allocs().wrapping_sub(before), 2);
+        assert_eq!(alloc_bytes().wrapping_sub(bytes_before), 64);
     }
 }

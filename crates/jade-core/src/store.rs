@@ -12,14 +12,18 @@
 //! object locks through [`crate::task::TaskCtx`], which also checks every
 //! access against the task's declared access specification, exactly as the
 //! Jade implementation detects undeclared accesses at run time.
+//!
+//! The lock is erased, the payload is typed: a slot holds a
+//! `Box<dyn Any>` whose concrete type is `RwLock<T>`, so the payload type is
+//! checked once per acquisition (one `TypeId` comparison, before the lock is
+//! touched) and the guards dereference straight to `T` — a body's
+//! `pos[i]` inside a loop costs what it costs on a plain slice.
 
 use crate::ids::{Handle, ObjectId, ProcId};
 use std::any::Any;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-type Payload = Box<dyn Any + Send + Sync>;
 
 struct Slot {
     name: String,
@@ -31,7 +35,8 @@ struct Slot {
     /// Memory-module home assigned by the allocating program (used by the
     /// machine runtimes for locality decisions). `None` = main processor.
     home: Option<ProcId>,
-    data: RwLock<Payload>,
+    /// The object's `RwLock<T>`, type-erased.
+    lock: Box<dyn Any + Send + Sync>,
 }
 
 /// A heterogeneous, thread-safe collection of shared objects.
@@ -63,7 +68,7 @@ impl Store {
             size_bytes,
             cache_bytes: None,
             home: None,
-            data: RwLock::new(Box::new(data)),
+            lock: Box::new(RwLock::new(data)),
         });
         Handle {
             id,
@@ -119,49 +124,36 @@ impl Store {
         self.slots[id.index()].home = Some(home);
     }
 
+    /// The object's lock, downcast to the handle's payload type. Panics on
+    /// mismatch without touching the lock, so the object stays usable.
+    fn typed<T: 'static>(&self, h: Handle<T>, doing: &str) -> (&RwLock<T>, &str) {
+        let slot = &self.slots[h.id.index()];
+        let lock = slot
+            .lock
+            .downcast_ref::<RwLock<T>>()
+            .unwrap_or_else(|| panic!("type mismatch {doing} object {:?} ({})", h.id, slot.name));
+        (lock, &slot.name)
+    }
+
     /// Acquire a read guard on the object. Panics if the payload type does
     /// not match the handle type, or (in the threads backend) if a writer
     /// currently holds the object — which the synchronizer must prevent.
     pub fn read<T: 'static>(&self, h: Handle<T>) -> ReadGuard<'_, T> {
-        let slot = &self.slots[h.id.index()];
-        let guard = slot.data.try_read().unwrap_or_else(|_| {
-            panic!(
-                "object {} read-locked while write-held: synchronizer violation",
-                slot.name
-            )
+        let (lock, name) = self.typed(h, "reading");
+        let guard = lock.try_read().unwrap_or_else(|_| {
+            panic!("object {name} read-locked while write-held: synchronizer violation")
         });
-        assert!(
-            (*guard).as_ref().is::<T>(),
-            "type mismatch reading object {:?} ({})",
-            h.id,
-            slot.name
-        );
-        ReadGuard {
-            guard,
-            _marker: PhantomData,
-        }
+        ReadGuard { guard }
     }
 
     /// Acquire a write guard on the object. Panics on type mismatch or if
     /// any other holder exists (synchronizer violation).
     pub fn write<T: 'static>(&self, h: Handle<T>) -> WriteGuard<'_, T> {
-        let slot = &self.slots[h.id.index()];
-        let guard = slot.data.try_write().unwrap_or_else(|_| {
-            panic!(
-                "object {} write-locked while held: synchronizer violation",
-                slot.name
-            )
+        let (lock, name) = self.typed(h, "writing");
+        let guard = lock.try_write().unwrap_or_else(|_| {
+            panic!("object {name} write-locked while held: synchronizer violation")
         });
-        assert!(
-            (*guard).as_ref().is::<T>(),
-            "type mismatch writing object {:?} ({})",
-            h.id,
-            slot.name
-        );
-        WriteGuard {
-            guard,
-            _marker: PhantomData,
-        }
+        WriteGuard { guard }
     }
 
     /// Read an object and clone the payload out (convenient for extracting
@@ -189,37 +181,34 @@ impl Store {
 
 /// RAII read access to a shared object's payload.
 pub struct ReadGuard<'a, T: 'static> {
-    guard: RwLockReadGuard<'a, Payload>,
-    _marker: PhantomData<&'a T>,
+    guard: RwLockReadGuard<'a, T>,
 }
 
 impl<T: 'static> Deref for ReadGuard<'_, T> {
     type Target = T;
     #[inline]
     fn deref(&self) -> &T {
-        // Type checked at acquisition; downcast cannot fail here.
-        self.guard.downcast_ref::<T>().unwrap()
+        &self.guard
     }
 }
 
 /// RAII write access to a shared object's payload.
 pub struct WriteGuard<'a, T: 'static> {
-    guard: RwLockWriteGuard<'a, Payload>,
-    _marker: PhantomData<&'a mut T>,
+    guard: RwLockWriteGuard<'a, T>,
 }
 
 impl<T: 'static> Deref for WriteGuard<'_, T> {
     type Target = T;
     #[inline]
     fn deref(&self) -> &T {
-        self.guard.downcast_ref::<T>().unwrap()
+        &self.guard
     }
 }
 
 impl<T: 'static> DerefMut for WriteGuard<'_, T> {
     #[inline]
     fn deref_mut(&mut self) -> &mut T {
-        self.guard.downcast_mut::<T>().unwrap()
+        &mut self.guard
     }
 }
 
@@ -267,6 +256,28 @@ mod tests {
         let h = store.create("x", 8, 42u64);
         let wrong: Handle<String> = Handle::from_id(h.id());
         let _ = store.read(wrong);
+    }
+
+    /// The payload type is checked before the lock is touched: a refused
+    /// acquisition neither holds nor poisons the object.
+    #[test]
+    fn type_mismatch_leaves_object_lockable() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut store = Store::new();
+        let h = store.create("x", 8, 42u64);
+        let wrong: Handle<String> = Handle::from_id(h.id());
+        let message = |r: std::thread::Result<()>| {
+            *r.expect_err("mismatched access must panic")
+                .downcast::<String>()
+                .expect("formatted panic message")
+        };
+        let msg = message(catch_unwind(AssertUnwindSafe(|| drop(store.read(wrong)))));
+        assert!(msg.contains("type mismatch reading object"), "{msg}");
+        assert!(msg.contains("(x)"), "{msg}");
+        let msg = message(catch_unwind(AssertUnwindSafe(|| drop(store.write(wrong)))));
+        assert!(msg.contains("type mismatch writing object"), "{msg}");
+        *store.write(h) += 1;
+        assert_eq!(*store.read(h), 43);
     }
 
     #[test]

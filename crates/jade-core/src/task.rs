@@ -317,6 +317,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "undeclared object")]
+    fn undeclared_write_panics() {
+        let (store, v, s) = setup();
+        let mut spec = AccessSpec::new();
+        spec.rd(v);
+        let ctx = TaskCtx::new(&store, TaskId(1), "t", &spec);
+        let _ = ctx.wr(s);
+    }
+
+    #[test]
+    #[should_panic(expected = "released object")]
+    fn write_after_release_panics() {
+        let (store, v, _) = setup();
+        let mut spec = AccessSpec::new();
+        spec.rd_wr(v);
+        let ctx = TaskCtx::new(&store, TaskId(1), "t", &spec);
+        ctx.wr(v).push(3.0);
+        ctx.release(v);
+        let _ = ctx.wr(v);
+    }
+
+    #[test]
     #[should_panic(expected = "needs write")]
     fn read_only_cannot_write() {
         let (store, v, _) = setup();

@@ -459,6 +459,8 @@ impl JadeRuntime for ThreadRuntime {
         if self.pending.is_empty() {
             return;
         }
+        // `run_sharded` drains the batch and hands the allocation back, so
+        // `pending` keeps its capacity from batch to batch.
         let batch = std::mem::take(&mut self.pending);
         // The sink type is chosen statically: untraced batches
         // monomorphize every emission (and the locks guarding only
@@ -1101,7 +1103,7 @@ fn sharded_worker<S: Sink>(w: usize, sh: &Sharded<'_, S>, ws: &mut WorkerScratch
 }
 
 impl ThreadRuntime {
-    fn run_sharded<S: Sink + Send>(&mut self, batch: Vec<(TaskId, TaskDef)>, events: S) {
+    fn run_sharded<S: Sink + Send>(&mut self, mut batch: Vec<(TaskId, TaskDef)>, events: S) {
         let n = batch.len();
         let base = batch[0].0.index();
         // Retire the previous batch's fully-completed synchronizer window:
@@ -1135,7 +1137,7 @@ impl ThreadRuntime {
             ..
         } = &mut self.arena;
         // Register in serial program order; queue the initially-enabled.
-        for (i, (id, def)) in batch.into_iter().enumerate() {
+        for (i, (id, def)) in batch.drain(..).enumerate() {
             let t = state.tick();
             let enabled = state
                 .sync
@@ -1146,6 +1148,7 @@ impl ThreadRuntime {
                 enabled0.push(i);
             }
         }
+        self.pending = batch;
         // Controller-on batches decide the drain threshold and steal
         // budget from the batch shape — fixed here, before any worker
         // runs, so the decisions (and their log) are deterministic.
@@ -1539,6 +1542,42 @@ mod tests {
         );
         let r = catch_unwind(AssertUnwindSafe(|| rt.finish()));
         assert!(r.is_err(), "panic must propagate to finish()");
+    }
+
+    #[test]
+    fn pending_keeps_its_capacity_across_batches() {
+        let mut rt = ThreadRuntime::new(2);
+        let x = rt.create("x", 8, 0u64);
+        let submit_incs = |rt: &mut ThreadRuntime, n: usize| {
+            for _ in 0..n {
+                rt.submit(TaskBuilder::new("inc").rd_wr(x).body(move |ctx| {
+                    *ctx.wr(x) += 1;
+                }));
+            }
+        };
+        submit_incs(&mut rt, 100);
+        let cap = rt.pending.capacity();
+        assert!(cap >= 100);
+        rt.finish();
+        assert!(rt.pending.is_empty());
+        assert_eq!(rt.pending.capacity(), cap, "finish gave the buffer back");
+        // A batch aborted by a genuine panic gives it back too, and leaves
+        // the runtime ready for a clean batch numbered from zero.
+        submit_incs(&mut rt, 10);
+        rt.submit(
+            TaskBuilder::new("boom")
+                .rd(x)
+                .body(|_| panic!("task exploded")),
+        );
+        let r = catch_unwind(AssertUnwindSafe(|| rt.finish()));
+        assert!(r.is_err(), "panic must propagate to finish()");
+        assert!(rt.pending.is_empty());
+        assert_eq!(rt.pending.capacity(), cap);
+        assert_eq!(rt.next_id, 0);
+        submit_incs(&mut rt, 5);
+        rt.finish();
+        assert_eq!(*rt.store().read(x), 115);
+        assert_eq!(rt.pending.capacity(), cap);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! This test binary installs a counting `#[global_allocator]` shim (it
 //! cannot live in a library: `jade-bench` is `#![forbid(unsafe_code)]`, and
-//! Rust allows exactly one global allocator per binary). Four things are
+//! Rust allows exactly one global allocator per binary). Five things are
 //! covered:
 //!
 //! 1. the counter actually observes a deliberate allocation (the harness
@@ -17,11 +17,16 @@
 //!    come from a retired tenant's slot, so submit → `wait` of a 2N-task
 //!    chain allocates exactly as often as an N-task chain (what is left is
 //!    the `Arc<Store>`, the event `Vec` and the report);
-//! 4. when no counting shim feeds the counter (another global allocator
+//! 4. `pagerank::build` shares the inspector's plan between its tasks: what
+//!    it allocates does not grow by a copy of the edge list per iteration
+//!    (a `ThreadRuntime` holds every closure until `finish`, so a per-task
+//!    copy of a read-only input is resident `iterations` times over);
+//! 5. when no counting shim feeds the counter (another global allocator
 //!    is active), the probe reports inactive and the assertions skip
 //!    cleanly — the probe side of that contract is exercised in
 //!    `jade-bench`'s in-crate tests, which install no shim.
 
+use jade_apps::pagerank::{self, PagerankConfig};
 use jade_core::{JadeRuntime, TaskBuilder};
 use jade_threads::{JadeService, Outcome, Program, ServiceConfig, TenantOptions, ThreadRuntime};
 use std::sync::Mutex;
@@ -29,18 +34,18 @@ use std::sync::Mutex;
 struct CountingAlloc;
 
 // SAFETY: pure delegation to the system allocator — same layout
-// contracts, same returned pointers; the only addition is a relaxed
-// counter increment on the allocating paths.
+// contracts, same returned pointers; the only addition is two relaxed
+// counter increments on the allocating paths.
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        jade_bench::alloc::note_alloc();
+        jade_bench::alloc::note_alloc(layout.size());
         std::alloc::GlobalAlloc::alloc(&std::alloc::System, layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
         std::alloc::GlobalAlloc::dealloc(&std::alloc::System, ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        jade_bench::alloc::note_alloc();
+        jade_bench::alloc::note_alloc(new_size);
         std::alloc::GlobalAlloc::realloc(&std::alloc::System, ptr, layout, new_size)
     }
 }
@@ -189,4 +194,47 @@ fn warmed_service_allocates_per_dag_not_per_task() {
     );
     let (per_dag, _) = seen[seen.len() - 1];
     assert!(per_dag <= 8, "{per_dag} allocations for one warmed DAG");
+}
+
+#[test]
+fn pagerank_build_shares_its_plan_across_iterations() {
+    let _guard = SERIAL.lock().unwrap();
+    if counting_inactive() {
+        return;
+    }
+    let cfg = |iterations| PagerankConfig {
+        nodes: 8192,
+        edges_per_node: 8,
+        iterations,
+        parts: 8,
+        procs: 3,
+        seed: 7,
+    };
+    // Bytes requested while the program is built and queued; the bodies
+    // have not run. Building is single-threaded and deterministic, and the
+    // harness's own threads can only inflate a window, so the smallest of
+    // a few attempts is the program's.
+    let built = |iterations| {
+        (0..3)
+            .map(|_| {
+                let mut rt = ThreadRuntime::new(1);
+                let (bytes, _) =
+                    jade_bench::alloc::bytes_during(|| pagerank::build(&mut rt, &cfg(iterations)));
+                bytes
+            })
+            .min()
+            .expect("three attempts")
+    };
+    let edges = pagerank::power_law_graph(8192, 8, 7).edges.len();
+    let edge_list = (edges * std::mem::size_of::<(u32, u32, u32)>()) as u64;
+    let (one, eight) = (built(1), built(8));
+    assert!(
+        one > edge_list,
+        "one plan is built: {one} bytes vs {edge_list}"
+    );
+    assert!(
+        eight - one < edge_list,
+        "7 more iterations allocated {} more bytes; one copy of the edge list is {edge_list}",
+        eight - one
+    );
 }
