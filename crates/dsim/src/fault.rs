@@ -305,24 +305,53 @@ impl FaultPlan {
     }
 }
 
+/// The extra latency of each delivered copy of one message: none (the
+/// message was dropped), one, or two (it was duplicated). Held inline — a
+/// fate is drawn for every data message, so it must not allocate — and
+/// consumed as the iterator it is: `for extra in fate.copies`.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Copies {
+    first: Option<SimDuration>,
+    second: Option<SimDuration>,
+}
+
+impl Iterator for Copies {
+    type Item = SimDuration;
+
+    #[inline]
+    fn next(&mut self) -> Option<SimDuration> {
+        self.first.take().or_else(|| self.second.take())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.first.is_some() as usize + self.second.is_some() as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Copies {}
+
 /// The fate the injector assigned to one message.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MessageFate {
     /// Extra latency of each delivered copy. Empty means the message was
-    /// dropped; more than one entry means it was duplicated.
-    pub copies: Vec<SimDuration>,
+    /// dropped; two entries mean it was duplicated.
+    pub copies: Copies,
 }
 
 impl MessageFate {
     /// The fault-free fate: one copy, no extra latency.
     pub fn delivered() -> MessageFate {
         MessageFate {
-            copies: vec![SimDuration::ZERO],
+            copies: Copies {
+                first: Some(SimDuration::ZERO),
+                second: None,
+            },
         }
     }
 
     pub fn dropped(&self) -> bool {
-        self.copies.is_empty()
+        self.copies.len() == 0
     }
 }
 
@@ -395,18 +424,28 @@ impl FaultInjector {
 
     /// Decide the fate of one data message: dropped, delivered once
     /// (possibly late), or delivered twice.
+    ///
+    /// The draw order is the contract every seeded run's results hang on:
+    /// drop; then the first copy's delay and reorder (each a Bernoulli draw,
+    /// plus a magnitude draw when it hits); then duplication; then the second
+    /// copy's delay and reorder. A probability of zero takes no draw.
     pub fn message_fate(&mut self) -> MessageFate {
         if !self.active() {
             return MessageFate::delivered();
         }
         if self.plan.drop_p > 0.0 && self.next_f64() < self.plan.drop_p {
             self.drops += 1;
-            return MessageFate { copies: Vec::new() };
+            return MessageFate {
+                copies: Copies::default(),
+            };
         }
-        let mut copies = vec![self.extra_delay()];
+        let mut copies = Copies {
+            first: Some(self.extra_delay()),
+            second: None,
+        };
         if self.plan.dup_p > 0.0 && self.next_f64() < self.plan.dup_p {
             self.dups += 1;
-            copies.push(self.extra_delay());
+            copies.second = Some(self.extra_delay());
         }
         MessageFate { copies }
     }
@@ -485,6 +524,42 @@ mod tests {
         assert_eq!(inj.message_fate(), MessageFate::delivered());
         assert_eq!(inj.stall(), None);
         assert_eq!(inj.drops + inj.dups + inj.delays + inj.stalls, 0);
+    }
+
+    #[test]
+    fn certain_duplication_yields_two_copies_and_certain_loss_none() {
+        let mut inj = FaultInjector::new(FaultPlan::parse("dup=1,delay=1:0.001,seed=5").unwrap());
+        for _ in 0..100 {
+            let fate = inj.message_fate();
+            assert!(!fate.dropped());
+            assert_eq!(fate.copies.len(), 2);
+            assert_eq!(fate.copies.count(), 2);
+        }
+        assert_eq!((inj.drops, inj.dups, inj.delays), (0, 100, 200));
+        let mut inj = FaultInjector::new(FaultPlan::parse("drop=1,dup=1,seed=5").unwrap());
+        for _ in 0..100 {
+            let fate = inj.message_fate();
+            assert!(fate.dropped());
+            assert_eq!(fate.copies.count(), 0);
+        }
+        assert_eq!((inj.drops, inj.dups), (100, 0));
+    }
+
+    #[test]
+    fn inactive_plan_takes_no_draws() {
+        // A checkpoint interval and a seed do not make a plan active: the
+        // generator must stand where it started after any number of fates.
+        let plan = FaultPlan::parse("ckpt=0.5,seed=77").unwrap();
+        let mut inj = FaultInjector::new(plan);
+        let before = inj.state;
+        for _ in 0..100 {
+            assert_eq!(inj.message_fate(), MessageFate::delivered());
+        }
+        assert_eq!(inj.state, before);
+        assert_eq!(
+            MessageFate::delivered().copies.collect::<Vec<_>>(),
+            [SimDuration::ZERO]
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod stats;
 mod time;
 
 pub use calendar::Calendar;
-pub use fault::{FaultInjector, FaultPlan, MessageFate};
+pub use fault::{Copies, FaultInjector, FaultPlan, MessageFate};
 pub use machine::{hypercube_dimension, DashHit, DashSpec, IpscSpec, ProcId};
 pub use proc::{ProcClock, ProcUsage, TimeKind};
 pub use stats::{percent, ratio, Accum};

@@ -1,11 +1,13 @@
 //! Micro-benchmarks of the runtime components themselves: synchronizer
-//! throughput, simulator event rates, trace generation, the real thread
-//! backend, and element access through a store guard.
+//! throughput, simulator event rates (and, under them, the calendar and
+//! the fault injector), trace generation, the real thread backend, and
+//! element access through a store guard.
 //!
 //! Plain self-timing harness (`harness = false`): each benchmark runs a
 //! fixed number of iterations and reports the mean wall-clock time per
 //! iteration. Run with `cargo bench -p jade-bench --bench components`.
 
+use dsim::{Calendar, FaultInjector, FaultPlan, SimDuration};
 use jade_core::LocalityMode;
 use jade_core::{
     AccessSpec, JadeRuntime, ObjectId, Store, Synchronizer, TaskBuilder, TaskId, TraceBuilder,
@@ -81,12 +83,64 @@ fn simulator_event_rate() {
             &jade_dash::DashConfig::paper(8, LocalityMode::Locality, 1.0),
         ));
     });
+    let demand = jade_ipsc::IpscConfig::paper(8, LocalityMode::Locality, 1.0);
     bench("simulators/ipsc_2k_tasks", 10, || {
-        std::hint::black_box(jade_ipsc::run(
-            &trace,
-            &jade_ipsc::IpscConfig::paper(8, LocalityMode::Locality, 1.0),
-        ));
+        std::hint::black_box(jade_ipsc::run(&trace, &demand));
     });
+    // Every fetch route at once: bundles, prefetch and reconcile, ack
+    // timers and retries, checkpoints.
+    let mut managed = demand.clone();
+    managed.aggregate_fetches = true;
+    managed.prefetch = true;
+    managed.target_tasks = 2;
+    managed.tune = true;
+    managed.faults = FaultPlan::parse("drop=0.02,ckpt=0.05,seed=1995").unwrap();
+    bench("simulators/ipsc_managed_2k_tasks", 10, || {
+        std::hint::black_box(jade_ipsc::run(&trace, &managed));
+    });
+}
+
+/// What the iPSC simulator pays per data message and per calendar event
+/// whatever it simulates: one fate draw, and one pop plus one schedule on a
+/// calendar whose ack timers wait far in the future. An iteration is
+/// 100 000 of them: µs/iter ÷ 100 is nanoseconds each.
+fn dsim_per_message() {
+    let draws = 100_000u32;
+    for (name, spec) in [
+        ("inactive", "seed=1995"),
+        (
+            "lossy",
+            "drop=0.05,dup=0.02,delay=0.1,reorder=0.05,seed=1995",
+        ),
+    ] {
+        let mut inj = FaultInjector::new(FaultPlan::parse(spec).unwrap());
+        bench(&format!("dsim/message_fate/{name}"), 20, || {
+            for _ in 0..draws {
+                std::hint::black_box(inj.message_fate());
+            }
+        });
+    }
+    // Steady depth 256 over 64 k parked timers: a timer's cost must stay
+    // with the timer, not spread to every event that passes it.
+    let mut cal: Calendar<u32> = Calendar::new();
+    let far = cal.now() + SimDuration::from_secs_f64(3600.0);
+    for i in 0..65_536u32 {
+        cal.schedule_timer(far + SimDuration(i as u64), i);
+    }
+    for i in 0..256u32 {
+        cal.schedule(cal.now() + SimDuration(1 + (i as u64 * 7919) % 1000), i);
+    }
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    bench("dsim/calendar/hold_with_timers", 20, || {
+        for _ in 0..draws {
+            let (t, ev) = cal.pop().expect("the calendar holds its depth");
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            cal.schedule(t + SimDuration(1 + (state >> 33) % 1000), ev);
+        }
+    });
+    assert_eq!(cal.len(), 65_536 + 256);
 }
 
 fn trace_generation() {
@@ -153,6 +207,7 @@ fn store_guard_index() {
 fn main() {
     synchronizer_throughput();
     simulator_event_rate();
+    dsim_per_message();
     trace_generation();
     thread_backend();
     store_guard_index();

@@ -571,9 +571,10 @@ pub struct Metrics {
 ///
 /// Each event is folded in O(1): counters and byte/time sums go straight
 /// into the `Metrics` under construction, and a task's fetch window
-/// (first request, last arrival) lives in a hash table keyed by task id, so
-/// its size follows the number of tasks that fetch, never the magnitude of
-/// an id. Two things are still buffered until `finish`, because the
+/// (first request, last arrival) lives in a table indexed by task id less
+/// the smallest id seen ([`Windows`]) — task ids are dense, so its size
+/// follows the span of the ids that fetch, never their magnitude, and
+/// nothing is hashed. Two things are still buffered until `finish`, because the
 /// overlap metric intersects them and neither side arrives in time order:
 /// one `(proc, sent, arrived)` triple per fetch with non-zero latency, and
 /// one `(start, end)` pair per `App` span. Nothing else of the stream is
@@ -589,12 +590,45 @@ pub struct Metrics {
 #[derive(Clone, Debug)]
 pub struct MetricsFold {
     m: Metrics,
-    /// Per-task fetch window: (first request sent, last arrival).
-    windows: HashMap<TaskId, (u64, u64)>,
+    windows: Windows,
     /// Per-processor `App` spans as `(start, end)`.
     app_spans: Vec<Vec<(u64, u64)>>,
     /// Per-fetch in-flight windows as `(proc, sent, arrived)`.
     flights: Vec<(ProcId, u64, u64)>,
+}
+
+/// Per-task fetch windows, `(first request sent, last arrival)`, indexed by
+/// task id less `base`.
+#[derive(Clone, Debug, Default)]
+struct Windows {
+    base: u32,
+    slots: Vec<(u64, u64)>,
+}
+
+impl Windows {
+    /// A window no event has touched; `finish` skips it.
+    const UNSEEN: (u64, u64) = (u64::MAX, 0);
+
+    fn slot(&mut self, task: TaskId) -> &mut (u64, u64) {
+        if self.slots.is_empty() {
+            self.base = task.0;
+        }
+        if task.0 < self.base {
+            // An id below every one seen so far (streams may arrive in any
+            // order): open room at the front, at least doubling so a
+            // descending stream still costs O(1) amortised per id.
+            let room = ((self.base - task.0) as usize).max(self.slots.len());
+            let room = room.min(self.base as usize);
+            self.slots
+                .splice(0..0, std::iter::repeat_n(Self::UNSEEN, room));
+            self.base -= room as u32;
+        }
+        let i = (task.0 - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, Self::UNSEEN);
+        }
+        &mut self.slots[i]
+    }
 }
 
 impl MetricsFold {
@@ -606,7 +640,7 @@ impl MetricsFold {
                 per_proc: vec![ProcTimes::default(); procs],
                 ..Metrics::default()
             },
-            windows: HashMap::new(),
+            windows: Windows::default(),
             app_spans: vec![Vec::new(); procs],
             flights: Vec::new(),
         }
@@ -641,7 +675,7 @@ impl MetricsFold {
                 m.requests += 1;
                 m.request_bytes += bytes;
                 if let Some(t) = e.task {
-                    let w = self.windows.entry(t).or_insert((u64::MAX, 0));
+                    let w = self.windows.slot(t);
                     w.0 = w.0.min(e.time_ps);
                 }
             }
@@ -654,7 +688,7 @@ impl MetricsFold {
                         .push((e.proc, e.time_ps.saturating_sub(latency_ps), e.time_ps));
                 }
                 if let Some(t) = e.task {
-                    let w = self.windows.entry(t).or_insert((u64::MAX, 0));
+                    let w = self.windows.slot(t);
                     w.1 = w.1.max(e.time_ps);
                 }
             }
@@ -753,7 +787,7 @@ impl MetricsFold {
             mut app_spans,
             flights,
         } = self;
-        for (first, last) in windows.into_values() {
+        for (first, last) in windows.slots {
             if first != u64::MAX && last >= first {
                 m.task_latency_ps += last - first;
             }
@@ -1088,8 +1122,7 @@ pub fn tag_events(tenant: TenantId, events: &[Event]) -> Vec<TaggedEvent> {
 /// order.
 pub fn split_by_tenant(tagged: &[TaggedEvent]) -> Vec<(TenantId, Vec<Event>)> {
     let mut order: Vec<TenantId> = Vec::new();
-    let mut streams: std::collections::HashMap<TenantId, Vec<Event>> =
-        std::collections::HashMap::new();
+    let mut streams: HashMap<TenantId, Vec<Event>> = HashMap::new();
     for te in tagged {
         streams
             .entry(te.tenant)
@@ -1280,6 +1313,38 @@ mod tests {
         assert_eq!(m.fetch_bytes, 200);
         assert_eq!(m.object_latency_ps, 37);
         assert_eq!(m.task_latency_ps, 25); // 30 - 5
+    }
+
+    #[test]
+    fn fetch_windows_are_keyed_by_task_in_any_id_order() {
+        // Task `id` requests at `id` and its fetch lands at `3 * id + 7`:
+        // the sum of windows is the same whichever id the fold meets first,
+        // and a table that grows toward lower ids must not lose a window.
+        let window = |id: u32| {
+            [
+                task_ev(id as u64, 0, EventKind::ObjectRequest { bytes: 4 }, id),
+                task_ev(
+                    3 * id as u64 + 7,
+                    0,
+                    EventKind::ObjectFetch {
+                        bytes: 8,
+                        latency_ps: 1,
+                    },
+                    id,
+                ),
+            ]
+        };
+        let ids = [50_000u32, 50_003, 49_990, 7, 0, 50_001, 12];
+        let want: u64 = ids.iter().map(|&id| 2 * id as u64 + 7).sum();
+        for rotate in 0..ids.len() {
+            let mut order = ids;
+            order.rotate_left(rotate);
+            let events: Vec<Event> = order.into_iter().flat_map(window).collect();
+            assert_eq!(Metrics::from_events(&events, 1).task_latency_ps, want);
+        }
+        let descending: Vec<Event> = (0..2000u32).rev().flat_map(window).collect();
+        let m = Metrics::from_events(&descending, 1);
+        assert_eq!(m.task_latency_ps, (0..2000u64).map(|id| 2 * id + 7).sum());
     }
 
     #[test]

@@ -176,24 +176,6 @@ impl Communicator {
         self.have[p][o.index()] != self.version[o.index()]
     }
 
-    /// Inspector pass of the aggregation optimization (DESIGN.md §15):
-    /// group a task's fetch set by each object's *current* owner,
-    /// preserving declaration order inside every group and
-    /// first-appearance order across groups (deterministic — no hashing).
-    /// The executor then coalesces each group that passes the Section 5.3
-    /// break-even test into one request/reply message pair.
-    pub fn group_by_owner(&self, objs: &[ObjectId]) -> Vec<(ProcId, Vec<ObjectId>)> {
-        let mut groups: Vec<(ProcId, Vec<ObjectId>)> = Vec::new();
-        for &o in objs {
-            let owner = self.owner(o);
-            match groups.iter_mut().find(|(p, _)| *p == owner) {
-                Some((_, g)) => g.push(o),
-                None => groups.push((owner, vec![o])),
-            }
-        }
-        groups
-    }
-
     /// Record that `requester` asked the owner for the current version —
     /// this is what the owner observes for the broadcast trigger. Payload
     /// bytes are accounted when the reply is *accepted* ([`Self::deliver`]),
@@ -340,17 +322,13 @@ impl Communicator {
         self.traffic[o.index()]
     }
 
-    /// Capture the communicator's ownership/replica/broadcast tables and
-    /// object versions for a checkpoint.
+    /// Capture what a checkpoint keeps of the communicator: the object
+    /// versions (what recovery and the next capture compare against) and
+    /// the shape of the tables (what the capture is charged for).
     pub fn snapshot(&self) -> CommSnapshot {
         CommSnapshot {
             procs: self.procs,
             version: self.version.clone(),
-            owner: self.owner.clone(),
-            have: self.have.clone(),
-            accessed: self.accessed.clone(),
-            broadcast_mode: self.broadcast_mode.clone(),
-            evidence: self.evidence.clone(),
         }
     }
 
@@ -410,20 +388,18 @@ impl Communicator {
     }
 }
 
-/// A checkpoint's view of the communicator: the ownership/replica/
-/// broadcast-mode tables and per-object versions at capture time. Fail-stop
-/// recovery consults it to decide which lost sole copies the checkpoint
-/// covers (object version unchanged since capture — the payload is in the
-/// checkpoint) versus which need the expensive recovery-copy transfer.
+/// A checkpoint's view of the communicator: the per-object versions at
+/// capture time. Fail-stop recovery consults it to decide which lost sole
+/// copies the checkpoint covers (object version unchanged since capture —
+/// the payload is in the checkpoint) versus which need the expensive
+/// recovery-copy transfer. The ownership/replica/broadcast-mode tables are
+/// *charged* as part of the capture ([`Self::table_bytes`]) but not copied:
+/// recovery rebuilds them from the live communicator
+/// ([`Communicator::fail_proc`]) and nothing reads a captured one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CommSnapshot {
     procs: usize,
     version: Vec<u64>,
-    owner: Vec<ProcId>,
-    have: Vec<Vec<u64>>,
-    accessed: Vec<Vec<bool>>,
-    broadcast_mode: Vec<bool>,
-    evidence: Vec<u32>,
 }
 
 impl CommSnapshot {
@@ -806,6 +782,11 @@ mod tests {
         assert!(!snap.covers(o(0), 2));
         assert!(!snap.covers(ObjectId(99), 0), "unknown object not covered");
         assert_eq!(snap.table_bytes(), 2 * (17 + 9 * 4));
+        // Replica and trigger tables are charged, not captured: moving them
+        // without writing anything leaves the snapshot what it was.
+        c.record_request(3, o(0));
+        assert!(c.deliver(3, o(0), 1, 1000));
+        assert_eq!(c.snapshot(), snap);
         // A later write leaves the snapshot stale for that object.
         c.on_write_complete(3, o(0));
         assert!(!snap.covers(o(0), c.version(o(0))));

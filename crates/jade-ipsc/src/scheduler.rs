@@ -109,14 +109,17 @@ impl IpscScheduler {
         } else {
             // "Arbitrary" least-loaded processor: a deterministic LCG pick
             // avoids accidental affinity from always favoring low indices.
-            let candidates: Vec<usize> = (0..self.loads.len())
-                .filter(|&q| !self.dead[q] && self.loads[q] == min_load)
-                .collect();
+            // Count the candidates, then walk to the chosen one.
             self.lcg = self
                 .lcg
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            candidates[((self.lcg >> 33) as usize) % candidates.len()]
+            let (loads, dead) = (&self.loads, &self.dead);
+            let candidates = || (0..loads.len()).filter(|&q| !dead[q] && loads[q] == min_load);
+            let pick = (self.lcg >> 33) as usize % candidates().count();
+            candidates()
+                .nth(pick)
+                .expect("pick is below the candidate count")
         };
         self.loads[p] += 1;
         Decision::Assign(p)

@@ -357,7 +357,7 @@ pub struct IpscRunResult {
     pub tune: jade_core::TuneLog,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum Ev {
     MainStep,
     AssignArrive {
@@ -430,13 +430,29 @@ enum Ev {
     CheckpointTick,
 }
 
+/// One object of a task's fetch set.
+#[derive(Clone, Copy, Debug)]
+struct Fetch {
+    obj: ObjectId,
+    /// `Some(attempt)` while the object is being fetched. A reply is
+    /// accepted only then; the attempt number gates stale ack timers.
+    pending: Option<u32>,
+    /// The split-phase prefetch requested it: its replies stream in
+    /// asynchronously and count as prefetch hits.
+    prefetched: bool,
+}
+
 #[derive(Clone, Debug, Default)]
 struct TState {
     assigned_to: ProcId,
-    /// Objects still being fetched, with the current attempt number. A
-    /// reply is accepted only while its object is pending; the attempt
-    /// gates stale ack timers.
-    pending: Vec<(ObjectId, u32)>,
+    /// The objects this task has requested, sorted by object id: whether
+    /// one is pending or was prefetched is a binary search, and a delivery
+    /// clears `pending` in place. An entry outlives its fetch — a duplicate
+    /// reply landing after the task finished is still handled as the
+    /// prefetched (or demand) reply it is.
+    fetches: Vec<Fetch>,
+    /// Entries of `fetches` that are pending.
+    outstanding: usize,
     ready: bool,
     /// Remaining objects to request (serial-fetch mode only).
     fetch_queue: VecDeque<ObjectId>,
@@ -449,8 +465,58 @@ struct TState {
     /// The split-phase prefetch path already issued this task's fetches at
     /// assignment time; `on_assign_arrive` reconciles instead of issuing.
     prefetch_issued: bool,
-    /// Objects the prefetch requested (hit/stale accounting at reconcile).
-    prefetched: Vec<ObjectId>,
+}
+
+impl TState {
+    fn slot(&self, o: ObjectId) -> Result<usize, usize> {
+        self.fetches.binary_search_by_key(&o, |f| f.obj)
+    }
+
+    fn fetch(&self, o: ObjectId) -> Option<&Fetch> {
+        self.slot(o).ok().map(|i| &self.fetches[i])
+    }
+
+    fn was_prefetched(&self, o: ObjectId) -> bool {
+        self.fetch(o).is_some_and(|f| f.prefetched)
+    }
+
+    /// Start over with `objs` as the fetch set, every one pending its first
+    /// attempt.
+    fn request_all(&mut self, objs: &[ObjectId], prefetched: bool) {
+        self.fetches.clear();
+        self.fetches.extend(objs.iter().map(|&obj| Fetch {
+            obj,
+            pending: Some(0),
+            prefetched,
+        }));
+        self.fetches.sort_unstable_by_key(|f| f.obj);
+        self.outstanding = objs.len();
+    }
+
+    /// Mark `o`, not currently pending, as pending its first attempt by the
+    /// demand path.
+    fn request(&mut self, o: ObjectId) {
+        let fresh = Fetch {
+            obj: o,
+            pending: Some(0),
+            prefetched: false,
+        };
+        match self.slot(o) {
+            Ok(i) => self.fetches[i] = fresh,
+            Err(i) => self.fetches.insert(i, fresh),
+        }
+        self.outstanding += 1;
+    }
+
+    fn forget_fetches(&mut self) {
+        self.fetches.clear();
+        self.outstanding = 0;
+        self.fetch_queue.clear();
+    }
+
+    fn all_arrived(&self) -> bool {
+        self.outstanding == 0 && self.fetch_queue.is_empty()
+    }
 }
 
 struct PState {
@@ -466,6 +532,34 @@ struct PState {
 struct Checkpoint {
     comm: CommSnapshot,
     sync: SyncSnapshot,
+}
+
+/// How a data message shows in the event stream if the network loses it.
+struct DataMsg {
+    sender: ProcId,
+    /// The loss is stamped with the send, not the would-be arrival.
+    stamp: SimTime,
+    bytes: usize,
+    task: TaskId,
+    /// A bundle is reported under its first object.
+    obj: ObjectId,
+}
+
+/// A coalesced request's object list and a coalesced reply's `(object,
+/// version)` list travel inside calendar events; the handler that consumes
+/// one hands its buffer back, so bundles stop allocating once the lists in
+/// flight have been built.
+struct Recycled<T>(Vec<Vec<T>>);
+
+impl<T> Recycled<T> {
+    fn take(&mut self) -> Vec<T> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    fn give(&mut self, mut list: Vec<T>) {
+        list.clear();
+        self.0.push(list);
+    }
 }
 
 struct Sim<'a, R: Sink> {
@@ -537,7 +631,21 @@ struct Sim<'a, R: Sink> {
     /// Feedback controller ([`IpscConfig::tune`]); its log is surfaced in
     /// [`IpscRunResult::tune`].
     ctl: jade_core::Controller,
+    // Scratch the per-task paths reuse instead of building a `Vec` each.
+    /// The objects a task must fetch, in declaration order.
+    needed: Vec<ObjectId>,
+    /// The tasks one completion enabled.
+    newly: Vec<TaskId>,
+    /// A fetch set grouped by owner ([`Sim::group_by_owner`]): the first
+    /// `n` entries are live, the rest keep their buffers for next time.
+    groups: Vec<(ProcId, Vec<ObjectId>)>,
+    /// Per processor: its index in `groups` while grouping, else `NO_GROUP`.
+    group_of: Vec<usize>,
+    obj_lists: Recycled<ObjectId>,
+    item_lists: Recycled<(ObjectId, u64)>,
 }
+
+const NO_GROUP: usize = usize::MAX;
 
 /// Simulate `trace` on the configured iPSC/860.
 ///
@@ -718,6 +826,12 @@ fn simulate<R: Sink>(
         n_prefetch_stale: 0,
         last_ckpt: None,
         ctl: jade_core::Controller::new(),
+        needed: Vec::new(),
+        newly: Vec::new(),
+        groups: Vec::new(),
+        group_of: vec![NO_GROUP; procs],
+        obj_lists: Recycled(Vec::new()),
+        item_lists: Recycled(Vec::new()),
     };
     sim.comm.set_evidence_margin(cfg.evidence_margin);
     sim.cal.schedule(SimTime::ZERO, Ev::MainStep);
@@ -1159,49 +1273,34 @@ impl<R: Sink> Sim<'_, R> {
     /// time; the replies, ack timers and retries belong to `p`, so a lost
     /// prefetch degrades to the proven per-object fetch/retry path.
     fn prefetch_issue(&mut self, p: ProcId, id: TaskId, t: SimTime) {
-        let rec = &self.trace.tasks[id.index()];
-        let needed: Vec<ObjectId> = rec
-            .spec
-            .decls()
-            .iter()
-            .filter(|d| self.comm.needs_fetch(p, d.object))
-            .map(|d| d.object)
-            .collect();
+        let trace = self.trace;
+        let mut needed = std::mem::take(&mut self.needed);
+        needed.clear();
+        needed.extend(
+            trace.tasks[id.index()]
+                .spec
+                .decls()
+                .iter()
+                .map(|d| d.object)
+                .filter(|&o| self.comm.needs_fetch(p, o)),
+        );
         let ts = &mut self.tstate[id.index()];
         ts.prefetch_issued = true;
-        ts.prefetched = needed.clone();
-        if needed.is_empty() {
-            return;
-        }
-        ts.pending = needed.iter().map(|&o| (o, 0)).collect();
+        ts.request_all(&needed, true);
         for &o in &needed {
             self.n_prefetch_issued += 1;
             self.events.emit_obj(
                 t.0,
                 0,
                 EventKind::PrefetchIssued {
-                    bytes: self.trace.object_size(o) as u64,
+                    bytes: trace.object_size(o) as u64,
                 },
                 Some(id),
                 o,
             );
         }
-        let mut t_cur = t;
-        if self.cfg.aggregate_fetches {
-            for (owner, group) in self.comm.group_by_owner(&needed) {
-                if group.len() >= 2 && self.aggregation_pays(group.len()) {
-                    t_cur = self.send_agg_fetch_request(0, p, id, owner, group, t_cur);
-                } else {
-                    for o in group {
-                        t_cur = self.send_fetch_request(0, p, id, o, 0, t_cur);
-                    }
-                }
-            }
-        } else {
-            for o in needed {
-                t_cur = self.send_fetch_request(0, p, id, o, 0, t_cur);
-            }
-        }
+        self.send_requests(0, p, id, &needed, t);
+        self.needed = needed;
     }
 
     /// Split-phase prefetch, reconcile half: the assignment arrived at
@@ -1211,34 +1310,30 @@ impl<R: Sink> Sim<'_, R> {
     /// under fault injection — the synchronizer serializes writers against
     /// enabled readers) is refetched through the normal path.
     fn reconcile_prefetch(&mut self, p: ProcId, id: TaskId, t: SimTime) {
-        let decls: Vec<ObjectId> = self.trace.tasks[id.index()]
-            .spec
-            .decls()
-            .iter()
-            .map(|d| d.object)
-            .collect();
+        let trace = self.trace;
         let mut t_cur = t;
-        for o in decls {
-            let bytes = self.trace.object_size(o) as u64;
-            let ts = &self.tstate[id.index()];
-            if ts.pending.iter().any(|&(po, _)| po == o) {
+        for d in trace.tasks[id.index()].spec.decls() {
+            let o = d.object;
+            let fetch = self.tstate[id.index()].fetch(o);
+            if fetch.is_some_and(|f| f.pending.is_some()) {
                 continue; // prefetch reply still in flight toward `p`
             }
-            let was_prefetched = ts.prefetched.contains(&o);
+            let was_prefetched = fetch.is_some_and(|f| f.prefetched);
             if self.comm.needs_fetch(p, o) {
                 if was_prefetched {
                     self.n_prefetch_stale += 1;
                     self.events.emit_obj(
                         t_cur.0,
                         p,
-                        EventKind::PrefetchStale { bytes },
+                        EventKind::PrefetchStale {
+                            bytes: trace.object_size(o) as u64,
+                        },
                         Some(id),
                         o,
                     );
-                    // The refetch is an ordinary fetch, not a prefetch hit.
-                    self.tstate[id.index()].prefetched.retain(|&x| x != o);
                 }
-                self.tstate[id.index()].pending.push((o, 0));
+                // The refetch is an ordinary fetch, not a prefetch hit.
+                self.tstate[id.index()].request(o);
                 t_cur = self.send_fetch_request(p, p, id, o, 0, t_cur);
             } else {
                 // Locally satisfied — either the prefetch landed (its hit
@@ -1249,19 +1344,20 @@ impl<R: Sink> Sim<'_, R> {
             }
         }
         let ts = &mut self.tstate[id.index()];
-        if ts.pending.is_empty() && ts.fetch_queue.is_empty() {
+        if ts.all_arrived() {
             ts.ready = true;
         }
     }
 
     fn issue_fetches(&mut self, p: ProcId, id: TaskId, t: SimTime) {
-        let rec = &self.trace.tasks[id.index()];
         if self.cfg.work_free {
             self.tstate[id.index()].ready = true;
             return;
         }
-        let mut needed: Vec<ObjectId> = Vec::new();
-        for d in rec.spec.decls() {
+        let trace = self.trace;
+        let mut needed = std::mem::take(&mut self.needed);
+        needed.clear();
+        for d in trace.tasks[id.index()].spec.decls() {
             if self.comm.needs_fetch(p, d.object) {
                 needed.push(d.object);
             } else {
@@ -1272,43 +1368,141 @@ impl<R: Sink> Sim<'_, R> {
         }
         if needed.is_empty() {
             self.tstate[id.index()].ready = true;
-            return;
-        }
-        if self.cfg.concurrent_fetches {
-            // Request sends serialize on the processor; the transfers
-            // themselves proceed in parallel at the owners.
-            self.tstate[id.index()].pending = needed.iter().map(|&o| (o, 0)).collect();
-            let mut t_cur = t;
-            if self.cfg.aggregate_fetches {
-                // Inspector/executor pass: coalesce this task's fetches
-                // into one message per owner where the break-even holds.
-                for (owner, group) in self.comm.group_by_owner(&needed) {
-                    if group.len() >= 2 && self.aggregation_pays(group.len()) {
-                        t_cur = self.send_agg_fetch_request(p, p, id, owner, group, t_cur);
-                    } else {
-                        for o in group {
-                            t_cur = self.send_fetch_request(p, p, id, o, 0, t_cur);
-                        }
-                    }
-                }
-            } else {
-                for o in needed {
-                    t_cur = self.send_fetch_request(p, p, id, o, 0, t_cur);
-                }
-            }
+        } else if self.cfg.concurrent_fetches {
+            self.tstate[id.index()].request_all(&needed, false);
+            self.send_requests(p, p, id, &needed, t);
         } else {
             // Serial-fetch ablation: one request at a time.
-            self.tstate[id.index()].fetch_queue = needed.into();
+            let ts = &mut self.tstate[id.index()];
+            ts.fetch_queue.clear();
+            ts.fetch_queue.extend(&needed);
             self.send_next_fetch(p, id, t);
         }
+        self.needed = needed;
+    }
+
+    /// Send the requests for `needed`, a task's whole fetch set in
+    /// declaration order. Request sends serialize on the issuer; the
+    /// transfers themselves proceed in parallel at the owners. With
+    /// aggregation on this is the inspector/executor pass: the fetches
+    /// coalesce into one message per owner where the break-even holds.
+    fn send_requests(
+        &mut self,
+        issuer: ProcId,
+        p: ProcId,
+        id: TaskId,
+        needed: &[ObjectId],
+        t: SimTime,
+    ) {
+        let mut t_cur = t;
+        if !self.cfg.aggregate_fetches {
+            for &o in needed {
+                t_cur = self.send_fetch_request(issuer, p, id, o, 0, t_cur);
+            }
+            return;
+        }
+        let n = self.group_by_owner(needed);
+        let groups = std::mem::take(&mut self.groups);
+        for (owner, group) in &groups[..n] {
+            if group.len() >= 2 && self.aggregation_pays(group.len()) {
+                t_cur = self.send_agg_fetch_request(issuer, p, id, *owner, group, t_cur);
+            } else {
+                for &o in group {
+                    t_cur = self.send_fetch_request(issuer, p, id, o, 0, t_cur);
+                }
+            }
+        }
+        self.groups = groups;
+    }
+
+    /// Inspector pass of the aggregation optimization (DESIGN.md §15):
+    /// group `objs` by each object's *current* owner into the first `n`
+    /// entries of `self.groups` and return `n`, preserving the given order
+    /// inside every group and first-appearance order across groups
+    /// (deterministic — no hashing). The executor then coalesces each group
+    /// that passes the Section 5.3 break-even test into one request/reply
+    /// message pair.
+    fn group_by_owner(&mut self, objs: &[ObjectId]) -> usize {
+        let mut n = 0;
+        for &o in objs {
+            let owner = self.comm.owner(o);
+            if self.group_of[owner] == NO_GROUP {
+                self.group_of[owner] = n;
+                match self.groups.get_mut(n) {
+                    Some(group) => {
+                        group.0 = owner;
+                        group.1.clear();
+                    }
+                    None => self.groups.push((owner, Vec::new())),
+                }
+                n += 1;
+            }
+            self.groups[self.group_of[owner]].1.push(o);
+        }
+        for (owner, _) in &self.groups[..n] {
+            self.group_of[*owner] = NO_GROUP;
+        }
+        n
     }
 
     fn send_next_fetch(&mut self, p: ProcId, id: TaskId, t: SimTime) {
         let Some(o) = self.tstate[id.index()].fetch_queue.pop_front() else {
             return;
         };
-        self.tstate[id.index()].pending.push((o, 0));
+        self.tstate[id.index()].request(o);
         self.send_fetch_request(p, p, id, o, 0, t);
+    }
+
+    /// Put one data message on the unreliable network: draw its fate,
+    /// report a loss at the sender, and schedule one calendar event per
+    /// delivered copy, `arrives` being the fault-free arrival. The last copy
+    /// takes `ev` itself, so a bundle's list is cloned only for a duplicate.
+    fn transmit(&mut self, msg: DataMsg, arrives: SimTime, ev: Ev) {
+        let fate = self.inj.message_fate();
+        if fate.dropped() {
+            self.n_dropped += 1;
+            self.events.emit_obj(
+                msg.stamp.0,
+                msg.sender,
+                EventKind::MsgDropped {
+                    bytes: msg.bytes as u64,
+                },
+                Some(msg.task),
+                msg.obj,
+            );
+        }
+        let last = fate.copies.len().saturating_sub(1);
+        let mut ev = Some(ev);
+        for (i, extra) in fate.copies.enumerate() {
+            let ev = if i == last { ev.take() } else { ev.clone() };
+            self.cal
+                .schedule(arrives + extra, ev.expect("taken by the last copy only"));
+        }
+    }
+
+    /// When message faults are possible, arm the ack timer for `attempt`
+    /// of `p`'s fetch of `o`, sent at `sent`.
+    fn arm_ack_timer(
+        &mut self,
+        p: ProcId,
+        id: TaskId,
+        o: ObjectId,
+        owner: ProcId,
+        attempt: u32,
+        sent: SimTime,
+    ) {
+        if self.lossy {
+            let timeout = self.retry_timeout(o, p, owner, attempt);
+            self.cal.schedule_timer(
+                sent + timeout,
+                Ev::FetchTimeout {
+                    proc: p,
+                    task: id,
+                    obj: o,
+                    attempt,
+                },
+            );
+        }
     }
 
     /// Send (or re-send) the request for one object of a task's fetch set,
@@ -1330,31 +1524,18 @@ impl<R: Sink> Sim<'_, R> {
         t: SimTime,
     ) -> SimTime {
         let owner = self.comm.owner(o);
+        let arrive = |sent_at| Ev::RequestArrive {
+            obj: o,
+            requester: p,
+            task: id,
+            sent_at,
+        };
         if issuer == owner {
             // Prefetch of an object the issuer already owns (main-resident
             // data): there is no request message to compose or lose — the
             // owner starts streaming the reply directly.
-            self.cal.schedule(
-                t,
-                Ev::RequestArrive {
-                    obj: o,
-                    requester: p,
-                    task: id,
-                    sent_at: t,
-                },
-            );
-            if self.lossy {
-                let timeout = self.retry_timeout(o, p, owner, attempt);
-                self.cal.schedule(
-                    t + timeout,
-                    Ev::FetchTimeout {
-                        proc: p,
-                        task: id,
-                        obj: o,
-                        attempt,
-                    },
-                );
-            }
+            self.cal.schedule(t, arrive(t));
+            self.arm_ack_timer(p, id, o, owner, attempt, t);
             return t;
         }
         // Issuing on behalf of another processor happens inside the
@@ -1376,44 +1557,16 @@ impl<R: Sink> Sim<'_, R> {
             Some(id),
             o,
         );
-        let base = sent + self.msg(self.cfg.costs.request_bytes, issuer, owner);
-        let fate = self.inj.message_fate();
-        if fate.dropped() {
-            self.n_dropped += 1;
-            self.events.emit_obj(
-                sent.0,
-                issuer,
-                EventKind::MsgDropped {
-                    bytes: self.cfg.costs.request_bytes as u64,
-                },
-                Some(id),
-                o,
-            );
-        } else {
-            for extra in fate.copies {
-                self.cal.schedule(
-                    base + extra,
-                    Ev::RequestArrive {
-                        obj: o,
-                        requester: p,
-                        task: id,
-                        sent_at: sent,
-                    },
-                );
-            }
-        }
-        if self.lossy {
-            let timeout = self.retry_timeout(o, p, owner, attempt);
-            self.cal.schedule(
-                sent + timeout,
-                Ev::FetchTimeout {
-                    proc: p,
-                    task: id,
-                    obj: o,
-                    attempt,
-                },
-            );
-        }
+        let request = DataMsg {
+            sender: issuer,
+            stamp: sent,
+            bytes: self.cfg.costs.request_bytes,
+            task: id,
+            obj: o,
+        };
+        let base = sent + self.msg(request.bytes, issuer, owner);
+        self.transmit(request, base, arrive(sent));
+        self.arm_ack_timer(p, id, o, owner, attempt, sent);
         sent
     }
 
@@ -1444,94 +1597,55 @@ impl<R: Sink> Sim<'_, R> {
         p: ProcId,
         id: TaskId,
         owner: ProcId,
-        objs: Vec<ObjectId>,
+        objs: &[ObjectId],
         t: SimTime,
     ) -> SimTime {
-        if issuer == owner {
+        let mut list = self.obj_lists.take();
+        list.extend_from_slice(objs);
+        let arrive = |sent_at| Ev::AggRequestArrive {
+            objs: list,
+            requester: p,
+            task: id,
+            sent_at,
+        };
+        let sent = if issuer == owner {
             // As in `send_fetch_request`: the issuer owns the whole group,
             // so the coalesced reply starts without a request message.
-            self.cal.schedule(
-                t,
-                Ev::AggRequestArrive {
-                    objs: objs.clone(),
-                    requester: p,
-                    task: id,
-                    sent_at: t,
-                },
-            );
-            if self.lossy {
-                for &o in &objs {
-                    let timeout = self.retry_timeout(o, p, owner, 0);
-                    self.cal.schedule(
-                        t + timeout,
-                        Ev::FetchTimeout {
-                            proc: p,
-                            task: id,
-                            obj: o,
-                            attempt: 0,
-                        },
-                    );
-                }
-            }
-            return t;
-        }
-        // Same piggyback rule as `send_fetch_request`: a prefetch bundle
-        // issued for another processor rides the dispatch handler already
-        // in progress and costs the issuer no extra send-handler time.
-        let sent = if issuer == p {
-            self.handler_op(issuer, t, self.cfg.costs.request_send(), TimeKind::Comm)
-        } else {
+            self.cal.schedule(t, arrive(t));
             t
-        };
-        let req_bytes = self.cfg.costs.request_bytes + objs.len() * self.cfg.costs.agg_entry_bytes;
-        self.events.emit_obj(
-            sent.0,
-            issuer,
-            EventKind::ObjectRequest {
-                bytes: req_bytes as u64,
-            },
-            Some(id),
-            objs[0],
-        );
-        let base = sent + self.msg(req_bytes, issuer, owner);
-        let fate = self.inj.message_fate();
-        if fate.dropped() {
-            self.n_dropped += 1;
+        } else {
+            // Same piggyback rule as `send_fetch_request`: a prefetch bundle
+            // issued for another processor rides the dispatch handler already
+            // in progress and costs the issuer no extra send-handler time.
+            let sent = if issuer == p {
+                self.handler_op(issuer, t, self.cfg.costs.request_send(), TimeKind::Comm)
+            } else {
+                t
+            };
+            let req_bytes =
+                self.cfg.costs.request_bytes + objs.len() * self.cfg.costs.agg_entry_bytes;
             self.events.emit_obj(
                 sent.0,
                 issuer,
-                EventKind::MsgDropped {
+                EventKind::ObjectRequest {
                     bytes: req_bytes as u64,
                 },
                 Some(id),
                 objs[0],
             );
-        } else {
-            for extra in fate.copies {
-                self.cal.schedule(
-                    base + extra,
-                    Ev::AggRequestArrive {
-                        objs: objs.clone(),
-                        requester: p,
-                        task: id,
-                        sent_at: sent,
-                    },
-                );
-            }
-        }
-        if self.lossy {
-            for &o in &objs {
-                let timeout = self.retry_timeout(o, p, owner, 0);
-                self.cal.schedule(
-                    sent + timeout,
-                    Ev::FetchTimeout {
-                        proc: p,
-                        task: id,
-                        obj: o,
-                        attempt: 0,
-                    },
-                );
-            }
+            let request = DataMsg {
+                sender: issuer,
+                stamp: sent,
+                bytes: req_bytes,
+                task: id,
+                obj: objs[0],
+            };
+            let base = sent + self.msg(req_bytes, issuer, owner);
+            self.transmit(request, base, arrive(sent));
+            sent
+        };
+        for &o in objs {
+            self.arm_ack_timer(p, id, o, owner, 0, sent);
         }
         sent
     }
@@ -1548,28 +1662,22 @@ impl<R: Sink> Sim<'_, R> {
         sent_at: SimTime,
         t: SimTime,
     ) {
-        let mut groups: Vec<(ProcId, Vec<ObjectId>)> = Vec::new();
-        for o in objs {
-            let owner = self.comm.owner(o);
-            match groups.iter_mut().find(|(g, _)| *g == owner) {
-                Some((_, v)) => v.push(o),
-                None => groups.push((owner, vec![o])),
-            }
-        }
-        for (owner, group) in groups {
+        let n = self.group_by_owner(&objs);
+        self.obj_lists.give(objs);
+        let groups = std::mem::take(&mut self.groups);
+        for (owner, group) in &groups[..n] {
+            let owner = *owner;
             let mut bytes = self.cfg.costs.agg_entry_bytes * group.len();
-            let mut items = Vec::with_capacity(group.len());
-            for &o in &group {
+            let mut items = self.item_lists.take();
+            for &o in group {
                 self.comm.record_request(requester, o);
                 bytes += self.trace.object_size(o);
                 items.push((o, self.comm.version(o)));
             }
             // Prefetch bundles stream asynchronously, like the single-object
             // path in `on_request_arrive`: wire time, no owner stall.
-            let prefetch = {
-                let ts = &self.tstate[task.index()];
-                group.iter().any(|o| ts.prefetched.contains(o))
-            };
+            let ts = &self.tstate[task.index()];
+            let prefetch = group.iter().any(|&o| ts.was_prefetched(o));
             let dur = self.msg(bytes, owner, requester);
             let mut send_end = if prefetch {
                 t + dur
@@ -1579,32 +1687,25 @@ impl<R: Sink> Sim<'_, R> {
             if let Some(wire) = &mut self.wire {
                 send_end = wire.occupy(0, t, dur, TimeKind::Comm).max(send_end);
             }
-            let fate = self.inj.message_fate();
-            if fate.dropped() {
-                self.n_dropped += 1;
-                self.events.emit_obj(
-                    send_end.0,
-                    owner,
-                    EventKind::MsgDropped {
-                        bytes: bytes as u64,
-                    },
-                    Some(task),
-                    group[0],
-                );
-            } else {
-                for extra in fate.copies {
-                    self.cal.schedule(
-                        send_end + extra,
-                        Ev::AggObjectArrive {
-                            proc: requester,
-                            items: items.clone(),
-                            task,
-                            requested_at: sent_at,
-                        },
-                    );
-                }
-            }
+            let reply = DataMsg {
+                sender: owner,
+                stamp: send_end,
+                bytes,
+                task,
+                obj: group[0],
+            };
+            self.transmit(
+                reply,
+                send_end,
+                Ev::AggObjectArrive {
+                    proc: requester,
+                    items,
+                    task,
+                    requested_at: sent_at,
+                },
+            );
         }
+        self.groups = groups;
     }
 
     /// A coalesced reply arrived: one receive-handler interrupt, then each
@@ -1622,10 +1723,8 @@ impl<R: Sink> Sim<'_, R> {
         if self.dead[p] {
             return;
         }
-        let prefetch = {
-            let ts = &self.tstate[task.index()];
-            items.iter().any(|(o, _)| ts.prefetched.contains(o))
-        };
+        let ts = &self.tstate[task.index()];
+        let prefetch = items.iter().any(|&(o, _)| ts.was_prefetched(o));
         let t1 = if prefetch {
             t
         } else {
@@ -1634,40 +1733,14 @@ impl<R: Sink> Sim<'_, R> {
         let mut delivered = 0u32;
         let mut delivered_bytes = 0u64;
         let mut first_obj = None;
-        for (obj, version) in items {
-            let bytes = self.trace.object_size(obj) as u64;
-            let ts = &self.tstate[task.index()];
-            let wanted = ts.assigned_to == p
-                && !ts.finished_local
-                && ts.pending.iter().any(|&(po, _)| po == obj);
-            if !wanted || !self.comm.deliver(p, obj, version, bytes) {
-                self.n_discarded += 1;
-                self.events
-                    .emit_obj(t.0, p, EventKind::MsgDiscarded { bytes }, Some(task), obj);
-                continue;
+        for &(obj, version) in &items {
+            if self.accept_reply(p, obj, version, task, requested_at, t) {
+                delivered += 1;
+                delivered_bytes += self.trace.object_size(obj) as u64;
+                first_obj.get_or_insert(obj);
             }
-            self.events.emit_obj(
-                t.0,
-                p,
-                EventKind::ObjectFetch {
-                    bytes,
-                    latency_ps: t.since(requested_at).0,
-                },
-                Some(task),
-                obj,
-            );
-            if self.tstate[task.index()].prefetched.contains(&obj) {
-                self.n_prefetch_hits += 1;
-                self.events
-                    .emit_obj(t.0, p, EventKind::PrefetchHit { bytes }, Some(task), obj);
-            }
-            delivered += 1;
-            delivered_bytes += bytes;
-            first_obj.get_or_insert(obj);
-            self.tstate[task.index()]
-                .pending
-                .retain(|&(po, _)| po != obj);
         }
+        self.item_lists.give(items);
         if delivered >= 2 {
             self.events.emit_obj(
                 t.0,
@@ -1682,11 +1755,61 @@ impl<R: Sink> Sim<'_, R> {
         }
         if delivered > 0 {
             let ts = &mut self.tstate[task.index()];
-            if ts.pending.is_empty() && ts.fetch_queue.is_empty() {
+            if ts.all_arrived() {
                 ts.ready = true;
                 self.try_execute(p, t1);
             }
         }
+    }
+
+    /// Version-checked idempotent delivery of one fetch reply, single or
+    /// inside a bundle, to task `task` on `p`. A duplicate of an
+    /// already-satisfied fetch, a reply overtaken by a re-dispatch, or a
+    /// stale version is discarded (`false`), never applied.
+    fn accept_reply(
+        &mut self,
+        p: ProcId,
+        obj: ObjectId,
+        version: u64,
+        task: TaskId,
+        requested_at: SimTime,
+        t: SimTime,
+    ) -> bool {
+        let bytes = self.trace.object_size(obj) as u64;
+        let ts = &self.tstate[task.index()];
+        let wanted = ts.slot(obj).ok().filter(|&i| {
+            ts.assigned_to == p && !ts.finished_local && ts.fetches[i].pending.is_some()
+        });
+        let slot = match wanted {
+            Some(slot) if self.comm.deliver(p, obj, version, bytes) => slot,
+            _ => {
+                self.n_discarded += 1;
+                self.events
+                    .emit_obj(t.0, p, EventKind::MsgDiscarded { bytes }, Some(task), obj);
+                return false;
+            }
+        };
+        self.events.emit_obj(
+            t.0,
+            p,
+            EventKind::ObjectFetch {
+                bytes,
+                latency_ps: t.since(requested_at).0,
+            },
+            Some(task),
+            obj,
+        );
+        let ts = &mut self.tstate[task.index()];
+        ts.fetches[slot].pending = None;
+        ts.outstanding -= 1;
+        if ts.fetches[slot].prefetched {
+            // The fetch this reply satisfies was initiated by the
+            // split-phase prefetch: the early issue paid off.
+            self.n_prefetch_hits += 1;
+            self.events
+                .emit_obj(t.0, p, EventKind::PrefetchHit { bytes }, Some(task), obj);
+        }
+        true
     }
 
     /// Ack timeout for fetch `attempt`: a generous multiple of the
@@ -1703,19 +1826,18 @@ impl<R: Sink> Sim<'_, R> {
         if self.dead[p] {
             return;
         }
-        let ts = &self.tstate[id.index()];
+        let ts = &mut self.tstate[id.index()];
         // Stale timer: the reply arrived, the task moved processors after a
         // fail-stop, or a newer attempt is already in flight.
         if ts.assigned_to != p || ts.finished_local {
             return;
         }
-        let Some(slot) = ts
-            .pending
-            .iter()
-            .position(|&(po, pa)| po == o && pa == attempt)
-        else {
+        let Some(fetch) = ts.slot(o).ok().map(|i| &mut ts.fetches[i]) else {
             return;
         };
+        if fetch.pending != Some(attempt) {
+            return;
+        }
         let next = attempt + 1;
         if next >= MAX_FETCH_ATTEMPTS {
             self.fatal = Some(IpscError::RetriesExhausted {
@@ -1725,7 +1847,7 @@ impl<R: Sink> Sim<'_, R> {
             });
             return;
         }
-        self.tstate[id.index()].pending[slot].1 = next;
+        fetch.pending = Some(next);
         self.n_retried += 1;
         self.events.emit_obj(
             t.0,
@@ -1758,7 +1880,7 @@ impl<R: Sink> Sim<'_, R> {
         // exception is a split-phase prefetch reply, which the message
         // system streams asynchronously — the wire and byte counters see
         // the traffic, but no processor stalls for it (DESIGN.md §17).
-        let prefetch = self.tstate[task.index()].prefetched.contains(&obj);
+        let prefetch = self.tstate[task.index()].was_prefetched(obj);
         let dur = self.msg(bytes, owner, requester);
         let mut send_end = if prefetch {
             t + dur
@@ -1770,32 +1892,24 @@ impl<R: Sink> Sim<'_, R> {
             send_end = wire.occupy(0, t, dur, TimeKind::Comm).max(send_end);
         }
         let version = self.comm.version(obj);
-        let fate = self.inj.message_fate();
-        if fate.dropped() {
-            self.n_dropped += 1;
-            self.events.emit_obj(
-                send_end.0,
-                owner,
-                EventKind::MsgDropped {
-                    bytes: bytes as u64,
-                },
-                Some(task),
+        let reply = DataMsg {
+            sender: owner,
+            stamp: send_end,
+            bytes,
+            task,
+            obj,
+        };
+        self.transmit(
+            reply,
+            send_end,
+            Ev::ObjectArrive {
+                proc: requester,
                 obj,
-            );
-        } else {
-            for extra in fate.copies {
-                self.cal.schedule(
-                    send_end + extra,
-                    Ev::ObjectArrive {
-                        proc: requester,
-                        obj,
-                        version,
-                        task,
-                        requested_at: sent_at,
-                    },
-                );
-            }
-        }
+                version,
+                task,
+                requested_at: sent_at,
+            },
+        );
     }
 
     fn on_object_arrive(
@@ -1810,49 +1924,21 @@ impl<R: Sink> Sim<'_, R> {
         if self.dead[p] {
             return;
         }
-        let bytes = self.trace.object_size(obj) as u64;
         // Receiving costs handler time whether or not the payload is kept:
         // a duplicate still interrupts the processor. A prefetched reply
         // instead lands by asynchronous transfer — no interrupt, the data
         // is simply resident when the assignment reconciles (DESIGN.md §17).
-        let prefetch = self.tstate[task.index()].prefetched.contains(&obj);
+        let prefetch = self.tstate[task.index()].was_prefetched(obj);
         let t1 = if prefetch {
             t
         } else {
             self.handler_op(p, t, self.cfg.costs.object_recv(), TimeKind::Comm)
         };
-        let ts = &self.tstate[task.index()];
-        let wanted = ts.assigned_to == p
-            && !ts.finished_local
-            && ts.pending.iter().any(|&(po, _)| po == obj);
-        if !wanted || !self.comm.deliver(p, obj, version, bytes) {
-            // Duplicate of an already-satisfied fetch, a reply overtaken by
-            // a re-dispatch, or a stale version: discard, never apply.
-            self.n_discarded += 1;
-            self.events
-                .emit_obj(t.0, p, EventKind::MsgDiscarded { bytes }, Some(task), obj);
+        if !self.accept_reply(p, obj, version, task, requested_at, t) {
             return;
         }
-        self.events.emit_obj(
-            t.0,
-            p,
-            EventKind::ObjectFetch {
-                bytes,
-                latency_ps: t.since(requested_at).0,
-            },
-            Some(task),
-            obj,
-        );
-        if self.tstate[task.index()].prefetched.contains(&obj) {
-            // The fetch this reply satisfies was initiated by the
-            // split-phase prefetch: the early issue paid off.
-            self.n_prefetch_hits += 1;
-            self.events
-                .emit_obj(t.0, p, EventKind::PrefetchHit { bytes }, Some(task), obj);
-        }
         let ts = &mut self.tstate[task.index()];
-        ts.pending.retain(|&(po, _)| po != obj);
-        if ts.pending.is_empty() && ts.fetch_queue.is_empty() {
+        if ts.all_arrived() {
             ts.ready = true;
             self.try_execute(p, t1);
         } else if !self.cfg.concurrent_fetches {
@@ -1993,11 +2079,11 @@ impl<R: Sink> Sim<'_, R> {
         // layer; it must never be re-executed, even if `p` dies before the
         // completion notification reaches the scheduler.
         self.tstate[id.index()].finished_local = true;
-        let rec = &self.trace.tasks[id.index()];
+        let trace = self.trace;
+        let rec = &trace.tasks[id.index()];
         let mut t_cur = self.occupy_ev(p, t, self.cfg.costs.complete(), TimeKind::Mgmt, Some(id));
         // New versions of written objects; broadcast when in broadcast mode.
-        let written: Vec<ObjectId> = rec.spec.written_objects().collect();
-        for o in written {
+        for o in rec.spec.written_objects() {
             // The eager update protocol pushes the new version to the
             // previous version's consumers (captured before the bump).
             let eager_targets = if self.cfg.eager_update && !self.cfg.work_free {
@@ -2047,16 +2133,16 @@ impl<R: Sink> Sim<'_, R> {
                 // Dead processors are out of the tree; the root still pays
                 // for every live receiver whether or not the network then
                 // loses an individual copy.
-                let targets: Vec<ProcId> = (0..self.pc.procs())
+                let receivers = (0..self.pc.procs())
                     .filter(|&q| q != p && !self.dead[q])
-                    .collect();
-                self.comm.record_broadcast(o, bytes, targets.len());
+                    .count();
+                self.comm.record_broadcast(o, bytes, receivers);
                 self.events.emit_obj(
                     t_cur.0,
                     p,
                     EventKind::ObjectBroadcast {
                         bytes: bytes as u64,
-                        receivers: targets.len() as u32,
+                        receivers: receivers as u32,
                     },
                     Some(id),
                     o,
@@ -2065,31 +2151,26 @@ impl<R: Sink> Sim<'_, R> {
                 let done = self.occupy_ev(p, t_cur, root_busy, TimeKind::Comm, None);
                 let arrival = t_cur + self.cfg.machine.broadcast_time(bytes);
                 let version = self.comm.version(o);
-                for q in targets {
-                    let fate = self.inj.message_fate();
-                    if fate.dropped() {
-                        self.n_dropped += 1;
-                        self.events.emit_obj(
-                            t_cur.0,
-                            p,
-                            EventKind::MsgDropped {
-                                bytes: bytes as u64,
-                            },
-                            Some(id),
-                            o,
-                        );
+                for q in 0..self.pc.procs() {
+                    if q == p || self.dead[q] {
                         continue;
                     }
-                    for extra in fate.copies {
-                        self.cal.schedule(
-                            arrival.max(done) + extra,
-                            Ev::BroadcastArrive {
-                                proc: q,
-                                obj: o,
-                                version,
-                            },
-                        );
-                    }
+                    let copy = DataMsg {
+                        sender: p,
+                        stamp: t_cur,
+                        bytes,
+                        task: id,
+                        obj: o,
+                    };
+                    self.transmit(
+                        copy,
+                        arrival.max(done),
+                        Ev::BroadcastArrive {
+                            proc: q,
+                            obj: o,
+                            version,
+                        },
+                    );
                 }
                 t_cur = done;
             }
@@ -2114,30 +2195,22 @@ impl<R: Sink> Sim<'_, R> {
                     );
                     let dur = self.msg(bytes, p, q);
                     t_cur = self.occupy_ev(p, t_cur, dur, TimeKind::Comm, None);
-                    let fate = self.inj.message_fate();
-                    if fate.dropped() {
-                        self.n_dropped += 1;
-                        self.events.emit_obj(
-                            t_cur.0,
-                            p,
-                            EventKind::MsgDropped {
-                                bytes: bytes as u64,
-                            },
-                            Some(id),
-                            o,
-                        );
-                        continue;
-                    }
-                    for extra in fate.copies {
-                        self.cal.schedule(
-                            t_cur + extra,
-                            Ev::EagerArrive {
-                                proc: q,
-                                obj: o,
-                                version,
-                            },
-                        );
-                    }
+                    let push = DataMsg {
+                        sender: p,
+                        stamp: t_cur,
+                        bytes,
+                        task: id,
+                        obj: o,
+                    };
+                    self.transmit(
+                        push,
+                        t_cur,
+                        Ev::EagerArrive {
+                            proc: q,
+                            obj: o,
+                            version,
+                        },
+                    );
                 }
             }
         }
@@ -2146,12 +2219,7 @@ impl<R: Sink> Sim<'_, R> {
         if self.main_blocked == Some(id) {
             // Serial task: main resumes; completion is processed locally.
             self.main_blocked = None;
-            let mut newly = Vec::new();
-            self.sync
-                .complete_traced(id, &mut newly, &mut self.events, t_cur.0, p);
-            for t2 in newly {
-                self.schedule_enabled(t2, t_cur);
-            }
+            self.complete(id, p, t_cur);
             self.cal.schedule(t_cur, Ev::MainStep);
             return;
         }
@@ -2181,6 +2249,19 @@ impl<R: Sink> Sim<'_, R> {
         self.try_execute(p, t_cur);
     }
 
+    /// Retire `id`, which ran on `p`, in the synchronizer at `t` and pass
+    /// every task that enables through the scheduler.
+    fn complete(&mut self, id: TaskId, p: ProcId, t: SimTime) {
+        let mut newly = std::mem::take(&mut self.newly);
+        newly.clear();
+        self.sync
+            .complete_traced(id, &mut newly, &mut self.events, t.0, p);
+        for &enabled in &newly {
+            self.schedule_enabled(enabled, t);
+        }
+        self.newly = newly;
+    }
+
     fn on_notify(&mut self, p: ProcId, id: TaskId, t: SimTime) {
         if p != 0 {
             self.events.emit_task(
@@ -2196,12 +2277,7 @@ impl<R: Sink> Sim<'_, R> {
         // Completion processing removes the task from the load books first,
         // so successors enabled below see the freed processor.
         self.sched.finish(p);
-        let mut newly = Vec::new();
-        self.sync
-            .complete_traced(id, &mut newly, &mut self.events, end.0, p);
-        for t2 in newly {
-            self.schedule_enabled(t2, end);
-        }
+        self.complete(id, p, end);
         let comm = &self.comm;
         let trace = self.trace;
         let pulled = self.sched.try_pull(p, |task| {
@@ -2387,10 +2463,8 @@ impl<R: Sink> Sim<'_, R> {
             let ts = &mut self.tstate[id.index()];
             ts.dispatched = false;
             ts.ready = false;
-            ts.pending.clear();
-            ts.fetch_queue.clear();
+            ts.forget_fetches();
             ts.prefetch_issued = false;
-            ts.prefetched.clear();
             self.n_reexec += 1;
             self.events
                 .emit_task(t_cur.0, jade_core::MAIN_PROC, EventKind::TaskReExecuted, id);

@@ -3,7 +3,7 @@
 //!
 //! This test binary installs a counting `#[global_allocator]` shim (it
 //! cannot live in a library: `jade-bench` is `#![forbid(unsafe_code)]`, and
-//! Rust allows exactly one global allocator per binary). Five things are
+//! Rust allows exactly one global allocator per binary). Six things are
 //! covered:
 //!
 //! 1. the counter actually observes a deliberate allocation (the harness
@@ -21,13 +21,19 @@
 //!    it allocates does not grow by a copy of the edge list per iteration
 //!    (a `ThreadRuntime` holds every closure until `finish`, so a per-task
 //!    copy of a read-only input is resident `iterations` times over);
-//! 5. when no counting shim feeds the counter (another global allocator
+//! 5. one iPSC simulation allocates a bounded number of times per simulated
+//!    task — at most 2 in the paper's configuration, at most 4 with
+//!    aggregation, prefetch, two tasks per processor, tuning, message loss
+//!    and checkpoints — so the per-fetch path (request, reply, ack timer,
+//!    reconcile) stays free of per-message and per-task `Vec`s;
+//! 6. when no counting shim feeds the counter (another global allocator
 //!    is active), the probe reports inactive and the assertions skip
 //!    cleanly — the probe side of that contract is exercised in
 //!    `jade-bench`'s in-crate tests, which install no shim.
 
 use jade_apps::pagerank::{self, PagerankConfig};
-use jade_core::{JadeRuntime, TaskBuilder};
+use jade_core::{JadeRuntime, LocalityMode, TaskBuilder};
+use jade_ipsc::IpscConfig;
 use jade_threads::{JadeService, Outcome, Program, ServiceConfig, TenantOptions, ThreadRuntime};
 use std::sync::Mutex;
 
@@ -237,4 +243,50 @@ fn pagerank_build_shares_its_plan_across_iterations() {
         "7 more iterations allocated {} more bytes; one copy of the edge list is {edge_list}",
         eight - one
     );
+}
+
+#[test]
+fn ipsc_simulation_allocates_per_run_not_per_fetch() {
+    let _guard = SERIAL.lock().unwrap();
+    if counting_inactive() {
+        return;
+    }
+    let (trace, _) = pagerank::run_trace(&PagerankConfig {
+        iterations: 8,
+        ..PagerankConfig::paper(8)
+    });
+    let tasks = trace.task_count() as u64;
+    let sec_per_op = pagerank::calib::IPSC_STRIPPED_S / trace.total_work();
+    let demand = IpscConfig::paper(8, LocalityMode::Locality, sec_per_op);
+    let clean = jade_ipsc::try_run_folded(&trace, &demand).expect("demand run completes");
+    let mut managed = demand.clone();
+    managed.aggregate_fetches = true;
+    managed.prefetch = true;
+    managed.target_tasks = 2;
+    managed.tune = true;
+    managed.faults = dsim::FaultPlan {
+        drop_p: 0.02,
+        seed: 1995,
+        checkpoint: Some(dsim::SimDuration::from_secs_f64(clean.exec_time_s / 8.0)),
+        ..dsim::FaultPlan::none()
+    };
+    // The harness's own threads can only inflate a window, and a run is
+    // deterministic, so the smallest of a few attempts is the simulator's.
+    for (name, cfg, per_task) in [("demand", &demand, 2), ("managed", &managed, 4)] {
+        let allocs = (0..3)
+            .map(|_| {
+                let (allocs, r) =
+                    jade_bench::alloc::allocs_during(|| jade_ipsc::try_run_folded(&trace, cfg));
+                let r = r.expect("run completes");
+                assert!(r.fetches > tasks, "{name}: the trace must fetch");
+                assert_eq!(r.final_versions, clean.final_versions, "{name}");
+                allocs
+            })
+            .min()
+            .expect("three attempts");
+        assert!(
+            allocs <= per_task * tasks,
+            "{name}: {allocs} allocations for {tasks} simulated tasks (limit {per_task} each)"
+        );
+    }
 }

@@ -2,9 +2,10 @@
 //! completion on both simulated machines at every locality level, and the
 //! runs satisfy the invariants the paper's evaluation relies on.
 
-use jade::apps::{cholesky, ocean, string_app, water};
+use jade::apps::{cholesky, ocean, pagerank, string_app, water};
 use jade::dash::{self, DashConfig};
-use jade::ipsc::{self, IpscConfig};
+use jade::dsim::{FaultPlan, SimDuration};
+use jade::ipsc::{self, IpscConfig, IpscRunResult};
 use jade::{LocalityMode, Trace};
 
 fn traces(procs: usize) -> Vec<(&'static str, Trace, bool)> {
@@ -173,4 +174,154 @@ fn broadcast_volume_accounted() {
     off.adaptive_broadcast = false;
     let r2 = ipsc::run(&trace, &off);
     assert_eq!(r2.broadcasts, 0);
+}
+
+/// What a faulty managed run must reproduce bit for bit.
+#[derive(Debug, PartialEq)]
+struct Fingerprint {
+    exec_time_bits: u64,
+    msgs_dropped: u64,
+    msgs_retried: u64,
+    msgs_discarded: u64,
+    prefetch_hits: u64,
+    prefetch_stale: u64,
+    agg_objects: u64,
+    comm_bytes: u64,
+    tasks_reexecuted: u64,
+    checkpoint_bytes: u64,
+}
+
+impl Fingerprint {
+    fn of(r: &IpscRunResult) -> Fingerprint {
+        Fingerprint {
+            exec_time_bits: r.exec_time_s.to_bits(),
+            msgs_dropped: r.msgs_dropped,
+            msgs_retried: r.msgs_retried,
+            msgs_discarded: r.msgs_discarded,
+            prefetch_hits: r.prefetch_hits,
+            prefetch_stale: r.prefetch_stale,
+            agg_objects: r.agg_objects,
+            comm_bytes: r.comm_bytes,
+            tasks_reexecuted: r.tasks_reexecuted,
+            checkpoint_bytes: r.checkpoint_bytes,
+        }
+    }
+}
+
+/// One application's golden values: its `final_versions`, run-length encoded
+/// as `(version, count)` and the same under every plan, then the run under
+/// the racy plan and the run under the failing one.
+type Golden = (&'static str, &'static [(u64, usize)], [Fingerprint; 2]);
+
+/// Recorded at PR 19 (`b6a4331`), before the per-fetch path was rewritten.
+const GOLDEN: [Golden; 2] = [
+    (
+        "water",
+        &[(2, 1), (0, 1), (2, 18)],
+        [
+            Fingerprint {
+                exec_time_bits: 0x40789279a76a8779,
+                msgs_dropped: 5,
+                msgs_retried: 8,
+                msgs_discarded: 5,
+                prefetch_hits: 28,
+                prefetch_stale: 0,
+                agg_objects: 14,
+                comm_bytes: 233072,
+                tasks_reexecuted: 0,
+                checkpoint_bytes: 0,
+            },
+            Fingerprint {
+                exec_time_bits: 0x4082835efaace21f,
+                msgs_dropped: 0,
+                msgs_retried: 7,
+                msgs_discarded: 7,
+                prefetch_hits: 27,
+                prefetch_stale: 0,
+                agg_objects: 0,
+                comm_bytes: 221544,
+                tasks_reexecuted: 1,
+                checkpoint_bytes: 23200,
+            },
+        ],
+    ),
+    (
+        "pagerank",
+        &[(2, 84), (4, 42), (1, 1)],
+        [
+            Fingerprint {
+                exec_time_bits: 0x4018605cbcee1e0f,
+                msgs_dropped: 68,
+                msgs_retried: 94,
+                msgs_discarded: 21,
+                prefetch_hits: 666,
+                prefetch_stale: 0,
+                agg_objects: 444,
+                comm_bytes: 881344,
+                tasks_reexecuted: 0,
+                checkpoint_bytes: 0,
+            },
+            Fingerprint {
+                exec_time_bits: 0x401adbf9c252de5d,
+                msgs_dropped: 29,
+                msgs_retried: 121,
+                msgs_discarded: 72,
+                prefetch_hits: 624,
+                prefetch_stale: 0,
+                agg_objects: 405,
+                comm_bytes: 823816,
+                tasks_reexecuted: 1,
+                checkpoint_bytes: 99831,
+            },
+        ],
+    ),
+];
+
+/// The other fault batteries compare a run with itself (folded against
+/// traced, faulty against fault-free versions, one seed twice), so a
+/// refactor that moves a retry by one calendar slot passes them all. This
+/// pins faulty managed runs against constants: late and duplicated replies
+/// racing a re-armed ack timer (plan one), and loss with a fail-stop and
+/// checkpoints (plan two).
+#[test]
+fn faulty_managed_runs_match_their_golden_fingerprints() {
+    let traces = [
+        (
+            water::run_trace(&water::WaterConfig::small(8)).0,
+            water::calib::IPSC_STRIPPED_S,
+        ),
+        (
+            pagerank::run_trace(&pagerank::PagerankConfig::small(8)).0,
+            pagerank::calib::IPSC_STRIPPED_S,
+        ),
+    ];
+    for ((trace, stripped_s), (name, versions, golden)) in traces.iter().zip(&GOLDEN) {
+        let sec_per_op = stripped_s / trace.total_work();
+        let mut cfg = IpscConfig::paper(8, LocalityMode::Locality, sec_per_op);
+        cfg.aggregate_fetches = true;
+        cfg.prefetch = true;
+        cfg.target_tasks = 2;
+        cfg.tune = true;
+        let clean = ipsc::try_run(trace, &cfg).expect("fault-free run completes");
+        let versions: Vec<u64> = versions
+            .iter()
+            .flat_map(|&(v, n)| std::iter::repeat_n(v, n))
+            .collect();
+        assert_eq!(clean.final_versions, versions, "{name}");
+        let at = |share: f64| SimDuration::from_secs_f64(clean.exec_time_s * share);
+        let racy =
+            FaultPlan::parse("drop=0.05,dup=0.02,delay=0.1:0.0005,reorder=0.05,seed=1995").unwrap();
+        let failing = FaultPlan {
+            fail_proc: Some(3),
+            fail_at: at(0.4),
+            checkpoint: Some(at(0.125)),
+            ..FaultPlan::parse("drop=0.02,seed=1995").unwrap()
+        };
+        for (plan, want) in [racy, failing].into_iter().zip(golden) {
+            cfg.faults = plan;
+            let r = ipsc::try_run(trace, &cfg).expect("faulty run completes");
+            assert_eq!(Fingerprint::of(&r), *want, "{name} under {plan:?}");
+            assert_eq!(r.final_versions, versions, "{name} under {plan:?}");
+        }
+    }
 }
