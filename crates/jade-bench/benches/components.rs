@@ -1,7 +1,9 @@
 //! Micro-benchmarks of the runtime components themselves: synchronizer
 //! throughput, simulator event rates (and, under them, the calendar and
-//! the fault injector), trace generation, the real thread backend, and
-//! element access through a store guard.
+//! the fault injector), trace generation, the real thread backend (one
+//! cold batch, and `submit` + `finish` per task on a warmed runtime in the
+//! benchmark's three fine-grain shapes), building an access specification,
+//! and element access through a store guard.
 //!
 //! Plain self-timing harness (`harness = false`): each benchmark runs a
 //! fixed number of iterations and reports the mean wall-clock time per
@@ -10,7 +12,8 @@
 use dsim::{Calendar, FaultInjector, FaultPlan, SimDuration};
 use jade_core::LocalityMode;
 use jade_core::{
-    AccessSpec, JadeRuntime, ObjectId, Store, Synchronizer, TaskBuilder, TaskId, TraceBuilder,
+    AccessSpec, Handle, JadeRuntime, ObjectId, Store, Synchronizer, TaskBuilder, TaskDef, TaskId,
+    TraceBuilder,
 };
 use jade_threads::ThreadRuntime;
 
@@ -172,6 +175,107 @@ fn thread_backend() {
     });
 }
 
+/// One 4096-task batch of each of `benchmark/`'s `threads-fine` shapes over
+/// the given objects: 16 independent counter chains, a 64 x 64 wavefront,
+/// and one writer followed by 255 readers, sixteen times over.
+fn fine_batch(shape: &str, counters: &[Handle<u64>], grid: &[Handle<u64>]) -> Vec<TaskDef> {
+    const SIDE: usize = 64;
+    let cell = |i: usize, j: usize| grid[i * SIDE + j];
+    (0..SIDE * SIDE)
+        .map(|k| match shape {
+            "indep" => {
+                let c = counters[k % counters.len()];
+                TaskBuilder::new("inc")
+                    .rd_wr(c)
+                    .body(move |ctx| *ctx.wr(c) += 1)
+            }
+            "wavefront" => {
+                let (i, j) = (k / SIDE, k % SIDE);
+                let me = cell(i, j);
+                let left = (j > 0).then(|| cell(i, j - 1));
+                let up = (i > 0).then(|| cell(i - 1, j));
+                let mut task = TaskBuilder::new("cell");
+                for h in left.iter().chain(&up) {
+                    task = task.rd(*h);
+                }
+                task.rd_wr(me).body(move |ctx| {
+                    let l = left.map_or(0, |h| *ctx.rd(h));
+                    let u = up.map_or(0, |h| *ctx.rd(h));
+                    let mut v = ctx.wr(me);
+                    *v = l.max(u).max(*v) + 1;
+                })
+            }
+            _ => {
+                let cast = counters[0];
+                if k % 256 == 0 {
+                    TaskBuilder::new("write")
+                        .rd_wr(cast)
+                        .body(move |ctx| *ctx.wr(cast) += 1)
+                } else {
+                    TaskBuilder::new("read").rd(cast).body(move |ctx| {
+                        std::hint::black_box(*ctx.rd(cast));
+                    })
+                }
+            }
+        })
+        .collect()
+}
+
+/// The executor's own cost per task: near-empty bodies, one warmed runtime,
+/// tasks built outside the clock, `submit` + `finish` inside it — at the
+/// worker count `benchmark/` uses and at one worker (where no task is ever
+/// stolen or routed). The per-layer baseline the next executor change is
+/// read against.
+fn threads_submit_finish() {
+    let wide = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+    for workers in [wide, 1] {
+        let mut rt = ThreadRuntime::new(workers);
+        let counters: Vec<_> = (0..16)
+            .map(|i| rt.create(&format!("c{i}"), 8, 0u64))
+            .collect();
+        let grid: Vec<_> = (0..64 * 64)
+            .map(|i| rt.create(&format!("g{i}"), 8, 0u64))
+            .collect();
+        for shape in ["indep", "wavefront", "bcast"] {
+            let (batches, mut secs, mut tasks) = (24, 0.0, 0usize);
+            for batch in 0..=batches {
+                let defs = fine_batch(shape, &counters, &grid);
+                let n = defs.len();
+                let start = std::time::Instant::now();
+                for def in defs {
+                    rt.submit(def);
+                }
+                rt.finish();
+                // The first batch of a shape sizes the slabs: not timed.
+                if batch > 0 {
+                    secs += start.elapsed().as_secs_f64();
+                    tasks += n;
+                }
+            }
+            let name = format!("threads/submit_finish/{shape}_4096/w{workers}");
+            let per_task = secs * 1e9 / tasks as f64;
+            println!("{name:>32}  {per_task:>12.1} ns/task  ({batches} batches)");
+        }
+    }
+}
+
+/// Building a specification of one, three (the most held inline) and eight
+/// declarations (spilled). An iteration builds 100 000: µs/iter ÷ 100 is
+/// nanoseconds each.
+fn access_spec_build() {
+    for decls in [1u32, 3, 8] {
+        bench(&format!("core/access_spec/build_{decls}"), 20, || {
+            for base in 0..100_000u32 {
+                let mut spec = AccessSpec::new();
+                for k in 0..decls {
+                    spec.rd_wr(ObjectId(std::hint::black_box(base + k)));
+                }
+                std::hint::black_box(&spec);
+            }
+        });
+    }
+}
+
 /// Sum `v[0..n]` by index, dereferencing `v` anew for every element — what
 /// a task body does when it writes `pos[i]` on a guard inside a loop.
 fn indexed_sum<V>(name: &str, v: &V, n: usize, expect: f64)
@@ -210,5 +314,7 @@ fn main() {
     dsim_per_message();
     trace_generation();
     thread_backend();
+    threads_submit_finish();
+    access_spec_build();
     store_guard_index();
 }

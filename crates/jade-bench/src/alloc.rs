@@ -10,17 +10,22 @@
 //! [`counting_active`] detects so alloc assertions skip cleanly instead of
 //! failing vacuously.
 //!
-//! Only `alloc` and `realloc` are counted. Deallocations are free to
-//! batch up (dropping a recycled buffer is not allocation pressure), and
-//! counting them would double-charge realloc. Beside the call count the
-//! shim reports each request's size, so a gate can bound *how much* a
-//! region allocates (a realloc is charged its whole new size).
+//! `alloc` and `realloc` feed the allocation count. Deallocations are free
+//! to batch up (dropping a recycled buffer is not allocation pressure),
+//! and counting them there would double-charge realloc. Beside the call
+//! count the shim reports each request's size, so a gate can bound *how
+//! much* a region allocates (a realloc is charged its whole new size).
+//! `dealloc` feeds a counter of its own ([`frees`]): a task's heap blocks
+//! are released by the worker that ran it, inside the timed `finish`, so
+//! "blocks freed per retired task" is a cost the allocation count cannot
+//! see.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static FREES: AtomicU64 = AtomicU64::new(0);
 
 /// Record one allocation of `bytes`. Called by an installed allocator shim
 /// on every `alloc`/`realloc`; `Relaxed` because only totals matter, and
@@ -29,6 +34,14 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 pub fn note_alloc(bytes: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+/// Record one deallocation. Called by an installed shim on every
+/// `dealloc` (a `realloc` is neither an allocation ended nor a block freed
+/// as far as this count goes).
+#[inline]
+pub fn note_free() {
+    FREES.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Total allocations observed since process start. Zero forever if no
@@ -42,6 +55,12 @@ pub fn allocs() -> u64 {
 #[inline]
 pub fn alloc_bytes() -> u64 {
     BYTES.load(Ordering::Relaxed)
+}
+
+/// Total deallocations observed since process start (zero without a shim).
+#[inline]
+pub fn frees() -> u64 {
+    FREES.load(Ordering::Relaxed)
 }
 
 /// Is a counting shim actually installed as the global allocator?
@@ -76,6 +95,13 @@ pub fn bytes_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (alloc_bytes().wrapping_sub(before), r)
 }
 
+/// Blocks handed back to the allocator while running `f`, plus `f`'s result.
+pub fn frees_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = frees();
+    let r = f();
+    (frees().wrapping_sub(before), r)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,10 +126,12 @@ mod tests {
     #[test]
     fn counter_moves_when_fed_directly() {
         let _guard = SERIAL.lock().unwrap();
-        let (before, bytes_before) = (allocs(), alloc_bytes());
+        let (before, bytes_before, frees_before) = (allocs(), alloc_bytes(), frees());
         note_alloc(24);
         note_alloc(40);
+        note_free();
         assert_eq!(allocs().wrapping_sub(before), 2);
         assert_eq!(alloc_bytes().wrapping_sub(bytes_before), 64);
+        assert_eq!(frees().wrapping_sub(frees_before), 1);
     }
 }

@@ -14,13 +14,16 @@ use crate::ids::{ObjectId, ProcId, TaskId};
 use crate::runtime::JadeRuntime;
 use crate::store::Store;
 use crate::task::{TaskCtx, TaskDef};
+use std::borrow::Cow;
 
 /// Everything a machine simulator needs to know about one task.
 #[derive(Clone, Debug)]
 pub struct TaskRecord {
     pub id: TaskId,
-    /// Diagnostic label from the task builder.
-    pub label: String,
+    /// Diagnostic label from the task builder: borrowed for recorded tasks
+    /// (a [`TaskDef`]'s label is `&'static str`), owned only by synthetic
+    /// ones, so recording a task allocates nothing for it.
+    pub label: Cow<'static, str>,
     /// Ordered access specification; first declaration = locality object.
     pub spec: AccessSpec,
     /// Abstract operations charged by the body (`TaskCtx::charge`).
@@ -168,7 +171,7 @@ impl TraceBuilder {
         let id = TaskId(self.trace.tasks.len() as u32);
         self.trace.tasks.push(TaskRecord {
             id,
-            label: format!("t{}", id.0),
+            label: Cow::Owned(format!("t{}", id.0)),
             spec,
             work,
             placement,
@@ -272,7 +275,7 @@ impl JadeRuntime for TraceRuntime {
         };
         self.tasks.push(TaskRecord {
             id,
-            label: def.label.to_string(),
+            label: Cow::Borrowed(def.label),
             spec: def.spec,
             work,
             placement: def.placement,

@@ -54,8 +54,8 @@ use deque::TaskQueue;
 pub use dsim::FaultPlan;
 use jade_core::tune::{BatchShape, Controller, TuneLog};
 use jade_core::{
-    Event, EventKind, EventSink, JadeRuntime, Locality, NullSink, ObjectId, Sink, Store,
-    SyncSnapshot, Synchronizer, TaskCtx, TaskDef, TaskId, TransitionBatch,
+    AccessSpec, Event, EventKind, EventSink, JadeRuntime, Locality, NullSink, ObjectId, ProcId,
+    Sink, Store, SyncSnapshot, Synchronizer, TaskBody, TaskCtx, TaskDef, TaskId, TransitionBatch,
 };
 pub use service::{
     JadeService, Outcome, Program, ServiceConfig, ShedPolicy, SubmitError, TenantOptions,
@@ -227,7 +227,7 @@ impl OwnerTable {
     /// writer among this task's own written declarations — ownership
     /// transfer — and fall back to any declaration only when the task
     /// writes nothing previously written.
-    pub(crate) fn latest_writer(&self, spec: &jade_core::AccessSpec) -> Option<usize> {
+    pub(crate) fn latest_writer(&self, spec: &AccessSpec) -> Option<usize> {
         let mut best_written = 0u64;
         let mut best_any = 0u64;
         for d in spec.decls() {
@@ -253,7 +253,9 @@ pub struct ThreadRuntime {
     store: Store,
     workers: usize,
     sync: Synchronizer,
-    pending: Vec<(TaskId, TaskDef)>,
+    /// Id of the next submitted task. The tasks of the open batch sit in
+    /// `arena.slots` in submission order, so slot `i` is task
+    /// `next_id - slots.len() + i`.
     next_id: u32,
     last_stats: BatchStats,
     total_stats: BatchStats,
@@ -278,9 +280,9 @@ pub struct ThreadRuntime {
     tune: Option<Controller>,
     /// Dynamic locality: which worker last wrote each object.
     owners: OwnerTable,
-    /// Recycled scheduling storage (queues, bodies, attempt counters, drain
-    /// buffers): batches after the first reuse it instead of reallocating,
-    /// which is what makes the equilibrium task cycle allocation-free.
+    /// Recycled scheduling storage (queues, task slots, drain buffers):
+    /// batches after the first reuse it instead of reallocating, which is
+    /// what makes the equilibrium task cycle allocation-free.
     arena: SchedArena,
 }
 
@@ -291,7 +293,6 @@ impl ThreadRuntime {
             store: Store::new(),
             workers: workers.max(1),
             sync: Synchronizer::new(true),
-            pending: Vec::new(),
             next_id: 0,
             last_stats: BatchStats::default(),
             total_stats: BatchStats::default(),
@@ -451,24 +452,21 @@ impl JadeRuntime for ThreadRuntime {
     fn submit(&mut self, def: TaskDef) -> TaskId {
         let id = TaskId(self.next_id);
         self.next_id += 1;
-        self.pending.push((id, def));
+        self.arena.push(def);
         id
     }
 
     fn finish(&mut self) {
-        if self.pending.is_empty() {
+        if self.arena.slots.is_empty() {
             return;
         }
-        // `run_sharded` drains the batch and hands the allocation back, so
-        // `pending` keeps its capacity from batch to batch.
-        let batch = std::mem::take(&mut self.pending);
         // The sink type is chosen statically: untraced batches
         // monomorphize every emission (and the locks guarding only
         // emissions) away entirely.
         if self.trace_events {
-            self.run_sharded(batch, EventSink::recording())
+            self.run_sharded(EventSink::recording())
         } else {
-            self.run_sharded(batch, NullSink)
+            self.run_sharded(NullSink)
         }
     }
 }
@@ -488,6 +486,26 @@ pub(crate) struct WorkerScratch {
     newly: RefCell<Vec<TaskId>>,
 }
 
+/// One submitted task, written once by `submit` and read in place until
+/// its batch ends. `label`, `spec` and `placement` do not change while a
+/// batch runs, so registration, the locality heuristic and the executing
+/// worker's [`TaskCtx`] all borrow them without a lock; what changes is
+/// behind its own synchronization.
+pub(crate) struct TaskSlot {
+    label: &'static str,
+    spec: AccessSpec,
+    placement: Option<ProcId>,
+    /// Taken by the executing worker, put back by an injected failure. A
+    /// task index lives in exactly one queue at a time, so the mutex is
+    /// uncontended — it exists to hand the closure to another thread
+    /// without `unsafe`, and it is the only lock on the dispatch path.
+    body: Mutex<Option<TaskBody>>,
+    /// Executions so far (keys the fault hash).
+    attempt: AtomicU32,
+    /// Worker the locality heuristic targeted at enable time.
+    target: AtomicUsize,
+}
+
 /// Recycled scheduler storage owned by the [`ThreadRuntime`]. Reusing the
 /// slabs across batches is what takes the equilibrium
 /// dispatch→execute→complete→retire cycle to zero heap allocations
@@ -496,31 +514,39 @@ pub(crate) struct WorkerScratch {
 pub(crate) struct SchedArena {
     /// One ready queue per worker.
     queues: Vec<TaskQueue>,
-    /// Task bodies, taken by the executing worker. A task index lives in
-    /// exactly one queue at a time, so each mutex is uncontended — it
-    /// exists to move `TaskDef`s between threads without `unsafe`.
-    bodies: Vec<Mutex<Option<TaskDef>>>,
-    /// Map batch-local index -> global TaskId.
-    ids: Vec<TaskId>,
-    /// Execution attempts per batch-local task (keys the fault hash).
-    attempts: Vec<AtomicU32>,
-    /// Worker the locality heuristic targeted at enable time.
-    targets: Vec<AtomicUsize>,
+    /// The open batch's tasks in submission order: filled by `submit`,
+    /// emptied (capacity kept) when the batch ends, however it ends.
+    slots: Vec<TaskSlot>,
     /// Per-worker drain buffers and enable scratch.
     scratch: Vec<WorkerScratch>,
     /// Batch-local indices of the initially-enabled tasks (setup scratch).
     enabled0: Vec<usize>,
-    /// How many times `prepare` had to allocate or grow storage. A second
-    /// same-shape batch must leave this untouched (tested below); the
+    /// How many times a slab had to allocate or grow. A second same-shape
+    /// batch must leave this untouched (tested below); the
     /// equilibrium-allocation gate depends on it.
     grows: usize,
 }
 
 impl SchedArena {
-    /// Make every slab ready for a batch of `n` tasks on `workers` workers,
-    /// reusing existing capacity wherever shapes allow. Slots are cleared
-    /// (an aborted batch may leave stale bodies or queued indices behind);
-    /// `ids` is left empty for the registration loop to fill.
+    /// Store a submitted task in the next slot.
+    fn push(&mut self, def: TaskDef) {
+        if self.slots.len() == self.slots.capacity() {
+            self.grows += 1;
+        }
+        self.slots.push(TaskSlot {
+            label: def.label,
+            spec: def.spec,
+            placement: def.placement,
+            body: Mutex::new(Some(def.body)),
+            attempt: AtomicU32::new(0),
+            target: AtomicUsize::new(0),
+        });
+    }
+
+    /// Make the queues and the scratch ready for a batch of `n` tasks on
+    /// `workers` workers, reusing existing capacity wherever shapes allow
+    /// (an aborted batch may leave queued indices or buffered transitions
+    /// behind).
     fn prepare(&mut self, n: usize, workers: usize) {
         if self.queues.len() != workers {
             self.grows += 1;
@@ -533,34 +559,11 @@ impl SchedArena {
                 }
             }
         }
-        if self.bodies.len() < n {
-            self.grows += 1;
-            self.bodies.resize_with(n, || Mutex::new(None));
-        }
-        if self.attempts.len() < n {
-            self.grows += 1;
-            self.attempts.resize_with(n, || AtomicU32::new(0));
-        }
-        if self.targets.len() < n {
-            self.grows += 1;
-            self.targets.resize_with(n, || AtomicUsize::new(0));
-        }
         if self.scratch.len() < workers {
             self.grows += 1;
             self.scratch.resize_with(workers, WorkerScratch::default);
         }
-        self.ids.clear();
-        if self.ids.capacity() < n {
-            self.grows += 1;
-            self.ids.reserve(n);
-        }
         self.enabled0.clear();
-        for i in 0..n {
-            // Exclusive access between batches: `get_mut` skips the locks.
-            *lock_mut(&mut self.bodies[i]) = None;
-            *self.attempts[i].get_mut() = 0;
-            *self.targets[i].get_mut() = 0;
-        }
         for ws in &mut self.scratch {
             ws.buf.get_mut().clear();
             ws.newly.get_mut().clear();
@@ -568,14 +571,9 @@ impl SchedArena {
     }
 }
 
-/// `Mutex::get_mut`, ignoring poisoning (see [`lock`]).
-pub(crate) fn lock_mut<T>(m: &mut Mutex<T>) -> &mut T {
-    m.get_mut().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Everything serialized by the one remaining global lock: the
 /// synchronizer, the event sink and its logical clock, and checkpoint
-/// state. Scheduling state (queues, bodies, attempts) lives outside.
+/// state. Scheduling state (queues, task slots) lives outside.
 struct SyncState<S> {
     sync: Synchronizer,
     events: S,
@@ -601,18 +599,10 @@ const SETUP: usize = usize::MAX;
 
 struct Sharded<'a, S> {
     /// Per-worker ready queues, borrowed from the runtime's [`SchedArena`]
-    /// (as are the slabs below — batches reuse the storage).
+    /// (as are the task slots — batches reuse the storage).
     queues: &'a [TaskQueue],
-    /// Task bodies, taken by the executing worker. A task index lives in
-    /// exactly one queue at a time, so each mutex is uncontended — it
-    /// exists to move `TaskDef`s between threads without `unsafe`.
-    bodies: &'a [Mutex<Option<TaskDef>>],
-    /// Map batch-local index -> global TaskId.
-    ids: &'a [TaskId],
-    /// Execution attempts per batch-local task (keys the fault hash).
-    attempts: &'a [AtomicU32],
-    /// Worker the locality heuristic targeted at enable time.
-    targets: &'a [AtomicUsize],
+    /// The batch's tasks; slot `local` is task `base + local`.
+    slots: &'a [TaskSlot],
     state: Mutex<SyncState<S>>,
     /// Registered-but-not-completed tasks; 0 means the batch is drained.
     live: AtomicUsize,
@@ -656,15 +646,15 @@ impl<'a, S: Sink> Sharded<'a, S> {
     /// Locality heuristic at enable time: explicit placement, else the
     /// worker owning the task's most-recently-written object, else the
     /// locality object's declared home.
-    fn target_of(&self, def: &TaskDef) -> usize {
-        if let Some(p) = def.placement {
+    fn target_of(&self, slot: &TaskSlot) -> usize {
+        if let Some(p) = slot.placement {
             return p % self.workers;
         }
-        if let Some(w) = self.owners.latest_writer(&def.spec) {
+        if let Some(w) = self.owners.latest_writer(&slot.spec) {
             return w % self.workers;
         }
         let home = |o: ObjectId| self.store.home(o).unwrap_or(jade_core::MAIN_PROC);
-        def.spec
+        slot.spec
             .locality_object()
             .map(home)
             .unwrap_or(jade_core::MAIN_PROC)
@@ -716,34 +706,30 @@ impl<'a, S: Sink> Sharded<'a, S> {
     /// Queue `local` on the worker the locality heuristic targets, without
     /// announcing (burst building block).
     fn enqueue_dispatch(&self, local: usize, pusher: usize) {
-        // Single worker, no prefetch: every target is 0 (and `targets` was
-        // arena-reset to 0), so skip the body lock and the heuristic.
+        // Single worker, no prefetch: every target is 0 (what `submit`
+        // wrote into the slot), so skip the heuristic.
         if self.workers == 1 && !self.prefetch {
             self.queues[0].push(local, true);
             return;
         }
-        let target = {
-            let guard = lock(&self.bodies[local]);
-            let def = guard.as_ref().expect("dispatching a running task");
-            let target = self.target_of(def);
-            // Prefetch routing: publish write ownership at queue time, so
-            // successors enabled while this task is still waiting in the
-            // deque already route toward its worker. Completion republishes
-            // with the worker that actually ran it (a steal corrects the
-            // hint), and the table stays a pure heuristic either way.
-            if self.prefetch {
-                let mut routed = false;
-                for o in def.spec.written_objects() {
-                    self.owners.record(o, target);
-                    routed = true;
-                }
-                if routed {
-                    self.prefetch_routes.fetch_add(1, Ordering::Relaxed);
-                }
+        let slot = &self.slots[local];
+        let target = self.target_of(slot);
+        // Prefetch routing: publish write ownership at queue time, so
+        // successors enabled while this task is still waiting in the
+        // deque already route toward its worker. Completion republishes
+        // with the worker that actually ran it (a steal corrects the
+        // hint), and the table stays a pure heuristic either way.
+        if self.prefetch {
+            let mut routed = false;
+            for o in slot.spec.written_objects() {
+                self.owners.record(o, target);
+                routed = true;
             }
-            target
-        };
-        self.targets[local].store(target, Ordering::Relaxed);
+            if routed {
+                self.prefetch_routes.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        slot.target.store(target, Ordering::Relaxed);
         self.enqueue(target, local, pusher);
     }
 
@@ -915,9 +901,11 @@ impl<'a, S: Sink> Sharded<'a, S> {
         stats: &mut BatchStats,
         ws: &WorkerScratch,
     ) -> bool {
-        let def = lock(&self.bodies[local]).take().expect("task queued twice");
-        let id = self.ids[local];
-        let attempt = self.attempts[local].load(Ordering::Relaxed);
+        let slot = &self.slots[local];
+        let body = lock(&slot.body).take().expect("task queued twice");
+        // `base + local` is below the runtime's `next_id`, a `u32`.
+        let id = TaskId((self.base + local) as u32);
+        let attempt = slot.attempt.load(Ordering::Relaxed);
         let injected = self
             .faults
             .as_ref()
@@ -926,7 +914,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
         // A worker's own queue normally only holds tasks targeted at it —
         // but a recovered task is re-queued on the *next* worker, so the
         // locality of a non-stolen pick still has to be checked.
-        let hit = !stolen && self.targets[local].load(Ordering::Relaxed) == w;
+        let hit = !stolen && slot.target.load(Ordering::Relaxed) == w;
         if stolen {
             stats.steals += 1;
         } else if hit {
@@ -942,7 +930,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
         }
 
         // The task body stays outside the closure (`TaskBody` is `Fn`), so
-        // a caught unwind leaves `def` intact for re-execution.
+        // a caught unwind leaves it intact for re-execution.
         let result = catch_unwind(AssertUnwindSafe(|| {
             if injected {
                 // Simulated worker crash before the body runs: unwind
@@ -960,8 +948,8 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 ws.buf.borrow_mut().release(id, obj);
                 self.flush(w, &ws.buf, &mut ws.newly.borrow_mut());
             };
-            let ctx = TaskCtx::with_release_hook(self.store, id, def.label, &def.spec, &hook);
-            (def.body)(&ctx);
+            let ctx = TaskCtx::with_release_hook(self.store, id, slot.label, &slot.spec, &hook);
+            body(&ctx);
         }));
 
         match result {
@@ -971,7 +959,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 // single worker the table cannot change any routing
                 // decision (every target is 0), so skip the stamping.
                 if self.workers > 1 || self.prefetch {
-                    for o in def.spec.written_objects() {
+                    for o in slot.spec.written_objects() {
                         self.owners.record(o, w);
                     }
                 }
@@ -992,7 +980,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 // attempt number re-rolls the fault hash. The execution and
                 // start tallies above deliberately count the failed attempt
                 // — they match the event stream's `tasks_started`.
-                self.attempts[local].store(attempt + 1, Ordering::Relaxed);
+                slot.attempt.store(attempt + 1, Ordering::Relaxed);
                 stats.recoveries += 1;
                 // The state lock is only needed for events and the
                 // checkpoint lookup; untraced, checkpoint-free batches
@@ -1027,7 +1015,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 if restored {
                     stats.checkpoint_restores += 1;
                 }
-                *lock(&self.bodies[local]) = Some(def);
+                *lock(&slot.body) = Some(body);
                 // Original target kept: the re-pick on the next worker
                 // counts as neither hit nor steal.
                 self.push_to((w + 1) % self.workers, local, w);
@@ -1103,15 +1091,22 @@ fn sharded_worker<S: Sink>(w: usize, sh: &Sharded<'_, S>, ws: &mut WorkerScratch
 }
 
 impl ThreadRuntime {
-    fn run_sharded<S: Sink + Send>(&mut self, mut batch: Vec<(TaskId, TaskDef)>, events: S) {
-        let n = batch.len();
-        let base = batch[0].0.index();
+    fn run_sharded<S: Sink + Send>(&mut self, events: S) {
+        let n = self.arena.slots.len();
+        let base = self.next_id as usize - n;
         // Retire the previous batch's fully-completed synchronizer window:
         // task/decl slabs are cleared with capacity kept, so steady-state
         // same-shape batches register tasks without growing them.
         if self.sync.all_complete() && self.sync.task_count() > 0 {
             self.sync.recycle();
         }
+        // Slots carry no id: `submit` hands them out consecutively, so the
+        // slab starts where the synchronizer's window ends.
+        debug_assert_eq!(
+            base,
+            self.sync.base_task() as usize + self.sync.task_count(),
+            "task slots out of step with the synchronizer"
+        );
         self.owners.ensure(self.store.len());
         let workers = self.workers;
         self.arena.prepare(n, workers);
@@ -1124,31 +1119,23 @@ impl ThreadRuntime {
             checkpoints: 0,
         };
         // Split the arena into its disjoint slabs: the workers share the
-        // queues and task slabs; each worker additionally gets exclusive
-        // use of its own `scratch` slot.
+        // queues and the task slots; each worker additionally gets
+        // exclusive use of its own `scratch` slot.
         let SchedArena {
             queues,
-            bodies,
-            ids,
-            attempts,
-            targets,
+            slots,
             scratch,
             enabled0,
             ..
         } = &mut self.arena;
         // Register in serial program order; queue the initially-enabled.
-        for (i, (id, def)) in batch.drain(..).enumerate() {
+        for (i, slot) in slots.iter().enumerate() {
             let t = state.tick();
-            let enabled = state
-                .sync
-                .add_task_traced(id, &def.spec, &mut state.events, t, 0);
-            ids.push(id);
-            *lock_mut(&mut bodies[i]) = Some(def);
-            if enabled {
+            let id = TaskId((base + i) as u32);
+            if (state.sync).add_task_traced(id, &slot.spec, &mut state.events, t, 0) {
                 enabled0.push(i);
             }
         }
-        self.pending = batch;
         // Controller-on batches decide the drain threshold and steal
         // budget from the batch shape — fixed here, before any worker
         // runs, so the decisions (and their log) are deterministic.
@@ -1168,10 +1155,7 @@ impl ThreadRuntime {
         let drain = if S::ACTIVE { 1 } else { drain };
         let sh = Sharded {
             queues: &queues[..workers],
-            bodies: &bodies[..n],
-            ids: &ids[..n],
-            attempts: &attempts[..n],
-            targets: &targets[..n],
+            slots,
             state: Mutex::new(state),
             live: AtomicUsize::new(n),
             epoch: AtomicU64::new(0),
@@ -1222,6 +1206,9 @@ impl ThreadRuntime {
             prefetch_routes,
             ..
         } = sh;
+        // Every executed body went with its worker; what an aborted batch
+        // never ran goes here.
+        slots.clear();
         let st = state.into_inner().unwrap_or_else(|e| e.into_inner());
         self.sync = st.sync;
         self.event_clock = st.clock;
@@ -1545,7 +1532,7 @@ mod tests {
     }
 
     #[test]
-    fn pending_keeps_its_capacity_across_batches() {
+    fn slot_slab_keeps_its_capacity_across_batches() {
         let mut rt = ThreadRuntime::new(2);
         let x = rt.create("x", 8, 0u64);
         let submit_incs = |rt: &mut ThreadRuntime, n: usize| {
@@ -1556,13 +1543,13 @@ mod tests {
             }
         };
         submit_incs(&mut rt, 100);
-        let cap = rt.pending.capacity();
+        let cap = rt.arena.slots.capacity();
         assert!(cap >= 100);
         rt.finish();
-        assert!(rt.pending.is_empty());
-        assert_eq!(rt.pending.capacity(), cap, "finish gave the buffer back");
-        // A batch aborted by a genuine panic gives it back too, and leaves
-        // the runtime ready for a clean batch numbered from zero.
+        assert!(rt.arena.slots.is_empty());
+        assert_eq!(rt.arena.slots.capacity(), cap, "finish kept the slab");
+        // A batch aborted by a genuine panic keeps it too, and leaves the
+        // runtime ready for a clean batch numbered from zero.
         submit_incs(&mut rt, 10);
         rt.submit(
             TaskBuilder::new("boom")
@@ -1571,13 +1558,13 @@ mod tests {
         );
         let r = catch_unwind(AssertUnwindSafe(|| rt.finish()));
         assert!(r.is_err(), "panic must propagate to finish()");
-        assert!(rt.pending.is_empty());
-        assert_eq!(rt.pending.capacity(), cap);
+        assert!(rt.arena.slots.is_empty());
+        assert_eq!(rt.arena.slots.capacity(), cap);
         assert_eq!(rt.next_id, 0);
         submit_incs(&mut rt, 5);
         rt.finish();
         assert_eq!(*rt.store().read(x), 115);
-        assert_eq!(rt.pending.capacity(), cap);
+        assert_eq!(rt.arena.slots.capacity(), cap);
     }
 
     #[test]
@@ -1787,8 +1774,28 @@ mod tests {
                 .wr(x)
                 .body(|_| panic!("task exploded")),
         );
+        // Successors of `boom`: never enabled, so never executed. Each body
+        // holds a token, which is how the test sees it dropped.
+        let token = Arc::new(());
+        for _ in 0..20 {
+            let held = Arc::clone(&token);
+            rt.submit(TaskBuilder::new("after").rd_wr(x).body(move |ctx| {
+                *ctx.wr(x) += Arc::strong_count(&held) as u64;
+            }));
+        }
         let r = catch_unwind(AssertUnwindSafe(|| rt.finish()));
         assert!(r.is_err(), "application panic must propagate");
+        assert_eq!(rt.last_stats().executed, 1);
+        assert_eq!(Arc::strong_count(&token), 1, "unexecuted bodies linger");
+        assert!(rt.arena.slots.is_empty());
+        assert!(rt.arena.slots.capacity() >= 21, "the slab kept its storage");
+        assert_eq!(rt.next_id, 0);
+        assert_eq!(rt.sync.task_count(), 0);
+        // The same runtime then runs a clean batch as a new one would.
+        let serial = reference_workload(&mut jade_core::TraceRuntime::new());
+        assert_eq!(reference_workload(&mut rt), serial);
+        assert_eq!(rt.last_stats().recoveries, 0);
+        assert!(rt.arena.slots.is_empty());
     }
 
     #[test]
@@ -2294,7 +2301,8 @@ mod tests {
                 .collect();
             run_counter_batch(&mut rt, 64, &handles);
             let grows = rt.arena.grows;
-            assert!(grows > 0, "first batch must build the arena");
+            // Queues, scratch and the slot slab (which `submit` grows).
+            assert!(grows >= 3, "first batch must build the arena");
             run_counter_batch(&mut rt, 64, &handles);
             assert_eq!(
                 rt.arena.grows, grows,
@@ -2303,10 +2311,81 @@ mod tests {
             // A smaller batch must reuse as well; only a bigger one grows.
             run_counter_batch(&mut rt, 32, &handles);
             assert_eq!(rt.arena.grows, grows, "smaller batch re-grew");
+            let slab = rt.arena.slots.capacity();
             run_counter_batch(&mut rt, 256, &handles);
             assert!(rt.arena.grows > grows, "bigger batch must grow");
+            assert!(rt.arena.slots.capacity() > slab, "and grows the slab");
             assert_eq!(*rt.store().read(handles[0]), (64 + 64 + 32 + 256) / 8);
         }
+    }
+
+    #[test]
+    fn enabled_task_is_routed_while_its_body_slot_is_locked() {
+        // Worker 0's flush completes `a`, which enables `b`; routing `b`
+        // reads its slot's specification and placement and nothing else.
+        // The test holds `b`'s body mutex throughout: a dispatch path that
+        // took it would never finish the flush.
+        let mut store = Store::new();
+        let x = store.create("x", 8, 0u64);
+        let mut owners = OwnerTable::default();
+        owners.ensure(store.len());
+        owners.record(x.id(), 1);
+        let mut arena = SchedArena::default();
+        arena.push(TaskBuilder::new("a").wr(x).body(|_| {}));
+        arena.push(TaskBuilder::new("b").rd(x).body(|_| {}));
+        arena.prepare(2, 2);
+        let mut sync = Synchronizer::new(true);
+        let mut events = NullSink;
+        assert!(sync.add_task_traced(TaskId(0), &arena.slots[0].spec, &mut events, 0, 0));
+        assert!(!sync.add_task_traced(TaskId(1), &arena.slots[1].spec, &mut events, 0, 0));
+        let sh = Sharded {
+            queues: &arena.queues,
+            slots: &arena.slots,
+            state: Mutex::new(SyncState {
+                sync,
+                events,
+                clock: 0,
+                since_ckpt: 0,
+                last_ckpt: None,
+                checkpoints: 0,
+            }),
+            live: AtomicUsize::new(2),
+            epoch: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
+            idle: Mutex::new(()),
+            cv: Condvar::new(),
+            panicked: AtomicBool::new(false),
+            panic: Mutex::new(None),
+            faults: None,
+            ckpt_every: None,
+            owners: &owners,
+            store: &store,
+            base: 0,
+            workers: 2,
+            drain: DRAIN_BATCH,
+            steal_budget: 1,
+            sync_locks: AtomicUsize::new(0),
+            prefetch: false,
+            prefetch_routes: AtomicUsize::new(0),
+        };
+        let held = lock(&sh.slots[1].body);
+        let (done, flushed) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let sh = &sh;
+            scope.spawn(move || {
+                let ws = WorkerScratch::default();
+                ws.buf.borrow_mut().complete(TaskId(0));
+                sh.flush(0, &ws.buf, &mut ws.newly.borrow_mut());
+                done.send(()).unwrap();
+            });
+            let waited = flushed.recv_timeout(std::time::Duration::from_secs(10));
+            // Let a blocked flush through before the scope joins it.
+            drop(held);
+            waited.expect("routing an enabled task waited for its body mutex");
+        });
+        assert_eq!(sh.slots[1].target.load(Ordering::Relaxed), 1);
+        assert_eq!(sh.queues[1].steal(), Some(1), "`b` follows `x`'s writer");
+        assert_eq!(sh.live.load(Ordering::SeqCst), 1);
     }
 
     #[test]

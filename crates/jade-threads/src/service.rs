@@ -55,8 +55,8 @@
 use crate::{lock, InjectedFailure, OwnerTable, MAX_TASK_ATTEMPTS};
 use dsim::FaultPlan;
 use jade_core::{
-    tag_events, Event, EventKind, EventSink, Handle, Locality, Metrics, ObjectId, Store,
-    Synchronizer, TaggedEvent, TaskCtx, TaskDef, TaskId, TenantId, Transition,
+    tag_events, AccessSpec, Event, EventKind, EventSink, Handle, Locality, Metrics, ObjectId,
+    Store, Synchronizer, TaggedEvent, TaskBody, TaskCtx, TaskDef, TaskId, TenantId, Transition,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -270,17 +270,32 @@ impl TenantReport {
 /// a warmed service registers a DAG without growing any of these.
 #[derive(Default)]
 struct Slot {
-    /// Task bodies, taken by the executing worker; restored on an injected
-    /// crash so the re-execution runs the same body.
-    bodies: Vec<Option<TaskDef>>,
+    /// The tenant's tasks, indexed by tenant-local task id.
+    tasks: Vec<TenantTask>,
     sync: Synchronizer,
     /// Enabled, not-yet-dispatched tenant-local task indices (FIFO).
     ready: VecDeque<usize>,
-    attempts: Vec<u32>,
+    owners: OwnerTable,
+}
+
+/// One registered task: the service's counterpart of `ThreadRuntime`'s task
+/// slot. Everything here is guarded by the core lock, so it needs neither
+/// that slot's body mutex nor its atomics, and its target is optional
+/// (`Locality::Untracked`).
+struct TenantTask {
+    label: &'static str,
+    /// Read in place while the task waits (registration, target
+    /// selection). It travels with the body to the executing worker, whose
+    /// `TaskCtx` needs it off the core lock, and nothing reads the
+    /// specification of a running task.
+    spec: AccessSpec,
+    /// Taken by the executing worker; put back, with the specification, on
+    /// an injected crash so the re-execution runs the same body.
+    body: Option<TaskBody>,
+    attempt: u32,
     /// Locality target recorded when the task became ready (most recent
     /// writer of its declared objects at that moment), if any.
-    targets: Vec<Option<usize>>,
-    owners: OwnerTable,
+    target: Option<usize>,
 }
 
 /// Largest tenant (tasks + declared accesses + objects) whose slot is kept
@@ -420,7 +435,9 @@ struct Inner {
 struct Picked {
     tenant: u32,
     local: usize,
-    def: TaskDef,
+    label: &'static str,
+    spec: AccessSpec,
+    body: TaskBody,
     attempt: u32,
     injected: bool,
     store: Arc<Store>,
@@ -633,9 +650,7 @@ fn register_tenant(core: &mut Core, pend: PendingTenant) {
     } = pend;
     let n = prog.tasks.len();
     let mut slot = core.spares.pop().unwrap_or_default();
-    slot.bodies.reserve(n);
-    slot.attempts.resize(n, 0);
-    slot.targets.resize(n, None);
+    slot.tasks.reserve(n);
     slot.owners.ensure(prog.store.len());
     // Five events per task (created, enabled, dispatched, started,
     // completed): a fault-free tenant's stream never reallocates.
@@ -647,7 +662,13 @@ fn register_tenant(core: &mut Core, pend: PendingTenant) {
         if (slot.sync).add_task_traced(TaskId(i as u32), &def.spec, &mut events, t, 0) {
             slot.ready.push_back(i);
         }
-        slot.bodies.push(Some(def));
+        slot.tasks.push(TenantTask {
+            label: def.label,
+            spec: def.spec,
+            body: Some(def.body),
+            attempt: 0,
+            target: None,
+        });
     }
     core.ready_tasks += slot.ready.len();
     core.deadlines += usize::from(deadline.is_some());
@@ -719,10 +740,8 @@ fn finalize_tenant(core: &mut Core, inner: &Inner, id: u32) {
             slot.ready.is_empty(),
             "a terminal tenant has nothing queued"
         );
-        slot.bodies.clear();
+        slot.tasks.clear();
         slot.sync.reset();
-        slot.attempts.clear();
-        slot.targets.clear();
         slot.owners.reset();
         core.spares.push(slot);
     }
@@ -831,14 +850,16 @@ fn pick(core: &mut Core, inner: &Inner, w: usize) -> Option<Picked> {
     core.burst = core.burst.saturating_add(1);
     core.ready_tasks -= 1;
     let local = t.slot.ready.pop_front().expect("ready checked non-empty");
-    let def = t.slot.bodies[local].take().expect("task dispatched twice");
-    let attempt = t.slot.attempts[local];
+    let task = &mut t.slot.tasks[local];
+    let body = task.body.take().expect("task dispatched twice");
+    let (label, spec) = (task.label, std::mem::take(&mut task.spec));
+    let (attempt, target) = (task.attempt, task.target);
     let injected = t
         .faults
         .as_ref()
         .is_some_and(|plan| task_crashes(plan, local as u64, attempt, inner.cfg.workers));
     t.running += 1;
-    let locality = match t.slot.targets[local] {
+    let locality = match target {
         None => Locality::Untracked,
         Some(tw) if tw == w => Locality::Hit,
         Some(_) => Locality::Miss,
@@ -853,7 +874,9 @@ fn pick(core: &mut Core, inner: &Inner, w: usize) -> Option<Picked> {
     Some(Picked {
         tenant: id,
         local,
-        def,
+        label,
+        spec,
+        body,
         attempt,
         injected,
         store: Arc::clone(&t.store),
@@ -887,9 +910,8 @@ fn apply_transition(core: &mut Core, tenant: u32, tr: Transition, w: usize) -> b
     let enabled = if t.cancel.is_none() { newly.len() } else { 0 };
     for id in &newly[..enabled] {
         let local = id.index();
-        let def = slot.bodies[local].as_ref();
-        let spec = &def.expect("enabled task has a body").spec;
-        slot.targets[local] = slot.owners.latest_writer(spec);
+        let task = &mut slot.tasks[local];
+        task.target = slot.owners.latest_writer(&task.spec);
         slot.ready.push_back(local);
     }
     core.ready_tasks += enabled;
@@ -913,14 +935,16 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core
     let Picked {
         tenant,
         local,
-        def,
+        label,
+        spec,
+        body,
         attempt,
         injected,
         store,
     } = p;
     let id = TaskId(local as u32);
     // The body stays outside the closure (`TaskBody` is `Fn`), so a caught
-    // unwind leaves `def` intact for re-execution.
+    // unwind leaves it intact for re-execution.
     let result = catch_unwind(AssertUnwindSafe(|| {
         if injected {
             // Simulated crash before the body runs — quiet unwind, no
@@ -939,15 +963,14 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core
                 core.wake_worker(inner);
             }
         };
-        let ctx = TaskCtx::with_release_hook(&store, id, def.label, &def.spec, &hook);
-        (def.body)(&ctx);
+        let ctx = TaskCtx::with_release_hook(&store, id, label, &spec, &hook);
+        body(&ctx);
     }));
     drop(store);
 
     match result {
         Ok(()) => {
             // The closure is the tenant's code: drop it off the lock.
-            let TaskDef { spec, body, .. } = def;
             drop(body);
             let mut core = worker_lock(inner);
             let t = core.active.get_mut(&tenant).expect("tenant still active");
@@ -975,12 +998,14 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core
             let mut core = worker_lock(inner);
             let (failed, again) = (core.tick(), core.tick());
             let t = core.active.get_mut(&tenant).expect("tenant still active");
-            t.slot.attempts[local] = attempt + 1;
+            let task = &mut t.slot.tasks[local];
+            task.attempt = attempt + 1;
+            task.spec = spec;
+            task.body = Some(body);
             t.recoveries += 1;
             t.running -= 1;
             t.events.emit(failed, w, EventKind::WorkerFailed);
             t.events.emit_task(again, w, EventKind::TaskReExecuted, id);
-            t.slot.bodies[local] = Some(def);
             if t.cancel.is_none() {
                 t.slot.ready.push_back(local);
                 core.ready_tasks += 1;
@@ -993,7 +1018,7 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core
             // Genuine tenant failure: contain it. Only this tenant is
             // cancelled; the pool and every other tenant keep running.
             let msg = panic_message(&*p, injected);
-            drop((p, def));
+            drop((p, body, spec));
             let mut core = worker_lock(inner);
             let time = core.tick();
             let t = core.active.get_mut(&tenant).expect("tenant still active");
@@ -2021,9 +2046,10 @@ mod tests {
             until(&svc, "workers parked", |c| c.idle == 2);
             let core = lock(&svc.inner.core);
             assert!((1..=2).contains(&core.spares.len()));
-            assert!(core.spares.iter().all(|s| {
-                s.bodies.is_empty() && s.ready.is_empty() && s.sync.task_count() == 0
-            }));
+            assert!(core
+                .spares
+                .iter()
+                .all(|s| s.tasks.is_empty() && s.ready.is_empty() && s.sync.task_count() == 0));
         }
         let huge = SPARE_MAX_ENTRIES;
         let (prog, h) = chain_program(huge);
@@ -2032,6 +2058,6 @@ mod tests {
         assert_eq!(*r.store.read(h), chain_expected(huge));
         let core = lock(&svc.inner.core);
         assert!(core.spares.len() <= 2);
-        assert!(core.spares.iter().all(|s| s.bodies.capacity() < huge));
+        assert!(core.spares.iter().all(|s| s.tasks.capacity() < huge));
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! This test binary installs a counting `#[global_allocator]` shim (it
 //! cannot live in a library: `jade-bench` is `#![forbid(unsafe_code)]`, and
-//! Rust allows exactly one global allocator per binary). Six things are
+//! Rust allows exactly one global allocator per binary). Eight things are
 //! covered:
 //!
 //! 1. the counter actually observes a deliberate allocation (the harness
@@ -26,7 +26,14 @@
 //!    aggregation, prefetch, two tasks per processor, tuning, message loss
 //!    and checkpoints — so the per-fetch path (request, reply, ack timer,
 //!    reconcile) stays free of per-message and per-task `Vec`s;
-//! 6. when no counting shim feeds the counter (another global allocator
+//! 6. a task of at most three declarations costs one heap block, its
+//!    closure: building the `TaskDef` allocates once (the specification is
+//!    inline), a fourth declaration adds the spill and nothing more;
+//! 7. a warmed `ThreadRuntime` hands back exactly one block per task over
+//!    `submit` + `finish` — the closure, dropped by the worker that ran it
+//!    (the slot slab, the queues and the synchronizer window are recycled,
+//!    and there is no per-task specification block left to free);
+//! 8. when no counting shim feeds the counter (another global allocator
 //!    is active), the probe reports inactive and the assertions skip
 //!    cleanly — the probe side of that contract is exercised in
 //!    `jade-bench`'s in-crate tests, which install no shim.
@@ -40,14 +47,15 @@ use std::sync::Mutex;
 struct CountingAlloc;
 
 // SAFETY: pure delegation to the system allocator — same layout
-// contracts, same returned pointers; the only addition is two relaxed
-// counter increments on the allocating paths.
+// contracts, same returned pointers; the only addition is relaxed counter
+// increments (two on the allocating paths, one on `dealloc`).
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
         jade_bench::alloc::note_alloc(layout.size());
         std::alloc::GlobalAlloc::alloc(&std::alloc::System, layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        jade_bench::alloc::note_free();
         std::alloc::GlobalAlloc::dealloc(&std::alloc::System, ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
@@ -147,6 +155,95 @@ fn steady_state_allocs_per_task_is_zero() {
             clean,
             "{workers} workers: steady-state batches kept allocating \
              (extra allocs for +1000 tasks across attempts: {deltas:?})"
+        );
+    }
+}
+
+#[test]
+fn small_task_def_allocates_only_its_closure() {
+    let _guard = SERIAL.lock().unwrap();
+    if counting_inactive() {
+        return;
+    }
+    let mut rt = ThreadRuntime::new(1);
+    let objs: Vec<_> = (0..4)
+        .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
+        .collect();
+    // Building is single-threaded and deterministic, and the harness's own
+    // threads can only inflate a window: the smallest of a few attempts is
+    // the builder's.
+    let built = |decls: usize| {
+        (0..5)
+            .map(|_| {
+                let (a, b) = (objs[0], objs[decls - 1]);
+                let (allocs, def) = jade_bench::alloc::allocs_during(|| {
+                    let mut task = TaskBuilder::new("t");
+                    for &o in &objs[..decls] {
+                        task = task.rd_wr(o);
+                    }
+                    task.body(move |ctx| *ctx.wr(b) += *ctx.rd(a))
+                });
+                assert_eq!(def.spec.len(), decls);
+                allocs
+            })
+            .min()
+            .expect("five attempts")
+    };
+    for decls in 1..=3 {
+        assert_eq!(built(decls), 1, "{decls} declarations: the closure only");
+    }
+    assert_eq!(built(4), 2, "the fourth declaration spills, once");
+}
+
+#[test]
+fn warmed_runtime_frees_one_block_per_task() {
+    let _guard = SERIAL.lock().unwrap();
+    if counting_inactive() {
+        return;
+    }
+    let n = 1000usize;
+    for workers in [1usize, 2] {
+        let mut rt = ThreadRuntime::new(workers);
+        let counters: Vec<_> = (0..STRESS_OBJECTS)
+            .map(|i| rt.create(&format!("c{i}"), 8, 0u64))
+            .collect();
+        // Tasks are built outside the window; `submit` + `finish` is inside.
+        let mut run = |count: usize| {
+            let defs: Vec<_> = (0..count)
+                .map(|i| {
+                    let (c, d) = (
+                        counters[i % STRESS_OBJECTS],
+                        counters[(i + 1) % STRESS_OBJECTS],
+                    );
+                    TaskBuilder::new("inc").rd(d).rd_wr(c).body(move |ctx| {
+                        *ctx.wr(c) += 1 + (*ctx.rd(d) & 1);
+                    })
+                })
+                .collect();
+            let (frees, ()) = jade_bench::alloc::frees_during(|| {
+                for def in defs {
+                    rt.submit(def);
+                }
+                rt.finish();
+            });
+            frees
+        };
+        for _ in 0..3 {
+            run(2 * n);
+        }
+        // Differential, as above: per-batch frees (the `Vec` of tasks, the
+        // worker threads' stacks) cancel, and the harness's own threads can
+        // only inflate a window, so the first clean attempt decides.
+        let mut seen = Vec::new();
+        let clean = (0..5).any(|_| {
+            let (small, large) = (run(n), run(2 * n));
+            seen.push((small, large));
+            large.wrapping_sub(small) == n as u64
+        });
+        assert!(
+            clean,
+            "{workers} workers: +{n} tasks must free {n} more blocks, their \
+             closures ((N, 2N) frees across attempts: {seen:?})"
         );
     }
 }
