@@ -2,8 +2,9 @@
 //! throughput, simulator event rates (and, under them, the calendar and
 //! the fault injector), trace generation, the real thread backend (one
 //! cold batch, and `submit` + `finish` per task on a warmed runtime in the
-//! benchmark's three fine-grain shapes), building an access specification,
-//! and element access through a store guard.
+//! benchmark's three fine-grain shapes), the multi-tenant service (a closed
+//! loop of small DAGs, per task), building an access specification, and
+//! element access through a store guard.
 //!
 //! Plain self-timing harness (`harness = false`): each benchmark runs a
 //! fixed number of iterations and reports the mean wall-clock time per
@@ -15,7 +16,7 @@ use jade_core::{
     AccessSpec, Handle, JadeRuntime, ObjectId, Store, Synchronizer, TaskBuilder, TaskDef, TaskId,
     TraceBuilder,
 };
-use jade_threads::ThreadRuntime;
+use jade_threads::{JadeService, Outcome, Program, ServiceConfig, TenantOptions, ThreadRuntime};
 
 fn bench(name: &str, iters: u32, mut f: impl FnMut()) {
     // One warm-up iteration, then the timed batch.
@@ -259,6 +260,121 @@ fn threads_submit_finish() {
     }
 }
 
+/// DAG number `i` of `benchmark/`'s `service-mix` shapes, five chains of 16,
+/// three 1 -> 14 -> 1 fans and two 8 x 8 wavefronts in every ten, with the
+/// object its last task writes and the value a serial run leaves there.
+fn mix_dag(i: usize) -> (Program, Handle<u64>, u64) {
+    let mut prog = Program::new();
+    match i % 10 {
+        1 | 4 | 7 => {
+            let src = prog.create("src", 8, 0u64);
+            let mids: Vec<_> = (0..14)
+                .map(|k| prog.create(format!("m{k}"), 8, 0u64))
+                .collect();
+            let out = prog.create("out", 8, 0u64);
+            prog.submit(
+                TaskBuilder::new("src")
+                    .wr(src)
+                    .body(move |ctx| *ctx.wr(src) = 3),
+            );
+            for (k, &m) in mids.iter().enumerate() {
+                prog.submit(
+                    TaskBuilder::new("mid")
+                        .rd(src)
+                        .wr(m)
+                        .body(move |ctx| *ctx.wr(m) = *ctx.rd(src) * (k as u64 + 1)),
+                );
+            }
+            let mut join = TaskBuilder::new("join");
+            for &m in &mids {
+                join = join.rd(m);
+            }
+            prog.submit(join.wr(out).body(move |ctx| {
+                *ctx.wr(out) = mids.iter().map(|&m| *ctx.rd(m)).sum();
+            }));
+            (prog, out, 3 * (14 * 15 / 2))
+        }
+        3 | 8 => {
+            const SIDE: usize = 8;
+            let cells: Vec<_> = (0..SIDE * SIDE)
+                .map(|c| prog.create(format!("c{c}"), 8, 0u64))
+                .collect();
+            for c in 0..SIDE * SIDE {
+                let me = cells[c];
+                let left = (c % SIDE > 0).then(|| cells[c - 1]);
+                let up = (c >= SIDE).then(|| cells[c - SIDE]);
+                let mut task = TaskBuilder::new("cell");
+                for h in left.iter().chain(&up) {
+                    task = task.rd(*h);
+                }
+                prog.submit(task.rd_wr(me).body(move |ctx| {
+                    let l = left.map_or(0, |h| *ctx.rd(h));
+                    let u = up.map_or(0, |h| *ctx.rd(h));
+                    *ctx.wr(me) = l.max(u) + 1;
+                }));
+            }
+            (prog, cells[SIDE * SIDE - 1], (2 * SIDE - 1) as u64)
+        }
+        _ => {
+            let acc = prog.create("acc", 8, 0u64);
+            for _ in 0..16 {
+                prog.submit(
+                    TaskBuilder::new("link")
+                        .rd_wr(acc)
+                        .body(move |ctx| *ctx.wr(acc) += 1),
+                );
+            }
+            (prog, acc, 16)
+        }
+    }
+}
+
+/// The service's cost per task: 1 200 of those DAGs through one warmed
+/// `JadeService`, closed loop with sixteen outstanding, programs built
+/// outside the clock, `submit` and `wait` inside it — at the worker count
+/// `benchmark/` uses (never fewer than two: what a second worker costs is
+/// the question) and at one worker. The per-layer baseline the next service
+/// change is read against, and only under `taskset -c 0`, which is how
+/// `benchmark/` times `service-mix` (+-15 % there): unpinned, every park and
+/// wake crosses cores, and on the two-vCPU reference host that costs
+/// 0.55-0.77 us a task in one minute and 3.4-6.8 us in the next.
+fn service_mix() {
+    const DAGS: usize = 1_200;
+    const WINDOW: usize = 16;
+    let wide = std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4));
+    for workers in [wide, 1] {
+        let svc = JadeService::new(ServiceConfig::new(workers));
+        let (passes, mut secs, mut tasks) = (8, 0.0, 0usize);
+        for pass in 0..=passes {
+            let dags: Vec<_> = (0..DAGS).map(mix_dag).collect();
+            let n: usize = dags.iter().map(|d| d.0.task_count()).sum();
+            let mut outstanding = std::collections::VecDeque::new();
+            let reap = |(id, out, expect)| {
+                let r = svc.wait(id);
+                assert_eq!(r.outcome, Outcome::Completed);
+                assert_eq!(*r.store.read::<u64>(out), expect);
+            };
+            let start = std::time::Instant::now();
+            for (prog, out, expect) in dags {
+                if outstanding.len() == WINDOW {
+                    reap(outstanding.pop_front().expect("window is full"));
+                }
+                let id = svc.submit(prog, TenantOptions::default()).unwrap();
+                outstanding.push_back((id, out, expect));
+            }
+            outstanding.into_iter().for_each(reap);
+            // The first pass sizes the spare slots: not timed.
+            if pass > 0 {
+                secs += start.elapsed().as_secs_f64();
+                tasks += n;
+            }
+        }
+        let name = format!("service/mix_{DAGS}/w{workers}");
+        let per_task = secs * 1e9 / tasks as f64;
+        println!("{name:>32}  {per_task:>12.1} ns/task  ({passes} passes)");
+    }
+}
+
 /// Building a specification of one, three (the most held inline) and eight
 /// declarations (spilled). An iteration builds 100 000: µs/iter ÷ 100 is
 /// nanoseconds each.
@@ -315,6 +431,7 @@ fn main() {
     trace_generation();
     thread_backend();
     threads_submit_finish();
+    service_mix();
     access_spec_build();
     store_guard_index();
 }

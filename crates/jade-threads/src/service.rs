@@ -37,9 +37,10 @@
 //!   bound asserted in the tests.
 //! * **Cost per task.** A worker settles a finished task and picks its
 //!   next one under a single acquisition of the core lock; a condvar is
-//!   notified only when someone is parked on it for that very reason
-//!   (`Core::idle`, `Core::awaited`); a retired tenant's slabs serve the
-//!   next one. Protocol and no-lost-wake-up argument: DESIGN.md §16.
+//!   notified only when someone is parked on it for that very reason and
+//!   has not been notified already (`Core::idle` / `waking`, `awaited`),
+//!   `work` never under the lock; a retired tenant's slabs serve the next
+//!   one. Protocol and no-lost-wake-up argument: DESIGN.md §16.
 //! * **Per-tenant metrics.** Every event is recorded in the tenant's own
 //!   stream under one service-global logical clock, so
 //!   [`TenantReport::tagged_events`] merge into a globally ordered tagged
@@ -332,10 +333,14 @@ struct Tenant {
     carry: u32,
 }
 
-/// A submission waiting for an active slot.
+/// A submission waiting for an active slot. `submit` allocates what leaves
+/// with the report (`store`, `events`) before it locks: no admission path
+/// (`submit`'s own, a worker's `pump_admissions`) allocates under the lock.
 struct PendingTenant {
     id: u32,
-    prog: Program,
+    tasks: Vec<TaskDef>,
+    store: Arc<Store>,
+    events: Vec<Event>,
     deadline: Option<Instant>,
     faults: Option<FaultPlan>,
     weight: u32,
@@ -362,10 +367,13 @@ struct Core {
     clock: u64,
     shutdown: bool,
     /// Workers parked on `work` (or woken and not yet back under the lock).
-    /// With `awaited` this is the wake protocol of DESIGN.md §16: both are
-    /// written only under the core lock, by the thread that parks, so a
-    /// notifier holding the lock knows whether anyone needs a wake-up.
+    /// With `waking` and `awaited` this is the wake protocol of DESIGN.md
+    /// §16: all three are written only under the core lock, so a notifier
+    /// holding the lock knows whether anyone needs a wake-up.
     idle: usize,
+    /// Notifications sent to parked workers and not yet consumed by a
+    /// worker coming back under the lock: `waking <= idle`.
+    waking: usize,
     /// Tenant ids some `wait` caller is parked on, one entry per caller.
     awaited: Vec<u32>,
     /// Ready tasks over all resident tenants (`Σ slot.ready.len()`; a
@@ -399,14 +407,20 @@ impl Core {
         t
     }
 
-    /// Wake one parked worker, if any, for ready work the caller will not
-    /// run itself. Every worker that is not parked picks before it parks,
-    /// so with `idle == 0` there is nobody to tell.
-    fn wake_worker(&mut self, inner: &Inner) {
-        if self.idle > 0 {
+    /// Decide whether to wake one parked worker for ready work the caller
+    /// will not run itself; on `true` the caller owes `work` a `notify_one`
+    /// once the guard is dropped ([`unlock_and_wake`]). A worker that is not
+    /// parked picks before it parks, so with `idle == 0` there is nobody to
+    /// tell; one that is parked is told once, so neither with `idle == waking`.
+    #[must_use]
+    fn wake_worker(&mut self) -> bool {
+        debug_assert!(self.waking <= self.idle);
+        let wake = self.idle > self.waking;
+        if wake {
+            self.waking += 1;
             probe!(self, work_notifies);
-            inner.work.notify_one();
         }
+        wake
     }
 
     /// Tenant `id`'s report just landed in `finished`: wake the `wait`
@@ -423,8 +437,8 @@ impl Core {
 struct Inner {
     cfg: ServiceConfig,
     core: Mutex<Core>,
-    /// Workers park here when no tenant has ready work; notified only
-    /// while `Core::idle > 0` (and at shutdown).
+    /// Workers park here when no tenant has ready work; notified as
+    /// `Core::wake_worker` decides (and at shutdown), never under the lock.
     work: Condvar,
     /// `wait` callers park here until their report lands in `finished`;
     /// notified only for an id in `Core::awaited`.
@@ -497,6 +511,11 @@ impl JadeService {
         }
         let deadline = opts.deadline.map(|d| Instant::now() + d);
         let weight = opts.weight.max(1);
+        let Program { store, tasks } = prog;
+        let store = Arc::new(store);
+        // Five events per task (created, enabled, dispatched, started,
+        // completed): a fault-free tenant's stream never reallocates.
+        let events = Vec::with_capacity(5 * tasks.len());
         let mut core = lock(&self.inner.core);
         if core.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -530,21 +549,25 @@ impl JadeService {
         core.next_id += 1;
         let pend = PendingTenant {
             id,
-            prog,
+            tasks,
+            store,
+            events,
             deadline,
             faults: opts.faults,
             weight,
         };
-        if core.active.len() < self.inner.cfg.max_active {
+        let wake = if core.active.len() < self.inner.cfg.max_active {
             // A free slot means `pending` is empty (the park invariant, see
             // `pick`), so registering here does not jump the queue.
             register_tenant(&mut core, pend);
-            core.wake_worker(&self.inner);
+            core.wake_worker()
         } else {
             // Every slot is taken: nothing a worker could do about it now.
             // The worker that frees a slot admits from `pending` itself.
             core.pending.push_back(pend);
-        }
+            false
+        };
+        unlock_and_wake(&self.inner, core, wake);
         Ok(TenantId(id))
     }
 
@@ -628,9 +651,9 @@ fn shed_report(p: &PendingTenant) -> TenantReport {
     TenantReport {
         tenant: TenantId(p.id),
         outcome: Outcome::Shed,
-        tasks_total: p.prog.tasks.len(),
+        tasks_total: p.tasks.len(),
         tasks_completed: 0,
-        tasks_cancelled: p.prog.tasks.len(),
+        tasks_cancelled: p.tasks.len(),
         recoveries: 0,
         store: Arc::new(Store::new()),
         events: Vec::new(),
@@ -643,20 +666,20 @@ fn shed_report(p: &PendingTenant) -> TenantReport {
 fn register_tenant(core: &mut Core, pend: PendingTenant) {
     let PendingTenant {
         id,
-        prog,
+        tasks,
+        store,
+        events,
         deadline,
         faults,
         weight,
     } = pend;
-    let n = prog.tasks.len();
+    let n = tasks.len();
     let mut slot = core.spares.pop().unwrap_or_default();
     slot.tasks.reserve(n);
-    slot.owners.ensure(prog.store.len());
-    // Five events per task (created, enabled, dispatched, started,
-    // completed): a fault-free tenant's stream never reallocates.
-    let mut events = EventSink::Record(Vec::with_capacity(5 * n));
+    slot.owners.ensure(store.len());
+    let mut events = EventSink::Record(events);
     let mut n_decls = 0;
-    for (i, def) in prog.tasks.into_iter().enumerate() {
+    for (i, def) in tasks.into_iter().enumerate() {
         let t = core.tick();
         n_decls += def.spec.len();
         if (slot.sync).add_task_traced(TaskId(i as u32), &def.spec, &mut events, t, 0) {
@@ -673,7 +696,7 @@ fn register_tenant(core: &mut Core, pend: PendingTenant) {
     core.ready_tasks += slot.ready.len();
     core.deadlines += usize::from(deadline.is_some());
     let tenant = Tenant {
-        store: Arc::new(prog.store),
+        store,
         slot,
         events,
         n_tasks: n,
@@ -928,6 +951,16 @@ fn worker_lock(inner: &Inner) -> MutexGuard<'_, Core> {
     core
 }
 
+/// Release the core lock, then deliver the wake-up `Core::wake_worker`
+/// decided on under it: the futex call stays out of the one section every
+/// dispatch serialises on.
+fn unlock_and_wake(inner: &Inner, core: MutexGuard<'_, Core>, wake: bool) {
+    drop(core);
+    if wake {
+        inner.work.notify_one();
+    }
+}
+
 /// Run one picked task outside the core lock, then settle the result under
 /// it. Returns the guard it settled under: the caller picks its next task
 /// in the same critical section, so a task costs one acquisition.
@@ -959,9 +992,9 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core
         // picks it up.
         let hook = |obj: ObjectId| {
             let mut core = worker_lock(inner);
-            if apply_transition(&mut core, tenant, Transition::Release(id, obj), w) {
-                core.wake_worker(inner);
-            }
+            let wake = apply_transition(&mut core, tenant, Transition::Release(id, obj), w)
+                && core.wake_worker();
+            unlock_and_wake(inner, core, wake);
         };
         let ctx = TaskCtx::with_release_hook(&store, id, label, &spec, &hook);
         body(&ctx);
@@ -1050,16 +1083,15 @@ fn worker_loop(inner: &Inner, w: usize) {
             // Whatever made work appear (a submit, a release, a settle, an
             // admission) woke at most one sleeper; each worker passes the
             // wake on while ready work is left over after its own pick.
-            if core.ready_tasks > 0 {
-                core.wake_worker(inner);
-            }
-            drop(core);
+            let wake = core.ready_tasks > 0 && core.wake_worker();
+            unlock_and_wake(inner, core, wake);
             core = execute_and_settle(inner, w, p);
             continue;
         }
         if core.shutdown && core.active.is_empty() && core.pending.is_empty() {
             // The other workers may have parked while this one drained the
             // last tenant: wake them all to see the pool is done.
+            drop(core);
             inner.work.notify_all();
             return;
         }
@@ -1079,6 +1111,7 @@ fn worker_loop(inner: &Inner, w: usize) {
         // Expired-but-undrained deadlines need a periodic observer even
         // when no completion or submission will wake us.
         core.idle += 1;
+        probe!(core, parks);
         core = if core.deadlines > 0 {
             let timeout = Duration::from_millis(5);
             let waited = inner.work.wait_timeout(core, timeout);
@@ -1086,7 +1119,10 @@ fn worker_loop(inner: &Inner, w: usize) {
         } else {
             inner.work.wait(core).unwrap_or_else(|e| e.into_inner())
         };
+        // Notified, timed out or spurious: back under the lock either way,
+        // and a notification in flight (if any) has done its work.
         core.idle -= 1;
+        core.waking = core.waking.saturating_sub(1);
         probe!(core, worker_locks);
     }
 }
@@ -1131,6 +1167,65 @@ mod tests {
             }));
         }
         (prog, sum)
+    }
+
+    /// One source, `k` readers of it each writing its own object, and a
+    /// join reading all of those: the benchmark's fan. Returns the join's
+    /// output and the value a serial run leaves there.
+    fn fan_program(k: usize) -> (Program, Handle<u64>, u64) {
+        let mut prog = Program::new();
+        let src = prog.create("src", 8, 0u64);
+        let mids: Vec<Handle<u64>> = (0..k)
+            .map(|i| prog.create(format!("m{i}"), 8, 0u64))
+            .collect();
+        let out = prog.create("out", 8, 0u64);
+        prog.submit(
+            TaskBuilder::new("src")
+                .wr(src)
+                .body(move |ctx| *ctx.wr(src) = 3),
+        );
+        for (i, &m) in mids.iter().enumerate() {
+            prog.submit(
+                TaskBuilder::new("mid")
+                    .rd(src)
+                    .wr(m)
+                    .body(move |ctx| *ctx.wr(m) = *ctx.rd(src) * (i as u64 + 1)),
+            );
+        }
+        let mut join = TaskBuilder::new("join");
+        for &m in &mids {
+            join = join.rd(m);
+        }
+        prog.submit(join.wr(out).body(move |ctx| {
+            *ctx.wr(out) = mids.iter().map(|&m| *ctx.rd(m)).sum();
+        }));
+        (prog, out, 3 * (k * (k + 1) / 2) as u64)
+    }
+
+    /// A `side` x `side` wavefront: each cell reads its left and upper
+    /// neighbours and holds the length of the longest path reaching it.
+    fn wave_program(side: usize) -> (Program, Handle<u64>, u64) {
+        let mut prog = Program::new();
+        let cells: Vec<Handle<u64>> = (0..side * side)
+            .map(|i| prog.create(format!("c{i}"), 8, 0u64))
+            .collect();
+        for i in 0..side {
+            for j in 0..side {
+                let me = cells[i * side + j];
+                let left = (j > 0).then(|| cells[i * side + j - 1]);
+                let up = (i > 0).then(|| cells[(i - 1) * side + j]);
+                let mut b = TaskBuilder::new("cell");
+                for h in left.iter().chain(&up) {
+                    b = b.rd(*h);
+                }
+                prog.submit(b.rd_wr(me).body(move |ctx| {
+                    let l = left.map_or(0, |h| *ctx.rd(h));
+                    let u = up.map_or(0, |h| *ctx.rd(h));
+                    *ctx.wr(me) = l.max(u) + 1;
+                }));
+            }
+        }
+        (prog, cells[side * side - 1], (2 * side - 1) as u64)
     }
 
     #[test]
@@ -1295,6 +1390,13 @@ mod tests {
             .collect();
         let prefix: Vec<TaskId> = (0..r.tasks_completed as u32).map(TaskId).collect();
         assert_eq!(completed, prefix);
+        // The idle worker polled the deadline on `wait_timeout`: a wake-up
+        // that timed out consumes at most one notification in flight, so
+        // the count comes back to zero and both workers park for good.
+        until(&svc, "both workers parked, no wake in flight", |c| {
+            c.idle == 2 && c.waking == 0
+        });
+        notified_once_per_park(&svc);
     }
 
     #[test]
@@ -1704,6 +1806,8 @@ mod tests {
         pub(super) done_notifies: u64,
         /// Core-lock acquisitions by workers, wake-ups from a park included.
         pub(super) worker_locks: u64,
+        /// Times a worker parked on `work`.
+        pub(super) parks: u64,
     }
 
     /// A lost wake-up hangs, it does not fail: every blocking call below
@@ -1731,6 +1835,16 @@ mod tests {
 
     fn probe(svc: &JadeService) -> Probe {
         lock(&svc.inner.core).probe
+    }
+
+    /// The wake invariant as the counts see it: every `work` notification
+    /// went to a park of its own, and no more are in flight than workers
+    /// are parked.
+    fn notified_once_per_park(svc: &JadeService) {
+        let core = lock(&svc.inner.core);
+        let p = core.probe;
+        assert!(p.work_notifies <= p.parks, "{p:?}");
+        assert!(core.waking <= core.idle, "{} > {}", core.waking, core.idle);
     }
 
     /// A one-shot gate for task bodies to block on.
@@ -1824,6 +1938,7 @@ mod tests {
                     assert_eq!(*r.store.read(h), chain_expected(5));
                 }
             }
+            notified_once_per_park(&svc);
         }
     }
 
@@ -1837,6 +1952,84 @@ mod tests {
         let svc2 = Arc::clone(&svc);
         let r = within("wait", move || svc2.wait(id));
         assert_eq!(r.outcome, Outcome::Completed);
+        notified_once_per_park(&svc);
+    }
+
+    /// Two workers, one held in a body, the other parked: two wake
+    /// decisions under one hold of the lock (the woken worker cannot get
+    /// back in between them) send one notification, and once everything
+    /// has drained none is left in flight.
+    #[test]
+    fn a_notified_sleeper_is_not_notified_again() {
+        let svc = Arc::new(JadeService::new(ServiceConfig::new(2)));
+        let gate = Gate::default();
+        let b = svc
+            .submit(blocker(&gate), TenantOptions::default())
+            .unwrap();
+        until(&svc, "blocker running, other worker parked", |c| {
+            c.idle == 1 && c.waking == 0 && c.active.values().any(|t| t.running == 1)
+        });
+        let mut core = lock(&svc.inner.core);
+        let before = core.probe.work_notifies;
+        let (first, second) = (core.wake_worker(), core.wake_worker());
+        assert!(first && !second);
+        assert_eq!(core.probe.work_notifies - before, 1);
+        assert_eq!((core.idle, core.waking), (1, 1));
+        unlock_and_wake(&svc.inner, core, first);
+        until(&svc, "woken for nothing, parked again", |c| {
+            c.idle == 1 && c.waking == 0
+        });
+        gate.open();
+        let svc2 = Arc::clone(&svc);
+        let r = within("wait", move || svc2.wait(b));
+        assert_eq!(r.outcome, Outcome::Completed);
+        until(&svc, "pool parked, no wake in flight", |c| {
+            c.idle == 2 && c.waking == 0
+        });
+        notified_once_per_park(&svc);
+    }
+
+    /// The benchmark's `service-mix` at small scale: chains, fans and
+    /// wavefronts through a window of sixteen on two workers. A worker is
+    /// woken when there is a task for it to take, so notifications are
+    /// counted in DAGs (a pool that ran dry, a fan that opened), not in
+    /// tasks: re-notifying a sleeper that had not got the CPU yet cost
+    /// 0.85 a task.
+    #[test]
+    fn a_mixed_closed_loop_wakes_per_dag_not_per_task() {
+        const DAGS: usize = 600;
+        const WINDOW: usize = 16;
+        let svc = JadeService::new(ServiceConfig::new(2));
+        let mut outstanding: VecDeque<(TenantId, Handle<u64>, u64)> = VecDeque::new();
+        let reap = |(id, out, expect): (TenantId, Handle<u64>, u64)| {
+            let r = svc.wait(id);
+            assert_eq!(r.outcome, Outcome::Completed);
+            assert_eq!(*r.store.read(out), expect);
+        };
+        let mut tasks = 0;
+        for i in 0..DAGS {
+            if outstanding.len() == WINDOW {
+                reap(outstanding.pop_front().expect("window is full"));
+            }
+            let (prog, out, expect) = match i % 10 {
+                1 | 4 | 7 => fan_program(14),
+                3 | 8 => wave_program(8),
+                _ => {
+                    let (prog, h) = chain_program(16);
+                    (prog, h, chain_expected(16))
+                }
+            };
+            tasks += prog.task_count();
+            let id = svc.submit(prog, TenantOptions::default()).unwrap();
+            outstanding.push_back((id, out, expect));
+        }
+        outstanding.into_iter().for_each(reap);
+        notified_once_per_park(&svc);
+        let p = probe(&svc);
+        assert!(
+            p.work_notifies <= 4 * DAGS as u64,
+            "{DAGS} DAGs, {tasks} tasks: {p:?}"
+        );
     }
 
     #[test]
@@ -1872,6 +2065,7 @@ mod tests {
         let r = within("wait", move || svc2.wait(id));
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(*r.store.read(b), 43);
+        notified_once_per_park(&svc);
     }
 
     #[test]
@@ -1894,6 +2088,7 @@ mod tests {
         let r = within("wait", move || svc2.wait(id));
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(svc.wait(b).outcome, Outcome::Completed);
+        notified_once_per_park(&svc);
     }
 
     #[test]
@@ -1919,6 +2114,7 @@ mod tests {
         assert!(r1.try_recv().is_err());
         g1.open();
         assert_eq!(r1.recv_timeout(PATIENCE), Ok(Outcome::Completed));
+        notified_once_per_park(&svc);
     }
 
     /// `try_take` may win the report from a parked `wait` caller. That
@@ -1956,12 +2152,14 @@ mod tests {
         assert!(msg.contains("already-taken"), "{msg}");
         gate.open();
         assert_eq!(svc.wait(b).outcome, Outcome::Completed);
+        notified_once_per_park(&svc);
     }
 
     #[test]
     fn shutdown_wakes_a_fully_parked_pool() {
         let svc = JadeService::new(ServiceConfig::new(3));
         until(&svc, "all parked", |c| c.idle == 3);
+        notified_once_per_park(&svc);
         within("shutdown", move || svc.shutdown());
     }
 
@@ -1995,6 +2193,7 @@ mod tests {
             assert_eq!(svc.try_take(id).unwrap().outcome, Outcome::Completed);
         }
         assert_eq!(probe(&svc).done_notifies, 1, "five DAGs, one waiter");
+        notified_once_per_park(&svc);
     }
 
     /// The steady-state shape: while the one worker is busy it takes the
@@ -2026,6 +2225,7 @@ mod tests {
         // follows the final park is still to come.
         assert_eq!(after.worker_locks - before.worker_locks, 1 + 150);
         assert!(after.done_notifies - before.done_notifies <= 4);
+        notified_once_per_park(&svc);
     }
 
     /// Retired slots are reused, the spare list is bounded by `max_active`,
@@ -2059,5 +2259,7 @@ mod tests {
         let core = lock(&svc.inner.core);
         assert!(core.spares.len() <= 2);
         assert!(core.spares.iter().all(|s| s.tasks.capacity() < huge));
+        drop(core);
+        notified_once_per_park(&svc);
     }
 }
