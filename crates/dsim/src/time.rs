@@ -79,7 +79,12 @@ impl SimDuration {
         // n / hz seconds = n * PS_PER_SEC / hz picoseconds. PS_PER_SEC/hz is
         // exact for the clock rates we model (33_333_333 Hz divides evenly
         // enough; the sub-picosecond truncation is irrelevant at scale).
-        SimDuration((n as u128 * PS_PER_SEC as u128 / hz as u128) as u64)
+        // The product fits a `u64` below 18 million cycles — every transfer
+        // the machines price; past that, the same quotient in `u128`.
+        SimDuration(match n.checked_mul(PS_PER_SEC) {
+            Some(ps) => ps / hz,
+            None => (n as u128 * PS_PER_SEC as u128 / hz as u128) as u64,
+        })
     }
 
     #[inline]

@@ -13,8 +13,8 @@
 use dsim::{Calendar, FaultInjector, FaultPlan, SimDuration};
 use jade_core::LocalityMode;
 use jade_core::{
-    AccessSpec, Handle, JadeRuntime, ObjectId, Store, Synchronizer, TaskBuilder, TaskDef, TaskId,
-    TraceBuilder,
+    AccessSpec, EventSink, Handle, JadeRuntime, NullSink, ObjectId, Store, Synchronizer,
+    TaskBuilder, TaskDef, TaskId, TraceBuilder, TransitionBatch,
 };
 use jade_threads::{JadeService, Outcome, Program, ServiceConfig, TenantOptions, ThreadRuntime};
 
@@ -64,6 +64,44 @@ fn synchronizer_throughput() {
                 sync.complete(t, &mut newly);
             }
             assert!(sync.all_complete());
+        });
+        // The merged entry points: one writer, then `n` readers parked on
+        // its object (the fan-in a waiting list is threaded for), the
+        // writer's completion and the readers' through one `apply_batch`
+        // each — untraced, then recorded, through the same body.
+        let fan_in = |sink: &mut dyn FnMut(&mut Synchronizer, &mut TransitionBatch)| {
+            let mut sync = Synchronizer::new(true);
+            let (mut wr, mut rd) = (AccessSpec::new(), AccessSpec::new());
+            wr.wr(ObjectId(0));
+            rd.rd(ObjectId(0));
+            let mut batch = TransitionBatch::default();
+            for i in 0..=n as u32 {
+                sync.add_task(TaskId(i), if i == 0 { &wr } else { &rd });
+                batch.complete(TaskId(i));
+            }
+            sink(&mut sync, &mut batch);
+            assert!(sync.all_complete());
+        };
+        let mut newly = Vec::with_capacity(n);
+        bench(&format!("synchronizer/fan_in_batch/{n}"), 10, || {
+            fan_in(&mut |sync, batch| {
+                newly.clear();
+                sync.apply_batch(batch, &mut newly, &mut NullSink, &mut || 0, 0)
+            })
+        });
+        bench(&format!("synchronizer/fan_in_batch_traced/{n}"), 10, || {
+            fan_in(&mut |sync, batch| {
+                newly.clear();
+                let (mut events, mut clock) = (EventSink::recording(), 0u64..);
+                sync.apply_batch(
+                    batch,
+                    &mut newly,
+                    &mut events,
+                    &mut || clock.next().unwrap(),
+                    0,
+                );
+                assert_eq!(events.take().len(), 2 * n + 1);
+            })
         });
     }
 }

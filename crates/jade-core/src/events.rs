@@ -799,14 +799,30 @@ impl MetricsFold {
         for spans in &mut app_spans {
             spans.sort_unstable();
         }
+        // Where the previous flight on each processor started its walk:
+        // flights arrive almost in span order, so the next one usually
+        // starts within `NEAR` spans of it.
+        const NEAR: usize = 8;
+        let mut hints = vec![0usize; app_spans.len()];
         for (p, lo, hi) in flights {
             let Some(spans) = app_spans.get(p) else {
                 continue;
             };
             // First span that could intersect: the one before the first
-            // span starting at or after `lo`, then walk forward.
-            let mut i = spans.partition_point(|&(s, _)| s < lo);
+            // span starting at or after `lo`, then walk forward. The window
+            // after the hint answers if the hint starts before `lo` and
+            // the run of such starts ends inside it; else binary search.
+            let from = hints[p];
+            let near = (spans[from.min(spans.len())..].iter().take(NEAR))
+                .take_while(|&&(s, _)| s < lo)
+                .count();
+            let mut i = if (from == 0 || near > 0) && near < NEAR {
+                from + near
+            } else {
+                spans.partition_point(|&(s, _)| s < lo)
+            };
             i = i.saturating_sub(1);
+            hints[p] = i;
             while let Some(&(s, e)) = spans.get(i) {
                 if s >= hi {
                     break;
@@ -1583,6 +1599,56 @@ mod tests {
         ];
         let m = Metrics::from_events(&events, 1);
         assert_eq!(m.overlap_ps, 30);
+    }
+
+    #[test]
+    fn overlap_search_agrees_with_brute_force_in_any_flight_order() {
+        // 200 unit-gapped App spans on one processor and seeded flights in
+        // ascending, descending and scattered order, short and long: the
+        // hinted search, its window overrun and the binary-search fallback
+        // must all land on the span a scan of every span finds.
+        let spans: Vec<(u64, u64)> = (0..200).map(|i| (i * 10, i * 10 + 7)).collect();
+        let mut lcg = 0x2545F4914F6CDD1Du64;
+        let mut next = move || {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            lcg >> 33
+        };
+        let mut flights: Vec<(u64, u64)> = (0..300)
+            .map(|i| {
+                let lo = match i / 100 {
+                    0 => i * 19,
+                    1 => (200 - i) * 19,
+                    _ => next() % 2000,
+                };
+                (lo, lo + 1 + next() % [5, 40, 900][i as usize % 3])
+            })
+            .collect();
+        flights.push((5000, 5001));
+        flights.push((0, 1));
+        let mut events: Vec<Event> = spans
+            .iter()
+            .map(|&(s, e)| span(s, 0, Component::App, e - s))
+            .collect();
+        let mut want = 0;
+        for &(lo, hi) in &flights {
+            events.push(Event {
+                time_ps: hi,
+                proc: 0,
+                kind: EventKind::ObjectFetch {
+                    bytes: 8,
+                    latency_ps: hi - lo,
+                },
+                task: None,
+                object: Some(ObjectId(0)),
+            });
+            want += spans
+                .iter()
+                .map(|&(s, e)| e.min(hi).saturating_sub(s.max(lo)))
+                .sum::<u64>();
+        }
+        assert_eq!(Metrics::from_events(&events, 1).overlap_ps, want);
     }
 
     #[test]

@@ -9,40 +9,48 @@
 //!   replication optimization possible);
 //! * a **write** (or read-write) is granted only at the head of the queue.
 //!
-//! A task is *enabled* when all of its declared accesses are granted. This
-//! preserves exactly the dynamic data dependence constraints of the paper:
+//! A task is *enabled* when all of its declared accesses are granted:
 //! conflicting tasks execute in serial program order, non-conflicting tasks
-//! run concurrently.
+//! run concurrently — exactly the paper's dynamic dependence constraints.
 //!
-//! # Representation
+//! # Representation (DESIGN.md §4)
 //!
-//! The conceptual per-object queue is `[granted entries..][waiting..]` —
-//! the granted prefix is always either a run of reads or a single writer.
-//! Earlier versions stored the whole queue and rescanned it on every
-//! completion, making a pileup of N readers cost O(N²). The current
-//! representation keeps only the **aggregate** of the granted prefix
-//! (`granted_reads` counter + `granted_writer` flag) plus a queue of the
-//! *waiting* entries: granted entries leave the queue eagerly, so queue
-//! length stays O(outstanding ungranted accesses), completion of a granted
-//! access is an O(1) counter update, and a re-grant touches exactly the
-//! entries it enables. Per-task declaration lists are interned in one slab
-//! (`decls`) instead of a `Vec<ObjectId>` per task, so registering a task
-//! performs no per-task allocation beyond amortized slab growth.
+//! Two slabs and one table: `decls`, every task's declarations (16 bytes
+//! each, a task's own in one run); `tasks`, one entry per task of the
+//! current window; `queues`, 12 bytes per object. The conceptual per-object
+//! queue is `[granted entries..][waiting..]`. The granted prefix is always
+//! a run of reads or a single writer, so it is kept as a **count**, and
+//! retiring a granted access is arithmetic. The waiting entries are an
+//! **intrusive singly-linked list** through the declaration slab — the
+//! object holds `head`/`tail`, a parked declaration `next` — so no object
+//! owns an allocation, a fan-in of N waiters on one object grows nothing,
+//! and a grant walks exactly the entries it enables.
+//!
+//! Every entry point is generic over the [`Sink`] its lifecycle events go
+//! to; [`add_task`](Synchronizer::add_task) and
+//! [`complete`](Synchronizer::complete) spell the [`NullSink`] case, which
+//! compiles to the bare state transition.
 //!
 //! The synchronizer is deliberately pure — no clocks, no processors — so the
 //! same component drives the DASH simulator, the iPSC simulator and the real
 //! `jade-threads` executor, and so its invariants are easy to property-test.
 
 use crate::access::{AccessMode, AccessSpec};
-use crate::events::{EventKind, Sink};
+use crate::events::{EventKind, NullSink, Sink};
 use crate::ids::{ObjectId, ProcId, TaskId};
-use std::collections::VecDeque;
+use crate::trace::Trace;
+
+/// End of a waiting list / "not parked".
+const NIL: u32 = u32::MAX;
 
 /// One declared access, interned in the synchronizer-wide `decls` slab.
-/// A task's declarations occupy a contiguous run of slots.
 #[derive(Clone, Copy, Debug)]
 struct DeclSlot {
     object: ObjectId,
+    task: TaskId,
+    /// The next access waiting on `object` behind this one (`NIL` at the
+    /// tail, and whenever this access is not parked).
+    next: u32,
     mode: AccessMode,
     /// The access is currently part of its object's granted prefix.
     granted: bool,
@@ -50,11 +58,8 @@ struct DeclSlot {
     released: bool,
 }
 
-/// One synchronizer state transition, queueable in a [`TransitionBatch`].
-///
-/// The two ways a task gives up granted accesses: completing (retiring
-/// every remaining declaration) or a mid-task release of one declaration
-/// (Jade's pipelining statements).
+/// One synchronizer state transition, queueable in a [`TransitionBatch`]:
+/// the two ways a task gives up granted accesses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Transition {
     /// The task finished; retire all of its unreleased declarations.
@@ -63,26 +68,16 @@ pub enum Transition {
     Release(TaskId, ObjectId),
 }
 
-/// A queue of synchronizer transitions applied together by
+/// A queue of synchronizer transitions applied together, in push order, by
 /// [`Synchronizer::apply_batch`] under the caller's single lock
-/// acquisition. Executors accumulate locally-finished tasks here (a
-/// per-worker drain buffer) instead of taking the synchronizer lock once
-/// per completion.
-///
-/// Transitions are applied strictly in push order, so the set of newly
-/// enabled tasks — and their order — is exactly what N individual
-/// [`Synchronizer::complete`]/[`Synchronizer::release`] calls in the same
-/// order would produce.
+/// acquisition: an executor's per-worker drain buffer, filled with
+/// locally-finished tasks instead of taking the lock once per completion.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TransitionBatch {
     items: Vec<Transition>,
 }
 
 impl TransitionBatch {
-    pub fn new() -> TransitionBatch {
-        TransitionBatch::default()
-    }
-
     /// Queue a task completion.
     pub fn complete(&mut self, id: TaskId) {
         self.items.push(Transition::Complete(id));
@@ -91,11 +86,6 @@ impl TransitionBatch {
     /// Queue a mid-task release of `object` by `id`.
     pub fn release(&mut self, id: TaskId, object: ObjectId) {
         self.items.push(Transition::Release(id, object));
-    }
-
-    /// Queued transitions, in application order.
-    pub fn transitions(&self) -> &[Transition] {
-        &self.items
     }
 
     /// Number of queued [`Transition::Complete`] entries.
@@ -124,26 +114,43 @@ impl TransitionBatch {
     }
 }
 
-/// A not-yet-granted access parked in an object's waiting queue.
+/// One object's access queue: the granted prefix as a count and the ends
+/// of the list of waiting declarations, in serial program order.
 #[derive(Clone, Copy, Debug)]
-struct Waiter {
-    task: TaskId,
-    /// Index of the access in the `decls` slab.
-    decl: u32,
-    mode: AccessMode,
+struct ObjQueue {
+    /// Reads currently granted on this object, or `WRITER`: one write (or
+    /// read-write) is.
+    granted: u32,
+    /// First and last waiting declaration (`NIL`, both, when none waits).
+    head: u32,
+    tail: u32,
 }
 
-/// Aggregate state of one object's access queue: the granted prefix is
-/// summarized (it is always all-reads or one writer), only ungranted
-/// entries are materialized.
-#[derive(Clone, Debug, Default)]
-struct ObjQueue {
-    /// Reads currently granted on this object.
-    granted_reads: u32,
-    /// A write (or read-write) is currently granted.
-    granted_writer: bool,
-    /// Ungranted accesses, in serial program order.
-    waiting: VecDeque<Waiter>,
+const WRITER: u32 = u32::MAX;
+
+impl ObjQueue {
+    const IDLE: ObjQueue = ObjQueue {
+        granted: 0,
+        head: NIL,
+        tail: NIL,
+    };
+
+    /// Could an access of `mode` join the granted prefix as it stands? A
+    /// read joins a run of granted reads (under replication); anything
+    /// joins an idle object.
+    #[inline]
+    fn admits(&self, mode: AccessMode, replication: bool) -> bool {
+        self.granted == 0 || (self.granted != WRITER && replication && mode == AccessMode::Read)
+    }
+
+    #[inline]
+    fn grant(&mut self, mode: AccessMode) {
+        self.granted = if mode == AccessMode::Read {
+            self.granted + 1
+        } else {
+            WRITER
+        };
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -154,6 +161,12 @@ struct TaskState {
     /// Number of declared accesses not yet granted.
     ungranted: u32,
     completed: bool,
+}
+
+impl TaskState {
+    fn decls(&self) -> std::ops::Range<usize> {
+        self.decls_start as usize..(self.decls_start + self.decls_len) as usize
+    }
 }
 
 /// Dynamic dependence analysis over declared access specifications.
@@ -168,10 +181,9 @@ pub struct Synchronizer {
     /// serialize all of the applications".
     replication: bool,
     live_tasks: usize,
-    /// Id of the first task in the current window: [`recycle`] retires the
-    /// storage of completed batches by advancing this offset instead of
-    /// letting `tasks`/`decls` grow forever. Task `id` lives at slot
-    /// `id.index() - base`. Tasks below `base` are completed history.
+    /// Id of the first task in the current window ([`recycle`] advances
+    /// it): task `id` lives at slot `id.index() - base`, tasks below `base`
+    /// are completed history.
     base: u32,
 }
 
@@ -194,65 +206,54 @@ impl Synchronizer {
         }
     }
 
-    fn queue_mut(&mut self, o: ObjectId) -> &mut ObjQueue {
-        if o.index() >= self.queues.len() {
-            self.queues.resize_with(o.index() + 1, ObjQueue::default);
+    /// A synchronizer about to replay `trace`: the three slabs are sized
+    /// once from the program the caller already holds instead of doubling
+    /// into it. Behaves exactly like [`Synchronizer::new`].
+    pub fn for_trace(replication: bool, trace: &Trace) -> Synchronizer {
+        Synchronizer {
+            queues: Vec::with_capacity(trace.objects.len()),
+            tasks: Vec::with_capacity(trace.tasks.len()),
+            decls: Vec::with_capacity(trace.tasks.iter().map(|t| t.spec.len()).sum()),
+            ..Synchronizer::new(replication)
         }
-        &mut self.queues[o.index()]
     }
 
-    /// Slab slot of `id` in the current window.
+    /// Slab slot of `id`, a task of the current window.
     #[inline]
     fn slot(&self, id: TaskId) -> usize {
-        debug_assert!(
-            id.index() >= self.base as usize,
-            "task {id:?} predates the current window (base {})",
-            self.base
-        );
         id.index() - self.base as usize
     }
 
-    /// Retire the storage of a fully completed window: every registered
-    /// task has completed, so `tasks` and `decls` hold only history —
-    /// clear them (keeping capacity) and advance `base` past the retired
-    /// ids. Subsequent [`add_task`](Self::add_task) calls continue from
-    /// the next id, reusing the slabs instead of growing them, which is
-    /// what keeps a long-lived executor's steady state allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// If any registered task has not completed.
+    /// Retire the storage of a fully completed window: `tasks` and `decls`
+    /// hold only history, so clear them (keeping capacity) and advance
+    /// `base` past the retired ids. Every object is idle by then (a granted
+    /// or parked declaration belongs to a live task), so the object table
+    /// needs no touch and no `next` index outlives its slab. The next
+    /// window reuses the slabs, which keeps a long-lived executor's steady
+    /// state allocation-free. Panics if a registered task has not completed.
     pub fn recycle(&mut self) {
         assert!(
             self.all_complete(),
             "recycle with {} live tasks",
             self.live_tasks
         );
-        // All tasks complete ⇒ every access was retired: no granted
-        // entries remain aggregated and no waiter is parked.
-        debug_assert!(self
-            .queues
-            .iter()
-            .all(|q| q.granted_reads == 0 && !q.granted_writer && q.waiting.is_empty()));
+        debug_assert!(
+            (self.queues.iter()).all(|q| q.granted == 0 && q.head == NIL && q.tail == NIL)
+        );
         self.base += self.tasks.len() as u32;
         self.tasks.clear();
         self.decls.clear();
     }
 
     /// Return to the state of [`Synchronizer::new`] from *any* state,
-    /// keeping every allocation. Like [`recycle`](Self::recycle) it clears
-    /// the task and declaration slabs, but it rewinds `base` to 0 and also
-    /// clears granted counts and parked waiters, so it is safe on a
-    /// synchronizer abandoned mid-flight (a cancelled service tenant). The
-    /// object queues stay allocated (empty), so a later
+    /// keeping every allocation: [`recycle`](Self::recycle), plus `base`
+    /// back to 0 and every object idled (granted count and list ends), so
+    /// it is safe on a synchronizer abandoned mid-flight (a cancelled
+    /// service tenant). The object table keeps its length, so a later
     /// [`snapshot`](Self::snapshot) may list trailing empty queues a fresh
     /// synchronizer would not; nothing else can tell the two apart.
     pub fn reset(&mut self) {
-        for q in &mut self.queues {
-            q.granted_reads = 0;
-            q.granted_writer = false;
-            q.waiting.clear();
-        }
+        self.queues.fill(ObjQueue::IDLE);
         self.tasks.clear();
         self.decls.clear();
         self.live_tasks = 0;
@@ -265,11 +266,24 @@ impl Synchronizer {
         self.base
     }
 
-    /// Register a task. **Must** be called in serial program order: task ids
-    /// are consecutive from [`base_task`](Self::base_task) (zero unless
-    /// [`recycle`](Self::recycle) is used). Returns `true` if the task is
-    /// immediately enabled (all accesses granted).
+    /// Register a task, untraced. See [`add_task_traced`](Self::add_task_traced).
     pub fn add_task(&mut self, id: TaskId, spec: &AccessSpec) -> bool {
+        self.add_task_traced(id, spec, &mut NullSink, 0, 0)
+    }
+
+    /// Register a task. **Must** be called in serial program order: task ids
+    /// are consecutive from [`base_task`](Self::base_task). Returns `true`
+    /// if the task is immediately enabled (all accesses granted). Records
+    /// `TaskCreated`, then `TaskEnabled` if so, at the instant and on the
+    /// processor the caller names (the synchronizer has no clock).
+    pub fn add_task_traced<S: Sink>(
+        &mut self,
+        id: TaskId,
+        spec: &AccessSpec,
+        events: &mut S,
+        time_ps: u64,
+        proc: ProcId,
+    ) -> bool {
         assert_eq!(
             id.index(),
             self.base as usize + self.tasks.len(),
@@ -279,37 +293,24 @@ impl Synchronizer {
         let mut ungranted = 0u32;
         for d in spec.decls() {
             let decl = self.decls.len() as u32;
-            let replication = self.replication;
-            let q = self.queue_mut(d.object);
-            // The new access goes behind everything already in the queue.
-            // It is granted iff nothing is waiting ahead of it and it is
-            // compatible with the granted prefix: a read joins a run of
-            // granted reads (under replication), anything joins an idle
-            // object. An empty waiting queue plus no granted writer means
-            // the whole (conceptual) queue is a run of granted reads.
-            let granted = q.waiting.is_empty()
-                && !q.granted_writer
-                && if d.mode == AccessMode::Read {
-                    replication || q.granted_reads == 0
-                } else {
-                    q.granted_reads == 0
-                };
+            if d.object.index() >= self.queues.len() {
+                self.queues.resize(d.object.index() + 1, ObjQueue::IDLE);
+            }
+            let q = &mut self.queues[d.object.index()];
+            // The new access goes behind everything already in the queue:
+            // it is granted iff nothing waits ahead of it and the granted
+            // prefix admits it.
+            let granted = q.head == NIL && q.admits(d.mode, self.replication);
             if granted {
-                if d.mode == AccessMode::Read {
-                    q.granted_reads += 1;
-                } else {
-                    q.granted_writer = true;
-                }
+                q.grant(d.mode);
             } else {
                 ungranted += 1;
-                q.waiting.push_back(Waiter {
-                    task: id,
-                    decl,
-                    mode: d.mode,
-                });
+                self.park(d.object.index(), decl);
             }
             self.decls.push(DeclSlot {
                 object: d.object,
+                task: id,
+                next: NIL,
                 mode: d.mode,
                 granted,
                 released: false,
@@ -322,7 +323,23 @@ impl Synchronizer {
             completed: false,
         });
         self.live_tasks += 1;
+        events.emit_task(time_ps, proc, EventKind::TaskCreated, id);
+        if ungranted == 0 {
+            events.emit_task(time_ps, proc, EventKind::TaskEnabled, id);
+        }
         ungranted == 0
+    }
+
+    /// Append declaration `k`, about to be or already in the slab, to the
+    /// waiting list of object `o`.
+    #[inline]
+    fn park(&mut self, o: usize, k: u32) {
+        let q = &mut self.queues[o];
+        match q.tail {
+            NIL => q.head = k,
+            tail => self.decls[tail as usize].next = k,
+        }
+        q.tail = k;
     }
 
     /// True if every declared access of `id` is currently granted.
@@ -331,12 +348,23 @@ impl Synchronizer {
         !t.completed && t.ungranted == 0
     }
 
-    /// Mark `id` complete, releasing its remaining granted accesses. Newly
-    /// enabled tasks are appended to `newly_enabled` (in serial program
-    /// order per object queue, which is deterministic). Each retired access
-    /// is an O(1) counter update plus the grants it triggers — no queue is
-    /// rescanned.
+    /// Mark `id` complete, untraced. See [`complete_traced`](Self::complete_traced).
     pub fn complete(&mut self, id: TaskId, newly_enabled: &mut Vec<TaskId>) {
+        self.complete_traced(id, newly_enabled, &mut NullSink, 0, 0)
+    }
+
+    /// Mark `id` complete, releasing its remaining granted accesses. Newly
+    /// enabled tasks are appended to `newly_enabled` (declaration by
+    /// declaration, in serial program order per object queue). Records
+    /// `TaskCompleted` for `id`, then `TaskEnabled` for each of them.
+    pub fn complete_traced<S: Sink>(
+        &mut self,
+        id: TaskId,
+        newly_enabled: &mut Vec<TaskId>,
+        events: &mut S,
+        time_ps: u64,
+        proc: ProcId,
+    ) {
         let slot = self.slot(id);
         let state = &mut self.tasks[slot];
         assert!(!state.completed, "task {id:?} completed twice");
@@ -346,103 +374,83 @@ impl Synchronizer {
         );
         state.completed = true;
         self.live_tasks -= 1;
-        let (start, len) = (state.decls_start as usize, state.decls_len as usize);
-        for k in start..start + len {
-            if self.decls[k].released {
-                continue;
+        let before = newly_enabled.len();
+        for k in state.decls() {
+            if !self.decls[k].released {
+                self.retire(k, newly_enabled);
             }
-            debug_assert!(self.decls[k].granted, "completing an ungranted access");
-            self.decls[k].released = true;
-            let (object, mode) = (self.decls[k].object, self.decls[k].mode);
-            self.retire(object, mode, newly_enabled);
+        }
+        events.emit_task(time_ps, proc, EventKind::TaskCompleted, id);
+        for &t in &newly_enabled[before..] {
+            events.emit_task(time_ps, proc, EventKind::TaskEnabled, t);
         }
     }
 
     /// Release one of `id`'s declared accesses **before** the task
-    /// completes — Jade's advanced pipelining statements (`no_rd(o)`,
-    /// `no_wr(o)`): a task that has finished using an object gives up its
-    /// right to access it, letting successors proceed while the task keeps
-    /// running. Newly enabled tasks are appended to `newly_enabled`.
+    /// completes — Jade's pipelining statements (`no_rd(o)`, `no_wr(o)`):
+    /// successors on `object` proceed while the task keeps running. Newly
+    /// enabled tasks are appended to `newly_enabled`. Records
+    /// `AccessReleased`, then `TaskEnabled` for each of them.
     ///
     /// Panics if the task never declared (or already released) the object.
-    pub fn release(&mut self, id: TaskId, object: ObjectId, newly_enabled: &mut Vec<TaskId>) {
+    pub fn release<S: Sink>(
+        &mut self,
+        id: TaskId,
+        object: ObjectId,
+        newly_enabled: &mut Vec<TaskId>,
+        events: &mut S,
+        time_ps: u64,
+        proc: ProcId,
+    ) {
         let state = &self.tasks[self.slot(id)];
         assert!(!state.completed, "release after completion of {id:?}");
-        let (start, len) = (state.decls_start as usize, state.decls_len as usize);
-        let k = (start..start + len)
+        let k = (state.decls())
             .find(|&k| self.decls[k].object == object && !self.decls[k].released)
             .unwrap_or_else(|| panic!("{id:?} releasing undeclared/released {object:?}"));
-        debug_assert!(self.decls[k].granted, "releasing an ungranted access");
-        self.decls[k].released = true;
-        let mode = self.decls[k].mode;
-        self.retire(object, mode, newly_enabled);
+        let before = newly_enabled.len();
+        self.retire(k, newly_enabled);
+        events.emit_obj(time_ps, proc, EventKind::AccessReleased, Some(id), object);
+        for &t in &newly_enabled[before..] {
+            events.emit_task(time_ps, proc, EventKind::TaskEnabled, t);
+        }
     }
 
-    /// A granted access on `o` went away (completion or mid-task release):
-    /// update the aggregate, and if the granted prefix emptied, grant the
-    /// longest legal run from the head of the waiting queue.
-    fn retire(&mut self, o: ObjectId, mode: AccessMode, newly_enabled: &mut Vec<TaskId>) {
+    /// The granted access in slot `k` goes away (completion or mid-task
+    /// release): update its object's aggregate, and if the granted prefix
+    /// emptied, grant from the head of the waiting list — a single writer,
+    /// or (under replication) the maximal run of reads up to the next
+    /// writer. A granted entry leaves the list as it is granted, so no
+    /// later operation walks it again.
+    fn retire(&mut self, k: usize, newly_enabled: &mut Vec<TaskId>) {
+        let d = &mut self.decls[k];
+        debug_assert!(d.granted, "retiring an ungranted access");
+        d.released = true;
+        let (o, mode) = (d.object, d.mode);
         let q = &mut self.queues[o.index()];
-        if mode == AccessMode::Read {
-            debug_assert!(q.granted_reads > 0, "granted-read underflow on {o:?}");
-            q.granted_reads -= 1;
-        } else {
-            debug_assert!(q.granted_writer, "granted-writer underflow on {o:?}");
-            q.granted_writer = false;
+        debug_assert_eq!(q.granted == WRITER, mode != AccessMode::Read, "on {o:?}");
+        q.granted -= if mode == AccessMode::Read { 1 } else { WRITER };
+        if q.granted != 0 {
+            return;
         }
-        if q.granted_reads == 0 && !q.granted_writer {
-            self.grant_head_run(o, newly_enabled);
-        }
-    }
-
-    /// Grant from the head of `o`'s waiting queue: a single writer, or
-    /// (under replication) the maximal run of reads up to the next writer.
-    /// Granted entries leave the queue eagerly — the queue never holds a
-    /// granted entry, so no later operation rescans them.
-    fn grant_head_run(&mut self, o: ObjectId, newly_enabled: &mut Vec<TaskId>) {
-        loop {
-            let replication = self.replication;
-            let q = &mut self.queues[o.index()];
-            let Some(&Waiter { task, decl, mode }) = q.waiting.front() else {
-                break;
-            };
-            let legal = if mode == AccessMode::Read {
-                !q.granted_writer && (replication || q.granted_reads == 0)
-            } else {
-                !q.granted_writer && q.granted_reads == 0
-            };
-            if !legal {
-                break;
+        while q.head != NIL {
+            let d = &mut self.decls[q.head as usize];
+            if !q.admits(d.mode, self.replication) {
+                return;
             }
-            q.waiting.pop_front();
-            if mode == AccessMode::Read {
-                q.granted_reads += 1;
-            } else {
-                q.granted_writer = true;
-            }
-            self.decls[decl as usize].granted = true;
-            let slot = self.slot(task);
-            let ts = &mut self.tasks[slot];
+            q.grant(d.mode);
+            q.head = std::mem::replace(&mut d.next, NIL);
+            d.granted = true;
+            let ts = &mut self.tasks[d.task.index() - self.base as usize];
             ts.ungranted -= 1;
             if ts.ungranted == 0 {
-                newly_enabled.push(task);
+                newly_enabled.push(d.task);
             }
         }
+        q.tail = NIL;
     }
 
-    /// Apply one queued [`Transition`] — dispatch to
-    /// [`complete`](Self::complete) or [`release`](Self::release).
-    pub fn apply(&mut self, tr: Transition, newly_enabled: &mut Vec<TaskId>) {
-        match tr {
-            Transition::Complete(id) => self.complete(id, newly_enabled),
-            Transition::Release(id, object) => self.release(id, object, newly_enabled),
-        }
-    }
-
-    /// [`apply`](Self::apply) plus event emission, matching
-    /// [`complete_traced`](Self::complete_traced) /
-    /// [`release_traced`](Self::release_traced) exactly.
-    pub fn apply_traced<S: Sink>(
+    /// Apply one queued [`Transition`].
+    pub fn apply<S: Sink>(
         &mut self,
         tr: Transition,
         newly_enabled: &mut Vec<TaskId>,
@@ -455,31 +463,16 @@ impl Synchronizer {
                 self.complete_traced(id, newly_enabled, events, time_ps, proc)
             }
             Transition::Release(id, object) => {
-                self.release_traced(id, object, newly_enabled, events, time_ps, proc)
+                self.release(id, object, newly_enabled, events, time_ps, proc)
             }
         }
     }
 
-    /// Drain `batch`, applying every queued transition in push order under
-    /// this one call — the executor holds its synchronizer lock once for
-    /// the whole batch instead of once per completion. Newly enabled tasks
-    /// are appended to `newly_enabled` in deterministic order: exactly the
-    /// concatenation that the same sequence of individual
-    /// [`complete`](Self::complete)/[`release`](Self::release) calls would
-    /// produce.
-    pub fn apply_batch(&mut self, batch: &mut TransitionBatch, newly_enabled: &mut Vec<TaskId>) {
-        for tr in batch.items.drain(..) {
-            self.apply(tr, newly_enabled);
-        }
-    }
-
-    /// [`apply_batch`](Self::apply_batch) plus event emission: each
-    /// transition asks `clock` for its own timestamp and emits the same
-    /// `TaskCompleted`/`AccessReleased` + `TaskEnabled` sequence as the
-    /// equivalent individual `*_traced` calls, so a batched event stream is
-    /// bit-identical to an unbatched one applying the same transitions in
-    /// the same order.
-    pub fn apply_batch_traced<S: Sink>(
+    /// Drain `batch`, applying every queued transition in push order. Each
+    /// asks `clock` for its own timestamp, so newly enabled tasks and the
+    /// event stream are exactly those of the same sequence of individual
+    /// [`apply`](Self::apply) calls.
+    pub fn apply_batch<S: Sink>(
         &mut self,
         batch: &mut TransitionBatch,
         newly_enabled: &mut Vec<TaskId>,
@@ -489,66 +482,7 @@ impl Synchronizer {
     ) {
         for tr in batch.items.drain(..) {
             let t = clock();
-            self.apply_traced(tr, newly_enabled, events, t, proc);
-        }
-    }
-
-    /// [`add_task`](Self::add_task) plus event emission: records
-    /// `TaskCreated`, and `TaskEnabled` if the task is immediately
-    /// runnable. The synchronizer has no clock of its own, so the caller
-    /// supplies the instant (`time_ps`) and the processor doing the
-    /// registration. Generic over the sink so untraced callers pay nothing.
-    pub fn add_task_traced<S: Sink>(
-        &mut self,
-        id: TaskId,
-        spec: &AccessSpec,
-        events: &mut S,
-        time_ps: u64,
-        proc: ProcId,
-    ) -> bool {
-        let enabled = self.add_task(id, spec);
-        events.emit_task(time_ps, proc, EventKind::TaskCreated, id);
-        if enabled {
-            events.emit_task(time_ps, proc, EventKind::TaskEnabled, id);
-        }
-        enabled
-    }
-
-    /// [`complete`](Self::complete) plus event emission: records
-    /// `TaskCompleted` for `id` and `TaskEnabled` for every task its
-    /// completion unblocks.
-    pub fn complete_traced<S: Sink>(
-        &mut self,
-        id: TaskId,
-        newly_enabled: &mut Vec<TaskId>,
-        events: &mut S,
-        time_ps: u64,
-        proc: ProcId,
-    ) {
-        let before = newly_enabled.len();
-        self.complete(id, newly_enabled);
-        events.emit_task(time_ps, proc, EventKind::TaskCompleted, id);
-        for &t in &newly_enabled[before..] {
-            events.emit_task(time_ps, proc, EventKind::TaskEnabled, t);
-        }
-    }
-
-    /// [`release`](Self::release) plus event emission: records
-    /// `AccessReleased` and `TaskEnabled` for every unblocked successor.
-    pub fn release_traced<S: Sink>(
-        &mut self,
-        id: TaskId,
-        object: ObjectId,
-        newly_enabled: &mut Vec<TaskId>,
-        events: &mut S,
-        time_ps: u64,
-        proc: ProcId,
-    ) {
-        let before = newly_enabled.len();
-        self.release(id, object, newly_enabled);
-        events.emit_obj(time_ps, proc, EventKind::AccessReleased, Some(id), object);
-        for &t in &newly_enabled[before..] {
-            events.emit_task(time_ps, proc, EventKind::TaskEnabled, t);
+            self.apply(tr, newly_enabled, events, t, proc);
         }
     }
 
@@ -570,118 +504,111 @@ impl Synchronizer {
     /// Conceptual queue length for one object — granted prefix plus
     /// waiting entries (diagnostics/tests).
     pub fn queue_len(&self, o: ObjectId) -> usize {
-        self.queues.get(o.index()).map_or(0, |q| {
-            q.granted_reads as usize + q.granted_writer as usize + q.waiting.len()
-        })
+        let granted = self.queues.get(o.index()).map_or(0, |q| q.granted);
+        self.waiting_len(o)
+            + if granted == WRITER {
+                1
+            } else {
+                granted as usize
+            }
     }
 
-    /// Number of *materialized* (ungranted) entries in one object's queue.
-    /// Granted accesses are aggregated into counters, so this is the only
-    /// part any operation could ever walk — tests use it to pin down the
-    /// O(outstanding) bound.
+    /// Number of *parked* (ungranted) entries on one object, counted by
+    /// walking its list — the only part of a queue any operation could ever
+    /// walk (diagnostics/tests).
     pub fn waiting_len(&self, o: ObjectId) -> usize {
-        self.queues.get(o.index()).map_or(0, |q| q.waiting.len())
+        let (mut n, mut k) = (0, self.queues.get(o.index()).map_or(NIL, |q| q.head));
+        while k != NIL {
+            n += 1;
+            k = self.decls[k as usize].next;
+        }
+        n
     }
 
-    /// Capture the synchronizer's full dynamic state — queue contents and
-    /// per-task grant/completion flags — for the checkpoint/restart layer.
-    ///
-    /// The snapshot materializes the conceptual queues (granted prefix in
-    /// task-id order, then waiting entries in program order) so the binary
-    /// format is unchanged from the scan-based representation.
+    /// Capture the synchronizer's full dynamic state for the
+    /// checkpoint/restart layer. The snapshot materializes the conceptual
+    /// queues: an object's unreleased declarations in task order, which is
+    /// the granted prefix followed by the waiting list (a grant always
+    /// takes the list's head, so every granted access is older than every
+    /// waiting one). Two walks of the declaration slab, the second
+    /// bucketing by object; the lists are not consulted.
     pub fn snapshot(&self) -> SyncSnapshot {
-        let mut queues: Vec<Vec<(TaskId, AccessMode, bool)>> = self
-            .queues
-            .iter()
-            .map(|q| Vec::with_capacity(q.granted_reads as usize + q.waiting.len()))
-            .collect();
+        let mut ends = vec![0u32; self.queues.len()];
+        let mut objects = Vec::new();
         let mut tasks = Vec::with_capacity(self.tasks.len());
-        for (i, t) in self.tasks.iter().enumerate() {
-            let (start, len) = (t.decls_start as usize, t.decls_len as usize);
-            let mut objects = Vec::new();
-            for d in &self.decls[start..start + len] {
-                if d.released {
-                    continue;
-                }
+        for t in &self.tasks {
+            let objs_start = objects.len() as u32;
+            for d in self.decls[t.decls()].iter().filter(|d| !d.released) {
                 objects.push(d.object);
-                if d.granted {
-                    queues[d.object.index()].push((TaskId(self.base + i as u32), d.mode, true));
-                }
+                ends[d.object.index()] += 1;
             }
             tasks.push(SnapTask {
-                objects,
+                objs_start,
+                nobjs: objects.len() as u32 - objs_start,
                 ungranted: t.ungranted,
                 completed: t.completed,
             });
         }
-        for (q, snap_q) in self.queues.iter().zip(queues.iter_mut()) {
-            for w in &q.waiting {
-                snap_q.push((w.task, w.mode, false));
-            }
+        // Counts become each queue's start in `entries`; filling a queue
+        // advances its start to its end.
+        let mut total = 0;
+        for end in &mut ends {
+            total += std::mem::replace(end, total);
+        }
+        let mut entries = vec![(TaskId(0), AccessMode::Read, false); objects.len()];
+        for d in self.decls.iter().filter(|d| !d.released) {
+            let at = &mut ends[d.object.index()];
+            entries[*at as usize] = (d.task, d.mode, d.granted);
+            *at += 1;
         }
         SyncSnapshot {
             replication: self.replication,
             base: self.base,
             tasks,
-            queues,
+            objects,
+            queue_ends: ends,
+            entries,
         }
     }
 
-    /// Rebuild a synchronizer from a [`snapshot`](Self::snapshot). The
-    /// result behaves identically to the original at capture time: the same
-    /// completions enable the same successors in the same order.
+    /// Rebuild a synchronizer from a [`snapshot`](Self::snapshot): the same
+    /// completions then enable the same successors in the same order.
     pub fn from_snapshot(snap: &SyncSnapshot) -> Synchronizer {
         let mut sync = Synchronizer::new(snap.replication);
         sync.base = snap.base;
-        sync.queues
-            .resize_with(snap.queues.len(), ObjQueue::default);
-        for t in &snap.tasks {
-            let start = sync.decls.len() as u32;
-            for &o in &t.objects {
-                // Mode and grant state are filled in from the queue
-                // section below; every unreleased declaration has exactly
-                // one queue entry.
-                sync.decls.push(DeclSlot {
-                    object: o,
+        sync.queues.resize(snap.queue_ends.len(), ObjQueue::IDLE);
+        sync.decls.reserve(snap.objects.len());
+        for (i, t) in snap.tasks.iter().enumerate() {
+            // Mode and grant state are filled in from the queue section
+            // below; every unreleased declaration has exactly one entry.
+            sync.decls
+                .extend(snap.objects_of(t).iter().map(|&object| DeclSlot {
+                    object,
+                    task: TaskId(snap.base + i as u32),
+                    next: NIL,
                     mode: AccessMode::Read,
                     granted: false,
                     released: false,
-                });
-            }
+                }));
             sync.tasks.push(TaskState {
-                decls_start: start,
-                decls_len: t.objects.len() as u32,
+                decls_start: t.objs_start,
+                decls_len: t.nobjs,
                 ungranted: t.ungranted,
                 completed: t.completed,
             });
-            if !t.completed {
-                sync.live_tasks += 1;
-            }
+            sync.live_tasks += usize::from(!t.completed);
         }
-        for (oi, qsnap) in snap.queues.iter().enumerate() {
-            let o = ObjectId(oi as u32);
-            for &(task, mode, granted) in qsnap {
-                let ts = sync.tasks[task.index() - snap.base as usize];
-                let range = ts.decls_start as usize..(ts.decls_start + ts.decls_len) as usize;
-                let k = range
-                    .clone()
-                    .find(|&k| sync.decls[k].object == o)
-                    .expect("snapshot queue entry for undeclared object");
+        for (oi, queue) in snap.queues().enumerate() {
+            for &(task, mode, granted) in queue {
+                let k = (sync.tasks[task.index() - snap.base as usize].decls())
+                    .find(|&k| sync.decls[k].object.index() == oi)
+                    .expect("a snapshot lists every queued object under its task");
                 sync.decls[k].mode = mode;
                 sync.decls[k].granted = granted;
-                let q = &mut sync.queues[oi];
                 if granted {
-                    if mode == AccessMode::Read {
-                        q.granted_reads += 1;
-                    } else {
-                        q.granted_writer = true;
-                    }
+                    sync.queues[oi].grant(mode);
                 } else {
-                    q.waiting.push_back(Waiter {
-                        task,
-                        decl: k as u32,
-                        mode,
-                    });
+                    sync.park(oi, k as u32);
                 }
             }
         }
@@ -689,17 +616,22 @@ impl Synchronizer {
     }
 }
 
-#[derive(Clone, Debug, PartialEq)]
+/// `(task, mode, granted)`.
+type SnapEntry = (TaskId, AccessMode, bool);
+
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct SnapTask {
-    objects: Vec<ObjectId>,
+    /// This task's run of `SyncSnapshot::objects`.
+    objs_start: u32,
+    nobjs: u32,
     ungranted: u32,
     completed: bool,
 }
 
-/// A serializable snapshot of [`Synchronizer`] state: the payload of the
-/// synchronizer section of a runtime checkpoint.
-///
-/// The binary format (all integers little-endian) is:
+/// A serializable snapshot of [`Synchronizer`] state, the synchronizer
+/// section of a runtime checkpoint, and flat like it: the tasks' unreleased
+/// objects in one run, the queues' entries in another. The binary format
+/// (all integers little-endian) is:
 ///
 /// ```text
 /// "JSNP" u16:version=2 u8:replication u32:base
@@ -708,21 +640,41 @@ struct SnapTask {
 /// ```
 ///
 /// `base` is the id of the first task in the window (tasks below it were
-/// retired by [`Synchronizer::recycle`] and report [`completed`]
-/// (Self::completed)); version 2 added it — version-1 snapshots are
-/// rejected rather than silently misread.
+/// retired by [`Synchronizer::recycle`]); version 2 added it — version-1
+/// snapshots are rejected rather than silently misread.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SyncSnapshot {
     replication: bool,
     base: u32,
     tasks: Vec<SnapTask>,
-    queues: Vec<Vec<(TaskId, AccessMode, bool)>>,
+    /// Every task's unreleased objects, task after task.
+    objects: Vec<ObjectId>,
+    /// Where each object's queue ends in `entries` (it starts where the
+    /// previous one ends).
+    queue_ends: Vec<u32>,
+    entries: Vec<SnapEntry>,
 }
 
 const SNAP_MAGIC: &[u8; 4] = b"JSNP";
 const SNAP_VERSION: u16 = 2;
+/// An access mode's byte in the format is its index here.
+const SNAP_MODES: [AccessMode; 3] = [AccessMode::Read, AccessMode::Write, AccessMode::ReadWrite];
 
 impl SyncSnapshot {
+    fn objects_of(&self, t: &SnapTask) -> &[ObjectId] {
+        &self.objects[t.objs_start as usize..][..t.nobjs as usize]
+    }
+
+    /// Each object's queue, in object order.
+    fn queues(&self) -> impl Iterator<Item = &[SnapEntry]> {
+        let mut start = 0;
+        self.queue_ends.iter().map(move |&end| {
+            let queue = &self.entries[start..end as usize];
+            start = end as usize;
+            queue
+        })
+    }
+
     /// Number of tasks registered at capture time.
     pub fn task_count(&self) -> usize {
         self.tasks.len()
@@ -737,20 +689,18 @@ impl SyncSnapshot {
     /// after the snapshot report `false`; tasks below the recycled window
     /// base are completed history and report `true`.
     pub fn completed(&self, id: TaskId) -> bool {
-        if id.index() < self.base as usize {
-            return true;
-        }
-        self.tasks
-            .get(id.index() - self.base as usize)
-            .is_some_and(|t| t.completed)
+        let slot = id.index().checked_sub(self.base as usize);
+        slot.is_none_or(|s| self.tasks.get(s).is_some_and(|t| t.completed))
     }
 
     /// Exact size of [`to_bytes`](Self::to_bytes) output, used to charge
     /// checkpoint costs without materializing the encoding.
     pub fn encoded_len(&self) -> usize {
-        let task_bytes: usize = self.tasks.iter().map(|t| 9 + 4 * t.objects.len()).sum();
-        let queue_bytes: usize = self.queues.iter().map(|q| 4 + 6 * q.len()).sum();
-        4 + 2 + 1 + 4 + 4 + task_bytes + 4 + queue_bytes
+        (4 + 2 + 1 + 4 + 4 + 4)
+            + 9 * self.tasks.len()
+            + 4 * self.objects.len()
+            + 4 * self.queue_ends.len()
+            + 6 * self.entries.len()
     }
 
     /// Encode to the binary checkpoint format.
@@ -764,21 +714,17 @@ impl SyncSnapshot {
         for t in &self.tasks {
             out.push(t.completed as u8);
             out.extend_from_slice(&t.ungranted.to_le_bytes());
-            out.extend_from_slice(&(t.objects.len() as u32).to_le_bytes());
-            for o in &t.objects {
+            out.extend_from_slice(&t.nobjs.to_le_bytes());
+            for o in self.objects_of(t) {
                 out.extend_from_slice(&o.0.to_le_bytes());
             }
         }
-        out.extend_from_slice(&(self.queues.len() as u32).to_le_bytes());
-        for q in &self.queues {
-            out.extend_from_slice(&(q.len() as u32).to_le_bytes());
-            for &(task, mode, granted) in q {
+        out.extend_from_slice(&(self.queue_ends.len() as u32).to_le_bytes());
+        for queue in self.queues() {
+            out.extend_from_slice(&(queue.len() as u32).to_le_bytes());
+            for &(task, mode, granted) in queue {
                 out.extend_from_slice(&task.0.to_le_bytes());
-                out.push(match mode {
-                    AccessMode::Read => 0,
-                    AccessMode::Write => 1,
-                    AccessMode::ReadWrite => 2,
-                });
+                out.push(SNAP_MODES.iter().position(|&m| m == mode).unwrap() as u8);
                 out.push(granted as u8);
             }
         }
@@ -787,8 +733,11 @@ impl SyncSnapshot {
     }
 
     /// Decode a snapshot previously produced by [`to_bytes`](Self::to_bytes).
+    /// Any input gives `Ok` or `Err`, never a panic, and an `Ok` snapshot is
+    /// one [`Synchronizer::from_snapshot`] can rebuild: the content is
+    /// checked as well as the structure (see `validate`).
     pub fn from_bytes(bytes: &[u8]) -> Result<SyncSnapshot, String> {
-        let mut r = SnapReader { bytes, pos: 0 };
+        let mut r = SnapReader(bytes);
         if r.take(4)? != SNAP_MAGIC {
             return Err("sync snapshot: bad magic".to_string());
         }
@@ -798,64 +747,112 @@ impl SyncSnapshot {
         }
         let replication = r.flag()?;
         let base = r.u32()?;
-        let ntasks = r.len32()?;
+        let ntasks = r.len32(9)?;
         let mut tasks = Vec::with_capacity(ntasks);
+        let mut objects = Vec::new();
         for _ in 0..ntasks {
             let completed = r.flag()?;
             let ungranted = r.u32()?;
-            let nobjs = r.len32()?;
-            let mut objects = Vec::with_capacity(nobjs);
-            for _ in 0..nobjs {
-                objects.push(ObjectId(r.u32()?));
-            }
+            let nobjs = r.len32(4)?;
             tasks.push(SnapTask {
-                objects,
+                objs_start: objects.len() as u32,
+                nobjs: nobjs as u32,
                 ungranted,
                 completed,
             });
-        }
-        let nqueues = r.len32()?;
-        let mut queues = Vec::with_capacity(nqueues);
-        for _ in 0..nqueues {
-            let len = r.len32()?;
-            let mut q = Vec::with_capacity(len);
-            for _ in 0..len {
-                let task = TaskId(r.u32()?);
-                let mode = match r.byte()? {
-                    0 => AccessMode::Read,
-                    1 => AccessMode::Write,
-                    2 => AccessMode::ReadWrite,
-                    m => return Err(format!("sync snapshot: bad access mode {m}")),
-                };
-                let granted = r.flag()?;
-                q.push((task, mode, granted));
+            for _ in 0..nobjs {
+                objects.push(ObjectId(r.u32()?));
             }
-            queues.push(q);
         }
-        if r.pos != bytes.len() {
+        let nqueues = r.len32(4)?;
+        let mut queue_ends = Vec::with_capacity(nqueues);
+        let mut entries = Vec::new();
+        for _ in 0..nqueues {
+            for _ in 0..r.len32(6)? {
+                let task = TaskId(r.u32()?);
+                let mode = r.byte()?;
+                let mode = *(SNAP_MODES.get(mode as usize))
+                    .ok_or_else(|| format!("sync snapshot: bad access mode {mode}"))?;
+                entries.push((task, mode, r.flag()?));
+            }
+            queue_ends.push(entries.len() as u32);
+        }
+        if !r.0.is_empty() {
             return Err("sync snapshot: trailing bytes".to_string());
         }
-        Ok(SyncSnapshot {
+        let snap = SyncSnapshot {
             replication,
             base,
             tasks,
-            queues,
-        })
+            objects,
+            queue_ends,
+            entries,
+        };
+        snap.validate()?;
+        Ok(snap)
+    }
+
+    /// The content checks of [`from_bytes`](Self::from_bytes): what a real
+    /// synchronizer's snapshot always satisfies and `from_snapshot` relies
+    /// on. A queue is in strict task order, its granted entries first and
+    /// such as could be granted together; an entry names a task of the
+    /// window and an object that task lists; a task has as many entries as
+    /// it lists objects — so it lists none twice, a queue holding a task
+    /// once — `ungranted` of them not granted, and none once completed.
+    fn validate(&self) -> Result<(), String> {
+        let bad = |what: &str| Err(format!("sync snapshot: {what}"));
+        if self.base as u64 + self.tasks.len() as u64 > NIL as u64 {
+            return bad("task ids overflow");
+        }
+        // Entries seen per task: (all, ungranted).
+        let mut seen = vec![(0u32, 0u32); self.tasks.len()];
+        for (oi, queue) in self.queues().enumerate() {
+            let (mut last, mut prefix, mut waiting) = (None, ObjQueue::IDLE, false);
+            for &(task, mode, granted) in queue {
+                let Some(slot) = (task.0.checked_sub(self.base))
+                    .map(|s| s as usize)
+                    .filter(|&s| s < self.tasks.len())
+                else {
+                    return bad("queue entry names a task outside the window");
+                };
+                let listed = self.objects_of(&self.tasks[slot]);
+                if !listed.iter().any(|o| o.index() == oi) {
+                    return bad("queue entry for an object its task does not list");
+                }
+                if last.replace(task) >= Some(task) || (granted && waiting) {
+                    return bad("queue out of order");
+                }
+                if granted && !prefix.admits(mode, self.replication) {
+                    return bad("granted prefix is neither all reads nor one writer");
+                }
+                if granted {
+                    prefix.grant(mode);
+                }
+                waiting |= !granted;
+                seen[slot].0 += 1;
+                seen[slot].1 += u32::from(!granted);
+            }
+        }
+        for (t, &(all, ungranted)) in self.tasks.iter().zip(&seen) {
+            if all != t.nobjs || ungranted != t.ungranted || (t.completed && all > 0) {
+                return bad("task disagrees with its queue entries");
+            }
+        }
+        Ok(())
     }
 }
 
-struct SnapReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
+/// A cursor over snapshot bytes; every read is bounds-checked.
+struct SnapReader<'a>(&'a [u8]);
 
 impl<'a> SnapReader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let end = end.ok_or_else(|| "sync snapshot: truncated".to_string())?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
+        if n > self.0.len() {
+            return Err("sync snapshot: truncated".to_string());
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
     }
 
     fn byte(&mut self) -> Result<u8, String> {
@@ -864,8 +861,7 @@ impl<'a> SnapReader<'a> {
 
     fn flag(&mut self) -> Result<bool, String> {
         match self.byte()? {
-            0 => Ok(false),
-            1 => Ok(true),
+            b @ 0..=1 => Ok(b == 1),
             b => Err(format!("sync snapshot: bad flag byte {b}")),
         }
     }
@@ -874,11 +870,11 @@ impl<'a> SnapReader<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn len32(&mut self) -> Result<usize, String> {
+    /// A count of items `item_bytes` long or longer: never more than the
+    /// bytes left could hold, so hostile input cannot size an allocation.
+    fn len32(&mut self, item_bytes: usize) -> Result<usize, String> {
         let n = self.u32()? as usize;
-        // A length prefix can never promise more entries than bytes left;
-        // rejecting early keeps hostile input from causing huge allocations.
-        if n > self.bytes.len() - self.pos {
+        if n > self.0.len() / item_bytes {
             return Err("sync snapshot: truncated".to_string());
         }
         Ok(n)
@@ -888,6 +884,17 @@ impl<'a> SnapReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::EventSink;
+
+    /// Untraced `release`.
+    fn release(sync: &mut Synchronizer, id: TaskId, object: ObjectId, newly: &mut Vec<TaskId>) {
+        sync.release(id, object, newly, &mut NullSink, 0, 0);
+    }
+
+    /// Untraced `apply_batch`.
+    fn apply_batch(sync: &mut Synchronizer, batch: &mut TransitionBatch, newly: &mut Vec<TaskId>) {
+        sync.apply_batch(batch, newly, &mut NullSink, &mut || 0, 0);
+    }
 
     fn o(n: u32) -> ObjectId {
         ObjectId(n)
@@ -906,14 +913,14 @@ mod tests {
 
     #[test]
     fn independent_tasks_enable_immediately() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         assert!(sync.add_task(TaskId(0), &spec(&[], &[0])));
         assert!(sync.add_task(TaskId(1), &spec(&[], &[1])));
     }
 
     #[test]
     fn writer_then_reader_serializes() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         assert!(sync.add_task(TaskId(0), &spec(&[], &[0])));
         assert!(!sync.add_task(TaskId(1), &spec(&[0], &[])));
         let mut enabled = Vec::new();
@@ -924,7 +931,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_all_enabled() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         for i in 0..10 {
             assert!(sync.add_task(TaskId(i), &spec(&[0], &[])), "reader {i}");
         }
@@ -942,7 +949,7 @@ mod tests {
 
     #[test]
     fn readers_block_writer_until_all_done() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         assert!(sync.add_task(TaskId(0), &spec(&[0], &[])));
         assert!(sync.add_task(TaskId(1), &spec(&[0], &[])));
         assert!(!sync.add_task(TaskId(2), &spec(&[], &[0])));
@@ -955,7 +962,7 @@ mod tests {
 
     #[test]
     fn reader_behind_writer_waits_but_later_reader_run_shares() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         assert!(sync.add_task(TaskId(0), &spec(&[], &[0]))); // writer
         assert!(!sync.add_task(TaskId(1), &spec(&[0], &[]))); // reader
         assert!(!sync.add_task(TaskId(2), &spec(&[0], &[]))); // reader
@@ -973,7 +980,7 @@ mod tests {
 
     #[test]
     fn multi_object_task_waits_for_all() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         assert!(sync.add_task(TaskId(0), &spec(&[], &[0])));
         assert!(sync.add_task(TaskId(1), &spec(&[], &[1])));
         // Task 2 reads both objects; blocked by both writers.
@@ -987,7 +994,7 @@ mod tests {
 
     #[test]
     fn read_write_mode_is_exclusive() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         let mut s0 = AccessSpec::new();
         s0.rd_wr(o(0));
         assert!(sync.add_task(TaskId(0), &s0));
@@ -1005,7 +1012,7 @@ mod tests {
 
     #[test]
     fn empty_spec_enables_immediately() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         assert!(sync.add_task(TaskId(0), &AccessSpec::new()));
         let mut enabled = Vec::new();
         sync.complete(TaskId(0), &mut enabled);
@@ -1016,11 +1023,11 @@ mod tests {
     fn release_lets_successor_start_early() {
         // Pipelining: a writer releases object 0 mid-task; the waiting
         // reader enables while the writer is still running.
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         assert!(sync.add_task(TaskId(0), &spec(&[], &[0, 1])));
         assert!(!sync.add_task(TaskId(1), &spec(&[0], &[])));
         let mut enabled = Vec::new();
-        sync.release(TaskId(0), o(0), &mut enabled);
+        release(&mut sync, TaskId(0), o(0), &mut enabled);
         assert_eq!(
             enabled,
             vec![TaskId(1)],
@@ -1035,32 +1042,32 @@ mod tests {
 
     #[test]
     fn release_of_read_unblocks_writer() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         assert!(sync.add_task(TaskId(0), &spec(&[0], &[1])));
         assert!(!sync.add_task(TaskId(1), &spec(&[], &[0])));
         let mut enabled = Vec::new();
-        sync.release(TaskId(0), o(0), &mut enabled);
+        release(&mut sync, TaskId(0), o(0), &mut enabled);
         assert_eq!(enabled, vec![TaskId(1)]);
     }
 
     #[test]
     #[should_panic(expected = "releasing undeclared")]
     fn double_release_panics() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         sync.add_task(TaskId(0), &spec(&[0], &[]));
         let mut e = Vec::new();
-        sync.release(TaskId(0), o(0), &mut e);
-        sync.release(TaskId(0), o(0), &mut e);
+        release(&mut sync, TaskId(0), o(0), &mut e);
+        release(&mut sync, TaskId(0), o(0), &mut e);
     }
 
     #[test]
     fn complete_after_partial_release_cleans_rest() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         sync.add_task(TaskId(0), &spec(&[0, 1, 2], &[]));
         sync.add_task(TaskId(1), &spec(&[], &[0]));
         sync.add_task(TaskId(2), &spec(&[], &[1]));
         let mut e = Vec::new();
-        sync.release(TaskId(0), o(0), &mut e);
+        release(&mut sync, TaskId(0), o(0), &mut e);
         assert_eq!(e, vec![TaskId(1)]);
         e.clear();
         sync.complete(TaskId(0), &mut e);
@@ -1074,14 +1081,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "serial program order")]
     fn out_of_order_registration_panics() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         sync.add_task(TaskId(1), &AccessSpec::new());
     }
 
     #[test]
     #[should_panic(expected = "completed twice")]
     fn double_complete_panics() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         sync.add_task(TaskId(0), &AccessSpec::new());
         let mut e = Vec::new();
         sync.complete(TaskId(0), &mut e);
@@ -1090,7 +1097,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_bytes() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         sync.add_task(TaskId(0), &spec(&[], &[0]));
         sync.add_task(TaskId(1), &spec(&[0], &[1]));
         sync.add_task(TaskId(2), &spec(&[0, 1], &[]));
@@ -1117,7 +1124,7 @@ mod tests {
 
     #[test]
     fn snapshot_decode_rejects_corruption() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         sync.add_task(TaskId(0), &spec(&[0], &[1]));
         let bytes = sync.snapshot().to_bytes();
         assert!(SyncSnapshot::from_bytes(&bytes[..bytes.len() - 1]).is_err());
@@ -1134,9 +1141,56 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_decode_rejects_what_restore_cannot_rebuild() {
+        // Structurally sound, 29 bytes: no tasks, one queue, one entry
+        // naming task 7. It used to decode and then panic in `from_snapshot`.
+        let mut bytes = b"JSNP\x02\x00\x01".to_vec();
+        for word in [0u32, 0, 1, 1, 7] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.extend_from_slice(&[0, 0]);
+        let err = SyncSnapshot::from_bytes(&bytes).unwrap_err();
+        assert!(err.contains("outside the window"), "{err}");
+
+        // One writer (task 0) and one waiting reader (task 1) on object 0:
+        //   11 ntasks | 15 completed, 16 ungranted, 20 nobjs, 24 object
+        //             | 28 completed, 29 ungranted, 33 nobjs, 37 object
+        //   41 nqueues | 45 len | 49 task, 53 mode, 54 granted
+        //                       | 55 task, 59 mode, 60 granted
+        let mut sync = Synchronizer::new(true);
+        sync.add_task(TaskId(0), &spec(&[], &[0]));
+        sync.add_task(TaskId(1), &spec(&[0], &[]));
+        let good = sync.snapshot().to_bytes();
+        assert_eq!(good.len(), 61);
+        assert!(SyncSnapshot::from_bytes(&good).is_ok());
+        let reject = |edits: &[(usize, u8)], why: &str| {
+            let mut bad = good.clone();
+            for &(at, value) in edits {
+                bad[at] = value;
+            }
+            let err = SyncSnapshot::from_bytes(&bad).expect_err(why);
+            assert!(err.contains(why), "{why}: {err}");
+        };
+        reject(&[(24, 5)], "does not list"); // task 0 lists object 5, not 0
+        reject(&[(33, 2)], "truncated"); // task 1 lists two objects: bytes run out
+        reject(&[(29, 0)], "disagrees"); // task 1 has nothing ungranted, yet waits
+        reject(&[(15, 1)], "disagrees"); // task 0 completed, yet holds object 0
+        reject(&[(60, 1)], "neither all reads nor one writer"); // both granted
+        reject(&[(54, 0), (60, 1)], "out of order"); // granted behind a waiter
+        reject(&[(55, 0)], "out of order"); // the second entry is task 0 again
+        reject(&[(49, 9)], "outside the window"); // no task 9
+                                                  // Task 1 lists object 0 twice: one queue entry cannot cover both.
+        let mut twice = good.clone();
+        twice[33] = 2;
+        twice.splice(41..41, [0; 4]);
+        let err = SyncSnapshot::from_bytes(&twice).unwrap_err();
+        assert!(err.contains("disagrees"), "{err}");
+    }
+
+    #[test]
     fn long_pipeline_executes_in_order() {
         // w(0) -> r(0)w(1) -> r(1)w(2) -> ... classic pipeline.
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         assert!(sync.add_task(TaskId(0), &spec(&[], &[0])));
         for i in 1..50u32 {
             assert!(!sync.add_task(TaskId(i), &spec(&[i - 1], &[i])));
@@ -1159,7 +1213,7 @@ mod tests {
         // (the old full-queue representation walked all 10k entries per
         // completion, going quadratic).
         let n = 10_000u32;
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         for i in 0..n {
             assert!(sync.add_task(TaskId(i), &spec(&[0], &[])));
         }
@@ -1184,7 +1238,7 @@ mod tests {
         // batch fired by the writer's completion moves all of them out of
         // the queue at once — afterwards every read completion is O(1).
         let n = 10_000u32;
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         assert!(sync.add_task(TaskId(0), &spec(&[], &[0])));
         for i in 1..=n {
             assert!(!sync.add_task(TaskId(i), &spec(&[0], &[])));
@@ -1205,7 +1259,7 @@ mod tests {
     /// Build the same mixed DAG twice: writer chains, a read fan-out and a
     /// trailing writer across three objects.
     fn mixed_dag() -> Synchronizer {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         sync.add_task(TaskId(0), &spec(&[], &[0, 1]));
         sync.add_task(TaskId(1), &spec(&[0], &[]));
         sync.add_task(TaskId(2), &spec(&[0], &[2]));
@@ -1222,18 +1276,18 @@ mod tests {
         let mut a = mixed_dag();
         let mut b = mixed_dag();
         let mut ea = Vec::new();
-        a.release(TaskId(0), o(0), &mut ea);
+        release(&mut a, TaskId(0), o(0), &mut ea);
         a.complete(TaskId(0), &mut ea);
         a.complete(TaskId(1), &mut ea);
 
-        let mut batch = TransitionBatch::new();
+        let mut batch = TransitionBatch::default();
         batch.release(TaskId(0), o(0));
         batch.complete(TaskId(0));
         batch.complete(TaskId(1));
         assert_eq!(batch.len(), 3);
         assert_eq!(batch.completions(), 2);
         let mut eb = Vec::new();
-        b.apply_batch(&mut batch, &mut eb);
+        apply_batch(&mut b, &mut batch, &mut eb);
         assert!(batch.is_empty(), "apply_batch drains the batch");
         assert_eq!(ea, eb, "batched enables diverge from individual calls");
         assert_eq!(a.live_tasks(), b.live_tasks());
@@ -1248,17 +1302,17 @@ mod tests {
     fn batch_enable_order_is_deterministic() {
         // A completion enabling several tasks keeps per-object program
         // order, and a later transition's enables follow the earlier ones.
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         sync.add_task(TaskId(0), &spec(&[], &[0]));
         sync.add_task(TaskId(1), &spec(&[], &[1]));
         sync.add_task(TaskId(2), &spec(&[0], &[]));
         sync.add_task(TaskId(3), &spec(&[0], &[]));
         sync.add_task(TaskId(4), &spec(&[1], &[]));
-        let mut batch = TransitionBatch::new();
+        let mut batch = TransitionBatch::default();
         batch.complete(TaskId(0));
         batch.complete(TaskId(1));
         let mut enabled = Vec::new();
-        sync.apply_batch(&mut batch, &mut enabled);
+        apply_batch(&mut sync, &mut batch, &mut enabled);
         assert_eq!(enabled, vec![TaskId(2), TaskId(3), TaskId(4)]);
     }
 
@@ -1267,30 +1321,29 @@ mod tests {
         let mut sync = mixed_dag();
         let live = sync.live_tasks();
         let mut enabled = Vec::new();
-        sync.apply_batch(&mut TransitionBatch::new(), &mut enabled);
+        apply_batch(&mut sync, &mut TransitionBatch::default(), &mut enabled);
         assert!(enabled.is_empty());
         assert_eq!(sync.live_tasks(), live);
     }
 
     #[test]
     fn batch_traced_stream_matches_individual_traced_calls() {
-        use crate::events::EventSink;
         let mut a = mixed_dag();
         let mut b = mixed_dag();
         let (mut sa, mut sb) = (EventSink::recording(), EventSink::recording());
         let mut clock = 0u64..;
         let mut ea = Vec::new();
         a.complete_traced(TaskId(0), &mut ea, &mut sa, clock.next().unwrap(), 0);
-        a.release_traced(TaskId(2), o(0), &mut ea, &mut sa, clock.next().unwrap(), 0);
+        a.release(TaskId(2), o(0), &mut ea, &mut sa, clock.next().unwrap(), 0);
         a.complete_traced(TaskId(1), &mut ea, &mut sa, clock.next().unwrap(), 0);
 
-        let mut batch = TransitionBatch::new();
+        let mut batch = TransitionBatch::default();
         batch.complete(TaskId(0));
         batch.release(TaskId(2), o(0));
         batch.complete(TaskId(1));
         let mut tick = 0u64..;
         let mut eb = Vec::new();
-        b.apply_batch_traced(
+        b.apply_batch(
             &mut batch,
             &mut eb,
             &mut sb,
@@ -1308,37 +1361,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "completed twice")]
     fn batch_with_duplicate_completion_panics() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         sync.add_task(TaskId(0), &AccessSpec::new());
-        let mut batch = TransitionBatch::new();
+        let mut batch = TransitionBatch::default();
         batch.complete(TaskId(0));
         batch.complete(TaskId(0));
-        sync.apply_batch(&mut batch, &mut Vec::new());
-    }
-
-    #[test]
-    fn null_sink_traced_paths_match_untraced() {
-        use crate::events::NullSink;
-        let mut a = Synchronizer::default();
-        let mut b = Synchronizer::default();
-        let mut sink = NullSink;
-        assert_eq!(
-            a.add_task(TaskId(0), &spec(&[], &[0])),
-            b.add_task_traced(TaskId(0), &spec(&[], &[0]), &mut sink, 0, 0)
-        );
-        assert_eq!(
-            a.add_task(TaskId(1), &spec(&[0], &[])),
-            b.add_task_traced(TaskId(1), &spec(&[0], &[]), &mut sink, 1, 0)
-        );
-        let (mut ea, mut eb) = (Vec::new(), Vec::new());
-        a.complete(TaskId(0), &mut ea);
-        b.complete_traced(TaskId(0), &mut eb, &mut sink, 2, 0);
-        assert_eq!(ea, eb);
+        apply_batch(&mut sync, &mut batch, &mut Vec::new());
     }
 
     #[test]
     fn recycle_reuses_slabs_across_windows() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         let mut next = 0u32;
         let run_window = |sync: &mut Synchronizer, next: &mut u32, n: u32| {
             // Pipeline over one object: deterministic completion order.
@@ -1371,14 +1404,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "recycle with")]
     fn recycle_with_live_tasks_panics() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         sync.add_task(TaskId(0), &spec(&[], &[0]));
         sync.recycle();
     }
 
     #[test]
     fn windowed_snapshot_round_trips_and_reports_history_complete() {
-        let mut sync = Synchronizer::default();
+        let mut sync = Synchronizer::new(true);
         sync.add_task(TaskId(0), &spec(&[], &[0]));
         let mut e = Vec::new();
         sync.complete(TaskId(0), &mut e);
@@ -1413,7 +1446,7 @@ mod tests {
         mut seed: u64,
         steps: usize,
     ) -> (Vec<Vec<TaskId>>, Vec<crate::events::Event>) {
-        let mut sink = crate::events::EventSink::recording();
+        let mut sink = EventSink::recording();
         let mut clock = 0u64..;
         let mut enabled = Vec::new();
         for (i, s) in specs.iter().enumerate() {
@@ -1441,7 +1474,7 @@ mod tests {
             if next() % 2 == 0 && released[t.index()] < decls.len() {
                 let object = decls[released[t.index()]].object;
                 released[t.index()] += 1;
-                sync.release_traced(t, object, &mut newly, &mut sink, time, 0);
+                sync.release(t, object, &mut newly, &mut sink, time, 0);
             } else {
                 enabled.swap_remove(at);
                 sync.complete_traced(t, &mut newly, &mut sink, time, 0);
@@ -1450,6 +1483,191 @@ mod tests {
             answers.push(newly);
         }
         (answers, sink.take())
+    }
+
+    /// A seeded stream of small numbers.
+    fn lcg(mut state: u64) -> impl FnMut() -> usize {
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        }
+    }
+
+    /// A deterministic partial state: one to three windows of a seeded
+    /// program (earlier windows run to the end and are recycled), the last
+    /// stopped after a seeded number of completions and mid-task releases.
+    fn corpus_state(seed: u64) -> Synchronizer {
+        let mut next = lcg(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
+        let mut sync = Synchronizer::new(seed % 4 != 3);
+        let windows = 1 + seed as usize % 3;
+        let mut next_id = 0u32;
+        for w in 0..windows {
+            let n = 5 + next() % 40;
+            let base = next_id;
+            let mut specs = Vec::new();
+            let mut enabled = Vec::new();
+            for _ in 0..n {
+                let mut s = AccessSpec::new();
+                for _ in 0..next() % 5 {
+                    let obj = o((next() % 7) as u32);
+                    match next() % 3 {
+                        0 => s.rd(obj),
+                        1 => s.wr(obj),
+                        _ => s.rd_wr(obj),
+                    };
+                }
+                if sync.add_task(TaskId(next_id), &s) {
+                    enabled.push(TaskId(next_id));
+                }
+                specs.push(s);
+                next_id += 1;
+            }
+            let last = w + 1 == windows;
+            let steps = if last { next() % (2 * n) } else { usize::MAX };
+            let mut released = vec![0usize; n];
+            for _ in 0..steps {
+                if enabled.is_empty() {
+                    break;
+                }
+                let at = next() % enabled.len();
+                let t = enabled[at];
+                let local = (t.0 - base) as usize;
+                let decls = specs[local].decls();
+                let mut newly = Vec::new();
+                if next().is_multiple_of(2) && released[local] < decls.len() {
+                    let object = decls[released[local]].object;
+                    released[local] += 1;
+                    release(&mut sync, t, object, &mut newly);
+                } else {
+                    enabled.swap_remove(at);
+                    sync.complete(t, &mut newly);
+                }
+                enabled.extend(newly);
+            }
+            if !last {
+                assert!(sync.all_complete());
+                sync.recycle();
+            }
+        }
+        sync
+    }
+
+    fn fnv64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        })
+    }
+
+    /// `(length, FNV-1a)` of `snapshot().to_bytes()` for `corpus_state(0..24)`,
+    /// recorded at PR 22 (`e33ae33`) from the `VecDeque`-per-object
+    /// synchronizer this one replaced.
+    #[rustfmt::skip]
+    const SNAPSHOT_CORPUS: [(usize, u64); 24] = [
+        (458, 0x3914d7f443cbc68c),
+        (172, 0x1ab02e3ac821846a),
+        (155, 0x92344373b091003d),
+        (493, 0x56811d858a487d63),
+        (187, 0x625fc2ee06fd9eae),
+        (841, 0xdbad87e8e59eebfc),
+        (862, 0xd0cde407acc4b9ba),
+        (364, 0x8b2eee3719b7971b),
+        (429, 0x56cec4fa6b0a62b2),
+        (239, 0xdebdfcd24e18a062),
+        (184, 0x3e18908eabe1e1b2),
+        (668, 0xec44ebbd990ac0a6),
+        (498, 0x17ae866398bb14cd),
+        (527, 0x922172b3884cfa9d),
+        (382, 0x7219d37ad2764193),
+        (612, 0xed131469f958c8ab),
+        (224, 0xca0c560e17a1864f),
+        (409, 0xb1493736b88ec0c9),
+        (1011, 0x7e54b2475c96419e),
+        (1275, 0xf5417555fcd48f79),
+        (148, 0xc3fd2f5f2e1a3dd6),
+        (416, 0x7f165e8d94e30ca8),
+        (218, 0xa4f66eeeb51616d7),
+        (228, 0xd583a7a0cb25234d),
+    ];
+
+    #[test]
+    fn snapshot_bytes_match_the_committed_corpus() {
+        let got: Vec<(usize, u64)> = (0..24)
+            .map(|seed| {
+                let bytes = corpus_state(seed).snapshot().to_bytes();
+                (bytes.len(), fnv64(&bytes))
+            })
+            .collect();
+        assert_eq!(got, SNAPSHOT_CORPUS, "as source: {got:#x?}");
+    }
+
+    /// The reference the flat synchronizer is checked against: one `Vec`
+    /// of `(task, mode, granted)` per object, the whole conceptual queue in
+    /// program order, rescanned from the front after every removal.
+    struct Model {
+        replication: bool,
+        queues: Vec<Vec<(TaskId, AccessMode, bool)>>,
+        /// Per task of the window: declarations not yet granted.
+        ungranted: Vec<u32>,
+        base: u32,
+    }
+
+    impl Model {
+        fn new(replication: bool) -> Model {
+            Model {
+                replication,
+                queues: vec![Vec::new(); 6],
+                ungranted: Vec::new(),
+                base: 0,
+            }
+        }
+
+        /// Grant what the rules allow from the front of `obj`'s queue; a
+        /// task whose last declaration it grants goes to `newly`.
+        fn regrant(&mut self, obj: usize, newly: &mut Vec<TaskId>) {
+            let (mut reads, mut writer) = (0, false);
+            for (task, mode, granted) in &mut self.queues[obj] {
+                let read = *mode == AccessMode::Read;
+                let legal = !writer && (reads == 0 || (read && self.replication));
+                if !*granted {
+                    if !legal {
+                        break;
+                    }
+                    *granted = true;
+                    let left = &mut self.ungranted[(task.0 - self.base) as usize];
+                    *left -= 1;
+                    if *left == 0 {
+                        newly.push(*task);
+                    }
+                }
+                reads += u32::from(read);
+                writer |= !read;
+            }
+        }
+
+        fn add_task(&mut self, id: TaskId, spec: &AccessSpec) -> bool {
+            self.ungranted.push(spec.len() as u32);
+            let mut newly = Vec::new();
+            for d in spec.decls() {
+                self.queues[d.object.index()].push((id, d.mode, false));
+                self.regrant(d.object.index(), &mut newly);
+            }
+            spec.is_empty() || newly == [id]
+        }
+
+        fn release(&mut self, id: TaskId, object: ObjectId, newly: &mut Vec<TaskId>) {
+            let q = &mut self.queues[object.index()];
+            let at = q.iter().position(|e| e.0 == id).expect("declared");
+            assert!(q.remove(at).2, "releasing an ungranted access");
+            self.regrant(object.index(), newly);
+        }
+
+        fn recycle(&mut self) {
+            assert!(self.queues.iter().all(|q| q.is_empty()));
+            self.base += self.ungranted.len() as u32;
+            self.ungranted.clear();
+        }
     }
 
     use proptest::prelude::*;
@@ -1512,6 +1730,158 @@ mod tests {
             for obj in 0..6 {
                 prop_assert_eq!(used.queue_len(o(obj)), 0);
             }
+        }
+
+        /// The flat synchronizer against the naive model: the same enabled
+        /// sets in the same order under random specifications, completions
+        /// and mid-task releases, window after recycled window, across a
+        /// `reset` from a seeded point, replication on and off.
+        #[test]
+        fn flat_synchronizer_matches_the_naive_model(
+            windows in prop::collection::vec(program(25), 1..4),
+            seed in any::<u64>(),
+            reset_after in 0..120usize,
+            replication in any::<bool>(),
+        ) {
+            let mut next = lcg(seed | 1);
+            let mut sync = Synchronizer::new(replication);
+            let mut model = Model::new(replication);
+            let mut steps = 0usize;
+            let mut next_id = 0u32;
+            'windows: for prog in &windows {
+                let specs = specs_of(prog);
+                let base = next_id;
+                let mut enabled = Vec::new();
+                for s in &specs {
+                    let id = TaskId(next_id);
+                    next_id += 1;
+                    let now = sync.add_task(id, s);
+                    prop_assert_eq!(now, model.add_task(id, s), "add {:?}", id);
+                    prop_assert_eq!(now, sync.is_enabled(id));
+                    if now {
+                        enabled.push(id);
+                    }
+                }
+                let mut released = vec![0usize; specs.len()];
+                while !enabled.is_empty() {
+                    if steps == reset_after {
+                        // Abandon both mid-flight; ids restart from zero.
+                        sync.reset();
+                        model = Model::new(replication);
+                        next_id = 0;
+                        steps += 1;
+                        continue 'windows;
+                    }
+                    steps += 1;
+                    let at = next() % enabled.len();
+                    let t = enabled[at];
+                    let local = (t.0 - base) as usize;
+                    let decls = specs[local].decls();
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    if next().is_multiple_of(2) && released[local] < decls.len() {
+                        let object = decls[released[local]].object;
+                        released[local] += 1;
+                        release(&mut sync, t, object, &mut got);
+                        model.release(t, object, &mut want);
+                    } else {
+                        enabled.swap_remove(at);
+                        sync.complete(t, &mut got);
+                        for d in &decls[released[local]..] {
+                            model.release(t, d.object, &mut want);
+                        }
+                    }
+                    prop_assert_eq!(&got, &want, "after {:?}", t);
+                    for obj in 0..6 {
+                        let q = &model.queues[obj];
+                        prop_assert_eq!(sync.queue_len(o(obj as u32)), q.len());
+                        let waiting = q.iter().filter(|e| !e.2).count();
+                        prop_assert_eq!(sync.waiting_len(o(obj as u32)), waiting);
+                    }
+                    enabled.extend(got);
+                }
+                prop_assert!(sync.all_complete(), "the window ran to its end");
+                sync.recycle();
+                model.recycle();
+                prop_assert_eq!(sync.base_task(), model.base);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Valid encodings mutated (field by field before encoding, byte
+        /// by byte after), truncated and spliced: `from_bytes` answers
+        /// `Err`, or a snapshot whose synchronizer encodes back to the same
+        /// bytes and can be driven — never a panic, a hang or an allocation
+        /// the size of a length prefix.
+        #[test]
+        fn mangled_snapshots_are_rejected_or_round_trip(
+            a in 0..24u64,
+            b in 0..24u64,
+            fields in prop::collection::vec((any::<u32>(), 0..8u8), 0..3),
+            edits in prop::collection::vec((any::<u32>(), any::<u8>()), 0..3),
+            cut in any::<u32>(),
+            splice in any::<bool>(),
+        ) {
+            let mut snap = corpus_state(a).snapshot();
+            for &(pick, kind) in &fields {
+                let pick = pick as usize;
+                let modes = [AccessMode::Read, AccessMode::Write, AccessMode::ReadWrite];
+                let entries = snap.entries.len().max(1);
+                let tasks = snap.tasks.len();
+                match kind {
+                    0 => snap.replication ^= true,
+                    1 => snap.base += pick as u32 % 3,
+                    2 => snap.tasks[pick % tasks].ungranted ^= 1,
+                    3 => snap.tasks[pick % tasks].completed ^= true,
+                    4 if snap.entries.len() > 1 => {
+                        snap.entries.swap(pick % entries, (pick + 1) % entries)
+                    }
+                    _ => {
+                        if let Some(e) = snap.entries.get_mut(pick % entries) {
+                            match kind {
+                                5 => e.0 = TaskId(pick as u32 % 48),
+                                6 => e.1 = modes[pick % 3],
+                                _ => e.2 ^= true,
+                            }
+                        }
+                    }
+                }
+            }
+            let mut bytes = snap.to_bytes();
+            if splice {
+                // The head of one state on the tail of another.
+                let other = corpus_state(b).snapshot().to_bytes();
+                let at = cut as usize % bytes.len().min(other.len());
+                bytes.truncate(at);
+                bytes.extend_from_slice(&other[at..]);
+            } else if cut.is_multiple_of(4) {
+                bytes.truncate(cut as usize / 4 % bytes.len());
+            }
+            for &(at, value) in &edits {
+                let len = bytes.len().max(1);
+                if let Some(byte) = bytes.get_mut(at as usize % len) {
+                    *byte = if at % 2 == 0 { value } else { value % 8 };
+                }
+            }
+            let Ok(snap) = SyncSnapshot::from_bytes(&bytes) else {
+                continue;
+            };
+            prop_assert_eq!(snap.to_bytes(), bytes.clone(), "decode then encode");
+            let mut sync = Synchronizer::from_snapshot(&snap);
+            prop_assert_eq!(sync.snapshot().to_bytes(), bytes, "restore then capture");
+            // Whatever it describes can be run: complete enabled tasks until
+            // none is left (a mangled state may strand the rest).
+            let ids = || (0..snap.task_count() as u32).map(|i| TaskId(sync.base_task() + i));
+            let mut ready: Vec<TaskId> = ids().filter(|&t| sync.is_enabled(t)).collect();
+            let mut done = 0;
+            while let Some(t) = ready.pop() {
+                sync.complete(t, &mut ready);
+                done += 1;
+            }
+            prop_assert!(done <= snap.live_tasks());
+            prop_assert_eq!(sync.live_tasks(), snap.live_tasks() - done);
         }
     }
 }

@@ -13,8 +13,6 @@
 //!   processors with ~30k tasks, implying ~0.2–0.3 ms of serialized
 //!   creation cost per task on the main processor.
 
-use dsim::SimDuration;
-
 /// Per-operation Jade runtime overheads on the shared-memory machine.
 #[derive(Clone, Copy, Debug)]
 pub struct DashCosts {
@@ -48,21 +46,6 @@ impl Default for DashCosts {
     }
 }
 
-impl DashCosts {
-    pub fn create(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.create_s)
-    }
-    pub fn dispatch(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.dispatch_s)
-    }
-    pub fn complete(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.complete_s)
-    }
-    pub fn steal(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.steal_s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,6 +56,5 @@ mod tests {
         for v in [c.create_s, c.dispatch_s, c.complete_s, c.steal_s] {
             assert!(v > 0.0 && v < 1e-3);
         }
-        assert!(c.create().as_secs_f64() > 0.0);
     }
 }

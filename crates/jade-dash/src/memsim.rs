@@ -13,20 +13,26 @@
 //! times (Table 1 vs Tables 2–5).
 
 use dsim::{DashHit, DashSpec, SimDuration};
-use jade_core::{AccessMode, AccessSpec, Trace};
-
-#[derive(Clone, Debug)]
-struct ObjState {
-    /// Clusters holding a valid copy.
-    sharers: Vec<bool>,
-    /// Cluster holding the newest copy when dirty.
-    dirty_in: Option<usize>,
-}
+use jade_core::{AccessMode, AccessSpec, ObjectId, Trace};
 
 /// Tracks object residency and prices task accesses.
+///
+/// Directory state is flat: every object's sharer set is a bit mask over
+/// the clusters, `words` `u64`s long (one, up to 64 clusters), all of them
+/// in one allocation. A task's access is then one bit test and one store;
+/// whether a held copy is the only one never has to be asked, because a hit
+/// is free either way.
 pub struct MemSim {
     machine: DashSpec,
-    objects: Vec<ObjState>,
+    /// `u64`s per sharer set.
+    words: usize,
+    /// Clusters holding a valid copy: object `o`'s set is
+    /// `sharers[o * words..][..words]`, cluster `c` bit `c % 64` of word
+    /// `c / 64`.
+    sharers: Vec<u64>,
+    /// Per object: the newest copy is dirty (in the one cluster that then
+    /// holds it).
+    dirty: Vec<bool>,
     sizes: Vec<usize>,
     /// Total bytes moved between clusters (diagnostic).
     pub bytes_moved: u64,
@@ -36,23 +42,16 @@ impl MemSim {
     /// Objects start resident (clean) in their home cluster: the program's
     /// initialization wrote them there.
     pub fn new(machine: DashSpec, trace: &Trace) -> MemSim {
-        let clusters = machine.clusters();
-        let objects = trace
-            .objects
-            .iter()
-            .map(|o| {
-                let mut sharers = vec![false; clusters];
-                let home_proc = o
-                    .home
-                    .unwrap_or(jade_core::MAIN_PROC)
-                    .min(machine.procs - 1);
-                sharers[machine.cluster_of(home_proc)] = true;
-                ObjState {
-                    sharers,
-                    dirty_in: None,
-                }
-            })
-            .collect();
+        let words = machine.clusters().div_ceil(64).max(1);
+        let mut sharers = vec![0u64; words * trace.objects.len()];
+        for (set, o) in sharers.chunks_exact_mut(words).zip(&trace.objects) {
+            let home_proc = o
+                .home
+                .unwrap_or(jade_core::MAIN_PROC)
+                .min(machine.procs - 1);
+            let home = machine.cluster_of(home_proc);
+            set[home / 64] = 1 << (home % 64);
+        }
         let sizes = trace
             .objects
             .iter()
@@ -60,7 +59,9 @@ impl MemSim {
             .collect();
         MemSim {
             machine,
-            objects,
+            words,
+            sharers,
+            dirty: vec![false; trace.objects.len()],
             sizes,
             bytes_moved: 0,
         }
@@ -70,27 +71,39 @@ impl MemSim {
     /// processor `proc`. Returns the extra communication time the task
     /// spends stalled on remote fetches.
     pub fn task_accesses(&mut self, proc: usize, spec: &AccessSpec) -> SimDuration {
-        self.task_accesses_with(proc, spec, |_, _, _| {})
+        self.task_accesses_with(proc, spec, false, |_, _, _| {})
     }
 
     /// Like [`task_accesses`](Self::task_accesses), but reports every
     /// inter-cluster fetch as `(object, bytes, stall)` — the per-access
     /// detail behind the event layer's `ObjectFetch` records. Accesses
     /// that hit in the task's own cluster are not reported.
+    ///
+    /// `aggregate` applies the inspector/executor aggregation pass
+    /// (DESIGN.md §15): the runtime inspected the task's declared access set
+    /// at enable time, so after the *first* remote miss has opened the
+    /// path, every further remote object in the same set streams behind it
+    /// at [`DashSpec::agg_streamed_cycles`] per line instead of paying a
+    /// full round trip. Directory state transitions and `bytes_moved` are
+    /// identical to the unaggregated walk — only the stall time shrinks.
     pub fn task_accesses_with(
         &mut self,
         proc: usize,
         spec: &AccessSpec,
-        mut on_fetch: impl FnMut(jade_core::ObjectId, u64, SimDuration),
+        aggregate: bool,
+        mut on_fetch: impl FnMut(ObjectId, u64, SimDuration),
     ) -> SimDuration {
         let cluster = self.machine.cluster_of(proc);
         let mut total = SimDuration::ZERO;
+        let mut opened = false;
         for d in spec.decls() {
-            let (cost, bytes) = match d.mode {
-                AccessMode::Read => self.read(cluster, d.object.index()),
-                AccessMode::Write | AccessMode::ReadWrite => self.write(cluster, d.object.index()),
-            };
+            let (mut cost, bytes) = self.access(cluster, d.object.index(), d.mode);
             if bytes > 0 {
+                if aggregate && opened {
+                    // Streamed tail of the bundle: latency already paid.
+                    cost = cost.min(self.machine.streamed_time(bytes as usize));
+                }
+                opened = true;
                 on_fetch(d.object, bytes, cost);
             }
             total += cost;
@@ -98,117 +111,64 @@ impl MemSim {
         total
     }
 
-    /// Like [`task_accesses_with`](Self::task_accesses_with), but with the
-    /// inspector/executor aggregation pass applied (DESIGN.md §15): the
-    /// runtime inspected the task's declared access set at enable time, so
-    /// after the *first* remote miss has opened the path, every further
-    /// remote object in the same set streams behind it at
-    /// [`DashSpec::agg_streamed_cycles`] per line instead of paying a full
-    /// round trip. Directory state transitions and `bytes_moved` are
-    /// identical to the unaggregated walk — only the stall time shrinks.
-    /// Returns the total stall plus the number of remote objects coalesced.
-    pub fn task_accesses_agg_with(
-        &mut self,
-        proc: usize,
-        spec: &AccessSpec,
-        mut on_fetch: impl FnMut(jade_core::ObjectId, u64, SimDuration),
-    ) -> (SimDuration, u32) {
-        let cluster = self.machine.cluster_of(proc);
-        let mut total = SimDuration::ZERO;
-        let mut remote = 0u32;
-        for d in spec.decls() {
-            let (full_cost, bytes) = match d.mode {
-                AccessMode::Read => self.read(cluster, d.object.index()),
-                AccessMode::Write | AccessMode::ReadWrite => self.write(cluster, d.object.index()),
-            };
-            let cost = if bytes > 0 && remote > 0 {
-                // Streamed tail of the bundle: latency already paid.
-                self.machine.streamed_time(bytes as usize).min(full_cost)
-            } else {
-                full_cost
-            };
-            if bytes > 0 {
-                remote += 1;
-                on_fetch(d.object, bytes, cost);
-            }
-            total += cost;
-        }
-        (total, remote)
-    }
-
     /// Objects in `spec` that would miss in `cluster` right now, with their
     /// transfer sizes — the candidate set a split-phase prefetch issued at
     /// task-enable time would stream toward the cluster (DESIGN.md §17).
     /// Read-only: no directory state changes.
-    pub fn missing_in(&self, cluster: usize, spec: &AccessSpec) -> Vec<(jade_core::ObjectId, u64)> {
+    pub fn missing_in<'a>(
+        &'a self,
+        cluster: usize,
+        spec: &'a AccessSpec,
+    ) -> impl Iterator<Item = (ObjectId, u64)> + 'a {
         spec.decls()
             .iter()
-            .filter(|d| self.hit_level(cluster, d.object.index()) != DashHit::OwnCache)
+            .filter(move |d| !self.holds(cluster, d.object.index()))
             .map(|d| (d.object, self.sizes[d.object.index()] as u64))
-            .collect()
     }
 
-    fn hit_level(&self, cluster: usize, obj: usize) -> DashHit {
-        let st = &self.objects[obj];
-        if st.sharers[cluster] {
-            DashHit::OwnCache
-        } else if st.dirty_in.is_some() {
+    /// Does `cluster` hold a valid copy of `obj`?
+    #[inline]
+    fn holds(&self, cluster: usize, obj: usize) -> bool {
+        self.sharers[obj * self.words + cluster / 64] >> (cluster % 64) & 1 == 1
+    }
+
+    /// One access by `cluster`: its stall and the bytes it fetched from
+    /// another cluster (both zero when the cluster held a copy — exclusive
+    /// or not, a hit costs nothing extra), with the directory transition
+    /// applied.
+    fn access(&mut self, cluster: usize, obj: usize, mode: AccessMode) -> (SimDuration, u64) {
+        let held = self.holds(cluster, obj);
+        let set = &mut self.sharers[obj * self.words..][..self.words];
+        let (word, bit) = (cluster / 64, 1u64 << (cluster % 64));
+        let hit = if self.dirty[obj] {
             DashHit::RemoteDirty
         } else {
             DashHit::RemoteClean
+        };
+        if mode == AccessMode::Read {
+            // A read fetches a clean copy into this cluster; a dirty copy
+            // is written back (its holder stays a sharer) and the line
+            // becomes shared.
+            set[word] |= bit;
+        } else {
+            // The writer ends up with the only copy, and it is dirty.
+            set.fill(0);
+            set[word] = bit;
         }
-    }
-
-    fn read(&mut self, cluster: usize, obj: usize) -> (SimDuration, u64) {
-        let hit = self.hit_level(cluster, obj);
+        self.dirty[obj] = mode != AccessMode::Read;
+        if held {
+            return (SimDuration::ZERO, 0);
+        }
         let bytes = self.sizes[obj];
-        let cost = self.machine.transfer_time(bytes, hit);
-        let fetched = if hit != DashHit::OwnCache {
-            self.bytes_moved += bytes as u64;
-            bytes as u64
-        } else {
-            0
-        };
-        let st = &mut self.objects[obj];
-        // A read fetches a clean copy into this cluster; a dirty copy is
-        // written back and the line becomes shared.
-        st.sharers[cluster] = true;
-        if let Some(d) = st.dirty_in {
-            st.sharers[d] = true;
-            st.dirty_in = None;
-        }
-        (cost, fetched)
-    }
-
-    fn write(&mut self, cluster: usize, obj: usize) -> (SimDuration, u64) {
-        let already_exclusive = {
-            let st = &self.objects[obj];
-            st.sharers[cluster] && st.sharers.iter().filter(|&&s| s).count() == 1
-        };
-        let (cost, fetched) = if already_exclusive {
-            (SimDuration::ZERO, 0)
-        } else {
-            let hit = self.hit_level(cluster, obj);
-            let c = self.machine.transfer_time(self.sizes[obj], hit);
-            if hit != DashHit::OwnCache {
-                self.bytes_moved += self.sizes[obj] as u64;
-                (c, self.sizes[obj] as u64)
-            } else {
-                (c, 0)
-            }
-        };
-        let st = &mut self.objects[obj];
-        st.sharers.iter_mut().for_each(|s| *s = false);
-        st.sharers[cluster] = true;
-        st.dirty_in = Some(cluster);
-        (cost, fetched)
+        self.bytes_moved += bytes as u64;
+        (self.machine.transfer_time(bytes, hit), bytes as u64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jade_core::{ObjectId, ObjectRecord};
+    use jade_core::ObjectRecord;
 
     fn trace_with_objects(homes: &[usize], sizes: &[usize]) -> Trace {
         Trace {

@@ -13,137 +13,147 @@
 //!
 //! Explicitly placed tasks (the *Task Placement* level) are pinned: they
 //! enter a per-processor pinned queue and are never stolen.
+//!
+//! An object task queue owns nothing: each processor has a table of queue
+//! ends indexed by locality object (slot 0 for tasks without one, slot
+//! `o + 1` for object `o`), and a queue's tasks are a doubly-linked list
+//! through one table indexed by task id — a task is in at most one queue.
+//! A queue that drains and fills again allocates nothing; no look-up hashes.
 
 use dsim::SimTime;
 pub use jade_core::LocalityMode;
-use jade_core::{ObjectId, ProcId, TaskId};
-use std::collections::{HashMap, VecDeque};
+use jade_core::{ObjectId, ProcId, TaskId, Trace};
+use std::collections::VecDeque;
 
-#[derive(Debug)]
-struct QueuedTask {
-    task: TaskId,
+/// End of a list / empty queue.
+const NIL: u32 = u32::MAX;
+
+/// A task's place in its object task queue.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    prev: u32,
+    next: u32,
     enqueued: SimTime,
+}
+
+/// First and last task of one object task queue (`NIL`, both, when empty).
+#[derive(Clone, Copy, Debug)]
+struct Ends {
+    head: u32,
+    tail: u32,
+}
+
+impl Ends {
+    const EMPTY: Ends = Ends {
+        head: NIL,
+        tail: NIL,
+    };
 }
 
 #[derive(Default, Debug)]
 struct ProcQueue {
     /// Explicitly placed tasks; never stolen.
-    pinned: VecDeque<QueuedTask>,
-    /// Object task queues in arrival order (only non-empty queues listed).
-    order: VecDeque<ObjectId>,
-    by_obj: HashMap<ObjectId, VecDeque<QueuedTask>>,
+    pinned: VecDeque<TaskId>,
+    /// Slots of the non-empty object task queues, in arrival order.
+    order: VecDeque<u32>,
+    by_obj: Vec<Ends>,
     len: usize,
 }
 
+/// The dense slot of a locality object (`None`: the nil-object queue).
+fn slot_of(obj: Option<ObjectId>) -> usize {
+    obj.map_or(0, |o| o.index() + 1)
+}
+
+// Invariant: `order` lists exactly the slots whose queue is non-empty, each
+// once (`push` lists a slot when it puts a first task there; both pops
+// delist a slot when they take its last).
 impl ProcQueue {
-    fn push(&mut self, obj: ObjectId, task: TaskId, now: SimTime) {
-        let q = self.by_obj.entry(obj).or_default();
-        if q.is_empty() {
-            self.order.push_back(obj);
+    fn push(&mut self, links: &mut Vec<Link>, slot: usize, task: TaskId, now: SimTime) {
+        if slot >= self.by_obj.len() {
+            self.by_obj.resize(slot + 1, Ends::EMPTY);
         }
-        q.push_back(QueuedTask {
-            task,
+        let q = &mut self.by_obj[slot];
+        let link = Link {
+            prev: q.tail,
+            next: NIL,
             enqueued: now,
-        });
+        };
+        if task.index() >= links.len() {
+            // The fill is never read: a link is written when its task queues.
+            links.resize(task.index() + 1, link);
+        }
+        links[task.index()] = link;
+        match q.tail {
+            NIL => {
+                q.head = task.0;
+                self.order.push_back(slot as u32);
+            }
+            tail => links[tail as usize].next = task.0,
+        }
+        q.tail = task.0;
         self.len += 1;
     }
 
-    // Invariant: `order` lists exactly the objects whose `by_obj` queue is
-    // non-empty, each once (`push` adds an object to `order` only when its
-    // queue was empty; both pops delist an object when its queue drains).
-    // The pops below still walk `order` defensively: a desynced entry —
-    // impossible today, loud in debug builds — is skipped and cleaned up
-    // instead of panicking mid-simulation.
-
-    fn pop_first(&mut self) -> Option<TaskId> {
+    fn pop_first(&mut self, links: &mut [Link]) -> Option<TaskId> {
         if let Some(t) = self.pinned.pop_front() {
             self.len -= 1;
-            return Some(t.task);
+            return Some(t);
         }
-        while let Some(&obj) = self.order.front() {
-            match self.by_obj.get_mut(&obj).and_then(|q| q.pop_front()) {
-                Some(t) => {
-                    if self.by_obj.get(&obj).is_some_and(|q| q.is_empty()) {
-                        self.order.pop_front();
-                        self.by_obj.remove(&obj);
-                    }
-                    self.len -= 1;
-                    return Some(t.task);
-                }
-                None => {
-                    debug_assert!(false, "order/by_obj out of sync at {obj:?}");
-                    self.order.pop_front();
-                    self.by_obj.remove(&obj);
-                }
+        let q = &mut self.by_obj[*self.order.front()? as usize];
+        let t = q.head;
+        q.head = links[t as usize].next;
+        match q.head {
+            NIL => {
+                q.tail = NIL;
+                self.order.pop_front();
             }
+            head => links[head as usize].prev = NIL,
         }
-        None
+        self.len -= 1;
+        Some(TaskId(t))
     }
 
     /// Steal the last task of the last object task queue.
-    fn pop_last(&mut self) -> Option<TaskId> {
-        while let Some(&obj) = self.order.back() {
-            match self.by_obj.get_mut(&obj).and_then(|q| q.pop_back()) {
-                Some(t) => {
-                    if self.by_obj.get(&obj).is_some_and(|q| q.is_empty()) {
-                        self.order.pop_back();
-                        self.by_obj.remove(&obj);
-                    }
-                    self.len -= 1;
-                    return Some(t.task);
-                }
-                None => {
-                    debug_assert!(false, "order/by_obj out of sync at {obj:?}");
-                    self.order.pop_back();
-                    self.by_obj.remove(&obj);
-                }
+    fn pop_last(&mut self, links: &mut [Link]) -> Option<TaskId> {
+        let q = &mut self.by_obj[*self.order.back()? as usize];
+        let t = q.tail;
+        q.tail = links[t as usize].prev;
+        match q.tail {
+            NIL => {
+                q.head = NIL;
+                self.order.pop_back();
             }
+            tail => links[tail as usize].next = NIL,
         }
-        None
+        self.len -= 1;
+        Some(TaskId(t))
     }
 
     /// Age of the oldest stealable (non-pinned) task.
-    fn oldest_enqueue(&self) -> Option<SimTime> {
+    fn oldest_enqueue(&self, links: &[Link]) -> Option<SimTime> {
         self.order
             .iter()
-            .filter_map(|o| self.by_obj.get(o).and_then(|q| q.front()))
-            .map(|t| t.enqueued)
+            .map(|&slot| links[self.by_obj[slot as usize].head as usize].enqueued)
             .min()
     }
 
     fn stealable_len(&self) -> usize {
         self.len - self.pinned.len()
     }
-
-    /// Check the `order`/`by_obj` bookkeeping invariant (test support).
-    #[cfg(test)]
-    fn check_invariants(&self) {
-        use std::collections::HashSet;
-        let listed: HashSet<ObjectId> = self.order.iter().copied().collect();
-        assert_eq!(
-            listed.len(),
-            self.order.len(),
-            "order lists an object twice"
-        );
-        assert_eq!(
-            listed,
-            self.by_obj.keys().copied().collect::<HashSet<_>>(),
-            "order and by_obj disagree on the live objects"
-        );
-        for (o, q) in &self.by_obj {
-            assert!(!q.is_empty(), "empty queue left behind for {o:?}");
-        }
-        let tasks: usize = self.by_obj.values().map(|q| q.len()).sum();
-        assert_eq!(self.len, self.pinned.len() + tasks, "len out of sync");
-    }
 }
 
 /// The DASH task scheduler.
 pub struct DashScheduler {
     mode: LocalityMode,
-    shared: VecDeque<QueuedTask>,
+    shared: VecDeque<TaskId>,
     procs: Vec<ProcQueue>,
+    /// Every queued task's place in its object task queue, by task id.
+    links: Vec<Link>,
     queued: usize,
+    /// How many of `queued` sit in object task queues (not pinned, not in
+    /// the shared queue): when none does, a thief need not visit anybody.
+    stealable: usize,
     /// Number of successful steals (reported in run results).
     pub steals: u64,
 }
@@ -154,9 +164,24 @@ impl DashScheduler {
             mode,
             shared: VecDeque::new(),
             procs: (0..nprocs).map(|_| ProcQueue::default()).collect(),
+            links: Vec::new(),
             queued: 0,
+            stealable: 0,
             steals: 0,
         }
+    }
+
+    /// A scheduler about to run `trace`: the tables it would grow into are
+    /// sized once. Behaves exactly like [`DashScheduler::new`].
+    pub fn for_trace(mode: LocalityMode, nprocs: usize, trace: &Trace) -> DashScheduler {
+        let mut sched = DashScheduler::new(mode, nprocs);
+        if mode.uses_locality() {
+            sched.links.reserve(trace.tasks.len());
+            for pq in &mut sched.procs {
+                pq.by_obj.reserve(trace.objects.len() + 1);
+            }
+        }
+        sched
     }
 
     pub fn mode(&self) -> LocalityMode {
@@ -180,24 +205,18 @@ impl DashScheduler {
     ) {
         self.queued += 1;
         if !self.mode.uses_locality() {
-            self.shared.push_back(QueuedTask {
-                task,
-                enqueued: now,
-            });
+            self.shared.push_back(task);
             return;
         }
         let pq = &mut self.procs[target];
         if pinned {
-            pq.pinned.push_back(QueuedTask {
-                task,
-                enqueued: now,
-            });
+            pq.pinned.push_back(task);
             pq.len += 1;
         } else {
             // Tasks with an empty access spec have no locality object; they
-            // queue under a reserved nil object id on the target.
-            let obj = locality_obj.unwrap_or(ObjectId(u32::MAX));
-            pq.push(obj, task, now);
+            // share the target's nil-object queue.
+            pq.push(&mut self.links, slot_of(locality_obj), task, now);
+            self.stealable += 1;
         }
     }
 
@@ -206,10 +225,14 @@ impl DashScheduler {
         if !self.mode.uses_locality() {
             let t = self.shared.pop_front()?;
             self.queued -= 1;
-            return Some(t.task);
+            return Some(t);
         }
-        let t = self.procs[p].pop_first()?;
+        let pq = &mut self.procs[p];
+        // Pinned tasks go first.
+        let from_object_queue = pq.pinned.is_empty();
+        let t = pq.pop_first(&mut self.links)?;
         self.queued -= 1;
+        self.stealable -= usize::from(from_object_queue);
         Some(t)
     }
 
@@ -222,7 +245,7 @@ impl DashScheduler {
     /// task has waited since before `patience_cutoff`. This models the scan
     /// latency of the real distributed stealing protocol.
     pub fn steal(&mut self, thief: ProcId, patience_cutoff: SimTime) -> Option<(TaskId, ProcId)> {
-        if !self.mode.uses_locality() {
+        if self.stealable == 0 {
             return None;
         }
         let n = self.procs.len();
@@ -230,10 +253,11 @@ impl DashScheduler {
             let victim = (thief + k) % n;
             let pq = &self.procs[victim];
             let eligible = pq.stealable_len() >= 2
-                || pq.oldest_enqueue().is_some_and(|e| e <= patience_cutoff);
+                || (pq.oldest_enqueue(&self.links)).is_some_and(|e| e <= patience_cutoff);
             if eligible {
-                if let Some(t) = self.procs[victim].pop_last() {
+                if let Some(t) = self.procs[victim].pop_last(&mut self.links) {
                     self.queued -= 1;
+                    self.stealable -= 1;
                     self.steals += 1;
                     return Some((t, victim));
                 }
@@ -248,16 +272,7 @@ impl DashScheduler {
         if !self.mode.uses_locality() {
             return !self.shared.is_empty();
         }
-        self.procs.iter().any(|pq| pq.stealable_len() > 0)
-    }
-
-    /// Queue length of processor `p` (diagnostics).
-    pub fn proc_queue_len(&self, p: ProcId) -> usize {
-        if self.mode.uses_locality() {
-            self.procs[p].len
-        } else {
-            self.shared.len()
-        }
+        self.stealable > 0
     }
 }
 
@@ -266,6 +281,28 @@ mod tests {
     use super::*;
 
     const T0: SimTime = SimTime(0);
+
+    /// Check the bookkeeping invariants (test support): `order` against the
+    /// table, every list against its back links, `len` against both.
+    fn check_invariants(pq: &ProcQueue, links: &[Link]) {
+        let mut listed: Vec<u32> = pq.order.iter().copied().collect();
+        listed.sort_unstable();
+        let live: Vec<u32> = (0..pq.by_obj.len() as u32)
+            .filter(|&slot| pq.by_obj[slot as usize].head != NIL)
+            .collect();
+        assert_eq!(listed, live, "order and by_obj disagree on the live queues");
+        let mut tasks = 0;
+        for q in &pq.by_obj {
+            let (mut prev, mut t) = (NIL, q.head);
+            while t != NIL {
+                assert_eq!(links[t as usize].prev, prev, "back link of task {t}");
+                tasks += 1;
+                (prev, t) = (t, links[t as usize].next);
+            }
+            assert_eq!(q.tail, prev, "tail out of sync");
+        }
+        assert_eq!(pq.len, pq.pinned.len() + tasks, "len out of sync");
+    }
 
     fn o(n: u32) -> Option<ObjectId> {
         Some(ObjectId(n))
@@ -396,10 +433,12 @@ mod tests {
                 }
             }
             for pq in &s.procs {
-                pq.check_invariants();
+                check_invariants(pq, &s.links);
             }
             let live: usize = s.procs.iter().map(|pq| pq.len).sum();
             assert_eq!(s.queued(), live, "queued counter out of sync");
+            let stealable: usize = s.procs.iter().map(|pq| pq.stealable_len()).sum();
+            assert_eq!(s.stealable, stealable, "stealable counter out of sync");
         }
         // Drain whatever is left and account for every task exactly once.
         for p in 0..4 {
@@ -412,7 +451,7 @@ mod tests {
         popped.dedup();
         assert_eq!(popped.len(), inserted, "a task was popped twice");
         for pq in &s.procs {
-            pq.check_invariants();
+            check_invariants(pq, &s.links);
             assert_eq!(pq.len, 0);
         }
     }

@@ -18,8 +18,8 @@ use dsim::{
     Calendar, DashSpec, FaultInjector, FaultPlan, ProcClock, ProcId, SimDuration, SimTime, TimeKind,
 };
 use jade_core::{
-    AccessMode, Component, Event, EventKind, EventSink, Locality, MetricsFold, NullSink, Sink,
-    Synchronizer, TaskId, Trace,
+    AccessMode, Component, Event, EventKind, EventSink, Locality, MetricsFold, NullSink, ObjectId,
+    Sink, Synchronizer, TaskId, Trace,
 };
 
 /// Configuration of one DASH run.
@@ -153,13 +153,34 @@ enum Ev {
     Retry { proc: ProcId },
 }
 
-/// A task's prefetch record: the cluster the lines streamed into, plus the
-/// (object, write-epoch) pairs captured at enable time.
-type PrefetchMark = (usize, Vec<(jade_core::ObjectId, u64)>);
+/// A task's prefetch record: the cluster the lines streamed into, and its
+/// run of [`Sim::marked`] — the (object, write-epoch) pairs captured at
+/// enable time.
+type PrefetchMark = (usize, std::ops::Range<usize>);
+
+/// An inter-cluster fetch a starting task stalls on.
+struct Fetch {
+    obj: ObjectId,
+    bytes: u64,
+    stall: SimDuration,
+    /// What an earlier prefetch made of it: `Some(true)` hit, `Some(false)`
+    /// stale, `None` not prefetched.
+    prefetched: Option<bool>,
+}
+
+/// [`DashCosts`] in picoseconds, converted once per run.
+struct Costs {
+    create: SimDuration,
+    dispatch: SimDuration,
+    complete: SimDuration,
+    steal: SimDuration,
+    steal_patience: SimDuration,
+}
 
 struct Sim<'a, R: Sink> {
     trace: &'a Trace,
     cfg: &'a DashConfig,
+    costs: Costs,
     cal: Calendar<Ev>,
     pc: ProcClock,
     sync: Synchronizer,
@@ -190,6 +211,12 @@ struct Sim<'a, R: Sink> {
     /// Per-task prefetch marks; `None` when no prefetch was issued
     /// (prefetch off, or nothing was remote).
     marks: Vec<Option<PrefetchMark>>,
+    /// Every mark's (object, write-epoch) pairs, mark after mark.
+    marked: Vec<(ObjectId, u64)>,
+    /// Scratch of [`Sim::start_task`] and [`Sim::on_finish`], kept between
+    /// calls for its storage.
+    fetches: Vec<Fetch>,
+    newly: Vec<TaskId>,
     /// Monotone per-object write counter backing stale-prefetch detection:
     /// a prefetched line whose object epoch moved between enable and start
     /// was invalidated in flight and must be refetched at full cost.
@@ -272,10 +299,17 @@ fn simulate<R: Sink>(
     let mut sim = Sim {
         trace,
         cfg,
+        costs: Costs {
+            create: SimDuration::from_secs_f64(cfg.costs.create_s),
+            dispatch: SimDuration::from_secs_f64(cfg.costs.dispatch_s),
+            complete: SimDuration::from_secs_f64(cfg.costs.complete_s),
+            steal: SimDuration::from_secs_f64(cfg.costs.steal_s),
+            steal_patience: SimDuration::from_secs_f64(cfg.costs.steal_patience_s),
+        },
         cal: Calendar::new(),
         pc: ProcClock::new(procs),
-        sync: Synchronizer::new(cfg.replication),
-        sched: DashScheduler::new(cfg.mode, procs),
+        sync: Synchronizer::for_trace(cfg.replication, trace),
+        sched: DashScheduler::for_trace(cfg.mode, procs, trace),
         mem: (cfg.model_comm && !cfg.work_free).then(|| MemSim::new(cfg.machine.clone(), trace)),
         target,
         next_rec: 0,
@@ -289,6 +323,9 @@ fn simulate<R: Sink>(
         inj: FaultInjector::new(cfg.faults),
         n_stalls: 0,
         marks: vec![None; trace.tasks.len()],
+        marked: Vec::new(),
+        fetches: Vec::new(),
+        newly: Vec::new(),
         write_epoch: vec![0; trace.objects.len()],
         budget: cfg.deadline.map(dsim::SimBudget::new),
         deadline_hit: false,
@@ -318,31 +355,18 @@ fn simulate<R: Sink>(
     let (fold, rec) = sim.events;
     let m = fold.finish();
     let events = rec.into_events();
-    debug_assert_eq!(
-        m.steals, sim.sched.steals,
-        "event steals disagree with scheduler"
-    );
-    debug_assert_eq!(
-        m.fetch_bytes,
-        sim.mem.as_ref().map_or(0, |mm| mm.bytes_moved),
-        "event fetch bytes disagree with memory model"
-    );
-    debug_assert_eq!(
-        m.stalls, sim.n_stalls,
-        "event stalls disagree with injector"
-    );
-    debug_assert_eq!(
-        m.prefetches_issued, sim.n_prefetch_issued,
-        "event prefetch issues disagree with simulator"
-    );
-    debug_assert_eq!(
-        m.prefetch_hits, sim.n_prefetch_hits,
-        "event prefetch hits disagree with simulator"
-    );
-    debug_assert_eq!(
-        m.prefetch_stale, sim.n_prefetch_stale,
-        "event prefetch staleness disagrees with simulator"
-    );
+    // The simulator's own tallies against the fold of its event stream.
+    let moved = sim.mem.as_ref().map_or(0, |mm| mm.bytes_moved);
+    for (what, folded, native) in [
+        ("steals", m.steals, sim.sched.steals),
+        ("fetch bytes", m.fetch_bytes, moved),
+        ("stalls", m.stalls, sim.n_stalls),
+        ("prefetches", m.prefetches_issued, sim.n_prefetch_issued),
+        ("prefetch hits", m.prefetch_hits, sim.n_prefetch_hits),
+        ("prefetch staleness", m.prefetch_stale, sim.n_prefetch_stale),
+    ] {
+        debug_assert_eq!(folded, native, "event {what} disagree with the simulator");
+    }
     if R::ACTIVE {
         debug_assert!(
             jade_core::check_conservation(&events, procs, sim.pc.horizon().0).is_ok(),
@@ -406,13 +430,10 @@ impl<R: Sink> Sim<'_, R> {
         // already-created suffix drains normally (each created task's
         // predecessors were created before it), so the run terminates
         // cleanly with partial metrics instead of wedging as `Stalled`.
-        if self.next_rec < self.trace.tasks.len() && self.budget.is_some_and(|b| b.exhausted(t)) {
-            self.deadline_hit = true;
-            self.main_done = true;
-            self.try_fill(0, t);
-            return;
-        }
-        if self.next_rec == self.trace.tasks.len() {
+        let left = self.trace.tasks.len() - self.next_rec;
+        let cut = left > 0 && self.budget.is_some_and(|b| b.exhausted(t));
+        if cut || left == 0 {
+            self.deadline_hit |= cut;
             self.main_done = true;
             self.try_fill(0, t);
             return;
@@ -434,7 +455,7 @@ impl<R: Sink> Sim<'_, R> {
                 self.try_fill(0, t);
             }
         } else {
-            let create = self.cfg.costs.create();
+            let create = self.costs.create;
             let end = self.pc.occupy(0, t, create, TimeKind::Mgmt);
             self.events
                 .span(end.0 - create.0, 0, Component::Mgmt, create.0, Some(id));
@@ -500,11 +521,8 @@ impl<R: Sink> Sim<'_, R> {
         let Some(mem) = &self.mem else { return };
         let cluster = self.cfg.machine.cluster_of(target);
         let rec = &self.trace.tasks[id.index()];
-        let missing = mem.missing_in(cluster, &rec.spec);
-        if missing.is_empty() {
-            return;
-        }
-        for &(o, bytes) in &missing {
+        let start = self.marked.len();
+        for (o, bytes) in mem.missing_in(cluster, &rec.spec) {
             self.n_prefetch_issued += 1;
             self.events.emit_obj(
                 t.0,
@@ -513,25 +531,29 @@ impl<R: Sink> Sim<'_, R> {
                 Some(id),
                 o,
             );
+            self.marked.push((o, self.write_epoch[o.index()]));
         }
-        let epochs = missing
-            .into_iter()
-            .map(|(o, _)| (o, self.write_epoch[o.index()]))
-            .collect();
-        self.marks[id.index()] = Some((cluster, epochs));
+        if self.marked.len() > start {
+            self.marks[id.index()] = Some((cluster, start..self.marked.len()));
+        }
     }
 
-    /// Pseudo-randomly (but deterministically) pick an idle processor.
+    /// Pseudo-randomly (but deterministically) pick an idle processor: one
+    /// draw, taken only when somebody is idle, indexes the idle processors
+    /// in ascending order.
     fn pick_idle(&mut self) -> Option<ProcId> {
-        let idle: Vec<ProcId> = (0..self.pc.procs()).filter(|&p| self.is_idle(p)).collect();
-        if idle.is_empty() {
+        let idle = || (0..self.pc.procs()).filter(|&p| self.is_idle(p));
+        let n = idle().count();
+        if n == 0 {
             return None;
         }
-        self.lcg = self
+        let lcg = self
             .lcg
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        Some(idle[((self.lcg >> 33) as usize) % idle.len()])
+        let pick = idle().nth(((lcg >> 33) as usize) % n);
+        self.lcg = lcg;
+        pick
     }
 
     /// The deadline gate: refuse to start new work at `t` once the budget
@@ -556,17 +578,15 @@ impl<R: Sink> Sim<'_, R> {
             self.dispatch(p, task, t, false);
             return;
         }
-        let cutoff = SimTime(
-            t.0.saturating_sub(SimDuration::from_secs_f64(self.cfg.costs.steal_patience_s).0),
-        );
+        let cutoff = SimTime(t.0.saturating_sub(self.costs.steal_patience.0));
         if let Some((task, _victim)) = self.sched.steal(p, cutoff) {
             self.dispatch(p, task, t, true);
             return;
         }
         if self.sched.any_stealable() && !self.retry_pending[p] {
             self.retry_pending[p] = true;
-            let delay = SimDuration::from_secs_f64(self.cfg.costs.steal_patience_s);
-            self.cal.schedule(t + delay, Ev::Retry { proc: p });
+            self.cal
+                .schedule(t + self.costs.steal_patience, Ev::Retry { proc: p });
         }
     }
 
@@ -584,9 +604,9 @@ impl<R: Sink> Sim<'_, R> {
     }
 
     fn dispatch(&mut self, p: ProcId, task: TaskId, t: SimTime, stolen: bool) {
-        let mut cost = self.cfg.costs.dispatch();
+        let mut cost = self.costs.dispatch;
         if stolen {
-            cost += self.cfg.costs.steal();
+            cost += self.costs.steal;
         }
         let locality = self.locality_of(p, task);
         self.events
@@ -636,45 +656,42 @@ impl<R: Sink> Sim<'_, R> {
                 rec.work * self.cfg.sec_per_op * jitter(id, self.cfg.jitter_frac),
             )
         };
-        // Inter-cluster fetches this task stalls on, as (object, bytes, stall).
-        let mut fetches: Vec<(jade_core::ObjectId, u64, SimDuration)> = Vec::new();
-        let comm = match &mut self.mem {
-            Some(mem) if self.cfg.aggregate_fetches => {
-                let (comm, _remote) =
-                    mem.task_accesses_agg_with(p, &rec.spec, |o, bytes, stall| {
-                        fetches.push((o, bytes, stall))
-                    });
-                comm
-            }
-            Some(mem) => mem.task_accesses_with(p, &rec.spec, |o, bytes, stall| {
-                fetches.push((o, bytes, stall))
-            }),
-            None => SimDuration::ZERO,
-        };
+        // Inter-cluster fetches this task stalls on.
+        let mut fetches = std::mem::take(&mut self.fetches);
+        let mut comm = self.mem.as_mut().map_or(SimDuration::ZERO, |mem| {
+            let on_fetch = |obj, bytes, stall| {
+                fetches.push(Fetch {
+                    obj,
+                    bytes,
+                    stall,
+                    prefetched: None,
+                })
+            };
+            mem.task_accesses_with(p, &rec.spec, self.cfg.aggregate_fetches, on_fetch)
+        });
         // Split-phase prefetch payoff (DESIGN.md §17): fetches whose lines
         // were streamed toward this cluster at enable time — and not
         // invalidated by a write since — complete at the streamed rate.
         // The directory transitions and `bytes_moved` charged above are
         // untouched; only the stall time shrinks.
-        let mut comm = comm;
-        // Per-fetch prefetch outcome: Some(true) hit, Some(false) stale.
-        let mut outcome: Vec<Option<bool>> = vec![None; fetches.len()];
-        if let Some((cluster, marked)) = self.marks[id.index()].take() {
+        if let Some((cluster, run)) = self.marks[id.index()].take() {
             if cluster == self.cfg.machine.cluster_of(p) {
-                for (i, (o, bytes, stall)) in fetches.iter_mut().enumerate() {
-                    let Some(&(_, epoch)) = marked.iter().find(|(mo, _)| *mo == *o) else {
+                let marked = &self.marked[run];
+                for f in &mut fetches {
+                    let Some(&(_, epoch)) = marked.iter().find(|(mo, _)| *mo == f.obj) else {
                         continue;
                     };
-                    if epoch == self.write_epoch[o.index()] {
-                        let fast = self.cfg.machine.streamed_time(*bytes as usize).min(*stall);
-                        comm = SimDuration(comm.0 - (stall.0 - fast.0));
-                        *stall = fast;
+                    let valid = epoch == self.write_epoch[f.obj.index()];
+                    f.prefetched = Some(valid);
+                    if valid {
+                        let fast = self.cfg.machine.streamed_time(f.bytes as usize);
+                        let fast = fast.min(f.stall);
+                        comm = SimDuration(comm.0 - (f.stall.0 - fast.0));
+                        f.stall = fast;
                         self.n_prefetch_hits += 1;
-                        outcome[i] = Some(true);
                     } else {
                         // Invalidated in flight: refetched at full cost.
                         self.n_prefetch_stale += 1;
-                        outcome[i] = Some(false);
                     }
                 }
             }
@@ -696,61 +713,54 @@ impl<R: Sink> Sim<'_, R> {
                 .span(end.0 - comm.0, p, Component::Comm, comm.0, Some(id));
             // Each fetch completes at its offset within the stall interval.
             let mut at = comm_start;
-            let first_obj = fetches.first().map(|&(o, _, _)| o);
-            let (mut agg_n, mut agg_bytes) = (0u32, 0u64);
-            for (i, (o, bytes, stall)) in fetches.into_iter().enumerate() {
-                at += stall;
+            for f in &fetches {
+                at += f.stall;
+                let bytes = f.bytes;
                 self.events.emit_obj(
                     at.0,
                     p,
                     EventKind::ObjectFetch {
                         bytes,
-                        latency_ps: stall.0,
+                        latency_ps: f.stall.0,
                     },
                     Some(id),
-                    o,
+                    f.obj,
                 );
-                match outcome[i] {
-                    Some(true) => {
-                        self.events
-                            .emit_obj(at.0, p, EventKind::PrefetchHit { bytes }, Some(id), o)
-                    }
-                    Some(false) => self.events.emit_obj(
-                        at.0,
-                        p,
-                        EventKind::PrefetchStale { bytes },
-                        Some(id),
-                        o,
-                    ),
-                    None => {}
+                if let Some(valid) = f.prefetched {
+                    let kind = if valid {
+                        EventKind::PrefetchHit { bytes }
+                    } else {
+                        EventKind::PrefetchStale { bytes }
+                    };
+                    self.events.emit_obj(at.0, p, kind, Some(id), f.obj);
                 }
-                agg_n += 1;
-                agg_bytes += bytes;
             }
             // With aggregation on, ≥ 2 remote objects rode one coalesced
             // transfer; mark the bundle for message-count accounting.
-            if self.cfg.aggregate_fetches && agg_n >= 2 {
+            if self.cfg.aggregate_fetches && fetches.len() >= 2 {
                 self.events.emit_obj(
                     at.0,
                     p,
                     EventKind::AggregatedFetch {
-                        objects: agg_n,
-                        bytes: agg_bytes,
+                        objects: fetches.len() as u32,
+                        bytes: fetches.iter().map(|f| f.bytes).sum(),
                     },
                     Some(id),
-                    first_obj.expect("agg_n >= 2 implies a fetch"),
+                    fetches[0].obj,
                 );
             }
         }
+        fetches.clear();
+        self.fetches = fetches;
         self.cal.schedule(end, Ev::Finish { proc: p, task: id });
     }
 
     fn on_finish(&mut self, p: ProcId, id: TaskId, t: SimTime) {
-        let complete = self.cfg.costs.complete();
+        let complete = self.costs.complete;
         let end = self.pc.occupy(p, t, complete, TimeKind::Mgmt);
         self.events
             .span(end.0 - complete.0, p, Component::Mgmt, complete.0, Some(id));
-        let mut newly = Vec::new();
+        let mut newly = std::mem::take(&mut self.newly);
         self.sync
             .complete_traced(id, &mut newly, &mut self.events, end.0, p);
         self.running[p] = None;
@@ -759,9 +769,10 @@ impl<R: Sink> Sim<'_, R> {
             self.main_serial_ready = false;
             self.cal.schedule(end, Ev::MainStep);
         }
-        for t2 in newly {
+        for t2 in newly.drain(..) {
             self.on_enabled(t2, end);
         }
+        self.newly = newly;
         // If a serial task became ready while processor 0 was busy with the
         // task that just finished, run it now.
         if p == 0 && self.main_serial_ready {

@@ -785,7 +785,7 @@ fn simulate<R: Sink>(
         cfg,
         cal: Calendar::new(),
         pc: ProcClock::new(procs),
-        sync: Synchronizer::new(cfg.replication),
+        sync: Synchronizer::for_trace(cfg.replication, trace),
         sched: IpscScheduler::new(procs, cfg.target_tasks, cfg.mode.uses_locality()),
         comm: Communicator::new(trace, procs, cfg.adaptive_broadcast, cfg.faults.drop_p),
         tstate: vec![TState::default(); trace.tasks.len()],

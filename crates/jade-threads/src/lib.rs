@@ -855,14 +855,15 @@ impl<'a, S: Sink> Sharded<'a, S> {
             if !S::ACTIVE && self.ckpt_every.is_none() {
                 // Fast path: no events, no checkpoint cadence — the whole
                 // batch applies in one call and `live` drops once.
-                st.sync.apply_batch(&mut batch, scratch);
+                st.sync
+                    .apply_batch(&mut batch, scratch, &mut NullSink, &mut || 0, w);
                 self.live.fetch_sub(completions, Ordering::SeqCst) == completions
             } else {
                 let mut drained = false;
                 for tr in batch.drain() {
                     let is_completion = matches!(tr, jade_core::Transition::Complete(_));
                     let t = st.tick();
-                    st.sync.apply_traced(tr, scratch, &mut st.events, t, w);
+                    st.sync.apply(tr, scratch, &mut st.events, t, w);
                     if is_completion {
                         let remaining = self.live.fetch_sub(1, Ordering::SeqCst) - 1;
                         drained |= remaining == 0;

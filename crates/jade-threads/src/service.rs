@@ -928,8 +928,7 @@ fn apply_transition(core: &mut Core, tenant: u32, tr: Transition, w: usize) -> b
     let mut newly = std::mem::take(&mut core.newly);
     let t = core.active.get_mut(&tenant).expect("tenant still active");
     let slot = &mut t.slot;
-    slot.sync
-        .apply_traced(tr, &mut newly, &mut t.events, time, w);
+    slot.sync.apply(tr, &mut newly, &mut t.events, time, w);
     let enabled = if t.cancel.is_none() { newly.len() } else { 0 };
     for id in &newly[..enabled] {
         let local = id.index();

@@ -3,7 +3,7 @@
 //!
 //! This test binary installs a counting `#[global_allocator]` shim (it
 //! cannot live in a library: `jade-bench` is `#![forbid(unsafe_code)]`, and
-//! Rust allows exactly one global allocator per binary). Eight things are
+//! Rust allows exactly one global allocator per binary). Ten things are
 //! covered:
 //!
 //! 1. the counter actually observes a deliberate allocation (the harness
@@ -33,13 +33,19 @@
 //!    `submit` + `finish` — the closure, dropped by the worker that ran it
 //!    (the slot slab, the queues and the synchronizer window are recycled,
 //!    and there is no per-task specification block left to free);
-//! 8. when no counting shim feeds the counter (another global allocator
-//!    is active), the probe reports inactive and the assertions skip
-//!    cleanly — the probe side of that contract is exercised in
-//!    `jade-bench`'s in-crate tests, which install no shim.
+//! 8. one DASH simulation allocates per run, not per task: at most one
+//!    allocation per four simulated tasks on either scheduler, with and
+//!    without prefetch (the rest is per-run tables and their growth);
+//! 9. parking 10 000 waiters on one object allocates nothing: a waiting
+//!    access is an index in the declaration slab, which `for_trace` sized;
+//! 10. when no counting shim feeds the counter (another global allocator
+//!     is active), the probe reports inactive and the assertions skip
+//!     cleanly — the probe side of that contract is exercised in
+//!     `jade-bench`'s in-crate tests, which install no shim.
 
 use jade_apps::pagerank::{self, PagerankConfig};
-use jade_core::{JadeRuntime, LocalityMode, TaskBuilder};
+use jade_core::{AccessSpec, JadeRuntime, LocalityMode, Synchronizer, TaskBuilder, TraceBuilder};
+use jade_dash::DashConfig;
 use jade_ipsc::IpscConfig;
 use jade_threads::{JadeService, Outcome, Program, ServiceConfig, TenantOptions, ThreadRuntime};
 use std::sync::Mutex;
@@ -386,4 +392,83 @@ fn ipsc_simulation_allocates_per_run_not_per_fetch() {
             "{name}: {allocs} allocations for {tasks} simulated tasks (limit {per_task} each)"
         );
     }
+}
+
+#[test]
+fn dash_simulation_allocates_per_run_not_per_task() {
+    let _guard = SERIAL.lock().unwrap();
+    if counting_inactive() {
+        return;
+    }
+    let (trace, _) = pagerank::run_trace(&PagerankConfig {
+        iterations: 8,
+        ..PagerankConfig::paper(8)
+    });
+    let tasks = trace.task_count() as u64;
+    let sec_per_op = pagerank::calib::DASH_STRIPPED_S / trace.total_work();
+    for mode in [LocalityMode::Locality, LocalityMode::NoLocality] {
+        for prefetch in [false, true] {
+            let cfg = DashConfig {
+                prefetch,
+                ..DashConfig::paper(8, mode, sec_per_op)
+            };
+            // As above: the smallest of a few deterministic attempts.
+            let allocs = (0..3)
+                .map(|_| {
+                    let (allocs, r) = jade_bench::alloc::allocs_during(|| {
+                        jade_dash::try_run_folded(&trace, &cfg)
+                    });
+                    let r = r.expect("run completes");
+                    assert_eq!(r.tasks_executed as u64, tasks);
+                    assert_eq!(r.prefetches_issued > 0, prefetch, "{mode}");
+                    allocs
+                })
+                .min()
+                .expect("three attempts");
+            assert!(
+                4 * allocs <= tasks,
+                "{mode}, prefetch {prefetch}: {allocs} allocations for {tasks} simulated tasks \
+                 (limit one per four)"
+            );
+        }
+    }
+}
+
+#[test]
+fn synchronizer_fan_in_allocates_nothing_beyond_the_slabs() {
+    let _guard = SERIAL.lock().unwrap();
+    if counting_inactive() {
+        return;
+    }
+    let n = 10_000u32;
+    let mut b = TraceBuilder::new();
+    let hot = b.object("hot", 8, None);
+    let (mut wr, mut rd) = (AccessSpec::new(), AccessSpec::new());
+    wr.wr(hot);
+    rd.rd(hot);
+    b.task(wr, 1.0);
+    for _ in 0..n {
+        b.task(rd.clone(), 1.0);
+    }
+    let trace = b.build();
+    // The harness's own threads can only inflate a window: the smallest of
+    // a few attempts is the synchronizer's.
+    let allocs = (0..3)
+        .map(|_| {
+            let mut sync = Synchronizer::for_trace(true, &trace);
+            let mut newly = Vec::with_capacity(n as usize);
+            let (allocs, ()) = jade_bench::alloc::allocs_during(|| {
+                for t in &trace.tasks {
+                    assert_eq!(sync.add_task(t.id, &t.spec), t.id.0 == 0);
+                }
+                assert_eq!(sync.waiting_len(hot), n as usize);
+                // One completion grants the whole list.
+                sync.complete(trace.tasks[0].id, &mut newly);
+                assert_eq!(sync.waiting_len(hot), 0);
+            });
+            assert_eq!(newly.len(), n as usize);
+            allocs
+        })
+        .min();
+    assert_eq!(allocs, Some(0), "{n} waiters on one object");
 }

@@ -2,7 +2,7 @@
 //! backend, and both machine simulators must uphold Jade's semantics for
 //! *any* program, not just the four applications.
 
-use jade::core::{AccessSpec, Synchronizer, TaskBuilder, TaskId, TraceBuilder};
+use jade::core::{AccessSpec, NullSink, Synchronizer, TaskBuilder, TaskId, TraceBuilder};
 use jade::dash::{self, DashConfig};
 use jade::ipsc::{self, IpscConfig};
 use jade::JadeRuntime;
@@ -179,7 +179,7 @@ proptest! {
             let decls: Vec<_> = specs[t.index()].decls().to_vec();
             let k = if decls.is_empty() { 0 } else { (rng >> 33) as usize % (decls.len() + 1) };
             for d in decls.iter().take(k) {
-                sync.release(t, d.object, &mut enabled);
+                sync.release(t, d.object, &mut enabled, &mut NullSink, 0, 0);
             }
             sync.complete(t, &mut enabled);
             done += 1;

@@ -2,7 +2,7 @@
 //! completion on both simulated machines at every locality level, and the
 //! runs satisfy the invariants the paper's evaluation relies on.
 
-use jade::apps::{cholesky, ocean, pagerank, string_app, water};
+use jade::apps::{cholesky, halo, ocean, pagerank, string_app, water};
 use jade::dash::{self, DashConfig};
 use jade::dsim::{FaultPlan, SimDuration};
 use jade::ipsc::{self, IpscConfig, IpscRunResult};
@@ -324,4 +324,119 @@ fn faulty_managed_runs_match_their_golden_fingerprints() {
             assert_eq!(r.final_versions, versions, "{name} under {plan:?}");
         }
     }
+}
+
+/// What a DASH run must reproduce bit for bit: `exec_time_s` bits, steals,
+/// bytes moved, `locality_pct` bits, prefetches issued / hit / stale, stalls.
+type DashPrint = (u64, u64, u64, u64, u64, u64, u64, u64);
+
+fn dash_print(trace: &Trace, cfg: &DashConfig) -> DashPrint {
+    let r = dash::try_run_folded(trace, cfg).expect("DASH run completes");
+    (
+        r.exec_time_s.to_bits(),
+        r.steals,
+        r.bytes_moved,
+        r.locality_pct.to_bits(),
+        r.prefetches_issued,
+        r.prefetch_hits,
+        r.prefetch_stale,
+        r.stalls,
+    )
+}
+
+/// Recorded at PR 22 (`e33ae33`), before the synchronizer, the scheduler,
+/// `MemSim` and `pick_idle` were rewritten. Per application: `Locality`
+/// then `NoLocality`, each under the paper configuration and then under
+/// aggregation + prefetch + a seeded stall plan; last, Water at `Locality`
+/// without replication and Ocean at `Locality` under a deadline of 40 % of
+/// its full run.
+#[rustfmt::skip]
+const DASH_GOLDEN: [DashPrint; 26] = [
+    (0x4080c5b304f61cda, 0, 47168, 0x4059000000000000, 0, 0, 0, 0),
+    (0x4080c614c4dc5083, 0, 47168, 0x4059000000000000, 4, 4, 0, 5),
+    (0x4080c5b7e26b034b, 0, 63336, 0x4035e00000000000, 0, 0, 0, 0),
+    (0x4080c6176e9a4fe3, 0, 63336, 0x4035e00000000000, 5, 2, 0, 5),
+    (0x40a87129937f0c3b, 0, 52560, 0x4059000000000000, 0, 0, 0, 0),
+    (0x40a8713ffe9cbbff, 0, 52560, 0x4059000000000000, 3, 3, 0, 1),
+    (0x40a87128b5e33a15, 0, 86496, 0x4039000000000000, 0, 0, 0, 0),
+    (0x40a8713fde98ba8f, 0, 86496, 0x4039000000000000, 6, 2, 0, 1),
+    (0x4037d6a46cc4a0de, 0, 11264, 0x4059000000000000, 0, 0, 0, 0),
+    (0x4037ff7b261f9c33, 0, 11264, 0x4059000000000000, 25, 25, 0, 7),
+    (0x4037d728d41cfc64, 0, 68096, 0x402a30c30c30c30d, 0, 0, 0, 0),
+    (0x4037ffac00880b4e, 0, 63744, 0x4020aaaaaaaaaaaa, 173, 77, 0, 7),
+    (0x402a80a0428148e3, 23, 24608, 0x4053127966ed8699, 0, 0, 0, 0),
+    (0x402ab32f52d4fe17, 25, 24608, 0x40528e83f5717c0b, 47, 42, 0, 7),
+    (0x402a81a949910e36, 0, 33760, 0x40228e83f5717c0b, 0, 0, 0, 0),
+    (0x402ae6fe54db3fd4, 0, 32032, 0x401cddb0d3224f2c, 76, 43, 0, 7),
+    (0x400e86677c4cc9bd, 94, 225344, 0x4052018618618618, 0, 0, 0, 0),
+    (0x4011b2239736dc8f, 102, 230000, 0x4051692492492492, 245, 157, 0, 36),
+    (0x401167e2adfc33af, 0, 268128, 0x402273cf3cf3cf3d, 0, 0, 0, 0),
+    (0x4011d2ad495f55fe, 0, 270744, 0x4027cf3cf3cf3cf3, 418, 130, 0, 36),
+    (0x40258d92ff20ad96, 39, 21024, 0x4041800000000000, 0, 0, 0, 0),
+    (0x4025923c04afa777, 43, 20448, 0x403c555555555555, 60, 27, 0, 6),
+    (0x40257cc13d13462d, 0, 21024, 0x401aaaaaaaaaaaab, 0, 0, 0, 0),
+    (0x4025809903e427b6, 0, 21600, 0x402aaaaaaaaaaaab, 77, 27, 0, 6),
+    (0x40a9a371e06c613d, 0, 47168, 0x4059000000000000, 0, 0, 0, 0),
+    (0x4024a5c6d456fe89, 0, 4608, 0x4059000000000000, 0, 0, 0, 0),
+];
+
+/// The DASH batteries compare a run with itself (folded against traced, one
+/// seed twice); this pins the scheduler, the memory model and the
+/// No-Locality processor draw against constants.
+#[test]
+fn dash_runs_match_their_golden_fingerprints() {
+    let traces = [
+        (
+            water::run_trace(&water::WaterConfig::small(8)).0,
+            water::calib::DASH_STRIPPED_S,
+        ),
+        (
+            string_app::run_trace(&string_app::StringConfig::small(8)).0,
+            string_app::calib::DASH_STRIPPED_S,
+        ),
+        (
+            ocean::run_trace(&ocean::OceanConfig::small(8)).0,
+            ocean::calib::DASH_STRIPPED_S,
+        ),
+        (
+            cholesky::run_trace(&cholesky::CholeskyConfig::small(8)).0,
+            cholesky::calib::DASH_STRIPPED_S,
+        ),
+        (
+            pagerank::run_trace(&pagerank::PagerankConfig::small(8)).0,
+            pagerank::calib::DASH_STRIPPED_S,
+        ),
+        (
+            halo::run_trace(&halo::HaloConfig::small(8)).0,
+            halo::calib::DASH_STRIPPED_S,
+        ),
+    ];
+    let paper = |i: usize, mode| {
+        let (trace, stripped_s): &(Trace, f64) = &traces[i];
+        DashConfig::paper(8, mode, stripped_s / trace.total_work())
+    };
+    let mut got = Vec::new();
+    for (i, (trace, _)) in traces.iter().enumerate() {
+        for mode in [LocalityMode::Locality, LocalityMode::NoLocality] {
+            let cfg = paper(i, mode);
+            got.push(dash_print(trace, &cfg));
+            let managed = DashConfig {
+                aggregate_fetches: true,
+                prefetch: true,
+                faults: FaultPlan::parse("stall=0.1:0.05,seed=1995").unwrap(),
+                ..cfg
+            };
+            got.push(dash_print(trace, &managed));
+        }
+    }
+    let mut serial = paper(0, LocalityMode::Locality);
+    serial.replication = false;
+    got.push(dash_print(&traces[0].0, &serial));
+    let mut cut = paper(2, LocalityMode::Locality);
+    let full = f64::from_bits(got[8].0);
+    cut.deadline = Some(SimDuration::from_secs_f64(full * 0.4));
+    let r = dash::try_run_folded(&traces[2].0, &cut).unwrap();
+    assert!(r.deadline_exceeded && r.tasks_executed > 0);
+    got.push(dash_print(&traces[2].0, &cut));
+    assert_eq!(got, DASH_GOLDEN, "as source: {got:#x?}");
 }
