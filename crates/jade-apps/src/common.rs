@@ -1,4 +1,4 @@
-//! Helpers shared by the four applications.
+//! Helpers shared by the six applications.
 
 use jade_core::ProcId;
 

@@ -12,9 +12,11 @@
 //! aggregation pass coalesces into one message per `(task, owner)` pair.
 //!
 //! Tiles are double-buffered by iteration parity (Jacobi across tiles), so
-//! all same-iteration tasks are independent. The halo assembly and stencil
-//! kernels are shared with the serial reference, which therefore matches
-//! the Jade version bit for bit.
+//! all same-iteration tasks are independent. The halo assembly is shared
+//! with the serial reference; the task's stencil writes into the new-parity
+//! tile ([`step_tile_into`]) where the reference allocates ([`step_tile`],
+//! its oracle). Both sum the same neighbours in the same order, so the
+//! reference matches the Jade version bit for bit.
 
 use crate::common::{checksum, worker_ring, SplitMix64};
 use jade_core::{Handle, JadeRuntime, TaskBuilder, Trace, TraceRuntime};
@@ -92,7 +94,18 @@ impl HaloConfig {
 /// The seeded activity mask, row-major (`[ty * tiles_x + tx]`). Tile 0 is
 /// forced active so the program always has work. Built on the
 /// deterministic [`SplitMix64`] path in creation order.
+///
+/// Every program, and the serial reference, starts here, and the kernels
+/// index from the grid's shape: a grid with no tiles, or tiles with no
+/// cells, is refused with a message.
 pub fn active_mask(cfg: &HaloConfig) -> Vec<bool> {
+    assert!(
+        cfg.tiles_x * cfg.tiles_y > 0,
+        "halo grid has no tiles: {} x {}",
+        cfg.tiles_x,
+        cfg.tiles_y
+    );
+    assert!(cfg.tile > 0, "halo tile side is 0: a tile has no cells");
     let mut rng = SplitMix64::seed_from_u64(cfg.seed);
     let mut mask: Vec<bool> = (0..cfg.tiles_x * cfg.tiles_y)
         .map(|_| rng.next_u64() % 100 < cfg.active_pct)
@@ -142,7 +155,8 @@ pub fn assemble_halo(t: usize, center: &[f64], nbrs: &[Option<&[f64]>; 8]) -> Ve
 }
 
 /// One Jacobi step of the 9-point stencil over an assembled halo:
-/// `new = 0.5 · center + 0.0625 · Σ neighbors` (weights sum to 1).
+/// `new = 0.5 · center + 0.0625 · Σ neighbors` (weights sum to 1). The
+/// serial reference's kernel and the oracle of [`step_tile_into`].
 pub fn step_tile(t: usize, halo: &[f64]) -> Vec<f64> {
     let w = t + 2;
     let mut out = vec![0.0; t * t];
@@ -156,6 +170,24 @@ pub fn step_tile(t: usize, halo: &[f64]) -> Vec<f64> {
         }
     }
     out
+}
+
+/// [`step_tile`] into `out`, reading the halo as three row slices per tile
+/// row: the same sum in [`NEIGHBORS`] order from `0.0`, the same weights,
+/// and no tile allocated per step. Every cell of `out` is overwritten.
+pub fn step_tile_into(t: usize, halo: &[f64], out: &mut [f64]) {
+    let w = t + 2;
+    for (y, row) in out.chunks_exact_mut(t).enumerate() {
+        let [up, mid, down] = [y, y + 1, y + 2].map(|r| &halo[r * w..(r + 1) * w]);
+        // Each neighbour column as a slice of exactly `t` cells.
+        let [nw, n, ne] = [0, 1, 2].map(|dx| &up[dx..dx + t]);
+        let [west, center, east] = [0, 1, 2].map(|dx| &mid[dx..dx + t]);
+        let [sw, s, se] = [0, 1, 2].map(|dx| &down[dx..dx + t]);
+        for x in 0..t {
+            let sum = 0.0 + nw[x] + n[x] + ne[x] + west[x] + east[x] + sw[x] + s[x] + se[x];
+            row[x] = 0.5 * center[x] + 0.0625 * sum;
+        }
+    }
 }
 
 /// Initial cell data of tile `(tx, ty)`, row-major.
@@ -236,7 +268,7 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &HaloConfig) -> HaloHandles {
                 let nbrs: [Option<&[f64]>; 8] =
                     std::array::from_fn(|k| guards[k].as_deref().map(|v| v.as_slice()));
                 let halo = assemble_halo(t, &center, &nbrs);
-                *ctx.wr(wh) = step_tile(t, &halo);
+                step_tile_into(t, &halo, &mut ctx.wr(wh));
                 ctx.charge((t * t) as f64 * C_CELL);
             }));
         }
@@ -341,6 +373,7 @@ pub fn expected_tasks(cfg: &HaloConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn mask_is_deterministic_and_dense_enough() {
@@ -430,5 +463,84 @@ mod tests {
         let (out2, _) = reference(&longer);
         // Mass leaks out through the zero boundary, so the total shrinks.
         assert!(out2.total < out.total, "{} vs {}", out2.total, out.total);
+    }
+
+    #[test]
+    #[should_panic(expected = "halo grid has no tiles: 0 x 5")]
+    fn a_grid_without_tiles_is_refused() {
+        run_trace(&HaloConfig {
+            tiles_x: 0,
+            ..HaloConfig::small(2)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "halo tile side is 0")]
+    fn a_tile_without_cells_is_refused() {
+        reference(&HaloConfig {
+            tile: 0,
+            ..HaloConfig::small(2)
+        });
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A float the sum's bits are sensitive to: a signed zero, a signed
+    /// subnormal, or any bit pattern that is not a NaN (whose payload an
+    /// optimiser may legally take from either operand).
+    fn awkward(b: u64) -> f64 {
+        match b % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(b >> 12),
+            3 => -f64::from_bits(b >> 12),
+            _ if f64::from_bits(b).is_nan() => 1.0,
+            _ => f64::from_bits(b),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The in-place Jade kernel against the serial reference's
+        /// allocating one, over random shapes, masks and decompositions.
+        #[test]
+        fn trace_equals_reference_bit_for_bit(
+            tile in 1..13usize,
+            tiles in (1..6usize, 1..6usize),
+            iterations in 1..4usize,
+            procs in 1..9usize,
+            active_pct in 0..101u64,
+            seed in any::<u64>(),
+        ) {
+            let cfg = HaloConfig {
+                tiles_x: tiles.0,
+                tiles_y: tiles.1,
+                tile,
+                iterations,
+                active_pct,
+                procs,
+                seed,
+            };
+            let (trace, out) = run_trace(&cfg);
+            let (want, ops) = reference(&cfg);
+            prop_assert_eq!(
+                bits(&[out.total, out.grid_checksum]),
+                bits(&[want.total, want.grid_checksum])
+            );
+            prop_assert_eq!(trace.total_work().to_bits(), ops.to_bits());
+        }
+
+        /// Signed zeros and subnormals in the halo, garbage in the tile.
+        #[test]
+        fn in_place_step_equals_the_allocating_step(t in 1..13usize, seed in any::<u64>()) {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let halo: Vec<f64> = (0..(t + 2) * (t + 2)).map(|_| awkward(rng.next_u64())).collect();
+            let mut out: Vec<f64> = (0..t * t).map(|_| f64::from_bits(rng.next_u64())).collect();
+            step_tile_into(t, &halo, &mut out);
+            prop_assert_eq!(bits(&out), bits(&step_tile(t, &halo)));
+        }
     }
 }

@@ -25,9 +25,16 @@
 //! mutual exclusion between adjacent tasks) cannot reproduce. The update is
 //! Gauss-Seidel within a block and Jacobi across block edges, the standard
 //! hybrid for block-decomposed relaxation. See DESIGN.md.
+//!
+//! A task sweeps its columns on a skewed front ([`FRONT`] columns at once)
+//! with the forcing term tabulated once per program; the serial reference
+//! keeps the column-by-column loop and per-cell forcing and is its oracle.
+//! Every cell sums the same operands in the same order, so the two agree
+//! bit for bit (DESIGN.md §20).
 
 use crate::common::{checksum, chunk_ranges, worker_ring};
 use jade_core::{Handle, JadeRuntime, ProcId, TaskBuilder, Trace, TraceRuntime};
+use std::sync::Arc;
 
 /// Paper-measured execution times used for calibration (Tables 1 and 6).
 pub mod calib {
@@ -96,16 +103,6 @@ impl GridBlock {
             data: vec![0.0; n * cols],
         }
     }
-
-    #[inline]
-    pub fn at(&self, row: usize, col: usize) -> f64 {
-        self.data[col * self.n + row]
-    }
-
-    #[inline]
-    pub fn set(&mut self, row: usize, col: usize, v: f64) {
-        self.data[col * self.n + row] = v;
-    }
 }
 
 /// Wind-stress-like forcing term at (row, global column).
@@ -114,6 +111,109 @@ fn forcing(n: usize, row: usize, gcol: usize) -> f64 {
     let x = gcol as f64 / n as f64;
     let y = row as f64 / n as f64;
     0.01 * (std::f64::consts::PI * y).sin() * (2.0 * std::f64::consts::PI * x).cos()
+}
+
+/// [`forcing`] separated into its two factors, each computed once per
+/// program: `forcing(n, row, gcol)` evaluates `(0.01 · sin) · cos` left to
+/// right, so it is exactly `rows[row] * cols[gcol]`.
+struct Forcing {
+    rows: Vec<f64>,
+    cols: Vec<f64>,
+}
+
+impl Forcing {
+    fn new(n: usize) -> Forcing {
+        let at = |i: usize| i as f64 / n as f64;
+        Forcing {
+            rows: (0..n)
+                .map(|r| 0.01 * (std::f64::consts::PI * at(r)).sin())
+                .collect(),
+            cols: (0..n)
+                .map(|c| (2.0 * std::f64::consts::PI * at(c)).cos())
+                .collect(),
+        }
+    }
+}
+
+/// Columns a Gauss-Seidel sweep advances at once (see [`front`]). Chosen
+/// by measurement: 8 generates the paper traces 1.2x (8 processors) and
+/// 1.5x (32) faster than 4 (DESIGN.md §20); a front's newest cells and
+/// forcing factors then fill the sixteen SSE registers.
+const FRONT: usize = 8;
+
+/// Gauss-Seidel over a run of adjacent columns, in place: every cell gets
+/// `0.25 · (up + down + left + right) + forcing` from its up and left
+/// neighbours' new values and its down and right neighbours' old ones —
+/// exactly as if the run were swept column by column, top to bottom.
+/// `left` is the column before the run (new values), `right` the one after
+/// it (old values), `cols` the run's forcing column factors.
+fn sweep<'a>(
+    run: impl Iterator<Item = &'a mut [f64]>,
+    mut left: &'a [f64],
+    right: &'a [f64],
+    rows: &[f64],
+    cols: &[f64],
+) {
+    let mut run = run.peekable();
+    let mut done = 0;
+    while done < cols.len() {
+        let fc = &cols[done..];
+        // A remainder gets a front of its own width, not narrower ones: at
+        // 32 processors most runs are 4-7 columns, all remainder.
+        let width = fc.len().min(FRONT);
+        left = match width {
+            1 => front::<1>(&mut run, left, right, rows, fc),
+            2 => front::<2>(&mut run, left, right, rows, fc),
+            3 => front::<3>(&mut run, left, right, rows, fc),
+            4 => front::<4>(&mut run, left, right, rows, fc),
+            5 => front::<5>(&mut run, left, right, rows, fc),
+            6 => front::<6>(&mut run, left, right, rows, fc),
+            7 => front::<7>(&mut run, left, right, rows, fc),
+            _ => front::<FRONT>(&mut run, left, right, rows, fc),
+        };
+        done += width;
+    }
+}
+
+/// Sweep the next `J` columns of `run` on a skewed front: step `s` updates
+/// row `s - j` of column `j`. That cell's up and left neighbours were both
+/// written at step `s - 1`, and its right neighbour is still old, one row
+/// behind — the column-by-column operands, but the `J` dependence chains
+/// overlap instead of waiting on each other. The up and left values are
+/// carried in registers (`v[j]` is column `j`'s newest cell). Returns the
+/// last column: the next group's left neighbour.
+fn front<'a, const J: usize>(
+    run: &mut std::iter::Peekable<impl Iterator<Item = &'a mut [f64]>>,
+    left: &[f64],
+    right: &'a [f64],
+    rows: &[f64],
+    fc: &[f64],
+) -> &'a [f64] {
+    let mut g: [&'a mut [f64]; J] = std::array::from_fn(|_| run.next().expect("a column"));
+    let right = run.peek().map_or(right, |c| &**c);
+    let fc: [f64; J] = std::array::from_fn(|j| fc[j]);
+    let mut v: [f64; J] = std::array::from_fn(|j| g[j][0]);
+    let last = rows.len() - 2; // the last row that is updated
+    let mut cell = |j: usize, r: usize| {
+        let lf = if j == 0 { left[r] } else { v[j - 1] };
+        let rt = if j + 1 == J { right[r] } else { g[j + 1][r] };
+        let x = 0.25 * (v[j] + g[j][r + 1] + lf + rt) + rows[r] * fc[j];
+        g[j][r] = x;
+        v[j] = x;
+    };
+    // Right to left within a step, so `v[j - 1]` is still step `s - 1`'s.
+    for s in 1..last + J {
+        if (J..=last).contains(&s) {
+            for j in (0..J).rev() {
+                cell(j, s - j);
+            }
+        } else {
+            for j in (s.saturating_sub(last)..s.min(J)).rev() {
+                cell(j, s - j);
+            }
+        }
+    }
+    std::mem::take::<&mut [f64]>(&mut g[J - 1])
 }
 
 /// Layout of interior and boundary blocks along the column axis.
@@ -129,6 +229,9 @@ pub struct Layout {
 /// Compute the block layout for a grid of side `n` with `blocks` interior
 /// blocks. Boundary gaps are two columns wide (paper Section 4).
 pub fn layout(n: usize, blocks: usize) -> Layout {
+    // Rows and columns 0 and n - 1 are fixed: below 3 there is no interior
+    // to update or to average a residual over.
+    assert!(n >= 3, "grid too small: side {n} has no interior cell");
     if blocks == 1 {
         return Layout {
             interior: vec![(0, n)],
@@ -171,7 +274,8 @@ pub struct OceanHandles {
     pub result: Handle<(f64, f64)>,
 }
 
-/// Update one boundary column into its new-parity buffer.
+/// Update one boundary column into its new-parity buffer — the serial
+/// reference's kernel.
 ///
 /// * `new` — this iteration's buffer; rows `< row` already hold new values
 ///   and serve as the up-neighbor;
@@ -238,97 +342,61 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &OceanConfig) -> OceanHandles {
     let result = rt.create("result", 16, (0.0f64, 0.0f64));
     rt.set_home(result, 0);
 
+    let forcing = Arc::new(Forcing::new(n));
     for iter in 0..cfg.iterations {
         rt.begin_phase();
         let q = iter % 2; // this iteration's parity buffer
         for b in 0..blocks {
             let ih = interior[b];
             let (i0, iw) = lay.interior[b];
-            // Left gap: (write buffer, own old buffer, far old column, x).
-            let lg = (b > 0).then(|| {
-                (
-                    br[b - 1][q],
-                    br[b - 1][1 - q],
-                    bl[b - 1][1 - q],
-                    lay.boundary[b - 1],
-                )
-            });
-            // Right gap: (write buffer, own old buffer, far old column, x).
-            let rg =
-                (b < blocks - 1).then(|| (bl[b][q], bl[b][1 - q], br[b][1 - q], lay.boundary[b]));
+            // Left gap (global columns i0 - 2, i0 - 1) and right gap (i0 + iw,
+            // i0 + iw + 1): (near column's write buffer, its old buffer, far
+            // column's old buffer).
+            let lg = (b > 0).then(|| (br[b - 1][q], br[b - 1][1 - q], bl[b - 1][1 - q]));
+            let rg = (b < blocks - 1).then(|| (bl[b][q], bl[b][1 - q], br[b][1 - q]));
             let placement: ProcId = ring[b % ring.len()];
             // Locality object: the interior block (paper Section 4).
             let mut tb = TaskBuilder::new("stencil").rd_wr(ih);
-            if let Some((w, o, far, _)) = lg {
-                tb = tb.wr(w).rd(o).rd(far);
-            }
-            if let Some((w, o, far, _)) = rg {
+            for (w, o, far) in lg.into_iter().chain(rg) {
                 tb = tb.wr(w).rd(o).rd(far);
             }
             tb = tb.rd(params).place(placement);
+            let forcing = Arc::clone(&forcing);
             rt.submit(tb.body(move |ctx| {
-                let mut me = ctx.wr(ih);
-                let mut cells = 0u64;
-                // 1. Near-left boundary column (global x+1); keep the write
-                // guard so step 2 can read the fresh values.
-                let lg_new = lg.map(|(wh, oh, farh, x)| {
+                // A near boundary column is swept in place like an interior
+                // one, from a copy of its old buffer: its down neighbour is
+                // then the old value, as the interior's right neighbour is.
+                let near = |(wh, oh, _): (Handle<Vec<f64>>, Handle<Vec<f64>>, _)| {
                     let mut new = ctx.wr(wh);
-                    let old = ctx.rd(oh);
-                    let far = ctx.rd(farh);
-                    cells += update_column(
-                        n,
-                        x + 1,
-                        &mut new,
-                        &old,
-                        |r| far[r],      // left neighbor: column x, old parity
-                        |r| me.at(r, 0), // right neighbor: interior col, old value
-                    );
+                    new.copy_from_slice(&ctx.rd(oh));
                     new
-                });
-                // 2. Interior columns, Gauss-Seidel in place; the rightmost
-                // interior column reads the near-right boundary column's
-                // previous-parity buffer.
-                let rg_old = rg.map(|(_, oh, _, _)| ctx.rd(oh));
-                for c in 0..iw {
-                    let gcol = i0 + c;
-                    if gcol == 0 || gcol == n - 1 {
-                        continue; // fixed global edges
-                    }
-                    for row in 1..n - 1 {
-                        let left = if c == 0 {
-                            lg_new.as_ref().expect("interior col 0 is the global edge")[row]
-                        } else {
-                            me.at(row, c - 1)
-                        };
-                        let right = if c == iw - 1 {
-                            rg_old
-                                .as_ref()
-                                .expect("last interior col is the global edge")[row]
-                        } else {
-                            me.at(row, c + 1)
-                        };
-                        let v = 0.25 * (me.at(row - 1, c) + me.at(row + 1, c) + left + right)
-                            + forcing(n, row, gcol);
-                        me.set(row, c, v);
-                        cells += 1;
-                    }
-                }
-                drop(lg_new);
-                // 3. Near-right boundary column (global x).
-                if let Some((wh, _, farh, x)) = rg {
-                    let mut new = ctx.wr(wh);
-                    let old = rg_old.expect("right gap present");
-                    let far = ctx.rd(farh);
-                    cells += update_column(
-                        n,
-                        x,
-                        &mut new,
-                        &old,
-                        |r| me.at(r, iw - 1), // left neighbor: interior col, new value
-                        |r| far[r],           // right neighbor: column x+1, old parity
-                    );
-                }
-                ctx.charge(cells as f64 * C_CELL);
+                };
+                let (mut lg_new, mut rg_new) = (lg.map(near), rg.map(near));
+                let (far_l, far_r) = (lg.map(|(.., f)| ctx.rd(f)), rg.map(|(.., f)| ctx.rd(f)));
+                let mut me = ctx.wr(ih);
+                // Global columns 0 and n - 1 are fixed: where there is no
+                // gap, the run stops short of them and they bound it.
+                let lo = usize::from(i0 == 0);
+                let hi = iw - usize::from(i0 + iw == n);
+                let (head, rest) = me.data.split_at_mut(lo * n);
+                let (mid, tail) = rest.split_at_mut((hi - lo) * n);
+                // The task's columns, left to right: one run of the grid.
+                let run = lg_new
+                    .as_deref_mut()
+                    .into_iter()
+                    .map(Vec::as_mut_slice)
+                    .chain(mid.chunks_exact_mut(n))
+                    .chain(rg_new.as_deref_mut().map(Vec::as_mut_slice));
+                let g0 = if lg.is_some() { i0 - 1 } else { i0 + lo };
+                let width = hi - lo + usize::from(lg.is_some()) + usize::from(rg.is_some());
+                sweep(
+                    run,
+                    far_l.as_deref().map_or(&*head, Vec::as_slice),
+                    far_r.as_deref().map_or(&*tail, Vec::as_slice),
+                    &forcing.rows,
+                    &forcing.cols[g0..g0 + width],
+                );
+                ctx.charge((width * (n - 2)) as f64 * C_CELL);
             }));
         }
     }
@@ -497,6 +565,7 @@ pub fn expected_tasks(cfg: &OceanConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn layout_covers_grid() {
@@ -517,6 +586,51 @@ mod tests {
         // 2 * 31 boundary columns alone exceed the 32-column grid: the
         // subtraction must not wrap in a release build.
         layout(32, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "grid too small: side 1 has no interior cell")]
+    fn a_one_cell_grid_is_refused() {
+        run_trace(&OceanConfig {
+            n: 1,
+            iterations: 1,
+            procs: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "grid too small: side 2 has no interior cell")]
+    fn a_grid_without_interior_is_refused() {
+        reference(&OceanConfig {
+            n: 2,
+            iterations: 1,
+            procs: 1,
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The skewed front against the column-by-column reference: every
+        /// block width up to 2 x FRONT + 1, so every remainder of the front,
+        /// a block narrower than it and the one block holding both edges.
+        #[test]
+        fn trace_equals_block_reference_bit_for_bit(
+            n in 3..48usize,
+            iterations in 1..7usize,
+            procs in 1..18usize,
+        ) {
+            // Keep the decomposition valid: blocks + 2 (blocks - 1) <= n.
+            let procs = procs.min(n.div_ceil(3) + 1);
+            let cfg = OceanConfig { n, iterations, procs };
+            let (trace, out) = run_trace(&cfg);
+            let (want, ops) = reference_blocks(&cfg, cfg.blocks());
+            prop_assert_eq!(
+                [out.residual.to_bits(), out.grid_checksum.to_bits()],
+                [want.residual.to_bits(), want.grid_checksum.to_bits()]
+            );
+            prop_assert_eq!(trace.total_work().to_bits(), ops.to_bits());
+        }
     }
 
     #[test]

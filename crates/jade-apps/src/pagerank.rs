@@ -21,8 +21,11 @@
 //!   ascending `p` order, so floating-point accumulation is bit-identical
 //!   everywhere.
 //!
-//! The graph generator and both kernels are shared with the serial
-//! reference, which therefore matches the Jade version bit for bit.
+//! The graph generator and plan are shared with the serial reference. The
+//! tasks accumulate into the buffers their objects already hold
+//! ([`scatter_contribs_into`], [`gather_ranks_into`]) where the reference
+//! allocates ([`scatter_contribs`], [`gather_ranks`], its oracles); both
+//! add the same terms in the same order, so they match bit for bit.
 
 use crate::common::{checksum, chunk_ranges, worker_ring, SplitMix64};
 use jade_core::{Handle, JadeRuntime, TaskBuilder, Trace, TraceRuntime};
@@ -206,7 +209,8 @@ pub fn plan(g: &Graph, parts: usize) -> Plan {
 
 /// Scatter kernel: distribute partition-local `ranks` along `edges` into
 /// one dense bucket per target partition. Accumulation follows stored edge
-/// order — shared verbatim by the Jade task and the serial reference.
+/// order. The serial reference's kernel and the oracle of
+/// [`scatter_contribs_into`].
 pub fn scatter_contribs(
     edges: &[(u32, u32, u32)],
     ranks: &[f64],
@@ -221,8 +225,30 @@ pub fn scatter_contribs(
     buckets
 }
 
+/// [`scatter_contribs`] into the buckets `buckets` already holds: each is
+/// zeroed, then accumulated in the same stored edge order, so the result is
+/// the fresh one bit for bit. The first use allocates them.
+pub fn scatter_contribs_into(
+    buckets: &mut Vec<Vec<f64>>,
+    edges: &[(u32, u32, u32)],
+    ranks: &[f64],
+    outdeg: &[u32],
+    bucket_sizes: &[usize],
+) {
+    if buckets.is_empty() {
+        *buckets = bucket_sizes.iter().map(|&s| vec![0.0; s]).collect();
+    } else {
+        buckets.iter_mut().for_each(|b| b.fill(0.0));
+    }
+    for &(ls, tp, ld) in edges {
+        let share = ranks[ls as usize] / outdeg[ls as usize] as f64;
+        buckets[tp as usize][ld as usize] += share;
+    }
+}
+
 /// Gather kernel: partition `q`'s new ranks from its senders' buckets,
-/// accumulated in the given (ascending-`p`) order.
+/// accumulated in the given (ascending-`p`) order. The serial reference's
+/// kernel and the oracle of [`gather_ranks_into`].
 pub fn gather_ranks(
     n_local: usize,
     q: usize,
@@ -237,6 +263,22 @@ pub fn gather_ranks(
         }
     }
     out
+}
+
+/// [`gather_ranks`] into `out`, which it overwrites: the same base, then
+/// the senders' contributions in the given order.
+pub fn gather_ranks_into<'a>(
+    out: &mut [f64],
+    q: usize,
+    contribs: impl IntoIterator<Item = &'a [Vec<f64>]>,
+    total_nodes: usize,
+) {
+    out.fill((1.0 - DAMPING) / total_nodes as f64);
+    for c in contribs {
+        for (o, b) in out.iter_mut().zip(&c[q]) {
+            *o += DAMPING * b;
+        }
+    }
 }
 
 /// Final numeric results.
@@ -311,7 +353,8 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &PagerankConfig) -> PagerankHandle
                     .body(move |ctx| {
                         let edges = &pl.part_edges[p];
                         let ranks = ctx.rd(rh);
-                        *ctx.wr(ch) = scatter_contribs(edges, &ranks, &pl.outdeg[p], &sizes);
+                        let mut buckets = ctx.wr(ch);
+                        scatter_contribs_into(&mut buckets, edges, &ranks, &pl.outdeg[p], &sizes);
                         ctx.charge(edges.len() as f64 * C_EDGE + (e - s) as f64 * C_NODE);
                     }),
             );
@@ -332,9 +375,9 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &PagerankConfig) -> PagerankHandle
             }
             rt.submit(tb.place(placement).body(move |ctx| {
                 let guards: Vec<_> = sender_handles.iter().map(|&h| ctx.rd(h)).collect();
-                let refs: Vec<&[Vec<f64>]> = guards.iter().map(|g| g.as_slice()).collect();
-                *ctx.wr(wh) = gather_ranks(n_local, q, &refs, total);
-                ctx.charge((refs.len() + 1) as f64 * n_local as f64 * C_NODE);
+                let contribs = guards.iter().map(|g| g.as_slice());
+                gather_ranks_into(&mut ctx.wr(wh), q, contribs, total);
+                ctx.charge((guards.len() + 1) as f64 * n_local as f64 * C_NODE);
             }));
         }
     }
@@ -432,6 +475,7 @@ pub fn expected_tasks(cfg: &PagerankConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn generator_is_deterministic_and_total() {
@@ -527,6 +571,77 @@ mod tests {
         for t in trace.tasks.iter().filter(|t| t.label != "collect") {
             let p = t.placement.expect("parallel tasks are placed");
             assert!((1..4).contains(&p), "placement {p} omits the main proc");
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A valid configuration from unconstrained draws.
+    fn config(nodes: usize, m: usize, parts: usize) -> (usize, usize, usize) {
+        (nodes, m.min(nodes - 2), 1 + parts % nodes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The in-place Jade kernels against the serial reference's
+        /// allocating ones, over random graphs and partitions.
+        #[test]
+        fn trace_equals_reference_bit_for_bit(
+            shape in (3..80usize, 1..5usize, 0..80usize),
+            iterations in 1..4usize,
+            procs in 1..9usize,
+            seed in any::<u64>(),
+        ) {
+            let (nodes, edges_per_node, parts) = config(shape.0, shape.1, shape.2);
+            let cfg = PagerankConfig { nodes, edges_per_node, iterations, parts, procs, seed };
+            let (trace, out) = run_trace(&cfg);
+            let (want, ops) = reference(&cfg);
+            prop_assert_eq!(
+                bits(&[out.rank_sum, out.rank_checksum]),
+                bits(&[want.rank_sum, want.rank_checksum])
+            );
+            prop_assert_eq!(trace.total_work().to_bits(), ops.to_bits());
+        }
+
+        /// Two scatters into the same buckets equal two fresh scatters, and
+        /// a gather into a vector of garbage equals a fresh gather.
+        #[test]
+        fn reused_buffers_equal_fresh_ones(
+            shape in (3..80usize, 1..5usize, 0..80usize),
+            seed in any::<u64>(),
+        ) {
+            let (nodes, m, parts) = config(shape.0, shape.1, shape.2);
+            let pl = plan(&power_law_graph(nodes, m, seed), parts);
+            let sizes: Vec<usize> = pl.ranges.iter().map(|&(s, e)| e - s).collect();
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let p = rng.next_u64() as usize % parts;
+            let mut buckets = Vec::new();
+            for _ in 0..2 {
+                let ranks: Vec<f64> = (0..sizes[p]).map(|_| rng.gen_range_f64(0.0, 1.0)).collect();
+                let (edges, outdeg) = (&pl.part_edges[p], &pl.outdeg[p]);
+                scatter_contribs_into(&mut buckets, edges, &ranks, outdeg, &sizes);
+                let fresh = scatter_contribs(edges, &ranks, outdeg, &sizes);
+                prop_assert_eq!(buckets.len(), fresh.len());
+                for (b, f) in buckets.iter().zip(&fresh) {
+                    prop_assert_eq!(bits(b), bits(f));
+                }
+            }
+            let contribs: Vec<Vec<Vec<f64>>> = (0..parts)
+                .map(|p| {
+                    let ranks: Vec<f64> =
+                        (0..sizes[p]).map(|_| rng.gen_range_f64(0.0, 1.0)).collect();
+                    scatter_contribs(&pl.part_edges[p], &ranks, &pl.outdeg[p], &sizes)
+                })
+                .collect();
+            let q = rng.next_u64() as usize % parts;
+            let senders: Vec<&[Vec<f64>]> =
+                pl.senders[q].iter().map(|&p| contribs[p].as_slice()).collect();
+            let mut out: Vec<f64> = (0..sizes[q]).map(|_| f64::from_bits(rng.next_u64())).collect();
+            gather_ranks_into(&mut out, q, senders.iter().copied(), nodes);
+            prop_assert_eq!(bits(&out), bits(&gather_ranks(sizes[q], q, &senders, nodes)));
         }
     }
 

@@ -6,6 +6,9 @@
 //! loop of small DAGs, per task), building an access specification, and
 //! element access through a store guard.
 //!
+//! And the applications themselves: trace generation of each paper
+//! configuration and each `threads-apps` configuration on one worker.
+//!
 //! Plain self-timing harness (`harness = false`): each benchmark runs a
 //! fixed number of iterations and reports the mean wall-clock time per
 //! iteration. Run with `cargo bench -p jade-bench --bench components`.
@@ -196,6 +199,92 @@ fn trace_generation() {
             &jade_apps::cholesky::CholeskyConfig::small(8),
         ));
     });
+}
+
+/// The applications' own cost: serial trace generation of each paper
+/// configuration at 8 and 32 processors — the twelve traces behind every
+/// simulator workload's `setup_s` — and each `threads-apps` configuration
+/// (`benchmark/src/apps.rs`, `App::thread_config`, default seeds) on a
+/// fresh one-worker `ThreadRuntime`, where bodies are 95 % of the time.
+fn apps() {
+    use jade_apps::{cholesky, halo, ocean, pagerank, string_app, water};
+    use std::hint::black_box;
+    type Run<'a> = (&'a str, &'a dyn Fn(usize));
+    let traces: [Run; 6] = [
+        ("water", &|p| {
+            black_box(water::run_trace(&water::WaterConfig::paper(p)));
+        }),
+        ("string", &|p| {
+            black_box(string_app::run_trace(&string_app::StringConfig::paper(p)));
+        }),
+        ("ocean", &|p| {
+            black_box(ocean::run_trace(&ocean::OceanConfig::paper(p)));
+        }),
+        ("cholesky", &|p| {
+            black_box(cholesky::run_trace(&cholesky::CholeskyConfig::paper(p)));
+        }),
+        ("pagerank", &|p| {
+            black_box(pagerank::run_trace(&pagerank::PagerankConfig::paper(p)));
+        }),
+        ("halo", &|p| {
+            black_box(halo::run_trace(&halo::HaloConfig::paper(p)));
+        }),
+    ];
+    for procs in [8, 32] {
+        for (app, run) in traces {
+            bench(&format!("apps/trace/{app}/p{procs}"), 5, || run(procs));
+        }
+    }
+    let threads: [Run; 6] = [
+        ("water", &|p| {
+            let cfg = water::WaterConfig {
+                iterations: 4,
+                ..water::WaterConfig::paper(p)
+            };
+            black_box(water::run_on(&mut ThreadRuntime::new(1), &cfg));
+        }),
+        ("string", &|p| {
+            let cfg = string_app::StringConfig {
+                iterations: 4,
+                ..string_app::StringConfig::paper(p)
+            };
+            black_box(string_app::run_on(&mut ThreadRuntime::new(1), &cfg));
+        }),
+        ("ocean", &|p| {
+            let cfg = ocean::OceanConfig {
+                iterations: 150,
+                ..ocean::OceanConfig::paper(p)
+            };
+            black_box(ocean::run_on(&mut ThreadRuntime::new(1), &cfg));
+        }),
+        ("cholesky", &|p| {
+            let cfg = cholesky::CholeskyConfig {
+                grid: 114,
+                ..cholesky::CholeskyConfig::paper(p)
+            };
+            black_box(cholesky::run_on(&mut ThreadRuntime::new(1), &cfg));
+        }),
+        ("pagerank", &|p| {
+            let cfg = pagerank::PagerankConfig {
+                nodes: 32768,
+                edges_per_node: 8,
+                iterations: 40,
+                ..pagerank::PagerankConfig::paper(p)
+            };
+            black_box(pagerank::run_on(&mut ThreadRuntime::new(1), &cfg));
+        }),
+        ("halo", &|p| {
+            let cfg = halo::HaloConfig {
+                tile: 64,
+                iterations: 110,
+                ..halo::HaloConfig::paper(p)
+            };
+            black_box(halo::run_on(&mut ThreadRuntime::new(1), &cfg));
+        }),
+    ];
+    for (app, run) in threads {
+        bench(&format!("apps/run_on/{app}/w1"), 5, || run(8));
+    }
 }
 
 fn thread_backend() {
@@ -467,6 +556,7 @@ fn main() {
     simulator_event_rate();
     dsim_per_message();
     trace_generation();
+    apps();
     thread_backend();
     threads_submit_finish();
     service_mix();
