@@ -14,6 +14,11 @@ pub enum DashError {
     /// The fault plan is malformed (bad probability, or a component that
     /// cannot apply to a shared-memory machine).
     InvalidFaultPlan(String),
+    /// The machine/cost configuration is unusable (a zero cluster size,
+    /// line size or clock rate, a negative or non-finite runtime cost or
+    /// compute cost, oversized jitter): left unchecked these poison
+    /// virtual-time arithmetic deep in the event loop.
+    InvalidMachine(String),
     /// The event calendar drained before the program completed: `live_tasks`
     /// tasks never finished. Indicates a scheduler bug, not an injected
     /// fault — transient stalls only shift task spans.
@@ -25,6 +30,7 @@ impl fmt::Display for DashError {
         match self {
             DashError::NoProcessors => write!(f, "need at least one processor"),
             DashError::InvalidFaultPlan(why) => write!(f, "invalid fault plan: {why}"),
+            DashError::InvalidMachine(why) => write!(f, "invalid machine config: {why}"),
             DashError::Stalled { live_tasks } => {
                 write!(f, "simulation stalled: {live_tasks} tasks never completed")
             }

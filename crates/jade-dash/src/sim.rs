@@ -177,6 +177,59 @@ struct Costs {
     steal_patience: SimDuration,
 }
 
+impl Costs {
+    /// Convert `c`, naming the first field that is negative, non-finite or
+    /// too large to represent.
+    fn of(c: &DashCosts) -> Result<Costs, DashError> {
+        let time = |name: &str, s: f64| {
+            SimDuration::try_from_secs_f64(s).ok_or_else(|| {
+                DashError::InvalidMachine(format!(
+                    "cost {name} must be a finite non-negative time, got {s}"
+                ))
+            })
+        };
+        Ok(Costs {
+            create: time("create_s", c.create_s)?,
+            dispatch: time("dispatch_s", c.dispatch_s)?,
+            complete: time("complete_s", c.complete_s)?,
+            steal: time("steal_s", c.steal_s)?,
+            steal_patience: time("steal_patience_s", c.steal_patience_s)?,
+        })
+    }
+}
+
+/// Reject machine parameters that would panic deep in the event loop (a
+/// division by a zero cluster size, line size or clock rate, a negative
+/// task duration) with a typed [`DashError::InvalidMachine`].
+fn validate_machine(cfg: &DashConfig) -> Result<(), DashError> {
+    let bad = |why: String| Err(DashError::InvalidMachine(why));
+    let m = &cfg.machine;
+    for (name, v) in [
+        ("cluster size", m.cluster_size as u64),
+        ("line size", m.line_bytes as u64),
+        ("clock rate", m.clock_hz),
+    ] {
+        if v == 0 {
+            return bad(format!("{name} must be at least 1"));
+        }
+    }
+    if !(cfg.sec_per_op.is_finite() && (0.0..=3_600.0).contains(&cfg.sec_per_op)) {
+        return bad(format!(
+            "sec_per_op must be in [0, 3600] seconds, got {}",
+            cfg.sec_per_op
+        ));
+    }
+    // The jitter multiplier is `1 + frac * (u - 0.5)` with `u` in [0, 1);
+    // frac beyond 2 makes task durations negative.
+    if !(cfg.jitter_frac.is_finite() && (0.0..=2.0).contains(&cfg.jitter_frac)) {
+        return bad(format!(
+            "jitter fraction must be in [0, 2], got {}",
+            cfg.jitter_frac
+        ));
+    }
+    Ok(())
+}
+
 struct Sim<'a, R: Sink> {
     trace: &'a Trace,
     cfg: &'a DashConfig,
@@ -284,6 +337,8 @@ fn simulate<R: Sink>(
     if procs < 1 {
         return Err(DashError::NoProcessors);
     }
+    validate_machine(cfg)?;
+    let costs = Costs::of(&cfg.costs)?;
     if let Err(why) = cfg.faults.validate() {
         return Err(DashError::InvalidFaultPlan(why));
     }
@@ -299,13 +354,7 @@ fn simulate<R: Sink>(
     let mut sim = Sim {
         trace,
         cfg,
-        costs: Costs {
-            create: SimDuration::from_secs_f64(cfg.costs.create_s),
-            dispatch: SimDuration::from_secs_f64(cfg.costs.dispatch_s),
-            complete: SimDuration::from_secs_f64(cfg.costs.complete_s),
-            steal: SimDuration::from_secs_f64(cfg.costs.steal_s),
-            steal_patience: SimDuration::from_secs_f64(cfg.costs.steal_patience_s),
-        },
+        costs,
         cal: Calendar::new(),
         pc: ProcClock::new(procs),
         sync: Synchronizer::for_trace(cfg.replication, trace),
@@ -1121,6 +1170,34 @@ mod tests {
             try_run(&trace, &c),
             Err(crate::DashError::InvalidFaultPlan(_))
         ));
+    }
+
+    #[test]
+    fn bad_machine_configs_are_rejected_not_panics() {
+        let trace = parallel_trace(4, 2, 0.1);
+        let rejected =
+            |c: &DashConfig| matches!(try_run(&trace, c), Err(crate::DashError::InvalidMachine(_)));
+        // Jitter fraction beyond 2 makes the duration multiplier negative.
+        let mut c = cfg(2, LocalityMode::Locality);
+        c.jitter_frac = 3.0;
+        assert!(rejected(&c));
+        // Negative or non-finite compute cost: negative task durations.
+        let mut c = cfg(2, LocalityMode::Locality);
+        c.sec_per_op = -1.0;
+        assert!(rejected(&c));
+        c.sec_per_op = f64::NAN;
+        assert!(rejected(&c));
+        // Every runtime cost is a time: finite and non-negative.
+        let mut c = cfg(2, LocalityMode::Locality);
+        c.costs.create_s = -1.0;
+        assert!(rejected(&c));
+        let mut c = cfg(2, LocalityMode::Locality);
+        c.costs.steal_patience_s = f64::INFINITY;
+        assert!(rejected(&c));
+        // Cluster arithmetic divides by the cluster size.
+        let mut c = cfg(2, LocalityMode::Locality);
+        c.machine.cluster_size = 0;
+        assert!(rejected(&c));
     }
 
     // ---- split-phase prefetch ----

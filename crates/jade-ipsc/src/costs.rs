@@ -7,8 +7,6 @@
 //! calibrated against the paper's Figure 20/21 work-free fractions and the
 //! Ocean/Cholesky execution-time tables (see EXPERIMENTS.md §calibration).
 
-use dsim::SimDuration;
-
 /// Per-operation Jade runtime overheads on the message-passing machine.
 #[derive(Clone, Copy, Debug)]
 pub struct IpscCosts {
@@ -62,30 +60,6 @@ impl Default for IpscCosts {
             notify_bytes: 32,
             notify_handler_s: 800e-6,
         }
-    }
-}
-
-impl IpscCosts {
-    pub fn create(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.create_s)
-    }
-    pub fn sched(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.sched_s)
-    }
-    pub fn recv_handler(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.recv_handler_s)
-    }
-    pub fn request_send(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.request_send_s)
-    }
-    pub fn object_recv(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.object_recv_s)
-    }
-    pub fn complete(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.complete_s)
-    }
-    pub fn notify_handler(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.notify_handler_s)
     }
 }
 

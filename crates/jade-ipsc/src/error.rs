@@ -18,9 +18,10 @@ pub enum IpscError {
     /// that is the main processor or out of range).
     InvalidFaultPlan(String),
     /// The machine/cost configuration is unusable (non-positive bandwidth,
-    /// negative latency or compute cost, oversized jitter, bad speed
-    /// factor): left unchecked these poison virtual-time arithmetic deep in
-    /// the event loop.
+    /// negative latency or compute cost, a negative or non-finite runtime
+    /// cost, oversized jitter, bad speed factor, no room for a task per
+    /// processor): left unchecked these poison virtual-time arithmetic or
+    /// the scheduler deep in the event loop.
     InvalidMachine(String),
     /// The event calendar drained before the program completed: `live`
     /// tasks never finished. Indicates a protocol bug, not an injected

@@ -232,32 +232,12 @@ impl IpscConfig {
     /// A network-of-workstations configuration: shared 10-Mbit-class medium,
     /// higher per-message latency, and the given relative machine speeds.
     pub fn workstations(speeds: Vec<f64>, sec_per_op: f64) -> IpscConfig {
-        let procs = speeds.len();
-        let mut machine = IpscSpec::paper(procs);
-        machine.link_bandwidth = 1.1e6; // ~10 Mbit/s Ethernet payload rate
-        machine.message_latency_s = 1e-3; // UDP/IP stack latency
-        IpscConfig {
-            machine,
-            costs: IpscCosts::default(),
-            mode: LocalityMode::Locality,
-            sec_per_op,
-            target_tasks: 1,
-            adaptive_broadcast: true,
-            concurrent_fetches: true,
-            aggregate_fetches: false,
-            work_free: false,
-            replication: true,
-            eager_update: false,
-            jitter_frac: 0.08,
-            speed_factors: Some(speeds),
-            shared_medium: true,
-            prefetch: false,
-            faults: FaultPlan::none(),
-            deadline: None,
-            pinned: None,
-            evidence_margin: 0,
-            tune: false,
-        }
+        let mut c = IpscConfig::paper(speeds.len(), LocalityMode::Locality, sec_per_op);
+        c.machine.link_bandwidth = 1.1e6; // ~10 Mbit/s Ethernet payload rate
+        c.machine.message_latency_s = 1e-3; // UDP/IP stack latency
+        c.speed_factors = Some(speeds);
+        c.shared_medium = true;
+        c
     }
 }
 
@@ -364,26 +344,28 @@ enum Ev {
         proc: ProcId,
         task: TaskId,
     },
-    RequestArrive {
-        obj: ObjectId,
+    /// A request for `objs`, one object or a coalesced bundle. The owners
+    /// are recomputed at arrival; an object whose owner moved rides that
+    /// owner's own reply. `coalesced` sizes the replies: a coalesced
+    /// message carries a per-object entry for each object, a lone one none.
+    Request {
+        objs: Vec<ObjectId>,
+        coalesced: bool,
         requester: ProcId,
         task: TaskId,
         sent_at: SimTime,
     },
-    ObjectArrive {
+    /// One reply message delivering `(object, version)` payloads. Costs a
+    /// single receive-handler interrupt.
+    Reply {
         proc: ProcId,
-        obj: ObjectId,
-        version: u64,
+        items: Vec<(ObjectId, u64)>,
         task: TaskId,
         requested_at: SimTime,
     },
-    BroadcastArrive {
-        proc: ProcId,
-        obj: ObjectId,
-        version: u64,
-    },
-    /// Eager producer-to-consumer push (update protocol, Section 6).
-    EagerArrive {
+    /// A pushed copy: a broadcast, or an eager producer-to-consumer push
+    /// (update protocol, Section 6).
+    PushArrive {
         proc: ProcId,
         obj: ObjectId,
         version: u64,
@@ -395,23 +377,6 @@ enum Ev {
     NotifyArrive {
         proc: ProcId,
         task: TaskId,
-    },
-    /// Coalesced request for several objects owned by one processor
-    /// (inspector/executor aggregation). The owner set is recomputed at
-    /// arrival; objects whose owner moved ride that owner's own bundle.
-    AggRequestArrive {
-        objs: Vec<ObjectId>,
-        requester: ProcId,
-        task: TaskId,
-        sent_at: SimTime,
-    },
-    /// Coalesced reply: one message delivering several `(object, version)`
-    /// payloads. Costs a single receive-handler interrupt.
-    AggObjectArrive {
-        proc: ProcId,
-        items: Vec<(ObjectId, u64)>,
-        task: TaskId,
-        requested_at: SimTime,
     },
     /// Ack timer for one fetch attempt: if the reply is still pending when
     /// this fires, the request is re-sent with exponential backoff.
@@ -545,10 +510,10 @@ struct DataMsg {
     obj: ObjectId,
 }
 
-/// A coalesced request's object list and a coalesced reply's `(object,
-/// version)` list travel inside calendar events; the handler that consumes
-/// one hands its buffer back, so bundles stop allocating once the lists in
-/// flight have been built.
+/// A request's object list and a reply's `(object, version)` list travel
+/// inside calendar events; the handler that consumes one hands its buffer
+/// back, so fetches stop allocating once the lists in flight have been
+/// built.
 struct Recycled<T>(Vec<Vec<T>>);
 
 impl<T> Recycled<T> {
@@ -562,9 +527,44 @@ impl<T> Recycled<T> {
     }
 }
 
+/// The durations of [`IpscCosts`] in picoseconds, converted once per run.
+struct Costs {
+    create: SimDuration,
+    sched: SimDuration,
+    recv_handler: SimDuration,
+    request_send: SimDuration,
+    object_recv: SimDuration,
+    complete: SimDuration,
+    notify_handler: SimDuration,
+}
+
+impl Costs {
+    /// Convert `c`, naming the first field that is negative, non-finite or
+    /// too large to represent.
+    fn of(c: &IpscCosts) -> Result<Costs, IpscError> {
+        let time = |name: &str, s: f64| {
+            SimDuration::try_from_secs_f64(s).ok_or_else(|| {
+                IpscError::InvalidMachine(format!(
+                    "cost {name} must be a finite non-negative time, got {s}"
+                ))
+            })
+        };
+        Ok(Costs {
+            create: time("create_s", c.create_s)?,
+            sched: time("sched_s", c.sched_s)?,
+            recv_handler: time("recv_handler_s", c.recv_handler_s)?,
+            request_send: time("request_send_s", c.request_send_s)?,
+            object_recv: time("object_recv_s", c.object_recv_s)?,
+            complete: time("complete_s", c.complete_s)?,
+            notify_handler: time("notify_handler_s", c.notify_handler_s)?,
+        })
+    }
+}
+
 struct Sim<'a, R: Sink> {
     trace: &'a Trace,
     cfg: &'a IpscConfig,
+    costs: Costs,
     cal: Calendar<Ev>,
     pc: ProcClock,
     sync: Synchronizer,
@@ -708,6 +708,9 @@ fn validate_machine(cfg: &IpscConfig) -> Result<(), IpscError> {
             cfg.jitter_frac
         ));
     }
+    if cfg.target_tasks == 0 {
+        return bad("target tasks per processor must be at least 1".into());
+    }
     if let Some(speeds) = &cfg.speed_factors {
         if speeds.is_empty() {
             return bad("speed factor list is empty".into());
@@ -746,6 +749,7 @@ fn simulate<R: Sink>(
         return Err(IpscError::NoProcessors);
     }
     validate_machine(cfg)?;
+    let costs = Costs::of(&cfg.costs)?;
     cfg.faults.validate().map_err(IpscError::InvalidFaultPlan)?;
     if let Some(fp) = cfg.faults.fail_proc {
         if fp == jade_core::MAIN_PROC {
@@ -783,6 +787,7 @@ fn simulate<R: Sink>(
     let mut sim = Sim {
         trace,
         cfg,
+        costs,
         cal: Calendar::new(),
         pc: ProcClock::new(procs),
         sync: Synchronizer::for_trace(cfg.replication, trace),
@@ -973,35 +978,20 @@ impl<R: Sink> Sim<'_, R> {
                 }
                 self.on_assign_arrive(proc, task, t);
             }
-            Ev::RequestArrive {
-                obj,
-                requester,
-                task,
-                sent_at,
-            } => self.on_request_arrive(obj, requester, task, sent_at, t),
-            Ev::ObjectArrive {
-                proc,
-                obj,
-                version,
-                task,
-                requested_at,
-            } => self.on_object_arrive(proc, obj, version, task, requested_at, t),
-            Ev::AggRequestArrive {
+            Ev::Request {
                 objs,
+                coalesced,
                 requester,
                 task,
                 sent_at,
-            } => self.on_agg_request_arrive(objs, requester, task, sent_at, t),
-            Ev::AggObjectArrive {
+            } => self.on_request(objs, coalesced, requester, task, sent_at, t),
+            Ev::Reply {
                 proc,
                 items,
                 task,
                 requested_at,
-            } => self.on_agg_object_arrive(proc, items, task, requested_at, t),
-            Ev::BroadcastArrive { proc, obj, version } => {
-                self.on_pushed_arrive(proc, obj, version, t)
-            }
-            Ev::EagerArrive { proc, obj, version } => self.on_pushed_arrive(proc, obj, version, t),
+            } => self.on_reply(proc, items, task, requested_at, t),
+            Ev::PushArrive { proc, obj, version } => self.on_pushed_arrive(proc, obj, version, t),
             Ev::Finish { proc, task } => {
                 if self.dead[proc] {
                     return; // the processor died mid-task; the task was orphaned
@@ -1095,13 +1085,10 @@ impl<R: Sink> Sim<'_, R> {
         // already-created suffix drains normally (each created task's
         // predecessors were created before it), so the run terminates
         // cleanly with partial metrics instead of wedging as `Stalled`.
-        if self.next_rec < self.trace.tasks.len() && self.budget.is_some_and(|b| b.exhausted(t)) {
-            self.deadline_hit = true;
-            self.main_done = true;
-            self.try_execute(0, t);
-            return;
-        }
-        if self.next_rec == self.trace.tasks.len() {
+        let left = self.trace.tasks.len() - self.next_rec;
+        let cut = left > 0 && self.budget.is_some_and(|b| b.exhausted(t));
+        if cut || left == 0 {
+            self.deadline_hit |= cut;
             self.main_done = true;
             self.try_execute(0, t);
             return;
@@ -1120,7 +1107,7 @@ impl<R: Sink> Sim<'_, R> {
                 self.try_execute(0, t);
             }
         } else {
-            let create = self.cfg.costs.create();
+            let create = self.costs.create;
             let end = self.occupy_ev(0, t, create, TimeKind::Mgmt, Some(id));
             self.note_phase_start(rec.phase, end, rec.serial_phase);
             let enabled = self
@@ -1157,7 +1144,7 @@ impl<R: Sink> Sim<'_, R> {
     /// main processor, then run it there inline.
     fn begin_serial(&mut self, id: TaskId, t: SimTime) {
         self.tstate[id.index()].assigned_to = 0;
-        self.issue_fetches(0, id, t);
+        self.issue_fetches(0, 0, id, t);
         self.try_execute(0, t);
     }
 
@@ -1167,7 +1154,7 @@ impl<R: Sink> Sim<'_, R> {
             return;
         }
         let rec = &self.trace.tasks[id.index()];
-        let end = self.handler_op(0, t, self.cfg.costs.sched(), TimeKind::Mgmt);
+        let end = self.handler_op(0, t, self.costs.sched, TimeKind::Mgmt);
         // A replayed schedule overrides both the trace placement and the
         // locality mode: the point of pinning is to reproduce the recorded
         // run's task→processor map exactly.
@@ -1215,7 +1202,10 @@ impl<R: Sink> Sim<'_, R> {
             self.cal.schedule(t, Ev::AssignArrive { proc: 0, task: id });
         } else {
             if self.cfg.prefetch && self.cfg.concurrent_fetches && !self.cfg.work_free {
-                self.prefetch_issue(p, id, t);
+                // Split-phase prefetch (DESIGN.md §17): main issues the
+                // task's fetches on `p`'s behalf before the assignment
+                // message itself leaves.
+                self.issue_fetches(0, p, id, t);
             }
             let dur = self.msg(self.cfg.costs.assign_bytes, 0, p);
             self.events.emit_task(
@@ -1245,7 +1235,7 @@ impl<R: Sink> Sim<'_, R> {
                 id,
             );
         }
-        let t1 = self.handler_op(p, t, self.cfg.costs.recv_handler(), TimeKind::Mgmt);
+        let t1 = self.handler_op(p, t, self.costs.recv_handler, TimeKind::Mgmt);
         if let Some(pin) = &self.cfg.pinned {
             // Replay: keep each processor's queue in the recorded start
             // order, so differences in assignment *arrival* order (which
@@ -1262,45 +1252,9 @@ impl<R: Sink> Sim<'_, R> {
         if self.tstate[id.index()].prefetch_issued {
             self.reconcile_prefetch(p, id, t1);
         } else {
-            self.issue_fetches(p, id, t1);
+            self.issue_fetches(p, p, id, t1);
         }
         self.try_execute(p, t1);
-    }
-
-    /// Split-phase prefetch, issue half: main sends the object requests
-    /// for a task it just assigned to `p`, before the assignment message
-    /// itself lands. Main (the issuer) pays the request-send handler
-    /// time; the replies, ack timers and retries belong to `p`, so a lost
-    /// prefetch degrades to the proven per-object fetch/retry path.
-    fn prefetch_issue(&mut self, p: ProcId, id: TaskId, t: SimTime) {
-        let trace = self.trace;
-        let mut needed = std::mem::take(&mut self.needed);
-        needed.clear();
-        needed.extend(
-            trace.tasks[id.index()]
-                .spec
-                .decls()
-                .iter()
-                .map(|d| d.object)
-                .filter(|&o| self.comm.needs_fetch(p, o)),
-        );
-        let ts = &mut self.tstate[id.index()];
-        ts.prefetch_issued = true;
-        ts.request_all(&needed, true);
-        for &o in &needed {
-            self.n_prefetch_issued += 1;
-            self.events.emit_obj(
-                t.0,
-                0,
-                EventKind::PrefetchIssued {
-                    bytes: trace.object_size(o) as u64,
-                },
-                Some(id),
-                o,
-            );
-        }
-        self.send_requests(0, p, id, &needed, t);
-        self.needed = needed;
     }
 
     /// Split-phase prefetch, reconcile half: the assignment arrived at
@@ -1334,12 +1288,12 @@ impl<R: Sink> Sim<'_, R> {
                 }
                 // The refetch is an ordinary fetch, not a prefetch hit.
                 self.tstate[id.index()].request(o);
-                t_cur = self.send_fetch_request(p, p, id, o, 0, t_cur);
+                t_cur = self.send_request(p, p, id, &[o], 0, t_cur);
             } else {
                 // Locally satisfied — either the prefetch landed (its hit
                 // was counted at delivery) or no fetch was ever needed;
                 // both consume the version (feeds the adaptive-broadcast
-                // trigger, like `issue_fetches`).
+                // trigger, like a demand fetch).
                 self.comm.note_access(p, o);
             }
         }
@@ -1349,28 +1303,55 @@ impl<R: Sink> Sim<'_, R> {
         }
     }
 
-    fn issue_fetches(&mut self, p: ProcId, id: TaskId, t: SimTime) {
+    /// Plan and issue `id`'s fetches to `p`. The plan lists the declared
+    /// objects `p` does not hold at their current version, in declaration
+    /// order; [`Sim::send_requests`] coalesces and sends them.
+    ///
+    /// A demand fetch runs when the assignment arrives, with `p` as the
+    /// issuer. A split-phase prefetch (DESIGN.md §17) is the same fetch
+    /// issued early: at assignment, with main as the issuer. Its replies,
+    /// ack timers and retries still belong to `p`, so a lost prefetch
+    /// degrades to the per-object retry path, and
+    /// [`Sim::reconcile_prefetch`] settles the rest when the assignment
+    /// arrives.
+    fn issue_fetches(&mut self, issuer: ProcId, p: ProcId, id: TaskId, t: SimTime) {
         if self.cfg.work_free {
             self.tstate[id.index()].ready = true;
             return;
         }
+        let prefetch = issuer != p;
         let trace = self.trace;
         let mut needed = std::mem::take(&mut self.needed);
         needed.clear();
         for d in trace.tasks[id.index()].spec.decls() {
             if self.comm.needs_fetch(p, d.object) {
                 needed.push(d.object);
-            } else {
+            } else if !prefetch {
                 // Locally satisfied: still counts as consuming the version
                 // (feeds the adaptive-broadcast trigger).
                 self.comm.note_access(p, d.object);
             }
         }
-        if needed.is_empty() {
+        if prefetch {
+            self.tstate[id.index()].prefetch_issued = true;
+            for &o in &needed {
+                self.n_prefetch_issued += 1;
+                self.events.emit_obj(
+                    t.0,
+                    0,
+                    EventKind::PrefetchIssued {
+                        bytes: trace.object_size(o) as u64,
+                    },
+                    Some(id),
+                    o,
+                );
+            }
+        }
+        if needed.is_empty() && !prefetch {
             self.tstate[id.index()].ready = true;
         } else if self.cfg.concurrent_fetches {
-            self.tstate[id.index()].request_all(&needed, false);
-            self.send_requests(p, p, id, &needed, t);
+            self.tstate[id.index()].request_all(&needed, prefetch);
+            self.send_requests(issuer, p, id, &needed, t);
         } else {
             // Serial-fetch ablation: one request at a time.
             let ts = &mut self.tstate[id.index()];
@@ -1381,11 +1362,12 @@ impl<R: Sink> Sim<'_, R> {
         self.needed = needed;
     }
 
-    /// Send the requests for `needed`, a task's whole fetch set in
-    /// declaration order. Request sends serialize on the issuer; the
+    /// Coalesce and send the requests for `needed`, a task's whole fetch
+    /// set in declaration order. Request sends serialize on the issuer; the
     /// transfers themselves proceed in parallel at the owners. With
-    /// aggregation on this is the inspector/executor pass: the fetches
-    /// coalesce into one message per owner where the break-even holds.
+    /// aggregation on this is the inspector/executor pass: the objects of
+    /// one owner form one bundle where the break-even holds. Otherwise each
+    /// object is a bundle of its own.
     fn send_requests(
         &mut self,
         issuer: ProcId,
@@ -1396,20 +1378,17 @@ impl<R: Sink> Sim<'_, R> {
     ) {
         let mut t_cur = t;
         if !self.cfg.aggregate_fetches {
-            for &o in needed {
-                t_cur = self.send_fetch_request(issuer, p, id, o, 0, t_cur);
+            for bundle in needed.chunks(1) {
+                t_cur = self.send_request(issuer, p, id, bundle, 0, t_cur);
             }
             return;
         }
         let n = self.group_by_owner(needed);
         let groups = std::mem::take(&mut self.groups);
-        for (owner, group) in &groups[..n] {
-            if group.len() >= 2 && self.aggregation_pays(group.len()) {
-                t_cur = self.send_agg_fetch_request(issuer, p, id, *owner, group, t_cur);
-            } else {
-                for &o in group {
-                    t_cur = self.send_fetch_request(issuer, p, id, o, 0, t_cur);
-                }
+        for (_, group) in &groups[..n] {
+            let coalesce = group.len() >= 2 && self.aggregation_pays(group.len());
+            for bundle in group.chunks(if coalesce { group.len() } else { 1 }) {
+                t_cur = self.send_request(issuer, p, id, bundle, 0, t_cur);
             }
         }
         self.groups = groups;
@@ -1421,7 +1400,8 @@ impl<R: Sink> Sim<'_, R> {
     /// inside every group and first-appearance order across groups
     /// (deterministic — no hashing). The executor then coalesces each group
     /// that passes the Section 5.3 break-even test into one request/reply
-    /// message pair.
+    /// message pair; a request handler regroups what it received the same
+    /// way.
     fn group_by_owner(&mut self, objs: &[ObjectId]) -> usize {
         let mut n = 0;
         for &o in objs {
@@ -1445,18 +1425,44 @@ impl<R: Sink> Sim<'_, R> {
         n
     }
 
+    /// Section 5.3 break-even for coalescing `k` fetches from one owner
+    /// into a single request/reply pair. A message's fixed cost is its
+    /// wire latency both ways plus the sender/receiver software handlers;
+    /// coalescing saves `k - 1` of those and pays for `2k` per-object
+    /// header entries (request list + reply directory) at the link
+    /// bandwidth. Aggregate only when the savings win.
+    fn aggregation_pays(&self, k: usize) -> bool {
+        let m = &self.cfg.machine;
+        let c = &self.cfg.costs;
+        let per_msg =
+            2.0 * (m.message_latency_s + m.per_hop_s) + c.request_send_s + c.object_recv_s;
+        let saved = (k as f64 - 1.0) * per_msg;
+        let extra = 2.0 * k as f64 * c.agg_entry_bytes as f64 / m.link_bandwidth;
+        saved > extra
+    }
+
+    /// The size rule: a coalesced request or reply carries a per-object
+    /// header entry for each of its `n` objects, a lone one none.
+    fn entry_bytes(&self, coalesced: bool, n: usize) -> usize {
+        if coalesced {
+            n * self.cfg.costs.agg_entry_bytes
+        } else {
+            0
+        }
+    }
+
     fn send_next_fetch(&mut self, p: ProcId, id: TaskId, t: SimTime) {
         let Some(o) = self.tstate[id.index()].fetch_queue.pop_front() else {
             return;
         };
         self.tstate[id.index()].request(o);
-        self.send_fetch_request(p, p, id, o, 0, t);
+        self.send_request(p, p, id, &[o], 0, t);
     }
 
     /// Put one data message on the unreliable network: draw its fate,
     /// report a loss at the sender, and schedule one calendar event per
     /// delivered copy, `arrives` being the fault-free arrival. The last copy
-    /// takes `ev` itself, so a bundle's list is cloned only for a duplicate.
+    /// takes `ev` itself, so a message's list is cloned only for a duplicate.
     fn transmit(&mut self, msg: DataMsg, arrives: SimTime, ev: Ev) {
         let fate = self.inj.message_fate();
         if fate.dropped() {
@@ -1505,130 +1511,60 @@ impl<R: Sink> Sim<'_, R> {
         }
     }
 
-    /// Send (or re-send) the request for one object of a task's fetch set,
-    /// apply the network fault fate to the request message, and — when
-    /// message faults are possible — arm the ack timer for this attempt.
-    /// Returns the time the request send completed on `issuer`.
+    /// Send (or re-send) one request for `objs`, all owned by one processor:
+    /// a lone object, or a coalesced bundle of two or more. The request
+    /// shares one message fate; when message faults are possible each
+    /// object arms its own ack timer for `attempt`, so a lost bundle
+    /// degrades to the per-object fetch/retry path. Returns the time the
+    /// request send completed on `issuer`.
     ///
     /// `issuer` pays the request-send handler time and the request's wire
-    /// leg; the reply, ack timer and any retries are bound to `p` (the
+    /// leg; the reply, ack timers and any retries are bound to `p` (the
     /// fetching processor). The two differ only on the split-phase
     /// prefetch path, where the main processor issues on `p`'s behalf.
-    fn send_fetch_request(
+    fn send_request(
         &mut self,
         issuer: ProcId,
         p: ProcId,
         id: TaskId,
-        o: ObjectId,
+        objs: &[ObjectId],
         attempt: u32,
         t: SimTime,
     ) -> SimTime {
-        let owner = self.comm.owner(o);
-        let arrive = |sent_at| Ev::RequestArrive {
-            obj: o,
-            requester: p,
-            task: id,
-            sent_at,
-        };
-        if issuer == owner {
-            // Prefetch of an object the issuer already owns (main-resident
-            // data): there is no request message to compose or lose — the
-            // owner starts streaming the reply directly.
-            self.cal.schedule(t, arrive(t));
-            self.arm_ack_timer(p, id, o, owner, attempt, t);
-            return t;
-        }
-        // Issuing on behalf of another processor happens inside the
-        // dispatch handler main is already paying for (split-phase
-        // prefetch): the request packet joins the outgoing transfer, so
-        // no separate send-handler occupancy — the owner and requester
-        // still pay their full receive-side costs.
-        let sent = if issuer == p {
-            self.handler_op(issuer, t, self.cfg.costs.request_send(), TimeKind::Comm)
-        } else {
-            t
-        };
-        self.events.emit_obj(
-            sent.0,
-            issuer,
-            EventKind::ObjectRequest {
-                bytes: self.cfg.costs.request_bytes as u64,
-            },
-            Some(id),
-            o,
-        );
-        let request = DataMsg {
-            sender: issuer,
-            stamp: sent,
-            bytes: self.cfg.costs.request_bytes,
-            task: id,
-            obj: o,
-        };
-        let base = sent + self.msg(request.bytes, issuer, owner);
-        self.transmit(request, base, arrive(sent));
-        self.arm_ack_timer(p, id, o, owner, attempt, sent);
-        sent
-    }
-
-    /// Section 5.3 break-even for coalescing `k` fetches from one owner
-    /// into a single request/reply pair. A message's fixed cost is its
-    /// wire latency both ways plus the sender/receiver software handlers;
-    /// coalescing saves `k - 1` of those and pays for `2k` per-object
-    /// header entries (request list + reply directory) at the link
-    /// bandwidth. Aggregate only when the savings win.
-    fn aggregation_pays(&self, k: usize) -> bool {
-        let m = &self.cfg.machine;
-        let c = &self.cfg.costs;
-        let per_msg =
-            2.0 * (m.message_latency_s + m.per_hop_s) + c.request_send_s + c.object_recv_s;
-        let saved = (k as f64 - 1.0) * per_msg;
-        let extra = 2.0 * k as f64 * c.agg_entry_bytes as f64 / m.link_bandwidth;
-        saved > extra
-    }
-
-    /// Send one coalesced request for `objs` (all owned by `owner` at
-    /// inspection time). The bundle shares a single message fate; when
-    /// message faults are possible each object still arms its own ack
-    /// timer, so a lost bundle degrades to the proven per-object
-    /// fetch/retry path.
-    fn send_agg_fetch_request(
-        &mut self,
-        issuer: ProcId,
-        p: ProcId,
-        id: TaskId,
-        owner: ProcId,
-        objs: &[ObjectId],
-        t: SimTime,
-    ) -> SimTime {
+        let owner = self.comm.owner(objs[0]);
+        let coalesced = objs.len() >= 2;
         let mut list = self.obj_lists.take();
         list.extend_from_slice(objs);
-        let arrive = |sent_at| Ev::AggRequestArrive {
+        let arrive = |sent_at| Ev::Request {
             objs: list,
+            coalesced,
             requester: p,
             task: id,
             sent_at,
         };
         let sent = if issuer == owner {
-            // As in `send_fetch_request`: the issuer owns the whole group,
-            // so the coalesced reply starts without a request message.
+            // Prefetch of objects the issuer already owns (main-resident
+            // data): there is no request message to compose or lose — the
+            // owner starts streaming the reply directly.
             self.cal.schedule(t, arrive(t));
             t
         } else {
-            // Same piggyback rule as `send_fetch_request`: a prefetch bundle
-            // issued for another processor rides the dispatch handler already
-            // in progress and costs the issuer no extra send-handler time.
+            // Issuing on behalf of another processor happens inside the
+            // dispatch handler main is already paying for (split-phase
+            // prefetch): the request packet joins the outgoing transfer, so
+            // no separate send-handler occupancy — the owner and requester
+            // still pay their full receive-side costs.
             let sent = if issuer == p {
-                self.handler_op(issuer, t, self.cfg.costs.request_send(), TimeKind::Comm)
+                self.handler_op(issuer, t, self.costs.request_send, TimeKind::Comm)
             } else {
                 t
             };
-            let req_bytes =
-                self.cfg.costs.request_bytes + objs.len() * self.cfg.costs.agg_entry_bytes;
+            let bytes = self.cfg.costs.request_bytes + self.entry_bytes(coalesced, objs.len());
             self.events.emit_obj(
                 sent.0,
                 issuer,
                 EventKind::ObjectRequest {
-                    bytes: req_bytes as u64,
+                    bytes: bytes as u64,
                 },
                 Some(id),
                 objs[0],
@@ -1636,27 +1572,28 @@ impl<R: Sink> Sim<'_, R> {
             let request = DataMsg {
                 sender: issuer,
                 stamp: sent,
-                bytes: req_bytes,
+                bytes,
                 task: id,
                 obj: objs[0],
             };
-            let base = sent + self.msg(req_bytes, issuer, owner);
+            let base = sent + self.msg(bytes, issuer, owner);
             self.transmit(request, base, arrive(sent));
             sent
         };
         for &o in objs {
-            self.arm_ack_timer(p, id, o, owner, 0, sent);
+            self.arm_ack_timer(p, id, o, owner, attempt, sent);
         }
         sent
     }
 
-    /// A coalesced request arrived. Owners are recomputed per object (a
-    /// fail-stop while the bundle was in flight moves recovery copies);
-    /// each current owner answers with its own coalesced reply, occupied
-    /// for the full bundled send like any reply (Section 5.3).
-    fn on_agg_request_arrive(
+    /// A request arrived. Owners are recomputed per object (a fail-stop
+    /// while the request was in flight moves recovery copies); each current
+    /// owner answers with one reply, sized by the request's size rule even
+    /// when regrouping leaves it a single object.
+    fn on_request(
         &mut self,
         objs: Vec<ObjectId>,
+        coalesced: bool,
         requester: ProcId,
         task: TaskId,
         sent_at: SimTime,
@@ -1667,15 +1604,19 @@ impl<R: Sink> Sim<'_, R> {
         let groups = std::mem::take(&mut self.groups);
         for (owner, group) in &groups[..n] {
             let owner = *owner;
-            let mut bytes = self.cfg.costs.agg_entry_bytes * group.len();
+            let mut bytes = self.entry_bytes(coalesced, group.len());
             let mut items = self.item_lists.take();
             for &o in group {
                 self.comm.record_request(requester, o);
                 bytes += self.trace.object_size(o);
                 items.push((o, self.comm.version(o)));
             }
-            // Prefetch bundles stream asynchronously, like the single-object
-            // path in `on_request_arrive`: wire time, no owner stall.
+            // The owner's processor is occupied for the full reply send:
+            // object distribution delays the owner's computation (Section
+            // 5.3). The exception is a split-phase prefetch reply, which the
+            // message system streams asynchronously — the wire and byte
+            // counters see the traffic, but no processor stalls for it
+            // (DESIGN.md §17).
             let ts = &self.tstate[task.index()];
             let prefetch = group.iter().any(|&o| ts.was_prefetched(o));
             let dur = self.msg(bytes, owner, requester);
@@ -1685,6 +1626,7 @@ impl<R: Sink> Sim<'_, R> {
                 self.handler_op(owner, t, dur, TimeKind::Comm)
             };
             if let Some(wire) = &mut self.wire {
+                // Workstation Ethernet: one transfer on the medium at a time.
                 send_end = wire.occupy(0, t, dur, TimeKind::Comm).max(send_end);
             }
             let reply = DataMsg {
@@ -1697,7 +1639,7 @@ impl<R: Sink> Sim<'_, R> {
             self.transmit(
                 reply,
                 send_end,
-                Ev::AggObjectArrive {
+                Ev::Reply {
                     proc: requester,
                     items,
                     task,
@@ -1708,11 +1650,12 @@ impl<R: Sink> Sim<'_, R> {
         self.groups = groups;
     }
 
-    /// A coalesced reply arrived: one receive-handler interrupt, then each
-    /// object delivers individually through the version-checked idempotent
-    /// path — stale or unwanted entries are discarded exactly like
-    /// uncoalesced duplicates (their ack timers re-fetch them singly).
-    fn on_agg_object_arrive(
+    /// A reply arrived: one receive-handler interrupt, then each object
+    /// delivers individually through the version-checked idempotent path —
+    /// stale or unwanted entries are discarded (their ack timers re-fetch
+    /// them singly). A reply that delivers two or more objects was one
+    /// coalesced message and says so (`AggregatedFetch`).
+    fn on_reply(
         &mut self,
         p: ProcId,
         items: Vec<(ObjectId, u64)>,
@@ -1721,14 +1664,19 @@ impl<R: Sink> Sim<'_, R> {
         t: SimTime,
     ) {
         if self.dead[p] {
+            self.item_lists.give(items);
             return;
         }
+        // Receiving costs handler time whether or not the payload is kept:
+        // a duplicate still interrupts the processor. A prefetched reply
+        // instead lands by asynchronous transfer — no interrupt, the data
+        // is simply resident when the assignment reconciles (DESIGN.md §17).
         let ts = &self.tstate[task.index()];
         let prefetch = items.iter().any(|&(o, _)| ts.was_prefetched(o));
         let t1 = if prefetch {
             t
         } else {
-            self.handler_op(p, t, self.cfg.costs.object_recv(), TimeKind::Comm)
+            self.handler_op(p, t, self.costs.object_recv, TimeKind::Comm)
         };
         let mut delivered = 0u32;
         let mut delivered_bytes = 0u64;
@@ -1758,12 +1706,14 @@ impl<R: Sink> Sim<'_, R> {
             if ts.all_arrived() {
                 ts.ready = true;
                 self.try_execute(p, t1);
+            } else if !self.cfg.concurrent_fetches {
+                self.send_next_fetch(p, task, t1);
             }
         }
     }
 
-    /// Version-checked idempotent delivery of one fetch reply, single or
-    /// inside a bundle, to task `task` on `p`. A duplicate of an
+    /// Version-checked idempotent delivery of one object of a reply to
+    /// task `task` on `p`. A duplicate of an
     /// already-satisfied fetch, a reply overtaken by a re-dispatch, or a
     /// stale version is discarded (`false`), never applied.
     fn accept_reply(
@@ -1858,92 +1808,7 @@ impl<R: Sink> Sim<'_, R> {
             Some(id),
             o,
         );
-        self.send_fetch_request(p, p, id, o, next, t);
-    }
-
-    fn on_request_arrive(
-        &mut self,
-        obj: ObjectId,
-        requester: ProcId,
-        task: TaskId,
-        sent_at: SimTime,
-        t: SimTime,
-    ) {
-        // The owner is recomputed at arrival: if the original owner
-        // fail-stopped while the request was in flight, the live holder of
-        // the recovery copy answers instead.
-        let owner = self.comm.owner(obj);
-        let bytes = self.trace.object_size(obj);
-        self.comm.record_request(requester, obj);
-        // The owner's processor is occupied for the full reply send: object
-        // distribution delays the owner's computation (Section 5.3). The
-        // exception is a split-phase prefetch reply, which the message
-        // system streams asynchronously — the wire and byte counters see
-        // the traffic, but no processor stalls for it (DESIGN.md §17).
-        let prefetch = self.tstate[task.index()].was_prefetched(obj);
-        let dur = self.msg(bytes, owner, requester);
-        let mut send_end = if prefetch {
-            t + dur
-        } else {
-            self.handler_op(owner, t, dur, TimeKind::Comm)
-        };
-        if let Some(wire) = &mut self.wire {
-            // Workstation Ethernet: one transfer on the medium at a time.
-            send_end = wire.occupy(0, t, dur, TimeKind::Comm).max(send_end);
-        }
-        let version = self.comm.version(obj);
-        let reply = DataMsg {
-            sender: owner,
-            stamp: send_end,
-            bytes,
-            task,
-            obj,
-        };
-        self.transmit(
-            reply,
-            send_end,
-            Ev::ObjectArrive {
-                proc: requester,
-                obj,
-                version,
-                task,
-                requested_at: sent_at,
-            },
-        );
-    }
-
-    fn on_object_arrive(
-        &mut self,
-        p: ProcId,
-        obj: ObjectId,
-        version: u64,
-        task: TaskId,
-        requested_at: SimTime,
-        t: SimTime,
-    ) {
-        if self.dead[p] {
-            return;
-        }
-        // Receiving costs handler time whether or not the payload is kept:
-        // a duplicate still interrupts the processor. A prefetched reply
-        // instead lands by asynchronous transfer — no interrupt, the data
-        // is simply resident when the assignment reconciles (DESIGN.md §17).
-        let prefetch = self.tstate[task.index()].was_prefetched(obj);
-        let t1 = if prefetch {
-            t
-        } else {
-            self.handler_op(p, t, self.cfg.costs.object_recv(), TimeKind::Comm)
-        };
-        if !self.accept_reply(p, obj, version, task, requested_at, t) {
-            return;
-        }
-        let ts = &mut self.tstate[task.index()];
-        if ts.all_arrived() {
-            ts.ready = true;
-            self.try_execute(p, t1);
-        } else if !self.cfg.concurrent_fetches {
-            self.send_next_fetch(p, task, t1);
-        }
+        self.send_request(p, p, id, &[o], next, t);
     }
 
     /// A pushed copy (broadcast or eager update) arrived at `p`.
@@ -1951,7 +1816,7 @@ impl<R: Sink> Sim<'_, R> {
         if self.dead[p] {
             return;
         }
-        self.handler_op(p, t, self.cfg.costs.object_recv(), TimeKind::Comm);
+        self.handler_op(p, t, self.costs.object_recv, TimeKind::Comm);
         if !self.comm.deliver_pushed(p, obj, version) {
             // Stale (a newer version exists) or duplicate (already held).
             self.n_discarded += 1;
@@ -2081,7 +1946,7 @@ impl<R: Sink> Sim<'_, R> {
         self.tstate[id.index()].finished_local = true;
         let trace = self.trace;
         let rec = &trace.tasks[id.index()];
-        let mut t_cur = self.occupy_ev(p, t, self.cfg.costs.complete(), TimeKind::Mgmt, Some(id));
+        let mut t_cur = self.occupy_ev(p, t, self.costs.complete, TimeKind::Mgmt, Some(id));
         // New versions of written objects; broadcast when in broadcast mode.
         for o in rec.spec.written_objects() {
             // The eager update protocol pushes the new version to the
@@ -2165,7 +2030,7 @@ impl<R: Sink> Sim<'_, R> {
                     self.transmit(
                         copy,
                         arrival.max(done),
-                        Ev::BroadcastArrive {
+                        Ev::PushArrive {
                             proc: q,
                             obj: o,
                             version,
@@ -2205,7 +2070,7 @@ impl<R: Sink> Sim<'_, R> {
                     self.transmit(
                         push,
                         t_cur,
-                        Ev::EagerArrive {
+                        Ev::PushArrive {
                             proc: q,
                             obj: o,
                             version,
@@ -2273,7 +2138,7 @@ impl<R: Sink> Sim<'_, R> {
                 id,
             );
         }
-        let end = self.handler_op(0, t, self.cfg.costs.notify_handler(), TimeKind::Mgmt);
+        let end = self.handler_op(0, t, self.costs.notify_handler, TimeKind::Mgmt);
         // Completion processing removes the task from the load books first,
         // so successors enabled below see the freed processor.
         self.sched.finish(p);
@@ -2337,7 +2202,7 @@ impl<R: Sink> Sim<'_, R> {
             }
             let dur = self.msg(nobjs * 9, p, 0);
             self.handler_op(p, t, dur, TimeKind::Comm);
-            self.handler_op(0, t, self.cfg.costs.recv_handler(), TimeKind::Mgmt);
+            self.handler_op(0, t, self.costs.recv_handler, TimeKind::Mgmt);
         }
         // Owners ship payloads of objects whose version moved since the
         // last checkpoint; main's checkpoint store is cumulative, so a
@@ -2357,7 +2222,7 @@ impl<R: Sink> Sim<'_, R> {
             bytes += size as u64;
             let dur = self.msg(size, owner, 0);
             self.handler_op(owner, t, dur, TimeKind::Comm);
-            self.handler_op(0, t, self.cfg.costs.object_recv(), TimeKind::Mgmt);
+            self.handler_op(0, t, self.costs.object_recv, TimeKind::Mgmt);
         }
         // Main serializes the synchronizer snapshot to stable storage.
         let ser = SimDuration::from_secs_f64(
@@ -3339,6 +3204,26 @@ mod tests {
         assert!(matches!(
             try_run(&trace, &c),
             Err(IpscError::InvalidMachine(_))
+        ));
+        // The scheduler needs room for at least one task a processor.
+        let mut c = cfg(2, LocalityMode::Locality);
+        c.target_tasks = 0;
+        assert!(matches!(
+            try_run(&trace, &c),
+            Err(IpscError::InvalidMachine(_))
+        ));
+        // Every runtime cost is a time: finite and non-negative.
+        let mut c = cfg(2, LocalityMode::Locality);
+        c.costs.create_s = -1.0;
+        assert!(matches!(
+            try_run(&trace, &c),
+            Err(IpscError::InvalidMachine(why)) if why.contains("create_s")
+        ));
+        let mut c = cfg(2, LocalityMode::Locality);
+        c.costs.object_recv_s = f64::NAN;
+        assert!(matches!(
+            try_run(&trace, &c),
+            Err(IpscError::InvalidMachine(why)) if why.contains("object_recv_s")
         ));
     }
 

@@ -59,11 +59,13 @@ fn build_trace(prog: &[Vec<(u8, bool)>], procs: usize) -> Trace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The iPSC simulator under a random lossy plan (optionally with a
-    /// fail-stop) completes every program, computes the same final object
-    /// versions as the fault-free run, executes each task exactly once plus
-    /// re-executions, and keeps its event stream well-formed with counters
-    /// matching the native tallies.
+    /// The iPSC simulator on any fetch route — concurrent or serial,
+    /// coalesced or not, prefetched or not, one or two tasks a processor,
+    /// with or without eager update — under a random lossy plan (optionally
+    /// with a fail-stop) completes every program, computes the same final
+    /// object versions as the fault-free paper run, executes each task
+    /// exactly once plus re-executions, and keeps its event stream
+    /// well-formed with counters matching the native tallies.
     #[test]
     fn ipsc_survives_any_fault_plan(
         prog in program_strategy(20, 5),
@@ -74,10 +76,23 @@ proptest! {
         fail in any::<bool>(),
         fail_pick in any::<u64>(),
         seed in any::<u64>(),
+        concurrent_fetches in any::<bool>(),
+        aggregate_fetches in any::<bool>(),
+        prefetch in any::<bool>(),
+        target_tasks in 1usize..3,
+        eager_update in any::<bool>(),
     ) {
         let trace = build_trace(&prog, procs);
-        let base = IpscConfig::paper(procs, LocalityMode::Locality, 1.0);
-        let clean = ipsc::try_run(&trace, &base).expect("fault-free run completes");
+        let paper = IpscConfig::paper(procs, LocalityMode::Locality, 1.0);
+        let clean = ipsc::try_run(&trace, &paper).expect("fault-free run completes");
+        let base = IpscConfig {
+            concurrent_fetches,
+            aggregate_fetches,
+            prefetch,
+            target_tasks,
+            eager_update,
+            ..paper
+        };
         let mut plan = FaultPlan {
             drop_p: drop as f64 / 100.0,
             dup_p: dup as f64 / 100.0,
@@ -123,6 +138,13 @@ proptest! {
         prop_assert_eq!(m.msgs_discarded, faulty.msgs_discarded);
         prop_assert_eq!(m.workers_failed, faulty.workers_failed);
         prop_assert_eq!(m.tasks_reexecuted, faulty.tasks_reexecuted);
+        prop_assert_eq!(m.prefetches_issued, faulty.prefetches_issued);
+        prop_assert_eq!(m.prefetch_hits, faulty.prefetch_hits);
+        prop_assert_eq!(m.prefetch_stale, faulty.prefetch_stale);
+        prop_assert_eq!(m.requests, faulty.requests);
+        prop_assert_eq!(m.agg_fetches, faulty.agg_fetches);
+        prop_assert_eq!(m.agg_objects, faulty.agg_objects);
+        prop_assert_eq!(m.fetch_messages(), faulty.fetch_messages);
 
         // Same seed, same plan: the faulty run is deterministic.
         let again = ipsc::try_run(&trace, &cfg).expect("repeat run completes");

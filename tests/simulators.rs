@@ -3,9 +3,10 @@
 //! runs satisfy the invariants the paper's evaluation relies on.
 
 use jade::apps::{cholesky, halo, ocean, pagerank, string_app, water};
+use jade::core::Event;
 use jade::dash::{self, DashConfig};
 use jade::dsim::{FaultPlan, SimDuration};
-use jade::ipsc::{self, IpscConfig, IpscRunResult};
+use jade::ipsc::{self, IpscConfig, IpscRunResult, PinnedSchedule};
 use jade::{LocalityMode, Trace};
 
 fn traces(procs: usize) -> Vec<(&'static str, Trace, bool)> {
@@ -176,113 +177,121 @@ fn broadcast_volume_accounted() {
     assert_eq!(r2.broadcasts, 0);
 }
 
-/// What a faulty managed run must reproduce bit for bit.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    exec_time_bits: u64,
-    msgs_dropped: u64,
-    msgs_retried: u64,
-    msgs_discarded: u64,
-    prefetch_hits: u64,
-    prefetch_stale: u64,
-    agg_objects: u64,
-    comm_bytes: u64,
-    tasks_reexecuted: u64,
-    checkpoint_bytes: u64,
-}
+/// What an iPSC run must reproduce bit for bit: `exec_time_s` bits, messages
+/// dropped / retried / discarded, prefetch hits and stale prefetches,
+/// aggregated objects, comm bytes, re-executed tasks, checkpoint bytes, and
+/// an FNV-1a hash of the whole traced event stream.
+type IpscPrint = (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64, u64);
 
-impl Fingerprint {
-    fn of(r: &IpscRunResult) -> Fingerprint {
-        Fingerprint {
-            exec_time_bits: r.exec_time_s.to_bits(),
-            msgs_dropped: r.msgs_dropped,
-            msgs_retried: r.msgs_retried,
-            msgs_discarded: r.msgs_discarded,
-            prefetch_hits: r.prefetch_hits,
-            prefetch_stale: r.prefetch_stale,
-            agg_objects: r.agg_objects,
-            comm_bytes: r.comm_bytes,
-            tasks_reexecuted: r.tasks_reexecuted,
-            checkpoint_bytes: r.checkpoint_bytes,
+/// FNV-1a over text: fed the `Debug` rendering of every event in order, it
+/// hashes every field of every event.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
         }
+        Ok(())
     }
 }
 
-/// One application's golden values: its `final_versions`, run-length encoded
-/// as `(version, count)` and the same under every plan, then the run under
-/// the racy plan and the run under the failing one.
-type Golden = (&'static str, &'static [(u64, usize)], [Fingerprint; 2]);
+fn ipsc_print(trace: &Trace, cfg: &IpscConfig) -> (IpscPrint, IpscRunResult, Vec<Event>) {
+    use std::fmt::Write;
+    let (r, events) = ipsc::try_run_traced(trace, cfg).expect("iPSC run completes");
+    let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+    for e in &events {
+        write!(hash, "{e:?};").expect("hashing cannot fail");
+    }
+    let print = (
+        r.exec_time_s.to_bits(),
+        r.msgs_dropped,
+        r.msgs_retried,
+        r.msgs_discarded,
+        r.prefetch_hits,
+        r.prefetch_stale,
+        r.agg_objects,
+        r.comm_bytes,
+        r.tasks_reexecuted,
+        r.checkpoint_bytes,
+        hash.0,
+    );
+    (print, r, events)
+}
 
-/// Recorded at PR 19 (`b6a4331`), before the per-fetch path was rewritten.
-const GOLDEN: [Golden; 2] = [
-    (
-        "water",
-        &[(2, 1), (0, 1), (2, 18)],
-        [
-            Fingerprint {
-                exec_time_bits: 0x40789279a76a8779,
-                msgs_dropped: 5,
-                msgs_retried: 8,
-                msgs_discarded: 5,
-                prefetch_hits: 28,
-                prefetch_stale: 0,
-                agg_objects: 14,
-                comm_bytes: 233072,
-                tasks_reexecuted: 0,
-                checkpoint_bytes: 0,
-            },
-            Fingerprint {
-                exec_time_bits: 0x4082835efaace21f,
-                msgs_dropped: 0,
-                msgs_retried: 7,
-                msgs_discarded: 7,
-                prefetch_hits: 27,
-                prefetch_stale: 0,
-                agg_objects: 0,
-                comm_bytes: 221544,
-                tasks_reexecuted: 1,
-                checkpoint_bytes: 23200,
-            },
-        ],
-    ),
-    (
-        "pagerank",
-        &[(2, 84), (4, 42), (1, 1)],
-        [
-            Fingerprint {
-                exec_time_bits: 0x4018605cbcee1e0f,
-                msgs_dropped: 68,
-                msgs_retried: 94,
-                msgs_discarded: 21,
-                prefetch_hits: 666,
-                prefetch_stale: 0,
-                agg_objects: 444,
-                comm_bytes: 881344,
-                tasks_reexecuted: 0,
-                checkpoint_bytes: 0,
-            },
-            Fingerprint {
-                exec_time_bits: 0x401adbf9c252de5d,
-                msgs_dropped: 29,
-                msgs_retried: 121,
-                msgs_discarded: 72,
-                prefetch_hits: 624,
-                prefetch_stale: 0,
-                agg_objects: 405,
-                comm_bytes: 823816,
-                tasks_reexecuted: 1,
-                checkpoint_bytes: 99831,
-            },
-        ],
-    ),
+/// Per application, its `final_versions` run-length encoded as `(version,
+/// count)`: the same under every configuration and every plan.
+const VERSIONS: [(&str, &[(u64, usize)]); 2] = [
+    ("water", &[(2, 1), (0, 1), (2, 18)]),
+    ("pagerank", &[(2, 84), (4, 42), (1, 1)]),
+];
+
+/// Recorded at `8051e00`, before the iPSC fetch paths were merged into one
+/// pipeline. Per application, per fetch route — managed (aggregation,
+/// prefetch, two tasks a processor, tuning), demand (the paper's
+/// configuration), aggregation only, prefetch only, serial fetch, eager
+/// update, workstations, and a pinned replay of the demand schedule with
+/// prefetch on — three runs: fault-free, under the racy plan and under the
+/// failing plan. The managed racy and failing rows' first ten fields are
+/// those recorded at PR 19 (`b6a4331`).
+#[rustfmt::skip]
+const IPSC_GOLDEN: [IpscPrint; 48] = [
+    (0x4078925e2892b894, 0, 0, 6, 28, 0, 14, 362096, 0, 0, 0x99fe071ee33c344a),
+    (0x40789279a76a8779, 5, 8, 5, 28, 0, 14, 233072, 0, 0, 0x70b253b62437ac88),
+    (0x4082835efaace21f, 0, 7, 7, 27, 0, 0, 221544, 1, 23200, 0x75f538a43fd663f5),
+    (0x407892b53701e6da, 0, 0, 2, 0, 0, 0, 288368, 0, 0, 0xc51f0eb57fabc3cc),
+    (0x40789309f78af5ef, 6, 12, 12, 0, 0, 0, 260720, 0, 0, 0x43f89852ff01ceb4),
+    (0x4081dcd2194f1402, 2, 15, 13, 0, 0, 0, 226168, 1, 69354, 0x23d6bcd75264407f),
+    (0x407892b510a8d574, 0, 0, 2, 0, 0, 14, 288368, 0, 0, 0xa035b5736f3285e1),
+    (0x407893387df8d040, 6, 13, 12, 0, 0, 14, 251504, 0, 0, 0x78a7e73d6f17d6d7),
+    (0x4081dccb40b06335, 1, 14, 13, 0, 0, 18, 226168, 1, 69354, 0x80d1c29e10d7a92),
+    (0x4078925c9d1c34ca, 0, 0, 6, 28, 0, 0, 362096, 0, 0, 0xea185b86a63947fd),
+    (0x40789271ce7d5540, 5, 4, 5, 28, 0, 0, 297584, 0, 0, 0x8b900749e13320b8),
+    (0x4081dc726a32f51e, 0, 0, 0, 29, 0, 0, 226168, 1, 69354, 0xc273368c1dc87617),
+    (0x407892fd9698a914, 0, 0, 2, 0, 0, 0, 288368, 0, 0, 0xaa303b1394c2f48d),
+    (0x4078936acf04f277, 6, 11, 11, 0, 0, 0, 260720, 0, 0, 0x3bb89280c40c7af),
+    (0x4081dcf4e509724f, 2, 13, 11, 0, 0, 0, 226168, 1, 69354, 0x105018e2782a34c0),
+    (0x407892b1e210d517, 0, 0, 2, 0, 0, 0, 288368, 0, 0, 0x3f33c16091983080),
+    (0x4078930def609432, 6, 10, 12, 0, 0, 0, 272248, 0, 0, 0x65437cfd3ea7f2d2),
+    (0x4081dcc6463843cc, 0, 13, 13, 0, 0, 0, 226168, 1, 55482, 0xedaf7a6340eb0a2d),
+    (0x40789530de2b2f06, 0, 0, 2, 0, 0, 0, 306800, 0, 0, 0xc6a75a24613e465),
+    (0x407895e96453ab68, 8, 20, 17, 0, 0, 0, 269936, 0, 0, 0xd3882d799e55db4),
+    (0x407869e5f54cb2b3, 2, 16, 14, 0, 0, 0, 226192, 1, 50824, 0xf630d4c1ed6713a9),
+    (0x4078925c9d1c34ca, 0, 0, 6, 28, 0, 0, 362096, 0, 0, 0xea185b86a63947fd),
+    (0x40789271ce7d5540, 5, 4, 5, 28, 0, 0, 297584, 0, 0, 0x8b900749e13320b8),
+    (0x4081dbbb6d40e906, 0, 0, 0, 29, 0, 0, 230784, 1, 69354, 0x8eaf8b98dc809221),
+    (0x4017c87e03cc63c5, 0, 0, 0, 668, 0, 488, 865472, 0, 0, 0xf970a797529e5585),
+    (0x4018605cbcee1e0f, 68, 94, 21, 666, 0, 444, 881344, 0, 0, 0x53b9b4c6258b3cc8),
+    (0x401adbf9c252de5d, 29, 121, 72, 624, 0, 405, 823816, 1, 99831, 0x11f05832aa3fe766),
+    (0x4016c2960423e15f, 0, 0, 0, 0, 0, 0, 875392, 0, 0, 0x97e35cf52a11a635),
+    (0x40160d1f07e996a5, 106, 106, 34, 0, 0, 0, 878208, 0, 0, 0x9c5f9cd8c88f228),
+    (0x40164f8ed4e09823, 51, 70, 19, 0, 0, 0, 849784, 0, 308617, 0x1c0869e1f743a889),
+    (0x4016bd5cf82c8eb7, 0, 0, 0, 0, 0, 536, 875392, 0, 0, 0xbd624071e0f257ea),
+    (0x40165ddbd7e0bb9a, 68, 85, 34, 0, 0, 478, 864056, 0, 0, 0x1916a82675d35bea),
+    (0x4017ff6d8f0fc564, 33, 155, 111, 0, 0, 505, 884272, 1, 324528, 0x414e57756984ec33),
+    (0x4015e87ef18f0d24, 0, 0, 0, 692, 0, 0, 875344, 0, 0, 0xd0b2b78ef8cad48f),
+    (0x4015e5ea953cad22, 106, 105, 32, 691, 0, 0, 879888, 0, 0, 0xb1dfe0d0620b5273),
+    (0x401702296e1db5e3, 47, 50, 3, 682, 0, 0, 861320, 1, 328544, 0x5ec10f00787eb630),
+    (0x4015ba8e3323aa9c, 0, 0, 0, 0, 0, 0, 871248, 0, 0, 0x62bc07b51e96ec71),
+    (0x4017039e3dd5d2f6, 106, 106, 33, 0, 0, 0, 858000, 0, 0, 0x6e60c536f4720c2f),
+    (0x40172e08ecc75e99, 51, 63, 12, 0, 0, 0, 855640, 1, 322900, 0xe95e9c474e8af6aa),
+    (0x4016c37431652492, 0, 0, 0, 0, 0, 0, 1096520, 0, 0, 0xd6e7983baaaae445),
+    (0x401649ed8ad52e7d, 97, 67, 32, 0, 0, 0, 1128136, 0, 0, 0x8f0553b5dbb81dc0),
+    (0x4017a0f0ccf7e96c, 48, 39, 8, 0, 0, 0, 1111240, 1, 258128, 0x3f76e4e49c6cde35),
+    (0x4014970c345ff096, 0, 0, 0, 0, 0, 0, 866560, 0, 0, 0x85e2fc4948f5d305),
+    (0x401c54807f11698c, 244, 1486, 1321, 0, 0, 0, 860496, 0, 0, 0x4f796a14fbd8d728),
+    (0x401ad008c10af951, 106, 1508, 1378, 0, 0, 0, 826000, 1, 386542, 0x8c86ee5538963208),
+    (0x4016759fd0beec89, 0, 0, 0, 702, 0, 0, 885472, 0, 0, 0x5518ab474482f902),
+    (0x4016a09f971e9f31, 104, 101, 30, 702, 0, 0, 885472, 0, 0, 0xd293cb6fc015922c),
+    (0x4016d11037f21d29, 47, 53, 6, 679, 0, 0, 865488, 1, 303908, 0x4dabd78f2ba1593e),
 ];
 
 /// The other fault batteries compare a run with itself (folded against
 /// traced, faulty against fault-free versions, one seed twice), so a
 /// refactor that moves a retry by one calendar slot passes them all. This
-/// pins faulty managed runs against constants: late and duplicated replies
-/// racing a re-armed ack timer (plan one), and loss with a fail-stop and
-/// checkpoints (plan two).
+/// pins every fetch route against constants, fault-free, then under late
+/// and duplicated replies racing a re-armed ack timer (the racy plan), then
+/// under loss with a fail-stop and checkpoints (the failing plan).
 #[test]
 fn faulty_managed_runs_match_their_golden_fingerprints() {
     let traces = [
@@ -295,35 +304,73 @@ fn faulty_managed_runs_match_their_golden_fingerprints() {
             pagerank::calib::IPSC_STRIPPED_S,
         ),
     ];
-    for ((trace, stripped_s), (name, versions, golden)) in traces.iter().zip(&GOLDEN) {
+    let mut got = Vec::new();
+    for ((trace, stripped_s), (name, versions)) in traces.iter().zip(VERSIONS) {
         let sec_per_op = stripped_s / trace.total_work();
-        let mut cfg = IpscConfig::paper(8, LocalityMode::Locality, sec_per_op);
-        cfg.aggregate_fetches = true;
-        cfg.prefetch = true;
-        cfg.target_tasks = 2;
-        cfg.tune = true;
-        let clean = ipsc::try_run(trace, &cfg).expect("fault-free run completes");
         let versions: Vec<u64> = versions
             .iter()
             .flat_map(|&(v, n)| std::iter::repeat_n(v, n))
             .collect();
-        assert_eq!(clean.final_versions, versions, "{name}");
-        let at = |share: f64| SimDuration::from_secs_f64(clean.exec_time_s * share);
-        let racy =
-            FaultPlan::parse("drop=0.05,dup=0.02,delay=0.1:0.0005,reorder=0.05,seed=1995").unwrap();
-        let failing = FaultPlan {
-            fail_proc: Some(3),
-            fail_at: at(0.4),
-            checkpoint: Some(at(0.125)),
-            ..FaultPlan::parse("drop=0.02,seed=1995").unwrap()
-        };
-        for (plan, want) in [racy, failing].into_iter().zip(golden) {
-            cfg.faults = plan;
-            let r = ipsc::try_run(trace, &cfg).expect("faulty run completes");
-            assert_eq!(Fingerprint::of(&r), *want, "{name} under {plan:?}");
-            assert_eq!(r.final_versions, versions, "{name} under {plan:?}");
+        let demand = IpscConfig::paper(8, LocalityMode::Locality, sec_per_op);
+        let (_, _, demand_events) = ipsc_print(trace, &demand);
+        let routes = [
+            IpscConfig {
+                aggregate_fetches: true,
+                prefetch: true,
+                target_tasks: 2,
+                tune: true,
+                ..demand.clone()
+            },
+            demand.clone(),
+            IpscConfig {
+                aggregate_fetches: true,
+                ..demand.clone()
+            },
+            IpscConfig {
+                prefetch: true,
+                ..demand.clone()
+            },
+            IpscConfig {
+                concurrent_fetches: false,
+                ..demand.clone()
+            },
+            IpscConfig {
+                eager_update: true,
+                ..demand.clone()
+            },
+            IpscConfig::workstations(vec![1.0, 1.0, 2.0, 2.0, 4.0, 1.0, 2.0, 1.0], sec_per_op),
+            IpscConfig {
+                prefetch: true,
+                pinned: Some(PinnedSchedule::from_events(
+                    trace.tasks.len(),
+                    &demand_events,
+                )),
+                ..demand.clone()
+            },
+        ];
+        for (route, mut cfg) in routes.into_iter().enumerate() {
+            let (print, clean, _) = ipsc_print(trace, &cfg);
+            assert_eq!(clean.final_versions, versions, "{name} route {route}");
+            got.push(print);
+            let at = |share: f64| SimDuration::from_secs_f64(clean.exec_time_s * share);
+            let racy =
+                FaultPlan::parse("drop=0.05,dup=0.02,delay=0.1:0.0005,reorder=0.05,seed=1995")
+                    .unwrap();
+            let failing = FaultPlan {
+                fail_proc: Some(3),
+                fail_at: at(0.4),
+                checkpoint: Some(at(0.125)),
+                ..FaultPlan::parse("drop=0.02,seed=1995").unwrap()
+            };
+            for plan in [racy, failing] {
+                cfg.faults = plan;
+                let (print, r, _) = ipsc_print(trace, &cfg);
+                assert_eq!(r.final_versions, versions, "{name} route {route} {plan:?}");
+                got.push(print);
+            }
         }
     }
+    assert_eq!(got, IPSC_GOLDEN, "as source: {got:#x?}");
 }
 
 /// What a DASH run must reproduce bit for bit: `exec_time_s` bits, steals,
