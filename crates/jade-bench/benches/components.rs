@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the runtime components themselves: synchronizer
 //! throughput, simulator event rates (and, under them, the calendar and
-//! the fault injector), trace generation, the real thread backend (one
+//! the fault injector), the iPSC simulator on its two heaviest benchmark
+//! cells, trace generation, the real thread backend (one
 //! cold batch, and `submit` + `finish` per task on a warmed runtime in the
 //! benchmark's three fine-grain shapes), the multi-tenant service (a closed
 //! loop of small DAGs, per task), building an access specification, and
@@ -142,6 +143,38 @@ fn simulator_event_rate() {
     managed.faults = FaultPlan::parse("drop=0.02,ckpt=0.05,seed=1995").unwrap();
     bench("simulators/ipsc_managed_2k_tasks", 10, || {
         std::hint::black_box(jade_ipsc::run(&trace, &managed));
+    });
+}
+
+/// The two cells that hold most of `benchmark/`'s iPSC workloads' host
+/// time, one `try_run_folded` each: Ocean at 32 processors as the paper
+/// ran it, and PageRank at 32 with aggregation, prefetch, two tasks per
+/// processor, tuning and the managed workload's fault plan (2 % drops,
+/// a checkpoint every eighth of the fault-free makespan).
+fn ipsc_cells() {
+    use jade_apps::{ocean, pagerank};
+    let (trace, _) = ocean::run_trace(&ocean::OceanConfig::paper(32));
+    let sec_per_op = ocean::calib::IPSC_STRIPPED_S / trace.total_work();
+    let cfg = jade_ipsc::IpscConfig::paper(32, LocalityMode::Locality, sec_per_op);
+    bench("ipsc/cell/ocean_p32_demand", 5, || {
+        std::hint::black_box(jade_ipsc::try_run_folded(&trace, &cfg).unwrap());
+    });
+    let (trace, _) = pagerank::run_trace(&pagerank::PagerankConfig::paper(32));
+    let sec_per_op = pagerank::calib::IPSC_STRIPPED_S / trace.total_work();
+    let mut cfg = jade_ipsc::IpscConfig::paper(32, LocalityMode::Locality, sec_per_op);
+    cfg.aggregate_fetches = true;
+    cfg.prefetch = true;
+    cfg.target_tasks = 2;
+    cfg.tune = true;
+    let clean = jade_ipsc::try_run_folded(&trace, &cfg).unwrap();
+    cfg.faults = FaultPlan {
+        drop_p: 0.02,
+        seed: 7,
+        checkpoint: Some(SimDuration::from_secs_f64(clean.exec_time_s / 8.0)),
+        ..FaultPlan::none()
+    };
+    bench("ipsc/cell/pagerank_p32_managed", 5, || {
+        std::hint::black_box(jade_ipsc::try_run_folded(&trace, &cfg).unwrap());
     });
 }
 
@@ -554,6 +587,7 @@ fn store_guard_index() {
 fn main() {
     synchronizer_throughput();
     simulator_event_rate();
+    ipsc_cells();
     dsim_per_message();
     trace_generation();
     apps();

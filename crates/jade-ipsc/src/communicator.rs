@@ -53,19 +53,26 @@ impl ObjectTraffic {
 }
 
 /// Per-object ownership, versioning, replication and broadcast state.
+///
+/// The per-processor tables are object-major and flat: object `o`'s row
+/// is contiguous, so retiring a version rewrites one row and the trigger
+/// and consumer scans read one.
 pub struct Communicator {
     procs: usize,
     version: Vec<u64>,
     owner: Vec<ProcId>,
-    /// `have[p][o]` = version of object `o` held by processor `p`
+    /// `have[o * procs + p]` = version of object `o` held by processor `p`
     /// (`NO_VERSION` = none).
-    have: Vec<Vec<u64>>,
-    /// `accessed[o][p]`: processor `p` has *consumed* the current version
-    /// of `o` — by requesting it from the owner or by a locally-satisfied
-    /// declared access. Producing a version does not count: otherwise every
-    /// object on a 2-processor run would trigger broadcast mode, which
-    /// contradicts the paper's Tables 13/14.
-    accessed: Vec<Vec<bool>>,
+    have: Vec<u64>,
+    /// Bit words per processor set: `words = ceil(procs / 64)`.
+    words: usize,
+    /// Bit `p` of object `o`'s `words`-long row, starting at
+    /// `accessed[o * words]`: processor `p` has *consumed* the current
+    /// version of `o` — by requesting it from the owner or by a
+    /// locally-satisfied declared access. Producing a version does not
+    /// count: otherwise every object on a 2-processor run would trigger
+    /// broadcast mode, which contradicts the paper's Tables 13/14.
+    accessed: Vec<u64>,
     broadcast_mode: Vec<bool>,
     adaptive_broadcast: bool,
     /// Consecutive retired versions of each object that were widely
@@ -92,10 +99,10 @@ pub struct Communicator {
     /// before flipping an object into broadcast mode; see
     /// [`Self::evidence_needed`].
     drop_p: f64,
-    /// `alive[p]` = processor participates in the protocol. Fail-stopped
-    /// processors are excluded from the broadcast trigger, the consumer
-    /// sets, and delivery.
-    alive: Vec<bool>,
+    /// The live processors as `words` bit words (bits at `procs` and above
+    /// are clear). Fail-stopped processors are excluded from the broadcast
+    /// trigger, the consumer sets, and delivery.
+    alive: Vec<u64>,
     /// Per-object byte attribution (fetch/broadcast/eager).
     traffic: Vec<ObjectTraffic>,
     /// Bytes of shared-object payload transferred (accepted replies +
@@ -111,6 +118,12 @@ pub struct Communicator {
     pub object_restores: u64,
 }
 
+/// Bit `p` of a row of bit words: (word index, mask).
+#[inline]
+fn bit(p: ProcId) -> (usize, u64) {
+    (p / 64, 1 << (p % 64))
+}
+
 impl Communicator {
     /// Initial state: each object's only copy lives at its home processor
     /// (the processor that allocated/initialized it); version 0. `drop_p`
@@ -118,19 +131,26 @@ impl Communicator {
     /// folded into the adaptive-broadcast break-even.
     pub fn new(trace: &Trace, procs: usize, adaptive_broadcast: bool, drop_p: f64) -> Communicator {
         let n = trace.objects.len();
-        let mut have = vec![vec![NO_VERSION; n]; procs];
+        let words = procs.div_ceil(64);
+        let mut have = vec![NO_VERSION; n * procs];
         let mut owner = Vec::with_capacity(n);
         for (i, ob) in trace.objects.iter().enumerate() {
             let home = ob.home.unwrap_or(jade_core::MAIN_PROC).min(procs - 1);
             owner.push(home);
-            have[home][i] = 0;
+            have[i * procs + home] = 0;
+        }
+        let mut alive = vec![0; words];
+        for p in 0..procs {
+            let (w, m) = bit(p);
+            alive[w] |= m;
         }
         Communicator {
             procs,
             version: vec![0; n],
             owner,
             have,
-            accessed: vec![vec![false; procs]; n], // nothing consumed yet
+            words,
+            accessed: vec![0; n * words], // nothing consumed yet
             broadcast_mode: vec![false; n],
             adaptive_broadcast,
             evidence: vec![0; n],
@@ -138,7 +158,7 @@ impl Communicator {
             wide_retired: 0,
             narrow_retired: 0,
             drop_p,
-            alive: vec![true; procs],
+            alive,
             traffic: vec![ObjectTraffic::default(); n],
             bytes_transferred: 0,
             object_sends: 0,
@@ -146,6 +166,11 @@ impl Communicator {
             eager_sends: 0,
             object_restores: 0,
         }
+    }
+
+    /// Object `i`'s row of `accessed` bit words.
+    fn accessed_row(&self, i: usize) -> &[u64] {
+        &self.accessed[i * self.words..(i + 1) * self.words]
     }
 
     /// Current owner (the last writer) of an object.
@@ -167,13 +192,14 @@ impl Communicator {
 
     /// Is the processor still participating in the protocol?
     pub fn is_alive(&self, p: ProcId) -> bool {
-        self.alive[p]
+        let (w, m) = bit(p);
+        self.alive[w] & m != 0
     }
 
     /// Does processor `p` need to fetch `o` before running a task that
     /// accesses it?
     pub fn needs_fetch(&self, p: ProcId, o: ObjectId) -> bool {
-        self.have[p][o.index()] != self.version[o.index()]
+        self.have[o.index() * self.procs + p] != self.version[o.index()]
     }
 
     /// Record that `requester` asked the owner for the current version —
@@ -181,14 +207,15 @@ impl Communicator {
     /// bytes are accounted when the reply is *accepted* ([`Self::deliver`]),
     /// not here: a dropped reply moves no object.
     pub fn record_request(&mut self, requester: ProcId, o: ObjectId) {
-        self.accessed[o.index()][requester] = true;
+        self.note_access(requester, o);
     }
 
     /// Record a locally-satisfied declared access: the processor already
     /// holds the current version (it is the owner or got it by broadcast)
     /// and a task on it declared an access.
     pub fn note_access(&mut self, p: ProcId, o: ObjectId) {
-        self.accessed[o.index()][p] = true;
+        let (w, m) = bit(p);
+        self.accessed[o.index() * self.words + w] |= m;
     }
 
     /// Deliver a point-to-point fetch reply of `expected_version` to `p`.
@@ -201,10 +228,10 @@ impl Communicator {
     /// calling this, using its per-task pending set.
     pub fn deliver(&mut self, p: ProcId, o: ObjectId, expected_version: u64, bytes: u64) -> bool {
         let i = o.index();
-        if !self.alive[p] || self.version[i] != expected_version {
+        if !self.is_alive(p) || self.version[i] != expected_version {
             return false;
         }
-        self.have[p][i] = expected_version;
+        self.have[i * self.procs + p] = expected_version;
         self.bytes_transferred += bytes;
         self.traffic[i].fetch_bytes += bytes;
         self.object_sends += 1;
@@ -214,10 +241,10 @@ impl Communicator {
     /// Has the current version been accessed by every live processor? (The
     /// adaptive-broadcast trigger condition.)
     pub fn widely_accessed(&self, o: ObjectId) -> bool {
-        self.accessed[o.index()]
+        self.accessed_row(o.index())
             .iter()
-            .enumerate()
-            .all(|(p, &a)| a || !self.alive[p])
+            .zip(&self.alive)
+            .all(|(&a, &live)| a & live == live)
     }
 
     /// Is the object in broadcast mode?
@@ -232,7 +259,8 @@ impl Communicator {
     /// a retransmitted point-to-point fetch, so the break-even demands that
     /// much extra evidence that the all-consumer pattern is persistent.
     pub fn evidence_needed(&self) -> u32 {
-        let receivers = self.alive.iter().filter(|&&a| a).count().saturating_sub(1);
+        let live: u32 = self.alive.iter().map(|w| w.count_ones()).sum();
+        let receivers = live.saturating_sub(1);
         1 + (self.drop_p * receivers as f64).ceil() as u32 + self.margin
     }
 
@@ -270,10 +298,10 @@ impl Communicator {
         self.version[i] += 1;
         self.owner[i] = p;
         let v = self.version[i];
-        for q in 0..self.procs {
-            self.have[q][i] = if q == p { v } else { NO_VERSION };
-        }
-        self.accessed[i].iter_mut().for_each(|a| *a = false);
+        let row = &mut self.have[i * self.procs..(i + 1) * self.procs];
+        row.fill(NO_VERSION);
+        row[p] = v;
+        self.accessed[i * self.words..(i + 1) * self.words].fill(0);
         self.broadcast_mode[i]
     }
 
@@ -292,22 +320,32 @@ impl Communicator {
     /// replica. Returns `false` for stale/duplicate/dead-target copies.
     pub fn deliver_pushed(&mut self, p: ProcId, o: ObjectId, v: u64) -> bool {
         let i = o.index();
-        if !self.alive[p] || self.version[i] != v || self.have[p][i] == v {
+        let j = i * self.procs + p;
+        if !self.is_alive(p) || self.version[i] != v || self.have[j] == v {
             return false;
         }
-        self.have[p][i] = v;
+        self.have[j] = v;
         true
     }
 
     /// Live processors that consumed the *current* version (candidates for
     /// the eager update protocol of paper Section 6: push each new version
     /// to the previous version's consumers).
-    pub fn consumers(&self, o: ObjectId) -> Vec<ProcId> {
-        self.accessed[o.index()]
+    pub fn consumers(&self, o: ObjectId) -> impl Iterator<Item = ProcId> + '_ {
+        self.accessed_row(o.index())
             .iter()
+            .zip(&self.alive)
             .enumerate()
-            .filter_map(|(p, &a)| (a && self.alive[p]).then_some(p))
-            .collect()
+            .flat_map(|(w, (&a, &live))| {
+                let mut bits = a & live;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let b = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        w * 64 + b
+                    })
+                })
+            })
     }
 
     /// Account one eager producer-to-consumer push of `o`.
@@ -362,17 +400,19 @@ impl Communicator {
     /// account it with [`Self::record_restore`] — this method only moves
     /// the metadata.
     pub fn fail_proc(&mut self, p: ProcId) -> Vec<ObjectId> {
-        self.alive[p] = false;
+        let (w, m) = bit(p);
+        self.alive[w] &= !m;
         let mut restored = Vec::new();
         for i in 0..self.version.len() {
-            self.have[p][i] = NO_VERSION;
-            self.accessed[i][p] = false;
+            self.have[i * self.procs + p] = NO_VERSION;
+            self.accessed[i * self.words + w] &= !m;
             self.evidence[i] = 0;
             if self.owner[i] == p {
-                self.accessed[i].iter_mut().for_each(|a| *a = false);
+                self.accessed[i * self.words..(i + 1) * self.words].fill(0);
                 self.broadcast_mode[i] = false;
                 let v = self.version[i];
-                let holder = (0..self.procs).find(|&q| self.alive[q] && self.have[q][i] == v);
+                let row = &self.have[i * self.procs..(i + 1) * self.procs];
+                let holder = (0..self.procs).find(|&q| self.is_alive(q) && row[q] == v);
                 let new_owner = match holder {
                     Some(q) => q,
                     None => {
@@ -381,7 +421,7 @@ impl Communicator {
                     }
                 };
                 self.owner[i] = new_owner;
-                self.have[new_owner][i] = v;
+                self.have[i * self.procs + new_owner] = v;
             }
         }
         restored
@@ -430,6 +470,7 @@ impl CommSnapshot {
 mod tests {
     use super::*;
     use jade_core::TraceBuilder;
+    use proptest::prelude::*;
 
     fn trace2() -> Trace {
         let mut b = TraceBuilder::new();
@@ -631,7 +672,7 @@ mod tests {
         c.record_request(1, o(0));
         c.note_access(0, o(0));
         assert!(c.widely_accessed(o(0)), "only live processors count");
-        assert_eq!(c.consumers(o(0)), vec![0, 1]);
+        assert_eq!(c.consumers(o(0)).collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]
@@ -652,7 +693,7 @@ mod tests {
         assert!(!c.in_broadcast_mode(o(0)));
         assert!(!c.widely_accessed(o(0)), "consumer evidence cleared");
         assert!(
-            !c.consumers(o(0)).contains(&2),
+            !c.consumers(o(0)).any(|q| q == 2),
             "no broadcast to a dead consumer set"
         );
         // The new owner must re-earn the trigger from scratch.
@@ -794,5 +835,198 @@ mod tests {
             snap.covers(o(1), c.version(o(1))),
             "untouched object still covered"
         );
+    }
+
+    /// The communicator as first written: processor-major replica table,
+    /// one `bool` per (object, processor) pair, and scans over all of it.
+    struct Model {
+        procs: usize,
+        version: Vec<u64>,
+        owner: Vec<ProcId>,
+        have: Vec<Vec<u64>>,
+        accessed: Vec<Vec<bool>>,
+        broadcast_mode: Vec<bool>,
+        evidence: Vec<u32>,
+        alive: Vec<bool>,
+        adaptive: bool,
+        drop_p: f64,
+        margin: u32,
+    }
+
+    impl Model {
+        fn new(trace: &Trace, procs: usize, adaptive: bool, drop_p: f64) -> Model {
+            let n = trace.objects.len();
+            let mut have = vec![vec![NO_VERSION; n]; procs];
+            let owner: Vec<_> = trace
+                .objects
+                .iter()
+                .map(|ob| ob.home.unwrap_or(0).min(procs - 1))
+                .collect();
+            for (i, &home) in owner.iter().enumerate() {
+                have[home][i] = 0;
+            }
+            Model {
+                procs,
+                version: vec![0; n],
+                owner,
+                have,
+                accessed: vec![vec![false; procs]; n],
+                broadcast_mode: vec![false; n],
+                evidence: vec![0; n],
+                alive: vec![true; procs],
+                adaptive,
+                drop_p,
+                margin: 0,
+            }
+        }
+
+        fn needs_fetch(&self, p: ProcId, i: usize) -> bool {
+            self.have[p][i] != self.version[i]
+        }
+
+        fn widely_accessed(&self, i: usize) -> bool {
+            (0..self.procs).all(|p| self.accessed[i][p] || !self.alive[p])
+        }
+
+        fn consumers(&self, i: usize) -> Vec<ProcId> {
+            (0..self.procs)
+                .filter(|&p| self.accessed[i][p] && self.alive[p])
+                .collect()
+        }
+
+        fn deliver(&mut self, p: ProcId, i: usize, v: u64) -> bool {
+            if !self.alive[p] || self.version[i] != v {
+                return false;
+            }
+            self.have[p][i] = v;
+            true
+        }
+
+        fn deliver_pushed(&mut self, p: ProcId, i: usize, v: u64) -> bool {
+            if !self.alive[p] || self.version[i] != v || self.have[p][i] == v {
+                return false;
+            }
+            self.have[p][i] = v;
+            true
+        }
+
+        fn on_write_complete(&mut self, p: ProcId, i: usize) -> bool {
+            if self.adaptive {
+                if self.widely_accessed(i) {
+                    self.evidence[i] += 1;
+                    let live = self.alive.iter().filter(|&&a| a).count();
+                    let needed = 1
+                        + (self.drop_p * live.saturating_sub(1) as f64).ceil() as u32
+                        + self.margin;
+                    if self.evidence[i] >= needed {
+                        self.broadcast_mode[i] = true;
+                    }
+                } else {
+                    self.evidence[i] = 0;
+                }
+            }
+            self.version[i] += 1;
+            self.owner[i] = p;
+            for q in 0..self.procs {
+                self.have[q][i] = if q == p { self.version[i] } else { NO_VERSION };
+                self.accessed[i][q] = false;
+            }
+            self.broadcast_mode[i]
+        }
+
+        fn fail_proc(&mut self, p: ProcId) -> Vec<ObjectId> {
+            self.alive[p] = false;
+            let mut restored = Vec::new();
+            for i in 0..self.version.len() {
+                self.have[p][i] = NO_VERSION;
+                self.accessed[i][p] = false;
+                self.evidence[i] = 0;
+                if self.owner[i] == p {
+                    self.accessed[i].fill(false);
+                    self.broadcast_mode[i] = false;
+                    let v = self.version[i];
+                    let holder = (0..self.procs).find(|&q| self.alive[q] && self.have[q][i] == v);
+                    let new_owner = holder.unwrap_or_else(|| {
+                        restored.push(ObjectId(i as u32));
+                        0
+                    });
+                    self.owner[i] = new_owner;
+                    self.have[new_owner][i] = v;
+                }
+            }
+            restored
+        }
+    }
+
+    const OBJECTS: usize = 4;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The flat, bit-word communicator answers every query the way the
+        /// naive tables do, after every call of a random sequence — across
+        /// processor counts that fill less than, exactly, and more than one
+        /// bit word.
+        #[test]
+        fn flat_tables_match_the_naive_model(
+            procs_pick in 0usize..8,
+            adaptive in any::<bool>(),
+            drop_pick in 0usize..3,
+            margin in 0u32..3,
+            homes in prop::collection::vec(any::<u64>(), OBJECTS..OBJECTS + 1),
+            ops in prop::collection::vec((0u8..7, any::<u64>(), 0usize..OBJECTS, any::<bool>()), 1..80),
+        ) {
+            let procs = [1, 2, 31, 32, 33, 64, 65, 130][procs_pick];
+            let drop_p = [0.0, 0.02, 0.3][drop_pick];
+            let mut b = TraceBuilder::new();
+            for (i, h) in homes.iter().enumerate() {
+                b.object(&format!("o{i}"), 100, Some((h % procs as u64) as usize));
+            }
+            let trace = b.build();
+            let mut c = Communicator::new(&trace, procs, adaptive, drop_p);
+            let mut m = Model::new(&trace, procs, adaptive, drop_p);
+            c.set_evidence_margin(margin);
+            m.margin = margin;
+            for (op, pick, i, fresh) in ops {
+                let p = (pick % procs as u64) as usize;
+                let o = ObjectId(i as u32);
+                // A current or a stale version, for the version-checked paths.
+                let v = if fresh { m.version[i] } else { m.version[i].wrapping_sub(1) };
+                match op {
+                    0 => {
+                        c.note_access(p, o);
+                        m.accessed[i][p] = true;
+                    }
+                    1 => {
+                        c.record_request(p, o);
+                        m.accessed[i][p] = true;
+                    }
+                    2 => prop_assert_eq!(c.deliver(p, o, v, 100), m.deliver(p, i, v)),
+                    3 => prop_assert_eq!(c.deliver_pushed(p, o, v), m.deliver_pushed(p, i, v)),
+                    4 | 5 => prop_assert_eq!(c.on_write_complete(p, o), m.on_write_complete(p, i)),
+                    // Main never fail-stops; a second death of one
+                    // processor is as harmless as the first.
+                    _ if procs > 1 => {
+                        let q = 1 + (pick % (procs as u64 - 1)) as usize;
+                        prop_assert_eq!(c.fail_proc(q), m.fail_proc(q));
+                    }
+                    _ => {}
+                }
+                for j in 0..OBJECTS {
+                    let oj = ObjectId(j as u32);
+                    prop_assert_eq!(c.owner(oj), m.owner[j]);
+                    prop_assert_eq!(c.widely_accessed(oj), m.widely_accessed(j));
+                    prop_assert_eq!(c.consumers(oj).collect::<Vec<_>>(), m.consumers(j));
+                    prop_assert_eq!(c.in_broadcast_mode(oj), m.broadcast_mode[j]);
+                    for q in 0..procs {
+                        prop_assert_eq!(c.needs_fetch(q, oj), m.needs_fetch(q, j));
+                    }
+                }
+                for q in 0..procs {
+                    prop_assert_eq!(c.is_alive(q), m.alive[q]);
+                }
+                prop_assert_eq!(c.final_versions(), m.version.clone());
+            }
+        }
     }
 }

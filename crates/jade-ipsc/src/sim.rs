@@ -337,31 +337,27 @@ pub struct IpscRunResult {
     pub tune: jade_core::TuneLog,
 }
 
-#[derive(Clone, Debug)]
+/// A calendar event. A request's or reply's list lives in
+/// [`Sim::requests`] or [`Sim::replies`] and the event carries the record's
+/// slot, so every variant is a few words and the calendar's heap moves
+/// small entries.
+#[derive(Clone, Copy, Debug)]
 enum Ev {
     MainStep,
     AssignArrive {
         proc: ProcId,
         task: TaskId,
     },
-    /// A request for `objs`, one object or a coalesced bundle. The owners
-    /// are recomputed at arrival; an object whose owner moved rides that
-    /// owner's own reply. `coalesced` sizes the replies: a coalesced
-    /// message carries a per-object entry for each object, a lone one none.
+    /// A request for [`Msg::list`], one object or a coalesced bundle. The
+    /// owners are recomputed at arrival; an object whose owner moved rides
+    /// that owner's own reply.
     Request {
-        objs: Vec<ObjectId>,
-        coalesced: bool,
-        requester: ProcId,
-        task: TaskId,
-        sent_at: SimTime,
+        slot: u32,
     },
-    /// One reply message delivering `(object, version)` payloads. Costs a
-    /// single receive-handler interrupt.
+    /// One reply message delivering [`Msg::list`]. Costs a single
+    /// receive-handler interrupt.
     Reply {
-        proc: ProcId,
-        items: Vec<(ObjectId, u64)>,
-        task: TaskId,
-        requested_at: SimTime,
+        slot: u32,
     },
     /// A pushed copy: a broadcast, or an eager producer-to-consumer push
     /// (update protocol, Section 6).
@@ -510,24 +506,110 @@ struct DataMsg {
     obj: ObjectId,
 }
 
-/// A request's object list and a reply's `(object, version)` list travel
-/// inside calendar events; the handler that consumes one hands its buffer
-/// back, so fetches stop allocating once the lists in flight have been
-/// built.
-struct Recycled<T>(Vec<Vec<T>>);
+/// One in-flight request (`T = ObjectId`) or reply (`T = (ObjectId,
+/// version)`): what its calendar event would otherwise carry.
+struct Msg<T> {
+    /// A request's objects, or a reply's `(object, version)` payloads.
+    list: Vec<T>,
+    /// The request was coalesced, which sizes its replies: a coalesced
+    /// message carries a per-object entry for each object, a lone one none.
+    coalesced: bool,
+    /// The fetching processor: a request's requester, a reply's receiver.
+    proc: ProcId,
+    task: TaskId,
+    /// When the request was sent (a reply keeps its request's stamp).
+    sent_at: SimTime,
+}
 
-impl<T> Recycled<T> {
-    fn take(&mut self) -> Vec<T> {
-        self.0.pop().unwrap_or_default()
+/// The records of the requests, or of the replies, in flight. A freed slot
+/// keeps its list's buffer for the next message, so fetches stop
+/// allocating once the deepest backlog of messages has been seen.
+struct MsgSlab<T> {
+    recs: Vec<Msg<T>>,
+    free: Vec<u32>,
+}
+
+impl<T: Copy> MsgSlab<T> {
+    fn new() -> MsgSlab<T> {
+        MsgSlab {
+            recs: Vec::new(),
+            free: Vec::new(),
+        }
     }
 
-    fn give(&mut self, mut list: Vec<T>) {
-        list.clear();
-        self.0.push(list);
+    /// A slot for a new message to `proc` with an empty list.
+    fn alloc(&mut self, proc: ProcId, task: TaskId, sent_at: SimTime, coalesced: bool) -> u32 {
+        let Some(slot) = self.free.pop() else {
+            self.recs.push(Msg {
+                list: Vec::new(),
+                coalesced,
+                proc,
+                task,
+                sent_at,
+            });
+            return (self.recs.len() - 1) as u32;
+        };
+        let m = &mut self.recs[slot as usize];
+        m.list.clear();
+        (m.coalesced, m.proc, m.task, m.sent_at) = (coalesced, proc, task, sent_at);
+        slot
+    }
+
+    fn release(&mut self, slot: u32) {
+        self.free.push(slot);
+    }
+
+    /// A second record for a duplicated message.
+    fn duplicate(&mut self, slot: u32) -> u32 {
+        let Msg {
+            coalesced,
+            proc,
+            task,
+            sent_at,
+            ..
+        } = self[slot];
+        let copy = self.alloc(proc, task, sent_at, coalesced);
+        let list = std::mem::take(&mut self[slot].list);
+        self[copy].list.extend_from_slice(&list);
+        self[slot].list = list;
+        copy
+    }
+
+    fn live(&self) -> usize {
+        self.recs.len() - self.free.len()
     }
 }
 
-/// The durations of [`IpscCosts`] in picoseconds, converted once per run.
+impl<T> std::ops::Index<u32> for MsgSlab<T> {
+    type Output = Msg<T>;
+    fn index(&self, slot: u32) -> &Msg<T> {
+        &self.recs[slot as usize]
+    }
+}
+
+impl<T> std::ops::IndexMut<u32> for MsgSlab<T> {
+    fn index_mut(&mut self, slot: u32) -> &mut Msg<T> {
+        &mut self.recs[slot as usize]
+    }
+}
+
+/// Hops between two nodes, as [`IpscSpec::message_time`] counts them: the
+/// Hamming distance of the labels (0 from a node to itself).
+#[inline]
+fn hops(a: ProcId, b: ProcId) -> usize {
+    (a ^ b).count_ones() as usize
+}
+
+/// [`IpscSpec::message_time`] of `bytes` over `hops` hops, by the same
+/// expression, or `None` where that would overflow virtual time.
+fn price(m: &IpscSpec, bytes: usize, hops: usize) -> Option<SimDuration> {
+    SimDuration::try_from_secs_f64(
+        m.message_latency_s + m.per_hop_s * hops as f64 + bytes as f64 / m.link_bandwidth,
+    )
+}
+
+/// The durations of [`IpscCosts`] in picoseconds, and the wire time of
+/// every fixed-size message, converted once per run.
 struct Costs {
     create: SimDuration,
     sched: SimDuration,
@@ -536,12 +618,24 @@ struct Costs {
     object_recv: SimDuration,
     complete: SimDuration,
     notify_handler: SimDuration,
+    /// Hop counts a message can travel: `0..=dimension`.
+    hop_counts: usize,
+    /// Assignment, notification and lone-request message times, by hop
+    /// count.
+    assign: Vec<SimDuration>,
+    notify: Vec<SimDuration>,
+    request: Vec<SimDuration>,
+    /// `object[o * hop_counts + h]`: a message carrying object `o` alone
+    /// (a lone reply, an eager push, a checkpoint payload) over `h` hops.
+    object: Vec<SimDuration>,
 }
 
 impl Costs {
-    /// Convert `c`, naming the first field that is negative, non-finite or
-    /// too large to represent.
-    fn of(c: &IpscCosts) -> Result<Costs, IpscError> {
+    /// Convert `cfg`'s costs and price its fixed-size messages, naming the
+    /// first field that is negative, non-finite or too large to represent.
+    fn of(cfg: &IpscConfig, trace: &Trace) -> Result<Costs, IpscError> {
+        let c = &cfg.costs;
+        let m = &cfg.machine;
         let time = |name: &str, s: f64| {
             SimDuration::try_from_secs_f64(s).ok_or_else(|| {
                 IpscError::InvalidMachine(format!(
@@ -549,6 +643,26 @@ impl Costs {
                 ))
             })
         };
+        let hop_counts = m.dimension() as usize + 1;
+        let too_big = |what: String| {
+            IpscError::InvalidMachine(format!(
+                "{what} is too large to send in representable virtual time"
+            ))
+        };
+        let by_hops = |name: &str, bytes: usize| {
+            (0..hop_counts)
+                .map(|h| price(m, bytes, h))
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(|| too_big(format!("{name} = {bytes}")))
+        };
+        let mut object = Vec::with_capacity(trace.objects.len() * hop_counts);
+        for ob in &trace.objects {
+            for h in 0..hop_counts {
+                object.push(price(m, ob.size_bytes, h).ok_or_else(|| {
+                    too_big(format!("object {} of {} bytes", ob.name, ob.size_bytes))
+                })?);
+            }
+        }
         Ok(Costs {
             create: time("create_s", c.create_s)?,
             sched: time("sched_s", c.sched_s)?,
@@ -557,7 +671,17 @@ impl Costs {
             object_recv: time("object_recv_s", c.object_recv_s)?,
             complete: time("complete_s", c.complete_s)?,
             notify_handler: time("notify_handler_s", c.notify_handler_s)?,
+            hop_counts,
+            assign: by_hops("assign_bytes", c.assign_bytes)?,
+            notify: by_hops("notify_bytes", c.notify_bytes)?,
+            request: by_hops("request_bytes", c.request_bytes)?,
+            object,
         })
+    }
+
+    /// Wire time of object `o` alone over `h` hops.
+    fn object(&self, o: ObjectId, h: usize) -> SimDuration {
+        self.object[o.index() * self.hop_counts + h]
     }
 }
 
@@ -641,8 +765,12 @@ struct Sim<'a, R: Sink> {
     groups: Vec<(ProcId, Vec<ObjectId>)>,
     /// Per processor: its index in `groups` while grouping, else `NO_GROUP`.
     group_of: Vec<usize>,
-    obj_lists: Recycled<ObjectId>,
-    item_lists: Recycled<(ObjectId, u64)>,
+    /// The eager-update targets of one write: the retiring version's
+    /// consumers.
+    eager: Vec<ProcId>,
+    /// The requests and the replies in flight.
+    requests: MsgSlab<ObjectId>,
+    replies: MsgSlab<(ObjectId, u64)>,
 }
 
 const NO_GROUP: usize = usize::MAX;
@@ -749,7 +877,7 @@ fn simulate<R: Sink>(
         return Err(IpscError::NoProcessors);
     }
     validate_machine(cfg)?;
-    let costs = Costs::of(&cfg.costs)?;
+    let costs = Costs::of(cfg, trace)?;
     cfg.faults.validate().map_err(IpscError::InvalidFaultPlan)?;
     if let Some(fp) = cfg.faults.fail_proc {
         if fp == jade_core::MAIN_PROC {
@@ -835,8 +963,9 @@ fn simulate<R: Sink>(
         newly: Vec::new(),
         groups: Vec::new(),
         group_of: vec![NO_GROUP; procs],
-        obj_lists: Recycled(Vec::new()),
-        item_lists: Recycled(Vec::new()),
+        eager: Vec::new(),
+        requests: MsgSlab::new(),
+        replies: MsgSlab::new(),
     };
     sim.comm.set_evidence_margin(cfg.evidence_margin);
     sim.cal.schedule(SimTime::ZERO, Ev::MainStep);
@@ -867,6 +996,9 @@ fn simulate<R: Sink>(
     let (fold, rec) = sim.events;
     let m = fold.finish();
     let events = rec.into_events();
+    // Every message record went back to the slab with its last event.
+    debug_assert_eq!(sim.requests.live(), 0, "request slots leaked");
+    debug_assert_eq!(sim.replies.live(), 0, "reply slots leaked");
     // The event stream must reproduce the machine model's own books.
     debug_assert_eq!(m.comm_bytes(), sim.comm.bytes_transferred);
     debug_assert_eq!(m.fetches, sim.comm.object_sends);
@@ -978,19 +1110,8 @@ impl<R: Sink> Sim<'_, R> {
                 }
                 self.on_assign_arrive(proc, task, t);
             }
-            Ev::Request {
-                objs,
-                coalesced,
-                requester,
-                task,
-                sent_at,
-            } => self.on_request(objs, coalesced, requester, task, sent_at, t),
-            Ev::Reply {
-                proc,
-                items,
-                task,
-                requested_at,
-            } => self.on_reply(proc, items, task, requested_at, t),
+            Ev::Request { slot } => self.on_request(slot, t),
+            Ev::Reply { slot } => self.on_reply(slot, t),
             Ev::PushArrive { proc, obj, version } => self.on_pushed_arrive(proc, obj, version, t),
             Ev::Finish { proc, task } => {
                 if self.dead[proc] {
@@ -1031,8 +1152,11 @@ impl<R: Sink> Sim<'_, R> {
         self.main_done || self.main_blocked.is_some()
     }
 
+    /// Wire time of a message whose size varies (a coalesced bundle, a
+    /// checkpoint's replica table); every other message's time is looked
+    /// up in [`Costs`].
     fn msg(&self, bytes: usize, src: ProcId, dst: ProcId) -> SimDuration {
-        self.cfg.machine.message_time(bytes, src, dst)
+        price(&self.cfg.machine, bytes, hops(src, dst)).expect("virtual time overflow")
     }
 
     /// Perform interrupt-driven handler work of duration `dur` on `p`.
@@ -1207,7 +1331,7 @@ impl<R: Sink> Sim<'_, R> {
                 // message itself leaves.
                 self.issue_fetches(0, p, id, t);
             }
-            let dur = self.msg(self.cfg.costs.assign_bytes, 0, p);
+            let dur = self.costs.assign[hops(0, p)];
             self.events.emit_task(
                 t.0,
                 0,
@@ -1462,7 +1586,8 @@ impl<R: Sink> Sim<'_, R> {
     /// Put one data message on the unreliable network: draw its fate,
     /// report a loss at the sender, and schedule one calendar event per
     /// delivered copy, `arrives` being the fault-free arrival. The last copy
-    /// takes `ev` itself, so a message's list is cloned only for a duplicate.
+    /// takes `ev` itself: a duplicate gets its own copy of the message
+    /// record, and a lost message frees its record.
     fn transmit(&mut self, msg: DataMsg, arrives: SimTime, ev: Ev) {
         let fate = self.inj.message_fate();
         if fate.dropped() {
@@ -1476,13 +1601,24 @@ impl<R: Sink> Sim<'_, R> {
                 Some(msg.task),
                 msg.obj,
             );
+            match ev {
+                Ev::Request { slot } => self.requests.release(slot),
+                Ev::Reply { slot } => self.replies.release(slot),
+                _ => {}
+            }
         }
         let last = fate.copies.len().saturating_sub(1);
-        let mut ev = Some(ev);
         for (i, extra) in fate.copies.enumerate() {
-            let ev = if i == last { ev.take() } else { ev.clone() };
-            self.cal
-                .schedule(arrives + extra, ev.expect("taken by the last copy only"));
+            let copy = match ev {
+                Ev::Request { slot } if i < last => Ev::Request {
+                    slot: self.requests.duplicate(slot),
+                },
+                Ev::Reply { slot } if i < last => Ev::Reply {
+                    slot: self.replies.duplicate(slot),
+                },
+                _ => ev,
+            };
+            self.cal.schedule(arrives + extra, copy);
         }
     }
 
@@ -1533,20 +1669,13 @@ impl<R: Sink> Sim<'_, R> {
     ) -> SimTime {
         let owner = self.comm.owner(objs[0]);
         let coalesced = objs.len() >= 2;
-        let mut list = self.obj_lists.take();
-        list.extend_from_slice(objs);
-        let arrive = |sent_at| Ev::Request {
-            objs: list,
-            coalesced,
-            requester: p,
-            task: id,
-            sent_at,
-        };
         let sent = if issuer == owner {
             // Prefetch of objects the issuer already owns (main-resident
             // data): there is no request message to compose or lose — the
             // owner starts streaming the reply directly.
-            self.cal.schedule(t, arrive(t));
+            let slot = self.requests.alloc(p, id, t, coalesced);
+            self.requests[slot].list.extend_from_slice(objs);
+            self.cal.schedule(t, Ev::Request { slot });
             t
         } else {
             // Issuing on behalf of another processor happens inside the
@@ -1576,8 +1705,14 @@ impl<R: Sink> Sim<'_, R> {
                 task: id,
                 obj: objs[0],
             };
-            let base = sent + self.msg(bytes, issuer, owner);
-            self.transmit(request, base, arrive(sent));
+            let wire = if coalesced {
+                self.msg(bytes, issuer, owner)
+            } else {
+                self.costs.request[hops(issuer, owner)]
+            };
+            let slot = self.requests.alloc(p, id, sent, coalesced);
+            self.requests[slot].list.extend_from_slice(objs);
+            self.transmit(request, sent + wire, Ev::Request { slot });
             sent
         };
         for &o in objs {
@@ -1590,26 +1725,28 @@ impl<R: Sink> Sim<'_, R> {
     /// while the request was in flight moves recovery copies); each current
     /// owner answers with one reply, sized by the request's size rule even
     /// when regrouping leaves it a single object.
-    fn on_request(
-        &mut self,
-        objs: Vec<ObjectId>,
-        coalesced: bool,
-        requester: ProcId,
-        task: TaskId,
-        sent_at: SimTime,
-        t: SimTime,
-    ) {
+    fn on_request(&mut self, slot: u32, t: SimTime) {
+        let Msg {
+            coalesced,
+            proc: requester,
+            task,
+            sent_at,
+            ..
+        } = self.requests[slot];
+        let objs = std::mem::take(&mut self.requests[slot].list);
         let n = self.group_by_owner(&objs);
-        self.obj_lists.give(objs);
+        self.requests[slot].list = objs;
+        self.requests.release(slot);
         let groups = std::mem::take(&mut self.groups);
         for (owner, group) in &groups[..n] {
             let owner = *owner;
+            let reply = self.replies.alloc(requester, task, sent_at, coalesced);
             let mut bytes = self.entry_bytes(coalesced, group.len());
-            let mut items = self.item_lists.take();
             for &o in group {
                 self.comm.record_request(requester, o);
                 bytes += self.trace.object_size(o);
-                items.push((o, self.comm.version(o)));
+                let v = self.comm.version(o);
+                self.replies[reply].list.push((o, v));
             }
             // The owner's processor is occupied for the full reply send:
             // object distribution delays the owner's computation (Section
@@ -1619,7 +1756,11 @@ impl<R: Sink> Sim<'_, R> {
             // (DESIGN.md §17).
             let ts = &self.tstate[task.index()];
             let prefetch = group.iter().any(|&o| ts.was_prefetched(o));
-            let dur = self.msg(bytes, owner, requester);
+            let dur = if coalesced {
+                self.msg(bytes, owner, requester)
+            } else {
+                self.costs.object(group[0], hops(owner, requester))
+            };
             let mut send_end = if prefetch {
                 t + dur
             } else {
@@ -1629,23 +1770,14 @@ impl<R: Sink> Sim<'_, R> {
                 // Workstation Ethernet: one transfer on the medium at a time.
                 send_end = wire.occupy(0, t, dur, TimeKind::Comm).max(send_end);
             }
-            let reply = DataMsg {
+            let msg = DataMsg {
                 sender: owner,
                 stamp: send_end,
                 bytes,
                 task,
                 obj: group[0],
             };
-            self.transmit(
-                reply,
-                send_end,
-                Ev::Reply {
-                    proc: requester,
-                    items,
-                    task,
-                    requested_at: sent_at,
-                },
-            );
+            self.transmit(msg, send_end, Ev::Reply { slot: reply });
         }
         self.groups = groups;
     }
@@ -1655,18 +1787,18 @@ impl<R: Sink> Sim<'_, R> {
     /// stale or unwanted entries are discarded (their ack timers re-fetch
     /// them singly). A reply that delivers two or more objects was one
     /// coalesced message and says so (`AggregatedFetch`).
-    fn on_reply(
-        &mut self,
-        p: ProcId,
-        items: Vec<(ObjectId, u64)>,
-        task: TaskId,
-        requested_at: SimTime,
-        t: SimTime,
-    ) {
+    fn on_reply(&mut self, slot: u32, t: SimTime) {
+        let Msg {
+            proc: p,
+            task,
+            sent_at: requested_at,
+            ..
+        } = self.replies[slot];
         if self.dead[p] {
-            self.item_lists.give(items);
+            self.replies.release(slot);
             return;
         }
+        let items = std::mem::take(&mut self.replies[slot].list);
         // Receiving costs handler time whether or not the payload is kept:
         // a duplicate still interrupts the processor. A prefetched reply
         // instead lands by asynchronous transfer — no interrupt, the data
@@ -1688,7 +1820,8 @@ impl<R: Sink> Sim<'_, R> {
                 first_obj.get_or_insert(obj);
             }
         }
-        self.item_lists.give(items);
+        self.replies[slot].list = items;
+        self.replies.release(slot);
         if delivered >= 2 {
             self.events.emit_obj(
                 t.0,
@@ -1766,8 +1899,8 @@ impl<R: Sink> Sim<'_, R> {
     /// request+reply round trip (so legitimate replies never race the
     /// timer under fault-plan latencies), doubling per attempt.
     fn retry_timeout(&self, o: ObjectId, p: ProcId, owner: ProcId, attempt: u32) -> SimDuration {
-        let rtt = self.msg(self.cfg.costs.request_bytes, p, owner)
-            + self.msg(self.trace.object_size(o), owner, p);
+        let h = hops(p, owner);
+        let rtt = self.costs.request[h] + self.costs.object(o, h);
         let slack = self.inj.plan().delay + self.inj.plan().reorder_window;
         (rtt.mul_u64(4) + slack.mul_u64(2)).mul_u64(1 << attempt.min(10))
     }
@@ -1951,11 +2084,11 @@ impl<R: Sink> Sim<'_, R> {
         for o in rec.spec.written_objects() {
             // The eager update protocol pushes the new version to the
             // previous version's consumers (captured before the bump).
-            let eager_targets = if self.cfg.eager_update && !self.cfg.work_free {
-                self.comm.consumers(o)
-            } else {
-                Vec::new()
-            };
+            let mut eager = std::mem::take(&mut self.eager);
+            eager.clear();
+            if self.cfg.eager_update && !self.cfg.work_free {
+                eager.extend(self.comm.consumers(o));
+            }
             let bcast = self.comm.on_write_complete(p, o);
             if self.cfg.tune && self.cfg.adaptive_broadcast {
                 // Re-derive the evidence margin from the width statistics
@@ -2039,12 +2172,12 @@ impl<R: Sink> Sim<'_, R> {
                 }
                 t_cur = done;
             }
-            if !bcast && !eager_targets.is_empty() && self.pc.procs() > 1 {
+            if !bcast && !eager.is_empty() && self.pc.procs() > 1 {
                 // Update protocol: push the new version to the previous
                 // version's consumers, serializing on the producer's link.
                 let bytes = self.trace.object_size(o);
                 let version = self.comm.version(o);
-                for q in eager_targets {
+                for &q in &eager {
                     if q == p {
                         continue;
                     }
@@ -2058,7 +2191,7 @@ impl<R: Sink> Sim<'_, R> {
                         Some(id),
                         o,
                     );
-                    let dur = self.msg(bytes, p, q);
+                    let dur = self.costs.object(o, hops(p, q));
                     t_cur = self.occupy_ev(p, t_cur, dur, TimeKind::Comm, None);
                     let push = DataMsg {
                         sender: p,
@@ -2078,6 +2211,7 @@ impl<R: Sink> Sim<'_, R> {
                     );
                 }
             }
+            self.eager = eager;
         }
         self.note_phase_end(rec.phase, p, t_cur);
         self.pstate[p].executing = None;
@@ -2104,7 +2238,7 @@ impl<R: Sink> Sim<'_, R> {
             let send_end = self.occupy_ev(
                 p,
                 t_cur,
-                self.msg(self.cfg.costs.notify_bytes, p, 0),
+                self.costs.notify[hops(p, 0)],
                 TimeKind::Comm,
                 None,
             );
@@ -2220,7 +2354,7 @@ impl<R: Sink> Sim<'_, R> {
             let owner = self.comm.owner(o);
             let size = self.trace.object_size(o);
             bytes += size as u64;
-            let dur = self.msg(size, owner, 0);
+            let dur = self.costs.object(o, hops(owner, 0));
             self.handler_op(owner, t, dur, TimeKind::Comm);
             self.handler_op(0, t, self.costs.object_recv, TimeKind::Mgmt);
         }
@@ -3225,6 +3359,65 @@ mod tests {
             try_run(&trace, &c),
             Err(IpscError::InvalidMachine(why)) if why.contains("object_recv_s")
         ));
+        // Every fixed message size is priced once, up front: one too large
+        // for virtual time is named, not a panic mid-run.
+        let trace = commy_trace(4, 2);
+        type Field = fn(&mut IpscCosts) -> &mut usize;
+        let fields: [(&str, Field); 3] = [
+            ("assign_bytes", |c| &mut c.assign_bytes),
+            ("notify_bytes", |c| &mut c.notify_bytes),
+            ("request_bytes", |c| &mut c.request_bytes),
+        ];
+        for (name, field) in fields {
+            let mut c = cfg(4, LocalityMode::Locality);
+            *field(&mut c.costs) = usize::MAX / 2;
+            assert!(
+                matches!(
+                    try_run(&trace, &c),
+                    Err(IpscError::InvalidMachine(why)) if why.contains(name)
+                ),
+                "{name}"
+            );
+        }
+        let mut b = TraceBuilder::new();
+        b.object("huge", usize::MAX / 2, Some(1));
+        b.task(spec(&[], &[]), 0.1);
+        assert!(matches!(
+            try_run(&b.build(), &cfg(4, LocalityMode::Locality)),
+            Err(IpscError::InvalidMachine(why)) if why.contains("huge")
+        ));
+    }
+
+    #[test]
+    fn calendar_events_stay_small() {
+        // Every heap entry moves an `Ev`; message payloads live in the slab.
+        assert!(
+            std::mem::size_of::<Ev>() <= 32,
+            "{}",
+            std::mem::size_of::<Ev>()
+        );
+    }
+
+    #[test]
+    fn prices_match_the_machine_model_bit_for_bit() {
+        for procs in [1, 2, 5, 8, 32, 33] {
+            let mut m = IpscSpec::paper(procs);
+            for (latency, per_hop, bw) in
+                [(47e-6, 1e-6, 2.8e6), (1e-3, 0.0, 1.1e6), (0.0, 3e-7, 7e5)]
+            {
+                (m.message_latency_s, m.per_hop_s, m.link_bandwidth) = (latency, per_hop, bw);
+                for bytes in [0, 1, 16, 32, 256, 1000, 4097, 166_000, 1 << 30] {
+                    for src in 0..procs {
+                        for dst in [0, procs / 2, procs - 1] {
+                            assert_eq!(
+                                price(&m, bytes, hops(src, dst)),
+                                Some(m.message_time(bytes, src, dst))
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

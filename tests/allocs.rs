@@ -375,7 +375,7 @@ fn ipsc_simulation_allocates_per_run_not_per_fetch() {
     };
     // The harness's own threads can only inflate a window, and a run is
     // deterministic, so the smallest of a few attempts is the simulator's.
-    for (name, cfg, per_task) in [("demand", &demand, 2), ("managed", &managed, 4)] {
+    for (name, cfg, per_task) in [("demand", &demand, 2), ("managed", &managed, 2)] {
         let allocs = (0..3)
             .map(|_| {
                 let (allocs, r) =
