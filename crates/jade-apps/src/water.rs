@@ -14,7 +14,7 @@
 //! simplified). The data set matches the paper: 1728 molecules, 8
 //! iterations, and a 165,888-byte position object (96 bytes per molecule).
 
-use crate::common::{checksum, chunk_ranges, creation_order, SplitMix64};
+use crate::common::{checksum, creation_order, SplitMix64};
 use jade_core::{Handle, JadeRuntime, TaskBuilder, Trace, TraceRuntime};
 
 /// Paper-measured execution times used to calibrate the machine cost
@@ -121,6 +121,87 @@ fn pair_potential(pi: [f64; 3], pj: [f64; 3]) -> f64 {
     0.5 / r2.sqrt() - 1.0 / r2
 }
 
+/// Pairs a row computes at a time: short enough that the in-order add
+/// chain of one block overlaps the divisions of the next in the core's
+/// out-of-order window, long enough to amortise the block's loops.
+const BLOCK: usize = 32;
+
+/// The molecule positions as three coordinate arrays, so that a block of
+/// pairs is computed over contiguous slices, two pairs to an SSE2 register.
+fn columns(pos: &[[f64; 3]]) -> [Vec<f64>; 3] {
+    [0, 1, 2].map(|k| pos.iter().map(|p| p[k]).collect())
+}
+
+/// Task `t`'s share of the pair forces, into the contribution array `f`,
+/// which it zeroes first: rows `t, t + procs, ...`, each molecule `i`
+/// paired with every `j > i`. Returns the number of pairs.
+///
+/// A pair adds into `f[i]` and subtracts from `f[j]`, a different molecule,
+/// so a block of a row is computed whole first, then added into `f[i]` in
+/// `j` order, then subtracted: every element sees the operations of the
+/// pair-by-pair loop in the same order.
+fn task_forces(pos: &[[f64; 3]], t: usize, procs: usize, f: &mut [[f64; 3]]) -> u64 {
+    f.fill([0.0; 3]);
+    let n = pos.len();
+    let [xs, ys, zs] = columns(pos);
+    let (mut gx, mut gy, mut gz) = ([0.0; BLOCK], [0.0; BLOCK], [0.0; BLOCK]);
+    let mut pairs = 0u64;
+    for i in (t..n).step_by(procs) {
+        let pi = pos[i];
+        let mut fi = f[i];
+        for a in (i + 1..n).step_by(BLOCK) {
+            let b = n.min(a + BLOCK);
+            let (gx, gy, gz) = (&mut gx[..b - a], &mut gy[..b - a], &mut gz[..b - a]);
+            let g = gx.iter_mut().zip(gy.iter_mut()).zip(gz.iter_mut());
+            let later = xs[a..b].iter().zip(&ys[a..b]).zip(&zs[a..b]);
+            for (((gx, gy), gz), ((&x, &y), &z)) in g.zip(later) {
+                [*gx, *gy, *gz] = pair_force(pi, [x, y, z]);
+            }
+            let g = || gx.iter().zip(gy.iter()).zip(gz.iter());
+            for ((&x, &y), &z) in g() {
+                fi[0] += x;
+                fi[1] += y;
+                fi[2] += z;
+            }
+            for (fj, ((&x, &y), &z)) in f[a..b].iter_mut().zip(g()) {
+                fj[0] -= x;
+                fj[1] -= y;
+                fj[2] -= z;
+            }
+        }
+        f[i] = fi;
+        pairs += (n - i - 1) as u64;
+    }
+    pairs
+}
+
+/// Task `t`'s share of the potential: the pairs of rows `t, t + procs,
+/// ...`, each block of a row computed whole and then summed in `j` order.
+/// Returns the energy and the number of pairs.
+fn task_potential(pos: &[[f64; 3]], t: usize, procs: usize) -> (f64, u64) {
+    let n = pos.len();
+    let [xs, ys, zs] = columns(pos);
+    let mut block = [0.0; BLOCK];
+    let mut e = 0.0;
+    let mut pairs = 0u64;
+    for i in (t..n).step_by(procs) {
+        let pi = pos[i];
+        for a in (i + 1..n).step_by(BLOCK) {
+            let b = n.min(a + BLOCK);
+            let block = &mut block[..b - a];
+            let later = xs[a..b].iter().zip(&ys[a..b]).zip(&zs[a..b]);
+            for (v, ((&x, &y), &z)) in block.iter_mut().zip(later) {
+                *v = pair_potential(pi, [x, y, z]);
+            }
+            for &v in block.iter() {
+                e += v;
+            }
+        }
+        pairs += (n - i - 1) as u64;
+    }
+    (e, pairs)
+}
+
 /// Build and submit the whole Water program on any Jade runtime.
 pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &WaterConfig) -> WaterHandles {
     let n = cfg.molecules;
@@ -165,27 +246,9 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &WaterConfig) -> WaterHandles {
                     .rd(params)
                     .body(move |ctx| {
                         let pos = ctx.rd(positions);
-                        let mut f = ctx.wr(fh);
-                        for v in f.iter_mut() {
-                            *v = [0.0; 3];
-                        }
-                        let mut pairs = 0u64;
                         // Interleaved slice: molecule i handled by task
                         // i % procs, pairing with all j > i.
-                        let n = pos.len();
-                        for i in (t..n).step_by(nprocs) {
-                            let pi = pos[i];
-                            for j in (i + 1)..n {
-                                let fij = pair_force(pi, pos[j]);
-                                f[i][0] += fij[0];
-                                f[i][1] += fij[1];
-                                f[i][2] += fij[2];
-                                f[j][0] -= fij[0];
-                                f[j][1] -= fij[1];
-                                f[j][2] -= fij[2];
-                                pairs += 1;
-                            }
-                        }
+                        let pairs = task_forces(&pos, t, nprocs, &mut ctx.wr(fh));
                         ctx.charge(pairs as f64 * C_PAIR);
                     }),
             );
@@ -234,17 +297,7 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &WaterConfig) -> WaterHandles {
                     .rd(positions)
                     .rd(params)
                     .body(move |ctx| {
-                        let pos = ctx.rd(positions);
-                        let n = pos.len();
-                        let mut e = 0.0;
-                        let mut pairs = 0u64;
-                        for i in (t..n).step_by(nprocs) {
-                            let pi = pos[i];
-                            for j in (i + 1)..n {
-                                e += pair_potential(pi, pos[j]);
-                                pairs += 1;
-                            }
-                        }
+                        let (e, pairs) = task_potential(&ctx.rd(positions), t, nprocs);
                         *ctx.wr(ph) = e;
                         ctx.charge(pairs as f64 * C_POT);
                     }),
@@ -351,15 +404,10 @@ pub fn expected_tasks(cfg: &WaterConfig) -> usize {
     cfg.iterations * (2 * cfg.procs + 2)
 }
 
-// Kept for future decompositions; silence dead-code until then.
-#[allow(dead_code)]
-fn chunks(n: usize, k: usize) -> Vec<(usize, usize)> {
-    chunk_ranges(n, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn trace_matches_reference_single_proc() {
@@ -435,5 +483,85 @@ mod tests {
         let (trace, _) = run_trace(&cfg);
         let serial_count = trace.tasks.iter().filter(|t| t.serial_phase).count();
         assert_eq!(serial_count, cfg.iterations * 2);
+    }
+
+    /// The oracle for `task_forces`: the naive pair-by-pair loop.
+    fn per_pair_forces(pos: &[[f64; 3]], t: usize, nprocs: usize, f: &mut [[f64; 3]]) -> u64 {
+        for v in f.iter_mut() {
+            *v = [0.0; 3];
+        }
+        let mut pairs = 0u64;
+        let n = pos.len();
+        for i in (t..n).step_by(nprocs) {
+            let pi = pos[i];
+            for j in (i + 1)..n {
+                let fij = pair_force(pi, pos[j]);
+                f[i][0] += fij[0];
+                f[i][1] += fij[1];
+                f[i][2] += fij[2];
+                f[j][0] -= fij[0];
+                f[j][1] -= fij[1];
+                f[j][2] -= fij[2];
+                pairs += 1;
+            }
+        }
+        pairs
+    }
+
+    /// The oracle for `task_potential`: the naive pair-by-pair loop.
+    #[allow(clippy::needless_range_loop)]
+    fn per_pair_potential(pos: &[[f64; 3]], t: usize, nprocs: usize) -> (f64, u64) {
+        let n = pos.len();
+        let mut e = 0.0;
+        let mut pairs = 0u64;
+        for i in (t..n).step_by(nprocs) {
+            let pi = pos[i];
+            for j in (i + 1)..n {
+                e += pair_potential(pi, pos[j]);
+                pairs += 1;
+            }
+        }
+        (e, pairs)
+    }
+
+    fn bits(xs: &[[f64; 3]]) -> Vec<u64> {
+        xs.iter().flatten().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every task's row kernels against the pair-by-pair loops, into a
+        /// contribution array of garbage, on molecules some of which share
+        /// a position: rows shorter and longer than a block, and any count
+        /// of rows per task.
+        #[test]
+        fn row_kernels_equal_the_per_pair_loops(
+            n in 0..80usize,
+            procs in 1..9usize,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let mut pos: Vec<[f64; 3]> =
+                (0..n).map(|_| [0; 3].map(|_| rng.gen_range_f64(-2.0, 14.0))).collect();
+            for i in 0..n {
+                if rng.next_u64().is_multiple_of(6) {
+                    pos[i] = pos[rng.next_u64() as usize % n];
+                }
+            }
+            for t in 0..procs {
+                let mut f: Vec<[f64; 3]> =
+                    (0..n).map(|_| [0; 3].map(|_| f64::from_bits(rng.next_u64()))).collect();
+                let mut want = vec![[1.0; 3]; n];
+                prop_assert_eq!(
+                    task_forces(&pos, t, procs, &mut f),
+                    per_pair_forces(&pos, t, procs, &mut want)
+                );
+                prop_assert_eq!(bits(&f), bits(&want));
+                let (e, pairs) = task_potential(&pos, t, procs);
+                let (want_e, want_pairs) = per_pair_potential(&pos, t, procs);
+                prop_assert_eq!((e.to_bits(), pairs), (want_e.to_bits(), want_pairs));
+            }
+        }
     }
 }

@@ -141,23 +141,38 @@ fn small_runs_match_their_golden_fingerprints() {
     assert_eq!(got, GOLDEN, "as source: {got:#x?}");
 }
 
-/// The paper configurations at 8 and 32 processors — the twelve traces the
-/// simulator workloads replay. Too slow to pin in a debug build; print them
-/// in release on two commits and compare:
-/// `cargo test --release --test apps_golden -- --ignored --nocapture`.
+/// Recorded at `7760d7b`, before String's and Water's kernels were
+/// rewritten: the paper configurations at 8, then 32 processors — the
+/// twelve traces the simulator workloads replay.
+#[rustfmt::skip]
+const PAPER: [Print; 12] = [
+    ("water", [0x40ee38c480b8ef70, 0x406013118805e69a], 144, 0x2cbbdb429e34f5a5),
+    ("string", [0x3f4b790bb00fbba9, 0x3f31a7174b3803c4], 54, 0x9c1d096428de36ad),
+    ("ocean", [0x3f57056cf56d24f7, 0xbf74b7b26f0d90fe], 6301, 0xf5570d62b4e41987),
+    ("cholesky", [0x40b2542f4c546809, 0x4009a166a6ce45bd], 3400, 0xe67ae099bb43f6f3),
+    ("pagerank", [0x3ff00000000000f6, 0x3fbc0c97cdb524de], 1681, 0x3f2155dfbbfc25e4),
+    ("halo", [0x40d909c4f7588be5, 0xc0060e1b587346e6], 4201, 0xb2d88865532a4c76),
+    ("water", [0x40ee38c480b8ef46, 0x406013118805e69a], 528, 0x5d7e2b0c2c291445),
+    ("string", [0x3f4b790bb00fbbab, 0x3f31a7174b380382], 198, 0x0f5c3372f11dd77d),
+    ("ocean", [0x3f57f943d632d4b0, 0xbf678e41bd53761c], 27901, 0x1ce917d348611fef),
+    ("cholesky", [0x40b2542f4c546809, 0x4009a166a6ce45bd], 3400, 0x5619fda6cb25097e),
+    ("pagerank", [0x3ff00000000000fd, 0x3fbc0c97cdb524f9], 7441, 0x73269cbf3642d344),
+    ("halo", [0x40d909c4f7588be5, 0xc0060e1b587346e6], 4201, 0x9b8d782564bcee76),
+];
+
+/// Too slow for a debug build (tens of seconds); in release it takes about
+/// half a second: `cargo test --release --test apps_golden`.
 #[test]
-#[ignore]
-fn print_paper_fingerprints() {
+#[cfg_attr(debug_assertions, ignore)]
+fn paper_runs_match_their_golden_fingerprints() {
+    let mut got = Vec::new();
     for procs in [8, 32] {
-        for p in [
-            water(&water::WaterConfig::paper(procs)),
-            string(&string_app::StringConfig::paper(procs)),
-            ocean(&ocean::OceanConfig::paper(procs)),
-            cholesky(&cholesky::CholeskyConfig::paper(procs)),
-            pagerank(&pagerank::PagerankConfig::paper(procs)),
-            halo(&halo::HaloConfig::paper(procs)),
-        ] {
-            println!("p{procs} {p:x?}");
-        }
+        got.push(water(&water::WaterConfig::paper(procs)));
+        got.push(string(&string_app::StringConfig::paper(procs)));
+        got.push(ocean(&ocean::OceanConfig::paper(procs)));
+        got.push(cholesky(&cholesky::CholeskyConfig::paper(procs)));
+        got.push(pagerank(&pagerank::PagerankConfig::paper(procs)));
+        got.push(halo(&halo::HaloConfig::paper(procs)));
     }
+    assert_eq!(got, PAPER, "as source: {got:#x?}");
 }
