@@ -9,9 +9,10 @@
 //! appendices.
 //!
 //! The Jade machine runtimes (`jade-dash`, `jade-ipsc`) drive their
-//! scheduling and communication algorithms on top of this substrate; every
-//! number they report is a function of virtual time only, so experiments are
-//! exactly reproducible.
+//! scheduling and communication algorithms on top of this substrate, through
+//! the one [`driver`] that replays Jade's main thread and task lifecycle for
+//! both; every number they report is a function of virtual time only, so
+//! experiments are exactly reproducible.
 //!
 //! ```
 //! use dsim::{Calendar, SimTime, SimDuration, ProcClock, TimeKind};
@@ -32,6 +33,7 @@
 #![forbid(unsafe_code)]
 
 mod calendar;
+pub mod driver;
 mod fault;
 mod machine;
 mod proc;

@@ -26,7 +26,7 @@
 //! Gauss-Seidel within a block and Jacobi across block edges, the standard
 //! hybrid for block-decomposed relaxation. See DESIGN.md.
 //!
-//! A task sweeps its columns on a skewed front ([`FRONT`] columns at once)
+//! A task sweeps its columns on a skewed front (`FRONT` columns at once)
 //! with the forcing term tabulated once per program; the serial reference
 //! keeps the column-by-column loop and per-cell forcing and is its oracle.
 //! Every cell sums the same operands in the same order, so the two agree

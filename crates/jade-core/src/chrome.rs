@@ -1,4 +1,4 @@
-//! Chrome `trace_event` export for [`Event`](crate::Event) streams.
+//! Chrome `trace_event` export for [`Event`] streams.
 //!
 //! [`write_chrome_trace`] serializes a recorded run into the JSON Array
 //! Format understood by `chrome://tracing` and Perfetto: each processor

@@ -572,7 +572,7 @@ pub struct Metrics {
 /// Each event is folded in O(1): counters and byte/time sums go straight
 /// into the `Metrics` under construction, and a task's fetch window
 /// (first request, last arrival) lives in a table indexed by task id less
-/// the smallest id seen ([`Windows`]) — task ids are dense, so its size
+/// the smallest id seen (`Windows`) — task ids are dense, so its size
 /// follows the span of the ids that fetch, never their magnitude, and
 /// nothing is hashed. Two things are still buffered until `finish`, because the
 /// overlap metric intersects them and neither side arrives in time order:

@@ -181,7 +181,7 @@ pub struct Synchronizer {
     /// serialize all of the applications".
     replication: bool,
     live_tasks: usize,
-    /// Id of the first task in the current window ([`recycle`] advances
+    /// Id of the first task in the current window ([`recycle`](Self::recycle) advances
     /// it): task `id` lives at slot `id.index() - base`, tasks below `base`
     /// are completed history.
     base: u32,

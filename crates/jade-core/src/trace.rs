@@ -97,11 +97,13 @@ impl Trace {
             .unwrap_or(crate::ids::MAIN_PROC)
     }
 
-    /// Internal consistency checks; used by tests and debug runs.
+    /// Internal consistency checks. Both machine simulators run them at
+    /// entry and refuse a trace that fails, since its fields are public;
+    /// [`TraceBuilder::build`] asserts them in debug builds.
     ///
     /// Verifies that access specs reference allocated objects, ids are
-    /// dense and ordered, and work/size values are sane. Returns a list of
-    /// violations (empty = valid).
+    /// dense and ordered, work values are finite and non-negative, and
+    /// phases are in range. Returns a list of violations (empty = valid).
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
         for (i, ob) in self.objects.iter().enumerate() {

@@ -34,15 +34,19 @@
 #![forbid(unsafe_code)]
 
 mod costs;
-mod error;
 mod memsim;
 mod scheduler;
 mod sim;
 
 pub use costs::DashCosts;
-pub use error::DashError;
 pub use memsim::MemSim;
 pub use scheduler::{DashScheduler, LocalityMode};
 pub use sim::{
     run, run_traced, try_run, try_run_folded, try_run_traced, DashConfig, DashRunResult,
 };
+
+/// Why a DASH simulation could not produce a result: the one simulator
+/// error type. A malformed fault plan is rejected, but the parts of a valid
+/// plan a shared-memory machine cannot apply are ignored (see
+/// [`DashConfig::faults`]), and DASH never exhausts fetch retries.
+pub type DashError = dsim::driver::SimError;

@@ -1,26 +1,20 @@
 //! The DASH machine simulation: replays a Jade program trace under the
 //! shared-memory runtime algorithms of paper Sections 3.1–3.2.
 //!
-//! The main thread (on processor 0) walks the trace in serial program order,
-//! paying a creation cost per task and registering accesses with the
-//! synchronizer. Serial-phase tasks are main-thread inline code: the main
-//! thread blocks until they can execute and runs them on processor 0 —
-//! while it is blocked, processor 0's dispatcher runs ordinary tasks.
-//! Enabled tasks flow through the [`DashScheduler`]; execution time is the
-//! task's calibrated compute work plus the memory-system communication
-//! charges from [`MemSim`].
+//! The main thread, the task lifecycle and the deadline gate are the one
+//! simulator driver's ([`dsim::driver`]; DESIGN.md §4, "One simulator
+//! driver"); this module is DASH's hooks into it. Enabled tasks flow
+//! through the [`DashScheduler`]: serial-phase tasks run inline on
+//! processor 0 as soon as it is free, and execution time is the task's
+//! calibrated compute work plus the memory-system communication charges
+//! from [`MemSim`].
 
 use crate::costs::DashCosts;
-use crate::error::DashError;
 use crate::memsim::MemSim;
 use crate::scheduler::{DashScheduler, LocalityMode};
-use dsim::{
-    Calendar, DashSpec, FaultInjector, FaultPlan, ProcClock, ProcId, SimDuration, SimTime, TimeKind,
-};
-use jade_core::{
-    AccessMode, Component, Event, EventKind, EventSink, Locality, MetricsFold, NullSink, ObjectId,
-    Sink, Synchronizer, TaskId, Trace,
-};
+use dsim::driver::{self, Core, Machine, Run, SimError};
+use dsim::{DashSpec, FaultPlan, ProcId, SimDuration, SimTime, TimeKind};
+use jade_core::{AccessMode, EventKind, ObjectId, Sink, TaskId};
 
 /// Configuration of one DASH run.
 #[derive(Clone, Debug)]
@@ -143,12 +137,9 @@ pub struct DashRunResult {
     pub per_proc_busy: Vec<(f64, f64, f64)>,
 }
 
-#[derive(Debug)]
+/// DASH's own calendar event.
+#[derive(Clone, Copy, Debug)]
 enum Ev {
-    /// Main thread processes its next trace record.
-    MainStep,
-    /// A task finished on a processor.
-    Finish { proc: ProcId, task: TaskId },
     /// An idle processor re-checks for stealable work.
     Retry { proc: ProcId },
 }
@@ -168,9 +159,9 @@ struct Fetch {
     prefetched: Option<bool>,
 }
 
-/// [`DashCosts`] in picoseconds, converted once per run.
+/// [`DashCosts`] in picoseconds, converted once per run (the creation cost
+/// is the driver's).
 struct Costs {
-    create: SimDuration,
     dispatch: SimDuration,
     complete: SimDuration,
     steal: SimDuration,
@@ -180,400 +171,125 @@ struct Costs {
 impl Costs {
     /// Convert `c`, naming the first field that is negative, non-finite or
     /// too large to represent.
-    fn of(c: &DashCosts) -> Result<Costs, DashError> {
-        let time = |name: &str, s: f64| {
-            SimDuration::try_from_secs_f64(s).ok_or_else(|| {
-                DashError::InvalidMachine(format!(
-                    "cost {name} must be a finite non-negative time, got {s}"
-                ))
-            })
-        };
+    fn of(c: &DashCosts) -> Result<Costs, SimError> {
         Ok(Costs {
-            create: time("create_s", c.create_s)?,
-            dispatch: time("dispatch_s", c.dispatch_s)?,
-            complete: time("complete_s", c.complete_s)?,
-            steal: time("steal_s", c.steal_s)?,
-            steal_patience: time("steal_patience_s", c.steal_patience_s)?,
+            dispatch: driver::cost("dispatch_s", c.dispatch_s)?,
+            complete: driver::cost("complete_s", c.complete_s)?,
+            steal: driver::cost("steal_s", c.steal_s)?,
+            steal_patience: driver::cost("steal_patience_s", c.steal_patience_s)?,
         })
     }
 }
 
 /// Reject machine parameters that would panic deep in the event loop (a
-/// division by a zero cluster size, line size or clock rate, a negative
-/// task duration) with a typed [`DashError::InvalidMachine`].
-fn validate_machine(cfg: &DashConfig) -> Result<(), DashError> {
-    let bad = |why: String| Err(DashError::InvalidMachine(why));
-    let m = &cfg.machine;
+/// division by a zero cluster size, line size or clock rate) with a typed
+/// [`SimError::InvalidMachine`].
+fn validate_machine(m: &DashSpec) -> Result<(), SimError> {
     for (name, v) in [
         ("cluster size", m.cluster_size as u64),
         ("line size", m.line_bytes as u64),
         ("clock rate", m.clock_hz),
     ] {
         if v == 0 {
-            return bad(format!("{name} must be at least 1"));
+            return Err(SimError::InvalidMachine(format!(
+                "{name} must be at least 1"
+            )));
         }
-    }
-    if !(cfg.sec_per_op.is_finite() && (0.0..=3_600.0).contains(&cfg.sec_per_op)) {
-        return bad(format!(
-            "sec_per_op must be in [0, 3600] seconds, got {}",
-            cfg.sec_per_op
-        ));
-    }
-    // The jitter multiplier is `1 + frac * (u - 0.5)` with `u` in [0, 1);
-    // frac beyond 2 makes task durations negative.
-    if !(cfg.jitter_frac.is_finite() && (0.0..=2.0).contains(&cfg.jitter_frac)) {
-        return bad(format!(
-            "jitter fraction must be in [0, 2], got {}",
-            cfg.jitter_frac
-        ));
     }
     Ok(())
 }
 
 struct Sim<'a, R: Sink> {
-    trace: &'a Trace,
+    core: Core<'a, Ev, R>,
     cfg: &'a DashConfig,
     costs: Costs,
-    cal: Calendar<Ev>,
-    pc: ProcClock,
-    sync: Synchronizer,
     sched: DashScheduler,
     mem: Option<MemSim>,
     /// Precomputed target processor (owner of locality object) per task.
     target: Vec<ProcId>,
-    next_rec: usize,
-    main_blocked: Option<TaskId>,
+    /// The serial task main is blocked on is enabled but processor 0 is
+    /// still running another task.
     main_serial_ready: bool,
-    main_done: bool,
-    running: Vec<Option<TaskId>>,
     retry_pending: Vec<bool>,
     /// Deterministic LCG used to pick which idle processor grabs a shared-
     /// queue task at the No-Locality level: the paper's first-come
     /// first-served distribution is arbitrary, and a symmetric simulated
     /// system would otherwise develop accidental processor/task affinity.
     lcg: u64,
-    /// Every measurement below comes out of this event stream: the run's
-    /// counters are folded from it as it is emitted ([`MetricsFold`]), not
-    /// kept as ad-hoc tallies. `R` records the stream as well
-    /// ([`EventSink`]) or discards it ([`NullSink`]).
-    events: (MetricsFold, R),
-    /// Fault decision stream (transient stalls only on this machine).
-    inj: FaultInjector,
-    /// Native stall tally, cross-checked against the event stream.
-    n_stalls: u64,
     /// Per-task prefetch marks; `None` when no prefetch was issued
     /// (prefetch off, or nothing was remote).
     marks: Vec<Option<PrefetchMark>>,
     /// Every mark's (object, write-epoch) pairs, mark after mark.
     marked: Vec<(ObjectId, u64)>,
-    /// Scratch of [`Sim::start_task`] and [`Sim::on_finish`], kept between
-    /// calls for its storage.
+    /// Scratch of [`Machine::start_data`], kept between calls for its
+    /// storage.
     fetches: Vec<Fetch>,
-    newly: Vec<TaskId>,
     /// Monotone per-object write counter backing stale-prefetch detection:
     /// a prefetched line whose object epoch moved between enable and start
     /// was invalidated in flight and must be refetched at full cost.
     write_epoch: Vec<u64>,
-    /// Virtual-time budget ([`DashConfig::deadline`]).
-    budget: Option<dsim::SimBudget>,
-    /// The budget expired: main stopped creating tasks mid-program.
-    deadline_hit: bool,
     // Native prefetch tallies, cross-checked against the event stream.
     n_prefetch_issued: u64,
     n_prefetch_hits: u64,
     n_prefetch_stale: u64,
 }
 
-/// Simulate `trace` on the configured DASH machine.
-///
-/// Panics on a malformed configuration; see [`try_run`] for the typed-error
-/// variant.
-pub fn run(trace: &Trace, cfg: &DashConfig) -> DashRunResult {
-    run_traced(trace, cfg).0
-}
+dsim::entry_points!(DashConfig => DashRunResult, Sim::new);
 
-/// Simulate `trace` and also return the structured event stream the run's
-/// measurements were aggregated from (see [`jade_core::events`]).
-///
-/// Panics on a malformed configuration; see [`try_run_traced`].
-pub fn run_traced(trace: &Trace, cfg: &DashConfig) -> (DashRunResult, Vec<Event>) {
-    try_run_traced(trace, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`run`]. Folds each event into the result as it is
-/// emitted and never builds the stream; debug builds record it anyway so
-/// the span-conservation check still runs.
-pub fn try_run(trace: &Trace, cfg: &DashConfig) -> Result<DashRunResult, DashError> {
-    if cfg!(debug_assertions) {
-        return Ok(try_run_traced(trace, cfg)?.0);
-    }
-    try_run_folded(trace, cfg)
-}
-
-/// The fold-only run in every build profile — what release [`try_run`] is.
-/// For tests that compare it with [`try_run_traced`] under `cargo test`.
-#[doc(hidden)]
-pub fn try_run_folded(trace: &Trace, cfg: &DashConfig) -> Result<DashRunResult, DashError> {
-    Ok(simulate(trace, cfg, NullSink)?.0)
-}
-
-/// Fallible variant of [`run_traced`]: configuration problems and wedged
-/// event loops come back as [`DashError`] instead of panics. The result is
-/// the same fold [`try_run`] computes, with every event also recorded.
-pub fn try_run_traced(
-    trace: &Trace,
-    cfg: &DashConfig,
-) -> Result<(DashRunResult, Vec<Event>), DashError> {
-    simulate(trace, cfg, EventSink::recording())
-}
-
-/// The one simulation body: every event goes to the fold and to `rec`.
-fn simulate<R: Sink>(
-    trace: &Trace,
-    cfg: &DashConfig,
-    rec: R,
-) -> Result<(DashRunResult, Vec<Event>), DashError> {
-    let procs = cfg.machine.procs;
-    if procs < 1 {
-        return Err(DashError::NoProcessors);
-    }
-    validate_machine(cfg)?;
-    let costs = Costs::of(&cfg.costs)?;
-    if let Err(why) = cfg.faults.validate() {
-        return Err(DashError::InvalidFaultPlan(why));
-    }
-    let target = trace
-        .tasks
-        .iter()
-        .map(|t| {
-            t.spec.locality_object().map_or(jade_core::MAIN_PROC, |o| {
-                trace.object_home(o).min(procs - 1)
+impl<'a, R: Sink> Sim<'a, R> {
+    fn new(core: Core<'a, Ev, R>, cfg: &'a DashConfig) -> Result<Self, SimError> {
+        validate_machine(&cfg.machine)?;
+        let costs = Costs::of(&cfg.costs)?;
+        let trace = core.trace;
+        let procs = cfg.machine.procs;
+        let target = trace
+            .tasks
+            .iter()
+            .map(|t| {
+                t.spec.locality_object().map_or(jade_core::MAIN_PROC, |o| {
+                    trace.object_home(o).min(procs - 1)
+                })
             })
+            .collect();
+        Ok(Sim {
+            core,
+            cfg,
+            costs,
+            sched: DashScheduler::for_trace(cfg.mode, procs, trace),
+            mem: (cfg.model_comm && !cfg.work_free)
+                .then(|| MemSim::new(cfg.machine.clone(), trace)),
+            target,
+            main_serial_ready: false,
+            retry_pending: vec![false; procs],
+            lcg: 0x9E3779B97F4A7C15,
+            marks: vec![None; trace.tasks.len()],
+            marked: Vec::new(),
+            fetches: Vec::new(),
+            write_epoch: vec![0; trace.objects.len()],
+            n_prefetch_issued: 0,
+            n_prefetch_hits: 0,
+            n_prefetch_stale: 0,
         })
-        .collect();
-    let mut sim = Sim {
-        trace,
-        cfg,
-        costs,
-        cal: Calendar::new(),
-        pc: ProcClock::new(procs),
-        sync: Synchronizer::for_trace(cfg.replication, trace),
-        sched: DashScheduler::for_trace(cfg.mode, procs, trace),
-        mem: (cfg.model_comm && !cfg.work_free).then(|| MemSim::new(cfg.machine.clone(), trace)),
-        target,
-        next_rec: 0,
-        main_blocked: None,
-        main_serial_ready: false,
-        main_done: false,
-        running: vec![None; procs],
-        retry_pending: vec![false; procs],
-        lcg: 0x9E3779B97F4A7C15,
-        events: (MetricsFold::new(procs), rec),
-        inj: FaultInjector::new(cfg.faults),
-        n_stalls: 0,
-        marks: vec![None; trace.tasks.len()],
-        marked: Vec::new(),
-        fetches: Vec::new(),
-        newly: Vec::new(),
-        write_epoch: vec![0; trace.objects.len()],
-        budget: cfg.deadline.map(dsim::SimBudget::new),
-        deadline_hit: false,
-        n_prefetch_issued: 0,
-        n_prefetch_hits: 0,
-        n_prefetch_stale: 0,
-    };
-    sim.cal.schedule(SimTime::ZERO, Ev::MainStep);
-    while let Some((t, ev)) = sim.cal.pop() {
-        match ev {
-            Ev::MainStep => sim.main_step(t),
-            Ev::Finish { proc, task } => sim.on_finish(proc, task, t),
-            Ev::Retry { proc } => {
-                sim.retry_pending[proc] = false;
-                sim.try_fill(proc, t);
-            }
-        }
     }
-    // A deadline cut is a *successful partial* run, not a stall: tasks the
-    // gate refused (and trace records never created) are the cancelled
-    // remainder the caller reads off `deadline_exceeded`.
-    if !sim.deadline_hit && (!sim.main_done || !sim.sync.all_complete()) {
-        return Err(DashError::Stalled {
-            live_tasks: sim.sync.live_tasks(),
-        });
-    }
-    let (fold, rec) = sim.events;
-    let m = fold.finish();
-    let events = rec.into_events();
-    // The simulator's own tallies against the fold of its event stream.
-    let moved = sim.mem.as_ref().map_or(0, |mm| mm.bytes_moved);
-    for (what, folded, native) in [
-        ("steals", m.steals, sim.sched.steals),
-        ("fetch bytes", m.fetch_bytes, moved),
-        ("stalls", m.stalls, sim.n_stalls),
-        ("prefetches", m.prefetches_issued, sim.n_prefetch_issued),
-        ("prefetch hits", m.prefetch_hits, sim.n_prefetch_hits),
-        ("prefetch staleness", m.prefetch_stale, sim.n_prefetch_stale),
-    ] {
-        debug_assert_eq!(folded, native, "event {what} disagree with the simulator");
-    }
-    if R::ACTIVE {
-        debug_assert!(
-            jade_core::check_conservation(&events, procs, sim.pc.horizon().0).is_ok(),
-            "busy spans do not tile the makespan"
-        );
-    }
-    let total = m.total();
-    let result = DashRunResult {
-        procs,
-        exec_time_s: sim.pc.horizon().as_secs_f64(),
-        task_time_s: SimDuration(m.task_span_ps).as_secs_f64(),
-        locality_pct: dsim::percent(m.locality_hits as f64, m.locality_tracked as f64),
-        locality_tracked: m.locality_tracked,
-        tasks_executed: m.tasks_started,
-        steals: m.steals,
-        mgmt_time_s: SimDuration(total.mgmt_ps).as_secs_f64(),
-        main_mgmt_s: SimDuration(m.per_proc[0].mgmt_ps).as_secs_f64(),
-        comm_time_s: SimDuration(total.comm_ps).as_secs_f64(),
-        bytes_moved: m.fetch_bytes,
-        stalls: m.stalls,
-        stall_time_s: SimDuration(m.stall_ps).as_secs_f64(),
-        prefetches_issued: m.prefetches_issued,
-        prefetch_hits: m.prefetch_hits,
-        prefetch_stale: m.prefetch_stale,
-        overlap_frac: m.overlap_fraction(),
-        deadline_exceeded: sim.deadline_hit,
-        per_proc_busy: (0..procs)
-            .map(|p| {
-                let u = sim.pc.usage(p);
-                (
-                    u.app.as_secs_f64(),
-                    u.comm.as_secs_f64(),
-                    u.mgmt.as_secs_f64(),
-                )
-            })
-            .collect(),
-    };
-    Ok((result, events))
-}
 
-/// Deterministic mean-zero multiplicative jitter for task `id`.
-fn jitter(id: TaskId, frac: f64) -> f64 {
-    let h = (id.0 as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-    let u = ((h >> 40) % 10_000) as f64 / 10_000.0; // [0, 1)
-    1.0 + frac * (u - 0.5)
-}
-
-impl<R: Sink> Sim<'_, R> {
     fn is_idle(&self, p: ProcId) -> bool {
-        self.running[p].is_none() && (p != 0 || self.main_available())
-    }
-
-    /// Processor 0 may run tasks only while the main thread is blocked on a
-    /// serial phase or has finished creating tasks.
-    fn main_available(&self) -> bool {
-        self.main_done || self.main_blocked.is_some()
-    }
-
-    fn main_step(&mut self, t: SimTime) {
-        // Deadline: stop creating tasks once the budget is spent. The
-        // already-created suffix drains normally (each created task's
-        // predecessors were created before it), so the run terminates
-        // cleanly with partial metrics instead of wedging as `Stalled`.
-        let left = self.trace.tasks.len() - self.next_rec;
-        let cut = left > 0 && self.budget.is_some_and(|b| b.exhausted(t));
-        if cut || left == 0 {
-            self.deadline_hit |= cut;
-            self.main_done = true;
-            self.try_fill(0, t);
-            return;
-        }
-        let rec = &self.trace.tasks[self.next_rec];
-        let id = rec.id;
-        self.next_rec += 1;
-        if rec.serial_phase {
-            // Serial-phase code: main blocks until the dependences resolve,
-            // then executes inline on processor 0.
-            self.main_blocked = Some(id);
-            let enabled = self
-                .sync
-                .add_task_traced(id, &rec.spec, &mut self.events, t.0, 0);
-            if enabled {
-                self.start_task(0, id, t);
-            } else {
-                // Processor 0 is now free to run tasks while main waits.
-                self.try_fill(0, t);
-            }
-        } else {
-            let create = self.costs.create;
-            let end = self.pc.occupy(0, t, create, TimeKind::Mgmt);
-            self.events
-                .span(end.0 - create.0, 0, Component::Mgmt, create.0, Some(id));
-            let enabled = self
-                .sync
-                .add_task_traced(id, &rec.spec, &mut self.events, end.0, 0);
-            if enabled {
-                self.on_enabled(id, end);
-            }
-            self.cal.schedule(end, Ev::MainStep);
-        }
-    }
-
-    fn on_enabled(&mut self, id: TaskId, t: SimTime) {
-        if self.main_blocked == Some(id) {
-            if self.deadline_cuts(t) {
-                return;
-            }
-            if self.running[0].is_none() {
-                self.start_task(0, id, t);
-            } else {
-                self.main_serial_ready = true;
-            }
-            return;
-        }
-        let rec = &self.trace.tasks[id.index()];
-        let procs = self.pc.procs();
-        let pinned = self.cfg.mode.honors_placement() && rec.placement.is_some();
-        let target = if pinned {
-            rec.placement.unwrap().min(procs - 1)
-        } else {
-            self.target[id.index()]
-        };
-        self.sched
-            .insert(id, target, rec.spec.locality_object(), pinned, t);
-        if self.cfg.prefetch {
-            self.mark_prefetch(id, target, t);
-        }
-        // Wake processors that could run it.
-        if self.sched.mode().uses_locality() {
-            if self.is_idle(target) {
-                self.try_fill(target, t);
-            } else if !pinned {
-                for k in 1..procs {
-                    let p = (target + k) % procs;
-                    if self.is_idle(p) {
-                        self.try_fill(p, t);
-                        break;
-                    }
-                }
-            }
-        } else if let Some(p) = self.pick_idle() {
-            self.try_fill(p, t);
-        }
+        self.core.executing[p].is_none() && (p != 0 || self.core.main_available())
     }
 
     /// Start a split-phase prefetch for a newly enabled task: record which
     /// of its declared objects are remote to the target processor's cluster
     /// (with their current write epochs) and begin streaming them. The
-    /// payoff is applied in [`Sim::start_task`]: a still-valid prefetched
-    /// line completes at the streamed rate instead of a full round trip.
+    /// payoff is applied in [`Machine::start_data`]: a still-valid
+    /// prefetched line completes at the streamed rate instead of a full
+    /// round trip.
     fn mark_prefetch(&mut self, id: TaskId, target: ProcId, t: SimTime) {
         let Some(mem) = &self.mem else { return };
         let cluster = self.cfg.machine.cluster_of(target);
-        let rec = &self.trace.tasks[id.index()];
+        let rec = &self.core.trace.tasks[id.index()];
         let start = self.marked.len();
         for (o, bytes) in mem.missing_in(cluster, &rec.spec) {
             self.n_prefetch_issued += 1;
-            self.events.emit_obj(
+            self.core.events.emit_obj(
                 t.0,
                 target,
                 EventKind::PrefetchIssued { bytes },
@@ -591,7 +307,7 @@ impl<R: Sink> Sim<'_, R> {
     /// draw, taken only when somebody is idle, indexes the idle processors
     /// in ascending order.
     fn pick_idle(&mut self) -> Option<ProcId> {
-        let idle = || (0..self.pc.procs()).filter(|&p| self.is_idle(p));
+        let idle = || (0..self.core.pc.procs()).filter(|&p| self.is_idle(p));
         let n = idle().count();
         if n == 0 {
             return None;
@@ -605,22 +321,76 @@ impl<R: Sink> Sim<'_, R> {
         pick
     }
 
-    /// The deadline gate: refuse to start new work at `t` once the budget
-    /// is spent. Sets `deadline_hit` — only called when concrete ready work
-    /// is being refused, so the flag means work was actually cut.
-    fn deadline_cuts(&mut self, t: SimTime) -> bool {
-        if self.budget.is_some_and(|b| b.exhausted(t)) {
-            self.deadline_hit = true;
-            return true;
+    fn dispatch(&mut self, p: ProcId, task: TaskId, t: SimTime, stolen: bool) {
+        let mut cost = self.costs.dispatch;
+        if stolen {
+            cost += self.costs.steal;
         }
-        false
+        let target = self.target[task.index()];
+        self.core.dispatched(t, p, task, target, stolen);
+        let end = self.core.occupy(p, t, cost, TimeKind::Mgmt, Some(task));
+        self.start_task(p, task, end);
+    }
+}
+
+impl<'a, R: Sink> Machine<'a, R> for Sim<'a, R> {
+    type Ev = Ev;
+    type Result = DashRunResult;
+
+    fn core(&mut self) -> &mut Core<'a, Ev, R> {
+        &mut self.core
     }
 
-    fn try_fill(&mut self, p: ProcId, t: SimTime) {
+    fn enable(&mut self, id: TaskId, t: SimTime) {
+        let rec = &self.core.trace.tasks[id.index()];
+        let procs = self.core.pc.procs();
+        let pinned = self.cfg.mode.honors_placement() && rec.placement.is_some();
+        let target = if pinned {
+            rec.placement.unwrap().min(procs - 1)
+        } else {
+            self.target[id.index()]
+        };
+        self.sched
+            .insert(id, target, rec.spec.locality_object(), pinned, t);
+        if self.cfg.prefetch {
+            self.mark_prefetch(id, target, t);
+        }
+        // Wake processors that could run it.
+        if self.sched.mode().uses_locality() {
+            if self.is_idle(target) {
+                self.fill(target, t);
+            } else if !pinned {
+                for k in 1..procs {
+                    let p = (target + k) % procs;
+                    if self.is_idle(p) {
+                        self.fill(p, t);
+                        break;
+                    }
+                }
+            }
+        } else if let Some(p) = self.pick_idle() {
+            self.fill(p, t);
+        }
+    }
+
+    /// The serial task runs inline on processor 0 as soon as that processor
+    /// is free: now, or when its current task finishes.
+    fn enable_serial(&mut self, id: TaskId, t: SimTime) {
+        if self.core.deadline_cuts(t) {
+            return;
+        }
+        if self.core.executing[0].is_none() {
+            self.start_task(0, id, t);
+        } else {
+            self.main_serial_ready = true;
+        }
+    }
+
+    fn fill(&mut self, p: ProcId, t: SimTime) {
         if !self.is_idle(p) {
             return;
         }
-        if self.sched.queued() > 0 && self.deadline_cuts(t) {
+        if self.sched.queued() > 0 && self.core.deadline_cuts(t) {
             return;
         }
         if let Some(task) = self.sched.pop_local(p) {
@@ -634,78 +404,15 @@ impl<R: Sink> Sim<'_, R> {
         }
         if self.sched.any_stealable() && !self.retry_pending[p] {
             self.retry_pending[p] = true;
-            self.cal
+            self.core
                 .schedule(t + self.costs.steal_patience, Ev::Retry { proc: p });
         }
     }
 
-    /// The heuristic outcome to record for a dispatch of `id` to `p`:
-    /// measured only for parallel tasks that declared a locality object.
-    fn locality_of(&self, p: ProcId, id: TaskId) -> Locality {
-        let rec = &self.trace.tasks[id.index()];
-        if rec.serial_phase || rec.spec.locality_object().is_none() {
-            Locality::Untracked
-        } else if p == self.target[id.index()] {
-            Locality::Hit
-        } else {
-            Locality::Miss
-        }
-    }
-
-    fn dispatch(&mut self, p: ProcId, task: TaskId, t: SimTime, stolen: bool) {
-        let mut cost = self.costs.dispatch;
-        if stolen {
-            cost += self.costs.steal;
-        }
-        let locality = self.locality_of(p, task);
-        self.events
-            .emit_task(t.0, p, EventKind::TaskDispatched { stolen, locality }, task);
-        let end = self.pc.occupy(p, t, cost, TimeKind::Mgmt);
-        self.events
-            .span(end.0 - cost.0, p, Component::Mgmt, cost.0, Some(task));
-        self.start_task(p, task, end);
-    }
-
-    fn start_task(&mut self, p: ProcId, id: TaskId, t: SimTime) {
-        debug_assert!(self.running[p].is_none(), "dispatch to busy processor");
-        let mut t = t;
-        // Injected transient stall: the processor loses time to OS jitter
-        // (a page fault, an interrupt storm) before the task starts. The
-        // task still runs to completion — a stall only shifts its span,
-        // and the work-stealing scheduler absorbs the imbalance.
-        if let Some(d) = self.inj.stall() {
-            self.n_stalls += 1;
-            self.events
-                .emit(t.0, p, EventKind::ProcStalled { dur_ps: d.0 });
-            let end = self.pc.occupy(p, t, d, TimeKind::Comm);
-            self.events.span(end.0 - d.0, p, Component::Comm, d.0, None);
-            t = end;
-        }
-        self.running[p] = Some(id);
-        let rec = &self.trace.tasks[id.index()];
-        if rec.serial_phase {
-            // Serial tasks bind to the main processor without a scheduler
-            // dispatch; emit the binding here so every task has one
-            // dispatched event in its lifecycle chain.
-            self.events.emit_task(
-                t.0,
-                p,
-                EventKind::TaskDispatched {
-                    stolen: false,
-                    locality: Locality::Untracked,
-                },
-                id,
-            );
-        }
-        self.events.emit_task(t.0, p, EventKind::TaskStarted, id);
-        let work = if self.cfg.work_free {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_secs_f64(
-                rec.work * self.cfg.sec_per_op * jitter(id, self.cfg.jitter_frac),
-            )
-        };
-        // Inter-cluster fetches this task stalls on.
+    /// The inter-cluster fetches the task stalls on, charged after its
+    /// compute as one communication span.
+    fn start_data(&mut self, p: ProcId, id: TaskId, end: SimTime) -> SimTime {
+        let rec = &self.core.trace.tasks[id.index()];
         let mut fetches = std::mem::take(&mut self.fetches);
         let mut comm = self.mem.as_mut().map_or(SimDuration::ZERO, |mem| {
             let on_fetch = |obj, bytes, stall| {
@@ -752,20 +459,17 @@ impl<R: Sink> Sim<'_, R> {
                 self.write_epoch[d.object.index()] += 1;
             }
         }
-        let mut end = self.pc.occupy(p, t, work, TimeKind::App);
-        self.events
-            .span(end.0 - work.0, p, Component::App, work.0, Some(id));
+        let mut end = end;
         if comm > SimDuration::ZERO {
             let comm_start = end;
-            end = self.pc.occupy(p, t, comm, TimeKind::Comm);
-            self.events
-                .span(end.0 - comm.0, p, Component::Comm, comm.0, Some(id));
+            end = self.core.occupy(p, end, comm, TimeKind::Comm, Some(id));
             // Each fetch completes at its offset within the stall interval.
+            let events = &mut self.core.events;
             let mut at = comm_start;
             for f in &fetches {
                 at += f.stall;
                 let bytes = f.bytes;
-                self.events.emit_obj(
+                events.emit_obj(
                     at.0,
                     p,
                     EventKind::ObjectFetch {
@@ -781,13 +485,13 @@ impl<R: Sink> Sim<'_, R> {
                     } else {
                         EventKind::PrefetchStale { bytes }
                     };
-                    self.events.emit_obj(at.0, p, kind, Some(id), f.obj);
+                    events.emit_obj(at.0, p, kind, Some(id), f.obj);
                 }
             }
             // With aggregation on, ≥ 2 remote objects rode one coalesced
             // transfer; mark the bundle for message-count accounting.
             if self.cfg.aggregate_fetches && fetches.len() >= 2 {
-                self.events.emit_obj(
+                events.emit_obj(
                     at.0,
                     p,
                     EventKind::AggregatedFetch {
@@ -801,32 +505,25 @@ impl<R: Sink> Sim<'_, R> {
         }
         fetches.clear();
         self.fetches = fetches;
-        self.cal.schedule(end, Ev::Finish { proc: p, task: id });
+        end
     }
 
-    fn on_finish(&mut self, p: ProcId, id: TaskId, t: SimTime) {
+    fn finish(&mut self, p: ProcId, id: TaskId, t: SimTime) {
         let complete = self.costs.complete;
-        let end = self.pc.occupy(p, t, complete, TimeKind::Mgmt);
-        self.events
-            .span(end.0 - complete.0, p, Component::Mgmt, complete.0, Some(id));
-        let mut newly = std::mem::take(&mut self.newly);
-        self.sync
-            .complete_traced(id, &mut newly, &mut self.events, end.0, p);
-        self.running[p] = None;
-        if self.main_blocked == Some(id) {
-            self.main_blocked = None;
+        let end = self.core.occupy(p, t, complete, TimeKind::Mgmt, Some(id));
+        self.core.executing[p] = None;
+        if self.core.main_blocked == Some(id) {
+            // Main resumes ahead of the successors: its step is on the
+            // calendar before anything they schedule.
             self.main_serial_ready = false;
-            self.cal.schedule(end, Ev::MainStep);
+            self.core.cal.schedule(end, driver::Ev::MainStep);
         }
-        for t2 in newly.drain(..) {
-            self.on_enabled(t2, end);
-        }
-        self.newly = newly;
+        self.complete(id, p, end);
         // If a serial task became ready while processor 0 was busy with the
         // task that just finished, run it now.
         if p == 0 && self.main_serial_ready {
-            if let Some(serial) = self.main_blocked {
-                if self.deadline_cuts(end) {
+            if let Some(serial) = self.core.main_blocked {
+                if self.core.deadline_cuts(end) {
                     return;
                 }
                 self.main_serial_ready = false;
@@ -834,14 +531,61 @@ impl<R: Sink> Sim<'_, R> {
                 return;
             }
         }
-        self.try_fill(p, end);
+        self.fill(p, end);
+    }
+
+    fn handle(&mut self, ev: Ev, t: SimTime) {
+        let Ev::Retry { proc } = ev;
+        self.retry_pending[proc] = false;
+        self.fill(proc, t);
+    }
+
+    fn result(self, run: Run) -> DashRunResult {
+        let m = &run.metrics;
+        // The simulator's own tallies against the fold of its event stream.
+        let moved = self.mem.as_ref().map_or(0, |mm| mm.bytes_moved);
+        for (what, folded, native) in [
+            ("steals", m.steals, self.sched.steals),
+            ("fetch bytes", m.fetch_bytes, moved),
+            ("prefetches", m.prefetches_issued, self.n_prefetch_issued),
+            ("prefetch hits", m.prefetch_hits, self.n_prefetch_hits),
+            (
+                "prefetch staleness",
+                m.prefetch_stale,
+                self.n_prefetch_stale,
+            ),
+        ] {
+            debug_assert_eq!(folded, native, "event {what} disagree with the simulator");
+        }
+        let total = m.total();
+        DashRunResult {
+            procs: run.procs,
+            exec_time_s: run.exec_time_s,
+            task_time_s: run.task_time_s,
+            locality_pct: run.locality_pct,
+            locality_tracked: m.locality_tracked,
+            tasks_executed: m.tasks_started,
+            steals: m.steals,
+            mgmt_time_s: SimDuration(total.mgmt_ps).as_secs_f64(),
+            main_mgmt_s: SimDuration(m.per_proc[0].mgmt_ps).as_secs_f64(),
+            comm_time_s: SimDuration(total.comm_ps).as_secs_f64(),
+            bytes_moved: m.fetch_bytes,
+            stalls: m.stalls,
+            stall_time_s: SimDuration(m.stall_ps).as_secs_f64(),
+            prefetches_issued: m.prefetches_issued,
+            prefetch_hits: m.prefetch_hits,
+            prefetch_stale: m.prefetch_stale,
+            overlap_frac: m.overlap_fraction(),
+            deadline_exceeded: run.deadline_exceeded,
+            per_proc_busy: run.per_proc_busy,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jade_core::{AccessSpec, Metrics, ObjectId, TraceBuilder};
+    use jade_core::{AccessSpec, Metrics, ObjectId, Trace, TraceBuilder};
 
     fn spec(reads: &[ObjectId], writes: &[ObjectId]) -> AccessSpec {
         let mut s = AccessSpec::new();

@@ -35,16 +35,20 @@
 
 mod communicator;
 mod costs;
-mod error;
 mod scheduler;
 mod sim;
 
 pub use communicator::{CommSnapshot, Communicator, ObjectTraffic};
 pub use costs::IpscCosts;
-pub use error::IpscError;
 pub use jade_core::LocalityMode;
 pub use scheduler::{Decision, IpscScheduler};
 pub use sim::{
     run, run_traced, try_run, try_run_folded, try_run_traced, IpscConfig, IpscRunResult,
     PinnedSchedule,
 };
+
+/// Why an iPSC/860 simulation could not produce a result: the one simulator
+/// error type. Fault injection makes failure a normal outcome — a plan can
+/// be malformed, can name a processor that cannot die, or can (in
+/// principle) starve a fetch past its retry budget.
+pub type IpscError = dsim::driver::SimError;

