@@ -16,8 +16,8 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::proc::{ProcClock, TimeKind};
 use crate::time::{SimBudget, SimDuration, SimTime};
 use jade_core::{
-    Component, Event, EventKind, Locality, Metrics, MetricsFold, ObjectId, ProcId, Sink,
-    Synchronizer, TaskId, Trace,
+    Component, Countdown, Event, EventKind, Locality, Metrics, MetricsFold, ObjectId, ProcId, Sink,
+    TaskId, Trace,
 };
 use std::fmt;
 
@@ -180,14 +180,16 @@ pub enum Ev<E> {
     Machine(E),
 }
 
-/// The driver's state: the calendar, the processor clocks, the
-/// synchronizer, the event sinks and the main thread. A machine embeds one
-/// and hands it out through [`Machine::core`].
+/// The driver's state: the calendar, the processor clocks, the replay of
+/// the trace's dependence graph, the event sinks and the main thread. A
+/// machine embeds one and hands it out through [`Machine::core`].
 pub struct Core<'a, E, R: Sink> {
     pub trace: &'a Trace,
     pub cal: Calendar<Ev<E>>,
     pub pc: ProcClock,
-    pub sync: Synchronizer,
+    /// Which created tasks are enabled: the trace's
+    /// [`DepGraph`](jade_core::DepGraph), counted down by completions.
+    pub deps: Countdown<'a>,
     /// Every measurement comes out of this event stream: the run's counters
     /// are folded from it as it is emitted ([`MetricsFold`]). `R` records
     /// the stream as well ([`jade_core::EventSink`]) or discards it
@@ -210,7 +212,9 @@ pub struct Core<'a, E, R: Sink> {
     next_rec: usize,
     /// Native stall tally, cross-checked against the event stream.
     n_stalls: u64,
-    /// Scratch of [`Machine::complete`], kept for its storage.
+    /// Scratch of [`Machine::complete`], kept for its storage: every
+    /// `TaskEnabled` of a completion is emitted before the machine places
+    /// any of the tasks it enabled.
     newly: Vec<TaskId>,
 }
 
@@ -239,16 +243,16 @@ impl<'a, E, R: Sink> Core<'a, E, R> {
         }
         let create = cost("create_s", p.create_s)?;
         p.faults.validate().map_err(SimError::InvalidFaultPlan)?;
-        if let Some(why) = trace.validate().into_iter().next() {
-            return Err(SimError::InvalidTrace(why));
-        }
+        let graph = trace
+            .dep_graph(p.replication)
+            .map_err(SimError::InvalidTrace)?;
         let mut cal = Calendar::new();
         cal.schedule(SimTime::ZERO, Ev::MainStep);
         Ok(Core {
             trace,
             cal,
             pc: ProcClock::new(p.procs),
-            sync: Synchronizer::for_trace(p.replication, trace),
+            deps: Countdown::new(graph),
             events: (MetricsFold::new(p.procs), rec),
             inj: FaultInjector::new(p.faults),
             executing: vec![None; p.procs],
@@ -437,7 +441,7 @@ pub trait Machine<'a, R: Sink>: Sized {
             // Main blocks until the serial task's dependences resolve;
             // processor 0 runs ordinary tasks meanwhile.
             c.main_blocked = Some(id);
-            if c.sync.add_task_traced(id, &rec.spec, &mut c.events, t.0, 0) {
+            if c.deps.add_task_traced(id, &mut c.events, t.0, 0) {
                 self.enable_serial(id, t);
             } else {
                 self.fill(0, t);
@@ -446,9 +450,7 @@ pub trait Machine<'a, R: Sink>: Sized {
             let end = c.occupy(0, t, c.create, TimeKind::Mgmt, Some(id));
             self.created(id, end);
             let c = self.core();
-            if c.sync
-                .add_task_traced(id, &rec.spec, &mut c.events, end.0, 0)
-            {
+            if c.deps.add_task_traced(id, &mut c.events, end.0, 0) {
                 self.on_enabled(id, end);
             }
             self.core().cal.schedule(end, Ev::MainStep);
@@ -504,10 +506,10 @@ pub trait Machine<'a, R: Sink>: Sized {
             .schedule(end, Ev::Finish { proc: p, task: id });
     }
 
-    /// Retire `id`, which ran on `p`, in the synchronizer at `t` and pass
-    /// every task that enables to [`Machine::on_enabled`]. If `id` is the
-    /// serial task main is blocked on, main is unblocked first, so those
-    /// tasks see processor 0 held by main; the machine schedules the
+    /// Retire `id`, which ran on `p`, at `t`: count down its successors
+    /// and pass every task that enables to [`Machine::on_enabled`]. If `id`
+    /// is the serial task main is blocked on, main is unblocked first, so
+    /// those tasks see processor 0 held by main; the machine schedules the
     /// `MainStep` that resumes it.
     fn complete(&mut self, id: TaskId, p: ProcId, t: SimTime) {
         let c = self.core();
@@ -516,7 +518,7 @@ pub trait Machine<'a, R: Sink>: Sized {
         }
         let mut newly = std::mem::take(&mut c.newly);
         newly.clear();
-        c.sync
+        c.deps
             .complete_traced(id, &mut newly, &mut c.events, t.0, p);
         for &enabled in &newly {
             self.on_enabled(enabled, t);
@@ -556,9 +558,9 @@ where
     // A deadline cut is a *successful partial* run, not a stall: tasks the
     // gate refused (and trace records never created) are the cancelled
     // remainder the caller reads off `deadline_exceeded`.
-    if !c.deadline_hit && (!c.main_done || !c.sync.all_complete()) {
+    if !c.deadline_hit && (!c.main_done || !c.deps.all_complete()) {
         return Err(SimError::Stalled {
-            live_tasks: c.sync.live_tasks(),
+            live_tasks: c.deps.live_tasks(),
         });
     }
     let procs = c.pc.procs();

@@ -646,6 +646,83 @@ mod tests {
         assert!(FaultPlan::parse("drop=0.1,dup=0.1,seed=3").is_ok());
     }
 
+    use proptest::prelude::*;
+
+    /// Specs `parse` accepts: the seeds of the single-byte mutations.
+    const VALID_SPECS: [&str; 4] = [
+        "drop=0.05,dup=0.02,delay=0.1:0.001,reorder=0.05,stall=0.01:0.005,fail=3@0.5,panic=0.1,seed=42",
+        "ckpt=0.25",
+        "checkpoint=0.25,fail=1@0.1",
+        "drop=0.1,dup=0.1,seed=3",
+    ];
+
+    /// Pieces of specs, for inputs that get past the first `key=value`.
+    const TOKENS: [&str; 24] = [
+        "drop",
+        "dup",
+        "delay",
+        "reorder",
+        "stall",
+        "fail",
+        "panic",
+        "seed",
+        "ckpt",
+        "checkpoint",
+        "=",
+        ",",
+        ":",
+        "@",
+        "0.5",
+        "1",
+        "0",
+        "-1",
+        "1e30",
+        "nan",
+        "inf",
+        "3",
+        "18446744073709551616",
+        "",
+    ];
+
+    /// `parse` answers `Ok` or `Err`, and an `Ok` plan passes `validate`.
+    fn answers(bytes: &[u8]) {
+        if let Ok(plan) = FaultPlan::parse(&String::from_utf8_lossy(bytes)) {
+            assert_eq!(plan.validate(), Ok(()));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The `--faults` and `ckpt=` parser on anything a command line
+        /// can carry: random bytes, valid specs with one byte replaced,
+        /// inserted or deleted, and random strings of spec pieces. It
+        /// returns, and never panics.
+        #[test]
+        fn parse_answers_any_input(
+            bytes in prop::collection::vec(any::<u8>(), 0..48),
+            which in 0..4usize,
+            at in any::<u32>(),
+            byte in any::<u8>(),
+            edit in 0..3u8,
+            tokens in prop::collection::vec(0..24usize, 0..16),
+        ) {
+            answers(&bytes);
+            let mut spec = VALID_SPECS[which].as_bytes().to_vec();
+            let at = at as usize % spec.len();
+            match edit {
+                0 => spec[at] = byte,
+                1 => spec.insert(at, byte),
+                _ => {
+                    spec.remove(at);
+                }
+            }
+            answers(&spec);
+            let soup: String = tokens.iter().map(|&t| TOKENS[t]).collect();
+            answers(soup.as_bytes());
+        }
+    }
+
     #[test]
     fn checkpoint_interval_parses_but_is_not_a_fault() {
         let plan = FaultPlan::parse("ckpt=0.25").unwrap();

@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the runtime components themselves: synchronizer
-//! throughput, simulator event rates (and, under them, the calendar and
+//! throughput, the dependence graph the simulators replay instead,
+//! simulator event rates (and, under them, the calendar and
 //! the fault injector), the iPSC simulator on its two heaviest benchmark
 //! cells, trace generation, the real thread backend (one
 //! cold batch, and `submit` + `finish` per task on a warmed runtime in the
@@ -17,8 +18,8 @@
 use dsim::{Calendar, FaultInjector, FaultPlan, SimDuration};
 use jade_core::LocalityMode;
 use jade_core::{
-    AccessSpec, EventSink, Handle, JadeRuntime, NullSink, ObjectId, Store, Synchronizer,
-    TaskBuilder, TaskDef, TaskId, TraceBuilder, TransitionBatch,
+    AccessSpec, Countdown, DepGraph, EventSink, Handle, JadeRuntime, NullSink, ObjectId, Store,
+    Synchronizer, TaskBuilder, TaskDef, TaskId, Trace, TraceBuilder, TransitionBatch,
 };
 use jade_threads::{JadeService, Outcome, Program, ServiceConfig, TenantOptions, ThreadRuntime};
 
@@ -108,6 +109,78 @@ fn synchronizer_throughput() {
             })
         });
     }
+}
+
+/// The twelve paper traces (every application at 8 and 32 processors),
+/// each as a simulator sees its dependences: the cost of building its
+/// `DepGraph`, of replaying the graph with counters, and of the
+/// synchronizer replay the graph replaced, per task, the task enabled last
+/// completing first; and the graph's size.
+fn dependence_graphs() {
+    use jade_apps::{cholesky, halo, ocean, pagerank, string_app, water};
+    let mut traces: Vec<Trace> = Vec::new();
+    for p in [8, 32] {
+        traces.push(water::run_trace(&water::WaterConfig::paper(p)).0);
+        traces.push(string_app::run_trace(&string_app::StringConfig::paper(p)).0);
+        traces.push(ocean::run_trace(&ocean::OceanConfig::paper(p)).0);
+        traces.push(cholesky::run_trace(&cholesky::CholeskyConfig::paper(p)).0);
+        traces.push(pagerank::run_trace(&pagerank::PagerankConfig::paper(p)).0);
+        traces.push(halo::run_trace(&halo::HaloConfig::paper(p)).0);
+    }
+    let tasks: usize = traces.iter().map(|t| t.task_count()).sum();
+    let graphs: Vec<DepGraph> = traces.iter().map(|t| DepGraph::build(t, true)).collect();
+    let edges: usize = graphs.iter().map(|g| g.edge_count()).sum();
+    let decls: usize = (traces.iter().flat_map(|t| &t.tasks))
+        .map(|t| t.spec.len())
+        .sum();
+    // Per task a predecessor count and a row offset, and 4 bytes an edge.
+    let bytes = 8 * tasks + 4 * (edges + graphs.len());
+    println!(
+        "{:>32}  {tasks} tasks, {:.2} edges and {:.2} declarations a task, {:.1} bytes a task",
+        "depgraph/paper_traces",
+        edges as f64 / tasks as f64,
+        decls as f64 / tasks as f64,
+        bytes as f64 / tasks as f64
+    );
+    let per_task = |name: &str, f: &mut dyn FnMut(&Trace, &DepGraph)| {
+        let iters = 10;
+        let start = std::time::Instant::now();
+        for _ in 0..iters {
+            for (t, g) in traces.iter().zip(&graphs) {
+                f(t, g);
+            }
+        }
+        let ns = start.elapsed().as_secs_f64() * 1e9 / (iters * tasks) as f64;
+        println!("{name:>32}  {ns:>12.1} ns/task");
+    };
+    per_task("depgraph/build", &mut |t, _| {
+        std::hint::black_box(DepGraph::build(t, true));
+    });
+    let mut ready = Vec::new();
+    per_task("depgraph/countdown_replay", &mut |t, g| {
+        let mut deps = Countdown::new(std::borrow::Cow::Borrowed(g));
+        for rec in &t.tasks {
+            if deps.add_task_traced(rec.id, &mut NullSink, 0, 0) {
+                ready.push(rec.id);
+            }
+        }
+        while let Some(id) = ready.pop() {
+            deps.complete_traced(id, &mut ready, &mut NullSink, 0, 0);
+        }
+        assert!(deps.all_complete());
+    });
+    per_task("depgraph/synchronizer_replay", &mut |t, _| {
+        let mut sync = Synchronizer::new(true);
+        for rec in &t.tasks {
+            if sync.add_task(rec.id, &rec.spec) {
+                ready.push(rec.id);
+            }
+        }
+        while let Some(id) = ready.pop() {
+            sync.complete(id, &mut ready);
+        }
+        assert!(sync.all_complete());
+    });
 }
 
 fn simulator_event_rate() {
@@ -586,6 +659,7 @@ fn store_guard_index() {
 
 fn main() {
     synchronizer_throughput();
+    dependence_graphs();
     simulator_event_rate();
     ipsc_cells();
     dsim_per_message();

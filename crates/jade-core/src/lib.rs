@@ -12,6 +12,8 @@
 //!   access specification section (`rd(o)`, `wr(o)`);
 //! * [`Synchronizer`] — the queue-based dynamic dependence analysis that
 //!   turns access specifications into concurrency;
+//! * [`DepGraph`] — the same analysis of a whole trace, computed once and
+//!   replayed with counters ([`Countdown`]) by the machine simulators;
 //! * [`TraceRuntime`] — serial execution plus trace recording for the
 //!   machine simulators (`jade-dash`, `jade-ipsc`);
 //! * [`JadeRuntime`] — the portability interface: one application text runs
@@ -38,6 +40,7 @@
 #![forbid(unsafe_code)]
 
 mod access;
+mod depgraph;
 #[macro_use]
 mod macros;
 pub mod chrome;
@@ -51,6 +54,7 @@ mod trace;
 pub mod tune;
 
 pub use access::{AccessDecl, AccessMode, AccessSpec};
+pub use depgraph::{Countdown, DepGraph};
 pub use events::{
     check_conservation, check_conservation_per_tenant, check_lifecycle, check_lifecycle_per_tenant,
     split_by_tenant, tag_events, Component, Event, EventKind, EventSink, Locality, Metrics,
@@ -59,7 +63,7 @@ pub use events::{
 pub use ids::{Handle, LocalityMode, ObjectId, ProcId, TaskId, MAIN_PROC};
 pub use runtime::JadeRuntime;
 pub use store::{ReadGuard, Store, WriteGuard};
-pub use synchronizer::{SyncSnapshot, Synchronizer, Transition, TransitionBatch};
+pub use synchronizer::{SnapshotSize, SyncSnapshot, Synchronizer, Transition, TransitionBatch};
 pub use task::{TaskBody, TaskBuilder, TaskCtx, TaskDef};
 pub use trace::{ObjectRecord, TaskRecord, Trace, TraceBuilder, TraceRuntime};
 pub use tune::{BatchShape, Controller, Decision, Knob, TuneLog};

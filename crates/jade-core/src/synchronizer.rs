@@ -32,13 +32,13 @@
 //! compiles to the bare state transition.
 //!
 //! The synchronizer is deliberately pure — no clocks, no processors — so the
-//! same component drives the DASH simulator, the iPSC simulator and the real
-//! `jade-threads` executor, and so its invariants are easy to property-test.
+//! same component drives the real `jade-threads` executor and the service,
+//! is the reference the simulators' [`DepGraph`](crate::DepGraph) replay is
+//! tested against, and its invariants are easy to property-test.
 
 use crate::access::{AccessMode, AccessSpec};
 use crate::events::{EventKind, NullSink, Sink};
 use crate::ids::{ObjectId, ProcId, TaskId};
-use crate::trace::Trace;
 
 /// End of a waiting list / "not parked".
 const NIL: u32 = u32::MAX;
@@ -203,18 +203,6 @@ impl Synchronizer {
             replication,
             live_tasks: 0,
             base: 0,
-        }
-    }
-
-    /// A synchronizer about to replay `trace`: the three slabs are sized
-    /// once from the program the caller already holds instead of doubling
-    /// into it. Behaves exactly like [`Synchronizer::new`].
-    pub fn for_trace(replication: bool, trace: &Trace) -> Synchronizer {
-        Synchronizer {
-            queues: Vec::with_capacity(trace.objects.len()),
-            tasks: Vec::with_capacity(trace.tasks.len()),
-            decls: Vec::with_capacity(trace.tasks.iter().map(|t| t.spec.len()).sum()),
-            ..Synchronizer::new(replication)
         }
     }
 
@@ -656,6 +644,8 @@ pub struct SyncSnapshot {
 }
 
 const SNAP_MAGIC: &[u8; 4] = b"JSNP";
+/// Magic, version, replication, base and the two table counts.
+const SNAP_HEADER: usize = 4 + 2 + 1 + 4 + 4 + 4;
 const SNAP_VERSION: u16 = 2;
 /// An access mode's byte in the format is its index here.
 const SNAP_MODES: [AccessMode; 3] = [AccessMode::Read, AccessMode::Write, AccessMode::ReadWrite];
@@ -696,7 +686,7 @@ impl SyncSnapshot {
     /// Exact size of [`to_bytes`](Self::to_bytes) output, used to charge
     /// checkpoint costs without materializing the encoding.
     pub fn encoded_len(&self) -> usize {
-        (4 + 2 + 1 + 4 + 4 + 4)
+        SNAP_HEADER
             + 9 * self.tasks.len()
             + 4 * self.objects.len()
             + 4 * self.queue_ends.len()
@@ -839,6 +829,51 @@ impl SyncSnapshot {
             }
         }
         Ok(())
+    }
+}
+
+/// The [`encoded_len`](SyncSnapshot::encoded_len) a synchronizer's
+/// snapshot would have, kept from counters by a replay that runs no
+/// synchronizer: the iPSC simulator charges its checkpoints with it
+/// (DESIGN.md §12). It holds while no declaration is released mid-task:
+/// then a registered task lists each of its declarations until it
+/// completes, and each listed declaration is one queue entry.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SnapshotSize {
+    tasks: usize,
+    /// Declarations of registered tasks, and of completed ones.
+    declared: usize,
+    retired: usize,
+    /// 1 + the largest object index registered: the object table's length.
+    queues: usize,
+}
+
+impl SnapshotSize {
+    /// Count the next task in serial order, of specification `spec`, as
+    /// registered. Registration may lag behind completion, but every
+    /// completed task must be registered before [`encoded_len`](Self::encoded_len).
+    pub fn register(&mut self, spec: &AccessSpec) {
+        self.tasks += 1;
+        self.declared += spec.len();
+        for d in spec.decls() {
+            self.queues = self.queues.max(d.object.index() + 1);
+        }
+    }
+
+    /// Count a task of specification `spec` as completed.
+    pub fn complete(&mut self, spec: &AccessSpec) {
+        self.retired += spec.len();
+    }
+
+    /// Number of tasks registered.
+    pub fn task_count(&self) -> usize {
+        self.tasks
+    }
+
+    /// A held declaration is listed under its task (4 bytes) and is an
+    /// entry of its object's queue (6 bytes).
+    pub fn encoded_len(&self) -> usize {
+        SNAP_HEADER + 9 * self.tasks + 10 * (self.declared - self.retired) + 4 * self.queues
     }
 }
 

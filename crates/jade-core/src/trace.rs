@@ -10,11 +10,14 @@
 //! models.
 
 use crate::access::AccessSpec;
+use crate::depgraph::DepGraph;
 use crate::ids::{ObjectId, ProcId, TaskId};
 use crate::runtime::JadeRuntime;
 use crate::store::Store;
 use crate::task::{TaskCtx, TaskDef};
 use std::borrow::Cow;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Everything a machine simulator needs to know about one task.
 #[derive(Clone, Debug)]
@@ -53,13 +56,46 @@ pub struct ObjectRecord {
 }
 
 /// A complete machine-independent program trace.
-#[derive(Clone, Debug)]
+///
+/// Build one with [`TraceRuntime`], [`TraceBuilder`] or from [`Trace::default`]:
+/// besides its public fields it keeps its dependence graphs
+/// ([`Trace::dep_graph`]).
+#[derive(Clone)]
 pub struct Trace {
     pub objects: Vec<ObjectRecord>,
     /// Tasks in serial program (creation) order.
     pub tasks: Vec<TaskRecord>,
     /// Number of phases the program declared (`JadeRuntime::begin_phase`).
     pub phases: u32,
+    graphs: GraphMemo,
+}
+
+/// A trace's dependence graphs, each built on first use: one slot per
+/// `replication` value, holding the graph and the fingerprint of the
+/// specifications it was built from. A clone starts empty.
+#[derive(Default)]
+struct GraphMemo([OnceLock<(u64, DepGraph)>; 2]);
+
+impl Clone for GraphMemo {
+    fn clone(&self) -> Self {
+        GraphMemo::default()
+    }
+}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Trace")
+            .field("objects", &self.objects)
+            .field("tasks", &self.tasks)
+            .field("phases", &self.phases)
+            .finish_non_exhaustive()
+    }
+}
+
+/// One step of the specifications' fingerprint (the FxHash mix).
+#[inline]
+fn mix(h: u64, x: u64) -> u64 {
+    (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
 impl Trace {
@@ -105,7 +141,35 @@ impl Trace {
     /// dense and ordered, work values are finite and non-negative, and
     /// phases are in range. Returns a list of violations (empty = valid).
     pub fn validate(&self) -> Vec<String> {
+        self.check().0
+    }
+
+    /// The dependence graph of this trace under `replication` (see
+    /// [`DepGraph`]), or the first problem [`validate`](Self::validate)
+    /// names. The first call for each `replication` value builds the graph
+    /// and keeps it. Every call validates the trace, and the same walk
+    /// fingerprints every declaration: a trace whose specifications were
+    /// changed after the graph was kept gets a graph built afresh.
+    pub fn dep_graph(&self, replication: bool) -> Result<Cow<'_, DepGraph>, String> {
+        let (problems, fingerprint) = self.check();
+        if let Some(why) = problems.into_iter().next() {
+            return Err(why);
+        }
+        let slot = &self.graphs.0[usize::from(replication)];
+        let (kept_for, graph) =
+            slot.get_or_init(|| (fingerprint, DepGraph::build(self, replication)));
+        Ok(if *kept_for == fingerprint {
+            Cow::Borrowed(graph)
+        } else {
+            Cow::Owned(DepGraph::build(self, replication))
+        })
+    }
+
+    /// [`validate`](Self::validate)'s problems, and a fingerprint of the
+    /// specifications: every task's declaration count and declarations.
+    fn check(&self) -> (Vec<String>, u64) {
         let mut problems = Vec::new();
+        let mut fingerprint = self.tasks.len() as u64;
         for (i, ob) in self.objects.iter().enumerate() {
             if ob.id.index() != i {
                 problems.push(format!("object record {i} has id {:?}", ob.id));
@@ -121,13 +185,15 @@ impl Trace {
             if t.phase >= self.phases.max(1) {
                 problems.push(format!("task {i} has phase {} of {}", t.phase, self.phases));
             }
+            fingerprint = mix(fingerprint, t.spec.len() as u64);
             for d in t.spec.decls() {
                 if d.object.index() >= self.objects.len() {
                     problems.push(format!("task {i} references unallocated {:?}", d.object));
                 }
+                fingerprint = mix(fingerprint, (d.object.0 as u64) << 2 | d.mode as u64);
             }
         }
-        problems
+        (problems, fingerprint)
     }
 }
 
@@ -204,6 +270,7 @@ impl Default for Trace {
             objects: Vec::new(),
             tasks: Vec::new(),
             phases: 1,
+            graphs: GraphMemo::default(),
         }
     }
 }
@@ -254,6 +321,7 @@ impl TraceRuntime {
             objects,
             tasks: self.tasks,
             phases: self.phases,
+            ..Trace::default()
         };
         (self.store, trace)
     }

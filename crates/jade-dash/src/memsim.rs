@@ -171,22 +171,20 @@ mod tests {
     use jade_core::ObjectRecord;
 
     fn trace_with_objects(homes: &[usize], sizes: &[usize]) -> Trace {
-        Trace {
-            objects: homes
-                .iter()
-                .zip(sizes)
-                .enumerate()
-                .map(|(i, (&h, &s))| ObjectRecord {
-                    id: ObjectId(i as u32),
-                    name: format!("o{i}"),
-                    size_bytes: s,
-                    cache_bytes: None,
-                    home: Some(h),
-                })
-                .collect(),
-            tasks: Vec::new(),
-            phases: 1,
-        }
+        let mut trace = Trace::default();
+        trace.objects = homes
+            .iter()
+            .zip(sizes)
+            .enumerate()
+            .map(|(i, (&h, &s))| ObjectRecord {
+                id: ObjectId(i as u32),
+                name: format!("o{i}"),
+                size_bytes: s,
+                cache_bytes: None,
+                home: Some(h),
+            })
+            .collect();
+        trace
     }
 
     fn rd_spec(o: u32) -> AccessSpec {

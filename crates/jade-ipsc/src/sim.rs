@@ -65,7 +65,7 @@ use crate::scheduler::{Decision, IpscScheduler};
 use dsim::driver::{self, Core, Machine, Run, SimError};
 use dsim::{FaultPlan, IpscSpec, ProcClock, ProcId, SimDuration, SimTime, TimeKind};
 use jade_core::{
-    Component, Event, EventKind, LocalityMode, ObjectId, Sink, SyncSnapshot, TaskId, Trace,
+    Component, Event, EventKind, LocalityMode, ObjectId, Sink, SnapshotSize, TaskId, Trace,
 };
 use std::collections::VecDeque;
 
@@ -469,15 +469,6 @@ impl TState {
     }
 }
 
-/// One captured checkpoint: the communicator tables and the synchronizer
-/// state at capture time. The payload store at main is cumulative across
-/// checkpoints, so coverage is judged against the latest capture's version
-/// vector alone.
-struct Checkpoint {
-    comm: CommSnapshot,
-    sync: SyncSnapshot,
-}
-
 /// How a data message shows in the event stream if the network loses it.
 struct DataMsg {
     sender: ProcId,
@@ -708,8 +699,15 @@ struct Sim<'a, R: Sink> {
     n_prefetch_issued: u64,
     n_prefetch_hits: u64,
     n_prefetch_stale: u64,
-    /// Latest captured checkpoint; fail-stop recovery consults it.
-    last_ckpt: Option<Checkpoint>,
+    /// The communicator tables of the latest checkpoint; fail-stop
+    /// recovery consults them. The payload store at main is cumulative
+    /// across checkpoints, so coverage is judged against the latest
+    /// capture's version vector alone.
+    last_ckpt: Option<CommSnapshot>,
+    /// The size of the synchronizer state a checkpoint captures, kept from
+    /// counters: tasks are registered in it at each capture, and retired
+    /// as they complete.
+    sync_size: SnapshotSize,
     /// Feedback controller ([`IpscConfig::tune`]); its log is surfaced in
     /// [`IpscRunResult::tune`].
     ctl: jade_core::Controller,
@@ -844,6 +842,7 @@ impl<'a, R: Sink> Sim<'a, R> {
             n_prefetch_hits: 0,
             n_prefetch_stale: 0,
             last_ckpt: None,
+            sync_size: SnapshotSize::default(),
             ctl: jade_core::Controller::new(),
             needed: Vec::new(),
             groups: Vec::new(),
@@ -1716,6 +1715,7 @@ impl<'a, R: Sink> Sim<'a, R> {
         if self.core.main_blocked == Some(id) {
             // Serial task: completion is processed locally, and main resumes
             // after the successors it enabled.
+            self.sync_size.complete(&rec.spec);
             self.complete(id, p, t_cur);
             self.core.cal.schedule(t_cur, driver::Ev::MainStep);
             return;
@@ -1761,6 +1761,8 @@ impl<'a, R: Sink> Sim<'a, R> {
         // Completion processing removes the task from the load books first,
         // so successors enabled below see the freed processor.
         self.sched.finish(p);
+        self.sync_size
+            .complete(&self.core.trace.tasks[id.index()].spec);
         self.complete(id, p, end);
         let comm = &self.comm;
         let trace = self.core.trace;
@@ -1779,12 +1781,12 @@ impl<'a, R: Sink> Sim<'a, R> {
     /// the replica table to the main processor, owners ship the payloads of
     /// objects dirtied since the previous capture (and not already held at
     /// main), and main serializes the synchronizer state into the
-    /// checkpoint store. The captured *state* is atomic — the tables are
-    /// snapshotted at the tick — but the capture *cost* lands on the
-    /// processor timelines through the machine cost model like any other
-    /// protocol work.
+    /// checkpoint store, charged at its `JSNP` size ([`SnapshotSize`]). The
+    /// captured *state* is atomic — the tables are snapshotted at the tick
+    /// — but the capture *cost* lands on the processor timelines through
+    /// the machine cost model like any other protocol work.
     fn on_checkpoint_tick(&mut self, t: SimTime) {
-        if self.core.main_done && self.core.sync.all_complete() {
+        if self.core.main_done && self.core.deps.all_complete() {
             return; // program over: end the tick chain
         }
         if self.core.past_deadline(t) {
@@ -1810,9 +1812,13 @@ impl<'a, R: Sink> Sim<'a, R> {
             return;
         }
         let snap = self.comm.snapshot();
-        let ssnap = self.core.sync.snapshot();
-        let mut bytes = snap.table_bytes() + ssnap.encoded_len() as u64;
-        let nobjs = self.core.trace.objects.len();
+        let trace = self.core.trace;
+        for rec in &trace.tasks[self.sync_size.task_count()..self.core.deps.task_count()] {
+            self.sync_size.register(&rec.spec);
+        }
+        let sync_len = self.sync_size.encoded_len();
+        let mut bytes = snap.table_bytes() + sync_len as u64;
+        let nobjs = trace.objects.len();
         // Workers ship their replica-table slices: per object a held
         // version (8 bytes) and an accessed bit (1 byte).
         for p in 1..self.core.pc.procs() {
@@ -1832,7 +1838,7 @@ impl<'a, R: Sink> Sim<'a, R> {
             let clean = self
                 .last_ckpt
                 .as_ref()
-                .is_some_and(|c| c.comm.version(o) == snap.version(o));
+                .is_some_and(|c| c.version(o) == snap.version(o));
             if clean || !self.comm.needs_fetch(0, o) {
                 continue;
             }
@@ -1845,8 +1851,7 @@ impl<'a, R: Sink> Sim<'a, R> {
         }
         // Main serializes the synchronizer snapshot to stable storage.
         let ser = SimDuration::from_secs_f64(
-            self.cfg.machine.message_latency_s
-                + ssnap.encoded_len() as f64 / self.cfg.machine.link_bandwidth,
+            self.cfg.machine.message_latency_s + sync_len as f64 / self.cfg.machine.link_bandwidth,
         );
         let end = self.handler_op(0, t, ser, TimeKind::Mgmt);
         self.n_checkpoints += 1;
@@ -1854,10 +1859,7 @@ impl<'a, R: Sink> Sim<'a, R> {
         self.core
             .events
             .emit(end.0, 0, EventKind::CheckpointTaken { bytes });
-        self.last_ckpt = Some(Checkpoint {
-            comm: snap,
-            sync: ssnap,
-        });
+        self.last_ckpt = Some(snap);
         // Re-arm the tick chain. The interval is always present while ticks
         // are scheduled (ticks only start when the plan has one), but end
         // the chain gracefully rather than panic if that invariant ever
@@ -1886,8 +1888,8 @@ impl<'a, R: Sink> Sim<'a, R> {
     /// **charged**: a checkpoint covering the current version supplies the
     /// payload with a cheap local read from the checkpoint store, anything
     /// else pays the full recovery transfer (the path that used to be
-    /// modeled as free). Tasks already committed at the last checkpoint are
-    /// never re-dispatched.
+    /// modeled as free). A task whose body finished is never re-dispatched,
+    /// so neither is one the last checkpoint recorded as completed.
     fn on_proc_fail(&mut self, p: ProcId, t: SimTime) {
         if self.dead[p] {
             return;
@@ -1907,7 +1909,7 @@ impl<'a, R: Sink> Sim<'a, R> {
             let covered = self
                 .last_ckpt
                 .as_ref()
-                .is_some_and(|c| c.comm.covers(o, self.comm.version(o)));
+                .is_some_and(|c| c.covers(o, self.comm.version(o)));
             let dur = if covered {
                 // Local read from main's checkpoint store: buffering only
                 // (same wire-time fraction as local broadcast buffering).
@@ -1939,11 +1941,7 @@ impl<'a, R: Sink> Sim<'a, R> {
             .iter()
             .filter(|rec| {
                 let ts = &self.tstate[rec.id.index()];
-                let committed = self
-                    .last_ckpt
-                    .as_ref()
-                    .is_some_and(|c| c.sync.completed(rec.id));
-                ts.dispatched && ts.assigned_to == p && !ts.finished_local && !committed
+                ts.dispatched && ts.assigned_to == p && !ts.finished_local
             })
             .map(|rec| rec.id)
             .collect();

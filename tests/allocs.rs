@@ -37,7 +37,8 @@
 //!    allocation per four simulated tasks on either scheduler, with and
 //!    without prefetch (the rest is per-run tables and their growth);
 //! 9. parking 10 000 waiters on one object allocates nothing: a waiting
-//!    access is an index in the declaration slab, which `for_trace` sized;
+//!    access is an index in the declaration slab, which a warm-up run of
+//!    the same program sized;
 //! 10. when no counting shim feeds the counter (another global allocator
 //!     is active), the probe reports inactive and the assertions skip
 //!     cleanly — the probe side of that contract is exercised in
@@ -453,19 +454,24 @@ fn synchronizer_fan_in_allocates_nothing_beyond_the_slabs() {
     let trace = b.build();
     // The harness's own threads can only inflate a window: the smallest of
     // a few attempts is the synchronizer's.
+    let fan_in = |sync: &mut Synchronizer, newly: &mut Vec<_>| {
+        for t in &trace.tasks {
+            assert_eq!(sync.add_task(t.id, &t.spec), t.id.0 == 0);
+        }
+        assert_eq!(sync.waiting_len(hot), n as usize);
+        // One completion grants the whole list.
+        sync.complete(trace.tasks[0].id, newly);
+        assert_eq!(sync.waiting_len(hot), 0);
+    };
     let allocs = (0..3)
         .map(|_| {
-            let mut sync = Synchronizer::for_trace(true, &trace);
+            // A warm-up run sizes the slabs; `reset` keeps them.
+            let mut sync = Synchronizer::new(true);
             let mut newly = Vec::with_capacity(n as usize);
-            let (allocs, ()) = jade_bench::alloc::allocs_during(|| {
-                for t in &trace.tasks {
-                    assert_eq!(sync.add_task(t.id, &t.spec), t.id.0 == 0);
-                }
-                assert_eq!(sync.waiting_len(hot), n as usize);
-                // One completion grants the whole list.
-                sync.complete(trace.tasks[0].id, &mut newly);
-                assert_eq!(sync.waiting_len(hot), 0);
-            });
+            fan_in(&mut sync, &mut newly);
+            sync.reset();
+            newly.clear();
+            let (allocs, ()) = jade_bench::alloc::allocs_during(|| fan_in(&mut sync, &mut newly));
             assert_eq!(newly.len(), n as usize);
             allocs
         })

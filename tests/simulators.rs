@@ -218,6 +218,48 @@ fn malformed_traces_are_errors_on_both_machines() {
     }
 }
 
+/// Both machines replay the dependence graph a trace keeps from its first
+/// run (`Trace::dep_graph`), so a trace that changes afterwards must not
+/// replay the kept graph. A clone whose specifications are all reversed
+/// (the locality-object ablation) and a trace changed in place after a run
+/// each simulate exactly as a copy never simulated before does.
+#[test]
+fn a_changed_trace_never_replays_a_stale_graph() {
+    let dash_cfg = DashConfig::paper(4, LocalityMode::Locality, 1e-6);
+    let ipsc_cfg = IpscConfig::paper(4, LocalityMode::Locality, 1e-6);
+    let runs = |t: &Trace| {
+        let (d, de) = dash::try_run_traced(t, &dash_cfg).unwrap();
+        let (i, ie) = ipsc::try_run_traced(t, &ipsc_cfg).unwrap();
+        (format!("{d:?}"), de, format!("{i:?}"), ie)
+    };
+    let trace = ocean::run_trace(&ocean::OceanConfig::small(4)).0;
+    runs(&trace);
+    let mut reversed = trace.clone();
+    for t in &mut reversed.tasks {
+        let decls: Vec<_> = t.spec.decls().iter().rev().copied().collect();
+        t.spec = decls.into_iter().collect();
+    }
+    assert!(runs(&reversed) == runs(&reversed.clone()));
+
+    // Four independent writers, until the last also reads what the first
+    // writes: then it waits for the first.
+    let mut b = TraceBuilder::new();
+    let objects: Vec<ObjectId> = (0..4)
+        .map(|i| b.object(&format!("o{i}"), 4096, Some(i)))
+        .collect();
+    for &o in &objects {
+        let mut s = AccessSpec::new();
+        s.wr(o);
+        b.task(s, 1e4);
+    }
+    let mut changed = b.build();
+    let before = runs(&changed);
+    changed.tasks[3].spec.rd(objects[0]);
+    let after = runs(&changed);
+    assert!(after != before, "the change must move the run");
+    assert!(after == runs(&changed.clone()));
+}
+
 /// What an iPSC run must reproduce bit for bit: `exec_time_s` bits, messages
 /// dropped / retried / discarded, prefetch hits and stale prefetches,
 /// aggregated objects, comm bytes, re-executed tasks, checkpoint bytes, and
