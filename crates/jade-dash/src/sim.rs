@@ -28,8 +28,6 @@ pub struct DashConfig {
     /// Work-free methodology (Figures 10/11): zero out task work and
     /// communication, keep all management costs.
     pub work_free: bool,
-    /// Model shared-object communication (set false to isolate scheduling).
-    pub model_comm: bool,
     /// Disable read replication in the synchronizer (Section 5.1 analysis).
     pub replication: bool,
     /// Inspector/executor aggregation (DESIGN.md §15): the runtime inspects
@@ -47,7 +45,7 @@ pub struct DashConfig {
     /// time shrinks, and only when the task actually runs in the cluster
     /// the prefetch targeted (a stolen task pays full price). A prefetched
     /// line invalidated by a later write is refetched at full cost and
-    /// reported as stale. No-op without `model_comm` or under `work_free`.
+    /// reported as stale. No-op under `work_free`.
     pub prefetch: bool,
     /// Virtual-time budget (mirrors `IpscConfig::deadline`): when the main
     /// thread reaches this much virtual time with trace records still left,
@@ -77,7 +75,6 @@ impl DashConfig {
             mode,
             sec_per_op,
             work_free: false,
-            model_comm: true,
             replication: true,
             aggregate_fetches: false,
             prefetch: false,
@@ -256,8 +253,7 @@ impl<'a, R: Sink> Sim<'a, R> {
             cfg,
             costs,
             sched: DashScheduler::for_trace(cfg.mode, procs, trace),
-            mem: (cfg.model_comm && !cfg.work_free)
-                .then(|| MemSim::new(cfg.machine.clone(), trace)),
+            mem: (!cfg.work_free).then(|| MemSim::new(cfg.machine.clone(), trace)),
             target,
             main_serial_ready: false,
             retry_pending: vec![false; procs],
