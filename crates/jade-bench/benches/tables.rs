@@ -7,7 +7,7 @@
 //! Plain self-timing harness (`harness = false`); run with
 //! `cargo bench -p jade-bench --bench tables`.
 
-use jade_bench::{App, Harness};
+use jade_bench::{App, Harness, Machine};
 use jade_core::LocalityMode;
 
 fn bench(name: &str, mut f: impl FnMut() -> f64) {
@@ -21,103 +21,56 @@ fn bench(name: &str, mut f: impl FnMut() -> f64) {
     println!("{name:>28}  {:>12.3} ms/iter  ({iters} iters)", per * 1e3);
 }
 
-fn bench_exec_table(name: &str, app: App, dash: bool) {
-    bench(name, || {
-        let mut h = Harness::new(true);
-        let mut acc = 0.0;
-        for procs in [1usize, 4, 16] {
-            for mode in h.modes_for(app) {
-                acc += if dash {
-                    h.dash(app, procs, mode).exec_time_s
-                } else {
-                    h.ipsc(app, procs, mode).exec_time_s
-                };
-            }
+/// One metric summed over the locality levels the app reports, at `procs`.
+fn grid_points(m: Machine, app: App, procs: &[usize], metric: fn(&jade_bench::Run) -> f64) -> f64 {
+    let mut h = Harness::new(true);
+    let mut acc = 0.0;
+    for &p in procs {
+        for &mode in app.modes() {
+            acc += metric(&h.run(m, app, p, mode));
         }
-        acc
-    });
-}
-
-fn tables_dash() {
-    bench_exec_table("table2_water_dash", App::Water, true);
-    bench_exec_table("table3_string_dash", App::StringApp, true);
-    bench_exec_table("table4_ocean_dash", App::Ocean, true);
-    bench_exec_table("table5_cholesky_dash", App::Cholesky, true);
-}
-
-fn tables_ipsc() {
-    bench_exec_table("table7_water_ipsc", App::Water, false);
-    bench_exec_table("table8_string_ipsc", App::StringApp, false);
-    bench_exec_table("table9_ocean_ipsc", App::Ocean, false);
-    bench_exec_table("table10_cholesky_ipsc", App::Cholesky, false);
-}
-
-fn tables_broadcast() {
-    for (name, app) in [
-        ("table11_water_bcast", App::Water),
-        ("table12_string_bcast", App::StringApp),
-        ("table13_ocean_bcast", App::Ocean),
-        ("table14_cholesky_bcast", App::Cholesky),
-    ] {
-        bench(name, || {
-            let mut h = Harness::new(true);
-            let mode = if app.has_placement() {
-                LocalityMode::TaskPlacement
-            } else {
-                LocalityMode::Locality
-            };
-            let on = h.ipsc_with(app, 8, mode, |c| c.adaptive_broadcast = true);
-            let off = h.ipsc_with(app, 8, mode, |c| c.adaptive_broadcast = false);
-            on.exec_time_s + off.exec_time_s
-        });
     }
-}
-
-fn figures_locality() {
-    for (name, app, dash) in [
-        ("fig2_5_locality_dash", App::Ocean, true),
-        ("fig12_15_locality_ipsc", App::Cholesky, false),
-    ] {
-        bench(name, || {
-            let mut h = Harness::new(true);
-            let mut acc = 0.0;
-            for procs in [2usize, 8] {
-                for mode in h.modes_for(app) {
-                    acc += if dash {
-                        h.dash(app, procs, mode).locality_pct
-                    } else {
-                        h.ipsc(app, procs, mode).locality_pct
-                    };
-                }
-            }
-            acc
-        });
-    }
-}
-
-fn figures_mgmt_and_comm() {
-    bench("fig10_11_20_21_mgmt", || {
-        let mut h = Harness::new(true);
-        let full = h
-            .ipsc(App::Ocean, 8, LocalityMode::TaskPlacement)
-            .exec_time_s;
-        let free = h
-            .ipsc_with(App::Ocean, 8, LocalityMode::TaskPlacement, |c| {
-                c.work_free = true
-            })
-            .exec_time_s;
-        free / full
-    });
-    bench("fig16_19_comm_ratio", || {
-        let mut h = Harness::new(true);
-        h.ipsc(App::Ocean, 8, LocalityMode::Locality).comm_to_comp
-    });
+    acc
 }
 
 fn main() {
-    tables_dash();
-    tables_ipsc();
-    tables_broadcast();
-    figures_locality();
-    figures_mgmt_and_comm();
+    // Tables 2–5 (DASH) and 7–10 (iPSC/860): execution times.
+    for m in Machine::BOTH {
+        for app in App::ALL {
+            bench(&format!("exec_{app:?}_{m:?}"), || {
+                grid_points(m, app, &[1, 4, 16], |r| r.exec_time_s)
+            });
+        }
+    }
+    // Tables 11–14: adaptive broadcast on and off.
+    for app in App::ALL {
+        bench(&format!("bcast_{app:?}"), || {
+            let mut h = Harness::new(true);
+            let mut run = |on| {
+                h.ipsc_with(app, 8, app.natural_mode(), |c| c.adaptive_broadcast = on)
+                    .exec_time_s
+            };
+            run(true) + run(false)
+        });
+    }
+    // Figures 2–5 (DASH) and 12–15 (iPSC/860): task locality.
+    for (m, app) in [(Machine::Dash, App::Ocean), (Machine::Ipsc, App::Cholesky)] {
+        bench(&format!("locality_{app:?}_{m:?}"), || {
+            grid_points(m, app, &[2, 8], |r| r.locality_pct)
+        });
+    }
+    // Figures 10/11 and 20/21: the work-free task management percentage.
+    let tp = LocalityMode::TaskPlacement;
+    for m in Machine::BOTH {
+        bench(&format!("mgmt_Ocean_{m:?}"), || {
+            let mut h = Harness::new(true);
+            h.work_free(m, App::Ocean, 8, tp).exec_time_s / h.run(m, App::Ocean, 8, tp).exec_time_s
+        });
+    }
+    // Figures 16–19: communication to computation ratio.
+    bench("comm_ratio_Ocean_Ipsc", || {
+        let mut h = Harness::new(true);
+        let r = h.run(Machine::Ipsc, App::Ocean, 8, LocalityMode::Locality);
+        r.comm_bytes as f64 / r.task_time_s
+    });
 }

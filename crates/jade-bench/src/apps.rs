@@ -1,7 +1,7 @@
 //! Uniform interface over the applications for the experiment harness.
 
 use jade_apps::{cholesky, halo, ocean, pagerank, string_app, water};
-use jade_core::Trace;
+use jade_core::{LocalityMode, Trace};
 
 /// The paper's application set plus the two irregular applications
 /// (data-dependent access sets; see DESIGN.md §15).
@@ -57,6 +57,30 @@ impl App {
     /// apps also place tasks, at their data's home.)
     pub fn has_placement(self) -> bool {
         matches!(self, App::Ocean | App::Cholesky | App::Pagerank | App::Halo)
+    }
+
+    /// The highest locality level the app reaches: Task Placement where the
+    /// programmer places tasks, else Locality. Every experiment that runs
+    /// one level runs this one.
+    pub fn natural_mode(self) -> LocalityMode {
+        if self.has_placement() {
+            LocalityMode::TaskPlacement
+        } else {
+            LocalityMode::Locality
+        }
+    }
+
+    /// The locality levels the paper reports for the app, highest first.
+    pub fn modes(self) -> &'static [LocalityMode] {
+        if self.has_placement() {
+            &[
+                LocalityMode::TaskPlacement,
+                LocalityMode::Locality,
+                LocalityMode::NoLocality,
+            ]
+        } else {
+            &[LocalityMode::Locality, LocalityMode::NoLocality]
+        }
     }
 
     /// Generate the program trace for `procs` processors at the given
@@ -238,6 +262,15 @@ mod tests {
             assert!(t.validate().is_empty());
             assert!(app.dash_sec_per_op(&t) > 0.0);
             assert!(app.ipsc_sec_per_op(&t) > 0.0);
+        }
+    }
+
+    #[test]
+    fn modes_per_app() {
+        assert_eq!(App::Water.modes().len(), 2);
+        assert_eq!(App::Ocean.modes().len(), 3);
+        for app in App::ALL.into_iter().chain(App::IRREGULAR) {
+            assert_eq!(app.modes()[0], app.natural_mode());
         }
     }
 

@@ -2,18 +2,10 @@
 //!
 //! ```text
 //! repro [--quick] all              # the whole evaluation section
-//! repro table1 table6              # serial/stripped calibration anchors
-//! repro table2 .. table5           # DASH execution times
-//! repro table7 .. table10          # iPSC execution times
-//! repro table11 .. table14         # adaptive broadcast
-//! repro fig2 .. fig5, fig12..fig15 # task locality percentages
-//! repro fig6 .. fig9               # DASH total task execution time
-//! repro fig10 fig11 fig20 fig21    # task management percentages
-//! repro fig16 .. fig19             # iPSC comm/computation ratios
-//! repro replication                # Section 5.1
-//! repro bcast-analysis             # Section 5.3 numbers
-//! repro latency-hiding             # Section 5.4
-//! repro concurrent-fetch           # Section 5.5
+//! repro tables                     # Tables 2-5 and 7-14
+//! repro figures                    # Figures 2-21
+//! repro table2 fig16 replication   # single experiments
+//! repro --help                     # the experiment catalogue
 //! ```
 //!
 //! `--quick` substitutes reduced workloads (for smoke runs); the default is
@@ -21,46 +13,53 @@
 
 use dsim::FaultPlan;
 use jade_bench::experiments as ex;
-use jade_bench::{App, Harness, TraceBackend};
+use jade_bench::{App, Harness, Machine};
 use jade_core::LocalityMode;
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick] [--trace-out FILE] [--faults SPEC] [--fault-seed N]\n\
          \x20            [--checkpoint-interval N]... [--app NAME [--aggregate] [--prefetch]]\n\
-         \x20            <experiment>...\n\
-         experiments: all, tables, figures, table1..table14, fig2..fig21,\n\
-         replication, bcast-analysis, latency-hiding, concurrent-fetch, ablations,\n\
-         utilization, fault-sweep, checkpoint-sweep, aggregation-sweep,\n\
-         overlap-sweep, service-stress, tune-sweep\n\
-         --app NAME        run one application on the simulated iPSC/860 and\n\
-                           print its communication profile; NAME is one of\n\
-                           water, string, ocean, cholesky, pagerank, halo\n\
+         \x20            <experiment or group>...\n\
+         experiments, with the groups (all, tables, figures) that run them:"
+    );
+    for e in ex::catalogue() {
+        eprintln!("  {:<18} {:<11} {}", e.name, e.groups.join(" "), e.title);
+    }
+    eprintln!(
+        "--app NAME        run one application on the simulated iPSC/860 and\n\
+         \x20                 print its communication profile; NAME is one of\n\
+         \x20                 water, string, ocean, cholesky, pagerank, halo\n\
          --list-apps       list the valid --app names and exit\n\
-         service-stress: multi-tenant service robustness gate — thousands of\n\
-                mixed clean/faulty/deadline DAGs through one shared worker\n\
-                pool; writes SERVICE_tenants.json at the repo root\n\
-         tune-sweep: feedback-controller gate — on every app, the controller\n\
-                must land within 5% of the best static knob setting in the\n\
-                sweep grid, bit-identically across repeats; writes\n\
-                TUNE_sweep.json at the repo root\n\
          --aggregate       enable the inspector/executor fetch-aggregation\n\
-                           pass (DESIGN.md \u{a7}15) for --app runs\n\
+         \x20                 pass (DESIGN.md \u{a7}15) for --app runs\n\
          --prefetch        enable the split-phase prefetch path (DESIGN.md \u{a7}17)\n\
-                           for --app runs\n\
+         \x20                 for --app runs\n\
          --trace-out FILE  also write a Chrome trace_event JSON of a\n\
-                           representative run (Ocean, 8 procs, iPSC/860);\n\
-                           open it in chrome://tracing or ui.perfetto.dev\n\
+         \x20                 representative run (Ocean, 8 procs, iPSC/860);\n\
+         \x20                 open it in chrome://tracing or ui.perfetto.dev\n\
          --faults SPEC     inject faults and run the fault sweep; SPEC is\n\
-                           e.g. drop=0.05,dup=0.02,delay=0.1:0.001,stall=0.01:0.005,\n\
-                           fail=3@0.5,panic=0.1,ckpt=0.5 (see DESIGN.md sections 11-12)\n\
+         \x20                 e.g. drop=0.05,dup=0.02,delay=0.1:0.001,stall=0.01:0.005,\n\
+         \x20                 fail=3@0.5,panic=0.1,ckpt=0.5 (see DESIGN.md sections 11-12)\n\
          --fault-seed N    seed for the fault decision stream (default 0)\n\
          --checkpoint-interval N\n\
-                           checkpoint interval for the checkpoint sweep, in\n\
-                           simulated seconds (iPSC) / completed tasks (threads);\n\
-                           repeatable — each value adds a sweep point\n\
-                           (default points: 0.5 and 2.0)"
+         \x20                 checkpoint interval for the checkpoint sweep, in\n\
+         \x20                 simulated seconds (iPSC) / completed tasks (threads);\n\
+         \x20                 repeatable — each value adds a sweep point\n\
+         \x20                 (default points: 0.5 and 2.0)"
     );
+    std::process::exit(2);
+}
+
+/// The value after a flag, parsed; usage (exit 2) if it is missing or does
+/// not parse.
+fn value<T>(args: &mut impl Iterator<Item = String>, parse: impl FnOnce(String) -> Option<T>) -> T {
+    args.next().and_then(parse).unwrap_or_else(|| usage())
+}
+
+/// Print `why` and exit 2, as for any other bad invocation.
+fn refuse(why: String) -> ! {
+    eprintln!("{why}");
     std::process::exit(2);
 }
 
@@ -79,19 +78,14 @@ fn main() {
         match a.as_str() {
             "--quick" => quick = true,
             "--full" => quick = false,
-            "--app" => match args.next() {
-                Some(name) => match App::parse(&name) {
-                    Some(app) => single_app = Some(app),
-                    None => {
-                        eprintln!(
-                            "unknown app `{name}`; valid names: {}",
-                            App::CLI_NAMES.join(", ")
-                        );
-                        std::process::exit(2);
-                    }
-                },
-                None => usage(),
-            },
+            "--app" => {
+                let name = value(&mut args, Some);
+                let valid = App::CLI_NAMES.join(", ");
+                let app = App::parse(&name);
+                single_app = Some(app.unwrap_or_else(|| {
+                    refuse(format!("unknown app `{name}`; valid names: {valid}"))
+                }));
+            }
             "--list-apps" => {
                 for name in App::CLI_NAMES {
                     let app = App::parse(name).expect("listed name parses");
@@ -101,26 +95,15 @@ fn main() {
             }
             "--aggregate" => aggregate = true,
             "--prefetch" => prefetch = true,
-            "--trace-out" => match args.next() {
-                Some(path) => trace_out = Some(path),
-                None => usage(),
-            },
-            "--faults" => match args.next().map(|s| FaultPlan::parse(&s)) {
-                Some(Ok(plan)) => faults = Some(plan),
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-                None => usage(),
-            },
-            "--fault-seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => fault_seed = Some(n),
-                None => usage(),
-            },
-            "--checkpoint-interval" => match args.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(n) if n.is_finite() && n > 0.0 => ckpt_intervals.push(n),
-                _ => usage(),
-            },
+            "--trace-out" => trace_out = Some(value(&mut args, Some)),
+            "--faults" => {
+                let plan = FaultPlan::parse(&value(&mut args, Some));
+                faults = Some(plan.unwrap_or_else(|e| refuse(e)));
+            }
+            "--fault-seed" => fault_seed = Some(value(&mut args, |s| s.parse().ok())),
+            "--checkpoint-interval" => ckpt_intervals.push(value(&mut args, |s| {
+                s.parse::<f64>().ok().filter(|n| n.is_finite() && *n > 0.0)
+            })),
             "-h" | "--help" => usage(),
             other => wanted.push(other.to_string()),
         }
@@ -134,40 +117,52 @@ fn main() {
             wanted.push("fault-sweep".to_string());
         }
     }
-    if ckpt_intervals.is_empty() {
-        ckpt_intervals = vec![0.5, 2.0];
-    }
     // `--aggregate` / `--prefetch` are per-app toggles; without `--app`
     // they would be silently ignored, so reject the invocation instead.
     if single_app.is_none() {
         for (flag, set) in [("--aggregate", aggregate), ("--prefetch", prefetch)] {
             if set {
-                eprintln!("{flag} requires --app NAME (see --list-apps)");
-                std::process::exit(2);
+                refuse(format!("{flag} requires --app NAME (see --list-apps)"));
             }
         }
     }
     if wanted.is_empty() && trace_out.is_none() && single_app.is_none() {
         usage();
     }
-    let mut plan = faults.unwrap_or_else(|| {
-        FaultPlan::parse("drop=0.05,dup=0.02").expect("default fault plan parses")
-    });
-    if let Some(seed) = fault_seed {
-        plan = plan.with_seed(seed);
+    // Every name is checked before anything runs: a typo at the end of the
+    // list must not cost the experiments before it, or rewrite their files.
+    let catalogue = ex::catalogue();
+    let mut chosen = Vec::new();
+    for w in &wanted {
+        match ex::select(&catalogue, w) {
+            Some(experiments) => chosen.extend(experiments),
+            None => refuse(format!("unknown experiment: {w}")),
+        }
     }
     let mut h = Harness::new(quick);
+    if let Some(plan) = faults {
+        h.faults = plan;
+    }
+    if let Some(seed) = fault_seed {
+        h.faults = h.faults.with_seed(seed);
+    }
+    if !ckpt_intervals.is_empty() {
+        h.checkpoint_intervals = ckpt_intervals;
+    }
     if quick {
         println!("[quick mode: reduced workloads — shapes hold, absolute numbers shrink]");
     }
     if let Some(app) = single_app {
         run_app(&mut h, app, aggregate, prefetch);
     }
-    for w in wanted.clone() {
-        run_one(&mut h, &w, plan, &ckpt_intervals);
+    for e in chosen {
+        if let Err(why) = e.run(&mut h) {
+            eprintln!("{} FAILED: {why}", e.name);
+            std::process::exit(1);
+        }
     }
     if let Some(path) = trace_out {
-        let json = h.chrome_trace(App::Ocean, 8, LocalityMode::Locality, TraceBackend::Ipsc);
+        let json = h.chrome_trace(Machine::Ipsc, App::Ocean, 8, LocalityMode::Locality);
         match std::fs::write(&path, &json) {
             Ok(()) => println!("wrote Chrome trace ({} bytes) to {path}", json.len()),
             Err(e) => {
@@ -182,11 +177,7 @@ fn main() {
 /// communication profile on the simulated iPSC/860, across the processor
 /// sweep.
 fn run_app(h: &mut Harness, app: App, aggregate: bool, prefetch: bool) {
-    let mode = if app.has_placement() {
-        LocalityMode::TaskPlacement
-    } else {
-        LocalityMode::Locality
-    };
+    let mode = app.natural_mode();
     println!(
         "{} on the simulated iPSC/860 (aggregation {}, prefetch {}):",
         app.name(),
@@ -219,128 +210,5 @@ fn run_app(h: &mut Harness, app: App, aggregate: bool, prefetch: bool) {
             );
         }
         println!();
-    }
-}
-
-fn run_one(h: &mut Harness, what: &str, plan: dsim::FaultPlan, ckpt_intervals: &[f64]) {
-    let exec_apps = [App::Water, App::StringApp, App::Ocean, App::Cholesky];
-    match what {
-        "all" => {
-            for t in [
-                "table1",
-                "table6",
-                "tables",
-                "figures",
-                "replication",
-                "bcast-analysis",
-                "latency-hiding",
-                "concurrent-fetch",
-                "ablations",
-                "heterogeneous",
-            ] {
-                run_one(h, t, plan, ckpt_intervals);
-            }
-        }
-        "tables" => {
-            for t in 2..=5 {
-                run_one(h, &format!("table{t}"), plan, ckpt_intervals);
-            }
-            for t in 7..=14 {
-                run_one(h, &format!("table{t}"), plan, ckpt_intervals);
-            }
-        }
-        "figures" => {
-            for f in 2..=21 {
-                if f != 1 {
-                    run_one(h, &format!("fig{f}"), plan, ckpt_intervals);
-                }
-            }
-        }
-        "table1" => ex::table_serial(h, true),
-        "table6" => ex::table_serial(h, false),
-        "table2" => ex::table_exec(h, App::Water, true),
-        "table3" => ex::table_exec(h, App::StringApp, true),
-        "table4" => ex::table_exec(h, App::Ocean, true),
-        "table5" => ex::table_exec(h, App::Cholesky, true),
-        "table7" => ex::table_exec(h, App::Water, false),
-        "table8" => ex::table_exec(h, App::StringApp, false),
-        "table9" => ex::table_exec(h, App::Ocean, false),
-        "table10" => ex::table_exec(h, App::Cholesky, false),
-        "table11" => ex::table_bcast(h, App::Water),
-        "table12" => ex::table_bcast(h, App::StringApp),
-        "table13" => ex::table_bcast(h, App::Ocean),
-        "table14" => ex::table_bcast(h, App::Cholesky),
-        "fig2" => ex::fig_locality(h, App::Water, true),
-        "fig3" => ex::fig_locality(h, App::StringApp, true),
-        "fig4" => ex::fig_locality(h, App::Ocean, true),
-        "fig5" => ex::fig_locality(h, App::Cholesky, true),
-        "fig6" => ex::fig_taskexec(h, App::Water),
-        "fig7" => ex::fig_taskexec(h, App::StringApp),
-        "fig8" => ex::fig_taskexec(h, App::Ocean),
-        "fig9" => ex::fig_taskexec(h, App::Cholesky),
-        "fig10" => ex::fig_mgmt(h, App::Ocean, true),
-        "fig11" => ex::fig_mgmt(h, App::Cholesky, true),
-        "fig12" => ex::fig_locality(h, App::Water, false),
-        "fig13" => ex::fig_locality(h, App::StringApp, false),
-        "fig14" => ex::fig_locality(h, App::Ocean, false),
-        "fig15" => ex::fig_locality(h, App::Cholesky, false),
-        "fig16" => ex::fig_commratio(h, App::Water),
-        "fig17" => ex::fig_commratio(h, App::StringApp),
-        "fig18" => ex::fig_commratio(h, App::Ocean),
-        "fig19" => ex::fig_commratio(h, App::Cholesky),
-        "fig20" => ex::fig_mgmt(h, App::Ocean, false),
-        "fig21" => ex::fig_mgmt(h, App::Cholesky, false),
-        "replication" => ex::replication(h),
-        "bcast-analysis" => ex::bcast_analysis(h),
-        "latency-hiding" => ex::latency_hiding(h),
-        "concurrent-fetch" => ex::concurrent_fetch(h),
-        "ablations" => ex::ablations(h),
-        "heterogeneous" => ex::heterogeneous(h),
-        "utilization" => {
-            for app in [App::Water, App::Ocean, App::Cholesky] {
-                ex::utilization(h, app, 8);
-            }
-        }
-        "fault-sweep" => {
-            if let Err(why) = ex::fault_sweep(h, plan) {
-                eprintln!("fault sweep FAILED: {why}");
-                std::process::exit(1);
-            }
-        }
-        "checkpoint-sweep" => {
-            if let Err(why) = ex::checkpoint_sweep(h, plan, ckpt_intervals) {
-                eprintln!("checkpoint sweep FAILED: {why}");
-                std::process::exit(1);
-            }
-        }
-        "aggregation-sweep" => {
-            if let Err(why) = ex::aggregation_sweep(h) {
-                eprintln!("aggregation sweep FAILED: {why}");
-                std::process::exit(1);
-            }
-        }
-        "overlap-sweep" => {
-            if let Err(why) = ex::overlap_sweep(h) {
-                eprintln!("overlap sweep FAILED: {why}");
-                std::process::exit(1);
-            }
-        }
-        "service-stress" => {
-            if let Err(why) = ex::service_stress(h) {
-                eprintln!("service stress FAILED: {why}");
-                std::process::exit(1);
-            }
-        }
-        "tune-sweep" => {
-            if let Err(why) = ex::tune_sweep(h) {
-                eprintln!("tune sweep FAILED: {why}");
-                std::process::exit(1);
-            }
-        }
-        other => {
-            let _ = exec_apps;
-            eprintln!("unknown experiment: {other}");
-            std::process::exit(2);
-        }
     }
 }

@@ -1,33 +1,316 @@
-//! One function per experiment in the paper's Section 5. Each prints the
+//! The paper's Section 5 as one catalogue of experiments. Each prints the
 //! reproduced numbers next to the paper's published numbers (where the
 //! paper publishes a table; figures print our series plus the qualitative
-//! expectation the paper's plot shows).
+//! expectation the paper's plot shows). The sweeps gate the runtime's
+//! invariants and return `Err` naming the first gate that failed.
 
 use crate::apps::App;
-use crate::harness::{header, row, Harness, PROCS};
-use crate::paper_data;
-use dsim::FaultPlan;
+use crate::harness::{header, row, Harness, Machine, Run, PROCS};
+use crate::paper_data::{self, ExecTable};
+use dsim::{FaultPlan, SimDuration};
+use jade_apps::water::{self, WaterOutput};
 use jade_core::{
     check_conservation_per_tenant, check_lifecycle_per_tenant, Handle, LocalityMode, Metrics,
     TaggedEvent, TaskBuilder, TenantId,
 };
+use jade_dash::{DashConfig, DashRunResult};
+use jade_ipsc::{IpscConfig, IpscRunResult};
 use jade_threads::{
     JadeService, Outcome, Program, ServiceConfig, ShedPolicy, SubmitError, TenantOptions,
+    ThreadRuntime,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-fn print_table(title: &str, rows: &[(String, Vec<f64>)], paper: Option<&paper_data::ExecTable>) {
+/// One experiment `repro` can run.
+pub struct Experiment {
+    /// The name `repro` takes on its command line.
+    pub name: String,
+    /// The paper's table, figure or section it reproduces (the DESIGN.md
+    /// section, for a sweep), as `repro`'s usage lists it.
+    pub title: String,
+    /// The group names (`all`, `tables`, `figures`) that include it.
+    pub groups: &'static [&'static str],
+    run: Box<Body>,
+}
+
+impl Experiment {
+    /// Run it and print its output; `Err` names the sweep gate that failed.
+    pub fn run(&self, h: &mut Harness) -> Result<(), String> {
+        (self.run)(h)
+    }
+}
+
+const ALL: &[&str] = &["all"];
+const ALONE: &[&str] = &[];
+type Rows = Vec<(String, Vec<f64>)>;
+type Show = fn(&mut Harness);
+type Gate = fn(&mut Harness) -> Result<(), String>;
+type Body = dyn Fn(&mut Harness) -> Result<(), String>;
+
+fn exp(
+    name: impl Into<String>,
+    groups: &'static [&'static str],
+    title: impl Into<String>,
+    run: impl Fn(&mut Harness) -> Result<(), String> + 'static,
+) -> Experiment {
+    let (name, title, run) = (name.into(), title.into(), Box::new(run));
+    Experiment {
+        name,
+        title,
+        groups,
+        run,
+    }
+}
+
+/// Table `n`: reproduced rows over the processor counts, the paper's
+/// published rows beneath.
+fn table(
+    n: usize,
+    title: String,
+    paper: ExecTable,
+    rows: impl Fn(&mut Harness) -> Rows + 'static,
+) -> Experiment {
+    exp(
+        format!("table{n}"),
+        &["all", "tables"],
+        format!("Table {n}: {title}"),
+        move |h| {
+            print_table(&title, &rows(h), Some(&paper), 2);
+            Ok(())
+        },
+    )
+}
+
+/// Figure `n`: reproduced rows over the processor counts, then the
+/// expectation the paper's plot shows.
+fn figure(
+    n: usize,
+    title: String,
+    decimals: usize,
+    note: &'static str,
+    rows: impl Fn(&mut Harness) -> Rows + 'static,
+) -> Experiment {
+    let title = format!("Figure {n}: {title}");
+    exp(
+        format!("fig{n}"),
+        &["all", "figures"],
+        title.clone(),
+        move |h| {
+            print_table(&title, &rows(h), None, decimals);
+            println!("  {note}");
+            Ok(())
+        },
+    )
+}
+
+/// Every experiment, in the order `repro all` runs them.
+pub fn catalogue() -> Vec<Experiment> {
+    use paper_data::{table10, table2, table3, table4, table5, table7, table8, table9};
+    use Machine::{Dash, Ipsc};
+    let mut c = Vec::new();
+    for (n, m, on, paper) in [
+        (1, Dash, "DASH", &paper_data::TABLE1_DASH),
+        (6, Ipsc, "the iPSC/860", &paper_data::TABLE6_IPSC),
+    ] {
+        let title = format!("Table {n}: Serial and Stripped Execution Times on {on} (seconds)");
+        c.push(exp(format!("table{n}"), ALL, title.clone(), move |h| {
+            table_serial(h, m, &title, paper);
+            Ok(())
+        }));
+    }
+
+    // Tables 2–5 (DASH) and 7–10 (iPSC): execution times at each locality
+    // level. Tables 11–14: adaptive broadcast on and off on the iPSC/860
+    // (locality, replication and concurrent fetch on; latency hiding off).
+    for (m, first, papers) in [
+        (Dash, 2, [table2, table3, table4, table5]),
+        (Ipsc, 7, [table7, table8, table9, table10]),
+    ] {
+        for ((app, paper), n) in App::ALL.into_iter().zip(papers).zip(first..) {
+            let title = format!(
+                "Execution Times for {} on {} (seconds) [reproduced]",
+                app.name(),
+                m.name()
+            );
+            c.push(table(n, title, paper(), move |h| {
+                h.grid(m, app, |r| r.exec_time_s)
+            }));
+        }
+    }
+    for (app, n) in App::ALL.into_iter().zip(11..) {
+        let title = format!(
+            "Adaptive Broadcast for {} on the iPSC/860 (seconds) [reproduced]",
+            app.name()
+        );
+        let paper = paper_data::bcast_table(app.name());
+        c.push(table(n, title, paper, move |h| bcast_rows(h, app)));
+    }
+
+    // Figures 2–11 on DASH and 12–21 on the iPSC/860: task locality (2–5,
+    // 12–15), one figure per app of the machine's own (6–9, 16–19), and the
+    // task management percentage (10–11, 20–21).
+    let task_time: fn(&Run) -> f64 = |r| r.task_time_s;
+    let comm_ratio: fn(&Run) -> f64 = |r| dsim::ratio(r.comm_bytes as f64 / 1e6, r.task_time_s);
+    for (m, n, (what, on, decimals, note, metric)) in [
+        (
+            Dash,
+            2,
+            (
+                "Total Task Execution Time",
+                "DASH (seconds)",
+                2,
+                TASK_TIME,
+                task_time,
+            ),
+        ),
+        (
+            Ipsc,
+            12,
+            (
+                "Communication to Computation Ratio",
+                "the iPSC/860 (Mbytes/s)",
+                4,
+                COMM,
+                comm_ratio,
+            ),
+        ),
+    ] {
+        for (app, n) in App::ALL.into_iter().zip(n..) {
+            let title = format!(
+                "Task Locality Percentage for {} on {}",
+                app.name(),
+                m.name()
+            );
+            let expect = match (app, m) {
+                (App::Water | App::StringApp, _) => LOCALITY_REPLICATED,
+                (App::Cholesky, Ipsc) => LOCALITY_FIRST_TOUCH,
+                _ => LOCALITY_PLACED,
+            };
+            c.push(figure(n, title, 2, expect, move |h| {
+                h.grid(m, app, |r| r.locality_pct)
+            }));
+        }
+        for (app, n) in App::ALL.into_iter().zip(n + 4..) {
+            let title = format!("{what} for {} on {on}", app.name());
+            c.push(figure(n, title, decimals, note, move |h| {
+                h.grid(m, app, metric)
+            }));
+        }
+        for (app, n) in [App::Ocean, App::Cholesky].into_iter().zip(n + 8..) {
+            let title = format!(
+                "Task Management Percentage for {} on {} (work-free / full)",
+                app.name(),
+                m.name()
+            );
+            c.push(figure(n, title, 2, MGMT, move |h| mgmt_rows(h, m, app)));
+        }
+    }
+
+    let sections: [(&str, &str, Show); 7] = [
+        ("replication", "Section 5.1: replication", replication),
+        ("bcast-analysis", "Section 5.3: broadcast", bcast_analysis),
+        (
+            "latency-hiding",
+            "Section 5.4: latency hiding",
+            latency_hiding,
+        ),
+        (
+            "concurrent-fetch",
+            "Section 5.5: concurrent fetch",
+            concurrent_fetch,
+        ),
+        ("ablations", "Section 6: ablations", ablations),
+        ("heterogeneous", "Section 1: workstations", heterogeneous),
+        ("utilization", "per-processor time at 8 procs", utilization),
+    ];
+    for (name, title, show) in sections {
+        let groups = if name == "utilization" { ALONE } else { ALL };
+        c.push(exp(name, groups, title, move |h| {
+            show(h);
+            Ok(())
+        }));
+    }
+    let sweeps: [(&str, &str, Gate); 6] = [
+        ("fault-sweep", "DESIGN.md §11: fault recovery", fault_sweep),
+        (
+            "checkpoint-sweep",
+            "DESIGN.md §12: checkpoints",
+            checkpoint_sweep,
+        ),
+        (
+            "aggregation-sweep",
+            "DESIGN.md §15: aggregation",
+            aggregation_sweep,
+        ),
+        ("overlap-sweep", "DESIGN.md §17: prefetch", overlap_sweep),
+        ("service-stress", "DESIGN.md §16: service", service_stress),
+        ("tune-sweep", "DESIGN.md §19: self-tuning", tune_sweep),
+    ];
+    c.extend(sweeps.map(|(name, title, gate)| exp(name, ALONE, title, gate)));
+    c
+}
+
+/// The experiments a command-line name stands for: the one of that name,
+/// or every member of the group (`all`, `tables`, `figures`) in catalogue
+/// order. `None` if the name is neither.
+pub fn select<'c>(catalogue: &'c [Experiment], name: &str) -> Option<Vec<&'c Experiment>> {
+    let hits: Vec<_> = catalogue
+        .iter()
+        .filter(|e| e.name == name || e.groups.contains(&name))
+        .collect();
+    (!hits.is_empty()).then_some(hits)
+}
+
+const LOCALITY_REPLICATED: &str = "paper: Locality = 100%, No Locality drops toward ~1/P";
+const LOCALITY_FIRST_TOUCH: &str = "paper: Task Placement ~92% (first touch targets main), \
+    Locality < 100%, No Locality low";
+const LOCALITY_PLACED: &str =
+    "paper: Task Placement = 100%, Locality substantially below 100%, No Locality low";
+const TASK_TIME: &str = "paper: rises with processors (more remote misses); small relative \
+    rise for Water/String, large for Ocean/Panel Cholesky, ordered NoLocality > Locality > Placement";
+const COMM: &str = "paper: Water/String ratios tiny (< 0.1); Ocean/Panel Cholesky large \
+    (up to ~24), lower ratios at higher locality levels";
+const MGMT: &str = "paper: rises steeply with processors; higher on the iPSC than on DASH";
+
+/// Tables 11–14's rows: execution time with adaptive broadcast on and off.
+fn bcast_rows(h: &mut Harness, app: App) -> Rows {
+    let mode = app.natural_mode();
+    let rows = [("Adaptive Bcast", true), ("No Adapt Bcast", false)].map(|(label, on)| {
+        let run = PROCS.map(|p| h.ipsc_with(app, p, mode, |c| c.adaptive_broadcast = on));
+        (
+            label.to_string(),
+            run.iter().map(|r| r.exec_time_s).collect(),
+        )
+    });
+    rows.into()
+}
+
+/// Figures 10/11 and 20/21's row: 100 × work-free time / full time at the
+/// Task Placement level.
+fn mgmt_rows(h: &mut Harness, m: Machine, app: App) -> Rows {
+    let mode = LocalityMode::TaskPlacement;
+    let pct =
+        |p| 100.0 * h.work_free(m, app, p, mode).exec_time_s / h.run(m, app, p, mode).exec_time_s;
+    vec![("Task Placement".to_string(), PROCS.map(pct).to_vec())]
+}
+
+fn print_table(
+    title: &str,
+    rows: &[(String, Vec<f64>)],
+    paper: Option<&ExecTable>,
+    decimals: usize,
+) {
     println!("\n{}", header(title));
     for (label, vals) in rows {
-        println!("{}", row(label, vals));
+        println!("{}", row(label, vals, decimals));
     }
     if let Some(p) = paper {
         println!("  --- paper ({}):", p.label);
         for (label, vals) in p.rows {
             let v: Vec<f64> = vals.iter().map(|x| x.unwrap_or(f64::NAN)).collect();
-            println!("{}", row(&format!("paper {label}"), &v));
+            println!("{}", row(&format!("paper {label}"), &v, 2));
         }
     }
 }
@@ -36,36 +319,16 @@ fn print_table(title: &str, rows: &[(String, Vec<f64>)], paper: Option<&paper_da
 /// calibration anchors of the per-application cost models; we report the
 /// model's reproduced stripped time (charged work × calibrated rate), which
 /// by construction lands on the paper's value at full scale.
-pub fn table_serial(h: &mut Harness, dash: bool) {
-    let (title, rows) = if dash {
-        (
-            "Table 1: Serial and Stripped Execution Times on DASH (seconds)",
-            &paper_data::TABLE1_DASH,
-        )
-    } else {
-        (
-            "Table 6: Serial and Stripped Execution Times on the iPSC/860 (seconds)",
-            &paper_data::TABLE6_IPSC,
-        )
-    };
+fn table_serial(h: &mut Harness, m: Machine, title: &str, paper: &[paper_data::SerialRow]) {
     println!("\n{title}");
     println!(
         "{:>16} | {:>12} {:>12} {:>14} {:>14}",
         "app", "paper serial", "paper strip", "model strip", "model 1-proc"
     );
-    for (app, paper) in App::ALL.iter().zip(rows.iter()) {
-        let trace = h.trace(*app, 1);
-        let spo = if dash {
-            app.dash_sec_per_op(&trace)
-        } else {
-            app.ipsc_sec_per_op(&trace)
-        };
-        let stripped = trace.total_work() * spo;
-        let one_proc = if dash {
-            h.dash(*app, 1, LocalityMode::Locality).exec_time_s
-        } else {
-            h.ipsc(*app, 1, LocalityMode::Locality).exec_time_s
-        };
+    for (&app, paper) in App::ALL.iter().zip(paper) {
+        let trace = h.trace(app, 1);
+        let stripped = trace.total_work() * m.sec_per_op(app, &trace);
+        let one_proc = h.run(m, app, 1, LocalityMode::Locality).exec_time_s;
         println!(
             "{:>16} | {:>12.2} {:>12.2} {:>14.2} {:>14.2}",
             paper.app, paper.serial, paper.stripped, stripped, one_proc
@@ -73,248 +336,10 @@ pub fn table_serial(h: &mut Harness, dash: bool) {
     }
 }
 
-/// Tables 2–5 (DASH) and 7–10 (iPSC): execution times at each locality
-/// optimization level.
-pub fn table_exec(h: &mut Harness, app: App, dash: bool) {
-    let paper = match (app, dash) {
-        (App::Water, true) => paper_data::table2(),
-        (App::StringApp, true) => paper_data::table3(),
-        (App::Ocean, true) => paper_data::table4(),
-        (App::Cholesky, true) => paper_data::table5(),
-        (App::Water, false) => paper_data::table7(),
-        (App::StringApp, false) => paper_data::table8(),
-        (App::Ocean, false) => paper_data::table9(),
-        (App::Cholesky, false) => paper_data::table10(),
-        (App::Pagerank | App::Halo, _) => {
-            panic!("no paper table for irregular app {}", app.name())
-        }
-    };
-    let machine = if dash { "DASH" } else { "iPSC/860" };
-    let mut rows = Vec::new();
-    for mode in h.modes_for(app) {
-        let vals: Vec<f64> = PROCS
-            .iter()
-            .map(|&p| {
-                if dash {
-                    h.dash(app, p, mode).exec_time_s
-                } else {
-                    h.ipsc(app, p, mode).exec_time_s
-                }
-            })
-            .collect();
-        rows.push((mode.to_string(), vals));
-    }
-    print_table(
-        &format!(
-            "Execution Times for {} on {} (seconds) [reproduced]",
-            app.name(),
-            machine
-        ),
-        &rows,
-        Some(&paper),
-    );
-}
-
-/// Figures 2–5 (DASH) and 12–15 (iPSC): task locality percentage.
-pub fn fig_locality(h: &mut Harness, app: App, dash: bool) {
-    let machine = if dash { "DASH" } else { "iPSC/860" };
-    let fig = match (app, dash) {
-        (App::Water, true) => 2,
-        (App::StringApp, true) => 3,
-        (App::Ocean, true) => 4,
-        (App::Cholesky, true) => 5,
-        (App::Water, false) => 12,
-        (App::StringApp, false) => 13,
-        (App::Ocean, false) => 14,
-        (App::Cholesky, false) => 15,
-        (App::Pagerank | App::Halo, _) => {
-            panic!("no paper figure for irregular app {}", app.name())
-        }
-    };
-    let mut rows = Vec::new();
-    for mode in h.modes_for(app) {
-        let vals: Vec<f64> = PROCS
-            .iter()
-            .map(|&p| {
-                if dash {
-                    h.dash(app, p, mode).locality_pct
-                } else {
-                    h.ipsc(app, p, mode).locality_pct
-                }
-            })
-            .collect();
-        rows.push((mode.to_string(), vals));
-    }
-    print_table(
-        &format!(
-            "Figure {fig}: Task Locality Percentage for {} on {}",
-            app.name(),
-            machine
-        ),
-        &rows,
-        None,
-    );
-    let expect = match (app, dash) {
-        (App::Water | App::StringApp, _) => {
-            "paper: Locality = 100%, No Locality drops toward ~1/P"
-        }
-        (App::Cholesky, false) => {
-            "paper: Task Placement ~92% (first touch targets main), Locality < 100%, No Locality low"
-        }
-        _ => "paper: Task Placement = 100%, Locality substantially below 100%, No Locality low",
-    };
-    println!("  {expect}");
-}
-
-/// Figures 6–9: total task execution time on DASH (includes the
-/// communication performed inside tasks).
-pub fn fig_taskexec(h: &mut Harness, app: App) {
-    let fig = match app {
-        App::Water => 6,
-        App::StringApp => 7,
-        App::Ocean => 8,
-        App::Cholesky => 9,
-        App::Pagerank | App::Halo => {
-            panic!("no paper figure for irregular app {}", app.name())
-        }
-    };
-    let mut rows = Vec::new();
-    for mode in h.modes_for(app) {
-        let vals: Vec<f64> = PROCS
-            .iter()
-            .map(|&p| h.dash(app, p, mode).task_time_s)
-            .collect();
-        rows.push((mode.to_string(), vals));
-    }
-    print_table(
-        &format!(
-            "Figure {fig}: Total Task Execution Time for {} on DASH (seconds)",
-            app.name()
-        ),
-        &rows,
-        None,
-    );
-    println!(
-        "  paper: rises with processors (more remote misses); small relative rise for \
-         Water/String, large for Ocean/Panel Cholesky, ordered NoLocality > Locality > Placement"
-    );
-}
-
-/// Figures 10, 11 (DASH) and 20, 21 (iPSC): task management percentage via
-/// the work-free methodology, at the Task Placement level.
-pub fn fig_mgmt(h: &mut Harness, app: App, dash: bool) {
-    let fig = match (app, dash) {
-        (App::Ocean, true) => 10,
-        (App::Cholesky, true) => 11,
-        (App::Ocean, false) => 20,
-        _ => 21,
-    };
-    let machine = if dash { "DASH" } else { "iPSC/860" };
-    let vals: Vec<f64> = PROCS
-        .iter()
-        .map(|&p| {
-            let (full, free) = if dash {
-                let full = h.dash(app, p, LocalityMode::TaskPlacement).exec_time_s;
-                let free = h
-                    .dash_with(app, p, LocalityMode::TaskPlacement, |c| c.work_free = true)
-                    .exec_time_s;
-                (full, free)
-            } else {
-                let full = h.ipsc(app, p, LocalityMode::TaskPlacement).exec_time_s;
-                let free = h
-                    .ipsc_with(app, p, LocalityMode::TaskPlacement, |c| c.work_free = true)
-                    .exec_time_s;
-                (full, free)
-            };
-            100.0 * free / full
-        })
-        .collect();
-    print_table(
-        &format!(
-            "Figure {fig}: Task Management Percentage for {} on {} (work-free / full)",
-            app.name(),
-            machine
-        ),
-        &[("Task Placement".to_string(), vals)],
-        None,
-    );
-    println!("  paper: rises steeply with processors; higher on the iPSC than on DASH");
-}
-
-/// Figures 16–19: communication-to-computation ratio on the iPSC/860
-/// (Mbytes of shared-object messages per second of task execution).
-pub fn fig_commratio(h: &mut Harness, app: App) {
-    let fig = match app {
-        App::Water => 16,
-        App::StringApp => 17,
-        App::Ocean => 18,
-        App::Cholesky => 19,
-        App::Pagerank | App::Halo => {
-            panic!("no paper figure for irregular app {}", app.name())
-        }
-    };
-    let mut rows = Vec::new();
-    for mode in h.modes_for(app) {
-        let vals: Vec<f64> = PROCS
-            .iter()
-            .map(|&p| h.ipsc(app, p, mode).comm_to_comp)
-            .collect();
-        rows.push((mode.to_string(), vals));
-    }
-    println!(
-        "\n{}",
-        header(&format!(
-            "Figure {fig}: Communication to Computation Ratio for {} on the iPSC/860 (Mbytes/s)",
-            app.name()
-        ))
-    );
-    for (label, vals) in &rows {
-        let mut s = format!("{label:>16} |");
-        for v in vals {
-            s.push_str(&format!(" {v:>9.4}"));
-        }
-        println!("{s}");
-    }
-    println!(
-        "  paper: Water/String ratios tiny (< 0.1); Ocean/Panel Cholesky large (up to ~24), \
-         lower ratios at higher locality levels"
-    );
-}
-
-/// Tables 11–14: adaptive broadcast on/off on the iPSC/860 (locality,
-/// replication and concurrent fetch on; latency hiding off).
-pub fn table_bcast(h: &mut Harness, app: App) {
-    let paper = paper_data::bcast_table(app.name());
-    let mode = if app.has_placement() {
-        LocalityMode::TaskPlacement
-    } else {
-        LocalityMode::Locality
-    };
-    let mut rows = Vec::new();
-    for (label, ab) in [("Adaptive Bcast", true), ("No Adapt Bcast", false)] {
-        let vals: Vec<f64> = PROCS
-            .iter()
-            .map(|&p| {
-                h.ipsc_with(app, p, mode, |c| c.adaptive_broadcast = ab)
-                    .exec_time_s
-            })
-            .collect();
-        rows.push((label.to_string(), vals));
-    }
-    print_table(
-        &format!(
-            "Adaptive Broadcast for {} on the iPSC/860 (seconds) [reproduced]",
-            app.name()
-        ),
-        &rows,
-        Some(&paper),
-    );
-}
-
 /// Section 5.3's quantitative analysis: sizes and distribution times of the
 /// widely-read objects, and mean parallel phase lengths with and without
 /// adaptive broadcast, at 32 processors.
-pub fn bcast_analysis(h: &mut Harness) {
+fn bcast_analysis(h: &mut Harness) {
     println!("\nSection 5.3 analysis: object distribution at 32 processors");
     let machine = dsim::IpscSpec::paper(32);
     for (app, bytes, paper_send, paper_bcast) in [
@@ -351,14 +376,16 @@ pub fn bcast_analysis(h: &mut Harness) {
 
 /// Section 5.1: replication. Disabling read replication serializes every
 /// application (all tasks read at least one common object).
-pub fn replication(h: &mut Harness) {
+fn replication(h: &mut Harness) {
     println!("\nSection 5.1: replication (iPSC/860, 8 processors, Locality level)");
     println!(
         "{:>16} | {:>12} {:>14} {:>8}",
         "app", "replication", "no replication", "slowdown"
     );
     for app in App::ALL {
-        let on = h.ipsc(app, 8, LocalityMode::Locality).exec_time_s;
+        let on = h
+            .run(Machine::Ipsc, app, 8, LocalityMode::Locality)
+            .exec_time_s;
         let off = h
             .ipsc_with(app, 8, LocalityMode::Locality, |c| c.replication = false)
             .exec_time_s;
@@ -376,7 +403,7 @@ pub fn replication(h: &mut Harness) {
 /// Section 5.4: hiding latency with excess concurrency — Panel Cholesky
 /// with the target task count set to two, plus the latency/task-time
 /// imbalance analysis.
-pub fn latency_hiding(h: &mut Harness) {
+fn latency_hiding(h: &mut Harness) {
     println!("\nSection 5.4: latency hiding (Panel Cholesky on the iPSC/860, Locality level)");
     println!(
         "{:>16} | {}",
@@ -395,9 +422,9 @@ pub fn latency_hiding(h: &mut Harness) {
                 .exec_time_s
             })
             .collect();
-        println!("{}", row(&format!("{target}"), &vals));
+        println!("{}", row(&format!("{target}"), &vals, 2));
     }
-    let r = h.ipsc(App::Cholesky, 16, LocalityMode::TaskPlacement);
+    let r = h.ipsc_with(App::Cholesky, 16, LocalityMode::TaskPlacement, |_| {});
     let mean_task = r.task_time_s / r.tasks_executed.max(1) as f64;
     let mean_obj = r.object_latency_s / r.fetches.max(1) as f64;
     println!(
@@ -413,20 +440,16 @@ pub fn latency_hiding(h: &mut Harness) {
 /// Section 5.5: concurrent fetches — the ratio of summed object latency to
 /// summed task latency at the highest locality level, plus the serial-fetch
 /// ablation.
-pub fn concurrent_fetch(h: &mut Harness) {
+fn concurrent_fetch(h: &mut Harness) {
     println!("\nSection 5.5: concurrent fetches (iPSC/860, highest locality level)");
     println!(
         "{:>16} | {:>8} {:>14} {:>14} {:>8} {:>12}",
         "app", "procs", "object lat (s)", "task lat (s)", "ratio", "serial-fetch"
     );
     for app in App::ALL {
-        let mode = if app.has_placement() {
-            LocalityMode::TaskPlacement
-        } else {
-            LocalityMode::Locality
-        };
+        let mode = app.natural_mode();
         for procs in [8usize, 32] {
-            let r = h.ipsc(app, procs, mode);
+            let r = h.ipsc_with(app, procs, mode, |_| {});
             let ratio = if r.task_latency_s > 0.0 {
                 r.object_latency_s / r.task_latency_s
             } else {
@@ -453,7 +476,7 @@ pub fn concurrent_fetch(h: &mut Harness) {
 }
 
 /// Ablations of the design choices DESIGN.md Section 6 calls out.
-pub fn ablations(h: &mut Harness) {
+fn ablations(h: &mut Harness) {
     println!("\nAblation: eager update protocol (paper Section 6, iPSC/860, 16 procs)");
     println!("  paper: an update-protocol Jade implementation helped regular applications");
     println!("  (Water, String) and degraded irregular ones by generating excess traffic.");
@@ -462,13 +485,8 @@ pub fn ablations(h: &mut Harness) {
         "app", "demand (s)", "eager (s)", "demand MB", "eager MB"
     );
     for app in App::ALL {
-        let mode = if app.has_placement() {
-            LocalityMode::TaskPlacement
-        } else {
-            LocalityMode::Locality
-        };
-        let d = h.ipsc(app, 16, mode);
-        let e = h.ipsc_with(app, 16, mode, |c| c.eager_update = true);
+        let d = h.run(Machine::Ipsc, app, 16, app.natural_mode());
+        let e = h.ipsc_with(app, 16, app.natural_mode(), |c| c.eager_update = true);
         println!(
             "{:>16} | {:>10.2} {:>10.2} {:>12.1} {:>12.1}",
             app.name(),
@@ -481,7 +499,7 @@ pub fn ablations(h: &mut Harness) {
 
     println!("\nAblation: locality-object choice (first vs last declared, DASH, 16 procs)");
     for app in [App::Ocean, App::Cholesky] {
-        let normal = h.dash(app, 16, LocalityMode::Locality);
+        let normal = h.run(Machine::Dash, app, 16, LocalityMode::Locality);
         let trace = h.trace(app, 16);
         let mut flipped = (*trace).clone();
         for t in &mut flipped.tasks {
@@ -491,7 +509,7 @@ pub fn ablations(h: &mut Harness) {
         let spo = app.dash_sec_per_op(&flipped);
         let r = jade_dash::run(
             &flipped,
-            &jade_dash::DashConfig::paper(16, LocalityMode::Locality, spo),
+            &DashConfig::paper(16, LocalityMode::Locality, spo),
         );
         println!(
             "  {:>16}: first-declared {:.2}s ({:.0}% locality) | last-declared {:.2}s ({:.0}% locality)",
@@ -505,14 +523,13 @@ pub fn ablations(h: &mut Harness) {
 
     println!("\nAblation: serial vs concurrent fetches (iPSC/860, 16 procs)");
     for app in App::ALL {
-        let mode = if app.has_placement() {
-            LocalityMode::TaskPlacement
-        } else {
-            LocalityMode::Locality
-        };
-        let conc = h.ipsc(app, 16, mode).exec_time_s;
+        let conc = h
+            .run(Machine::Ipsc, app, 16, app.natural_mode())
+            .exec_time_s;
         let ser = h
-            .ipsc_with(app, 16, mode, |c| c.concurrent_fetches = false)
+            .ipsc_with(app, 16, app.natural_mode(), |c| {
+                c.concurrent_fetches = false
+            })
             .exec_time_s;
         println!(
             "  {:>16}: concurrent {conc:.2}s | serial {ser:.2}s",
@@ -523,30 +540,25 @@ pub fn ablations(h: &mut Harness) {
 
 /// Per-processor utilization profile: where each processor's time goes
 /// (application work / communication / task management / idle), the
-/// breakdown behind the paper's bottleneck arguments. Rendered as text bars.
-pub fn utilization(h: &mut Harness, app: App, procs: usize) {
-    let mode = if app.has_placement() {
-        LocalityMode::TaskPlacement
-    } else {
-        LocalityMode::Locality
-    };
-    for machine in ["DASH", "iPSC/860"] {
-        let (exec, busy) = if machine == "DASH" {
-            let r = h.dash(app, procs, mode);
-            (r.exec_time_s, r.per_proc_busy)
-        } else {
-            let r = h.ipsc(app, procs, mode);
-            (r.exec_time_s, r.per_proc_busy)
-        };
+/// breakdown behind the paper's bottleneck arguments, for three apps at 8
+/// processors. Rendered as text bars.
+fn utilization(h: &mut Harness) {
+    let procs = 8;
+    for (app, m) in [App::Water, App::Ocean, App::Cholesky]
+        .into_iter()
+        .flat_map(|a| Machine::BOTH.map(|m| (a, m)))
+    {
+        let r = h.run(m, app, procs, app.natural_mode());
+        let exec = r.exec_time_s;
         println!(
             "\n{} on {} ({} procs, {:.2}s): per-processor time  [#=app  ~=comm  m=mgmt  .=idle]",
             app.name(),
-            machine,
+            m.name(),
             procs,
             exec
         );
         const W: usize = 60;
-        for (p, (a, c, m)) in busy.iter().enumerate() {
+        for (p, (a, c, m)) in r.per_proc_busy.iter().enumerate() {
             let cell = |x: f64| ((x / exec) * W as f64).round() as usize;
             let (na, nc, nm) = (cell(*a), cell(*c), cell(*m));
             let idle = W.saturating_sub(na + nc + nm);
@@ -565,49 +577,41 @@ pub fn utilization(h: &mut Harness, app: App, procs: usize) {
 /// The third platform of the paper's introduction: a heterogeneous
 /// collection of workstations on a shared Ethernet. Jade programs run
 /// unmodified; the dynamic load balancer adapts to machine speeds.
-pub fn heterogeneous(h: &mut Harness) {
+fn heterogeneous(h: &mut Harness) {
     println!("\nHeterogeneous workstations (shared 10-Mbit medium)");
     println!("  machines: speeds 1.0 / 1.0 / 2.0 / 2.0 / 4.0 (aggregate 10.0)");
     let speeds = vec![1.0, 1.0, 2.0, 2.0, 4.0];
     let agg: f64 = speeds.iter().sum();
+    // Exec times with the machines as given and with all five at speed 1.
+    let hetero_vs_uniform = |trace: &jade_core::Trace, cfg: IpscConfig| {
+        let uniform = IpscConfig {
+            speed_factors: Some(vec![1.0; 5]),
+            ..cfg.clone()
+        };
+        let run = |cfg: &IpscConfig| jade_ipsc::run(trace, cfg).exec_time_s;
+        (run(&cfg), run(&uniform))
+    };
     // First, the clean case: plenty of independent coarse tasks with small
     // objects. The balancer's speed adaptivity is pure here.
-    {
-        let mut b = jade_core::TraceBuilder::new();
-        let objs: Vec<_> = (0..200)
-            .map(|i| b.object(&format!("w{i}"), 64, Some(i % 5)))
-            .collect();
-        for &o in &objs {
-            let mut s = jade_core::AccessSpec::new();
-            s.wr(o);
-            b.task(s, 1.0);
-        }
-        let trace = b.build();
-        let hetero = jade_ipsc::run(
-            &trace,
-            &jade_ipsc::IpscConfig::workstations(speeds.clone(), 1.0),
-        );
-        let uniform = jade_ipsc::run(
-            &trace,
-            &jade_ipsc::IpscConfig::workstations(vec![1.0; 5], 1.0),
-        );
-        println!(
-            "  200 independent 1s tasks: heterogeneous {:.1}s vs uniform {:.1}s (ideal {:.1} vs 40.0)",
-            hetero.exec_time_s,
-            uniform.exec_time_s,
-            200.0 / agg
-        );
+    let mut b = jade_core::TraceBuilder::new();
+    for i in 0..200 {
+        let mut s = jade_core::AccessSpec::new();
+        s.wr(b.object(&format!("w{i}"), 64, Some(i % 5)));
+        b.task(s, 1.0);
     }
+    let (hetero, uniform) =
+        hetero_vs_uniform(&b.build(), IpscConfig::workstations(speeds.clone(), 1.0));
+    println!(
+        "  200 independent 1s tasks: heterogeneous {hetero:.1}s vs uniform {uniform:.1}s (ideal {:.1} vs 40.0)",
+        200.0 / agg
+    );
     // Panel Cholesky has thousands of tasks — surplus work the balancer can
     // shift toward the fast machines.
     let app = App::Cholesky;
     let trace = h.trace(app, speeds.len());
     let spo = app.ipsc_sec_per_op(&trace);
     let serial = trace.total_work() * spo;
-    let eth = jade_ipsc::run(
-        &trace,
-        &jade_ipsc::IpscConfig::workstations(speeds.clone(), spo),
-    );
+    let eth = jade_ipsc::run(&trace, &IpscConfig::workstations(speeds.clone(), spo));
     println!(
         "  Cholesky ({} tasks) on the Ethernet cluster: {:.1}s vs {serial:.1}s serial —\n\
          the shared 10-Mbit wire serializes every panel transfer; fine-grained\n\
@@ -617,45 +621,166 @@ pub fn heterogeneous(h: &mut Harness) {
     );
     // Same heterogeneous machines on a switched (hypercube-class) network:
     // now the balancer's speed-adaptivity is visible.
-    let mut fast_net = jade_ipsc::IpscConfig::workstations(speeds.clone(), spo);
-    fast_net.shared_medium = false;
-    fast_net.machine = dsim::IpscSpec::paper(speeds.len());
-    let mut fast_uniform = fast_net.clone();
-    fast_uniform.speed_factors = Some(vec![1.0; 5]);
-    let hetero = jade_ipsc::run(&trace, &fast_net);
-    let uniform = jade_ipsc::run(&trace, &fast_uniform);
+    let fast_net = IpscConfig {
+        shared_medium: false,
+        machine: dsim::IpscSpec::paper(speeds.len()),
+        ..IpscConfig::workstations(speeds.clone(), spo)
+    };
+    let (hetero, uniform) = hetero_vs_uniform(&trace, fast_net);
     println!(
-        "  same machines on a switched network: heterogeneous {:.1}s vs uniform {:.1}s\n\
+        "  same machines on a switched network: heterogeneous {hetero:.1}s vs uniform {uniform:.1}s\n\
          (aggregate speed 10 vs 5: the balancer feeds fast machines more tasks;\n\
           ideal aggregate bound {:.1}s)",
-        hetero.exec_time_s,
-        uniform.exec_time_s,
         serial / agg
     );
     // Water's grain is matched to the processor count (one task per machine
     // per phase), so its phases are bound by the slowest machine — grain,
     // not scheduling, limits heterogeneity there.
-    let wtrace = h.trace(App::Water, speeds.len());
-    let wspo = App::Water.ipsc_sec_per_op(&wtrace);
-    let wh = jade_ipsc::run(&wtrace, &jade_ipsc::IpscConfig::workstations(speeds, wspo));
-    let wu = jade_ipsc::run(
-        &wtrace,
-        &jade_ipsc::IpscConfig::workstations(vec![1.0; 5], wspo),
-    );
+    let trace = h.trace(App::Water, speeds.len());
+    let spo = App::Water.ipsc_sec_per_op(&trace);
+    let (hetero, uniform) = hetero_vs_uniform(&trace, IpscConfig::workstations(speeds, spo));
     println!(
-        "  Water (grain = processor count): heterogeneous {:.1}s vs uniform {:.1}s —\n\
-         each phase waits for the slowest machine's one task",
-        wh.exec_time_s, wu.exec_time_s
+        "  Water (grain = processor count): heterogeneous {hetero:.1}s vs uniform {uniform:.1}s —\n\
+         each phase waits for the slowest machine's one task"
     );
 }
 
-/// Fault sweep: run one application per backend under the given fault plan
-/// and check the headline robustness invariant — the faulty run produces
-/// bit-identical application results to the fault-free run, differing only
-/// in timing and retry/re-execution counters. Returns `Err` on any
-/// divergence (the `repro` binary exits non-zero on it, so CI can gate on
-/// this).
-pub fn fault_sweep(h: &mut Harness, plan: FaultPlan) -> Result<(), String> {
+// ---------------------------------------------------------------------------
+// Sweep gates (each error names the run it judged) and the result writer
+// ---------------------------------------------------------------------------
+
+/// Gate: a run ends in the same results as its baseline (an application's
+/// output, bytes moved, a replay's event stream or decision log).
+fn same<T: PartialEq + ?Sized>(label: &str, what: &str, got: &T, want: &T) -> Result<(), String> {
+    if got == want {
+        return Ok(());
+    }
+    Err(format!("{label}: {what} differ from the baseline's"))
+}
+
+/// Gate: an iPSC run ends with its baseline's final object versions.
+fn same_versions(label: &str, got: &IpscRunResult, want: &IpscRunResult) -> Result<(), String> {
+    let (got, want) = (&got.final_versions, &want.final_versions);
+    if got == want {
+        return Ok(());
+    }
+    let differ = got.iter().zip(want).filter(|(a, b)| a != b).count();
+    Err(format!(
+        "{label}: final object versions diverged ({differ} objects differ)"
+    ))
+}
+
+/// Gate: a run completes as many tasks as its baseline.
+fn same_tasks<T: PartialEq + std::fmt::Display>(
+    label: &str,
+    got: T,
+    want: T,
+) -> Result<(), String> {
+    if got == want {
+        return Ok(());
+    }
+    Err(format!("{label}: {got} tasks completed, want {want}"))
+}
+
+/// Gate: a run is no slower than its baseline, up to 1e-9 s of rounding.
+fn not_slower(label: &str, got_s: f64, base_s: f64) -> Result<(), String> {
+    if got_s <= base_s + 1e-9 {
+        return Ok(());
+    }
+    Err(format!(
+        "{label}: {got_s:.6}s, slower than the baseline's {base_s:.6}s"
+    ))
+}
+
+/// Write a sweep's result file, `{ fields..., "key": [rows...] }` with one
+/// field or row per line, atomically: dump to `<path>.tmp`, then rename over
+/// `path`, so an interrupted run never leaves a truncated file where a
+/// committed one was.
+fn write_rows(
+    path: &str,
+    fields: &[(&str, String)],
+    key: &str,
+    rows: &[String],
+) -> Result<(), String> {
+    let mut body = String::from("{\n");
+    for (k, v) in fields {
+        body.push_str(&format!("  \"{k}\": {v},\n"));
+    }
+    body.push_str(&format!("  \"{key}\": [\n"));
+    for (k, r) in rows.iter().enumerate() {
+        let comma = if k + 1 < rows.len() { "," } else { "" };
+        body.push_str(&format!("    {r}{comma}\n"));
+    }
+    body.push_str("  ]\n}\n");
+    let tmp = format!("{path}.tmp");
+    std::fs::write(&tmp, body).map_err(|e| format!("cannot write {tmp}: {e}"))?;
+    std::fs::rename(&tmp, path).map_err(|e| format!("cannot rename {tmp} -> {path}: {e}"))
+}
+
+/// The fault and checkpoint sweeps' iPSC cell: Water on eight processors at
+/// the Locality level, under `plan`.
+fn ipsc_water(h: &mut Harness, plan: FaultPlan) -> Result<IpscRunResult, String> {
+    let (trace, cfg) = h.ipsc_config(App::Water, 8, LocalityMode::Locality);
+    let cfg = IpscConfig {
+        faults: plan,
+        ..cfg
+    };
+    jade_ipsc::try_run(&trace, &cfg).map_err(|e| format!("ipsc run under {plan:?} failed: {e}"))
+}
+
+/// The threads cell of the fault, checkpoint and tune sweeps: the small
+/// Water on four workers, set up by `setup`. Returns the output and the
+/// runtime, for its statistics.
+fn threads_water(setup: impl FnOnce(&mut ThreadRuntime)) -> (WaterOutput, ThreadRuntime) {
+    let mut rt = ThreadRuntime::new(4);
+    setup(&mut rt);
+    (water::run_on(&mut rt, &water::WaterConfig::small(4)), rt)
+}
+
+/// Threads have no messages to lose: only `plan`'s crash rate and seed
+/// apply, with `fallback_p` as the crash rate when the plan gives none.
+fn crash_plan(plan: FaultPlan, fallback_p: f64) -> FaultPlan {
+    let panic_p = if plan.panic_p > 0.0 {
+        plan.panic_p
+    } else {
+        fallback_p
+    };
+    FaultPlan {
+        panic_p,
+        seed: plan.seed,
+        ..FaultPlan::none()
+    }
+}
+
+/// The DASH half of the aggregation and overlap sweeps: each irregular app
+/// at 4 and 8 processors with `toggle` off and then on. Shared memory has
+/// no messages to count, so the gates are the same tasks and the same bytes
+/// moved, and no slower run. `report` prints each pair before it is judged.
+fn dash_toggle(
+    h: &mut Harness,
+    toggle: fn(&mut DashConfig),
+    mut report: impl FnMut(App, usize, &DashRunResult, &DashRunResult),
+) -> Result<(), String> {
+    for app in App::IRREGULAR {
+        for procs in [4usize, 8] {
+            let off = h.dash_with(app, procs, LocalityMode::TaskPlacement, |_| {});
+            let on = h.dash_with(app, procs, LocalityMode::TaskPlacement, toggle);
+            report(app, procs, &off, &on);
+            let label = format!("{} x{procs} DASH", app.name());
+            same_tasks(&label, on.tasks_executed, off.tasks_executed)?;
+            same(&label, "bytes moved", &on.bytes_moved, &off.bytes_moved)?;
+            not_slower(&label, on.exec_time_s, off.exec_time_s)?;
+        }
+    }
+    Ok(())
+}
+
+/// Fault sweep: run one application per backend under the harness's fault
+/// plan and check the headline robustness invariant — the faulty run
+/// produces bit-identical application results to the fault-free run,
+/// differing only in timing and retry/re-execution counters.
+fn fault_sweep(h: &mut Harness) -> Result<(), String> {
+    let plan = h.faults;
     println!("\nFault sweep (seed {}):", plan.seed);
     println!(
         "  plan: drop={} dup={} delay={} reorder={} stall={} fail={:?} panic={}",
@@ -669,111 +794,55 @@ pub fn fault_sweep(h: &mut Harness, plan: FaultPlan) -> Result<(), String> {
     );
 
     // iPSC/860: the full message-loss/recovery protocol.
-    {
-        let app = App::Water;
-        let procs = 8;
-        let trace = h.trace(app, procs);
-        let spo = app.ipsc_sec_per_op(&trace);
-        let clean_cfg = jade_ipsc::IpscConfig::paper(procs, LocalityMode::Locality, spo);
-        let mut faulty_cfg = clean_cfg.clone();
-        faulty_cfg.faults = plan;
-        let clean = jade_ipsc::try_run(&trace, &clean_cfg)
-            .map_err(|e| format!("ipsc fault-free run failed: {e}"))?;
-        let faulty = jade_ipsc::try_run(&trace, &faulty_cfg)
-            .map_err(|e| format!("ipsc faulty run failed: {e}"))?;
-        println!(
-            "  iPSC/860  {} x{procs}: {:.2}s -> {:.2}s | dropped {} retried {} \
-             discarded {} stalls {} re-executed {}",
-            app.name(),
-            clean.exec_time_s,
-            faulty.exec_time_s,
-            faulty.msgs_dropped,
-            faulty.msgs_retried,
-            faulty.msgs_discarded,
-            faulty.stalls,
-            faulty.tasks_reexecuted
-        );
-        if faulty.final_versions != clean.final_versions {
-            return Err(format!(
-                "ipsc: final object versions diverged under faults ({} objects differ)",
-                faulty
-                    .final_versions
-                    .iter()
-                    .zip(&clean.final_versions)
-                    .filter(|(a, b)| a != b)
-                    .count()
-            ));
-        }
-        let completed = faulty.tasks_executed as u64 - faulty.tasks_reexecuted;
-        if completed != clean.tasks_executed as u64 {
-            return Err(format!(
-                "ipsc: {completed} tasks completed under faults vs {} fault-free",
-                clean.tasks_executed
-            ));
-        }
-    }
+    let clean = ipsc_water(h, FaultPlan::none())?;
+    let faulty = ipsc_water(h, plan)?;
+    println!(
+        "  iPSC/860  Water x8: {:.2}s -> {:.2}s | dropped {} retried {} \
+         discarded {} stalls {} re-executed {}",
+        clean.exec_time_s,
+        faulty.exec_time_s,
+        faulty.msgs_dropped,
+        faulty.msgs_retried,
+        faulty.msgs_discarded,
+        faulty.stalls,
+        faulty.tasks_reexecuted
+    );
+    let label = "ipsc Water x8 under faults";
+    same_versions(label, &faulty, &clean)?;
+    let completed = faulty.tasks_executed as u64 - faulty.tasks_reexecuted;
+    same_tasks(label, completed, clean.tasks_executed as u64)?;
 
     // DASH: shared memory has no messages to lose; the sweep maps the
     // plan's drop rate onto transient stalls when no stall component was
     // given, so the scheduler's graceful degradation is still exercised.
-    {
-        let app = App::Ocean;
-        let procs = 8;
-        let mut dash_plan = plan;
-        if dash_plan.stall_p == 0.0 && dash_plan.drop_p > 0.0 {
-            dash_plan.stall_p = dash_plan.drop_p;
-            dash_plan.stall = dsim::SimDuration::from_secs_f64(0.002);
-        }
-        let clean = h.dash(app, procs, LocalityMode::Locality);
-        let faulty = h.dash_with(app, procs, LocalityMode::Locality, |c| c.faults = dash_plan);
-        println!(
-            "  DASH      {} x{procs}: {:.2}s -> {:.2}s | stalls {} ({:.3}s)",
-            app.name(),
-            clean.exec_time_s,
-            faulty.exec_time_s,
-            faulty.stalls,
-            faulty.stall_time_s
-        );
-        if faulty.tasks_executed != clean.tasks_executed {
-            return Err(format!(
-                "dash: {} tasks executed under stalls vs {} fault-free",
-                faulty.tasks_executed, clean.tasks_executed
-            ));
-        }
+    let mut dash_plan = plan;
+    if dash_plan.stall_p == 0.0 && dash_plan.drop_p > 0.0 {
+        dash_plan.stall_p = dash_plan.drop_p;
+        dash_plan.stall = SimDuration::from_secs_f64(0.002);
     }
+    let clean = h.dash_with(App::Ocean, 8, LocalityMode::Locality, |_| {});
+    let faulty = h.dash_with(App::Ocean, 8, LocalityMode::Locality, |c| {
+        c.faults = dash_plan
+    });
+    println!(
+        "  DASH      Ocean x8: {:.2}s -> {:.2}s | stalls {} ({:.3}s)",
+        clean.exec_time_s, faulty.exec_time_s, faulty.stalls, faulty.stall_time_s
+    );
+    let label = "dash Ocean x8 under stalls";
+    same_tasks(label, faulty.tasks_executed, clean.tasks_executed)?;
 
     // jade-threads: real parallel execution with injected worker crashes.
     // Message loss has no analog on threads either, so the drop rate maps
     // onto the per-attempt crash probability when no panic rate was given.
-    {
-        let workers = 4;
-        let panic_p = if plan.panic_p > 0.0 {
-            plan.panic_p
-        } else {
-            plan.drop_p
-        };
-        let wcfg = jade_apps::water::WaterConfig::small(workers);
-        let mut clean_rt = jade_threads::ThreadRuntime::new(workers);
-        let clean = jade_apps::water::run_on(&mut clean_rt, &wcfg);
-        let mut faulty_rt = jade_threads::ThreadRuntime::new(workers);
-        faulty_rt.inject_faults(FaultPlan {
-            panic_p,
-            seed: plan.seed,
-            ..FaultPlan::none()
-        });
-        let faulty = jade_apps::water::run_on(&mut faulty_rt, &wcfg);
-        let stats = faulty_rt.last_stats();
-        println!(
-            "  threads   Water x{workers} (crash p={panic_p}): {} attempts, {} recoveries",
-            stats.executed, stats.recoveries
-        );
-        if faulty != clean {
-            return Err(format!(
-                "threads: Water output diverged under injected crashes \
-                 ({faulty:?} vs {clean:?})"
-            ));
-        }
-    }
+    let crash = crash_plan(plan, plan.drop_p);
+    let (clean, _) = threads_water(|_| {});
+    let (faulty, rt) = threads_water(|rt| rt.inject_faults(crash));
+    let stats = rt.last_stats();
+    println!(
+        "  threads   Water x4 (crash p={}): {} attempts, {} recoveries",
+        crash.panic_p, stats.executed, stats.recoveries
+    );
+    same("threads Water x4 under crashes", "outputs", &faulty, &clean)?;
 
     println!("  fault sweep passed: results bit-identical to fault-free runs");
     Ok(())
@@ -784,137 +853,99 @@ pub fn fault_sweep(h: &mut Harness, plan: FaultPlan) -> Result<(), String> {
 /// interval produces results bit-identical to the fault-free run, and
 /// checkpoints never cause more re-execution than the checkpoint-free
 /// recovery path. Prints one row per interval with the capture/restore
-/// economics. Returns `Err` on any divergence (the `repro` binary exits
-/// non-zero, so CI gates on this).
-pub fn checkpoint_sweep(h: &mut Harness, plan: FaultPlan, intervals: &[f64]) -> Result<(), String> {
+/// economics.
+fn checkpoint_sweep(h: &mut Harness) -> Result<(), String> {
+    let plan = h.faults;
+    let intervals = h.checkpoint_intervals.clone();
     println!("\nCheckpoint sweep (seed {}):", plan.seed);
 
     // iPSC/860: sim-time checkpoint intervals against a fail-stop.
-    {
-        let app = App::Water;
-        let procs = 8;
-        let trace = h.trace(app, procs);
-        let spo = app.ipsc_sec_per_op(&trace);
-        let clean_cfg = jade_ipsc::IpscConfig::paper(procs, LocalityMode::Locality, spo);
-        let clean = jade_ipsc::try_run(&trace, &clean_cfg)
-            .map_err(|e| format!("ipsc fault-free run failed: {e}"))?;
-        let mut base_plan = plan;
-        base_plan.checkpoint = None;
-        if base_plan.fail_proc.is_none() {
-            // The sweep is about fail-stop recovery: without one in the
-            // plan, inject a mid-run failure of the last processor.
-            base_plan.fail_proc = Some(procs - 1);
-            base_plan.fail_at = dsim::SimDuration::from_secs_f64(0.4 * clean.exec_time_s);
-            println!(
-                "  (plan has no fail-stop: adding fail={}@{:.2} so recovery is exercised)",
-                procs - 1,
-                0.4 * clean.exec_time_s
-            );
-        }
+    let clean = ipsc_water(h, FaultPlan::none())?;
+    let mut base_plan = FaultPlan {
+        checkpoint: None,
+        ..plan
+    };
+    if base_plan.fail_proc.is_none() {
+        // The sweep is about fail-stop recovery: without one in the
+        // plan, inject a mid-run failure of the last processor.
+        base_plan.fail_proc = Some(7);
+        base_plan.fail_at = SimDuration::from_secs_f64(0.4 * clean.exec_time_s);
         println!(
-            "  iPSC/860 {} x{procs} (clean {:.2}s):\n  {:>8} {:>6} {:>12} {:>12} {:>9} {:>7} {:>9}",
-            app.name(),
-            clean.exec_time_s,
-            "ckpt(s)",
-            "taken",
-            "ckpt bytes",
-            "restore B",
-            "ckpt-hit",
-            "re-exec",
-            "exec(s)"
+            "  (plan has no fail-stop: adding fail=7@{:.2} so recovery is exercised)",
+            0.4 * clean.exec_time_s
         );
-        let mut base_cfg = clean_cfg.clone();
-        base_cfg.faults = base_plan;
-        let base = jade_ipsc::try_run(&trace, &base_cfg)
-            .map_err(|e| format!("ipsc checkpoint-free faulty run failed: {e}"))?;
-        let report = |label: &str, r: &jade_ipsc::IpscRunResult| {
-            println!(
-                "  {label:>8} {:>6} {:>12} {:>12} {:>9} {:>7} {:>9.2}",
-                r.checkpoints,
-                r.checkpoint_bytes,
-                r.restore_bytes,
-                r.checkpoint_restores,
-                r.tasks_reexecuted,
-                r.exec_time_s
-            );
-        };
-        report("none", &base);
-        if base.final_versions != clean.final_versions {
-            return Err("ipsc: results diverged before any checkpointing".into());
-        }
-        for &iv in intervals {
-            let mut cfg = clean_cfg.clone();
-            cfg.faults = base_plan.with_checkpoint(dsim::SimDuration::from_secs_f64(iv));
-            let r = jade_ipsc::try_run(&trace, &cfg)
-                .map_err(|e| format!("ipsc run with ckpt={iv} failed: {e}"))?;
-            report(&format!("{iv}"), &r);
-            if r.final_versions != clean.final_versions {
-                return Err(format!(
-                    "ipsc: final object versions diverged at checkpoint interval {iv}"
-                ));
-            }
-            let completed = r.tasks_executed as u64 - r.tasks_reexecuted;
-            if completed != clean.tasks_executed as u64 {
-                return Err(format!(
-                    "ipsc: {completed} tasks completed at ckpt={iv} vs {} fault-free",
-                    clean.tasks_executed
-                ));
-            }
-            if r.tasks_reexecuted > base.tasks_reexecuted {
-                return Err(format!(
-                    "ipsc: ckpt={iv} re-executed {} tasks vs {} without checkpoints",
-                    r.tasks_reexecuted, base.tasks_reexecuted
-                ));
-            }
+    }
+    println!(
+        "  iPSC/860 Water x8 (clean {:.2}s):\n  {:>8} {:>6} {:>12} {:>12} {:>9} {:>7} {:>9}",
+        clean.exec_time_s,
+        "ckpt(s)",
+        "taken",
+        "ckpt bytes",
+        "restore B",
+        "ckpt-hit",
+        "re-exec",
+        "exec(s)"
+    );
+    let report = |label: &str, r: &IpscRunResult| {
+        println!(
+            "  {label:>8} {:>6} {:>12} {:>12} {:>9} {:>7} {:>9.2}",
+            r.checkpoints,
+            r.checkpoint_bytes,
+            r.restore_bytes,
+            r.checkpoint_restores,
+            r.tasks_reexecuted,
+            r.exec_time_s
+        );
+    };
+    let base = ipsc_water(h, base_plan)?;
+    report("none", &base);
+    let label = "ipsc Water x8 without checkpoints";
+    same_versions(label, &base, &clean)?;
+    for &iv in &intervals {
+        let r = ipsc_water(h, base_plan.with_checkpoint(SimDuration::from_secs_f64(iv)))?;
+        report(&format!("{iv}"), &r);
+        let label = format!("ipsc Water x8 ckpt={iv}");
+        same_versions(&label, &r, &clean)?;
+        let completed = r.tasks_executed as u64 - r.tasks_reexecuted;
+        same_tasks(&label, completed, clean.tasks_executed as u64)?;
+        if r.tasks_reexecuted > base.tasks_reexecuted {
+            return Err(format!(
+                "{label}: re-executed {} tasks vs {} without checkpoints",
+                r.tasks_reexecuted, base.tasks_reexecuted
+            ));
         }
     }
 
     // jade-threads: the same intervals map to completed-task counts.
-    {
-        let workers = 4;
-        let panic_p = if plan.panic_p > 0.0 {
-            plan.panic_p
-        } else {
-            0.2
-        };
-        let wcfg = jade_apps::water::WaterConfig::small(workers);
-        let mut clean_rt = jade_threads::ThreadRuntime::new(workers);
-        let clean = jade_apps::water::run_on(&mut clean_rt, &wcfg);
-        let crash_plan = FaultPlan {
-            panic_p,
-            seed: plan.seed,
-            ..FaultPlan::none()
-        };
-        let mut base_rt = jade_threads::ThreadRuntime::new(workers);
-        base_rt.inject_faults(crash_plan);
-        let base_out = jade_apps::water::run_on(&mut base_rt, &wcfg);
-        let base = base_rt.last_stats();
-        if base_out != clean {
-            return Err("threads: results diverged before any checkpointing".into());
-        }
-        for &iv in intervals {
-            let every = (iv.round() as usize).max(1);
-            let mut rt = jade_threads::ThreadRuntime::new(workers);
-            rt.inject_faults(crash_plan);
+    let crash = crash_plan(plan, 0.2);
+    let (clean, _) = threads_water(|_| {});
+    let (base_out, base_rt) = threads_water(|rt| rt.inject_faults(crash));
+    let base = base_rt.last_stats();
+    same(
+        "threads Water x4 without checkpoints",
+        "outputs",
+        &base_out,
+        &clean,
+    )?;
+    for &iv in &intervals {
+        let every = (iv.round() as usize).max(1);
+        let (out, rt) = threads_water(|rt| {
+            rt.inject_faults(crash);
             rt.checkpoint_every(every);
-            let out = jade_apps::water::run_on(&mut rt, &wcfg);
-            let s = rt.last_stats();
-            println!(
-                "  threads  Water x{workers} ckpt every {every} tasks: {} checkpoints, \
-                 {} recoveries ({} from checkpoint)",
-                s.checkpoints, s.recoveries, s.checkpoint_restores
-            );
-            if out != clean {
-                return Err(format!(
-                    "threads: Water output diverged at checkpoint interval {every}"
-                ));
-            }
-            if s.recoveries > base.recoveries {
-                return Err(format!(
-                    "threads: ckpt every {every} recovered {} tasks vs {} without",
-                    s.recoveries, base.recoveries
-                ));
-            }
+        });
+        let s = rt.last_stats();
+        println!(
+            "  threads  Water x4 ckpt every {every} tasks: {} checkpoints, \
+             {} recoveries ({} from checkpoint)",
+            s.checkpoints, s.recoveries, s.checkpoint_restores
+        );
+        let label = format!("threads Water x4 ckpt every {every}");
+        same(&label, "outputs", &out, &clean)?;
+        if s.recoveries > base.recoveries {
+            return Err(format!(
+                "{label}: recovered {} tasks vs {} without",
+                s.recoveries, base.recoveries
+            ));
         }
     }
 
@@ -928,22 +959,18 @@ pub fn checkpoint_sweep(h: &mut Harness, plan: FaultPlan, intervals: &[f64]) -> 
 /// only, never the application result or the object bytes on the wire.
 /// The headline gate: on PageRank the iPSC message count must drop by at
 /// least 2× (the gather tasks read ~3 contribution buckets per owner, so
-/// one bundle replaces ~3 request/reply pairs). Returns `Err` on any
-/// divergence or a reduction below the gate, so CI can grep the PASS
-/// marker and gate on the exit status.
-pub fn aggregation_sweep(h: &mut Harness) -> Result<(), String> {
+/// one bundle replaces ~3 request/reply pairs). CI greps the PASS marker.
+fn aggregation_sweep(h: &mut Harness) -> Result<(), String> {
     println!(
         "\n{}",
         header("Aggregation sweep: iPSC/860 message coalescing")
     );
-    let procs_sweep = [2usize, 4, 8, 16];
     let mut pagerank_msgs = (0u64, 0u64);
     for app in App::IRREGULAR {
-        for &procs in &procs_sweep {
-            let off = h.ipsc(app, procs, LocalityMode::TaskPlacement);
-            let on = h.ipsc_with(app, procs, LocalityMode::TaskPlacement, |c| {
-                c.aggregate_fetches = true
-            });
+        for procs in [2usize, 4, 8, 16] {
+            let mode = LocalityMode::TaskPlacement;
+            let off = h.ipsc_with(app, procs, mode, |_| {});
+            let on = h.ipsc_with(app, procs, mode, |c| c.aggregate_fetches = true);
             // Physical messages carrying the fetch protocol: one request
             // plus one reply per uncoalesced fetch; one of each per bundle.
             let msgs_off = off.requests + off.fetch_messages;
@@ -960,61 +987,38 @@ pub fn aggregation_sweep(h: &mut Harness) -> Result<(), String> {
                 off.exec_time_s,
                 on.exec_time_s
             );
-            if on.final_versions != off.final_versions {
-                return Err(format!(
-                    "{} x{procs}: final object versions diverged with aggregation on",
-                    app.name()
-                ));
-            }
-            if on.tasks_executed != off.tasks_executed {
-                return Err(format!(
-                    "{} x{procs}: {} tasks executed with aggregation vs {} without",
-                    app.name(),
-                    on.tasks_executed,
-                    off.tasks_executed
-                ));
-            }
+            let label = format!("{} x{procs} with aggregation", app.name());
+            same_versions(&label, &on, &off)?;
+            same_tasks(&label, on.tasks_executed, off.tasks_executed)?;
             // Coalescing changes when replies land, which perturbs the
             // redundant-fetch elision window between same-processor tasks
             // (in both directions), so the byte totals agree only up to
             // that jitter. Exact within-run conservation — every coalesced
             // payload byte attributed to its object and summing to the
             // metrics total — is pinned by tests/aggregation.rs.
-            let (lo, hi) = (
-                off.comm_bytes.min(on.comm_bytes),
-                off.comm_bytes.max(on.comm_bytes),
-            );
-            if (hi - lo) * 10 > off.comm_bytes {
+            if off.comm_bytes.abs_diff(on.comm_bytes) * 10 > off.comm_bytes {
                 return Err(format!(
-                    "{} x{procs}: object bytes not conserved ({} with aggregation vs \
-                     {} without; > 10% apart)",
-                    app.name(),
-                    on.comm_bytes,
-                    off.comm_bytes
+                    "{label}: object bytes not conserved ({} vs {} without; > 10% apart)",
+                    on.comm_bytes, off.comm_bytes
                 ));
             }
             if procs >= 4 && msgs_on >= msgs_off {
                 return Err(format!(
-                    "{} x{procs}: aggregation did not reduce messages ({msgs_off} -> {msgs_on})",
-                    app.name()
+                    "{label}: messages not reduced ({msgs_off} -> {msgs_on})"
                 ));
             }
-            if app == App::Pagerank && procs > 1 {
+            if app == App::Pagerank {
                 pagerank_msgs.0 += msgs_off;
                 pagerank_msgs.1 += msgs_on;
             }
         }
     }
 
-    // DASH: same toggle, but shared memory has no messages to count — the
-    // win is streamed cache-line transfers, so the gate is exec time only
-    // improving (never regressing) with identical bytes moved.
-    for app in App::IRREGULAR {
-        for &procs in &[4usize, 8] {
-            let off = h.dash(app, procs, LocalityMode::TaskPlacement);
-            let on = h.dash_with(app, procs, LocalityMode::TaskPlacement, |c| {
-                c.aggregate_fetches = true
-            });
+    // DASH: same toggle; the win is streamed cache-line transfers.
+    dash_toggle(
+        h,
+        |c| c.aggregate_fetches = true,
+        |app, procs, off, on| {
             println!(
                 "  {:>8} x{procs:<2} DASH: {:.2}s -> {:.2}s | bytes {} -> {}",
                 app.name(),
@@ -1023,31 +1027,8 @@ pub fn aggregation_sweep(h: &mut Harness) -> Result<(), String> {
                 off.bytes_moved,
                 on.bytes_moved
             );
-            if on.tasks_executed != off.tasks_executed {
-                return Err(format!(
-                    "{} x{procs} DASH: task count changed with aggregation",
-                    app.name()
-                ));
-            }
-            if on.bytes_moved != off.bytes_moved {
-                return Err(format!(
-                    "{} x{procs} DASH: bytes moved changed ({} vs {})",
-                    app.name(),
-                    on.bytes_moved,
-                    off.bytes_moved
-                ));
-            }
-            if on.exec_time_s > off.exec_time_s + 1e-9 {
-                return Err(format!(
-                    "{} x{procs} DASH: aggregation regressed exec time \
-                     ({:.4}s vs {:.4}s)",
-                    app.name(),
-                    on.exec_time_s,
-                    off.exec_time_s
-                ));
-            }
-        }
-    }
+        },
+    )?;
 
     let pagerank_reduction = pagerank_msgs.0 as f64 / (pagerank_msgs.1.max(1)) as f64;
     if pagerank_reduction < 2.0 {
@@ -1062,13 +1043,27 @@ pub fn aggregation_sweep(h: &mut Harness) -> Result<(), String> {
     Ok(())
 }
 
-/// Write a sweep's result file atomically: dump to `<path>.tmp`, then
-/// rename over `path`, so an interrupted run never leaves a truncated file
-/// where a committed one was.
-fn write_json(path: &str, body: &str) -> Result<(), String> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, body).map_err(|e| format!("cannot write {tmp}: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("cannot rename {tmp} -> {path}: {e}"))
+/// One `OVERLAP_sweep.json` row: exec times off/on and the on-run's
+/// (overlap fraction, prefetches issued, hits, stale).
+fn overlap_row(
+    backend: &str,
+    app: App,
+    procs: usize,
+    exec: (f64, f64),
+    on: (f64, u64, u64, u64),
+) -> String {
+    format!(
+        "{{\"backend\": \"{backend}\", \"app\": \"{}\", \"procs\": {procs}, \
+         \"exec_off_s\": {:.6}, \"exec_on_s\": {:.6}, \"overlap_frac\": {:.6}, \
+         \"prefetches\": {}, \"hits\": {}, \"stale\": {}}}",
+        app.name(),
+        exec.0,
+        exec.1,
+        on.0,
+        on.1,
+        on.2,
+        on.3
+    )
 }
 
 /// Overlap sweep (DESIGN.md §17): run all six applications with the
@@ -1087,25 +1082,24 @@ fn write_json(path: &str, body: &str) -> Result<(), String> {
 /// Also checks composition with fetch aggregation (§15) and the DASH
 /// prefetch-stream path (bytes on the wire bit-identical, stalls only
 /// shrink). Writes the per-point numbers to `OVERLAP_sweep.json`.
-pub fn overlap_sweep(h: &mut Harness) -> Result<(), String> {
+fn overlap_sweep(h: &mut Harness) -> Result<(), String> {
     println!(
         "\n{}",
         header("Overlap sweep: split-phase prefetch, comm/comp overlap")
     );
-    let procs_sweep = [2usize, 4, 8, 16];
     let mut rows: Vec<String> = Vec::new();
     let mut issued_total = 0u64;
-    let mut best_overlap: std::collections::BTreeMap<&'static str, f64> =
-        std::collections::BTreeMap::new();
+    let (mut pagerank_overlap, mut halo_overlap) = (0.0f64, 0.0f64);
 
     for app in App::ALL.into_iter().chain(App::IRREGULAR) {
-        let mode = if app.has_placement() {
-            LocalityMode::TaskPlacement
-        } else {
-            LocalityMode::Locality
-        };
-        for &procs in &procs_sweep {
-            let (off, on) = h.ipsc_controlled(app, procs, mode, |_| {}, |c| c.prefetch = true);
+        for procs in [2usize, 4, 8, 16] {
+            let (off, on) = h.ipsc_controlled(
+                app,
+                procs,
+                app.natural_mode(),
+                |_| {},
+                |c| c.prefetch = true,
+            );
             println!(
                 "  {:>8} x{procs:<2}: {:.3}s -> {:.3}s | prefetches {} ({} hit, {} stale) | \
                  overlap {:.0}%",
@@ -1117,43 +1111,27 @@ pub fn overlap_sweep(h: &mut Harness) -> Result<(), String> {
                 on.prefetch_stale,
                 on.overlap_frac * 100.0
             );
-            if on.final_versions != off.final_versions {
-                return Err(format!(
-                    "{} x{procs}: final object versions diverged with prefetch on",
-                    app.name()
-                ));
-            }
-            if on.tasks_executed != off.tasks_executed {
-                return Err(format!(
-                    "{} x{procs}: {} tasks executed with prefetch vs {} without",
-                    app.name(),
-                    on.tasks_executed,
-                    off.tasks_executed
-                ));
-            }
-            if on.exec_time_s > off.exec_time_s + 1e-9 {
-                return Err(format!(
-                    "{} x{procs}: prefetch regressed simulated time \
-                     ({:.6}s vs {:.6}s)",
-                    app.name(),
-                    on.exec_time_s,
-                    off.exec_time_s
-                ));
-            }
+            let label = format!("{} x{procs} with prefetch", app.name());
+            same_versions(&label, &on, &off)?;
+            same_tasks(&label, on.tasks_executed, off.tasks_executed)?;
+            not_slower(&label, on.exec_time_s, off.exec_time_s)?;
             issued_total += on.prefetches_issued;
-            let e = best_overlap.entry(app.name()).or_insert(0.0);
-            *e = e.max(on.overlap_frac);
-            rows.push(format!(
-                "{{\"backend\": \"ipsc\", \"app\": \"{}\", \"procs\": {procs}, \
-                 \"exec_off_s\": {:.6}, \"exec_on_s\": {:.6}, \"overlap_frac\": {:.6}, \
-                 \"prefetches\": {}, \"hits\": {}, \"stale\": {}}}",
-                app.name(),
-                off.exec_time_s,
-                on.exec_time_s,
-                on.overlap_frac,
-                on.prefetches_issued,
-                on.prefetch_hits,
-                on.prefetch_stale
+            match app {
+                App::Pagerank => pagerank_overlap = pagerank_overlap.max(on.overlap_frac),
+                App::Halo => halo_overlap = halo_overlap.max(on.overlap_frac),
+                _ => {}
+            }
+            rows.push(overlap_row(
+                "ipsc",
+                app,
+                procs,
+                (off.exec_time_s, on.exec_time_s),
+                (
+                    on.overlap_frac,
+                    on.prefetches_issued,
+                    on.prefetch_hits,
+                    on.prefetch_stale,
+                ),
             ));
         }
     }
@@ -1166,7 +1144,7 @@ pub fn overlap_sweep(h: &mut Harness) -> Result<(), String> {
     // result bit-identical while never running slower than aggregation
     // alone.
     for app in App::IRREGULAR {
-        for &procs in &[4usize, 8] {
+        for procs in [4usize, 8] {
             let (base, both) = h.ipsc_controlled(
                 app,
                 procs,
@@ -1181,35 +1159,21 @@ pub fn overlap_sweep(h: &mut Harness) -> Result<(), String> {
                 both.exec_time_s,
                 both.prefetches_issued
             );
-            if both.final_versions != base.final_versions {
-                return Err(format!(
-                    "{} x{procs}: prefetch+aggregation diverged from aggregation alone",
-                    app.name()
-                ));
-            }
-            if both.exec_time_s > base.exec_time_s + 1e-9 {
-                return Err(format!(
-                    "{} x{procs}: prefetch on top of aggregation regressed time \
-                     ({:.6}s vs {:.6}s)",
-                    app.name(),
-                    both.exec_time_s,
-                    base.exec_time_s
-                ));
-            }
+            let label = format!("{} x{procs} with prefetch on aggregation", app.name());
+            same_versions(&label, &both, &base)?;
+            not_slower(&label, both.exec_time_s, base.exec_time_s)?;
         }
     }
 
     // DASH: prefetch streams remote lines toward the target cluster at
     // enable time. Directory traffic is bit-identical — only stalls shrink.
-    for app in App::IRREGULAR {
-        for &procs in &[4usize, 8] {
-            let off = h.dash(app, procs, LocalityMode::TaskPlacement);
-            let on = h.dash_with(app, procs, LocalityMode::TaskPlacement, |c| {
-                c.prefetch = true
-            });
+    dash_toggle(
+        h,
+        |c| c.prefetch = true,
+        |app, procs, off, on| {
             println!(
                 "  {:>8} x{procs:<2} DASH: {:.3}s -> {:.3}s | bytes {} -> {} | \
-                 prefetches {} ({} hit)",
+             prefetches {} ({} hit)",
                 app.name(),
                 off.exec_time_s,
                 on.exec_time_s,
@@ -1218,61 +1182,28 @@ pub fn overlap_sweep(h: &mut Harness) -> Result<(), String> {
                 on.prefetches_issued,
                 on.prefetch_hits
             );
-            if on.bytes_moved != off.bytes_moved {
-                return Err(format!(
-                    "{} x{procs} DASH: bytes moved changed with prefetch ({} vs {})",
-                    app.name(),
-                    on.bytes_moved,
-                    off.bytes_moved
-                ));
-            }
-            if on.tasks_executed != off.tasks_executed {
-                return Err(format!(
-                    "{} x{procs} DASH: task count changed with prefetch",
-                    app.name()
-                ));
-            }
-            if on.exec_time_s > off.exec_time_s + 1e-9 {
-                return Err(format!(
-                    "{} x{procs} DASH: prefetch regressed exec time ({:.6}s vs {:.6}s)",
-                    app.name(),
-                    on.exec_time_s,
-                    off.exec_time_s
-                ));
-            }
-            rows.push(format!(
-                "{{\"backend\": \"dash\", \"app\": \"{}\", \"procs\": {procs}, \
-                 \"exec_off_s\": {:.6}, \"exec_on_s\": {:.6}, \"overlap_frac\": {:.6}, \
-                 \"prefetches\": {}, \"hits\": {}, \"stale\": {}}}",
-                app.name(),
-                off.exec_time_s,
-                on.exec_time_s,
-                on.overlap_frac,
-                on.prefetches_issued,
-                on.prefetch_hits,
-                on.prefetch_stale
+            rows.push(overlap_row(
+                "dash",
+                app,
+                procs,
+                (off.exec_time_s, on.exec_time_s),
+                (
+                    on.overlap_frac,
+                    on.prefetches_issued,
+                    on.prefetch_hits,
+                    on.prefetch_stale,
+                ),
             ));
-        }
-    }
+        },
+    )?;
 
-    let pagerank_overlap = *best_overlap.get(App::Pagerank.name()).unwrap_or(&0.0);
-    let halo_overlap = *best_overlap.get(App::Halo.name()).unwrap_or(&0.0);
     if pagerank_overlap <= 0.0 || halo_overlap <= 0.0 {
         return Err(format!(
             "overlap gate failed: prefetch hid no communication on the irregular apps \
              (pagerank {pagerank_overlap:.4}, halo {halo_overlap:.4})"
         ));
     }
-
-    let mut body = String::from("{\n  \"rows\": [\n");
-    for (k, r) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "    {r}{}\n",
-            if k + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    write_json("OVERLAP_sweep.json", &body)?;
+    write_rows("OVERLAP_sweep.json", &[], "rows", &rows)?;
     println!("  wrote OVERLAP_sweep.json ({} points)", rows.len());
 
     println!(
@@ -1284,7 +1215,6 @@ pub fn overlap_sweep(h: &mut Harness) -> Result<(), String> {
     println!("  overlap sweep passed: communication hidden, never added");
     Ok(())
 }
-
 // ---------------------------------------------------------------------------
 // Multi-tenant service stress (DESIGN.md §16)
 // ---------------------------------------------------------------------------
@@ -1491,7 +1421,7 @@ fn settle(
 /// engages at least once, per-tenant lifecycle/conservation checks are
 /// green, and event-stream re-executions reconcile with reported
 /// recoveries. Writes `SERVICE_tenants.json` (per-tenant metrics artifact).
-pub fn service_stress(h: &mut Harness) -> Result<(), String> {
+fn service_stress(h: &mut Harness) -> Result<(), String> {
     let total: usize = if h.quick { 400 } else { 3000 };
     let submitters = 4usize;
     let workers = 4usize;
@@ -1592,9 +1522,7 @@ pub fn service_stress(h: &mut Harness) -> Result<(), String> {
     let tagged = tagged.into_inner().unwrap();
     let mut rows = rows.into_inner().unwrap();
     rows.sort_by_key(|r| r.0);
-    if rows.len() != total {
-        return Err(format!("{} reports for {total} submitted DAGs", rows.len()));
-    }
+    same("service stress", "report count", &rows.len(), &total)?;
 
     // The class mix is a pure function of the index, so the outcome tallies
     // are exact, not statistical.
@@ -1606,23 +1534,24 @@ pub fn service_stress(h: &mut Harness) -> Result<(), String> {
     for r in &rows {
         got_mix[r.1 as usize] += 1;
     }
-    if want_mix != got_mix {
-        return Err(format!("class mix {got_mix:?}, want {want_mix:?}"));
-    }
-    let completed = rows.iter().filter(|r| r.2 == "completed").count();
-    let deadline = rows.iter().filter(|r| r.2 == "deadline_exceeded").count();
-    let failed = rows.iter().filter(|r| r.2 == "failed").count();
-    let (want_done, want_dl, want_bug) = (
+    same("service stress", "class mix", &got_mix, &want_mix)?;
+    let count = |outcome| rows.iter().filter(|r| r.2 == outcome).count();
+    let (completed, deadline, failed) = (
+        count("completed"),
+        count("deadline_exceeded"),
+        count("failed"),
+    );
+    let want = (
         want_mix[TenantClass::Clean as usize] + want_mix[TenantClass::Faulty as usize],
         want_mix[TenantClass::Deadline as usize],
         want_mix[TenantClass::Buggy as usize],
     );
-    if (completed, deadline, failed) != (want_done, want_dl, want_bug) {
-        return Err(format!(
-            "outcomes ({completed}, {deadline}, {failed}), \
-             want ({want_done}, {want_dl}, {want_bug})"
-        ));
-    }
+    same(
+        "service stress",
+        "outcome tallies",
+        &(completed, deadline, failed),
+        &want,
+    )?;
 
     // Per-tenant event streams of every completed tenant: lifecycle chains,
     // span conservation, and counter self-consistency.
@@ -1630,27 +1559,15 @@ pub fn service_stress(h: &mut Harness) -> Result<(), String> {
     check_conservation_per_tenant(&tagged, workers).map_err(|e| format!("conservation: {e}"))?;
     let mut metric_reexecs = 0usize;
     for (t, m) in Metrics::per_tenant(&tagged, workers) {
-        if m.tasks_completed != m.tasks_created {
-            return Err(format!(
-                "tenant {t}: {} created but {} completed",
-                m.tasks_created, m.tasks_completed
-            ));
-        }
-        if m.tasks_started != m.tasks_completed + m.tasks_reexecuted as usize {
-            return Err(format!(
-                "tenant {t}: {} starts for {} completions + {} re-executions",
-                m.tasks_started, m.tasks_completed, m.tasks_reexecuted
-            ));
-        }
+        let label = format!("tenant {t} event stream");
+        same_tasks(&label, m.tasks_completed, m.tasks_created)?;
+        let attempts = m.tasks_completed + m.tasks_reexecuted as usize;
+        same_tasks(&format!("{label} starts"), m.tasks_started, attempts)?;
         metric_reexecs += m.tasks_reexecuted as usize;
     }
     let recov = recoveries.load(Ordering::Relaxed);
-    if metric_reexecs != recov {
-        return Err(format!(
-            "event streams carry {metric_reexecs} re-executions \
-             but reports counted {recov} recoveries"
-        ));
-    }
+    let label = "service stress event streams";
+    same_tasks(label, metric_reexecs, recov)?;
     let overload_n = overloads.load(Ordering::Relaxed);
     if overload_n == 0 {
         return Err("backpressure never engaged: no Overloaded rejection all run".to_string());
@@ -1751,32 +1668,34 @@ pub fn service_stress(h: &mut Harness) -> Result<(), String> {
         max_gap
     };
 
-    let mut body = String::new();
-    body.push_str("{\n");
-    body.push_str("  \"schema\": \"jade-service-stress/v1\",\n");
-    body.push_str(&format!("  \"quick\": {},\n", h.quick));
-    body.push_str(&format!(
-        "  \"dags\": {total},\n  \"workers\": {workers},\n  \"submitters\": {submitters},\n"
-    ));
-    body.push_str(&format!(
-        "  \"overload_rejections\": {overload_n},\n  \"recoveries\": {recov},\n"
-    ));
-    body.push_str(&format!(
-        "  \"outcomes\": {{ \"completed\": {completed}, \
-         \"deadline_exceeded\": {deadline}, \"failed\": {failed} }},\n"
-    ));
-    body.push_str(&format!("  \"skew_max_dispatch_gap\": {skew_gap},\n"));
-    body.push_str("  \"tenants\": [\n");
-    for (k, (id, class, outcome, tasks, done, rec)) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{ \"tenant\": {id}, \"class\": \"{}\", \"outcome\": \"{outcome}\", \
-             \"tasks\": {tasks}, \"completed\": {done}, \"recoveries\": {rec} }}{}\n",
-            class.name(),
-            if k + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    write_json("SERVICE_tenants.json", &body)?;
+    let tenants: Vec<String> = rows
+        .iter()
+        .map(|(id, class, outcome, tasks, done, rec)| {
+            format!(
+                "{{ \"tenant\": {id}, \"class\": \"{}\", \"outcome\": \"{outcome}\", \
+                 \"tasks\": {tasks}, \"completed\": {done}, \"recoveries\": {rec} }}",
+                class.name()
+            )
+        })
+        .collect();
+    let fields = [
+        ("schema", "\"jade-service-stress/v1\"".to_string()),
+        ("quick", h.quick.to_string()),
+        ("dags", total.to_string()),
+        ("workers", workers.to_string()),
+        ("submitters", submitters.to_string()),
+        ("overload_rejections", overload_n.to_string()),
+        ("recoveries", recov.to_string()),
+        (
+            "outcomes",
+            format!(
+                "{{ \"completed\": {completed}, \"deadline_exceeded\": {deadline}, \
+                 \"failed\": {failed} }}"
+            ),
+        ),
+        ("skew_max_dispatch_gap", skew_gap.to_string()),
+    ];
+    write_rows("SERVICE_tenants.json", &fields, "tenants", &tenants)?;
     println!("  wrote SERVICE_tenants.json ({} tenants)", rows.len());
 
     println!(
@@ -1798,7 +1717,7 @@ pub fn service_stress(h: &mut Harness) -> Result<(), String> {
 /// stays inside its documented range. The threaded backend is checked for
 /// the same determinism/parity contract on real OS threads. Emits
 /// `TUNE_sweep.json` and the `PASS tune:` marker CI greps.
-pub fn tune_sweep(h: &mut Harness) -> Result<(), String> {
+fn tune_sweep(h: &mut Harness) -> Result<(), String> {
     println!(
         "\n{}",
         header("Tune sweep: controller vs static knob grid (iPSC/860)")
@@ -1813,26 +1732,14 @@ pub fn tune_sweep(h: &mut Harness) -> Result<(), String> {
     } else {
         &[0.5, 1.0, 2.0, 4.0]
     };
-    let apps: Vec<App> = App::ALL
-        .iter()
-        .chain(App::IRREGULAR.iter())
-        .copied()
-        .collect();
     let mut rows: Vec<String> = Vec::new();
     let mut worst_ratio = 0.0f64;
     println!(
         "  {:>14} {:>10} {:>12} {:>10} {:>7} {:>10}",
         "app", "static(s)", "grid", "tuned(s)", "ratio", "decisions"
     );
-    for &app in &apps {
-        let mode = if app.has_placement() {
-            LocalityMode::TaskPlacement
-        } else {
-            LocalityMode::Locality
-        };
-        let trace = h.trace(app, procs);
-        let spo = app.ipsc_sec_per_op(&trace);
-        let base_cfg = jade_ipsc::IpscConfig::paper(procs, mode, spo);
+    for app in App::ALL.into_iter().chain(App::IRREGULAR) {
+        let (trace, base_cfg) = h.ipsc_config(app, procs, app.natural_mode());
         let clean = jade_ipsc::try_run(&trace, &base_cfg)
             .map_err(|e| format!("{} clean run failed: {e}", app.name()))?;
         // One fault-plan family per app, sized to its makespan: a mid-run
@@ -1846,9 +1753,9 @@ pub fn tune_sweep(h: &mut Harness) -> Result<(), String> {
         let mk_plan = |seed: u64| FaultPlan {
             drop_p: 0.02,
             fail_proc: Some(procs - 1),
-            fail_at: dsim::SimDuration::from_secs_f64(0.4 * clean.exec_time_s),
+            fail_at: SimDuration::from_secs_f64(0.4 * clean.exec_time_s),
             seed,
-            checkpoint: Some(dsim::SimDuration::from_secs_f64(base_iv)),
+            checkpoint: Some(SimDuration::from_secs_f64(base_iv)),
             ..FaultPlan::none()
         };
         // Static grid: every (evidence margin, checkpoint interval) pair.
@@ -1858,19 +1765,14 @@ pub fn tune_sweep(h: &mut Harness) -> Result<(), String> {
                 let mut sum = 0.0;
                 for &seed in SEEDS {
                     let mut cfg = base_cfg.clone();
-                    cfg.faults = mk_plan(seed)
-                        .with_checkpoint(dsim::SimDuration::from_secs_f64(base_iv * k));
+                    cfg.faults =
+                        mk_plan(seed).with_checkpoint(SimDuration::from_secs_f64(base_iv * k));
                     cfg.evidence_margin = m;
-                    let r = jade_ipsc::try_run(&trace, &cfg).map_err(|e| {
-                        format!("{} static run (margin {m}, x{k}) failed: {e}", app.name())
-                    })?;
-                    if r.final_versions != clean.final_versions {
-                        return Err(format!(
-                            "{}: static run (margin {m}, x{k}, seed {seed}) diverged \
-                             from fault-free results",
-                            app.name()
-                        ));
-                    }
+                    let label =
+                        format!("{} static run (margin {m}, x{k}, seed {seed})", app.name());
+                    let r =
+                        jade_ipsc::try_run(&trace, &cfg).map_err(|e| format!("{label}: {e}"))?;
+                    same_versions(&label, &r, &clean)?;
                     sum += r.exec_time_s;
                 }
                 let mean = sum / SEEDS.len() as f64;
@@ -1883,45 +1785,29 @@ pub fn tune_sweep(h: &mut Harness) -> Result<(), String> {
         // Controller on, over the same seeds; the first seed runs twice
         // because tuned runs must be bit-identical end to end.
         let mut tuned_sum = 0.0;
-        let mut first: Option<jade_ipsc::IpscRunResult> = None;
+        let mut first: Option<IpscRunResult> = None;
         for (si, &seed) in SEEDS.iter().enumerate() {
             let mut tuned_cfg = base_cfg.clone();
             tuned_cfg.faults = mk_plan(seed);
             tuned_cfg.tune = true;
+            let label = format!("{} tuned run (seed {seed})", app.name());
             let (t1, e1) = jade_ipsc::try_run_traced(&trace, &tuned_cfg)
-                .map_err(|e| format!("{} tuned run failed: {e}", app.name()))?;
+                .map_err(|e| format!("{label}: {e}"))?;
             if si == 0 {
                 let (t2, e2) = jade_ipsc::try_run_traced(&trace, &tuned_cfg)
-                    .map_err(|e| format!("{} tuned repeat failed: {e}", app.name()))?;
-                if e1 != e2 {
-                    return Err(format!(
-                        "{}: tuned event streams differ across repeats",
-                        app.name()
-                    ));
-                }
-                if t1.tune != t2.tune {
-                    return Err(format!(
-                        "{}: tuned decision logs differ across repeats",
-                        app.name()
-                    ));
-                }
+                    .map_err(|e| format!("{label} repeat: {e}"))?;
+                same(&label, "event streams of a repeat", &e2, &e1)?;
+                same(&label, "decision logs of a repeat", &t2.tune, &t1.tune)?;
             }
             if t1.tune.decisions.is_empty() {
-                return Err(format!("{}: controller took no decisions", app.name()));
+                return Err(format!("{label}: controller took no decisions"));
             }
             t1.tune
                 .check_ranges()
-                .map_err(|e| format!("{}: {e}", app.name()))?;
-            if t1.final_versions != clean.final_versions {
-                return Err(format!(
-                    "{}: tuned run (seed {seed}) diverged from fault-free results",
-                    app.name()
-                ));
-            }
+                .map_err(|e| format!("{label}: {e}"))?;
+            same_versions(&label, &t1, &clean)?;
             tuned_sum += t1.exec_time_s;
-            if si == 0 {
-                first = Some(t1);
-            }
+            first.get_or_insert(t1);
         }
         let tuned_s = tuned_sum / SEEDS.len() as f64;
         let t1 = first.expect("at least one seed");
@@ -1966,56 +1852,32 @@ pub fn tune_sweep(h: &mut Harness) -> Result<(), String> {
     // equals untuned output, repeats agree, knobs in range. The drain/steal
     // decisions derive from the batch shape only, so the logs must repeat
     // bit-for-bit even though OS scheduling does not.
-    let threads_decisions = {
-        let workers = 4;
-        let wcfg = jade_apps::water::WaterConfig::small(workers);
-        let mut rt_off = jade_threads::ThreadRuntime::new(workers);
-        let off = jade_apps::water::run_on(&mut rt_off, &wcfg);
-        let mut rt_a = jade_threads::ThreadRuntime::new(workers);
-        rt_a.enable_tuning();
-        let on_a = jade_apps::water::run_on(&mut rt_a, &wcfg);
-        let mut rt_b = jade_threads::ThreadRuntime::new(workers);
-        rt_b.enable_tuning();
-        let on_b = jade_apps::water::run_on(&mut rt_b, &wcfg);
-        if on_a != off || on_b != off {
-            return Err("threads: tuned Water output diverged from untuned".into());
-        }
-        let log_a = rt_a
-            .tune_log()
-            .ok_or("threads: tuning enabled but no log recorded")?
-            .clone();
-        let log_b = rt_b
-            .tune_log()
-            .ok_or("threads: tuning enabled but no log recorded")?
-            .clone();
-        if log_a != log_b {
-            return Err("threads: tuned decision logs differ across repeats".into());
-        }
-        log_a.check_ranges().map_err(|e| format!("threads: {e}"))?;
-        println!(
-            "  threads Water x{workers}: tuned == untuned output, {} decisions, \
-             logs repeat bit-for-bit",
-            log_a.decisions.len()
-        );
-        log_a.decisions.len()
+    let (off, _) = threads_water(|_| {});
+    let (on_a, rt_a) = threads_water(ThreadRuntime::enable_tuning);
+    let (on_b, rt_b) = threads_water(ThreadRuntime::enable_tuning);
+    let label = "threads Water x4 tuned";
+    same(label, "outputs", &on_a, &off)?;
+    same(label, "outputs", &on_b, &off)?;
+    let (Some(log_a), Some(log_b)) = (rt_a.tune_log(), rt_b.tune_log()) else {
+        return Err(format!("{label}: tuning enabled but no log recorded"));
     };
+    same(label, "decision logs of a repeat", log_b, log_a)?;
+    log_a.check_ranges().map_err(|e| format!("{label}: {e}"))?;
+    let threads_decisions = log_a.decisions.len();
+    println!(
+        "  threads Water x4: tuned == untuned output, {threads_decisions} decisions, \
+         logs repeat bit-for-bit"
+    );
 
-    let mut body = String::new();
-    body.push_str("{\n  \"schema\": \"jade-tune-sweep/v1\",\n");
-    body.push_str(&format!("  \"quick\": {},\n", h.quick));
-    body.push_str("  \"gate_ratio\": 1.05,\n");
-    body.push_str(&format!("  \"seeds\": {},\n", SEEDS.len()));
-    body.push_str(&format!("  \"worst_ratio\": {worst_ratio:.6},\n"));
-    body.push_str(&format!("  \"threads_decisions\": {threads_decisions},\n"));
-    body.push_str("  \"apps\": [\n");
-    for (k, r) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "    {r}{}\n",
-            if k + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    write_json("TUNE_sweep.json", &body)?;
+    let fields = [
+        ("schema", "\"jade-tune-sweep/v1\"".to_string()),
+        ("quick", h.quick.to_string()),
+        ("gate_ratio", "1.05".to_string()),
+        ("seeds", SEEDS.len().to_string()),
+        ("worst_ratio", format!("{worst_ratio:.6}")),
+        ("threads_decisions", threads_decisions.to_string()),
+    ];
+    write_rows("TUNE_sweep.json", &fields, "apps", &rows)?;
     println!("  wrote TUNE_sweep.json ({} apps)", rows.len());
 
     println!(
@@ -2032,15 +1894,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_experiments_run() {
-        // Smoke-test every experiment function at quick scale with a tiny
-        // processor sweep by running the underlying harness entries.
+    fn catalogue_names_are_unique_and_groups_expand_in_order() {
+        let cat = catalogue();
+        let mut names: Vec<&str> = cat.iter().map(|e| e.name.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), cat.len(), "duplicate experiment names");
+        let names = |group: &str| -> Vec<String> {
+            select(&cat, group)
+                .expect("group exists")
+                .iter()
+                .map(|e| e.name.clone())
+                .collect()
+        };
+        let tables: Vec<String> = (2..=5).chain(7..=14).map(|n| format!("table{n}")).collect();
+        assert_eq!(names("tables"), tables);
+        let figures: Vec<String> = (2..=21).map(|n| format!("fig{n}")).collect();
+        assert_eq!(names("figures"), figures);
+        let all = names("all");
+        assert_eq!(all[..2], ["table1", "table6"]);
+        assert_eq!(all[2..14], tables);
+        assert_eq!(all[14..34], figures);
+        assert_eq!(all.last().map(String::as_str), Some("heterogeneous"));
+        assert!(!all
+            .iter()
+            .any(|n| n == "utilization" || n.ends_with("sweep")));
+        assert!(select(&cat, "tabel3").is_none());
+    }
+
+    #[test]
+    fn quick_runs_complete_for_every_app() {
         let mut h = Harness::new(true);
         for app in App::ALL {
-            let d = h.dash(app, 2, LocalityMode::Locality);
-            assert!(d.exec_time_s > 0.0);
-            let i = h.ipsc(app, 2, LocalityMode::Locality);
-            assert!(i.exec_time_s > 0.0);
+            for m in Machine::BOTH {
+                assert!(h.run(m, app, 2, LocalityMode::Locality).exec_time_s > 0.0);
+            }
         }
     }
 
@@ -2053,27 +1941,40 @@ mod tests {
     #[test]
     fn workfree_fraction_is_a_percentage() {
         let mut h = Harness::new(true);
-        let full = h
-            .ipsc(App::Cholesky, 4, LocalityMode::TaskPlacement)
-            .exec_time_s;
-        let free = h
-            .ipsc_with(App::Cholesky, 4, LocalityMode::TaskPlacement, |c| {
-                c.work_free = true
-            })
-            .exec_time_s;
-        let pct = 100.0 * free / full;
-        assert!(pct > 0.0 && pct < 100.0, "{pct}");
+        for m in Machine::BOTH {
+            let full = h.run(m, App::Cholesky, 4, LocalityMode::TaskPlacement);
+            let free = h.work_free(m, App::Cholesky, 4, LocalityMode::TaskPlacement);
+            let pct = 100.0 * free.exec_time_s / full.exec_time_s;
+            assert!(pct > 0.0 && pct < 100.0, "{m:?}: {pct}");
+        }
     }
 
     #[test]
     fn replication_off_is_slower() {
         let mut h = Harness::new(true);
-        let on = h.ipsc(App::Water, 8, LocalityMode::Locality).exec_time_s;
+        let on = h
+            .run(Machine::Ipsc, App::Water, 8, LocalityMode::Locality)
+            .exec_time_s;
         let off = h
             .ipsc_with(App::Water, 8, LocalityMode::Locality, |c| {
                 c.replication = false
             })
             .exec_time_s;
         assert!(off > 1.5 * on, "no-replication {off} vs {on}");
+    }
+
+    #[test]
+    fn gates_name_their_label() {
+        assert!(same("a", "outputs", &1, &1).is_ok());
+        assert!(same("PageRank x4", "bytes moved", &1, &2)
+            .unwrap_err()
+            .starts_with("PageRank x4: bytes moved"));
+        assert!(same_tasks("x", 3, 3).is_ok());
+        let err = same_tasks("Halo x8", 3, 4).unwrap_err();
+        assert_eq!(err, "Halo x8: 3 tasks completed, want 4");
+        assert!(not_slower("x", 1.0 + 5e-10, 1.0).is_ok());
+        assert!(not_slower("Ocean x2", 1.0 + 2e-9, 1.0)
+            .unwrap_err()
+            .starts_with("Ocean x2:"));
     }
 }

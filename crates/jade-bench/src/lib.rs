@@ -15,4 +15,4 @@ pub mod harness;
 pub mod paper_data;
 
 pub use apps::App;
-pub use harness::{Harness, TraceBackend, PROCS};
+pub use harness::{Harness, Machine, Run, PROCS};

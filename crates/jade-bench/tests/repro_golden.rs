@@ -147,3 +147,19 @@ fn paper_scale_tables_match_their_golden_hash() {
     let got = vec![group("paper all", &["all", "utilization"], &[])];
     assert_eq!(got, PAPER_GOLDEN, "as source: {got:#x?}");
 }
+
+/// Every name is checked before any experiment runs: a typo late in the
+/// list exits 2 without printing a table or writing a file.
+#[test]
+fn unknown_experiment_is_rejected_before_any_runs() {
+    let (code, stdout, stderr, _) = repro("typo", &["--quick", "table2", "tabel3"]);
+    assert_eq!(code, 2, "stdout:\n{stdout}\nstderr:\n{stderr}");
+    assert!(stderr.contains("unknown experiment: tabel3"), "{stderr}");
+    assert!(
+        !stdout.contains("Execution Times"),
+        "a table ran:\n{stdout}"
+    );
+    let (code, _, stderr, dir) = repro("typo-sweep", &["--quick", "tune-sweep", "tabel3"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(!dir.join("TUNE_sweep.json").exists());
+}
