@@ -961,10 +961,7 @@ fn checkpoint_sweep(h: &mut Harness) -> Result<(), String> {
 /// least 2× (the gather tasks read ~3 contribution buckets per owner, so
 /// one bundle replaces ~3 request/reply pairs). CI greps the PASS marker.
 fn aggregation_sweep(h: &mut Harness) -> Result<(), String> {
-    println!(
-        "\n{}",
-        header("Aggregation sweep: iPSC/860 message coalescing")
-    );
+    println!("\nAggregation sweep: iPSC/860 message coalescing");
     let mut pagerank_msgs = (0u64, 0u64);
     for app in App::IRREGULAR {
         for procs in [2usize, 4, 8, 16] {
@@ -1083,10 +1080,7 @@ fn overlap_row(
 /// prefetch-stream path (bytes on the wire bit-identical, stalls only
 /// shrink). Writes the per-point numbers to `OVERLAP_sweep.json`.
 fn overlap_sweep(h: &mut Harness) -> Result<(), String> {
-    println!(
-        "\n{}",
-        header("Overlap sweep: split-phase prefetch, comm/comp overlap")
-    );
+    println!("\nOverlap sweep: split-phase prefetch, comm/comp overlap");
     let mut rows: Vec<String> = Vec::new();
     let mut issued_total = 0u64;
     let (mut pagerank_overlap, mut halo_overlap) = (0.0f64, 0.0f64);
@@ -1427,7 +1421,7 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
     let workers = 4usize;
     let batch = 16usize;
 
-    println!("\n{}", header("Multi-tenant service stress"));
+    println!("\nMulti-tenant service stress");
     println!(
         "  {total} DAGs from {submitters} submitters over {workers} workers \
          (max_active=6, max_pending=8, shed=reject-new)"
@@ -1718,10 +1712,7 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
 /// the same determinism/parity contract on real OS threads. Emits
 /// `TUNE_sweep.json` and the `PASS tune:` marker CI greps.
 fn tune_sweep(h: &mut Harness) -> Result<(), String> {
-    println!(
-        "\n{}",
-        header("Tune sweep: controller vs static knob grid (iPSC/860)")
-    );
+    println!("\nTune sweep: controller vs static knob grid (iPSC/860)");
     let procs = 8;
     /// Message-drop seeds every setting is averaged over (see the scoring
     /// note at the grid loop below).

@@ -75,7 +75,7 @@ fn mask_checkpoint_hits(line: &str) -> String {
 
 const QUICK_GOLDEN: &[(&str, u64)] = &[
     ("all", 0xfa11f58bcf509a7e),
-    ("sweeps", 0x5850eae05756065f),
+    ("sweeps", 0x765a0cee589ff017),
     ("faults", 0xf131b5e86f971bbb),
     ("checkpoint", 0xf74565fbe836a508),
     ("app", 0x9dadee95ecbd01d9),
