@@ -266,15 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn modes_per_app() {
-        assert_eq!(App::Water.modes().len(), 2);
-        assert_eq!(App::Ocean.modes().len(), 3);
-        for app in App::ALL.into_iter().chain(App::IRREGULAR) {
-            assert_eq!(app.modes()[0], app.natural_mode());
-        }
-    }
-
-    #[test]
     fn placement_flags() {
         assert!(!App::Water.has_placement());
         assert!(!App::StringApp.has_placement());

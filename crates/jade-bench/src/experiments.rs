@@ -1340,70 +1340,76 @@ type Inflight = (TenantId, TenantClass, Handle<u64>, u64, usize);
 /// Per-tenant JSON row: id, class, outcome, tasks, completed, recoveries.
 type TenantRow = (u32, TenantClass, &'static str, usize, usize, usize);
 
-/// Wait for every in-flight tenant and verify its report against its class.
-#[allow(clippy::too_many_arguments)]
-fn settle(
-    svc: &JadeService,
-    inflight: &mut Vec<Inflight>,
-    errors: &Mutex<Vec<String>>,
-    tagged: &Mutex<Vec<TaggedEvent>>,
-    rows: &Mutex<Vec<TenantRow>>,
-    recoveries: &AtomicUsize,
-) {
-    for (id, class, want_h, want, tasks) in inflight.drain(..) {
-        let r = svc.wait(id);
-        let fail = |why: String| {
-            errors
-                .lock()
-                .unwrap()
-                .push(format!("tenant {id} ({}): {why}", class.name()));
-        };
-        match class {
-            TenantClass::Clean | TenantClass::Faulty => {
-                if r.outcome != Outcome::Completed {
-                    fail(format!("outcome {:?}, want Completed", r.outcome));
-                } else {
-                    let got = *r.store.read(want_h);
-                    if got != want {
-                        fail(format!("output {got:#x}, want {want:#x}"));
+/// What the submitter threads collect: failed per-tenant checks, the event
+/// streams of completed tenants, the JSON rows, and two counters.
+#[derive(Default)]
+struct Tally {
+    errors: Mutex<Vec<String>>,
+    tagged: Mutex<Vec<TaggedEvent>>,
+    rows: Mutex<Vec<TenantRow>>,
+    overloads: AtomicUsize,
+    recoveries: AtomicUsize,
+}
+
+impl Tally {
+    /// Wait for every in-flight tenant and verify its report against its
+    /// class.
+    fn settle(&self, svc: &JadeService, inflight: &mut Vec<Inflight>) {
+        for (id, class, want_h, want, tasks) in inflight.drain(..) {
+            let r = svc.wait(id);
+            let fail = |why: String| {
+                self.errors
+                    .lock()
+                    .unwrap()
+                    .push(format!("tenant {id} ({}): {why}", class.name()));
+            };
+            match class {
+                TenantClass::Clean | TenantClass::Faulty => {
+                    if r.outcome != Outcome::Completed {
+                        fail(format!("outcome {:?}, want Completed", r.outcome));
+                    } else {
+                        let got = *r.store.read(want_h);
+                        if got != want {
+                            fail(format!("output {got:#x}, want {want:#x}"));
+                        }
+                        if r.tasks_completed != tasks {
+                            fail(format!("{}/{tasks} tasks completed", r.tasks_completed));
+                        }
+                        if class == TenantClass::Clean && r.recoveries != 0 {
+                            fail(format!("{} recoveries without a fault plan", r.recoveries));
+                        }
+                        self.tagged.lock().unwrap().extend(r.tagged_events());
                     }
-                    if r.tasks_completed != tasks {
-                        fail(format!("{}/{tasks} tasks completed", r.tasks_completed));
-                    }
-                    if class == TenantClass::Clean && r.recoveries != 0 {
-                        fail(format!("{} recoveries without a fault plan", r.recoveries));
-                    }
-                    tagged.lock().unwrap().extend(r.tagged_events());
+                    self.recoveries.fetch_add(r.recoveries, Ordering::Relaxed);
                 }
-                recoveries.fetch_add(r.recoveries, Ordering::Relaxed);
+                TenantClass::Deadline => {
+                    if r.outcome != Outcome::DeadlineExceeded {
+                        fail(format!("outcome {:?}, want DeadlineExceeded", r.outcome));
+                    }
+                    if r.tasks_completed != 0 {
+                        fail(format!(
+                            "{} tasks completed under a zero budget",
+                            r.tasks_completed
+                        ));
+                    }
+                    if r.tasks_cancelled != tasks {
+                        fail(format!("{}/{tasks} tasks cancelled", r.tasks_cancelled));
+                    }
+                }
+                TenantClass::Buggy => match &r.outcome {
+                    Outcome::Failed(msg) if msg.contains("tenant bug") => {}
+                    other => fail(format!("outcome {other:?}, want Failed(tenant bug)")),
+                },
             }
-            TenantClass::Deadline => {
-                if r.outcome != Outcome::DeadlineExceeded {
-                    fail(format!("outcome {:?}, want DeadlineExceeded", r.outcome));
-                }
-                if r.tasks_completed != 0 {
-                    fail(format!(
-                        "{} tasks completed under a zero budget",
-                        r.tasks_completed
-                    ));
-                }
-                if r.tasks_cancelled != tasks {
-                    fail(format!("{}/{tasks} tasks cancelled", r.tasks_cancelled));
-                }
-            }
-            TenantClass::Buggy => match &r.outcome {
-                Outcome::Failed(msg) if msg.contains("tenant bug") => {}
-                other => fail(format!("outcome {other:?}, want Failed(tenant bug)")),
-            },
+            self.rows.lock().unwrap().push((
+                id.0,
+                class,
+                outcome_name(&r.outcome),
+                r.tasks_total,
+                r.tasks_completed,
+                r.recoveries,
+            ));
         }
-        rows.lock().unwrap().push((
-            id.0,
-            class,
-            outcome_name(&r.outcome),
-            r.tasks_total,
-            r.tasks_completed,
-            r.recoveries,
-        ));
     }
 }
 
@@ -1438,17 +1444,10 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let tagged: Mutex<Vec<TaggedEvent>> = Mutex::new(Vec::new());
-    let rows: Mutex<Vec<TenantRow>> = Mutex::new(Vec::new());
-    let overloads = AtomicUsize::new(0);
-    let recoveries = AtomicUsize::new(0);
-
+    let tally = Tally::default();
     std::thread::scope(|s| {
         for t in 0..submitters {
-            let svc = &svc;
-            let (errors, tagged, rows) = (&errors, &tagged, &rows);
-            let (overloads, recoveries) = (&overloads, &recoveries);
+            let (svc, tally) = (&svc, &tally);
             s.spawn(move || {
                 let mut inflight: Vec<Inflight> = Vec::new();
                 let mut i = t;
@@ -1473,28 +1472,26 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
                         match svc.submit(prog, opts.clone()) {
                             Ok(id) => break Some((id, class, want_h, want, tasks)),
                             Err(SubmitError::Overloaded { .. }) => {
-                                overloads.fetch_add(1, Ordering::Relaxed);
+                                tally.overloads.fetch_add(1, Ordering::Relaxed);
                                 // Overload is backpressure, not failure:
                                 // settle our own backlog and try again.
-                                settle(svc, &mut inflight, errors, tagged, rows, recoveries);
+                                tally.settle(svc, &mut inflight);
                                 std::thread::sleep(Duration::from_micros(100));
                             }
                             Err(e) => {
-                                errors
-                                    .lock()
-                                    .unwrap()
-                                    .push(format!("DAG {i} rejected: {e}"));
+                                let why = format!("DAG {i} rejected: {e}");
+                                tally.errors.lock().unwrap().push(why);
                                 break None;
                             }
                         }
                     };
                     inflight.extend(admitted);
                     if inflight.len() >= batch {
-                        settle(svc, &mut inflight, errors, tagged, rows, recoveries);
+                        tally.settle(svc, &mut inflight);
                     }
                     i += submitters;
                 }
-                settle(svc, &mut inflight, errors, tagged, rows, recoveries);
+                tally.settle(svc, &mut inflight);
             });
         }
     });
@@ -1502,7 +1499,7 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
     std::panic::set_hook(default_hook);
     svc.shutdown();
 
-    let errors = errors.into_inner().unwrap();
+    let errors = tally.errors.into_inner().unwrap();
     if !errors.is_empty() {
         for e in errors.iter().take(10) {
             println!("  FAIL {e}");
@@ -1513,8 +1510,8 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
         ));
     }
 
-    let tagged = tagged.into_inner().unwrap();
-    let mut rows = rows.into_inner().unwrap();
+    let tagged = tally.tagged.into_inner().unwrap();
+    let mut rows = tally.rows.into_inner().unwrap();
     rows.sort_by_key(|r| r.0);
     same("service stress", "report count", &rows.len(), &total)?;
 
@@ -1559,10 +1556,10 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
         same_tasks(&format!("{label} starts"), m.tasks_started, attempts)?;
         metric_reexecs += m.tasks_reexecuted as usize;
     }
-    let recov = recoveries.load(Ordering::Relaxed);
+    let recov = tally.recoveries.into_inner();
     let label = "service stress event streams";
     same_tasks(label, metric_reexecs, recov)?;
-    let overload_n = overloads.load(Ordering::Relaxed);
+    let overload_n = tally.overloads.into_inner();
     if overload_n == 0 {
         return Err("backpressure never engaged: no Overloaded rejection all run".to_string());
     }
@@ -1914,7 +1911,7 @@ mod tests {
     }
 
     #[test]
-    fn quick_runs_complete_for_every_app() {
+    fn quick_experiments_run() {
         let mut h = Harness::new(true);
         for app in App::ALL {
             for m in Machine::BOTH {

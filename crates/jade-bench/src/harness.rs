@@ -279,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn quick_runs_complete_on_both_machines() {
+    fn quick_dash_and_ipsc_runs_complete() {
         let mut h = Harness::new(true);
         for m in Machine::BOTH {
             let r = h.run(m, App::Cholesky, 4, LocalityMode::TaskPlacement);
@@ -289,12 +289,16 @@ mod tests {
     }
 
     #[test]
-    fn grid_has_a_row_per_mode_and_a_column_per_procs() {
+    fn modes_per_app() {
         let mut h = Harness::new(true);
         let rows = h.grid(Machine::Dash, App::Water, |r| r.locality_pct);
-        assert_eq!(rows.len(), App::Water.modes().len());
+        assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|(_, v)| v.len() == PROCS.len()));
         assert_eq!(rows[0].0, "Locality");
+        assert_eq!(App::Ocean.modes().len(), 3);
+        for app in App::ALL.into_iter().chain(App::IRREGULAR) {
+            assert_eq!(app.modes()[0], app.natural_mode());
+        }
     }
 
     #[test]
