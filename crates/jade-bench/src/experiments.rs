@@ -49,7 +49,8 @@ type Show = fn(&mut Harness);
 type Gate = fn(&mut Harness) -> Result<(), String>;
 type Body = dyn Fn(&mut Harness) -> Result<(), String>;
 
-fn exp(
+/// An experiment whose body can fail: a sweep and its gates.
+fn gate(
     name: impl Into<String>,
     groups: &'static [&'static str],
     title: impl Into<String>,
@@ -64,6 +65,19 @@ fn exp(
     }
 }
 
+/// An experiment that only prints.
+fn show(
+    name: impl Into<String>,
+    groups: &'static [&'static str],
+    title: impl Into<String>,
+    run: impl Fn(&mut Harness) + 'static,
+) -> Experiment {
+    gate(name, groups, title, move |h| {
+        run(h);
+        Ok(())
+    })
+}
+
 /// Table `n`: reproduced rows over the processor counts, the paper's
 /// published rows beneath.
 fn table(
@@ -72,15 +86,10 @@ fn table(
     paper: ExecTable,
     rows: impl Fn(&mut Harness) -> Rows + 'static,
 ) -> Experiment {
-    exp(
-        format!("table{n}"),
-        &["all", "tables"],
-        format!("Table {n}: {title}"),
-        move |h| {
-            print_table(&title, &rows(h), Some(&paper), 2);
-            Ok(())
-        },
-    )
+    let name = format!("Table {n}: {title}");
+    show(format!("table{n}"), &["all", "tables"], name, move |h| {
+        print_table(&title, &rows(h), Some(&paper), 2)
+    })
 }
 
 /// Figure `n`: reproduced rows over the processor counts, then the
@@ -93,14 +102,13 @@ fn figure(
     rows: impl Fn(&mut Harness) -> Rows + 'static,
 ) -> Experiment {
     let title = format!("Figure {n}: {title}");
-    exp(
+    show(
         format!("fig{n}"),
         &["all", "figures"],
         title.clone(),
         move |h| {
             print_table(&title, &rows(h), None, decimals);
             println!("  {note}");
-            Ok(())
         },
     )
 }
@@ -115,9 +123,9 @@ pub fn catalogue() -> Vec<Experiment> {
         (6, Ipsc, "the iPSC/860", &paper_data::TABLE6_IPSC),
     ] {
         let title = format!("Table {n}: Serial and Stripped Execution Times on {on} (seconds)");
-        c.push(exp(format!("table{n}"), ALL, title.clone(), move |h| {
-            table_serial(h, m, &title, paper);
-            Ok(())
+        let name = format!("table{n}");
+        c.push(show(name, ALL, title.clone(), move |h| {
+            table_serial(h, m, &title, paper)
         }));
     }
 
@@ -225,12 +233,9 @@ pub fn catalogue() -> Vec<Experiment> {
         ("heterogeneous", "Section 1: workstations", heterogeneous),
         ("utilization", "per-processor time at 8 procs", utilization),
     ];
-    for (name, title, show) in sections {
+    for (name, title, run) in sections {
         let groups = if name == "utilization" { ALONE } else { ALL };
-        c.push(exp(name, groups, title, move |h| {
-            show(h);
-            Ok(())
-        }));
+        c.push(show(name, groups, title, run));
     }
     let sweeps: [(&str, &str, Gate); 6] = [
         ("fault-sweep", "DESIGN.md §11: fault recovery", fault_sweep),
@@ -248,7 +253,7 @@ pub fn catalogue() -> Vec<Experiment> {
         ("service-stress", "DESIGN.md §16: service", service_stress),
         ("tune-sweep", "DESIGN.md §19: self-tuning", tune_sweep),
     ];
-    c.extend(sweeps.map(|(name, title, gate)| exp(name, ALONE, title, gate)));
+    c.extend(sweeps.map(|(name, title, run)| gate(name, ALONE, title, run)));
     c
 }
 
