@@ -1842,7 +1842,7 @@ fn tune_sweep(h: &mut Harness) -> Result<(), String> {
     }
 
     // Threaded backend: same contract on real OS threads — tuned output
-    // equals untuned output, repeats agree, knobs in range. The drain/steal
+    // equals untuned output, repeats agree, knobs in range. The steal
     // decisions derive from the batch shape only, so the logs must repeat
     // bit-for-bit even though OS scheduling does not.
     let (off, _) = threads_water(|_| {});

@@ -7,8 +7,6 @@
 //! virtual checkpoint capture cost, plan-derived failure horizons) into
 //! runtime knob settings:
 //!
-//! * the thread scheduler's **drain-batch threshold** (how many locally
-//!   finished tasks a worker buffers before taking the synchronizer lock);
 //! * the thread scheduler's **steal attempt budget** (how many victims a
 //!   failed own-pop sweeps before giving up the round);
 //! * the iPSC communicator's **adaptive-broadcast evidence margin** (extra
@@ -38,13 +36,6 @@
 //! range (the proptest battery runs it over random DAGs × backends ×
 //! fault plans).
 
-/// Smallest drain-batch threshold ([`Knob::DrainThreshold`] lower bound):
-/// flush every completion.
-pub const DRAIN_MIN: usize = 1;
-/// Largest drain-batch threshold the controller will pick. Past this the
-/// lock is already amortized to noise and buffered completions only delay
-/// successor enabling.
-pub const DRAIN_MAX: usize = 64;
 /// Smallest steal budget: always probe at least one victim.
 pub const STEAL_BUDGET_MIN: usize = 1;
 /// Largest extra evidence the controller will stack on top of the
@@ -64,8 +55,6 @@ pub const CREDIT_CAP_MAX: u32 = 8;
 /// Which runtime knob a [`Decision`] set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Knob {
-    /// Thread-scheduler drain-buffer flush threshold (tasks).
-    DrainThreshold,
     /// Thread-scheduler steal sweep budget (victims per failed own-pop).
     StealBudget,
     /// Extra adaptive-broadcast evidence demanded beyond the break-even.
@@ -80,7 +69,6 @@ impl Knob {
     /// The documented valid range for this knob, inclusive.
     pub fn range(self) -> (u64, u64) {
         match self {
-            Knob::DrainThreshold => (DRAIN_MIN as u64, DRAIN_MAX as u64),
             // The budget is additionally capped at `workers - 1` by
             // construction (it indexes the victim ring).
             Knob::StealBudget => (STEAL_BUDGET_MIN as u64, u16::MAX as u64),
@@ -174,22 +162,6 @@ pub struct Controller {
 impl Controller {
     pub fn new() -> Controller {
         Controller::default()
-    }
-
-    /// Drain-batch threshold for a batch of the given shape.
-    ///
-    /// Law: buffer roughly a quarter of a worker's fair share of the
-    /// batch, clamped to `[DRAIN_MIN, DRAIN_MAX]`. Wide overhead-dominated
-    /// batches (many tasks per worker) get deep buffers — the synchronizer
-    /// lock is the bottleneck and amortizing it is nearly free because a
-    /// worker that runs dry flushes anyway. Narrow batches get shallow
-    /// buffers so enabling successors is not delayed behind buffered
-    /// completions other workers could be running.
-    pub fn drain_threshold(&mut self, shape: &BatchShape) -> usize {
-        let per_worker = shape.tasks / shape.workers.max(1);
-        let d = (per_worker / 4).clamp(DRAIN_MIN, DRAIN_MAX);
-        self.log.record(Knob::DrainThreshold, d as u64);
-        d
     }
 
     /// Steal sweep budget: victims probed after a failed own-pop before
@@ -291,30 +263,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn drain_threshold_scales_with_per_worker_share() {
-        let mut c = Controller::new();
-        // Overhead-dominated wide batch: deep buffer.
-        assert_eq!(
-            c.drain_threshold(&BatchShape {
-                tasks: 4096,
-                workers: 1,
-                enabled0: 4096
-            }),
-            DRAIN_MAX
-        );
-        // Narrow batch: flush promptly.
-        assert_eq!(
-            c.drain_threshold(&BatchShape {
-                tasks: 8,
-                workers: 4,
-                enabled0: 1
-            }),
-            DRAIN_MIN
-        );
-        assert!(c.log.check_ranges().is_ok());
-    }
-
-    #[test]
     fn steal_budget_is_logarithmic_and_capped() {
         let mut c = Controller::new();
         assert_eq!(
@@ -395,7 +343,7 @@ mod tests {
     #[test]
     fn out_of_range_decision_is_reported_with_the_value() {
         let mut log = TuneLog::default();
-        log.record(Knob::DrainThreshold, 10_000);
+        log.record(Knob::CreditCap, 10_000);
         let err = log.check_ranges().unwrap_err();
         assert!(err.contains("10000"), "{err}");
     }

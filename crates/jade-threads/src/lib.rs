@@ -107,8 +107,7 @@ fn checkpoint_tasks(secs: f64) -> Result<usize, String> {
 /// before flushing them to the synchronizer in one lock acquisition (it
 /// also flushes whenever its own queue runs dry). Small enough that
 /// successors are enabled promptly, large enough to amortize the lock on
-/// overhead-dominated workloads. [`ThreadRuntime::enable_tuning`] replaces
-/// it with a per-batch decision; a traced batch flushes per task whatever
+/// overhead-dominated workloads. A traced batch flushes per task whatever
 /// the threshold (see `Sharded::drain`).
 const DRAIN_BATCH: usize = 8;
 
@@ -383,10 +382,10 @@ impl ThreadRuntime {
     }
 
     /// Enable the self-tuning feedback controller (DESIGN.md §19) for
-    /// subsequent batches: the drain-batch threshold and the steal sweep
-    /// budget are decided per batch from its deterministic shape (task
-    /// count, worker count, initial parallelism width) instead of the
-    /// static `DRAIN_BATCH` (8) threshold. Decisions are pure functions of
+    /// subsequent batches: the steal sweep budget is decided per batch from
+    /// its deterministic shape (task count, worker count, initial
+    /// parallelism width) instead of sweeping every other worker.
+    /// Decisions are pure functions of
     /// the batch shape — no wall-clock, no interleaving-dependent counter
     /// — so controller-on runs stay bit-identical across repeats and
     /// produce the same results as controller-off runs. Every decision is
@@ -622,8 +621,7 @@ struct Sharded<'a, S> {
     store: &'a Store,
     base: usize,
     workers: usize,
-    /// Drain-buffer flush threshold: [`DRAIN_BATCH`] or the tuner's
-    /// decision, and 1 when tracing. A traced task takes the state lock for
+    /// Drain-buffer flush threshold: [`DRAIN_BATCH`], and 1 when tracing. A traced task takes the state lock for
     /// its dispatch/start events anyway, so there is nothing to amortize;
     /// and flushing each completion at once stamps it before the worker's
     /// next dispatch, so a worker's task intervals in the recorded stream
@@ -1137,23 +1135,19 @@ impl ThreadRuntime {
                 enabled0.push(i);
             }
         }
-        // Controller-on batches decide the drain threshold and steal
-        // budget from the batch shape — fixed here, before any worker
-        // runs, so the decisions (and their log) are deterministic.
-        let (drain, steal_budget) = match self.tune.as_mut() {
-            Some(ctl) => {
-                let shape = BatchShape {
-                    tasks: n,
-                    workers,
-                    enabled0: enabled0.len(),
-                };
-                (ctl.drain_threshold(&shape), ctl.steal_budget(&shape))
-            }
-            None => (DRAIN_BATCH, workers.saturating_sub(1).max(1)),
+        // Controller-on batches decide the steal budget from the batch
+        // shape — fixed here, before any worker runs, so the decision (and
+        // its log) is deterministic.
+        let steal_budget = match self.tune.as_mut() {
+            Some(ctl) => ctl.steal_budget(&BatchShape {
+                tasks: n,
+                workers,
+                enabled0: enabled0.len(),
+            }),
+            None => workers.saturating_sub(1).max(1),
         };
-        // Tracing clamps the *applied* drain to 1 (see `Sharded::drain`);
-        // the tuner's decision stays logged.
-        let drain = if S::ACTIVE { 1 } else { drain };
+        // Tracing clamps the drain to 1 (see `Sharded::drain`).
+        let drain = if S::ACTIVE { 1 } else { DRAIN_BATCH };
         let sh = Sharded {
             queues: &queues[..workers],
             slots,
@@ -2040,8 +2034,7 @@ mod tests {
         // the run is deterministic — the same event stream every time, with
         // clean lifecycles. The stream is *not* program order (the worker
         // pops its own queue newest-first), and it does not depend on the
-        // drain threshold: tracing clamps it to one, so a tuned run records
-        // the same stream as an untuned one.
+        // tuner: a tuned run records the same stream as an untuned one.
         let run = |tuned: bool| {
             let mut rt = ThreadRuntime::new(1);
             rt.enable_events();
