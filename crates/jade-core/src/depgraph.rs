@@ -1,15 +1,17 @@
-//! The dependence graph of a trace, computed once (DESIGN.md §4, "One
-//! dependence graph per trace"). [`DepGraph`] is what the synchronizer's
-//! queues derive from a [`Trace`]'s specifications, as a static CSR graph,
-//! and [`Countdown`] replays it with one counter per task, enabling what a
+//! The dependence graph of a batch of tasks, computed once before any of
+//! them runs (DESIGN.md §4, "One dependence graph per batch"). [`DepGraph`]
+//! is what the synchronizer's queues derive from access specifications, as
+//! a static CSR graph with one sub-row per declaration. [`Countdown`]
+//! replays it with one counter per task, enabling what a
 //! [`Synchronizer`](crate::Synchronizer) would, in the same order and with
-//! the same events.
+//! the same events; `ThreadRuntime` counts it down with atomic decrements.
 
-use crate::access::AccessMode;
+use crate::access::{AccessDecl, AccessMode, AccessSpec};
 use crate::events::{EventKind, Sink};
-use crate::ids::{ProcId, TaskId};
+use crate::ids::{ObjectId, ProcId, TaskId};
 use crate::trace::Trace;
 use std::borrow::Cow;
+use std::ops::Range;
 
 const NONE: u32 = u32::MAX;
 
@@ -23,113 +25,227 @@ const NONE: u32 = u32::MAX;
 ///
 /// Edges are counted per declaration and never merged, so a count reaches
 /// zero at the completion that grants a task's last declaration in the
-/// synchronizer. A row is in the order that completion grants: by the
-/// completing task's declaration order, then by serial order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// synchronizer. Each declaration has a sub-row of its own: the successors
+/// that wait through it, in serial order. A task's row is its sub-rows in
+/// declaration order, which is the order completion grants in; a mid-task
+/// release counts down exactly one sub-row.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DepGraph {
     /// Per task: its incoming edges.
     preds: Vec<u32>,
     /// Task `i`'s successors are `succ[rows[i]..rows[i + 1]]`.
     rows: Vec<u32>,
+    /// Task `i`'s declarations are `decls[i]..decls[i + 1]`, numbered task
+    /// after task, and declaration `k`'s are `succ[subs[k]..subs[k + 1]]`.
+    decls: Vec<u32>,
+    subs: Vec<u32>,
     succ: Vec<TaskId>,
+    /// Build scratch, kept so that a rebuild allocates nothing.
+    walk: Walk,
+}
+
+/// The state of a walk over the specifications: every declaration, task
+/// after task; per declaration the shared read before it; per object the
+/// last exclusive declaration and the newest shared read since it. The
+/// per-object tables only grow.
+#[derive(Clone, Debug, Default, Eq)]
+struct Walk {
+    decls: Vec<AccessDecl>,
+    chain: Vec<u32>,
+    writer: Vec<u32>,
+    reads: Vec<u32>,
+}
+
+/// Scratch is no part of a graph's value.
+impl PartialEq for Walk {
+    fn eq(&self, _: &Walk) -> bool {
+        true
+    }
+}
+
+impl Walk {
+    /// Call `edge(from, to)` for every edge, in serial order of the task
+    /// `to`, whose declarations are `decls[ends[to]..ends[to + 1]]`; `from`
+    /// is a declaration, numbered as `decls` are.
+    fn edges(&mut self, ends: &[u32], replication: bool, mut edge: impl FnMut(u32, usize)) {
+        let (chain, writer, reads) = (&mut self.chain, &mut self.writer, &mut self.reads);
+        writer.fill(NONE);
+        reads.fill(NONE);
+        for (to, end) in ends.windows(2).enumerate() {
+            for g in end[0]..end[1] {
+                let d = self.decls[g as usize];
+                let o = d.object.index();
+                if replication && d.mode == AccessMode::Read {
+                    if writer[o] != NONE {
+                        edge(writer[o], to);
+                    }
+                    chain[g as usize] = std::mem::replace(&mut reads[o], g);
+                } else {
+                    let mut r = std::mem::replace(&mut reads[o], NONE);
+                    if r == NONE && writer[o] != NONE {
+                        edge(writer[o], to);
+                    }
+                    while r != NONE {
+                        edge(r, to);
+                        r = chain[r as usize];
+                    }
+                    writer[o] = g;
+                }
+            }
+        }
+    }
 }
 
 impl DepGraph {
-    /// The graph of the valid `trace` under `replication`, in two walks over
-    /// the specifications. [`Trace::dep_graph`] keeps it.
+    /// The graph of the valid `trace` under `replication`.
+    /// [`Trace::dep_graph`] keeps it.
     pub fn build(trace: &Trace, replication: bool) -> DepGraph {
-        let tasks = &trace.tasks;
-        let ndecls: usize = tasks.iter().map(|t| t.spec.len()).sum();
-        let mut chain = vec![NONE; ndecls];
-        let mut preds = vec![0u32; tasks.len()];
-        // Per declaration its out-degree, then its next free slot: a stable
-        // counting sort by source declaration, which keeps serial order.
-        let mut next = vec![0u32; ndecls + 1];
-        edges(trace, replication, &mut chain, |from, to| {
-            next[from as usize] += 1;
+        let mut graph = DepGraph::default();
+        graph.rebuild(trace.tasks.iter().map(|t| &t.spec), replication);
+        graph
+    }
+
+    /// Replace the graph with that of `specs`, the tasks in serial order,
+    /// under `replication`, reusing every allocation: one pass copies the
+    /// declarations out, then two walks over them count each declaration's
+    /// successors and place them — a stable counting sort by source
+    /// declaration, which keeps serial order.
+    pub fn rebuild<'a>(
+        &mut self,
+        specs: impl IntoIterator<Item = &'a AccessSpec>,
+        replication: bool,
+    ) {
+        let walk = &mut self.walk;
+        walk.decls.clear();
+        self.decls.clear();
+        self.decls.push(0);
+        for s in specs {
+            walk.decls.extend_from_slice(s.decls());
+            self.decls.push(walk.decls.len() as u32);
+        }
+        let ndecls = walk.decls.len();
+        let objects = walk.decls.iter().map(|d| d.object.index() + 1).max();
+        let objects = objects.unwrap_or(0).max(walk.writer.len());
+        walk.writer.resize(objects, NONE);
+        walk.reads.resize(objects, NONE);
+        walk.chain.clear();
+        walk.chain.resize(ndecls, NONE);
+        self.preds.clear();
+        self.preds.resize(self.decls.len() - 1, 0);
+        // Declaration `k`'s out-degree goes to `subs[k + 2]`.
+        self.subs.clear();
+        self.subs.resize(ndecls + 2, 0);
+        let (subs, preds) = (&mut self.subs, &mut self.preds);
+        walk.edges(&self.decls, replication, |from, to| {
+            subs[from as usize + 2] += 1;
             preds[to] += 1;
         });
-        let mut total = 0;
-        for n in &mut next {
-            total += std::mem::replace(n, total);
+        // The prefix sums make `subs[k + 1]` declaration `k`'s first slot,
+        // and placing advances it to its end, where `k + 1` starts.
+        for k in 1..subs.len() {
+            subs[k] += subs[k - 1];
         }
-        let mut rows = Vec::with_capacity(tasks.len() + 1);
-        let mut first = 0;
-        for t in tasks {
-            rows.push(next[first]);
-            first += t.spec.len();
-        }
-        rows.push(total);
-        let mut succ = vec![TaskId(0); total as usize];
-        edges(trace, replication, &mut chain, |from, to| {
-            let at = &mut next[from as usize];
+        self.succ.clear();
+        self.succ.resize(subs[ndecls + 1] as usize, TaskId(0));
+        let succ = &mut self.succ;
+        walk.edges(&self.decls, replication, |from, to| {
+            let at = &mut subs[from as usize + 1];
             succ[*at as usize] = TaskId(to as u32);
             *at += 1;
         });
-        DepGraph { preds, rows, succ }
+        subs.pop();
+        self.rows.clear();
+        (self.rows).extend(self.decls.iter().map(|&k| self.subs[k as usize]));
     }
 
     pub fn edge_count(&self) -> usize {
         self.succ.len()
     }
 
-    /// The tasks `id`'s completion counts down, once per edge.
+    /// Per task, the edges into it: zero for a task enabled from the start.
+    pub fn preds(&self) -> &[u32] {
+        &self.preds
+    }
+
+    /// The length of the object table a synchronizer registering the tasks
+    /// of every build of this graph would have: 1 + the largest object
+    /// index any of them declared (a synchronizer's table keeps its length
+    /// from one window to the next).
+    pub fn objects(&self) -> usize {
+        self.walk.writer.len()
+    }
+
+    /// `id`'s declarations, numbered across the graph.
+    fn decls_of(&self, id: TaskId) -> Range<usize> {
+        self.decls[id.index()] as usize..self.decls[id.index() + 1] as usize
+    }
+
+    /// Where the row of task `id` lies in `succ`.
+    #[inline]
+    fn task_row(&self, id: TaskId) -> Range<usize> {
+        self.rows[id.index()] as usize..self.rows[id.index() + 1] as usize
+    }
+
+    /// Where the sub-row of declaration `k` lies in `succ`.
+    #[inline]
+    fn sub_row(&self, k: usize) -> Range<usize> {
+        self.subs[k] as usize..self.subs[k + 1] as usize
+    }
+
+    /// The tasks `id`'s completion counts down, once per edge: its
+    /// sub-rows, in declaration order.
     #[inline]
     pub fn successors(&self, id: TaskId) -> &[TaskId] {
-        &self.succ[self.rows[id.index()] as usize..self.rows[id.index() + 1] as usize]
+        &self.succ[self.task_row(id)]
     }
-}
 
-/// Call `edge(from, to)` for every edge, in serial order of the task `to`;
-/// `from` is a declaration, numbered task after task, as `chain`'s slots are.
-fn edges(trace: &Trace, replication: bool, chain: &mut [u32], mut edge: impl FnMut(u32, usize)) {
-    // Per object: the last exclusive access, and the newest shared read
-    // since it; `chain` links each such read to the one before it.
-    let mut writer = vec![NONE; trace.objects.len()];
-    let mut reads = vec![NONE; trace.objects.len()];
-    let mut g = 0u32;
-    for (to, t) in trace.tasks.iter().enumerate() {
-        for d in t.spec.decls() {
-            let o = d.object.index();
-            if replication && d.mode == AccessMode::Read {
-                if writer[o] != NONE {
-                    edge(writer[o], to);
-                }
-                chain[g as usize] = std::mem::replace(&mut reads[o], g);
-            } else {
-                let mut r = std::mem::replace(&mut reads[o], NONE);
-                if r == NONE && writer[o] != NONE {
-                    edge(writer[o], to);
-                }
-                while r != NONE {
-                    edge(r, to);
-                    r = chain[r as usize];
-                }
-                writer[o] = g;
-            }
-            g += 1;
-        }
+    /// The sub-row of `id`'s declaration `decl` (its position in the
+    /// task's specification): the tasks that wait through it.
+    #[inline]
+    pub fn decl_successors(&self, id: TaskId, decl: usize) -> &[TaskId] {
+        &self.succ[self.sub_row(self.decls[id.index()] as usize + decl)]
     }
 }
 
 /// One replay of a [`DepGraph`]: per task, the edges into it not yet
 /// counted down. It mirrors the synchronizer's entry points, events too.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Countdown<'g> {
     graph: Cow<'g, DepGraph>,
     left: Vec<u32>,
+    /// Per declaration: released mid-task, so its sub-row is already
+    /// counted down. Empty until the first release.
+    released: Vec<bool>,
     created: usize,
     completed: usize,
 }
 
 impl<'g> Countdown<'g> {
     pub fn new(graph: Cow<'g, DepGraph>) -> Countdown<'g> {
-        Countdown {
-            left: graph.preds.clone(),
+        let mut deps = Countdown {
             graph,
-            created: 0,
-            completed: 0,
-        }
+            ..Countdown::default()
+        };
+        deps.restart();
+        deps
+    }
+
+    /// Replace the graph with that of `specs` (see [`DepGraph::rebuild`])
+    /// and start a replay of it, reusing every allocation of an owned one.
+    pub fn rebuild<'a>(
+        &mut self,
+        specs: impl IntoIterator<Item = &'a AccessSpec>,
+        replication: bool,
+    ) {
+        self.graph.to_mut().rebuild(specs, replication);
+        self.restart();
+    }
+
+    fn restart(&mut self) {
+        self.left.clone_from(&self.graph.preds);
+        self.released.clear();
+        self.created = 0;
+        self.completed = 0;
     }
 
     /// Register the next task in serial order, `id`. Returns `true` if it
@@ -152,9 +268,23 @@ impl<'g> Countdown<'g> {
         enabled
     }
 
-    /// Mark the enabled task `id` complete and count down its successors;
-    /// the registered ones it enables go to `newly_enabled`. Records
-    /// `TaskCompleted`, then `TaskEnabled` for each of them.
+    /// Count down `successors`; the registered tasks that enables go to
+    /// `newly_enabled`.
+    #[inline]
+    fn count_down(&mut self, successors: Range<usize>, newly_enabled: &mut Vec<TaskId>) {
+        for &s in &self.graph.succ[successors] {
+            let left = &mut self.left[s.index()];
+            *left -= 1;
+            if *left == 0 && s.index() < self.created {
+                newly_enabled.push(s);
+            }
+        }
+    }
+
+    /// Mark the enabled task `id` complete and count down the sub-rows of
+    /// the declarations it still holds; the registered tasks that enables
+    /// go to `newly_enabled`. Records `TaskCompleted`, then `TaskEnabled`
+    /// for each of them.
     pub fn complete_traced<S: Sink>(
         &mut self,
         id: TaskId,
@@ -169,14 +299,46 @@ impl<'g> Countdown<'g> {
         );
         self.completed += 1;
         let before = newly_enabled.len();
-        for &s in self.graph.successors(id) {
-            let left = &mut self.left[s.index()];
-            *left -= 1;
-            if *left == 0 && s.index() < self.created {
-                newly_enabled.push(s);
+        if self.released.is_empty() {
+            self.count_down(self.graph.task_row(id), newly_enabled);
+        } else {
+            for k in self.graph.decls_of(id) {
+                if !self.released[k] {
+                    self.count_down(self.graph.sub_row(k), newly_enabled);
+                }
             }
         }
         events.emit_task(time_ps, proc, EventKind::TaskCompleted, id);
+        for &t in &newly_enabled[before..] {
+            events.emit_task(time_ps, proc, EventKind::TaskEnabled, t);
+        }
+    }
+
+    /// Release the running task `id`'s declaration `decl` (its position in
+    /// the specification), on `object`, before the task completes: count
+    /// down that declaration's sub-row alone, as the synchronizer's
+    /// `release` grants that access's successors alone. Records
+    /// `AccessReleased`, then `TaskEnabled` for each task it enables.
+    #[allow(clippy::too_many_arguments)]
+    pub fn release_traced<S: Sink>(
+        &mut self,
+        id: TaskId,
+        decl: usize,
+        object: ObjectId,
+        newly_enabled: &mut Vec<TaskId>,
+        events: &mut S,
+        time_ps: u64,
+        proc: ProcId,
+    ) {
+        let k = self.graph.decls[id.index()] as usize + decl;
+        if self.released.is_empty() {
+            self.released.resize(self.graph.subs.len() - 1, false);
+        }
+        assert!(!self.released[k], "{id:?} released {object:?} twice");
+        self.released[k] = true;
+        let before = newly_enabled.len();
+        self.count_down(self.graph.sub_row(k), newly_enabled);
+        events.emit_obj(time_ps, proc, EventKind::AccessReleased, Some(id), object);
         for &t in &newly_enabled[before..] {
             events.emit_task(time_ps, proc, EventKind::TaskEnabled, t);
         }
@@ -258,6 +420,137 @@ mod tests {
     }
 
     #[test]
+    fn a_release_counts_down_its_declaration_alone() {
+        // Task 0 writes objects 0 and 1; tasks 1 and 2 read one each, task
+        // 3 both. Releasing object 1 enables task 2 alone; completing task
+        // 0 then counts down object 0's sub-row and no other.
+        let mut w = AccessSpec::new();
+        w.wr(o(0)).wr(o(1));
+        let (mut r0, mut r1, mut both) = (AccessSpec::new(), AccessSpec::new(), AccessSpec::new());
+        r0.rd(o(0));
+        r1.rd(o(1));
+        both.rd(o(1)).rd(o(0));
+        let trace = trace_of(&[w, r0, r1, both]);
+        let g = DepGraph::build(&trace, true);
+        assert_eq!(g.decl_successors(TaskId(0), 0), [TaskId(1), TaskId(3)]);
+        assert_eq!(g.decl_successors(TaskId(0), 1), [TaskId(2), TaskId(3)]);
+        let mut deps = Countdown::new(Cow::Borrowed(&g));
+        let mut events = EventSink::recording();
+        for t in &trace.tasks {
+            deps.add_task_traced(t.id, &mut events, 0, 0);
+        }
+        let mut newly = Vec::new();
+        deps.release_traced(TaskId(0), 1, o(1), &mut newly, &mut events, 1, 0);
+        assert_eq!(newly, [TaskId(2)]);
+        newly.clear();
+        deps.complete_traced(TaskId(0), &mut newly, &mut events, 2, 0);
+        assert_eq!(newly, [TaskId(1), TaskId(3)]);
+        assert_eq!(deps.live_tasks(), 3);
+    }
+
+    #[test]
+    fn sub_rows_partition_each_row() {
+        let prog: Vec<Vec<(u8, u8)>> = (0..30u8)
+            .map(|i| vec![(i % 6, i % 3), ((i * 7 + 1) % 6, (i / 3) % 3)])
+            .collect();
+        for gather in [false, true] {
+            let specs = specs_of(&prog, gather);
+            let trace = trace_of(&specs);
+            for replication in [false, true] {
+                let g = DepGraph::build(&trace, replication);
+                let mut edges = 0;
+                for (i, s) in specs.iter().enumerate() {
+                    let id = TaskId(i as u32);
+                    let joined: Vec<TaskId> = (0..s.len())
+                        .flat_map(|k| g.decl_successors(id, k).iter().copied())
+                        .collect();
+                    assert_eq!(joined, g.successors(id));
+                    edges += joined.len();
+                }
+                assert_eq!(edges, g.edge_count());
+                let preds: u32 = g.preds().iter().sum();
+                assert_eq!(preds as usize, edges);
+            }
+        }
+    }
+
+    #[test]
+    fn a_rebuild_reuses_its_storage_and_equals_a_fresh_build() {
+        let (mut w, mut r, mut w0) = (AccessSpec::new(), AccessSpec::new(), AccessSpec::new());
+        w.wr(o(0)).rd(o(5));
+        r.rd(o(0));
+        w0.wr(o(0));
+        let big = trace_of(&[w.clone(), r.clone(), r.clone(), w, r.clone()]);
+        let small = trace_of(&[r.clone(), r, w0]);
+        let mut g = DepGraph::build(&big, true);
+        assert_eq!(g.objects(), 6);
+        let grown = (
+            g.succ.capacity(),
+            g.rows.capacity(),
+            g.walk.chain.capacity(),
+        );
+        for (trace, replication) in [(&small, false), (&big, true), (&small, true)] {
+            g.rebuild(trace.tasks.iter().map(|t| &t.spec), replication);
+            assert_eq!(g, DepGraph::build(trace, replication));
+            assert_eq!(g.preds().len(), trace.task_count());
+        }
+        let kept = (
+            g.succ.capacity(),
+            g.rows.capacity(),
+            g.walk.chain.capacity(),
+        );
+        assert_eq!(kept, grown, "a smaller rebuild grew the graph");
+        assert_eq!(g.objects(), 6, "the object table keeps its length");
+        assert_eq!(DepGraph::build(&small, true).objects(), 1);
+        let mut deps = Countdown::default();
+        deps.rebuild(small.tasks.iter().map(|t| &t.spec), true);
+        assert!(deps.add_task_traced(TaskId(0), &mut EventSink::recording(), 0, 0));
+        assert!(deps.add_task_traced(TaskId(1), &mut EventSink::recording(), 0, 0));
+        assert!(!deps.add_task_traced(TaskId(2), &mut EventSink::recording(), 0, 0));
+    }
+
+    #[test]
+    fn a_rebuild_after_an_abandoned_replay_answers_as_a_new_countdown() {
+        // A service slot's countdown is abandoned mid-flight when its
+        // tenant is cancelled: a release and a completion made, the rest
+        // never run. Rebuilt for the next tenant, it must answer exactly
+        // as a new one.
+        let (mut w, mut r) = (AccessSpec::new(), AccessSpec::new());
+        w.wr(o(0)).wr(o(1));
+        r.rd(o(0)).rd(o(1));
+        let first = [w.clone(), r.clone(), w.clone(), r.clone()];
+        let second = [r.clone(), w, r];
+        let run = |deps: &mut Countdown| {
+            let mut events = EventSink::recording();
+            let mut ready = Vec::new();
+            for (i, _) in second.iter().enumerate() {
+                if deps.add_task_traced(TaskId(i as u32), &mut events, 0, 0) {
+                    ready.push(TaskId(i as u32));
+                }
+            }
+            while let Some(id) = ready.pop() {
+                deps.complete_traced(id, &mut ready, &mut events, 1, 0);
+            }
+            assert!(deps.all_complete());
+            events.take()
+        };
+        let mut used = Countdown::default();
+        used.rebuild(first.iter(), true);
+        let mut newly = Vec::new();
+        let mut events = EventSink::recording();
+        for i in 0..first.len() as u32 {
+            used.add_task_traced(TaskId(i), &mut events, 0, 0);
+        }
+        used.release_traced(TaskId(0), 1, o(1), &mut newly, &mut events, 0, 0);
+        used.complete_traced(TaskId(0), &mut newly, &mut events, 0, 0);
+        assert_eq!(newly, [TaskId(1)]);
+        used.rebuild(second.iter(), true);
+        let mut fresh = Countdown::default();
+        fresh.rebuild(second.iter(), true);
+        assert_eq!(run(&mut used), run(&mut fresh));
+    }
+
+    #[test]
     fn a_write_waits_for_every_read_since_the_last_writer() {
         let (mut w, mut r, mut rw) = (AccessSpec::new(), AccessSpec::new(), AccessSpec::new());
         w.wr(o(0));
@@ -329,18 +622,19 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// A countdown over the graph and a synchronizer, driven through
-        /// the same random interleaving of registrations and completions
-        /// (a task's predecessors often complete before it is registered):
-        /// the same enabled tasks in the same order, the same event
-        /// stream, and at every step a `SnapshotSize` that registers
-        /// lazily, as the iPSC's checkpoint does, with the snapshot's
-        /// encoded length and the completed set.
+        /// the same random interleaving of registrations, mid-task
+        /// releases and completions (a task's predecessors often complete
+        /// before it is registered): the same enabled tasks in the same
+        /// order, the same event stream, and at every step a `SnapshotSize`
+        /// that registers lazily, as the iPSC's checkpoint does, with the
+        /// snapshot's encoded length and the completed set.
         #[test]
         fn countdown_replays_the_synchronizer(
             prog in prop::collection::vec(prop::collection::vec((0..6u8, 0..3u8), 0..5), 1..40),
             gather in any::<bool>(),
             replication in any::<bool>(),
             eager in 0..5usize,
+            releases in 0..3usize,
             seed in any::<u64>(),
         ) {
             let specs = specs_of(&prog, gather);
@@ -356,6 +650,8 @@ mod tests {
                 (state >> 33) as usize
             };
             let (mut ready, mut done) = (Vec::new(), vec![false; specs.len()]);
+            // Per task, the positions of the declarations it has released.
+            let mut released = vec![Vec::new(); specs.len()];
             for clock in 0u64.. {
                 let created = deps.task_count();
                 // Register the next task when nothing is ready, or as
@@ -369,13 +665,32 @@ mod tests {
                         ready.push(id);
                     }
                 } else if !ready.is_empty() {
-                    let id = ready.swap_remove(next() % ready.len());
+                    // A ready task releases one of the declarations it
+                    // holds as often as `releases` thirds of the time, and
+                    // completes otherwise.
+                    let at = next() % ready.len();
+                    let id = ready[at];
+                    let decls = specs[id.index()].decls();
+                    let held: Vec<usize> = (0..decls.len())
+                        .filter(|k| !released[id.index()].contains(k))
+                        .collect();
                     let (mut got, mut want) = (Vec::new(), Vec::new());
-                    deps.complete_traced(id, &mut got, &mut got_events, clock, 1);
-                    sync.complete_traced(id, &mut want, &mut want_events, clock, 1);
-                    prop_assert_eq!(&got, &want, "completing {:?}", id);
-                    size.complete(&specs[id.index()]);
-                    done[id.index()] = true;
+                    if !held.is_empty() && next() % 3 < releases {
+                        let decl = held[next() % held.len()];
+                        let object = decls[decl].object;
+                        deps.release_traced(id, decl, object, &mut got, &mut got_events, clock, 1);
+                        sync.release(id, object, &mut want, &mut want_events, clock, 1);
+                        prop_assert_eq!(&got, &want, "{:?} releasing {:?}", id, object);
+                        released[id.index()].push(decl);
+                        size.release();
+                    } else {
+                        ready.swap_remove(at);
+                        deps.complete_traced(id, &mut got, &mut got_events, clock, 1);
+                        sync.complete_traced(id, &mut want, &mut want_events, clock, 1);
+                        prop_assert_eq!(&got, &want, "completing {:?}", id);
+                        size.complete(&specs[id.index()], released[id.index()].len());
+                        done[id.index()] = true;
+                    }
                     ready.extend(got);
                 } else {
                     break;

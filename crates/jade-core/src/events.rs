@@ -4,7 +4,7 @@
 //! Tables 2–14 and Figures 2–21 is an aggregation over low-level runtime
 //! events (task dispatches, object fetches, broadcast sends, queue steals).
 //! This module gives the reproduction the same substrate. All backends —
-//! the [`Synchronizer`](crate::Synchronizer), the DASH and iPSC/860 machine
+//! the dependence [`Countdown`](crate::Countdown), the DASH and iPSC/860 machine
 //! simulators, and the real `jade-threads` executor — emit the same
 //! [`Event`] schema into a [`Sink`], and the [`Metrics`] aggregator
 //! reconstructs every reported counter and component-time breakdown from

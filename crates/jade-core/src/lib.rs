@@ -10,10 +10,10 @@
 //! * [`Store`] — the single mutable shared memory of shared objects;
 //! * [`AccessSpec`] / [`TaskBuilder`] — the `withonly` construct and its
 //!   access specification section (`rd(o)`, `wr(o)`);
-//! * [`Synchronizer`] — the queue-based dynamic dependence analysis that
-//!   turns access specifications into concurrency;
-//! * [`DepGraph`] — the same analysis of a whole trace, computed once and
-//!   replayed with counters ([`Countdown`]) by the machine simulators;
+//! * [`DepGraph`] — the dependence analysis that turns access
+//!   specifications into concurrency, counted down ([`Countdown`]) by
+//!   every backend; [`Synchronizer`], the paper's queue-based form of it,
+//!   is the reference it is tested against;
 //! * [`TraceRuntime`] — serial execution plus trace recording for the
 //!   machine simulators (`jade-dash`, `jade-ipsc`);
 //! * [`JadeRuntime`] — the portability interface: one application text runs
@@ -63,7 +63,7 @@ pub use events::{
 pub use ids::{Handle, LocalityMode, ObjectId, ProcId, TaskId, MAIN_PROC};
 pub use runtime::JadeRuntime;
 pub use store::{ReadGuard, Store, WriteGuard};
-pub use synchronizer::{SnapshotSize, SyncSnapshot, Synchronizer, Transition, TransitionBatch};
+pub use synchronizer::{SnapshotSize, SyncSnapshot, Synchronizer};
 pub use task::{TaskBody, TaskBuilder, TaskCtx, TaskDef};
 pub use trace::{ObjectRecord, TaskRecord, Trace, TraceBuilder, TraceRuntime};
 pub use tune::{BatchShape, Controller, Decision, Knob, TuneLog};

@@ -31,10 +31,10 @@
 //! [`complete`](Synchronizer::complete) spell the [`NullSink`] case, which
 //! compiles to the bare state transition.
 //!
-//! The synchronizer is deliberately pure — no clocks, no processors — so the
-//! same component drives the real `jade-threads` executor and the service,
-//! is the reference the simulators' [`DepGraph`](crate::DepGraph) replay is
-//! tested against, and its invariants are easy to property-test.
+//! The synchronizer is deliberately pure — no clocks, no processors. Every
+//! backend counts down a [`DepGraph`](crate::DepGraph) instead; the
+//! synchronizer is the reference those countdowns are tested against, and
+//! its snapshot format is what checkpoints are charged by ([`SnapshotSize`]).
 
 use crate::access::{AccessMode, AccessSpec};
 use crate::events::{EventKind, NullSink, Sink};
@@ -56,62 +56,6 @@ struct DeclSlot {
     granted: bool,
     /// The access was given up (mid-task `release`, or task completion).
     released: bool,
-}
-
-/// One synchronizer state transition, queueable in a [`TransitionBatch`]:
-/// the two ways a task gives up granted accesses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Transition {
-    /// The task finished; retire all of its unreleased declarations.
-    Complete(TaskId),
-    /// Mid-task retirement of the task's declaration on one object.
-    Release(TaskId, ObjectId),
-}
-
-/// A queue of synchronizer transitions applied together, in push order, by
-/// [`Synchronizer::apply_batch`] under the caller's single lock
-/// acquisition: an executor's per-worker drain buffer, filled with
-/// locally-finished tasks instead of taking the lock once per completion.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TransitionBatch {
-    items: Vec<Transition>,
-}
-
-impl TransitionBatch {
-    /// Queue a task completion.
-    pub fn complete(&mut self, id: TaskId) {
-        self.items.push(Transition::Complete(id));
-    }
-
-    /// Queue a mid-task release of `object` by `id`.
-    pub fn release(&mut self, id: TaskId, object: ObjectId) {
-        self.items.push(Transition::Release(id, object));
-    }
-
-    /// Number of queued [`Transition::Complete`] entries.
-    pub fn completions(&self) -> usize {
-        self.items
-            .iter()
-            .filter(|t| matches!(t, Transition::Complete(_)))
-            .count()
-    }
-
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Remove and return every queued transition, in order.
-    pub fn drain(&mut self) -> std::vec::Drain<'_, Transition> {
-        self.items.drain(..)
-    }
-
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
 }
 
 /// One object's access queue: the granted prefix as a count and the ends
@@ -181,9 +125,9 @@ pub struct Synchronizer {
     /// serialize all of the applications".
     replication: bool,
     live_tasks: usize,
-    /// Id of the first task in the current window ([`recycle`](Self::recycle) advances
-    /// it): task `id` lives at slot `id.index() - base`, tasks below `base`
-    /// are completed history.
+    /// Id of the first task in the window, set only by
+    /// [`from_snapshot`](Self::from_snapshot): task `id` lives at slot
+    /// `id.index() - base`, and tasks below `base` are completed history.
     base: u32,
 }
 
@@ -212,32 +156,11 @@ impl Synchronizer {
         id.index() - self.base as usize
     }
 
-    /// Retire the storage of a fully completed window: `tasks` and `decls`
-    /// hold only history, so clear them (keeping capacity) and advance
-    /// `base` past the retired ids. Every object is idle by then (a granted
-    /// or parked declaration belongs to a live task), so the object table
-    /// needs no touch and no `next` index outlives its slab. The next
-    /// window reuses the slabs, which keeps a long-lived executor's steady
-    /// state allocation-free. Panics if a registered task has not completed.
-    pub fn recycle(&mut self) {
-        assert!(
-            self.all_complete(),
-            "recycle with {} live tasks",
-            self.live_tasks
-        );
-        debug_assert!(
-            (self.queues.iter()).all(|q| q.granted == 0 && q.head == NIL && q.tail == NIL)
-        );
-        self.base += self.tasks.len() as u32;
-        self.tasks.clear();
-        self.decls.clear();
-    }
-
     /// Return to the state of [`Synchronizer::new`] from *any* state,
-    /// keeping every allocation: [`recycle`](Self::recycle), plus `base`
-    /// back to 0 and every object idled (granted count and list ends), so
-    /// it is safe on a synchronizer abandoned mid-flight (a cancelled
-    /// service tenant). The object table keeps its length, so a later
+    /// keeping every allocation: the task and declaration slabs cleared,
+    /// `base` back to 0 and every object idled (granted count and list
+    /// ends), so it is safe on a synchronizer abandoned mid-flight. The
+    /// object table keeps its length, so a later
     /// [`snapshot`](Self::snapshot) may list trailing empty queues a fresh
     /// synchronizer would not; nothing else can tell the two apart.
     pub fn reset(&mut self) {
@@ -248,19 +171,13 @@ impl Synchronizer {
         self.base = 0;
     }
 
-    /// Id of the first task in the current window (tasks below it were
-    /// retired by [`recycle`](Self::recycle); 0 unless recycling is used).
-    pub fn base_task(&self) -> u32 {
-        self.base
-    }
-
     /// Register a task, untraced. See [`add_task_traced`](Self::add_task_traced).
     pub fn add_task(&mut self, id: TaskId, spec: &AccessSpec) -> bool {
         self.add_task_traced(id, spec, &mut NullSink, 0, 0)
     }
 
     /// Register a task. **Must** be called in serial program order: task ids
-    /// are consecutive from [`base_task`](Self::base_task). Returns `true`
+    /// are consecutive from the window's first id. Returns `true`
     /// if the task is immediately enabled (all accesses granted). Records
     /// `TaskCreated`, then `TaskEnabled` if so, at the instant and on the
     /// processor the caller names (the synchronizer has no clock).
@@ -328,12 +245,6 @@ impl Synchronizer {
             tail => self.decls[tail as usize].next = k,
         }
         q.tail = k;
-    }
-
-    /// True if every declared access of `id` is currently granted.
-    pub fn is_enabled(&self, id: TaskId) -> bool {
-        let t = &self.tasks[self.slot(id)];
-        !t.completed && t.ungranted == 0
     }
 
     /// Mark `id` complete, untraced. See [`complete_traced`](Self::complete_traced).
@@ -437,43 +348,6 @@ impl Synchronizer {
         q.tail = NIL;
     }
 
-    /// Apply one queued [`Transition`].
-    pub fn apply<S: Sink>(
-        &mut self,
-        tr: Transition,
-        newly_enabled: &mut Vec<TaskId>,
-        events: &mut S,
-        time_ps: u64,
-        proc: ProcId,
-    ) {
-        match tr {
-            Transition::Complete(id) => {
-                self.complete_traced(id, newly_enabled, events, time_ps, proc)
-            }
-            Transition::Release(id, object) => {
-                self.release(id, object, newly_enabled, events, time_ps, proc)
-            }
-        }
-    }
-
-    /// Drain `batch`, applying every queued transition in push order. Each
-    /// asks `clock` for its own timestamp, so newly enabled tasks and the
-    /// event stream are exactly those of the same sequence of individual
-    /// [`apply`](Self::apply) calls.
-    pub fn apply_batch<S: Sink>(
-        &mut self,
-        batch: &mut TransitionBatch,
-        newly_enabled: &mut Vec<TaskId>,
-        events: &mut S,
-        clock: &mut impl FnMut() -> u64,
-        proc: ProcId,
-    ) {
-        for tr in batch.items.drain(..) {
-            let t = clock();
-            self.apply(tr, newly_enabled, events, t, proc);
-        }
-    }
-
     /// Number of registered tasks.
     pub fn task_count(&self) -> usize {
         self.tasks.len()
@@ -487,18 +361,6 @@ impl Synchronizer {
     /// True when every registered task has completed.
     pub fn all_complete(&self) -> bool {
         self.live_tasks == 0
-    }
-
-    /// Conceptual queue length for one object — granted prefix plus
-    /// waiting entries (diagnostics/tests).
-    pub fn queue_len(&self, o: ObjectId) -> usize {
-        let granted = self.queues.get(o.index()).map_or(0, |q| q.granted);
-        self.waiting_len(o)
-            + if granted == WRITER {
-                1
-            } else {
-                granted as usize
-            }
     }
 
     /// Number of *parked* (ungranted) entries on one object, counted by
@@ -627,9 +489,8 @@ struct SnapTask {
 /// u32:nqueues ( u32:len ( u32:task u8:mode u8:granted )* )*
 /// ```
 ///
-/// `base` is the id of the first task in the window (tasks below it were
-/// retired by [`Synchronizer::recycle`]); version 2 added it — version-1
-/// snapshots are rejected rather than silently misread.
+/// `base` is the id of the first task in the window (tasks below it are
+/// completed history); version 2 added it — version-1 snapshots are rejected rather than silently misread.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SyncSnapshot {
     replication: bool,
@@ -676,8 +537,8 @@ impl SyncSnapshot {
     }
 
     /// Had `id` completed (committed) by capture time? Tasks registered
-    /// after the snapshot report `false`; tasks below the recycled window
-    /// base are completed history and report `true`.
+    /// after the snapshot report `false`; tasks below the window's base are
+    /// completed history and report `true`.
     pub fn completed(&self, id: TaskId) -> bool {
         let slot = id.index().checked_sub(self.base as usize);
         slot.is_none_or(|s| self.tasks.get(s).is_some_and(|t| t.completed))
@@ -834,10 +695,10 @@ impl SyncSnapshot {
 
 /// The [`encoded_len`](SyncSnapshot::encoded_len) a synchronizer's
 /// snapshot would have, kept from counters by a replay that runs no
-/// synchronizer: the iPSC simulator charges its checkpoints with it
-/// (DESIGN.md §12). It holds while no declaration is released mid-task:
-/// then a registered task lists each of its declarations until it
-/// completes, and each listed declaration is one queue entry.
+/// synchronizer: the iPSC simulator and `ThreadRuntime` charge their
+/// checkpoints with it (DESIGN.md §12). A registered task lists each
+/// declaration it holds until it releases it or completes, and each held
+/// declaration is one queue entry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotSize {
     tasks: usize,
@@ -860,9 +721,21 @@ impl SnapshotSize {
         }
     }
 
-    /// Count a task of specification `spec` as completed.
-    pub fn complete(&mut self, spec: &AccessSpec) {
-        self.retired += spec.len();
+    /// Count a task of specification `spec` as completed, `released` of
+    /// its declarations having been released before.
+    pub fn complete(&mut self, spec: &AccessSpec, released: usize) {
+        self.retired += spec.len() - released;
+    }
+
+    /// Count one declaration as released mid-task.
+    pub fn release(&mut self) {
+        self.retired += 1;
+    }
+
+    /// Count an object table at least `n` long: a synchronizer's table
+    /// keeps the length of the largest it has registered, across windows.
+    pub fn cover_objects(&mut self, n: usize) {
+        self.queues = self.queues.max(n);
     }
 
     /// Number of tasks registered.
@@ -926,9 +799,32 @@ mod tests {
         sync.release(id, object, newly, &mut NullSink, 0, 0);
     }
 
-    /// Untraced `apply_batch`.
-    fn apply_batch(sync: &mut Synchronizer, batch: &mut TransitionBatch, newly: &mut Vec<TaskId>) {
-        sync.apply_batch(batch, newly, &mut NullSink, &mut || 0, 0);
+    /// True if every declared access of `id` is currently granted.
+    fn is_enabled(sync: &Synchronizer, id: TaskId) -> bool {
+        let t = &sync.tasks[sync.slot(id)];
+        !t.completed && t.ungranted == 0
+    }
+
+    /// Conceptual queue length for one object: granted prefix plus
+    /// waiting entries.
+    fn queue_len(sync: &Synchronizer, o: ObjectId) -> usize {
+        let granted = sync.queues.get(o.index()).map_or(0, |q| q.granted);
+        let granted = if granted == WRITER {
+            1
+        } else {
+            granted as usize
+        };
+        sync.waiting_len(o) + granted
+    }
+
+    /// Retire a completed window, as a long-lived synchronizer once did:
+    /// the slabs emptied and `base` moved past their ids. Snapshots of such
+    /// states carry a nonzero `base`, which the format still encodes.
+    fn retire_window(sync: &mut Synchronizer) {
+        assert!(sync.all_complete());
+        sync.base += sync.tasks.len() as u32;
+        sync.tasks.clear();
+        sync.decls.clear();
     }
 
     fn o(n: u32) -> ObjectId {
@@ -961,7 +857,7 @@ mod tests {
         let mut enabled = Vec::new();
         sync.complete(TaskId(0), &mut enabled);
         assert_eq!(enabled, vec![TaskId(1)]);
-        assert!(sync.is_enabled(TaskId(1)));
+        assert!(is_enabled(&sync, TaskId(1)));
     }
 
     #[test]
@@ -1252,7 +1148,7 @@ mod tests {
         for i in 0..n {
             assert!(sync.add_task(TaskId(i), &spec(&[0], &[])));
         }
-        assert_eq!(sync.queue_len(o(0)), n as usize);
+        assert_eq!(queue_len(&sync, o(0)), n as usize);
         assert_eq!(sync.waiting_len(o(0)), 0, "granted reads are aggregated");
         // Trailing writer: the only materialized entry.
         assert!(!sync.add_task(TaskId(n), &spec(&[], &[0])));
@@ -1291,157 +1187,34 @@ mod tests {
         assert!(sync.all_complete());
     }
 
-    /// Build the same mixed DAG twice: writer chains, a read fan-out and a
-    /// trailing writer across three objects.
-    fn mixed_dag() -> Synchronizer {
+    #[test]
+    fn snapshot_size_counts_releases_and_the_carried_object_table() {
+        // Task 0 writes objects 0 and 2, task 1 reads object 0: release,
+        // then completion, each retire what they give up, as the
+        // synchronizer's snapshot lists it.
+        let specs = [spec(&[], &[0, 2]), spec(&[0], &[])];
         let mut sync = Synchronizer::new(true);
-        sync.add_task(TaskId(0), &spec(&[], &[0, 1]));
-        sync.add_task(TaskId(1), &spec(&[0], &[]));
-        sync.add_task(TaskId(2), &spec(&[0], &[2]));
-        sync.add_task(TaskId(3), &spec(&[1, 2], &[]));
-        sync.add_task(TaskId(4), &spec(&[], &[0]));
-        sync
-    }
-
-    #[test]
-    fn batch_apply_matches_individual_transitions() {
-        // Applying [release(0,0), complete(0), complete(1)] as one batch
-        // must yield the same enables, in the same order, as the three
-        // individual calls.
-        let mut a = mixed_dag();
-        let mut b = mixed_dag();
-        let mut ea = Vec::new();
-        release(&mut a, TaskId(0), o(0), &mut ea);
-        a.complete(TaskId(0), &mut ea);
-        a.complete(TaskId(1), &mut ea);
-
-        let mut batch = TransitionBatch::default();
-        batch.release(TaskId(0), o(0));
-        batch.complete(TaskId(0));
-        batch.complete(TaskId(1));
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch.completions(), 2);
-        let mut eb = Vec::new();
-        apply_batch(&mut b, &mut batch, &mut eb);
-        assert!(batch.is_empty(), "apply_batch drains the batch");
-        assert_eq!(ea, eb, "batched enables diverge from individual calls");
-        assert_eq!(a.live_tasks(), b.live_tasks());
-        // Both synchronizers continue identically afterwards.
-        let (mut ca, mut cb) = (Vec::new(), Vec::new());
-        a.complete(TaskId(2), &mut ca);
-        b.complete(TaskId(2), &mut cb);
-        assert_eq!(ca, cb);
-    }
-
-    #[test]
-    fn batch_enable_order_is_deterministic() {
-        // A completion enabling several tasks keeps per-object program
-        // order, and a later transition's enables follow the earlier ones.
-        let mut sync = Synchronizer::new(true);
-        sync.add_task(TaskId(0), &spec(&[], &[0]));
-        sync.add_task(TaskId(1), &spec(&[], &[1]));
-        sync.add_task(TaskId(2), &spec(&[0], &[]));
-        sync.add_task(TaskId(3), &spec(&[0], &[]));
-        sync.add_task(TaskId(4), &spec(&[1], &[]));
-        let mut batch = TransitionBatch::default();
-        batch.complete(TaskId(0));
-        batch.complete(TaskId(1));
-        let mut enabled = Vec::new();
-        apply_batch(&mut sync, &mut batch, &mut enabled);
-        assert_eq!(enabled, vec![TaskId(2), TaskId(3), TaskId(4)]);
-    }
-
-    #[test]
-    fn empty_batch_is_a_noop() {
-        let mut sync = mixed_dag();
-        let live = sync.live_tasks();
-        let mut enabled = Vec::new();
-        apply_batch(&mut sync, &mut TransitionBatch::default(), &mut enabled);
-        assert!(enabled.is_empty());
-        assert_eq!(sync.live_tasks(), live);
-    }
-
-    #[test]
-    fn batch_traced_stream_matches_individual_traced_calls() {
-        let mut a = mixed_dag();
-        let mut b = mixed_dag();
-        let (mut sa, mut sb) = (EventSink::recording(), EventSink::recording());
-        let mut clock = 0u64..;
-        let mut ea = Vec::new();
-        a.complete_traced(TaskId(0), &mut ea, &mut sa, clock.next().unwrap(), 0);
-        a.release(TaskId(2), o(0), &mut ea, &mut sa, clock.next().unwrap(), 0);
-        a.complete_traced(TaskId(1), &mut ea, &mut sa, clock.next().unwrap(), 0);
-
-        let mut batch = TransitionBatch::default();
-        batch.complete(TaskId(0));
-        batch.release(TaskId(2), o(0));
-        batch.complete(TaskId(1));
-        let mut tick = 0u64..;
-        let mut eb = Vec::new();
-        b.apply_batch(
-            &mut batch,
-            &mut eb,
-            &mut sb,
-            &mut || tick.next().unwrap(),
-            0,
-        );
-        assert_eq!(ea, eb);
-        assert_eq!(
-            sa.take(),
-            sb.take(),
-            "batched event stream must be bit-identical"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "completed twice")]
-    fn batch_with_duplicate_completion_panics() {
-        let mut sync = Synchronizer::new(true);
-        sync.add_task(TaskId(0), &AccessSpec::new());
-        let mut batch = TransitionBatch::default();
-        batch.complete(TaskId(0));
-        batch.complete(TaskId(0));
-        apply_batch(&mut sync, &mut batch, &mut Vec::new());
-    }
-
-    #[test]
-    fn recycle_reuses_slabs_across_windows() {
-        let mut sync = Synchronizer::new(true);
-        let mut next = 0u32;
-        let run_window = |sync: &mut Synchronizer, next: &mut u32, n: u32| {
-            // Pipeline over one object: deterministic completion order.
-            let first = *next;
-            for i in 0..n {
-                sync.add_task(TaskId(first + i), &spec(&[], &[0]));
-            }
-            *next += n;
-            let mut ready = vec![TaskId(first)];
-            let mut order = Vec::new();
-            while let Some(t) = ready.pop() {
-                order.push(t);
-                sync.complete(t, &mut ready);
-            }
-            assert_eq!(order, (first..first + n).map(TaskId).collect::<Vec<_>>());
-        };
-        run_window(&mut sync, &mut next, 8);
-        assert!(sync.all_complete());
-        sync.recycle();
-        assert_eq!(sync.base_task(), 8);
-        assert_eq!(sync.task_count(), 0);
-        // Ids keep advancing; the second window reuses the cleared slabs.
-        run_window(&mut sync, &mut next, 8);
-        sync.recycle();
-        assert_eq!(sync.base_task(), 16);
-        run_window(&mut sync, &mut next, 4);
-        assert!(sync.all_complete());
-    }
-
-    #[test]
-    #[should_panic(expected = "recycle with")]
-    fn recycle_with_live_tasks_panics() {
-        let mut sync = Synchronizer::new(true);
-        sync.add_task(TaskId(0), &spec(&[], &[0]));
-        sync.recycle();
+        let mut size = SnapshotSize::default();
+        for (i, s) in specs.iter().enumerate() {
+            sync.add_task(TaskId(i as u32), s);
+            size.register(s);
+        }
+        assert_eq!(size.task_count(), 2);
+        assert_eq!(size.encoded_len(), sync.snapshot().encoded_len());
+        let mut newly = Vec::new();
+        release(&mut sync, TaskId(0), o(0), &mut newly);
+        size.release();
+        assert_eq!(newly, [TaskId(1)]);
+        assert_eq!(size.encoded_len(), sync.snapshot().encoded_len());
+        sync.complete(TaskId(0), &mut newly);
+        size.complete(&specs[0], 1);
+        assert_eq!(size.encoded_len(), sync.snapshot().encoded_len());
+        // A table longer than these tasks need costs 4 bytes an object.
+        let before = size.encoded_len();
+        size.cover_objects(2);
+        assert_eq!(size.encoded_len(), before, "already three long");
+        size.cover_objects(7);
+        assert_eq!(size.encoded_len(), before + 4 * 4);
     }
 
     #[test]
@@ -1450,7 +1223,7 @@ mod tests {
         sync.add_task(TaskId(0), &spec(&[], &[0]));
         let mut e = Vec::new();
         sync.complete(TaskId(0), &mut e);
-        sync.recycle();
+        retire_window(&mut sync);
         // Window now starts at id 1, with a dependence inside it.
         assert!(sync.add_task(TaskId(1), &spec(&[], &[0])));
         assert!(!sync.add_task(TaskId(2), &spec(&[0], &[])));
@@ -1463,7 +1236,7 @@ mod tests {
         let decoded = SyncSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(decoded, snap);
         let mut restored = Synchronizer::from_snapshot(&decoded);
-        assert_eq!(restored.base_task(), 1);
+        assert_eq!(restored.base, 1);
         let (mut ea, mut eb) = (Vec::new(), Vec::new());
         sync.complete(TaskId(1), &mut ea);
         restored.complete(TaskId(1), &mut eb);
@@ -1531,7 +1304,7 @@ mod tests {
     }
 
     /// A deterministic partial state: one to three windows of a seeded
-    /// program (earlier windows run to the end and are recycled), the last
+    /// program (earlier windows run to the end and are retired), the last
     /// stopped after a seeded number of completions and mid-task releases.
     fn corpus_state(seed: u64) -> Synchronizer {
         let mut next = lcg(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
@@ -1583,7 +1356,7 @@ mod tests {
             }
             if !last {
                 assert!(sync.all_complete());
-                sync.recycle();
+                retire_window(&mut sync);
             }
         }
         sync
@@ -1698,7 +1471,7 @@ mod tests {
             self.regrant(object.index(), newly);
         }
 
-        fn recycle(&mut self) {
+        fn retire_window(&mut self) {
             assert!(self.queues.iter().all(|q| q.is_empty()));
             self.base += self.ungranted.len() as u32;
             self.ungranted.clear();
@@ -1749,11 +1522,11 @@ mod tests {
             drive(&mut used, &first, seed, (stop % (3 * first.len() as u64 + 1)) as usize);
             if used.all_complete() {
                 // A finished window may have been retired: `base` moves.
-                used.recycle();
+                retire_window(&mut used);
             }
             used.reset();
             prop_assert_eq!(used.task_count(), 0);
-            prop_assert_eq!(used.base_task(), 0);
+            prop_assert_eq!(used.base, 0);
             prop_assert!(used.all_complete());
 
             let second = specs_of(&second);
@@ -1763,13 +1536,13 @@ mod tests {
             prop_assert_eq!(&after_reset, &from_new);
             prop_assert!(used.all_complete(), "the second program ran to the end");
             for obj in 0..6 {
-                prop_assert_eq!(used.queue_len(o(obj)), 0);
+                prop_assert_eq!(queue_len(&used, o(obj)), 0);
             }
         }
 
         /// The flat synchronizer against the naive model: the same enabled
         /// sets in the same order under random specifications, completions
-        /// and mid-task releases, window after recycled window, across a
+        /// and mid-task releases, window after retired window, across a
         /// `reset` from a seeded point, replication on and off.
         #[test]
         fn flat_synchronizer_matches_the_naive_model(
@@ -1792,7 +1565,7 @@ mod tests {
                     next_id += 1;
                     let now = sync.add_task(id, s);
                     prop_assert_eq!(now, model.add_task(id, s), "add {:?}", id);
-                    prop_assert_eq!(now, sync.is_enabled(id));
+                    prop_assert_eq!(now, is_enabled(&sync, id));
                     if now {
                         enabled.push(id);
                     }
@@ -1828,16 +1601,16 @@ mod tests {
                     prop_assert_eq!(&got, &want, "after {:?}", t);
                     for obj in 0..6 {
                         let q = &model.queues[obj];
-                        prop_assert_eq!(sync.queue_len(o(obj as u32)), q.len());
+                        prop_assert_eq!(queue_len(&sync, o(obj as u32)), q.len());
                         let waiting = q.iter().filter(|e| !e.2).count();
                         prop_assert_eq!(sync.waiting_len(o(obj as u32)), waiting);
                     }
                     enabled.extend(got);
                 }
                 prop_assert!(sync.all_complete(), "the window ran to its end");
-                sync.recycle();
-                model.recycle();
-                prop_assert_eq!(sync.base_task(), model.base);
+                retire_window(&mut sync);
+                model.retire_window();
+                prop_assert_eq!(sync.base, model.base);
             }
         }
     }
@@ -1908,8 +1681,8 @@ mod tests {
             prop_assert_eq!(sync.snapshot().to_bytes(), bytes, "restore then capture");
             // Whatever it describes can be run: complete enabled tasks until
             // none is left (a mangled state may strand the rest).
-            let ids = || (0..snap.task_count() as u32).map(|i| TaskId(sync.base_task() + i));
-            let mut ready: Vec<TaskId> = ids().filter(|&t| sync.is_enabled(t)).collect();
+            let ids = || (0..snap.task_count() as u32).map(|i| TaskId(sync.base + i));
+            let mut ready: Vec<TaskId> = ids().filter(|&t| is_enabled(&sync, t)).collect();
             let mut done = 0;
             while let Some(t) = ready.pop() {
                 sync.complete(t, &mut ready);

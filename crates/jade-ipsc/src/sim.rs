@@ -1715,7 +1715,7 @@ impl<'a, R: Sink> Sim<'a, R> {
         if self.core.main_blocked == Some(id) {
             // Serial task: completion is processed locally, and main resumes
             // after the successors it enabled.
-            self.sync_size.complete(&rec.spec);
+            self.sync_size.complete(&rec.spec, 0);
             self.complete(id, p, t_cur);
             self.core.cal.schedule(t_cur, driver::Ev::MainStep);
             return;
@@ -1762,7 +1762,7 @@ impl<'a, R: Sink> Sim<'a, R> {
         // so successors enabled below see the freed processor.
         self.sched.finish(p);
         self.sync_size
-            .complete(&self.core.trace.tasks[id.index()].spec);
+            .complete(&self.core.trace.tasks[id.index()].spec, 0);
         self.complete(id, p, end);
         let comm = &self.comm;
         let trace = self.core.trace;

@@ -10,17 +10,19 @@
 //!
 //! * the **same program text** runs here and on the simulators — apps are
 //!   generic over [`jade_core::JadeRuntime`];
-//! * the queue-based [`jade_core::Synchronizer`] decides when tasks may run;
+//! * each batch's [`jade_core::DepGraph`], built before any of its tasks
+//!   runs, decides when tasks may run: a task completes by atomically
+//!   counting down its successors, with no lock;
 //! * the one scheduler mirrors the paper's *distributed* shared-memory
 //!   scheduler (§4.1): per-worker Chase-Lev deques with a dynamic
 //!   **locality heuristic** (each enabled task goes to the worker that most
 //!   recently wrote one of its objects, falling back to the object's
 //!   declared home) and **randomized stealing** from the top of other
-//!   workers' deques. Only synchronizer transitions take a global lock, and
-//!   completions reach it through per-worker drain buffers, several per
-//!   acquisition; dispatch is per-worker (DESIGN.md §13);
+//!   workers' deques. Only a traced or checkpointing batch takes a global
+//!   lock, for its events and checkpoint state; dispatch is per-worker
+//!   (DESIGN.md §13);
 //! * every object access is runtime-checked against the declared access
-//!   specification, and per-object `RwLock`s verify the synchronizer's
+//!   specification, and per-object `RwLock`s verify the dependence graph's
 //!   exclusion guarantee mechanically: a data race would panic, not corrupt.
 //!
 //! Execution is batch-deferred: `submit` queues tasks, [`ThreadRuntime::finish`]
@@ -54,8 +56,8 @@ use deque::TaskQueue;
 pub use dsim::FaultPlan;
 use jade_core::tune::{BatchShape, Controller, TuneLog};
 use jade_core::{
-    AccessSpec, Event, EventKind, EventSink, JadeRuntime, Locality, NullSink, ObjectId, ProcId,
-    Sink, Store, SyncSnapshot, Synchronizer, TaskBody, TaskCtx, TaskDef, TaskId, TransitionBatch,
+    AccessSpec, DepGraph, Event, EventKind, EventSink, JadeRuntime, Locality, NullSink, ObjectId,
+    ProcId, Sink, SnapshotSize, Store, TaskBody, TaskCtx, TaskDef, TaskId,
 };
 pub use service::{
     JadeService, Outcome, Program, ServiceConfig, ShedPolicy, SubmitError, TenantOptions,
@@ -70,6 +72,10 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 /// keyed fault hash, so with `panic_p < 1` a task clears this budget with
 /// overwhelming probability; exhausting it propagates the failure.
 pub(crate) const MAX_TASK_ATTEMPTS: u32 = 16;
+
+/// A mid-task release: the position of the released declaration in its
+/// task's specification, and its object.
+pub(crate) type Release = (usize, ObjectId);
 
 /// Quiet panic payload for an injected worker failure: unwinds through
 /// `resume_unwind` so the default panic hook prints nothing — the crash is
@@ -103,14 +109,6 @@ fn checkpoint_tasks(secs: f64) -> Result<usize, String> {
     Ok((tasks as usize).max(1))
 }
 
-/// Drain-buffer size: how many locally finished tasks a worker accumulates
-/// before flushing them to the synchronizer in one lock acquisition (it
-/// also flushes whenever its own queue runs dry). Small enough that
-/// successors are enabled promptly, large enough to amortize the lock on
-/// overhead-dominated workloads. A traced batch flushes per task whatever
-/// the threshold (see `Sharded::drain`).
-const DRAIN_BATCH: usize = 8;
-
 /// Statistics from the most recent [`ThreadRuntime::finish`] batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
@@ -124,16 +122,15 @@ pub struct BatchStats {
     /// Tasks re-executed after an injected worker failure (fault
     /// injection; see [`ThreadRuntime::inject_faults`]).
     pub recoveries: usize,
-    /// Synchronizer checkpoints captured during the batch
+    /// Checkpoints captured during the batch
     /// (see [`ThreadRuntime::checkpoint_every`]).
     pub checkpoints: usize,
     /// Recoveries that consulted a captured checkpoint.
     pub checkpoint_restores: usize,
-    /// Acquisitions of the lock guarding the synchronizer during the batch
-    /// (flushes of the drain buffer, plus traced/recovery/checkpoint
-    /// bookkeeping that must hold the same lock). `sync_locks / executed`
-    /// is the lock-amortization figure: well below one per task untraced,
-    /// at least one per task traced.
+    /// Acquisitions of the batch's state lock: the traced, recovery and
+    /// checkpoint bookkeeping that records events or checkpoint state.
+    /// Zero for an untraced batch without checkpoints, which completes
+    /// tasks by atomic countdown alone; at least one per task traced.
     pub sync_locks: usize,
     /// Tasks whose write ownership was pre-published to the locality table
     /// at dispatch time (see [`ThreadRuntime::enable_prefetch`]); `0`
@@ -251,7 +248,6 @@ impl OwnerTable {
 pub struct ThreadRuntime {
     store: Store,
     workers: usize,
-    sync: Synchronizer,
     /// Id of the next submitted task. The tasks of the open batch sit in
     /// `arena.slots` in submission order, so slot `i` is task
     /// `next_id - slots.len() + i`.
@@ -274,12 +270,11 @@ pub struct ThreadRuntime {
     /// write ownership when it is *queued*, not when it completes.
     prefetch: bool,
     /// Self-tuning feedback controller (DESIGN.md §19); `None` (the
-    /// default) keeps the static [`DRAIN_BATCH`] threshold and the
-    /// exhaustive steal sweep.
+    /// default) keeps the exhaustive steal sweep.
     tune: Option<Controller>,
     /// Dynamic locality: which worker last wrote each object.
     owners: OwnerTable,
-    /// Recycled scheduling storage (queues, task slots, drain buffers):
+    /// Recycled scheduling storage (queues, task slots, dependence graph):
     /// batches after the first reuse it instead of reallocating, which is
     /// what makes the equilibrium task cycle allocation-free.
     arena: SchedArena,
@@ -291,7 +286,6 @@ impl ThreadRuntime {
         ThreadRuntime {
             store: Store::new(),
             workers: workers.max(1),
-            sync: Synchronizer::new(true),
             next_id: 0,
             last_stats: BatchStats::default(),
             total_stats: BatchStats::default(),
@@ -327,7 +321,7 @@ impl ThreadRuntime {
     /// time, so with one worker the stream is fully deterministic: two runs
     /// of one program record the same stream. It is not the program-order
     /// stream — the worker pops its own queue newest-first — but every
-    /// dependence the synchronizer enforces is visible in it.
+    /// dependence the batch's graph enforces is visible in it.
     pub fn enable_events(&mut self) {
         self.trace_events = true;
     }
@@ -409,13 +403,13 @@ impl ThreadRuntime {
     /// while the writer is still queued already route to its worker instead
     /// of falling back to declared homes; the completion-time record then
     /// confirms (or, after a steal, corrects) the hint. A pure routing
-    /// heuristic: results and the synchronizer schedule are unaffected.
+    /// heuristic: results and the dependence order are unaffected.
     /// Counted per routed task in [`BatchStats::prefetch_routes`].
     pub fn enable_prefetch(&mut self) {
         self.prefetch = true;
     }
 
-    /// Capture a synchronizer checkpoint every `every` completed tasks in
+    /// Capture a checkpoint every `every` completed tasks in
     /// subsequent batches (`CheckpointTaken` events,
     /// [`BatchStats::checkpoints`]). An injected-failure recovery that runs
     /// while a checkpoint exists consults it — the crashed task must not be
@@ -471,23 +465,23 @@ impl JadeRuntime for ThreadRuntime {
 }
 
 // ---------------------------------------------------------------------------
-// The scheduler: per-worker queues, one lock around the synchronizer
+// The scheduler: per-worker queues, a countdown over the batch's graph
 // ---------------------------------------------------------------------------
 
 /// Per-worker mutable scratch handed to each worker thread by `&mut` and
-/// recycled across batches: the drain buffer of finished-but-unflushed
-/// transitions plus the enable-burst vector `flush` fills. `RefCell`
-/// because the mid-task release hook (an `Fn`) must reach both; neither
-/// ever crosses threads.
+/// recycled across batches: the enable-burst vector a countdown fills and
+/// the declarations the running task has released. `RefCell` because the
+/// mid-task release hook (an `Fn`) must reach both; neither ever crosses
+/// threads.
 #[derive(Default)]
 pub(crate) struct WorkerScratch {
-    buf: RefCell<TransitionBatch>,
     newly: RefCell<Vec<TaskId>>,
+    released: RefCell<Vec<usize>>,
 }
 
 /// One submitted task, written once by `submit` and read in place until
 /// its batch ends. `label`, `spec` and `placement` do not change while a
-/// batch runs, so registration, the locality heuristic and the executing
+/// batch runs, so the graph build, the locality heuristic and the executing
 /// worker's [`TaskCtx`] all borrow them without a lock; what changes is
 /// behind its own synchronization.
 pub(crate) struct TaskSlot {
@@ -516,7 +510,11 @@ pub(crate) struct SchedArena {
     /// The open batch's tasks in submission order: filled by `submit`,
     /// emptied (capacity kept) when the batch ends, however it ends.
     slots: Vec<TaskSlot>,
-    /// Per-worker drain buffers and enable scratch.
+    /// The batch's dependence graph over batch-local task indices, and per
+    /// task the edges into it not yet counted down.
+    graph: DepGraph,
+    left: Vec<AtomicU32>,
+    /// Per-worker enable and release scratch.
     scratch: Vec<WorkerScratch>,
     /// Batch-local indices of the initially-enabled tasks (setup scratch).
     enabled0: Vec<usize>,
@@ -542,11 +540,12 @@ impl SchedArena {
         });
     }
 
-    /// Make the queues and the scratch ready for a batch of `n` tasks on
-    /// `workers` workers, reusing existing capacity wherever shapes allow
-    /// (an aborted batch may leave queued indices or buffered transitions
-    /// behind).
-    fn prepare(&mut self, n: usize, workers: usize) {
+    /// Make the queues and the scratch ready for the open batch on
+    /// `workers` workers, and build its dependence graph, reusing existing
+    /// capacity wherever shapes allow (an aborted batch may leave queued
+    /// indices behind).
+    fn prepare(&mut self, workers: usize) {
+        let n = self.slots.len();
         if self.queues.len() != workers {
             self.grows += 1;
             self.queues.clear();
@@ -563,22 +562,26 @@ impl SchedArena {
             self.scratch.resize_with(workers, WorkerScratch::default);
         }
         self.enabled0.clear();
-        for ws in &mut self.scratch {
-            ws.buf.get_mut().clear();
-            ws.newly.get_mut().clear();
-        }
+        self.graph
+            .rebuild(self.slots.iter().map(|slot| &slot.spec), true);
+        self.left.clear();
+        (self.left).extend(self.graph.preds().iter().map(|&p| AtomicU32::new(p)));
     }
 }
 
-/// Everything serialized by the one remaining global lock: the
-/// synchronizer, the event sink and its logical clock, and checkpoint
-/// state. Scheduling state (queues, task slots) lives outside.
+/// What a traced or checkpointing batch serializes under its one lock: the
+/// event sink and its logical clock, and the checkpoint state. Scheduling
+/// and dependence state (queues, task slots, counters) live outside.
 struct SyncState<S> {
-    sync: Synchronizer,
     events: S,
     clock: u64,
+    /// The `JSNP` length a synchronizer's snapshot would have now.
+    size: SnapshotSize,
+    /// Per task: completed (checkpointing batches only).
+    completed: Vec<bool>,
     since_ckpt: usize,
-    last_ckpt: Option<SyncSnapshot>,
+    /// The last capture: the completed set it recorded, and its size.
+    last_ckpt: Option<(Vec<bool>, u64)>,
     checkpoints: usize,
 }
 
@@ -598,11 +601,17 @@ const SETUP: usize = usize::MAX;
 
 struct Sharded<'a, S> {
     /// Per-worker ready queues, borrowed from the runtime's [`SchedArena`]
-    /// (as are the task slots — batches reuse the storage).
+    /// (as are the task slots and the graph — batches reuse the storage).
     queues: &'a [TaskQueue],
     /// The batch's tasks; slot `local` is task `base + local`.
     slots: &'a [TaskSlot],
+    /// The arena's graph and counters (see [`SchedArena`]).
+    graph: &'a DepGraph,
+    left: &'a [AtomicU32],
     state: Mutex<SyncState<S>>,
+    /// Whether completions and releases take `state`: in a traced batch
+    /// they record events, in a checkpointing one they keep its state.
+    locked: bool,
     /// Registered-but-not-completed tasks; 0 means the batch is drained.
     live: AtomicUsize,
     /// Bumped on every push; parked workers re-check it before sleeping,
@@ -621,13 +630,6 @@ struct Sharded<'a, S> {
     store: &'a Store,
     base: usize,
     workers: usize,
-    /// Drain-buffer flush threshold: [`DRAIN_BATCH`], and 1 when tracing. A traced task takes the state lock for
-    /// its dispatch/start events anyway, so there is nothing to amortize;
-    /// and flushing each completion at once stamps it before the worker's
-    /// next dispatch, so a worker's task intervals in the recorded stream
-    /// never overlap and the stream does not depend on the threshold (a
-    /// tuned and an untuned traced run record the same one-worker stream).
-    drain: usize,
     /// Victims a failed own-pop probes before giving up the round. The
     /// pre-park sweep stays exhaustive, so a bounded budget affects only
     /// how fast an idle worker reaches the park decision, never liveness.
@@ -641,6 +643,12 @@ struct Sharded<'a, S> {
 }
 
 impl<'a, S: Sink> Sharded<'a, S> {
+    /// The runtime-wide id of slot `local`; `base + local` is below the
+    /// runtime's `next_id`, a `u32`.
+    fn id(&self, local: usize) -> TaskId {
+        TaskId((self.base + local) as u32)
+    }
+
     /// Locality heuristic at enable time: explicit placement, else the
     /// worker owning the task's most-recently-written object, else the
     /// locality object's declared home.
@@ -659,8 +667,8 @@ impl<'a, S: Sink> Sharded<'a, S> {
             % self.workers
     }
 
-    /// Lock the synchronizer state, counting the acquisition
-    /// ([`BatchStats::sync_locks`] — the figure the drain buffers amortize).
+    /// Lock the batch state, counting the acquisition
+    /// ([`BatchStats::sync_locks`]).
     fn lock_state(&self) -> MutexGuard<'_, SyncState<S>> {
         self.sync_locks.fetch_add(1, Ordering::Relaxed);
         lock(&self.state)
@@ -731,14 +739,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
         self.enqueue(target, local, pusher);
     }
 
-    /// Route a newly enabled task through the locality heuristic and queue
-    /// it there.
-    fn dispatch(&self, local: usize, pusher: usize) {
-        self.enqueue_dispatch(local, pusher);
-        self.announce();
-    }
-
-    /// Route a whole flush's newly enabled tasks through the locality
+    /// Route a countdown's newly enabled tasks through the locality
     /// heuristic in one burst: N enqueues, then a single epoch bump and
     /// sleeper wakeup instead of N.
     fn dispatch_burst(&self, newly: &[TaskId], pusher: usize) {
@@ -746,7 +747,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
             return;
         }
         for n in newly {
-            self.enqueue_dispatch(n.index() - self.base, pusher);
+            self.enqueue_dispatch(n.index(), pusher);
         }
         self.announce();
     }
@@ -754,31 +755,10 @@ impl<'a, S: Sink> Sharded<'a, S> {
     /// Pop own queue (newest first), else steal from a random victim
     /// (oldest first). The pop order is a scheduling freedom — only enabled
     /// tasks are ever queued.
-    ///
-    /// The own queue running dry is also the flush point for buffered
-    /// completions: they may enable successors routed right back here, and
-    /// a stolen task is someone else's backlog that may run long — carried
-    /// into it, the buffer would withhold those successors from every
-    /// other (possibly parked) worker, a deadlock if the stolen task waits
-    /// on one of them. So a steal is only ever attempted, and `None` only
-    /// ever returned, with an empty buffer.
-    fn try_pick(
-        &self,
-        w: usize,
-        rng: &mut XorShift64,
-        budget: usize,
-        ws: &WorkerScratch,
-    ) -> Option<(usize, bool)> {
+    fn try_pick(&self, w: usize, rng: &mut XorShift64, budget: usize) -> Option<(usize, bool)> {
         let own = &self.queues[w];
-        let pop_own = || (!own.is_empty_hint()).then(|| own.pop()).flatten();
-        if let Some(local) = pop_own() {
+        if let Some(local) = (!own.is_empty_hint()).then(|| own.pop()).flatten() {
             return Some((local, false));
-        }
-        if !ws.buf.borrow().is_empty() {
-            self.flush(w, &ws.buf, &mut ws.newly.borrow_mut());
-            if let Some(local) = pop_own() {
-                return Some((local, false));
-            }
         }
         // Randomized steal: random first victim among the *other* workers,
         // then the rest of the ring up to `budget` victims — no queue is
@@ -831,63 +811,73 @@ impl<'a, S: Sink> Sharded<'a, S> {
         self.wake_all();
     }
 
-    /// Apply every buffered transition under ONE `state` acquisition,
-    /// then route the newly enabled tasks in one push burst. Returns
-    /// whether the flush drained the batch (`live` hit zero).
-    ///
-    /// Per-completion bookkeeping (the `live` decrement and the checkpoint
-    /// cadence) runs inside the loop so `checkpoints` counts exactly as if
-    /// each completion had been flushed individually — the counter stays a
-    /// pure function of the interval and the task count, independent of
-    /// batching and interleaving.
-    fn flush(&self, w: usize, buf: &RefCell<TransitionBatch>, scratch: &mut Vec<TaskId>) -> bool {
-        let mut batch = buf.borrow_mut();
-        if batch.is_empty() {
-            return false;
-        }
-        scratch.clear();
-        let completions = batch.completions();
-        let drained = {
-            let mut guard = self.lock_state();
-            let st = &mut *guard;
-            if !S::ACTIVE && self.ckpt_every.is_none() {
-                // Fast path: no events, no checkpoint cadence — the whole
-                // batch applies in one call and `live` drops once.
-                st.sync
-                    .apply_batch(&mut batch, scratch, &mut NullSink, &mut || 0, w);
-                self.live.fetch_sub(completions, Ordering::SeqCst) == completions
-            } else {
-                let mut drained = false;
-                for tr in batch.drain() {
-                    let is_completion = matches!(tr, jade_core::Transition::Complete(_));
-                    let t = st.tick();
-                    st.sync.apply(tr, scratch, &mut st.events, t, w);
-                    if is_completion {
-                        let remaining = self.live.fetch_sub(1, Ordering::SeqCst) - 1;
-                        drained |= remaining == 0;
-                        st.since_ckpt += 1;
-                        if let Some(every) = self.ckpt_every {
-                            if st.since_ckpt >= every && remaining > 0 {
-                                st.since_ckpt = 0;
-                                let snap = st.sync.snapshot();
-                                let bytes = snap.encoded_len() as u64;
-                                let t = st.tick();
-                                st.events.emit(t, w, EventKind::CheckpointTaken { bytes });
-                                st.checkpoints += 1;
-                                st.last_ckpt = Some(snap);
-                            }
-                        }
-                    }
+    /// Count down what task `local` gives up — on completion (`release`
+    /// `None`) every declaration it has not released, on a mid-task release
+    /// the one declaration `release` names — and dispatch the tasks that
+    /// enables in one push burst (DESIGN.md §13.3). Nothing is buffered,
+    /// so no successor ever waits on a flush. Untraced batches without
+    /// checkpoints take no lock; the others count down under `state`, so
+    /// that the events and the checkpoint state follow the countdown's
+    /// order.
+    fn settle(&self, w: usize, local: usize, release: Option<Release>, ws: &WorkerScratch) {
+        let slot = &self.slots[local];
+        let released = ws.released.borrow();
+        let mut newly = ws.newly.borrow_mut();
+        newly.clear();
+        let mut guard = self.locked.then(|| self.lock_state());
+        // The graph numbers tasks by slot.
+        let node = TaskId(local as u32);
+        let mut count_down = |row: &[TaskId]| {
+            for &s in row {
+                // Release publishes this task's writes to the successor;
+                // acquire makes the worker that takes a count to zero see
+                // every predecessor's, before it queues the successor.
+                let before = self.left[s.index()].fetch_sub(1, Ordering::AcqRel);
+                debug_assert_ne!(before, 0, "{s:?} counted down past zero");
+                if before == 1 {
+                    newly.push(s);
                 }
-                drained
             }
         };
-        drop(batch);
-        self.dispatch_burst(scratch, w);
+        match release {
+            Some((decl, _)) => count_down(self.graph.decl_successors(node, decl)),
+            None if released.is_empty() => count_down(self.graph.successors(node)),
+            None => (0..slot.spec.len())
+                .filter(|decl| !released.contains(decl))
+                .for_each(|decl| count_down(self.graph.decl_successors(node, decl))),
+        }
+        let drained = release.is_none() && self.live.fetch_sub(1, Ordering::SeqCst) == 1;
+        if let Some(st) = guard.as_deref_mut() {
+            let (t, id) = (st.tick(), self.id(local));
+            match release {
+                Some((_, object)) => {
+                    (st.events).emit_obj(t, w, EventKind::AccessReleased, Some(id), object);
+                    st.size.release();
+                }
+                None => st.events.emit_task(t, w, EventKind::TaskCompleted, id),
+            }
+            for s in newly.iter() {
+                (st.events).emit_task(t, w, EventKind::TaskEnabled, self.id(s.index()));
+            }
+            if let (None, Some(every)) = (release, self.ckpt_every) {
+                st.size.complete(&slot.spec, released.len());
+                st.completed[local] = true;
+                st.since_ckpt += 1;
+                if st.since_ckpt >= every && !drained {
+                    st.since_ckpt = 0;
+                    let bytes = st.size.encoded_len() as u64;
+                    let t = st.tick();
+                    st.events.emit(t, w, EventKind::CheckpointTaken { bytes });
+                    st.checkpoints += 1;
+                    st.last_ckpt = Some((st.completed.clone(), bytes));
+                }
+            }
+        }
+        drop(guard);
+        self.dispatch_burst(&newly, w);
         if drained {
             self.wake_all();
         }
-        drained
     }
 
     /// Run one picked task. Returns `false` if the worker must exit (a
@@ -902,8 +892,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
     ) -> bool {
         let slot = &self.slots[local];
         let body = lock(&slot.body).take().expect("task queued twice");
-        // `base + local` is below the runtime's `next_id`, a `u32`.
-        let id = TaskId((self.base + local) as u32);
+        let id = self.id(local);
         let attempt = slot.attempt.load(Ordering::Relaxed);
         let injected = self
             .faults
@@ -930,6 +919,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
 
         // The task body stays outside the closure (`TaskBody` is `Fn`), so
         // a caught unwind leaves it intact for re-execution.
+        ws.released.borrow_mut().clear();
         let result = catch_unwind(AssertUnwindSafe(|| {
             if injected {
                 // Simulated worker crash before the body runs: unwind
@@ -938,14 +928,16 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 // effect is what makes the re-execution exact.
                 resume_unwind(Box::new(InjectedFailure));
             }
-            // Mid-task releases (Jade's pipelining statements) flush
-            // eagerly — a buffered release could deadlock a pipeline whose
-            // consumer is the only other runnable task. The flush also
-            // applies any completions already sitting in the buffer, so the
-            // release still costs a single `state` acquisition.
+            // Mid-task releases (Jade's pipelining statements) count down
+            // the released declaration's successors at once; completion
+            // then skips it. `TaskCtx` lets a task release only what it
+            // declared, once.
             let hook = |obj: ObjectId| {
-                ws.buf.borrow_mut().release(id, obj);
-                self.flush(w, &ws.buf, &mut ws.newly.borrow_mut());
+                let decls = slot.spec.decls();
+                let decl = (decls.iter().position(|d| d.object == obj))
+                    .expect("a task releases only what it declared");
+                ws.released.borrow_mut().push(decl);
+                self.settle(w, local, Some((decl, obj)), ws);
             };
             let ctx = TaskCtx::with_release_hook(self.store, id, slot.label, &slot.spec, &hook);
             body(&ctx);
@@ -962,15 +954,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
                         self.owners.record(o, w);
                     }
                 }
-                // The completion lands in the worker's drain buffer; the
-                // synchronizer lock is only taken when the buffer reaches
-                // the flush threshold (or the worker runs dry — see
-                // `sharded_worker`). With tracing active `drain` is 1, so
-                // the flush below runs unconditionally.
-                ws.buf.borrow_mut().complete(id);
-                if ws.buf.borrow().len() >= self.drain {
-                    self.flush(w, &ws.buf, &mut ws.newly.borrow_mut());
-                }
+                self.settle(w, local, None, ws);
                 true
             }
             Err(_) if injected && attempt + 1 < MAX_TASK_ATTEMPTS => {
@@ -984,7 +968,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 // The state lock is only needed for events and the
                 // checkpoint lookup; untraced, checkpoint-free batches
                 // recover without touching it.
-                let restored = if S::ACTIVE || self.ckpt_every.is_some() {
+                let restored = if self.locked {
                     let mut st = self.lock_state();
                     let t = st.tick();
                     st.events.emit(t, w, EventKind::WorkerFailed);
@@ -992,12 +976,12 @@ impl<'a, S: Sink> Sharded<'a, S> {
                     // crashed task's scheduling state from it: the capture
                     // must agree that the task had not committed (a
                     // committed task is never re-executed).
-                    let restored = if let Some(snap) = &st.last_ckpt {
+                    let restored = if let Some((completed, bytes)) = &st.last_ckpt {
                         debug_assert!(
-                            !snap.completed(id),
+                            !completed[local],
                             "checkpoint marks crashed task {id:?} committed"
                         );
-                        let bytes = snap.encoded_len() as u64;
+                        let bytes = *bytes;
                         let t = st.tick();
                         st.events
                             .emit(t, w, EventKind::CheckpointRestored { bytes });
@@ -1045,11 +1029,8 @@ fn steal_order(w: usize, workers: usize, r: u64) -> impl Iterator<Item = usize> 
 fn sharded_worker<S: Sink>(w: usize, sh: &Sharded<'_, S>, ws: &mut WorkerScratch) -> BatchStats {
     let mut rng = XorShift64::new(w as u64 + 1);
     let mut stats = BatchStats::default();
-    // `ws` holds the worker-local drain buffer of finished-but-unflushed
-    // transitions plus the enable scratch, both recycled across batches. A
-    // panic exit abandons the buffer — the recorded panic resumes before
-    // `run_sharded`'s drained assertion, and the arena clears the buffer
-    // before the next batch.
+    // `ws` holds the worker's enable and release scratch, recycled across
+    // batches.
     let ws = &*ws;
     loop {
         if sh.live.load(Ordering::SeqCst) == 0 || sh.panicked.load(Ordering::SeqCst) {
@@ -1059,21 +1040,20 @@ fn sharded_worker<S: Sink>(w: usize, sh: &Sharded<'_, S>, ws: &mut WorkerScratch
         // Epoch read precedes the scan: any push racing the scan either
         // lands in it or changes the epoch and defeats the park below.
         let epoch = sh.epoch.load(Ordering::SeqCst);
-        match sh.try_pick(w, &mut rng, sh.steal_budget, ws) {
+        match sh.try_pick(w, &mut rng, sh.steal_budget) {
             Some((local, stolen)) => {
                 if !sh.execute(w, local, stolen, &mut stats, ws) {
                     return stats;
                 }
             }
             None => {
-                // Out of work, and `try_pick` flushed on the way here: every
-                // completion this worker buffered has landed (`live` only
-                // reaches zero once they all have). Park only after an
+                // Out of work; every completion this worker made has
+                // already enabled its successors. Park only after an
                 // *exhaustive* steal sweep — a tuned budget shorter than
                 // the ring must never park past work sitting in an
                 // unprobed queue.
                 if sh.steal_budget + 1 < sh.workers {
-                    match sh.try_pick(w, &mut rng, usize::MAX, ws) {
+                    match sh.try_pick(w, &mut rng, usize::MAX) {
                         Some((local, stolen)) => {
                             if !sh.execute(w, local, stolen, &mut stats, ws) {
                                 return stats;
@@ -1091,47 +1071,46 @@ fn sharded_worker<S: Sink>(w: usize, sh: &Sharded<'_, S>, ws: &mut WorkerScratch
 
 impl ThreadRuntime {
     fn run_sharded<S: Sink + Send>(&mut self, events: S) {
+        let workers = self.workers;
+        self.arena.prepare(workers);
         let n = self.arena.slots.len();
         let base = self.next_id as usize - n;
-        // Retire the previous batch's fully-completed synchronizer window:
-        // task/decl slabs are cleared with capacity kept, so steady-state
-        // same-shape batches register tasks without growing them.
-        if self.sync.all_complete() && self.sync.task_count() > 0 {
-            self.sync.recycle();
-        }
-        // Slots carry no id: `submit` hands them out consecutively, so the
-        // slab starts where the synchronizer's window ends.
-        debug_assert_eq!(
-            base,
-            self.sync.base_task() as usize + self.sync.task_count(),
-            "task slots out of step with the synchronizer"
-        );
         self.owners.ensure(self.store.len());
-        let workers = self.workers;
-        self.arena.prepare(n, workers);
         let mut state = SyncState {
-            sync: std::mem::take(&mut self.sync),
             events,
             clock: self.event_clock,
+            size: SnapshotSize::default(),
+            completed: Vec::new(),
             since_ckpt: 0,
             last_ckpt: None,
             checkpoints: 0,
         };
         // Split the arena into its disjoint slabs: the workers share the
-        // queues and the task slots; each worker additionally gets
-        // exclusive use of its own `scratch` slot.
+        // queues, the task slots and the graph; each worker additionally
+        // gets exclusive use of its own `scratch` slot.
         let SchedArena {
             queues,
             slots,
+            graph,
+            left,
             scratch,
             enabled0,
             ..
         } = &mut self.arena;
+        if self.ckpt_every.is_some() {
+            state.size.cover_objects(graph.objects());
+            for slot in slots.iter() {
+                state.size.register(&slot.spec);
+            }
+            state.completed.resize(n, false);
+        }
         // Register in serial program order; queue the initially-enabled.
-        for (i, slot) in slots.iter().enumerate() {
+        for (i, &preds) in graph.preds().iter().enumerate() {
             let t = state.tick();
             let id = TaskId((base + i) as u32);
-            if (state.sync).add_task_traced(id, &slot.spec, &mut state.events, t, 0) {
+            state.events.emit_task(t, 0, EventKind::TaskCreated, id);
+            if preds == 0 {
+                state.events.emit_task(t, 0, EventKind::TaskEnabled, id);
                 enabled0.push(i);
             }
         }
@@ -1146,12 +1125,13 @@ impl ThreadRuntime {
             }),
             None => workers.saturating_sub(1).max(1),
         };
-        // Tracing clamps the drain to 1 (see `Sharded::drain`).
-        let drain = if S::ACTIVE { 1 } else { DRAIN_BATCH };
         let sh = Sharded {
             queues: &queues[..workers],
             slots,
+            graph,
+            left,
             state: Mutex::new(state),
+            locked: S::ACTIVE || self.ckpt_every.is_some(),
             live: AtomicUsize::new(n),
             epoch: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
@@ -1165,15 +1145,15 @@ impl ThreadRuntime {
             store: &self.store,
             base,
             workers,
-            drain,
             steal_budget,
             sync_locks: AtomicUsize::new(0),
             prefetch: self.prefetch,
             prefetch_routes: AtomicUsize::new(0),
         };
         for &local in enabled0.iter() {
-            sh.dispatch(local, SETUP);
+            sh.enqueue_dispatch(local, SETUP);
         }
+        sh.announce();
         let mut merged = BatchStats::default();
         std::thread::scope(|scope| {
             let handles: Vec<_> = scratch[..workers]
@@ -1205,7 +1185,6 @@ impl ThreadRuntime {
         // never ran goes here.
         slots.clear();
         let st = state.into_inner().unwrap_or_else(|e| e.into_inner());
-        self.sync = st.sync;
         self.event_clock = st.clock;
         self.events.extend(st.events.into_events());
         merged.checkpoints = st.checkpoints;
@@ -1214,12 +1193,11 @@ impl ThreadRuntime {
         self.last_stats = merged;
         self.total_stats.absorb(&merged);
         if let Some(p) = panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            // A genuine panic aborts the batch. Discard the half-applied
-            // synchronizer state and restart task numbering so the same
-            // runtime can run a subsequent clean batch (`add_task` requires
-            // contiguous ids per synchronizer). Stats for the aborted batch
+            // A genuine panic aborts the batch. Restart task numbering and
+            // the object table so that the same runtime runs a subsequent
+            // clean batch as a new one would. Stats for the aborted batch
             // were stored above; its partial events remain in the stream.
-            self.sync = Synchronizer::new(true);
+            self.arena.graph = DepGraph::default();
             self.next_id = 0;
             resume_unwind(p);
         }
@@ -1234,7 +1212,7 @@ impl ThreadRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jade_core::TaskBuilder;
+    use jade_core::{Synchronizer, TaskBuilder};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -1785,7 +1763,7 @@ mod tests {
         assert!(rt.arena.slots.is_empty());
         assert!(rt.arena.slots.capacity() >= 21, "the slab kept its storage");
         assert_eq!(rt.next_id, 0);
-        assert_eq!(rt.sync.task_count(), 0);
+        assert_eq!(rt.arena.graph.objects(), 0, "the object table restarts");
         // The same runtime then runs a clean batch as a new one would.
         let serial = reference_workload(&mut jade_core::TraceRuntime::new());
         assert_eq!(reference_workload(&mut rt), serial);
@@ -2161,33 +2139,30 @@ mod tests {
 
     #[test]
     fn drain_buffer_flushes_when_idle() {
-        // A dependency chain shorter than DRAIN_BATCH with more workers
-        // than work: the completion that enables each successor sits in a
-        // drain buffer below the flush threshold, so the run hangs unless
-        // idle workers flush before parking.
+        // A short dependency chain with more workers than work: every
+        // completion must enable its successor before the worker that ran
+        // it parks, or the run hangs with idle workers. (A deferred,
+        // buffered completion once made exactly this hang.)
         let mut rt = ThreadRuntime::new(4);
         let x = rt.create("x", 8, 0u64);
-        for _ in 0..DRAIN_BATCH / 2 {
+        for _ in 0..4 {
             rt.submit(TaskBuilder::new("inc").rd_wr(x).body(move |ctx| {
                 *ctx.wr(x) += 1;
             }));
         }
         rt.finish();
-        assert_eq!(*rt.store().read(x), DRAIN_BATCH as u64 / 2);
+        assert_eq!(*rt.store().read(x), 4);
     }
 
     #[test]
     fn auto_batching_amortizes_sync_locks() {
-        // Overhead-dominated independent tasks: the drain buffers fill to
-        // DRAIN_BATCH, so synchronizer-lock acquisitions fall well below
-        // one per task.
+        // Overhead-dominated independent tasks: an untraced batch without
+        // checkpoints completes every task by atomic countdown, so it
+        // takes the state lock not once.
         //
-        // Batching covers the tasks a worker pops from its own queue (a
-        // steal is preceded by a flush, see `try_pick`), and how many tasks
-        // get stolen depends on when the workers happen to start. So the
-        // work sits on worker 0 and worker 1 is pinned inside `hold` until
-        // every other body has run: at most one steal (`hold` itself, if
-        // worker 1 never got going), whatever the host does.
+        // The work sits on worker 0 and worker 1 is pinned inside `hold`
+        // until every other body has run: at most one steal (`hold`
+        // itself, if worker 1 never got going), whatever the host does.
         const WORK: usize = 399;
         let mut rt = ThreadRuntime::new(2);
         let ran = Arc::new(AtomicUsize::new(0));
@@ -2217,20 +2192,14 @@ mod tests {
         let st = rt.last_stats();
         assert_eq!(st.executed, 400);
         assert!(st.steals <= 1, "{} steals", st.steals);
-        assert!(
-            st.sync_locks * 2 <= st.executed,
-            "drain buffers must amortize: {} locks for {} tasks",
-            st.sync_locks,
-            st.executed
-        );
+        assert_eq!(st.sync_locks, 0, "untraced completions take no lock");
     }
 
     #[test]
     fn a_steal_costs_at_most_one_sync_lock() {
-        // The price of flushing before a steal, stated: with the work
-        // spread over both workers and steals left to chance, every
-        // acquisition is a full drain buffer, a flush ahead of a steal, or
-        // a worker's last flush before it parks.
+        // With the work spread over both workers and steals left to
+        // chance, a steal costs no lock either: nothing is buffered, so
+        // nothing has to be flushed ahead of it.
         let workers = 2;
         let mut rt = ThreadRuntime::new(workers);
         let outs: Vec<_> = (0..400)
@@ -2244,13 +2213,120 @@ mod tests {
         rt.finish();
         let st = rt.last_stats();
         assert_eq!(st.executed, 400);
-        assert!(
-            st.sync_locks <= st.executed / DRAIN_BATCH + st.steals + workers,
-            "{} locks for {} tasks, {} stolen",
-            st.sync_locks,
-            st.executed,
-            st.steals
+        assert_eq!(st.sync_locks, 0, "{} stolen", st.steals);
+    }
+
+    #[test]
+    fn checkpoint_sizes_equal_the_synchronizer_snapshots() {
+        // One traced worker, a capture after every completion, and tasks
+        // that release an object mid-task: replayed through a synchronizer,
+        // the stream charges every capture that synchronizer's snapshot
+        // length. The second, narrower batch charges the object table the
+        // first one grew, as a synchronizer kept across batches would.
+        let mut rt = ThreadRuntime::new(1);
+        rt.enable_events();
+        rt.checkpoint_every(1);
+        let objs: Vec<_> = (0..6)
+            .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
+            .collect();
+        let replay = |rt: &mut ThreadRuntime, n: usize, width: usize, wider: usize| {
+            let mut specs = Vec::new();
+            for k in 0..n {
+                let (w, r) = (objs[k % width], objs[(k + 1) % width]);
+                let task = TaskBuilder::new("t").rd_wr(w).rd(r);
+                specs.push(task.spec().clone());
+                rt.submit(task.body(move |ctx| {
+                    *ctx.wr(w) += *ctx.rd(r) + 1;
+                    if k % 2 == 1 {
+                        ctx.release(w);
+                    }
+                }));
+            }
+            let base = rt.next_id - n as u32;
+            rt.finish();
+            let mut sync = Synchronizer::new(true);
+            let (mut newly, mut taken) = (Vec::new(), 0);
+            for e in rt.take_events() {
+                let local = e.task.map(|t| TaskId(t.0 - base));
+                match (e.kind, local) {
+                    (EventKind::TaskCreated, Some(t)) => {
+                        sync.add_task(t, &specs[t.index()]);
+                    }
+                    (EventKind::AccessReleased, Some(t)) => {
+                        let o = e.object.expect("a release names its object");
+                        sync.release(t, o, &mut newly, &mut NullSink, 0, 0);
+                    }
+                    (EventKind::TaskCompleted, Some(t)) => sync.complete(t, &mut newly),
+                    (EventKind::CheckpointTaken { bytes }, _) => {
+                        let want = sync.snapshot().encoded_len() + 4 * (wider - width);
+                        assert_eq!(bytes as usize, want, "capture {taken}");
+                        taken += 1;
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(taken, n - 1);
+        };
+        replay(&mut rt, 12, 6, 6);
+        replay(&mut rt, 8, 2, 6);
+    }
+
+    #[test]
+    fn only_traced_or_checkpointing_batches_take_the_state_lock() {
+        let run = |traced: bool, every: Option<usize>| {
+            let mut rt = ThreadRuntime::new(2);
+            if traced {
+                rt.enable_events();
+            }
+            if let Some(every) = every {
+                rt.checkpoint_every(every);
+            }
+            let x = rt.create("x", 8, 0u64);
+            for _ in 0..20 {
+                rt.submit(TaskBuilder::new("inc").rd_wr(x).body(move |ctx| {
+                    *ctx.wr(x) += 1;
+                    ctx.release(x);
+                }));
+            }
+            rt.finish();
+            assert_eq!(*rt.store().read(x), 20);
+            rt.last_stats().sync_locks
+        };
+        assert_eq!(run(false, None), 0);
+        // A completion and a release each count down under the lock.
+        assert_eq!(run(false, Some(3)), 40);
+        // Traced, dispatch and start take it once more per task.
+        assert_eq!(run(true, None), 60);
+    }
+
+    #[test]
+    fn a_released_declaration_is_counted_down_once() {
+        // `b` waits for `d` (through `z`) and for `a` (through `x`, which
+        // `a` releases mid-task). One worker runs `a` first (its queue pops
+        // newest-first); `a`'s completion must not count `x` down again,
+        // or `b` would run before `d` and append to `z` out of order.
+        let mut rt = ThreadRuntime::new(1);
+        let x = rt.create("x", 8, Vec::<u32>::new());
+        let y = rt.create("y", 8, Vec::<u32>::new());
+        let z = rt.create("z", 8, Vec::<u32>::new());
+        rt.submit(
+            TaskBuilder::new("d")
+                .wr(z)
+                .body(move |ctx| ctx.wr(z).push(0)),
         );
+        rt.submit(TaskBuilder::new("a").wr(x).wr(y).body(move |ctx| {
+            ctx.wr(x).push(1);
+            ctx.release(x);
+            ctx.wr(y).push(1);
+        }));
+        rt.submit(TaskBuilder::new("b").rd_wr(x).rd_wr(z).body(move |ctx| {
+            ctx.wr(x).push(2);
+            ctx.wr(z).push(2);
+        }));
+        rt.finish();
+        assert_eq!(*rt.store().read(z), [0, 2]);
+        assert_eq!(*rt.store().read(x), [1, 2]);
+        assert_eq!(rt.last_stats().sync_locks, 0);
     }
 
     #[test]
@@ -2315,10 +2391,10 @@ mod tests {
 
     #[test]
     fn enabled_task_is_routed_while_its_body_slot_is_locked() {
-        // Worker 0's flush completes `a`, which enables `b`; routing `b`
-        // reads its slot's specification and placement and nothing else.
-        // The test holds `b`'s body mutex throughout: a dispatch path that
-        // took it would never finish the flush.
+        // Worker 0's completion of `a` enables `b`; routing `b` reads its
+        // slot's specification and placement and nothing else. The test
+        // holds `b`'s body mutex throughout: a dispatch path that took it
+        // would never finish the countdown.
         let mut store = Store::new();
         let x = store.create("x", 8, 0u64);
         let mut owners = OwnerTable::default();
@@ -2327,22 +2403,23 @@ mod tests {
         let mut arena = SchedArena::default();
         arena.push(TaskBuilder::new("a").wr(x).body(|_| {}));
         arena.push(TaskBuilder::new("b").rd(x).body(|_| {}));
-        arena.prepare(2, 2);
-        let mut sync = Synchronizer::new(true);
-        let mut events = NullSink;
-        assert!(sync.add_task_traced(TaskId(0), &arena.slots[0].spec, &mut events, 0, 0));
-        assert!(!sync.add_task_traced(TaskId(1), &arena.slots[1].spec, &mut events, 0, 0));
+        arena.prepare(2);
+        assert_eq!(arena.graph.preds(), [0, 1]);
         let sh = Sharded {
             queues: &arena.queues,
             slots: &arena.slots,
+            graph: &arena.graph,
+            left: &arena.left,
             state: Mutex::new(SyncState {
-                sync,
-                events,
+                events: NullSink,
                 clock: 0,
+                size: SnapshotSize::default(),
+                completed: Vec::new(),
                 since_ckpt: 0,
                 last_ckpt: None,
                 checkpoints: 0,
             }),
+            locked: false,
             live: AtomicUsize::new(2),
             epoch: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
@@ -2356,30 +2433,28 @@ mod tests {
             store: &store,
             base: 0,
             workers: 2,
-            drain: DRAIN_BATCH,
             steal_budget: 1,
             sync_locks: AtomicUsize::new(0),
             prefetch: false,
             prefetch_routes: AtomicUsize::new(0),
         };
         let held = lock(&sh.slots[1].body);
-        let (done, flushed) = std::sync::mpsc::channel();
+        let (done, settled) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             let sh = &sh;
             scope.spawn(move || {
-                let ws = WorkerScratch::default();
-                ws.buf.borrow_mut().complete(TaskId(0));
-                sh.flush(0, &ws.buf, &mut ws.newly.borrow_mut());
+                sh.settle(0, 0, None, &WorkerScratch::default());
                 done.send(()).unwrap();
             });
-            let waited = flushed.recv_timeout(std::time::Duration::from_secs(10));
-            // Let a blocked flush through before the scope joins it.
+            let waited = settled.recv_timeout(std::time::Duration::from_secs(10));
+            // Let a blocked countdown through before the scope joins it.
             drop(held);
             waited.expect("routing an enabled task waited for its body mutex");
         });
         assert_eq!(sh.slots[1].target.load(Ordering::Relaxed), 1);
         assert_eq!(sh.queues[1].steal(), Some(1), "`b` follows `x`'s writer");
         assert_eq!(sh.live.load(Ordering::SeqCst), 1);
+        assert_eq!(sh.sync_locks.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -2428,11 +2503,10 @@ mod tests {
 
     #[test]
     fn buffered_completion_is_flushed_before_a_stolen_task_runs() {
-        // Worker 1 runs `a` (its completion sits in the drain buffer, below
-        // the flush threshold), then steals `blocker` — which spins until
-        // `b`, a successor of `a`, has run. Unless the buffer is flushed
-        // before the stolen task starts, `b` is never enabled and the batch
-        // deadlocks. The interleaving is forced with flags: worker 0 is
+        // Worker 1 runs `a`, then steals `blocker` — which spins until `b`,
+        // a successor of `a`, has run. Unless `a`'s completion enabled `b`
+        // before the stolen task starts (a completion deferred in a buffer
+        // once did not), the batch deadlocks. The interleaving is forced with flags: worker 0 is
         // pinned inside `z` until `blocker` has started, and `blocker` can
         // only be started by the thief. The spin bounds only turn a
         // deadlock into a failure; they play no part in the ordering.

@@ -5,9 +5,10 @@
 //! request-level front end the ROADMAP's "heavy traffic" north star asks
 //! for: a [`JadeService`] owns a pool of long-lived worker threads and
 //! admits a *stream* of independent program DAGs ([`Program`]s). Each
-//! admitted tenant gets its own [`Synchronizer`], its own [`Store`] and its
-//! own event stream (tagged with a [`TenantId`]); all tenants share the
-//! worker pool and the write-owner locality table mechanism.
+//! admitted tenant gets its own dependence graph ([`Countdown`]), built
+//! once at admission, its own [`Store`] and its own event stream (tagged
+//! with a [`TenantId`]); all tenants share the worker pool and the
+//! write-owner locality table mechanism.
 //!
 //! Robustness contracts, in order of importance:
 //!
@@ -53,11 +54,11 @@
 //! independent counters — is identical to a solo run of the same program
 //! on the same seed (enforced by proptests in `tests/service.rs`).
 
-use crate::{lock, InjectedFailure, OwnerTable, MAX_TASK_ATTEMPTS};
+use crate::{lock, InjectedFailure, OwnerTable, Release, MAX_TASK_ATTEMPTS};
 use dsim::FaultPlan;
 use jade_core::{
-    tag_events, AccessSpec, Event, EventKind, EventSink, Handle, Locality, Metrics, ObjectId,
-    Store, Synchronizer, TaggedEvent, TaskBody, TaskCtx, TaskDef, TaskId, TenantId, Transition,
+    tag_events, AccessSpec, Countdown, Event, EventKind, EventSink, Handle, Locality, Metrics,
+    ObjectId, Store, TaggedEvent, TaskBody, TaskCtx, TaskDef, TaskId, TenantId,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -121,7 +122,7 @@ pub enum ShedPolicy {
 pub struct ServiceConfig {
     /// Worker threads in the shared pool (minimum 1).
     pub workers: usize,
-    /// Tenants resident (registered with a live synchronizer) at once.
+    /// Tenants resident (admitted, with their dependence graph) at once.
     pub max_active: usize,
     /// Bound of the pending-DAG admission queue; `0` disables queueing
     /// entirely (submissions beyond `max_active` shed immediately).
@@ -273,7 +274,8 @@ impl TenantReport {
 struct Slot {
     /// The tenant's tasks, indexed by tenant-local task id.
     tasks: Vec<TenantTask>,
-    sync: Synchronizer,
+    /// The tenant's dependence graph, built at admission, and its countdown.
+    deps: Countdown<'static>,
     /// Enabled, not-yet-dispatched tenant-local task indices (FIFO).
     ready: VecDeque<usize>,
     owners: OwnerTable,
@@ -661,8 +663,8 @@ fn shed_report(p: &PendingTenant) -> TenantReport {
 }
 
 /// Move a pending submission into the active set: give it a (recycled)
-/// slot, register every task in serial program order, and queue the
-/// initially enabled ones.
+/// slot, build the dependence graph of its whole program, register every
+/// task in serial program order, and queue the initially enabled ones.
 fn register_tenant(core: &mut Core, pend: PendingTenant) {
     let PendingTenant {
         id,
@@ -679,10 +681,11 @@ fn register_tenant(core: &mut Core, pend: PendingTenant) {
     slot.owners.ensure(store.len());
     let mut events = EventSink::Record(events);
     let mut n_decls = 0;
+    slot.deps.rebuild(tasks.iter().map(|def| &def.spec), true);
     for (i, def) in tasks.into_iter().enumerate() {
         let t = core.tick();
         n_decls += def.spec.len();
-        if (slot.sync).add_task_traced(TaskId(i as u32), &def.spec, &mut events, t, 0) {
+        if (slot.deps).add_task_traced(TaskId(i as u32), &mut events, t, 0) {
             slot.ready.push_back(i);
         }
         slot.tasks.push(TenantTask {
@@ -757,14 +760,13 @@ fn finalize_tenant(core: &mut Core, inner: &Inner, id: u32) {
     core.wake_waiters(inner, id);
     if core.spares.len() < inner.cfg.max_active && entries <= SPARE_MAX_ENTRIES {
         // A cancelled tenant retires mid-flight: bodies never dispatched,
-        // accesses still granted or parked. Everything goes; capacity stays.
+        // counts never reaching zero. Everything goes; capacity stays.
         let mut slot = t.slot;
         debug_assert!(
             slot.ready.is_empty(),
             "a terminal tenant has nothing queued"
         );
         slot.tasks.clear();
-        slot.sync.reset();
         slot.owners.reset();
         core.spares.push(slot);
     }
@@ -920,15 +922,21 @@ fn task_crashes(plan: &FaultPlan, task: u64, attempt: u32, workers: usize) -> bo
         .is_some_and(|p| attempt == 0 && task as usize % workers == p % workers)
 }
 
-/// Apply a synchronizer transition for `tenant` and queue newly enabled
-/// tasks (unless the tenant is cancelled), recording their locality
-/// targets. Returns whether anything became ready.
-fn apply_transition(core: &mut Core, tenant: u32, tr: Transition, w: usize) -> bool {
+/// Count down `tenant`'s graph for task `id` — its completion, or its
+/// mid-task `release` — and queue newly enabled tasks (unless the tenant
+/// is cancelled), recording their locality targets. Returns whether
+/// anything became ready.
+fn settle(core: &mut Core, tenant: u32, id: TaskId, release: Option<Release>, w: usize) -> bool {
     let time = core.tick();
     let mut newly = std::mem::take(&mut core.newly);
     let t = core.active.get_mut(&tenant).expect("tenant still active");
-    let slot = &mut t.slot;
-    slot.sync.apply(tr, &mut newly, &mut t.events, time, w);
+    let (slot, events) = (&mut t.slot, &mut t.events);
+    match release {
+        Some((decl, obj)) => slot
+            .deps
+            .release_traced(id, decl, obj, &mut newly, events, time, w),
+        None => slot.deps.complete_traced(id, &mut newly, events, time, w),
+    }
     let enabled = if t.cancel.is_none() { newly.len() } else { 0 };
     for id in &newly[..enabled] {
         let local = id.index();
@@ -984,15 +992,16 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core
             // makes the re-execution exact.
             resume_unwind(Box::new(InjectedFailure));
         }
-        // Mid-task releases flush eagerly (a buffered release could
+        // A mid-task release counts down at once (a deferred one could
         // deadlock a pipeline whose consumer is the only runnable task).
         // This worker is busy in the body, so a successor the release
         // enabled needs a sleeper; with none parked, whoever settles next
         // picks it up.
         let hook = |obj: ObjectId| {
+            let decl = (spec.decls().iter().position(|d| d.object == obj))
+                .expect("a task releases only what it declared");
             let mut core = worker_lock(inner);
-            let wake = apply_transition(&mut core, tenant, Transition::Release(id, obj), w)
-                && core.wake_worker();
+            let wake = settle(&mut core, tenant, id, Some((decl, obj)), w) && core.wake_worker();
             unlock_and_wake(inner, core, wake);
         };
         let ctx = TaskCtx::with_release_hook(&store, id, label, &spec, &hook);
@@ -1011,7 +1020,7 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core
             for o in spec.written_objects() {
                 t.slot.owners.record(o, w);
             }
-            apply_transition(&mut core, tenant, Transition::Complete(id), w);
+            settle(&mut core, tenant, id, None, w);
             let t = core.active.get_mut(&tenant).expect("tenant still active");
             t.running -= 1;
             t.live -= 1;
@@ -2248,7 +2257,7 @@ mod tests {
             assert!(core
                 .spares
                 .iter()
-                .all(|s| s.tasks.is_empty() && s.ready.is_empty() && s.sync.task_count() == 0));
+                .all(|s| s.tasks.is_empty() && s.ready.is_empty() && s.deps.all_complete()));
         }
         let huge = SPARE_MAX_ENTRIES;
         let (prog, h) = chain_program(huge);

@@ -5,11 +5,11 @@
 //! `ThreadRuntime` must produce the application results of the serial
 //! `TraceRuntime` bit for bit, the deterministic event counters of its own
 //! one-worker run, exactly the re-executions `FaultPlan::task_fails`
-//! predicts and exactly the checkpoints the interval predicts — traced
-//! (completions flushed one by one) and untraced (completions batched
-//! through the per-worker drain buffers) alike. Stealing and locality
-//! splits are scheduling accidents and legitimately differ; everything
-//! Jade semantics pins down must not.
+//! predicts, exactly the checkpoints the interval predicts and exactly the
+//! mid-task releases the program makes — traced (completions counted down
+//! under the state lock) and untraced (by atomic countdown, no lock)
+//! alike. Stealing and locality splits are scheduling accidents and
+//! legitimately differ; everything Jade semantics pins down must not.
 
 use jade::apps::pagerank::{self, PagerankConfig};
 use jade::core::{Metrics, TraceRuntime};
@@ -20,10 +20,14 @@ use proptest::prelude::*;
 const OBJECTS: usize = 4;
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
-/// A random program: for each task, a set of (object, is_write) accesses.
-fn program_strategy(max_tasks: usize) -> impl Strategy<Value = Vec<Vec<(u8, bool)>>> {
+/// An access of a random program: (object, mode), the mode 0 a read, 1 a
+/// write, 2 a write the task releases after it.
+type Program = Vec<Vec<(u8, u8)>>;
+
+/// A random program: for each task, a set of accesses.
+fn program_strategy(max_tasks: usize) -> impl Strategy<Value = Program> {
     prop::collection::vec(
-        prop::collection::vec(((0..OBJECTS as u8), any::<bool>()), 0..5),
+        prop::collection::vec(((0..OBJECTS as u8), 0..3u8), 0..5),
         1..max_tasks,
     )
 }
@@ -48,10 +52,12 @@ fn deterministic_counters(m: &Metrics) -> Counters {
 
 /// Submit the random program's tasks to `rt` and return the object
 /// handles. Each task appends its id to each object it writes, so the
-/// final logs record the order conflicting writers ran in.
+/// final logs record the order conflicting writers ran in, and releases
+/// the objects so marked right after its write to them: its successors on
+/// them may start while it runs on.
 fn submit_program<R: JadeRuntime>(
     rt: &mut R,
-    prog: &[Vec<(u8, bool)>],
+    prog: &[Vec<(u8, u8)>],
 ) -> Vec<jade::Handle<Vec<u32>>> {
     let objs: Vec<_> = (0..OBJECTS)
         .map(|i| rt.create(&format!("o{i}"), 8, Vec::<u32>::new()))
@@ -60,22 +66,25 @@ fn submit_program<R: JadeRuntime>(
         let mut tb = TaskBuilder::new("p");
         let mut writes = Vec::new();
         let mut seen = [false; OBJECTS];
-        for &(o, w) in accesses {
+        for &(o, mode) in accesses {
             let o = o as usize % OBJECTS;
             if seen[o] {
                 continue;
             }
             seen[o] = true;
-            if w {
+            if mode > 0 {
                 tb = tb.rd_wr(objs[o]);
-                writes.push(objs[o]);
+                writes.push((objs[o], mode == 2));
             } else {
                 tb = tb.rd(objs[o]);
             }
         }
         rt.submit(tb.body(move |ctx| {
-            for &h in &writes {
+            for &(h, release) in &writes {
                 ctx.wr(h).push(i as u32);
+                if release {
+                    ctx.release(h);
+                }
             }
         }));
     }
@@ -83,7 +92,7 @@ fn submit_program<R: JadeRuntime>(
 }
 
 /// Run `prog` on `rt` and return the final value of every object.
-fn results_on<R: JadeRuntime>(rt: &mut R, prog: &[Vec<(u8, bool)>]) -> Vec<Vec<u32>> {
+fn results_on<R: JadeRuntime>(rt: &mut R, prog: &[Vec<(u8, u8)>]) -> Vec<Vec<u32>> {
     let objs = submit_program(rt, prog);
     rt.finish();
     objs.iter().map(|&h| rt.store().read(h).clone()).collect()
@@ -98,6 +107,19 @@ fn predicted_reexecutions(plan: Option<FaultPlan>, tasks: usize) -> u64 {
         .sum()
 }
 
+/// Mid-task releases `prog` makes: one per distinct object a task marks.
+fn predicted_releases(prog: &[Vec<(u8, u8)>]) -> u64 {
+    let released = |accesses: &Vec<(u8, u8)>| {
+        let mut seen = [false; OBJECTS];
+        let firsts = accesses.iter().filter(|&&(o, _)| {
+            let o = o as usize % OBJECTS;
+            !std::mem::replace(&mut seen[o], true)
+        });
+        firsts.filter(|&&(_, mode)| mode == 2).count() as u64
+    };
+    prog.iter().map(released).sum()
+}
+
 /// Checkpoints an `every`-completions interval takes over `tasks`
 /// completions: one per full interval, none at the completion that drains
 /// the batch.
@@ -107,11 +129,12 @@ fn predicted_checkpoints(every: Option<usize>, tasks: usize) -> u64 {
 
 /// The whole contract, for one program under one plan: at every worker
 /// count, traced and untraced, results equal the serial run, deterministic
-/// counters equal the one-worker run, and re-executions and checkpoints
-/// equal what the plan predicts.
-fn check_against_oracles(prog: &[Vec<(u8, bool)>], plan: Option<FaultPlan>, every: Option<usize>) {
+/// counters equal the one-worker run, and re-executions, checkpoints and
+/// releases equal what the plan and the program predict.
+fn check_against_oracles(prog: &[Vec<(u8, u8)>], plan: Option<FaultPlan>, every: Option<usize>) {
     let serial = results_on(&mut TraceRuntime::new(), prog);
     let reexecuted = predicted_reexecutions(plan, prog.len());
+    let releases = predicted_releases(prog);
     let checkpoints = predicted_checkpoints(every, prog.len());
     let configure = |rt: &mut ThreadRuntime| {
         if let Some(p) = plan {
@@ -141,9 +164,10 @@ fn check_against_oracles(prog: &[Vec<(u8, bool)>], plan: Option<FaultPlan>, ever
         assert_eq!(m.tasks_reexecuted, reexecuted, "re-executions: {what}");
         assert_eq!(m.workers_failed, reexecuted, "worker failures: {what}");
         assert_eq!(m.checkpoints, checkpoints, "checkpoints: {what}");
+        assert_eq!(m.releases, releases, "releases: {what}");
 
-        // Untraced, so the drain buffers genuinely fill (tracing clamps the
-        // flush threshold to one).
+        // Untraced, so completions count down with no lock (unless the
+        // checkpoint interval needs it).
         let mut rt = ThreadRuntime::new(workers);
         configure(&mut rt);
         assert_eq!(

@@ -48,7 +48,9 @@ fn program_strategy(max_tasks: usize) -> impl Strategy<Value = Vec<Vec<(u8, bool
 }
 
 /// Materialize a random program as a service `Program` (each task appends
-/// its index to every object it writes).
+/// its index to every object it writes; an odd-numbered task releases each
+/// object right after its write, so that its successors on it may start
+/// while it runs on).
 fn build_program(prog: &[Vec<(u8, bool)>]) -> (Program, Vec<jade::Handle<Vec<u32>>>) {
     build_program_over(prog, OBJECTS, None)
 }
@@ -81,6 +83,9 @@ fn build_program_over(
             }
             for &h in &writes {
                 ctx.wr(h).push(i as u32);
+                if i % 2 == 1 {
+                    ctx.release(h);
+                }
             }
         }));
     }
