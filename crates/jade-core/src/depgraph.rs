@@ -110,11 +110,7 @@ impl DepGraph {
     /// declarations out, then two walks over them count each declaration's
     /// successors and place them — a stable counting sort by source
     /// declaration, which keeps serial order.
-    pub fn rebuild<'a>(
-        &mut self,
-        specs: impl IntoIterator<Item = &'a AccessSpec>,
-        replication: bool,
-    ) {
+    pub fn rebuild<'a>(&mut self, specs: impl Iterator<Item = &'a AccessSpec>, replication: bool) {
         let walk = &mut self.walk;
         walk.decls.clear();
         self.decls.clear();
@@ -232,11 +228,7 @@ impl<'g> Countdown<'g> {
 
     /// Replace the graph with that of `specs` (see [`DepGraph::rebuild`])
     /// and start a replay of it, reusing every allocation of an owned one.
-    pub fn rebuild<'a>(
-        &mut self,
-        specs: impl IntoIterator<Item = &'a AccessSpec>,
-        replication: bool,
-    ) {
+    pub fn rebuild<'a>(&mut self, specs: impl Iterator<Item = &'a AccessSpec>, replication: bool) {
         self.graph.to_mut().rebuild(specs, replication);
         self.restart();
     }

@@ -66,4 +66,4 @@ pub use store::{ReadGuard, Store, WriteGuard};
 pub use synchronizer::{SnapshotSize, SyncSnapshot, Synchronizer};
 pub use task::{TaskBody, TaskBuilder, TaskCtx, TaskDef};
 pub use trace::{ObjectRecord, TaskRecord, Trace, TraceBuilder, TraceRuntime};
-pub use tune::{BatchShape, Controller, Decision, Knob, TuneLog};
+pub use tune::{Controller, Decision, Knob, TuneLog};

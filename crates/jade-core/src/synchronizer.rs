@@ -247,6 +247,12 @@ impl Synchronizer {
         q.tail = k;
     }
 
+    /// True if every declared access of `id` is currently granted.
+    pub fn is_enabled(&self, id: TaskId) -> bool {
+        let t = &self.tasks[self.slot(id)];
+        !t.completed && t.ungranted == 0
+    }
+
     /// Mark `id` complete, untraced. See [`complete_traced`](Self::complete_traced).
     pub fn complete(&mut self, id: TaskId, newly_enabled: &mut Vec<TaskId>) {
         self.complete_traced(id, newly_enabled, &mut NullSink, 0, 0)
@@ -361,6 +367,18 @@ impl Synchronizer {
     /// True when every registered task has completed.
     pub fn all_complete(&self) -> bool {
         self.live_tasks == 0
+    }
+
+    /// Conceptual queue length for one object — granted prefix plus
+    /// waiting entries (diagnostics/tests).
+    pub fn queue_len(&self, o: ObjectId) -> usize {
+        let granted = self.queues.get(o.index()).map_or(0, |q| q.granted);
+        self.waiting_len(o)
+            + if granted == WRITER {
+                1
+            } else {
+                granted as usize
+            }
     }
 
     /// Number of *parked* (ungranted) entries on one object, counted by
@@ -799,24 +817,6 @@ mod tests {
         sync.release(id, object, newly, &mut NullSink, 0, 0);
     }
 
-    /// True if every declared access of `id` is currently granted.
-    fn is_enabled(sync: &Synchronizer, id: TaskId) -> bool {
-        let t = &sync.tasks[sync.slot(id)];
-        !t.completed && t.ungranted == 0
-    }
-
-    /// Conceptual queue length for one object: granted prefix plus
-    /// waiting entries.
-    fn queue_len(sync: &Synchronizer, o: ObjectId) -> usize {
-        let granted = sync.queues.get(o.index()).map_or(0, |q| q.granted);
-        let granted = if granted == WRITER {
-            1
-        } else {
-            granted as usize
-        };
-        sync.waiting_len(o) + granted
-    }
-
     /// Retire a completed window, as a long-lived synchronizer once did:
     /// the slabs emptied and `base` moved past their ids. Snapshots of such
     /// states carry a nonzero `base`, which the format still encodes.
@@ -857,7 +857,7 @@ mod tests {
         let mut enabled = Vec::new();
         sync.complete(TaskId(0), &mut enabled);
         assert_eq!(enabled, vec![TaskId(1)]);
-        assert!(is_enabled(&sync, TaskId(1)));
+        assert!(sync.is_enabled(TaskId(1)));
     }
 
     #[test]
@@ -1148,7 +1148,7 @@ mod tests {
         for i in 0..n {
             assert!(sync.add_task(TaskId(i), &spec(&[0], &[])));
         }
-        assert_eq!(queue_len(&sync, o(0)), n as usize);
+        assert_eq!(sync.queue_len(o(0)), n as usize);
         assert_eq!(sync.waiting_len(o(0)), 0, "granted reads are aggregated");
         // Trailing writer: the only materialized entry.
         assert!(!sync.add_task(TaskId(n), &spec(&[], &[0])));
@@ -1536,7 +1536,7 @@ mod tests {
             prop_assert_eq!(&after_reset, &from_new);
             prop_assert!(used.all_complete(), "the second program ran to the end");
             for obj in 0..6 {
-                prop_assert_eq!(queue_len(&used, o(obj)), 0);
+                prop_assert_eq!(used.queue_len(o(obj)), 0);
             }
         }
 
@@ -1565,7 +1565,7 @@ mod tests {
                     next_id += 1;
                     let now = sync.add_task(id, s);
                     prop_assert_eq!(now, model.add_task(id, s), "add {:?}", id);
-                    prop_assert_eq!(now, is_enabled(&sync, id));
+                    prop_assert_eq!(now, sync.is_enabled(id));
                     if now {
                         enabled.push(id);
                     }
@@ -1601,7 +1601,7 @@ mod tests {
                     prop_assert_eq!(&got, &want, "after {:?}", t);
                     for obj in 0..6 {
                         let q = &model.queues[obj];
-                        prop_assert_eq!(queue_len(&sync, o(obj as u32)), q.len());
+                        prop_assert_eq!(sync.queue_len(o(obj as u32)), q.len());
                         let waiting = q.iter().filter(|e| !e.2).count();
                         prop_assert_eq!(sync.waiting_len(o(obj as u32)), waiting);
                     }
@@ -1682,7 +1682,7 @@ mod tests {
             // Whatever it describes can be run: complete enabled tasks until
             // none is left (a mangled state may strand the rest).
             let ids = || (0..snap.task_count() as u32).map(|i| TaskId(sync.base + i));
-            let mut ready: Vec<TaskId> = ids().filter(|&t| is_enabled(&sync, t)).collect();
+            let mut ready: Vec<TaskId> = ids().filter(|&t| sync.is_enabled(t)).collect();
             let mut done = 0;
             while let Some(t) = ready.pop() {
                 sync.complete(t, &mut ready);

@@ -3,7 +3,7 @@
 //! Every backend reconstructs the paper's counters bit-for-bit from the
 //! event layer; this module is the consumer that closes the loop from
 //! *metrics* back to *policy*. A [`Controller`] turns deterministic
-//! observations (batch shape, retired-version access width, measured
+//! observations (worker count, retired-version access width, measured
 //! virtual checkpoint capture cost, plan-derived failure horizons) into
 //! runtime knob settings:
 //!
@@ -19,8 +19,8 @@
 //!   one tenant may take while other tenants hold ready work).
 //!
 //! **Determinism argument.** Every law below is a pure integer function of
-//! inputs that are themselves interleaving-independent: the batch shape is
-//! fixed when `finish` is called, version-width counters are functions of
+//! inputs that are themselves interleaving-independent: the worker count
+//! is fixed when `finish` is called, version-width counters are functions of
 //! the trace and the seeded fault plan, capture costs and horizons are
 //! *virtual* (simulated picoseconds), and the service's ready-tenant count
 //! is read under the core lock at pick time. No wall-clock reading ever
@@ -137,19 +137,6 @@ impl TuneLog {
     }
 }
 
-/// Deterministic description of a batch handed to the thread scheduler:
-/// fixed the moment `finish` is called, before any worker runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchShape {
-    /// Tasks in the batch.
-    pub tasks: usize,
-    /// Worker threads the batch runs on.
-    pub workers: usize,
-    /// Tasks enabled by dependence analysis before execution starts — the
-    /// batch's initial parallelism width.
-    pub enabled0: usize,
-}
-
 /// The feedback controller: pure decision functions over deterministic
 /// observations, logging every choice. One controller instance per tuned
 /// runtime/simulation; the log survives for range checks and replay
@@ -168,15 +155,14 @@ impl Controller {
     /// the round gives up (the pre-park sweep stays exhaustive — see the
     /// module docs' liveness note).
     ///
-    /// Law: the ceiling of log2(workers), clamped to
-    /// `[STEAL_BUDGET_MIN, workers - 1]`. When the initial parallelism
-    /// already covers every worker (`enabled0 >= workers`), work is dense
-    /// and the first random victim almost always hits, so probing the full
-    /// ring on every miss only adds cache traffic; when work is scarce a
-    /// short probe fails fast into the exhaustive pre-park sweep.
-    pub fn steal_budget(&mut self, shape: &BatchShape) -> usize {
-        let others = shape.workers.saturating_sub(1).max(STEAL_BUDGET_MIN);
-        let log2 = (usize::BITS - shape.workers.max(1).leading_zeros()) as usize;
+    /// Law: the ceiling of log2(`workers`), the batch's worker count,
+    /// clamped to `[STEAL_BUDGET_MIN, workers - 1]`. Probing the full ring
+    /// on every miss only adds cache traffic where work is dense, and where
+    /// it is scarce a short probe fails fast into the exhaustive pre-park
+    /// sweep.
+    pub fn steal_budget(&mut self, workers: usize) -> usize {
+        let others = workers.saturating_sub(1).max(STEAL_BUDGET_MIN);
+        let log2 = (usize::BITS - workers.max(1).leading_zeros()) as usize;
         let b = log2.clamp(STEAL_BUDGET_MIN, others);
         self.log.record(Knob::StealBudget, b as u64);
         b
@@ -265,29 +251,11 @@ mod tests {
     #[test]
     fn steal_budget_is_logarithmic_and_capped() {
         let mut c = Controller::new();
-        assert_eq!(
-            c.steal_budget(&BatchShape {
-                tasks: 100,
-                workers: 2,
-                enabled0: 10
-            }),
-            1
-        );
-        let b16 = c.steal_budget(&BatchShape {
-            tasks: 100,
-            workers: 16,
-            enabled0: 10,
-        });
+        assert_eq!(c.steal_budget(2), 1);
+        let b16 = c.steal_budget(16);
         assert!((2..=15).contains(&b16), "budget {b16}");
         // Single worker: degenerate, still in range.
-        assert_eq!(
-            c.steal_budget(&BatchShape {
-                tasks: 100,
-                workers: 1,
-                enabled0: 10
-            }),
-            1
-        );
+        assert_eq!(c.steal_budget(1), 1);
         assert!(c.log.check_ranges().is_ok());
     }
 

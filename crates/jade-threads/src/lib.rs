@@ -54,7 +54,7 @@ pub mod service;
 
 use deque::TaskQueue;
 pub use dsim::FaultPlan;
-use jade_core::tune::{BatchShape, Controller, TuneLog};
+use jade_core::tune::{Controller, TuneLog};
 use jade_core::{
     AccessSpec, DepGraph, Event, EventKind, EventSink, JadeRuntime, Locality, NullSink, ObjectId,
     ProcId, Sink, SnapshotSize, Store, TaskBody, TaskCtx, TaskDef, TaskId,
@@ -377,13 +377,11 @@ impl ThreadRuntime {
 
     /// Enable the self-tuning feedback controller (DESIGN.md §19) for
     /// subsequent batches: the steal sweep budget is decided per batch from
-    /// its deterministic shape (task count, worker count, initial
-    /// parallelism width) instead of sweeping every other worker.
-    /// Decisions are pure functions of
-    /// the batch shape — no wall-clock, no interleaving-dependent counter
-    /// — so controller-on runs stay bit-identical across repeats and
-    /// produce the same results as controller-off runs. Every decision is
-    /// recorded in [`tune_log`](Self::tune_log).
+    /// the worker count instead of sweeping every other worker. Decisions
+    /// are pure functions of it — no wall-clock, no interleaving-dependent
+    /// counter — so controller-on runs stay bit-identical across repeats
+    /// and produce the same results as controller-off runs. Every decision
+    /// is recorded in [`tune_log`](Self::tune_log).
     pub fn enable_tuning(&mut self) {
         if self.tune.is_none() {
             self.tune = Some(Controller::new());
@@ -613,7 +611,7 @@ struct Sharded<'a, S> {
     /// they record events, in a checkpointing one they keep its state.
     locked: bool,
     /// Registered-but-not-completed tasks; 0 means the batch is drained.
-    live: AtomicUsize,
+    live: AtomicU32,
     /// Bumped on every push; parked workers re-check it before sleeping,
     /// which closes the push/park race (see `park`).
     epoch: AtomicU64,
@@ -665,6 +663,21 @@ impl<'a, S: Sink> Sharded<'a, S> {
             .map(home)
             .unwrap_or(jade_core::MAIN_PROC)
             % self.workers
+    }
+
+    /// Take one from `counter`, returning what it held. With one worker, the
+    /// only thread touching the counters, a plain load and store; otherwise
+    /// a SeqCst read-modify-write, which publishes the caller's writes to
+    /// the worker that takes the count to zero (before it queues the task
+    /// the count guards) and orders `live` against `park`'s re-check.
+    fn take_one(&self, counter: &AtomicU32) -> u32 {
+        if self.workers == 1 {
+            let held = counter.load(Ordering::Relaxed);
+            counter.store(held - 1, Ordering::Relaxed);
+            held
+        } else {
+            counter.fetch_sub(1, Ordering::SeqCst)
+        }
     }
 
     /// Lock the batch state, counting the acquisition
@@ -811,14 +824,11 @@ impl<'a, S: Sink> Sharded<'a, S> {
         self.wake_all();
     }
 
-    /// Count down what task `local` gives up — on completion (`release`
-    /// `None`) every declaration it has not released, on a mid-task release
-    /// the one declaration `release` names — and dispatch the tasks that
-    /// enables in one push burst (DESIGN.md §13.3). Nothing is buffered,
-    /// so no successor ever waits on a flush. Untraced batches without
-    /// checkpoints take no lock; the others count down under `state`, so
-    /// that the events and the checkpoint state follow the countdown's
-    /// order.
+    /// Count down what task `local` gives up — on completion every
+    /// declaration it has not released, else the one `release` names — and
+    /// dispatch what that enables in one push burst (DESIGN.md §13.3).
+    /// Traced and checkpointing batches do it under `state`, so that events
+    /// and checkpoint state follow the countdown's order.
     fn settle(&self, w: usize, local: usize, release: Option<Release>, ws: &WorkerScratch) {
         let slot = &self.slots[local];
         let released = ws.released.borrow();
@@ -829,10 +839,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
         let node = TaskId(local as u32);
         let mut count_down = |row: &[TaskId]| {
             for &s in row {
-                // Release publishes this task's writes to the successor;
-                // acquire makes the worker that takes a count to zero see
-                // every predecessor's, before it queues the successor.
-                let before = self.left[s.index()].fetch_sub(1, Ordering::AcqRel);
+                let before = self.take_one(&self.left[s.index()]);
                 debug_assert_ne!(before, 0, "{s:?} counted down past zero");
                 if before == 1 {
                     newly.push(s);
@@ -846,7 +853,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 .filter(|decl| !released.contains(decl))
                 .for_each(|decl| count_down(self.graph.decl_successors(node, decl))),
         }
-        let drained = release.is_none() && self.live.fetch_sub(1, Ordering::SeqCst) == 1;
+        let drained = release.is_none() && self.take_one(&self.live) == 1;
         if let Some(st) = guard.as_deref_mut() {
             let (t, id) = (st.tick(), self.id(local));
             match release {
@@ -1114,15 +1121,11 @@ impl ThreadRuntime {
                 enabled0.push(i);
             }
         }
-        // Controller-on batches decide the steal budget from the batch
-        // shape — fixed here, before any worker runs, so the decision (and
+        // Controller-on batches decide the steal budget from the worker
+        // count — fixed here, before any worker runs, so the decision (and
         // its log) is deterministic.
         let steal_budget = match self.tune.as_mut() {
-            Some(ctl) => ctl.steal_budget(&BatchShape {
-                tasks: n,
-                workers,
-                enabled0: enabled0.len(),
-            }),
+            Some(ctl) => ctl.steal_budget(workers),
             None => workers.saturating_sub(1).max(1),
         };
         let sh = Sharded {
@@ -1132,7 +1135,7 @@ impl ThreadRuntime {
             left,
             state: Mutex::new(state),
             locked: S::ACTIVE || self.ckpt_every.is_some(),
-            live: AtomicUsize::new(n),
+            live: AtomicU32::new(n as u32),
             epoch: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
             idle: Mutex::new(()),
@@ -2420,7 +2423,7 @@ mod tests {
                 checkpoints: 0,
             }),
             locked: false,
-            live: AtomicUsize::new(2),
+            live: AtomicU32::new(2),
             epoch: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
             idle: Mutex::new(()),

@@ -31,7 +31,7 @@
 //!    inline), a fourth declaration adds the spill and nothing more;
 //! 7. a warmed `ThreadRuntime` hands back exactly one block per task over
 //!    `submit` + `finish` — the closure, dropped by the worker that ran it
-//!    (the slot slab, the queues and the synchronizer window are recycled,
+//!    (the slot slab, the queues and the dependence graph are recycled,
 //!    and there is no per-task specification block left to free);
 //! 8. one DASH simulation allocates per run, not per task: at most one
 //!    allocation per four simulated tasks on either scheduler, with and
@@ -113,7 +113,7 @@ const STRESS_OBJECTS: usize = 16;
 
 /// One differential measurement: allocations during `finish()` for a
 /// batch of `2n` minus a batch of `n` tasks, after warming the runtime's
-/// arena and synchronizer window at the larger size. At equilibrium the
+/// arena and its dependence graph at the larger size. At equilibrium the
 /// difference is exactly zero — every per-task allocation would show up
 /// `n` times over.
 fn steady_state_alloc_delta(rt: &mut ThreadRuntime, counters: &[jade_core::Handle<u64>]) -> u64 {
