@@ -96,8 +96,10 @@ fn dependence_graphs() {
         .map(|t| t.spec.len())
         .sum();
     // Per task a predecessor count, a row offset and a declaration
-    // offset, per declaration a sub-row offset, and 4 bytes an edge.
-    let bytes = 12 * tasks + 4 * (decls + edges + 3 * graphs.len());
+    // offset, per declaration a sub-row offset, 4 bytes an edge, and per
+    // object the last writer and newest read the build keeps.
+    let objects: usize = graphs.iter().map(|g| g.objects()).sum();
+    let bytes = 12 * tasks + 4 * (decls + edges + 3 * graphs.len()) + 8 * objects;
     println!(
         "{:>32}  {tasks} tasks, {:.2} edges and {:.2} declarations a task, {:.1} bytes a task",
         "depgraph/paper_traces",

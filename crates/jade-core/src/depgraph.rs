@@ -11,7 +11,6 @@ use crate::events::{EventKind, Sink};
 use crate::ids::{ObjectId, ProcId, TaskId};
 use crate::trace::Trace;
 use std::borrow::Cow;
-use std::ops::Range;
 
 const NONE: u32 = u32::MAX;
 
@@ -99,9 +98,13 @@ impl Walk {
 impl DepGraph {
     /// The graph of the valid `trace` under `replication`.
     /// [`Trace::dep_graph`] keeps it.
+    /// A kept graph is never rebuilt, so it drops the per-declaration
+    /// build scratch and keeps the per-object tables `objects` reads.
     pub fn build(trace: &Trace, replication: bool) -> DepGraph {
         let mut graph = DepGraph::default();
         graph.rebuild(trace.tasks.iter().map(|t| &t.spec), replication);
+        graph.walk.decls = Vec::new();
+        graph.walk.chain = Vec::new();
         graph
     }
 
@@ -171,35 +174,33 @@ impl DepGraph {
         self.walk.writer.len()
     }
 
-    /// `id`'s declarations, numbered across the graph.
-    fn decls_of(&self, id: TaskId) -> Range<usize> {
-        self.decls[id.index()] as usize..self.decls[id.index() + 1] as usize
-    }
-
-    /// Where the row of task `id` lies in `succ`.
+    /// Call `count_down` on each slice of successors task `id` counts down
+    /// when it releases its declaration `release` (by position in its
+    /// specification): that declaration's sub-row. Or when it completes
+    /// (`None`): its whole row in one slice if `released` is empty, as it
+    /// is when the task released nothing, else the sub-row of every
+    /// declaration `released` does not flag, one flag per declaration, in
+    /// declaration order. So each edge is counted down once.
     #[inline]
-    fn task_row(&self, id: TaskId) -> Range<usize> {
-        self.rows[id.index()] as usize..self.rows[id.index() + 1] as usize
-    }
-
-    /// Where the sub-row of declaration `k` lies in `succ`.
-    #[inline]
-    fn sub_row(&self, k: usize) -> Range<usize> {
-        self.subs[k] as usize..self.subs[k + 1] as usize
-    }
-
-    /// The tasks `id`'s completion counts down, once per edge: its
-    /// sub-rows, in declaration order.
-    #[inline]
-    pub fn successors(&self, id: TaskId) -> &[TaskId] {
-        &self.succ[self.task_row(id)]
-    }
-
-    /// The sub-row of `id`'s declaration `decl` (its position in the
-    /// task's specification): the tasks that wait through it.
-    #[inline]
-    pub fn decl_successors(&self, id: TaskId, decl: usize) -> &[TaskId] {
-        &self.succ[self.sub_row(self.decls[id.index()] as usize + decl)]
+    pub fn give_up(
+        &self,
+        id: TaskId,
+        release: Option<usize>,
+        released: &[bool],
+        mut count_down: impl FnMut(&[TaskId]),
+    ) {
+        let i = id.index();
+        let sub_row = |k: usize| &self.succ[self.subs[k] as usize..self.subs[k + 1] as usize];
+        match release {
+            Some(decl) => count_down(sub_row(self.decls[i] as usize + decl)),
+            None if released.is_empty() => {
+                count_down(&self.succ[self.rows[i] as usize..self.rows[i + 1] as usize])
+            }
+            None => (self.decls[i] as usize..)
+                .zip(released)
+                .filter(|(_, &released)| !released)
+                .for_each(|(k, _)| count_down(sub_row(k))),
+        }
     }
 }
 
@@ -260,16 +261,42 @@ impl<'g> Countdown<'g> {
         enabled
     }
 
-    /// Count down `successors`; the registered tasks that enables go to
-    /// `newly_enabled`.
-    #[inline]
-    fn count_down(&mut self, successors: Range<usize>, newly_enabled: &mut Vec<TaskId>) {
-        for &s in &self.graph.succ[successors] {
-            let left = &mut self.left[s.index()];
-            *left -= 1;
-            if *left == 0 && s.index() < self.created {
-                newly_enabled.push(s);
+    /// Count down what `id` gives up, its declaration `release` (at
+    /// `object`) or, at completion, all it still holds; the registered
+    /// tasks that enables go to `newly_enabled`. Records `AccessReleased`
+    /// or `TaskCompleted`, then `TaskEnabled` for each of them.
+    fn give_up<S: Sink>(
+        &mut self,
+        id: TaskId,
+        release: Option<(usize, ObjectId)>,
+        newly_enabled: &mut Vec<TaskId>,
+        events: &mut S,
+        time_ps: u64,
+        proc: ProcId,
+    ) {
+        let graph = &*self.graph;
+        let released = if self.released.is_empty() {
+            &[][..]
+        } else {
+            &self.released[graph.decls[id.index()] as usize..graph.decls[id.index() + 1] as usize]
+        };
+        let (left, created, before) = (&mut self.left, self.created, newly_enabled.len());
+        graph.give_up(id, release.map(|r| r.0), released, |row| {
+            for &s in row {
+                left[s.index()] -= 1;
+                if left[s.index()] == 0 && s.index() < created {
+                    newly_enabled.push(s);
+                }
             }
+        });
+        match release {
+            Some((_, object)) => {
+                events.emit_obj(time_ps, proc, EventKind::AccessReleased, Some(id), object)
+            }
+            None => events.emit_task(time_ps, proc, EventKind::TaskCompleted, id),
+        }
+        for &t in &newly_enabled[before..] {
+            events.emit_task(time_ps, proc, EventKind::TaskEnabled, t);
         }
     }
 
@@ -290,20 +317,7 @@ impl<'g> Countdown<'g> {
             "task {id:?} completed while not enabled"
         );
         self.completed += 1;
-        let before = newly_enabled.len();
-        if self.released.is_empty() {
-            self.count_down(self.graph.task_row(id), newly_enabled);
-        } else {
-            for k in self.graph.decls_of(id) {
-                if !self.released[k] {
-                    self.count_down(self.graph.sub_row(k), newly_enabled);
-                }
-            }
-        }
-        events.emit_task(time_ps, proc, EventKind::TaskCompleted, id);
-        for &t in &newly_enabled[before..] {
-            events.emit_task(time_ps, proc, EventKind::TaskEnabled, t);
-        }
+        self.give_up(id, None, newly_enabled, events, time_ps, proc);
     }
 
     /// Release the running task `id`'s declaration `decl` (its position in
@@ -328,12 +342,14 @@ impl<'g> Countdown<'g> {
         }
         assert!(!self.released[k], "{id:?} released {object:?} twice");
         self.released[k] = true;
-        let before = newly_enabled.len();
-        self.count_down(self.graph.sub_row(k), newly_enabled);
-        events.emit_obj(time_ps, proc, EventKind::AccessReleased, Some(id), object);
-        for &t in &newly_enabled[before..] {
-            events.emit_task(time_ps, proc, EventKind::TaskEnabled, t);
-        }
+        self.give_up(
+            id,
+            Some((decl, object)),
+            newly_enabled,
+            events,
+            time_ps,
+            proc,
+        );
     }
 
     /// Number of registered tasks.
@@ -380,6 +396,20 @@ mod tests {
 
     const OBJECTS: u32 = 6;
 
+    /// The tasks `id`'s completion counts down, once per edge.
+    fn row(g: &DepGraph, id: TaskId) -> Vec<TaskId> {
+        let mut row = Vec::new();
+        g.give_up(id, None, &[], |s| row.extend_from_slice(s));
+        row
+    }
+
+    /// The tasks that wait through `id`'s declaration `decl`.
+    fn sub_row(g: &DepGraph, id: TaskId, decl: usize) -> Vec<TaskId> {
+        let mut row = Vec::new();
+        g.give_up(id, Some(decl), &[], |s| row.extend_from_slice(s));
+        row
+    }
+
     #[test]
     fn rows_follow_declaration_order_then_serial_order() {
         let mut w = AccessSpec::new();
@@ -393,14 +423,14 @@ mod tests {
         // Task 0's declaration on object 1 first: tasks 2, 3 and 4; then
         // object 0: tasks 1, 3 and 4. Tasks 3 and 4 wait through two.
         let ids = |v: &[u32]| v.iter().map(|&i| TaskId(i)).collect::<Vec<_>>();
-        assert_eq!(g.successors(TaskId(0)), ids(&[2, 3, 4, 1, 3, 4]));
+        assert_eq!(row(&g, TaskId(0)), ids(&[2, 3, 4, 1, 3, 4]));
         assert_eq!(g.preds, [0, 1, 1, 2, 2]);
         assert_eq!(g.edge_count(), 6);
         // Without replication each access waits for the one before it.
         let g = DepGraph::build(&trace, false);
-        assert_eq!(g.successors(TaskId(0)), ids(&[2, 1]));
-        assert_eq!(g.successors(TaskId(1)), ids(&[3]));
-        assert_eq!(g.successors(TaskId(3)), ids(&[4, 4]));
+        assert_eq!(row(&g, TaskId(0)), ids(&[2, 1]));
+        assert_eq!(row(&g, TaskId(1)), ids(&[3]));
+        assert_eq!(row(&g, TaskId(3)), ids(&[4, 4]));
         // The synchronizer grants in the same order.
         let mut sync = Synchronizer::new(true);
         for t in &trace.tasks {
@@ -424,8 +454,8 @@ mod tests {
         both.rd(o(1)).rd(o(0));
         let trace = trace_of(&[w, r0, r1, both]);
         let g = DepGraph::build(&trace, true);
-        assert_eq!(g.decl_successors(TaskId(0), 0), [TaskId(1), TaskId(3)]);
-        assert_eq!(g.decl_successors(TaskId(0), 1), [TaskId(2), TaskId(3)]);
+        assert_eq!(sub_row(&g, TaskId(0), 0), [TaskId(1), TaskId(3)]);
+        assert_eq!(sub_row(&g, TaskId(0), 1), [TaskId(2), TaskId(3)]);
         let mut deps = Countdown::new(Cow::Borrowed(&g));
         let mut events = EventSink::recording();
         for t in &trace.tasks {
@@ -453,10 +483,9 @@ mod tests {
                 let mut edges = 0;
                 for (i, s) in specs.iter().enumerate() {
                     let id = TaskId(i as u32);
-                    let joined: Vec<TaskId> = (0..s.len())
-                        .flat_map(|k| g.decl_successors(id, k).iter().copied())
-                        .collect();
-                    assert_eq!(joined, g.successors(id));
+                    let joined: Vec<TaskId> =
+                        (0..s.len()).flat_map(|k| sub_row(&g, id, k)).collect();
+                    assert_eq!(joined, row(&g, id));
                     edges += joined.len();
                 }
                 assert_eq!(edges, g.edge_count());
@@ -474,8 +503,11 @@ mod tests {
         w0.wr(o(0));
         let big = trace_of(&[w.clone(), r.clone(), r.clone(), w, r.clone()]);
         let small = trace_of(&[r.clone(), r, w0]);
-        let mut g = DepGraph::build(&big, true);
-        assert_eq!(g.objects(), 6);
+        let kept = DepGraph::build(&big, true);
+        assert_eq!(kept.walk.decls.capacity() + kept.walk.chain.capacity(), 0);
+        let mut g = DepGraph::default();
+        g.rebuild(big.tasks.iter().map(|t| &t.spec), true);
+        assert_eq!((&g, g.objects()), (&kept, 6));
         let grown = (
             g.succ.capacity(),
             g.rows.capacity(),
@@ -550,7 +582,7 @@ mod tests {
         rw.rd_wr(o(0));
         let trace = trace_of(&[w.clone(), r.clone(), r.clone(), rw, r, w]);
         let g = DepGraph::build(&trace, true);
-        let succ = |i: u32| g.successors(TaskId(i)).to_vec();
+        let succ = |i: u32| row(&g, TaskId(i));
         assert_eq!(succ(0), [TaskId(1), TaskId(2)]);
         assert_eq!((succ(1), succ(2)), (vec![TaskId(3)], vec![TaskId(3)]));
         assert_eq!(succ(3), [TaskId(4)]);
@@ -574,7 +606,7 @@ mod tests {
         let fresh = trace.dep_graph(true).unwrap();
         assert!(matches!(fresh, Cow::Owned(_)));
         assert_eq!(*fresh, DepGraph::build(&trace, true));
-        assert_eq!(fresh.successors(TaskId(0)), [TaskId(1)]);
+        assert_eq!(row(&fresh, TaskId(0)), [TaskId(1)]);
         // The other replication value has a slot of its own, filled now.
         assert!(kept_unreplicated(&trace));
         assert_eq!(

@@ -63,7 +63,7 @@ pub use service::{
     JadeService, Outcome, Program, ServiceConfig, ShedPolicy, SubmitError, TenantOptions,
     TenantReport,
 };
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -467,14 +467,16 @@ impl JadeRuntime for ThreadRuntime {
 // ---------------------------------------------------------------------------
 
 /// Per-worker mutable scratch handed to each worker thread by `&mut` and
-/// recycled across batches: the enable-burst vector a countdown fills and
-/// the declarations the running task has released. `RefCell` because the
-/// mid-task release hook (an `Fn`) must reach both; neither ever crosses
-/// threads.
+/// recycled across batches: the enable-burst vector a countdown fills, the
+/// running task's released flags (by declaration position; empty until
+/// its first release), and the worker's completions not yet taken off
+/// `live`. Cells because the mid-task release hook (an `Fn`) must reach
+/// them; none ever crosses threads.
 #[derive(Default)]
 pub(crate) struct WorkerScratch {
     newly: RefCell<Vec<TaskId>>,
-    released: RefCell<Vec<usize>>,
+    released: RefCell<Vec<bool>>,
+    done: Cell<u32>,
 }
 
 /// One submitted task, written once by `submit` and read in place until
@@ -514,8 +516,6 @@ pub(crate) struct SchedArena {
     left: Vec<AtomicU32>,
     /// Per-worker enable and release scratch.
     scratch: Vec<WorkerScratch>,
-    /// Batch-local indices of the initially-enabled tasks (setup scratch).
-    enabled0: Vec<usize>,
     /// How many times a slab had to allocate or grow. A second same-shape
     /// batch must leave this untouched (tested below); the
     /// equilibrium-allocation gate depends on it.
@@ -559,7 +559,6 @@ impl SchedArena {
             self.grows += 1;
             self.scratch.resize_with(workers, WorkerScratch::default);
         }
-        self.enabled0.clear();
         self.graph
             .rebuild(self.slots.iter().map(|slot| &slot.spec), true);
         self.left.clear();
@@ -575,9 +574,9 @@ struct SyncState<S> {
     clock: u64,
     /// The `JSNP` length a synchronizer's snapshot would have now.
     size: SnapshotSize,
-    /// Per task: completed (checkpointing batches only).
+    /// Per task: completed, and how many are (checkpointing batches only).
     completed: Vec<bool>,
-    since_ckpt: usize,
+    done: usize,
     /// The last capture: the completed set it recorded, and its size.
     last_ckpt: Option<(Vec<bool>, u64)>,
     checkpoints: usize,
@@ -610,7 +609,9 @@ struct Sharded<'a, S> {
     /// Whether completions and releases take `state`: in a traced batch
     /// they record events, in a checkpointing one they keep its state.
     locked: bool,
-    /// Registered-but-not-completed tasks; 0 means the batch is drained.
+    /// Registered tasks not yet completed, but for the completions each
+    /// worker holds back until it runs out of work; 0 means the batch is
+    /// drained.
     live: AtomicU32,
     /// Bumped on every push; parked workers re-check it before sleeping,
     /// which closes the push/park race (see `park`).
@@ -663,21 +664,6 @@ impl<'a, S: Sink> Sharded<'a, S> {
             .map(home)
             .unwrap_or(jade_core::MAIN_PROC)
             % self.workers
-    }
-
-    /// Take one from `counter`, returning what it held. With one worker, the
-    /// only thread touching the counters, a plain load and store; otherwise
-    /// a SeqCst read-modify-write, which publishes the caller's writes to
-    /// the worker that takes the count to zero (before it queues the task
-    /// the count guards) and orders `live` against `park`'s re-check.
-    fn take_one(&self, counter: &AtomicU32) -> u32 {
-        if self.workers == 1 {
-            let held = counter.load(Ordering::Relaxed);
-            counter.store(held - 1, Ordering::Relaxed);
-            held
-        } else {
-            counter.fetch_sub(1, Ordering::SeqCst)
-        }
     }
 
     /// Lock the batch state, counting the acquisition
@@ -835,25 +821,26 @@ impl<'a, S: Sink> Sharded<'a, S> {
         let mut newly = ws.newly.borrow_mut();
         newly.clear();
         let mut guard = self.locked.then(|| self.lock_state());
-        // The graph numbers tasks by slot.
-        let node = TaskId(local as u32);
-        let mut count_down = |row: &[TaskId]| {
-            for &s in row {
-                let before = self.take_one(&self.left[s.index()]);
-                debug_assert_ne!(before, 0, "{s:?} counted down past zero");
-                if before == 1 {
-                    newly.push(s);
+        // The graph numbers tasks by slot. A SeqCst decrement publishes
+        // this task's writes to the worker that takes a count to zero,
+        // before it queues the task the count guards.
+        self.graph.give_up(
+            TaskId(local as u32),
+            release.map(|r| r.0),
+            &released,
+            |row| {
+                for &s in row {
+                    let before = self.left[s.index()].fetch_sub(1, Ordering::SeqCst);
+                    debug_assert_ne!(before, 0, "{s:?} counted down past zero");
+                    if before == 1 {
+                        newly.push(s);
+                    }
                 }
-            }
-        };
-        match release {
-            Some((decl, _)) => count_down(self.graph.decl_successors(node, decl)),
-            None if released.is_empty() => count_down(self.graph.successors(node)),
-            None => (0..slot.spec.len())
-                .filter(|decl| !released.contains(decl))
-                .for_each(|decl| count_down(self.graph.decl_successors(node, decl))),
+            },
+        );
+        if release.is_none() {
+            ws.done.set(ws.done.get() + 1);
         }
-        let drained = release.is_none() && self.take_one(&self.live) == 1;
         if let Some(st) = guard.as_deref_mut() {
             let (t, id) = (st.tick(), self.id(local));
             match release {
@@ -867,11 +854,12 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 (st.events).emit_task(t, w, EventKind::TaskEnabled, self.id(s.index()));
             }
             if let (None, Some(every)) = (release, self.ckpt_every) {
-                st.size.complete(&slot.spec, released.len());
+                st.size
+                    .complete(&slot.spec, released.iter().filter(|&&r| r).count());
                 st.completed[local] = true;
-                st.since_ckpt += 1;
-                if st.since_ckpt >= every && !drained {
-                    st.since_ckpt = 0;
+                st.done += 1;
+                // The last completion drains the batch and takes none.
+                if st.done % every == 0 && st.done < self.slots.len() {
                     let bytes = st.size.encoded_len() as u64;
                     let t = st.tick();
                     st.events.emit(t, w, EventKind::CheckpointTaken { bytes });
@@ -882,9 +870,6 @@ impl<'a, S: Sink> Sharded<'a, S> {
         }
         drop(guard);
         self.dispatch_burst(&newly, w);
-        if drained {
-            self.wake_all();
-        }
     }
 
     /// Run one picked task. Returns `false` if the worker must exit (a
@@ -943,7 +928,10 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 let decls = slot.spec.decls();
                 let decl = (decls.iter().position(|d| d.object == obj))
                     .expect("a task releases only what it declared");
-                ws.released.borrow_mut().push(decl);
+                let mut released = ws.released.borrow_mut();
+                released.resize(decls.len(), false);
+                released[decl] = true;
+                drop(released);
                 self.settle(w, local, Some((decl, obj)), ws);
             };
             let ctx = TaskCtx::with_release_hook(self.store, id, slot.label, &slot.spec, &hook);
@@ -1037,8 +1025,9 @@ fn sharded_worker<S: Sink>(w: usize, sh: &Sharded<'_, S>, ws: &mut WorkerScratch
     let mut rng = XorShift64::new(w as u64 + 1);
     let mut stats = BatchStats::default();
     // `ws` holds the worker's enable and release scratch, recycled across
-    // batches.
+    // batches; an aborted batch may have left completions in it.
     let ws = &*ws;
+    ws.done.set(0);
     loop {
         if sh.live.load(Ordering::SeqCst) == 0 || sh.panicked.load(Ordering::SeqCst) {
             sh.wake_all();
@@ -1055,10 +1044,13 @@ fn sharded_worker<S: Sink>(w: usize, sh: &Sharded<'_, S>, ws: &mut WorkerScratch
             }
             None => {
                 // Out of work; every completion this worker made has
-                // already enabled its successors. Park only after an
-                // *exhaustive* steal sweep — a tuned budget shorter than
-                // the ring must never park past work sitting in an
-                // unprobed queue.
+                // already enabled its successors, and now counts in
+                // `live` too, before the worker could park (the one that
+                // takes `live` to zero finds it so and wakes the rest).
+                // Park only after an *exhaustive* steal sweep — a tuned
+                // budget shorter than the ring must never park past work
+                // sitting in an unprobed queue.
+                sh.live.fetch_sub(ws.done.take(), Ordering::SeqCst);
                 if sh.steal_budget + 1 < sh.workers {
                     match sh.try_pick(w, &mut rng, usize::MAX) {
                         Some((local, stolen)) => {
@@ -1088,7 +1080,7 @@ impl ThreadRuntime {
             clock: self.event_clock,
             size: SnapshotSize::default(),
             completed: Vec::new(),
-            since_ckpt: 0,
+            done: 0,
             last_ckpt: None,
             checkpoints: 0,
         };
@@ -1101,7 +1093,6 @@ impl ThreadRuntime {
             graph,
             left,
             scratch,
-            enabled0,
             ..
         } = &mut self.arena;
         if self.ckpt_every.is_some() {
@@ -1111,14 +1102,13 @@ impl ThreadRuntime {
             }
             state.completed.resize(n, false);
         }
-        // Register in serial program order; queue the initially-enabled.
+        // Register in serial program order.
         for (i, &preds) in graph.preds().iter().enumerate() {
             let t = state.tick();
             let id = TaskId((base + i) as u32);
             state.events.emit_task(t, 0, EventKind::TaskCreated, id);
             if preds == 0 {
                 state.events.emit_task(t, 0, EventKind::TaskEnabled, id);
-                enabled0.push(i);
             }
         }
         // Controller-on batches decide the steal budget from the worker
@@ -1153,7 +1143,7 @@ impl ThreadRuntime {
             prefetch: self.prefetch,
             prefetch_routes: AtomicUsize::new(0),
         };
-        for &local in enabled0.iter() {
+        for (local, _) in sh.graph.preds().iter().enumerate().filter(|p| *p.1 == 0) {
             sh.enqueue_dispatch(local, SETUP);
         }
         sh.announce();
@@ -2418,7 +2408,7 @@ mod tests {
                 clock: 0,
                 size: SnapshotSize::default(),
                 completed: Vec::new(),
-                since_ckpt: 0,
+                done: 0,
                 last_ckpt: None,
                 checkpoints: 0,
             }),
@@ -2446,7 +2436,10 @@ mod tests {
         std::thread::scope(|scope| {
             let sh = &sh;
             scope.spawn(move || {
-                sh.settle(0, 0, None, &WorkerScratch::default());
+                let ws = WorkerScratch::default();
+                sh.settle(0, 0, None, &ws);
+                assert_eq!(sh.live.load(Ordering::SeqCst), 2, "held back");
+                sh.live.fetch_sub(ws.done.take(), Ordering::SeqCst);
                 done.send(()).unwrap();
             });
             let waited = settled.recv_timeout(std::time::Duration::from_secs(10));
