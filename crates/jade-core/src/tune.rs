@@ -3,12 +3,10 @@
 //! Every backend reconstructs the paper's counters bit-for-bit from the
 //! event layer; this module is the consumer that closes the loop from
 //! *metrics* back to *policy*. A [`Controller`] turns deterministic
-//! observations (worker count, retired-version access width, measured
-//! virtual checkpoint capture cost, plan-derived failure horizons) into
-//! runtime knob settings:
+//! observations (retired-version access width, measured virtual checkpoint
+//! capture cost, plan-derived failure horizons, the count of tenants with
+//! ready work) into runtime knob settings:
 //!
-//! * the thread scheduler's **steal attempt budget** (how many victims a
-//!   failed own-pop sweeps before giving up the round);
 //! * the iPSC communicator's **adaptive-broadcast evidence margin** (extra
 //!   evidence demanded on top of the §3.4.2 drop-rate break-even before an
 //!   object flips into broadcast mode);
@@ -19,25 +17,19 @@
 //!   one tenant may take while other tenants hold ready work).
 //!
 //! **Determinism argument.** Every law below is a pure integer function of
-//! inputs that are themselves interleaving-independent: the worker count
-//! is fixed when `finish` is called, version-width counters are functions of
-//! the trace and the seeded fault plan, capture costs and horizons are
-//! *virtual* (simulated picoseconds), and the service's ready-tenant count
-//! is read under the core lock at pick time. No wall-clock reading ever
-//! enters a decision, so controller-on runs replay bit-identically and the
-//! existing determinism/fault/service batteries extend over them
-//! unchanged. The steal budget deserves one extra word: it changes *which
-//! worker* executes a task, never *whether* it executes — and the worker
-//! loop falls back to an exhaustive sweep before parking, so a bounded
-//! budget cannot park past existing work.
+//! inputs that are themselves interleaving-independent: version-width
+//! counters are functions of the trace and the seeded fault plan, capture
+//! costs and horizons are *virtual* (simulated picoseconds), and the
+//! service's ready-tenant count is read under the core lock at pick time.
+//! No wall-clock reading ever enters a decision, so controller-on runs
+//! replay bit-identically and the existing determinism/fault/service
+//! batteries extend over them unchanged.
 //!
 //! Each decision is recorded in a [`TuneLog`]; [`TuneLog::check_ranges`]
 //! asserts that every recorded value stayed inside its documented valid
-//! range (the proptest battery runs it over random DAGs × backends ×
-//! fault plans).
+//! range (the proptest battery runs it over random DAGs × fault plans on
+//! the iPSC simulator, and the service's skew gate on a tuned service).
 
-/// Smallest steal budget: always probe at least one victim.
-pub const STEAL_BUDGET_MIN: usize = 1;
 /// Largest extra evidence the controller will stack on top of the
 /// drop-rate break-even before an object may flip into broadcast mode.
 pub const EVIDENCE_MARGIN_MAX: u32 = 4;
@@ -55,8 +47,6 @@ pub const CREDIT_CAP_MAX: u32 = 8;
 /// Which runtime knob a [`Decision`] set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Knob {
-    /// Thread-scheduler steal sweep budget (victims per failed own-pop).
-    StealBudget,
     /// Extra adaptive-broadcast evidence demanded beyond the break-even.
     EvidenceMargin,
     /// iPSC checkpoint re-arm interval (simulated picoseconds).
@@ -69,9 +59,6 @@ impl Knob {
     /// The documented valid range for this knob, inclusive.
     pub fn range(self) -> (u64, u64) {
         match self {
-            // The budget is additionally capped at `workers - 1` by
-            // construction (it indexes the victim ring).
-            Knob::StealBudget => (STEAL_BUDGET_MIN as u64, u16::MAX as u64),
             Knob::EvidenceMargin => (0, EVIDENCE_MARGIN_MAX as u64),
             Knob::CheckpointIntervalPs => (CKPT_MIN_PS, CKPT_MAX_PS),
             Knob::CreditCap => (1, CREDIT_CAP_MAX as u64),
@@ -149,23 +136,6 @@ pub struct Controller {
 impl Controller {
     pub fn new() -> Controller {
         Controller::default()
-    }
-
-    /// Steal sweep budget: victims probed after a failed own-pop before
-    /// the round gives up (the pre-park sweep stays exhaustive — see the
-    /// module docs' liveness note).
-    ///
-    /// Law: the ceiling of log2(`workers`), the batch's worker count,
-    /// clamped to `[STEAL_BUDGET_MIN, workers - 1]`. Probing the full ring
-    /// on every miss only adds cache traffic where work is dense, and where
-    /// it is scarce a short probe fails fast into the exhaustive pre-park
-    /// sweep.
-    pub fn steal_budget(&mut self, workers: usize) -> usize {
-        let others = workers.saturating_sub(1).max(STEAL_BUDGET_MIN);
-        let log2 = (usize::BITS - workers.max(1).leading_zeros()) as usize;
-        let b = log2.clamp(STEAL_BUDGET_MIN, others);
-        self.log.record(Knob::StealBudget, b as u64);
-        b
     }
 
     /// Extra adaptive-broadcast evidence demanded beyond the §3.4.2
@@ -247,17 +217,6 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn steal_budget_is_logarithmic_and_capped() {
-        let mut c = Controller::new();
-        assert_eq!(c.steal_budget(2), 1);
-        let b16 = c.steal_budget(16);
-        assert!((2..=15).contains(&b16), "budget {b16}");
-        // Single worker: degenerate, still in range.
-        assert_eq!(c.steal_budget(1), 1);
-        assert!(c.log.check_ranges().is_ok());
-    }
 
     #[test]
     fn evidence_margin_tracks_width_statistics() {

@@ -54,7 +54,6 @@ pub mod service;
 
 use deque::TaskQueue;
 pub use dsim::FaultPlan;
-use jade_core::tune::{Controller, TuneLog};
 use jade_core::{
     AccessSpec, DepGraph, Event, EventKind, EventSink, JadeRuntime, Locality, NullSink, ObjectId,
     ProcId, Sink, SnapshotSize, Store, TaskBody, TaskCtx, TaskDef, TaskId,
@@ -132,10 +131,6 @@ pub struct BatchStats {
     /// Zero for an untraced batch without checkpoints, which completes
     /// tasks by atomic countdown alone; at least one per task traced.
     pub sync_locks: usize,
-    /// Tasks whose write ownership was pre-published to the locality table
-    /// at dispatch time (see [`ThreadRuntime::enable_prefetch`]); `0`
-    /// unless prefetch routing is enabled.
-    pub prefetch_routes: usize,
 }
 
 impl BatchStats {
@@ -147,7 +142,6 @@ impl BatchStats {
         self.checkpoints += other.checkpoints;
         self.checkpoint_restores += other.checkpoint_restores;
         self.sync_locks += other.sync_locks;
-        self.prefetch_routes += other.prefetch_routes;
     }
 }
 
@@ -179,7 +173,7 @@ impl XorShift64 {
 /// persists across batches — phase `i+1` tasks land where phase `i` wrote
 /// their data.
 #[derive(Debug, Default)]
-pub(crate) struct OwnerTable {
+struct OwnerTable {
     slots: Vec<AtomicU64>,
     stamp: AtomicU64,
 }
@@ -187,26 +181,16 @@ pub(crate) struct OwnerTable {
 impl OwnerTable {
     /// Grow to cover `n` objects (called between batches, never racing
     /// workers).
-    pub(crate) fn ensure(&mut self, n: usize) {
+    fn ensure(&mut self, n: usize) {
         while self.slots.len() < n {
             self.slots.push(AtomicU64::new(0));
         }
     }
 
-    /// Forget every recorded write, keeping the slots: the table of a
-    /// retired service tenant must not route (or report locality for) the
-    /// next tenant that reuses it.
-    pub(crate) fn reset(&mut self) {
-        for slot in &mut self.slots {
-            *slot.get_mut() = 0;
-        }
-        *self.stamp.get_mut() = 0;
-    }
-
     /// Record that worker `w` wrote `o`. Relaxed is enough: the table is a
     /// heuristic — a stale read changes *where* a task runs, never whether
     /// it runs correctly.
-    pub(crate) fn record(&self, o: ObjectId, w: usize) {
+    fn record(&self, o: ObjectId, w: usize) {
         if let Some(slot) = self.slots.get(o.index()) {
             let stamp = self.stamp.fetch_add(1, Ordering::Relaxed) + 1;
             slot.store((stamp << 16) | (w as u64 & 0xFFFF), Ordering::Relaxed);
@@ -223,7 +207,7 @@ impl OwnerTable {
     /// writer among this task's own written declarations — ownership
     /// transfer — and fall back to any declaration only when the task
     /// writes nothing previously written.
-    pub(crate) fn latest_writer(&self, spec: &AccessSpec) -> Option<usize> {
+    fn latest_writer(&self, spec: &AccessSpec) -> Option<usize> {
         let mut best_written = 0u64;
         let mut best_any = 0u64;
         for d in spec.decls() {
@@ -266,12 +250,6 @@ pub struct ThreadRuntime {
     faults: Option<FaultPlan>,
     /// Checkpoint interval in completed tasks; `None` disables capture.
     ckpt_every: Option<usize>,
-    /// Prefetch routing (split-phase locality): pre-publish each task's
-    /// write ownership when it is *queued*, not when it completes.
-    prefetch: bool,
-    /// Self-tuning feedback controller (DESIGN.md §19); `None` (the
-    /// default) keeps the exhaustive steal sweep.
-    tune: Option<Controller>,
     /// Dynamic locality: which worker last wrote each object.
     owners: OwnerTable,
     /// Recycled scheduling storage (queues, task slots, dependence graph):
@@ -294,8 +272,6 @@ impl ThreadRuntime {
             event_clock: 0,
             faults: None,
             ckpt_every: None,
-            prefetch: false,
-            tune: None,
             owners: OwnerTable::default(),
             arena: SchedArena::default(),
         }
@@ -373,38 +349,6 @@ impl ThreadRuntime {
         }
         self.faults = Some(plan);
         Ok(())
-    }
-
-    /// Enable the self-tuning feedback controller (DESIGN.md §19) for
-    /// subsequent batches: the steal sweep budget is decided per batch from
-    /// the worker count instead of sweeping every other worker. Decisions
-    /// are pure functions of it — no wall-clock, no interleaving-dependent
-    /// counter — so controller-on runs stay bit-identical across repeats
-    /// and produce the same results as controller-off runs. Every decision
-    /// is recorded in [`tune_log`](Self::tune_log).
-    pub fn enable_tuning(&mut self) {
-        if self.tune.is_none() {
-            self.tune = Some(Controller::new());
-        }
-    }
-
-    /// The decision log of the feedback controller, if tuning is enabled
-    /// ([`enable_tuning`](Self::enable_tuning)).
-    pub fn tune_log(&self) -> Option<&TuneLog> {
-        self.tune.as_ref().map(|c| &c.log)
-    }
-
-    /// Enable prefetch routing: when a task is pushed onto a worker's
-    /// queue, its *write* ownership is published to the locality table
-    /// immediately — the split-phase analogue of the simulators'
-    /// enable-time prefetch. Successors that become enabled
-    /// while the writer is still queued already route to its worker instead
-    /// of falling back to declared homes; the completion-time record then
-    /// confirms (or, after a steal, corrects) the hint. A pure routing
-    /// heuristic: results and the dependence order are unaffected.
-    /// Counted per routed task in [`BatchStats::prefetch_routes`].
-    pub fn enable_prefetch(&mut self) {
-        self.prefetch = true;
     }
 
     /// Capture a checkpoint every `every` completed tasks in
@@ -629,16 +573,8 @@ struct Sharded<'a, S> {
     store: &'a Store,
     base: usize,
     workers: usize,
-    /// Victims a failed own-pop probes before giving up the round. The
-    /// pre-park sweep stays exhaustive, so a bounded budget affects only
-    /// how fast an idle worker reaches the park decision, never liveness.
-    steal_budget: usize,
     /// Acquisitions of `state` by workers ([`BatchStats::sync_locks`]).
     sync_locks: AtomicUsize,
-    /// Prefetch routing ([`ThreadRuntime::enable_prefetch`]).
-    prefetch: bool,
-    /// Tasks whose write ownership was pre-published at dispatch.
-    prefetch_routes: AtomicUsize,
 }
 
 impl<'a, S: Sink> Sharded<'a, S> {
@@ -684,12 +620,6 @@ impl<'a, S: Sink> Sharded<'a, S> {
 
     /// Publish previously enqueued work: one epoch bump, one sleeper check.
     fn announce(&self) {
-        // Single worker: the only worker is the one pushing (setup pushes
-        // happen before it spawns), so there is never a sleeper to wake —
-        // it re-scans its own queue before it could possibly park.
-        if self.workers == 1 {
-            return;
-        }
         // SeqCst orders this bump against parkers' sleeper registration:
         // either the parker re-checks and sees the new epoch, or we see
         // `sleepers > 0` and notify under the idle lock. The bump happens
@@ -711,29 +641,8 @@ impl<'a, S: Sink> Sharded<'a, S> {
     /// Queue `local` on the worker the locality heuristic targets, without
     /// announcing (burst building block).
     fn enqueue_dispatch(&self, local: usize, pusher: usize) {
-        // Single worker, no prefetch: every target is 0 (what `submit`
-        // wrote into the slot), so skip the heuristic.
-        if self.workers == 1 && !self.prefetch {
-            self.queues[0].push(local, true);
-            return;
-        }
         let slot = &self.slots[local];
         let target = self.target_of(slot);
-        // Prefetch routing: publish write ownership at queue time, so
-        // successors enabled while this task is still waiting in the
-        // deque already route toward its worker. Completion republishes
-        // with the worker that actually ran it (a steal corrects the
-        // hint), and the table stays a pure heuristic either way.
-        if self.prefetch {
-            let mut routed = false;
-            for o in slot.spec.written_objects() {
-                self.owners.record(o, target);
-                routed = true;
-            }
-            if routed {
-                self.prefetch_routes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         slot.target.store(target, Ordering::Relaxed);
         self.enqueue(target, local, pusher);
     }
@@ -754,17 +663,16 @@ impl<'a, S: Sink> Sharded<'a, S> {
     /// Pop own queue (newest first), else steal from a random victim
     /// (oldest first). The pop order is a scheduling freedom — only enabled
     /// tasks are ever queued.
-    fn try_pick(&self, w: usize, rng: &mut XorShift64, budget: usize) -> Option<(usize, bool)> {
+    fn try_pick(&self, w: usize, rng: &mut XorShift64) -> Option<(usize, bool)> {
         let own = &self.queues[w];
         if let Some(local) = (!own.is_empty_hint()).then(|| own.pop()).flatten() {
             return Some((local, false));
         }
         // Randomized steal: random first victim among the *other* workers,
-        // then the rest of the ring up to `budget` victims — no queue is
-        // ever structurally unreachable (see `steal_order`; the pre-park
-        // sweep in `sharded_worker` always runs unbudgeted).
+        // then the rest of the ring — every other queue is probed once (see
+        // `steal_order`), so a worker parks only after an exhaustive sweep.
         if self.workers > 1 {
-            for v in steal_order(w, self.workers, rng.next()).take(budget) {
+            for v in steal_order(w, self.workers, rng.next()) {
                 let q = &self.queues[v];
                 if q.is_empty_hint() {
                     continue;
@@ -944,7 +852,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 // so the heuristic routes them to this worker. With a
                 // single worker the table cannot change any routing
                 // decision (every target is 0), so skip the stamping.
-                if self.workers > 1 || self.prefetch {
+                if self.workers > 1 {
                     for o in slot.spec.written_objects() {
                         self.owners.record(o, w);
                     }
@@ -1036,7 +944,7 @@ fn sharded_worker<S: Sink>(w: usize, sh: &Sharded<'_, S>, ws: &mut WorkerScratch
         // Epoch read precedes the scan: any push racing the scan either
         // lands in it or changes the epoch and defeats the park below.
         let epoch = sh.epoch.load(Ordering::SeqCst);
-        match sh.try_pick(w, &mut rng, sh.steal_budget) {
+        match sh.try_pick(w, &mut rng) {
             Some((local, stolen)) => {
                 if !sh.execute(w, local, stolen, &mut stats, ws) {
                     return stats;
@@ -1047,22 +955,8 @@ fn sharded_worker<S: Sink>(w: usize, sh: &Sharded<'_, S>, ws: &mut WorkerScratch
                 // already enabled its successors, and now counts in
                 // `live` too, before the worker could park (the one that
                 // takes `live` to zero finds it so and wakes the rest).
-                // Park only after an *exhaustive* steal sweep — a tuned
-                // budget shorter than the ring must never park past work
-                // sitting in an unprobed queue.
                 sh.live.fetch_sub(ws.done.take(), Ordering::SeqCst);
-                if sh.steal_budget + 1 < sh.workers {
-                    match sh.try_pick(w, &mut rng, usize::MAX) {
-                        Some((local, stolen)) => {
-                            if !sh.execute(w, local, stolen, &mut stats, ws) {
-                                return stats;
-                            }
-                        }
-                        None => sh.park(epoch),
-                    }
-                } else {
-                    sh.park(epoch);
-                }
+                sh.park(epoch);
             }
         }
     }
@@ -1111,13 +1005,6 @@ impl ThreadRuntime {
                 state.events.emit_task(t, 0, EventKind::TaskEnabled, id);
             }
         }
-        // Controller-on batches decide the steal budget from the worker
-        // count — fixed here, before any worker runs, so the decision (and
-        // its log) is deterministic.
-        let steal_budget = match self.tune.as_mut() {
-            Some(ctl) => ctl.steal_budget(workers),
-            None => workers.saturating_sub(1).max(1),
-        };
         let sh = Sharded {
             queues: &queues[..workers],
             slots,
@@ -1138,10 +1025,7 @@ impl ThreadRuntime {
             store: &self.store,
             base,
             workers,
-            steal_budget,
             sync_locks: AtomicUsize::new(0),
-            prefetch: self.prefetch,
-            prefetch_routes: AtomicUsize::new(0),
         };
         for (local, _) in sh.graph.preds().iter().enumerate().filter(|p| *p.1 == 0) {
             sh.enqueue_dispatch(local, SETUP);
@@ -1171,7 +1055,6 @@ impl ThreadRuntime {
             live,
             panic,
             sync_locks,
-            prefetch_routes,
             ..
         } = sh;
         // Every executed body went with its worker; what an aborted batch
@@ -1182,7 +1065,6 @@ impl ThreadRuntime {
         self.events.extend(st.events.into_events());
         merged.checkpoints = st.checkpoints;
         merged.sync_locks = sync_locks.into_inner();
-        merged.prefetch_routes = prefetch_routes.into_inner();
         self.last_stats = merged;
         self.total_stats.absorb(&merged);
         if let Some(p) = panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
@@ -1397,62 +1279,6 @@ mod tests {
         let mut far = jade_core::AccessSpec::new();
         far.rd(ObjectId(99));
         assert_eq!(t.latest_writer(&far), None);
-    }
-
-    #[test]
-    fn prefetch_routing_prepublishes_ownership() {
-        // With prefetch routing on, every writing task's ownership hint is
-        // published at queue time; results and the scheduling invariants
-        // are unchanged — it is a pure routing heuristic.
-        let mut rt = ThreadRuntime::new(4);
-        rt.enable_prefetch();
-        let objs: Vec<_> = (0..8)
-            .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
-            .collect();
-        for (i, &o) in objs.iter().enumerate() {
-            rt.submit(TaskBuilder::new("w").wr(o).body(move |ctx| {
-                *ctx.wr(o) = i as u64 + 1;
-            }));
-        }
-        rt.finish();
-        for (i, &o) in objs.iter().enumerate() {
-            assert_eq!(*rt.store().read(o), i as u64 + 1);
-        }
-        let s = rt.last_stats();
-        assert_eq!(s.executed, 8);
-        assert_eq!(s.prefetch_routes, 8, "every writer is prefetch-routed");
-        assert_eq!(s.locality_hits + s.steals, 8);
-
-        // Default-off: an identical runtime without the flag reports zero.
-        let mut off = ThreadRuntime::new(4);
-        let o = off.create("x", 8, 0u64);
-        off.submit(TaskBuilder::new("w").wr(o).body(move |ctx| *ctx.wr(o) = 1));
-        off.finish();
-        assert_eq!(off.last_stats().prefetch_routes, 0);
-    }
-
-    #[test]
-    fn prefetch_routing_chains_successors_to_the_writer() {
-        // A producer→consumer chain submitted in one batch: the consumer is
-        // enabled at the producer's completion, *after* the pre-published
-        // (and completion-confirmed) ownership, so it targets the producer's
-        // worker. The chain's results are exact either way.
-        let mut rt = ThreadRuntime::new(4);
-        rt.enable_prefetch();
-        let x = rt.create("x", 8, 0u64);
-        let y = rt.create("y", 8, 0u64);
-        rt.submit(TaskBuilder::new("produce").wr(x).body(move |ctx| {
-            *ctx.wr(x) = 5;
-        }));
-        rt.submit(TaskBuilder::new("consume").rd(x).wr(y).body(move |ctx| {
-            *ctx.wr(y) = *ctx.rd(x) * 2;
-        }));
-        rt.finish();
-        assert_eq!(*rt.store().read(y), 10);
-        let s = rt.last_stats();
-        assert_eq!(s.executed, 2);
-        assert_eq!(s.prefetch_routes, 2, "both tasks write and get routed");
-        assert_eq!(s.locality_hits + s.steals, 2);
     }
 
     #[test]
@@ -1910,69 +1736,6 @@ mod tests {
         assert!(rt.faults.is_none() && rt.ckpt_every.is_none());
     }
 
-    #[test]
-    fn tuned_runs_are_deterministic_and_match_untuned_results() {
-        let run = |tuned: bool| {
-            let mut rt = ThreadRuntime::new(4);
-            if tuned {
-                rt.enable_tuning();
-            }
-            let outs: Vec<_> = (0..48)
-                .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
-                .collect();
-            let acc = rt.create("acc", 8, 0u64);
-            for (i, &o) in outs.iter().enumerate() {
-                rt.submit(TaskBuilder::new("w").wr(o).body(move |ctx| {
-                    *ctx.wr(o) = (i as u64 + 1) * 7;
-                }));
-            }
-            for &o in &outs {
-                rt.submit(TaskBuilder::new("fold").rd(o).rd_wr(acc).body(move |ctx| {
-                    *ctx.wr(acc) += *ctx.rd(o);
-                }));
-            }
-            rt.finish();
-            let values: Vec<u64> = outs
-                .iter()
-                .map(|&o| *rt.store().read(o))
-                .chain(std::iter::once(*rt.store().read(acc)))
-                .collect();
-            let log = rt.tune_log().cloned();
-            (values, log)
-        };
-        let (v_off, log_off) = run(false);
-        let (v_on_a, log_a) = run(true);
-        let (v_on_b, log_b) = run(true);
-        assert_eq!(v_on_a, v_off, "controller must not change results");
-        assert_eq!(v_on_a, v_on_b, "controller-on repeats bit-identical");
-        assert!(log_off.is_none());
-        assert_eq!(log_a, log_b, "decision logs identical across repeats");
-        let log = log_a.expect("tuned run records decisions");
-        assert!(!log.decisions.is_empty());
-        log.check_ranges().unwrap();
-    }
-
-    #[test]
-    fn tuned_steal_budget_preserves_work_conservation() {
-        // Many park/wake cycles with a bounded steal budget: the
-        // exhaustive pre-park sweep must keep every task reachable.
-        let mut rt = ThreadRuntime::new(8);
-        rt.enable_tuning();
-        let counters: Vec<_> = (0..16)
-            .map(|i| rt.create(&format!("c{i}"), 8, 0u64))
-            .collect();
-        for i in 0..2000 {
-            let c = counters[i % 16];
-            rt.submit(TaskBuilder::new("inc").rd_wr(c).body(move |ctx| {
-                *ctx.wr(c) += 1;
-            }));
-        }
-        rt.finish();
-        let total: u64 = counters.iter().map(|&c| *rt.store().read(c)).sum();
-        assert_eq!(total, 2000);
-        rt.tune_log().unwrap().check_ranges().unwrap();
-    }
-
     /// A little mixed workload, generic over the runtime: 24 independent
     /// writers, then an order-sensitive fold of every output into `acc`.
     /// Returns the final store values.
@@ -2004,27 +1767,20 @@ mod tests {
         // The one-worker contract: results equal the serial elaboration and
         // the run is deterministic — the same event stream every time, with
         // clean lifecycles. The stream is *not* program order (the worker
-        // pops its own queue newest-first), and it does not depend on the
-        // tuner: a tuned run records the same stream as an untuned one.
-        let run = |tuned: bool| {
+        // pops its own queue newest-first).
+        let run = || {
             let mut rt = ThreadRuntime::new(1);
             rt.enable_events();
-            if tuned {
-                rt.enable_tuning();
-            }
             let values = reference_workload(&mut rt);
             (values, rt.take_events())
         };
         let serial = reference_workload(&mut jade_core::TraceRuntime::new());
-        let (va, ea) = run(false);
-        let (vb, eb) = run(false);
-        let (vc, ec) = run(true);
+        let (va, ea) = run();
+        let (vb, eb) = run();
         assert_eq!(va, serial, "one worker must compute the serial result");
         assert_eq!(vb, va);
-        assert_eq!(vc, va, "tuning changed the one-worker result");
         jade_core::check_lifecycle(&ea).unwrap();
         assert_eq!(ea, eb, "one-worker event streams differ between runs");
-        assert_eq!(ea, ec, "tuning changed the traced one-worker stream");
     }
 
     #[test]
@@ -2426,10 +2182,7 @@ mod tests {
             store: &store,
             base: 0,
             workers: 2,
-            steal_budget: 1,
             sync_locks: AtomicUsize::new(0),
-            prefetch: false,
-            prefetch_routes: AtomicUsize::new(0),
         };
         let held = lock(&sh.slots[1].body);
         let (done, settled) = std::sync::mpsc::channel();

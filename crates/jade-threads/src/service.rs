@@ -7,8 +7,9 @@
 //! admits a *stream* of independent program DAGs ([`Program`]s). Each
 //! admitted tenant gets its own dependence graph ([`Countdown`]), built
 //! once at admission, its own [`Store`] and its own event stream (tagged
-//! with a [`TenantId`]); all tenants share the worker pool and the
-//! write-owner locality table mechanism.
+//! with a [`TenantId`]); all tenants share the worker pool. The service
+//! does not place tasks: any worker runs any tenant's next ready task, so
+//! every dispatch is recorded as [`Locality::Untracked`].
 //!
 //! Robustness contracts, in order of importance:
 //!
@@ -54,7 +55,7 @@
 //! independent counters — is identical to a solo run of the same program
 //! on the same seed (enforced by proptests in `tests/service.rs`).
 
-use crate::{lock, InjectedFailure, OwnerTable, Release, MAX_TASK_ATTEMPTS};
+use crate::{lock, InjectedFailure, Release, MAX_TASK_ATTEMPTS};
 use dsim::FaultPlan;
 use jade_core::{
     tag_events, AccessSpec, Countdown, Event, EventKind, EventSink, Handle, Locality, Metrics,
@@ -278,27 +279,21 @@ struct Slot {
     deps: Countdown<'static>,
     /// Enabled, not-yet-dispatched tenant-local task indices (FIFO).
     ready: VecDeque<usize>,
-    owners: OwnerTable,
 }
 
 /// One registered task: the service's counterpart of `ThreadRuntime`'s task
 /// slot. Everything here is guarded by the core lock, so it needs neither
-/// that slot's body mutex nor its atomics, and its target is optional
-/// (`Locality::Untracked`).
+/// that slot's body mutex nor its atomics.
 struct TenantTask {
     label: &'static str,
-    /// Read in place while the task waits (registration, target
-    /// selection). It travels with the body to the executing worker, whose
-    /// `TaskCtx` needs it off the core lock, and nothing reads the
-    /// specification of a running task.
+    /// Travels with the body to the executing worker, whose `TaskCtx`
+    /// needs it off the core lock; the graph was built from it at
+    /// admission, so nothing reads it under the lock.
     spec: AccessSpec,
     /// Taken by the executing worker; put back, with the specification, on
     /// an injected crash so the re-execution runs the same body.
     body: Option<TaskBody>,
     attempt: u32,
-    /// Locality target recorded when the task became ready (most recent
-    /// writer of its declared objects at that moment), if any.
-    target: Option<usize>,
 }
 
 /// Largest tenant (tasks + declared accesses + objects) whose slot is kept
@@ -678,7 +673,6 @@ fn register_tenant(core: &mut Core, pend: PendingTenant) {
     let n = tasks.len();
     let mut slot = core.spares.pop().unwrap_or_default();
     slot.tasks.reserve(n);
-    slot.owners.ensure(store.len());
     let mut events = EventSink::Record(events);
     let mut n_decls = 0;
     slot.deps.rebuild(tasks.iter().map(|def| &def.spec), true);
@@ -693,7 +687,6 @@ fn register_tenant(core: &mut Core, pend: PendingTenant) {
             spec: def.spec,
             body: Some(def.body),
             attempt: 0,
-            target: None,
         });
     }
     core.ready_tasks += slot.ready.len();
@@ -767,7 +760,6 @@ fn finalize_tenant(core: &mut Core, inner: &Inner, id: u32) {
             "a terminal tenant has nothing queued"
         );
         slot.tasks.clear();
-        slot.owners.reset();
         core.spares.push(slot);
     }
 }
@@ -878,20 +870,15 @@ fn pick(core: &mut Core, inner: &Inner, w: usize) -> Option<Picked> {
     let task = &mut t.slot.tasks[local];
     let body = task.body.take().expect("task dispatched twice");
     let (label, spec) = (task.label, std::mem::take(&mut task.spec));
-    let (attempt, target) = (task.attempt, task.target);
+    let attempt = task.attempt;
     let injected = t
         .faults
         .as_ref()
         .is_some_and(|plan| task_crashes(plan, local as u64, attempt, inner.cfg.workers));
     t.running += 1;
-    let locality = match target {
-        None => Locality::Untracked,
-        Some(tw) if tw == w => Locality::Hit,
-        Some(_) => Locality::Miss,
-    };
     let dispatched = EventKind::TaskDispatched {
         stolen: false,
-        locality,
+        locality: Locality::Untracked,
     };
     let task = TaskId(local as u32);
     t.events.emit_task(time, w, dispatched, task);
@@ -924,8 +911,7 @@ fn task_crashes(plan: &FaultPlan, task: u64, attempt: u32, workers: usize) -> bo
 
 /// Count down `tenant`'s graph for task `id` — its completion, or its
 /// mid-task `release` — and queue newly enabled tasks (unless the tenant
-/// is cancelled), recording their locality targets. Returns whether
-/// anything became ready.
+/// is cancelled). Returns whether anything became ready.
 fn settle(core: &mut Core, tenant: u32, id: TaskId, release: Option<Release>, w: usize) -> bool {
     let time = core.tick();
     let mut newly = std::mem::take(&mut core.newly);
@@ -939,10 +925,7 @@ fn settle(core: &mut Core, tenant: u32, id: TaskId, release: Option<Release>, w:
     }
     let enabled = if t.cancel.is_none() { newly.len() } else { 0 };
     for id in &newly[..enabled] {
-        let local = id.index();
-        let task = &mut slot.tasks[local];
-        task.target = slot.owners.latest_writer(&task.spec);
-        slot.ready.push_back(local);
+        slot.ready.push_back(id.index());
     }
     core.ready_tasks += enabled;
     newly.clear();
@@ -1011,15 +994,10 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core
 
     match result {
         Ok(()) => {
-            // The closure is the tenant's code: drop it off the lock.
-            drop(body);
+            // The closure is the tenant's code: drop it, and the
+            // specification, off the lock.
+            drop((body, spec));
             let mut core = worker_lock(inner);
-            let t = core.active.get_mut(&tenant).expect("tenant still active");
-            // Publish write ownership before successors are enabled, so
-            // the locality heuristic routes them toward this worker.
-            for o in spec.written_objects() {
-                t.slot.owners.record(o, w);
-            }
             settle(&mut core, tenant, id, None, w);
             let t = core.active.get_mut(&tenant).expect("tenant still active");
             t.running -= 1;

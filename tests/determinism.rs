@@ -8,7 +8,8 @@
 //! predicts, exactly the checkpoints the interval predicts and exactly the
 //! mid-task releases the program makes — traced (completions counted down
 //! under the state lock) and untraced (by atomic countdown, no lock)
-//! alike. Stealing and locality splits are scheduling accidents and
+//! alike, and whether the program runs as one batch or is cut in two by a
+//! mid-program `finish` on the same runtime. Stealing and locality splits are scheduling accidents and
 //! legitimately differ; everything Jade semantics pins down must not.
 
 use jade::apps::pagerank::{self, PagerankConfig};
@@ -24,12 +25,21 @@ const WORKERS: [usize; 4] = [1, 2, 4, 8];
 /// write, 2 a write the task releases after it.
 type Program = Vec<Vec<(u8, u8)>>;
 
-/// A random program: for each task, a set of accesses.
-fn program_strategy(max_tasks: usize) -> impl Strategy<Value = Program> {
-    prop::collection::vec(
+/// A random program: for each task, a set of accesses; and a drawn cut,
+/// which [`cut_of`] turns into the number of tasks submitted before a
+/// mid-program `finish`.
+fn program_strategy(max_tasks: usize) -> impl Strategy<Value = (Program, usize)> {
+    let tasks = prop::collection::vec(
         prop::collection::vec(((0..OBJECTS as u8), 0..3u8), 0..5),
         1..max_tasks,
-    )
+    );
+    (tasks, 0..max_tasks)
+}
+
+/// The cut a drawn value makes in `prog`: zero (one batch) or a task count
+/// that leaves both batches non-empty.
+fn cut_of(prog: &[Vec<(u8, u8)>], draw: usize) -> usize {
+    draw % prog.len()
 }
 
 /// The interleaving-independent slice of the metrics. Steals, locality
@@ -54,10 +64,12 @@ fn deterministic_counters(m: &Metrics) -> Counters {
 /// handles. Each task appends its id to each object it writes, so the
 /// final logs record the order conflicting writers ran in, and releases
 /// the objects so marked right after its write to them: its successors on
-/// them may start while it runs on.
+/// them may start while it runs on. A non-zero `cut` finishes the first
+/// batch after that many tasks.
 fn submit_program<R: JadeRuntime>(
     rt: &mut R,
     prog: &[Vec<(u8, u8)>],
+    cut: usize,
 ) -> Vec<jade::Handle<Vec<u32>>> {
     let objs: Vec<_> = (0..OBJECTS)
         .map(|i| rt.create(&format!("o{i}"), 8, Vec::<u32>::new()))
@@ -87,13 +99,17 @@ fn submit_program<R: JadeRuntime>(
                 }
             }
         }));
+        if i + 1 == cut {
+            rt.finish();
+        }
     }
     objs
 }
 
-/// Run `prog` on `rt` and return the final value of every object.
-fn results_on<R: JadeRuntime>(rt: &mut R, prog: &[Vec<(u8, u8)>]) -> Vec<Vec<u32>> {
-    let objs = submit_program(rt, prog);
+/// Run `prog`, cut at `cut`, on `rt` and return the final value of every
+/// object.
+fn results_on<R: JadeRuntime>(rt: &mut R, prog: &[Vec<(u8, u8)>], cut: usize) -> Vec<Vec<u32>> {
+    let objs = submit_program(rt, prog, cut);
     rt.finish();
     objs.iter().map(|&h| rt.store().read(h).clone()).collect()
 }
@@ -120,22 +136,32 @@ fn predicted_releases(prog: &[Vec<(u8, u8)>]) -> u64 {
     prog.iter().map(released).sum()
 }
 
-/// Checkpoints an `every`-completions interval takes over `tasks`
-/// completions: one per full interval, none at the completion that drains
-/// the batch.
-fn predicted_checkpoints(every: Option<usize>, tasks: usize) -> u64 {
-    every.map_or(0, |every| ((tasks - 1) / every) as u64)
+/// Checkpoints an `every`-completions interval takes over `tasks` tasks
+/// cut into batches at `cut`: per batch, one per full interval, none at the
+/// completion that drains the batch.
+fn predicted_checkpoints(every: Option<usize>, tasks: usize, cut: usize) -> u64 {
+    let Some(every) = every else { return 0 };
+    let batch = |n: usize| ((n - 1) / every) as u64;
+    match cut {
+        0 => batch(tasks),
+        _ => batch(cut) + batch(tasks - cut),
+    }
 }
 
-/// The whole contract, for one program under one plan: at every worker
-/// count, traced and untraced, results equal the serial run, deterministic
-/// counters equal the one-worker run, and re-executions, checkpoints and
-/// releases equal what the plan and the program predict.
-fn check_against_oracles(prog: &[Vec<(u8, u8)>], plan: Option<FaultPlan>, every: Option<usize>) {
-    let serial = results_on(&mut TraceRuntime::new(), prog);
+/// The whole contract, for one program cut at `cut` under one plan: at
+/// every worker count, traced and untraced, results equal the serial run,
+/// deterministic counters equal the one-worker run, and re-executions,
+/// checkpoints and releases equal what the plan and the program predict.
+fn check_against_oracles(
+    prog: &[Vec<(u8, u8)>],
+    cut: usize,
+    plan: Option<FaultPlan>,
+    every: Option<usize>,
+) {
+    let serial = results_on(&mut TraceRuntime::new(), prog, cut);
     let reexecuted = predicted_reexecutions(plan, prog.len());
     let releases = predicted_releases(prog);
-    let checkpoints = predicted_checkpoints(every, prog.len());
+    let checkpoints = predicted_checkpoints(every, prog.len(), cut);
     let configure = |rt: &mut ThreadRuntime| {
         if let Some(p) = plan {
             rt.inject_faults(p);
@@ -146,12 +172,17 @@ fn check_against_oracles(prog: &[Vec<(u8, u8)>], plan: Option<FaultPlan>, every:
     };
     let mut one_worker = None;
     for workers in WORKERS {
-        let what = format!("{workers} workers, plan {plan:?}, checkpoint every {every:?}");
+        let what =
+            format!("{workers} workers, cut {cut}, plan {plan:?}, checkpoint every {every:?}");
 
         let mut rt = ThreadRuntime::new(workers);
         rt.enable_events();
         configure(&mut rt);
-        assert_eq!(results_on(&mut rt, prog), serial, "traced results: {what}");
+        assert_eq!(
+            results_on(&mut rt, prog, cut),
+            serial,
+            "traced results: {what}"
+        );
         let events = rt.take_events();
         jade::core::check_lifecycle(&events).expect("lifecycle holds");
         let m = Metrics::from_events(&events, workers);
@@ -171,11 +202,11 @@ fn check_against_oracles(prog: &[Vec<(u8, u8)>], plan: Option<FaultPlan>, every:
         let mut rt = ThreadRuntime::new(workers);
         configure(&mut rt);
         assert_eq!(
-            results_on(&mut rt, prog),
+            results_on(&mut rt, prog, cut),
             serial,
             "untraced results: {what}"
         );
-        let s = rt.last_stats();
+        let s = rt.total_stats();
         assert_eq!(s.executed as u64, prog.len() as u64 + reexecuted, "{what}");
         assert_eq!(s.recoveries as u64, reexecuted, "{what}");
         assert_eq!(s.checkpoints as u64, checkpoints, "{what}");
@@ -188,10 +219,10 @@ proptest! {
     /// Fault-free, with and without a checkpoint interval.
     #[test]
     fn threads_agree_with_serial_without_faults(
-        prog in program_strategy(40),
+        (prog, draw) in program_strategy(40),
         every in 0usize..8,
     ) {
-        check_against_oracles(&prog, None, (every > 0).then_some(every));
+        check_against_oracles(&prog, cut_of(&prog, draw), None, (every > 0).then_some(every));
     }
 
     /// Under injected crashes, with and without checkpointing: recovery
@@ -200,13 +231,13 @@ proptest! {
     /// predictable from the plan alone.
     #[test]
     fn threads_agree_with_serial_under_fault_injection(
-        prog in program_strategy(30),
+        (prog, draw) in program_strategy(30),
         seed in any::<u64>(),
         psel in 0usize..3,
         every in 0usize..8,
     ) {
         let plan = FaultPlan { panic_p: [0.1, 0.3, 0.5][psel], seed, ..FaultPlan::none() };
-        check_against_oracles(&prog, Some(plan), (every > 0).then_some(every));
+        check_against_oracles(&prog, cut_of(&prog, draw), Some(plan), (every > 0).then_some(every));
     }
 
     /// One worker erases all scheduling freedom: two runs of one program
@@ -215,11 +246,12 @@ proptest! {
     /// newest-first — so it is compared with itself, not with a serial
     /// stream.)
     #[test]
-    fn one_worker_streams_identical(prog in program_strategy(25)) {
+    fn one_worker_streams_identical((prog, draw) in program_strategy(25)) {
+        let cut = cut_of(&prog, draw);
         let run = || {
             let mut rt = ThreadRuntime::new(1);
             rt.enable_events();
-            results_on(&mut rt, &prog);
+            results_on(&mut rt, &prog, cut);
             rt.take_events()
         };
         prop_assert_eq!(run(), run(), "one-worker event streams differ between runs");
