@@ -9,8 +9,9 @@
 //! mid-task releases the program makes — traced (completions counted down
 //! under the state lock) and untraced (by atomic countdown, no lock)
 //! alike, and whether the program runs as one batch or is cut in two by a
-//! mid-program `finish` on the same runtime. Stealing and locality splits are scheduling accidents and
-//! legitimately differ; everything Jade semantics pins down must not.
+//! mid-program `finish` on the same runtime. Stealing and locality splits
+//! are scheduling accidents and legitimately differ; everything Jade
+//! semantics pins down must not.
 
 use jade::apps::pagerank::{self, PagerankConfig};
 use jade::core::{Metrics, TraceRuntime};
