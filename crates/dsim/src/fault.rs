@@ -58,10 +58,9 @@ pub struct FaultPlan {
     /// Seed for the fault decision stream.
     pub seed: u64,
     /// Checkpoint interval for the recovery layer: the runtime snapshots
-    /// its state every `checkpoint` of virtual time (`jade-threads` maps
-    /// the same value to a task-count interval, see that crate). `None`
-    /// disables checkpointing; fail-stop recovery then falls back to the
-    /// full charged-restore path.
+    /// its state every `checkpoint` of virtual time (the thread backends
+    /// validate and ignore it). `None` disables checkpointing; fail-stop
+    /// recovery then falls back to the full charged-restore path.
     pub checkpoint: Option<SimDuration>,
 }
 

@@ -44,7 +44,7 @@ fn usage() -> ! {
          --fault-seed N    seed for the fault decision stream (default 0)\n\
          --checkpoint-interval N\n\
          \x20                 checkpoint interval for the checkpoint sweep, in\n\
-         \x20                 simulated seconds (iPSC) / completed tasks (threads);\n\
+         \x20                 simulated seconds (iPSC only; threads ignore it);\n\
          \x20                 repeatable — each value adds a sweep point\n\
          \x20                 (default points: 0.5 and 2.0)"
     );

@@ -16,8 +16,7 @@ use jade_core::{
 use jade_dash::{DashConfig, DashRunResult};
 use jade_ipsc::{IpscConfig, IpscRunResult};
 use jade_threads::{
-    JadeService, Outcome, Program, ServiceConfig, ShedPolicy, SubmitError, TenantOptions,
-    ThreadRuntime,
+    JadeService, Outcome, Program, ServiceConfig, SubmitError, TenantOptions, ThreadRuntime,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -733,22 +732,25 @@ fn ipsc_water(h: &mut Harness, plan: FaultPlan) -> Result<IpscRunResult, String>
     jade_ipsc::try_run(&trace, &cfg).map_err(|e| format!("ipsc run under {plan:?} failed: {e}"))
 }
 
-/// The threads cell of the fault, checkpoint and tune sweeps: the small
-/// Water on four workers, set up by `setup`. Returns the output and the
-/// runtime, for its statistics.
+/// The threads cell of the fault sweep: the small Water on four workers,
+/// set up by `setup`. Returns the output and the runtime, for its
+/// statistics.
 fn threads_water(setup: impl FnOnce(&mut ThreadRuntime)) -> (WaterOutput, ThreadRuntime) {
     let mut rt = ThreadRuntime::new(4);
     setup(&mut rt);
     (water::run_on(&mut rt, &water::WaterConfig::small(4)), rt)
 }
 
-/// Threads have no messages to lose: only `plan`'s crash rate and seed
-/// apply, with `fallback_p` as the crash rate when the plan gives none.
-fn crash_plan(plan: FaultPlan, fallback_p: f64) -> FaultPlan {
+/// `plan` as `ThreadRuntime` reads it. The runtime reads `panic_p` and
+/// `seed`; a `JadeService` tenant also reads `fail_proc`; every other
+/// field, `ckpt=` included, is validated and ignored. Threads have no
+/// messages to lose, so the drop rate becomes the crash rate when the plan
+/// gives none.
+fn crash_plan(plan: FaultPlan) -> FaultPlan {
     let panic_p = if plan.panic_p > 0.0 {
         plan.panic_p
     } else {
-        fallback_p
+        plan.drop_p
     };
     FaultPlan {
         panic_p,
@@ -837,9 +839,7 @@ fn fault_sweep(h: &mut Harness) -> Result<(), String> {
     same_tasks(label, faulty.tasks_executed, clean.tasks_executed)?;
 
     // jade-threads: real parallel execution with injected worker crashes.
-    // Message loss has no analog on threads either, so the drop rate maps
-    // onto the per-attempt crash probability when no panic rate was given.
-    let crash = crash_plan(plan, plan.drop_p);
+    let crash = crash_plan(plan);
     let (clean, _) = threads_water(|_| {});
     let (faulty, rt) = threads_water(|rt| rt.inject_faults(crash));
     let stats = rt.last_stats();
@@ -853,12 +853,13 @@ fn fault_sweep(h: &mut Harness) -> Result<(), String> {
     Ok(())
 }
 
-/// Checkpoint sweep: cross the fault plan with checkpoint intervals and
-/// check the tentpole invariant — any fail-stop plan at any checkpoint
-/// interval produces results bit-identical to the fault-free run, and
-/// checkpoints never cause more re-execution than the checkpoint-free
-/// recovery path. Prints one row per interval with the capture/restore
-/// economics.
+/// Checkpoint sweep: cross the fault plan with checkpoint intervals on the
+/// iPSC/860 and check the tentpole invariant — any fail-stop plan at any
+/// checkpoint interval produces results bit-identical to the fault-free
+/// run, and checkpoints never cause more re-execution than the
+/// checkpoint-free recovery path. Prints one row per interval with the
+/// capture/restore economics. The thread backends have nothing to
+/// checkpoint: a crash there unwinds before the body runs.
 fn checkpoint_sweep(h: &mut Harness) -> Result<(), String> {
     let plan = h.faults;
     let intervals = h.checkpoint_intervals.clone();
@@ -917,39 +918,6 @@ fn checkpoint_sweep(h: &mut Harness) -> Result<(), String> {
             return Err(format!(
                 "{label}: re-executed {} tasks vs {} without checkpoints",
                 r.tasks_reexecuted, base.tasks_reexecuted
-            ));
-        }
-    }
-
-    // jade-threads: the same intervals map to completed-task counts.
-    let crash = crash_plan(plan, 0.2);
-    let (clean, _) = threads_water(|_| {});
-    let (base_out, base_rt) = threads_water(|rt| rt.inject_faults(crash));
-    let base = base_rt.last_stats();
-    same(
-        "threads Water x4 without checkpoints",
-        "outputs",
-        &base_out,
-        &clean,
-    )?;
-    for &iv in &intervals {
-        let every = (iv.round() as usize).max(1);
-        let (out, rt) = threads_water(|rt| {
-            rt.inject_faults(crash);
-            rt.checkpoint_every(every);
-        });
-        let s = rt.last_stats();
-        println!(
-            "  threads  Water x4 ckpt every {every} tasks: {} checkpoints, \
-             {} recoveries ({} from checkpoint)",
-            s.checkpoints, s.recoveries, s.checkpoint_restores
-        );
-        let label = format!("threads Water x4 ckpt every {every}");
-        same(&label, "outputs", &out, &clean)?;
-        if s.recoveries > base.recoveries {
-            return Err(format!(
-                "{label}: recovered {} tasks vs {} without",
-                s.recoveries, base.recoveries
             ));
         }
     }
@@ -1334,7 +1302,6 @@ fn outcome_name(o: &Outcome) -> &'static str {
         Outcome::Completed => "completed",
         Outcome::DeadlineExceeded => "deadline_exceeded",
         Outcome::Failed(_) => "failed",
-        Outcome::Shed => "shed",
     }
 }
 
@@ -1435,13 +1402,12 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
     println!("\nMulti-tenant service stress");
     println!(
         "  {total} DAGs from {submitters} submitters over {workers} workers \
-         (max_active=6, max_pending=8, shed=reject-new)"
+         (max_active=6, max_pending=8)"
     );
 
     let mut cfg = ServiceConfig::new(workers);
     cfg.max_active = 6;
     cfg.max_pending = 8; // deliberately tight: backpressure must engage
-    cfg.shed = ShedPolicy::RejectNew;
     let svc = JadeService::new(cfg);
 
     // Buggy tenants genuinely panic inside pool workers; the default hook

@@ -57,8 +57,8 @@ pub struct Harness {
     pub quick: bool,
     /// The plan the fault and checkpoint sweeps inject.
     pub faults: FaultPlan,
-    /// The checkpoint sweep's intervals: simulated seconds on the iPSC,
-    /// completed tasks on threads.
+    /// The checkpoint sweep's intervals, in simulated seconds on the
+    /// iPSC (the only backend that checkpoints).
     pub checkpoint_intervals: Vec<f64>,
     traces: HashMap<(App, usize), Rc<Trace>>,
 }

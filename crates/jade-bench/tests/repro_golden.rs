@@ -5,8 +5,7 @@
 //! table, ready to paste in as source.
 //!
 //! `service-stress` is not pinned: its overload count depends on thread
-//! timing. The threads rows of the checkpoint sweep hash with their
-//! "from checkpoint" count masked, for the same reason (DESIGN.md §13.6).
+//! timing.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -52,32 +51,18 @@ fn group(name: &'static str, args: &[&str], files: &[&str]) -> (&'static str, u6
     let (code, stdout, stderr, dir) = repro(name, args);
     assert_eq!(code, 0, "repro {args:?} failed:\n{stderr}");
     let mut h = Fnv1a::new();
-    for line in stdout.lines() {
-        h.feed(mask_checkpoint_hits(line).as_bytes());
-        h.feed(b"\n");
-    }
+    h.feed(stdout.as_bytes());
     for f in files {
         h.feed(&std::fs::read(dir.join(f)).unwrap_or_else(|e| panic!("{name}: {f}: {e}")));
     }
     (name, h.0)
 }
 
-/// `(8 from checkpoint)` -> `(_ from checkpoint)`: on real threads, which
-/// recoveries find a checkpoint depends on the schedule.
-fn mask_checkpoint_hits(line: &str) -> String {
-    match (line.rfind('('), line.find(" from checkpoint)")) {
-        (Some(open), Some(end)) if open < end => {
-            format!("{}(_{}", &line[..open], &line[end..])
-        }
-        _ => line.to_string(),
-    }
-}
-
 const QUICK_GOLDEN: &[(&str, u64)] = &[
     ("all", 0xfa11f58bcf509a7e),
     ("sweeps", 0xc514903e38b4d91b),
     ("faults", 0xf131b5e86f971bbb),
-    ("checkpoint", 0xf74565fbe836a508),
+    ("checkpoint", 0x5cf64a237f7d7806),
     ("app", 0x9dadee95ecbd01d9),
     ("trace-out", 0xc0e1339adf3cd1c7),
 ];

@@ -713,10 +713,10 @@ impl SyncSnapshot {
 
 /// The [`encoded_len`](SyncSnapshot::encoded_len) a synchronizer's
 /// snapshot would have, kept from counters by a replay that runs no
-/// synchronizer: the iPSC simulator and `ThreadRuntime` charge their
-/// checkpoints with it (DESIGN.md §12). A registered task lists each
-/// declaration it holds until it releases it or completes, and each held
-/// declaration is one queue entry.
+/// synchronizer: the iPSC simulator charges its checkpoints with it
+/// (DESIGN.md §12). A registered task lists each declaration it holds
+/// until it releases it or completes, and each held declaration is one
+/// queue entry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotSize {
     tasks: usize,
@@ -748,12 +748,6 @@ impl SnapshotSize {
     /// Count one declaration as released mid-task.
     pub fn release(&mut self) {
         self.retired += 1;
-    }
-
-    /// Count an object table at least `n` long: a synchronizer's table
-    /// keeps the length of the largest it has registered, across windows.
-    pub fn cover_objects(&mut self, n: usize) {
-        self.queues = self.queues.max(n);
     }
 
     /// Number of tasks registered.
@@ -1188,7 +1182,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_size_counts_releases_and_the_carried_object_table() {
+    fn snapshot_size_counts_releases_and_completions() {
         // Task 0 writes objects 0 and 2, task 1 reads object 0: release,
         // then completion, each retire what they give up, as the
         // synchronizer's snapshot lists it.
@@ -1209,12 +1203,6 @@ mod tests {
         sync.complete(TaskId(0), &mut newly);
         size.complete(&specs[0], 1);
         assert_eq!(size.encoded_len(), sync.snapshot().encoded_len());
-        // A table longer than these tasks need costs 4 bytes an object.
-        let before = size.encoded_len();
-        size.cover_objects(2);
-        assert_eq!(size.encoded_len(), before, "already three long");
-        size.cover_objects(7);
-        assert_eq!(size.encoded_len(), before + 4 * 4);
     }
 
     #[test]

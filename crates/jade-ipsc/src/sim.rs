@@ -703,7 +703,7 @@ struct Sim<'a, R: Sink> {
     /// recovery consults them. The payload store at main is cumulative
     /// across checkpoints, so coverage is judged against the latest
     /// capture's version vector alone.
-    last_ckpt: Option<CommSnapshot>,
+    latest_ckpt: Option<CommSnapshot>,
     /// The size of the synchronizer state a checkpoint captures, kept from
     /// counters: tasks are registered in it at each capture, and retired
     /// as they complete.
@@ -841,7 +841,7 @@ impl<'a, R: Sink> Sim<'a, R> {
             n_prefetch_issued: 0,
             n_prefetch_hits: 0,
             n_prefetch_stale: 0,
-            last_ckpt: None,
+            latest_ckpt: None,
             sync_size: SnapshotSize::default(),
             ctl: jade_core::Controller::new(),
             needed: Vec::new(),
@@ -1836,7 +1836,7 @@ impl<'a, R: Sink> Sim<'a, R> {
         for i in 0..nobjs {
             let o = ObjectId(i as u32);
             let clean = self
-                .last_ckpt
+                .latest_ckpt
                 .as_ref()
                 .is_some_and(|c| c.version(o) == snap.version(o));
             if clean || !self.comm.needs_fetch(0, o) {
@@ -1859,7 +1859,7 @@ impl<'a, R: Sink> Sim<'a, R> {
         self.core
             .events
             .emit(end.0, 0, EventKind::CheckpointTaken { bytes });
-        self.last_ckpt = Some(snap);
+        self.latest_ckpt = Some(snap);
         // Re-arm the tick chain. The interval is always present while ticks
         // are scheduled (ticks only start when the plan has one), but end
         // the chain gracefully rather than panic if that invariant ever
@@ -1907,7 +1907,7 @@ impl<'a, R: Sink> Sim<'a, R> {
             let size = self.core.trace.object_size(o);
             let bytes = size as u64;
             let covered = self
-                .last_ckpt
+                .latest_ckpt
                 .as_ref()
                 .is_some_and(|c| c.covers(o, self.comm.version(o)));
             let dur = if covered {

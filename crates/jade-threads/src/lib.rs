@@ -18,9 +18,8 @@
 //!   **locality heuristic** (each enabled task goes to the worker that most
 //!   recently wrote one of its objects, falling back to the object's
 //!   declared home) and **randomized stealing** from the top of other
-//!   workers' deques. Only a traced or checkpointing batch takes a global
-//!   lock, for its events and checkpoint state; dispatch is per-worker
-//!   (DESIGN.md §13);
+//!   workers' deques. Only a traced batch takes a global lock, for its
+//!   events; dispatch is per-worker (DESIGN.md §13);
 //! * every object access is runtime-checked against the declared access
 //!   specification, and per-object `RwLock`s verify the dependence graph's
 //!   exclusion guarantee mechanically: a data race would panic, not corrupt.
@@ -56,11 +55,10 @@ use deque::TaskQueue;
 pub use dsim::FaultPlan;
 use jade_core::{
     AccessSpec, DepGraph, Event, EventKind, EventSink, JadeRuntime, Locality, NullSink, ObjectId,
-    ProcId, Sink, SnapshotSize, Store, TaskBody, TaskCtx, TaskDef, TaskId,
+    ProcId, Sink, Store, TaskBody, TaskCtx, TaskDef, TaskId,
 };
 pub use service::{
-    JadeService, Outcome, Program, ServiceConfig, ShedPolicy, SubmitError, TenantOptions,
-    TenantReport,
+    JadeService, Outcome, Program, ServiceConfig, SubmitError, TenantOptions, TenantReport,
 };
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -87,27 +85,6 @@ pub(crate) fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Largest checkpoint interval, in completed tasks, the seconds→tasks
-/// mapping of [`ThreadRuntime::try_inject_faults`] accepts. Far above any
-/// real batch; the cap exists so the conversion is checked end to end
-/// rather than saturating through an `as` cast.
-pub const MAX_CKPT_TASKS: usize = u32::MAX as usize;
-
-/// Checked seconds→tasks checkpoint conversion: round to the nearest task
-/// count, floor 1 (a sub-task interval means "as often as possible"), and
-/// reject anything non-finite, negative, or above [`MAX_CKPT_TASKS`] with
-/// an error naming the bad value.
-fn checkpoint_tasks(secs: f64) -> Result<usize, String> {
-    let tasks = secs.round();
-    if !tasks.is_finite() || !(0.0..=MAX_CKPT_TASKS as f64).contains(&tasks) {
-        return Err(format!(
-            "fault plan: checkpoint interval {secs} does not map to a \
-             task count in 1..={MAX_CKPT_TASKS}"
-        ));
-    }
-    Ok((tasks as usize).max(1))
-}
-
 /// Statistics from the most recent [`ThreadRuntime::finish`] batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
@@ -121,15 +98,9 @@ pub struct BatchStats {
     /// Tasks re-executed after an injected worker failure (fault
     /// injection; see [`ThreadRuntime::inject_faults`]).
     pub recoveries: usize,
-    /// Checkpoints captured during the batch
-    /// (see [`ThreadRuntime::checkpoint_every`]).
-    pub checkpoints: usize,
-    /// Recoveries that consulted a captured checkpoint.
-    pub checkpoint_restores: usize,
-    /// Acquisitions of the batch's state lock: the traced, recovery and
-    /// checkpoint bookkeeping that records events or checkpoint state.
-    /// Zero for an untraced batch without checkpoints, which completes
-    /// tasks by atomic countdown alone; at least one per task traced.
+    /// Acquisitions of the batch's state lock, which only a traced batch
+    /// takes, to record its events. Zero untraced: tasks complete by
+    /// atomic countdown alone; at least one per task traced.
     pub sync_locks: usize,
 }
 
@@ -139,8 +110,6 @@ impl BatchStats {
         self.locality_hits += other.locality_hits;
         self.steals += other.steals;
         self.recoveries += other.recoveries;
-        self.checkpoints += other.checkpoints;
-        self.checkpoint_restores += other.checkpoint_restores;
         self.sync_locks += other.sync_locks;
     }
 }
@@ -248,8 +217,6 @@ pub struct ThreadRuntime {
     /// Injected-fault plan; `None` (the default) disables fault injection
     /// and recovery entirely.
     faults: Option<FaultPlan>,
-    /// Checkpoint interval in completed tasks; `None` disables capture.
-    ckpt_every: Option<usize>,
     /// Dynamic locality: which worker last wrote each object.
     owners: OwnerTable,
     /// Recycled scheduling storage (queues, task slots, dependence graph):
@@ -271,7 +238,6 @@ impl ThreadRuntime {
             events: Vec::new(),
             event_clock: 0,
             faults: None,
-            ckpt_every: None,
             owners: OwnerTable::default(),
             arena: SchedArena::default(),
         }
@@ -321,10 +287,14 @@ impl ThreadRuntime {
     /// [`ThreadRuntime::finish`]: a body that dies halfway may have
     /// partially mutated its objects, so retrying it would be unsound.
     ///
+    /// The runtime reads two of the plan's fields, `panic_p` and `seed`.
+    /// Every other field, `ckpt=` included, is validated and ignored: the
+    /// crash happens before the body runs, so recovery is a re-queue and
+    /// there is no state a checkpoint could restore.
+    ///
     /// # Panics
     ///
-    /// If the plan is malformed (probability outside `[0, 1]`) or its
-    /// checkpoint interval does not map to a task count — use
+    /// If the plan is malformed (see [`FaultPlan::validate`]) — use
     /// [`try_inject_faults`](Self::try_inject_faults) to handle malformed
     /// plans as config errors instead.
     pub fn inject_faults(&mut self, plan: FaultPlan) {
@@ -333,37 +303,13 @@ impl ThreadRuntime {
         }
     }
 
-    /// Fallible [`inject_faults`](Self::inject_faults): validates the plan
-    /// and performs the seconds→tasks checkpoint mapping with a *checked*
-    /// conversion. A non-finite or out-of-range interval is a config error
-    /// naming the offending value, not a silently saturating `as` cast
-    /// (the same contract `dsim::SimDuration::try_from_secs_f64` gives the
-    /// simulators).
+    /// Fallible [`inject_faults`](Self::inject_faults): a plan that fails
+    /// [`FaultPlan::validate`] is a config error, and the runtime keeps
+    /// its previous plan.
     pub fn try_inject_faults(&mut self, plan: FaultPlan) -> Result<(), String> {
         plan.validate()?;
-        // The simulators interpret `ckpt=` as simulated seconds; this
-        // backend has no simulated clock, so the numeric value maps to a
-        // completed-task interval instead.
-        if let Some(iv) = plan.checkpoint {
-            self.checkpoint_every(checkpoint_tasks(iv.as_secs_f64())?);
-        }
         self.faults = Some(plan);
         Ok(())
-    }
-
-    /// Capture a checkpoint every `every` completed tasks in
-    /// subsequent batches (`CheckpointTaken` events,
-    /// [`BatchStats::checkpoints`]). An injected-failure recovery that runs
-    /// while a checkpoint exists consults it — the crashed task must not be
-    /// committed in the captured state — and counts as a
-    /// `CheckpointRestored`.
-    ///
-    /// # Panics
-    ///
-    /// If `every` is zero.
-    pub fn checkpoint_every(&mut self, every: usize) {
-        assert!(every > 0, "checkpoint interval must be at least one task");
-        self.ckpt_every = Some(every);
     }
 }
 
@@ -510,20 +456,12 @@ impl SchedArena {
     }
 }
 
-/// What a traced or checkpointing batch serializes under its one lock: the
-/// event sink and its logical clock, and the checkpoint state. Scheduling
-/// and dependence state (queues, task slots, counters) live outside.
+/// What a traced batch serializes under its one lock: the event sink and
+/// its logical clock. Scheduling and dependence state (queues, task slots,
+/// counters) live outside.
 struct SyncState<S> {
     events: S,
     clock: u64,
-    /// The `JSNP` length a synchronizer's snapshot would have now.
-    size: SnapshotSize,
-    /// Per task: completed, and how many are (checkpointing batches only).
-    completed: Vec<bool>,
-    done: usize,
-    /// The last capture: the completed set it recorded, and its size.
-    last_ckpt: Option<(Vec<bool>, u64)>,
-    checkpoints: usize,
 }
 
 impl<S> SyncState<S> {
@@ -550,9 +488,6 @@ struct Sharded<'a, S> {
     graph: &'a DepGraph,
     left: &'a [AtomicU32],
     state: Mutex<SyncState<S>>,
-    /// Whether completions and releases take `state`: in a traced batch
-    /// they record events, in a checkpointing one they keep its state.
-    locked: bool,
     /// Registered tasks not yet completed, but for the completions each
     /// worker holds back until it runs out of work; 0 means the batch is
     /// drained.
@@ -568,7 +503,6 @@ struct Sharded<'a, S> {
     panicked: AtomicBool,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     faults: Option<FaultPlan>,
-    ckpt_every: Option<usize>,
     owners: &'a OwnerTable,
     store: &'a Store,
     base: usize,
@@ -721,14 +655,13 @@ impl<'a, S: Sink> Sharded<'a, S> {
     /// Count down what task `local` gives up — on completion every
     /// declaration it has not released, else the one `release` names — and
     /// dispatch what that enables in one push burst (DESIGN.md §13.3).
-    /// Traced and checkpointing batches do it under `state`, so that events
-    /// and checkpoint state follow the countdown's order.
+    /// Traced batches do it under `state`, so that events follow the
+    /// countdown's order.
     fn settle(&self, w: usize, local: usize, release: Option<Release>, ws: &WorkerScratch) {
-        let slot = &self.slots[local];
         let released = ws.released.borrow();
         let mut newly = ws.newly.borrow_mut();
         newly.clear();
-        let mut guard = self.locked.then(|| self.lock_state());
+        let mut guard = S::ACTIVE.then(|| self.lock_state());
         // The graph numbers tasks by slot. A SeqCst decrement publishes
         // this task's writes to the worker that takes a count to zero,
         // before it queues the task the count guards.
@@ -753,27 +686,12 @@ impl<'a, S: Sink> Sharded<'a, S> {
             let (t, id) = (st.tick(), self.id(local));
             match release {
                 Some((_, object)) => {
-                    (st.events).emit_obj(t, w, EventKind::AccessReleased, Some(id), object);
-                    st.size.release();
+                    (st.events).emit_obj(t, w, EventKind::AccessReleased, Some(id), object)
                 }
                 None => st.events.emit_task(t, w, EventKind::TaskCompleted, id),
             }
             for s in newly.iter() {
                 (st.events).emit_task(t, w, EventKind::TaskEnabled, self.id(s.index()));
-            }
-            if let (None, Some(every)) = (release, self.ckpt_every) {
-                st.size
-                    .complete(&slot.spec, released.iter().filter(|&&r| r).count());
-                st.completed[local] = true;
-                st.done += 1;
-                // The last completion drains the batch and takes none.
-                if st.done % every == 0 && st.done < self.slots.len() {
-                    let bytes = st.size.encoded_len() as u64;
-                    let t = st.tick();
-                    st.events.emit(t, w, EventKind::CheckpointTaken { bytes });
-                    st.checkpoints += 1;
-                    st.last_ckpt = Some((st.completed.clone(), bytes));
-                }
             }
         }
         drop(guard);
@@ -868,38 +786,14 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 // — they match the event stream's `tasks_started`.
                 slot.attempt.store(attempt + 1, Ordering::Relaxed);
                 stats.recoveries += 1;
-                // The state lock is only needed for events and the
-                // checkpoint lookup; untraced, checkpoint-free batches
-                // recover without touching it.
-                let restored = if self.locked {
+                // The state lock is only needed for events: untraced
+                // batches recover without touching it.
+                if S::ACTIVE {
                     let mut st = self.lock_state();
                     let t = st.tick();
                     st.events.emit(t, w, EventKind::WorkerFailed);
-                    // With a checkpoint on file, recovery restores the
-                    // crashed task's scheduling state from it: the capture
-                    // must agree that the task had not committed (a
-                    // committed task is never re-executed).
-                    let restored = if let Some((completed, bytes)) = &st.last_ckpt {
-                        debug_assert!(
-                            !completed[local],
-                            "checkpoint marks crashed task {id:?} committed"
-                        );
-                        let bytes = *bytes;
-                        let t = st.tick();
-                        st.events
-                            .emit(t, w, EventKind::CheckpointRestored { bytes });
-                        true
-                    } else {
-                        false
-                    };
                     let t = st.tick();
                     st.events.emit_task(t, w, EventKind::TaskReExecuted, id);
-                    restored
-                } else {
-                    false
-                };
-                if restored {
-                    stats.checkpoint_restores += 1;
                 }
                 *lock(&slot.body) = Some(body);
                 // Original target kept: the re-pick on the next worker
@@ -972,11 +866,6 @@ impl ThreadRuntime {
         let mut state = SyncState {
             events,
             clock: self.event_clock,
-            size: SnapshotSize::default(),
-            completed: Vec::new(),
-            done: 0,
-            last_ckpt: None,
-            checkpoints: 0,
         };
         // Split the arena into its disjoint slabs: the workers share the
         // queues, the task slots and the graph; each worker additionally
@@ -989,13 +878,6 @@ impl ThreadRuntime {
             scratch,
             ..
         } = &mut self.arena;
-        if self.ckpt_every.is_some() {
-            state.size.cover_objects(graph.objects());
-            for slot in slots.iter() {
-                state.size.register(&slot.spec);
-            }
-            state.completed.resize(n, false);
-        }
         // Register in serial program order.
         for (i, &preds) in graph.preds().iter().enumerate() {
             let t = state.tick();
@@ -1011,7 +893,6 @@ impl ThreadRuntime {
             graph,
             left,
             state: Mutex::new(state),
-            locked: S::ACTIVE || self.ckpt_every.is_some(),
             live: AtomicU32::new(n as u32),
             epoch: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
@@ -1020,7 +901,6 @@ impl ThreadRuntime {
             panicked: AtomicBool::new(false),
             panic: Mutex::new(None),
             faults: self.faults,
-            ckpt_every: self.ckpt_every,
             owners: &self.owners,
             store: &self.store,
             base,
@@ -1063,7 +943,6 @@ impl ThreadRuntime {
         let st = state.into_inner().unwrap_or_else(|e| e.into_inner());
         self.event_clock = st.clock;
         self.events.extend(st.events.into_events());
-        merged.checkpoints = st.checkpoints;
         merged.sync_locks = sync_locks.into_inner();
         self.last_stats = merged;
         self.total_stats.absorb(&merged);
@@ -1087,7 +966,7 @@ impl ThreadRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jade_core::{Synchronizer, TaskBuilder};
+    use jade_core::TaskBuilder;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -1617,114 +1496,38 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_interval_captures_and_preserves_results() {
-        let mut rt = ThreadRuntime::new(4);
-        rt.enable_events();
-        rt.checkpoint_every(10);
-        let outs: Vec<_> = (0..100)
-            .map(|i| rt.create(&format!("o{i}"), 8, 0usize))
-            .collect();
-        for (i, &o) in outs.iter().enumerate() {
-            rt.submit(TaskBuilder::new("w").wr(o).body(move |ctx| {
-                *ctx.wr(o) = i + 1;
-            }));
+    fn a_checkpoint_interval_in_the_plan_changes_nothing() {
+        // `ckpt=` is validated and ignored: an injected crash unwinds
+        // before the body runs, so there is nothing to restore. With and
+        // without it the runtime computes the same results, makes the same
+        // recoveries, and records no checkpoint; one traced worker records
+        // the same stream.
+        let run = |workers: usize, spec: &str| {
+            let mut rt = ThreadRuntime::new(workers);
+            rt.enable_events();
+            rt.try_inject_faults(FaultPlan::parse(spec).unwrap())
+                .expect("a valid plan is accepted");
+            let values = reference_workload(&mut rt);
+            (values, rt.last_stats().recoveries, rt.take_events())
+        };
+        let serial = reference_workload(&mut jade_core::TraceRuntime::new());
+        for workers in [1, 4] {
+            let (values, recoveries, events) = run(workers, "panic=0.3,seed=42,ckpt=3");
+            let (plain_values, plain_recoveries, plain_events) = run(workers, "panic=0.3,seed=42");
+            assert_eq!(values, serial, "{workers}w");
+            assert_eq!(values, plain_values, "{workers}w");
+            assert!(recoveries > 0, "{workers}w: p=0.3 must inject");
+            assert_eq!(recoveries, plain_recoveries, "{workers}w");
+            assert!(!events.iter().any(|e| matches!(
+                e.kind,
+                EventKind::CheckpointTaken { .. } | EventKind::CheckpointRestored { .. }
+            )));
+            if workers == 1 {
+                assert_eq!(events, plain_events, "one-worker streams differ");
+            }
         }
-        rt.finish();
-        for (i, &o) in outs.iter().enumerate() {
-            assert_eq!(*rt.store().read(o), i + 1);
-        }
-        let stats = rt.last_stats();
-        // 100 completions / 10, minus the capture skipped on the final one.
-        assert_eq!(stats.checkpoints, 9);
-        let events = rt.take_events();
-        jade_core::check_lifecycle(&events).unwrap();
-        let m = jade_core::Metrics::from_events(&events, rt.workers());
-        assert_eq!(m.checkpoints as usize, stats.checkpoints);
-        assert!(m.checkpoint_bytes > 0, "captures must report their size");
-    }
-
-    #[test]
-    fn checkpointed_recovery_restores_and_stays_bit_identical() {
-        // Faults + checkpoints together: recoveries that happen after the
-        // first capture consult it, and results stay bit-identical.
-        let mut rt = ThreadRuntime::new(4);
-        rt.enable_events();
-        rt.inject_faults(FaultPlan {
-            panic_p: 0.3,
-            seed: 42,
-            ..FaultPlan::none()
-        });
-        rt.checkpoint_every(5);
-        let outs: Vec<_> = (0..100)
-            .map(|i| rt.create(&format!("o{i}"), 8, 0usize))
-            .collect();
-        for (i, &o) in outs.iter().enumerate() {
-            rt.submit(TaskBuilder::new("w").wr(o).body(move |ctx| {
-                *ctx.wr(o) = i * i;
-            }));
-        }
-        rt.finish();
-        for (i, &o) in outs.iter().enumerate() {
-            assert_eq!(*rt.store().read(o), i * i);
-        }
-        let stats = rt.last_stats();
-        assert!(stats.recoveries > 0, "p=0.3 over 100 tasks must inject");
-        assert!(stats.checkpoints > 0);
-        assert!(
-            stats.checkpoint_restores <= stats.recoveries,
-            "only recoveries can restore"
-        );
-        let events = rt.take_events();
-        jade_core::check_lifecycle(&events).unwrap();
-        let m = jade_core::Metrics::from_events(&events, rt.workers());
-        assert_eq!(m.checkpoints as usize, stats.checkpoints);
-        assert_eq!(m.checkpoint_restores as usize, stats.checkpoint_restores);
-        assert_eq!(m.tasks_reexecuted as usize, stats.recoveries);
-    }
-
-    #[test]
-    fn fault_plan_checkpoint_maps_to_task_count() {
-        // `ckpt=3` on the threads backend means "every 3 completed tasks".
-        let mut rt = ThreadRuntime::new(2);
-        rt.inject_faults(FaultPlan::parse("ckpt=3").unwrap());
-        let outs: Vec<_> = (0..10)
-            .map(|i| rt.create(&format!("o{i}"), 8, 0usize))
-            .collect();
-        for &o in &outs {
-            rt.submit(TaskBuilder::new("w").wr(o).body(move |ctx| {
-                *ctx.wr(o) = 1;
-            }));
-        }
-        rt.finish();
-        assert_eq!(rt.last_stats().checkpoints, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpoint interval")]
-    fn zero_checkpoint_interval_rejected() {
-        let mut rt = ThreadRuntime::new(2);
-        rt.checkpoint_every(0);
-    }
-
-    #[test]
-    fn checkpoint_seconds_to_tasks_conversion_is_checked() {
-        // Nominal mappings (round to nearest, floor one task).
-        assert_eq!(checkpoint_tasks(3.0), Ok(3));
-        assert_eq!(checkpoint_tasks(0.25), Ok(1));
-        assert_eq!(checkpoint_tasks(7.6), Ok(8));
-        // Degenerate values are config errors naming the bad value, not
-        // silently saturating casts.
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 1e18] {
-            let err = checkpoint_tasks(bad).unwrap_err();
-            assert!(
-                err.contains(&format!("{bad}")),
-                "error must name the value: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn try_inject_faults_returns_config_error_for_bad_checkpoint() {
+        // An interval the plan's own validation rejects is still an error,
+        // and leaves the runtime unconfigured.
         let mut rt = ThreadRuntime::new(2);
         let plan = FaultPlan {
             checkpoint: Some(dsim::SimDuration(u64::MAX)),
@@ -1732,8 +1535,7 @@ mod tests {
         };
         let err = rt.try_inject_faults(plan).unwrap_err();
         assert!(err.contains("ckpt"), "error names the knob: {err}");
-        // The runtime stays usable and unconfigured.
-        assert!(rt.faults.is_none() && rt.ckpt_every.is_none());
+        assert!(rt.faults.is_none());
     }
 
     /// A little mixed workload, generic over the runtime: 24 independent
@@ -1905,9 +1707,9 @@ mod tests {
 
     #[test]
     fn auto_batching_amortizes_sync_locks() {
-        // Overhead-dominated independent tasks: an untraced batch without
-        // checkpoints completes every task by atomic countdown, so it
-        // takes the state lock not once.
+        // Overhead-dominated independent tasks: an untraced batch
+        // completes every task by atomic countdown, so it takes the state
+        // lock not once.
         //
         // The work sits on worker 0 and worker 1 is pinned inside `hold`
         // until every other body has run: at most one steal (`hold`
@@ -1966,69 +1768,11 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_sizes_equal_the_synchronizer_snapshots() {
-        // One traced worker, a capture after every completion, and tasks
-        // that release an object mid-task: replayed through a synchronizer,
-        // the stream charges every capture that synchronizer's snapshot
-        // length. The second, narrower batch charges the object table the
-        // first one grew, as a synchronizer kept across batches would.
-        let mut rt = ThreadRuntime::new(1);
-        rt.enable_events();
-        rt.checkpoint_every(1);
-        let objs: Vec<_> = (0..6)
-            .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
-            .collect();
-        let replay = |rt: &mut ThreadRuntime, n: usize, width: usize, wider: usize| {
-            let mut specs = Vec::new();
-            for k in 0..n {
-                let (w, r) = (objs[k % width], objs[(k + 1) % width]);
-                let task = TaskBuilder::new("t").rd_wr(w).rd(r);
-                specs.push(task.spec().clone());
-                rt.submit(task.body(move |ctx| {
-                    *ctx.wr(w) += *ctx.rd(r) + 1;
-                    if k % 2 == 1 {
-                        ctx.release(w);
-                    }
-                }));
-            }
-            let base = rt.next_id - n as u32;
-            rt.finish();
-            let mut sync = Synchronizer::new(true);
-            let (mut newly, mut taken) = (Vec::new(), 0);
-            for e in rt.take_events() {
-                let local = e.task.map(|t| TaskId(t.0 - base));
-                match (e.kind, local) {
-                    (EventKind::TaskCreated, Some(t)) => {
-                        sync.add_task(t, &specs[t.index()]);
-                    }
-                    (EventKind::AccessReleased, Some(t)) => {
-                        let o = e.object.expect("a release names its object");
-                        sync.release(t, o, &mut newly, &mut NullSink, 0, 0);
-                    }
-                    (EventKind::TaskCompleted, Some(t)) => sync.complete(t, &mut newly),
-                    (EventKind::CheckpointTaken { bytes }, _) => {
-                        let want = sync.snapshot().encoded_len() + 4 * (wider - width);
-                        assert_eq!(bytes as usize, want, "capture {taken}");
-                        taken += 1;
-                    }
-                    _ => {}
-                }
-            }
-            assert_eq!(taken, n - 1);
-        };
-        replay(&mut rt, 12, 6, 6);
-        replay(&mut rt, 8, 2, 6);
-    }
-
-    #[test]
-    fn only_traced_or_checkpointing_batches_take_the_state_lock() {
-        let run = |traced: bool, every: Option<usize>| {
+    fn only_traced_batches_take_the_state_lock() {
+        let run = |traced: bool| {
             let mut rt = ThreadRuntime::new(2);
             if traced {
                 rt.enable_events();
-            }
-            if let Some(every) = every {
-                rt.checkpoint_every(every);
             }
             let x = rt.create("x", 8, 0u64);
             for _ in 0..20 {
@@ -2041,11 +1785,10 @@ mod tests {
             assert_eq!(*rt.store().read(x), 20);
             rt.last_stats().sync_locks
         };
-        assert_eq!(run(false, None), 0);
-        // A completion and a release each count down under the lock.
-        assert_eq!(run(false, Some(3)), 40);
-        // Traced, dispatch and start take it once more per task.
-        assert_eq!(run(true, None), 60);
+        assert_eq!(run(false), 0);
+        // Traced, a completion and a release each count down under the
+        // lock, and dispatch and start take it once more per task.
+        assert_eq!(run(true), 60);
     }
 
     #[test]
@@ -2162,13 +1905,7 @@ mod tests {
             state: Mutex::new(SyncState {
                 events: NullSink,
                 clock: 0,
-                size: SnapshotSize::default(),
-                completed: Vec::new(),
-                done: 0,
-                last_ckpt: None,
-                checkpoints: 0,
             }),
-            locked: false,
             live: AtomicU32::new(2),
             epoch: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
@@ -2177,7 +1914,6 @@ mod tests {
             panicked: AtomicBool::new(false),
             panic: Mutex::new(None),
             faults: None,
-            ckpt_every: None,
             owners: &owners,
             store: &store,
             base: 0,

@@ -15,10 +15,8 @@
 //!
 //! * **Admission control / backpressure.** At most `max_active` tenants are
 //!   resident; further submissions queue in a bounded pending queue. A full
-//!   queue never panics and never buffers unboundedly: depending on
-//!   [`ShedPolicy`] the new submission is rejected with
-//!   [`SubmitError::Overloaded`] or the *oldest* pending DAG is shed (its
-//!   report resolves to [`Outcome::Shed`]).
+//!   queue never panics and never buffers unboundedly: the new submission
+//!   is rejected with [`SubmitError::Overloaded`].
 //! * **Tenant fault isolation.** Task bodies run under the same
 //!   catch-unwind crash path as `ThreadRuntime`: injected crashes (a
 //!   tenant's [`FaultPlan`], keyed purely on `(seed, task, attempt)`) are
@@ -107,17 +105,6 @@ impl Program {
     }
 }
 
-/// What happens when a submission arrives with the pending queue full.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShedPolicy {
-    /// Reject the new submission with [`SubmitError::Overloaded`].
-    #[default]
-    RejectNew,
-    /// Admit the new submission and shed the *oldest* still-pending DAG;
-    /// its report resolves to [`Outcome::Shed`].
-    DropOldest,
-}
-
 /// Static configuration of a [`JadeService`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
@@ -125,11 +112,10 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Tenants resident (admitted, with their dependence graph) at once.
     pub max_active: usize,
-    /// Bound of the pending-DAG admission queue; `0` disables queueing
-    /// entirely (submissions beyond `max_active` shed immediately).
+    /// Bound of the pending-DAG admission queue; a submission that finds
+    /// it full is rejected with [`SubmitError::Overloaded`]. `0` disables
+    /// queueing entirely.
     pub max_pending: usize,
-    /// Behavior when the pending queue is full.
-    pub shed: ShedPolicy,
     /// Tenant-aware fair-share tuning (DESIGN.md §19): cap how many
     /// consecutive dispatches one tenant receives while other tenants have
     /// ready work, banking the unserved portion of its weighted turn so
@@ -144,7 +130,6 @@ impl ServiceConfig {
             workers: workers.max(1),
             max_active: 8,
             max_pending: 32,
-            shed: ShedPolicy::RejectNew,
             tune: false,
         }
     }
@@ -179,6 +164,10 @@ impl TenantOptions {
         self
     }
 
+    /// Inject `plan`'s faults into this tenant. A tenant reads three of
+    /// the plan's fields: `panic_p` and `seed` (as `ThreadRuntime` does)
+    /// and `fail_proc`. Every other field, `ckpt=` included, is validated
+    /// at submission and ignored.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -194,8 +183,7 @@ impl TenantOptions {
 /// expected operating condition of a loaded service.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// Active slots and the pending queue are full (under
-    /// [`ShedPolicy::RejectNew`]).
+    /// Active slots and the pending queue are full.
     Overloaded { pending: usize, limit: usize },
     /// The service is shutting down.
     ShuttingDown,
@@ -230,9 +218,6 @@ pub enum Outcome {
     /// A task body genuinely panicked (or exhausted the injected-failure
     /// retry budget); remaining tasks were cancelled. The pool survives.
     Failed(String),
-    /// Shed from the pending queue under [`ShedPolicy::DropOldest`]
-    /// before any task ran.
-    Shed,
 }
 
 /// Everything a tenant's run produced. The store is shared (`Arc`) because
@@ -243,8 +228,8 @@ pub struct TenantReport {
     pub outcome: Outcome,
     pub tasks_total: usize,
     pub tasks_completed: usize,
-    /// Tasks never completed (cancelled by a deadline, a failure, or a
-    /// shed). Zero iff `outcome == Completed`.
+    /// Tasks never completed (cancelled by a deadline or a failure). Zero
+    /// iff `outcome == Completed`.
     pub tasks_cancelled: usize,
     /// Injected-crash re-executions recovered inside this tenant.
     pub recoveries: usize,
@@ -520,27 +505,10 @@ impl JadeService {
         if core.active.len() >= self.inner.cfg.max_active
             && core.pending.len() >= self.inner.cfg.max_pending
         {
-            match self.inner.cfg.shed {
-                ShedPolicy::RejectNew => {
-                    return Err(SubmitError::Overloaded {
-                        pending: core.pending.len(),
-                        limit: self.inner.cfg.max_pending,
-                    });
-                }
-                ShedPolicy::DropOldest => {
-                    if let Some(old) = core.pending.pop_front() {
-                        let report = shed_report(&old);
-                        core.finished.insert(old.id, report);
-                        core.wake_waiters(&self.inner, old.id);
-                    } else {
-                        // max_pending == 0: nothing to shed, reject.
-                        return Err(SubmitError::Overloaded {
-                            pending: 0,
-                            limit: 0,
-                        });
-                    }
-                }
-            }
+            return Err(SubmitError::Overloaded {
+                pending: core.pending.len(),
+                limit: self.inner.cfg.max_pending,
+            });
         }
         let id = core.next_id;
         core.next_id += 1;
@@ -641,19 +609,6 @@ impl JadeService {
 impl Drop for JadeService {
     fn drop(&mut self) {
         self.drain_and_join();
-    }
-}
-
-fn shed_report(p: &PendingTenant) -> TenantReport {
-    TenantReport {
-        tenant: TenantId(p.id),
-        outcome: Outcome::Shed,
-        tasks_total: p.tasks.len(),
-        tasks_completed: 0,
-        tasks_cancelled: p.tasks.len(),
-        recoveries: 0,
-        store: Arc::new(Store::new()),
-        events: Vec::new(),
     }
 }
 
@@ -1391,7 +1346,6 @@ mod tests {
             workers: 1,
             max_active: 1,
             max_pending: 2,
-            shed: ShedPolicy::RejectNew,
             tune: false,
         };
         let svc = JadeService::new(cfg);
@@ -1426,37 +1380,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn drop_oldest_sheds_the_oldest_pending_dag() {
-        let cfg = ServiceConfig {
-            workers: 1,
-            max_active: 1,
-            max_pending: 1,
-            shed: ShedPolicy::DropOldest,
-            tune: false,
-        };
-        let svc = JadeService::new(cfg);
-        let gate = Gate::default();
-        let b = svc
-            .submit(blocker(&gate), TenantOptions::default())
-            .unwrap();
-        while svc.active_len() == 0 {
-            std::thread::yield_now();
-        }
-        let old = svc
-            .submit(chain_program(3).0, TenantOptions::default())
-            .unwrap();
-        let new = svc
-            .submit(chain_program(4).0, TenantOptions::default())
-            .unwrap();
-        let shed = svc.wait(old);
-        assert_eq!(shed.outcome, Outcome::Shed);
-        assert_eq!(shed.tasks_cancelled, 3);
-        gate.open();
-        assert_eq!(svc.wait(b).outcome, Outcome::Completed);
-        assert_eq!(svc.wait(new).outcome, Outcome::Completed);
-    }
-
     /// The starvation bound: with one worker (so dispatch order is the
     /// fairness policy and nothing else), a tenant with continuously ready
     /// work is served again within Σ other tenants' weights dispatches.
@@ -1466,7 +1389,6 @@ mod tests {
             workers: 1,
             max_active: 8,
             max_pending: 8,
-            shed: ShedPolicy::RejectNew,
             tune: false,
         };
         let svc = JadeService::new(cfg);
@@ -1539,7 +1461,6 @@ mod tests {
             workers: 1,
             max_active: 4,
             max_pending: 4,
-            shed: ShedPolicy::RejectNew,
             tune: false,
         };
         let svc = JadeService::new(cfg);
@@ -1614,7 +1535,6 @@ mod tests {
             workers: 1,
             max_active: 4,
             max_pending: 4,
-            shed: ShedPolicy::RejectNew,
             tune: true,
         };
         let svc = JadeService::new(cfg);

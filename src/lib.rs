@@ -34,6 +34,6 @@ pub use jade_core::{
     TaskBuilder, TaskCtx, TaskDef, TaskId, TenantId, Trace, TraceRuntime,
 };
 pub use jade_threads::{
-    JadeService, Outcome, Program, ServiceConfig, ShedPolicy, SubmitError, TenantOptions,
-    TenantReport, ThreadRuntime,
+    JadeService, Outcome, Program, ServiceConfig, SubmitError, TenantOptions, TenantReport,
+    ThreadRuntime,
 };

@@ -5,10 +5,9 @@
 //! `ThreadRuntime` must produce the application results of the serial
 //! `TraceRuntime` bit for bit, the deterministic event counters of its own
 //! one-worker run, exactly the re-executions `FaultPlan::task_fails`
-//! predicts, exactly the checkpoints the interval predicts and exactly the
-//! mid-task releases the program makes — traced (completions counted down
-//! under the state lock) and untraced (by atomic countdown, no lock)
-//! alike, and whether the program runs as one batch or is cut in two by a
+//! predicts and exactly the mid-task releases the program makes — traced
+//! (completions counted down under the state lock) and untraced (by
+//! atomic countdown, no lock) alike, and whether the program runs as one batch or is cut in two by a
 //! mid-program `finish` on the same runtime. Stealing and locality splits
 //! are scheduling accidents and legitimately differ; everything Jade
 //! semantics pins down must not.
@@ -44,8 +43,8 @@ fn cut_of(prog: &[Vec<(u8, u8)>], draw: usize) -> usize {
 }
 
 /// The interleaving-independent slice of the metrics. Steals, locality
-/// hits and checkpoint restores depend on timing; these do not.
-type Counters = (usize, usize, usize, usize, usize, u64, u64, u64, u64);
+/// hits depend on timing; these do not.
+type Counters = (usize, usize, usize, usize, usize, u64, u64, u64);
 
 fn deterministic_counters(m: &Metrics) -> Counters {
     (
@@ -57,7 +56,6 @@ fn deterministic_counters(m: &Metrics) -> Counters {
         m.releases,
         m.workers_failed,
         m.tasks_reexecuted,
-        m.checkpoints,
     )
 }
 
@@ -137,44 +135,22 @@ fn predicted_releases(prog: &[Vec<(u8, u8)>]) -> u64 {
     prog.iter().map(released).sum()
 }
 
-/// Checkpoints an `every`-completions interval takes over `tasks` tasks
-/// cut into batches at `cut`: per batch, one per full interval, none at the
-/// completion that drains the batch.
-fn predicted_checkpoints(every: Option<usize>, tasks: usize, cut: usize) -> u64 {
-    let Some(every) = every else { return 0 };
-    let batch = |n: usize| ((n - 1) / every) as u64;
-    match cut {
-        0 => batch(tasks),
-        _ => batch(cut) + batch(tasks - cut),
-    }
-}
-
 /// The whole contract, for one program cut at `cut` under one plan: at
 /// every worker count, traced and untraced, results equal the serial run,
-/// deterministic counters equal the one-worker run, and re-executions,
-/// checkpoints and releases equal what the plan and the program predict.
-fn check_against_oracles(
-    prog: &[Vec<(u8, u8)>],
-    cut: usize,
-    plan: Option<FaultPlan>,
-    every: Option<usize>,
-) {
+/// deterministic counters equal the one-worker run, and re-executions and
+/// releases equal what the plan and the program predict.
+fn check_against_oracles(prog: &[Vec<(u8, u8)>], cut: usize, plan: Option<FaultPlan>) {
     let serial = results_on(&mut TraceRuntime::new(), prog, cut);
     let reexecuted = predicted_reexecutions(plan, prog.len());
     let releases = predicted_releases(prog);
-    let checkpoints = predicted_checkpoints(every, prog.len(), cut);
     let configure = |rt: &mut ThreadRuntime| {
         if let Some(p) = plan {
             rt.inject_faults(p);
         }
-        if let Some(every) = every {
-            rt.checkpoint_every(every);
-        }
     };
     let mut one_worker = None;
     for workers in WORKERS {
-        let what =
-            format!("{workers} workers, cut {cut}, plan {plan:?}, checkpoint every {every:?}");
+        let what = format!("{workers} workers, cut {cut}, plan {plan:?}");
 
         let mut rt = ThreadRuntime::new(workers);
         rt.enable_events();
@@ -195,11 +171,9 @@ fn check_against_oracles(
         );
         assert_eq!(m.tasks_reexecuted, reexecuted, "re-executions: {what}");
         assert_eq!(m.workers_failed, reexecuted, "worker failures: {what}");
-        assert_eq!(m.checkpoints, checkpoints, "checkpoints: {what}");
         assert_eq!(m.releases, releases, "releases: {what}");
 
-        // Untraced, so completions count down with no lock (unless the
-        // checkpoint interval needs it).
+        // Untraced, so completions count down with no lock.
         let mut rt = ThreadRuntime::new(workers);
         configure(&mut rt);
         assert_eq!(
@@ -210,35 +184,30 @@ fn check_against_oracles(
         let s = rt.total_stats();
         assert_eq!(s.executed as u64, prog.len() as u64 + reexecuted, "{what}");
         assert_eq!(s.recoveries as u64, reexecuted, "{what}");
-        assert_eq!(s.checkpoints as u64, checkpoints, "{what}");
+        assert_eq!(s.sync_locks, 0, "untraced takes no lock: {what}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fault-free, with and without a checkpoint interval.
+    /// Fault-free.
     #[test]
-    fn threads_agree_with_serial_without_faults(
-        (prog, draw) in program_strategy(40),
-        every in 0usize..8,
-    ) {
-        check_against_oracles(&prog, cut_of(&prog, draw), None, (every > 0).then_some(every));
+    fn threads_agree_with_serial_without_faults((prog, draw) in program_strategy(40)) {
+        check_against_oracles(&prog, cut_of(&prog, draw), None);
     }
 
-    /// Under injected crashes, with and without checkpointing: recovery
-    /// keeps results bit-identical, and `FaultPlan::task_fails` is a pure
-    /// hash of (seed, task, attempt), so even the re-execution counts are
-    /// predictable from the plan alone.
+    /// Under injected crashes: recovery keeps results bit-identical, and
+    /// `FaultPlan::task_fails` is a pure hash of (seed, task, attempt), so
+    /// even the re-execution counts are predictable from the plan alone.
     #[test]
     fn threads_agree_with_serial_under_fault_injection(
         (prog, draw) in program_strategy(30),
         seed in any::<u64>(),
         psel in 0usize..3,
-        every in 0usize..8,
     ) {
         let plan = FaultPlan { panic_p: [0.1, 0.3, 0.5][psel], seed, ..FaultPlan::none() };
-        check_against_oracles(&prog, cut_of(&prog, draw), Some(plan), (every > 0).then_some(every));
+        check_against_oracles(&prog, cut_of(&prog, draw), Some(plan));
     }
 
     /// One worker erases all scheduling freedom: two runs of one program
