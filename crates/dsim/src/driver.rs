@@ -14,7 +14,7 @@
 use crate::calendar::Calendar;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::proc::{ProcClock, TimeKind};
-use crate::time::{SimBudget, SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime};
 use jade_core::{
     Component, Countdown, Event, EventKind, Locality, Metrics, MetricsFold, ObjectId, ProcId, Sink,
     TaskId, Trace,
@@ -75,12 +75,13 @@ impl std::error::Error for SimError {}
 /// `try_run_folded` and `try_run_traced` — and the one body behind them,
 /// which runs [`simulate`] on the machine `$build` constructs from the core
 /// and a `$cfg`, for a `$res`. The [`Params`] are read from `$cfg` by
-/// field name: both machines' configurations name them alike. The bodies
+/// field name — both machines' configurations name them alike — and main's
+/// creation cost is the machine's constant `$create`. The bodies
 /// are written once, here; each machine's crate gets them with concrete
 /// types, so callers keep deref coercion (`&Box<DashConfig>` passes).
 #[macro_export]
 macro_rules! entry_points {
-    ($cfg:ty => $res:ty, $build:path) => {
+    ($cfg:ty => $res:ty, $build:path, $create:expr) => {
         /// Simulate `trace` on the configured machine.
         ///
         /// Panics on a malformed configuration or trace, or a wedged run;
@@ -129,7 +130,7 @@ macro_rules! entry_points {
             trace: &jade_core::Trace,
             cfg: &$cfg,
         ) -> Result<($res, Vec<jade_core::Event>), $crate::driver::SimError> {
-            simulate(trace, cfg, jade_core::EventSink::recording())
+            simulate(trace, cfg, Vec::<jade_core::Event>::new())
         }
 
         fn simulate<R: jade_core::Sink + Default>(
@@ -140,12 +141,10 @@ macro_rules! entry_points {
             let params = $crate::driver::Params {
                 procs: cfg.machine.procs,
                 sec_per_op: cfg.sec_per_op,
-                jitter_frac: cfg.jitter_frac,
-                create_s: cfg.costs.create_s,
+                create: $create,
                 work_free: cfg.work_free,
                 replication: cfg.replication,
                 faults: cfg.faults,
-                deadline: cfg.deadline,
             };
             $crate::driver::simulate(trace, params, rec, |core| $build(core, cfg))
         }
@@ -158,14 +157,18 @@ macro_rules! entry_points {
 pub struct Params {
     pub procs: usize,
     pub sec_per_op: f64,
-    pub jitter_frac: f64,
-    /// Main's per-task creation cost.
-    pub create_s: f64,
+    /// Main's per-task creation cost: the machine's calibrated constant.
+    pub create: SimDuration,
     pub work_free: bool,
     pub replication: bool,
     pub faults: FaultPlan,
-    pub deadline: Option<SimDuration>,
 }
+
+/// Deterministic per-task duration jitter (fraction, mean zero), modeling
+/// the cache and contention variability of a real machine. Without it,
+/// equal-length tasks complete in lock step and the load balancer never
+/// sees an imbalance — unlike the paper's machines.
+const JITTER_FRAC: f64 = 0.08;
 
 /// A calendar event: the driver's two, or one of the machine's own.
 #[derive(Clone, Copy, Debug)]
@@ -192,7 +195,7 @@ pub struct Core<'a, E, R: Sink> {
     pub deps: Countdown<'a>,
     /// Every measurement comes out of this event stream: the run's counters
     /// are folded from it as it is emitted ([`MetricsFold`]). `R` records
-    /// the stream as well ([`jade_core::EventSink`]) or discards it
+    /// the stream as well (a `Vec<Event>`) or discards it
     /// ([`jade_core::NullSink`]).
     pub events: (MetricsFold, R),
     /// Fault decision stream.
@@ -206,9 +209,6 @@ pub struct Core<'a, E, R: Sink> {
     /// Unrecoverable failure; aborts the event loop.
     pub fatal: Option<SimError>,
     params: Params,
-    create: SimDuration,
-    /// The budget expired with work left: the run is a partial one.
-    deadline_hit: bool,
     next_rec: usize,
     /// Native stall tally, cross-checked against the event stream.
     n_stalls: u64,
@@ -220,28 +220,18 @@ pub struct Core<'a, E, R: Sink> {
 
 impl<'a, E, R: Sink> Core<'a, E, R> {
     /// Validate what both machines share — the processor count, the compute
-    /// and creation costs, the jitter, the fault plan and the trace — and
-    /// set up a run with main's first step on the calendar.
+    /// cost, the fault plan and the trace — and set up a run with main's
+    /// first step on the calendar.
     fn new(trace: &'a Trace, p: Params, rec: R) -> Result<Self, SimError> {
-        let bad = |why: String| Err(SimError::InvalidMachine(why));
         if p.procs < 1 {
             return Err(SimError::NoProcessors);
         }
         if !(p.sec_per_op.is_finite() && (0.0..=3_600.0).contains(&p.sec_per_op)) {
-            return bad(format!(
+            return Err(SimError::InvalidMachine(format!(
                 "sec_per_op must be in [0, 3600] seconds, got {}",
                 p.sec_per_op
-            ));
+            )));
         }
-        // The jitter multiplier is `1 + frac * (u - 0.5)` with `u` in [0, 1);
-        // frac beyond 2 makes task durations negative.
-        if !(p.jitter_frac.is_finite() && (0.0..=2.0).contains(&p.jitter_frac)) {
-            return bad(format!(
-                "jitter fraction must be in [0, 2], got {}",
-                p.jitter_frac
-            ));
-        }
-        let create = cost("create_s", p.create_s)?;
         p.faults.validate().map_err(SimError::InvalidFaultPlan)?;
         let graph = trace
             .dep_graph(p.replication)
@@ -260,8 +250,6 @@ impl<'a, E, R: Sink> Core<'a, E, R> {
             main_done: false,
             fatal: None,
             params: p,
-            create,
-            deadline_hit: false,
             next_rec: 0,
             n_stalls: 0,
             newly: Vec::new(),
@@ -273,24 +261,6 @@ impl<'a, E, R: Sink> Core<'a, E, R> {
     #[inline]
     pub fn main_available(&self) -> bool {
         self.main_done || self.main_blocked.is_some()
-    }
-
-    /// The virtual-time budget is spent at `t`.
-    #[inline]
-    pub fn past_deadline(&self, t: SimTime) -> bool {
-        self.params
-            .deadline
-            .is_some_and(|d| SimBudget::new(d).exhausted(t))
-    }
-
-    /// The deadline gate: refuse to start new work at `t` once the budget
-    /// is spent. Call it only when concrete ready work would start, so the
-    /// partial-run flag it sets means work was actually cut.
-    #[inline]
-    pub fn deadline_cuts(&mut self, t: SimTime) -> bool {
-        let cut = self.past_deadline(t);
-        self.deadline_hit |= cut;
-        cut
     }
 
     /// Occupy `p`'s timeline for `dur` from `now` and emit the matching
@@ -353,26 +323,15 @@ pub struct Run {
     pub exec_time_s: f64,
     pub task_time_s: f64,
     pub locality_pct: f64,
-    pub deadline_exceeded: bool,
     pub per_proc_busy: Vec<(f64, f64, f64)>,
-}
-
-/// `secs` of the machine cost `name` as a virtual duration, or the error
-/// naming it when it is negative, non-finite or too large to represent.
-pub fn cost(name: &str, secs: f64) -> Result<SimDuration, SimError> {
-    SimDuration::try_from_secs_f64(secs).ok_or_else(|| {
-        SimError::InvalidMachine(format!(
-            "cost {name} must be a finite non-negative time, got {secs}"
-        ))
-    })
 }
 
 /// Deterministic mean-zero multiplicative jitter for task `id`.
 #[inline]
-fn jitter(id: TaskId, frac: f64) -> f64 {
+fn jitter(id: TaskId) -> f64 {
     let h = (id.0 as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
     let u = ((h >> 40) % 10_000) as f64 / 10_000.0; // [0, 1)
-    1.0 + frac * (u - 0.5)
+    1.0 + JITTER_FRAC * (u - 0.5)
 }
 
 /// A simulated machine: its state embeds a [`Core`], its hooks say what it
@@ -421,14 +380,7 @@ pub trait Machine<'a, R: Sink>: Sized {
     /// Main processes its next trace record at `t`.
     fn main_step(&mut self, t: SimTime) {
         let c = self.core();
-        // Deadline: stop creating tasks once the budget is spent. The
-        // already-created suffix drains normally (each created task's
-        // predecessors were created before it), so the run terminates
-        // cleanly with partial metrics instead of wedging as `Stalled`.
-        let left = c.trace.tasks.len() - c.next_rec;
-        let cut = left > 0 && c.past_deadline(t);
-        if cut || left == 0 {
-            c.deadline_hit |= cut;
+        if c.next_rec == c.trace.tasks.len() {
             c.main_done = true;
             self.fill(0, t);
             return;
@@ -447,7 +399,7 @@ pub trait Machine<'a, R: Sink>: Sized {
                 self.fill(0, t);
             }
         } else {
-            let end = c.occupy(0, t, c.create, TimeKind::Mgmt, Some(id));
+            let end = c.occupy(0, t, c.params.create, TimeKind::Mgmt, Some(id));
             self.created(id, end);
             let c = self.core();
             if c.deps.add_task_traced(id, &mut c.events, end.0, 0) {
@@ -495,9 +447,7 @@ pub trait Machine<'a, R: Sink>: Sized {
         let work = if cfg.work_free {
             SimDuration::ZERO
         } else {
-            SimDuration::from_secs_f64(
-                rec.work * cfg.sec_per_op * jitter(id, cfg.jitter_frac) / speed,
-            )
+            SimDuration::from_secs_f64(rec.work * cfg.sec_per_op * jitter(id) / speed)
         };
         let end = c.occupy(p, t, work, TimeKind::App, Some(id));
         let end = self.start_data(p, id, end);
@@ -555,10 +505,7 @@ where
     if let Some(e) = c.fatal.take() {
         return Err(e);
     }
-    // A deadline cut is a *successful partial* run, not a stall: tasks the
-    // gate refused (and trace records never created) are the cancelled
-    // remainder the caller reads off `deadline_exceeded`.
-    if !c.deadline_hit && (!c.main_done || !c.deps.all_complete()) {
+    if !c.main_done || !c.deps.all_complete() {
         return Err(SimError::Stalled {
             live_tasks: c.deps.live_tasks(),
         });
@@ -583,7 +530,6 @@ where
         exec_time_s: c.pc.horizon().as_secs_f64(),
         task_time_s: SimDuration(m.task_span_ps).as_secs_f64(),
         locality_pct: crate::percent(m.locality_hits as f64, m.locality_tracked as f64),
-        deadline_exceeded: c.deadline_hit,
         per_proc_busy: (0..procs)
             .map(|p| {
                 let u = c.pc.usage(p);

@@ -45,4 +45,4 @@ pub use fault::{Copies, FaultInjector, FaultPlan, MessageFate};
 pub use machine::{hypercube_dimension, DashHit, DashSpec, IpscSpec, ProcId};
 pub use proc::{ProcClock, ProcUsage, TimeKind};
 pub use stats::{percent, ratio, Accum};
-pub use time::{SimBudget, SimDuration, SimTime, PS_PER_SEC};
+pub use time::{SimDuration, SimTime, PS_PER_SEC};

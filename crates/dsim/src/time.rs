@@ -68,6 +68,11 @@ impl SimDuration {
         (ps < u64::MAX as f64).then_some(SimDuration(ps as u64))
     }
 
+    /// `us` whole microseconds, for calibrated constants.
+    pub const fn from_micros(us: u64) -> SimDuration {
+        SimDuration(us * (PS_PER_SEC / 1_000_000))
+    }
+
     #[inline]
     pub fn from_micros_f64(us: f64) -> SimDuration {
         SimDuration::from_secs_f64(us * 1e-6)
@@ -95,40 +100,6 @@ impl SimDuration {
     #[inline]
     pub fn mul_u64(self, k: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(k).expect("SimDuration overflow"))
-    }
-}
-
-/// A virtual-time budget: a deadline expressed as a [`SimDuration`] from
-/// simulation start. Simulators consult it at scheduling points (e.g. before
-/// creating the next task) to cut a run short deterministically — the
-/// virtual-time analogue of the thread service's wall-clock tenant deadline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SimBudget {
-    limit: SimDuration,
-}
-
-impl SimBudget {
-    pub fn new(limit: SimDuration) -> SimBudget {
-        SimBudget { limit }
-    }
-
-    /// The instant at which the budget expires.
-    #[inline]
-    pub fn deadline(&self) -> SimTime {
-        SimTime(self.limit.0)
-    }
-
-    /// Whether the budget is spent at virtual time `now`. Exact: a budget of
-    /// `d` admits work scheduled strictly before `t = d`.
-    #[inline]
-    pub fn exhausted(&self, now: SimTime) -> bool {
-        now >= self.deadline()
-    }
-
-    /// Budget left at `now` (zero once exhausted).
-    #[inline]
-    pub fn remaining(&self, now: SimTime) -> SimDuration {
-        SimDuration(self.limit.0.saturating_sub(now.0))
     }
 }
 
@@ -253,19 +224,11 @@ mod tests {
     #[test]
     fn micros() {
         assert_eq!(SimDuration::from_micros_f64(47.0), SimDuration(47_000_000));
-    }
-
-    #[test]
-    fn budget_boundaries() {
-        let b = SimBudget::new(SimDuration::from_secs_f64(2.0));
-        assert!(!b.exhausted(SimTime::ZERO));
-        assert!(!b.exhausted(SimTime::from_secs_f64(1.999)));
-        assert!(b.exhausted(SimTime::from_secs_f64(2.0)));
-        assert!(b.exhausted(SimTime::MAX));
+        assert_eq!(SimDuration::from_micros(47), SimDuration(47_000_000));
+        // The calibrated constants convert exactly as their seconds did.
         assert_eq!(
-            b.remaining(SimTime::from_secs_f64(1.5)),
-            SimDuration::from_secs_f64(0.5)
+            SimDuration::from_micros(150),
+            SimDuration::from_secs_f64(150e-6)
         );
-        assert_eq!(b.remaining(SimTime::MAX), SimDuration::ZERO);
     }
 }

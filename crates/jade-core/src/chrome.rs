@@ -348,11 +348,11 @@ pub fn validate_chrome_trace(text: &str, procs: usize) -> Result<usize, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{Component, EventSink, Sink};
+    use crate::events::{Component, Sink};
     use crate::ids::TaskId;
 
     fn sample_events() -> Vec<Event> {
-        let mut s = EventSink::recording();
+        let mut s: Vec<Event> = Vec::new();
         s.emit_task(0, 0, EventKind::TaskCreated, TaskId(0));
         s.span(0, 0, Component::Mgmt, 1_500_000, Some(TaskId(0)));
         s.emit_task(
@@ -365,7 +365,7 @@ mod tests {
             TaskId(0),
         );
         s.span(1_500_000, 1, Component::App, 2_000_000, Some(TaskId(0)));
-        s.into_events()
+        s
     }
 
     #[test]

@@ -372,7 +372,7 @@ impl<'g> Countdown<'g> {
 mod tests {
     use super::*;
     use crate::access::AccessSpec;
-    use crate::events::EventSink;
+    use crate::events::Event;
     use crate::ids::ObjectId;
     use crate::synchronizer::{SnapshotSize, Synchronizer};
     use crate::trace::TraceBuilder;
@@ -457,7 +457,7 @@ mod tests {
         assert_eq!(sub_row(&g, TaskId(0), 0), [TaskId(1), TaskId(3)]);
         assert_eq!(sub_row(&g, TaskId(0), 1), [TaskId(2), TaskId(3)]);
         let mut deps = Countdown::new(Cow::Borrowed(&g));
-        let mut events = EventSink::recording();
+        let mut events = Vec::<Event>::new();
         for t in &trace.tasks {
             deps.add_task_traced(t.id, &mut events, 0, 0);
         }
@@ -528,9 +528,9 @@ mod tests {
         assert_eq!(DepGraph::build(&small, true).objects(), 1);
         let mut deps = Countdown::default();
         deps.rebuild(small.tasks.iter().map(|t| &t.spec), true);
-        assert!(deps.add_task_traced(TaskId(0), &mut EventSink::recording(), 0, 0));
-        assert!(deps.add_task_traced(TaskId(1), &mut EventSink::recording(), 0, 0));
-        assert!(!deps.add_task_traced(TaskId(2), &mut EventSink::recording(), 0, 0));
+        assert!(deps.add_task_traced(TaskId(0), &mut Vec::<Event>::new(), 0, 0));
+        assert!(deps.add_task_traced(TaskId(1), &mut Vec::<Event>::new(), 0, 0));
+        assert!(!deps.add_task_traced(TaskId(2), &mut Vec::<Event>::new(), 0, 0));
     }
 
     #[test]
@@ -545,7 +545,7 @@ mod tests {
         let first = [w.clone(), r.clone(), w.clone(), r.clone()];
         let second = [r.clone(), w, r];
         let run = |deps: &mut Countdown| {
-            let mut events = EventSink::recording();
+            let mut events = Vec::<Event>::new();
             let mut ready = Vec::new();
             for (i, _) in second.iter().enumerate() {
                 if deps.add_task_traced(TaskId(i as u32), &mut events, 0, 0) {
@@ -556,12 +556,12 @@ mod tests {
                 deps.complete_traced(id, &mut ready, &mut events, 1, 0);
             }
             assert!(deps.all_complete());
-            events.take()
+            events
         };
         let mut used = Countdown::default();
         used.rebuild(first.iter(), true);
         let mut newly = Vec::new();
-        let mut events = EventSink::recording();
+        let mut events = Vec::<Event>::new();
         for i in 0..first.len() as u32 {
             used.add_task_traced(TaskId(i), &mut events, 0, 0);
         }
@@ -666,7 +666,7 @@ mod tests {
             let graph = DepGraph::build(&trace, replication);
             let mut deps = Countdown::new(Cow::Borrowed(&graph));
             let mut sync = Synchronizer::new(replication);
-            let (mut got_events, mut want_events) = (EventSink::recording(), EventSink::recording());
+            let (mut got_events, mut want_events) = (Vec::<Event>::new(), Vec::<Event>::new());
             let mut size = SnapshotSize::default();
             let mut state = seed | 1;
             let mut next = || {
@@ -731,7 +731,7 @@ mod tests {
             }
             prop_assert!(deps.all_complete() && sync.all_complete());
             prop_assert_eq!(deps.task_count(), specs.len());
-            prop_assert_eq!(got_events.take(), want_events.take());
+            prop_assert_eq!(got_events, want_events);
         }
     }
 }

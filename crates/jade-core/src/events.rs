@@ -26,9 +26,9 @@
 //!
 //! Emission sites are generic over [`Sink`], so what an event costs is
 //! decided where the sink type is chosen: [`NullSink`] compiles every
-//! emission away (the default for `jade-threads`), [`EventSink`] records
-//! or discards behind one run-time branch, [`MetricsFold`] aggregates
-//! without storing, and a pair `(A, B)` does both.
+//! emission away (the default for `jade-threads`), a `Vec<Event>` records
+//! every event, [`MetricsFold`] aggregates without storing, and a pair
+//! `(A, B)` does both.
 
 use crate::ids::{ObjectId, ProcId, TaskId};
 use std::collections::HashMap;
@@ -213,107 +213,14 @@ impl EventKind {
     }
 }
 
-/// The recorder: a [`Sink`] whose recording can be switched at run time.
-/// `Disabled` costs one predictable branch per emission site; `Record`
-/// appends to an in-memory vector. The inherent `emit*` methods mirror the
-/// trait's for callers that hold the concrete type; [`Sink::span`] exists
-/// on the trait only.
-#[derive(Clone, Debug, Default)]
-pub enum EventSink {
-    #[default]
-    Disabled,
-    Record(Vec<Event>),
-}
-
-impl EventSink {
-    /// A sink that records events in memory.
-    pub fn recording() -> EventSink {
-        EventSink::Record(Vec::new())
-    }
-
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        matches!(self, EventSink::Record(_))
-    }
-
-    #[inline]
-    pub fn push(&mut self, ev: Event) {
-        if let EventSink::Record(v) = self {
-            v.push(ev);
-        }
-    }
-
-    /// Emit an event with no task/object attribution.
-    #[inline]
-    pub fn emit(&mut self, time_ps: u64, proc: ProcId, kind: EventKind) {
-        self.push(Event {
-            time_ps,
-            proc,
-            kind,
-            task: None,
-            object: None,
-        });
-    }
-
-    /// Emit a task-attributed event.
-    #[inline]
-    pub fn emit_task(&mut self, time_ps: u64, proc: ProcId, kind: EventKind, task: TaskId) {
-        self.push(Event {
-            time_ps,
-            proc,
-            kind,
-            task: Some(task),
-            object: None,
-        });
-    }
-
-    /// Emit an object-attributed event (optionally tied to a task).
-    #[inline]
-    pub fn emit_obj(
-        &mut self,
-        time_ps: u64,
-        proc: ProcId,
-        kind: EventKind,
-        task: Option<TaskId>,
-        object: ObjectId,
-    ) {
-        self.push(Event {
-            time_ps,
-            proc,
-            kind,
-            task,
-            object: Some(object),
-        });
-    }
-
-    /// Take the recorded events, leaving an empty recording sink.
-    pub fn take(&mut self) -> Vec<Event> {
-        match self {
-            EventSink::Disabled => Vec::new(),
-            EventSink::Record(v) => std::mem::take(v),
-        }
-    }
-
-    /// Consume the sink, returning the recorded events.
-    pub fn into_events(self) -> Vec<Event> {
-        match self {
-            EventSink::Disabled => Vec::new(),
-            EventSink::Record(v) => v,
-        }
-    }
-}
-
 /// Statically-dispatched event destination.
 ///
-/// [`EventSink`] branches on its discriminant at every emission; that is
-/// cheap but not free, and in the thread backend the branch sits inside a
-/// critical section. Code generic over `Sink` monomorphizes instead:
-/// instantiated with [`NullSink`] every emission body is empty and the
-/// optimizer deletes the surrounding bookkeeping (clock ticks, event
-/// buffers) outright — the untraced hot path carries **zero** event cost,
-/// statically. Instantiated with [`EventSink`] it behaves exactly like the
-/// dynamic enum; with [`MetricsFold`] each event is aggregated and
-/// dropped; with a pair of sinks it goes to both.
+/// Code generic over `Sink` monomorphizes: instantiated with [`NullSink`]
+/// every emission body is empty and the optimizer deletes the surrounding
+/// bookkeeping (clock ticks, event buffers) outright — the untraced hot
+/// path carries **zero** event cost, statically. Instantiated with a
+/// `Vec<Event>` every event is recorded; with [`MetricsFold`] each event
+/// is aggregated and dropped; with a pair of sinks it goes to both.
 pub trait Sink {
     /// `false` promises every event is discarded, letting callers skip
     /// even the *construction* of event data (timestamps, lookups) behind
@@ -404,16 +311,17 @@ pub trait Sink {
     }
 }
 
-impl Sink for EventSink {
+/// The recorder: every event is appended, in emission order.
+impl Sink for Vec<Event> {
     const ACTIVE: bool = true;
 
     #[inline]
     fn push(&mut self, ev: Event) {
-        EventSink::push(self, ev);
+        Vec::push(self, ev);
     }
 
     fn into_events(self) -> Vec<Event> {
-        EventSink::into_events(self)
+        self
     }
 }
 
@@ -432,7 +340,7 @@ impl Sink for NullSink {
 
 /// A tee: every event goes to both sinks. The machine simulators run on
 /// `(MetricsFold, R)` — `R = NullSink` untraced (the second push is empty
-/// and compiles away), `R = EventSink` traced. A tee is only a way in:
+/// and compiles away), `R = Vec<Event>` traced. A tee is only a way in:
 /// destructure it and ask each half for what it holds.
 impl<A: Sink, B: Sink> Sink for (A, B) {
     const ACTIVE: bool = A::ACTIVE || B::ACTIVE;
@@ -583,7 +491,7 @@ pub struct Metrics {
 /// As a [`Sink`] the fold *is* the event destination: the machine
 /// simulators emit into it directly, so an untraced run never materialises
 /// its stream, and a traced run tees every event into the fold and a
-/// recorder (`(MetricsFold, EventSink)`). Both go through
+/// recorder (`(MetricsFold, Vec<Event>)`). Both go through
 /// [`MetricsFold::push`], as does [`Metrics::from_events`], which is why
 /// the result of a run and the aggregation of its recorded stream cannot
 /// differ.
@@ -1226,17 +1134,16 @@ mod tests {
     }
 
     #[test]
-    fn disabled_sink_records_nothing() {
-        let mut s = EventSink::Disabled;
+    fn null_sink_records_nothing() {
+        let mut s = NullSink;
         s.emit(0, 0, EventKind::TaskCreated);
         s.span(0, 0, Component::App, 10, None);
-        assert!(!s.is_enabled());
         assert!(s.into_events().is_empty());
     }
 
     #[test]
     fn recording_sink_drops_zero_spans() {
-        let mut s = EventSink::recording();
+        let mut s: Vec<Event> = Vec::new();
         s.span(0, 0, Component::App, 0, None);
         s.span(5, 0, Component::App, 7, None);
         let evs = s.into_events();

@@ -38,7 +38,6 @@ mod memsim;
 mod scheduler;
 mod sim;
 
-pub use costs::DashCosts;
 pub use memsim::MemSim;
 pub use scheduler::{DashScheduler, LocalityMode};
 pub use sim::{

@@ -150,8 +150,7 @@ pub struct DashScheduler {
     procs: Vec<ProcQueue>,
     /// Every queued task's place in its object task queue, by task id.
     links: Vec<Link>,
-    queued: usize,
-    /// How many of `queued` sit in object task queues (not pinned, not in
+    /// How many queued tasks sit in object task queues (not pinned, not in
     /// the shared queue): when none does, a thief need not visit anybody.
     stealable: usize,
     /// Number of successful steals (reported in run results).
@@ -165,7 +164,6 @@ impl DashScheduler {
             shared: VecDeque::new(),
             procs: (0..nprocs).map(|_| ProcQueue::default()).collect(),
             links: Vec::new(),
-            queued: 0,
             stealable: 0,
             steals: 0,
         }
@@ -188,11 +186,6 @@ impl DashScheduler {
         self.mode
     }
 
-    /// Number of queued (enabled, undispatched) tasks.
-    pub fn queued(&self) -> usize {
-        self.queued
-    }
-
     /// Insert an enabled task. `target` is the owner of the task's locality
     /// object; `pinned` marks an explicit placement being honored.
     pub fn insert(
@@ -203,7 +196,6 @@ impl DashScheduler {
         pinned: bool,
         now: SimTime,
     ) {
-        self.queued += 1;
         if !self.mode.uses_locality() {
             self.shared.push_back(task);
             return;
@@ -223,15 +215,12 @@ impl DashScheduler {
     /// Take the next task for processor `p` from its own queue.
     pub fn pop_local(&mut self, p: ProcId) -> Option<TaskId> {
         if !self.mode.uses_locality() {
-            let t = self.shared.pop_front()?;
-            self.queued -= 1;
-            return Some(t);
+            return self.shared.pop_front();
         }
         let pq = &mut self.procs[p];
         // Pinned tasks go first.
         let from_object_queue = pq.pinned.is_empty();
         let t = pq.pop_first(&mut self.links)?;
-        self.queued -= 1;
         self.stealable -= usize::from(from_object_queue);
         Some(t)
     }
@@ -256,7 +245,6 @@ impl DashScheduler {
                 || (pq.oldest_enqueue(&self.links)).is_some_and(|e| e <= patience_cutoff);
             if eligible {
                 if let Some(t) = self.procs[victim].pop_last(&mut self.links) {
-                    self.queued -= 1;
                     self.stealable -= 1;
                     self.steals += 1;
                     return Some((t, victim));
@@ -316,7 +304,6 @@ mod tests {
         assert_eq!(s.pop_local(3), Some(TaskId(0)));
         assert_eq!(s.pop_local(0), Some(TaskId(1)));
         assert_eq!(s.pop_local(0), None);
-        assert_eq!(s.queued(), 0);
     }
 
     #[test]
@@ -435,8 +422,6 @@ mod tests {
             for pq in &s.procs {
                 check_invariants(pq, &s.links);
             }
-            let live: usize = s.procs.iter().map(|pq| pq.len).sum();
-            assert_eq!(s.queued(), live, "queued counter out of sync");
             let stealable: usize = s.procs.iter().map(|pq| pq.stealable_len()).sum();
             assert_eq!(s.stealable, stealable, "stealable counter out of sync");
         }

@@ -5,76 +5,52 @@
 //! is a software message with interrupt-driven handlers, so per-task
 //! management costs are several times the DASH costs. Constants are
 //! calibrated against the paper's Figure 20/21 work-free fractions and the
-//! Ocean/Cholesky execution-time tables (see EXPERIMENTS.md §calibration).
+//! Ocean/Cholesky execution-time tables (see EXPERIMENTS.md §calibration):
+//! creation, scheduling and completion handling together cost main about
+//! 1.65 ms per task.
 
-/// Per-operation Jade runtime overheads on the message-passing machine.
-#[derive(Clone, Copy, Debug)]
-pub struct IpscCosts {
-    /// Main-thread cost to create one task (access-spec section, task
-    /// descriptor allocation, synchronizer insertion).
-    pub create_s: f64,
-    /// Main-processor cost of one scheduling decision (load scan, pool
-    /// management).
-    pub sched_s: f64,
-    /// Payload size of a task-assignment message (task descriptor plus
-    /// access specification).
-    pub assign_bytes: usize,
-    /// Interrupt-handler cost on a processor receiving an assignment,
-    /// per message.
-    pub recv_handler_s: f64,
-    /// Cost of composing and sending one object-request message (charged to
-    /// the requesting processor, serially per request; the *transfers*
-    /// themselves proceed concurrently).
-    pub request_send_s: f64,
-    /// Payload size of an object-request message.
-    pub request_bytes: usize,
-    /// Per-object header entry inside a coalesced (aggregated) request or
-    /// reply: object id, version, offset and length of that object's
-    /// payload within the bundled message. Feeds the Section 5.3
-    /// break-even test: coalescing saves fixed per-message costs but pays
-    /// for these entries at the link bandwidth.
-    pub agg_entry_bytes: usize,
-    /// Handler cost on a processor receiving an object reply.
-    pub object_recv_s: f64,
-    /// Completion-processing cost on the executing processor.
-    pub complete_s: f64,
-    /// Payload size of a completion-notification message.
-    pub notify_bytes: usize,
-    /// Main-processor cost to process a completion notification (remove
-    /// queue entries, enable successors, pull from the unassigned pool).
-    pub notify_handler_s: f64,
-}
+use dsim::SimDuration;
 
-impl Default for IpscCosts {
-    fn default() -> Self {
-        IpscCosts {
-            create_s: 600e-6,
-            sched_s: 250e-6,
-            assign_bytes: 256,
-            recv_handler_s: 100e-6,
-            request_send_s: 50e-6,
-            request_bytes: 32,
-            agg_entry_bytes: 16,
-            object_recv_s: 50e-6,
-            complete_s: 150e-6,
-            notify_bytes: 32,
-            notify_handler_s: 800e-6,
-        }
-    }
-}
+/// Main-thread cost to create one task (access-spec section, task
+/// descriptor allocation, synchronizer insertion).
+pub(crate) const CREATE: SimDuration = SimDuration::from_micros(600);
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// Main-processor cost of one scheduling decision (load scan, pool
+/// management).
+pub(crate) const SCHED: SimDuration = SimDuration::from_micros(250);
 
-    #[test]
-    fn defaults_sane() {
-        let c = IpscCosts::default();
-        assert!(c.create_s > 0.0 && c.create_s < 5e-3);
-        assert!(c.assign_bytes > 0 && c.request_bytes > 0 && c.notify_bytes > 0);
-        // Total per-task management on the main processor should be around
-        // a millisecond: the calibration target discussed in EXPERIMENTS.md.
-        let per_task_main = c.create_s + c.sched_s + c.notify_handler_s;
-        assert!((0.5e-3..2e-3).contains(&per_task_main), "{per_task_main}");
-    }
-}
+/// Payload size of a task-assignment message (task descriptor plus access
+/// specification).
+pub(crate) const ASSIGN_BYTES: usize = 256;
+
+/// Interrupt-handler cost on a processor receiving an assignment, per
+/// message.
+pub(crate) const RECV_HANDLER: SimDuration = SimDuration::from_micros(100);
+
+/// Cost of composing and sending one object-request message (charged to the
+/// requesting processor, serially per request; the *transfers* themselves
+/// proceed concurrently).
+pub(crate) const REQUEST_SEND: SimDuration = SimDuration::from_micros(50);
+
+/// Payload size of an object-request message.
+pub(crate) const REQUEST_BYTES: usize = 32;
+
+/// Per-object header entry inside a coalesced (aggregated) request or reply:
+/// object id, version, offset and length of that object's payload within
+/// the bundled message. Feeds the Section 5.3 break-even test: coalescing
+/// saves fixed per-message costs but pays for these entries at the link
+/// bandwidth.
+pub(crate) const AGG_ENTRY_BYTES: usize = 16;
+
+/// Handler cost on a processor receiving an object reply.
+pub(crate) const OBJECT_RECV: SimDuration = SimDuration::from_micros(50);
+
+/// Completion-processing cost on the executing processor.
+pub(crate) const COMPLETE: SimDuration = SimDuration::from_micros(150);
+
+/// Payload size of a completion-notification message.
+pub(crate) const NOTIFY_BYTES: usize = 32;
+
+/// Main-processor cost to process a completion notification (remove queue
+/// entries, enable successors, pull from the unassigned pool).
+pub(crate) const NOTIFY_HANDLER: SimDuration = SimDuration::from_micros(800);

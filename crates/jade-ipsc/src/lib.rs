@@ -39,7 +39,6 @@ mod scheduler;
 mod sim;
 
 pub use communicator::{CommSnapshot, Communicator, ObjectTraffic};
-pub use costs::IpscCosts;
 pub use jade_core::LocalityMode;
 pub use scheduler::{Decision, IpscScheduler};
 pub use sim::{

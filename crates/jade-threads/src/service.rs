@@ -28,9 +28,7 @@
 //!   starts at submission, so time spent queued counts). An expired tenant
 //!   stops being dispatched, its remaining tasks are cancelled, running
 //!   tasks drain, and the report resolves to [`Outcome::DeadlineExceeded`]
-//!   with partial per-tenant metrics — the pool is never wedged. (The
-//!   simulators carry the same budget as a `SimDuration` through
-//!   `dsim::SimBudget` / `IpscConfig::deadline`.)
+//!   with partial per-tenant metrics — the pool is never wedged.
 //! * **Fair scheduling.** Workers scan tenants round-robin (optionally
 //!   weighted): a tenant with continuously ready work is served again
 //!   after at most Σ other tenants' weights dispatches — the starvation
@@ -56,8 +54,8 @@
 use crate::{lock, InjectedFailure, Release, MAX_TASK_ATTEMPTS};
 use dsim::FaultPlan;
 use jade_core::{
-    tag_events, AccessSpec, Countdown, Event, EventKind, EventSink, Handle, Locality, Metrics,
-    ObjectId, Store, TaggedEvent, TaskBody, TaskCtx, TaskDef, TaskId, TenantId,
+    tag_events, AccessSpec, Countdown, Event, EventKind, Handle, Locality, Metrics, ObjectId, Sink,
+    Store, TaggedEvent, TaskBody, TaskCtx, TaskDef, TaskId, TenantId,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -291,7 +289,7 @@ const SPARE_MAX_ENTRIES: usize = 4096;
 struct Tenant {
     store: Arc<Store>,
     slot: Slot,
-    events: EventSink,
+    events: Vec<Event>,
     n_tasks: usize,
     /// Declared accesses over all tasks (sizes the slot, see
     /// [`SPARE_MAX_ENTRIES`]).
@@ -620,7 +618,7 @@ fn register_tenant(core: &mut Core, pend: PendingTenant) {
         id,
         tasks,
         store,
-        events,
+        mut events,
         deadline,
         faults,
         weight,
@@ -628,7 +626,6 @@ fn register_tenant(core: &mut Core, pend: PendingTenant) {
     let n = tasks.len();
     let mut slot = core.spares.pop().unwrap_or_default();
     slot.tasks.reserve(n);
-    let mut events = EventSink::Record(events);
     let mut n_decls = 0;
     slot.deps.rebuild(tasks.iter().map(|def| &def.spec), true);
     for (i, def) in tasks.into_iter().enumerate() {
@@ -701,7 +698,7 @@ fn finalize_tenant(core: &mut Core, inner: &Inner, id: u32) {
         tasks_completed: t.completed,
         tasks_cancelled: t.n_tasks - t.completed,
         recoveries: t.recoveries,
-        events: t.events.take(),
+        events: std::mem::take(&mut t.events),
         store: t.store,
     };
     core.finished.insert(id, report);

@@ -5,8 +5,8 @@
 //! inside a bundle still emits its own `ObjectFetch` event carrying its own
 //! payload bytes, so per-object byte attribution must sum to the metrics
 //! total exactly, the event stream must stay well-formed, and the §5.3
-//! break-even must keep the pass from firing on a machine where messages
-//! cost nothing (where bundling could only add header bytes).
+//! break-even must keep the pass from firing on a machine where the header
+//! bytes of a bundle cost more than the messages it saves.
 
 use jade::apps::pagerank::{self, PagerankConfig};
 use jade::core::{check_conservation, check_lifecycle, EventKind, Metrics, ObjectId};
@@ -99,31 +99,29 @@ fn aggregation_preserves_results_and_reduces_messages() {
     );
 }
 
-/// §5.3 break-even regression: on a machine with zero per-message fixed
-/// cost there is nothing to save, so the inspector must never coalesce —
-/// firing anyway would pay `2k` header entries for no benefit. The run
-/// must be indistinguishable from the pass being off.
+/// §5.3 break-even regression: with links 1000x slower than the paper's,
+/// the `2k` header entries of a bundle cost far more wire time than the
+/// per-message overhead it saves, so the inspector must never coalesce.
+/// The run — including the order the requests go out in — must then be
+/// indistinguishable from the pass being off.
 #[test]
 fn break_even_suppresses_aggregation_on_zero_overhead_machine() {
     let procs = 8;
     let trace = pagerank_trace(procs);
-    let zero = |aggregate: bool| {
+    let slow = |aggregate: bool| {
         let mut cfg = paper_cfg(procs, aggregate);
-        cfg.machine.message_latency_s = 0.0;
-        cfg.machine.per_hop_s = 0.0;
-        cfg.costs.request_send_s = 0.0;
-        cfg.costs.object_recv_s = 0.0;
+        cfg.machine.link_bandwidth /= 1000.0;
         cfg
     };
-    let on = ipsc::run(&trace, &zero(true));
+    let on = ipsc::run(&trace, &slow(true));
     assert_eq!(
         on.agg_fetches, 0,
-        "break-even must not fire when the savings are zero"
+        "break-even must not fire when the header costs exceed the savings"
     );
     assert_eq!(on.agg_objects, 0);
 
     // With no bundles formed, the toggle is entirely invisible.
-    let off = ipsc::run(&trace, &zero(false));
+    let off = ipsc::run(&trace, &slow(false));
     assert_eq!(on.final_versions, off.final_versions);
     assert_eq!(on.exec_time_s, off.exec_time_s);
     assert_eq!(on.requests, off.requests);
@@ -133,7 +131,7 @@ fn break_even_suppresses_aggregation_on_zero_overhead_machine() {
 
 /// The break-even fires on the paper machine for every bundle size ≥ 2:
 /// 47 µs of message latency dwarfs the per-entry header cost, so the
-/// boundary sits below k = 2 there — and a cheap-message machine pushes it
+/// boundary sits below k = 2 there — and a slow-link machine pushes it
 /// back above any practical k.
 #[test]
 fn break_even_boundary_follows_the_cost_model() {
@@ -143,16 +141,14 @@ fn break_even_boundary_follows_the_cost_model() {
     let paper = ipsc::run(&trace, &paper_cfg(procs, true));
     assert!(paper.agg_fetches > 0);
 
-    // Message latency shrunk 1000x: per-message fixed cost ~94 ns against
-    // a 2x16-byte header at 2.8 MB/s (~11 us) — below break-even, so the
-    // same program must form no bundles.
-    let mut cheap = paper_cfg(procs, true);
-    cheap.machine.message_latency_s /= 1000.0;
-    cheap.machine.per_hop_s = 0.0;
-    cheap.costs.request_send_s = 0.0;
-    cheap.costs.object_recv_s = 0.0;
-    let r = ipsc::run(&trace, &cheap);
-    assert_eq!(r.agg_fetches, 0, "cheap messages must not be coalesced");
+    // Links slowed 1000x: a saved message's fixed cost (~0.2 ms of wire
+    // latency and handlers) against a 2x16-byte header at 2.8 kB/s
+    // (~11 ms) — below break-even, so the same program must form no
+    // bundles.
+    let mut slow = paper_cfg(procs, true);
+    slow.machine.link_bandwidth /= 1000.0;
+    let r = ipsc::run(&trace, &slow);
+    assert_eq!(r.agg_fetches, 0, "slow links must not be coalesced over");
     assert_eq!(
         r.final_versions, paper.final_versions,
         "results unchanged either way"

@@ -100,52 +100,39 @@ proptest! {
     /// included — on any processor count and at every locality level, both
     /// simulators emit streams whose spans tile the makespan and match the
     /// clock's busy triples, and whose fold is what the untraced run
-    /// reports, uncut and under a deadline of `cut` eighths of the uncut
-    /// run. Uncut runs also move the bytes the simulator counts, and on the
-    /// iPSC have a complete lifecycle chain per task.
+    /// reports. The runs also move the bytes the simulator counts, and on
+    /// the iPSC have a complete lifecycle chain per task.
     #[test]
     fn event_streams_are_sound_on_both_simulators(
         prog in program_strategy(30, 5),
         procs in 1usize..9,
         mode in 0usize..3,
-        cut in 1u32..8,
     ) {
         let trace = build_trace(&prog, procs);
         let mode = LocalityMode::ALL[mode];
-        let deadline = |exec_time_s: f64| {
-            Some(SimDuration::from_secs_f64(exec_time_s * cut as f64 / 8.0))
-        };
 
-        let uncut = DashConfig::paper(procs, mode, 1.0);
+        let cfg = DashConfig::paper(procs, mode, 1.0);
         // Not yet `check_lifecycle` on DASH: main stamps a new task's
         // creation at the end of the creation cost but registers it at
         // once, so an enable or a dispatch at an earlier calendar time can
         // precede that stamp.
-        let (d, ev) = dash::try_run_traced(&trace, &uncut).unwrap();
+        let (d, ev) = dash::try_run_traced(&trace, &cfg).unwrap();
         prop_assert_eq!(Metrics::from_events(&ev, procs).fetch_bytes, d.bytes_moved);
-        let cut_short = DashConfig { deadline: deadline(d.exec_time_s), ..uncut.clone() };
-        for cfg in [uncut, cut_short] {
-            let (d, ev) = dash::try_run_traced(&trace, &cfg).unwrap();
-            let folded = dash::try_run_folded(&trace, &cfg).unwrap();
-            prop_assert_eq!(format!("{folded:?}"), format!("{d:?}"));
-            let m = assert_stream_sound(&ev, procs, d.exec_time_s, &d.per_proc_busy);
-            prop_assert_eq!(m.tasks_started, d.tasks_executed);
-        }
+        let folded = dash::try_run_folded(&trace, &cfg).unwrap();
+        prop_assert_eq!(format!("{folded:?}"), format!("{d:?}"));
+        let m = assert_stream_sound(&ev, procs, d.exec_time_s, &d.per_proc_busy);
+        prop_assert_eq!(m.tasks_started, d.tasks_executed);
 
-        let uncut = IpscConfig::paper(procs, mode, 1.0);
-        let (i, ev) = ipsc::try_run_traced(&trace, &uncut).unwrap();
+        let cfg = IpscConfig::paper(procs, mode, 1.0);
+        let (i, ev) = ipsc::try_run_traced(&trace, &cfg).unwrap();
         prop_assert_eq!(check_lifecycle(&ev).err(), None);
         let m = Metrics::from_events(&ev, procs);
         prop_assert_eq!(m.comm_bytes(), i.comm_bytes, "iPSC comm volume");
         prop_assert_eq!(m.fetches, i.fetches);
-        let cut_short = IpscConfig { deadline: deadline(i.exec_time_s), ..uncut.clone() };
-        for cfg in [uncut, cut_short] {
-            let (i, ev) = ipsc::try_run_traced(&trace, &cfg).unwrap();
-            let folded = ipsc::try_run_folded(&trace, &cfg).unwrap();
-            prop_assert_eq!(format!("{folded:?}"), format!("{i:?}"));
-            let m = assert_stream_sound(&ev, procs, i.exec_time_s, &i.per_proc_busy);
-            prop_assert_eq!(m.tasks_started, i.tasks_executed);
-        }
+        let folded = ipsc::try_run_folded(&trace, &cfg).unwrap();
+        prop_assert_eq!(format!("{folded:?}"), format!("{i:?}"));
+        let m = assert_stream_sound(&ev, procs, i.exec_time_s, &i.per_proc_busy);
+        prop_assert_eq!(m.tasks_started, i.tasks_executed);
     }
 }
 

@@ -8,15 +8,16 @@
 //!
 //! The checkpoint/restart layer rides the same harness: any checkpoint
 //! interval combined with a fail-stop must leave results bit-identical,
-//! the synchronizer snapshot must round-trip through its binary codec on
-//! random DAGs, and owner death must reset the adaptive-broadcast trigger
-//! so no broadcast ever targets a dead consumer set.
+//! the synchronizer snapshot a checkpoint is charged for must encode
+//! exactly its history on random DAGs, and owner death must reset the
+//! adaptive-broadcast trigger so no broadcast ever targets a dead
+//! consumer set.
 
 use jade::apps::halo::{self, HaloConfig};
 use jade::apps::pagerank::{self, PagerankConfig};
 use jade::core::{
-    check_conservation, check_lifecycle, AccessSpec, Metrics, ObjectId, SyncSnapshot, Synchronizer,
-    TaskId, Trace, TraceBuilder,
+    check_conservation, check_lifecycle, AccessSpec, Metrics, ObjectId, Synchronizer, TaskId,
+    Trace, TraceBuilder,
 };
 use jade::dash::{self, DashConfig};
 use jade::dsim::{FaultPlan, SimDuration};
@@ -317,12 +318,11 @@ proptest! {
         }
     }
 
-    /// The synchronizer snapshot round-trips through its binary codec on
-    /// random DAGs, and a synchronizer rebuilt from the decoded snapshot
-    /// behaves identically to the original: the same completions enable the
-    /// same successors in the same order, all the way to quiescence.
+    /// On random DAGs stopped after a random prefix of completions, the
+    /// synchronizer snapshot encodes to exactly `encoded_len` bytes and
+    /// reports as committed exactly the tasks that completed.
     #[test]
-    fn sync_snapshot_round_trips_on_random_dags(
+    fn sync_snapshot_encodes_its_history_on_random_dags(
         prog in program_strategy(25, 5),
         replication in any::<bool>(),
         prefix_pct in 0u32..101,
@@ -364,43 +364,14 @@ proptest! {
             done.push(t);
         }
 
-        // snapshot → bytes → snapshot is exact, and the accessors agree
-        // with the history that produced it.
+        // The encoding is as long as it says, and the accessors agree with
+        // the history that produced it.
         let snap = sync.snapshot();
-        let bytes = snap.to_bytes();
-        prop_assert_eq!(bytes.len(), snap.encoded_len(), "encoded_len is exact");
-        let decoded = SyncSnapshot::from_bytes(&bytes).expect("snapshot decodes");
-        prop_assert_eq!(&decoded, &snap);
-        prop_assert_eq!(decoded.task_count(), specs.len());
-        prop_assert_eq!(decoded.live_tasks(), specs.len() - done.len());
-        for &t in &done {
-            prop_assert!(decoded.completed(t), "completed task is committed");
+        prop_assert_eq!(snap.to_bytes().len(), snap.encoded_len(), "encoded_len is exact");
+        for i in 0..=specs.len() {
+            let t = TaskId(i as u32);
+            prop_assert_eq!(snap.completed(t), done.contains(&t), "{:?}", t);
         }
-        for &t in &frontier {
-            prop_assert!(!decoded.completed(t), "pending task is not committed");
-        }
-
-        // Drain the original and the restored synchronizer side by side
-        // with the same deterministic policy; they must enable identical
-        // successor sets at every step.
-        let mut restored = Synchronizer::from_snapshot(&decoded);
-        let mut fa = frontier.clone();
-        let mut fb = frontier;
-        while !fa.is_empty() {
-            fa.sort();
-            fb.sort();
-            prop_assert_eq!(&fa, &fb, "frontiers diverged");
-            let t = fa.remove(0);
-            fb.remove(0);
-            let (mut na, mut nb) = (Vec::new(), Vec::new());
-            sync.complete(t, &mut na);
-            restored.complete(t, &mut nb);
-            prop_assert_eq!(&na, &nb, "enable order diverged at {:?}", t);
-            fa.extend(na);
-            fb.extend(nb);
-        }
-        prop_assert!(sync.all_complete());
-        prop_assert!(restored.all_complete());
     }
 
     /// Any checkpoint interval combined with a mid-run fail-stop leaves the

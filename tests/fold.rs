@@ -11,9 +11,7 @@
 //! where `try_run` is that instantiation.
 
 use jade::apps::{ocean, pagerank, water};
-use jade::core::{
-    Component, Event, EventKind, EventSink, Locality, Metrics, MetricsFold, Sink, Trace,
-};
+use jade::core::{Component, Event, EventKind, Locality, Metrics, MetricsFold, Sink, Trace};
 use jade::dash::{self, DashConfig};
 use jade::dsim::{FaultPlan, SimDuration};
 use jade::ipsc::{self, IpscConfig};
@@ -139,12 +137,11 @@ proptest! {
         shuffle in any::<u64>(),
     ) {
         let events: Vec<Event> = raw.into_iter().map(event_of).collect();
-        let mut tee = (MetricsFold::new(procs), EventSink::recording());
+        let mut tee = (MetricsFold::new(procs), Vec::<Event>::new());
         for &e in &events {
             Sink::push(&mut tee, e);
         }
-        let (fold, rec) = tee;
-        let recorded = rec.into_events();
+        let (fold, recorded) = tee;
         prop_assert_eq!(&recorded, &events);
         let m = Metrics::from_events(&events, procs);
         prop_assert_eq!(&fold.finish(), &m);
