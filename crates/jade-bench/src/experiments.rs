@@ -9,10 +9,7 @@ use crate::harness::{header, row, Harness, Machine, Run, PROCS};
 use crate::paper_data::{self, ExecTable};
 use dsim::{FaultPlan, SimDuration};
 use jade_apps::water::{self, WaterOutput};
-use jade_core::{
-    check_conservation_per_tenant, check_lifecycle_per_tenant, Handle, LocalityMode, Metrics,
-    TaggedEvent, TaskBuilder, TenantId,
-};
+use jade_core::{check_lifecycle, EventKind, Handle, LocalityMode, TaskBuilder, TenantId};
 use jade_dash::{DashConfig, DashRunResult};
 use jade_ipsc::{IpscConfig, IpscRunResult};
 use jade_threads::{
@@ -1312,20 +1309,22 @@ type Inflight = (TenantId, TenantClass, Handle<u64>, u64, usize);
 /// Per-tenant JSON row: id, class, outcome, tasks, completed, recoveries.
 type TenantRow = (u32, TenantClass, &'static str, usize, usize, usize);
 
-/// What the submitter threads collect: failed per-tenant checks, the event
-/// streams of completed tenants, the JSON rows, and two counters.
+/// What the submitter threads collect: failed per-tenant checks, the JSON
+/// rows, and three counters.
 #[derive(Default)]
 struct Tally {
     errors: Mutex<Vec<String>>,
-    tagged: Mutex<Vec<TaggedEvent>>,
     rows: Mutex<Vec<TenantRow>>,
     overloads: AtomicUsize,
     recoveries: AtomicUsize,
+    /// Re-executions the completed tenants' own event streams record.
+    reexecs: AtomicUsize,
 }
 
 impl Tally {
     /// Wait for every in-flight tenant and verify its report against its
-    /// class.
+    /// class, and a completed tenant's event stream on its own: lifecycle
+    /// chains and counter self-consistency.
     fn settle(&self, svc: &JadeService, inflight: &mut Vec<Inflight>) {
         for (id, class, want_h, want, tasks) in inflight.drain(..) {
             let r = svc.wait(id);
@@ -1350,7 +1349,19 @@ impl Tally {
                         if class == TenantClass::Clean && r.recoveries != 0 {
                             fail(format!("{} recoveries without a fault plan", r.recoveries));
                         }
-                        self.tagged.lock().unwrap().extend(r.tagged_events());
+                        if let Err(e) = check_lifecycle(&r.events) {
+                            fail(format!("lifecycle: {e}"));
+                        }
+                        let m = r.metrics(svc.workers());
+                        let attempts = m.tasks_completed + m.tasks_reexecuted as usize;
+                        if m.tasks_completed != m.tasks_created || m.tasks_started != attempts {
+                            let (c, s) = (m.tasks_created, m.tasks_started);
+                            fail(format!(
+                                "event stream: {c} created, {s} started, {attempts} attempts"
+                            ));
+                        }
+                        self.reexecs
+                            .fetch_add(m.tasks_reexecuted as usize, Ordering::Relaxed);
                     }
                     self.recoveries.fetch_add(r.recoveries, Ordering::Relaxed);
                 }
@@ -1390,8 +1401,8 @@ impl Tally {
 /// deadline and genuinely buggy tenants mixed in. Hard gates: every clean
 /// and faulty tenant completes bit-exact, every deadline tenant cancels
 /// with zero completions, every buggy tenant fails alone, backpressure
-/// engages at least once, per-tenant lifecycle/conservation checks are
-/// green, and event-stream re-executions reconcile with reported
+/// engages at least once, every completed tenant's event stream passes the
+/// lifecycle check, and event-stream re-executions reconcile with reported
 /// recoveries. Writes `SERVICE_tenants.json` (per-tenant metrics artifact).
 fn service_stress(h: &mut Harness) -> Result<(), String> {
     let total: usize = if h.quick { 400 } else { 3000 };
@@ -1481,7 +1492,6 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
         ));
     }
 
-    let tagged = tally.tagged.into_inner().unwrap();
     let mut rows = tally.rows.into_inner().unwrap();
     rows.sort_by_key(|r| r.0);
     same("service stress", "report count", &rows.len(), &total)?;
@@ -1515,21 +1525,9 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
         &want,
     )?;
 
-    // Per-tenant event streams of every completed tenant: lifecycle chains,
-    // span conservation, and counter self-consistency.
-    check_lifecycle_per_tenant(&tagged).map_err(|e| format!("lifecycle: {e}"))?;
-    check_conservation_per_tenant(&tagged, workers).map_err(|e| format!("conservation: {e}"))?;
-    let mut metric_reexecs = 0usize;
-    for (t, m) in Metrics::per_tenant(&tagged, workers) {
-        let label = format!("tenant {t} event stream");
-        same_tasks(&label, m.tasks_completed, m.tasks_created)?;
-        let attempts = m.tasks_completed + m.tasks_reexecuted as usize;
-        same_tasks(&format!("{label} starts"), m.tasks_started, attempts)?;
-        metric_reexecs += m.tasks_reexecuted as usize;
-    }
     let recov = tally.recoveries.into_inner();
     let label = "service stress event streams";
-    same_tasks(label, metric_reexecs, recov)?;
+    same_tasks(label, tally.reexecs.into_inner(), recov)?;
     let overload_n = tally.overloads.into_inner();
     if overload_n == 0 {
         return Err("backpressure never engaged: no Overloaded rejection all run".to_string());
@@ -1539,14 +1537,12 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
     }
 
     // Heavy-skew fairness: a weight-8 tenant with a big DAG against a
-    // weight-1 tenant on one worker with the tuned policy, so dispatch
-    // order *is* the fairness policy. The controller's credit cap must
-    // bound the heavy tenant's bursts (the ROADMAP starvation note).
+    // weight-1 tenant on one worker, so dispatch order *is* the fairness
+    // policy. The fair-share credit cap must bound the heavy tenant's
+    // bursts (the ROADMAP starvation note).
     let skew_gap = {
         use std::sync::{Arc, Condvar};
-        let mut cfg = ServiceConfig::new(1);
-        cfg.tune = true;
-        let svc = JadeService::new(cfg);
+        let svc = JadeService::new(ServiceConfig::new(1));
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let mut blocker = Program::new();
         let hb = blocker.create("b", 8, 0u64);
@@ -1588,19 +1584,16 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
             cv.notify_all();
         }
         let _ = svc.wait(b);
-        let mut skew_tagged = svc.wait(heavy).tagged_events();
-        skew_tagged.extend(svc.wait(light).tagged_events());
-        skew_tagged.sort_by_key(|te| te.event.time_ps);
-        let dispatches: Vec<TenantId> = skew_tagged
+        // The service-global clock orders the two streams' dispatches.
+        let mut dispatches: Vec<(u64, TenantId)> = [svc.wait(heavy), svc.wait(light)]
             .iter()
-            .filter(|te| matches!(te.event.kind, jade_core::EventKind::TaskDispatched { .. }))
-            .map(|te| te.tenant)
+            .flat_map(|r| r.events.iter().map(move |e| (e, r.tenant)))
+            .filter(|(e, _)| matches!(e.kind, EventKind::TaskDispatched { .. }))
+            .map(|(e, t)| (e.time_ps, t))
             .collect();
-        let light_picks: Vec<usize> = dispatches
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t == light)
-            .map(|(i, _)| i)
+        dispatches.sort_unstable();
+        let light_picks: Vec<usize> = (0..dispatches.len())
+            .filter(|&i| dispatches[i].1 == light)
             .collect();
         let max_gap = light_picks
             .windows(2)
@@ -1610,17 +1603,11 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
         // Between two light dispatches both tenants are continuously ready,
         // so the cap (CREDIT_CAP_MAX / 2 ready tenants) bounds every heavy
         // stretch even though heavy's weight is 8.
-        let bound = (jade_core::tune::CREDIT_CAP_MAX / 2) as usize + 1;
+        let bound = (jade_threads::service::CREDIT_CAP_MAX / 2) as usize + 1;
         if max_gap > bound {
             return Err(format!(
                 "skewed scenario: light tenant starved, dispatch gap {max_gap} > {bound}"
             ));
-        }
-        let log = svc.tune_log();
-        log.check_ranges()
-            .map_err(|e| format!("skewed scenario: {e}"))?;
-        if log.decisions.is_empty() {
-            return Err("skewed scenario: tuned service recorded no decisions".into());
         }
         svc.shutdown();
         println!(
@@ -1663,8 +1650,7 @@ fn service_stress(h: &mut Harness) -> Result<(), String> {
     println!(
         "PASS service-stress: {total} DAGs ({completed} completed, {deadline} \
          deadline-exceeded, {failed} failed), {overload_n} overload rejections, \
-         {recov} recoveries, skew gap {skew_gap}, per-tenant \
-         lifecycle/conservation green"
+         {recov} recoveries, skew gap {skew_gap}, per-tenant lifecycle green"
     );
     Ok(())
 }

@@ -141,12 +141,18 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so without a bound a long run of `[` would
+/// overflow the stack; the documents it reads nest 3-5 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document. Strings support the standard escapes except
-/// `\uXXXX` (the trace writer never emits non-ASCII).
+/// `\uXXXX` (the trace writer never emits non-ASCII). Any input gives a
+/// value or an error, never a panic.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -169,11 +175,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse the value at `pos`, itself nested `depth` levels deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => parse_str(b, pos).map(Json::Str),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -245,7 +255,7 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
     Err("unterminated string".into())
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -254,7 +264,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -267,7 +277,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(b, pos);
@@ -280,7 +290,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_str(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        members.push((key, parse_value(b, pos)?));
+        members.push((key, parse_value(b, pos, depth)?));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -350,6 +360,7 @@ mod tests {
     use super::*;
     use crate::events::{Component, Sink};
     use crate::ids::TaskId;
+    use proptest::prelude::*;
 
     fn sample_events() -> Vec<Event> {
         let mut s: Vec<Event> = Vec::new();
@@ -405,6 +416,47 @@ mod tests {
         assert!(parse_json("{} x").is_err());
         assert!(parse_json("[1,").is_err());
         assert!(parse_json("").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse_json(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains(&format!("byte {MAX_DEPTH}")), "{err}");
+        assert!(parse_json(&"{\"a\":".repeat(100_000)).is_err());
+        // The limit itself still parses.
+        let nested = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&nested).is_ok());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any text, and any one-byte corruption of a written trace, parses
+        /// and validates to `Ok` or `Err`: the decoders never panic.
+        #[test]
+        fn decoders_never_panic(
+            noise in prop::collection::vec(any::<u8>(), 0..64),
+            at in any::<usize>(),
+            byte in 0u8..128,
+        ) {
+            // Structural bytes weighted up, so short inputs reach deep into
+            // the grammar; any byte sequence, made valid UTF-8.
+            let alphabet = b"[]{}\",:0123456789.eE-+tfnul\\ \n\xc3\xa9";
+            let mapped: Vec<u8> = noise
+                .iter()
+                .map(|&n| if n < 160 { alphabet[n as usize % alphabet.len()] } else { n })
+                .collect();
+            let text = String::from_utf8_lossy(&mapped);
+            let _ = parse_json(&text);
+            let _ = validate_chrome_trace(&text, 2);
+            let mut trace = Vec::new();
+            write_chrome_trace(&mut trace, &sample_events()).unwrap();
+            let len = trace.len();
+            trace[at % len] = byte;
+            let text = String::from_utf8(trace).expect("one ASCII byte keeps it UTF-8");
+            let _ = parse_json(&text);
+            let _ = validate_chrome_trace(&text, 2);
+        }
     }
 
     #[test]

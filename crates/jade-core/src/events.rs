@@ -31,7 +31,6 @@
 //! `(A, B)` does both.
 
 use crate::ids::{ObjectId, ProcId, TaskId};
-use std::collections::HashMap;
 
 /// Which component of the implementation a busy interval belongs to — the
 /// paper's three-way breakdown of processor time (Figures 10/11 and 20/21
@@ -1009,13 +1008,13 @@ pub fn check_conservation(
 }
 
 // ---------------------------------------------------------------------------
-// Multi-tenant event attribution
+// Multi-tenant streams
 // ---------------------------------------------------------------------------
 
 /// Identifies one tenant (one independently submitted program DAG) in a
 /// multi-tenant service. Task and object ids are tenant-local — two tenants
-/// both have a `TaskId(0)` — so cross-tenant event streams must be tagged
-/// before they can be merged.
+/// both have a `TaskId(0)` — so each tenant's events stay in a stream of
+/// their own, checked and reduced on their own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u32);
 
@@ -1023,87 +1022,6 @@ impl std::fmt::Display for TenantId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "t{}", self.0)
     }
-}
-
-/// An [`Event`] attributed to the tenant whose program produced it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TaggedEvent {
-    pub tenant: TenantId,
-    pub event: Event,
-}
-
-/// Tag every event in `events` with `tenant` (the service does this per
-/// tenant stream before merging).
-pub fn tag_events(tenant: TenantId, events: &[Event]) -> Vec<TaggedEvent> {
-    events
-        .iter()
-        .map(|&event| TaggedEvent { tenant, event })
-        .collect()
-}
-
-/// Split a merged tagged stream back into per-tenant streams, preserving
-/// each tenant's internal event order. Tenants appear in first-occurrence
-/// order.
-pub fn split_by_tenant(tagged: &[TaggedEvent]) -> Vec<(TenantId, Vec<Event>)> {
-    let mut order: Vec<TenantId> = Vec::new();
-    let mut streams: HashMap<TenantId, Vec<Event>> = HashMap::new();
-    for te in tagged {
-        streams
-            .entry(te.tenant)
-            .or_insert_with(|| {
-                order.push(te.tenant);
-                Vec::new()
-            })
-            .push(te.event);
-    }
-    order
-        .into_iter()
-        .map(|t| {
-            let evs = streams.remove(&t).unwrap_or_default();
-            (t, evs)
-        })
-        .collect()
-}
-
-impl Metrics {
-    /// Reconstruct metrics *per tenant* from a merged tagged stream: each
-    /// tenant's events are reduced through [`Metrics::from_events`] in
-    /// isolation, so one tenant's faults or cancellations can never leak
-    /// into another tenant's counters.
-    pub fn per_tenant(tagged: &[TaggedEvent], procs: usize) -> Vec<(TenantId, Metrics)> {
-        split_by_tenant(tagged)
-            .into_iter()
-            .map(|(t, evs)| (t, Metrics::from_events(&evs, procs)))
-            .collect()
-    }
-}
-
-/// Run [`check_lifecycle`] independently on every tenant's stream. Task ids
-/// are tenant-local, so the merged stream would alias chains across
-/// tenants; splitting first is what makes the checker meaningful under
-/// multi-tenancy.
-pub fn check_lifecycle_per_tenant(tagged: &[TaggedEvent]) -> Result<(), String> {
-    for (t, evs) in split_by_tenant(tagged) {
-        check_lifecycle(&evs).map_err(|e| format!("tenant {t}: {e}"))?;
-    }
-    Ok(())
-}
-
-/// Run [`check_conservation`] independently on every tenant's stream, each
-/// against its own makespan (the latest span end in that tenant's events).
-pub fn check_conservation_per_tenant(tagged: &[TaggedEvent], procs: usize) -> Result<(), String> {
-    for (t, evs) in split_by_tenant(tagged) {
-        let makespan = evs
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Span { dur_ps, .. } => Some(e.time_ps + dur_ps),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        check_conservation(&evs, procs, makespan).map_err(|e| format!("tenant {t}: {e}"))?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1586,74 +1504,5 @@ mod tests {
         ];
         let m = Metrics::from_events(&events, 1);
         assert_eq!(m.mean_parallel_phase_ps(), 40.0);
-    }
-
-    /// One full task chain for tenant-test fixtures.
-    fn chain(task: u32, t0: u64, proc: ProcId) -> Vec<Event> {
-        let ev = |time_ps: u64, kind: EventKind| Event {
-            time_ps,
-            proc,
-            kind,
-            task: Some(TaskId(task)),
-            object: None,
-        };
-        vec![
-            ev(t0, EventKind::TaskCreated),
-            ev(t0 + 1, EventKind::TaskEnabled),
-            ev(
-                t0 + 2,
-                EventKind::TaskDispatched {
-                    stolen: false,
-                    locality: Locality::Untracked,
-                },
-            ),
-            ev(t0 + 3, EventKind::TaskStarted),
-            ev(t0 + 4, EventKind::TaskCompleted),
-        ]
-    }
-
-    #[test]
-    fn split_by_tenant_preserves_per_tenant_order() {
-        let a = chain(0, 0, 0);
-        let b = chain(0, 10, 1);
-        let mut tagged = tag_events(TenantId(7), &a);
-        // Interleave the two tenants' events.
-        for (i, te) in tag_events(TenantId(3), &b).into_iter().enumerate() {
-            tagged.insert(2 * i + 1, te);
-        }
-        let split = split_by_tenant(&tagged);
-        assert_eq!(split.len(), 2);
-        assert_eq!(split[0].0, TenantId(7));
-        assert_eq!(split[0].1, a);
-        assert_eq!(split[1].0, TenantId(3));
-        assert_eq!(split[1].1, b);
-    }
-
-    #[test]
-    fn per_tenant_lifecycle_and_metrics_are_isolated() {
-        // Both tenants use TaskId(0); merged untagged they would alias into
-        // one task dispatched twice without a re-execution — a lifecycle
-        // violation. Split per tenant, both chains are clean.
-        let mut tagged = tag_events(TenantId(0), &chain(0, 0, 0));
-        tagged.extend(tag_events(TenantId(1), &chain(0, 100, 0)));
-        let merged: Vec<Event> = tagged.iter().map(|te| te.event).collect();
-        assert!(check_lifecycle(&merged).is_err());
-        check_lifecycle_per_tenant(&tagged).expect("per-tenant lifecycle holds");
-        let per = Metrics::per_tenant(&tagged, 2);
-        assert_eq!(per.len(), 2);
-        for (_, m) in &per {
-            assert_eq!(m.tasks_created, 1);
-            assert_eq!(m.tasks_completed, 1);
-        }
-        check_conservation_per_tenant(&tagged, 2).expect("per-tenant conservation holds");
-    }
-
-    #[test]
-    fn per_tenant_lifecycle_names_the_offending_tenant() {
-        let mut bad = chain(0, 0, 0);
-        bad.remove(1); // drop TaskEnabled: dispatch without enable
-        let tagged = tag_events(TenantId(9), &bad);
-        let err = check_lifecycle_per_tenant(&tagged).unwrap_err();
-        assert!(err.contains("t9"), "{err}");
     }
 }

@@ -56,9 +56,8 @@ pub mod tune;
 pub use access::{AccessDecl, AccessMode, AccessSpec};
 pub use depgraph::{Countdown, DepGraph};
 pub use events::{
-    check_conservation, check_conservation_per_tenant, check_lifecycle, check_lifecycle_per_tenant,
-    split_by_tenant, tag_events, Component, Event, EventKind, Locality, Metrics, MetricsFold,
-    NullSink, ProcTimes, Sink, TaggedEvent, TenantId,
+    check_conservation, check_lifecycle, Component, Event, EventKind, Locality, Metrics,
+    MetricsFold, NullSink, ProcTimes, Sink, TenantId,
 };
 pub use ids::{Handle, LocalityMode, ObjectId, ProcId, TaskId, MAIN_PROC};
 pub use runtime::JadeRuntime;

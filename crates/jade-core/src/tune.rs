@@ -4,31 +4,28 @@
 //! event layer; this module is the consumer that closes the loop from
 //! *metrics* back to *policy*. A [`Controller`] turns deterministic
 //! observations (retired-version access width, measured virtual checkpoint
-//! capture cost, plan-derived failure horizons, the count of tenants with
-//! ready work) into runtime knob settings:
+//! capture cost, plan-derived failure horizons) into the iPSC simulator's
+//! knob settings:
 //!
 //! * the iPSC communicator's **adaptive-broadcast evidence margin** (extra
 //!   evidence demanded on top of the §3.4.2 drop-rate break-even before an
 //!   object flips into broadcast mode);
 //! * the iPSC simulator's **checkpoint interval** (aim the next capture
 //!   one measured-capture-cost guard ahead of the fault plan's pending
-//!   fail-stop; stretch to the maximum when no failure source remains);
-//! * the multi-tenant service's **credit cap** (how many consecutive picks
-//!   one tenant may take while other tenants hold ready work).
+//!   fail-stop; stretch to the maximum when no failure source remains).
 //!
 //! **Determinism argument.** Every law below is a pure integer function of
 //! inputs that are themselves interleaving-independent: version-width
-//! counters are functions of the trace and the seeded fault plan, capture
-//! costs and horizons are *virtual* (simulated picoseconds), and the
-//! service's ready-tenant count is read under the core lock at pick time.
-//! No wall-clock reading ever enters a decision, so controller-on runs
-//! replay bit-identically and the existing determinism/fault/service
+//! counters are functions of the trace and the seeded fault plan, and
+//! capture costs and horizons are *virtual* (simulated picoseconds). No
+//! wall-clock reading ever enters a decision, so controller-on runs
+//! replay bit-identically and the existing determinism and fault
 //! batteries extend over them unchanged.
 //!
 //! Each decision is recorded in a [`TuneLog`]; [`TuneLog::check_ranges`]
 //! asserts that every recorded value stayed inside its documented valid
 //! range (the proptest battery runs it over random DAGs × fault plans on
-//! the iPSC simulator, and the service's skew gate on a tuned service).
+//! the iPSC simulator).
 
 /// Largest extra evidence the controller will stack on top of the
 /// drop-rate break-even before an object may flip into broadcast mode.
@@ -40,9 +37,6 @@ pub const CKPT_MIN_PS: u64 = 1_000_000;
 /// Longest checkpoint interval the controller will schedule: one simulated
 /// hour, matching `dsim`'s `MAX_LATENCY` validation bound.
 pub const CKPT_MAX_PS: u64 = 3_600_000_000_000_000;
-/// Largest consecutive-pick run one tenant may be granted while another
-/// tenant holds ready work ([`Knob::CreditCap`] upper bound).
-pub const CREDIT_CAP_MAX: u32 = 8;
 
 /// Which runtime knob a [`Decision`] set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -51,8 +45,6 @@ pub enum Knob {
     EvidenceMargin,
     /// iPSC checkpoint re-arm interval (simulated picoseconds).
     CheckpointIntervalPs,
-    /// Service consecutive-pick cap while other tenants hold ready work.
-    CreditCap,
 }
 
 impl Knob {
@@ -61,7 +53,6 @@ impl Knob {
         match self {
             Knob::EvidenceMargin => (0, EVIDENCE_MARGIN_MAX as u64),
             Knob::CheckpointIntervalPs => (CKPT_MIN_PS, CKPT_MAX_PS),
-            Knob::CreditCap => (1, CREDIT_CAP_MAX as u64),
         }
     }
 }
@@ -198,20 +189,6 @@ impl Controller {
         self.log.record_change(Knob::CheckpointIntervalPs, iv);
         iv
     }
-
-    /// Consecutive-pick cap for the service's weighted round-robin while
-    /// `ready_tenants` distinct tenants hold ready work.
-    ///
-    /// Law: divide a fixed [`CREDIT_CAP_MAX`] quantum budget among the
-    /// tenants currently contending, floor 1. A lone tenant keeps its full
-    /// weight credit (nothing to starve); the more tenants wait, the
-    /// smaller the run one tenant may monopolize — unserved credit is
-    /// carried, so long-run weight ratios are preserved.
-    pub fn credit_cap(&mut self, ready_tenants: usize) -> u32 {
-        let cap = (CREDIT_CAP_MAX / (ready_tenants.max(1) as u32)).max(1);
-        self.log.record_change(Knob::CreditCap, cap as u64);
-        cap
-    }
 }
 
 #[cfg(test)]
@@ -250,15 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn credit_cap_shrinks_with_contention() {
-        let mut c = Controller::new();
-        assert_eq!(c.credit_cap(1), CREDIT_CAP_MAX);
-        assert_eq!(c.credit_cap(2), 4);
-        assert_eq!(c.credit_cap(100), 1);
-        assert!(c.log.check_ranges().is_ok());
-    }
-
-    #[test]
     fn log_records_changes_only_when_asked() {
         let mut log = TuneLog::default();
         assert!(log.record_change(Knob::EvidenceMargin, 2));
@@ -270,7 +238,7 @@ mod tests {
     #[test]
     fn out_of_range_decision_is_reported_with_the_value() {
         let mut log = TuneLog::default();
-        log.record(Knob::CreditCap, 10_000);
+        log.record(Knob::EvidenceMargin, 10_000);
         let err = log.check_ranges().unwrap_err();
         assert!(err.contains("10000"), "{err}");
     }

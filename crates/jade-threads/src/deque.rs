@@ -1,138 +1,66 @@
 //! The work-stealing ready queue of the thread executor: a vendored
-//! lock-free Chase-Lev deque per worker, paired with a small locked inbox
-//! for pushes from other threads ([`TaskQueue`]).
+//! lock-free Chase-Lev deque per worker plus a small locked inbox for
+//! pushes from other threads ([`TaskQueue`]). DESIGN.md §13.1 has the
+//! argument.
 //!
-//! This module is the **only** place in the workspace's library crates
-//! where `unsafe` appears (the crate root is `#![deny(unsafe_code)]`; this
-//! module opts back in). The full safety argument lives in DESIGN.md §13;
-//! the load-bearing facts are inlined next to each `unsafe` block.
+//! **The deque.** The *owner* pushes and pops at the **bottom** of a fixed
+//! ring; *thieves* steal from the **top**, which only moves forward by CAS.
+//! The orderings are those Lê, Pop, Cohen & Nardelli proved for C11
+//! (PPoPP'13). Slots are `AtomicUsize` task indices, so the classical
+//! benign race (a thief reads a slot the owner overwrites; the failing CAS
+//! discards the value) is a relaxed atomic access, not UB.
 //!
-//! # The Chase-Lev deque, in brief
+//! **The ring never grows.** A batch of `n` tasks has at most `n` distinct
+//! indices queued at once, and [`TaskQueue::reset`] sizes every ring for
+//! `n` before the first push, so [`ChaseLev::push`] asserts the capacity:
+//! a broken invariant panics rather than overwrite a live slot.
 //!
-//! One *owner* thread pushes and pops at the **bottom** of a growable ring
-//! buffer; any number of *thief* threads steal from the **top**. `top` only
-//! ever moves forward via compare-and-swap, `bottom` is written only by the
-//! owner. The memory orderings follow Lê, Pop, Cohen & Nardelli,
-//! "Correct and Efficient Work-Stealing for Weak Memory Models" (PPoPP'13),
-//! which proved the C11 orderings used here.
-//!
-//! Two Rust-specific choices remove most of the classical `unsafe` surface:
-//!
-//! * **Slots are `AtomicUsize`.** Elements are batch-local task indices
-//!   (`usize`), so every slot read/write is a relaxed atomic access — the
-//!   benign data race of the classical implementation (a thief reading a
-//!   slot the owner concurrently overwrites, discarded by the failing CAS)
-//!   is well-defined here instead of UB, and a torn read is impossible.
-//! * **Retired rings are kept until drop.** Growth allocates a new ring and
-//!   publishes it with a release store; the old ring is *not* freed — every
-//!   ring ever allocated is owned by the `rings` graveyard and deallocated
-//!   only in `Drop`, which takes `&mut self` and therefore cannot race any
-//!   reader. A thief holding a stale ring pointer reads stale-but-owned
-//!   memory, and its stale value is discarded by the `top` CAS.
-//!
-//! The remaining `unsafe` is exactly the dereference of the published ring
-//! pointer.
-//!
-//! # Remote pushes: the inject inbox
-//!
-//! Chase-Lev bottom operations are owner-only, but the scheduler pushes
-//! work onto *other* workers' queues (locality routing, recovery
-//! re-queueing). [`TaskQueue`] pairs each Chase-Lev deque with a small
-//! locked **inbox**: remote pushes append there, the owner drains it into
-//! its deque when the deque runs dry, and thieves may also steal directly
-//! from a victim's inbox (so work parked in an inbox whose owner never goes
-//! idle — e.g. it is spinning inside a long task — is still reachable and
-//! the scheduler cannot deadlock). The inbox is locked, but it is off the
-//! owner's fast path: equilibrium dispatch on the owning worker never
-//! touches it.
-
-#![allow(unsafe_code)]
+//! **The inbox.** Locality routing and recovery push onto *other* workers'
+//! queues; those pushes go to the owner's inbox, which the owner drains
+//! when its deque runs dry and thieves steal from directly, so work sent to
+//! a worker spinning in a long task stays reachable. The owner's fast path
+//! takes no lock.
 
 use crate::lock;
-use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// A power-of-two ring of atomic slots. Indexed by the *unwrapped*
-/// monotone top/bottom counters; the mask wraps them.
-struct Ring {
-    mask: usize,
-    slots: Box<[AtomicUsize]>,
-}
-
-impl Ring {
-    fn new(capacity: usize) -> Ring {
-        debug_assert!(capacity.is_power_of_two());
-        Ring {
-            mask: capacity - 1,
-            slots: (0..capacity).map(|_| AtomicUsize::new(0)).collect(),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
-    /// Relaxed slot read. Ordering is carried by `top`/`bottom`, never by
-    /// the slot itself (LBCN §3); relaxed atomics make the classical
-    /// "benign race" well-defined instead of UB.
-    fn get(&self, i: isize) -> usize {
-        self.slots[i as usize & self.mask].load(Ordering::Relaxed)
-    }
-
-    fn put(&self, i: isize, v: usize) {
-        self.slots[i as usize & self.mask].store(v, Ordering::Relaxed);
-    }
-}
 
 /// The vendored Chase-Lev deque over `usize` elements. Owner-only
 /// `push`/`pop` at the bottom; any thread may `steal` from the top.
 pub(crate) struct ChaseLev {
-    /// Next index a thief will steal. Monotone non-decreasing; advanced
-    /// only by successful CAS, so an observed value can never recur — the
-    /// classical ABA hazard structurally cannot arise (and at one index per
-    /// task ever queued, a 64-bit counter cannot overflow in practice).
+    /// Next index a thief will steal; advanced only by successful CAS, so
+    /// an observed value never recurs (no ABA; 64 bits do not wrap).
     top: AtomicIsize,
     /// Next index the owner will push. Written only by the owner.
     bottom: AtomicIsize,
-    /// The current ring, always pointing into one of the `Box<Ring>`s owned
-    /// by `rings` below. Swapped (release) by the owner on growth.
-    ring: AtomicPtr<Ring>,
-    /// Owns every ring ever allocated, the current one included. Rings are
-    /// deallocated only when the deque itself drops, so any pointer loaded
-    /// from `ring` — however stale — refers to live memory for the whole
-    /// lifetime of `&self`. Locked only on growth (never on the hot path).
-    /// The `Box` is load-bearing: `ring` holds raw pointers into these
-    /// allocations, which must not move when the graveyard `Vec` grows.
-    #[allow(clippy::vec_box)]
-    rings: Mutex<Vec<Box<Ring>>>,
+    /// Slot count (a power of two) minus one: wraps the monotone counters.
+    mask: usize,
+    slots: Box<[AtomicUsize]>,
 }
 
 impl ChaseLev {
     pub(crate) fn with_capacity(capacity: usize) -> ChaseLev {
         let cap = capacity.max(4).next_power_of_two();
-        let first = Box::new(Ring::new(cap));
-        let ptr: *mut Ring = Box::as_ref(&first) as *const Ring as *mut Ring;
         ChaseLev {
             top: AtomicIsize::new(0),
             bottom: AtomicIsize::new(0),
-            ring: AtomicPtr::new(ptr),
-            rings: Mutex::new(vec![first]),
+            mask: cap - 1,
+            slots: (0..cap).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
-    /// Owner: push `v` at the bottom.
+    /// A slot; `top`/`bottom` carry the ordering, never the slot (LBCN §3).
+    fn slot(&self, i: isize) -> &AtomicUsize {
+        &self.slots[i as usize & self.mask]
+    }
+
+    /// Owner: push `v` at the bottom. Panics if the ring is full, which no
+    /// batch can make happen (DESIGN.md §13.1).
     pub(crate) fn push(&self, v: usize) {
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Acquire);
-        // SAFETY: every ring ever published is owned by `self.rings` and
-        // freed only in `Drop` (`&mut self`), so the pointer is valid.
-        // Relaxed is enough here: only the owner swaps the pointer, and we
-        // are the owner.
-        let mut ring = unsafe { &*self.ring.load(Ordering::Relaxed) };
-        if b - t >= ring.capacity() as isize {
-            ring = self.grow(b, t, ring);
-        }
-        ring.put(b, v);
+        assert!(b - t <= self.mask as isize, "ready queue over capacity");
+        self.slot(b).store(v, Ordering::Relaxed);
         // Release: a thief acquiring `bottom` sees the slot write above.
         self.bottom.store(b + 1, Ordering::Release);
     }
@@ -140,8 +68,6 @@ impl ChaseLev {
     /// Owner: pop from the bottom (LIFO). Returns `None` when empty.
     pub(crate) fn pop(&self) -> Option<usize> {
         let b = self.bottom.load(Ordering::Relaxed) - 1;
-        // SAFETY: as in `push` — rings live until `Drop`.
-        let ring = unsafe { &*self.ring.load(Ordering::Relaxed) };
         self.bottom.store(b, Ordering::Relaxed);
         // The SeqCst fence orders the `bottom` decrement against the `top`
         // read: either a racing thief sees the reservation, or we see its
@@ -153,7 +79,7 @@ impl ChaseLev {
             self.bottom.store(b + 1, Ordering::Relaxed);
             return None;
         }
-        let v = ring.get(b);
+        let v = self.slot(b).load(Ordering::Relaxed);
         if t == b {
             // Last element: race the thieves for it via the `top` CAS.
             let won = self
@@ -177,16 +103,9 @@ impl ChaseLev {
         if t >= b {
             return None;
         }
-        // SAFETY: rings live until `Drop`. Acquire pairs with the owner's
-        // release swap on growth, so a ring published before the observed
-        // `bottom` is fully initialized. A *stale* ring is still valid
-        // memory (graveyard), and its slot `t` holds the same value the
-        // current ring holds at `t`: growth copies `top..bottom`, and the
-        // owner never overwrites slot `t & mask` while `t` is live — a push
-        // at `b` with `b - t < capacity` cannot alias it, and growth
-        // retires the old ring before `b - t` reaches capacity.
-        let ring = unsafe { &*self.ring.load(Ordering::Acquire) };
-        let v = ring.get(t);
+        // Acquire on `bottom` pairs with the owner's release push; a push
+        // cannot overwrite slot `t` while it is live (`b - t` < capacity).
+        let v = self.slot(t).load(Ordering::Relaxed);
         // SeqCst CAS: succeeds only if no other steal/pop consumed index
         // `t` first, which also validates the speculative slot read above.
         self.top
@@ -202,36 +121,16 @@ impl ChaseLev {
         (b - t).max(0) as usize
     }
 
-    /// Owner: double the ring (from `capacity` to at least `2 * capacity`),
-    /// copy the live range `t..b`, publish the new ring, and retire the old
-    /// one to the graveyard.
-    fn grow(&self, b: isize, t: isize, old: &Ring) -> &Ring {
-        let bigger = Box::new(Ring::new(old.capacity() * 2));
-        for i in t..b {
-            bigger.put(i, old.get(i));
+    /// Empty the deque and make room for `n` indices at once. Returns
+    /// `true` if it had to reallocate.
+    pub(crate) fn reset(&mut self, n: usize) -> bool {
+        if self.slots.len() < n {
+            *self = ChaseLev::with_capacity(n);
+            return true;
         }
-        let ptr: *mut Ring = Box::as_ref(&bigger) as *const Ring as *mut Ring;
-        // Keep the new ring alive in the graveyard *before* publishing it.
-        lock(&self.rings).push(bigger);
-        // Release: thieves that acquire this pointer see the copied slots.
-        self.ring.store(ptr, Ordering::Release);
-        // SAFETY: `ptr` points into the `Box<Ring>` just moved into
-        // `self.rings` (moving a `Box` moves the pointer, not the heap
-        // allocation), which outlives `&self`.
-        unsafe { &*ptr }
-    }
-
-    /// Owner-or-exclusive: pre-size so `n` pushes cannot grow. With `&mut`
-    /// there are no concurrent readers, so old rings really are garbage and
-    /// the graveyard can be emptied. Returns `true` if it (re)allocated.
-    pub(crate) fn reserve(&mut self, n: usize) -> bool {
-        debug_assert_eq!(self.len_hint(), 0, "reserve on a non-empty deque");
-        let cap = unsafe { &*self.ring.load(Ordering::Relaxed) }.capacity();
-        if cap >= n {
-            return false;
-        }
-        *self = ChaseLev::with_capacity(n);
-        true
+        *self.top.get_mut() = 0;
+        *self.bottom.get_mut() = 0;
+        false
     }
 }
 
@@ -239,11 +138,9 @@ impl ChaseLev {
 /// scheduler talks only to this wrapper.
 pub(crate) struct TaskQueue {
     deque: ChaseLev,
-    /// Remote pushes land here (bottom ops are owner-only); drained by the
-    /// owner when its deque runs dry, stealable by thieves.
+    /// Remote pushes (bottom ops are owner-only).
     inbox: Mutex<Vec<usize>>,
-    /// Inbox length, maintained under the lock so pickers can skip an empty
-    /// inbox without touching the mutex.
+    /// Inbox length, written under the lock, read without it.
     inbox_len: AtomicUsize,
 }
 
@@ -256,10 +153,8 @@ impl TaskQueue {
         }
     }
 
-    /// Push `local` onto this queue. `owner` is true when the calling
-    /// thread is this queue's worker *or* no worker threads are running yet
-    /// (batch setup happens-before the spawn of every worker, so the
-    /// owner-only bottom push is safe from the setup thread too).
+    /// Push `local` onto this queue. `owner` is true when the caller is
+    /// this queue's worker or the setup thread (which runs before any).
     pub(crate) fn push(&self, local: usize, owner: bool) {
         if owner {
             self.deque.push(local);
@@ -271,14 +166,10 @@ impl TaskQueue {
     }
 
     /// Owner-side pick: pop the bottom (LIFO), falling back to draining the
-    /// inject inbox. Execution order is a scheduling freedom: the
-    /// synchronizer enforces every dependence ordering, so only enabled
-    /// tasks are ever queued.
+    /// inbox. Pick order is a scheduling freedom: only enabled tasks queue.
     pub(crate) fn pop(&self) -> Option<usize> {
         self.deque.pop().or_else(|| {
             // Deque dry: adopt everything parked in the inbox, then retry.
-            // The pop takes the most recently adopted entry; FIFO-vs-LIFO
-            // here is again a pure scheduling freedom.
             let mut inbox = lock(&self.inbox);
             if inbox.is_empty() {
                 return None;
@@ -292,10 +183,8 @@ impl TaskQueue {
         })
     }
 
-    /// Thief-side pick from another worker's queue. The victim's inbox is
-    /// also fair game — without that, work injected onto a worker that
-    /// never goes idle (it may be spinning inside a task) would be
-    /// unreachable and the scheduler could deadlock.
+    /// Thief-side pick: the victim's deque top, else its inbox (or work
+    /// injected onto a worker that never goes idle would be unreachable).
     pub(crate) fn steal(&self) -> Option<usize> {
         self.deque.steal().or_else(|| {
             if self.inbox_len.load(Ordering::Acquire) == 0 {
@@ -308,23 +197,19 @@ impl TaskQueue {
         })
     }
 
-    /// True when a scan may skip this queue without locking anything. A
-    /// racing push can make the hint stale; the epoch-parking protocol
-    /// covers that window.
+    /// True when a scan may skip this queue without locking anything (a
+    /// racing push is covered by the epoch-parking protocol).
     pub(crate) fn is_empty_hint(&self) -> bool {
         self.deque.len_hint() == 0 && self.inbox_len.load(Ordering::Acquire) == 0
     }
 
-    /// Exclusive-access reset for arena reuse between batches: drop any
-    /// leftovers (an aborted batch may leave entries) and pre-size for `n`
-    /// pushes. Returns `true` if storage had to be (re)allocated.
+    /// Drop any leftovers (an aborted batch may leave some) and make room
+    /// for a batch of `n` tasks. Returns `true` if it had to allocate.
     pub(crate) fn reset(&mut self, n: usize) -> bool {
-        // Drain leftovers so top == bottom before reserving.
-        while self.deque.pop().is_some() {}
         let inbox = self.inbox.get_mut().unwrap_or_else(|e| e.into_inner());
         inbox.clear();
         *self.inbox_len.get_mut() = 0;
-        let mut grew = self.deque.reserve(n);
+        let mut grew = self.deque.reset(n);
         if inbox.capacity() < n {
             inbox.reserve(n);
             grew = true;
@@ -336,6 +221,8 @@ impl TaskQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
@@ -363,22 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn growth_preserves_contents_and_order() {
-        let d = ChaseLev::with_capacity(4);
-        for i in 0..100 {
-            d.push(i);
-        }
-        // Steal half from the top (oldest first), pop half from the bottom.
-        for i in 0..50 {
-            assert_eq!(d.steal(), Some(i));
-        }
-        for i in (50..100).rev() {
-            assert_eq!(d.pop(), Some(i));
-        }
-        assert_eq!(d.len_hint(), 0);
-    }
-
-    #[test]
     fn wrapped_indices_stay_correct() {
         // Drive top/bottom far past the ring size so the mask wraps.
         let d = ChaseLev::with_capacity(4);
@@ -392,24 +263,12 @@ mod tests {
     }
 
     #[test]
-    fn reserve_prevents_growth() {
-        let mut d = ChaseLev::with_capacity(4);
-        assert!(d.reserve(1000));
-        assert!(!d.reserve(1000), "second reserve is a no-op");
-        let before = lock(&d.rings).len();
-        for i in 0..1000 {
-            d.push(i);
-        }
-        assert_eq!(lock(&d.rings).len(), before, "no growth after reserve");
-    }
-
-    #[test]
     fn concurrent_steal_loses_nothing_and_duplicates_nothing() {
         // One owner pushes and pops; several thieves steal. Every pushed
         // value must be consumed exactly once.
         const N: usize = 20_000;
         const THIEVES: usize = 3;
-        let d = Arc::new(ChaseLev::with_capacity(64));
+        let d = Arc::new(ChaseLev::with_capacity(N));
         let done = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
         for _ in 0..THIEVES {
@@ -475,5 +334,99 @@ mod tests {
         assert_eq!(q.pop(), None);
         assert!(q.reset(4096), "bigger batch must grow");
         assert!(!q.reset(4096), "same-shape reset reuses");
+    }
+
+    #[test]
+    #[should_panic(expected = "ready queue over capacity")]
+    fn push_past_the_reset_capacity_panics() {
+        let mut q = TaskQueue::new(4);
+        assert!(q.reset(64));
+        let fill = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            for i in 0..64 {
+                q.push(i, true);
+            }
+        }));
+        fill.expect("a queue reset to 64 takes 64 pushes");
+        q.push(64, true);
+    }
+
+    /// Sets its flag when dropped, by a return or by a panic unwinding.
+    struct SetOnDrop<'a>(&'a AtomicBool);
+
+    impl Drop for SetOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The scheduler's whole use of a queue at once: its owner pushes
+        /// and pops, two other workers push through the inbox, two thieves
+        /// steal. Sized for the batch as `prepare` sizes it, the queue
+        /// hands every index out exactly once (and its capacity assert
+        /// never fires).
+        #[test]
+        fn task_queue_hands_out_every_index_exactly_once(
+            own in 1usize..800,
+            remote in 0usize..400,
+            pop_every in 1usize..4,
+        ) {
+            let total = own + 2 * remote;
+            let mut q = TaskQueue::new(4);
+            q.reset(total);
+            let consumed = AtomicUsize::new(0);
+            // Set when the owner leaves, also by a panic: the thieves stop
+            // and the test fails on the owner's panic instead of hanging.
+            let owner_gone = AtomicBool::new(false);
+            let (q, consumed, owner_gone) = (&q, &consumed, &owner_gone);
+            let open = || {
+                consumed.load(Ordering::Acquire) < total && !owner_gone.load(Ordering::Acquire)
+            };
+            let drain = |take: &dyn Fn() -> Option<usize>, got: &mut Vec<usize>| {
+                while open() {
+                    match take() {
+                        Some(v) => {
+                            got.push(v);
+                            consumed.fetch_add(1, Ordering::AcqRel);
+                        }
+                        None => std::thread::yield_now(),
+                    }
+                }
+            };
+            let mut all = std::thread::scope(|s| {
+                let mut handles = Vec::new();
+                for p in 0..2 {
+                    let base = own + p * remote;
+                    s.spawn(move || (base..base + remote).for_each(|v| q.push(v, false)));
+                }
+                for _ in 0..2 {
+                    handles.push(s.spawn(move || {
+                        let mut got = Vec::new();
+                        drain(&|| q.steal(), &mut got);
+                        got
+                    }));
+                }
+                let _gone = SetOnDrop(owner_gone);
+                let mut got = Vec::new();
+                for v in 0..own {
+                    q.push(v, true);
+                    if v % pop_every == 0 {
+                        if let Some(v) = q.pop() {
+                            got.push(v);
+                            consumed.fetch_add(1, Ordering::AcqRel);
+                        }
+                    }
+                }
+                drain(&|| q.pop(), &mut got);
+                for h in handles {
+                    got.extend(h.join().unwrap());
+                }
+                got
+            });
+            all.sort_unstable();
+            prop_assert_eq!(all, (0..total).collect::<Vec<_>>());
+        }
     }
 }

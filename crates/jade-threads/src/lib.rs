@@ -19,7 +19,9 @@
 //!   recently wrote one of its objects, falling back to the object's
 //!   declared home) and **randomized stealing** from the top of other
 //!   workers' deques. Only a traced batch takes a global lock, for its
-//!   events; dispatch is per-worker (DESIGN.md §13);
+//!   events; dispatch is per-worker (DESIGN.md §13). The deques are safe
+//!   Rust, like the rest of the crate: each ring is sized for its batch
+//!   before the first push, so none ever grows (§13.1);
 //! * every object access is runtime-checked against the declared access
 //!   specification, and per-object `RwLock`s verify the dependence graph's
 //!   exclusion guarantee mechanically: a data race would panic, not corrupt.
@@ -43,10 +45,7 @@
 //! assert_eq!(*rt.store().read(total), 10.0);
 //! ```
 
-// `deny` rather than `forbid`: the vendored Chase-Lev deque (`deque`
-// module) opts back in with a scoped `allow` and a written safety argument
-// (DESIGN.md §13). Everything else in the crate remains unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod deque;
 pub mod service;
@@ -431,7 +430,8 @@ impl SchedArena {
     /// Make the queues and the scratch ready for the open batch on
     /// `workers` workers, and build its dependence graph, reusing existing
     /// capacity wherever shapes allow (an aborted batch may leave queued
-    /// indices behind).
+    /// indices behind). Every queue gets room for the whole batch, which
+    /// is what lets a ready queue's ring never grow (DESIGN.md §13.1).
     fn prepare(&mut self, workers: usize) {
         let n = self.slots.len();
         if self.queues.len() != workers {
@@ -918,16 +918,22 @@ impl ThreadRuntime {
                 .enumerate()
                 .map(|(w, ws)| {
                     let sh = &sh;
-                    scope.spawn(move || sharded_worker(w, sh, ws))
+                    // A panic outside the body's catch_unwind is a runtime
+                    // bug (a ready queue over capacity, say): record it and
+                    // wake every worker, as a body's panic does. Left to
+                    // the joins below, which go in order, it would wait
+                    // behind a worker parked for work that never comes.
+                    scope.spawn(move || {
+                        let run = catch_unwind(AssertUnwindSafe(|| sharded_worker(w, sh, ws)));
+                        run.unwrap_or_else(|p| {
+                            sh.record_panic(p);
+                            BatchStats::default()
+                        })
+                    })
                 })
                 .collect();
             for h in handles {
-                match h.join() {
-                    Ok(s) => merged.absorb(&s),
-                    // A panic outside the body's catch_unwind (a runtime
-                    // bug, not an application fault) still surfaces.
-                    Err(p) => sh.record_panic(p),
-                }
+                merged.absorb(&h.join().expect("a worker's panic is caught"));
             }
         });
         let Sharded {
@@ -1922,7 +1928,7 @@ mod tests {
     }
 
     #[test]
-    fn chase_lev_inbox_work_is_stealable_while_owner_spins() {
+    fn work_routed_to_a_busy_worker_is_stolen_from_its_inbox() {
         // Liveness: work remote-pushed onto a worker that never goes idle
         // (its owner is spinning inside a task) must still be reachable by
         // thieves — the inject inbox would otherwise deadlock this

@@ -22,6 +22,8 @@
 //! See README.md for a tour and DESIGN.md / EXPERIMENTS.md for the
 //! reproduction methodology.
 
+#![forbid(unsafe_code)]
+
 pub use dsim;
 pub use jade_apps as apps;
 pub use jade_core as core;
