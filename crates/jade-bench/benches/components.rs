@@ -1,6 +1,5 @@
-//! Micro-benchmarks of the runtime components themselves: synchronizer
-//! throughput, the dependence graph the simulators replay instead,
-//! simulator event rates (and, under them, the calendar and
+//! Micro-benchmarks of the runtime components themselves: the dependence
+//! graph every backend counts down, simulator event rates (and, under them, the calendar and
 //! the fault injector), the iPSC simulator on its two heaviest benchmark
 //! cells, trace generation, the real thread backend (one
 //! cold batch, and `submit` + `finish` per task on a warmed runtime in the
@@ -18,8 +17,8 @@
 use dsim::{Calendar, FaultInjector, FaultPlan, SimDuration};
 use jade_core::LocalityMode;
 use jade_core::{
-    AccessSpec, Countdown, DepGraph, Handle, JadeRuntime, NullSink, ObjectId, Store, Synchronizer,
-    TaskBuilder, TaskDef, TaskId, Trace, TraceBuilder,
+    AccessSpec, Countdown, DepGraph, Handle, JadeRuntime, NullSink, ObjectId, Store, TaskBuilder,
+    TaskDef, Trace, TraceBuilder,
 };
 use jade_threads::{JadeService, Outcome, Program, ServiceConfig, TenantOptions, ThreadRuntime};
 
@@ -34,50 +33,10 @@ fn bench(name: &str, iters: u32, mut f: impl FnMut()) {
     println!("{name:>32}  {:>12.3} µs/iter  ({iters} iters)", per * 1e6);
 }
 
-fn synchronizer_throughput() {
-    for &n in &[1_000usize, 10_000] {
-        bench(&format!("synchronizer/pipeline/{n}"), 10, || {
-            // Worst case: a single write chain (every completion re-grants).
-            let mut sync = Synchronizer::new(true);
-            let mut spec = AccessSpec::new();
-            spec.wr(ObjectId(0));
-            let mut ready = Vec::new();
-            for i in 0..n {
-                if sync.add_task(TaskId(i as u32), &spec) {
-                    ready.push(TaskId(i as u32));
-                }
-            }
-            let mut done = 0;
-            while let Some(t) = ready.pop() {
-                done += 1;
-                sync.complete(t, &mut ready);
-            }
-            assert_eq!(done, n);
-        });
-        bench(&format!("synchronizer/independent/{n}"), 10, || {
-            let mut sync = Synchronizer::new(true);
-            let mut ready = Vec::with_capacity(n);
-            for i in 0..n {
-                let mut spec = AccessSpec::new();
-                spec.wr(ObjectId(i as u32));
-                if sync.add_task(TaskId(i as u32), &spec) {
-                    ready.push(TaskId(i as u32));
-                }
-            }
-            let mut newly = Vec::new();
-            for t in ready {
-                sync.complete(t, &mut newly);
-            }
-            assert!(sync.all_complete());
-        });
-    }
-}
-
 /// The twelve paper traces (every application at 8 and 32 processors),
 /// each as a simulator sees its dependences: the cost of building its
-/// `DepGraph`, of replaying the graph with counters, and of the
-/// synchronizer replay the graph replaced, per task, the task enabled last
-/// completing first; and the graph's size.
+/// `DepGraph` and of replaying the graph with counters, per task, the task
+/// enabled last completing first; and the graph's size.
 fn dependence_graphs() {
     use jade_apps::{cholesky, halo, ocean, pagerank, string_app, water};
     let mut traces: Vec<Trace> = Vec::new();
@@ -133,18 +92,6 @@ fn dependence_graphs() {
             deps.complete_traced(id, &mut ready, &mut NullSink, 0, 0);
         }
         assert!(deps.all_complete());
-    });
-    per_task("depgraph/synchronizer_replay", &mut |t, _| {
-        let mut sync = Synchronizer::new(true);
-        for rec in &t.tasks {
-            if sync.add_task(rec.id, &rec.spec) {
-                ready.push(rec.id);
-            }
-        }
-        while let Some(id) = ready.pop() {
-            sync.complete(id, &mut ready);
-        }
-        assert!(sync.all_complete());
     });
 }
 
@@ -623,7 +570,6 @@ fn store_guard_index() {
 }
 
 fn main() {
-    synchronizer_throughput();
     dependence_graphs();
     simulator_event_rate();
     ipsc_cells();

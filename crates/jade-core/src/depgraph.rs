@@ -1,18 +1,24 @@
-//! The dependence graph of a batch of tasks, computed once before any of
-//! them runs (DESIGN.md §4, "One dependence graph per batch"). [`DepGraph`]
-//! is what the synchronizer's queues derive from access specifications, as
-//! a static CSR graph with one sub-row per declaration. [`Countdown`]
-//! replays it with one counter per task, enabling what a
-//! [`Synchronizer`](crate::Synchronizer) would, in the same order and with
-//! the same events; `ThreadRuntime` counts it down with atomic decrements.
+//! The dependence rule of the paper's runtime (§3), as one walk over
+//! access specifications (DESIGN.md §4). The paper queues each object's
+//! declared accesses in serial order; [`DepGraph`] is the graph those
+//! queues imply, built before a batch runs, as a static CSR graph with one
+//! sub-row per declaration. [`Countdown`] replays it with one counter per
+//! task (the simulators, each `JadeService` tenant) and `ThreadRuntime`
+//! counts it down with atomic decrements. [`Synchronizer`] takes the same
+//! walk online, a task at a time as it is registered.
 
 use crate::access::{AccessDecl, AccessMode, AccessSpec};
 use crate::events::{EventKind, Sink};
 use crate::ids::{ObjectId, ProcId, TaskId};
 use crate::trace::Trace;
 use std::borrow::Cow;
+use std::ops::Range;
 
 const NONE: u32 = u32::MAX;
+/// A completed task's count of edges left.
+const DONE: u32 = u32::MAX;
+/// A declaration whose task completed: an edge from it is not waited on.
+const GIVEN_UP: u32 = u32::MAX - 1;
 
 /// Which tasks wait for which, one edge per declaration a task waits
 /// through. Per object, in serial order:
@@ -23,8 +29,8 @@ const NONE: u32 = u32::MAX;
 /// * without replication, every access waits for the access before it.
 ///
 /// Edges are counted per declaration and never merged, so a count reaches
-/// zero at the completion that grants a task's last declaration in the
-/// synchronizer. Each declaration has a sub-row of its own: the successors
+/// zero when the last declaration the task waits through is given up.
+/// Each declaration has a sub-row of its own: the successors
 /// that wait through it, in serial order. A task's row is its sub-rows in
 /// declaration order, which is the order completion grants in; a mid-task
 /// release counts down exactly one sub-row.
@@ -63,34 +69,47 @@ impl PartialEq for Walk {
 }
 
 impl Walk {
-    /// Call `edge(from, to)` for every edge, in serial order of the task
-    /// `to`, whose declarations are `decls[ends[to]..ends[to + 1]]`; `from`
-    /// is a declaration, numbered as `decls` are.
-    fn edges(&mut self, ends: &[u32], replication: bool, mut edge: impl FnMut(u32, usize)) {
+    /// Call `edge(from, to)` for every edge into task `to`, the next in
+    /// serial order, whose declarations are `decls[range]`; `from` is a
+    /// declaration, numbered as `decls` are.
+    #[inline]
+    fn step(
+        &mut self,
+        to: usize,
+        range: Range<u32>,
+        replication: bool,
+        mut edge: impl FnMut(u32, usize),
+    ) {
         let (chain, writer, reads) = (&mut self.chain, &mut self.writer, &mut self.reads);
-        writer.fill(NONE);
-        reads.fill(NONE);
-        for (to, end) in ends.windows(2).enumerate() {
-            for g in end[0]..end[1] {
-                let d = self.decls[g as usize];
-                let o = d.object.index();
-                if replication && d.mode == AccessMode::Read {
-                    if writer[o] != NONE {
-                        edge(writer[o], to);
-                    }
-                    chain[g as usize] = std::mem::replace(&mut reads[o], g);
-                } else {
-                    let mut r = std::mem::replace(&mut reads[o], NONE);
-                    if r == NONE && writer[o] != NONE {
-                        edge(writer[o], to);
-                    }
-                    while r != NONE {
-                        edge(r, to);
-                        r = chain[r as usize];
-                    }
-                    writer[o] = g;
+        for g in range {
+            let d = self.decls[g as usize];
+            let o = d.object.index();
+            if replication && d.mode == AccessMode::Read {
+                if writer[o] != NONE {
+                    edge(writer[o], to);
                 }
+                chain[g as usize] = std::mem::replace(&mut reads[o], g);
+            } else {
+                let mut r = std::mem::replace(&mut reads[o], NONE);
+                if r == NONE && writer[o] != NONE {
+                    edge(writer[o], to);
+                }
+                while r != NONE {
+                    edge(r, to);
+                    r = chain[r as usize];
+                }
+                writer[o] = g;
             }
+        }
+    }
+
+    /// [`step`](Self::step) through every task from an empty walk, task
+    /// `to` having declarations `decls[ends[to]..ends[to + 1]]`.
+    fn edges(&mut self, ends: &[u32], replication: bool, mut edge: impl FnMut(u32, usize)) {
+        self.writer.fill(NONE);
+        self.reads.fill(NONE);
+        for (to, end) in ends.windows(2).enumerate() {
+            self.step(to, end[0]..end[1], replication, &mut edge);
         }
     }
 }
@@ -166,10 +185,8 @@ impl DepGraph {
         &self.preds
     }
 
-    /// The length of the object table a synchronizer registering the tasks
-    /// of every build of this graph would have: 1 + the largest object
-    /// index any of them declared (a synchronizer's table keeps its length
-    /// from one window to the next).
+    /// 1 + the largest object index any build of this graph declared: the
+    /// per-object tables keep their length from one build to the next.
     pub fn objects(&self) -> usize {
         self.walk.writer.len()
     }
@@ -204,11 +221,13 @@ impl DepGraph {
     }
 }
 
-/// One replay of a [`DepGraph`]: per task, the edges into it not yet
-/// counted down. It mirrors the synchronizer's entry points, events too.
+/// One replay of a [`DepGraph`], registering, releasing and completing
+/// tasks, with their lifecycle events.
 #[derive(Clone, Debug, Default)]
 pub struct Countdown<'g> {
     graph: Cow<'g, DepGraph>,
+    /// Per task: the edges into it not yet counted down, `DONE` once it
+    /// completed.
     left: Vec<u32>,
     /// Per declaration: released mid-task, so its sub-row is already
     /// counted down. Empty until the first release.
@@ -312,18 +331,19 @@ impl<'g> Countdown<'g> {
         time_ps: u64,
         proc: ProcId,
     ) {
-        debug_assert!(
-            id.index() < self.created && self.left[id.index()] == 0,
-            "task {id:?} completed while not enabled"
+        let left = &mut self.left[id.index()];
+        assert!(
+            id.index() < self.created && *left == 0,
+            "task {id:?} completed twice or while not enabled"
         );
+        *left = DONE;
         self.completed += 1;
         self.give_up(id, None, newly_enabled, events, time_ps, proc);
     }
 
     /// Release the running task `id`'s declaration `decl` (its position in
     /// the specification), on `object`, before the task completes: count
-    /// down that declaration's sub-row alone, as the synchronizer's
-    /// `release` grants that access's successors alone. Records
+    /// down that declaration's sub-row alone. Records
     /// `AccessReleased`, then `TaskEnabled` for each task it enables.
     #[allow(clippy::too_many_arguments)]
     pub fn release_traced<S: Sink>(
@@ -340,7 +360,10 @@ impl<'g> Countdown<'g> {
         if self.released.is_empty() {
             self.released.resize(self.graph.subs.len() - 1, false);
         }
-        assert!(!self.released[k], "{id:?} released {object:?} twice");
+        assert!(
+            !self.released[k] && self.left[id.index()] == 0,
+            "{id:?} released {object:?} twice or while not running"
+        );
         self.released[k] = true;
         self.give_up(
             id,
@@ -368,13 +391,105 @@ impl<'g> Countdown<'g> {
     }
 }
 
+/// The rule applied online, over the walk [`DepGraph::rebuild`] makes:
+/// tasks are registered one at a time in serial order, each waiting
+/// through the edges from declarations not yet given up, and completing a
+/// task gives up every declaration it holds. It has no release: only
+/// `Countdown` replays those.
+#[derive(Clone, Debug)]
+pub struct Synchronizer {
+    walk: Walk,
+    replication: bool,
+    /// Task `i`'s declarations are `walk.decls[ends[i]..ends[i + 1]]`.
+    ends: Vec<u32>,
+    /// Per task: the edges into it not yet counted down, `DONE` once it
+    /// completed.
+    left: Vec<u32>,
+    /// Per declaration: the newest edge waiting through it (an index into
+    /// `waiting`), `NONE`, or `GIVEN_UP`.
+    head: Vec<u32>,
+    /// Per waiting edge: the task it enters and the next older edge
+    /// through the same declaration.
+    waiting: Vec<(TaskId, u32)>,
+}
+
+impl Synchronizer {
+    /// `replication`: whether reads of one object run concurrently.
+    pub fn new(replication: bool) -> Synchronizer {
+        Synchronizer {
+            walk: Walk::default(),
+            replication,
+            ends: vec![0],
+            left: Vec::new(),
+            head: Vec::new(),
+            waiting: Vec::new(),
+        }
+    }
+
+    /// Register the next task in serial order, `id`, of specification
+    /// `spec`. Returns `true` if it is enabled at once.
+    pub fn add_task(&mut self, id: TaskId, spec: &AccessSpec) -> bool {
+        assert_eq!(id.index(), self.left.len(), "out of serial order");
+        let walk = &mut self.walk;
+        let start = walk.decls.len() as u32;
+        walk.decls.extend_from_slice(spec.decls());
+        let end = walk.decls.len();
+        walk.chain.resize(end, NONE);
+        self.head.resize(end, NONE);
+        self.ends.push(end as u32);
+        let objects = spec.decls().iter().map(|d| d.object.index() + 1).max();
+        let objects = objects.unwrap_or(0).max(walk.writer.len());
+        walk.writer.resize(objects, NONE);
+        walk.reads.resize(objects, NONE);
+        let (head, waiting, mut left) = (&mut self.head, &mut self.waiting, 0);
+        let count = |from: u32, _| {
+            let newest = &mut head[from as usize];
+            if *newest != GIVEN_UP {
+                waiting.push((id, *newest));
+                *newest = waiting.len() as u32 - 1;
+                left += 1;
+            }
+        };
+        walk.step(id.index(), start..end as u32, self.replication, count);
+        self.left.push(left);
+        left == 0
+    }
+
+    /// Mark the enabled task `id` complete and give up its declarations;
+    /// the tasks that enables go to `newly_enabled`, declaration by
+    /// declaration, each in serial order.
+    pub fn complete(&mut self, id: TaskId, newly_enabled: &mut Vec<TaskId>) {
+        let left = &mut self.left[id.index()];
+        assert!(*left == 0, "{id:?} completed twice or while not enabled");
+        *left = DONE;
+        for k in self.ends[id.index()]..self.ends[id.index() + 1] {
+            let before = newly_enabled.len();
+            let mut e = std::mem::replace(&mut self.head[k as usize], GIVEN_UP);
+            while e != NONE {
+                let (t, older) = self.waiting[e as usize];
+                self.left[t.index()] -= 1;
+                if self.left[t.index()] == 0 {
+                    newly_enabled.push(t);
+                }
+                e = older;
+            }
+            // The list runs newest first.
+            newly_enabled[before..].reverse();
+        }
+    }
+
+    /// True when every registered task has completed.
+    pub fn all_complete(&self) -> bool {
+        self.left.iter().all(|&left| left == DONE)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::access::AccessSpec;
     use crate::events::Event;
     use crate::ids::ObjectId;
-    use crate::synchronizer::{SnapshotSize, Synchronizer};
     use crate::trace::TraceBuilder;
     use proptest::prelude::*;
 
@@ -468,6 +583,82 @@ mod tests {
         deps.complete_traced(TaskId(0), &mut newly, &mut events, 2, 0);
         assert_eq!(newly, [TaskId(1), TaskId(3)]);
         assert_eq!(deps.live_tasks(), 3);
+    }
+
+    /// A countdown over `specs`, every task registered.
+    fn registered(specs: &[AccessSpec]) -> Countdown<'static> {
+        let mut deps = Countdown::default();
+        deps.rebuild(specs.iter(), true);
+        for i in 0..specs.len() {
+            deps.add_task_traced(TaskId(i as u32), &mut Vec::<Event>::new(), 0, 0);
+        }
+        deps
+    }
+
+    #[test]
+    #[should_panic(expected = "completed twice")]
+    fn double_complete_panics() {
+        // A second completion of task 0 would count task 2 down again and
+        // enable it while task 1 still runs.
+        let (mut wa, mut wb, mut both) = (AccessSpec::new(), AccessSpec::new(), AccessSpec::new());
+        wa.wr(o(0));
+        wb.wr(o(1));
+        both.rd(o(0)).rd(o(1));
+        let mut deps = registered(&[wa, wb, both]);
+        let mut newly = Vec::new();
+        deps.complete_traced(TaskId(0), &mut newly, &mut Vec::<Event>::new(), 0, 0);
+        deps.complete_traced(TaskId(0), &mut newly, &mut Vec::<Event>::new(), 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of serial order")]
+    fn out_of_order_registration_panics() {
+        let mut deps = Countdown::default();
+        deps.rebuild([AccessSpec::new(), AccessSpec::new()].iter(), true);
+        deps.add_task_traced(TaskId(1), &mut Vec::<Event>::new(), 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "while not running")]
+    fn release_after_completion_panics() {
+        // Task 0's sub-row on object 0 was counted down at its completion;
+        // counting it again would enable task 2 while task 1 still runs.
+        let (mut wa, mut wb, mut both) = (AccessSpec::new(), AccessSpec::new(), AccessSpec::new());
+        wa.wr(o(0));
+        wb.wr(o(1));
+        both.rd(o(0)).rd(o(1));
+        let mut deps = registered(&[wa, wb, both]);
+        let mut newly = Vec::new();
+        deps.complete_traced(TaskId(0), &mut newly, &mut Vec::<Event>::new(), 0, 0);
+        deps.release_traced(
+            TaskId(0),
+            0,
+            o(0),
+            &mut newly,
+            &mut Vec::<Event>::new(),
+            0,
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "twice")]
+    fn double_release_panics() {
+        let mut r = AccessSpec::new();
+        r.rd(o(0));
+        let mut deps = registered(&[r]);
+        let mut newly = Vec::new();
+        for _ in 0..2 {
+            deps.release_traced(
+                TaskId(0),
+                0,
+                o(0),
+                &mut newly,
+                &mut Vec::<Event>::new(),
+                0,
+                0,
+            );
+        }
     }
 
     #[test]
@@ -642,18 +833,123 @@ mod tests {
         prog.iter().enumerate().map(spec_of).collect()
     }
 
+    /// Declaration `a` of an earlier task must be given up before `b` may
+    /// proceed: the rule by its definition.
+    fn waits(a: AccessDecl, b: AccessDecl, replication: bool) -> bool {
+        a.object == b.object && (!replication || a.mode.conflicts(b.mode))
+    }
+
+    /// Per row, the rows it reaches: Warshall over bit rows.
+    fn closure(mut rows: Vec<u64>) -> Vec<u64> {
+        for k in 0..rows.len() {
+            for i in 0..rows.len() {
+                if rows[i] >> k & 1 == 1 {
+                    rows[i] |= rows[k];
+                }
+            }
+        }
+        rows
+    }
+
+    /// One step of a replay.
+    enum Op {
+        Add(TaskId),
+        Release(TaskId, usize),
+        Complete(TaskId),
+    }
+
+    /// Drive `engine` through a seeded legal order of registrations,
+    /// mid-task releases (`releases` thirds of the time) and completions,
+    /// registering eagerly `eager` fourths of the time. `engine` answers an
+    /// `Add` with whether the task is enabled and pushes the tasks any
+    /// other step enables. After every step the enabled tasks must be
+    /// exactly the registered, uncompleted ones whose conflicting earlier
+    /// declarations have all been given up. Returns every enable in order.
+    fn replay(
+        specs: &[AccessSpec],
+        replication: bool,
+        (seed, eager, releases): (u64, usize, usize),
+        mut engine: impl FnMut(Op, &mut Vec<TaskId>) -> bool,
+    ) -> Vec<TaskId> {
+        let mut state = seed | 1;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        // Per task, per declaration: given up.
+        let mut given_up: Vec<Vec<bool>> = specs.iter().map(|s| vec![false; s.len()]).collect();
+        let (mut created, mut done) = (0, vec![false; specs.len()]);
+        let (mut ready, mut log) = (Vec::new(), Vec::new());
+        loop {
+            let mut newly = Vec::new();
+            if created < specs.len() && (ready.is_empty() || next() % 4 < eager) {
+                let id = TaskId(created as u32);
+                created += 1;
+                if engine(Op::Add(id), &mut newly) {
+                    newly.push(id);
+                }
+            } else if !ready.is_empty() {
+                let at = next() % ready.len();
+                let id: TaskId = ready[at];
+                let held: Vec<usize> = (0..specs[id.index()].len())
+                    .filter(|&k| !given_up[id.index()][k])
+                    .collect();
+                if !held.is_empty() && next() % 3 < releases {
+                    let decl = held[next() % held.len()];
+                    given_up[id.index()][decl] = true;
+                    engine(Op::Release(id, decl), &mut newly);
+                } else {
+                    ready.swap_remove(at);
+                    given_up[id.index()].fill(true);
+                    done[id.index()] = true;
+                    engine(Op::Complete(id), &mut newly);
+                }
+            } else {
+                break;
+            }
+            log.extend_from_slice(&newly);
+            ready.extend(newly);
+            let mut want: Vec<TaskId> = (0..created)
+                .filter(|&t| !done[t])
+                .filter(|&t| {
+                    specs[t].decls().iter().all(|&b| {
+                        (0..t).all(|e| {
+                            let decls = specs[e].decls().iter().zip(&given_up[e]);
+                            decls
+                                .filter(|(&a, _)| waits(a, b, replication))
+                                .all(|(_, &g)| g)
+                        })
+                    })
+                })
+                .map(|t| TaskId(t as u32))
+                .collect();
+            let mut got = ready.clone();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want);
+        }
+        assert_eq!(created, specs.len());
+        assert!(done.iter().all(|&d| d), "a task never enabled");
+        log
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// A countdown over the graph and a synchronizer, driven through
-        /// the same random interleaving of registrations, mid-task
-        /// releases and completions (a task's predecessors often complete
-        /// before it is registered): the same enabled tasks in the same
-        /// order, the same event stream, and at every step a `SnapshotSize`
-        /// that registers lazily, as the iPSC's checkpoint does, with the
-        /// snapshot's encoded length and the completed set.
+        /// The rule checked against its definition, over random programs
+        /// under both replication settings:
+        ///
+        /// * the graph: every edge joins two declarations on one object,
+        ///   and per object the closure of the edges equals the closure of
+        ///   "earlier, and conflicting or without replication";
+        /// * a `Countdown` replay with mid-task releases and the online
+        ///   `Synchronizer` without them: at every step the enabled set is
+        ///   the definition's, and the countdown's `TaskEnabled` events
+        ///   are its enables.
         #[test]
-        fn countdown_replays_the_synchronizer(
+        fn the_rule_follows_its_definition(
             prog in prop::collection::vec(prop::collection::vec((0..6u8, 0..3u8), 0..5), 1..40),
             gather in any::<bool>(),
             replication in any::<bool>(),
@@ -662,76 +958,63 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let specs = specs_of(&prog, gather);
-            let trace = trace_of(&specs);
-            let graph = DepGraph::build(&trace, replication);
-            let mut deps = Countdown::new(Cow::Borrowed(&graph));
-            let mut sync = Synchronizer::new(replication);
-            let (mut got_events, mut want_events) = (Vec::<Event>::new(), Vec::<Event>::new());
-            let mut size = SnapshotSize::default();
-            let mut state = seed | 1;
-            let mut next = || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (state >> 33) as usize
-            };
-            let (mut ready, mut done) = (Vec::new(), vec![false; specs.len()]);
-            // Per task, the positions of the declarations it has released.
-            let mut released = vec![Vec::new(); specs.len()];
-            for clock in 0u64.. {
-                let created = deps.task_count();
-                // Register the next task when nothing is ready, or as
-                // often as `eager` fourths of the time.
-                if created < specs.len() && (ready.is_empty() || next() % 4 < eager) {
-                    let id = TaskId(created as u32);
-                    let got = deps.add_task_traced(id, &mut got_events, clock, 0);
-                    let want = sync.add_task_traced(id, &specs[created], &mut want_events, clock, 0);
-                    prop_assert_eq!(got, want, "registering {:?}", id);
-                    if got {
-                        ready.push(id);
-                    }
-                } else if !ready.is_empty() {
-                    // A ready task releases one of the declarations it
-                    // holds as often as `releases` thirds of the time, and
-                    // completes otherwise.
-                    let at = next() % ready.len();
-                    let id = ready[at];
-                    let decls = specs[id.index()].decls();
-                    let held: Vec<usize> = (0..decls.len())
-                        .filter(|k| !released[id.index()].contains(k))
-                        .collect();
-                    let (mut got, mut want) = (Vec::new(), Vec::new());
-                    if !held.is_empty() && next() % 3 < releases {
-                        let decl = held[next() % held.len()];
-                        let object = decls[decl].object;
-                        deps.release_traced(id, decl, object, &mut got, &mut got_events, clock, 1);
-                        sync.release(id, object, &mut want, &mut want_events, clock, 1);
-                        prop_assert_eq!(&got, &want, "{:?} releasing {:?}", id, object);
-                        released[id.index()].push(decl);
-                        size.release();
-                    } else {
-                        ready.swap_remove(at);
-                        deps.complete_traced(id, &mut got, &mut got_events, clock, 1);
-                        sync.complete_traced(id, &mut want, &mut want_events, clock, 1);
-                        prop_assert_eq!(&got, &want, "completing {:?}", id);
-                        size.complete(&specs[id.index()], released[id.index()].len());
-                        done[id.index()] = true;
-                    }
-                    ready.extend(got);
-                } else {
-                    break;
+            let graph = DepGraph::build(&trace_of(&specs), replication);
+            // Per object: its declarations in serial order, as (task, position).
+            let mut on: Vec<Vec<(usize, usize)>> = vec![Vec::new(); OBJECTS as usize];
+            for (t, s) in specs.iter().enumerate() {
+                for (k, d) in s.decls().iter().enumerate() {
+                    on[d.object.index()].push((t, k));
                 }
-                while size.task_count() < deps.task_count() {
-                    size.register(&specs[size.task_count()]);
-                }
-                let snap = sync.snapshot();
-                prop_assert_eq!(size.encoded_len(), snap.encoded_len());
-                for (i, &done) in done.iter().enumerate() {
-                    prop_assert_eq!(snap.completed(TaskId(i as u32)), done);
-                }
-                prop_assert_eq!(deps.live_tasks(), sync.live_tasks());
             }
-            prop_assert!(deps.all_complete() && sync.all_complete());
-            prop_assert_eq!(deps.task_count(), specs.len());
-            prop_assert_eq!(got_events, want_events);
+            for decls in &on {
+                let (mut drawn, mut defined) = (vec![0u64; decls.len()], vec![0u64; decls.len()]);
+                for (i, &(t, k)) in decls.iter().enumerate() {
+                    let a = specs[t].decls()[k];
+                    for s in sub_row(&graph, TaskId(t as u32), k) {
+                        let j = decls.iter().position(|&(u, _)| u == s.index());
+                        prop_assert!(j.is_some(), "an edge leaves the object");
+                        drawn[i] |= 1 << j.unwrap();
+                    }
+                    for (j, &(u, m)) in decls.iter().enumerate().skip(i + 1) {
+                        if waits(a, specs[u].decls()[m], replication) {
+                            defined[i] |= 1 << j;
+                        }
+                    }
+                }
+                prop_assert_eq!(closure(drawn), closure(defined));
+            }
+
+            let mut deps = Countdown::new(Cow::Borrowed(&graph));
+            let mut events = Vec::<Event>::new();
+            let log = replay(&specs, replication, (seed, eager, releases), |op, newly| {
+                match op {
+                    Op::Add(id) => return deps.add_task_traced(id, &mut events, 0, 0),
+                    Op::Release(id, k) => {
+                        let object = specs[id.index()].decls()[k].object;
+                        deps.release_traced(id, k, object, newly, &mut events, 0, 0)
+                    }
+                    Op::Complete(id) => deps.complete_traced(id, newly, &mut events, 0, 0),
+                }
+                false
+            });
+            let enables: Vec<TaskId> = events
+                .iter()
+                .filter(|e| e.kind == EventKind::TaskEnabled)
+                .filter_map(|e| e.task)
+                .collect();
+            prop_assert_eq!(enables, log);
+            prop_assert!(deps.all_complete());
+
+            let mut front = Synchronizer::new(replication);
+            replay(&specs, replication, (seed, eager, 0), |op, newly| match op {
+                Op::Add(id) => front.add_task(id, &specs[id.index()]),
+                Op::Release(..) => unreachable!("no releases"),
+                Op::Complete(id) => {
+                    front.complete(id, newly);
+                    false
+                }
+            });
+            prop_assert!(front.all_complete());
         }
     }
 }

@@ -12,8 +12,8 @@
 //!   access specification section (`rd(o)`, `wr(o)`);
 //! * [`DepGraph`] — the dependence analysis that turns access
 //!   specifications into concurrency, counted down ([`Countdown`]) by
-//!   every backend; [`Synchronizer`], the paper's queue-based form of it,
-//!   is the reference it is tested against;
+//!   every backend; [`Synchronizer`] takes the same walk online, task by
+//!   task;
 //! * [`TraceRuntime`] — serial execution plus trace recording for the
 //!   machine simulators (`jade-dash`, `jade-ipsc`);
 //! * [`JadeRuntime`] — the portability interface: one application text runs
@@ -48,13 +48,12 @@ pub mod events;
 mod ids;
 mod runtime;
 mod store;
-mod synchronizer;
 mod task;
 mod trace;
 pub mod tune;
 
 pub use access::{AccessDecl, AccessMode, AccessSpec};
-pub use depgraph::{Countdown, DepGraph};
+pub use depgraph::{Countdown, DepGraph, Synchronizer};
 pub use events::{
     check_conservation, check_lifecycle, Component, Event, EventKind, Locality, Metrics,
     MetricsFold, NullSink, ProcTimes, Sink, TenantId,
@@ -62,7 +61,6 @@ pub use events::{
 pub use ids::{Handle, LocalityMode, ObjectId, ProcId, TaskId, MAIN_PROC};
 pub use runtime::JadeRuntime;
 pub use store::{ReadGuard, Store, WriteGuard};
-pub use synchronizer::{SnapshotSize, SyncSnapshot, Synchronizer};
 pub use task::{TaskBody, TaskBuilder, TaskCtx, TaskDef};
 pub use trace::{ObjectRecord, TaskRecord, Trace, TraceBuilder, TraceRuntime};
 pub use tune::{Controller, Decision, Knob, TuneLog};

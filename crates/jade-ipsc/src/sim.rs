@@ -61,15 +61,13 @@
 
 use crate::communicator::{CommSnapshot, Communicator};
 use crate::costs::{
-    AGG_ENTRY_BYTES, ASSIGN_BYTES, COMPLETE, CREATE, NOTIFY_BYTES, NOTIFY_HANDLER, OBJECT_RECV,
-    RECV_HANDLER, REQUEST_BYTES, REQUEST_SEND, SCHED,
+    SnapshotSize, AGG_ENTRY_BYTES, ASSIGN_BYTES, COMPLETE, CREATE, NOTIFY_BYTES, NOTIFY_HANDLER,
+    OBJECT_RECV, RECV_HANDLER, REQUEST_BYTES, REQUEST_SEND, SCHED,
 };
 use crate::scheduler::{Decision, IpscScheduler};
 use dsim::driver::{self, Core, Machine, Run, SimError};
 use dsim::{FaultPlan, IpscSpec, ProcClock, ProcId, SimDuration, SimTime, TimeKind};
-use jade_core::{
-    Component, Event, EventKind, LocalityMode, ObjectId, Sink, SnapshotSize, TaskId, Trace,
-};
+use jade_core::{Component, Event, EventKind, LocalityMode, ObjectId, Sink, TaskId, Trace};
 use std::collections::VecDeque;
 
 /// Retry budget per fetched object. With the fault-plan drop probabilities
@@ -1700,7 +1698,7 @@ impl<'a, R: Sink> Sim<'a, R> {
         if self.core.main_blocked == Some(id) {
             // Serial task: completion is processed locally, and main resumes
             // after the successors it enabled.
-            self.sync_size.complete(&rec.spec, 0);
+            self.sync_size.complete(&rec.spec);
             self.complete(id, p, t_cur);
             self.core.cal.schedule(t_cur, driver::Ev::MainStep);
             return;
@@ -1747,7 +1745,7 @@ impl<'a, R: Sink> Sim<'a, R> {
         // so successors enabled below see the freed processor.
         self.sched.finish(p);
         self.sync_size
-            .complete(&self.core.trace.tasks[id.index()].spec, 0);
+            .complete(&self.core.trace.tasks[id.index()].spec);
         self.complete(id, p, end);
         let comm = &self.comm;
         let trace = self.core.trace;
@@ -1766,7 +1764,7 @@ impl<'a, R: Sink> Sim<'a, R> {
     /// the replica table to the main processor, owners ship the payloads of
     /// objects dirtied since the previous capture (and not already held at
     /// main), and main serializes the synchronizer state into the
-    /// checkpoint store, charged at its `JSNP` size ([`SnapshotSize`]). The
+    /// checkpoint store, charged at its serialized size ([`SnapshotSize`]). The
     /// captured *state* is atomic — the tables are snapshotted at the tick
     /// — but the capture *cost* lands on the processor timelines through
     /// the machine cost model like any other protocol work.

@@ -5,8 +5,8 @@
 //! Jade language paper. This façade crate re-exports the whole workspace:
 //!
 //! * [`core`] — the programming model: shared objects, access
-//!   specifications, the `withonly` task construct, the queue-based
-//!   synchronizer, serial execution + trace recording;
+//!   specifications, the `withonly` task construct, the dependence graph
+//!   every backend counts down, serial execution + trace recording;
 //! * [`threads`] — a real parallel executor on OS threads, plus the
 //!   multi-tenant [`JadeService`] front end (admission control,
 //!   deadlines, tenant fault isolation; DESIGN.md §16);
@@ -32,8 +32,8 @@ pub use jade_ipsc as ipsc;
 pub use jade_threads as threads;
 
 pub use jade_core::{
-    AccessMode, AccessSpec, Handle, JadeRuntime, LocalityMode, ObjectId, Store, Synchronizer,
-    TaskBuilder, TaskCtx, TaskDef, TaskId, TenantId, Trace, TraceRuntime,
+    AccessMode, AccessSpec, Handle, JadeRuntime, LocalityMode, ObjectId, Store, TaskBuilder,
+    TaskCtx, TaskDef, TaskId, TenantId, Trace, TraceRuntime,
 };
 pub use jade_threads::{
     JadeService, Outcome, Program, ServiceConfig, SubmitError, TenantOptions, TenantReport,

@@ -36,16 +36,18 @@
 //! 8. one DASH simulation allocates per run, not per task: at most one
 //!    allocation per four simulated tasks on either scheduler, with and
 //!    without prefetch (the rest is per-run tables and their growth);
-//! 9. parking 10 000 waiters on one object allocates nothing: a waiting
-//!    access is an index in the declaration slab, which a warm-up run of
-//!    the same program sized;
+//! 9. 10 000 readers waiting on one writer allocate nothing: a warmed
+//!    `Countdown` rebuilds the fan-in's graph in the storage of the last
+//!    build, and one completion enables them all;
 //! 10. when no counting shim feeds the counter (another global allocator
 //!     is active), the probe reports inactive and the assertions skip
 //!     cleanly — the probe side of that contract is exercised in
 //!     `jade-bench`'s in-crate tests, which install no shim.
 
 use jade_apps::pagerank::{self, PagerankConfig};
-use jade_core::{AccessSpec, JadeRuntime, LocalityMode, Synchronizer, TaskBuilder, TraceBuilder};
+use jade_core::{
+    AccessSpec, Countdown, JadeRuntime, LocalityMode, NullSink, TaskBuilder, TraceBuilder,
+};
 use jade_dash::DashConfig;
 use jade_ipsc::IpscConfig;
 use jade_threads::{JadeService, Outcome, Program, ServiceConfig, TenantOptions, ThreadRuntime};
@@ -436,7 +438,7 @@ fn dash_simulation_allocates_per_run_not_per_task() {
 }
 
 #[test]
-fn synchronizer_fan_in_allocates_nothing_beyond_the_slabs() {
+fn countdown_fan_in_allocates_nothing_once_warm() {
     let _guard = SERIAL.lock().unwrap();
     if counting_inactive() {
         return;
@@ -453,25 +455,23 @@ fn synchronizer_fan_in_allocates_nothing_beyond_the_slabs() {
     }
     let trace = b.build();
     // The harness's own threads can only inflate a window: the smallest of
-    // a few attempts is the synchronizer's.
-    let fan_in = |sync: &mut Synchronizer, newly: &mut Vec<_>| {
+    // a few attempts is the countdown's.
+    let fan_in = |deps: &mut Countdown, newly: &mut Vec<_>| {
+        deps.rebuild(trace.tasks.iter().map(|t| &t.spec), true);
         for t in &trace.tasks {
-            assert_eq!(sync.add_task(t.id, &t.spec), t.id.0 == 0);
+            assert_eq!(deps.add_task_traced(t.id, &mut NullSink, 0, 0), t.id.0 == 0);
         }
-        assert_eq!(sync.waiting_len(hot), n as usize);
-        // One completion grants the whole list.
-        sync.complete(trace.tasks[0].id, newly);
-        assert_eq!(sync.waiting_len(hot), 0);
+        // One completion enables every reader.
+        deps.complete_traced(trace.tasks[0].id, newly, &mut NullSink, 0, 0);
     };
     let allocs = (0..3)
         .map(|_| {
-            // A warm-up run sizes the slabs; `reset` keeps them.
-            let mut sync = Synchronizer::new(true);
+            // A warm-up run sizes the graph; a rebuild keeps its storage.
+            let mut deps = Countdown::default();
             let mut newly = Vec::with_capacity(n as usize);
-            fan_in(&mut sync, &mut newly);
-            sync.reset();
+            fan_in(&mut deps, &mut newly);
             newly.clear();
-            let (allocs, ()) = jade_bench::alloc::allocs_during(|| fan_in(&mut sync, &mut newly));
+            let (allocs, ()) = jade_bench::alloc::allocs_during(|| fan_in(&mut deps, &mut newly));
             assert_eq!(newly.len(), n as usize);
             allocs
         })

@@ -8,17 +8,13 @@
 //!
 //! The checkpoint/restart layer rides the same harness: any checkpoint
 //! interval combined with a fail-stop must leave results bit-identical,
-//! the synchronizer snapshot a checkpoint is charged for must encode
-//! exactly its history on random DAGs, and owner death must reset the
+//! and owner death must reset the
 //! adaptive-broadcast trigger so no broadcast ever targets a dead
 //! consumer set.
 
 use jade::apps::halo::{self, HaloConfig};
 use jade::apps::pagerank::{self, PagerankConfig};
-use jade::core::{
-    check_conservation, check_lifecycle, AccessSpec, Metrics, ObjectId, Synchronizer, TaskId,
-    Trace, TraceBuilder,
-};
+use jade::core::{check_conservation, check_lifecycle, AccessSpec, Metrics, Trace, TraceBuilder};
 use jade::dash::{self, DashConfig};
 use jade::dsim::{FaultPlan, SimDuration};
 use jade::ipsc::{self, IpscConfig};
@@ -315,62 +311,6 @@ proptest! {
             }
             let bcast = comm.on_write_complete(0, o);
             prop_assert_eq!(bcast, round == needed2, "re-earned at round {}", round);
-        }
-    }
-
-    /// On random DAGs stopped after a random prefix of completions, the
-    /// synchronizer snapshot encodes to exactly `encoded_len` bytes and
-    /// reports as committed exactly the tasks that completed.
-    #[test]
-    fn sync_snapshot_encodes_its_history_on_random_dags(
-        prog in program_strategy(25, 5),
-        replication in any::<bool>(),
-        prefix_pct in 0u32..101,
-        pick in any::<u64>(),
-    ) {
-        let specs: Vec<AccessSpec> = prog
-            .iter()
-            .map(|accesses| {
-                let mut s = AccessSpec::new();
-                for &(o, w) in accesses {
-                    if w {
-                        s.wr(ObjectId((o % 5) as u32));
-                    } else {
-                        s.rd(ObjectId((o % 5) as u32));
-                    }
-                }
-                s
-            })
-            .collect();
-
-        let mut sync = Synchronizer::new(replication);
-        let mut frontier: Vec<TaskId> = Vec::new();
-        for (i, s) in specs.iter().enumerate() {
-            if sync.add_task(TaskId(i as u32), s) {
-                frontier.push(TaskId(i as u32));
-            }
-        }
-
-        // Complete a pseudo-random prefix, picking arbitrary enabled tasks.
-        let target = specs.len() * prefix_pct as usize / 100;
-        let mut done: Vec<TaskId> = Vec::new();
-        let mut rng = pick;
-        while done.len() < target && !frontier.is_empty() {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let t = frontier.swap_remove((rng >> 33) as usize % frontier.len());
-            sync.complete(t, &mut frontier);
-            done.push(t);
-        }
-
-        // The encoding is as long as it says, and the accessors agree with
-        // the history that produced it.
-        let snap = sync.snapshot();
-        prop_assert_eq!(snap.to_bytes().len(), snap.encoded_len(), "encoded_len is exact");
-        for i in 0..=specs.len() {
-            let t = TaskId(i as u32);
-            prop_assert_eq!(snap.completed(t), done.contains(&t), "{:?}", t);
         }
     }
 

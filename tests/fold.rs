@@ -88,24 +88,24 @@ fn kind_of_covers_the_whole_vocabulary() {
     assert_eq!(names.len(), KINDS as usize);
 }
 
-/// The raw draw behind one event: `(kind, time, proc)`, `(task class, task)`,
-/// and two payload words.
-type RawEvent = ((u8, u64, usize), (u8, u32), (u64, u64));
+/// The raw draw behind one event: `(kind, time, proc)`, `(task present,
+/// task)`, and two payload words.
+type RawEvent = ((u8, u64, usize), (bool, u32), (u64, u64));
 
 /// A random stream. Half the events are requests, fetches and spans (the
-/// kinds with per-task or buffered state); tasks are absent, small, or
-/// offset into the millions like a long-lived `ThreadRuntime`'s; processors
-/// run past any `procs` hint the test passes.
+/// kinds with per-task or buffered state); tasks are absent or small;
+/// processors run past any `procs` hint the test passes.
 fn stream_strategy() -> impl Strategy<Value = Vec<RawEvent>> {
     let event = (
         (0..2 * KINDS, 0..1_000_000u64, 0..12usize),
-        (0..3u8, 0..24u32),
+        (any::<bool>(), 0..24u32),
         (any::<u64>(), any::<u64>()),
     );
     prop::collection::vec(event, 0..200)
 }
 
-fn event_of(((k, time_ps, proc), (task_class, task), (a, b)): RawEvent) -> Event {
+/// The event `raw` draws, its task id shifted by `offset`.
+fn event_of(((k, time_ps, proc), (present, task), (a, b)): RawEvent, offset: u32) -> Event {
     let k = if k >= KINDS {
         [7, 8, 17][(k % 3) as usize]
     } else {
@@ -115,45 +115,66 @@ fn event_of(((k, time_ps, proc), (task_class, task), (a, b)): RawEvent) -> Event
         time_ps,
         proc,
         kind: kind_of(k, a, b),
-        task: match task_class {
-            0 => None,
-            1 => Some(TaskId(task)),
-            _ => Some(TaskId(4_000_000 + task)),
-        },
+        task: present.then_some(TaskId(offset + task)),
         object: a.is_multiple_of(3).then_some(ObjectId((b % 16) as u32)),
     }
+}
+
+/// Pushed through the `Sink` side of a fold-and-record tee, the fold
+/// finishes to exactly the aggregation of what the recorder kept, and that
+/// aggregation does not depend on the order of the stream.
+fn assert_fold_matches(events: Vec<Event>, procs: usize, shuffle: u64) {
+    let mut tee = (MetricsFold::new(procs), Vec::<Event>::new());
+    for &e in &events {
+        Sink::push(&mut tee, e);
+    }
+    let (fold, recorded) = tee;
+    assert_eq!(&recorded, &events);
+    let m = Metrics::from_events(&events, procs);
+    assert_eq!(&fold.finish(), &m);
+
+    let mut permuted = events;
+    let mut rng = shuffle;
+    for i in (1..permuted.len()).rev() {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        permuted.swap(i, (rng >> 33) as usize % (i + 1));
+    }
+    assert_eq!(&Metrics::from_events(&permuted, procs), &m);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Pushed through the `Sink` side of a fold-and-record tee, the fold
-    /// finishes to exactly the aggregation of what the recorder kept, and
-    /// that aggregation does not depend on the order of the stream.
+    /// Every stream, its tasks offset into the millions like a long-lived
+    /// `ThreadRuntime`'s half the time.
     #[test]
     fn fold_equals_from_events_in_any_order(
         raw in stream_strategy(),
+        offset in any::<bool>(),
         procs in 0..8usize,
         shuffle in any::<u64>(),
     ) {
-        let events: Vec<Event> = raw.into_iter().map(event_of).collect();
-        let mut tee = (MetricsFold::new(procs), Vec::<Event>::new());
-        for &e in &events {
-            Sink::push(&mut tee, e);
-        }
-        let (fold, recorded) = tee;
-        prop_assert_eq!(&recorded, &events);
-        let m = Metrics::from_events(&events, procs);
-        prop_assert_eq!(&fold.finish(), &m);
-
-        let mut permuted = events;
-        let mut rng = shuffle;
-        for i in (1..permuted.len()).rev() {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            permuted.swap(i, (rng >> 33) as usize % (i + 1));
-        }
-        prop_assert_eq!(&Metrics::from_events(&permuted, procs), &m);
+        let offset = if offset { 4_000_000 } else { 0 };
+        let events = raw.into_iter().map(|r| event_of(r, offset)).collect();
+        assert_fold_matches(events, procs, shuffle);
     }
+}
+
+/// Small and offset task ids in one stream, the offset ones first: the
+/// fold's per-task windows open room at the front across four million ids.
+#[test]
+fn fold_spans_small_and_offset_task_ids() {
+    let events = [4_000_007, 3, 4_000_001, 0]
+        .into_iter()
+        .enumerate()
+        .flat_map(|(i, task)| {
+            let t = 100 * i as u64;
+            [7, 8, 17].map(|k| event_of(((k, t + u64::from(k), 1), (true, task), (3, 5)), 0))
+        })
+        .collect();
+    assert_fold_matches(events, 2, 7);
 }
 
 /// A named edit of a simulator configuration.

@@ -2,7 +2,7 @@
 //! backend, and both machine simulators must uphold Jade's semantics for
 //! *any* program, not just the four applications.
 
-use jade::core::{AccessSpec, NullSink, Synchronizer, TaskBuilder, TaskId, TraceBuilder};
+use jade::core::{AccessSpec, Synchronizer, TaskBuilder, TaskId, TraceBuilder};
 use jade::dash::{self, DashConfig};
 use jade::ipsc::{self, IpscConfig};
 use jade::JadeRuntime;
@@ -154,38 +154,6 @@ proptest! {
             sorted.sort_unstable();
             prop_assert_eq!(&*log, &sorted[..], "writes must land in program order");
         }
-    }
-
-    /// Random mid-task releases never violate dependences: after a task
-    /// releases an object, successors on that object may run, but the
-    /// synchronizer must still execute every task and never co-enable
-    /// conflicting accesses to *unreleased* objects.
-    #[test]
-    fn synchronizer_release_is_safe(prog in program_strategy(25, 4), pick in any::<u64>()) {
-        let specs: Vec<AccessSpec> = prog.iter().map(|a| spec_of(a)).collect();
-        let mut sync = Synchronizer::new(true);
-        let mut enabled: Vec<TaskId> = Vec::new();
-        for (i, s) in specs.iter().enumerate() {
-            if sync.add_task(TaskId(i as u32), s) {
-                enabled.push(TaskId(i as u32));
-            }
-        }
-        let mut rng = pick;
-        let mut done = 0;
-        while let Some(t) = enabled.pop() {
-            // Randomly release a prefix of the task's objects before
-            // completing it.
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let decls: Vec<_> = specs[t.index()].decls().to_vec();
-            let k = if decls.is_empty() { 0 } else { (rng >> 33) as usize % (decls.len() + 1) };
-            for d in decls.iter().take(k) {
-                sync.release(t, d.object, &mut enabled, &mut NullSink, 0, 0);
-            }
-            sync.complete(t, &mut enabled);
-            done += 1;
-        }
-        prop_assert_eq!(done, specs.len(), "every task completes");
-        prop_assert!(sync.all_complete());
     }
 
     /// Both machine simulators execute any random program to completion,
