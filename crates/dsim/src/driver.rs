@@ -71,10 +71,10 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Define a machine's five entry points — `run`, `run_traced`, `try_run`,
-/// `try_run_folded` and `try_run_traced` — and the one body behind them,
-/// which runs [`simulate`] on the machine `$build` constructs from the core
-/// and a `$cfg`, for a `$res`. The [`Params`] are read from `$cfg` by
+/// Define a machine's three entry points — `try_run`, `try_run_folded` and
+/// `try_run_traced` — and the one body behind them, which runs
+/// [`simulate`] on the machine `$build` constructs from the core and a
+/// `$cfg`, for a `$res`. The [`Params`] are read from `$cfg` by
 /// field name — both machines' configurations name them alike — and main's
 /// creation cost is the machine's constant `$create`. The bodies
 /// are written once, here; each machine's crate gets them with concrete
@@ -82,25 +82,11 @@ impl std::error::Error for SimError {}
 #[macro_export]
 macro_rules! entry_points {
     ($cfg:ty => $res:ty, $build:path, $create:expr) => {
-        /// Simulate `trace` on the configured machine.
-        ///
-        /// Panics on a malformed configuration or trace, or a wedged run;
-        /// see [`try_run`] for the typed-error variant.
-        pub fn run(trace: &jade_core::Trace, cfg: &$cfg) -> $res {
-            run_traced(trace, cfg).0
-        }
-
-        /// Simulate `trace` and also return the structured event stream the
-        /// run's measurements were folded from (see [`jade_core::events`]).
-        ///
-        /// Panics like [`run`]; see [`try_run_traced`].
-        pub fn run_traced(trace: &jade_core::Trace, cfg: &$cfg) -> ($res, Vec<jade_core::Event>) {
-            try_run_traced(trace, cfg).unwrap_or_else(|e| panic!("simulation failed: {e}"))
-        }
-
-        /// Fallible variant of [`run`]. Folds each event into the result as
-        /// it is emitted and never builds the stream; debug builds record it
-        /// anyway so the span-conservation check still runs.
+        /// Simulate `trace` on the configured machine. Configuration and
+        /// trace problems and wedged runs come back as errors. Folds each
+        /// event into the result as it is emitted and never builds the
+        /// stream; debug builds record it anyway so the span-conservation
+        /// check still runs.
         pub fn try_run(
             trace: &jade_core::Trace,
             cfg: &$cfg,
@@ -122,10 +108,9 @@ macro_rules! entry_points {
             Ok(simulate(trace, cfg, jade_core::NullSink)?.0)
         }
 
-        /// Fallible variant of [`run_traced`]: configuration and trace
-        /// problems and wedged runs come back as errors instead of panics,
-        /// and the result is the same fold [`try_run`] computes, with every
-        /// event also recorded.
+        /// [`try_run`] that also returns the structured event stream the
+        /// run's measurements were folded from (see [`jade_core::events`]):
+        /// the result is the same fold, with every event also recorded.
         pub fn try_run_traced(
             trace: &jade_core::Trace,
             cfg: &$cfg,
@@ -365,11 +350,6 @@ pub trait Machine<'a, R: Sink>: Sized {
     /// One of the machine's own calendar events fired at `t`.
     fn handle(&mut self, ev: Self::Ev, t: SimTime);
 
-    /// Relative speed of processor `p` (1.0 = nominal).
-    fn speed(&self, _p: ProcId) -> f64 {
-        1.0
-    }
-
     /// Main paid ordinary task `id`'s creation cost, ending at `t`, and has
     /// not registered it yet.
     fn created(&mut self, _id: TaskId, _t: SimTime) {}
@@ -421,7 +401,6 @@ pub trait Machine<'a, R: Sink>: Sized {
     /// Start task `id` on the free processor `p` at `t` and schedule its
     /// finish.
     fn start_task(&mut self, p: ProcId, id: TaskId, t: SimTime) {
-        let speed = self.speed(p);
         let c = self.core();
         debug_assert!(c.executing[p].is_none(), "dispatch to busy processor");
         let mut t = t;
@@ -447,7 +426,7 @@ pub trait Machine<'a, R: Sink>: Sized {
         let work = if cfg.work_free {
             SimDuration::ZERO
         } else {
-            SimDuration::from_secs_f64(rec.work * cfg.sec_per_op * jitter(id) / speed)
+            SimDuration::from_secs_f64(rec.work * cfg.sec_per_op * jitter(id))
         };
         let end = c.occupy(p, t, work, TimeKind::App, Some(id));
         let end = self.start_data(p, id, end);

@@ -108,12 +108,6 @@ impl DashSpec {
     pub fn streamed_time(&self, bytes: usize) -> SimDuration {
         SimDuration::from_cycles(self.lines(bytes) * self.agg_streamed_cycles, self.clock_hz)
     }
-
-    /// Duration of `n` processor cycles.
-    #[inline]
-    pub fn cycles(&self, n: u64) -> SimDuration {
-        SimDuration::from_cycles(n, self.clock_hz)
-    }
 }
 
 /// Static description of an iPSC/860-like message-passing hypercube.
@@ -121,8 +115,6 @@ impl DashSpec {
 pub struct IpscSpec {
     /// Total number of processors used by the computation.
     pub procs: usize,
-    /// Processor clock in Hz.
-    pub clock_hz: u64,
     /// Link bandwidth in bytes per second (2.8 MB/s on the real machine).
     pub link_bandwidth: f64,
     /// Minimum time for a short message, seconds (47 µs measured in the
@@ -138,7 +130,6 @@ impl IpscSpec {
     pub fn paper(procs: usize) -> IpscSpec {
         IpscSpec {
             procs,
-            clock_hz: 40_000_000,
             link_bandwidth: 2.8e6,
             message_latency_s: 47e-6,
             per_hop_s: 1e-6,
@@ -192,12 +183,6 @@ impl IpscSpec {
         SimDuration::from_secs_f64(
             self.message_latency_s + self.per_hop_s + bytes as f64 / self.link_bandwidth,
         )
-    }
-
-    /// Duration of `n` processor cycles.
-    #[inline]
-    pub fn cycles(&self, n: u64) -> SimDuration {
-        SimDuration::from_cycles(n, self.clock_hz)
     }
 }
 

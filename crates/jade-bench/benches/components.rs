@@ -109,14 +109,17 @@ fn simulator_event_rate() {
     }
     let trace = b.build();
     bench("simulators/dash_2k_tasks", 10, || {
-        std::hint::black_box(jade_dash::run(
-            &trace,
-            &jade_dash::DashConfig::paper(8, LocalityMode::Locality, 1.0),
-        ));
+        std::hint::black_box(
+            jade_dash::try_run(
+                &trace,
+                &jade_dash::DashConfig::paper(8, LocalityMode::Locality, 1.0),
+            )
+            .expect("simulation failed"),
+        );
     });
     let demand = jade_ipsc::IpscConfig::paper(8, LocalityMode::Locality, 1.0);
     bench("simulators/ipsc_2k_tasks", 10, || {
-        std::hint::black_box(jade_ipsc::run(&trace, &demand));
+        std::hint::black_box(jade_ipsc::try_run(&trace, &demand).expect("simulation failed"));
     });
     // Every fetch route at once: bundles, prefetch and reconcile, ack
     // timers and retries, checkpoints.
@@ -127,7 +130,7 @@ fn simulator_event_rate() {
     managed.tune = true;
     managed.faults = FaultPlan::parse("drop=0.02,ckpt=0.05,seed=1995").unwrap();
     bench("simulators/ipsc_managed_2k_tasks", 10, || {
-        std::hint::black_box(jade_ipsc::run(&trace, &managed));
+        std::hint::black_box(jade_ipsc::try_run(&trace, &managed).expect("simulation failed"));
     });
 }
 

@@ -212,7 +212,7 @@ pub fn catalogue() -> Vec<Experiment> {
         }
     }
 
-    let sections: [(&str, &str, Show); 7] = [
+    let sections: [(&str, &str, Show); 6] = [
         ("replication", "Section 5.1: replication", replication),
         ("bcast-analysis", "Section 5.3: broadcast", bcast_analysis),
         (
@@ -226,7 +226,6 @@ pub fn catalogue() -> Vec<Experiment> {
             concurrent_fetch,
         ),
         ("ablations", "Section 6: ablations", ablations),
-        ("heterogeneous", "Section 1: workstations", heterogeneous),
         ("utilization", "per-processor time at 8 procs", utilization),
     ];
     for (name, title, run) in sections {
@@ -478,26 +477,6 @@ fn concurrent_fetch(h: &mut Harness) {
 
 /// Ablations of the design choices DESIGN.md Section 6 calls out.
 fn ablations(h: &mut Harness) {
-    println!("\nAblation: eager update protocol (paper Section 6, iPSC/860, 16 procs)");
-    println!("  paper: an update-protocol Jade implementation helped regular applications");
-    println!("  (Water, String) and degraded irregular ones by generating excess traffic.");
-    println!(
-        "{:>16} | {:>10} {:>10} {:>12} {:>12}",
-        "app", "demand (s)", "eager (s)", "demand MB", "eager MB"
-    );
-    for app in App::ALL {
-        let d = h.run(Machine::Ipsc, app, 16, app.natural_mode());
-        let e = h.ipsc_with(app, 16, app.natural_mode(), |c| c.eager_update = true);
-        println!(
-            "{:>16} | {:>10.2} {:>10.2} {:>12.1} {:>12.1}",
-            app.name(),
-            d.exec_time_s,
-            e.exec_time_s,
-            d.comm_bytes as f64 / 1e6,
-            e.comm_bytes as f64 / 1e6
-        );
-    }
-
     println!("\nAblation: locality-object choice (first vs last declared, DASH, 16 procs)");
     for app in [App::Ocean, App::Cholesky] {
         let normal = h.run(Machine::Dash, app, 16, LocalityMode::Locality);
@@ -508,10 +487,11 @@ fn ablations(h: &mut Harness) {
             t.spec = decls.into_iter().collect();
         }
         let spo = app.dash_sec_per_op(&flipped);
-        let r = jade_dash::run(
+        let r = jade_dash::try_run(
             &flipped,
             &DashConfig::paper(16, LocalityMode::Locality, spo),
-        );
+        )
+        .expect("simulation failed");
         println!(
             "  {:>16}: first-declared {:.2}s ({:.0}% locality) | last-declared {:.2}s ({:.0}% locality)",
             app.name(),
@@ -573,77 +553,6 @@ fn utilization(h: &mut Harness) {
             );
         }
     }
-}
-
-/// The third platform of the paper's introduction: a heterogeneous
-/// collection of workstations on a shared Ethernet. Jade programs run
-/// unmodified; the dynamic load balancer adapts to machine speeds.
-fn heterogeneous(h: &mut Harness) {
-    println!("\nHeterogeneous workstations (shared 10-Mbit medium)");
-    println!("  machines: speeds 1.0 / 1.0 / 2.0 / 2.0 / 4.0 (aggregate 10.0)");
-    let speeds = vec![1.0, 1.0, 2.0, 2.0, 4.0];
-    let agg: f64 = speeds.iter().sum();
-    // Exec times with the machines as given and with all five at speed 1.
-    let hetero_vs_uniform = |trace: &jade_core::Trace, cfg: IpscConfig| {
-        let uniform = IpscConfig {
-            speed_factors: Some(vec![1.0; 5]),
-            ..cfg.clone()
-        };
-        let run = |cfg: &IpscConfig| jade_ipsc::run(trace, cfg).exec_time_s;
-        (run(&cfg), run(&uniform))
-    };
-    // First, the clean case: plenty of independent coarse tasks with small
-    // objects. The balancer's speed adaptivity is pure here.
-    let mut b = jade_core::TraceBuilder::new();
-    for i in 0..200 {
-        let mut s = jade_core::AccessSpec::new();
-        s.wr(b.object(&format!("w{i}"), 64, Some(i % 5)));
-        b.task(s, 1.0);
-    }
-    let (hetero, uniform) =
-        hetero_vs_uniform(&b.build(), IpscConfig::workstations(speeds.clone(), 1.0));
-    println!(
-        "  200 independent 1s tasks: heterogeneous {hetero:.1}s vs uniform {uniform:.1}s (ideal {:.1} vs 40.0)",
-        200.0 / agg
-    );
-    // Panel Cholesky has thousands of tasks — surplus work the balancer can
-    // shift toward the fast machines.
-    let app = App::Cholesky;
-    let trace = h.trace(app, speeds.len());
-    let spo = app.ipsc_sec_per_op(&trace);
-    let serial = trace.total_work() * spo;
-    let eth = jade_ipsc::run(&trace, &IpscConfig::workstations(speeds.clone(), spo));
-    println!(
-        "  Cholesky ({} tasks) on the Ethernet cluster: {:.1}s vs {serial:.1}s serial —\n\
-         the shared 10-Mbit wire serializes every panel transfer; fine-grained\n\
-         applications lose on a network of workstations no matter the speeds",
-        trace.task_count(),
-        eth.exec_time_s
-    );
-    // Same heterogeneous machines on a switched (hypercube-class) network:
-    // now the balancer's speed-adaptivity is visible.
-    let fast_net = IpscConfig {
-        shared_medium: false,
-        machine: dsim::IpscSpec::paper(speeds.len()),
-        ..IpscConfig::workstations(speeds.clone(), spo)
-    };
-    let (hetero, uniform) = hetero_vs_uniform(&trace, fast_net);
-    println!(
-        "  same machines on a switched network: heterogeneous {hetero:.1}s vs uniform {uniform:.1}s\n\
-         (aggregate speed 10 vs 5: the balancer feeds fast machines more tasks;\n\
-          ideal aggregate bound {:.1}s)",
-        serial / agg
-    );
-    // Water's grain is matched to the processor count (one task per machine
-    // per phase), so its phases are bound by the slowest machine — grain,
-    // not scheduling, limits heterogeneity there.
-    let trace = h.trace(App::Water, speeds.len());
-    let spo = App::Water.ipsc_sec_per_op(&trace);
-    let (hetero, uniform) = hetero_vs_uniform(&trace, IpscConfig::workstations(speeds, spo));
-    println!(
-        "  Water (grain = processor count): heterogeneous {hetero:.1}s vs uniform {uniform:.1}s —\n\
-         each phase waits for the slowest machine's one task"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1837,7 +1746,7 @@ mod tests {
         assert_eq!(all[..2], ["table1", "table6"]);
         assert_eq!(all[2..14], tables);
         assert_eq!(all[14..34], figures);
-        assert_eq!(all.last().map(String::as_str), Some("heterogeneous"));
+        assert_eq!(all.last().map(String::as_str), Some("ablations"));
         assert!(!all
             .iter()
             .any(|n| n == "utilization" || n.ends_with("sweep")));

@@ -178,7 +178,7 @@ impl Harness {
     ) -> DashRunResult {
         let (trace, mut cfg) = self.dash_config(app, procs, mode);
         f(&mut cfg);
-        jade_dash::run(&trace, &cfg)
+        jade_dash::try_run(&trace, &cfg).expect("simulation failed")
     }
 
     /// Run `app` on the simulated iPSC/860 with a tweaked configuration.
@@ -191,7 +191,7 @@ impl Harness {
     ) -> IpscRunResult {
         let (trace, mut cfg) = self.ipsc_config(app, procs, mode);
         f(&mut cfg);
-        jade_ipsc::run(&trace, &cfg)
+        jade_ipsc::try_run(&trace, &cfg).expect("simulation failed")
     }
 
     /// Controlled iPSC comparison: run a baseline with the `base` tweaks
@@ -212,10 +212,10 @@ impl Harness {
     ) -> (IpscRunResult, IpscRunResult) {
         let (trace, mut cfg) = self.ipsc_config(app, procs, mode);
         base(&mut cfg);
-        let (off, events) = jade_ipsc::run_traced(&trace, &cfg);
+        let (off, events) = jade_ipsc::try_run_traced(&trace, &cfg).expect("simulation failed");
         tweak(&mut cfg);
         cfg.pinned = Some(PinnedSchedule::from_events(trace.tasks.len(), &events));
-        let on = jade_ipsc::run(&trace, &cfg);
+        let on = jade_ipsc::try_run(&trace, &cfg).expect("simulation failed");
         (off, on)
     }
 
@@ -232,11 +232,15 @@ impl Harness {
         let events = match m {
             Machine::Dash => {
                 let (trace, cfg) = self.dash_config(app, procs, mode);
-                jade_dash::run_traced(&trace, &cfg).1
+                jade_dash::try_run_traced(&trace, &cfg)
+                    .expect("simulation failed")
+                    .1
             }
             Machine::Ipsc => {
                 let (trace, cfg) = self.ipsc_config(app, procs, mode);
-                jade_ipsc::run_traced(&trace, &cfg).1
+                jade_ipsc::try_run_traced(&trace, &cfg)
+                    .expect("simulation failed")
+                    .1
             }
         };
         let mut out = Vec::new();

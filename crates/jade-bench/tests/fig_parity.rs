@@ -30,8 +30,8 @@ fn fig_mgmt_percentages_reconstruct_from_events() {
             let full_cfg = DashConfig::paper(procs, mode, spo);
             let mut free_cfg = full_cfg.clone();
             free_cfg.work_free = true;
-            let (rf, ef) = jade_dash::run_traced(&trace, &full_cfg);
-            let (rw, ew) = jade_dash::run_traced(&trace, &free_cfg);
+            let (rf, ef) = jade_dash::try_run_traced(&trace, &full_cfg).expect("simulation failed");
+            let (rw, ew) = jade_dash::try_run_traced(&trace, &free_cfg).expect("simulation failed");
             let from_run = pct(rf.exec_time_s, rw.exec_time_s);
             let from_events = pct(
                 exec_s(&Metrics::from_events(&ef, procs)),
@@ -45,8 +45,8 @@ fn fig_mgmt_percentages_reconstruct_from_events() {
             let full_cfg = IpscConfig::paper(procs, mode, spo);
             let mut free_cfg = full_cfg.clone();
             free_cfg.work_free = true;
-            let (rf, ef) = jade_ipsc::run_traced(&trace, &full_cfg);
-            let (rw, ew) = jade_ipsc::run_traced(&trace, &free_cfg);
+            let (rf, ef) = jade_ipsc::try_run_traced(&trace, &full_cfg).expect("simulation failed");
+            let (rw, ew) = jade_ipsc::try_run_traced(&trace, &free_cfg).expect("simulation failed");
             let from_run = pct(rf.exec_time_s, rw.exec_time_s);
             let from_events = pct(
                 exec_s(&Metrics::from_events(&ef, procs)),

@@ -34,7 +34,6 @@ fn args_json(e: &Event) -> String {
             parts.push(format!("\"locality\":\"{locality:?}\""));
         }
         EventKind::ObjectRequest { bytes }
-        | EventKind::EagerPush { bytes }
         | EventKind::MsgSend { bytes }
         | EventKind::MsgRecv { bytes }
         | EventKind::MsgDropped { bytes }

@@ -115,8 +115,6 @@ pub enum EventKind {
     ObjectInvalidate,
     /// One broadcast of `bytes` to `receivers` other processors.
     ObjectBroadcast { bytes: u64, receivers: u32 },
-    /// Eager point-to-point push to a known consumer.
-    EagerPush { bytes: u64 },
     /// Control message sent (task assignment, completion notify).
     MsgSend { bytes: u64 },
     /// Control message received.
@@ -190,7 +188,6 @@ impl EventKind {
             EventKind::AggregatedFetch { .. } => "aggregated_fetch",
             EventKind::ObjectInvalidate => "object_invalidate",
             EventKind::ObjectBroadcast { .. } => "object_broadcast",
-            EventKind::EagerPush { .. } => "eager_push",
             EventKind::MsgSend { .. } => "msg_send",
             EventKind::MsgRecv { .. } => "msg_recv",
             EventKind::PhaseStart { .. } => "phase_start",
@@ -410,8 +407,6 @@ pub struct Metrics {
     pub broadcasts: u64,
     /// Total broadcast payload delivered: `bytes * receivers` per event.
     pub broadcast_bytes: u64,
-    pub eager_sends: u64,
-    pub eager_bytes: u64,
     pub msg_sends: u64,
     pub msg_recvs: u64,
     pub msg_bytes: u64,
@@ -609,10 +604,6 @@ impl MetricsFold {
                 m.broadcasts += 1;
                 m.broadcast_bytes += bytes * receivers as u64;
             }
-            EventKind::EagerPush { bytes } => {
-                m.eager_sends += 1;
-                m.eager_bytes += bytes;
-            }
             EventKind::MsgSend { bytes } => {
                 m.msg_sends += 1;
                 m.msg_bytes += bytes;
@@ -782,12 +773,12 @@ impl Metrics {
         t
     }
 
-    /// Total communicated bytes: fetches + broadcasts + eager pushes +
-    /// fail-stop object restores. Aggregation does not change this sum —
+    /// Total communicated bytes: fetches + broadcasts + fail-stop object
+    /// restores. Aggregation does not change this sum —
     /// coalesced payloads are counted through their per-object
     /// `ObjectFetch` events.
     pub fn comm_bytes(&self) -> u64 {
-        self.fetch_bytes + self.broadcast_bytes + self.eager_bytes + self.restore_bytes
+        self.fetch_bytes + self.broadcast_bytes + self.restore_bytes
     }
 
     /// Physical fetch-reply messages on the wire: every uncoalesced fetch

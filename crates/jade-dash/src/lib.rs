@@ -16,7 +16,7 @@
 //!
 //! ```
 //! use jade_core::{AccessSpec, TraceBuilder};
-//! use jade_dash::{run, DashConfig, LocalityMode};
+//! use jade_dash::{try_run, DashConfig, LocalityMode};
 //!
 //! let mut b = TraceBuilder::new();
 //! let objs: Vec<_> = (0..8).map(|i| b.object(&format!("o{i}"), 1024, Some(i % 4))).collect();
@@ -26,7 +26,8 @@
 //!     b.task(s, 1.0);
 //! }
 //! let trace = b.build();
-//! let result = run(&trace, &DashConfig::paper(4, LocalityMode::Locality, 1.0));
+//! let result = try_run(&trace, &DashConfig::paper(4, LocalityMode::Locality, 1.0))
+//!     .expect("simulation failed");
 //! assert_eq!(result.tasks_executed, 8);
 //! assert!(result.exec_time_s < 8.0); // parallel speedup
 //! ```
@@ -40,9 +41,7 @@ mod sim;
 
 pub use memsim::MemSim;
 pub use scheduler::{DashScheduler, LocalityMode};
-pub use sim::{
-    run, run_traced, try_run, try_run_folded, try_run_traced, DashConfig, DashRunResult,
-};
+pub use sim::{try_run, try_run_folded, try_run_traced, DashConfig, DashRunResult};
 
 /// Why a DASH simulation could not produce a result: the one simulator
 /// error type. A malformed fault plan is rejected, but the parts of a valid

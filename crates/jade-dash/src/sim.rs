@@ -26,7 +26,10 @@ pub struct DashConfig {
     /// Work-free methodology (Figures 10/11): zero out task work and
     /// communication, keep all management costs.
     pub work_free: bool,
-    /// Disable read replication in the synchronizer (Section 5.1 analysis).
+    /// Read replication: `true` lets tasks that only read an object run
+    /// concurrently; `false` orders every access to an object like a write
+    /// (the Section 5.1 analysis). The rule lives in the trace's dependence
+    /// graph ([`jade_core::Trace::dep_graph`]).
     pub replication: bool,
     /// Inspector/executor aggregation (DESIGN.md §15): the runtime inspects
     /// a task's declared access set before dispatch and coalesces its
@@ -558,7 +561,7 @@ mod tests {
     #[test]
     fn single_processor_runs_everything() {
         let trace = parallel_trace(10, 1, 0.1);
-        let r = run(&trace, &cfg(1, LocalityMode::Locality));
+        let r = try_run(&trace, &cfg(1, LocalityMode::Locality)).expect("simulation failed");
         assert_eq!(r.tasks_executed, 10);
         // Exec time at least the serial work, jitter included.
         assert!(r.task_time_s > 0.9, "{}", r.task_time_s);
@@ -570,8 +573,8 @@ mod tests {
     #[test]
     fn parallel_speedup() {
         let trace = parallel_trace(32, 8, 1.0);
-        let r1 = run(&trace, &cfg(1, LocalityMode::Locality));
-        let r8 = run(&trace, &cfg(8, LocalityMode::Locality));
+        let r1 = try_run(&trace, &cfg(1, LocalityMode::Locality)).expect("simulation failed");
+        let r8 = try_run(&trace, &cfg(8, LocalityMode::Locality)).expect("simulation failed");
         assert!(
             r8.exec_time_s < r1.exec_time_s / 4.0,
             "8-proc {} vs 1-proc {}",
@@ -585,7 +588,7 @@ mod tests {
         // One task per processor-owned object, long enough that no stealing
         // is needed: 100% locality.
         let trace = parallel_trace(8, 8, 1.0);
-        let r = run(&trace, &cfg(8, LocalityMode::Locality));
+        let r = try_run(&trace, &cfg(8, LocalityMode::Locality)).expect("simulation failed");
         assert_eq!(r.locality_tracked, 8);
         // Proc 0's task waits until the main thread finishes creating; all
         // others are picked up by their owners immediately.
@@ -604,7 +607,7 @@ mod tests {
             b.task(spec(&[], &[o]), 0.01);
         }
         let trace = b.build();
-        let r = run(&trace, &cfg(8, LocalityMode::NoLocality));
+        let r = try_run(&trace, &cfg(8, LocalityMode::NoLocality)).expect("simulation failed");
         assert_eq!(r.tasks_executed, 64);
         assert!(r.locality_pct < 60.0, "locality {}", r.locality_pct);
     }
@@ -617,7 +620,7 @@ mod tests {
             b.task(spec(&[], &[o]), 1.0);
         }
         let trace = b.build();
-        let r = run(&trace, &cfg(8, LocalityMode::Locality));
+        let r = try_run(&trace, &cfg(8, LocalityMode::Locality)).expect("simulation failed");
         // A write-write chain cannot speed up: its ~5 s of work serialize.
         assert!(r.task_time_s > 4.5, "{}", r.task_time_s);
         assert!(r.exec_time_s >= r.task_time_s, "{r:?}");
@@ -640,7 +643,7 @@ mod tests {
             b.task(spec(&[], &[o]), 1.0);
         }
         let trace = b.build();
-        let r = run(&trace, &cfg(4, LocalityMode::Locality));
+        let r = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         assert_eq!(r.tasks_executed, 9);
         // Two parallel phases (~1 s each) plus the serial phase (~0.5 s).
         assert!(r.exec_time_s >= 2.5, "{}", r.exec_time_s);
@@ -652,7 +655,7 @@ mod tests {
         let trace = parallel_trace(100, 4, 1.0);
         let mut c = cfg(4, LocalityMode::Locality);
         c.work_free = true;
-        let r = run(&trace, &c);
+        let r = try_run(&trace, &c).expect("simulation failed");
         assert_eq!(r.task_time_s, 0.0);
         assert!(r.mgmt_time_s > 0.0);
         assert!(
@@ -674,7 +677,7 @@ mod tests {
             b.task(spec(&[], &[o]), 1.0);
         }
         let trace = b.build();
-        let r = run(&trace, &cfg(8, LocalityMode::Locality));
+        let r = try_run(&trace, &cfg(8, LocalityMode::Locality)).expect("simulation failed");
         assert!(r.steals > 0, "expected steals");
         // With stealing, the run finishes far sooner than the serial 32 s.
         assert!(r.exec_time_s < 10.0, "{}", r.exec_time_s);
@@ -691,7 +694,7 @@ mod tests {
             b.task_full(spec(&[], &[o]), 0.5, Some(1 + (i % 3)), false);
         }
         let trace = b.build();
-        let r = run(&trace, &cfg(4, LocalityMode::TaskPlacement));
+        let r = try_run(&trace, &cfg(4, LocalityMode::TaskPlacement)).expect("simulation failed");
         assert_eq!(r.locality_pct, 100.0);
         assert_eq!(r.steals, 0);
     }
@@ -707,10 +710,10 @@ mod tests {
             b.task(spec(&[shared], &[o]), 1.0);
         }
         let trace = b.build();
-        let on = run(&trace, &cfg(4, LocalityMode::Locality));
+        let on = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         let mut c = cfg(4, LocalityMode::Locality);
         c.replication = false;
-        let off = run(&trace, &c);
+        let off = try_run(&trace, &c).expect("simulation failed");
         assert!(
             off.exec_time_s > 2.0 * on.exec_time_s,
             "no-replication {} should be much slower than {}",
@@ -722,8 +725,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let trace = parallel_trace(50, 4, 0.3);
-        let a = run(&trace, &cfg(4, LocalityMode::Locality));
-        let b = run(&trace, &cfg(4, LocalityMode::Locality));
+        let a = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
+        let b = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         assert_eq!(a.exec_time_s, b.exec_time_s);
         assert_eq!(a.locality_pct, b.locality_pct);
         assert_eq!(a.steals, b.steals);
@@ -743,7 +746,8 @@ mod tests {
         b.next_phase();
         b.task_full(spec(&objs, &[]), 0.1, None, true);
         let trace = b.build();
-        let (r, events) = run_traced(&trace, &cfg(4, LocalityMode::Locality));
+        let (r, events) =
+            try_run_traced(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
 
         jade_core::check_lifecycle(&events).expect("lifecycle chains");
         let m = Metrics::from_events(&events, 4);
@@ -776,10 +780,10 @@ mod tests {
     #[test]
     fn inactive_fault_plan_changes_nothing() {
         let trace = parallel_trace(20, 4, 0.2);
-        let clean = run(&trace, &cfg(4, LocalityMode::Locality));
+        let clean = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         let mut c = cfg(4, LocalityMode::Locality);
         c.faults = FaultPlan::none().with_seed(7);
-        let seeded = run(&trace, &c);
+        let seeded = try_run(&trace, &c).expect("simulation failed");
         assert_eq!(clean.exec_time_s, seeded.exec_time_s);
         assert_eq!(seeded.stalls, 0);
     }
@@ -787,10 +791,10 @@ mod tests {
     #[test]
     fn stalls_slow_the_run_but_everything_completes() {
         let trace = parallel_trace(24, 4, 0.2);
-        let clean = run(&trace, &cfg(4, LocalityMode::Locality));
+        let clean = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         let mut c = cfg(4, LocalityMode::Locality);
         c.faults = FaultPlan::parse("stall=1.0:0.05,seed=3").unwrap();
-        let (r, events) = run_traced(&trace, &c);
+        let (r, events) = try_run_traced(&trace, &c).expect("simulation failed");
         assert_eq!(r.tasks_executed, clean.tasks_executed);
         assert_eq!(r.stalls, 24, "every task start stalls at p=1");
         assert!(r.stall_time_s > 1.0, "24 stalls of 50 ms");
@@ -816,24 +820,12 @@ mod tests {
         let trace = b.build();
         let mut c = cfg(8, LocalityMode::Locality);
         c.faults = FaultPlan::parse("stall=0.5:0.2,seed=11").unwrap();
-        let r = run(&trace, &c);
+        let r = try_run(&trace, &c).expect("simulation failed");
         assert_eq!(r.tasks_executed, 32);
         assert!(r.steals > 0, "stalled owner's queue should be stolen from");
         // 32 × 0.5 s serial is 16 s; stealing keeps it well under that even
         // with the injected stalls on top.
         assert!(r.exec_time_s < 12.0, "{}", r.exec_time_s);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid fault plan")]
-    fn invalid_fault_plan_panics() {
-        let trace = parallel_trace(4, 2, 0.1);
-        let mut c = cfg(2, LocalityMode::Locality);
-        c.faults = FaultPlan {
-            stall_p: -0.5,
-            ..FaultPlan::none()
-        };
-        run(&trace, &c);
     }
 
     #[test]
@@ -845,15 +837,17 @@ mod tests {
             try_run(&trace, &c),
             Err(crate::DashError::NoProcessors)
         ));
-        let mut c = cfg(2, LocalityMode::Locality);
-        c.faults = FaultPlan {
-            stall_p: 2.0,
-            ..FaultPlan::none()
-        };
-        assert!(matches!(
-            try_run(&trace, &c),
-            Err(crate::DashError::InvalidFaultPlan(_))
-        ));
+        for stall_p in [2.0, -0.5] {
+            let mut c = cfg(2, LocalityMode::Locality);
+            c.faults = FaultPlan {
+                stall_p,
+                ..FaultPlan::none()
+            };
+            assert!(matches!(
+                try_run(&trace, &c),
+                Err(crate::DashError::InvalidFaultPlan(_))
+            ));
+        }
     }
 
     #[test]
@@ -894,10 +888,10 @@ mod tests {
     #[test]
     fn prefetch_hides_stalls_without_changing_traffic() {
         let trace = remote_read_trace(8);
-        let off = run(&trace, &cfg(8, LocalityMode::Locality));
+        let off = try_run(&trace, &cfg(8, LocalityMode::Locality)).expect("simulation failed");
         let mut c = cfg(8, LocalityMode::Locality);
         c.prefetch = true;
-        let (on, events) = run_traced(&trace, &c);
+        let (on, events) = try_run_traced(&trace, &c).expect("simulation failed");
         assert_eq!(on.tasks_executed, off.tasks_executed);
         // Same coherence traffic, shorter stalls.
         assert_eq!(on.bytes_moved, off.bytes_moved);
@@ -929,10 +923,10 @@ mod tests {
         let trace = remote_read_trace(8);
         let mut agg = cfg(8, LocalityMode::Locality);
         agg.aggregate_fetches = true;
-        let base = run(&trace, &agg);
+        let base = try_run(&trace, &agg).expect("simulation failed");
         let mut both = agg.clone();
         both.prefetch = true;
-        let r = run(&trace, &both);
+        let r = try_run(&trace, &both).expect("simulation failed");
         assert_eq!(r.bytes_moved, base.bytes_moved);
         assert_eq!(r.tasks_executed, base.tasks_executed);
         assert!(
@@ -948,8 +942,8 @@ mod tests {
         let trace = remote_read_trace(12);
         let mut c = cfg(8, LocalityMode::Locality);
         c.prefetch = true;
-        let (a, ea) = run_traced(&trace, &c);
-        let (b, eb) = run_traced(&trace, &c);
+        let (a, ea) = try_run_traced(&trace, &c).expect("simulation failed");
+        let (b, eb) = try_run_traced(&trace, &c).expect("simulation failed");
         assert_eq!(a.exec_time_s, b.exec_time_s);
         assert_eq!(a.prefetch_hits, b.prefetch_hits);
         assert_eq!(ea, eb, "event streams must be identical");

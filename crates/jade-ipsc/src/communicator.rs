@@ -18,9 +18,9 @@
 //! applies a payload only if it carries the current version to a live
 //! processor, so duplicated, delayed, or reordered messages (fault
 //! injection) are discarded rather than applied. Point-to-point payload
-//! bytes are therefore accounted at *acceptance*, while broadcast and eager
-//! bytes are accounted at the *send* (the root pays for the tree whether or
-//! not an individual copy is lost); under a fault-free run the two
+//! bytes are therefore accounted at *acceptance*, while broadcast bytes
+//! are accounted at the *send* (the root pays for the tree whether or not
+//! an individual copy is lost); under a fault-free run the two
 //! conventions coincide with counting every transfer exactly once.
 //!
 //! This module is pure bookkeeping; the event-level costs (request/reply
@@ -39,8 +39,6 @@ pub struct ObjectTraffic {
     pub fetch_bytes: u64,
     /// Broadcast payload bytes (`size × receivers` per broadcast).
     pub broadcast_bytes: u64,
-    /// Eager producer-to-consumer push bytes.
-    pub eager_bytes: u64,
     /// Fail-stop recovery bytes: sole copies re-materialized at a surviving
     /// processor after their owner died.
     pub restore_bytes: u64,
@@ -48,7 +46,7 @@ pub struct ObjectTraffic {
 
 impl ObjectTraffic {
     pub fn total(&self) -> u64 {
-        self.fetch_bytes + self.broadcast_bytes + self.eager_bytes + self.restore_bytes
+        self.fetch_bytes + self.broadcast_bytes + self.restore_bytes
     }
 }
 
@@ -56,7 +54,7 @@ impl ObjectTraffic {
 ///
 /// The per-processor tables are object-major and flat: object `o`'s row
 /// is contiguous, so retiring a version rewrites one row and the trigger
-/// and consumer scans read one.
+/// scan reads one.
 pub struct Communicator {
     procs: usize,
     version: Vec<u64>,
@@ -101,19 +99,17 @@ pub struct Communicator {
     drop_p: f64,
     /// The live processors as `words` bit words (bits at `procs` and above
     /// are clear). Fail-stopped processors are excluded from the broadcast
-    /// trigger, the consumer sets, and delivery.
+    /// trigger and from delivery.
     alive: Vec<u64>,
-    /// Per-object byte attribution (fetch/broadcast/eager).
+    /// Per-object byte attribution (fetch/broadcast/restore).
     traffic: Vec<ObjectTraffic>,
     /// Bytes of shared-object payload transferred (accepted replies +
-    /// broadcasts + eager pushes).
+    /// broadcasts + restores).
     pub bytes_transferred: u64,
     /// Number of accepted point-to-point object transfers.
     pub object_sends: u64,
     /// Number of broadcast operations performed.
     pub broadcasts: u64,
-    /// Number of eager producer-to-consumer pushes (update protocol).
-    pub eager_sends: u64,
     /// Number of sole-copy objects re-materialized after owner death.
     pub object_restores: u64,
 }
@@ -163,7 +159,6 @@ impl Communicator {
             bytes_transferred: 0,
             object_sends: 0,
             broadcasts: 0,
-            eager_sends: 0,
             object_restores: 0,
         }
     }
@@ -261,7 +256,10 @@ impl Communicator {
     pub fn evidence_needed(&self) -> u32 {
         let live: u32 = self.alive.iter().map(|w| w.count_ones()).sum();
         let receivers = live.saturating_sub(1);
-        1 + (self.drop_p * receivers as f64).ceil() as u32 + self.margin
+        // The margin is user input: saturate, so a huge margin means
+        // "never broadcast" rather than wrapping to a small threshold.
+        1u32.saturating_add((self.drop_p * receivers as f64).ceil() as u32)
+            .saturating_add(self.margin)
     }
 
     /// Extra evidence currently demanded beyond the drop-rate break-even.
@@ -315,9 +313,9 @@ impl Communicator {
         self.broadcasts += 1;
     }
 
-    /// Deliver a pushed copy (broadcast or eager update) of version `v` to
-    /// `p`. Bytes were accounted at the send; this only installs the
-    /// replica. Returns `false` for stale/duplicate/dead-target copies.
+    /// Deliver a broadcast copy of version `v` to `p`. Bytes were
+    /// accounted at the send; this only installs the replica. Returns
+    /// `false` for stale/duplicate/dead-target copies.
     pub fn deliver_pushed(&mut self, p: ProcId, o: ObjectId, v: u64) -> bool {
         let i = o.index();
         let j = i * self.procs + p;
@@ -326,33 +324,6 @@ impl Communicator {
         }
         self.have[j] = v;
         true
-    }
-
-    /// Live processors that consumed the *current* version (candidates for
-    /// the eager update protocol of paper Section 6: push each new version
-    /// to the previous version's consumers).
-    pub fn consumers(&self, o: ObjectId) -> impl Iterator<Item = ProcId> + '_ {
-        self.accessed_row(o.index())
-            .iter()
-            .zip(&self.alive)
-            .enumerate()
-            .flat_map(|(w, (&a, &live))| {
-                let mut bits = a & live;
-                std::iter::from_fn(move || {
-                    (bits != 0).then(|| {
-                        let b = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        w * 64 + b
-                    })
-                })
-            })
-    }
-
-    /// Account one eager producer-to-consumer push of `o`.
-    pub fn record_eager(&mut self, o: ObjectId, bytes: usize) {
-        self.bytes_transferred += bytes as u64;
-        self.traffic[o.index()].eager_bytes += bytes as u64;
-        self.eager_sends += 1;
     }
 
     /// Per-object byte attribution.
@@ -669,10 +640,13 @@ mod tests {
         let mut c = Communicator::new(&trace2(), 3, true, 0.0);
         let restored = c.fail_proc(2);
         assert!(restored.is_empty(), "proc 2 owned nothing");
-        c.record_request(1, o(0));
         c.note_access(0, o(0));
+        assert!(
+            !c.widely_accessed(o(0)),
+            "live processor 1 is still awaited"
+        );
+        c.record_request(1, o(0));
         assert!(c.widely_accessed(o(0)), "only live processors count");
-        assert_eq!(c.consumers(o(0)).collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]
@@ -692,10 +666,6 @@ mod tests {
         assert_eq!(restored, vec![o(0)]);
         assert!(!c.in_broadcast_mode(o(0)));
         assert!(!c.widely_accessed(o(0)), "consumer evidence cleared");
-        assert!(
-            !c.consumers(o(0)).any(|q| q == 2),
-            "no broadcast to a dead consumer set"
-        );
         // The new owner must re-earn the trigger from scratch.
         assert!(!c.on_write_complete(0, o(0)));
         c.record_request(1, o(0));
@@ -888,12 +858,6 @@ mod tests {
             (0..self.procs).all(|p| self.accessed[i][p] || !self.alive[p])
         }
 
-        fn consumers(&self, i: usize) -> Vec<ProcId> {
-            (0..self.procs)
-                .filter(|&p| self.accessed[i][p] && self.alive[p])
-                .collect()
-        }
-
         fn deliver(&mut self, p: ProcId, i: usize, v: u64) -> bool {
             if !self.alive[p] || self.version[i] != v {
                 return false;
@@ -1016,7 +980,6 @@ mod tests {
                     let oj = ObjectId(j as u32);
                     prop_assert_eq!(c.owner(oj), m.owner[j]);
                     prop_assert_eq!(c.widely_accessed(oj), m.widely_accessed(j));
-                    prop_assert_eq!(c.consumers(oj).collect::<Vec<_>>(), m.consumers(j));
                     prop_assert_eq!(c.in_broadcast_mode(oj), m.broadcast_mode[j]);
                     for q in 0..procs {
                         prop_assert_eq!(c.needs_fetch(q, oj), m.needs_fetch(q, j));

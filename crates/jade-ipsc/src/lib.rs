@@ -17,7 +17,7 @@
 //!
 //! ```
 //! use jade_core::{AccessSpec, LocalityMode, TraceBuilder};
-//! use jade_ipsc::{run, IpscConfig};
+//! use jade_ipsc::{try_run, IpscConfig};
 //!
 //! let mut b = TraceBuilder::new();
 //! let objs: Vec<_> = (0..8).map(|i| b.object(&format!("o{i}"), 1024, Some(i % 4))).collect();
@@ -27,7 +27,8 @@
 //!     b.task(s, 1.0);
 //! }
 //! let trace = b.build();
-//! let result = run(&trace, &IpscConfig::paper(4, LocalityMode::Locality, 1.0));
+//! let result = try_run(&trace, &IpscConfig::paper(4, LocalityMode::Locality, 1.0))
+//!     .expect("simulation failed");
 //! assert_eq!(result.tasks_executed, 8);
 //! ```
 
@@ -41,10 +42,7 @@ mod sim;
 pub use communicator::{CommSnapshot, Communicator, ObjectTraffic};
 pub use jade_core::LocalityMode;
 pub use scheduler::{Decision, IpscScheduler};
-pub use sim::{
-    run, run_traced, try_run, try_run_folded, try_run_traced, IpscConfig, IpscRunResult,
-    PinnedSchedule,
-};
+pub use sim::{try_run, try_run_folded, try_run_traced, IpscConfig, IpscRunResult, PinnedSchedule};
 
 /// Why an iPSC/860 simulation could not produce a result: the one simulator
 /// error type. Fault injection makes failure a normal outcome — a plan can

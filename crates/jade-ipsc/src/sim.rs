@@ -23,11 +23,11 @@
 //!
 //! # Fault tolerance
 //!
-//! The *data plane* — object request/reply traffic, broadcast copies and
-//! eager pushes — runs over an unreliable network when a
-//! [`FaultPlan`] is configured: messages can be dropped,
-//! duplicated, delayed or reordered, processors can stall transiently, and
-//! one non-main processor can fail-stop. The runtime survives via
+//! The *data plane* — object request/reply traffic and broadcast copies —
+//! runs over an unreliable network when a [`FaultPlan`] is configured:
+//! messages can be dropped, duplicated, delayed or reordered, processors
+//! can stall transiently, and one non-main processor can fail-stop. The
+//! runtime survives via
 //!
 //! * an **ack/timeout/retry** protocol on fetches: every request arms a
 //!   timer with exponential backoff; if the reply has not arrived when the
@@ -66,7 +66,7 @@ use crate::costs::{
 };
 use crate::scheduler::{Decision, IpscScheduler};
 use dsim::driver::{self, Core, Machine, Run, SimError};
-use dsim::{FaultPlan, IpscSpec, ProcClock, ProcId, SimDuration, SimTime, TimeKind};
+use dsim::{FaultPlan, IpscSpec, ProcId, SimDuration, SimTime, TimeKind};
 use jade_core::{Component, Event, EventKind, LocalityMode, ObjectId, Sink, TaskId, Trace};
 use std::collections::VecDeque;
 
@@ -100,22 +100,11 @@ pub struct IpscConfig {
     pub aggregate_fetches: bool,
     /// Work-free methodology (Figures 20/21).
     pub work_free: bool,
-    /// Disable read replication in the synchronizer (Section 5.1 analysis).
+    /// Read replication (Section 3.4.1): `true` lets tasks that only read
+    /// an object run concurrently; `false` orders every access to an
+    /// object like a write (the Section 5.1 analysis). The rule lives in
+    /// the trace's dependence graph ([`Trace::dep_graph`]).
     pub replication: bool,
-    /// The eager update protocol the paper discusses in Section 6: push
-    /// each new version of an object to the consumers of the previous
-    /// version as soon as it is produced. Helps regular applications
-    /// (Water, String), generates excess communication for irregular ones.
-    pub eager_update: bool,
-    /// Per-processor relative speeds (1.0 = nominal). Jade also ran on
-    /// heterogeneous collections of workstations (paper Section 1); the
-    /// centralized load balancer adapts because fast processors simply
-    /// report completions more often. `None` = homogeneous.
-    pub speed_factors: Option<Vec<f64>>,
-    /// Model the interconnect as a single shared medium (workstation
-    /// Ethernet) instead of a hypercube: all object transfers serialize on
-    /// one wire.
-    pub shared_medium: bool,
     /// Split-phase prefetch (DESIGN.md §17): when a task is assigned to a
     /// remote processor, the main processor immediately issues the task's
     /// object requests on its behalf, so the replies stream toward the
@@ -199,26 +188,12 @@ impl IpscConfig {
             aggregate_fetches: false,
             work_free: false,
             replication: true,
-            eager_update: false,
-            speed_factors: None,
-            shared_medium: false,
             prefetch: false,
             faults: FaultPlan::none(),
             pinned: None,
             evidence_margin: 0,
             tune: false,
         }
-    }
-
-    /// A network-of-workstations configuration: shared 10-Mbit-class medium,
-    /// higher per-message latency, and the given relative machine speeds.
-    pub fn workstations(speeds: Vec<f64>, sec_per_op: f64) -> IpscConfig {
-        let mut c = IpscConfig::paper(speeds.len(), LocalityMode::Locality, sec_per_op);
-        c.machine.link_bandwidth = 1.1e6; // ~10 Mbit/s Ethernet payload rate
-        c.machine.message_latency_s = 1e-3; // UDP/IP stack latency
-        c.speed_factors = Some(speeds);
-        c.shared_medium = true;
-        c
     }
 }
 
@@ -335,8 +310,7 @@ enum Ev {
     Reply {
         slot: u32,
     },
-    /// A pushed copy: a broadcast, or an eager producer-to-consumer push
-    /// (update protocol, Section 6).
+    /// A broadcast copy arriving at one receiver.
     PushArrive {
         proc: ProcId,
         obj: ObjectId,
@@ -576,7 +550,7 @@ struct Costs {
     notify: Vec<SimDuration>,
     request: Vec<SimDuration>,
     /// `object[o * hop_counts + h]`: a message carrying object `o` alone
-    /// (a lone reply, an eager push, a checkpoint payload) over `h` hops.
+    /// (a lone reply, a checkpoint payload) over `h` hops.
     object: Vec<SimDuration>,
 }
 
@@ -635,10 +609,6 @@ struct Sim<'a, R: Sink> {
     /// correctly-typed spans for the preempted interval.
     debt_comm: Vec<SimDuration>,
     debt_mgmt: Vec<SimDuration>,
-    /// Shared-medium wire occupancy (workstation configurations): index 0
-    /// of a one-entry clock; `None` on switched networks. The wire is a
-    /// pseudo-processor and gets no event spans.
-    wire: Option<ProcClock>,
     /// Phases whose `PhaseStart` has been emitted.
     phase_started: Vec<bool>,
     /// Message faults are possible, so fetches arm ack timers. False for
@@ -687,9 +657,6 @@ struct Sim<'a, R: Sink> {
     groups: Vec<(ProcId, Vec<ObjectId>)>,
     /// Per processor: its index in `groups` while grouping, else `NO_GROUP`.
     group_of: Vec<usize>,
-    /// The eager-update targets of one write: the retiring version's
-    /// consumers.
-    eager: Vec<ProcId>,
     /// The requests and the replies in flight.
     requests: MsgSlab<ObjectId>,
     replies: MsgSlab<(ObjectId, u64)>,
@@ -721,18 +688,6 @@ fn validate_machine(cfg: &IpscConfig) -> Result<(), SimError> {
     }
     if cfg.target_tasks == 0 {
         return bad("target tasks per processor must be at least 1".into());
-    }
-    if let Some(speeds) = &cfg.speed_factors {
-        if speeds.is_empty() {
-            return bad("speed factor list is empty".into());
-        }
-        for (i, &s) in speeds.iter().enumerate() {
-            if !(s.is_finite() && s > 0.0) {
-                return bad(format!(
-                    "speed factor for processor {i} must be finite and positive, got {s}"
-                ));
-            }
-        }
     }
     if let Some(fp) = cfg.faults.fail_proc {
         if fp == jade_core::MAIN_PROC {
@@ -788,7 +743,6 @@ impl<'a, R: Sink> Sim<'a, R> {
             queues: vec![VecDeque::new(); procs],
             debt_comm: vec![SimDuration::ZERO; procs],
             debt_mgmt: vec![SimDuration::ZERO; procs],
-            wire: cfg.shared_medium.then(|| ProcClock::new(1)),
             phase_started: vec![false; trace.phases.max(1) as usize],
             lossy: plan.drop_p > 0.0
                 || plan.dup_p > 0.0
@@ -815,7 +769,6 @@ impl<'a, R: Sink> Sim<'a, R> {
             needed: Vec::new(),
             groups: Vec::new(),
             group_of: vec![NO_GROUP; procs],
-            eager: Vec::new(),
             requests: MsgSlab::new(),
             replies: MsgSlab::new(),
         };
@@ -1340,15 +1293,11 @@ impl<'a, R: Sink> Sim<'a, R> {
             } else {
                 self.costs.object(group[0], hops(owner, requester))
             };
-            let mut send_end = if prefetch {
+            let send_end = if prefetch {
                 t + dur
             } else {
                 self.handler_op(owner, t, dur, TimeKind::Comm)
             };
-            if let Some(wire) = &mut self.wire {
-                // Workstation Ethernet: one transfer on the medium at a time.
-                send_end = wire.occupy(0, t, dur, TimeKind::Comm).max(send_end);
-            }
             let msg = DataMsg {
                 sender: owner,
                 stamp: send_end,
@@ -1529,7 +1478,7 @@ impl<'a, R: Sink> Sim<'a, R> {
         self.send_request(p, p, id, &[o], next, t);
     }
 
-    /// A pushed copy (broadcast or eager update) arrived at `p`.
+    /// A broadcast copy arrived at `p`.
     fn on_pushed_arrive(&mut self, p: ProcId, obj: ObjectId, version: u64, t: SimTime) {
         if self.dead[p] {
             return;
@@ -1560,13 +1509,6 @@ impl<'a, R: Sink> Sim<'a, R> {
         let mut t_cur = self.core.occupy(p, t, COMPLETE, TimeKind::Mgmt, Some(id));
         // New versions of written objects; broadcast when in broadcast mode.
         for o in rec.spec.written_objects() {
-            // The eager update protocol pushes the new version to the
-            // previous version's consumers (captured before the bump).
-            let mut eager = std::mem::take(&mut self.eager);
-            eager.clear();
-            if self.cfg.eager_update && !self.cfg.work_free {
-                eager.extend(self.comm.consumers(o));
-            }
             let bcast = self.comm.on_write_complete(p, o);
             if self.cfg.tune && self.cfg.adaptive_broadcast {
                 // Re-derive the evidence margin from the width statistics
@@ -1651,46 +1593,6 @@ impl<'a, R: Sink> Sim<'a, R> {
                 }
                 t_cur = done;
             }
-            if !bcast && !eager.is_empty() && self.core.pc.procs() > 1 {
-                // Update protocol: push the new version to the previous
-                // version's consumers, serializing on the producer's link.
-                let bytes = self.core.trace.object_size(o);
-                let version = self.comm.version(o);
-                for &q in &eager {
-                    if q == p {
-                        continue;
-                    }
-                    self.comm.record_eager(o, bytes);
-                    self.core.events.emit_obj(
-                        t_cur.0,
-                        p,
-                        EventKind::EagerPush {
-                            bytes: bytes as u64,
-                        },
-                        Some(id),
-                        o,
-                    );
-                    let dur = self.costs.object(o, hops(p, q));
-                    t_cur = self.core.occupy(p, t_cur, dur, TimeKind::Comm, None);
-                    let push = DataMsg {
-                        sender: p,
-                        stamp: t_cur,
-                        bytes,
-                        task: id,
-                        obj: o,
-                    };
-                    self.transmit(
-                        push,
-                        t_cur,
-                        Ev::PushArrive {
-                            proc: q,
-                            obj: o,
-                            version,
-                        },
-                    );
-                }
-            }
-            self.eager = eager;
         }
         let phase_end = EventKind::PhaseEnd { phase: rec.phase };
         self.core.events.emit(t_cur.0, p, phase_end);
@@ -2082,13 +1984,6 @@ impl<'a, R: Sink> Machine<'a, R> for Sim<'a, R> {
         }
     }
 
-    fn speed(&self, p: ProcId) -> f64 {
-        self.cfg
-            .speed_factors
-            .as_ref()
-            .map_or(1.0, |s| s[p % s.len()].max(1e-6))
-    }
-
     /// The first ordinary task of each phase marks the phase's start.
     fn created(&mut self, id: TaskId, t: SimTime) {
         let phase = self.core.trace.tasks[id.index()].phase;
@@ -2243,7 +2138,7 @@ mod tests {
         let trace = parallel_trace(10, 1, 0.1);
         let mut c = cfg(1, LocalityMode::Locality);
         c.adaptive_broadcast = false;
-        let r = run(&trace, &c);
+        let r = try_run(&trace, &c).expect("simulation failed");
         assert_eq!(r.tasks_executed, 10);
         assert!(r.exec_time_s >= 1.0);
         assert_eq!(r.comm_bytes, 0, "no communication on one processor");
@@ -2252,8 +2147,8 @@ mod tests {
     #[test]
     fn parallel_speedup() {
         let trace = parallel_trace(32, 8, 1.0);
-        let r1 = run(&trace, &cfg(1, LocalityMode::Locality));
-        let r8 = run(&trace, &cfg(8, LocalityMode::Locality));
+        let r1 = try_run(&trace, &cfg(1, LocalityMode::Locality)).expect("simulation failed");
+        let r8 = try_run(&trace, &cfg(8, LocalityMode::Locality)).expect("simulation failed");
         assert!(
             r8.exec_time_s < r1.exec_time_s / 3.0,
             "8 procs {} vs 1 proc {}",
@@ -2277,7 +2172,7 @@ mod tests {
             b.task(spec(&[], &[o]), 1.0);
         }
         let trace = b.build();
-        let r = run(&trace, &cfg(8, LocalityMode::Locality));
+        let r = try_run(&trace, &cfg(8, LocalityMode::Locality)).expect("simulation failed");
         assert!(r.locality_pct > 80.0, "locality {}", r.locality_pct);
     }
 
@@ -2293,7 +2188,7 @@ mod tests {
             b.task(spec(&[], &[o]), 0.5);
         }
         let trace = b.build();
-        let r = run(&trace, &cfg(8, LocalityMode::NoLocality));
+        let r = try_run(&trace, &cfg(8, LocalityMode::NoLocality)).expect("simulation failed");
         assert!(r.locality_pct < 40.0, "locality {}", r.locality_pct);
     }
 
@@ -2308,7 +2203,7 @@ mod tests {
         s.wr(dst).rd(src);
         b.task(s, 1.0);
         let trace = b.build();
-        let r = run(&trace, &cfg(4, LocalityMode::Locality));
+        let r = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         assert!(r.fetches >= 1);
         assert!(r.comm_bytes >= 10_000, "bytes {}", r.comm_bytes);
         assert!(r.object_latency_s > 0.0);
@@ -2330,7 +2225,7 @@ mod tests {
             b.task(s, 1.0);
         }
         let trace = b.build();
-        let r = run(&trace, &cfg(4, LocalityMode::Locality));
+        let r = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         // Procs 1..3 fetch the shared object; proc 0 has it.
         assert_eq!(r.fetches, 3, "one fetch per remote reader");
     }
@@ -2359,8 +2254,8 @@ mod tests {
         on.target_tasks = 1;
         let mut off = on.clone();
         off.adaptive_broadcast = false;
-        let r_on = run(&trace, &on);
-        let r_off = run(&trace, &off);
+        let r_on = try_run(&trace, &on).expect("simulation failed");
+        let r_off = try_run(&trace, &off).expect("simulation failed");
         assert!(r_on.broadcasts > 0, "broadcast mode should trigger");
         assert_eq!(r_off.broadcasts, 0);
         assert!(
@@ -2388,8 +2283,8 @@ mod tests {
         c1.target_tasks = 1;
         let mut c2 = cfg(4, LocalityMode::NoLocality);
         c2.target_tasks = 2;
-        let r1 = run(&trace, &c1);
-        let r2 = run(&trace, &c2);
+        let r1 = try_run(&trace, &c1).expect("simulation failed");
+        let r2 = try_run(&trace, &c2).expect("simulation failed");
         assert!(
             r2.exec_time_s < r1.exec_time_s,
             "latency hiding {} should beat none {}",
@@ -2408,11 +2303,11 @@ mod tests {
             b.task_full(spec(&[], &[o]), 0.5, Some(1 + (i % 3)), false);
         }
         let trace = b.build();
-        let r = run(&trace, &cfg(4, LocalityMode::TaskPlacement));
+        let r = try_run(&trace, &cfg(4, LocalityMode::TaskPlacement)).expect("simulation failed");
         // Homes match placements, so every task is a locality hit.
         assert_eq!(r.locality_pct, 100.0);
         // And with the Locality mode, placements are ignored.
-        let r2 = run(&trace, &cfg(4, LocalityMode::Locality));
+        let r2 = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         assert_eq!(r2.tasks_executed, 9);
     }
 
@@ -2434,7 +2329,7 @@ mod tests {
             b.task_full(spec(&[], &[o]), 0.5, Some(1 + (i % 3)), false);
         }
         let trace = b.build();
-        let r = run(&trace, &cfg(4, LocalityMode::TaskPlacement));
+        let r = try_run(&trace, &cfg(4, LocalityMode::TaskPlacement)).expect("simulation failed");
         assert_eq!(
             r.locality_pct, 0.0,
             "first touch targets main, placed elsewhere"
@@ -2446,7 +2341,7 @@ mod tests {
         let trace = parallel_trace(50, 4, 1.0);
         let mut c = cfg(4, LocalityMode::Locality);
         c.work_free = true;
-        let r = run(&trace, &c);
+        let r = try_run(&trace, &c).expect("simulation failed");
         assert_eq!(r.task_time_s, 0.0);
         assert_eq!(r.comm_bytes, 0);
         assert!(r.exec_time_s > 0.0 && r.exec_time_s < 1.0);
@@ -2466,10 +2361,10 @@ mod tests {
         s.wr(dst);
         b.task(s, 0.1);
         let trace = b.build();
-        let conc = run(&trace, &cfg(4, LocalityMode::Locality));
+        let conc = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         let mut c = cfg(4, LocalityMode::Locality);
         c.concurrent_fetches = false;
-        let serial = run(&trace, &c);
+        let serial = try_run(&trace, &c).expect("simulation failed");
         assert!(
             serial.exec_time_s > conc.exec_time_s,
             "serial fetch {} should be slower than concurrent {}",
@@ -2483,94 +2378,11 @@ mod tests {
     #[test]
     fn deterministic() {
         let trace = parallel_trace(40, 4, 0.2);
-        let a = run(&trace, &cfg(4, LocalityMode::Locality));
-        let b2 = run(&trace, &cfg(4, LocalityMode::Locality));
+        let a = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
+        let b2 = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         assert_eq!(a.exec_time_s, b2.exec_time_s);
         assert_eq!(a.comm_bytes, b2.comm_bytes);
         assert_eq!(a.locality_pct, b2.locality_pct);
-    }
-
-    #[test]
-    fn eager_update_overlaps_transfer_with_computation() {
-        // Eager pushes pay off when the consumer is busy while the new
-        // version is produced: the transfer overlaps the consumer's other
-        // work instead of starting after it (paper Section 6's update
-        // protocol, which worked well for regular repetitive patterns).
-        let mut b = TraceBuilder::new();
-        let hot = b.object("hot", 400_000, Some(1));
-        let filler = b.object("filler", 8, Some(2));
-        let out = b.object("out", 8, Some(2));
-        for _ in 0..8 {
-            let mut w = AccessSpec::new();
-            w.wr(hot);
-            b.task(w, 0.01); // producer (runs on proc 1, hot's owner)
-            let mut f = AccessSpec::new();
-            f.wr(filler);
-            b.task(f, 0.5); // keeps the consumer processor busy
-            let mut s = AccessSpec::new();
-            s.wr(out).rd(filler).rd(hot);
-            b.task(s, 0.05); // consumer: needs hot after the filler
-        }
-        let trace = b.build();
-        let base = cfg(4, LocalityMode::Locality);
-        let mut eager = base.clone();
-        eager.eager_update = true;
-        let r0 = run(&trace, &base);
-        let r1 = run(&trace, &eager);
-        assert!(
-            r1.exec_time_s < r0.exec_time_s,
-            "eager {} should beat demand {}",
-            r1.exec_time_s,
-            r0.exec_time_s
-        );
-    }
-
-    #[test]
-    fn heterogeneous_workstations_balance_by_speed() {
-        // 4 workstations, one of them 4x faster: the centralized balancer
-        // naturally feeds the fast machine more tasks, so the makespan
-        // tracks the aggregate speed, not the slowest machine.
-        let trace = parallel_trace(64, 4, 1.0);
-        let speeds = vec![1.0, 1.0, 1.0, 4.0];
-        let r = run(&trace, &IpscConfig::workstations(speeds, 1.0));
-        assert_eq!(r.tasks_executed, 64);
-        // Total work 64 s over aggregate speed 7 ≈ 9.1 s; naive division by
-        // 4 equal machines of speed 1 would take 16 s.
-        assert!(
-            r.exec_time_s < 14.0,
-            "fast machine under-used: {}",
-            r.exec_time_s
-        );
-    }
-
-    #[test]
-    fn shared_medium_serializes_transfers() {
-        // Many concurrent fetches of a large object: on the hypercube the
-        // replies only serialize at the owner; on a shared medium they also
-        // serialize on the wire, so the Ethernet run cannot be faster.
-        let mut b = TraceBuilder::new();
-        let hot = b.object("hot", 500_000, Some(0));
-        let outs: Vec<_> = (0..6)
-            .map(|i| b.object(&format!("o{i}"), 8, Some(1 + i % 3)))
-            .collect();
-        for &o in &outs {
-            let mut s = AccessSpec::new();
-            s.wr(o).rd(hot);
-            b.task(s, 0.1);
-        }
-        let trace = b.build();
-        let mut eth = IpscConfig::workstations(vec![1.0; 4], 1.0);
-        eth.adaptive_broadcast = false;
-        let mut cube = eth.clone();
-        cube.shared_medium = false;
-        let r_eth = run(&trace, &eth);
-        let r_cube = run(&trace, &cube);
-        assert!(
-            r_eth.exec_time_s >= r_cube.exec_time_s,
-            "shared medium {} vs switched {}",
-            r_eth.exec_time_s,
-            r_cube.exec_time_s
-        );
     }
 
     #[test]
@@ -2579,7 +2391,8 @@ mod tests {
         // stream alone must reproduce the run result and tile the timeline.
         let procs = 4;
         let trace = commy_trace(procs, 3);
-        let (r, events) = run_traced(&trace, &cfg(procs, LocalityMode::Locality));
+        let (r, events) =
+            try_run_traced(&trace, &cfg(procs, LocalityMode::Locality)).expect("simulation failed");
         jade_core::check_lifecycle(&events).unwrap();
         let m = jade_core::Metrics::from_events(&events, procs);
         let busy = jade_core::check_conservation(&events, procs, m.makespan_ps).unwrap();
@@ -2615,7 +2428,7 @@ mod tests {
             b.task(spec(&[], &[o]), 1.0);
         }
         let trace = b.build();
-        let r = run(&trace, &cfg(4, LocalityMode::Locality));
+        let r = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         // Its ~5 s of work serialize, jitter included.
         assert!(r.task_time_s > 4.5, "{}", r.task_time_s);
         assert!(r.exec_time_s >= r.task_time_s, "{r:?}");
@@ -2629,21 +2442,23 @@ mod tests {
         // event stream is identical to the default config's, whatever the
         // seed says.
         let trace = commy_trace(4, 2);
-        let (_, clean) = run_traced(&trace, &cfg(4, LocalityMode::Locality));
+        let (_, clean) =
+            try_run_traced(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         let mut c = cfg(4, LocalityMode::Locality);
         c.faults = FaultPlan::none().with_seed(99);
-        let (_, seeded) = run_traced(&trace, &c);
+        let (_, seeded) = try_run_traced(&trace, &c).expect("simulation failed");
         assert_eq!(clean, seeded);
     }
 
     #[test]
     fn lossy_run_matches_fault_free_results() {
         let trace = commy_trace(4, 5);
-        let clean = run(&trace, &cfg(4, LocalityMode::Locality));
-        let (faulty, events) = run_traced(
+        let clean = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
+        let (faulty, events) = try_run_traced(
             &trace,
             &faulty_cfg(4, "drop=0.2,dup=0.1,delay=0.2:0.001,reorder=0.1,seed=42"),
-        );
+        )
+        .expect("simulation failed");
         assert!(faulty.msgs_dropped > 0, "plan injected nothing");
         assert!(faulty.msgs_retried > 0, "drops should force retries");
         assert_eq!(faulty.tasks_executed, clean.tasks_executed);
@@ -2659,13 +2474,14 @@ mod tests {
     fn lossy_run_is_deterministic() {
         let trace = commy_trace(4, 3);
         let c = faulty_cfg(4, "drop=0.1,dup=0.05,seed=7");
-        let (a, ea) = run_traced(&trace, &c);
-        let (b, eb) = run_traced(&trace, &c);
+        let (a, ea) = try_run_traced(&trace, &c).expect("simulation failed");
+        let (b, eb) = try_run_traced(&trace, &c).expect("simulation failed");
         assert_eq!(a.exec_time_s, b.exec_time_s);
         assert_eq!(a.msgs_dropped, b.msgs_dropped);
         assert_eq!(ea, eb, "same plan + seed => same event stream");
         // A different seed drops different messages.
-        let (c2, _) = run_traced(&trace, &faulty_cfg(4, "drop=0.1,dup=0.05,seed=8"));
+        let (c2, _) = try_run_traced(&trace, &faulty_cfg(4, "drop=0.1,dup=0.05,seed=8"))
+            .expect("simulation failed");
         assert_eq!(c2.final_versions, a.final_versions, "results still agree");
     }
 
@@ -2674,8 +2490,9 @@ mod tests {
         // Long tasks on 4 procs; processor 2 dies mid-run. Its in-flight
         // tasks are re-dispatched and the results match the clean run.
         let trace = parallel_trace(12, 4, 1.0);
-        let clean = run(&trace, &cfg(4, LocalityMode::Locality));
-        let (faulty, events) = run_traced(&trace, &faulty_cfg(4, "fail=2@0.5"));
+        let clean = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
+        let (faulty, events) =
+            try_run_traced(&trace, &faulty_cfg(4, "fail=2@0.5")).expect("simulation failed");
         assert_eq!(faulty.workers_failed, 1);
         assert!(faulty.tasks_reexecuted >= 1, "proc 2 was mid-task at 0.5 s");
         assert_eq!(faulty.tasks_executed as u64, 12 + faulty.tasks_reexecuted);
@@ -2695,8 +2512,8 @@ mod tests {
         s.wr(out).rd(x);
         b.task(s, 0.2); // reader on proc 1, serialized after the writer
         let trace = b.build();
-        let clean = run(&trace, &cfg(4, LocalityMode::Locality));
-        let faulty = run(&trace, &faulty_cfg(4, "fail=2@0.3"));
+        let clean = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
+        let faulty = try_run(&trace, &faulty_cfg(4, "fail=2@0.3")).expect("simulation failed");
         assert_eq!(faulty.final_versions, clean.final_versions);
         assert_eq!(faulty.tasks_executed as u64, 2 + faulty.tasks_reexecuted);
     }
@@ -2704,8 +2521,9 @@ mod tests {
     #[test]
     fn stalls_are_injected_and_slow_the_run() {
         let trace = parallel_trace(10, 2, 0.1);
-        let clean = run(&trace, &cfg(2, LocalityMode::Locality));
-        let faulty = run(&trace, &faulty_cfg(2, "stall=1.0:0.01,seed=5"));
+        let clean = try_run(&trace, &cfg(2, LocalityMode::Locality)).expect("simulation failed");
+        let faulty =
+            try_run(&trace, &faulty_cfg(2, "stall=1.0:0.01,seed=5")).expect("simulation failed");
         assert_eq!(faulty.stalls, 10, "every task start stalls at p=1");
         assert!(faulty.exec_time_s > clean.exec_time_s);
         assert_eq!(faulty.tasks_executed, clean.tasks_executed);
@@ -2714,11 +2532,12 @@ mod tests {
     #[test]
     fn combined_plan_with_failure_still_matches() {
         let trace = commy_trace(4, 4);
-        let clean = run(&trace, &cfg(4, LocalityMode::Locality));
-        let (faulty, events) = run_traced(
+        let clean = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
+        let (faulty, events) = try_run_traced(
             &trace,
             &faulty_cfg(4, "drop=0.15,dup=0.05,stall=0.2:0.002,fail=3@0.8,seed=13"),
-        );
+        )
+        .expect("simulation failed");
         assert_eq!(faulty.workers_failed, 1);
         assert_eq!(faulty.final_versions, clean.final_versions);
         assert_eq!(
@@ -2748,8 +2567,9 @@ mod tests {
         // The old recovery path re-materialized sole copies for free; a
         // restore must now cost main time and show up in the byte books.
         let trace = sole_copy_trace();
-        let clean = run(&trace, &cfg(4, LocalityMode::Locality));
-        let (faulty, events) = run_traced(&trace, &faulty_cfg(4, "fail=2@0.3"));
+        let clean = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
+        let (faulty, events) =
+            try_run_traced(&trace, &faulty_cfg(4, "fail=2@0.3")).expect("simulation failed");
         assert_eq!(faulty.objects_restored, 1, "x's only copy died with 2");
         assert_eq!(faulty.restore_bytes, 400_000);
         assert_eq!(faulty.checkpoint_restores, 0, "no checkpoint configured");
@@ -2775,8 +2595,9 @@ mod tests {
         // recovery reads it from the checkpoint store instead of paying
         // the full recovery transfer.
         let trace = sole_copy_trace();
-        let clean = run(&trace, &cfg(4, LocalityMode::Locality));
-        let (r, events) = run_traced(&trace, &faulty_cfg(4, "fail=2@0.3,ckpt=0.25"));
+        let clean = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
+        let (r, events) = try_run_traced(&trace, &faulty_cfg(4, "fail=2@0.3,ckpt=0.25"))
+            .expect("simulation failed");
         assert!(r.checkpoints >= 1);
         assert!(r.checkpoint_bytes > 400_000, "dirty payload not captured");
         assert_eq!(r.objects_restored, 1);
@@ -2793,8 +2614,9 @@ mod tests {
         // Ticks keep firing through the run, each capture is charged, and
         // the tick chain terminates with the program.
         let trace = commy_trace(4, 3);
-        let clean = run(&trace, &cfg(4, LocalityMode::Locality));
-        let (r, events) = run_traced(&trace, &faulty_cfg(4, "ckpt=0.05"));
+        let clean = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
+        let (r, events) =
+            try_run_traced(&trace, &faulty_cfg(4, "ckpt=0.05")).expect("simulation failed");
         assert!(r.checkpoints >= 2, "got {} checkpoints", r.checkpoints);
         assert!(r.checkpoint_bytes > 0);
         assert_eq!(r.tasks_reexecuted, 0);
@@ -2814,10 +2636,12 @@ mod tests {
         // checkpoint interval produces bit-identical application results,
         // and checkpoints never cause extra re-execution.
         let trace = parallel_trace(12, 4, 1.0);
-        let clean = run(&trace, &cfg(4, LocalityMode::Locality));
-        let base = run(&trace, &faulty_cfg(4, "fail=2@0.5"));
+        let clean = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
+        let base = try_run(&trace, &faulty_cfg(4, "fail=2@0.5")).expect("simulation failed");
         for iv in ["0.1", "0.45", "2.0"] {
-            let (r, events) = run_traced(&trace, &faulty_cfg(4, &format!("fail=2@0.5,ckpt={iv}")));
+            let (r, events) =
+                try_run_traced(&trace, &faulty_cfg(4, &format!("fail=2@0.5,ckpt={iv}")))
+                    .expect("simulation failed");
             assert_eq!(r.final_versions, clean.final_versions, "ckpt={iv}");
             assert!(
                 r.tasks_reexecuted <= base.tasks_reexecuted,
@@ -2833,8 +2657,8 @@ mod tests {
     fn checkpointed_lossy_run_is_deterministic() {
         let trace = commy_trace(4, 3);
         let c = faulty_cfg(4, "drop=0.1,dup=0.05,seed=7,ckpt=0.2");
-        let (a, ea) = run_traced(&trace, &c);
-        let (b, eb) = run_traced(&trace, &c);
+        let (a, ea) = try_run_traced(&trace, &c).expect("simulation failed");
+        let (b, eb) = try_run_traced(&trace, &c).expect("simulation failed");
         assert_eq!(a.exec_time_s, b.exec_time_s);
         assert_eq!(a.checkpoints, b.checkpoints);
         assert_eq!(a.checkpoint_bytes, b.checkpoint_bytes);
@@ -2866,9 +2690,9 @@ mod tests {
         let c = faulty_cfg(4, "fail=2@3.0,ckpt=0.5,drop=0.05,seed=9");
         let mut tuned = c.clone();
         tuned.tune = true;
-        let untuned = run(&trace, &c);
-        let (a, ea) = run_traced(&trace, &tuned);
-        let (b, eb) = run_traced(&trace, &tuned);
+        let untuned = try_run(&trace, &c).expect("simulation failed");
+        let (a, ea) = try_run_traced(&trace, &tuned).expect("simulation failed");
+        let (b, eb) = try_run_traced(&trace, &tuned).expect("simulation failed");
         assert_eq!(ea, eb, "tuned runs must be bit-identical");
         assert_eq!(a.tune, b.tune);
         assert!(!a.tune.decisions.is_empty(), "controller took no decisions");
@@ -2888,8 +2712,8 @@ mod tests {
         let c = faulty_cfg(4, "ckpt=0.05");
         let mut tuned = c.clone();
         tuned.tune = true;
-        let stat = run(&trace, &c);
-        let r = run(&trace, &tuned);
+        let stat = try_run(&trace, &c).expect("simulation failed");
+        let r = try_run(&trace, &tuned).expect("simulation failed");
         assert!(
             r.checkpoints < stat.checkpoints,
             "tuned {} checkpoints vs static {}",
@@ -2906,8 +2730,8 @@ mod tests {
         let base = cfg(8, LocalityMode::Locality);
         let mut wide = base.clone();
         wide.evidence_margin = 4;
-        let r0 = run(&trace, &base);
-        let r4 = run(&trace, &wide);
+        let r0 = try_run(&trace, &base).expect("simulation failed");
+        let r4 = try_run(&trace, &wide).expect("simulation failed");
         assert!(r0.broadcasts > 0, "broadcast mode should trigger");
         assert!(
             r4.broadcasts < r0.broadcasts,
@@ -2916,6 +2740,19 @@ mod tests {
             r0.broadcasts
         );
         assert_eq!(r4.final_versions, r0.final_versions);
+    }
+
+    #[test]
+    fn largest_evidence_margin_never_flips_to_broadcast() {
+        // The margin is added to the break-even floor; the sum must
+        // saturate, not overflow into a threshold every object meets.
+        let trace = hot_trace(8, 6);
+        let mut c = cfg(8, LocalityMode::Locality);
+        c.evidence_margin = u32::MAX;
+        let r = try_run(&trace, &c).expect("simulation failed");
+        assert_eq!(r.broadcasts, 0);
+        let base = try_run(&trace, &cfg(8, LocalityMode::Locality)).expect("simulation failed");
+        assert_eq!(r.final_versions, base.final_versions);
     }
 
     #[test]
@@ -3026,19 +2863,6 @@ mod tests {
             try_run(&trace, &c),
             Err(IpscError::InvalidMachine(_))
         ));
-        // Speed factors must be positive and finite.
-        let mut c = cfg(2, LocalityMode::Locality);
-        c.speed_factors = Some(vec![1.0, -0.5]);
-        assert!(matches!(
-            try_run(&trace, &c),
-            Err(IpscError::InvalidMachine(_))
-        ));
-        let mut c = cfg(2, LocalityMode::Locality);
-        c.speed_factors = Some(Vec::new());
-        assert!(matches!(
-            try_run(&trace, &c),
-            Err(IpscError::InvalidMachine(_))
-        ));
         // The scheduler needs room for at least one task a processor.
         let mut c = cfg(2, LocalityMode::Locality);
         c.target_tasks = 0;
@@ -3102,8 +2926,8 @@ mod tests {
         let base = cfg(4, LocalityMode::Locality);
         let mut pf = base.clone();
         pf.prefetch = true;
-        let off = run(&trace, &base);
-        let (on, events) = run_traced(&trace, &pf);
+        let off = try_run(&trace, &base).expect("simulation failed");
+        let (on, events) = try_run_traced(&trace, &pf).expect("simulation failed");
         assert!(on.prefetches_issued > 0, "no prefetches issued");
         assert!(on.prefetch_hits > 0, "prefetched replies never landed");
         assert_eq!(on.final_versions, off.final_versions);
@@ -3148,8 +2972,8 @@ mod tests {
                 .map(|e| (e.time_ps, e.proc))
                 .expect("cross trace always fetches")
         };
-        let (_, e_off) = run_traced(&trace, &base);
-        let (_, e_on) = run_traced(&trace, &pf);
+        let (_, e_off) = try_run_traced(&trace, &base).expect("simulation failed");
+        let (_, e_on) = try_run_traced(&trace, &pf).expect("simulation failed");
         let (t_off, p_off) = first_request(&e_off);
         let (t_on, p_on) = first_request(&e_on);
         assert_ne!(p_off, 0, "demand requests come from the worker");
@@ -3164,8 +2988,8 @@ mod tests {
         base.aggregate_fetches = true;
         let mut pf = base.clone();
         pf.prefetch = true;
-        let off = run(&trace, &base);
-        let (on, events) = run_traced(&trace, &pf);
+        let off = try_run(&trace, &base).expect("simulation failed");
+        let (on, events) = try_run_traced(&trace, &pf).expect("simulation failed");
         assert!(on.prefetches_issued > 0);
         assert_eq!(on.final_versions, off.final_versions);
         assert_eq!(on.tasks_executed, off.tasks_executed);
@@ -3179,10 +3003,10 @@ mod tests {
         // fall back to the per-object ack/retry path bound to the
         // fetching processor, and the results still match the clean run.
         let trace = commy_trace(4, 4);
-        let clean = run(&trace, &cfg(4, LocalityMode::Locality));
+        let clean = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         let mut c = faulty_cfg(4, "drop=0.2,dup=0.1,delay=0.2:0.001,seed=21");
         c.prefetch = true;
-        let (faulty, events) = run_traced(&trace, &c);
+        let (faulty, events) = try_run_traced(&trace, &c).expect("simulation failed");
         assert!(faulty.prefetches_issued > 0);
         assert!(faulty.msgs_dropped > 0, "plan injected nothing");
         assert_eq!(faulty.final_versions, clean.final_versions);
@@ -3193,10 +3017,10 @@ mod tests {
     #[test]
     fn prefetch_survives_fail_stop_and_checkpoints() {
         let trace = parallel_trace(12, 4, 1.0);
-        let clean = run(&trace, &cfg(4, LocalityMode::Locality));
+        let clean = try_run(&trace, &cfg(4, LocalityMode::Locality)).expect("simulation failed");
         let mut c = faulty_cfg(4, "fail=2@0.5,ckpt=0.25");
         c.prefetch = true;
-        let (faulty, events) = run_traced(&trace, &c);
+        let (faulty, events) = try_run_traced(&trace, &c).expect("simulation failed");
         assert_eq!(faulty.workers_failed, 1);
         assert_eq!(faulty.final_versions, clean.final_versions);
         assert_eq!(faulty.tasks_executed as u64, 12 + faulty.tasks_reexecuted);
@@ -3208,8 +3032,8 @@ mod tests {
         let trace = commy_trace(4, 3);
         let mut c = cfg(4, LocalityMode::Locality);
         c.prefetch = true;
-        let (a, ea) = run_traced(&trace, &c);
-        let (b2, eb) = run_traced(&trace, &c);
+        let (a, ea) = try_run_traced(&trace, &c).expect("simulation failed");
+        let (b2, eb) = try_run_traced(&trace, &c).expect("simulation failed");
         assert_eq!(a.exec_time_s, b2.exec_time_s);
         assert_eq!(a.prefetches_issued, b2.prefetches_issued);
         assert_eq!(a.prefetch_hits, b2.prefetch_hits);
@@ -3225,7 +3049,7 @@ mod tests {
         let mut c = cfg(4, LocalityMode::Locality);
         c.prefetch = true;
         c.target_tasks = 2;
-        let r = run(&trace, &c);
+        let r = try_run(&trace, &c).expect("simulation failed");
         assert!(r.prefetches_issued > 0);
         assert!(r.overlap_frac > 0.0, "no fetch time hidden under compute");
         assert!(r.overlap_frac <= 1.0 + 1e-12);
@@ -3238,10 +3062,10 @@ mod tests {
         // the recorded order, so the event stream is bit-identical.
         let trace = commy_trace(4, 5);
         let base = cfg(4, LocalityMode::Locality);
-        let (off, events) = run_traced(&trace, &base);
+        let (off, events) = try_run_traced(&trace, &base).expect("simulation failed");
         let mut pinned = base.clone();
         pinned.pinned = Some(PinnedSchedule::from_events(trace.tasks.len(), &events));
-        let (rep, events_rep) = run_traced(&trace, &pinned);
+        let (rep, events_rep) = try_run_traced(&trace, &pinned).expect("simulation failed");
         assert_eq!(rep.exec_time_s, off.exec_time_s);
         assert_eq!(rep.final_versions, off.final_versions);
         assert_eq!(events, events_rep);
@@ -3254,11 +3078,11 @@ mod tests {
         // simulated time never grows and the result is bit-identical.
         let trace = commy_trace(4, 6);
         let base = cfg(4, LocalityMode::Locality);
-        let (off, events) = run_traced(&trace, &base);
+        let (off, events) = try_run_traced(&trace, &base).expect("simulation failed");
         let mut pf = base.clone();
         pf.prefetch = true;
         pf.pinned = Some(PinnedSchedule::from_events(trace.tasks.len(), &events));
-        let on = run(&trace, &pf);
+        let on = try_run(&trace, &pf).expect("simulation failed");
         assert!(on.prefetches_issued > 0, "no prefetches issued");
         assert_eq!(on.final_versions, off.final_versions);
         assert_eq!(on.tasks_executed, off.tasks_executed);
@@ -3273,7 +3097,8 @@ mod tests {
     #[test]
     fn pinned_schedule_from_events_skips_unstarted_tasks() {
         let trace = parallel_trace(6, 2, 0.4);
-        let (_, events) = run_traced(&trace, &cfg(2, LocalityMode::Locality));
+        let (_, events) =
+            try_run_traced(&trace, &cfg(2, LocalityMode::Locality)).expect("simulation failed");
         let pin = PinnedSchedule::from_events(trace.tasks.len() + 3, &events);
         // Tasks past the trace keep the "never ran" sentinel and fall back
         // to live scheduling.

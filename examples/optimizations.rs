@@ -22,7 +22,7 @@ fn main() {
     let mk = |f: &dyn Fn(&mut IpscConfig)| {
         let mut c = IpscConfig::paper(procs, LocalityMode::Locality, spo);
         f(&mut c);
-        ipsc::run(&wtrace, &c)
+        ipsc::try_run(&wtrace, &c).expect("simulation failed")
     };
     let on = mk(&|_| {});
     let off = mk(&|c| c.adaptive_broadcast = false);
@@ -53,7 +53,7 @@ fn main() {
     let mkc = |mode: LocalityMode, f: &dyn Fn(&mut IpscConfig)| {
         let mut c = IpscConfig::paper(procs, mode, cspo);
         f(&mut c);
-        ipsc::run(&ctrace, &c)
+        ipsc::try_run(&ctrace, &c).expect("simulation failed")
     };
     let tp = mkc(LocalityMode::TaskPlacement, &|_| {});
     let noloc = mkc(LocalityMode::NoLocality, &|_| {});

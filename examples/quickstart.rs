@@ -68,7 +68,7 @@ fn main() {
     // The same numbers reconstruct from the structured event stream alone,
     // and the stream exports to Chrome's trace viewer (chrome://tracing or
     // ui.perfetto.dev). The machine simulators record the identical schema
-    // via `jade::dash::run_traced` / `jade::ipsc::run_traced`, or
+    // via `jade::dash::try_run_traced` / `jade::ipsc::try_run_traced`, or
     // `repro --trace-out FILE` for a full application.
     let events = rt.take_events();
     let m = Metrics::from_events(&events, rt.workers());

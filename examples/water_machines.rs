@@ -31,7 +31,7 @@ fn main() {
         };
         let (trace, _) = water::run_trace(&cfg);
         // Calibrate against the paper's measured serial times.
-        let d = dash::run(
+        let d = dash::try_run(
             &trace,
             &dash::DashConfig::paper(
                 procs,
@@ -39,15 +39,17 @@ fn main() {
                 water::calib::DASH_STRIPPED_S / trace.total_work()
                     * (molecules as f64 / 1728.0).powi(0), // keep calibrated rate
             ),
-        );
-        let i = ipsc::run(
+        )
+        .expect("simulation failed");
+        let i = ipsc::try_run(
             &trace,
             &ipsc::IpscConfig::paper(
                 procs,
                 LocalityMode::Locality,
                 water::calib::IPSC_STRIPPED_S / trace.total_work(),
             ),
-        );
+        )
+        .expect("simulation failed");
         if procs == 1 {
             dash1 = d.exec_time_s;
             ipsc1 = i.exec_time_s;

@@ -32,7 +32,8 @@ fn pagerank_trace(procs: usize) -> jade::Trace {
 fn coalesced_bytes_attribute_to_objects() {
     let procs = 8;
     let trace = pagerank_trace(procs);
-    let (r, events) = ipsc::run_traced(&trace, &paper_cfg(procs, true));
+    let (r, events) =
+        ipsc::try_run_traced(&trace, &paper_cfg(procs, true)).expect("simulation failed");
     assert!(
         r.agg_fetches > 0,
         "expected bundles on PageRank at paper costs"
@@ -87,8 +88,8 @@ fn coalesced_bytes_attribute_to_objects() {
 fn aggregation_preserves_results_and_reduces_messages() {
     let procs = 8;
     let trace = pagerank_trace(procs);
-    let off = ipsc::run(&trace, &paper_cfg(procs, false));
-    let on = ipsc::run(&trace, &paper_cfg(procs, true));
+    let off = ipsc::try_run(&trace, &paper_cfg(procs, false)).expect("simulation failed");
+    let on = ipsc::try_run(&trace, &paper_cfg(procs, true)).expect("simulation failed");
     assert_eq!(on.final_versions, off.final_versions);
     assert_eq!(on.tasks_executed, off.tasks_executed);
     assert_eq!(off.agg_fetches, 0, "pass off emits no bundles");
@@ -113,7 +114,7 @@ fn break_even_suppresses_aggregation_on_zero_overhead_machine() {
         cfg.machine.link_bandwidth /= 1000.0;
         cfg
     };
-    let on = ipsc::run(&trace, &slow(true));
+    let on = ipsc::try_run(&trace, &slow(true)).expect("simulation failed");
     assert_eq!(
         on.agg_fetches, 0,
         "break-even must not fire when the header costs exceed the savings"
@@ -121,7 +122,7 @@ fn break_even_suppresses_aggregation_on_zero_overhead_machine() {
     assert_eq!(on.agg_objects, 0);
 
     // With no bundles formed, the toggle is entirely invisible.
-    let off = ipsc::run(&trace, &slow(false));
+    let off = ipsc::try_run(&trace, &slow(false)).expect("simulation failed");
     assert_eq!(on.final_versions, off.final_versions);
     assert_eq!(on.exec_time_s, off.exec_time_s);
     assert_eq!(on.requests, off.requests);
@@ -138,7 +139,7 @@ fn break_even_boundary_follows_the_cost_model() {
     let procs = 4;
     let trace = pagerank_trace(procs);
     // Paper machine: bundles form.
-    let paper = ipsc::run(&trace, &paper_cfg(procs, true));
+    let paper = ipsc::try_run(&trace, &paper_cfg(procs, true)).expect("simulation failed");
     assert!(paper.agg_fetches > 0);
 
     // Links slowed 1000x: a saved message's fixed cost (~0.2 ms of wire
@@ -147,7 +148,7 @@ fn break_even_boundary_follows_the_cost_model() {
     // bundles.
     let mut slow = paper_cfg(procs, true);
     slow.machine.link_bandwidth /= 1000.0;
-    let r = ipsc::run(&trace, &slow);
+    let r = ipsc::try_run(&trace, &slow).expect("simulation failed");
     assert_eq!(r.agg_fetches, 0, "slow links must not be coalesced over");
     assert_eq!(
         r.final_versions, paper.final_versions,

@@ -287,7 +287,7 @@ proptest! {
         let run = |aggregate: bool| {
             let mut mc = jade::ipsc::IpscConfig::paper(procs, LocalityMode::TaskPlacement, spo);
             mc.aggregate_fetches = aggregate;
-            jade::ipsc::run(&trace, &mc)
+            jade::ipsc::try_run(&trace, &mc).expect("simulation failed")
         };
         let off = run(false);
         let on = run(true);
@@ -328,7 +328,7 @@ proptest! {
             let mut mc = jade::ipsc::IpscConfig::paper(procs, LocalityMode::TaskPlacement, 1e-6);
             mc.aggregate_fetches = aggregate;
             mc.prefetch = prefetch;
-            jade::ipsc::run(&trace, &mc)
+            jade::ipsc::try_run(&trace, &mc).expect("simulation failed")
         };
         let off = run(false);
         let on = run(true);
@@ -366,11 +366,11 @@ proptest! {
         };
         let (trace, _) = pagerank::run_trace(&cfg);
         let base = jade::ipsc::IpscConfig::paper(procs, LocalityMode::TaskPlacement, 1e-6);
-        let (off, events) = jade::ipsc::run_traced(&trace, &base);
+        let (off, events) = jade::ipsc::try_run_traced(&trace, &base).expect("simulation failed");
         let mut pf = base.clone();
         pf.prefetch = true;
         pf.pinned = Some(jade::ipsc::PinnedSchedule::from_events(trace.tasks.len(), &events));
-        let on = jade::ipsc::run(&trace, &pf);
+        let on = jade::ipsc::try_run(&trace, &pf).expect("simulation failed");
         prop_assert_eq!(&on.final_versions, &off.final_versions);
         prop_assert_eq!(on.tasks_executed, off.tasks_executed);
         prop_assert!(

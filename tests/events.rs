@@ -162,8 +162,8 @@ fn mixed_trace(procs: usize) -> Trace {
 fn dash_event_stream_is_deterministic() {
     let trace = mixed_trace(4);
     let cfg = DashConfig::paper(4, LocalityMode::Locality, 1.0);
-    let (_, ev1) = dash::run_traced(&trace, &cfg);
-    let (_, ev2) = dash::run_traced(&trace, &cfg);
+    let (_, ev1) = dash::try_run_traced(&trace, &cfg).expect("simulation failed");
+    let (_, ev2) = dash::try_run_traced(&trace, &cfg).expect("simulation failed");
     assert_eq!(
         ev1, ev2,
         "DASH must emit identical streams for identical runs"
@@ -174,8 +174,8 @@ fn dash_event_stream_is_deterministic() {
 fn ipsc_event_stream_is_deterministic() {
     let trace = mixed_trace(4);
     let cfg = IpscConfig::paper(4, LocalityMode::Locality, 1.0);
-    let (_, ev1) = ipsc::run_traced(&trace, &cfg);
-    let (_, ev2) = ipsc::run_traced(&trace, &cfg);
+    let (_, ev1) = ipsc::try_run_traced(&trace, &cfg).expect("simulation failed");
+    let (_, ev2) = ipsc::try_run_traced(&trace, &cfg).expect("simulation failed");
     assert_eq!(
         ev1, ev2,
         "iPSC must emit identical streams for identical runs"

@@ -19,7 +19,7 @@ use jade::{LocalityMode, ObjectId, TaskId};
 use proptest::prelude::*;
 
 /// Number of `EventKind` variants; `kind_of` maps `0..KINDS` onto them.
-const KINDS: u8 = 30;
+const KINDS: u8 = 29;
 
 /// The `k`-th event kind with payloads `a`, `b`, kept small enough that no
 /// sum over a test stream overflows.
@@ -52,30 +52,29 @@ fn kind_of(k: u8, a: u64, b: u64) -> EventKind {
             bytes,
             receivers: (b % 64) as u32,
         },
-        12 => EventKind::EagerPush { bytes },
-        13 => EventKind::MsgSend { bytes },
-        14 => EventKind::MsgRecv { bytes },
-        15 => EventKind::PhaseStart {
+        12 => EventKind::MsgSend { bytes },
+        13 => EventKind::MsgRecv { bytes },
+        14 => EventKind::PhaseStart {
             phase: (b % 6) as u32,
         },
-        16 => EventKind::PhaseEnd {
+        15 => EventKind::PhaseEnd {
             phase: (b % 6) as u32,
         },
-        17 => EventKind::Span {
+        16 => EventKind::Span {
             component: [Component::App, Component::Comm, Component::Mgmt][(a % 3) as usize],
             dur_ps,
         },
-        18 => EventKind::MsgDropped { bytes },
-        19 => EventKind::MsgRetried { bytes },
-        20 => EventKind::MsgDiscarded { bytes },
-        21 => EventKind::ProcStalled { dur_ps },
-        22 => EventKind::WorkerFailed,
-        23 => EventKind::TaskReExecuted,
-        24 => EventKind::CheckpointTaken { bytes },
-        25 => EventKind::CheckpointRestored { bytes },
-        26 => EventKind::ObjectRestored { bytes },
-        27 => EventKind::PrefetchIssued { bytes },
-        28 => EventKind::PrefetchHit { bytes },
+        17 => EventKind::MsgDropped { bytes },
+        18 => EventKind::MsgRetried { bytes },
+        19 => EventKind::MsgDiscarded { bytes },
+        20 => EventKind::ProcStalled { dur_ps },
+        21 => EventKind::WorkerFailed,
+        22 => EventKind::TaskReExecuted,
+        23 => EventKind::CheckpointTaken { bytes },
+        24 => EventKind::CheckpointRestored { bytes },
+        25 => EventKind::ObjectRestored { bytes },
+        26 => EventKind::PrefetchIssued { bytes },
+        27 => EventKind::PrefetchHit { bytes },
         _ => EventKind::PrefetchStale { bytes },
     }
 }

@@ -180,15 +180,18 @@ proptest! {
             total_work += 0.01;
         }
         let trace = b.build();
-        let d = dash::run(&trace, &DashConfig::paper(procs, LocalityMode::Locality, 1.0));
+        let d = dash::try_run(&trace, &DashConfig::paper(procs, LocalityMode::Locality, 1.0))
+            .expect("simulation failed");
         prop_assert_eq!(d.tasks_executed, trace.task_count());
         prop_assert!(d.exec_time_s >= total_work / procs as f64 * 0.94);
         prop_assert!(d.exec_time_s <= total_work + 2.0, "{} vs {}", d.exec_time_s, total_work);
-        let i = ipsc::run(&trace, &IpscConfig::paper(procs, LocalityMode::Locality, 1.0));
+        let i = ipsc::try_run(&trace, &IpscConfig::paper(procs, LocalityMode::Locality, 1.0))
+            .expect("simulation failed");
         prop_assert_eq!(i.tasks_executed, trace.task_count());
         prop_assert!(i.exec_time_s >= total_work / procs as f64 * 0.94);
         // Repeat run: identical.
-        let d2 = dash::run(&trace, &DashConfig::paper(procs, LocalityMode::Locality, 1.0));
+        let d2 = dash::try_run(&trace, &DashConfig::paper(procs, LocalityMode::Locality, 1.0))
+            .expect("simulation failed");
         prop_assert_eq!(d.exec_time_s, d2.exec_time_s);
     }
 }

@@ -43,7 +43,8 @@ fn every_app_runs_on_dash_at_every_level() {
                 if mode == LocalityMode::TaskPlacement && !placed {
                     continue;
                 }
-                let r = dash::run(&trace, &DashConfig::paper(procs, mode, 1e-6));
+                let r = dash::try_run(&trace, &DashConfig::paper(procs, mode, 1e-6))
+                    .expect("simulation failed");
                 assert_eq!(
                     r.tasks_executed,
                     trace.task_count(),
@@ -68,7 +69,8 @@ fn every_app_runs_on_ipsc_at_every_level() {
                 if mode == LocalityMode::TaskPlacement && !placed {
                     continue;
                 }
-                let r = ipsc::run(&trace, &IpscConfig::paper(procs, mode, 1e-6));
+                let r = ipsc::try_run(&trace, &IpscConfig::paper(procs, mode, 1e-6))
+                    .expect("simulation failed");
                 assert_eq!(
                     r.tasks_executed,
                     trace.task_count(),
@@ -87,10 +89,11 @@ fn every_app_runs_on_ipsc_at_every_level() {
 #[test]
 fn dash_placement_gives_full_locality() {
     let trace = ocean::run_trace(&ocean::OceanConfig::small(5)).0;
-    let r = dash::run(
+    let r = dash::try_run(
         &trace,
         &DashConfig::paper(5, LocalityMode::TaskPlacement, 1e-6),
-    );
+    )
+    .expect("simulation failed");
     assert_eq!(r.locality_pct, 100.0);
     assert_eq!(r.steals, 0);
 }
@@ -106,15 +109,17 @@ fn more_processors_do_not_lose_tasks() {
     })
     .0;
     for procs in [4usize, 16, 32] {
-        let d = dash::run(
+        let d = dash::try_run(
             &trace,
             &DashConfig::paper(procs, LocalityMode::Locality, 1e-6),
-        );
+        )
+        .expect("simulation failed");
         assert_eq!(d.tasks_executed, trace.task_count());
-        let i = ipsc::run(
+        let i = ipsc::try_run(
             &trace,
             &IpscConfig::paper(procs, LocalityMode::Locality, 1e-6),
-        );
+        )
+        .expect("simulation failed");
         assert_eq!(i.tasks_executed, trace.task_count());
     }
 }
@@ -125,8 +130,8 @@ fn work_free_runs_complete_and_are_faster() {
     let full = IpscConfig::paper(4, LocalityMode::TaskPlacement, 1e-5);
     let mut free = full.clone();
     free.work_free = true;
-    let rf = ipsc::run(&trace, &full);
-    let rw = ipsc::run(&trace, &free);
+    let rf = ipsc::try_run(&trace, &full).expect("simulation failed");
+    let rw = ipsc::try_run(&trace, &free).expect("simulation failed");
     assert!(rw.exec_time_s < rf.exec_time_s);
     assert_eq!(rw.tasks_executed, rf.tasks_executed);
 }
@@ -134,12 +139,16 @@ fn work_free_runs_complete_and_are_faster() {
 #[test]
 fn simulators_are_deterministic_across_runs() {
     let trace = ocean::run_trace(&ocean::OceanConfig::small(4)).0;
-    let d1 = dash::run(&trace, &DashConfig::paper(4, LocalityMode::Locality, 1e-6));
-    let d2 = dash::run(&trace, &DashConfig::paper(4, LocalityMode::Locality, 1e-6));
+    let d1 = dash::try_run(&trace, &DashConfig::paper(4, LocalityMode::Locality, 1e-6))
+        .expect("simulation failed");
+    let d2 = dash::try_run(&trace, &DashConfig::paper(4, LocalityMode::Locality, 1e-6))
+        .expect("simulation failed");
     assert_eq!(d1.exec_time_s, d2.exec_time_s);
     assert_eq!(d1.steals, d2.steals);
-    let i1 = ipsc::run(&trace, &IpscConfig::paper(4, LocalityMode::Locality, 1e-6));
-    let i2 = ipsc::run(&trace, &IpscConfig::paper(4, LocalityMode::Locality, 1e-6));
+    let i1 = ipsc::try_run(&trace, &IpscConfig::paper(4, LocalityMode::Locality, 1e-6))
+        .expect("simulation failed");
+    let i2 = ipsc::try_run(&trace, &IpscConfig::paper(4, LocalityMode::Locality, 1e-6))
+        .expect("simulation failed");
     assert_eq!(i1.exec_time_s, i2.exec_time_s);
     assert_eq!(i1.comm_bytes, i2.comm_bytes);
 }
@@ -153,13 +162,14 @@ fn replication_off_serializes_on_both_machines() {
     let d_on = DashConfig::paper(6, LocalityMode::Locality, spo);
     let mut d_off = d_on.clone();
     d_off.replication = false;
-    let don = dash::run(&trace, &d_on);
-    let doff = dash::run(&trace, &d_off);
+    let don = dash::try_run(&trace, &d_on).expect("simulation failed");
+    let doff = dash::try_run(&trace, &d_off).expect("simulation failed");
     assert!(doff.exec_time_s > 1.5 * don.exec_time_s);
     let mut i_off = IpscConfig::paper(6, LocalityMode::Locality, spo);
     i_off.replication = false;
-    let ion = ipsc::run(&trace, &IpscConfig::paper(6, LocalityMode::Locality, spo));
-    let ioff = ipsc::run(&trace, &i_off);
+    let ion = ipsc::try_run(&trace, &IpscConfig::paper(6, LocalityMode::Locality, spo))
+        .expect("simulation failed");
+    let ioff = ipsc::try_run(&trace, &i_off).expect("simulation failed");
     assert!(ioff.exec_time_s > 1.5 * ion.exec_time_s);
 }
 
@@ -167,14 +177,15 @@ fn replication_off_serializes_on_both_machines() {
 fn broadcast_volume_accounted() {
     // Water's position object becomes broadcast after the first phases.
     let trace = water::run_trace(&water::WaterConfig::small(8)).0;
-    let r = ipsc::run(&trace, &IpscConfig::paper(8, LocalityMode::Locality, 1e-6));
+    let r = ipsc::try_run(&trace, &IpscConfig::paper(8, LocalityMode::Locality, 1e-6))
+        .expect("simulation failed");
     assert!(
         r.broadcasts > 0,
         "adaptive broadcast should engage for Water"
     );
     let mut off = IpscConfig::paper(8, LocalityMode::Locality, 1e-6);
     off.adaptive_broadcast = false;
-    let r2 = ipsc::run(&trace, &off);
+    let r2 = ipsc::try_run(&trace, &off).expect("simulation failed");
     assert_eq!(r2.broadcasts, 0);
 }
 
@@ -312,13 +323,13 @@ const VERSIONS: [(&str, &[(u64, usize)]); 2] = [
 /// Recorded at `8051e00`, before the iPSC fetch paths were merged into one
 /// pipeline. Per application, per fetch route — managed (aggregation,
 /// prefetch, two tasks a processor, tuning), demand (the paper's
-/// configuration), aggregation only, prefetch only, serial fetch, eager
-/// update, workstations, and a pinned replay of the demand schedule with
-/// prefetch on — three runs: fault-free, under the racy plan and under the
-/// failing plan. The managed racy and failing rows' first ten fields are
+/// configuration), aggregation only, prefetch only, serial fetch, and a
+/// pinned replay of the demand schedule with prefetch on — three runs:
+/// fault-free, under the racy plan and under the failing plan. The
+/// managed racy and failing rows' first ten fields are
 /// those recorded at PR 19 (`b6a4331`).
 #[rustfmt::skip]
-const IPSC_GOLDEN: [IpscPrint; 48] = [
+const IPSC_GOLDEN: [IpscPrint; 36] = [
     (0x4078925e2892b894, 0, 0, 6, 28, 0, 14, 362096, 0, 0, 0x99fe071ee33c344a),
     (0x40789279a76a8779, 5, 8, 5, 28, 0, 14, 233072, 0, 0, 0x70b253b62437ac88),
     (0x4082835efaace21f, 0, 7, 7, 27, 0, 0, 221544, 1, 23200, 0x75f538a43fd663f5),
@@ -334,12 +345,6 @@ const IPSC_GOLDEN: [IpscPrint; 48] = [
     (0x407892fd9698a914, 0, 0, 2, 0, 0, 0, 288368, 0, 0, 0xaa303b1394c2f48d),
     (0x4078936acf04f277, 6, 11, 11, 0, 0, 0, 260720, 0, 0, 0x3bb89280c40c7af),
     (0x4081dcf4e509724f, 2, 13, 11, 0, 0, 0, 226168, 1, 69354, 0x105018e2782a34c0),
-    (0x407892b1e210d517, 0, 0, 2, 0, 0, 0, 288368, 0, 0, 0x3f33c16091983080),
-    (0x4078930def609432, 6, 10, 12, 0, 0, 0, 272248, 0, 0, 0x65437cfd3ea7f2d2),
-    (0x4081dcc6463843cc, 0, 13, 13, 0, 0, 0, 226168, 1, 55482, 0xedaf7a6340eb0a2d),
-    (0x40789530de2b2f06, 0, 0, 2, 0, 0, 0, 306800, 0, 0, 0xc6a75a24613e465),
-    (0x407895e96453ab68, 8, 20, 17, 0, 0, 0, 269936, 0, 0, 0xd3882d799e55db4),
-    (0x407869e5f54cb2b3, 2, 16, 14, 0, 0, 0, 226192, 1, 50824, 0xf630d4c1ed6713a9),
     (0x4078925c9d1c34ca, 0, 0, 6, 28, 0, 0, 362096, 0, 0, 0xea185b86a63947fd),
     (0x40789271ce7d5540, 5, 4, 5, 28, 0, 0, 297584, 0, 0, 0x8b900749e13320b8),
     (0x4081dbbb6d40e906, 0, 0, 0, 29, 0, 0, 230784, 1, 69354, 0x8eaf8b98dc809221),
@@ -358,12 +363,6 @@ const IPSC_GOLDEN: [IpscPrint; 48] = [
     (0x4015ba8e3323aa9c, 0, 0, 0, 0, 0, 0, 871248, 0, 0, 0x62bc07b51e96ec71),
     (0x4017039e3dd5d2f6, 106, 106, 33, 0, 0, 0, 858000, 0, 0, 0x6e60c536f4720c2f),
     (0x40172e08ecc75e99, 51, 63, 12, 0, 0, 0, 855640, 1, 322900, 0xe95e9c474e8af6aa),
-    (0x4016c37431652492, 0, 0, 0, 0, 0, 0, 1096520, 0, 0, 0xd6e7983baaaae445),
-    (0x401649ed8ad52e7d, 97, 67, 32, 0, 0, 0, 1128136, 0, 0, 0x8f0553b5dbb81dc0),
-    (0x4017a0f0ccf7e96c, 48, 39, 8, 0, 0, 0, 1111240, 1, 258128, 0x3f76e4e49c6cde35),
-    (0x4014970c345ff096, 0, 0, 0, 0, 0, 0, 866560, 0, 0, 0x85e2fc4948f5d305),
-    (0x401c54807f11698c, 244, 1486, 1321, 0, 0, 0, 860496, 0, 0, 0x4f796a14fbd8d728),
-    (0x401ad008c10af951, 106, 1508, 1378, 0, 0, 0, 826000, 1, 386542, 0x8c86ee5538963208),
     (0x4016759fd0beec89, 0, 0, 0, 702, 0, 0, 885472, 0, 0, 0x5518ab474482f902),
     (0x4016a09f971e9f31, 104, 101, 30, 702, 0, 0, 885472, 0, 0, 0xd293cb6fc015922c),
     (0x4016d11037f21d29, 47, 53, 6, 679, 0, 0, 865488, 1, 303908, 0x4dabd78f2ba1593e),
@@ -417,11 +416,6 @@ fn faulty_managed_runs_match_their_golden_fingerprints() {
                 concurrent_fetches: false,
                 ..demand.clone()
             },
-            IpscConfig {
-                eager_update: true,
-                ..demand.clone()
-            },
-            IpscConfig::workstations(vec![1.0, 1.0, 2.0, 2.0, 4.0, 1.0, 2.0, 1.0], sec_per_op),
             IpscConfig {
                 prefetch: true,
                 pinned: Some(PinnedSchedule::from_events(
