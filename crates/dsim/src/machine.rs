@@ -6,7 +6,8 @@
 //!   a cluster; 16-byte coherence lines; read latencies of 1 cycle (L1),
 //!   15 cycles (L2), 29 cycles (another cache in the cluster), 101 cycles
 //!   (clean in a remote home cluster) and 132 cycles (dirty in a third
-//!   cluster).
+//!   cluster). Only the two remote levels are priced ([`DashHit`]); the
+//!   in-cluster ones are part of each application's work calibration.
 //! * **Intel iPSC/860** (Appendix A): 40 MHz i860 nodes on a circuit-switched
 //!   hypercube, 2.8 MB/s per link, 47 µs minimum short-message time.
 
@@ -15,13 +16,11 @@ use crate::time::SimDuration;
 /// A processor index within a machine.
 pub type ProcId = usize;
 
-/// Where a DASH read hit, ordered from cheapest to most expensive.
+/// Where a DASH read that missed in its own cluster was satisfied, cheaper
+/// first. A hit inside the cluster costs nothing extra: the per-task work
+/// calibration already includes local memory traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DashHit {
-    /// Satisfied by the requesting processor's own cache.
-    OwnCache,
-    /// Satisfied by memory or another cache inside the local cluster.
-    LocalCluster,
     /// Clean copy fetched from the home cluster's memory.
     RemoteClean,
     /// Dirty copy forwarded from a third cluster.
@@ -39,20 +38,10 @@ pub struct DashSpec {
     pub clock_hz: u64,
     /// Coherence line size in bytes.
     pub line_bytes: usize,
-    /// Cycles for a read satisfied in the local cluster (second-level cache
-    /// or another processor's cache on the same bus).
-    pub local_cycles: u64,
     /// Cycles for a clean remote read.
     pub remote_clean_cycles: u64,
     /// Cycles for a dirty remote read (three-hop).
     pub remote_dirty_cycles: u64,
-    /// Per-line cycles for the *streamed* portion of a coalesced remote
-    /// transfer (inspector/executor aggregation, DESIGN.md §15). Once one
-    /// remote access has opened the path to a home cluster, further lines
-    /// bound for the same requester pipeline behind it at roughly the
-    /// cluster-bus occupancy instead of paying the full request/reply
-    /// round trip per line.
-    pub agg_streamed_cycles: u64,
 }
 
 impl DashSpec {
@@ -63,10 +52,8 @@ impl DashSpec {
             cluster_size: 4,
             clock_hz: 33_333_333,
             line_bytes: 16,
-            local_cycles: 29,
             remote_clean_cycles: 101,
             remote_dirty_cycles: 132,
-            agg_streamed_cycles: 45,
         }
     }
 
@@ -87,26 +74,13 @@ impl DashSpec {
         (bytes.div_ceil(self.line_bytes)).max(1) as u64
     }
 
-    /// Time to move `bytes` of shared data at the given hit level.
-    ///
-    /// `OwnCache` costs nothing *extra*: the baseline per-task compute cost
-    /// already includes cache-resident accesses.
+    /// Time to move `bytes` of shared data from another cluster.
     pub fn transfer_time(&self, bytes: usize, hit: DashHit) -> SimDuration {
         let cycles_per_line = match hit {
-            DashHit::OwnCache => return SimDuration::ZERO,
-            DashHit::LocalCluster => self.local_cycles,
             DashHit::RemoteClean => self.remote_clean_cycles,
             DashHit::RemoteDirty => self.remote_dirty_cycles,
         };
         SimDuration::from_cycles(self.lines(bytes) * cycles_per_line, self.clock_hz)
-    }
-
-    /// Time to move `bytes` as the streamed tail of a coalesced remote
-    /// transfer: the full round-trip latency was already paid by the
-    /// bundle's first remote access, so these lines cost only
-    /// [`Self::agg_streamed_cycles`] each.
-    pub fn streamed_time(&self, bytes: usize) -> SimDuration {
-        SimDuration::from_cycles(self.lines(bytes) * self.agg_streamed_cycles, self.clock_hz)
     }
 }
 
@@ -219,12 +193,9 @@ mod tests {
     fn dash_transfer_ordering() {
         let m = DashSpec::paper(32);
         let b = 4096;
-        let own = m.transfer_time(b, DashHit::OwnCache);
-        let local = m.transfer_time(b, DashHit::LocalCluster);
         let clean = m.transfer_time(b, DashHit::RemoteClean);
         let dirty = m.transfer_time(b, DashHit::RemoteDirty);
-        assert_eq!(own, SimDuration::ZERO);
-        assert!(local < clean && clean < dirty);
+        assert!(SimDuration::ZERO < clean && clean < dirty);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::paper_data::{self, ExecTable};
 use dsim::{FaultPlan, SimDuration};
 use jade_apps::water::{self, WaterOutput};
 use jade_core::{check_lifecycle, EventKind, Handle, LocalityMode, TaskBuilder, TenantId};
-use jade_dash::{DashConfig, DashRunResult};
+use jade_dash::DashConfig;
 use jade_ipsc::{IpscConfig, IpscRunResult};
 use jade_threads::{
     JadeService, Outcome, Program, ServiceConfig, SubmitError, TenantOptions, ThreadRuntime,
@@ -665,29 +665,6 @@ fn crash_plan(plan: FaultPlan) -> FaultPlan {
     }
 }
 
-/// The DASH half of the aggregation and overlap sweeps: each irregular app
-/// at 4 and 8 processors with `toggle` off and then on. Shared memory has
-/// no messages to count, so the gates are the same tasks and the same bytes
-/// moved, and no slower run. `report` prints each pair before it is judged.
-fn dash_toggle(
-    h: &mut Harness,
-    toggle: fn(&mut DashConfig),
-    mut report: impl FnMut(App, usize, &DashRunResult, &DashRunResult),
-) -> Result<(), String> {
-    for app in App::IRREGULAR {
-        for procs in [4usize, 8] {
-            let off = h.dash_with(app, procs, LocalityMode::TaskPlacement, |_| {});
-            let on = h.dash_with(app, procs, LocalityMode::TaskPlacement, toggle);
-            report(app, procs, &off, &on);
-            let label = format!("{} x{procs} DASH", app.name());
-            same_tasks(&label, on.tasks_executed, off.tasks_executed)?;
-            same(&label, "bytes moved", &on.bytes_moved, &off.bytes_moved)?;
-            not_slower(&label, on.exec_time_s, off.exec_time_s)?;
-        }
-    }
-    Ok(())
-}
-
 /// Fault sweep: run one application per backend under the harness's fault
 /// plan and check the headline robustness invariant — the faulty run
 /// produces bit-identical application results to the fault-free run,
@@ -833,7 +810,7 @@ fn checkpoint_sweep(h: &mut Harness) -> Result<(), String> {
 }
 
 /// Aggregation sweep (DESIGN.md §15): run the two irregular applications
-/// with the inspector/executor fetch-aggregation pass off and on, and
+/// on the iPSC/860 with the inspector/executor fetch-aggregation pass off and on, and
 /// check the tentpole invariants — coalescing changes message *counts*
 /// only, never the application result or the object bytes on the wire.
 /// The headline gate: on PageRank the iPSC message count must drop by at
@@ -890,22 +867,6 @@ fn aggregation_sweep(h: &mut Harness) -> Result<(), String> {
         }
     }
 
-    // DASH: same toggle; the win is streamed cache-line transfers.
-    dash_toggle(
-        h,
-        |c| c.aggregate_fetches = true,
-        |app, procs, off, on| {
-            println!(
-                "  {:>8} x{procs:<2} DASH: {:.2}s -> {:.2}s | bytes {} -> {}",
-                app.name(),
-                off.exec_time_s,
-                on.exec_time_s,
-                off.bytes_moved,
-                on.bytes_moved
-            );
-        },
-    )?;
-
     let pagerank_reduction = pagerank_msgs.0 as f64 / (pagerank_msgs.1.max(1)) as f64;
     if pagerank_reduction < 2.0 {
         return Err(format!(
@@ -921,15 +882,9 @@ fn aggregation_sweep(h: &mut Harness) -> Result<(), String> {
 
 /// One `OVERLAP_sweep.json` row: exec times off/on and the on-run's
 /// (overlap fraction, prefetches issued, hits, stale).
-fn overlap_row(
-    backend: &str,
-    app: App,
-    procs: usize,
-    exec: (f64, f64),
-    on: (f64, u64, u64, u64),
-) -> String {
+fn overlap_row(app: App, procs: usize, exec: (f64, f64), on: (f64, u64, u64, u64)) -> String {
     format!(
-        "{{\"backend\": \"{backend}\", \"app\": \"{}\", \"procs\": {procs}, \
+        "{{\"backend\": \"ipsc\", \"app\": \"{}\", \"procs\": {procs}, \
          \"exec_off_s\": {:.6}, \"exec_on_s\": {:.6}, \"overlap_frac\": {:.6}, \
          \"prefetches\": {}, \"hits\": {}, \"stale\": {}}}",
         app.name(),
@@ -955,9 +910,8 @@ fn overlap_row(
 /// time <= prefetch-off on every app/processor point, and a strictly
 /// positive overlap fraction (comm time hidden under busy spans) on the
 /// two irregular applications.
-/// Also checks composition with fetch aggregation (§15) and the DASH
-/// prefetch-stream path (bytes on the wire bit-identical, stalls only
-/// shrink). Writes the per-point numbers to `OVERLAP_sweep.json`.
+/// Also checks composition with fetch aggregation (§15). Writes the
+/// per-point numbers to `OVERLAP_sweep.json`.
 fn overlap_sweep(h: &mut Harness) -> Result<(), String> {
     println!("\nOverlap sweep: split-phase prefetch, comm/comp overlap");
     let mut rows: Vec<String> = Vec::new();
@@ -995,7 +949,6 @@ fn overlap_sweep(h: &mut Harness) -> Result<(), String> {
                 _ => {}
             }
             rows.push(overlap_row(
-                "ipsc",
                 app,
                 procs,
                 (off.exec_time_s, on.exec_time_s),
@@ -1037,38 +990,6 @@ fn overlap_sweep(h: &mut Harness) -> Result<(), String> {
             not_slower(&label, both.exec_time_s, base.exec_time_s)?;
         }
     }
-
-    // DASH: prefetch streams remote lines toward the target cluster at
-    // enable time. Directory traffic is bit-identical — only stalls shrink.
-    dash_toggle(
-        h,
-        |c| c.prefetch = true,
-        |app, procs, off, on| {
-            println!(
-                "  {:>8} x{procs:<2} DASH: {:.3}s -> {:.3}s | bytes {} -> {} | \
-             prefetches {} ({} hit)",
-                app.name(),
-                off.exec_time_s,
-                on.exec_time_s,
-                off.bytes_moved,
-                on.bytes_moved,
-                on.prefetches_issued,
-                on.prefetch_hits
-            );
-            rows.push(overlap_row(
-                "dash",
-                app,
-                procs,
-                (off.exec_time_s, on.exec_time_s),
-                (
-                    on.overlap_frac,
-                    on.prefetches_issued,
-                    on.prefetch_hits,
-                    on.prefetch_stale,
-                ),
-            ));
-        },
-    )?;
 
     if pagerank_overlap <= 0.0 || halo_overlap <= 0.0 {
         return Err(format!(

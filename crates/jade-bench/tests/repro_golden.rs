@@ -60,7 +60,7 @@ fn group(name: &'static str, args: &[&str], files: &[&str]) -> (&'static str, u6
 
 const QUICK_GOLDEN: &[(&str, u64)] = &[
     ("all", 0xf668f9cad7d53823),
-    ("sweeps", 0xc514903e38b4d91b),
+    ("sweeps", 0x9353a36479cea13a),
     ("faults", 0xf131b5e86f971bbb),
     ("checkpoint", 0x5cf64a237f7d7806),
     ("app", 0x9dadee95ecbd01d9),

@@ -71,59 +71,29 @@ impl MemSim {
     /// processor `proc`. Returns the extra communication time the task
     /// spends stalled on remote fetches.
     pub fn task_accesses(&mut self, proc: usize, spec: &AccessSpec) -> SimDuration {
-        self.task_accesses_with(proc, spec, false, |_, _, _| {})
+        self.task_accesses_with(proc, spec, |_, _, _| {})
     }
 
     /// Like [`task_accesses`](Self::task_accesses), but reports every
     /// inter-cluster fetch as `(object, bytes, stall)` — the per-access
     /// detail behind the event layer's `ObjectFetch` records. Accesses
     /// that hit in the task's own cluster are not reported.
-    ///
-    /// `aggregate` applies the inspector/executor aggregation pass
-    /// (DESIGN.md §15): the runtime inspected the task's declared access set
-    /// at enable time, so after the *first* remote miss has opened the
-    /// path, every further remote object in the same set streams behind it
-    /// at [`DashSpec::agg_streamed_cycles`] per line instead of paying a
-    /// full round trip. Directory state transitions and `bytes_moved` are
-    /// identical to the unaggregated walk — only the stall time shrinks.
     pub fn task_accesses_with(
         &mut self,
         proc: usize,
         spec: &AccessSpec,
-        aggregate: bool,
         mut on_fetch: impl FnMut(ObjectId, u64, SimDuration),
     ) -> SimDuration {
         let cluster = self.machine.cluster_of(proc);
         let mut total = SimDuration::ZERO;
-        let mut opened = false;
         for d in spec.decls() {
-            let (mut cost, bytes) = self.access(cluster, d.object.index(), d.mode);
+            let (cost, bytes) = self.access(cluster, d.object.index(), d.mode);
             if bytes > 0 {
-                if aggregate && opened {
-                    // Streamed tail of the bundle: latency already paid.
-                    cost = cost.min(self.machine.streamed_time(bytes as usize));
-                }
-                opened = true;
                 on_fetch(d.object, bytes, cost);
             }
             total += cost;
         }
         total
-    }
-
-    /// Objects in `spec` that would miss in `cluster` right now, with their
-    /// transfer sizes — the candidate set a split-phase prefetch issued at
-    /// task-enable time would stream toward the cluster (DESIGN.md §17).
-    /// Read-only: no directory state changes.
-    pub fn missing_in<'a>(
-        &'a self,
-        cluster: usize,
-        spec: &'a AccessSpec,
-    ) -> impl Iterator<Item = (ObjectId, u64)> + 'a {
-        spec.decls()
-            .iter()
-            .filter(move |d| !self.holds(cluster, d.object.index()))
-            .map(|d| (d.object, self.sizes[d.object.index()] as u64))
     }
 
     /// Does `cluster` hold a valid copy of `obj`?

@@ -13,7 +13,7 @@ use crate::memsim::MemSim;
 use crate::scheduler::{DashScheduler, LocalityMode};
 use dsim::driver::{self, Core, Machine, Run, SimError};
 use dsim::{DashSpec, FaultPlan, ProcId, SimDuration, SimTime, TimeKind};
-use jade_core::{AccessMode, EventKind, ObjectId, Sink, TaskId};
+use jade_core::{EventKind, ObjectId, Sink, TaskId};
 
 /// Configuration of one DASH run.
 #[derive(Clone, Debug)]
@@ -31,23 +31,6 @@ pub struct DashConfig {
     /// (the Section 5.1 analysis). The rule lives in the trace's dependence
     /// graph ([`jade_core::Trace::dep_graph`]).
     pub replication: bool,
-    /// Inspector/executor aggregation (DESIGN.md §15): the runtime inspects
-    /// a task's declared access set before dispatch and coalesces its
-    /// remote fetches, so after the first remote miss the rest of the
-    /// bundle streams at [`DashSpec::agg_streamed_cycles`] per line.
-    /// Directory transitions and `bytes_moved` are unchanged.
-    pub aggregate_fetches: bool,
-    /// Split-phase prefetch (DESIGN.md §17): when a task becomes enabled,
-    /// the runtime starts streaming the remote lines of its declared access
-    /// set toward the target processor's cluster, so fetches that would
-    /// stall the task at start time instead complete at the streamed-line
-    /// rate ([`DashSpec::agg_streamed_cycles`]). Directory transitions and
-    /// `bytes_moved` are identical to a demand-fetch run — only the stall
-    /// time shrinks, and only when the task actually runs in the cluster
-    /// the prefetch targeted (a stolen task pays full price). A prefetched
-    /// line invalidated by a later write is refetched at full cost and
-    /// reported as stale. No-op under `work_free`.
-    pub prefetch: bool,
     /// Fault injection plan. DASH is a cache-coherent shared-memory machine:
     /// there are no messages to lose and the threads share fate with the
     /// kernel, so only the *transient stall* component of the plan applies
@@ -65,8 +48,6 @@ impl DashConfig {
             sec_per_op,
             work_free: false,
             replication: true,
-            aggregate_fetches: false,
-            prefetch: false,
             faults: FaultPlan::none(),
         }
     }
@@ -102,17 +83,6 @@ pub struct DashRunResult {
     pub stalls: u64,
     /// Total injected stall time.
     pub stall_time_s: f64,
-    /// Split-phase prefetches issued at task-enable time.
-    pub prefetches_issued: u64,
-    /// Prefetched lines that were still valid when the task started (the
-    /// fetch completed at the streamed rate instead of a full round trip).
-    pub prefetch_hits: u64,
-    /// Prefetched lines invalidated by a write before task start and
-    /// refetched at full cost.
-    pub prefetch_stale: u64,
-    /// Fraction of object-fetch latency hidden under application compute
-    /// (0 when nothing was fetched).
-    pub overlap_frac: f64,
     /// Per-processor busy time, split as (app, comm, mgmt) seconds.
     pub per_proc_busy: Vec<(f64, f64, f64)>,
 }
@@ -124,19 +94,11 @@ enum Ev {
     Retry { proc: ProcId },
 }
 
-/// A task's prefetch record: the cluster the lines streamed into, and its
-/// run of [`Sim::marked`] — the (object, write-epoch) pairs captured at
-/// enable time.
-type PrefetchMark = (usize, std::ops::Range<usize>);
-
 /// An inter-cluster fetch a starting task stalls on.
 struct Fetch {
     obj: ObjectId,
     bytes: u64,
     stall: SimDuration,
-    /// What an earlier prefetch made of it: `Some(true)` hit, `Some(false)`
-    /// stale, `None` not prefetched.
-    prefetched: Option<bool>,
 }
 
 /// Reject machine parameters that would panic deep in the event loop (a
@@ -173,22 +135,9 @@ struct Sim<'a, R: Sink> {
     /// first-served distribution is arbitrary, and a symmetric simulated
     /// system would otherwise develop accidental processor/task affinity.
     lcg: u64,
-    /// Per-task prefetch marks; `None` when no prefetch was issued
-    /// (prefetch off, or nothing was remote).
-    marks: Vec<Option<PrefetchMark>>,
-    /// Every mark's (object, write-epoch) pairs, mark after mark.
-    marked: Vec<(ObjectId, u64)>,
     /// Scratch of [`Machine::start_data`], kept between calls for its
     /// storage.
     fetches: Vec<Fetch>,
-    /// Monotone per-object write counter backing stale-prefetch detection:
-    /// a prefetched line whose object epoch moved between enable and start
-    /// was invalidated in flight and must be refetched at full cost.
-    write_epoch: Vec<u64>,
-    // Native prefetch tallies, cross-checked against the event stream.
-    n_prefetch_issued: u64,
-    n_prefetch_hits: u64,
-    n_prefetch_stale: u64,
 }
 
 dsim::entry_points!(DashConfig => DashRunResult, Sim::new, CREATE);
@@ -216,45 +165,12 @@ impl<'a, R: Sink> Sim<'a, R> {
             main_serial_ready: false,
             retry_pending: vec![false; procs],
             lcg: 0x9E3779B97F4A7C15,
-            marks: vec![None; trace.tasks.len()],
-            marked: Vec::new(),
             fetches: Vec::new(),
-            write_epoch: vec![0; trace.objects.len()],
-            n_prefetch_issued: 0,
-            n_prefetch_hits: 0,
-            n_prefetch_stale: 0,
         })
     }
 
     fn is_idle(&self, p: ProcId) -> bool {
         self.core.executing[p].is_none() && (p != 0 || self.core.main_available())
-    }
-
-    /// Start a split-phase prefetch for a newly enabled task: record which
-    /// of its declared objects are remote to the target processor's cluster
-    /// (with their current write epochs) and begin streaming them. The
-    /// payoff is applied in [`Machine::start_data`]: a still-valid
-    /// prefetched line completes at the streamed rate instead of a full
-    /// round trip.
-    fn mark_prefetch(&mut self, id: TaskId, target: ProcId, t: SimTime) {
-        let Some(mem) = &self.mem else { return };
-        let cluster = self.cfg.machine.cluster_of(target);
-        let rec = &self.core.trace.tasks[id.index()];
-        let start = self.marked.len();
-        for (o, bytes) in mem.missing_in(cluster, &rec.spec) {
-            self.n_prefetch_issued += 1;
-            self.core.events.emit_obj(
-                t.0,
-                target,
-                EventKind::PrefetchIssued { bytes },
-                Some(id),
-                o,
-            );
-            self.marked.push((o, self.write_epoch[o.index()]));
-        }
-        if self.marked.len() > start {
-            self.marks[id.index()] = Some((cluster, start..self.marked.len()));
-        }
     }
 
     /// Pseudo-randomly (but deterministically) pick an idle processor: one
@@ -306,9 +222,6 @@ impl<'a, R: Sink> Machine<'a, R> for Sim<'a, R> {
         };
         self.sched
             .insert(id, target, rec.spec.locality_object(), pinned, t);
-        if self.cfg.prefetch {
-            self.mark_prefetch(id, target, t);
-        }
         // Wake processors that could run it.
         if self.sched.mode().uses_locality() {
             if self.is_idle(target) {
@@ -362,51 +275,10 @@ impl<'a, R: Sink> Machine<'a, R> for Sim<'a, R> {
     fn start_data(&mut self, p: ProcId, id: TaskId, end: SimTime) -> SimTime {
         let rec = &self.core.trace.tasks[id.index()];
         let mut fetches = std::mem::take(&mut self.fetches);
-        let mut comm = self.mem.as_mut().map_or(SimDuration::ZERO, |mem| {
-            let on_fetch = |obj, bytes, stall| {
-                fetches.push(Fetch {
-                    obj,
-                    bytes,
-                    stall,
-                    prefetched: None,
-                })
-            };
-            mem.task_accesses_with(p, &rec.spec, self.cfg.aggregate_fetches, on_fetch)
+        let comm = self.mem.as_mut().map_or(SimDuration::ZERO, |mem| {
+            let on_fetch = |obj, bytes, stall| fetches.push(Fetch { obj, bytes, stall });
+            mem.task_accesses_with(p, &rec.spec, on_fetch)
         });
-        // Split-phase prefetch payoff (DESIGN.md §17): fetches whose lines
-        // were streamed toward this cluster at enable time — and not
-        // invalidated by a write since — complete at the streamed rate.
-        // The directory transitions and `bytes_moved` charged above are
-        // untouched; only the stall time shrinks.
-        if let Some((cluster, run)) = self.marks[id.index()].take() {
-            if cluster == self.cfg.machine.cluster_of(p) {
-                let marked = &self.marked[run];
-                for f in &mut fetches {
-                    let Some(&(_, epoch)) = marked.iter().find(|(mo, _)| *mo == f.obj) else {
-                        continue;
-                    };
-                    let valid = epoch == self.write_epoch[f.obj.index()];
-                    f.prefetched = Some(valid);
-                    if valid {
-                        let fast = self.cfg.machine.streamed_time(f.bytes as usize);
-                        let fast = fast.min(f.stall);
-                        comm = SimDuration(comm.0 - (f.stall.0 - fast.0));
-                        f.stall = fast;
-                        self.n_prefetch_hits += 1;
-                    } else {
-                        // Invalidated in flight: refetched at full cost.
-                        self.n_prefetch_stale += 1;
-                    }
-                }
-            }
-        }
-        // The task's writes are visible to the directory from here on: any
-        // earlier prefetch of these objects now holds an invalidated copy.
-        for d in rec.spec.decls() {
-            if d.mode != AccessMode::Read {
-                self.write_epoch[d.object.index()] += 1;
-            }
-        }
         let mut end = end;
         if comm > SimDuration::ZERO {
             let comm_start = end;
@@ -416,38 +288,15 @@ impl<'a, R: Sink> Machine<'a, R> for Sim<'a, R> {
             let mut at = comm_start;
             for f in &fetches {
                 at += f.stall;
-                let bytes = f.bytes;
                 events.emit_obj(
                     at.0,
                     p,
                     EventKind::ObjectFetch {
-                        bytes,
+                        bytes: f.bytes,
                         latency_ps: f.stall.0,
                     },
                     Some(id),
                     f.obj,
-                );
-                if let Some(valid) = f.prefetched {
-                    let kind = if valid {
-                        EventKind::PrefetchHit { bytes }
-                    } else {
-                        EventKind::PrefetchStale { bytes }
-                    };
-                    events.emit_obj(at.0, p, kind, Some(id), f.obj);
-                }
-            }
-            // With aggregation on, ≥ 2 remote objects rode one coalesced
-            // transfer; mark the bundle for message-count accounting.
-            if self.cfg.aggregate_fetches && fetches.len() >= 2 {
-                events.emit_obj(
-                    at.0,
-                    p,
-                    EventKind::AggregatedFetch {
-                        objects: fetches.len() as u32,
-                        bytes: fetches.iter().map(|f| f.bytes).sum(),
-                    },
-                    Some(id),
-                    fetches[0].obj,
                 );
             }
         }
@@ -491,13 +340,6 @@ impl<'a, R: Sink> Machine<'a, R> for Sim<'a, R> {
         for (what, folded, native) in [
             ("steals", m.steals, self.sched.steals),
             ("fetch bytes", m.fetch_bytes, moved),
-            ("prefetches", m.prefetches_issued, self.n_prefetch_issued),
-            ("prefetch hits", m.prefetch_hits, self.n_prefetch_hits),
-            (
-                "prefetch staleness",
-                m.prefetch_stale,
-                self.n_prefetch_stale,
-            ),
         ] {
             debug_assert_eq!(folded, native, "event {what} disagree with the simulator");
         }
@@ -516,10 +358,6 @@ impl<'a, R: Sink> Machine<'a, R> for Sim<'a, R> {
             bytes_moved: m.fetch_bytes,
             stalls: m.stalls,
             stall_time_s: SimDuration(m.stall_ps).as_secs_f64(),
-            prefetches_issued: m.prefetches_issued,
-            prefetch_hits: m.prefetch_hits,
-            prefetch_stale: m.prefetch_stale,
-            overlap_frac: m.overlap_fraction(),
             per_proc_busy: run.per_proc_busy,
         }
     }
@@ -865,87 +703,5 @@ mod tests {
         let mut c = cfg(2, LocalityMode::Locality);
         c.machine.cluster_size = 0;
         assert!(rejected(&c));
-    }
-
-    // ---- split-phase prefetch ----
-
-    /// Tasks homed (via their small written locality object) on processor 4
-    /// — cluster 1 — each reading a distinct large object resident in
-    /// cluster 0: every read is a genuine first-touch remote fetch that a
-    /// prefetch issued at enable time can hide.
-    fn remote_read_trace(n: usize) -> Trace {
-        let mut b = TraceBuilder::new();
-        for i in 0..n {
-            let out = b.object(&format!("out{i}"), 64, Some(4));
-            let data = b.object(&format!("d{i}"), 200_000, Some(0));
-            let mut s = AccessSpec::new();
-            s.wr(out).rd(data);
-            b.task(s, 0.1);
-        }
-        b.build()
-    }
-
-    #[test]
-    fn prefetch_hides_stalls_without_changing_traffic() {
-        let trace = remote_read_trace(8);
-        let off = try_run(&trace, &cfg(8, LocalityMode::Locality)).expect("simulation failed");
-        let mut c = cfg(8, LocalityMode::Locality);
-        c.prefetch = true;
-        let (on, events) = try_run_traced(&trace, &c).expect("simulation failed");
-        assert_eq!(on.tasks_executed, off.tasks_executed);
-        // Same coherence traffic, shorter stalls.
-        assert_eq!(on.bytes_moved, off.bytes_moved);
-        assert!(
-            on.prefetches_issued > 0,
-            "remote reads should be prefetched"
-        );
-        assert!(on.prefetch_hits > 0, "valid prefetches should hit");
-        assert_eq!(on.prefetch_stale, 0, "nothing invalidates these lines");
-        assert!(
-            on.comm_time_s < off.comm_time_s,
-            "prefetch comm {} should undercut demand-fetch comm {}",
-            on.comm_time_s,
-            off.comm_time_s
-        );
-        assert!(
-            on.exec_time_s <= off.exec_time_s + 1e-9,
-            "prefetch must never slow the run: {} vs {}",
-            on.exec_time_s,
-            off.exec_time_s
-        );
-        jade_core::check_lifecycle(&events).unwrap();
-        let m = Metrics::from_events(&events, 8);
-        jade_core::check_conservation(&events, 8, m.makespan_ps).unwrap();
-    }
-
-    #[test]
-    fn prefetch_composes_with_aggregation() {
-        let trace = remote_read_trace(8);
-        let mut agg = cfg(8, LocalityMode::Locality);
-        agg.aggregate_fetches = true;
-        let base = try_run(&trace, &agg).expect("simulation failed");
-        let mut both = agg.clone();
-        both.prefetch = true;
-        let r = try_run(&trace, &both).expect("simulation failed");
-        assert_eq!(r.bytes_moved, base.bytes_moved);
-        assert_eq!(r.tasks_executed, base.tasks_executed);
-        assert!(
-            r.exec_time_s <= base.exec_time_s + 1e-9,
-            "{} vs {}",
-            r.exec_time_s,
-            base.exec_time_s
-        );
-    }
-
-    #[test]
-    fn prefetch_is_deterministic() {
-        let trace = remote_read_trace(12);
-        let mut c = cfg(8, LocalityMode::Locality);
-        c.prefetch = true;
-        let (a, ea) = try_run_traced(&trace, &c).expect("simulation failed");
-        let (b, eb) = try_run_traced(&trace, &c).expect("simulation failed");
-        assert_eq!(a.exec_time_s, b.exec_time_s);
-        assert_eq!(a.prefetch_hits, b.prefetch_hits);
-        assert_eq!(ea, eb, "event streams must be identical");
     }
 }

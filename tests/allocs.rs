@@ -410,30 +410,22 @@ fn dash_simulation_allocates_per_run_not_per_task() {
     let tasks = trace.task_count() as u64;
     let sec_per_op = pagerank::calib::DASH_STRIPPED_S / trace.total_work();
     for mode in [LocalityMode::Locality, LocalityMode::NoLocality] {
-        for prefetch in [false, true] {
-            let cfg = DashConfig {
-                prefetch,
-                ..DashConfig::paper(8, mode, sec_per_op)
-            };
-            // As above: the smallest of a few deterministic attempts.
-            let allocs = (0..3)
-                .map(|_| {
-                    let (allocs, r) = jade_bench::alloc::allocs_during(|| {
-                        jade_dash::try_run_folded(&trace, &cfg)
-                    });
-                    let r = r.expect("run completes");
-                    assert_eq!(r.tasks_executed as u64, tasks);
-                    assert_eq!(r.prefetches_issued > 0, prefetch, "{mode}");
-                    allocs
-                })
-                .min()
-                .expect("three attempts");
-            assert!(
-                4 * allocs <= tasks,
-                "{mode}, prefetch {prefetch}: {allocs} allocations for {tasks} simulated tasks \
-                 (limit one per four)"
-            );
-        }
+        let cfg = DashConfig::paper(8, mode, sec_per_op);
+        // As above: the smallest of a few deterministic attempts.
+        let allocs = (0..3)
+            .map(|_| {
+                let (allocs, r) =
+                    jade_bench::alloc::allocs_during(|| jade_dash::try_run_folded(&trace, &cfg));
+                let r = r.expect("run completes");
+                assert_eq!(r.tasks_executed as u64, tasks);
+                allocs
+            })
+            .min()
+            .expect("three attempts");
+        assert!(
+            4 * allocs <= tasks,
+            "{mode}: {allocs} allocations for {tasks} simulated tasks (limit one per four)"
+        );
     }
 }
 
