@@ -23,9 +23,9 @@
 //! an individual copy is lost); under a fault-free run the two
 //! conventions coincide with counting every transfer exactly once.
 //!
-//! This module is pure bookkeeping; the event-level costs (request/reply
-//! messages, broadcast trees, retry timers) live in the simulator
-//! (`crate::sim`).
+//! This module is pure bookkeeping; the event-level costs live in the
+//! simulator (`crate::sim`: broadcast trees) and its transport
+//! (`crate::net`: request/reply messages, retry timers).
 
 use dsim::ProcId;
 use jade_core::{ObjectId, Trace};
@@ -219,7 +219,7 @@ impl Communicator {
     /// return `false` and change nothing. Re-delivery of the current
     /// version is idempotent on the replica state but each accepted reply
     /// accounts its payload (the owner sent a full reply per request); the
-    /// simulator filters out *duplicated* copies of a single request before
+    /// transport filters out *duplicated* copies of a single request before
     /// calling this, using its per-task pending set.
     pub fn deliver(&mut self, p: ProcId, o: ObjectId, expected_version: u64, bytes: u64) -> bool {
         let i = o.index();

@@ -35,14 +35,17 @@
 #![forbid(unsafe_code)]
 
 mod communicator;
+mod config;
 mod costs;
+mod net;
 mod scheduler;
 mod sim;
 
 pub use communicator::{CommSnapshot, Communicator, ObjectTraffic};
+pub use config::{IpscConfig, IpscRunResult, PinnedSchedule};
 pub use jade_core::LocalityMode;
 pub use scheduler::{Decision, IpscScheduler};
-pub use sim::{try_run, try_run_folded, try_run_traced, IpscConfig, IpscRunResult, PinnedSchedule};
+pub use sim::{try_run, try_run_folded, try_run_traced};
 
 /// Why an iPSC/860 simulation could not produce a result: the one simulator
 /// error type. Fault injection makes failure a normal outcome — a plan can
