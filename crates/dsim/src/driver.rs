@@ -249,7 +249,8 @@ impl<'a, E, R: Sink> Core<'a, E, R> {
     }
 
     /// Occupy `p`'s timeline for `dur` from `now` and emit the matching
-    /// span. Returns when the work ends.
+    /// span. Returns when the work ends; work that ends past the clock
+    /// stops the run with an error.
     #[inline]
     pub fn occupy(
         &mut self,
@@ -260,6 +261,11 @@ impl<'a, E, R: Sink> Core<'a, E, R> {
         task: Option<TaskId>,
     ) -> SimTime {
         let end = self.pc.occupy(p, now, dur, kind);
+        if end == SimTime::MAX {
+            // The clock saturated: the run stops, with no span past it.
+            self.fatal.get_or_insert_with(past_the_clock);
+            return end;
+        }
         let component = match kind {
             TimeKind::App => Component::App,
             TimeKind::Comm => Component::Comm,
@@ -456,6 +462,12 @@ pub trait Machine<'a, R: Sink>: Sized {
     }
 }
 
+/// The error of a run whose work ends, or whose event falls, where the
+/// virtual clock saturates (`SimTime + SimDuration` does).
+fn past_the_clock() -> SimError {
+    SimError::InvalidMachine("the run outlives the virtual clock (2^64 ps, 213 days)".into())
+}
+
 /// The one simulation body: validate, build the machine around the core,
 /// run the calendar dry, and fold the result. Every event goes to the fold
 /// and to `rec`.
@@ -471,6 +483,10 @@ where
 {
     let mut sim = build(Core::new(trace, params, rec)?)?;
     while let Some((t, ev)) = sim.core().cal.pop() {
+        if t == SimTime::MAX {
+            sim.core().fatal = Some(past_the_clock());
+            break;
+        }
         match ev {
             Ev::MainStep => sim.main_step(t),
             Ev::Finish { proc, task } => sim.finish(proc, task, t),

@@ -113,11 +113,13 @@ fn secs_to_ps(s: f64) -> u64 {
     ps as u64
 }
 
+/// Saturates at [`SimTime::MAX`]: a run that gets there has outlived the
+/// clock, and the simulator driver stops it with an error.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.checked_add(d.0).expect("SimTime overflow"))
+        SimTime(self.0.saturating_add(d.0))
     }
 }
 
@@ -128,11 +130,13 @@ impl AddAssign<SimDuration> for SimTime {
     }
 }
 
+/// Saturates, as instants do: a sum of durations past the clock belongs to
+/// a run the driver stops.
 impl Add for SimDuration {
     type Output = SimDuration;
     #[inline]
     fn add(self, d: SimDuration) -> SimDuration {
-        SimDuration(self.0.checked_add(d.0).expect("SimDuration overflow"))
+        SimDuration(self.0.saturating_add(d.0))
     }
 }
 

@@ -1,11 +1,9 @@
 //! Micro-benchmarks of the runtime components themselves: the dependence
 //! graph every backend counts down, simulator event rates (and, under them, the calendar and
 //! the fault injector), the iPSC simulator on its two heaviest benchmark
-//! cells, trace generation, the real thread backend (one
-//! cold batch, and `submit` + `finish` per task on a warmed runtime in the
-//! benchmark's three fine-grain shapes), the multi-tenant service (a closed
-//! loop of small DAGs, per task), building an access specification, and
-//! element access through a store guard.
+//! cells, trace generation, building an access specification, and element
+//! access through a store guard. The thread backend and the service are
+//! timed by `benchmark/` (`threads-fine`, `service-mix`).
 //!
 //! And the applications themselves: trace generation of each paper
 //! configuration and each `threads-apps` configuration on one worker.
@@ -16,11 +14,8 @@
 
 use dsim::{Calendar, FaultInjector, FaultPlan, SimDuration};
 use jade_core::LocalityMode;
-use jade_core::{
-    AccessSpec, Countdown, DepGraph, Handle, JadeRuntime, NullSink, ObjectId, Store, TaskBuilder,
-    TaskDef, Trace, TraceBuilder,
-};
-use jade_threads::{JadeService, Outcome, Program, ServiceConfig, TenantOptions, ThreadRuntime};
+use jade_core::{AccessSpec, Countdown, DepGraph, NullSink, ObjectId, Store, Trace, TraceBuilder};
+use jade_threads::ThreadRuntime;
 
 fn bench(name: &str, iters: u32, mut f: impl FnMut()) {
     // One warm-up iteration, then the timed batch.
@@ -308,221 +303,6 @@ fn apps() {
     }
 }
 
-fn thread_backend() {
-    let n = 500usize;
-    bench(&format!("thread_backend/independent_tasks/{n}"), 10, || {
-        let mut rt = ThreadRuntime::new(4);
-        let objs: Vec<_> = (0..n)
-            .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
-            .collect();
-        for (i, &o) in objs.iter().enumerate() {
-            rt.submit(TaskBuilder::new("w").wr(o).body(move |ctx| {
-                *ctx.wr(o) = i as u64;
-            }));
-        }
-        rt.finish();
-    });
-}
-
-/// One 4096-task batch of each of `benchmark/`'s `threads-fine` shapes over
-/// the given objects: 16 independent counter chains, a 64 x 64 wavefront,
-/// and one writer followed by 255 readers, sixteen times over.
-fn fine_batch(shape: &str, counters: &[Handle<u64>], grid: &[Handle<u64>]) -> Vec<TaskDef> {
-    const SIDE: usize = 64;
-    let cell = |i: usize, j: usize| grid[i * SIDE + j];
-    (0..SIDE * SIDE)
-        .map(|k| match shape {
-            "indep" => {
-                let c = counters[k % counters.len()];
-                TaskBuilder::new("inc")
-                    .rd_wr(c)
-                    .body(move |ctx| *ctx.wr(c) += 1)
-            }
-            "wavefront" => {
-                let (i, j) = (k / SIDE, k % SIDE);
-                let me = cell(i, j);
-                let left = (j > 0).then(|| cell(i, j - 1));
-                let up = (i > 0).then(|| cell(i - 1, j));
-                let mut task = TaskBuilder::new("cell");
-                for h in left.iter().chain(&up) {
-                    task = task.rd(*h);
-                }
-                task.rd_wr(me).body(move |ctx| {
-                    let l = left.map_or(0, |h| *ctx.rd(h));
-                    let u = up.map_or(0, |h| *ctx.rd(h));
-                    let mut v = ctx.wr(me);
-                    *v = l.max(u).max(*v) + 1;
-                })
-            }
-            _ => {
-                let cast = counters[0];
-                if k % 256 == 0 {
-                    TaskBuilder::new("write")
-                        .rd_wr(cast)
-                        .body(move |ctx| *ctx.wr(cast) += 1)
-                } else {
-                    TaskBuilder::new("read").rd(cast).body(move |ctx| {
-                        std::hint::black_box(*ctx.rd(cast));
-                    })
-                }
-            }
-        })
-        .collect()
-}
-
-/// The executor's own cost per task: near-empty bodies, one warmed runtime,
-/// tasks built outside the clock, `submit` + `finish` inside it — at the
-/// worker count `benchmark/` uses and at one worker (where no task is ever
-/// stolen or routed). The per-layer baseline the next executor change is
-/// read against.
-fn threads_submit_finish() {
-    let wide = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
-    for workers in [wide, 1] {
-        let mut rt = ThreadRuntime::new(workers);
-        let counters: Vec<_> = (0..16)
-            .map(|i| rt.create(&format!("c{i}"), 8, 0u64))
-            .collect();
-        let grid: Vec<_> = (0..64 * 64)
-            .map(|i| rt.create(&format!("g{i}"), 8, 0u64))
-            .collect();
-        for shape in ["indep", "wavefront", "bcast"] {
-            let (batches, mut secs, mut tasks) = (24, 0.0, 0usize);
-            for batch in 0..=batches {
-                let defs = fine_batch(shape, &counters, &grid);
-                let n = defs.len();
-                let start = std::time::Instant::now();
-                for def in defs {
-                    rt.submit(def);
-                }
-                rt.finish();
-                // The first batch of a shape sizes the slabs: not timed.
-                if batch > 0 {
-                    secs += start.elapsed().as_secs_f64();
-                    tasks += n;
-                }
-            }
-            let name = format!("threads/submit_finish/{shape}_4096/w{workers}");
-            let per_task = secs * 1e9 / tasks as f64;
-            println!("{name:>32}  {per_task:>12.1} ns/task  ({batches} batches)");
-        }
-    }
-}
-
-/// DAG number `i` of `benchmark/`'s `service-mix` shapes, five chains of 16,
-/// three 1 -> 14 -> 1 fans and two 8 x 8 wavefronts in every ten, with the
-/// object its last task writes and the value a serial run leaves there.
-fn mix_dag(i: usize) -> (Program, Handle<u64>, u64) {
-    let mut prog = Program::new();
-    match i % 10 {
-        1 | 4 | 7 => {
-            let src = prog.create("src", 8, 0u64);
-            let mids: Vec<_> = (0..14)
-                .map(|k| prog.create(format!("m{k}"), 8, 0u64))
-                .collect();
-            let out = prog.create("out", 8, 0u64);
-            prog.submit(
-                TaskBuilder::new("src")
-                    .wr(src)
-                    .body(move |ctx| *ctx.wr(src) = 3),
-            );
-            for (k, &m) in mids.iter().enumerate() {
-                prog.submit(
-                    TaskBuilder::new("mid")
-                        .rd(src)
-                        .wr(m)
-                        .body(move |ctx| *ctx.wr(m) = *ctx.rd(src) * (k as u64 + 1)),
-                );
-            }
-            let mut join = TaskBuilder::new("join");
-            for &m in &mids {
-                join = join.rd(m);
-            }
-            prog.submit(join.wr(out).body(move |ctx| {
-                *ctx.wr(out) = mids.iter().map(|&m| *ctx.rd(m)).sum();
-            }));
-            (prog, out, 3 * (14 * 15 / 2))
-        }
-        3 | 8 => {
-            const SIDE: usize = 8;
-            let cells: Vec<_> = (0..SIDE * SIDE)
-                .map(|c| prog.create(format!("c{c}"), 8, 0u64))
-                .collect();
-            for c in 0..SIDE * SIDE {
-                let me = cells[c];
-                let left = (c % SIDE > 0).then(|| cells[c - 1]);
-                let up = (c >= SIDE).then(|| cells[c - SIDE]);
-                let mut task = TaskBuilder::new("cell");
-                for h in left.iter().chain(&up) {
-                    task = task.rd(*h);
-                }
-                prog.submit(task.rd_wr(me).body(move |ctx| {
-                    let l = left.map_or(0, |h| *ctx.rd(h));
-                    let u = up.map_or(0, |h| *ctx.rd(h));
-                    *ctx.wr(me) = l.max(u) + 1;
-                }));
-            }
-            (prog, cells[SIDE * SIDE - 1], (2 * SIDE - 1) as u64)
-        }
-        _ => {
-            let acc = prog.create("acc", 8, 0u64);
-            for _ in 0..16 {
-                prog.submit(
-                    TaskBuilder::new("link")
-                        .rd_wr(acc)
-                        .body(move |ctx| *ctx.wr(acc) += 1),
-                );
-            }
-            (prog, acc, 16)
-        }
-    }
-}
-
-/// The service's cost per task: 1 200 of those DAGs through one warmed
-/// `JadeService`, closed loop with sixteen outstanding, programs built
-/// outside the clock, `submit` and `wait` inside it — at the worker count
-/// `benchmark/` uses (never fewer than two: what a second worker costs is
-/// the question) and at one worker. The per-layer baseline the next service
-/// change is read against, and only under `taskset -c 0`, which is how
-/// `benchmark/` times `service-mix` (+-15 % there): unpinned, every park and
-/// wake crosses cores, and on the two-vCPU reference host that costs
-/// 0.55-0.77 us a task in one minute and 3.4-6.8 us in the next.
-fn service_mix() {
-    const DAGS: usize = 1_200;
-    const WINDOW: usize = 16;
-    let wide = std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4));
-    for workers in [wide, 1] {
-        let svc = JadeService::new(ServiceConfig::new(workers));
-        let (passes, mut secs, mut tasks) = (8, 0.0, 0usize);
-        for pass in 0..=passes {
-            let dags: Vec<_> = (0..DAGS).map(mix_dag).collect();
-            let n: usize = dags.iter().map(|d| d.0.task_count()).sum();
-            let mut outstanding = std::collections::VecDeque::new();
-            let reap = |(id, out, expect)| {
-                let r = svc.wait(id);
-                assert_eq!(r.outcome, Outcome::Completed);
-                assert_eq!(*r.store.read::<u64>(out), expect);
-            };
-            let start = std::time::Instant::now();
-            for (prog, out, expect) in dags {
-                if outstanding.len() == WINDOW {
-                    reap(outstanding.pop_front().expect("window is full"));
-                }
-                let id = svc.submit(prog, TenantOptions::default()).unwrap();
-                outstanding.push_back((id, out, expect));
-            }
-            outstanding.into_iter().for_each(reap);
-            // The first pass sizes the spare slots: not timed.
-            if pass > 0 {
-                secs += start.elapsed().as_secs_f64();
-                tasks += n;
-            }
-        }
-        let name = format!("service/mix_{DAGS}/w{workers}");
-        let per_task = secs * 1e9 / tasks as f64;
-        println!("{name:>32}  {per_task:>12.1} ns/task  ({passes} passes)");
-    }
-}
-
 /// Building a specification of one, three (the most held inline) and eight
 /// declarations (spilled). An iteration builds 100 000: µs/iter ÷ 100 is
 /// nanoseconds each.
@@ -579,9 +359,6 @@ fn main() {
     dsim_per_message();
     trace_generation();
     apps();
-    thread_backend();
-    threads_submit_finish();
-    service_mix();
     access_spec_build();
     store_guard_index();
 }

@@ -9,15 +9,10 @@ use crate::harness::{header, row, Harness, Machine, Run, PROCS};
 use crate::paper_data::{self, ExecTable};
 use dsim::{FaultPlan, SimDuration};
 use jade_apps::water::{self, WaterOutput};
-use jade_core::{check_lifecycle, EventKind, Handle, LocalityMode, TaskBuilder, TenantId};
+use jade_core::LocalityMode;
 use jade_dash::DashConfig;
 use jade_ipsc::{IpscConfig, IpscRunResult};
-use jade_threads::{
-    JadeService, Outcome, Program, ServiceConfig, SubmitError, TenantOptions, ThreadRuntime,
-};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use jade_threads::ThreadRuntime;
 
 /// One experiment `repro` can run.
 pub struct Experiment {
@@ -232,7 +227,7 @@ pub fn catalogue() -> Vec<Experiment> {
         let groups = if name == "utilization" { ALONE } else { ALL };
         c.push(show(name, groups, title, run));
     }
-    let sweeps: [(&str, &str, Gate); 6] = [
+    let sweeps: [(&str, &str, Gate); 5] = [
         ("fault-sweep", "DESIGN.md §11: fault recovery", fault_sweep),
         (
             "checkpoint-sweep",
@@ -245,7 +240,6 @@ pub fn catalogue() -> Vec<Experiment> {
             aggregation_sweep,
         ),
         ("overlap-sweep", "DESIGN.md §17: prefetch", overlap_sweep),
-        ("service-stress", "DESIGN.md §16: service", service_stress),
         ("tune-sweep", "DESIGN.md §19: self-tuning", tune_sweep),
     ];
     c.extend(sweeps.map(|(name, title, run)| gate(name, ALONE, title, run)));
@@ -1009,482 +1003,6 @@ fn overlap_sweep(h: &mut Harness) -> Result<(), String> {
     println!("  overlap sweep passed: communication hidden, never added");
     Ok(())
 }
-// ---------------------------------------------------------------------------
-// Multi-tenant service stress (DESIGN.md §16)
-// ---------------------------------------------------------------------------
-
-/// Tenant classes mixed into the stress stream, keyed by DAG index so the
-/// mix is deterministic and every submitter thread sees every class.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TenantClass {
-    /// Plain DAG: must complete with bit-exact output and zero recoveries.
-    Clean,
-    /// Injected crashes (`panic_p`): must still complete bit-exact.
-    Faulty,
-    /// Zero wall-clock budget: must cancel before any task completes.
-    Deadline,
-    /// A genuinely buggy task body: must fail alone; the pool survives.
-    Buggy,
-}
-
-impl TenantClass {
-    fn of(i: usize) -> TenantClass {
-        match i % 10 {
-            7 => TenantClass::Faulty,
-            8 => TenantClass::Deadline,
-            9 => TenantClass::Buggy,
-            _ => TenantClass::Clean,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            TenantClass::Clean => "clean",
-            TenantClass::Faulty => "faulty",
-            TenantClass::Deadline => "deadline",
-            TenantClass::Buggy => "buggy",
-        }
-    }
-}
-
-/// A few microseconds of busy work per task, so the shared pool drains
-/// slower than the submitters produce and backpressure genuinely engages.
-fn stress_spin() {
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    for _ in 0..6_000 {
-        x = std::hint::black_box(x)
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-    }
-    std::hint::black_box(x);
-}
-
-/// Serial chain folding task indices into one accumulator.
-fn stress_chain(len: usize) -> (Program, Handle<u64>, u64) {
-    let mut prog = Program::new();
-    let h = prog.create("acc", 8, 0u64);
-    let mut want = 0u64;
-    for i in 0..len {
-        want = want.wrapping_mul(31).wrapping_add(i as u64 + 1);
-        prog.submit(TaskBuilder::new("svc-chain").rd_wr(h).body(move |ctx| {
-            stress_spin();
-            let mut v = ctx.wr(h);
-            *v = v.wrapping_mul(31).wrapping_add(i as u64 + 1);
-        }));
-    }
-    (prog, h, want)
-}
-
-/// Fan-out / fan-in: `w` independent writers joined by one summing task.
-fn stress_diamond(w: usize) -> (Program, Handle<u64>, u64) {
-    let mut prog = Program::new();
-    let slots: Vec<Handle<u64>> = (0..w)
-        .map(|i| prog.create(format!("slot{i}"), 8, 0u64))
-        .collect();
-    let acc = prog.create("acc", 8, 0u64);
-    for (i, &s) in slots.iter().enumerate() {
-        prog.submit(TaskBuilder::new("svc-fan").wr(s).body(move |ctx| {
-            stress_spin();
-            *ctx.wr(s) = (i as u64 + 1) * (i as u64 + 1);
-        }));
-    }
-    let mut join = TaskBuilder::new("svc-join").rd_wr(acc);
-    for &s in &slots {
-        join = join.rd(s);
-    }
-    prog.submit(join.body(move |ctx| {
-        let mut sum = 0u64;
-        for &s in &slots {
-            sum = sum.wrapping_add(*ctx.rd(s));
-        }
-        *ctx.wr(acc) = sum;
-    }));
-    let want = (1..=w as u64).map(|i| i * i).fold(0u64, u64::wrapping_add);
-    (prog, acc, want)
-}
-
-/// One good task, then a task whose body has a real bug.
-fn stress_buggy() -> (Program, Handle<u64>, u64) {
-    let mut prog = Program::new();
-    let h = prog.create("acc", 8, 0u64);
-    prog.submit(TaskBuilder::new("svc-ok").rd_wr(h).body(move |ctx| {
-        *ctx.wr(h) += 1;
-    }));
-    prog.submit(TaskBuilder::new("svc-bug").rd_wr(h).body(move |_ctx| {
-        panic!("tenant bug");
-    }));
-    (prog, h, 0)
-}
-
-fn stress_program(class: TenantClass, i: usize) -> (Program, Handle<u64>, u64) {
-    match class {
-        TenantClass::Buggy => stress_buggy(),
-        _ if i.is_multiple_of(3) => stress_diamond(3 + i % 5),
-        _ => stress_chain(3 + i % 8),
-    }
-}
-
-fn outcome_name(o: &Outcome) -> &'static str {
-    match o {
-        Outcome::Completed => "completed",
-        Outcome::DeadlineExceeded => "deadline_exceeded",
-        Outcome::Failed(_) => "failed",
-    }
-}
-
-/// One tenant awaiting `wait()`: id, class, output handle, expected output,
-/// task count.
-type Inflight = (TenantId, TenantClass, Handle<u64>, u64, usize);
-
-/// Per-tenant JSON row: id, class, outcome, tasks, completed, recoveries.
-type TenantRow = (u32, TenantClass, &'static str, usize, usize, usize);
-
-/// What the submitter threads collect: failed per-tenant checks, the JSON
-/// rows, and three counters.
-#[derive(Default)]
-struct Tally {
-    errors: Mutex<Vec<String>>,
-    rows: Mutex<Vec<TenantRow>>,
-    overloads: AtomicUsize,
-    recoveries: AtomicUsize,
-    /// Re-executions the completed tenants' own event streams record.
-    reexecs: AtomicUsize,
-}
-
-impl Tally {
-    /// Wait for every in-flight tenant and verify its report against its
-    /// class, and a completed tenant's event stream on its own: lifecycle
-    /// chains and counter self-consistency.
-    fn settle(&self, svc: &JadeService, inflight: &mut Vec<Inflight>) {
-        for (id, class, want_h, want, tasks) in inflight.drain(..) {
-            let r = svc.wait(id);
-            let fail = |why: String| {
-                self.errors
-                    .lock()
-                    .unwrap()
-                    .push(format!("tenant {id} ({}): {why}", class.name()));
-            };
-            match class {
-                TenantClass::Clean | TenantClass::Faulty => {
-                    if r.outcome != Outcome::Completed {
-                        fail(format!("outcome {:?}, want Completed", r.outcome));
-                    } else {
-                        let got = *r.store.read(want_h);
-                        if got != want {
-                            fail(format!("output {got:#x}, want {want:#x}"));
-                        }
-                        if r.tasks_completed != tasks {
-                            fail(format!("{}/{tasks} tasks completed", r.tasks_completed));
-                        }
-                        if class == TenantClass::Clean && r.recoveries != 0 {
-                            fail(format!("{} recoveries without a fault plan", r.recoveries));
-                        }
-                        if let Err(e) = check_lifecycle(&r.events) {
-                            fail(format!("lifecycle: {e}"));
-                        }
-                        let m = r.metrics(svc.workers());
-                        let attempts = m.tasks_completed + m.tasks_reexecuted as usize;
-                        if m.tasks_completed != m.tasks_created || m.tasks_started != attempts {
-                            let (c, s) = (m.tasks_created, m.tasks_started);
-                            fail(format!(
-                                "event stream: {c} created, {s} started, {attempts} attempts"
-                            ));
-                        }
-                        self.reexecs
-                            .fetch_add(m.tasks_reexecuted as usize, Ordering::Relaxed);
-                    }
-                    self.recoveries.fetch_add(r.recoveries, Ordering::Relaxed);
-                }
-                TenantClass::Deadline => {
-                    if r.outcome != Outcome::DeadlineExceeded {
-                        fail(format!("outcome {:?}, want DeadlineExceeded", r.outcome));
-                    }
-                    if r.tasks_completed != 0 {
-                        fail(format!(
-                            "{} tasks completed under a zero budget",
-                            r.tasks_completed
-                        ));
-                    }
-                    if r.tasks_cancelled != tasks {
-                        fail(format!("{}/{tasks} tasks cancelled", r.tasks_cancelled));
-                    }
-                }
-                TenantClass::Buggy => match &r.outcome {
-                    Outcome::Failed(msg) if msg.contains("tenant bug") => {}
-                    other => fail(format!("outcome {other:?}, want Failed(tenant bug)")),
-                },
-            }
-            self.rows.lock().unwrap().push((
-                id.0,
-                class,
-                outcome_name(&r.outcome),
-                r.tasks_total,
-                r.tasks_completed,
-                r.recoveries,
-            ));
-        }
-    }
-}
-
-/// `repro service-stress`: thousands of independent DAGs from concurrent
-/// submitters over one shared worker pool, with injected-fault, zero-
-/// deadline and genuinely buggy tenants mixed in. Hard gates: every clean
-/// and faulty tenant completes bit-exact, every deadline tenant cancels
-/// with zero completions, every buggy tenant fails alone, backpressure
-/// engages at least once, every completed tenant's event stream passes the
-/// lifecycle check, and event-stream re-executions reconcile with reported
-/// recoveries. Writes `SERVICE_tenants.json` (per-tenant metrics artifact).
-fn service_stress(h: &mut Harness) -> Result<(), String> {
-    let total: usize = if h.quick { 400 } else { 3000 };
-    let submitters = 4usize;
-    let workers = 4usize;
-    let batch = 16usize;
-
-    println!("\nMulti-tenant service stress");
-    println!(
-        "  {total} DAGs from {submitters} submitters over {workers} workers \
-         (max_active=6, max_pending=8)"
-    );
-
-    let mut cfg = ServiceConfig::new(workers);
-    cfg.max_active = 6;
-    cfg.max_pending = 8; // deliberately tight: backpressure must engage
-    let svc = JadeService::new(cfg);
-
-    // Buggy tenants genuinely panic inside pool workers; the default hook
-    // would spray backtraces over the report. Silence it for the duration.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-
-    let tally = Tally::default();
-    std::thread::scope(|s| {
-        for t in 0..submitters {
-            let (svc, tally) = (&svc, &tally);
-            s.spawn(move || {
-                let mut inflight: Vec<Inflight> = Vec::new();
-                let mut i = t;
-                while i < total {
-                    let class = TenantClass::of(i);
-                    let mut opts = TenantOptions::default().with_weight(1 + (i % 3) as u32);
-                    match class {
-                        TenantClass::Faulty => {
-                            opts = opts.with_faults(FaultPlan {
-                                panic_p: 0.3,
-                                seed: 0x5eed + i as u64,
-                                ..FaultPlan::none()
-                            });
-                        }
-                        TenantClass::Deadline => opts = opts.with_deadline(Duration::ZERO),
-                        _ => {}
-                    }
-                    let admitted = loop {
-                        // Rebuilt per attempt: `submit` consumes the program.
-                        let (prog, want_h, want) = stress_program(class, i);
-                        let tasks = prog.task_count();
-                        match svc.submit(prog, opts.clone()) {
-                            Ok(id) => break Some((id, class, want_h, want, tasks)),
-                            Err(SubmitError::Overloaded { .. }) => {
-                                tally.overloads.fetch_add(1, Ordering::Relaxed);
-                                // Overload is backpressure, not failure:
-                                // settle our own backlog and try again.
-                                tally.settle(svc, &mut inflight);
-                                std::thread::sleep(Duration::from_micros(100));
-                            }
-                            Err(e) => {
-                                let why = format!("DAG {i} rejected: {e}");
-                                tally.errors.lock().unwrap().push(why);
-                                break None;
-                            }
-                        }
-                    };
-                    inflight.extend(admitted);
-                    if inflight.len() >= batch {
-                        tally.settle(svc, &mut inflight);
-                    }
-                    i += submitters;
-                }
-                tally.settle(svc, &mut inflight);
-            });
-        }
-    });
-
-    std::panic::set_hook(default_hook);
-    svc.shutdown();
-
-    let errors = tally.errors.into_inner().unwrap();
-    if !errors.is_empty() {
-        for e in errors.iter().take(10) {
-            println!("  FAIL {e}");
-        }
-        return Err(format!(
-            "service stress: {} per-tenant check(s) failed",
-            errors.len()
-        ));
-    }
-
-    let mut rows = tally.rows.into_inner().unwrap();
-    rows.sort_by_key(|r| r.0);
-    same("service stress", "report count", &rows.len(), &total)?;
-
-    // The class mix is a pure function of the index, so the outcome tallies
-    // are exact, not statistical.
-    let mut want_mix = [0usize; 4];
-    for i in 0..total {
-        want_mix[TenantClass::of(i) as usize] += 1;
-    }
-    let mut got_mix = [0usize; 4];
-    for r in &rows {
-        got_mix[r.1 as usize] += 1;
-    }
-    same("service stress", "class mix", &got_mix, &want_mix)?;
-    let count = |outcome| rows.iter().filter(|r| r.2 == outcome).count();
-    let (completed, deadline, failed) = (
-        count("completed"),
-        count("deadline_exceeded"),
-        count("failed"),
-    );
-    let want = (
-        want_mix[TenantClass::Clean as usize] + want_mix[TenantClass::Faulty as usize],
-        want_mix[TenantClass::Deadline as usize],
-        want_mix[TenantClass::Buggy as usize],
-    );
-    same(
-        "service stress",
-        "outcome tallies",
-        &(completed, deadline, failed),
-        &want,
-    )?;
-
-    let recov = tally.recoveries.into_inner();
-    let label = "service stress event streams";
-    same_tasks(label, tally.reexecs.into_inner(), recov)?;
-    let overload_n = tally.overloads.into_inner();
-    if overload_n == 0 {
-        return Err("backpressure never engaged: no Overloaded rejection all run".to_string());
-    }
-    if recov == 0 {
-        return Err("no injected-crash recoveries: the fault mix never fired".to_string());
-    }
-
-    // Heavy-skew fairness: a weight-8 tenant with a big DAG against a
-    // weight-1 tenant on one worker, so dispatch order *is* the fairness
-    // policy. The fair-share credit cap must bound the heavy tenant's
-    // bursts (the ROADMAP starvation note).
-    let skew_gap = {
-        use std::sync::{Arc, Condvar};
-        let svc = JadeService::new(ServiceConfig::new(1));
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let mut blocker = Program::new();
-        let hb = blocker.create("b", 8, 0u64);
-        let g = Arc::clone(&gate);
-        blocker.submit(TaskBuilder::new("block").rd_wr(hb).body(move |_| {
-            let (m, cv) = &*g;
-            let mut open = m.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        }));
-        let wide = |n: usize| {
-            let mut prog = Program::new();
-            let hs: Vec<Handle<u64>> = (0..n)
-                .map(|i| prog.create(format!("s{i}"), 8, 0u64))
-                .collect();
-            for (i, &hh) in hs.iter().enumerate() {
-                prog.submit(TaskBuilder::new("wide").rd_wr(hh).body(move |ctx| {
-                    *ctx.wr(hh) = i as u64 + 1;
-                }));
-            }
-            prog
-        };
-        let b = svc
-            .submit(blocker, TenantOptions::default())
-            .map_err(|e| format!("skew blocker rejected: {e}"))?;
-        while svc.active_len() == 0 {
-            std::thread::yield_now();
-        }
-        let heavy = svc
-            .submit(wide(64), TenantOptions::default().with_weight(8))
-            .map_err(|e| format!("skew heavy tenant rejected: {e}"))?;
-        let light = svc
-            .submit(wide(16), TenantOptions::default().with_weight(1))
-            .map_err(|e| format!("skew light tenant rejected: {e}"))?;
-        {
-            let (m, cv) = &*gate;
-            *m.lock().unwrap() = true;
-            cv.notify_all();
-        }
-        let _ = svc.wait(b);
-        // The service-global clock orders the two streams' dispatches.
-        let mut dispatches: Vec<(u64, TenantId)> = [svc.wait(heavy), svc.wait(light)]
-            .iter()
-            .flat_map(|r| r.events.iter().map(move |e| (e, r.tenant)))
-            .filter(|(e, _)| matches!(e.kind, EventKind::TaskDispatched { .. }))
-            .map(|(e, t)| (e.time_ps, t))
-            .collect();
-        dispatches.sort_unstable();
-        let light_picks: Vec<usize> = (0..dispatches.len())
-            .filter(|&i| dispatches[i].1 == light)
-            .collect();
-        let max_gap = light_picks
-            .windows(2)
-            .map(|p| p[1] - p[0])
-            .max()
-            .unwrap_or(0);
-        // Between two light dispatches both tenants are continuously ready,
-        // so the cap (CREDIT_CAP_MAX / 2 ready tenants) bounds every heavy
-        // stretch even though heavy's weight is 8.
-        let bound = (jade_threads::service::CREDIT_CAP_MAX / 2) as usize + 1;
-        if max_gap > bound {
-            return Err(format!(
-                "skewed scenario: light tenant starved, dispatch gap {max_gap} > {bound}"
-            ));
-        }
-        svc.shutdown();
-        println!(
-            "  skewed scenario: weight 8-vs-1, max light-tenant dispatch gap \
-             {max_gap} (bound {bound})"
-        );
-        max_gap
-    };
-
-    let tenants: Vec<String> = rows
-        .iter()
-        .map(|(id, class, outcome, tasks, done, rec)| {
-            format!(
-                "{{ \"tenant\": {id}, \"class\": \"{}\", \"outcome\": \"{outcome}\", \
-                 \"tasks\": {tasks}, \"completed\": {done}, \"recoveries\": {rec} }}",
-                class.name()
-            )
-        })
-        .collect();
-    let fields = [
-        ("schema", "\"jade-service-stress/v1\"".to_string()),
-        ("quick", h.quick.to_string()),
-        ("dags", total.to_string()),
-        ("workers", workers.to_string()),
-        ("submitters", submitters.to_string()),
-        ("overload_rejections", overload_n.to_string()),
-        ("recoveries", recov.to_string()),
-        (
-            "outcomes",
-            format!(
-                "{{ \"completed\": {completed}, \"deadline_exceeded\": {deadline}, \
-                 \"failed\": {failed} }}"
-            ),
-        ),
-        ("skew_max_dispatch_gap", skew_gap.to_string()),
-    ];
-    write_rows("SERVICE_tenants.json", &fields, "tenants", &tenants)?;
-    println!("  wrote SERVICE_tenants.json ({} tenants)", rows.len());
-
-    println!(
-        "PASS service-stress: {total} DAGs ({completed} completed, {deadline} \
-         deadline-exceeded, {failed} failed), {overload_n} overload rejections, \
-         {recov} recoveries, skew gap {skew_gap}, per-tenant lifecycle green"
-    );
-    Ok(())
-}
-
 /// Tune sweep (DESIGN.md §19): on every application, cross a static grid of
 /// hand-set knob values (adaptive-broadcast evidence margin × checkpoint
 /// interval) under one fault plan, then run the feedback controller against
@@ -1682,12 +1200,6 @@ mod tests {
                 assert!(h.run(m, app, 2, LocalityMode::Locality).exec_time_s > 0.0);
             }
         }
-    }
-
-    #[test]
-    fn service_stress_quick_passes() {
-        let mut h = Harness::new(true);
-        service_stress(&mut h).expect("service stress");
     }
 
     #[test]

@@ -3,9 +3,6 @@
 //! under the target's temp dir, so `tune-sweep` never rewrites the tracked
 //! `TUNE_sweep.json`. On a mismatch the failure message prints the new
 //! table, ready to paste in as source.
-//!
-//! `service-stress` is not pinned: its overload count depends on thread
-//! timing.
 
 use std::path::PathBuf;
 use std::process::Command;

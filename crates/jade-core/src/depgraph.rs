@@ -191,6 +191,23 @@ impl DepGraph {
         self.walk.writer.len()
     }
 
+    /// Declarations over all tasks, numbered task after task.
+    pub(crate) fn declarations(&self) -> usize {
+        self.decls.last().map_or(0, |&k| k as usize)
+    }
+
+    /// Task `id`'s declarations, numbered as [`declarations`](Self::declarations) are.
+    pub(crate) fn decls_of(&self, id: TaskId) -> Range<usize> {
+        self.decls[id.index()] as usize..self.decls[id.index() + 1] as usize
+    }
+
+    /// The position of `object` in task `id`'s specification, if it is
+    /// there and the graph kept the declarations ([`build`](Self::build)'s does not).
+    pub(crate) fn position_of(&self, id: TaskId, object: ObjectId) -> Option<usize> {
+        let decls = self.walk.decls.get(self.decls_of(id))?;
+        decls.iter().position(|d| d.object == object)
+    }
+
     /// Call `count_down` on each slice of successors task `id` counts down
     /// when it releases its declaration `release` (by position in its
     /// specification): that declaration's sub-row. Or when it completes

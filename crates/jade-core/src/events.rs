@@ -20,7 +20,8 @@
 //! * [`check_lifecycle`] / [`check_conservation`] — structural invariants:
 //!   every task has exactly one created → dispatched → started → completed
 //!   chain, and per-processor busy intervals tile the simulated makespan
-//!   without overlap;
+//!   without overlap; [`check_order`] — no task starts, or is enabled,
+//!   before its predecessors in the dependence graph gave up its edges;
 //! * [`crate::chrome`] — a Chrome `trace_event` exporter so any run can be
 //!   opened in `chrome://tracing` / Perfetto.
 //!
@@ -30,6 +31,7 @@
 //! every event, [`MetricsFold`] aggregates without storing, and a pair
 //! `(A, B)` does both.
 
+use crate::depgraph::DepGraph;
 use crate::ids::{ObjectId, ProcId, TaskId};
 
 /// Which component of the implementation a busy interval belongs to — the
@@ -960,6 +962,96 @@ pub fn check_lifecycle(events: &[Event]) -> Result<(), String> {
     Ok(())
 }
 
+/// Verify that a run obeyed `graph`, the dependence graph of its program
+/// (DESIGN.md §4), comparing events by stream position:
+///
+/// * every `TaskStarted`, a re-execution's included, comes after each edge
+///   into the task was given up: by the predecessor's `AccessReleased` of
+///   the declaration the edge leaves from, if it released it mid-task,
+///   else by its `TaskCompleted`;
+/// * a created task whose edges were all given up has its `TaskEnabled` at
+///   the event that gave up the last of them, or at its `TaskCreated` if
+///   that is later: after it, and before the next creation, completion or
+///   release. A task with an edge never given up has none.
+///
+/// Tasks never created are not checked, so a cancelled run passes as far
+/// as it went. Matching a release to its declaration needs the
+/// declarations a graph from [`DepGraph::rebuild`] keeps; the graph of
+/// [`DepGraph::build`] checks streams without releases, as every replay of
+/// a trace is. O(events + edges).
+pub fn check_order(graph: &DepGraph, events: &[Event]) -> Result<(), String> {
+    const NEVER: usize = usize::MAX;
+    let at = |pos| match pos {
+        NEVER => "never".to_string(),
+        pos => format!("at #{pos}"),
+    };
+    let n = graph.preds().len();
+    let task = |pos: usize, e: &Event| match e.task {
+        Some(id) if id.index() < n => Ok(id.index()),
+        _ => Err(format!(
+            "{} at #{pos} names none of {n} tasks",
+            e.kind.name()
+        )),
+    };
+    let [mut created, mut enabled, mut completed] = [(); 3].map(|_| vec![NEVER; n]);
+    // Per declaration, numbered task after task: its mid-task release.
+    let mut released = vec![NEVER; graph.declarations()];
+    // Per position: the creations, completions and releases before it.
+    let mut transitions = vec![0u32; events.len() + 1];
+    for (pos, e) in events.iter().enumerate() {
+        transitions[pos + 1] = transitions[pos];
+        let slot = match e.kind {
+            EventKind::TaskCreated => &mut created[task(pos, e)?],
+            EventKind::TaskEnabled => &mut enabled[task(pos, e)?],
+            EventKind::TaskCompleted => &mut completed[task(pos, e)?],
+            EventKind::AccessReleased => {
+                let id = TaskId(task(pos, e)? as u32);
+                let decl = e.object.and_then(|o| graph.position_of(id, o));
+                let decl = decl.ok_or(format!("#{pos} releases what the graph does not know"))?;
+                &mut released[graph.decls_of(id).start + decl]
+            }
+            _ => continue,
+        };
+        if *slot != NEVER {
+            return Err(format!("{} at #{pos} repeats #{slot}", e.kind.name()));
+        }
+        *slot = pos;
+        transitions[pos + 1] += u32::from(e.kind != EventKind::TaskEnabled);
+    }
+    // Per task: where the last edge into it was given up, 0 if it has none.
+    let mut ready = vec![0; n];
+    for p in (0..n).map(|p| TaskId(p as u32)) {
+        for (decl, k) in graph.decls_of(p).enumerate() {
+            let given_up = released[k].min(completed[p.index()]);
+            graph.give_up(p, Some(decl), &[], |row| {
+                row.iter()
+                    .for_each(|s| ready[s.index()] = ready[s.index()].max(given_up))
+            });
+        }
+    }
+    for (pos, e) in events.iter().enumerate() {
+        if e.kind == EventKind::TaskStarted && ready[task(pos, e)?] > pos {
+            let s = task(pos, e)?;
+            return Err(format!(
+                "task#{s} started at #{pos}, ready {}",
+                at(ready[s])
+            ));
+        }
+    }
+    for s in 0..n {
+        let (last, e) = (ready[s].max(created[s]), enabled[s]);
+        let on_time = match (last, e) {
+            (NEVER, e) => e == NEVER,
+            (_, NEVER) => false,
+            _ => e > last && transitions[e] == transitions[last + 1],
+        };
+        if !on_time {
+            return Err(format!("task#{s} enabled {}, ready {}", at(e), at(last)));
+        }
+    }
+    Ok(())
+}
+
 /// Verify span conservation: per processor, busy intervals are emitted in
 /// order, never overlap, and end at or before `makespan_ps`; and at least
 /// one interval ends exactly at the makespan (the intervals *tile* the
@@ -1018,6 +1110,7 @@ impl std::fmt::Display for TenantId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AccessSpec;
 
     fn span(t: u64, proc: ProcId, c: Component, d: u64) -> Event {
         Event {
@@ -1297,6 +1390,164 @@ mod tests {
             task_ev(1, 0, EventKind::TaskEnabled, 0),
         ];
         assert!(check_lifecycle(&events).is_err());
+    }
+
+    /// The graph of tasks declaring `specs`, `(object, writes)` each,
+    /// under replication.
+    fn graph_of(specs: &[&[(u32, bool)]]) -> DepGraph {
+        let specs: Vec<AccessSpec> = specs
+            .iter()
+            .map(|decls| {
+                let mut s = AccessSpec::new();
+                for &(o, writes) in *decls {
+                    if writes {
+                        s.wr(ObjectId(o));
+                    } else {
+                        s.rd(ObjectId(o));
+                    }
+                }
+                s
+            })
+            .collect();
+        let mut graph = DepGraph::default();
+        graph.rebuild(specs.iter(), true);
+        graph
+    }
+
+    use EventKind::{TaskCompleted as Done, TaskCreated as New, TaskEnabled as Ready};
+    use EventKind::{TaskReExecuted as Redo, TaskStarted as Go};
+
+    /// A stream of `(kind, task)` events; `(AccessReleased, t)` is written
+    /// `rel(t, object)`. Times are stream positions.
+    fn stream(evs: &[(EventKind, u32, Option<u32>)]) -> Vec<Event> {
+        (evs.iter().enumerate())
+            .map(|(t, &(kind, id, object))| Event {
+                object: object.map(ObjectId),
+                ..task_ev(t as u64, 0, kind, id)
+            })
+            .collect()
+    }
+
+    fn ev(kind: EventKind, id: u32) -> (EventKind, u32, Option<u32>) {
+        (kind, id, None)
+    }
+
+    fn rel(id: u32, object: u32) -> (EventKind, u32, Option<u32>) {
+        (EventKind::AccessReleased, id, Some(object))
+    }
+
+    #[test]
+    fn order_rejects_a_start_before_its_predecessor_completes() {
+        // 1 reads what 0 writes.
+        let graph = graph_of(&[&[(0, true)], &[(0, false)]]);
+        let head = [ev(New, 0), ev(Ready, 0), ev(New, 1), ev(Go, 0)];
+        let good = [ev(Done, 0), ev(Ready, 1), ev(Go, 1), ev(Done, 1)];
+        check_order(&graph, &stream(&[&head[..], &good].concat())).unwrap();
+        let early = [ev(Go, 1), ev(Done, 0), ev(Ready, 1), ev(Done, 1)];
+        let err = check_order(&graph, &stream(&[&head[..], &early].concat())).unwrap_err();
+        assert!(err.contains("task#1 started at #4, ready at #5"), "{err}");
+    }
+
+    #[test]
+    fn order_release_satisfies_exactly_its_own_sub_row() {
+        // 0 writes objects 0 and 1; 1 reads object 0, 2 reads object 1.
+        let graph = graph_of(&[&[(0, true), (1, true)], &[(0, false)], &[(1, false)]]);
+        let run = |tail: &[(EventKind, u32, Option<u32>)]| {
+            let head = [ev(New, 0), ev(Ready, 0), ev(New, 1), ev(New, 2), ev(Go, 0)];
+            check_order(&graph, &stream(&[&head[..], tail].concat()))
+        };
+        // Releasing object 0 lets 1 run before 0 completes.
+        let pipelined = [rel(0, 0), ev(Ready, 1), ev(Go, 1), ev(Done, 1)];
+        let finish = [ev(Done, 0), ev(Ready, 2), ev(Go, 2), ev(Done, 2)];
+        run(&[&pipelined[..], &finish].concat()).unwrap();
+        // ... but not 2, which waits through object 1.
+        let too_far = [rel(0, 0), ev(Ready, 1), ev(Ready, 2)];
+        assert!(run(&too_far)
+            .unwrap_err()
+            .contains("task#2 enabled at #7, ready never"));
+        let too_far = [
+            rel(0, 0),
+            ev(Ready, 1),
+            ev(Go, 2),
+            ev(Done, 0),
+            ev(Ready, 2),
+        ];
+        assert!(run(&too_far)
+            .unwrap_err()
+            .contains("task#2 started at #7, ready at #8"));
+    }
+
+    #[test]
+    fn order_release_of_another_declaration_satisfies_nothing() {
+        let graph = graph_of(&[&[(0, true), (1, true)], &[(0, false)]]);
+        let head = [ev(New, 0), ev(Ready, 0), ev(New, 1), ev(Go, 0)];
+        // 0 releases object 1, which 1 does not wait through.
+        let wrong = [rel(0, 1), ev(Ready, 1)];
+        let err = check_order(&graph, &stream(&[&head[..], &wrong].concat())).unwrap_err();
+        assert!(err.contains("task#1 enabled at #5, ready never"), "{err}");
+        // A release the graph has no declaration for is an error itself.
+        let undeclared = [rel(0, 2)];
+        let err = check_order(&graph, &stream(&[&head[..], &undeclared].concat())).unwrap_err();
+        assert!(
+            err.contains("#4 releases what the graph does not know"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn order_rejects_an_enable_before_the_last_satisfying_event() {
+        // 2 reads what 0 and 1 write; 3 is independent.
+        let graph = graph_of(&[
+            &[(0, true)],
+            &[(1, true)],
+            &[(0, false), (1, false)],
+            &[(2, true)],
+        ]);
+        let head = [
+            ev(New, 0),
+            ev(Ready, 0),
+            ev(New, 1),
+            ev(Ready, 1),
+            ev(New, 2),
+            ev(Go, 0),
+            ev(Go, 1),
+            ev(Done, 0),
+        ];
+        let run = |tail: &[(EventKind, u32, Option<u32>)]| {
+            check_order(&graph, &stream(&[&head[..], tail].concat()))
+        };
+        run(&[ev(Done, 1), ev(Ready, 2), ev(Go, 2), ev(Done, 2)]).unwrap();
+        let early = [ev(Ready, 2), ev(Done, 1), ev(Go, 2), ev(Done, 2)];
+        assert!(run(&early)
+            .unwrap_err()
+            .contains("task#2 enabled at #8, ready at #9"));
+        // An enable after a later transition is late, and none at all is lost.
+        let late = [ev(Done, 1), ev(New, 3), ev(Ready, 3), ev(Ready, 2)];
+        assert!(run(&late)
+            .unwrap_err()
+            .contains("task#2 enabled at #11, ready at #8"));
+        assert!(run(&[ev(Done, 1)])
+            .unwrap_err()
+            .contains("task#2 enabled never, ready at #8"));
+    }
+
+    #[test]
+    fn order_accepts_a_reexecuted_tasks_second_start() {
+        let graph = graph_of(&[&[(0, true)], &[(0, false)]]);
+        let events = stream(&[
+            ev(New, 0),
+            ev(Ready, 0),
+            ev(New, 1),
+            ev(Go, 0),
+            ev(Done, 0),
+            ev(Ready, 1),
+            ev(Go, 1),
+            ev(Redo, 1),
+            ev(Go, 1),
+            ev(Done, 1),
+        ]);
+        check_order(&graph, &events).unwrap();
+        check_lifecycle(&events).unwrap();
     }
 
     #[test]

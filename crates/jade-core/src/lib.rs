@@ -55,8 +55,8 @@ pub mod tune;
 pub use access::{AccessDecl, AccessMode, AccessSpec};
 pub use depgraph::{Countdown, DepGraph, Synchronizer};
 pub use events::{
-    check_conservation, check_lifecycle, Component, Event, EventKind, Locality, Metrics,
-    MetricsFold, NullSink, ProcTimes, Sink, TenantId,
+    check_conservation, check_lifecycle, check_order, Component, Event, EventKind, Locality,
+    Metrics, MetricsFold, NullSink, ProcTimes, Sink, TenantId,
 };
 pub use ids::{Handle, LocalityMode, ObjectId, ProcId, TaskId, MAIN_PROC};
 pub use runtime::JadeRuntime;

@@ -169,8 +169,11 @@ impl<'a, R: Sink> Sim<'a, R> {
         })
     }
 
+    /// Processor 0 runs ordinary tasks only while main is blocked or done
+    /// and the serial task main is blocked on does not wait for it.
     fn is_idle(&self, p: ProcId) -> bool {
-        self.core.executing[p].is_none() && (p != 0 || self.core.main_available())
+        let lent = p != 0 || (self.core.main_available() && !self.main_serial_ready);
+        self.core.executing[p].is_none() && lent
     }
 
     /// Pseudo-randomly (but deterministically) pick an idle processor: one
@@ -315,9 +318,9 @@ impl<'a, R: Sink> Machine<'a, R> for Sim<'a, R> {
             self.core.cal.schedule(end, driver::Ev::MainStep);
         }
         self.complete(id, p, end);
-        // If a serial task became ready while processor 0 was busy with the
-        // task that just finished, run it now.
-        if p == 0 && self.main_serial_ready {
+        // If a serial task became ready while processor 0 was busy, run it
+        // now, unless a task this completion enabled took processor 0 first.
+        if p == 0 && self.main_serial_ready && self.core.executing[0].is_none() {
             if let Some(serial) = self.core.main_blocked {
                 self.main_serial_ready = false;
                 self.start_task(0, serial, end);

@@ -1677,6 +1677,31 @@ mod tests {
         ));
     }
 
+    /// Every message fits the clock alone, but the run does not: two
+    /// 2.8·10¹³-byte objects fetched for one task take 10⁷ s each at the
+    /// paper's 2.8 MB/s, past the 2⁶⁴ ps (~213 days) the clock holds.
+    #[test]
+    fn a_run_past_the_clock_is_an_error_not_a_panic() {
+        let mut b = TraceBuilder::new();
+        let out = b.object("out", 8, Some(1));
+        let x = b.object("x", 28_000_000_000_000, Some(0));
+        let y = b.object("y", 28_000_000_000_000, Some(0));
+        let mut s = AccessSpec::new();
+        s.wr(out).rd(x).rd(y);
+        b.task(s, 0.1);
+        let trace = b.build();
+        for run in [try_run, try_run_folded] {
+            assert!(matches!(
+                run(&trace, &cfg(2, LocalityMode::Locality)),
+                Err(IpscError::InvalidMachine(why)) if why.contains("virtual clock")
+            ));
+        }
+        assert!(matches!(
+            try_run_traced(&trace, &cfg(2, LocalityMode::Locality)),
+            Err(IpscError::InvalidMachine(why)) if why.contains("virtual clock")
+        ));
+    }
+
     #[test]
     fn calendar_events_stay_small() {
         // Every heap entry moves an event; message payloads live in the slab.

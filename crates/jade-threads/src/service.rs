@@ -432,7 +432,7 @@ struct Picked {
 }
 
 /// The long-lived multi-tenant front end. See the module docs for the
-/// contracts; see `repro service-stress` for the acceptance harness.
+/// contracts; `tests/service.rs` drives it from concurrent submitters.
 pub struct JadeService {
     inner: Arc<Inner>,
     threads: Vec<std::thread::JoinHandle<()>>,

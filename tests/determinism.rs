@@ -12,135 +12,36 @@
 //! are scheduling accidents and legitimately differ; everything Jade
 //! semantics pins down must not.
 
+mod common;
+
+use common::{counters, graph, predicted_reexecutions, program_strategy, run_cut, Access, Task};
 use jade::apps::pagerank::{self, PagerankConfig};
-use jade::core::{Metrics, TraceRuntime};
+use jade::core::{check_order, Metrics, TraceRuntime};
 use jade::threads::FaultPlan;
-use jade::{JadeRuntime, LocalityMode, TaskBuilder, ThreadRuntime};
+use jade::{LocalityMode, ThreadRuntime};
 use proptest::prelude::*;
 
-const OBJECTS: usize = 4;
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-/// An access of a random program: (object, mode), the mode 0 a read, 1 a
-/// write, 2 a write the task releases after it.
-type Program = Vec<Vec<(u8, u8)>>;
-
-/// A random program: for each task, a set of accesses; and a drawn cut,
-/// which [`cut_of`] turns into the number of tasks submitted before a
-/// mid-program `finish`.
-fn program_strategy(max_tasks: usize) -> impl Strategy<Value = (Program, usize)> {
-    let tasks = prop::collection::vec(
-        prop::collection::vec(((0..OBJECTS as u8), 0..3u8), 0..5),
-        1..max_tasks,
-    );
-    (tasks, 0..max_tasks)
-}
 
 /// The cut a drawn value makes in `prog`: zero (one batch) or a task count
 /// that leaves both batches non-empty.
-fn cut_of(prog: &[Vec<(u8, u8)>], draw: usize) -> usize {
+fn cut_of(prog: &[Task], draw: usize) -> usize {
     draw % prog.len()
 }
 
-/// The interleaving-independent slice of the metrics. Steals, locality
-/// hits depend on timing; these do not.
-type Counters = (usize, usize, usize, usize, usize, u64, u64, u64);
-
-fn deterministic_counters(m: &Metrics) -> Counters {
-    (
-        m.tasks_created,
-        m.tasks_enabled,
-        m.tasks_dispatched,
-        m.tasks_started,
-        m.tasks_completed,
-        m.releases,
-        m.workers_failed,
-        m.tasks_reexecuted,
-    )
-}
-
-/// Submit the random program's tasks to `rt` and return the object
-/// handles. Each task appends its id to each object it writes, so the
-/// final logs record the order conflicting writers ran in, and releases
-/// the objects so marked right after its write to them: its successors on
-/// them may start while it runs on. A non-zero `cut` finishes the first
-/// batch after that many tasks.
-fn submit_program<R: JadeRuntime>(
-    rt: &mut R,
-    prog: &[Vec<(u8, u8)>],
-    cut: usize,
-) -> Vec<jade::Handle<Vec<u32>>> {
-    let objs: Vec<_> = (0..OBJECTS)
-        .map(|i| rt.create(&format!("o{i}"), 8, Vec::<u32>::new()))
-        .collect();
-    for (i, accesses) in prog.iter().enumerate() {
-        let mut tb = TaskBuilder::new("p");
-        let mut writes = Vec::new();
-        let mut seen = [false; OBJECTS];
-        for &(o, mode) in accesses {
-            let o = o as usize % OBJECTS;
-            if seen[o] {
-                continue;
-            }
-            seen[o] = true;
-            if mode > 0 {
-                tb = tb.rd_wr(objs[o]);
-                writes.push((objs[o], mode == 2));
-            } else {
-                tb = tb.rd(objs[o]);
-            }
-        }
-        rt.submit(tb.body(move |ctx| {
-            for &(h, release) in &writes {
-                ctx.wr(h).push(i as u32);
-                if release {
-                    ctx.release(h);
-                }
-            }
-        }));
-        if i + 1 == cut {
-            rt.finish();
-        }
-    }
-    objs
-}
-
-/// Run `prog`, cut at `cut`, on `rt` and return the final value of every
-/// object.
-fn results_on<R: JadeRuntime>(rt: &mut R, prog: &[Vec<(u8, u8)>], cut: usize) -> Vec<Vec<u32>> {
-    let objs = submit_program(rt, prog, cut);
-    rt.finish();
-    objs.iter().map(|&h| rt.store().read(h).clone()).collect()
-}
-
-/// Re-executions `plan` causes over tasks `0..tasks`, from the plan alone:
-/// a task is re-executed once per consecutive failing attempt.
-fn predicted_reexecutions(plan: Option<FaultPlan>, tasks: usize) -> u64 {
-    let Some(plan) = plan else { return 0 };
-    (0..tasks as u64)
-        .map(|id| (0..).take_while(|&a| plan.task_fails(id, a)).count() as u64)
-        .sum()
-}
-
-/// Mid-task releases `prog` makes: one per distinct object a task marks.
-fn predicted_releases(prog: &[Vec<(u8, u8)>]) -> u64 {
-    let released = |accesses: &Vec<(u8, u8)>| {
-        let mut seen = [false; OBJECTS];
-        let firsts = accesses.iter().filter(|&&(o, _)| {
-            let o = o as usize % OBJECTS;
-            !std::mem::replace(&mut seen[o], true)
-        });
-        firsts.filter(|&&(_, mode)| mode == 2).count() as u64
-    };
-    prog.iter().map(released).sum()
+/// Mid-task releases `prog` makes: one per access it marks.
+fn predicted_releases(prog: &[Task]) -> u64 {
+    let marked = prog.iter().flat_map(|t| &t.accesses);
+    marked.filter(|&&(_, a)| a == Access::WrRelease).count() as u64
 }
 
 /// The whole contract, for one program cut at `cut` under one plan: at
 /// every worker count, traced and untraced, results equal the serial run,
 /// deterministic counters equal the one-worker run, and re-executions and
 /// releases equal what the plan and the program predict.
-fn check_against_oracles(prog: &[Vec<(u8, u8)>], cut: usize, plan: Option<FaultPlan>) {
-    let serial = results_on(&mut TraceRuntime::new(), prog, cut);
+fn check_against_oracles(prog: &[Task], cut: usize, plan: Option<FaultPlan>) {
+    let serial = run_cut(&mut TraceRuntime::new(), prog, cut);
+    let graph = graph(prog);
     let reexecuted = predicted_reexecutions(plan, prog.len());
     let releases = predicted_releases(prog);
     let configure = |rt: &mut ThreadRuntime| {
@@ -156,14 +57,15 @@ fn check_against_oracles(prog: &[Vec<(u8, u8)>], cut: usize, plan: Option<FaultP
         rt.enable_events();
         configure(&mut rt);
         assert_eq!(
-            results_on(&mut rt, prog, cut),
+            run_cut(&mut rt, prog, cut),
             serial,
             "traced results: {what}"
         );
         let events = rt.take_events();
         jade::core::check_lifecycle(&events).expect("lifecycle holds");
+        check_order(&graph, &events).unwrap_or_else(|e| panic!("order: {what}: {e}"));
         let m = Metrics::from_events(&events, workers);
-        let counters = deterministic_counters(&m);
+        let counters = counters(&m);
         assert_eq!(
             &counters,
             one_worker.get_or_insert(counters),
@@ -177,7 +79,7 @@ fn check_against_oracles(prog: &[Vec<(u8, u8)>], cut: usize, plan: Option<FaultP
         let mut rt = ThreadRuntime::new(workers);
         configure(&mut rt);
         assert_eq!(
-            results_on(&mut rt, prog, cut),
+            run_cut(&mut rt, prog, cut),
             serial,
             "untraced results: {what}"
         );
@@ -193,7 +95,7 @@ proptest! {
 
     /// Fault-free.
     #[test]
-    fn threads_agree_with_serial_without_faults((prog, draw) in program_strategy(40)) {
+    fn threads_agree_with_serial_without_faults(prog in program_strategy(40), draw in 0..40usize) {
         check_against_oracles(&prog, cut_of(&prog, draw), None);
     }
 
@@ -202,7 +104,8 @@ proptest! {
     /// even the re-execution counts are predictable from the plan alone.
     #[test]
     fn threads_agree_with_serial_under_fault_injection(
-        (prog, draw) in program_strategy(30),
+        prog in program_strategy(30),
+        draw in 0..30usize,
         seed in any::<u64>(),
         psel in 0usize..3,
     ) {
@@ -216,12 +119,12 @@ proptest! {
     /// newest-first — so it is compared with itself, not with a serial
     /// stream.)
     #[test]
-    fn one_worker_streams_identical((prog, draw) in program_strategy(25)) {
+    fn one_worker_streams_identical(prog in program_strategy(25), draw in 0..25usize) {
         let cut = cut_of(&prog, draw);
         let run = || {
             let mut rt = ThreadRuntime::new(1);
             rt.enable_events();
-            results_on(&mut rt, &prog, cut);
+            run_cut(&mut rt, &prog, cut);
             rt.take_events()
         };
         prop_assert_eq!(run(), run(), "one-worker event streams differ between runs");
@@ -255,7 +158,7 @@ proptest! {
             prop_assert_eq!(&out, &serial, "ranks diverged at {} workers (seed {})", workers, seed);
             let events = rt.take_events();
             jade::core::check_lifecycle(&events).expect("lifecycle holds");
-            let counters = deterministic_counters(&Metrics::from_events(&events, workers));
+            let counters = counters(&Metrics::from_events(&events, workers));
             prop_assert_eq!(
                 &counters,
                 one_worker.get_or_insert(counters),

@@ -4,6 +4,9 @@
 //! the makespan), and every backend must produce byte-identical streams for
 //! identical inputs.
 
+mod common;
+
+use common::program_strategy;
 use dsim::SimDuration;
 use jade::core::{
     check_conservation, check_lifecycle, AccessSpec, Event, Metrics, TaskBuilder, Trace,
@@ -13,50 +16,6 @@ use jade::dash::{self, DashConfig};
 use jade::ipsc::{self, IpscConfig};
 use jade::{JadeRuntime, LocalityMode, ThreadRuntime};
 use proptest::prelude::*;
-
-/// A random program: per task, its (object, is_write) accesses, a shape
-/// draw — 0 a serial-phase task, 1 a task placed on processor `at`, 2 an
-/// ordinary task after a phase break, anything else an ordinary task — and
-/// `at`.
-type Program = Vec<(Vec<(u8, bool)>, u8, u8)>;
-
-fn program_strategy(max_tasks: usize, max_objects: usize) -> impl Strategy<Value = Program> {
-    prop::collection::vec(
-        (
-            prop::collection::vec(((0..max_objects as u8), any::<bool>()), 0..5),
-            0u8..8,
-            any::<u8>(),
-        ),
-        1..max_tasks,
-    )
-}
-
-fn build_trace(prog: &Program, procs: usize) -> Trace {
-    let mut b = TraceBuilder::new();
-    let objs: Vec<_> = (0..5)
-        .map(|i| b.object(&format!("o{i}"), 256, Some(i % procs)))
-        .collect();
-    for (accesses, shape, at) in prog {
-        let mut s = AccessSpec::new();
-        for &(o, w) in accesses {
-            if w {
-                s.wr(objs[(o % 5) as usize]);
-            } else {
-                s.rd(objs[(o % 5) as usize]);
-            }
-        }
-        match shape {
-            0 => b.task_full(s, 0.01, None, true),
-            1 => b.task_full(s, 0.01, Some(*at as usize % procs), false),
-            2 => {
-                b.next_phase();
-                b.task(s, 0.01)
-            }
-            _ => b.task(s, 0.01),
-        };
-    }
-    b.build()
-}
 
 /// Check one stream against its run: exact conservation, and
 /// per-processor breakdowns equal to the clock-derived busy triples.
@@ -104,11 +63,11 @@ proptest! {
     /// the iPSC have a complete lifecycle chain per task.
     #[test]
     fn event_streams_are_sound_on_both_simulators(
-        prog in program_strategy(30, 5),
+        prog in program_strategy(30),
         procs in 1usize..9,
         mode in 0usize..3,
     ) {
-        let trace = build_trace(&prog, procs);
+        let trace = common::trace(&prog, procs, 256);
         let mode = LocalityMode::ALL[mode];
 
         let cfg = DashConfig::paper(procs, mode, 1.0);

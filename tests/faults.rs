@@ -12,46 +12,23 @@
 //! adaptive-broadcast trigger so no broadcast ever targets a dead
 //! consumer set.
 
+mod common;
+
+use common::{program_strategy, trace};
 use jade::apps::halo::{self, HaloConfig};
 use jade::apps::pagerank::{self, PagerankConfig};
-use jade::core::{check_conservation, check_lifecycle, AccessSpec, Metrics, Trace, TraceBuilder};
+use jade::core::{
+    check_conservation, check_lifecycle, check_order, AccessSpec, Metrics, TraceBuilder,
+};
 use jade::dash::{self, DashConfig};
 use jade::dsim::{FaultPlan, SimDuration};
 use jade::ipsc::{self, IpscConfig};
-use jade::{JadeRuntime, LocalityMode, TaskBuilder, ThreadRuntime};
+use jade::{LocalityMode, ThreadRuntime};
 use proptest::prelude::*;
 
-/// A random program: for each task, a set of (object, is_write) accesses.
-fn program_strategy(
-    max_tasks: usize,
-    max_objects: usize,
-) -> impl Strategy<Value = Vec<Vec<(u8, bool)>>> {
-    prop::collection::vec(
-        prop::collection::vec(((0..max_objects as u8), any::<bool>()), 0..5),
-        1..max_tasks,
-    )
-}
-
-/// Materialize a random program as a trace with objects big enough that the
-/// iPSC simulator sends real messages (and so exercises the fault paths).
-fn build_trace(prog: &[Vec<(u8, bool)>], procs: usize) -> Trace {
-    let mut b = TraceBuilder::new();
-    let objs: Vec<_> = (0..5)
-        .map(|i| b.object(&format!("o{i}"), 50_000, Some(i % procs)))
-        .collect();
-    for accesses in prog {
-        let mut s = AccessSpec::new();
-        for &(o, w) in accesses {
-            if w {
-                s.wr(objs[(o % 5) as usize]);
-            } else {
-                s.rd(objs[(o % 5) as usize]);
-            }
-        }
-        b.task(s, 0.005);
-    }
-    b.build()
-}
+/// Objects big enough that the iPSC simulator sends real messages, and so
+/// exercises the fault paths.
+const BYTES: usize = 50_000;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -65,7 +42,7 @@ proptest! {
     /// well-formed with counters matching the native tallies.
     #[test]
     fn ipsc_survives_any_fault_plan(
-        prog in program_strategy(20, 5),
+        prog in program_strategy(20),
         procs in 2usize..9,
         drop in 0u32..21,
         dup in 0u32..11,
@@ -78,7 +55,7 @@ proptest! {
         prefetch in any::<bool>(),
         target_tasks in 1usize..3,
     ) {
-        let trace = build_trace(&prog, procs);
+        let trace = trace(&prog, procs, BYTES);
         let paper = IpscConfig::paper(procs, LocalityMode::Locality, 1.0);
         let clean = ipsc::try_run(&trace, &paper).expect("fault-free run completes");
         let base = IpscConfig {
@@ -125,6 +102,7 @@ proptest! {
         // The event stream stays well-formed and agrees with the native
         // counters exactly.
         check_lifecycle(&events).expect("lifecycle holds under faults");
+        check_order(&trace.dep_graph(true).unwrap(), &events).expect("dependence order holds");
         let m = Metrics::from_events(&events, procs);
         check_conservation(&events, procs, m.makespan_ps)
             .expect("spans tile the makespan under faults");
@@ -149,16 +127,17 @@ proptest! {
     }
 
     /// The DASH simulator under random transient stalls completes every
-    /// program deterministically with a well-formed event stream.
+    /// program deterministically, in dependence order, with spans that
+    /// tile the makespan.
     #[test]
     fn dash_survives_transient_stalls(
-        prog in program_strategy(20, 5),
+        prog in program_strategy(20),
         procs in 1usize..9,
         stall_pct in 1u32..101,
         stall_us in 1u32..5001,
         seed in any::<u64>(),
     ) {
-        let trace = build_trace(&prog, procs);
+        let trace = trace(&prog, procs, BYTES);
         let base = DashConfig::paper(procs, LocalityMode::Locality, 1.0);
         let clean = dash::try_run(&trace, &base).expect("simulation failed");
         let mut cfg = base.clone();
@@ -171,7 +150,11 @@ proptest! {
         let (faulty, events) = dash::try_run_traced(&trace, &cfg).expect("simulation failed");
         prop_assert_eq!(faulty.tasks_executed, trace.task_count());
         prop_assert_eq!(faulty.tasks_executed, clean.tasks_executed);
-        check_lifecycle(&events).expect("lifecycle holds under stalls");
+        // DASH stays exempt from `check_lifecycle`: main stamps a task's
+        // creation at the end of the creation cost, after an enable or a
+        // dispatch that can come earlier. The order holds.
+        let graph = trace.dep_graph(cfg.replication).unwrap();
+        check_order(&graph, &events).expect("dependence order holds under stalls");
         let m = Metrics::from_events(&events, procs);
         check_conservation(&events, procs, m.makespan_ps)
             .expect("spans tile the makespan under stalls");
@@ -186,7 +169,7 @@ proptest! {
     /// fault-free run — conflicting writes still land in program order.
     #[test]
     fn threads_recover_with_identical_results(
-        prog in program_strategy(20, 4),
+        prog in program_strategy(20),
         workers in 1usize..5,
         panic_pct in 0u32..41,
         seed in any::<u64>(),
@@ -196,36 +179,7 @@ proptest! {
             if let Some(plan) = faults {
                 rt.inject_faults(plan);
             }
-            let objs: Vec<_> = (0..4)
-                .map(|i| rt.create(&format!("o{i}"), 8, Vec::<u32>::new()))
-                .collect();
-            for (i, accesses) in prog.iter().enumerate() {
-                let mut tb = TaskBuilder::new("p");
-                let mut writes = Vec::new();
-                let mut seen = [false; 4];
-                for &(o, w) in accesses {
-                    let o = (o % 4) as usize;
-                    if seen[o] {
-                        continue;
-                    }
-                    seen[o] = true;
-                    if w {
-                        tb = tb.rd_wr(objs[o]);
-                        writes.push(objs[o]);
-                    } else {
-                        tb = tb.rd(objs[o]);
-                    }
-                }
-                rt.submit(tb.body(move |ctx| {
-                    for &h in &writes {
-                        ctx.wr(h).push(i as u32);
-                    }
-                }));
-            }
-            rt.finish();
-            let stats = rt.last_stats();
-            let logs: Vec<Vec<u32>> = objs.iter().map(|&h| rt.store().read(h).clone()).collect();
-            (logs, stats)
+            (common::run(&mut rt, &prog), rt.last_stats())
         };
         let (clean_logs, clean_stats) = run(None);
         let plan = FaultPlan {
@@ -320,13 +274,13 @@ proptest! {
     /// deterministically.
     #[test]
     fn checkpointed_ipsc_matches_fault_free(
-        prog in program_strategy(20, 5),
+        prog in program_strategy(20),
         procs in 2usize..9,
         ckpt_pct in 5u32..80,
         fail_pick in any::<u64>(),
         seed in any::<u64>(),
     ) {
-        let trace = build_trace(&prog, procs);
+        let trace = trace(&prog, procs, BYTES);
         let base = IpscConfig::paper(procs, LocalityMode::Locality, 1.0);
         let clean = ipsc::try_run(&trace, &base).expect("fault-free run completes");
         let mut plan = FaultPlan {
@@ -357,6 +311,7 @@ proptest! {
         prop_assert!(ck.checkpoint_restores <= ck.objects_restored);
 
         check_lifecycle(&events).expect("lifecycle holds with checkpoints");
+        check_order(&trace.dep_graph(true).unwrap(), &events).expect("dependence order holds");
         let m = Metrics::from_events(&events, procs);
         check_conservation(&events, procs, m.makespan_ps)
             .expect("spans tile the makespan with checkpoints");

@@ -1,38 +1,12 @@
-//! Property-based tests over random task DAGs: the synchronizer, the thread
-//! backend, and both machine simulators must uphold Jade's semantics for
-//! *any* program, not just the four applications.
+//! Property-based tests over random task DAGs: the online synchronizer
+//! must uphold Jade's semantics for *any* program, not just the
+//! applications. Every executor is checked in `tests/conformance.rs`.
 
-use jade::core::{AccessSpec, Synchronizer, TaskBuilder, TaskId, TraceBuilder};
-use jade::dash::{self, DashConfig};
-use jade::ipsc::{self, IpscConfig};
-use jade::JadeRuntime;
-use jade::{LocalityMode, ThreadRuntime};
+mod common;
+
+use common::{program_strategy, spec};
+use jade::core::{AccessSpec, Synchronizer, TaskId};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// A random program: for each task, a set of (object, is_write) accesses.
-fn program_strategy(
-    max_tasks: usize,
-    max_objects: usize,
-) -> impl Strategy<Value = Vec<Vec<(u8, bool)>>> {
-    prop::collection::vec(
-        prop::collection::vec(((0..max_objects as u8), any::<bool>()), 0..5),
-        1..max_tasks,
-    )
-}
-
-fn spec_of(accesses: &[(u8, bool)]) -> AccessSpec {
-    let mut s = AccessSpec::new();
-    for &(o, w) in accesses {
-        if w {
-            s.wr(jade::ObjectId(o as u32));
-        } else {
-            s.rd(jade::ObjectId(o as u32));
-        }
-    }
-    s
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -41,8 +15,8 @@ proptest! {
     /// conflicting tasks at the same time, and orders conflicting pairs by
     /// program order — for any random program and any completion order.
     #[test]
-    fn synchronizer_preserves_dependences(prog in program_strategy(40, 6), pick in any::<u64>()) {
-        let specs: Vec<AccessSpec> = prog.iter().map(|a| spec_of(a)).collect();
+    fn synchronizer_preserves_dependences(prog in program_strategy(40), pick in any::<u64>()) {
+        let specs: Vec<AccessSpec> = prog.iter().map(spec).collect();
         let mut sync = Synchronizer::new(true);
         let mut enabled: Vec<TaskId> = Vec::new();
         for (i, s) in specs.iter().enumerate() {
@@ -109,89 +83,5 @@ proptest! {
             sync.complete(t, &mut enabled);
         }
         prop_assert_eq!(count, n);
-    }
-
-    /// The thread backend executes any random program to completion with
-    /// conflicting writes applied in program order. Each task appends its id
-    /// to every object it writes; per object, the recorded writer ids must
-    /// be in increasing program order.
-    #[test]
-    fn thread_backend_orders_writes(prog in program_strategy(25, 4), workers in 1usize..5) {
-        let mut rt = ThreadRuntime::new(workers);
-        let objs: Vec<_> = (0..4).map(|i| rt.create(&format!("o{i}"), 8, Vec::<u32>::new())).collect();
-        let executed = Arc::new(AtomicUsize::new(0));
-        let ntasks = prog.len();
-        for (i, accesses) in prog.iter().enumerate() {
-            let mut tb = TaskBuilder::new("p");
-            let mut writes = Vec::new();
-            let mut seen = [false; 4];
-            for &(o, w) in accesses {
-                let o = (o % 4) as usize;
-                if seen[o] {
-                    continue;
-                }
-                seen[o] = true;
-                if w {
-                    tb = tb.rd_wr(objs[o]);
-                    writes.push(objs[o]);
-                } else {
-                    tb = tb.rd(objs[o]);
-                }
-            }
-            let executed = Arc::clone(&executed);
-            rt.submit(tb.body(move |ctx| {
-                for &h in &writes {
-                    ctx.wr(h).push(i as u32);
-                }
-                executed.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        rt.finish();
-        prop_assert_eq!(executed.load(Ordering::SeqCst), ntasks);
-        for &h in &objs {
-            let log = rt.store().read(h);
-            let mut sorted = log.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(&*log, &sorted[..], "writes must land in program order");
-        }
-    }
-
-    /// Both machine simulators execute any random program to completion,
-    /// deterministically, with a makespan no better than perfect speedup
-    /// and no worse than fully serial execution plus overheads.
-    #[test]
-    fn simulators_complete_any_program(
-        prog in program_strategy(30, 5),
-        procs in 1usize..9,
-    ) {
-        let mut b = TraceBuilder::new();
-        let objs: Vec<_> = (0..5).map(|i| b.object(&format!("o{i}"), 256, Some(i % procs))).collect();
-        let mut total_work = 0.0;
-        for accesses in &prog {
-            let mut s = AccessSpec::new();
-            for &(o, w) in accesses {
-                if w {
-                    s.wr(objs[(o % 5) as usize]);
-                } else {
-                    s.rd(objs[(o % 5) as usize]);
-                }
-            }
-            b.task(s, 0.01);
-            total_work += 0.01;
-        }
-        let trace = b.build();
-        let d = dash::try_run(&trace, &DashConfig::paper(procs, LocalityMode::Locality, 1.0))
-            .expect("simulation failed");
-        prop_assert_eq!(d.tasks_executed, trace.task_count());
-        prop_assert!(d.exec_time_s >= total_work / procs as f64 * 0.94);
-        prop_assert!(d.exec_time_s <= total_work + 2.0, "{} vs {}", d.exec_time_s, total_work);
-        let i = ipsc::try_run(&trace, &IpscConfig::paper(procs, LocalityMode::Locality, 1.0))
-            .expect("simulation failed");
-        prop_assert_eq!(i.tasks_executed, trace.task_count());
-        prop_assert!(i.exec_time_s >= total_work / procs as f64 * 0.94);
-        // Repeat run: identical.
-        let d2 = dash::try_run(&trace, &DashConfig::paper(procs, LocalityMode::Locality, 1.0))
-            .expect("simulation failed");
-        prop_assert_eq!(d.exec_time_s, d2.exec_time_s);
     }
 }

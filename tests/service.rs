@@ -1,5 +1,5 @@
-//! Multi-tenant service integration: tenant fault isolation, backpressure,
-//! and post-panic runtime reuse.
+//! Multi-tenant service integration: tenant fault isolation, backpressure
+//! under concurrent submitters, and post-panic runtime reuse.
 //!
 //! The isolation invariant (DESIGN.md §16): a clean tenant's observable
 //! results — final object values and the interleaving-independent slice of
@@ -9,17 +9,23 @@
 //! genuinely panic). Faults and cancellations may never leak across the
 //! tenant boundary.
 
-use jade::core::Metrics;
+mod common;
+
+use common::{
+    counters, folded, graph, logs, predicted_reexecutions, program_strategy, run, tenant, Access,
+    Counters, Log, Shape, Task, OBJECTS,
+};
+use jade::core::{check_lifecycle, check_order};
 use jade::threads::FaultPlan;
 use jade::{
     JadeRuntime, JadeService, Outcome, Program, ServiceConfig, SubmitError, TaskBuilder,
-    TenantOptions, ThreadRuntime,
+    TenantOptions, ThreadRuntime, TraceRuntime,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-const OBJECTS: usize = 4;
 const WORKERS: usize = 4;
 
 /// Silence the default panic hook for the *deliberate* panics these tests
@@ -39,72 +45,6 @@ fn quiet_expected_panics() {
     });
 }
 
-/// A random program: for each task, a set of (object, is_write) accesses.
-fn program_strategy(max_tasks: usize) -> impl Strategy<Value = Vec<Vec<(u8, bool)>>> {
-    prop::collection::vec(
-        prop::collection::vec(((0..OBJECTS as u8), any::<bool>()), 0..5),
-        1..max_tasks,
-    )
-}
-
-/// Materialize a random program as a service `Program` (each task appends
-/// its index to every object it writes; an odd-numbered task releases each
-/// object right after its write, so that its successors on it may start
-/// while it runs on).
-fn build_program(prog: &[Vec<(u8, bool)>]) -> (Program, Vec<jade::Handle<Vec<u32>>>) {
-    build_program_over(prog, OBJECTS, None)
-}
-
-/// [`build_program`] over `objects <= OBJECTS` objects (accesses fold onto
-/// them), with task `bug`, if any, panicking before it writes.
-fn build_program_over(
-    prog: &[Vec<(u8, bool)>],
-    objects: usize,
-    bug: Option<usize>,
-) -> (Program, Vec<jade::Handle<Vec<u32>>>) {
-    let mut p = Program::new();
-    let objs: Vec<_> = (0..objects)
-        .map(|i| p.create(format!("o{i}"), 8, Vec::<u32>::new()))
-        .collect();
-    for i in 0..prog.len() {
-        let mut tb = TaskBuilder::new("p");
-        let mut writes = Vec::new();
-        for (o, w) in declared(prog, i, objects) {
-            if w {
-                tb = tb.rd_wr(objs[o]);
-                writes.push(objs[o]);
-            } else {
-                tb = tb.rd(objs[o]);
-            }
-        }
-        p.submit(tb.body(move |ctx| {
-            if bug == Some(i) {
-                panic!("hostile bug");
-            }
-            for &h in &writes {
-                ctx.wr(h).push(i as u32);
-                if i % 2 == 1 {
-                    ctx.release(h);
-                }
-            }
-        }));
-    }
-    (p, objs)
-}
-
-/// The objects task `k` of `prog` declares, folded onto `objects` (an
-/// object's first mention decides), and whether it writes each.
-fn declared(prog: &[Vec<(u8, bool)>], k: usize, objects: usize) -> Vec<(usize, bool)> {
-    let mut out: Vec<(usize, bool)> = Vec::new();
-    for &(o, w) in &prog[k] {
-        let o = o as usize % objects;
-        if !out.iter().any(|&(seen, _)| seen == o) {
-            out.push((o, w));
-        }
-    }
-    out
-}
-
 /// A program whose second task has a genuine bug.
 fn buggy_program() -> Program {
     let mut p = Program::new();
@@ -118,76 +58,17 @@ fn buggy_program() -> Program {
     p
 }
 
-/// The interleaving-independent slice of a tenant's metrics.
-fn counters(m: &Metrics) -> (usize, usize, usize, usize, usize, u64, u64, u64) {
-    (
-        m.tasks_created,
-        m.tasks_enabled,
-        m.tasks_dispatched,
-        m.tasks_started,
-        m.tasks_completed,
-        m.releases,
-        m.workers_failed,
-        m.tasks_reexecuted,
-    )
-}
+/// A tenant's final logs and the interleaving-independent slice of its
+/// metrics.
+type Observation = (Vec<Log>, Counters);
 
-type Observation = (
-    Vec<Vec<u32>>,
-    (usize, usize, usize, usize, usize, u64, u64, u64),
-);
-
-/// Run the same random program directly on a standalone [`ThreadRuntime`]
-/// (no service front end), returning the final per-object write logs.
-fn run_on_thread_runtime(prog: &[Vec<(u8, bool)>]) -> Vec<Vec<u32>> {
-    let mut rt = ThreadRuntime::new(WORKERS);
-    let objs: Vec<_> = (0..OBJECTS)
-        .map(|i| rt.create(&format!("o{i}"), 8, Vec::<u32>::new()))
-        .collect();
-    for (i, accesses) in prog.iter().enumerate() {
-        let mut tb = TaskBuilder::new("p");
-        let mut writes = Vec::new();
-        let mut seen = [false; OBJECTS];
-        for &(o, w) in accesses {
-            let o = o as usize % OBJECTS;
-            if seen[o] {
-                continue;
-            }
-            seen[o] = true;
-            if w {
-                tb = tb.rd_wr(objs[o]);
-                writes.push(objs[o]);
-            } else {
-                tb = tb.rd(objs[o]);
-            }
-        }
-        rt.submit(tb.body(move |ctx| {
-            for &h in &writes {
-                ctx.wr(h).push(i as u32);
-            }
-        }));
-    }
-    rt.finish();
-    objs.iter().map(|&h| rt.store().read(h).clone()).collect()
-}
-
-/// Run `clean` as the only tenant of a fresh service and observe it.
-fn observe_solo(clean: &[Vec<(u8, bool)>]) -> Observation {
-    observe_solo_over(clean, OBJECTS, TenantOptions::default())
-}
-
-fn observe_solo_over(
-    clean: &[Vec<(u8, bool)>],
-    objects: usize,
-    opts: TenantOptions,
-) -> Observation {
+/// Run `prog` as the only tenant of a fresh service and observe it.
+fn observe_solo(prog: &[Task], opts: TenantOptions) -> Observation {
     let svc = JadeService::new(ServiceConfig::new(WORKERS));
-    let (p, objs) = build_program_over(clean, objects, None);
-    let id = svc.submit(p, opts).expect("admit");
-    let r = svc.wait(id);
+    let (p, objs) = tenant(prog, None);
+    let r = svc.wait(svc.submit(p, opts).expect("admit"));
     assert_eq!(r.outcome, Outcome::Completed, "solo run must complete");
-    let outs = objs.iter().map(|&h| r.store.read(h).clone()).collect();
-    (outs, counters(&r.metrics(WORKERS)))
+    (logs(&r.store, &objs), counters(&r.metrics(WORKERS)))
 }
 
 proptest! {
@@ -203,22 +84,22 @@ proptest! {
         seed in any::<u64>(),
     ) {
         quiet_expected_panics();
-        let solo = observe_solo(&clean);
+        let solo = observe_solo(&clean, TenantOptions::default());
 
         let svc = JadeService::new(ServiceConfig::new(WORKERS));
         let mut hostile_ids = Vec::new();
-        let (pf, _) = build_program(&hostile);
+        let (pf, _) = tenant(&hostile, None);
         hostile_ids.push(svc.submit(pf, TenantOptions::default().with_faults(FaultPlan {
             panic_p: 0.4,
             seed,
             ..FaultPlan::none()
         })).unwrap());
-        let (pc, objs) = build_program(&clean);
+        let (pc, objs) = tenant(&clean, None);
         let clean_id = svc.submit(pc, TenantOptions::default()).unwrap();
-        let (pd, _) = build_program(&hostile);
+        let (pd, _) = tenant(&hostile, None);
         hostile_ids.push(svc.submit(pd, TenantOptions::default()
             .with_deadline(Duration::ZERO)).unwrap());
-        let (ps, _) = build_program(&hostile);
+        let (ps, _) = tenant(&hostile, None);
         hostile_ids.push(svc.submit(ps, TenantOptions::default().with_faults(FaultPlan {
             fail_proc: Some(1),
             seed,
@@ -228,8 +109,7 @@ proptest! {
 
         let r = svc.wait(clean_id);
         prop_assert_eq!(&r.outcome, &Outcome::Completed, "clean tenant must complete");
-        let outs: Vec<Vec<u32>> = objs.iter().map(|&h| r.store.read(h).clone()).collect();
-        let concurrent = (outs, counters(&r.metrics(WORKERS)));
+        let concurrent = (logs(&r.store, &objs), counters(&r.metrics(WORKERS)));
         // Drain the neighbors so shutdown is clean (their outcomes are
         // theirs; the buggy one must have failed, not taken the pool down).
         let mut saw_failure = false;
@@ -246,8 +126,9 @@ proptest! {
     /// zero-deadline, or panicking part-way (after injected crashes, in a
     /// third of the rounds) with accesses granted and waiters parked — has
     /// just vacated, and it still observes exactly its solo run, injected
-    /// crashes of its own included. The programs differ in shape and object
-    /// count, so slabs are reused larger and smaller than they were left.
+    /// crashes of its own included. The programs differ in shape and in the
+    /// objects they declare, so slabs are reused larger and smaller than
+    /// they were left.
     #[test]
     fn clean_tenants_are_unaffected_by_the_slot_they_inherit(
         rounds in prop::collection::vec(
@@ -275,22 +156,22 @@ proptest! {
                 1 => TenantOptions::default(),
                 _ => crashing(0.4),
             };
-            let (ph, _) = build_program_over(hostile, *h_objs, bug);
+            let (ph, _) = tenant(&folded(hostile, *h_objs), bug);
             hostile_ids.push(svc.submit(ph, opts).unwrap());
             let opts = if kind / 3 % 2 == 0 { TenantOptions::default() } else { crashing(0.3) };
-            let (pc, objs) = build_program_over(clean, *c_objs, None);
+            let clean = folded(clean, *c_objs);
+            let (pc, objs) = tenant(&clean, None);
             let id = svc.submit(pc, opts.clone()).unwrap();
-            clean_runs.push((id, objs, clean, *c_objs, opts));
+            clean_runs.push((id, objs, clean, opts));
         }
         for id in hostile_ids {
             prop_assert_ne!(svc.wait(id).outcome, Outcome::Completed);
         }
-        for (id, objs, clean, c_objs, opts) in clean_runs {
+        for (id, objs, clean, opts) in clean_runs {
             let r = svc.wait(id);
             prop_assert_eq!(&r.outcome, &Outcome::Completed);
-            let outs: Vec<Vec<u32>> = objs.iter().map(|&h| r.store.read(h).clone()).collect();
-            let recycled = (outs, counters(&r.metrics(WORKERS)));
-            prop_assert_eq!(&observe_solo_over(clean, c_objs, opts), &recycled);
+            let recycled = (logs(&r.store, &objs), counters(&r.metrics(WORKERS)));
+            prop_assert_eq!(&observe_solo(&clean, opts), &recycled);
             // The service places no task, so no dispatch claims a locality
             // hit or miss — least of all one left over from the slot's last
             // tenant.
@@ -310,9 +191,9 @@ proptest! {
         prog in program_strategy(20),
         seed in any::<u64>(),
     ) {
-        let solo = observe_solo(&prog);
+        let solo = observe_solo(&prog, TenantOptions::default());
         let svc = JadeService::new(ServiceConfig::new(WORKERS));
-        let (p, objs) = build_program(&prog);
+        let (p, objs) = tenant(&prog, None);
         let id = svc.submit(p, TenantOptions::default().with_faults(FaultPlan {
             panic_p: 0.3,
             seed,
@@ -320,25 +201,11 @@ proptest! {
         })).unwrap();
         let r = svc.wait(id);
         prop_assert_eq!(&r.outcome, &Outcome::Completed);
-        let outs: Vec<Vec<u32>> = objs.iter().map(|&h| r.store.read(h).clone()).collect();
-        prop_assert_eq!(&solo.0, &outs, "recovered outputs diverged from the clean twin");
+        prop_assert_eq!(&solo.0, &logs(&r.store, &objs), "recovered outputs diverged from the clean twin");
         // Recoveries inflate dispatch/start counts but never completions.
         let m = r.metrics(WORKERS);
         prop_assert_eq!(m.tasks_completed, prog.len());
         prop_assert_eq!(m.tasks_started, m.tasks_completed + m.tasks_reexecuted as usize);
-    }
-
-    /// The service front end and a standalone `ThreadRuntime` agree on
-    /// final object state. (The service pool has its own dispatch loop;
-    /// this pins the whole stack to one observable semantics.)
-    #[test]
-    fn service_agrees_with_solo_thread_runtime(prog in program_strategy(25)) {
-        let (svc_outs, _) = observe_solo(&prog);
-        prop_assert_eq!(
-            svc_outs,
-            run_on_thread_runtime(&prog),
-            "service and ThreadRuntime diverged"
-        );
     }
 }
 
@@ -368,7 +235,11 @@ fn overload_surfaces_as_submit_error() {
         .submit(pa, TenantOptions::default())
         .expect("first DAG admitted");
 
-    let (pb, _) = build_program(&[vec![(0, true)]]);
+    let one = [Task {
+        accesses: vec![(0, Access::Wr)],
+        shape: Shape::Ordinary,
+    }];
+    let (pb, _) = tenant(&one, None);
     match svc.submit(pb, TenantOptions::default()) {
         Err(SubmitError::Overloaded { pending, limit }) => {
             assert_eq!((pending, limit), (0, 0));
@@ -387,13 +258,13 @@ fn overload_surfaces_as_submit_error() {
     assert_eq!(*ra.store.read(ha), 1);
 
     // Once the slot frees, the same shape of DAG is admitted normally.
-    let (pb, objs) = build_program(&[vec![(0, true)]]);
+    let (pb, objs) = tenant(&one, None);
     let b = svc
         .submit(pb, TenantOptions::default())
         .expect("admitted after drain");
     let rb = svc.wait(b);
     assert_eq!(rb.outcome, Outcome::Completed);
-    assert_eq!(rb.store.read(objs[0]).as_slice(), &[0]);
+    assert_eq!(rb.store.read(objs[0]).as_slice(), &[(0, 0)]);
 }
 
 #[test]
@@ -436,4 +307,196 @@ fn thread_runtime_survives_a_caught_mid_batch_panic() {
     let s = rt.last_stats();
     assert_eq!(s.executed, n as usize, "clean batch stats are coherent");
     assert_eq!(s.recoveries, 0);
+}
+
+/// What a concurrent submitter's tenant must come to, by its index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Class {
+    /// Completes with the serial output and no recovery.
+    Clean,
+    /// Injected crashes: completes with the serial output, after exactly
+    /// the re-executions its plan predicts.
+    Faulty,
+    /// A zero budget: cancelled before any task completes.
+    Deadline,
+    /// A task that panics: fails, alone.
+    Buggy,
+}
+
+impl Class {
+    fn of(i: usize) -> Class {
+        match i % 10 {
+            7 => Class::Faulty,
+            8 => Class::Deadline,
+            9 => Class::Buggy,
+            _ => Class::Clean,
+        }
+    }
+}
+
+/// A pool held until every worker is inside a blocker task, so nothing
+/// completes and admission must fill.
+struct Gate {
+    held: Mutex<(usize, bool)>,
+    cv: Condvar,
+}
+
+impl Gate {
+    fn hold(&self) {
+        let mut g = self.held.lock().unwrap();
+        g.0 += 1;
+        self.cv.notify_all();
+        while !g.1 {
+            g = self.cv.wait(g).unwrap();
+        }
+    }
+
+    fn wait_held(&self, workers: usize) {
+        let mut g = self.held.lock().unwrap();
+        while g.0 < workers {
+            g = self.cv.wait(g).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        self.held.lock().unwrap().1 = true;
+        self.cv.notify_all();
+    }
+}
+
+/// Tenants of every class from concurrent submitters over one pool whose
+/// admission is tight. Backpressure is forced, not hoped for: a blocker
+/// tenant holds every worker until some submitter is refused with
+/// `Overloaded`, and refused submitters settle their own tenants and
+/// retry. Each tenant comes to its class's outcome; a completed tenant's
+/// stream passes `check_lifecycle` and `check_order`, and records as many
+/// re-executions as the report counts recoveries.
+#[test]
+fn concurrent_submitters_get_each_class_its_outcome() {
+    const DAGS: usize = 200;
+    const SUBMITTERS: usize = 4;
+    quiet_expected_panics();
+    let mut cfg = ServiceConfig::new(WORKERS);
+    cfg.max_active = 3;
+    cfg.max_pending = 2;
+    let svc = JadeService::new(cfg);
+
+    let gate = Arc::new(Gate {
+        held: Mutex::new((0, false)),
+        cv: Condvar::new(),
+    });
+    let mut blocker = Program::new();
+    for w in 0..WORKERS {
+        let h = blocker.create(format!("b{w}"), 8, 0u64);
+        let gate = Arc::clone(&gate);
+        blocker.submit(TaskBuilder::new("block").wr(h).body(move |_| gate.hold()));
+    }
+    let blocker = svc.submit(blocker, TenantOptions::default()).unwrap();
+    gate.wait_held(WORKERS);
+
+    let plan = |i: usize| FaultPlan {
+        panic_p: 0.3,
+        seed: 0x5eed + i as u64,
+        ..FaultPlan::none()
+    };
+    let (overloads, recoveries) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let errors = Mutex::new(Vec::new());
+    let check = |i: usize, prog: &[Task], objs: &[jade::Handle<Log>], r: jade::TenantReport| {
+        let class = Class::of(i);
+        let tasks = prog.len();
+        let failed_alone = matches!(&r.outcome, Outcome::Failed(m) if m.contains("hostile bug"));
+        let fail = |why: String| {
+            errors
+                .lock()
+                .unwrap()
+                .push(format!("DAG {i} ({class:?}): {why}"))
+        };
+        match class {
+            Class::Clean | Class::Faulty if r.outcome == Outcome::Completed => {
+                if logs(&r.store, objs) != run(&mut TraceRuntime::new(), prog) {
+                    fail("output differs from the serial run's".into());
+                }
+                let want = match class {
+                    Class::Faulty => predicted_reexecutions(Some(plan(i)), tasks) as usize,
+                    _ => 0,
+                };
+                let reexecuted = r.metrics(WORKERS).tasks_reexecuted as usize;
+                recoveries.fetch_add(r.recoveries, Ordering::Relaxed);
+                if (r.recoveries, reexecuted) != (want, want) {
+                    fail(format!(
+                        "{} recoveries, {reexecuted} re-executions, want {want}",
+                        r.recoveries
+                    ));
+                }
+                for e in [
+                    check_lifecycle(&r.events),
+                    check_order(&graph(prog), &r.events),
+                ] {
+                    e.unwrap_or_else(&fail);
+                }
+            }
+            Class::Deadline
+                if r.outcome == Outcome::DeadlineExceeded
+                    && (r.tasks_completed, r.tasks_cancelled) == (0, tasks) => {}
+            Class::Buggy if failed_alone => {}
+            _ => fail(format!(
+                "outcome {:?}, {} of {tasks} tasks completed",
+                r.outcome, r.tasks_completed
+            )),
+        }
+    };
+
+    std::thread::scope(|s| {
+        for first in 0..SUBMITTERS {
+            let (svc, gate, overloads, check) = (&svc, &gate, &overloads, &check);
+            s.spawn(move || {
+                let mut inflight = Vec::new();
+                let settle = |inflight: &mut Vec<(usize, Vec<Task>, Vec<_>, jade::TenantId)>| {
+                    for (i, prog, objs, id) in inflight.drain(..) {
+                        check(i, &prog, &objs, svc.wait(id));
+                    }
+                };
+                for i in (first..DAGS).step_by(SUBMITTERS) {
+                    let prog = program_strategy(12).generate(&mut TestRng::from_seed(i as u64));
+                    let class = Class::of(i);
+                    let opts = match class {
+                        Class::Faulty => TenantOptions::default().with_faults(plan(i)),
+                        Class::Deadline => TenantOptions::default().with_deadline(Duration::ZERO),
+                        _ => TenantOptions::default(),
+                    };
+                    let opts = opts.with_weight(1 + (i % 3) as u32);
+                    let bug = (class == Class::Buggy).then_some(i % prog.len());
+                    loop {
+                        // `submit` consumes the program: rebuilt per attempt.
+                        let (p, objs) = tenant(&prog, bug);
+                        match svc.submit(p, opts.clone()) {
+                            Ok(id) => break inflight.push((i, prog, objs, id)),
+                            Err(SubmitError::Overloaded { .. }) => {
+                                overloads.fetch_add(1, Ordering::Relaxed);
+                                gate.open();
+                                settle(&mut inflight);
+                                std::thread::yield_now();
+                            }
+                            Err(e) => panic!("DAG {i} rejected: {e}"),
+                        }
+                    }
+                }
+                settle(&mut inflight);
+            });
+        }
+    });
+
+    assert_eq!(svc.wait(blocker).outcome, Outcome::Completed);
+    assert!(recoveries.into_inner() > 0, "no injected crash fired");
+    assert!(
+        overloads.into_inner() > 0,
+        "the held pool never refused a DAG"
+    );
+    let errors = errors.into_inner().unwrap();
+    assert!(
+        errors.is_empty(),
+        "{} tenants failed: {:#?}",
+        errors.len(),
+        &errors[..errors.len().min(10)]
+    );
 }
