@@ -1,16 +1,17 @@
 //! Conformance tests for the unified event layer: for random task DAGs the
-//! event streams of both machine simulators must be sound (complete
-//! lifecycles, byte-accurate communication, timelines that tile exactly to
-//! the makespan), and every backend must produce byte-identical streams for
+//! event streams of both machine simulators must obey the program's
+//! dependence graph and be sound (the iPSC's complete lifecycles,
+//! byte-accurate communication, timelines that tile exactly to the
+//! makespan), and every backend must produce byte-identical streams for
 //! identical inputs.
 
 mod common;
 
-use common::program_strategy;
+use common::{graph, program_strategy, run, versions, WORK};
 use dsim::SimDuration;
 use jade::core::{
-    check_conservation, check_lifecycle, AccessSpec, Event, Metrics, TaskBuilder, Trace,
-    TraceBuilder,
+    check_conservation, check_lifecycle, check_order, AccessSpec, Event, Metrics, TaskBuilder,
+    Trace, TraceBuilder,
 };
 use jade::dash::{self, DashConfig};
 use jade::ipsc::{self, IpscConfig};
@@ -53,37 +54,54 @@ fn assert_stream_sound(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// For any random program — serial phases, placements and phase breaks
     /// included — on any processor count and at every locality level, both
-    /// simulators emit streams whose spans tile the makespan and match the
-    /// clock's busy triples, and whose fold is what the untraced run
-    /// reports. The runs also move the bytes the simulator counts, and on
-    /// the iPSC have a complete lifecycle chain per task.
+    /// simulators execute every task and obey the program's dependence
+    /// graph (`check_order`); the iPSC's final versions are the serial
+    /// `TraceRuntime` run's and its stream has a complete lifecycle chain
+    /// per task. Both streams' spans tile the makespan and match the
+    /// clock's busy triples, their fold is what the untraced run reports,
+    /// the runs move the bytes the simulator counts, and the makespan lies
+    /// between perfect speedup and serial execution plus overheads.
     #[test]
     fn event_streams_are_sound_on_both_simulators(
         prog in program_strategy(30),
         procs in 1usize..9,
         mode in 0usize..3,
     ) {
+        let serial = run(&mut jade::TraceRuntime::new(), &prog);
+        let graph = graph(&prog);
         let trace = common::trace(&prog, procs, 256);
+        prop_assert_eq!(&*trace.dep_graph(true).unwrap(), &graph);
         let mode = LocalityMode::ALL[mode];
+        let total_work = WORK * prog.len() as f64;
+        let bounds = |exec_time_s: f64| {
+            assert!(exec_time_s >= total_work / procs as f64 * 0.94, "{exec_time_s} s too fast");
+            assert!(exec_time_s <= total_work + 2.0, "{exec_time_s} s vs {total_work} s of work");
+        };
 
         let cfg = DashConfig::paper(procs, mode, 1.0);
-        // Not yet `check_lifecycle` on DASH: main stamps a new task's
-        // creation at the end of the creation cost but registers it at
-        // once, so an enable or a dispatch at an earlier calendar time can
-        // precede that stamp.
+        // Not `check_lifecycle` on DASH: main stamps a new task's creation
+        // at the end of the creation cost but queues it at once, so with a
+        // serial-phase task in the program a thief can dispatch it before
+        // that stamp.
         let (d, ev) = dash::try_run_traced(&trace, &cfg).unwrap();
+        prop_assert_eq!(d.tasks_executed, prog.len());
+        prop_assert_eq!(check_order(&graph, &ev).err(), None, "DASH");
         prop_assert_eq!(Metrics::from_events(&ev, procs).fetch_bytes, d.bytes_moved);
         let folded = dash::try_run_folded(&trace, &cfg).unwrap();
         prop_assert_eq!(format!("{folded:?}"), format!("{d:?}"));
         let m = assert_stream_sound(&ev, procs, d.exec_time_s, &d.per_proc_busy);
         prop_assert_eq!(m.tasks_started, d.tasks_executed);
+        bounds(d.exec_time_s);
 
         let cfg = IpscConfig::paper(procs, mode, 1.0);
         let (i, ev) = ipsc::try_run_traced(&trace, &cfg).unwrap();
+        prop_assert_eq!(&i.final_versions, &versions(&serial));
+        prop_assert_eq!(i.tasks_executed, prog.len());
+        prop_assert_eq!(check_order(&graph, &ev).err(), None, "iPSC");
         prop_assert_eq!(check_lifecycle(&ev).err(), None);
         let m = Metrics::from_events(&ev, procs);
         prop_assert_eq!(m.comm_bytes(), i.comm_bytes, "iPSC comm volume");
@@ -92,6 +110,7 @@ proptest! {
         prop_assert_eq!(format!("{folded:?}"), format!("{i:?}"));
         let m = assert_stream_sound(&ev, procs, i.exec_time_s, &i.per_proc_busy);
         prop_assert_eq!(m.tasks_started, i.tasks_executed);
+        bounds(i.exec_time_s);
     }
 }
 

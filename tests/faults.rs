@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::{program_strategy, trace};
+use common::{program_strategy, trace, Shape, Task};
 use jade::apps::halo::{self, HaloConfig};
 use jade::apps::pagerank::{self, PagerankConfig};
 use jade::core::{
@@ -127,8 +127,12 @@ proptest! {
     }
 
     /// The DASH simulator under random transient stalls completes every
-    /// program deterministically, in dependence order, with spans that
-    /// tile the makespan.
+    /// program deterministically, with a complete lifecycle chain per task
+    /// in dependence order, and spans that tile the makespan. Serial-phase
+    /// tasks become ordinary ones. Main stamps an ordinary task's creation
+    /// at the end of the creation cost but queues it at once, and with a
+    /// serial task in the program a thief can take it in between: a
+    /// dispatch before the creation stamp, which `check_lifecycle` rejects.
     #[test]
     fn dash_survives_transient_stalls(
         prog in program_strategy(20),
@@ -137,6 +141,13 @@ proptest! {
         stall_us in 1u32..5001,
         seed in any::<u64>(),
     ) {
+        let prog: Vec<Task> = prog
+            .into_iter()
+            .map(|t| match t.shape {
+                Shape::Serial => Task { shape: Shape::Ordinary, ..t },
+                _ => t,
+            })
+            .collect();
         let trace = trace(&prog, procs, BYTES);
         let base = DashConfig::paper(procs, LocalityMode::Locality, 1.0);
         let clean = dash::try_run(&trace, &base).expect("simulation failed");
@@ -150,9 +161,7 @@ proptest! {
         let (faulty, events) = dash::try_run_traced(&trace, &cfg).expect("simulation failed");
         prop_assert_eq!(faulty.tasks_executed, trace.task_count());
         prop_assert_eq!(faulty.tasks_executed, clean.tasks_executed);
-        // DASH stays exempt from `check_lifecycle`: main stamps a task's
-        // creation at the end of the creation cost, after an enable or a
-        // dispatch that can come earlier. The order holds.
+        check_lifecycle(&events).expect("lifecycle holds under stalls");
         let graph = trace.dep_graph(cfg.replication).unwrap();
         check_order(&graph, &events).expect("dependence order holds under stalls");
         let m = Metrics::from_events(&events, procs);

@@ -1,6 +1,7 @@
 //! Property-based tests over random task DAGs: the online synchronizer
 //! must uphold Jade's semantics for *any* program, not just the
-//! applications. Every executor is checked in `tests/conformance.rs`.
+//! applications. The runtimes are checked against the serial run in
+//! `tests/conformance.rs`, the simulators in `tests/events.rs`.
 
 mod common;
 

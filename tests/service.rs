@@ -368,9 +368,10 @@ impl Gate {
 /// admission is tight. Backpressure is forced, not hoped for: a blocker
 /// tenant holds every worker until some submitter is refused with
 /// `Overloaded`, and refused submitters settle their own tenants and
-/// retry. Each tenant comes to its class's outcome; a completed tenant's
-/// stream passes `check_lifecycle` and `check_order`, and records as many
-/// re-executions as the report counts recoveries.
+/// retry. Each tenant comes to its class's outcome; a completed tenant
+/// completes every task, its stream passes `check_lifecycle` and
+/// `check_order`, and records as many re-executions as the report counts
+/// recoveries.
 #[test]
 fn concurrent_submitters_get_each_class_its_outcome() {
     const DAGS: usize = 200;
@@ -415,6 +416,14 @@ fn concurrent_submitters_get_each_class_its_outcome() {
             Class::Clean | Class::Faulty if r.outcome == Outcome::Completed => {
                 if logs(&r.store, objs) != run(&mut TraceRuntime::new(), prog) {
                     fail("output differs from the serial run's".into());
+                }
+                // A task that writes nothing leaves no mark in the logs.
+                let created = r.metrics(WORKERS).tasks_created;
+                if (r.tasks_completed, created) != (tasks, tasks) {
+                    fail(format!(
+                        "{} of {tasks} tasks completed, {created} created",
+                        r.tasks_completed
+                    ));
                 }
                 let want = match class {
                     Class::Faulty => predicted_reexecutions(Some(plan(i)), tasks) as usize,
