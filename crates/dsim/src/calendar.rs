@@ -162,12 +162,6 @@ impl<E> Calendar<E> {
     pub fn len(&self) -> usize {
         self.heap.len() + self.timers.len()
     }
-
-    /// Total number of events ever scheduled (a cheap progress metric and a
-    /// guard against runaway simulations in tests).
-    pub fn scheduled_count(&self) -> u64 {
-        self.seq
-    }
 }
 
 #[cfg(test)]

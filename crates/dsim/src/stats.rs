@@ -1,8 +1,6 @@
 //! Small statistics helpers shared by the machine runtimes and the
 //! experiment harness.
 
-use crate::time::SimDuration;
-
 /// Online accumulator of a scalar series (count / sum / min / max / mean).
 #[derive(Clone, Debug, Default)]
 pub struct Accum {
@@ -31,10 +29,6 @@ impl Accum {
         if x > self.max {
             self.max = x;
         }
-    }
-
-    pub fn add_duration(&mut self, d: SimDuration) {
-        self.add(d.as_secs_f64());
     }
 
     pub fn mean(&self) -> f64 {

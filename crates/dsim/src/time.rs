@@ -96,11 +96,6 @@ impl SimDuration {
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
-
-    #[inline]
-    pub fn mul_u64(self, k: u64) -> SimDuration {
-        SimDuration(self.0.checked_mul(k).expect("SimDuration overflow"))
-    }
 }
 
 fn secs_to_ps(s: f64) -> u64 {

@@ -642,10 +642,9 @@ fn threads_water(setup: impl FnOnce(&mut ThreadRuntime)) -> (WaterOutput, Thread
 }
 
 /// `plan` as `ThreadRuntime` reads it. The runtime reads `panic_p` and
-/// `seed`; a `JadeService` tenant also reads `fail_proc`; every other
-/// field, `ckpt=` included, is validated and ignored. Threads have no
-/// messages to lose, so the drop rate becomes the crash rate when the plan
-/// gives none.
+/// `seed`; every other field, `ckpt=` included, is validated and ignored.
+/// Threads have no messages to lose, so the drop rate becomes the crash
+/// rate when the plan gives none.
 fn crash_plan(plan: FaultPlan) -> FaultPlan {
     let panic_p = if plan.panic_p > 0.0 {
         plan.panic_p

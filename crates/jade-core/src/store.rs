@@ -92,12 +92,6 @@ impl Store {
         self.slots[id.index()].size_bytes
     }
 
-    /// Update the communication size of an object whose payload grows after
-    /// allocation (e.g. a sparse panel filled in during factorization).
-    pub fn set_size_bytes(&mut self, id: ObjectId, size: usize) {
-        self.slots[id.index()].size_bytes = size;
-    }
-
     /// Bytes moved through a cache hierarchy when the object is accessed
     /// (defaults to the full communication size).
     pub fn cache_bytes(&self, id: ObjectId) -> usize {

@@ -22,7 +22,7 @@
 //! );
 //! ```
 
-use crate::access::{AccessMode, AccessSpec};
+use crate::access::AccessSpec;
 use crate::ids::{Handle, ObjectId, ProcId, TaskId};
 use crate::store::{ReadGuard, Store, WriteGuard};
 use std::cell::Cell;
@@ -91,12 +91,6 @@ impl TaskBuilder {
     /// Explicitly place the task on processor `p`.
     pub fn place(mut self, p: ProcId) -> Self {
         self.placement = Some(p);
-        self
-    }
-
-    /// Optionally place the task (`None` leaves scheduling to the runtime).
-    pub fn place_opt(mut self, p: Option<ProcId>) -> Self {
-        self.placement = p;
         self
     }
 
@@ -197,11 +191,6 @@ impl<'a> TaskCtx<'a> {
         }
     }
 
-    /// The id of the running task.
-    pub fn task_id(&self) -> TaskId {
-        self.task
-    }
-
     fn check(&self, id: ObjectId, need_write: bool) {
         assert!(
             !self.released.borrow().contains(&id),
@@ -261,11 +250,6 @@ impl<'a> TaskCtx<'a> {
     /// Total operations charged so far.
     pub fn charged(&self) -> f64 {
         self.charged.get()
-    }
-
-    /// The declared mode for an object (for generic helper code).
-    pub fn declared_mode(&self, id: ObjectId) -> Option<AccessMode> {
-        self.spec.mode_of(id)
     }
 }
 

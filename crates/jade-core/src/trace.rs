@@ -104,27 +104,12 @@ impl Trace {
         self.tasks.iter().map(|t| t.work).sum()
     }
 
-    /// Total charged work over non-serial-phase (parallel) tasks.
-    pub fn parallel_work(&self) -> f64 {
-        self.tasks
-            .iter()
-            .filter(|t| !t.serial_phase)
-            .map(|t| t.work)
-            .sum()
-    }
-
     pub fn task_count(&self) -> usize {
         self.tasks.len()
     }
 
     pub fn object_size(&self, o: ObjectId) -> usize {
         self.objects[o.index()].size_bytes
-    }
-
-    /// Bytes a cache-coherent machine moves when the object is accessed.
-    pub fn object_cache_bytes(&self, o: ObjectId) -> usize {
-        let ob = &self.objects[o.index()];
-        ob.cache_bytes.unwrap_or(ob.size_bytes)
     }
 
     pub fn object_home(&self, o: ObjectId) -> ProcId {

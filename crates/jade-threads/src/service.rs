@@ -17,25 +17,17 @@
 //!   resident; further submissions queue in a bounded pending queue. A full
 //!   queue never panics and never buffers unboundedly: the new submission
 //!   is rejected with [`SubmitError::Overloaded`].
-//! * **Tenant fault isolation.** Task bodies run under the same
-//!   catch-unwind crash path as `ThreadRuntime`: injected crashes (a
-//!   tenant's [`FaultPlan`], keyed purely on `(seed, task, attempt)`) are
-//!   re-executed to a bit-identical result; a *genuine* panic fails only
-//!   its own tenant ([`Outcome::Failed`]) — the pool keeps running and
-//!   every other tenant's outputs and deterministic counters are exactly
-//!   what they would be running alone.
-//! * **Deadlines.** A tenant may carry a wall-clock deadline (the budget
-//!   starts at submission, so time spent queued counts). An expired tenant
-//!   stops being dispatched, its remaining tasks are cancelled, running
-//!   tasks drain, and the report resolves to [`Outcome::DeadlineExceeded`]
-//!   with partial per-tenant metrics — the pool is never wedged.
-//! * **Fair scheduling.** Workers scan tenants round-robin (optionally
-//!   weighted): a tenant with continuously ready work is served again
-//!   after at most Σ other tenants' weights dispatches — the starvation
-//!   bound asserted in the tests. While others have ready work, no tenant
-//!   gets more than [`CREDIT_CAP_MAX`] / (tenants with ready work)
-//!   dispatches in a row, whatever its weight; the rest of its turn is
-//!   banked for its next one.
+//! * **Tenant fault isolation.** Task bodies run under `catch_unwind`: a
+//!   panicking body fails only its own tenant ([`Outcome::Failed`]), whose
+//!   remaining tasks are cancelled — the pool keeps running and every
+//!   other tenant's outputs and deterministic counters are exactly what
+//!   they would be running alone. A panic outside a body is a service bug:
+//!   the service stops, and [`JadeService::wait`] panics with its message
+//!   instead of blocking.
+//! * **Fair scheduling.** Workers scan tenants round-robin: a tenant with
+//!   continuously ready work waits at most one dispatch per other
+//!   resident tenant between two of its own — the starvation bound
+//!   asserted in the tests.
 //! * **Cost per task.** A worker settles a finished task and picks its
 //!   next one under a single acquisition of the core lock; a condvar is
 //!   notified only when someone is parked on it for that very reason and
@@ -52,18 +44,16 @@
 //! tenants nondeterministically, but everything *within* a tenant that Jade
 //! semantics pins down — final object values and the interleaving-
 //! independent counters — is identical to a solo run of the same program
-//! on the same seed (enforced by proptests in `tests/service.rs`).
+//! (enforced by proptests in `tests/service.rs`).
 
-use crate::{lock, InjectedFailure, Release, MAX_TASK_ATTEMPTS};
-use dsim::FaultPlan;
+use crate::{lock, Release};
 use jade_core::{
     AccessSpec, Countdown, Event, EventKind, Handle, Locality, Metrics, ObjectId, Sink, Store,
     TaskBody, TaskCtx, TaskDef, TaskId, TenantId,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 /// One tenant's program: a private object store plus its task DAG, built
 /// up-front and handed to [`JadeService::submit`]. Task ids are
@@ -135,44 +125,10 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Per-submission options.
+/// Per-submission options. There are none yet: every tenant is served
+/// alike, and `TenantOptions::default()` is the one value.
 #[derive(Clone, Debug, Default)]
-pub struct TenantOptions {
-    /// Wall-clock budget, measured from submission (queueing time counts).
-    pub deadline: Option<Duration>,
-    /// Injected-fault plan for this tenant only. `panic_p` crashes task
-    /// attempts via the keyed `(seed, task, attempt)` hash; `fail_proc = p`
-    /// simulates fail-stop of virtual worker `p`: every task placed on it
-    /// (tenant-local id modulo pool width) crashes on its first attempt and
-    /// re-executes. Both crash *before* the body runs, so recovery is
-    /// bit-identical.
-    pub faults: Option<FaultPlan>,
-    /// Fair-share weight (0 is treated as 1): consecutive dispatches the
-    /// tenant may receive before the round-robin cursor moves on, while
-    /// the [`CREDIT_CAP_MAX`] share allows.
-    pub weight: u32,
-}
-
-impl TenantOptions {
-    pub fn with_deadline(mut self, d: Duration) -> Self {
-        self.deadline = Some(d);
-        self
-    }
-
-    /// Inject `plan`'s faults into this tenant. A tenant reads three of
-    /// the plan's fields: `panic_p` and `seed` (as `ThreadRuntime` does)
-    /// and `fail_proc`. Every other field, `ckpt=` included, is validated
-    /// at submission and ignored.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    pub fn with_weight(mut self, w: u32) -> Self {
-        self.weight = w;
-        self
-    }
-}
+pub struct TenantOptions {}
 
 /// Why a submission was not admitted. Never a panic: overload is an
 /// expected operating condition of a loaded service.
@@ -180,10 +136,9 @@ impl TenantOptions {
 pub enum SubmitError {
     /// Active slots and the pending queue are full.
     Overloaded { pending: usize, limit: usize },
-    /// The service is shutting down.
+    /// The service is shutting down, or a worker panicked outside a task
+    /// body and stopped it.
     ShuttingDown,
-    /// The tenant's fault plan failed validation.
-    InvalidFaultPlan(String),
     /// The program contains no tasks.
     EmptyProgram,
 }
@@ -195,7 +150,6 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "service overloaded: {pending}/{limit} DAGs pending")
             }
             SubmitError::ShuttingDown => write!(f, "service is shutting down"),
-            SubmitError::InvalidFaultPlan(why) => write!(f, "invalid fault plan: {why}"),
             SubmitError::EmptyProgram => write!(f, "program has no tasks"),
         }
     }
@@ -208,10 +162,8 @@ impl std::error::Error for SubmitError {}
 pub enum Outcome {
     /// Every task completed.
     Completed,
-    /// The wall-clock deadline expired; remaining tasks were cancelled.
-    DeadlineExceeded,
-    /// A task body genuinely panicked (or exhausted the injected-failure
-    /// retry budget); remaining tasks were cancelled. The pool survives.
+    /// A task body panicked, with this message; remaining tasks were
+    /// cancelled. The pool survives.
     Failed(String),
 }
 
@@ -223,11 +175,9 @@ pub struct TenantReport {
     pub outcome: Outcome,
     pub tasks_total: usize,
     pub tasks_completed: usize,
-    /// Tasks never completed (cancelled by a deadline or a failure). Zero
-    /// iff `outcome == Completed`.
+    /// Tasks never completed (cancelled by a failure). Zero iff
+    /// `outcome == Completed`.
     pub tasks_cancelled: usize,
-    /// Injected-crash re-executions recovered inside this tenant.
-    pub recoveries: usize,
     pub store: Arc<Store>,
     /// This tenant's event stream. Times are service-global logical
     /// sequence numbers, so the streams of several reports merge by time
@@ -264,21 +214,14 @@ struct TenantTask {
     /// needs it off the core lock; the graph was built from it at
     /// admission, so nothing reads it under the lock.
     spec: AccessSpec,
-    /// Taken by the executing worker; put back, with the specification, on
-    /// an injected crash so the re-execution runs the same body.
+    /// Taken by the executing worker.
     body: Option<TaskBody>,
-    attempt: u32,
 }
 
 /// Largest tenant (tasks + declared accesses + objects) whose slot is kept
 /// for reuse; a bigger one is dropped at retirement, so one huge DAG cannot
 /// pin its slabs for the life of the service.
 const SPARE_MAX_ENTRIES: usize = 4096;
-
-/// The fair-share budget: while `k > 1` tenants have ready work, the cursor
-/// tenant's turn ends after `CREDIT_CAP_MAX / k` (at least 1) dispatches in
-/// a row, whatever its weight.
-pub const CREDIT_CAP_MAX: u32 = 8;
 
 /// One resident tenant. All fields are guarded by the service's core lock;
 /// only the store (and the executing task's body) escape it.
@@ -290,23 +233,13 @@ struct Tenant {
     /// Declared accesses over all tasks (sizes the slot, see
     /// [`SPARE_MAX_ENTRIES`]).
     n_decls: usize,
-    /// Tasks not yet completed.
-    live: usize,
     /// Tasks currently executing on workers.
     running: usize,
     completed: usize,
-    recoveries: usize,
-    /// Set once cancellation triggers (deadline or failure); the terminal
-    /// outcome. Cancelled tenants dispatch nothing further and finalize
-    /// when the last running task drains.
-    cancel: Option<Outcome>,
-    deadline: Option<Instant>,
-    faults: Option<FaultPlan>,
-    weight: u32,
-    /// Unserved dispatches banked when the fair-share cap cut this
-    /// tenant's weighted turn short; restored as the grant of its next turn
-    /// so long-run weight ratios survive the cap.
-    carry: u32,
+    /// The first panic message of a failed tenant. A failed tenant
+    /// dispatches nothing further and finalizes when the last running task
+    /// drains.
+    failed: Option<String>,
 }
 
 /// A submission waiting for an active slot. `submit` allocates what leaves
@@ -317,9 +250,6 @@ struct PendingTenant {
     tasks: Vec<TaskDef>,
     store: Arc<Store>,
     events: Vec<Event>,
-    deadline: Option<Instant>,
-    faults: Option<FaultPlan>,
-    weight: u32,
 }
 
 #[derive(Default)]
@@ -328,18 +258,14 @@ struct Core {
     pending: VecDeque<PendingTenant>,
     finished: HashMap<u32, TenantReport>,
     next_id: u32,
-    /// Tenant currently holding the round-robin turn.
+    /// Tenant picked last; the next pick scans on from just past it.
     rr_cursor: u32,
-    /// Dispatches left in the cursor tenant's turn (its weight, counted
-    /// down; at zero the next scan starts after the cursor).
-    rr_credit: u32,
-    /// Consecutive dispatches the cursor tenant has received in its current
-    /// stretch; `pick` forces a handoff when this reaches the fair-share
-    /// cap while other tenants have ready work.
-    burst: u32,
     /// Service-global logical event clock shared by every tenant's stream.
     clock: u64,
     shutdown: bool,
+    /// The message of a worker's panic outside a task body. Set with
+    /// `shutdown`; from then on `wait` panics with it instead of parking.
+    broken: Option<String>,
     /// Workers parked on `work` (or woken and not yet back under the lock).
     /// With `waking` and `awaited` this is the wake protocol of DESIGN.md
     /// §16: all three are written only under the core lock, so a notifier
@@ -351,11 +277,8 @@ struct Core {
     /// Tenant ids some `wait` caller is parked on, one entry per caller.
     awaited: Vec<u32>,
     /// Ready tasks over all resident tenants (`Σ slot.ready.len()`; a
-    /// cancelled tenant's queue is empty).
+    /// failed tenant's queue is empty).
     ready_tasks: usize,
-    /// Resident tenants carrying a deadline; the clock is read and
-    /// deadlines are swept only while this is non-zero.
-    deadlines: usize,
     /// Retired tenants' cleared slots, at most `max_active` of them.
     spares: Vec<Slot>,
     /// Scratch for the tasks one transition enables.
@@ -426,8 +349,6 @@ struct Picked {
     label: &'static str,
     spec: AccessSpec,
     body: TaskBody,
-    attempt: u32,
-    injected: bool,
     store: Arc<Store>,
 }
 
@@ -456,7 +377,22 @@ impl JadeService {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("jade-svc-{w}"))
-                    .spawn(move || worker_loop(&inner, w))
+                    .spawn(move || {
+                        // A panic outside a body's catch_unwind is a service
+                        // bug (a countdown assert, say): its tenant can never
+                        // settle. Stop the service and wake every worker and
+                        // every `wait` caller to see it, rather than leave
+                        // them parked for a settle that never comes.
+                        let run = catch_unwind(AssertUnwindSafe(|| worker_loop(&inner, w)));
+                        if let Err(p) = run {
+                            let mut core = lock(&inner.core);
+                            core.broken.get_or_insert_with(|| panic_message(&*p));
+                            core.shutdown = true;
+                            drop(core);
+                            inner.work.notify_all();
+                            inner.done.notify_all();
+                        }
+                    })
                     .expect("spawn service worker")
             })
             .collect();
@@ -470,19 +406,14 @@ impl JadeService {
     /// Submit a tenant program. Returns its [`TenantId`] (pass to
     /// [`wait`](Self::wait)) or an explicit [`SubmitError`] — admission
     /// never panics and never queues unboundedly.
-    pub fn submit(&self, prog: Program, opts: TenantOptions) -> Result<TenantId, SubmitError> {
+    pub fn submit(&self, prog: Program, _opts: TenantOptions) -> Result<TenantId, SubmitError> {
         if prog.tasks.is_empty() {
             return Err(SubmitError::EmptyProgram);
         }
-        if let Some(plan) = &opts.faults {
-            plan.validate().map_err(SubmitError::InvalidFaultPlan)?;
-        }
-        let deadline = opts.deadline.map(|d| Instant::now() + d);
-        let weight = opts.weight.max(1);
         let Program { store, tasks } = prog;
         let store = Arc::new(store);
         // Five events per task (created, enabled, dispatched, started,
-        // completed): a fault-free tenant's stream never reallocates.
+        // completed): a tenant's stream never reallocates.
         let events = Vec::with_capacity(5 * tasks.len());
         let mut core = lock(&self.inner.core);
         if core.shutdown {
@@ -503,9 +434,6 @@ impl JadeService {
             tasks,
             store,
             events,
-            deadline,
-            faults: opts.faults,
-            weight,
         };
         let wake = if core.active.len() < self.inner.cfg.max_active {
             // A free slot means `pending` is empty (the park invariant, see
@@ -529,12 +457,16 @@ impl JadeService {
     /// # Panics
     ///
     /// If `id` was never issued by this service or its report was already
-    /// taken.
+    /// taken; or if the report is not there and a service worker panicked
+    /// outside a task body, with that panic's message.
     pub fn wait(&self, id: TenantId) -> TenantReport {
         let mut core = lock(&self.inner.core);
         loop {
             if let Some(r) = core.finished.remove(&id.0) {
                 return r;
+            }
+            if let Some(msg) = &core.broken {
+                panic!("service worker panicked: {msg}");
             }
             assert!(
                 id.0 < core.next_id
@@ -554,34 +486,29 @@ impl JadeService {
         }
     }
 
-    /// Tenants currently pending admission (backpressure observability).
-    pub fn pending_len(&self) -> usize {
-        lock(&self.inner.core).pending.len()
-    }
-
-    /// Tenants currently resident.
-    pub fn active_len(&self) -> usize {
-        lock(&self.inner.core).active.len()
-    }
-
     /// Stop accepting submissions, drain every admitted tenant, and join
     /// the worker pool. Unclaimed reports are dropped.
+    ///
+    /// # Panics
+    ///
+    /// If a service worker panicked outside a task body, with that panic's
+    /// message (dropping the service does the same, unless the thread is
+    /// already unwinding).
     pub fn shutdown(mut self) {
         self.drain_and_join();
     }
 
     fn drain_and_join(&mut self) {
-        {
-            let mut core = lock(&self.inner.core);
-            core.shutdown = true;
-        }
+        lock(&self.inner.core).shutdown = true;
         self.inner.work.notify_all();
         for h in self.threads.drain(..) {
-            if let Err(p) = h.join() {
-                // A panic *outside* the body's catch_unwind is a service
-                // bug, not a tenant fault; surface it.
-                resume_unwind(p);
-            }
+            h.join().expect("a worker's panic is caught");
+        }
+        // A panic outside a body is a service bug, not a tenant fault:
+        // surface it, but never as a second panic while unwinding.
+        let broken = lock(&self.inner.core).broken.take();
+        if let Some(msg) = broken.filter(|_| !std::thread::panicking()) {
+            panic!("service worker panicked: {msg}");
         }
     }
 }
@@ -601,9 +528,6 @@ fn register_tenant(core: &mut Core, pend: PendingTenant) {
         tasks,
         store,
         mut events,
-        deadline,
-        faults,
-        weight,
     } = pend;
     let n = tasks.len();
     let mut slot = core.spares.pop().unwrap_or_default();
@@ -620,40 +544,28 @@ fn register_tenant(core: &mut Core, pend: PendingTenant) {
             label: def.label,
             spec: def.spec,
             body: Some(def.body),
-            attempt: 0,
         });
     }
     core.ready_tasks += slot.ready.len();
-    core.deadlines += usize::from(deadline.is_some());
     let tenant = Tenant {
         store,
         slot,
         events,
         n_tasks: n,
         n_decls,
-        live: n,
         running: 0,
         completed: 0,
-        recoveries: 0,
-        cancel: None,
-        deadline,
-        faults,
-        weight,
-        carry: 0,
+        failed: None,
     };
     core.active.insert(id, tenant);
 }
 
-/// Trigger cancellation of a tenant: set the terminal outcome (first cause
-/// wins), drop its not-yet-dispatched work, and finalize immediately if
-/// nothing is still running.
-fn cancel_tenant(core: &mut Core, inner: &Inner, id: u32, outcome: Outcome) {
-    let Some(t) = core.active.get_mut(&id) else {
-        return;
-    };
-    if t.cancel.is_none() {
-        t.cancel = Some(outcome);
-    }
+/// Fail a tenant whose body panicked with `msg` (the first failure's
+/// message wins): drop its not-yet-dispatched work, and finalize
+/// immediately if nothing is still running.
+fn fail_tenant(core: &mut Core, inner: &Inner, id: u32, msg: String) {
+    let t = core.active.get_mut(&id).expect("tenant still active");
+    t.failed.get_or_insert(msg);
     core.ready_tasks -= t.slot.ready.len();
     t.slot.ready.clear();
     if t.running == 0 {
@@ -670,8 +582,7 @@ fn finalize_tenant(core: &mut Core, inner: &Inner, id: u32) {
         return;
     };
     debug_assert_eq!(t.running, 0, "finalizing tenant {id} with running tasks");
-    core.deadlines -= usize::from(t.deadline.is_some());
-    let outcome = t.cancel.take().unwrap_or(Outcome::Completed);
+    let outcome = t.failed.take().map_or(Outcome::Completed, Outcome::Failed);
     let entries = t.n_tasks + t.n_decls + t.store.len();
     let report = TenantReport {
         tenant: TenantId(id),
@@ -679,14 +590,13 @@ fn finalize_tenant(core: &mut Core, inner: &Inner, id: u32) {
         tasks_total: t.n_tasks,
         tasks_completed: t.completed,
         tasks_cancelled: t.n_tasks - t.completed,
-        recoveries: t.recoveries,
         events: std::mem::take(&mut t.events),
         store: t.store,
     };
     core.finished.insert(id, report);
     core.wake_waiters(inner, id);
     if core.spares.len() < inner.cfg.max_active && entries <= SPARE_MAX_ENTRIES {
-        // A cancelled tenant retires mid-flight: bodies never dispatched,
+        // A failed tenant retires mid-flight: bodies never dispatched,
         // counts never reaching zero. Everything goes; capacity stays.
         let mut slot = t.slot;
         debug_assert!(
@@ -696,22 +606,6 @@ fn finalize_tenant(core: &mut Core, inner: &Inner, id: u32) {
         slot.tasks.clear();
         core.spares.push(slot);
     }
-}
-
-/// Cancel every resident tenant whose deadline has passed, so that none of
-/// its tasks is dispatched any more. Returns whether that freed a slot.
-fn sweep_deadlines(core: &mut Core, inner: &Inner, now: Instant) -> bool {
-    let resident = core.active.len();
-    let expired: Vec<u32> = core
-        .active
-        .iter()
-        .filter(|(_, t)| t.cancel.is_none() && t.deadline.is_some_and(|d| now >= d))
-        .map(|(&id, _)| id)
-        .collect();
-    for id in expired {
-        cancel_tenant(core, inner, id, Outcome::DeadlineExceeded);
-    }
-    core.active.len() < resident
 }
 
 /// Admit pending submissions into freed active slots, oldest first.
@@ -724,85 +618,33 @@ fn pump_admissions(core: &mut Core, inner: &Inner) {
     }
 }
 
-/// Pick the next task under the fairness policy, after admitting pending
-/// tenants and expiring deadlines (both must happen even when no task is
-/// runnable, or an all-expired service would never drain).
+/// Admit pending tenants into free slots, then pick the next task
+/// round-robin: the first tenant with ready work after the one picked
+/// last, that one itself coming last.
 ///
 /// **Park invariant**: when this returns `None`, no live tenant has ready
 /// work **and** (`pending` is empty **or** `active` is full) — so a worker
 /// that parks on `None` leaves nothing behind that only it could start.
 fn pick(core: &mut Core, inner: &Inner, w: usize) -> Option<Picked> {
-    // Admit before sweeping, so a newcomer that is already expired is
-    // cancelled before its first dispatch; and admit again after a sweep
-    // that freed a slot, or the tenants behind it would be stranded.
-    loop {
-        pump_admissions(core, inner);
-        let swept = core.deadlines > 0 && sweep_deadlines(core, inner, Instant::now());
-        if !swept || core.pending.is_empty() {
-            break;
-        }
-    }
+    pump_admissions(core, inner);
     if core.ready_tasks == 0 {
         return None;
     }
-    let has_ready = |t: &Tenant| !t.slot.ready.is_empty();
-    // Weighted round-robin: keep serving the cursor tenant while it has
-    // credit and work, otherwise take the first tenant with ready work
-    // scanning on from just past it (the cursor itself comes last).
+    use std::ops::Bound::{Excluded, Unbounded};
     let cursor = core.rr_cursor;
-    let mut continuing = false;
-    if core.rr_credit > 0 && core.active.get(&cursor).is_some_and(has_ready) {
-        // Fair share: while `k > 1` tenants have ready work, a turn ends
-        // after `CREDIT_CAP_MAX / k` dispatches in a row. Only a tenant of
-        // weight above one gets here, so only its picks count the tenants.
-        let k = core.active.values().filter(|t| has_ready(t)).count() as u32;
-        if k > 1 && core.burst >= (CREDIT_CAP_MAX / k).max(1) {
-            // Forced handoff: bank the unserved credit so the tenant's
-            // next turn finishes it (long-run weight ratios are
-            // untouched) and let the scan move on to the waiting tenants.
-            let t = core.active.get_mut(&cursor).expect("cursor just found");
-            t.carry = t.carry.saturating_add(core.rr_credit);
-            core.rr_credit = 0;
-        } else {
-            continuing = true;
-        }
-    }
-    let id = if continuing {
-        cursor
-    } else {
-        use std::ops::Bound::{Excluded, Unbounded};
-        let after = core.active.range((Excluded(cursor), Unbounded));
-        let (&id, _) = after
-            .chain(core.active.range(..=cursor))
-            .find(|(_, t)| has_ready(t))
-            .expect("ready_tasks counts a queued task");
-        id
-    };
+    let after = core.active.range((Excluded(cursor), Unbounded));
+    let (&id, _) = after
+        .chain(core.active.range(..=cursor))
+        .find(|(_, t)| !t.slot.ready.is_empty())
+        .expect("ready_tasks counts a queued task");
     let time = core.tick();
-    let t = core.active.get_mut(&id).expect("tenant just found");
-    if !continuing {
-        if id != cursor {
-            core.burst = 0;
-        }
-        core.rr_cursor = id;
-        core.rr_credit = if t.carry > 0 {
-            std::mem::take(&mut t.carry)
-        } else {
-            t.weight.max(1)
-        };
-    }
-    core.rr_credit -= 1;
-    core.burst = core.burst.saturating_add(1);
+    core.rr_cursor = id;
     core.ready_tasks -= 1;
+    let t = core.active.get_mut(&id).expect("tenant just found");
     let local = t.slot.ready.pop_front().expect("ready checked non-empty");
     let task = &mut t.slot.tasks[local];
     let body = task.body.take().expect("task dispatched twice");
     let (label, spec) = (task.label, std::mem::take(&mut task.spec));
-    let attempt = task.attempt;
-    let injected = t
-        .faults
-        .as_ref()
-        .is_some_and(|plan| task_crashes(plan, local as u64, attempt, inner.cfg.workers));
     t.running += 1;
     let dispatched = EventKind::TaskDispatched {
         stolen: false,
@@ -817,30 +659,16 @@ fn pick(core: &mut Core, inner: &Inner, w: usize) -> Option<Picked> {
         label,
         spec,
         body,
-        attempt,
-        injected,
         store: Arc::clone(&t.store),
     })
 }
 
-/// The tenant-plan crash decision for one attempt: the keyed `panic_p`
-/// hash, plus fail-stop of a *virtual* worker — every task placed on
-/// `fail_proc` (tenant-local id modulo pool width) crashes once and
-/// re-executes elsewhere. Both are pure functions of `(plan, task,
-/// attempt)`, independent of interleaving — that is what keeps a faulty
-/// tenant's recovered output bit-identical to its solo run.
-fn task_crashes(plan: &FaultPlan, task: u64, attempt: u32, workers: usize) -> bool {
-    if plan.task_fails(task, attempt) {
-        return true;
-    }
-    plan.fail_proc
-        .is_some_and(|p| attempt == 0 && task as usize % workers == p % workers)
-}
-
 /// Count down `tenant`'s graph for task `id` — its completion, or its
 /// mid-task `release` — and queue newly enabled tasks (unless the tenant
-/// is cancelled). Returns whether anything became ready.
+/// has failed). Returns whether anything became ready.
 fn settle(core: &mut Core, tenant: u32, id: TaskId, release: Option<Release>, w: usize) -> bool {
+    #[cfg(test)]
+    assert!(!core.probe.settle_panics, "settle panicked on purpose");
     let time = core.tick();
     let mut newly = std::mem::take(&mut core.newly);
     let t = core.active.get_mut(&tenant).expect("tenant still active");
@@ -851,7 +679,7 @@ fn settle(core: &mut Core, tenant: u32, id: TaskId, release: Option<Release>, w:
             .release_traced(id, decl, obj, &mut newly, events, time, w),
         None => slot.deps.complete_traced(id, &mut newly, events, time, w),
     }
-    let enabled = if t.cancel.is_none() { newly.len() } else { 0 };
+    let enabled = if t.failed.is_none() { newly.len() } else { 0 };
     for id in &newly[..enabled] {
         slot.ready.push_back(id.index());
     }
@@ -889,20 +717,10 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core
         label,
         spec,
         body,
-        attempt,
-        injected,
         store,
     } = p;
     let id = TaskId(local as u32);
-    // The body stays outside the closure (`TaskBody` is `Fn`), so a caught
-    // unwind leaves it intact for re-execution.
     let result = catch_unwind(AssertUnwindSafe(|| {
-        if injected {
-            // Simulated crash before the body runs — quiet unwind, no
-            // panic-hook noise. Crashing before any body effect is what
-            // makes the re-execution exact.
-            resume_unwind(Box::new(InjectedFailure));
-        }
         // A mid-task release counts down at once (a deferred one could
         // deadlock a pipeline whose consumer is the only runnable task).
         // This worker is busy in the body, so a successor the release
@@ -918,75 +736,43 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core
         let ctx = TaskCtx::with_release_hook(&store, id, label, &spec, &hook);
         body(&ctx);
     }));
-    drop(store);
-
-    match result {
-        Ok(()) => {
-            // The closure is the tenant's code: drop it, and the
-            // specification, off the lock.
-            drop((body, spec));
-            let mut core = worker_lock(inner);
+    // The closure is the tenant's code: drop it, the specification and a
+    // panic's payload off the lock.
+    drop((store, body, spec));
+    let failed = result.err().map(|p| panic_message(&*p));
+    let mut core = worker_lock(inner);
+    match failed {
+        None => {
             settle(&mut core, tenant, id, None, w);
             let t = core.active.get_mut(&tenant).expect("tenant still active");
             t.running -= 1;
-            t.live -= 1;
             t.completed += 1;
-            // Finalize on the last task, or — for a cancelled tenant —
-            // once the last in-flight body has drained.
-            if t.live == 0 || (t.cancel.is_some() && t.running == 0) {
+            // Finalize on the last task, or — for a failed tenant — once
+            // the last in-flight body has drained.
+            if t.completed == t.n_tasks || (t.failed.is_some() && t.running == 0) {
                 finalize_tenant(&mut core, inner, tenant);
             }
-            core
         }
-        Err(_) if injected && attempt + 1 < MAX_TASK_ATTEMPTS => {
-            // Injected-crash recovery: re-roll the fault hash with the
-            // bumped attempt and re-queue; the body never ran, so the
-            // retry is exact.
-            let mut core = worker_lock(inner);
-            let (failed, again) = (core.tick(), core.tick());
-            let t = core.active.get_mut(&tenant).expect("tenant still active");
-            let task = &mut t.slot.tasks[local];
-            task.attempt = attempt + 1;
-            task.spec = spec;
-            task.body = Some(body);
-            t.recoveries += 1;
-            t.running -= 1;
-            t.events.emit(failed, w, EventKind::WorkerFailed);
-            t.events.emit_task(again, w, EventKind::TaskReExecuted, id);
-            if t.cancel.is_none() {
-                t.slot.ready.push_back(local);
-                core.ready_tasks += 1;
-            } else if t.running == 0 {
-                finalize_tenant(&mut core, inner, tenant);
-            }
-            core
-        }
-        Err(p) => {
-            // Genuine tenant failure: contain it. Only this tenant is
-            // cancelled; the pool and every other tenant keep running.
-            let msg = panic_message(&*p, injected);
-            drop((p, body, spec));
-            let mut core = worker_lock(inner);
+        Some(msg) => {
+            // Contain it: only this tenant is failed; the pool and every
+            // other tenant keep running.
             let time = core.tick();
             let t = core.active.get_mut(&tenant).expect("tenant still active");
             t.running -= 1;
             t.events.emit(time, w, EventKind::WorkerFailed);
-            cancel_tenant(&mut core, inner, tenant, Outcome::Failed(msg));
-            core
+            fail_tenant(&mut core, inner, tenant, msg);
         }
     }
+    core
 }
 
-fn panic_message(p: &(dyn std::any::Any + Send), injected: bool) -> String {
-    if injected {
-        return format!("injected failure persisted for {MAX_TASK_ATTEMPTS} attempts");
-    }
+fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {
         s.clone()
     } else {
-        "task body panicked".to_string()
+        "a panic without a message".to_string()
     }
 }
 
@@ -1002,9 +788,11 @@ fn worker_loop(inner: &Inner, w: usize) {
             core = execute_and_settle(inner, w, p);
             continue;
         }
-        if core.shutdown && core.active.is_empty() && core.pending.is_empty() {
+        let drained = core.active.is_empty() && core.pending.is_empty();
+        if core.broken.is_some() || (core.shutdown && drained) {
             // The other workers may have parked while this one drained the
-            // last tenant: wake them all to see the pool is done.
+            // last tenant: wake them all to see the pool is done. A broken
+            // service leaves what it cannot finish.
             drop(core);
             inner.work.notify_all();
             return;
@@ -1022,19 +810,11 @@ fn worker_loop(inner: &Inner, w: usize) {
             core.ready_tasks == 0
                 && (core.pending.is_empty() || core.active.len() >= inner.cfg.max_active)
         );
-        // Expired-but-undrained deadlines need a periodic observer even
-        // when no completion or submission will wake us.
         core.idle += 1;
         probe!(core, parks);
-        core = if core.deadlines > 0 {
-            let timeout = Duration::from_millis(5);
-            let waited = inner.work.wait_timeout(core, timeout);
-            waited.unwrap_or_else(|e| e.into_inner()).0
-        } else {
-            inner.work.wait(core).unwrap_or_else(|e| e.into_inner())
-        };
-        // Notified, timed out or spurious: back under the lock either way,
-        // and a notification in flight (if any) has done its work.
+        core = inner.work.wait(core).unwrap_or_else(|e| e.into_inner());
+        // Notified or spurious: back under the lock either way, and a
+        // notification in flight (if any) has done its work.
         core.idle -= 1;
         core.waking = core.waking.saturating_sub(1);
         probe!(core, worker_locks);
@@ -1045,6 +825,7 @@ fn worker_loop(inner: &Inner, w: usize) {
 mod tests {
     use super::*;
     use jade_core::{check_lifecycle, TaskBuilder};
+    use std::time::{Duration, Instant};
 
     /// A chain program: `n` tasks serially incrementing one counter; task i
     /// also records its index, so the final value pins execution order.
@@ -1161,54 +942,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_crashes_recover_bit_identically() {
-        let plan = FaultPlan {
-            panic_p: 0.4,
-            seed: 7,
-            ..FaultPlan::none()
-        };
-        let svc = JadeService::new(ServiceConfig::new(3));
-        let (clean, hc) = chain_program(30);
-        let (faulty, hf) = chain_program(30);
-        let a = svc.submit(clean, TenantOptions::default()).unwrap();
-        let b = svc
-            .submit(faulty, TenantOptions::default().with_faults(plan))
-            .unwrap();
-        let ra = svc.wait(a);
-        let rb = svc.wait(b);
-        assert_eq!(ra.outcome, Outcome::Completed);
-        assert_eq!(rb.outcome, Outcome::Completed);
-        assert!(
-            rb.recoveries > 0,
-            "plan with p=0.4 over 30 tasks must crash"
-        );
-        assert_eq!(*ra.store.read(hc), chain_expected(30));
-        assert_eq!(*rb.store.read(hf), chain_expected(30));
-        let m = rb.metrics(3);
-        assert_eq!(m.tasks_reexecuted as usize, rb.recoveries);
-        assert_eq!(m.tasks_started, 30 + rb.recoveries);
-        check_lifecycle(&rb.events).expect("lifecycle under faults");
-    }
-
-    #[test]
-    fn fail_stop_plan_recovers() {
-        let plan = FaultPlan {
-            fail_proc: Some(1),
-            ..FaultPlan::none()
-        };
-        let svc = JadeService::new(ServiceConfig::new(2));
-        let (prog, h) = chain_program(10);
-        let id = svc
-            .submit(prog, TenantOptions::default().with_faults(plan))
-            .unwrap();
-        let r = svc.wait(id);
-        assert_eq!(r.outcome, Outcome::Completed);
-        // Tasks 1, 3, 5, 7, 9 sit on virtual worker 1 and crash once each.
-        assert_eq!(r.recoveries, 5);
-        assert_eq!(*r.store.read(h), chain_expected(10));
-    }
-
-    #[test]
     fn genuine_panic_fails_only_its_tenant() {
         let svc = JadeService::new(ServiceConfig::new(2));
         let mut bad = Program::new();
@@ -1247,73 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_cancels_before_any_dispatch() {
-        let svc = JadeService::new(ServiceConfig::new(2));
-        let (prog, h) = chain_program(50);
-        let id = svc
-            .submit(prog, TenantOptions::default().with_deadline(Duration::ZERO))
-            .unwrap();
-        let r = svc.wait(id);
-        assert_eq!(r.outcome, Outcome::DeadlineExceeded);
-        assert_eq!(r.tasks_completed, 0);
-        assert_eq!(r.tasks_cancelled, 50);
-        assert_eq!(*r.store.read(h), 0);
-        // Partial metrics still parse: all 50 created, none started.
-        let m = r.metrics(2);
-        assert_eq!(m.tasks_created, 50);
-        assert_eq!(m.tasks_started, 0);
-        // The pool is not wedged.
-        let (next, hn) = chain_program(8);
-        let n = svc.submit(next, TenantOptions::default()).unwrap();
-        assert_eq!(*svc.wait(n).store.read(hn), chain_expected(8));
-    }
-
-    #[test]
-    fn midrun_deadline_drains_cleanly() {
-        let svc = JadeService::new(ServiceConfig::new(2));
-        let mut prog = Program::new();
-        let h = prog.create("acc", 8, 0u64);
-        for _ in 0..200 {
-            prog.submit(TaskBuilder::new("slow").rd_wr(h).body(move |ctx| {
-                std::thread::sleep(Duration::from_millis(2));
-                *ctx.wr(h) += 1;
-            }));
-        }
-        let id = svc
-            .submit(
-                prog,
-                TenantOptions::default().with_deadline(Duration::from_millis(30)),
-            )
-            .unwrap();
-        let r = svc.wait(id);
-        assert_eq!(r.outcome, Outcome::DeadlineExceeded);
-        assert!(r.tasks_completed < 200, "deadline should cut the chain");
-        assert_eq!(*r.store.read(h), r.tasks_completed as u64);
-        // A cancelled tenant's stream is partial by design (`created` and
-        // `enabled` without `completed`), so `check_lifecycle` rejects it.
-        // What it does promise: every task was created, nothing was left
-        // started once the tenant drained, and what completed is the
-        // chain's prefix.
-        let m = r.metrics(2);
-        assert_eq!(m.tasks_created, 200);
-        assert_eq!(m.tasks_completed, r.tasks_completed);
-        assert_eq!(m.tasks_started - m.tasks_completed, 0);
-        let completed: Vec<TaskId> = (r.events.iter())
-            .filter(|e| e.kind == EventKind::TaskCompleted)
-            .map(|e| e.task.expect("completion names its task"))
-            .collect();
-        let prefix: Vec<TaskId> = (0..r.tasks_completed as u32).map(TaskId).collect();
-        assert_eq!(completed, prefix);
-        // The idle worker polled the deadline on `wait_timeout`: a wake-up
-        // that timed out consumes at most one notification in flight, so
-        // the count comes back to zero and both workers park for good.
-        until(&svc, "both workers parked, no wake in flight", |c| {
-            c.idle == 2 && c.waking == 0
-        });
-        notified_once_per_park(&svc);
-    }
-
-    #[test]
     fn overload_rejects_new_without_panicking() {
         let cfg = ServiceConfig {
             workers: 1,
@@ -1326,9 +992,7 @@ mod tests {
             .submit(blocker(&gate), TenantOptions::default())
             .unwrap();
         // Wait until the blocker actually occupies the only active slot.
-        while svc.active_len() == 0 {
-            std::thread::yield_now();
-        }
+        until(&svc, "blocker resident", |c| !c.active.is_empty());
         let q1 = svc
             .submit(chain_program(3).0, TenantOptions::default())
             .unwrap();
@@ -1345,7 +1009,7 @@ mod tests {
                 limit: 2
             }
         );
-        assert_eq!(svc.pending_len(), 2);
+        assert_eq!(lock(&svc.inner.core).pending.len(), 2);
         gate.open();
         for id in [b, q1, q2] {
             assert_eq!(svc.wait(id).outcome, Outcome::Completed);
@@ -1378,7 +1042,7 @@ mod tests {
 
     /// The starvation bound: with one worker (so dispatch order is the
     /// fairness policy and nothing else), a tenant with continuously ready
-    /// work is served again within Σ other tenants' weights dispatches.
+    /// work waits at most one dispatch per other tenant.
     #[test]
     fn round_robin_bounds_starvation() {
         let cfg = ServiceConfig {
@@ -1402,7 +1066,7 @@ mod tests {
             }
         }));
         let b = svc.submit(blocker, TenantOptions::default()).unwrap();
-        while svc.active_len() == 0 {
+        while lock(&svc.inner.core).active.is_empty() {
             std::thread::yield_now();
         }
         const TENANTS: usize = 3;
@@ -1433,116 +1097,6 @@ mod tests {
         }
     }
 
-    /// Weighted fairness: a weight-3 tenant gets up to three consecutive
-    /// dispatches per turn, and the weight-1 tenant still gets served
-    /// within the weighted bound.
-    #[test]
-    fn weighted_round_robin_honors_weights() {
-        let cfg = ServiceConfig {
-            workers: 1,
-            max_active: 4,
-            max_pending: 4,
-        };
-        let svc = JadeService::new(cfg);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let mut blocker = Program::new();
-        let hb = blocker.create("b", 8, 0u64);
-        let g = Arc::clone(&gate);
-        blocker.submit(TaskBuilder::new("block").rd_wr(hb).body(move |_| {
-            let (m, cv) = &*g;
-            let mut open = lock(m);
-            while !*open {
-                open = cv.wait(open).unwrap_or_else(|e| e.into_inner());
-            }
-        }));
-        let b = svc.submit(blocker, TenantOptions::default()).unwrap();
-        while svc.active_len() == 0 {
-            std::thread::yield_now();
-        }
-        let heavy = svc
-            .submit(wide_program(9).0, TenantOptions::default().with_weight(3))
-            .unwrap();
-        let light = svc
-            .submit(wide_program(9).0, TenantOptions::default().with_weight(1))
-            .unwrap();
-        let (m, cv) = &*gate;
-        *lock(m) = true;
-        cv.notify_all();
-        let _ = svc.wait(b);
-        let dispatches = dispatch_order(&[svc.wait(heavy), svc.wait(light)]);
-        // While both tenants have work the pattern is HHHL repeating; the
-        // light tenant's gap is bounded by heavy's weight + 1.
-        for pair in picks_of(&dispatches, light).windows(2) {
-            assert!(
-                pair[1] - pair[0] <= 4,
-                "light tenant starved: {dispatches:?}"
-            );
-        }
-        // Heavy runs in bursts: some gap between consecutive heavy picks
-        // must be 1 (consecutive dispatches of the same tenant).
-        assert!(
-            picks_of(&dispatches, heavy)
-                .windows(2)
-                .any(|p| p[1] - p[0] == 1),
-            "weight-3 tenant never got consecutive dispatches: {dispatches:?}"
-        );
-    }
-
-    /// Heavy-skew starvation bound: a weight-8 tenant with a huge DAG gets
-    /// its turn cut at the fair-share cap while the weight-1 tenant has
-    /// ready work, and the banked carry preserves the long-run weight ratio.
-    #[test]
-    fn fair_share_cap_bounds_heavy_tenant_bursts() {
-        let cfg = ServiceConfig {
-            workers: 1,
-            max_active: 4,
-            max_pending: 4,
-        };
-        let svc = JadeService::new(cfg);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let mut blocker = Program::new();
-        let hb = blocker.create("b", 8, 0u64);
-        let g = Arc::clone(&gate);
-        blocker.submit(TaskBuilder::new("block").rd_wr(hb).body(move |_| {
-            let (m, cv) = &*g;
-            let mut open = lock(m);
-            while !*open {
-                open = cv.wait(open).unwrap_or_else(|e| e.into_inner());
-            }
-        }));
-        let b = svc.submit(blocker, TenantOptions::default()).unwrap();
-        while svc.active_len() == 0 {
-            std::thread::yield_now();
-        }
-        let heavy = svc
-            .submit(wide_program(48).0, TenantOptions::default().with_weight(8))
-            .unwrap();
-        let light = svc
-            .submit(wide_program(12).0, TenantOptions::default().with_weight(1))
-            .unwrap();
-        let (m, cv) = &*gate;
-        *lock(m) = true;
-        cv.notify_all();
-        let _ = svc.wait(b);
-        let rh = svc.wait(heavy);
-        let rl = svc.wait(light);
-        assert_eq!(rh.outcome, Outcome::Completed);
-        assert_eq!(rl.outcome, Outcome::Completed);
-        let dispatches = dispatch_order(&[rh, rl]);
-        // Between two light dispatches both tenants are continuously ready,
-        // so the cap (CREDIT_CAP_MAX / 2 ready tenants = 4) bounds every
-        // heavy stretch — even though heavy's weight is 8.
-        let cap = (CREDIT_CAP_MAX / 2) as usize;
-        for pair in picks_of(&dispatches, light).windows(2) {
-            let gap = pair[1] - pair[0];
-            assert!(
-                gap <= cap + 1,
-                "light tenant starved: gap {gap} > {} in {dispatches:?}",
-                cap + 1
-            );
-        }
-    }
-
     #[test]
     fn submit_validates_inputs() {
         let svc = JadeService::new(ServiceConfig::new(1));
@@ -1550,17 +1104,11 @@ mod tests {
             svc.submit(Program::new(), TenantOptions::default()),
             Err(SubmitError::EmptyProgram)
         );
-        let bad_plan = FaultPlan {
-            panic_p: 1.5,
-            ..FaultPlan::none()
-        };
-        let err = svc
-            .submit(
-                chain_program(1).0,
-                TenantOptions::default().with_faults(bad_plan),
-            )
-            .unwrap_err();
-        assert!(matches!(err, SubmitError::InvalidFaultPlan(_)), "{err:?}");
+        lock(&svc.inner.core).shutdown = true;
+        assert_eq!(
+            svc.submit(chain_program(1).0, TenantOptions::default()),
+            Err(SubmitError::ShuttingDown)
+        );
     }
 
     #[test]
@@ -1631,6 +1179,8 @@ mod tests {
         pub(super) worker_locks: u64,
         /// Times a worker parked on `work`.
         pub(super) parks: u64,
+        /// While set, `settle` panics: a service bug outside any body.
+        pub(super) settle_panics: bool,
     }
 
     /// A lost wake-up hangs, it does not fail: every blocking call below
@@ -1729,11 +1279,11 @@ mod tests {
         }
     }
 
-    /// The hang this PR fixes: a deadline sweep frees the only slot after
-    /// admissions were pumped, nothing is ready, and the worker parks with
-    /// a tenant still pending.
+    /// A tenant that fails frees the only slot while another is pending:
+    /// the worker that failed it admits the next one before it looks for
+    /// work, so nobody is left pending behind a parked pool.
     #[test]
-    fn a_slot_freed_by_the_deadline_sweep_is_refilled() {
+    fn a_slot_freed_by_a_failed_tenant_is_refilled() {
         for workers in [1, 2] {
             let svc = Arc::new(JadeService::new(config(workers, 1)));
             let gate = Gate::default();
@@ -1743,15 +1293,16 @@ mod tests {
             until(&svc, "blocker running", |c| {
                 c.active.values().any(|t| t.running == 1)
             });
-            let expired = TenantOptions::default().with_deadline(Duration::ZERO);
-            let a = svc.submit(chain_program(5).0, expired).unwrap();
+            let mut failing = chain_program(5).0;
+            failing.tasks[0].body = Box::new(|_| panic!("first task fails"));
+            let a = svc.submit(failing, TenantOptions::default()).unwrap();
             let (clean, h) = chain_program(5);
             let c = svc.submit(clean, TenantOptions::default()).unwrap();
-            assert_eq!(svc.pending_len(), 2);
+            assert_eq!(lock(&svc.inner.core).pending.len(), 2);
             gate.open();
             for (id, want) in [
                 (b, Outcome::Completed),
-                (a, Outcome::DeadlineExceeded),
+                (a, Outcome::Failed("first task fails".into())),
                 (c, Outcome::Completed),
             ] {
                 let svc2 = Arc::clone(&svc);
@@ -1762,6 +1313,55 @@ mod tests {
                 }
             }
             notified_once_per_park(&svc);
+        }
+    }
+
+    /// A worker that panics outside a task body (here in `settle`, with
+    /// the core lock held) stops the service instead of hanging it: `wait`
+    /// panics with the worker's message, `submit` refuses, every worker
+    /// exits, and `shutdown` raises the panic again — but a drop while
+    /// already unwinding does not.
+    #[test]
+    fn a_worker_panic_fails_wait_instead_of_hanging() {
+        for (workers, unwinding) in [(1, false), (2, true)] {
+            let svc = Arc::new(JadeService::new(ServiceConfig::new(workers)));
+            lock(&svc.inner.core).probe.settle_panics = true;
+            let id = svc
+                .submit(chain_program(3).0, TenantOptions::default())
+                .unwrap();
+            let svc2 = Arc::clone(&svc);
+            let waited = within("wait", move || {
+                let r = catch_unwind(AssertUnwindSafe(|| svc2.wait(id)));
+                r.map(|r| r.outcome).map_err(|p| panic_message(&*p))
+            });
+            let msg = "service worker panicked: settle panicked on purpose";
+            assert_eq!(waited, Err(msg.to_string()), "{workers} workers");
+            assert_eq!(
+                svc.submit(chain_program(1).0, TenantOptions::default()),
+                Err(SubmitError::ShuttingDown)
+            );
+            let give_up = Instant::now() + PATIENCE;
+            while !svc.threads.iter().all(|h| h.is_finished()) {
+                assert!(Instant::now() < give_up, "a worker never exited");
+                std::thread::yield_now();
+            }
+            let svc = Arc::into_inner(svc).expect("the waiter let go");
+            let ended = within("shutdown", move || {
+                catch_unwind(AssertUnwindSafe(move || {
+                    if unwinding {
+                        let _svc = svc;
+                        panic!("unwinding past the service");
+                    }
+                    svc.shutdown();
+                }))
+                .map_err(|p| panic_message(&*p))
+            });
+            let want = if unwinding {
+                "unwinding past the service"
+            } else {
+                msg
+            };
+            assert_eq!(ended, Err(want.to_string()), "{workers} workers");
         }
     }
 

@@ -9,7 +9,7 @@
 //!   every backend counts down, serial execution + trace recording;
 //! * [`threads`] — a real parallel executor on OS threads, plus the
 //!   multi-tenant [`JadeService`] front end (admission control,
-//!   deadlines, tenant fault isolation; DESIGN.md §16);
+//!   round-robin fairness, tenant fault isolation; DESIGN.md §16);
 //! * [`dash`] — the simulated shared-memory machine (Stanford
 //!   DASH) with the locality-heuristic scheduler;
 //! * [`ipsc`] — the simulated message-passing machine (Intel

@@ -4,19 +4,17 @@
 //! The isolation invariant (DESIGN.md §16): a clean tenant's observable
 //! results — final object values and the interleaving-independent slice of
 //! its per-tenant metrics — must be *bit-identical* whether it runs alone
-//! or concurrently with hostile neighbors (injected-crash tenants,
-//! fail-stop tenants, zero-deadline tenants, and tenants whose task bodies
-//! genuinely panic). Faults and cancellations may never leak across the
-//! tenant boundary.
+//! or concurrently with hostile neighbors, tenants one of whose task
+//! bodies panics part-way. A failure and the cancellation it causes may
+//! never leak across the tenant boundary.
 
 mod common;
 
 use common::{
-    counters, folded, graph, logs, predicted_reexecutions, program_strategy, run, tenant, Access,
-    Counters, Log, Shape, Task, OBJECTS,
+    counters, folded, graph, logs, program_strategy, run, tenant, Access, Counters, Log, Shape,
+    Task, OBJECTS,
 };
 use jade::core::{check_lifecycle, check_order};
-use jade::threads::FaultPlan;
 use jade::{
     JadeRuntime, JadeService, Outcome, Program, ServiceConfig, SubmitError, TaskBuilder,
     TenantOptions, ThreadRuntime, TraceRuntime,
@@ -24,13 +22,11 @@ use jade::{
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 const WORKERS: usize = 4;
 
 /// Silence the default panic hook for the *deliberate* panics these tests
-/// inject ("hostile bug"); everything else still prints. Injected-fault
-/// crashes use `resume_unwind` and never reach the hook at all.
+/// plant ("hostile bug"); everything else still prints.
 fn quiet_expected_panics() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
@@ -45,94 +41,68 @@ fn quiet_expected_panics() {
     });
 }
 
-/// A program whose second task has a genuine bug.
-fn buggy_program() -> Program {
-    let mut p = Program::new();
-    let h = p.create("x", 8, 0u64);
-    p.submit(TaskBuilder::new("ok").rd_wr(h).body(move |ctx| {
-        *ctx.wr(h) += 1;
-    }));
-    p.submit(TaskBuilder::new("bug").rd_wr(h).body(move |_ctx| {
-        panic!("hostile bug");
-    }));
-    p
-}
-
 /// A tenant's final logs and the interleaving-independent slice of its
 /// metrics.
 type Observation = (Vec<Log>, Counters);
 
 /// Run `prog` as the only tenant of a fresh service and observe it.
-fn observe_solo(prog: &[Task], opts: TenantOptions) -> Observation {
+fn observe_solo(prog: &[Task]) -> Observation {
     let svc = JadeService::new(ServiceConfig::new(WORKERS));
     let (p, objs) = tenant(prog, None);
-    let r = svc.wait(svc.submit(p, opts).expect("admit"));
+    let r = svc.wait(svc.submit(p, TenantOptions::default()).expect("admit"));
     assert_eq!(r.outcome, Outcome::Completed, "solo run must complete");
     (logs(&r.store, &objs), counters(&r.metrics(WORKERS)))
+}
+
+/// Whether a report is a hostile tenant's: failed by its own planted bug.
+fn failed_alone(outcome: &Outcome) -> bool {
+    matches!(outcome, Outcome::Failed(m) if m.contains("hostile bug"))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The tentpole invariant: clean tenants are bit-identical solo vs
-    /// concurrent with crashing, fail-stop, zero-deadline and genuinely
-    /// buggy tenants sharing the pool.
+    /// concurrent with neighbors whose bodies panic part-way through,
+    /// sharing the pool.
     #[test]
     fn clean_tenants_are_isolated_from_hostile_neighbors(
         clean in program_strategy(25),
         hostile in program_strategy(20),
-        seed in any::<u64>(),
+        bugs in (any::<usize>(), any::<usize>()),
     ) {
         quiet_expected_panics();
-        let solo = observe_solo(&clean, TenantOptions::default());
+        let solo = observe_solo(&clean);
 
         let svc = JadeService::new(ServiceConfig::new(WORKERS));
-        let mut hostile_ids = Vec::new();
-        let (pf, _) = tenant(&hostile, None);
-        hostile_ids.push(svc.submit(pf, TenantOptions::default().with_faults(FaultPlan {
-            panic_p: 0.4,
-            seed,
-            ..FaultPlan::none()
-        })).unwrap());
+        let buggy = |at: usize| tenant(&hostile, Some(at % hostile.len())).0;
+        let mut hostile_ids = vec![svc.submit(buggy(bugs.0), TenantOptions::default()).unwrap()];
         let (pc, objs) = tenant(&clean, None);
         let clean_id = svc.submit(pc, TenantOptions::default()).unwrap();
-        let (pd, _) = tenant(&hostile, None);
-        hostile_ids.push(svc.submit(pd, TenantOptions::default()
-            .with_deadline(Duration::ZERO)).unwrap());
-        let (ps, _) = tenant(&hostile, None);
-        hostile_ids.push(svc.submit(ps, TenantOptions::default().with_faults(FaultPlan {
-            fail_proc: Some(1),
-            seed,
-            ..FaultPlan::none()
-        })).unwrap());
-        hostile_ids.push(svc.submit(buggy_program(), TenantOptions::default()).unwrap());
+        hostile_ids.push(svc.submit(buggy(bugs.1), TenantOptions::default()).unwrap());
 
         let r = svc.wait(clean_id);
         prop_assert_eq!(&r.outcome, &Outcome::Completed, "clean tenant must complete");
         let concurrent = (logs(&r.store, &objs), counters(&r.metrics(WORKERS)));
-        // Drain the neighbors so shutdown is clean (their outcomes are
-        // theirs; the buggy one must have failed, not taken the pool down).
-        let mut saw_failure = false;
+        // Each neighbor must have failed, alone, without taking the pool
+        // down.
         for id in hostile_ids {
             let hr = svc.wait(id);
-            saw_failure |= matches!(hr.outcome, Outcome::Failed(_));
+            prop_assert!(failed_alone(&hr.outcome), "{:?}", hr.outcome);
         }
-        prop_assert!(saw_failure, "the buggy neighbor must fail in isolation");
         prop_assert_eq!(&solo, &concurrent, "clean tenant diverged next to hostile neighbors");
     }
 
     /// Slot recycling keeps the isolation invariant: with one active slot,
-    /// every clean tenant is registered into the slot a cancelled tenant —
-    /// zero-deadline, or panicking part-way (after injected crashes, in a
-    /// third of the rounds) with accesses granted and waiters parked — has
-    /// just vacated, and it still observes exactly its solo run, injected
-    /// crashes of its own included. The programs differ in shape and in the
-    /// objects they declare, so slabs are reused larger and smaller than
-    /// they were left.
+    /// every clean tenant is registered into the slot a failed tenant —
+    /// panicking part-way, with accesses granted and waiters parked — has
+    /// just vacated, and it still observes exactly its solo run. The
+    /// programs differ in shape and in the objects they declare, so slabs
+    /// are reused larger and smaller than they were left.
     #[test]
     fn clean_tenants_are_unaffected_by_the_slot_they_inherit(
         rounds in prop::collection::vec(
-            (program_strategy(20), 1..OBJECTS + 1, any::<u8>(), program_strategy(25), 1..OBJECTS + 1),
+            (program_strategy(20), 1..OBJECTS + 1, any::<usize>(), program_strategy(25), 1..OBJECTS + 1),
             2..4,
         ),
     ) {
@@ -142,36 +112,23 @@ proptest! {
         let svc = JadeService::new(cfg);
         let mut hostile_ids = Vec::new();
         let mut clean_runs = Vec::new();
-        for (hostile, h_objs, kind, clean, c_objs) in &rounds {
-            let crashing = |panic_p| TenantOptions::default().with_faults(FaultPlan {
-                panic_p,
-                seed: *kind as u64,
-                ..FaultPlan::none()
-            });
-            // The hostile tenant expires before its first dispatch, or its
-            // task `bug` panics, with or without injected crashes before it.
-            let bug = (kind % 3 != 0).then_some(*kind as usize / 6 % hostile.len());
-            let opts = match kind % 3 {
-                0 => TenantOptions::default().with_deadline(Duration::ZERO),
-                1 => TenantOptions::default(),
-                _ => crashing(0.4),
-            };
-            let (ph, _) = tenant(&folded(hostile, *h_objs), bug);
-            hostile_ids.push(svc.submit(ph, opts).unwrap());
-            let opts = if kind / 3 % 2 == 0 { TenantOptions::default() } else { crashing(0.3) };
+        for (hostile, h_objs, bug, clean, c_objs) in &rounds {
+            let (ph, _) = tenant(&folded(hostile, *h_objs), Some(bug % hostile.len()));
+            hostile_ids.push(svc.submit(ph, TenantOptions::default()).unwrap());
             let clean = folded(clean, *c_objs);
             let (pc, objs) = tenant(&clean, None);
-            let id = svc.submit(pc, opts.clone()).unwrap();
-            clean_runs.push((id, objs, clean, opts));
+            let id = svc.submit(pc, TenantOptions::default()).unwrap();
+            clean_runs.push((id, objs, clean));
         }
         for id in hostile_ids {
-            prop_assert_ne!(svc.wait(id).outcome, Outcome::Completed);
+            let hr = svc.wait(id);
+            prop_assert!(failed_alone(&hr.outcome), "{:?}", hr.outcome);
         }
-        for (id, objs, clean, opts) in clean_runs {
+        for (id, objs, clean) in clean_runs {
             let r = svc.wait(id);
             prop_assert_eq!(&r.outcome, &Outcome::Completed);
             let recycled = (logs(&r.store, &objs), counters(&r.metrics(WORKERS)));
-            prop_assert_eq!(&observe_solo(&clean, opts), &recycled);
+            prop_assert_eq!(&observe_solo(&clean), &recycled);
             // The service places no task, so no dispatch claims a locality
             // hit or miss — least of all one left over from the slot's last
             // tenant.
@@ -182,30 +139,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// Injected crashes are themselves deterministic: a faulty tenant
-    /// completes bit-identically to its own clean twin, solo or not.
-    #[test]
-    fn faulty_tenants_recover_bit_identically(
-        prog in program_strategy(20),
-        seed in any::<u64>(),
-    ) {
-        let solo = observe_solo(&prog, TenantOptions::default());
-        let svc = JadeService::new(ServiceConfig::new(WORKERS));
-        let (p, objs) = tenant(&prog, None);
-        let id = svc.submit(p, TenantOptions::default().with_faults(FaultPlan {
-            panic_p: 0.3,
-            seed,
-            ..FaultPlan::none()
-        })).unwrap();
-        let r = svc.wait(id);
-        prop_assert_eq!(&r.outcome, &Outcome::Completed);
-        prop_assert_eq!(&solo.0, &logs(&r.store, &objs), "recovered outputs diverged from the clean twin");
-        // Recoveries inflate dispatch/start counts but never completions.
-        let m = r.metrics(WORKERS);
-        prop_assert_eq!(m.tasks_completed, prog.len());
-        prop_assert_eq!(m.tasks_started, m.tasks_completed + m.tasks_reexecuted as usize);
     }
 }
 
@@ -312,24 +245,18 @@ fn thread_runtime_survives_a_caught_mid_batch_panic() {
 /// What a concurrent submitter's tenant must come to, by its index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Class {
-    /// Completes with the serial output and no recovery.
+    /// Completes every task with the serial output.
     Clean,
-    /// Injected crashes: completes with the serial output, after exactly
-    /// the re-executions its plan predicts.
-    Faulty,
-    /// A zero budget: cancelled before any task completes.
-    Deadline,
     /// A task that panics: fails, alone.
     Buggy,
 }
 
 impl Class {
     fn of(i: usize) -> Class {
-        match i % 10 {
-            7 => Class::Faulty,
-            8 => Class::Deadline,
-            9 => Class::Buggy,
-            _ => Class::Clean,
+        if i % 10 < 7 {
+            Class::Clean
+        } else {
+            Class::Buggy
         }
     }
 }
@@ -364,14 +291,13 @@ impl Gate {
     }
 }
 
-/// Tenants of every class from concurrent submitters over one pool whose
+/// Clean and buggy tenants from concurrent submitters over one pool whose
 /// admission is tight. Backpressure is forced, not hoped for: a blocker
 /// tenant holds every worker until some submitter is refused with
 /// `Overloaded`, and refused submitters settle their own tenants and
 /// retry. Each tenant comes to its class's outcome; a completed tenant
-/// completes every task, its stream passes `check_lifecycle` and
-/// `check_order`, and records as many re-executions as the report counts
-/// recoveries.
+/// completes every task and its stream passes `check_lifecycle` and
+/// `check_order`.
 #[test]
 fn concurrent_submitters_get_each_class_its_outcome() {
     const DAGS: usize = 200;
@@ -395,17 +321,11 @@ fn concurrent_submitters_get_each_class_its_outcome() {
     let blocker = svc.submit(blocker, TenantOptions::default()).unwrap();
     gate.wait_held(WORKERS);
 
-    let plan = |i: usize| FaultPlan {
-        panic_p: 0.3,
-        seed: 0x5eed + i as u64,
-        ..FaultPlan::none()
-    };
-    let (overloads, recoveries) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let overloads = AtomicUsize::new(0);
     let errors = Mutex::new(Vec::new());
     let check = |i: usize, prog: &[Task], objs: &[jade::Handle<Log>], r: jade::TenantReport| {
         let class = Class::of(i);
         let tasks = prog.len();
-        let failed_alone = matches!(&r.outcome, Outcome::Failed(m) if m.contains("hostile bug"));
         let fail = |why: String| {
             errors
                 .lock()
@@ -413,7 +333,7 @@ fn concurrent_submitters_get_each_class_its_outcome() {
                 .push(format!("DAG {i} ({class:?}): {why}"))
         };
         match class {
-            Class::Clean | Class::Faulty if r.outcome == Outcome::Completed => {
+            Class::Clean if r.outcome == Outcome::Completed => {
                 if logs(&r.store, objs) != run(&mut TraceRuntime::new(), prog) {
                     fail("output differs from the serial run's".into());
                 }
@@ -425,18 +345,6 @@ fn concurrent_submitters_get_each_class_its_outcome() {
                         r.tasks_completed
                     ));
                 }
-                let want = match class {
-                    Class::Faulty => predicted_reexecutions(Some(plan(i)), tasks) as usize,
-                    _ => 0,
-                };
-                let reexecuted = r.metrics(WORKERS).tasks_reexecuted as usize;
-                recoveries.fetch_add(r.recoveries, Ordering::Relaxed);
-                if (r.recoveries, reexecuted) != (want, want) {
-                    fail(format!(
-                        "{} recoveries, {reexecuted} re-executions, want {want}",
-                        r.recoveries
-                    ));
-                }
                 for e in [
                     check_lifecycle(&r.events),
                     check_order(&graph(prog), &r.events),
@@ -444,10 +352,7 @@ fn concurrent_submitters_get_each_class_its_outcome() {
                     e.unwrap_or_else(&fail);
                 }
             }
-            Class::Deadline
-                if r.outcome == Outcome::DeadlineExceeded
-                    && (r.tasks_completed, r.tasks_cancelled) == (0, tasks) => {}
-            Class::Buggy if failed_alone => {}
+            Class::Buggy if failed_alone(&r.outcome) => {}
             _ => fail(format!(
                 "outcome {:?}, {} of {tasks} tasks completed",
                 r.outcome, r.tasks_completed
@@ -467,18 +372,11 @@ fn concurrent_submitters_get_each_class_its_outcome() {
                 };
                 for i in (first..DAGS).step_by(SUBMITTERS) {
                     let prog = program_strategy(12).generate(&mut TestRng::from_seed(i as u64));
-                    let class = Class::of(i);
-                    let opts = match class {
-                        Class::Faulty => TenantOptions::default().with_faults(plan(i)),
-                        Class::Deadline => TenantOptions::default().with_deadline(Duration::ZERO),
-                        _ => TenantOptions::default(),
-                    };
-                    let opts = opts.with_weight(1 + (i % 3) as u32);
-                    let bug = (class == Class::Buggy).then_some(i % prog.len());
+                    let bug = (Class::of(i) == Class::Buggy).then_some(i % prog.len());
                     loop {
                         // `submit` consumes the program: rebuilt per attempt.
                         let (p, objs) = tenant(&prog, bug);
-                        match svc.submit(p, opts.clone()) {
+                        match svc.submit(p, TenantOptions::default()) {
                             Ok(id) => break inflight.push((i, prog, objs, id)),
                             Err(SubmitError::Overloaded { .. }) => {
                                 overloads.fetch_add(1, Ordering::Relaxed);
@@ -496,7 +394,6 @@ fn concurrent_submitters_get_each_class_its_outcome() {
     });
 
     assert_eq!(svc.wait(blocker).outcome, Outcome::Completed);
-    assert!(recoveries.into_inner() > 0, "no injected crash fired");
     assert!(
         overloads.into_inner() > 0,
         "the held pool never refused a DAG"
