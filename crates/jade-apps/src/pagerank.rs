@@ -3,7 +3,7 @@
 //!
 //! Unlike the four paper applications, whose access sets follow from the
 //! static decomposition, every gather task's read set here is **computed
-//! from data at spawn time**: partition `q` reads the contribution buckets
+//! from data at spawn time**: partition `q` reads the contribution objects
 //! of exactly those partitions that own an edge into `q`, a property of the
 //! generated graph. This data-dependent fan-in is what the
 //! inspector/executor aggregation pass coalesces — one gather task fetches
@@ -14,21 +14,25 @@
 //! same-phase tasks are independent:
 //!
 //! * **scatter\[p\]** reads partition `p`'s ranks (previous parity) and
-//!   rewrites `contrib[p]`: one dense bucket of contributions per target
-//!   partition, accumulated in stored edge order.
+//!   rewrites `contrib[p]`: one contribution per distinct node its edges
+//!   reach ([`Plan::targets`]), accumulated in stored edge order.
 //! * **gather\[q\]** writes partition `q`'s ranks (next parity) — the
 //!   locality object — and reads `contrib[p]` for every sender `p`, in
-//!   ascending `p` order, so floating-point accumulation is bit-identical
-//!   everywhere.
+//!   ascending `p` order, adding the run of `p`'s contributions that lands
+//!   in `q`, so floating-point accumulation is bit-identical everywhere.
 //!
-//! The graph generator and plan are shared with the serial reference. The
-//! tasks accumulate into the buffers their objects already hold
-//! ([`scatter_contribs_into`], [`gather_ranks_into`]) where the reference
-//! allocates ([`scatter_contribs`], [`gather_ranks`], its oracles); both
-//! add the same terms in the same order, so they match bit for bit.
+//! [`plan`] is the inspector: it runs once per program and tells each task
+//! which values it touches, so an iteration costs the edges, not
+//! `parts × nodes`. The tasks run the sparse kernels ([`scatter_slots`],
+//! [`gather_slots`]); the serial reference runs the dense ones
+//! ([`scatter_contribs`], [`gather_ranks`], its oracles), with one bucket
+//! of every partition's size per target partition. The dense kernels add
+//! the same terms in the same order plus `+0.0` for every node an edge
+//! does not reach, so the two match bit for bit (DESIGN.md §20).
 
 use crate::common::{checksum, chunk_ranges, worker_ring, SplitMix64};
 use jade_core::{Handle, JadeRuntime, TaskBuilder, Trace, TraceRuntime};
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 /// Calibration anchors. PageRank is not one of the paper's applications, so
@@ -157,27 +161,51 @@ pub fn power_law_graph(nodes: usize, m: usize, seed: u64) -> Graph {
 pub struct Plan {
     /// `(start, end)` node range of each partition.
     pub ranges: Vec<(usize, usize)>,
-    /// Per partition: its out-edges as `(local_src, target_part, local_dst)`
-    /// in stored edge order.
-    pub part_edges: Vec<Vec<(u32, u32, u32)>>,
+    /// Per partition `p`: its out-edges as `(local_src, slot)` in stored
+    /// edge order, where `slot` indexes `targets[p]`.
+    pub part_edges: Vec<Vec<(u32, u32)>>,
     /// Per partition: local out-degrees (parallel to its node range).
     pub outdeg: Vec<Vec<u32>>,
-    /// Per partition `q`: ascending list of partitions with ≥ 1 edge into
-    /// `q` — the data-dependent read set of gather task `q`.
-    pub senders: Vec<Vec<usize>>,
+    /// Per partition `p`: the distinct `(target_part, local_dst)` pairs its
+    /// edges reach, ascending — the slots of `contrib[p]`.
+    pub targets: Vec<Vec<(u32, u32)>>,
+    /// Per partition `q`: the partitions with ≥ 1 edge into `q`, ascending,
+    /// each with its slots that land in `q` — the data-dependent read set of
+    /// gather task `q`.
+    pub senders: Vec<Vec<Sender>>,
 }
 
-/// Partition `g` into `parts` contiguous node ranges and index its edges.
-/// Pure vector walks: iteration order is the stored edge order.
+/// One partition's contributions to a gather: the slots `start..end` of
+/// `Plan::targets[part]`, which all target the gathering partition.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Sender {
+    pub part: u32,
+    pub start: u32,
+    pub end: u32,
+}
+
+impl Sender {
+    pub fn slots(&self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+/// The partition of every node.
+fn part_of(nodes: usize, ranges: &[(usize, usize)]) -> Vec<u32> {
+    let mut part_of = vec![0u32; nodes];
+    for (p, &(s, e)) in ranges.iter().enumerate() {
+        part_of[s..e].fill(p as u32);
+    }
+    part_of
+}
+
+/// Partition `g` into `parts` contiguous node ranges and index its edges:
+/// the inspector. O(edges) apart from one sort of each partition's distinct
+/// targets; iteration order is the stored edge order.
 pub fn plan(g: &Graph, parts: usize) -> Plan {
     assert!(parts >= 1 && parts <= g.nodes, "parts must be in 1..=nodes");
     let ranges = chunk_ranges(g.nodes, parts);
-    let mut part_of = vec![0u32; g.nodes];
-    for (p, &(s, e)) in ranges.iter().enumerate() {
-        for v in part_of.iter_mut().take(e).skip(s) {
-            *v = p as u32;
-        }
-    }
+    let part_of = part_of(g.nodes, &ranges);
     let mut outdeg_global = vec![0u32; g.nodes];
     for &(s, _) in &g.edges {
         outdeg_global[s as usize] += 1;
@@ -186,31 +214,120 @@ pub fn plan(g: &Graph, parts: usize) -> Plan {
         .iter()
         .map(|&(s, e)| outdeg_global[s..e].to_vec())
         .collect();
-    let mut part_edges: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); parts];
-    let mut sends = vec![vec![false; parts]; parts];
+    // Each edge with its global destination, which its slot replaces below.
+    let mut part_edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); parts];
     for &(s, d) in &g.edges {
         let p = part_of[s as usize] as usize;
-        let q = part_of[d as usize] as usize;
-        let (ps, _) = ranges[p];
-        let (qs, _) = ranges[q];
-        part_edges[p].push((s - ps as u32, q as u32, d - qs as u32));
-        sends[p][q] = true;
+        part_edges[p].push((s - ranges[p].0 as u32, d));
     }
-    let senders = (0..parts)
-        .map(|q| (0..parts).filter(|&p| sends[p][q]).collect())
-        .collect();
+    // `seen[d] == p + 1` once partition `p`'s edges reach node `d`, and
+    // `slot[d]` is then `d`'s index among `p`'s targets.
+    let mut seen = vec![0u32; g.nodes];
+    let mut slot = vec![0u32; g.nodes];
+    let mut targets = Vec::with_capacity(parts);
+    let mut senders: Vec<Vec<Sender>> = vec![Vec::new(); parts];
+    for (p, edges) in part_edges.iter_mut().enumerate() {
+        let stamp = p as u32 + 1;
+        let mut reached = Vec::new();
+        for &(_, d) in edges.iter() {
+            if seen[d as usize] != stamp {
+                seen[d as usize] = stamp;
+                reached.push(d);
+            }
+        }
+        // Partitions are contiguous node ranges: ascending nodes are
+        // ascending `(target_part, local_dst)`, and the nodes of one target
+        // partition are one run.
+        reached.sort_unstable();
+        for (i, &d) in reached.iter().enumerate() {
+            slot[d as usize] = i as u32;
+        }
+        for e in edges.iter_mut() {
+            e.1 = slot[e.1 as usize];
+        }
+        let mut start = 0;
+        for run in reached.chunk_by(|&a, &b| part_of[a as usize] == part_of[b as usize]) {
+            let end = start + run.len() as u32;
+            senders[part_of[run[0] as usize] as usize].push(Sender {
+                part: p as u32,
+                start,
+                end,
+            });
+            start = end;
+        }
+        targets.push(
+            reached
+                .iter()
+                .map(|&d| {
+                    let q = part_of[d as usize];
+                    (q, d - ranges[q as usize].0 as u32)
+                })
+                .collect(),
+        );
+    }
     Plan {
         ranges,
         part_edges,
         outdeg,
+        targets,
         senders,
     }
 }
 
-/// Scatter kernel: distribute partition-local `ranks` along `edges` into
-/// one dense bucket per target partition. Accumulation follows stored edge
+/// Every partition's out-edges as `(local_src, target_part, local_dst)` in
+/// stored edge order: the dense kernels' input, taken from the graph
+/// without the plan's slots.
+fn dense_edges(g: &Graph, ranges: &[(usize, usize)]) -> Vec<Vec<(u32, u32, u32)>> {
+    let part_of = part_of(g.nodes, ranges);
+    let mut edges = vec![Vec::new(); ranges.len()];
+    for &(s, d) in &g.edges {
+        let (p, q) = (part_of[s as usize], part_of[d as usize]);
+        let local = |v: u32, part: u32| v - ranges[part as usize].0 as u32;
+        edges[p as usize].push((local(s, p), q, local(d, q)));
+    }
+    edges
+}
+
+/// Scatter kernel of the tasks: partition `p`'s contributions, one per slot
+/// of `pl.targets[p]`, overwriting `out` — each slot from `0.0`, accumulated
+/// in stored edge order. Equals [`scatter_contribs`] at every target and
+/// leaves out only its zeros.
+pub fn scatter_slots(out: &mut Vec<f64>, pl: &Plan, p: usize, ranks: &[f64]) {
+    out.clear();
+    out.resize(pl.targets[p].len(), 0.0);
+    let outdeg = &pl.outdeg[p];
+    for &(ls, slot) in &pl.part_edges[p] {
+        let share = ranks[ls as usize] / outdeg[ls as usize] as f64;
+        out[slot as usize] += share;
+    }
+}
+
+/// Gather kernel of the tasks: partition `q`'s new ranks, overwriting `out`
+/// — the base, then `DAMPING · v` for every slot of every sender that lands
+/// in `q`, senders in ascending order. `contrib(p)` is sender `p`'s slot
+/// vector. Equals [`gather_ranks`] over every partition's dense bucket: the
+/// terms it skips are `+0.0`, added to a value of at least the base.
+pub fn gather_slots<C: Deref<Target = Vec<f64>>>(
+    out: &mut [f64],
+    pl: &Plan,
+    q: usize,
+    mut contrib: impl FnMut(usize) -> C,
+    total_nodes: usize,
+) {
+    out.fill((1.0 - DAMPING) / total_nodes as f64);
+    for s in &pl.senders[q] {
+        let p = s.part as usize;
+        let vals = contrib(p);
+        for (&(_, ld), v) in pl.targets[p][s.slots()].iter().zip(&vals[s.slots()]) {
+            out[ld as usize] += DAMPING * v;
+        }
+    }
+}
+
+/// Dense scatter kernel: distribute partition-local `ranks` along `edges`
+/// into one bucket per target partition. Accumulation follows stored edge
 /// order. The serial reference's kernel and the oracle of
-/// [`scatter_contribs_into`].
+/// [`scatter_slots`].
 pub fn scatter_contribs(
     edges: &[(u32, u32, u32)],
     ranks: &[f64],
@@ -225,60 +342,18 @@ pub fn scatter_contribs(
     buckets
 }
 
-/// [`scatter_contribs`] into the buckets `buckets` already holds: each is
-/// zeroed, then accumulated in the same stored edge order, so the result is
-/// the fresh one bit for bit. The first use allocates them.
-pub fn scatter_contribs_into(
-    buckets: &mut Vec<Vec<f64>>,
-    edges: &[(u32, u32, u32)],
-    ranks: &[f64],
-    outdeg: &[u32],
-    bucket_sizes: &[usize],
-) {
-    if buckets.is_empty() {
-        *buckets = bucket_sizes.iter().map(|&s| vec![0.0; s]).collect();
-    } else {
-        buckets.iter_mut().for_each(|b| b.fill(0.0));
-    }
-    for &(ls, tp, ld) in edges {
-        let share = ranks[ls as usize] / outdeg[ls as usize] as f64;
-        buckets[tp as usize][ld as usize] += share;
-    }
-}
-
-/// Gather kernel: partition `q`'s new ranks from its senders' buckets,
-/// accumulated in the given (ascending-`p`) order. The serial reference's
-/// kernel and the oracle of [`gather_ranks_into`].
-pub fn gather_ranks(
-    n_local: usize,
-    q: usize,
-    contribs: &[&[Vec<f64>]],
-    total_nodes: usize,
-) -> Vec<f64> {
+/// Dense gather kernel: a partition's new ranks from its senders' buckets
+/// for it, accumulated in the given (ascending-sender) order. The serial
+/// reference's kernel and the oracle of [`gather_slots`].
+pub fn gather_ranks(n_local: usize, buckets: &[&[f64]], total_nodes: usize) -> Vec<f64> {
     let base = (1.0 - DAMPING) / total_nodes as f64;
     let mut out = vec![base; n_local];
-    for c in contribs {
-        for (o, b) in out.iter_mut().zip(&c[q]) {
+    for b in buckets {
+        for (o, b) in out.iter_mut().zip(*b) {
             *o += DAMPING * b;
         }
     }
     out
-}
-
-/// [`gather_ranks`] into `out`, which it overwrites: the same base, then
-/// the senders' contributions in the given order.
-pub fn gather_ranks_into<'a>(
-    out: &mut [f64],
-    q: usize,
-    contribs: impl IntoIterator<Item = &'a [Vec<f64>]>,
-    total_nodes: usize,
-) {
-    out.fill((1.0 - DAMPING) / total_nodes as f64);
-    for c in contribs {
-        for (o, b) in out.iter_mut().zip(&c[q]) {
-            *o += DAMPING * b;
-        }
-    }
 }
 
 /// Final numeric results.
@@ -297,12 +372,10 @@ pub struct PagerankHandles {
 /// Build and submit the whole PageRank program on any Jade runtime.
 pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &PagerankConfig) -> PagerankHandles {
     let g = power_law_graph(cfg.nodes, cfg.edges_per_node, cfg.seed);
-    // The inspector's plan is read-only, so the scatter tasks share one
-    // copy: a runtime may hold every closure until `finish`, and a copy per
+    // The inspector's plan is read-only, so the tasks share one copy: a runtime may hold every closure until `finish`, and a copy per
     // task would be resident `iterations` times over.
     let pl = Arc::new(plan(&g, cfg.parts));
     let ring = worker_ring(cfg.procs);
-    let bucket_sizes: Arc<[usize]> = pl.ranges.iter().map(|&(s, e)| e - s).collect();
 
     // Rank vectors, double-buffered by iteration parity; the initial mass
     // 1/N lives in the parity-0 buffers.
@@ -321,8 +394,12 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &PagerankConfig) -> PagerankHandle
             [mk(rt, 0, init), mk(rt, 1, 0.0)]
         })
         .collect();
-    // Contribution buckets, rewritten wholesale by scatter each iteration.
-    let contrib: Vec<Handle<Vec<Vec<f64>>>> = (0..cfg.parts)
+    // Contribution slots, rewritten wholesale by scatter each iteration. The
+    // declared size is the dense layout's (a value per node and a header per
+    // target partition): it is the size the simulators move, so no trace or
+    // simulated result depends on how the host stores the values
+    // (DESIGN.md §20).
+    let contrib: Arc<[Handle<Vec<f64>>]> = (0..cfg.parts)
         .map(|p| {
             let h = rt.create(
                 &format!("contrib[{p}]"),
@@ -342,7 +419,7 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &PagerankConfig) -> PagerankHandle
         let new = (iter + 1) % 2;
         for p in 0..cfg.parts {
             let (s, e) = pl.ranges[p];
-            let (pl, sizes) = (Arc::clone(&pl), Arc::clone(&bucket_sizes));
+            let pl = Arc::clone(&pl);
             let (ch, rh) = (contrib[p], rank[p][old]);
             let placement = ring[p % ring.len()];
             rt.submit(
@@ -351,33 +428,29 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &PagerankConfig) -> PagerankHandle
                     .rd(rh)
                     .place(placement)
                     .body(move |ctx| {
-                        let edges = &pl.part_edges[p];
-                        let ranks = ctx.rd(rh);
-                        let mut buckets = ctx.wr(ch);
-                        scatter_contribs_into(&mut buckets, edges, &ranks, &pl.outdeg[p], &sizes);
-                        ctx.charge(edges.len() as f64 * C_EDGE + (e - s) as f64 * C_NODE);
+                        scatter_slots(&mut ctx.wr(ch), &pl, p, &ctx.rd(rh));
+                        let edges = pl.part_edges[p].len();
+                        ctx.charge(edges as f64 * C_EDGE + (e - s) as f64 * C_NODE);
                     }),
             );
         }
         for q in 0..cfg.parts {
             let (s, e) = pl.ranges[q];
             let n_local = e - s;
-            let sender_handles: Vec<Handle<Vec<Vec<f64>>>> =
-                pl.senders[q].iter().map(|&p| contrib[p]).collect();
             let wh = rank[q][new];
             let placement = ring[q % ring.len()];
             let total = cfg.nodes;
             // The write comes first: the new rank vector is the locality
             // object. The reads are the graph-dependent sender set.
             let mut tb = TaskBuilder::new("gather").wr(wh);
-            for &h in &sender_handles {
-                tb = tb.rd(h);
+            for sender in &pl.senders[q] {
+                tb = tb.rd(contrib[sender.part as usize]);
             }
+            let (pl, contrib) = (Arc::clone(&pl), Arc::clone(&contrib));
             rt.submit(tb.place(placement).body(move |ctx| {
-                let guards: Vec<_> = sender_handles.iter().map(|&h| ctx.rd(h)).collect();
-                let contribs = guards.iter().map(|g| g.as_slice());
-                gather_ranks_into(&mut ctx.wr(wh), q, contribs, total);
-                ctx.charge((guards.len() + 1) as f64 * n_local as f64 * C_NODE);
+                gather_slots(&mut ctx.wr(wh), &pl, q, |p| ctx.rd(contrib[p]), total);
+                let reads = pl.senders[q].len();
+                ctx.charge((reads + 1) as f64 * n_local as f64 * C_NODE);
             }));
         }
     }
@@ -426,34 +499,46 @@ pub fn run_trace(cfg: &PagerankConfig) -> (Trace, PagerankOutput) {
     (trace, out)
 }
 
-/// Serial reference: the same kernels over the same plan in the same order
-/// (scatter `p` ascending, then gather `q` ascending with senders in
-/// ascending order) — bit-identical to the Jade version at the same
-/// partition count. Returns the output and total charged operations.
+/// Serial reference: the dense kernels in the tasks' order (scatter `p`
+/// ascending, then gather `q` ascending with senders in ascending order),
+/// over edges and sender sets taken from the graph rather than the plan's
+/// slots — bit-identical to the Jade version at the same partition count.
+/// Only the buckets some gather reads are kept, so it never holds
+/// `parts × nodes` values. Returns the output and total charged operations.
 pub fn reference(cfg: &PagerankConfig) -> (PagerankOutput, f64) {
     let g = power_law_graph(cfg.nodes, cfg.edges_per_node, cfg.seed);
     let pl = plan(&g, cfg.parts);
-    let bucket_sizes: Vec<usize> = pl.ranges.iter().map(|&(s, e)| e - s).collect();
-    let mut ranks: Vec<Vec<f64>> = bucket_sizes
+    let edges = dense_edges(&g, &pl.ranges);
+    let sizes: Vec<usize> = pl.ranges.iter().map(|&(s, e)| e - s).collect();
+    let mut ranks: Vec<Vec<f64>> = sizes
         .iter()
         .map(|&n| vec![1.0 / cfg.nodes as f64; n])
         .collect();
+    // `reached[q] == p + 1` once partition `p` has an edge into `q`.
+    let mut reached = vec![0usize; cfg.parts];
     let mut ops = 0.0;
     for _ in 0..cfg.iterations {
-        let contribs: Vec<Vec<Vec<f64>>> = (0..cfg.parts)
-            .map(|p| {
-                ops += pl.part_edges[p].len() as f64 * C_EDGE + bucket_sizes[p] as f64 * C_NODE;
-                scatter_contribs(&pl.part_edges[p], &ranks[p], &pl.outdeg[p], &bucket_sizes)
-            })
-            .collect();
-        ranks = (0..cfg.parts)
-            .map(|q| {
-                let refs: Vec<&[Vec<f64>]> = pl.senders[q]
-                    .iter()
-                    .map(|&p| contribs[p].as_slice())
-                    .collect();
-                ops += (refs.len() + 1) as f64 * bucket_sizes[q] as f64 * C_NODE;
-                gather_ranks(bucket_sizes[q], q, &refs, cfg.nodes)
+        // Per partition `q`: its senders' buckets for `q`, ascending.
+        let mut inbox: Vec<Vec<Vec<f64>>> = vec![Vec::new(); cfg.parts];
+        for p in 0..cfg.parts {
+            ops += edges[p].len() as f64 * C_EDGE + sizes[p] as f64 * C_NODE;
+            for &(_, q, _) in &edges[p] {
+                reached[q as usize] = p + 1;
+            }
+            let buckets = scatter_contribs(&edges[p], &ranks[p], &pl.outdeg[p], &sizes);
+            for (q, bucket) in buckets.into_iter().enumerate() {
+                if reached[q] == p + 1 {
+                    inbox[q].push(bucket);
+                }
+            }
+        }
+        ranks = inbox
+            .iter()
+            .enumerate()
+            .map(|(q, senders)| {
+                let buckets: Vec<&[f64]> = senders.iter().map(Vec::as_slice).collect();
+                ops += (buckets.len() + 1) as f64 * sizes[q] as f64 * C_NODE;
+                gather_ranks(sizes[q], &buckets, cfg.nodes)
             })
             .collect();
     }
@@ -586,8 +671,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The in-place Jade kernels against the serial reference's
-        /// allocating ones, over random graphs and partitions.
+        /// The sparse Jade kernels against the serial reference's dense
+        /// ones, over random graphs and partitions.
         #[test]
         fn trace_equals_reference_bit_for_bit(
             shape in (3..80usize, 1..5usize, 0..80usize),
@@ -606,43 +691,155 @@ mod tests {
             prop_assert_eq!(trace.total_work().to_bits(), ops.to_bits());
         }
 
-        /// Two scatters into the same buckets equal two fresh scatters, and
-        /// a gather into a vector of garbage equals a fresh gather.
+        /// The plan's invariants, and the sparse kernels against the dense
+        /// ones bit for bit, on random multigraphs (self-loops, sinks and
+        /// partitions no edge reaches included) cut into one partition, one
+        /// per node, or anything between.
         #[test]
-        fn reused_buffers_equal_fresh_ones(
-            shape in (3..80usize, 1..5usize, 0..80usize),
+        fn sparse_kernels_equal_the_dense_ones(
+            nodes in 1..60usize,
+            edges in prop::collection::vec((any::<u32>(), any::<u32>()), 0..150),
+            cut in (0..3u8, 0..60usize),
             seed in any::<u64>(),
         ) {
-            let (nodes, m, parts) = config(shape.0, shape.1, shape.2);
-            let pl = plan(&power_law_graph(nodes, m, seed), parts);
-            let sizes: Vec<usize> = pl.ranges.iter().map(|&(s, e)| e - s).collect();
-            let mut rng = SplitMix64::seed_from_u64(seed);
-            let p = rng.next_u64() as usize % parts;
-            let mut buckets = Vec::new();
-            for _ in 0..2 {
-                let ranks: Vec<f64> = (0..sizes[p]).map(|_| rng.gen_range_f64(0.0, 1.0)).collect();
-                let (edges, outdeg) = (&pl.part_edges[p], &pl.outdeg[p]);
-                scatter_contribs_into(&mut buckets, edges, &ranks, outdeg, &sizes);
-                let fresh = scatter_contribs(edges, &ranks, outdeg, &sizes);
-                prop_assert_eq!(buckets.len(), fresh.len());
-                for (b, f) in buckets.iter().zip(&fresh) {
-                    prop_assert_eq!(bits(b), bits(f));
-                }
-            }
-            let contribs: Vec<Vec<Vec<f64>>> = (0..parts)
-                .map(|p| {
-                    let ranks: Vec<f64> =
-                        (0..sizes[p]).map(|_| rng.gen_range_f64(0.0, 1.0)).collect();
-                    scatter_contribs(&pl.part_edges[p], &ranks, &pl.outdeg[p], &sizes)
-                })
+            let edges = edges
+                .into_iter()
+                .map(|(s, d)| (s % nodes as u32, d % nodes as u32))
                 .collect();
-            let q = rng.next_u64() as usize % parts;
-            let senders: Vec<&[Vec<f64>]> =
-                pl.senders[q].iter().map(|&p| contribs[p].as_slice()).collect();
-            let mut out: Vec<f64> = (0..sizes[q]).map(|_| f64::from_bits(rng.next_u64())).collect();
-            gather_ranks_into(&mut out, q, senders.iter().copied(), nodes);
-            prop_assert_eq!(bits(&out), bits(&gather_ranks(sizes[q], q, &senders, nodes)));
+            let parts = match cut.0 {
+                0 => 1,
+                1 => nodes,
+                _ => 1 + cut.1 % nodes,
+            };
+            check_plan_and_kernels(&Graph { nodes, edges }, parts, seed);
         }
+    }
+
+    /// Assert the plan's invariants and run both kernel pairs on random
+    /// ranks, comparing every value by its bits. The dense gather reads every
+    /// partition's bucket, so the sender sets are checked too.
+    fn check_plan_and_kernels(g: &Graph, parts: usize, seed: u64) {
+        let pl = plan(g, parts);
+        let sizes: Vec<usize> = pl.ranges.iter().map(|&(s, e)| e - s).collect();
+        let dense = dense_edges(g, &pl.ranges);
+        let distinct: usize = pl.targets.iter().map(Vec::len).sum();
+        assert!(distinct <= g.edges.len());
+        for (p, (targets, edges)) in pl.targets.iter().zip(&pl.part_edges).enumerate() {
+            assert!(targets.windows(2).all(|w| w[0] < w[1]), "{targets:?}");
+            let slotted: Vec<(u32, u32, u32)> = edges
+                .iter()
+                .map(|&(ls, slot)| (ls, targets[slot as usize].0, targets[slot as usize].1))
+                .collect();
+            assert_eq!(slotted, dense[p], "partition {p}'s edges and slots");
+            let reached: usize = pl
+                .senders
+                .iter()
+                .flatten()
+                .filter(|s| s.part as usize == p)
+                .map(|s| s.slots().len())
+                .sum();
+            assert_eq!(reached, targets.len(), "every slot is in one sender range");
+        }
+        for (q, senders) in pl.senders.iter().enumerate() {
+            let want: Vec<u32> = (0..parts as u32)
+                .filter(|&p| dense[p as usize].iter().any(|&(_, tq, _)| tq as usize == q))
+                .collect();
+            let got: Vec<u32> = senders.iter().map(|s| s.part).collect();
+            assert_eq!(got, want, "senders of {q}");
+            for s in senders {
+                let run = &pl.targets[s.part as usize][s.slots()];
+                assert!(!run.is_empty());
+                assert!(run
+                    .iter()
+                    .all(|&(tq, ld)| tq as usize == q && (ld as usize) < sizes[q]));
+                assert!(run.windows(2).all(|w| w[0].1 < w[1].1));
+            }
+        }
+
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut sparse = Vec::with_capacity(parts);
+        let mut buckets = Vec::with_capacity(parts);
+        for p in 0..parts {
+            let ranks: Vec<f64> = (0..sizes[p]).map(|_| rng.gen_range_f64(0.0, 1.0)).collect();
+            // Garbage the kernel must overwrite.
+            let mut out = vec![f64::NAN; rng.next_u64() as usize % 4];
+            scatter_slots(&mut out, &pl, p, &ranks);
+            let want = scatter_contribs(&dense[p], &ranks, &pl.outdeg[p], &sizes);
+            // The slots, put back in place, are the dense buckets: the
+            // values they leave out are `+0.0`.
+            let mut rebuilt: Vec<Vec<f64>> = sizes.iter().map(|&n| vec![0.0; n]).collect();
+            for (&(tq, ld), &v) in pl.targets[p].iter().zip(&out) {
+                rebuilt[tq as usize][ld as usize] = v;
+            }
+            assert_eq!(out.len(), pl.targets[p].len());
+            for (r, w) in rebuilt.iter().zip(&want) {
+                assert_eq!(bits(r), bits(w), "scatter {p}");
+            }
+            sparse.push(out);
+            buckets.push(want);
+        }
+        for q in 0..parts {
+            let all: Vec<&[f64]> = buckets.iter().map(|b| b[q].as_slice()).collect();
+            let mut out: Vec<f64> = (0..sizes[q])
+                .map(|_| f64::from_bits(rng.next_u64()))
+                .collect();
+            gather_slots(&mut out, &pl, q, |p| &sparse[p], g.nodes);
+            assert_eq!(
+                bits(&out),
+                bits(&gather_ranks(sizes[q], &all, g.nodes)),
+                "gather {q}"
+            );
+        }
+    }
+
+    #[test]
+    fn kernels_match_at_the_extreme_cuts() {
+        let g = power_law_graph(96, 3, 42);
+        check_plan_and_kernels(&g, 1, 1);
+        check_plan_and_kernels(&g, 96, 2);
+        // Preferential attachment leaves late nodes without in-edges: at
+        // one node a partition, some gather has no sender.
+        assert!(plan(&g, 96).senders.iter().any(Vec::is_empty));
+    }
+
+    /// ROADMAP item 17 runs PageRank past 32 processors.
+    #[test]
+    fn trace_matches_reference_past_32_processors() {
+        for procs in [64usize, 128, 256] {
+            let cfg = PagerankConfig::small(procs);
+            let (trace, out) = run_trace(&cfg);
+            let (want, ops) = reference(&cfg);
+            assert_eq!(
+                bits(&[out.rank_sum, out.rank_checksum]),
+                bits(&[want.rank_sum, want.rank_checksum]),
+                "procs={procs}"
+            );
+            assert_eq!(trace.task_count(), expected_tasks(&cfg));
+            assert_eq!(trace.total_work().to_bits(), ops.to_bits());
+        }
+    }
+
+    #[test]
+    fn plan_builds_at_the_largest_paper_machine() {
+        let cfg = PagerankConfig::paper(683);
+        assert_eq!(cfg.parts, 4092);
+        let pl = plan(
+            &power_law_graph(cfg.nodes, cfg.edges_per_node, cfg.seed),
+            cfg.parts,
+        );
+        assert_eq!(pl.senders.len(), 4092);
+        let edges: usize = pl.part_edges.iter().map(Vec::len).sum();
+        assert_eq!(edges, 5 + (4096 - 5) * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "parts must be in 1..=nodes")]
+    fn plan_refuses_more_partitions_than_nodes() {
+        let cfg = PagerankConfig::paper(684);
+        plan(
+            &power_law_graph(cfg.nodes, cfg.edges_per_node, cfg.seed),
+            cfg.parts,
+        );
     }
 
     /// Satellite 4 regression: the generator runs entirely on the

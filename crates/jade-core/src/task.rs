@@ -22,7 +22,7 @@
 //! );
 //! ```
 
-use crate::access::AccessSpec;
+use crate::access::{AccessDecl, AccessMode, AccessSpec};
 use crate::ids::{Handle, ObjectId, ProcId, TaskId};
 use crate::store::{ReadGuard, Store, WriteGuard};
 use std::cell::Cell;
@@ -128,6 +128,9 @@ pub struct TaskCtx<'a> {
     label: &'static str,
     spec: &'a AccessSpec,
     charged: Cell<f64>,
+    /// Index of the declaration the last access matched, where the next
+    /// access's search starts (see [`TaskCtx::declared`]).
+    cursor: Cell<usize>,
     /// Objects whose rights the task gave up mid-execution (`release`).
     released: std::cell::RefCell<Vec<ObjectId>>,
     /// Runtime callback invoked on `release` so waiting tasks can proceed.
@@ -143,6 +146,7 @@ impl<'a> TaskCtx<'a> {
             label,
             spec,
             charged: Cell::new(0.0),
+            cursor: Cell::new(0),
             released: std::cell::RefCell::new(Vec::new()),
             release_hook: None,
         }
@@ -191,6 +195,22 @@ impl<'a> TaskCtx<'a> {
         }
     }
 
+    /// The declared mode of `id`. The search starts at the declaration the
+    /// last access matched and wraps around, so a body that accesses its
+    /// objects in declaration order pays one or two comparisons an access
+    /// however wide its specification, and no access pays more than the
+    /// full scan of [`AccessSpec::mode_of`].
+    fn declared(&self, id: ObjectId) -> Option<AccessMode> {
+        let decls = self.spec.decls();
+        let start = self.cursor.get();
+        let at = |range: &[AccessDecl]| range.iter().position(|d| d.object == id);
+        let i = at(&decls[start..])
+            .map(|i| start + i)
+            .or_else(|| at(&decls[..start]))?;
+        self.cursor.set(i);
+        Some(decls[i].mode)
+    }
+
     fn check(&self, id: ObjectId, need_write: bool) {
         assert!(
             !self.released.borrow().contains(&id),
@@ -200,7 +220,7 @@ impl<'a> TaskCtx<'a> {
             self.store.name(id),
             id,
         );
-        let mode = self.spec.mode_of(id).unwrap_or_else(|| {
+        let mode = self.declared(id).unwrap_or_else(|| {
             panic!(
                 "access violation: task {:?} ({}) touched undeclared object {} ({:?})",
                 self.task,
@@ -343,6 +363,109 @@ mod tests {
             w.push(9.0);
         }
         assert_eq!(ctx.rd(v).len(), 3);
+    }
+
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Objects in the store of the wide-specification test.
+    const WIDE: u32 = 340;
+
+    /// What `f` panicked with, or `None` if it returned.
+    fn panic_text(f: impl FnOnce()) -> Option<String> {
+        catch_unwind(AssertUnwindSafe(f)).err().map(|e| {
+            e.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Specifications of 1-300 declarations (inline and spilled, ids
+        /// ascending, descending or as drawn, repeats merging), then accesses
+        /// and releases: in declaration order, repeated, or of any object,
+        /// declared or not. Each passes or panics exactly as `mode_of` and
+        /// the released list say, with the same message.
+        #[test]
+        fn accesses_follow_mode_of_on_wide_specs(
+            stmts in prop::collection::vec((0..WIDE, 0..3u8), 1..301),
+            order in 0..3u8,
+            steps in prop::collection::vec((0..8u8, 0..WIDE, any::<bool>()), 0..400),
+        ) {
+            let mut store = Store::new();
+            let hs: Vec<Handle<u32>> = (0..WIDE).map(|i| store.create(format!("o{i}"), 4, i)).collect();
+            let mut stmts = stmts;
+            match order {
+                0 => stmts.sort_by_key(|&(k, _)| k),
+                1 => stmts.sort_by_key(|&(k, _)| std::cmp::Reverse(k)),
+                _ => {}
+            }
+            let mut spec = AccessSpec::new();
+            for &(k, stmt) in &stmts {
+                let h = hs[k as usize];
+                match stmt {
+                    0 => spec.rd(h),
+                    1 => spec.wr(h),
+                    _ => spec.rd_wr(h),
+                };
+            }
+            let (task, label) = (TaskId(7), "wide");
+            let ctx = TaskCtx::new(&store, task, label, &spec);
+            let decls = spec.decls();
+            let mut released: Vec<ObjectId> = Vec::new();
+            let (mut next, mut last) = (0, hs[0].id());
+            for (kind, k, write) in steps {
+                let id = match kind {
+                    0..=2 => {
+                        next += 1;
+                        decls[(next - 1) % decls.len()].object
+                    }
+                    3 | 4 => last,
+                    _ => hs[k as usize].id(),
+                };
+                last = id;
+                let (h, name) = (hs[id.0 as usize], store.name(id));
+                if kind == 7 {
+                    let want = if released.contains(&id) {
+                        Some(format!("task {task:?} ({label}) released object {id:?} twice"))
+                    } else if spec.mode_of(id).is_none() {
+                        Some(format!("task {task:?} ({label}) released undeclared object {id:?}"))
+                    } else {
+                        released.push(id);
+                        None
+                    };
+                    prop_assert_eq!(panic_text(|| ctx.release(h)), want);
+                    continue;
+                }
+                let want = if released.contains(&id) {
+                    Some(format!(
+                        "access violation: task {task:?} ({label}) touched released object {name} ({id:?})"
+                    ))
+                } else {
+                    match spec.mode_of(id) {
+                        None => Some(format!(
+                            "access violation: task {task:?} ({label}) touched undeclared object {name} ({id:?})"
+                        )),
+                        Some(m) if (if write { m.writes() } else { m.reads() }) => None,
+                        Some(m) => Some(format!(
+                            "access violation: task {task:?} ({label}) needs {} on object {name} but declared {m:?}",
+                            if write { "write" } else { "read" },
+                        )),
+                    }
+                };
+                let got = panic_text(|| {
+                    if write {
+                        *ctx.wr(h) += WIDE;
+                    } else {
+                        assert_eq!(*ctx.rd(h) % WIDE, id.0);
+                    }
+                });
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]
