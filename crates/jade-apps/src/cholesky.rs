@@ -29,7 +29,7 @@
 //! message-passing machine, the first task to touch each panel misses its
 //! target — the paper's 92% effect).
 
-use crate::common::{checksum, worker_ring};
+use crate::common::{checksum, worker_ring, Checksum};
 
 /// Communication-size multiplier for panels. BCSSTK15's supernodal fronts
 /// are an order of magnitude denser than our synthetic band panels; scaling
@@ -81,6 +81,21 @@ impl CholeskyConfig {
             panel_width: 4,
             procs,
         }
+    }
+
+    /// Refuse a shape the panel decomposition cannot cut: every
+    /// sub-assembly needs a grid and every panel a column. `build` and
+    /// `reference` start here, so a bad field is named instead of failing
+    /// as an index or a division deep inside the factorization.
+    fn check(&self) {
+        assert!(
+            self.grid > 0,
+            "cholesky grid is 0: a sub-assembly has no columns"
+        );
+        assert!(
+            self.panel_width > 0,
+            "cholesky panel_width is 0: a panel has no columns"
+        );
     }
 
     /// Total matrix order.
@@ -326,6 +341,7 @@ fn panel_metas(cfg: &CholeskyConfig) -> Vec<PanelMeta> {
 
 /// Build and submit the whole Panel Cholesky program on any Jade runtime.
 pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &CholeskyConfig) -> CholeskyHandles {
+    cfg.check();
     let metas = panel_metas(cfg);
     let ring = worker_ring(cfg.procs);
     let panels: Vec<Handle<Panel>> = metas
@@ -463,7 +479,8 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &CholeskyConfig) -> CholeskyHandle
         }
     }
 
-    // Serial gather: log-determinant and checksum of the whole factor.
+    // Serial gather: log-determinant and checksum of the whole factor,
+    // folded panel by panel where the panels lie.
     {
         let panels = panels.clone();
         let mut tb = TaskBuilder::new("gather").wr(result);
@@ -472,15 +489,15 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &CholeskyConfig) -> CholeskyHandle
         }
         rt.submit(tb.serial_phase().body(move |ctx| {
             let mut logdet = 0.0;
-            let mut all = Vec::new();
+            let mut sum = Checksum::new();
             for &h in &panels {
                 let p = ctx.rd(h);
                 for c in 0..p.cols {
                     logdet += 2.0 * p.seg(c)[0].ln();
                 }
-                all.extend(p.data.iter().copied());
+                sum.extend(p.data.iter().copied());
             }
-            *ctx.wr(result) = (logdet, checksum(all.iter().copied()));
+            *ctx.wr(result) = (logdet, sum.value());
         }));
     }
     CholeskyHandles { result }
@@ -513,6 +530,7 @@ pub fn run_trace(cfg: &CholeskyConfig) -> (Trace, CholeskyOutput) {
 /// band Cholesky, apply the interface joins, factor the interface.
 /// Bit-identical to the panel decomposition (same `cmod`/`cdiv` order).
 pub fn reference(cfg: &CholeskyConfig) -> (CholeskyOutput, f64) {
+    cfg.check();
     let mut flops = 0u64;
     let mut logdet = 0.0;
     let mut all = Vec::new();
@@ -665,6 +683,24 @@ mod tests {
                 "{charged} vs {ref_flops}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cholesky grid is 0")]
+    fn a_grid_without_columns_is_refused() {
+        run_trace(&CholeskyConfig {
+            grid: 0,
+            ..CholeskyConfig::small(2)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "cholesky panel_width is 0")]
+    fn a_panel_without_columns_is_refused() {
+        reference(&CholeskyConfig {
+            panel_width: 0,
+            ..CholeskyConfig::small(2)
+        });
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Helpers shared by the six applications.
 
 use jade_core::ProcId;
+use std::ops::Deref;
 
 /// The worker ring used by the paper's explicit task placements: processors
 /// in round-robin order **omitting the main processor** (for applications
@@ -73,18 +74,99 @@ impl SplitMix64 {
 /// A tiny deterministic checksum over floats (order-sensitive), used to
 /// compare outputs across runtimes.
 pub fn checksum(xs: impl IntoIterator<Item = f64>) -> f64 {
-    let mut acc = 0.0f64;
-    let mut k = 1.0f64;
-    for x in xs {
-        acc += x * k;
-        k = -k * 0.9999;
+    let mut sum = Checksum::new();
+    sum.extend(xs);
+    sum.value()
+}
+
+/// [`checksum`] fed one value or one object at a time, so a gather that
+/// reads many objects folds them where they lie instead of copying them
+/// into one sequence first. Fed the same sequence, in any number of
+/// pieces, it ends on the bits [`checksum`] returns.
+#[derive(Clone, Copy, Debug)]
+pub struct Checksum {
+    acc: f64,
+    k: f64,
+}
+
+impl Checksum {
+    pub fn new() -> Checksum {
+        Checksum { acc: 0.0, k: 1.0 }
     }
-    acc
+
+    #[inline]
+    pub fn push(&mut self, x: f64) {
+        self.acc += x * self.k;
+        self.k = -self.k * 0.9999;
+    }
+
+    /// The checksum of everything pushed so far.
+    pub fn value(&self) -> f64 {
+        self.acc
+    }
+}
+
+impl Default for Checksum {
+    fn default() -> Checksum {
+        Checksum::new()
+    }
+}
+
+impl Extend<f64> for Checksum {
+    fn extend<I: IntoIterator<Item = f64>>(&mut self, xs: I) {
+        for x in xs {
+            self.push(x);
+        }
+    }
+}
+
+/// `(Σ x, checksum(x))` over the values of `parts`, in order, read where
+/// they lie: bit for bit what `.sum()` and [`checksum`] give over one
+/// vector holding all of them, without that vector.
+pub fn sum_and_checksum<P: Deref<Target = Vec<f64>>>(
+    parts: impl IntoIterator<Item = P>,
+) -> (f64, f64) {
+    let mut sum = Checksum::new();
+    let total = parts
+        .into_iter()
+        .flat_map(|p| (0..p.len()).map(move |i| p[i]))
+        .inspect(|&x| sum.push(x))
+        .sum();
+    (total, sum.value())
+}
+
+/// Floats for the kernels' bit-identity tests.
+#[cfg(test)]
+pub(crate) mod test_floats {
+    /// A float a sum's bits are sensitive to: a signed zero, a signed
+    /// subnormal, a signed infinity, or any other bit pattern, NaNs
+    /// included.
+    pub fn awkward(b: u64) -> f64 {
+        match b % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(b >> 12),
+            3 => -f64::from_bits(b >> 12),
+            4 => f64::INFINITY.copysign(f64::from_bits(b)),
+            _ => f64::from_bits(b),
+        }
+    }
+
+    /// Equal bits cell for cell, where a NaN need only meet a NaN: Rust
+    /// leaves a NaN result's payload open.
+    pub fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::test_floats::{awkward, same_bits};
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn ring_omits_main() {
@@ -118,6 +200,63 @@ mod tests {
     fn creation_order_puts_main_last() {
         assert_eq!(creation_order(4), vec![1, 2, 3, 0]);
         assert_eq!(creation_order(1), vec![0]);
+    }
+
+    proptest! {
+        /// Any sequence, cut into pieces anywhere, streams to the bits of
+        /// the one-shot checksum: signed zeros, subnormals, infinities and
+        /// NaN patterns included (a NaN result need only stay a NaN).
+        #[test]
+        fn streaming_checksum_equals_the_one_shot(
+            raw in prop::collection::vec(any::<u64>(), 0..200),
+            cuts in prop::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let xs: Vec<f64> = raw.iter().map(|&b| awkward(b)).collect();
+            let want = checksum(xs.iter().copied());
+            prop_assert!(same_bits(&[want], &[one_shot(&xs)]), "{want} vs {}", one_shot(&xs));
+            let mut ends: Vec<usize> = cuts.iter().map(|c| c % (xs.len() + 1)).collect();
+            ends.push(xs.len());
+            ends.sort_unstable();
+            let mut sum = Checksum::new();
+            let mut start = 0;
+            for end in ends {
+                sum.extend(xs[start..end].iter().copied());
+                start = end;
+            }
+            prop_assert!(same_bits(&[sum.value()], &[want]), "{} vs {want}", sum.value());
+        }
+    }
+
+    #[test]
+    fn pieces_sum_and_checksum_as_one_vector() {
+        let parts = [
+            vec![-0.0, 1.5],
+            vec![],
+            vec![-0.0],
+            vec![2.25, -3.0, 1e-310],
+        ];
+        let all: Vec<f64> = parts.iter().flatten().copied().collect();
+        let (total, sum) = sum_and_checksum(&parts);
+        assert_eq!(total.to_bits(), all.iter().sum::<f64>().to_bits());
+        assert_eq!(sum.to_bits(), checksum(all).to_bits());
+        // All-negative-zero pieces keep the sign `.sum()` gives them.
+        let (zero, _) = sum_and_checksum(&[vec![-0.0], vec![-0.0]]);
+        assert_eq!(
+            zero.to_bits(),
+            [-0.0f64, -0.0].iter().sum::<f64>().to_bits()
+        );
+    }
+
+    /// The checksum's definition as one loop over the whole sequence: the
+    /// oracle both forms are held to.
+    fn one_shot(xs: &[f64]) -> f64 {
+        let mut acc = 0.0f64;
+        let mut k = 1.0f64;
+        for &x in xs {
+            acc += x * k;
+            k = -k * 0.9999;
+        }
+        acc
     }
 
     #[test]

@@ -12,13 +12,15 @@
 //! aggregation pass coalesces into one message per `(task, owner)` pair.
 //!
 //! Tiles are double-buffered by iteration parity (Jacobi across tiles), so
-//! all same-iteration tasks are independent. The halo assembly is shared
-//! with the serial reference; the task's stencil writes into the new-parity
-//! tile ([`step_tile_into`]) where the reference allocates ([`step_tile`],
-//! its oracle). Both sum the same neighbours in the same order, so the
-//! reference matches the Jade version bit for bit.
+//! all same-iteration tasks are independent. A task reads its own tile and
+//! its neighbours' edges where they lie and writes the new-parity tile
+//! ([`step_tile_in_place`]); it allocates nothing. The serial reference
+//! assembles each tile's `(t + 2)²` halo ([`assemble_halo`]) and steps it
+//! into a fresh tile ([`step_tile`]): the oracle. Both sum the same
+//! neighbours in the same order, so the reference matches the Jade version
+//! bit for bit.
 
-use crate::common::{checksum, worker_ring, SplitMix64};
+use crate::common::{checksum, sum_and_checksum, worker_ring, SplitMix64};
 use jade_core::{Handle, JadeRuntime, TaskBuilder, Trace, TraceRuntime};
 
 /// Calibration anchors. Halo is not one of the paper's applications, so
@@ -156,7 +158,7 @@ pub fn assemble_halo(t: usize, center: &[f64], nbrs: &[Option<&[f64]>; 8]) -> Ve
 
 /// One Jacobi step of the 9-point stencil over an assembled halo:
 /// `new = 0.5 · center + 0.0625 · Σ neighbors` (weights sum to 1). The
-/// serial reference's kernel and the oracle of [`step_tile_into`].
+/// serial reference's kernel and the oracle of [`step_tile_in_place`].
 pub fn step_tile(t: usize, halo: &[f64]) -> Vec<f64> {
     let w = t + 2;
     let mut out = vec![0.0; t * t];
@@ -172,20 +174,110 @@ pub fn step_tile(t: usize, halo: &[f64]) -> Vec<f64> {
     out
 }
 
-/// [`step_tile`] into `out`, reading the halo as three row slices per tile
-/// row: the same sum in [`NEIGHBORS`] order from `0.0`, the same weights,
-/// and no tile allocated per step. Every cell of `out` is overwritten.
-pub fn step_tile_into(t: usize, halo: &[f64], out: &mut [f64]) {
-    let w = t + 2;
+/// One row of the halo [`assemble_halo`] would build, where its cells lie:
+/// the cell left of the tile, the row's `t` cells (`None` where a missing
+/// neighbour leaves the boundary value), and the cell right of the tile.
+#[derive(Clone, Copy)]
+struct HaloRow<'a> {
+    left: f64,
+    cells: Option<&'a [f64]>,
+    right: f64,
+}
+
+impl<'a> HaloRow<'a> {
+    /// Halo row `r` (`0..t + 2`) of a tile: a neighbour's edge row and two
+    /// corners at the top and bottom, one of the tile's rows and its side
+    /// neighbours' edge cells between. `nbrs` is in [`NEIGHBORS`] order.
+    fn of(t: usize, center: &'a [f64], nbrs: &[Option<&'a [f64]>; 8], r: usize) -> HaloRow<'a> {
+        let cell = |k: usize, i: usize| nbrs[k].map_or(0.0, |n| n[i]);
+        let row = |k: usize, y: usize| nbrs[k].map(|n| &n[y * t..(y + 1) * t]);
+        match r {
+            0 => HaloRow {
+                left: cell(0, t * t - 1),
+                cells: row(1, t - 1),
+                right: cell(2, (t - 1) * t),
+            },
+            _ if r == t + 1 => HaloRow {
+                left: cell(5, t - 1),
+                cells: row(6, 0),
+                right: cell(7, 0),
+            },
+            _ => {
+                let y = r - 1;
+                HaloRow {
+                    left: cell(3, y * t + t - 1),
+                    cells: Some(&center[y * t..(y + 1) * t]),
+                    right: cell(4, y * t),
+                }
+            }
+        }
+    }
+
+    /// Halo column `i` (`0..t + 2`) of this row.
+    #[inline]
+    fn at(&self, t: usize, i: usize) -> f64 {
+        if i == 0 {
+            self.left
+        } else if i == t + 1 {
+            self.right
+        } else {
+            self.cells.map_or(0.0, |c| c[i - 1])
+        }
+    }
+}
+
+/// [`step_tile`] over the halo [`assemble_halo`] would build from `center`
+/// and `nbrs`, computed without building it: each output row reads the
+/// tile's own rows, its neighbours' edge rows and edge columns, and the
+/// four corners where they lie. A missing neighbour still adds its `0.0`,
+/// in [`NEIGHBORS`] order from `0.0`, as the assembled halo does. Every
+/// cell of `out` is overwritten.
+pub fn step_tile_in_place(t: usize, center: &[f64], nbrs: &[Option<&[f64]>; 8], out: &mut [f64]) {
     for (y, row) in out.chunks_exact_mut(t).enumerate() {
-        let [up, mid, down] = [y, y + 1, y + 2].map(|r| &halo[r * w..(r + 1) * w]);
-        // Each neighbour column as a slice of exactly `t` cells.
-        let [nw, n, ne] = [0, 1, 2].map(|dx| &up[dx..dx + t]);
-        let [west, center, east] = [0, 1, 2].map(|dx| &mid[dx..dx + t]);
-        let [sw, s, se] = [0, 1, 2].map(|dx| &down[dx..dx + t]);
-        for x in 0..t {
-            let sum = 0.0 + nw[x] + n[x] + ne[x] + west[x] + east[x] + sw[x] + s[x] + se[x];
-            row[x] = 0.5 * center[x] + 0.0625 * sum;
+        let rows = [y, y + 1, y + 2].map(|r| HaloRow::of(t, center, nbrs, r));
+        step_row(t, rows, row);
+    }
+}
+
+/// One output row from its three halo rows.
+fn step_row(t: usize, [up, mid, down]: [HaloRow; 3], row: &mut [f64]) {
+    match (up.cells, mid.cells, down.cells) {
+        (Some(u), Some(m), Some(d)) if t > 1 => {
+            // Every operand is a cell of one of the three rows or one of
+            // their ends, so no cell needs a branch.
+            let last = t - 1;
+            let sum = 0.0 + up.left + u[0] + u[1] + mid.left + m[1] + down.left + d[0] + d[1];
+            row[0] = 0.5 * m[0] + 0.0625 * sum;
+            // The inner cells: each neighbour column as a slice of exactly
+            // as many cells as `inner`, so the loop has no bounds checks.
+            let inner = &mut row[1..last];
+            let [nw, n, ne] = [0, 1, 2].map(|dx| &u[dx..dx + inner.len()]);
+            let [west, center, east] = [0, 1, 2].map(|dx| &m[dx..dx + inner.len()]);
+            let [sw, s, se] = [0, 1, 2].map(|dx| &d[dx..dx + inner.len()]);
+            for x in 0..inner.len() {
+                let sum = 0.0 + nw[x] + n[x] + ne[x] + west[x] + east[x] + sw[x] + s[x] + se[x];
+                inner[x] = 0.5 * center[x] + 0.0625 * sum;
+            }
+            let l = last - 1;
+            let sum =
+                0.0 + u[l] + u[last] + up.right + m[l] + mid.right + d[l] + d[last] + down.right;
+            row[last] = 0.5 * m[last] + 0.0625 * sum;
+        }
+        _ => {
+            // A missing north or south neighbour, or a one-cell tile: read
+            // output cell `x`'s halo columns `x`, `x + 1` and `x + 2` one by one.
+            for (x, out) in row.iter_mut().enumerate() {
+                let sum = 0.0
+                    + up.at(t, x)
+                    + up.at(t, x + 1)
+                    + up.at(t, x + 2)
+                    + mid.at(t, x)
+                    + mid.at(t, x + 2)
+                    + down.at(t, x)
+                    + down.at(t, x + 1)
+                    + down.at(t, x + 2);
+                *out = 0.5 * mid.at(t, x + 1) + 0.0625 * sum;
+            }
         }
     }
 }
@@ -267,8 +359,7 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &HaloConfig) -> HaloHandles {
                 let guards: [Option<_>; 8] = std::array::from_fn(|k| nbr_old[k].map(|h| ctx.rd(h)));
                 let nbrs: [Option<&[f64]>; 8] =
                     std::array::from_fn(|k| guards[k].as_deref().map(|v| v.as_slice()));
-                let halo = assemble_halo(t, &center, &nbrs);
-                step_tile_into(t, &halo, &mut ctx.wr(wh));
+                step_tile_in_place(t, &center, &nbrs, &mut ctx.wr(wh));
                 ctx.charge((t * t) as f64 * C_CELL);
             }));
         }
@@ -284,12 +375,7 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &HaloConfig) -> HaloHandles {
         }
         let cells = finals.len() * t * t;
         rt.submit(tb.serial_phase().body(move |ctx| {
-            let mut all = Vec::with_capacity(cells);
-            for &h in &finals {
-                all.extend(ctx.rd(h).iter().copied());
-            }
-            let total = all.iter().sum();
-            *ctx.wr(result) = (total, checksum(all));
+            *ctx.wr(result) = sum_and_checksum(finals.iter().map(|&h| ctx.rd(h)));
             ctx.charge(cells as f64 * C_CELL);
         }));
     }
@@ -373,6 +459,7 @@ pub fn expected_tasks(cfg: &HaloConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::test_floats::{awkward, same_bits};
     use proptest::prelude::*;
 
     #[test]
@@ -487,20 +574,6 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// A float the sum's bits are sensitive to: a signed zero, a signed
-    /// subnormal, or any bit pattern that is not a NaN (whose payload an
-    /// optimiser may legally take from either operand).
-    fn awkward(b: u64) -> f64 {
-        match b % 8 {
-            0 => 0.0,
-            1 => -0.0,
-            2 => f64::from_bits(b >> 12),
-            3 => -f64::from_bits(b >> 12),
-            _ if f64::from_bits(b).is_nan() => 1.0,
-            _ => f64::from_bits(b),
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -533,14 +606,34 @@ mod tests {
             prop_assert_eq!(trace.total_work().to_bits(), ops.to_bits());
         }
 
-        /// Signed zeros and subnormals in the halo, garbage in the tile.
+        /// The in-place stencil against the assembled halo it never
+        /// builds, for every subset of the eight neighbours: signed zeros,
+        /// subnormals and NaN patterns in the cells, garbage in the output.
+        /// In one case of four nearly every cell is `-0.0`, so whole
+        /// stencils of them occur: only those tell a sum started from the
+        /// first term from one started at `0.0`.
         #[test]
-        fn in_place_step_equals_the_allocating_step(t in 1..13usize, seed in any::<u64>()) {
+        fn in_place_step_equals_the_assembled_step(t in 1..13usize, seed in any::<u64>()) {
             let mut rng = SplitMix64::seed_from_u64(seed);
-            let halo: Vec<f64> = (0..(t + 2) * (t + 2)).map(|_| awkward(rng.next_u64())).collect();
-            let mut out: Vec<f64> = (0..t * t).map(|_| f64::from_bits(rng.next_u64())).collect();
-            step_tile_into(t, &halo, &mut out);
-            prop_assert_eq!(bits(&out), bits(&step_tile(t, &halo)));
+            let zeros = seed.is_multiple_of(4);
+            let mut tile = || -> Vec<f64> {
+                (0..t * t)
+                    .map(|_| match rng.next_u64() {
+                        b if zeros && b % 16 != 0 => -0.0,
+                        b => awkward(b),
+                    })
+                    .collect()
+            };
+            let center = tile();
+            let tiles: [Vec<f64>; 8] = std::array::from_fn(|_| tile());
+            for subset in 0..256usize {
+                let nbrs: [Option<&[f64]>; 8] =
+                    std::array::from_fn(|k| (subset >> k & 1 == 1).then(|| tiles[k].as_slice()));
+                let want = step_tile(t, &assemble_halo(t, &center, &nbrs));
+                let mut out: Vec<f64> = (0..t * t).map(|_| f64::from_bits(rng.next_u64())).collect();
+                step_tile_in_place(t, &center, &nbrs, &mut out);
+                prop_assert!(same_bits(&out, &want), "t {t}, neighbours {subset:08b}");
+            }
         }
     }
 }

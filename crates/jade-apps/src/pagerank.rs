@@ -30,7 +30,7 @@
 //! the same terms in the same order plus `+0.0` for every node an edge
 //! does not reach, so the two match bit for bit (DESIGN.md §20).
 
-use crate::common::{checksum, chunk_ranges, worker_ring, SplitMix64};
+use crate::common::{checksum, chunk_ranges, sum_and_checksum, worker_ring, SplitMix64};
 use jade_core::{Handle, JadeRuntime, TaskBuilder, Trace, TraceRuntime};
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -464,12 +464,7 @@ pub fn build<R: JadeRuntime>(rt: &mut R, cfg: &PagerankConfig) -> PagerankHandle
         }
         let nodes = cfg.nodes;
         rt.submit(tb.serial_phase().body(move |ctx| {
-            let mut all = Vec::with_capacity(nodes);
-            for &h in &finals {
-                all.extend(ctx.rd(h).iter().copied());
-            }
-            let sum = all.iter().sum();
-            *ctx.wr(result) = (sum, checksum(all));
+            *ctx.wr(result) = sum_and_checksum(finals.iter().map(|&h| ctx.rd(h)));
             ctx.charge(nodes as f64 * C_NODE);
         }));
     }

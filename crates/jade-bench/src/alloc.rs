@@ -10,15 +10,20 @@
 //! [`counting_active`] detects so alloc assertions skip cleanly instead of
 //! failing vacuously.
 //!
-//! `alloc` and `realloc` feed the allocation count. Deallocations are free
-//! to batch up (dropping a recycled buffer is not allocation pressure),
-//! and counting them there would double-charge realloc. Beside the call
-//! count the shim reports each request's size, so a gate can bound *how
-//! much* a region allocates (a realloc is charged its whole new size).
-//! `dealloc` feeds a counter of its own ([`frees`]): a task's heap blocks
-//! are released by the worker that ran it, inside the timed `finish`, so
+//! `alloc` and `realloc` feed the allocation count. Beside the call count
+//! the shim reports each request's size, so a gate can bound *how much* a
+//! region allocates (a realloc is charged its whole new size). `dealloc`
+//! feeds a counter of its own ([`frees`]): a task's heap blocks are
+//! released by the worker that ran it, inside the timed `finish`, so
 //! "blocks freed per retired task" is a cost the allocation count cannot
-//! see.
+//! see. A realloc is charged as a free of the old block plus an allocation
+//! of the new one.
+//!
+//! Sizes in and out also keep the bytes live on the heap and their
+//! high-water mark ([`peak_live_during`]): the footprint a body's copies
+//! add, measured without the C allocator's placement, which the process's
+//! resident-set peak follows as much as the program. A realloc counts as
+//! moved in place, so the copy a moving realloc makes is not in the mark.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -26,6 +31,8 @@ use std::sync::OnceLock;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// Record one allocation of `bytes`. Called by an installed allocator shim
 /// on every `alloc`/`realloc`; `Relaxed` because only totals matter, and
@@ -34,14 +41,18 @@ static FREES: AtomicU64 = AtomicU64::new(0);
 pub fn note_alloc(bytes: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let live = LIVE
+        .fetch_add(bytes as u64, Ordering::Relaxed)
+        .wrapping_add(bytes as u64);
+    PEAK.fetch_max(live, Ordering::Relaxed);
 }
 
-/// Record one deallocation. Called by an installed shim on every
-/// `dealloc` (a `realloc` is neither an allocation ended nor a block freed
-/// as far as this count goes).
+/// Record one deallocation of a block of `bytes`. Called by an installed
+/// shim on every `dealloc`, and on every `realloc` for the old block.
 #[inline]
-pub fn note_free() {
+pub fn note_free(bytes: usize) {
     FREES.fetch_add(1, Ordering::Relaxed);
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
 }
 
 /// Total allocations observed since process start. Zero forever if no
@@ -61,6 +72,13 @@ pub fn alloc_bytes() -> u64 {
 #[inline]
 pub fn frees() -> u64 {
     FREES.load(Ordering::Relaxed)
+}
+
+/// Bytes allocated and not yet freed since process start (zero without a
+/// shim).
+#[inline]
+fn live_bytes() -> u64 {
+    LIVE.load(Ordering::Relaxed)
 }
 
 /// Is a counting shim actually installed as the global allocator?
@@ -102,6 +120,16 @@ pub fn frees_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (frees().wrapping_sub(before), r)
 }
 
+/// The most bytes live at once while running `f`, above those live when it
+/// started, plus `f`'s result. The mark is process-wide and restarts here,
+/// so windows must not nest, and other threads' allocations count.
+pub fn peak_live_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = live_bytes();
+    PEAK.store(before, Ordering::Relaxed);
+    let r = f();
+    (PEAK.load(Ordering::Relaxed).saturating_sub(before), r)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,9 +157,37 @@ mod tests {
         let (before, bytes_before, frees_before) = (allocs(), alloc_bytes(), frees());
         note_alloc(24);
         note_alloc(40);
-        note_free();
+        note_free(24);
         assert_eq!(allocs().wrapping_sub(before), 2);
         assert_eq!(alloc_bytes().wrapping_sub(bytes_before), 64);
         assert_eq!(frees().wrapping_sub(frees_before), 1);
+        note_free(40);
+    }
+
+    #[test]
+    fn peak_live_is_the_high_water_mark_of_the_window() {
+        let _guard = SERIAL.lock().unwrap();
+        note_alloc(1000);
+        let live = live_bytes();
+        let (peak, ()) = peak_live_during(|| {
+            note_alloc(100);
+            note_alloc(50);
+            note_free(100);
+            // A realloc of the 50-byte block to 300: a free plus an alloc.
+            note_free(50);
+            note_alloc(300);
+            note_free(300);
+        });
+        assert_eq!(peak, 300, "the 1000 bytes live before are not counted");
+        assert_eq!(live_bytes(), live);
+        // A window that only frees peaks at nothing.
+        let (peak, ()) = peak_live_during(|| note_free(1000));
+        assert_eq!(peak, 0);
+        // The next window starts from its own level, not the old peak.
+        let (peak, ()) = peak_live_during(|| {
+            note_alloc(8);
+            note_free(8);
+        });
+        assert_eq!(peak, 8);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! This test binary installs a counting `#[global_allocator]` shim (it
 //! cannot live in a library: `jade-bench` is `#![forbid(unsafe_code)]`, and
-//! Rust allows exactly one global allocator per binary). Ten things are
+//! Rust allows exactly one global allocator per binary). Twelve things are
 //! covered:
 //!
 //! 1. the counter actually observes a deliberate allocation (the harness
@@ -42,8 +42,18 @@
 //! 10. when no counting shim feeds the counter (another global allocator
 //!     is active), the probe reports inactive and the assertions skip
 //!     cleanly — the probe side of that contract is exercised in
-//!     `jade-bench`'s in-crate tests, which install no shim.
+//!     `jade-bench`'s in-crate tests, which install no shim;
+//! 11. Panel Cholesky's bodies read the factor in place: running a built
+//!     program raises the live heap by less than half the panels' bytes
+//!     (the serial gather streams its checksum; a copy of the factor would
+//!     add a whole second one);
+//! 12. a Halo run allocates, for each added iteration, only its task
+//!     closures: on a warmed runtime `finish` requests the same bytes for
+//!     two iterations as for four, where a per-task `(t + 2)²` halo buffer
+//!     would add `8(t + 2)²` bytes a task.
 
+use jade_apps::cholesky::{self, CholeskyConfig};
+use jade_apps::halo::{self, HaloConfig};
 use jade_apps::pagerank::{self, PagerankConfig};
 use jade_core::{
     AccessSpec, Countdown, JadeRuntime, LocalityMode, NullSink, TaskBuilder, TraceBuilder,
@@ -57,17 +67,18 @@ struct CountingAlloc;
 
 // SAFETY: pure delegation to the system allocator — same layout
 // contracts, same returned pointers; the only addition is relaxed counter
-// increments (two on the allocating paths, one on `dealloc`).
+// updates with each block's size.
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
         jade_bench::alloc::note_alloc(layout.size());
         std::alloc::GlobalAlloc::alloc(&std::alloc::System, layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        jade_bench::alloc::note_free();
+        jade_bench::alloc::note_free(layout.size());
         std::alloc::GlobalAlloc::dealloc(&std::alloc::System, ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
+        jade_bench::alloc::note_free(layout.size());
         jade_bench::alloc::note_alloc(new_size);
         std::alloc::GlobalAlloc::realloc(&std::alloc::System, ptr, layout, new_size)
     }
@@ -469,4 +480,76 @@ fn countdown_fan_in_allocates_nothing_once_warm() {
         })
         .min();
     assert_eq!(allocs, Some(0), "{n} waiters on one object");
+}
+
+#[test]
+fn cholesky_execution_adds_less_than_half_a_factor() {
+    let _guard = SERIAL.lock().unwrap();
+    if counting_inactive() {
+        return;
+    }
+    let cfg = CholeskyConfig::paper(3);
+    // Every panel column holds its band below the diagonal and the diagonal.
+    let iband = cfg.iface.saturating_sub(1).max(1);
+    let cells = cfg.subassemblies * cfg.grid * cfg.grid * (cfg.grid + 1) + cfg.iface * (iband + 1);
+    let factor = 8 * cells as u64;
+    // `build` leaves the panels live; the bodies run in `finish`. Other
+    // tests wait on `SERIAL`, and what the harness allocates meanwhile can
+    // only raise a window's mark, so the smallest of a few attempts is the
+    // run's.
+    let peak = (0..3)
+        .map(|_| {
+            let mut rt = ThreadRuntime::new(2);
+            let h = cholesky::build(&mut rt, &cfg);
+            let (peak, ()) = jade_bench::alloc::peak_live_during(|| rt.finish());
+            assert!(cholesky::output(&rt, &h).log_det.is_finite());
+            peak
+        })
+        .min()
+        .expect("three attempts");
+    assert!(
+        2 * peak < factor,
+        "running the tasks raised the live heap {peak} bytes above what build left; \
+         the factor is {factor} bytes"
+    );
+}
+
+#[test]
+fn halo_iterations_allocate_only_their_task_closures() {
+    let _guard = SERIAL.lock().unwrap();
+    if counting_inactive() {
+        return;
+    }
+    let cfg = |iterations| HaloConfig {
+        iterations,
+        ..HaloConfig::paper(3)
+    };
+    // Bytes requested by `build` and by `finish` on a runtime warmed by
+    // the longest run, so its tables already have their size.
+    let run = |iterations| {
+        let mut rt = ThreadRuntime::new(2);
+        halo::run_on(&mut rt, &cfg(4));
+        let (build, h) = jade_bench::alloc::bytes_during(|| halo::build(&mut rt, &cfg(iterations)));
+        let (finish, ()) = jade_bench::alloc::bytes_during(|| rt.finish());
+        assert!(halo::output(&rt, &h).total.is_finite());
+        (build, finish)
+    };
+    // The harness's own threads can only inflate a window, so the first
+    // clean attempt decides; a halo buffer per task adds
+    // `2 · active · 8(t + 2)²` bytes to every attempt.
+    let mut seen = Vec::new();
+    let clean = (0..5).any(|_| {
+        let ((b2, f2), (b4, f4)) = (run(2), run(4));
+        seen.push((b4 - b2, f2, f4));
+        b4 > b2 && f4 == f2
+    });
+    let t = cfg(2).tile;
+    assert!(
+        clean,
+        "two more iterations of {} tasks allocated more than their closures while running \
+         ((closure bytes, finish bytes at 2, at 4) across attempts: {seen:?}; \
+         a {t}-cell tile's halo is {} bytes)",
+        halo::active_count(&cfg(2)),
+        8 * (t + 2) * (t + 2)
+    );
 }
