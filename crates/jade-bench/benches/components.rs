@@ -8,24 +8,40 @@
 //! And the applications themselves: trace generation of each paper
 //! configuration and each `threads-apps` configuration on one worker.
 //!
-//! Plain self-timing harness (`harness = false`): each benchmark runs a
-//! fixed number of iterations and reports the mean wall-clock time per
-//! iteration. Run with `cargo bench -p jade-bench --bench components`.
+//! Plain self-timing harness (`harness = false`): each benchmark times one
+//! call per round, for at least a fixed number of rounds and more while a
+//! short time budget lasts, and reports the fastest round with the round
+//! count beside it. A preemption slows some rounds, never the minimum.
+//! Run with `cargo bench -p jade-bench --bench components`; to compare two
+//! builds, alternate them pinned to one core (`taskset -c 1`).
 
 use dsim::{Calendar, FaultInjector, FaultPlan, SimDuration};
 use jade_core::LocalityMode;
 use jade_core::{AccessSpec, Countdown, DepGraph, NullSink, ObjectId, Store, Trace, TraceBuilder};
 use jade_threads::ThreadRuntime;
 
-fn bench(name: &str, iters: u32, mut f: impl FnMut()) {
-    // One warm-up iteration, then the timed batch.
+/// The fastest of at least `min_rounds` timed calls of `f`, and of more
+/// while 100 ms last (at most 10 000), after one warm-up call: the seconds
+/// it took, and the rounds run.
+fn fastest(min_rounds: u32, mut f: impl FnMut()) -> (f64, u32) {
     f();
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
+    let budget = std::time::Instant::now() + std::time::Duration::from_millis(100);
+    let (mut best, mut rounds) = (f64::INFINITY, 0);
+    while rounds < min_rounds || (rounds < 10_000 && std::time::Instant::now() < budget) {
+        let start = std::time::Instant::now();
         f();
+        best = best.min(start.elapsed().as_secs_f64());
+        rounds += 1;
     }
-    let per = start.elapsed().as_secs_f64() / iters as f64;
-    println!("{name:>32}  {:>12.3} µs/iter  ({iters} iters)", per * 1e6);
+    (best, rounds)
+}
+
+fn bench(name: &str, min_rounds: u32, f: impl FnMut()) {
+    let (secs, rounds) = fastest(min_rounds, f);
+    println!(
+        "{name:>32}  {:>12.3} µs/iter  (min of {rounds} rounds)",
+        secs * 1e6
+    );
 }
 
 /// The twelve paper traces (every application at 8 and 32 processors),
@@ -61,16 +77,15 @@ fn dependence_graphs() {
         decls as f64 / tasks as f64,
         bytes as f64 / tasks as f64
     );
+    // A round is one pass over all twelve traces.
     let per_task = |name: &str, f: &mut dyn FnMut(&Trace, &DepGraph)| {
-        let iters = 10;
-        let start = std::time::Instant::now();
-        for _ in 0..iters {
+        let (secs, rounds) = fastest(10, || {
             for (t, g) in traces.iter().zip(&graphs) {
                 f(t, g);
             }
-        }
-        let ns = start.elapsed().as_secs_f64() * 1e9 / (iters * tasks) as f64;
-        println!("{name:>32}  {ns:>12.1} ns/task");
+        });
+        let ns = secs * 1e9 / tasks as f64;
+        println!("{name:>32}  {ns:>12.1} ns/task  (min of {rounds} rounds)");
     };
     per_task("depgraph/build", &mut |t, _| {
         std::hint::black_box(DepGraph::build(t, true));
@@ -139,7 +154,7 @@ fn ipsc_cells() {
     let (trace, _) = ocean::run_trace(&ocean::OceanConfig::paper(32));
     let sec_per_op = ocean::calib::IPSC_STRIPPED_S / trace.total_work();
     let cfg = jade_ipsc::IpscConfig::paper(32, LocalityMode::Locality, sec_per_op);
-    bench("ipsc/cell/ocean_p32_demand", 5, || {
+    bench("ipsc/cell/ocean_p32_demand", 10, || {
         std::hint::black_box(jade_ipsc::try_run_folded(&trace, &cfg).unwrap());
     });
     let (trace, _) = pagerank::run_trace(&pagerank::PagerankConfig::paper(32));
@@ -156,7 +171,7 @@ fn ipsc_cells() {
         checkpoint: Some(SimDuration::from_secs_f64(clean.exec_time_s / 8.0)),
         ..FaultPlan::none()
     };
-    bench("ipsc/cell/pagerank_p32_managed", 5, || {
+    bench("ipsc/cell/pagerank_p32_managed", 10, || {
         std::hint::black_box(jade_ipsc::try_run_folded(&trace, &cfg).unwrap());
     });
 }
@@ -248,7 +263,7 @@ fn apps() {
     ];
     for procs in [8, 32] {
         for (app, run) in traces {
-            bench(&format!("apps/trace/{app}/p{procs}"), 5, || run(procs));
+            bench(&format!("apps/trace/{app}/p{procs}"), 10, || run(procs));
         }
     }
     let threads: [Run; 6] = [
@@ -299,7 +314,7 @@ fn apps() {
         }),
     ];
     for (app, run) in threads {
-        bench(&format!("apps/run_on/{app}/w1"), 5, || run(8));
+        bench(&format!("apps/run_on/{app}/w1"), 10, || run(8));
     }
 }
 
