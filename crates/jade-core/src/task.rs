@@ -43,6 +43,7 @@ pub struct TaskDef {
     pub spec: AccessSpec,
     /// Explicit task placement, if the programmer requested it (the paper's
     /// *Task Placement* optimization level for Ocean and Panel Cholesky).
+    /// The simulators honour it; the thread backend ignores it.
     pub placement: Option<ProcId>,
     /// True for serial-phase tasks: main-thread code between parallel
     /// phases, which executes on the main processor.
@@ -88,7 +89,10 @@ impl TaskBuilder {
         self
     }
 
-    /// Explicitly place the task on processor `p`.
+    /// Explicitly place the task on processor `p`. Traces record the
+    /// placement and both simulators honour it (the paper's *Task
+    /// Placement* level); the thread backend (`jade-threads`) ignores it,
+    /// since there each enabled task stays on the worker that enabled it.
     pub fn place(mut self, p: ProcId) -> Self {
         self.placement = Some(p);
         self

@@ -1,7 +1,7 @@
 //! The work-stealing ready queue of the thread executor: a vendored
-//! lock-free Chase-Lev deque per worker plus a small locked inbox for
-//! pushes from other threads ([`TaskQueue`]). DESIGN.md §13.1 has the
-//! argument.
+//! lock-free Chase-Lev deque per worker. Every push is an owner push: a
+//! worker queues what it enables, and what it recovers, on its own deque.
+//! DESIGN.md §13.1 has the argument.
 //!
 //! **The deque.** The *owner* pushes and pops at the **bottom** of a fixed
 //! ring; *thieves* steal from the **top**, which only moves forward by CAS.
@@ -11,19 +11,11 @@
 //! discards the value) is a relaxed atomic access, not UB.
 //!
 //! **The ring never grows.** A batch of `n` tasks has at most `n` distinct
-//! indices queued at once, and [`TaskQueue::reset`] sizes every ring for
+//! indices queued at once, and [`ChaseLev::reset`] sizes every ring for
 //! `n` before the first push, so [`ChaseLev::push`] asserts the capacity:
 //! a broken invariant panics rather than overwrite a live slot.
-//!
-//! **The inbox.** Locality routing and recovery push onto *other* workers'
-//! queues; those pushes go to the owner's inbox, which the owner drains
-//! when its deque runs dry and thieves steal from directly, so work sent to
-//! a worker spinning in a long task stays reachable. The owner's fast path
-//! takes no lock.
 
-use crate::lock;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The vendored Chase-Lev deque over `usize` elements. Owner-only
 /// `push`/`pop` at the bottom; any thread may `steal` from the top.
@@ -134,90 +126,6 @@ impl ChaseLev {
     }
 }
 
-/// One worker's ready queue: a Chase-Lev deque plus its inject inbox. The
-/// scheduler talks only to this wrapper.
-pub(crate) struct TaskQueue {
-    deque: ChaseLev,
-    /// Remote pushes (bottom ops are owner-only).
-    inbox: Mutex<Vec<usize>>,
-    /// Inbox length, written under the lock, read without it.
-    inbox_len: AtomicUsize,
-}
-
-impl TaskQueue {
-    pub(crate) fn new(capacity: usize) -> TaskQueue {
-        TaskQueue {
-            deque: ChaseLev::with_capacity(capacity),
-            inbox: Mutex::new(Vec::with_capacity(capacity)),
-            inbox_len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Push `local` onto this queue. `owner` is true when the caller is
-    /// this queue's worker or the setup thread (which runs before any).
-    pub(crate) fn push(&self, local: usize, owner: bool) {
-        if owner {
-            self.deque.push(local);
-        } else {
-            let mut inbox = lock(&self.inbox);
-            inbox.push(local);
-            self.inbox_len.store(inbox.len(), Ordering::Release);
-        }
-    }
-
-    /// Owner-side pick: pop the bottom (LIFO), falling back to draining the
-    /// inbox. Pick order is a scheduling freedom: only enabled tasks queue.
-    pub(crate) fn pop(&self) -> Option<usize> {
-        self.deque.pop().or_else(|| {
-            // Deque dry: adopt everything parked in the inbox, then retry.
-            let mut inbox = lock(&self.inbox);
-            if inbox.is_empty() {
-                return None;
-            }
-            for v in inbox.drain(..) {
-                self.deque.push(v);
-            }
-            self.inbox_len.store(0, Ordering::Release);
-            drop(inbox);
-            self.deque.pop()
-        })
-    }
-
-    /// Thief-side pick: the victim's deque top, else its inbox (or work
-    /// injected onto a worker that never goes idle would be unreachable).
-    pub(crate) fn steal(&self) -> Option<usize> {
-        self.deque.steal().or_else(|| {
-            if self.inbox_len.load(Ordering::Acquire) == 0 {
-                return None;
-            }
-            let mut inbox = lock(&self.inbox);
-            let picked = inbox.pop();
-            self.inbox_len.store(inbox.len(), Ordering::Release);
-            picked
-        })
-    }
-
-    /// True when a scan may skip this queue without locking anything (a
-    /// racing push is covered by the epoch-parking protocol).
-    pub(crate) fn is_empty_hint(&self) -> bool {
-        self.deque.len_hint() == 0 && self.inbox_len.load(Ordering::Acquire) == 0
-    }
-
-    /// Drop any leftovers (an aborted batch may leave some) and make room
-    /// for a batch of `n` tasks. Returns `true` if it had to allocate.
-    pub(crate) fn reset(&mut self, n: usize) -> bool {
-        let inbox = self.inbox.get_mut().unwrap_or_else(|e| e.into_inner());
-        inbox.clear();
-        *self.inbox_len.get_mut() = 0;
-        let mut grew = self.deque.reset(n);
-        if inbox.capacity() < n {
-            inbox.reserve(n);
-            grew = true;
-        }
-        grew
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,45 +217,29 @@ mod tests {
     }
 
     #[test]
-    fn task_queue_routes_remote_pushes_through_inbox() {
-        let q = TaskQueue::new(8);
-        q.push(1, false);
-        q.push(2, false);
-        assert!(!q.is_empty_hint(), "inbox contents count toward the hint");
-        // Owner adopts the inbox when its deque is dry.
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_some());
-        assert_eq!(q.pop(), None);
-        // Thieves can reach a victim's inbox directly.
-        q.push(7, false);
-        assert_eq!(q.steal(), Some(7));
-        assert_eq!(q.steal(), None);
-    }
-
-    #[test]
-    fn task_queue_reset_reuses_and_reports_growth() {
-        let mut q = TaskQueue::new(16);
-        q.push(1, true);
-        q.push(2, false);
-        assert!(!q.reset(8), "shrink-fit reset must not grow");
-        assert!(q.is_empty_hint(), "reset drains leftovers");
-        assert_eq!(q.pop(), None);
-        assert!(q.reset(4096), "bigger batch must grow");
-        assert!(!q.reset(4096), "same-shape reset reuses");
+    fn reset_reuses_the_ring_and_reports_growth() {
+        let mut d = ChaseLev::with_capacity(16);
+        d.push(1);
+        d.push(2);
+        assert!(!d.reset(8), "shrink-fit reset must not grow");
+        assert_eq!(d.len_hint(), 0, "reset drains leftovers");
+        assert_eq!(d.pop(), None);
+        assert!(d.reset(4096), "bigger batch must grow");
+        assert!(!d.reset(4096), "same-shape reset reuses");
     }
 
     #[test]
     #[should_panic(expected = "ready queue over capacity")]
     fn push_past_the_reset_capacity_panics() {
-        let mut q = TaskQueue::new(4);
-        assert!(q.reset(64));
+        let mut d = ChaseLev::with_capacity(4);
+        assert!(d.reset(64));
         let fill = std::panic::catch_unwind(AssertUnwindSafe(|| {
             for i in 0..64 {
-                q.push(i, true);
+                d.push(i);
             }
         }));
-        fill.expect("a queue reset to 64 takes 64 pushes");
-        q.push(64, true);
+        fill.expect("a deque reset to 64 takes 64 pushes");
+        d.push(64);
     }
 
     /// Sets its flag when dropped, by a return or by a panic unwinding.
@@ -362,71 +254,98 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The scheduler's whole use of a queue at once: its owner pushes
-        /// and pops, two other workers push through the inbox, two thieves
-        /// steal. Sized for the batch as `prepare` sizes it, the queue
-        /// hands every index out exactly once (and its capacity assert
-        /// never fires).
+        /// The scheduler's whole use of one worker's deque `D`, including
+        /// the one way an index can leave `D` and come back: `D`'s owner
+        /// pushes and pops; two thieves steal from `D` and, as a recovery
+        /// would, re-push some stolen indices on their own deques; `D`'s
+        /// owner steals those back and re-pushes them on `D`. Sized for the
+        /// batch as `prepare` sizes it, `D` hands every index out exactly
+        /// once, and its capacity assert never fires.
         #[test]
         fn task_queue_hands_out_every_index_exactly_once(
-            own in 1usize..800,
-            remote in 0usize..400,
+            own in 1usize..4000,
             pop_every in 1usize..4,
+            bounce_every in 1usize..5,
         ) {
-            let total = own + 2 * remote;
-            let mut q = TaskQueue::new(4);
-            q.reset(total);
+            // A queued value is `index + own * trips`, so the two re-pushes
+            // are distinct values of one task: a thief re-pushes `v < own`
+            // as `v + own`, and `D`'s owner takes that back as `v + 2 * own`.
+            let mut deques: Vec<_> = (0..3).map(|_| ChaseLev::with_capacity(4)).collect();
+            for d in &mut deques {
+                d.reset(own);
+            }
+            let (d, thieves) = deques.split_first().expect("three deques");
             let consumed = AtomicUsize::new(0);
             // Set when the owner leaves, also by a panic: the thieves stop
             // and the test fails on the owner's panic instead of hanging.
             let owner_gone = AtomicBool::new(false);
-            let (q, consumed, owner_gone) = (&q, &consumed, &owner_gone);
-            let open = || {
-                consumed.load(Ordering::Acquire) < total && !owner_gone.load(Ordering::Acquire)
+            let (consumed, owner_gone) = (&consumed, &owner_gone);
+            let open = || consumed.load(Ordering::Acquire) < own && !owner_gone.load(Ordering::Acquire);
+            let hand_out = |v: usize, got: &mut Vec<usize>| {
+                got.push(v % own);
+                consumed.fetch_add(1, Ordering::AcqRel);
             };
-            let drain = |take: &dyn Fn() -> Option<usize>, got: &mut Vec<usize>| {
-                while open() {
-                    match take() {
-                        Some(v) => {
-                            got.push(v);
-                            consumed.fetch_add(1, Ordering::AcqRel);
-                        }
-                        None => std::thread::yield_now(),
+            // `D`'s owner steals one re-pushed index back, if there is one.
+            let take_back = || {
+                for e in thieves {
+                    if let Some(v) = e.steal() {
+                        d.push(v + own);
+                        return true;
                     }
                 }
+                false
             };
-            let mut all = std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for p in 0..2 {
-                    let base = own + p * remote;
-                    s.spawn(move || (base..base + remote).for_each(|v| q.push(v, false)));
-                }
-                for _ in 0..2 {
-                    handles.push(s.spawn(move || {
-                        let mut got = Vec::new();
-                        drain(&|| q.steal(), &mut got);
-                        got
-                    }));
-                }
-                let _gone = SetOnDrop(owner_gone);
+            // All three start together: thieves that are already stealing
+            // while the owner pushes race each other for the same `top`.
+            let start = std::sync::Barrier::new(3);
+            let start = &start;
+            let (owner, mut all) = std::thread::scope(|s| {
+                let handles: Vec<_> = thieves
+                    .iter()
+                    .map(|e| {
+                        s.spawn(move || {
+                            start.wait();
+                            let mut got = Vec::new();
+                            while open() {
+                                match d.steal() {
+                                    Some(v) if v < own && v % bounce_every == 0 => e.push(v + own),
+                                    Some(v) => hand_out(v, &mut got),
+                                    None => std::thread::yield_now(),
+                                }
+                            }
+                            got
+                        })
+                    })
+                    .collect();
                 let mut got = Vec::new();
-                for v in 0..own {
-                    q.push(v, true);
-                    if v % pop_every == 0 {
-                        if let Some(v) = q.pop() {
-                            got.push(v);
-                            consumed.fetch_add(1, Ordering::AcqRel);
+                start.wait();
+                let owner = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    let _gone = SetOnDrop(owner_gone);
+                    for v in 0..own {
+                        d.push(v);
+                        if v % pop_every == 0 {
+                            if let Some(v) = d.pop() {
+                                hand_out(v, &mut got);
+                            }
+                            take_back();
                         }
                     }
-                }
-                drain(&|| q.pop(), &mut got);
+                    while open() {
+                        match d.pop() {
+                            Some(v) => hand_out(v, &mut got),
+                            None if take_back() => {}
+                            None => std::thread::yield_now(),
+                        }
+                    }
+                }));
                 for h in handles {
                     got.extend(h.join().unwrap());
                 }
-                got
+                (owner, got)
             });
+            prop_assert!(owner.is_ok(), "the owner panicked: ready queue over capacity?");
             all.sort_unstable();
-            prop_assert_eq!(all, (0..total).collect::<Vec<_>>());
+            prop_assert_eq!(all, (0..own).collect::<Vec<_>>());
         }
     }
 }

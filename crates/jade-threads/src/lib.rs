@@ -13,15 +13,16 @@
 //! * each batch's [`jade_core::DepGraph`], built before any of its tasks
 //!   runs, decides when tasks may run: a task completes by atomically
 //!   counting down its successors, with no lock;
-//! * the one scheduler mirrors the paper's *distributed* shared-memory
-//!   scheduler (§4.1): per-worker Chase-Lev deques with a dynamic
-//!   **locality heuristic** (each enabled task goes to the worker that most
-//!   recently wrote one of its objects, falling back to the object's
-//!   declared home) and **randomized stealing** from the top of other
-//!   workers' deques. Only a traced batch takes a global lock, for its
-//!   events; dispatch is per-worker (DESIGN.md §13). The deques are safe
-//!   Rust, like the rest of the crate: each ring is sized for its batch
-//!   before the first push, so none ever grows (§13.1);
+//! * the one scheduler is per-worker Chase-Lev deques with **randomized
+//!   stealing** from the top of other workers' deques: each enabled task
+//!   goes on the deque of the worker that enabled it, and task placement
+//!   ([`jade_core::TaskBuilder::place`]) is ignored. The paper's §4.1
+//!   locality heuristic lives in the simulated DASH, where a remote miss
+//!   is expensive; on a shared-cache host it measured as pure cost
+//!   (DESIGN.md §13.1). Only a traced batch takes a global lock, for its
+//!   events; dispatch is per-worker (§13). The deques are safe Rust, like
+//!   the rest of the crate: each ring is sized for its batch before the
+//!   first push, so none ever grows (§13.1);
 //! * every object access is runtime-checked against the declared access
 //!   specification, and per-object `RwLock`s verify the dependence graph's
 //!   exclusion guarantee mechanically: a data race would panic, not corrupt.
@@ -50,11 +51,11 @@
 mod deque;
 pub mod service;
 
-use deque::TaskQueue;
+use deque::ChaseLev;
 pub use dsim::FaultPlan;
 use jade_core::{
-    AccessSpec, DepGraph, Event, EventKind, JadeRuntime, Locality, NullSink, ObjectId, ProcId,
-    Sink, Store, TaskBody, TaskCtx, TaskDef, TaskId,
+    AccessSpec, DepGraph, Event, EventKind, JadeRuntime, Locality, NullSink, ObjectId, Sink, Store,
+    TaskBody, TaskCtx, TaskDef, TaskId,
 };
 pub use service::{
     JadeService, Outcome, Program, ServiceConfig, SubmitError, TenantOptions, TenantReport,
@@ -90,7 +91,9 @@ pub struct BatchStats {
     /// Task execution attempts in the batch (re-executions after injected
     /// failures included, matching the event stream's started count).
     pub executed: usize,
-    /// Tasks executed by the worker the locality heuristic targeted.
+    /// Tasks executed by the worker whose deque they were queued on (the
+    /// one that enabled them, dealt them at setup or recovered them): the
+    /// executions that were not stolen.
     pub locality_hits: usize,
     /// Tasks taken from another worker's queue.
     pub steals: usize,
@@ -133,69 +136,6 @@ impl XorShift64 {
     }
 }
 
-/// The paper's object→owner table, sharded at the finest possible grain:
-/// one atomic slot per object, so concurrent writers never contend on a
-/// lock. Each slot packs `stamp << 16 | worker`; a global monotone stamp
-/// orders writes, so a task's locality target is the worker that performed
-/// the *most recent* write to any of its declared objects. The table
-/// persists across batches — phase `i+1` tasks land where phase `i` wrote
-/// their data.
-#[derive(Debug, Default)]
-struct OwnerTable {
-    slots: Vec<AtomicU64>,
-    stamp: AtomicU64,
-}
-
-impl OwnerTable {
-    /// Grow to cover `n` objects (called between batches, never racing
-    /// workers).
-    fn ensure(&mut self, n: usize) {
-        while self.slots.len() < n {
-            self.slots.push(AtomicU64::new(0));
-        }
-    }
-
-    /// Record that worker `w` wrote `o`. Relaxed is enough: the table is a
-    /// heuristic — a stale read changes *where* a task runs, never whether
-    /// it runs correctly.
-    fn record(&self, o: ObjectId, w: usize) {
-        if let Some(slot) = self.slots.get(o.index()) {
-            let stamp = self.stamp.fetch_add(1, Ordering::Relaxed) + 1;
-            slot.store((stamp << 16) | (w as u64 & 0xFFFF), Ordering::Relaxed);
-        }
-    }
-
-    /// The worker owning the most recently written of `spec`'s objects,
-    /// if any of them has ever been written by a task.
-    ///
-    /// Irregular apps (PageRank, masked halo exchange) compute their access
-    /// sets from data at spawn time, so a task's *written* objects say where
-    /// its output wants to live while its (often much larger) data-dependent
-    /// read set points at many producers. Prefer routing by the latest
-    /// writer among this task's own written declarations — ownership
-    /// transfer — and fall back to any declaration only when the task
-    /// writes nothing previously written.
-    fn latest_writer(&self, spec: &AccessSpec) -> Option<usize> {
-        let mut best_written = 0u64;
-        let mut best_any = 0u64;
-        for d in spec.decls() {
-            if let Some(slot) = self.slots.get(d.object.index()) {
-                let v = slot.load(Ordering::Relaxed);
-                best_any = best_any.max(v);
-                if d.mode.writes() {
-                    best_written = best_written.max(v);
-                }
-            }
-        }
-        let best = if best_written != 0 {
-            best_written
-        } else {
-            best_any
-        };
-        (best != 0).then_some((best & 0xFFFF) as usize)
-    }
-}
-
 /// A parallel Jade runtime executing on `workers` OS threads.
 pub struct ThreadRuntime {
     store: Store,
@@ -216,8 +156,6 @@ pub struct ThreadRuntime {
     /// Injected-fault plan; `None` (the default) disables fault injection
     /// and recovery entirely.
     faults: Option<FaultPlan>,
-    /// Dynamic locality: which worker last wrote each object.
-    owners: OwnerTable,
     /// Recycled scheduling storage (queues, task slots, dependence graph):
     /// batches after the first reuse it instead of reallocating, which is
     /// what makes the equilibrium task cycle allocation-free.
@@ -237,7 +175,6 @@ impl ThreadRuntime {
             events: Vec::new(),
             event_clock: 0,
             faults: None,
-            owners: OwnerTable::default(),
             arena: SchedArena::default(),
         }
     }
@@ -277,10 +214,9 @@ impl ThreadRuntime {
     /// task attempt fails with probability `plan.panic_p` (a pure hash of
     /// the plan seed, task id and attempt number, independent of thread
     /// interleaving). An injected failure simulates the worker crashing
-    /// *before* the task body runs: the unwind is caught, the task is
-    /// quarantined off the failed worker and re-queued on the next one
-    /// (`WorkerFailed` + `TaskReExecuted` events,
-    /// [`BatchStats::recoveries`]). Because the body never started, the
+    /// *before* the task body runs: the unwind is caught and the task is
+    /// re-queued on the recovering worker's own deque (`WorkerFailed` +
+    /// `TaskReExecuted` events, [`BatchStats::recoveries`]). Because the body never started, the
     /// re-execution is exact — batch results are bit-identical to a
     /// fault-free run. Genuine application panics still propagate through
     /// [`ThreadRuntime::finish`]: a body that dies halfway may have
@@ -369,14 +305,13 @@ pub(crate) struct WorkerScratch {
 }
 
 /// One submitted task, written once by `submit` and read in place until
-/// its batch ends. `label`, `spec` and `placement` do not change while a
-/// batch runs, so the graph build, the locality heuristic and the executing
-/// worker's [`TaskCtx`] all borrow them without a lock; what changes is
-/// behind its own synchronization.
+/// its batch ends. `label` and `spec` do not change while a batch runs, so
+/// the graph build and the executing worker's [`TaskCtx`] borrow them
+/// without a lock; what changes is behind its own synchronization. The
+/// definition's placement is not kept: this runtime ignores it.
 pub(crate) struct TaskSlot {
     label: &'static str,
     spec: AccessSpec,
-    placement: Option<ProcId>,
     /// Taken by the executing worker, put back by an injected failure. A
     /// task index lives in exactly one queue at a time, so the mutex is
     /// uncontended — it exists to hand the closure to another thread
@@ -384,8 +319,6 @@ pub(crate) struct TaskSlot {
     body: Mutex<Option<TaskBody>>,
     /// Executions so far (keys the fault hash).
     attempt: AtomicU32,
-    /// Worker the locality heuristic targeted at enable time.
-    target: AtomicUsize,
 }
 
 /// Recycled scheduler storage owned by the [`ThreadRuntime`]. Reusing the
@@ -395,7 +328,7 @@ pub(crate) struct TaskSlot {
 #[derive(Default)]
 pub(crate) struct SchedArena {
     /// One ready queue per worker.
-    queues: Vec<TaskQueue>,
+    queues: Vec<ChaseLev>,
     /// The open batch's tasks in submission order: filled by `submit`,
     /// emptied (capacity kept) when the batch ends, however it ends.
     slots: Vec<TaskSlot>,
@@ -420,10 +353,8 @@ impl SchedArena {
         self.slots.push(TaskSlot {
             label: def.label,
             spec: def.spec,
-            placement: def.placement,
             body: Mutex::new(Some(def.body)),
             attempt: AtomicU32::new(0),
-            target: AtomicUsize::new(0),
         });
     }
 
@@ -437,7 +368,8 @@ impl SchedArena {
         if self.queues.len() != workers {
             self.grows += 1;
             self.queues.clear();
-            self.queues.extend((0..workers).map(|_| TaskQueue::new(n)));
+            self.queues
+                .extend((0..workers).map(|_| ChaseLev::with_capacity(n)));
         } else {
             for q in &mut self.queues {
                 if q.reset(n) {
@@ -472,16 +404,10 @@ impl<S> SyncState<S> {
     }
 }
 
-/// Pusher identity passed through the dispatch helpers when the push
-/// happens on the setup thread, before any worker exists: every queue may
-/// be owner-pushed then (the `thread::scope` spawn is a happens-before
-/// edge to all workers).
-const SETUP: usize = usize::MAX;
-
 struct Sharded<'a, S> {
     /// Per-worker ready queues, borrowed from the runtime's [`SchedArena`]
     /// (as are the task slots and the graph — batches reuse the storage).
-    queues: &'a [TaskQueue],
+    queues: &'a [ChaseLev],
     /// The batch's tasks; slot `local` is task `base + local`.
     slots: &'a [TaskSlot],
     /// The arena's graph and counters (see [`SchedArena`]).
@@ -503,7 +429,6 @@ struct Sharded<'a, S> {
     panicked: AtomicBool,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     faults: Option<FaultPlan>,
-    owners: &'a OwnerTable,
     store: &'a Store,
     base: usize,
     workers: usize,
@@ -518,38 +443,11 @@ impl<'a, S: Sink> Sharded<'a, S> {
         TaskId((self.base + local) as u32)
     }
 
-    /// Locality heuristic at enable time: explicit placement, else the
-    /// worker owning the task's most-recently-written object, else the
-    /// locality object's declared home.
-    fn target_of(&self, slot: &TaskSlot) -> usize {
-        if let Some(p) = slot.placement {
-            return p % self.workers;
-        }
-        if let Some(w) = self.owners.latest_writer(&slot.spec) {
-            return w % self.workers;
-        }
-        let home = |o: ObjectId| self.store.home(o).unwrap_or(jade_core::MAIN_PROC);
-        slot.spec
-            .locality_object()
-            .map(home)
-            .unwrap_or(jade_core::MAIN_PROC)
-            % self.workers
-    }
-
     /// Lock the batch state, counting the acquisition
     /// ([`BatchStats::sync_locks`]).
     fn lock_state(&self) -> MutexGuard<'_, SyncState<S>> {
         self.sync_locks.fetch_add(1, Ordering::Relaxed);
         lock(&self.state)
-    }
-
-    /// Append `local` to `target`'s queue without announcing it. Callers
-    /// must follow up with [`announce`](Self::announce) (directly or via
-    /// [`push_to`](Self::push_to)) before they could possibly park.
-    /// `pusher` identifies the calling worker ([`SETUP`] pre-spawn) so the
-    /// Chase-Lev queue can tell owner pushes from remote injections.
-    fn enqueue(&self, target: usize, local: usize, pusher: usize) {
-        self.queues[target].push(local, pusher == target || pusher == SETUP);
     }
 
     /// Publish previously enqueued work: one epoch bump, one sleeper check.
@@ -566,30 +464,15 @@ impl<'a, S: Sink> Sharded<'a, S> {
         }
     }
 
-    /// Append `local` to `target`'s queue and wake sleepers if any.
-    fn push_to(&self, target: usize, local: usize, pusher: usize) {
-        self.enqueue(target, local, pusher);
-        self.announce();
-    }
-
-    /// Queue `local` on the worker the locality heuristic targets, without
-    /// announcing (burst building block).
-    fn enqueue_dispatch(&self, local: usize, pusher: usize) {
-        let slot = &self.slots[local];
-        let target = self.target_of(slot);
-        slot.target.store(target, Ordering::Relaxed);
-        self.enqueue(target, local, pusher);
-    }
-
-    /// Route a countdown's newly enabled tasks through the locality
-    /// heuristic in one burst: N enqueues, then a single epoch bump and
-    /// sleeper wakeup instead of N.
-    fn dispatch_burst(&self, newly: &[TaskId], pusher: usize) {
+    /// Queue a countdown's newly enabled tasks on the enabling worker
+    /// `w`'s own deque in one burst: N owner pushes, then a single epoch
+    /// bump and sleeper wakeup instead of N.
+    fn dispatch_burst(&self, newly: &[TaskId], w: usize) {
         if newly.is_empty() {
             return;
         }
         for n in newly {
-            self.enqueue_dispatch(n.index(), pusher);
+            self.queues[w].push(n.index());
         }
         self.announce();
     }
@@ -599,7 +482,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
     /// tasks are ever queued.
     fn try_pick(&self, w: usize, rng: &mut XorShift64) -> Option<(usize, bool)> {
         let own = &self.queues[w];
-        if let Some(local) = (!own.is_empty_hint()).then(|| own.pop()).flatten() {
+        if let Some(local) = (own.len_hint() != 0).then(|| own.pop()).flatten() {
             return Some((local, false));
         }
         // Randomized steal: random first victim among the *other* workers,
@@ -608,7 +491,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
         if self.workers > 1 {
             for v in steal_order(w, self.workers, rng.next()) {
                 let q = &self.queues[v];
-                if q.is_empty_hint() {
+                if q.len_hint() == 0 {
                     continue;
                 }
                 if let Some(local) = q.steal() {
@@ -717,19 +600,21 @@ impl<'a, S: Sink> Sharded<'a, S> {
             .as_ref()
             .is_some_and(|plan| plan.task_fails(id.0 as u64, attempt));
         stats.executed += 1;
-        // A worker's own queue normally only holds tasks targeted at it —
-        // but a recovered task is re-queued on the *next* worker, so the
-        // locality of a non-stolen pick still has to be checked.
-        let hit = !stolen && slot.target.load(Ordering::Relaxed) == w;
+        // A task runs where it was queued unless it is stolen: that is
+        // this backend's whole notion of locality.
         if stolen {
             stats.steals += 1;
-        } else if hit {
+        } else {
             stats.locality_hits += 1;
         }
         if S::ACTIVE {
             let mut st = self.lock_state();
             let t = st.tick();
-            let locality = if hit { Locality::Hit } else { Locality::Miss };
+            let locality = if stolen {
+                Locality::Miss
+            } else {
+                Locality::Hit
+            };
             st.events
                 .emit_task(t, w, EventKind::TaskDispatched { stolen, locality }, id);
             st.events.emit_task(t, w, EventKind::TaskStarted, id);
@@ -766,24 +651,16 @@ impl<'a, S: Sink> Sharded<'a, S> {
 
         match result {
             Ok(()) => {
-                // Publish write ownership *before* successors are enabled,
-                // so the heuristic routes them to this worker. With a
-                // single worker the table cannot change any routing
-                // decision (every target is 0), so skip the stamping.
-                if self.workers > 1 {
-                    for o in slot.spec.written_objects() {
-                        self.owners.record(o, w);
-                    }
-                }
                 self.settle(w, local, None, ws);
                 true
             }
             Err(_) if injected && attempt + 1 < MAX_TASK_ATTEMPTS => {
-                // Recovery: quarantine the task off this (logically
-                // crashed) worker and hand it to the next one; the bumped
-                // attempt number re-rolls the fault hash. The execution and
-                // start tallies above deliberately count the failed attempt
-                // — they match the event stream's `tasks_started`.
+                // Recovery: re-queue the task on this worker's own deque,
+                // where it is popped next unless a thief takes it first;
+                // the bumped attempt number re-rolls the fault hash. The
+                // execution and start tallies above deliberately count the
+                // failed attempt — they match the event stream's
+                // `tasks_started`.
                 slot.attempt.store(attempt + 1, Ordering::Relaxed);
                 stats.recoveries += 1;
                 // The state lock is only needed for events: untraced
@@ -796,9 +673,8 @@ impl<'a, S: Sink> Sharded<'a, S> {
                     st.events.emit_task(t, w, EventKind::TaskReExecuted, id);
                 }
                 *lock(&slot.body) = Some(body);
-                // Original target kept: the re-pick on the next worker
-                // counts as neither hit nor steal.
-                self.push_to((w + 1) % self.workers, local, w);
+                self.queues[w].push(local);
+                self.announce();
                 true
             }
             Err(p) => {
@@ -862,7 +738,6 @@ impl ThreadRuntime {
         self.arena.prepare(workers);
         let n = self.arena.slots.len();
         let base = self.next_id as usize - n;
-        self.owners.ensure(self.store.len());
         let mut state = SyncState {
             events,
             clock: self.event_clock,
@@ -878,17 +753,24 @@ impl ThreadRuntime {
             scratch,
             ..
         } = &mut self.arena;
-        // Register in serial program order.
+        // Register in serial program order, and deal the k-th initially
+        // enabled task to worker `k % workers`. These are owner pushes made
+        // before any worker exists: the spawn below is a happens-before
+        // edge to every worker.
+        let queues = &queues[..workers];
+        let mut ready = 0;
         for (i, &preds) in graph.preds().iter().enumerate() {
             let t = state.tick();
             let id = TaskId((base + i) as u32);
             state.events.emit_task(t, 0, EventKind::TaskCreated, id);
             if preds == 0 {
                 state.events.emit_task(t, 0, EventKind::TaskEnabled, id);
+                queues[ready % workers].push(i);
+                ready += 1;
             }
         }
         let sh = Sharded {
-            queues: &queues[..workers],
+            queues,
             slots,
             graph,
             left,
@@ -901,16 +783,11 @@ impl ThreadRuntime {
             panicked: AtomicBool::new(false),
             panic: Mutex::new(None),
             faults: self.faults,
-            owners: &self.owners,
             store: &self.store,
             base,
             workers,
             sync_locks: AtomicUsize::new(0),
         };
-        for (local, _) in sh.graph.preds().iter().enumerate().filter(|p| *p.1 == 0) {
-            sh.enqueue_dispatch(local, SETUP);
-        }
-        sh.announce();
         let mut merged = BatchStats::default();
         std::thread::scope(|scope| {
             let handles: Vec<_> = scratch[..workers]
@@ -975,31 +852,6 @@ mod tests {
     use jade_core::TaskBuilder;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
-
-    #[test]
-    fn owner_table_prefers_written_decls() {
-        use jade_core::{AccessSpec, ObjectId};
-        let mut table = OwnerTable::default();
-        table.ensure(4);
-        // Worker 3 wrote object 0 first; worker 5 wrote object 1 later.
-        table.record(ObjectId(0), 3);
-        table.record(ObjectId(1), 5);
-        // A task writing object 0 and reading object 1 routes to object 0's
-        // writer even though the read's stamp is newer (ownership transfer
-        // for data-dependent irregular read sets).
-        let mut spec = AccessSpec::new();
-        spec.wr(ObjectId(0)).rd(ObjectId(1));
-        assert_eq!(table.latest_writer(&spec), Some(3));
-        // A task writing only never-written object 2 falls back to the
-        // newest stamp among all its declarations.
-        let mut spec = AccessSpec::new();
-        spec.wr(ObjectId(2)).rd(ObjectId(1));
-        assert_eq!(table.latest_writer(&spec), Some(5));
-        // No declaration ever written: no routing hint at all.
-        let mut spec = AccessSpec::new();
-        spec.rd(ObjectId(2)).wr(ObjectId(3));
-        assert_eq!(table.latest_writer(&spec), None);
-    }
 
     #[test]
     fn runs_simple_pipeline() {
@@ -1116,76 +968,66 @@ mod tests {
     }
 
     #[test]
-    fn locality_heuristic_places_tasks() {
-        let workers = 4;
-        let mut rt = ThreadRuntime::new(workers);
-        let objs: Vec<_> = (0..workers)
-            .map(|i| {
-                let h = rt.create(&format!("o{i}"), 8, 0u64);
-                rt.set_home(h, i);
-                h
-            })
-            .collect();
-        // Long-ish tasks, one per worker: each should run on its target.
-        for &o in &objs {
-            rt.submit(TaskBuilder::new("w").wr(o).body(move |ctx| {
-                let mut acc = 0u64;
-                for i in 0..200_000u64 {
-                    acc = acc.wrapping_add(i);
+    fn enabled_tasks_stay_on_the_enabling_worker_unless_stolen() {
+        // Each task runs on the worker whose deque it was queued on (the
+        // one that enabled it, dealt it at setup or recovered it) unless it
+        // is stolen, so every execution is a locality hit or a steal. One
+        // worker has no one to steal from. A traced run labels each
+        // dispatch the same way, so the fold equals the stats. Chains with
+        // mid-task releases and injected failures cover all three ways
+        // onto a deque.
+        let run = |workers: usize, traced: bool| {
+            let mut rt = ThreadRuntime::new(workers);
+            if traced {
+                rt.enable_events();
+            }
+            rt.inject_faults(FaultPlan {
+                panic_p: 0.2,
+                seed: 11,
+                ..FaultPlan::none()
+            });
+            let counters: Vec<_> = (0..8)
+                .map(|i| rt.create(&format!("c{i}"), 8, 0u64))
+                .collect();
+            let total = rt.create("total", 8, 0u64);
+            for _ in 0..16 {
+                for &c in &counters {
+                    rt.submit(TaskBuilder::new("inc").rd_wr(c).body(move |ctx| {
+                        *ctx.wr(c) += 1;
+                        ctx.release(c);
+                    }));
                 }
-                *ctx.wr(o) = acc;
+            }
+            let mut sum = TaskBuilder::new("sum").wr(total);
+            for &c in &counters {
+                sum = sum.rd(c);
+            }
+            let cs = counters.clone();
+            rt.submit(sum.body(move |ctx| {
+                *ctx.wr(total) = cs.iter().map(|&c| *ctx.rd(c)).sum();
             }));
+            rt.finish();
+            assert_eq!(*rt.store().read(total), 8 * 16, "{workers}w");
+            let s = rt.last_stats();
+            assert_eq!(s.executed, 8 * 16 + 1 + s.recoveries, "{workers}w");
+            assert_eq!(s.locality_hits + s.steals, s.executed, "{workers}w");
+            if workers == 1 {
+                assert_eq!(s.steals, 0);
+            }
+            if traced {
+                let m = jade_core::Metrics::from_events(&rt.take_events(), workers);
+                assert_eq!(m.tasks_started, s.executed, "{workers}w");
+                assert_eq!(m.steals as usize, s.steals, "{workers}w");
+                assert_eq!(m.locality_hits, s.locality_hits, "{workers}w");
+                assert_eq!(m.locality_tracked, s.executed, "{workers}w");
+            }
+            s.recoveries
+        };
+        for workers in [1, 2, 4] {
+            for traced in [false, true] {
+                assert!(run(workers, traced) > 0, "{workers}w: p=0.2 must inject");
+            }
         }
-        rt.finish();
-        let s = rt.last_stats();
-        assert_eq!(s.executed, workers);
-        // Stealing is possible if a worker is slow to start, but every task
-        // is either a locality hit or a steal.
-        assert_eq!(s.locality_hits + s.steals, workers);
-    }
-
-    #[test]
-    fn owner_table_tracks_latest_writer() {
-        let mut t = OwnerTable::default();
-        t.ensure(3);
-        let mut spec = jade_core::AccessSpec::new();
-        spec.rd(ObjectId(0)).rd(ObjectId(2));
-        assert_eq!(t.latest_writer(&spec), None, "nothing written yet");
-        t.record(ObjectId(0), 3);
-        t.record(ObjectId(2), 1);
-        assert_eq!(
-            t.latest_writer(&spec),
-            Some(1),
-            "object 2 written most recently"
-        );
-        t.record(ObjectId(0), 2);
-        assert_eq!(t.latest_writer(&spec), Some(2), "object 0 overtook it");
-        // Objects beyond the table (created after `ensure`) are ignored.
-        let mut far = jade_core::AccessSpec::new();
-        far.rd(ObjectId(99));
-        assert_eq!(t.latest_writer(&far), None);
-    }
-
-    #[test]
-    fn producer_consumer_batches_follow_the_writer() {
-        // Cross-batch locality: batch 1 writes an object on some worker;
-        // batch 2's reader must be *targeted* at that worker (it is either
-        // a locality hit there, or explicitly counted as a steal).
-        let mut rt = ThreadRuntime::new(4);
-        let x = rt.create("x", 8, 0u64);
-        rt.submit(TaskBuilder::new("produce").wr(x).body(move |ctx| {
-            *ctx.wr(x) = 5;
-        }));
-        rt.finish();
-        let y = rt.create("y", 8, 0u64);
-        rt.submit(TaskBuilder::new("consume").rd(x).wr(y).body(move |ctx| {
-            *ctx.wr(y) = *ctx.rd(x) * 2;
-        }));
-        rt.finish();
-        assert_eq!(*rt.store().read(y), 10);
-        let s = rt.last_stats();
-        assert_eq!(s.executed, 1);
-        assert_eq!(s.locality_hits + s.steals, 1);
     }
 
     #[test]
@@ -1382,7 +1224,8 @@ mod tests {
     #[test]
     fn injected_failures_recover_with_identical_results() {
         // panic_p = 0.3: plenty of injected crashes over 100 tasks, each
-        // recovered by re-execution on the next worker. Results must be
+        // recovered by re-execution from the recovering worker's own deque.
+        // Results must be
         // bit-identical to the fault-free run.
         let mut rt = ThreadRuntime::new(4);
         rt.enable_events();
@@ -1633,65 +1476,89 @@ mod tests {
         }
     }
 
+    /// Spin until `flag` is set, yielding; `false` after 30 s. The bound
+    /// only turns a scheduler bug into a failure instead of a hang.
+    fn spin_until(flag: &AtomicUsize) -> bool {
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while flag.load(Ordering::SeqCst) == 0 {
+            if std::time::Instant::now() > give_up {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
     #[test]
     fn forced_steal_workload_pins_steal_accounting() {
-        // Two workers; a blocker task placed on worker 1 spins until all
-        // consumer tasks (also placed on worker 1) have run. Worker 1 is
-        // stuck in the blocker, so every consumer MUST be stolen by worker
-        // 0 — pinning `stats.steals` exactly. The blocker is submitted
-        // last, so it sits at the bottom of queue 1 where the owner's first
-        // pop takes it, while thieves take consumers from the top; and
-        // consumers wait for the blocker to start, so worker 0 (stuck in
-        // its first stolen consumer until then) can never empty queue 1
-        // down to the blocker before worker 1 has claimed it.
+        // Two workers; a blocker releases `gate` mid-task, which enables
+        // every consumer onto its own worker's deque, and then holds that
+        // worker until all consumers have run. So every consumer MUST be
+        // stolen by the other worker. The blocker itself is stolen too if
+        // the worker it was dealt to is slow to start; the traced stream
+        // says whether it was, which pins `stats.steals` exactly.
         const CONSUMERS: usize = 12;
         let mut rt = ThreadRuntime::new(2);
-        let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        rt.enable_events();
         let done = Arc::new(AtomicUsize::new(0));
+        let all_done = Arc::new(AtomicUsize::new(0));
+        let gate = rt.create("gate", 8, 0u64);
+        let blocker_out = rt.create("blocker", 8, 0u64);
+        let waited = all_done.clone();
+        rt.submit(
+            TaskBuilder::new("blocker")
+                .wr(gate)
+                .wr(blocker_out)
+                .body(move |ctx| {
+                    *ctx.wr(gate) = 1;
+                    ctx.release(gate);
+                    *ctx.wr(blocker_out) = u64::from(spin_until(&waited));
+                }),
+        );
         let outs: Vec<_> = (0..CONSUMERS)
             .map(|i| rt.create(&format!("c{i}"), 8, 0u64))
             .collect();
         for (i, &o) in outs.iter().enumerate() {
-            let started = Arc::clone(&started);
-            let done = Arc::clone(&done);
+            let (done, all_done) = (done.clone(), all_done.clone());
             rt.submit(
                 TaskBuilder::new("consumer")
+                    .rd(gate)
                     .wr(o)
-                    .place(1)
                     .body(move |ctx| {
-                        while !started.load(Ordering::SeqCst) {
-                            std::hint::spin_loop();
+                        *ctx.wr(o) = *ctx.rd(gate) + i as u64;
+                        if done.fetch_add(1, Ordering::SeqCst) + 1 == CONSUMERS {
+                            all_done.store(1, Ordering::SeqCst);
                         }
-                        *ctx.wr(o) = i as u64 + 1;
-                        done.fetch_add(1, Ordering::SeqCst);
-                    }),
-            );
-        }
-        let blocker_out = rt.create("blocker", 8, 0u64);
-        {
-            let started = Arc::clone(&started);
-            let done = Arc::clone(&done);
-            rt.submit(
-                TaskBuilder::new("blocker")
-                    .wr(blocker_out)
-                    .place(1)
-                    .body(move |ctx| {
-                        started.store(true, Ordering::SeqCst);
-                        while done.load(Ordering::SeqCst) < CONSUMERS {
-                            std::hint::spin_loop();
-                        }
-                        *ctx.wr(blocker_out) = 1;
                     }),
             );
         }
         rt.finish();
+        assert_eq!(
+            *rt.store().read(blocker_out),
+            1,
+            "the consumers were not stolen"
+        );
         for (i, &o) in outs.iter().enumerate() {
             assert_eq!(*rt.store().read(o), i as u64 + 1);
         }
+        let dispatches: Vec<_> = (rt.take_events().iter())
+            .filter_map(|e| match e.kind {
+                EventKind::TaskDispatched { stolen, .. } => Some((e.task, stolen)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(dispatches.len(), CONSUMERS + 1);
+        // The blocker's release enables the consumers, so it goes first.
+        assert_eq!(dispatches[0].0, Some(TaskId(0)));
+        let blocker_stolen = usize::from(dispatches[0].1);
+        assert!(
+            dispatches[1..].iter().all(|d| d.1),
+            "every consumer must be stolen"
+        );
         let s = rt.last_stats();
         assert_eq!(s.executed, CONSUMERS + 1);
-        assert_eq!(s.steals, CONSUMERS, "every consumer must be stolen");
-        assert_eq!(s.locality_hits, 1, "only the blocker runs on its target");
+        assert_eq!(s.steals, CONSUMERS + blocker_stolen);
+        assert_eq!(s.locality_hits, 1 - blocker_stolen);
     }
 
     #[test]
@@ -1717,24 +1584,31 @@ mod tests {
         // completes every task by atomic countdown, so it takes the state
         // lock not once.
         //
-        // The work sits on worker 0 and worker 1 is pinned inside `hold`
-        // until every other body has run: at most one steal (`hold`
-        // itself, if worker 1 never got going), whatever the host does.
-        const WORK: usize = 399;
+        // `fan` is dealt to worker 0 and enables the work on its deque;
+        // `hold` is dealt to worker 1 and pins it until every work body
+        // has run: at most one steal (`hold` itself, if worker 1 never got
+        // going), whatever the host does.
+        const WORK: usize = 398;
         let mut rt = ThreadRuntime::new(2);
         let ran = Arc::new(AtomicUsize::new(0));
+        let src = rt.create("src", 8, 0u64);
+        rt.submit(
+            TaskBuilder::new("fan")
+                .wr(src)
+                .body(move |ctx| *ctx.wr(src) = 1),
+        );
         let outs: Vec<_> = (0..WORK)
             .map(|i| rt.create(&format!("o{i}"), 8, 0u64))
             .collect();
         for (i, &o) in outs.iter().enumerate() {
             let ran = ran.clone();
-            rt.submit(TaskBuilder::new("w").wr(o).place(0).body(move |ctx| {
-                *ctx.wr(o) = i as u64;
+            rt.submit(TaskBuilder::new("w").rd(src).wr(o).body(move |ctx| {
+                *ctx.wr(o) = i as u64 + *ctx.rd(src);
                 ran.fetch_add(1, Ordering::SeqCst);
             }));
         }
         let seen = ran.clone();
-        rt.submit(TaskBuilder::new("hold").place(1).body(move |_| {
+        rt.submit(TaskBuilder::new("hold").body(move |_| {
             // Bounded only so a scheduler bug fails instead of hanging.
             let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
             while seen.load(Ordering::SeqCst) < WORK && std::time::Instant::now() < give_up {
@@ -1744,10 +1618,10 @@ mod tests {
         rt.finish();
         assert_eq!(ran.load(Ordering::SeqCst), WORK);
         for (i, &o) in outs.iter().enumerate() {
-            assert_eq!(*rt.store().read(o), i as u64);
+            assert_eq!(*rt.store().read(o), i as u64 + 1);
         }
         let st = rt.last_stats();
-        assert_eq!(st.executed, 400);
+        assert_eq!(st.executed, WORK + 2);
         assert!(st.steals <= 1, "{} steals", st.steals);
         assert_eq!(st.sync_locks, 0, "untraced completions take no lock");
     }
@@ -1867,16 +1741,13 @@ mod tests {
     }
 
     #[test]
-    fn enabled_task_is_routed_while_its_body_slot_is_locked() {
-        // Worker 0's completion of `a` enables `b`; routing `b` reads its
-        // slot's specification and placement and nothing else. The test
-        // holds `b`'s body mutex throughout: a dispatch path that took it
-        // would never finish the countdown.
+    fn enabled_task_is_queued_while_its_body_slot_is_locked() {
+        // Worker 0's completion of `a` enables `b` and queues it on worker
+        // 0's own deque, reading nothing of `b`'s slot. The test holds
+        // `b`'s body mutex throughout: a dispatch path that took it would
+        // never finish the countdown.
         let mut store = Store::new();
         let x = store.create("x", 8, 0u64);
-        let mut owners = OwnerTable::default();
-        owners.ensure(store.len());
-        owners.record(x.id(), 1);
         let mut arena = SchedArena::default();
         arena.push(TaskBuilder::new("a").wr(x).body(|_| {}));
         arena.push(TaskBuilder::new("b").rd(x).body(|_| {}));
@@ -1899,7 +1770,6 @@ mod tests {
             panicked: AtomicBool::new(false),
             panic: Mutex::new(None),
             faults: None,
-            owners: &owners,
             store: &store,
             base: 0,
             workers: 2,
@@ -1919,56 +1789,43 @@ mod tests {
             let waited = settled.recv_timeout(std::time::Duration::from_secs(10));
             // Let a blocked countdown through before the scope joins it.
             drop(held);
-            waited.expect("routing an enabled task waited for its body mutex");
+            waited.expect("queueing an enabled task waited for its body mutex");
         });
-        assert_eq!(sh.slots[1].target.load(Ordering::Relaxed), 1);
-        assert_eq!(sh.queues[1].steal(), Some(1), "`b` follows `x`'s writer");
+        assert_eq!(sh.queues[1].len_hint(), 0);
+        assert_eq!(sh.queues[0].steal(), Some(1), "`b` stays on worker 0");
         assert_eq!(sh.live.load(Ordering::SeqCst), 1);
         assert_eq!(sh.sync_locks.load(Ordering::Relaxed), 0);
     }
 
     #[test]
-    fn work_routed_to_a_busy_worker_is_stolen_from_its_inbox() {
-        // Liveness: work remote-pushed onto a worker that never goes idle
-        // (its owner is spinning inside a task) must still be reachable by
-        // thieves — the inject inbox would otherwise deadlock this
-        // pipeline.
+    fn work_enabled_on_a_busy_worker_is_stolen() {
+        // Liveness: a task enabled onto the deque of a worker that never
+        // goes idle must still be reachable by thieves. `blocker` releases
+        // `x` mid-task, which queues `b` on its own worker's deque, and
+        // then holds that worker until `b` has run: only the other worker
+        // can run it, by stealing it.
         let mut rt = ThreadRuntime::new(2);
-        let done = Arc::new(AtomicUsize::new(0));
+        let b_ran = Arc::new(AtomicUsize::new(0));
         let x = rt.create("x", 8, 0u64);
         let y = rt.create("y", 8, 0u64);
         let flag = rt.create("flag", 8, 0u64);
-        // Blocker on worker 0 spins until the dependent task B (also
-        // targeted at worker 0 by placement) has run — which can only
-        // happen if worker 1 steals B out of worker 0's inbox.
-        let d0 = Arc::clone(&done);
-        rt.submit(TaskBuilder::new("blocker").wr(y).place(0).body(move |ctx| {
-            while d0.load(Ordering::SeqCst) == 0 {
-                std::hint::spin_loop();
-            }
-            *ctx.wr(y) = 1;
+        let waited = b_ran.clone();
+        rt.submit(TaskBuilder::new("blocker").wr(x).wr(y).body(move |ctx| {
+            *ctx.wr(x) = 7;
+            ctx.release(x);
+            *ctx.wr(y) = u64::from(spin_until(&waited));
         }));
-        rt.submit(
-            TaskBuilder::new("a")
-                .wr(x)
-                .place(1)
-                .body(move |ctx| *ctx.wr(x) = 7),
-        );
-        let d1 = Arc::clone(&done);
-        rt.submit(
-            TaskBuilder::new("b")
-                .rd(x)
-                .wr(flag)
-                .place(0)
-                .body(move |ctx| {
-                    *ctx.wr(flag) = *ctx.rd(x) + 1;
-                    d1.store(1, Ordering::SeqCst);
-                }),
-        );
+        let ran = b_ran.clone();
+        rt.submit(TaskBuilder::new("b").rd(x).wr(flag).body(move |ctx| {
+            *ctx.wr(flag) = *ctx.rd(x) + 1;
+            ran.store(1, Ordering::SeqCst);
+        }));
         rt.finish();
-        assert_eq!(*rt.store().read(y), 1);
+        assert_eq!(*rt.store().read(y), 1, "`b` was not stolen");
         assert_eq!(*rt.store().read(flag), 8);
-        assert_eq!(rt.last_stats().executed, 3);
+        let s = rt.last_stats();
+        assert_eq!(s.executed, 2);
+        assert!(s.steals >= 1);
     }
 
     #[test]
@@ -1976,20 +1833,11 @@ mod tests {
         // Worker 1 runs `a`, then steals `blocker` — which spins until `b`,
         // a successor of `a`, has run. Unless `a`'s completion enabled `b`
         // before the stolen task starts (a completion deferred in a buffer
-        // once did not), the batch deadlocks. The interleaving is forced with flags: worker 0 is
-        // pinned inside `z` until `blocker` has started, and `blocker` can
-        // only be started by the thief. The spin bounds only turn a
-        // deadlock into a failure; they play no part in the ordering.
-        let spin_until = |flag: &AtomicUsize| {
-            let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
-            while flag.load(Ordering::SeqCst) == 0 {
-                if std::time::Instant::now() > give_up {
-                    return false;
-                }
-                std::hint::spin_loop();
-            }
-            true
-        };
+        // once did not), the batch deadlocks. Setup deals the ready tasks
+        // round-robin in submission order, so queue 0 holds `blocker` then
+        // `z` and queue 1 holds `a`: worker 0 pops the newest entry (`z`)
+        // and is pinned inside it until `blocker` has started, and only
+        // the thief can start `blocker`, from the top of queue 0.
         let mut rt = ThreadRuntime::new(2);
         let started = Arc::new(AtomicUsize::new(0));
         let b_ran = Arc::new(AtomicUsize::new(0));
@@ -1997,37 +1845,24 @@ mod tests {
         let x = rt.create("x", 8, 0u64);
         let out = rt.create("out", 8, 0u64);
         let (s0, d0, t0) = (started.clone(), b_ran.clone(), timed_out.clone());
-        // Queue 0 holds `blocker` then `z`: the owner pops the newest entry
-        // (`z`), the thief steals the oldest (`blocker`).
-        rt.submit(TaskBuilder::new("blocker").place(0).body(move |_| {
+        rt.submit(TaskBuilder::new("blocker").body(move |_| {
             s0.store(1, Ordering::SeqCst);
             if !spin_until(&d0) {
                 t0.store(1, Ordering::SeqCst);
             }
         }));
+        rt.submit(TaskBuilder::new("a").wr(x).body(move |ctx| *ctx.wr(x) = 7));
         let (s1, t1) = (started.clone(), timed_out.clone());
-        rt.submit(TaskBuilder::new("z").place(0).body(move |_| {
+        rt.submit(TaskBuilder::new("z").body(move |_| {
             if !spin_until(&s1) {
                 t1.store(1, Ordering::SeqCst);
             }
         }));
-        rt.submit(
-            TaskBuilder::new("a")
-                .wr(x)
-                .place(1)
-                .body(move |ctx| *ctx.wr(x) = 7),
-        );
         let d1 = b_ran.clone();
-        rt.submit(
-            TaskBuilder::new("b")
-                .rd(x)
-                .wr(out)
-                .place(0)
-                .body(move |ctx| {
-                    *ctx.wr(out) = *ctx.rd(x) + 1;
-                    d1.store(1, Ordering::SeqCst);
-                }),
-        );
+        rt.submit(TaskBuilder::new("b").rd(x).wr(out).body(move |ctx| {
+            *ctx.wr(out) = *ctx.rd(x) + 1;
+            d1.store(1, Ordering::SeqCst);
+        }));
         rt.finish();
         assert_eq!(
             timed_out.load(Ordering::SeqCst),

@@ -61,7 +61,7 @@ fn main() {
     println!("sum of squares over 1000 elements = {got}");
     let s = rt.last_stats();
     println!(
-        "executed {} tasks ({} on their locality target, {} stolen)",
+        "executed {} tasks ({} where they were queued, {} stolen)",
         s.executed, s.locality_hits, s.steals
     );
 
