@@ -373,7 +373,7 @@ pub trait Machine<'a, R: Sink>: Sized {
         }
         let trace = c.trace;
         let rec = &trace.tasks[c.next_rec];
-        let id = rec.id;
+        let id = TaskId(c.next_rec as u32);
         c.next_rec += 1;
         if rec.serial_phase {
             // Main blocks until the serial task's dependences resolve;
@@ -454,7 +454,7 @@ pub trait Machine<'a, R: Sink>: Sized {
         let mut newly = std::mem::take(&mut c.newly);
         newly.clear();
         c.deps
-            .complete_traced(id, &mut newly, &mut c.events, t.0, p);
+            .complete_traced(id, &[], &mut newly, &mut c.events, t.0, p);
         for &enabled in &newly {
             self.on_enabled(enabled, t);
         }

@@ -17,7 +17,9 @@
 
 use dsim::{Calendar, FaultInjector, FaultPlan, SimDuration};
 use jade_core::LocalityMode;
-use jade_core::{AccessSpec, Countdown, DepGraph, NullSink, ObjectId, Store, Trace, TraceBuilder};
+use jade_core::{
+    AccessSpec, Countdown, DepGraph, NullSink, ObjectId, Store, TaskId, Trace, TraceBuilder,
+};
 use jade_threads::ThreadRuntime;
 
 /// The fastest of at least `min_rounds` timed calls of `f`, and of more
@@ -93,13 +95,13 @@ fn dependence_graphs() {
     let mut ready = Vec::new();
     per_task("depgraph/countdown_replay", &mut |t, g| {
         let mut deps = Countdown::new(std::borrow::Cow::Borrowed(g));
-        for rec in &t.tasks {
-            if deps.add_task_traced(rec.id, &mut NullSink, 0, 0) {
-                ready.push(rec.id);
+        for id in (0..t.task_count() as u32).map(TaskId) {
+            if deps.add_task_traced(id, &mut NullSink, 0, 0) {
+                ready.push(id);
             }
         }
         while let Some(id) = ready.pop() {
-            deps.complete_traced(id, &mut ready, &mut NullSink, 0, 0);
+            deps.complete_traced(id, &[], &mut ready, &mut NullSink, 0, 0);
         }
         assert!(deps.all_complete());
     });

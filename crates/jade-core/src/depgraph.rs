@@ -246,9 +246,6 @@ pub struct Countdown<'g> {
     /// Per task: the edges into it not yet counted down, `DONE` once it
     /// completed.
     left: Vec<u32>,
-    /// Per declaration: released mid-task, so its sub-row is already
-    /// counted down. Empty until the first release.
-    released: Vec<bool>,
     created: usize,
     completed: usize,
 }
@@ -272,7 +269,6 @@ impl<'g> Countdown<'g> {
 
     fn restart(&mut self) {
         self.left.clone_from(&self.graph.preds);
-        self.released.clear();
         self.created = 0;
         self.completed = 0;
     }
@@ -298,33 +294,31 @@ impl<'g> Countdown<'g> {
     }
 
     /// Count down what `id` gives up, its declaration `release` (at
-    /// `object`) or, at completion, all it still holds; the registered
-    /// tasks that enables go to `newly_enabled`. Records `AccessReleased`
-    /// or `TaskCompleted`, then `TaskEnabled` for each of them.
+    /// `object`) or, at completion, every declaration `released` does not
+    /// flag; the registered tasks that enables go to `newly_enabled`.
+    /// Records `AccessReleased` or `TaskCompleted`, then `TaskEnabled` for
+    /// each of them.
+    #[allow(clippy::too_many_arguments)]
     fn give_up<S: Sink>(
         &mut self,
         id: TaskId,
         release: Option<(usize, ObjectId)>,
+        released: &[bool],
         newly_enabled: &mut Vec<TaskId>,
         events: &mut S,
         time_ps: u64,
         proc: ProcId,
     ) {
-        let graph = &*self.graph;
-        let released = if self.released.is_empty() {
-            &[][..]
-        } else {
-            &self.released[graph.decls[id.index()] as usize..graph.decls[id.index() + 1] as usize]
-        };
         let (left, created, before) = (&mut self.left, self.created, newly_enabled.len());
-        graph.give_up(id, release.map(|r| r.0), released, |row| {
-            for &s in row {
-                left[s.index()] -= 1;
-                if left[s.index()] == 0 && s.index() < created {
-                    newly_enabled.push(s);
+        self.graph
+            .give_up(id, release.map(|r| r.0), released, |row| {
+                for &s in row {
+                    left[s.index()] -= 1;
+                    if left[s.index()] == 0 && s.index() < created {
+                        newly_enabled.push(s);
+                    }
                 }
-            }
-        });
+            });
         match release {
             Some((_, object)) => {
                 events.emit_obj(time_ps, proc, EventKind::AccessReleased, Some(id), object)
@@ -337,12 +331,18 @@ impl<'g> Countdown<'g> {
     }
 
     /// Mark the enabled task `id` complete and count down the sub-rows of
-    /// the declarations it still holds; the registered tasks that enables
-    /// go to `newly_enabled`. Records `TaskCompleted`, then `TaskEnabled`
-    /// for each of them.
+    /// the declarations it still holds: those `released` does not flag,
+    /// one flag per declaration as [`TaskCtx::into_released`] gives them,
+    /// or all of them if it is empty. The registered tasks that enables go
+    /// to `newly_enabled`. Records `TaskCompleted`, then `TaskEnabled` for
+    /// each of them.
+    ///
+    /// [`TaskCtx::into_released`]: crate::TaskCtx::into_released
+    #[allow(clippy::too_many_arguments)]
     pub fn complete_traced<S: Sink>(
         &mut self,
         id: TaskId,
+        released: &[bool],
         newly_enabled: &mut Vec<TaskId>,
         events: &mut S,
         time_ps: u64,
@@ -355,13 +355,15 @@ impl<'g> Countdown<'g> {
         );
         *left = DONE;
         self.completed += 1;
-        self.give_up(id, None, newly_enabled, events, time_ps, proc);
+        self.give_up(id, None, released, newly_enabled, events, time_ps, proc);
     }
 
     /// Release the running task `id`'s declaration `decl` (its position in
     /// the specification), on `object`, before the task completes: count
     /// down that declaration's sub-row alone. Records
-    /// `AccessReleased`, then `TaskEnabled` for each task it enables.
+    /// `AccessReleased`, then `TaskEnabled` for each task it enables. The
+    /// task's context refuses a second release of one declaration, and
+    /// its completion is told which declarations it released.
     #[allow(clippy::too_many_arguments)]
     pub fn release_traced<S: Sink>(
         &mut self,
@@ -373,23 +375,12 @@ impl<'g> Countdown<'g> {
         time_ps: u64,
         proc: ProcId,
     ) {
-        let k = self.graph.decls[id.index()] as usize + decl;
-        if self.released.is_empty() {
-            self.released.resize(self.graph.subs.len() - 1, false);
-        }
         assert!(
-            !self.released[k] && self.left[id.index()] == 0,
-            "{id:?} released {object:?} twice or while not running"
+            id.index() < self.created && self.left[id.index()] == 0,
+            "{id:?} released {object:?} while not running"
         );
-        self.released[k] = true;
-        self.give_up(
-            id,
-            Some((decl, object)),
-            newly_enabled,
-            events,
-            time_ps,
-            proc,
-        );
+        let release = Some((decl, object));
+        self.give_up(id, release, &[], newly_enabled, events, time_ps, proc);
     }
 
     /// Number of registered tasks.
@@ -565,8 +556,8 @@ mod tests {
         assert_eq!(row(&g, TaskId(3)), ids(&[4, 4]));
         // The synchronizer grants in the same order.
         let mut sync = Synchronizer::new(true);
-        for t in &trace.tasks {
-            sync.add_task(t.id, &t.spec);
+        for (i, t) in trace.tasks.iter().enumerate() {
+            sync.add_task(TaskId(i as u32), &t.spec);
         }
         let mut newly = Vec::new();
         sync.complete(TaskId(0), &mut newly);
@@ -590,14 +581,14 @@ mod tests {
         assert_eq!(sub_row(&g, TaskId(0), 1), [TaskId(2), TaskId(3)]);
         let mut deps = Countdown::new(Cow::Borrowed(&g));
         let mut events = Vec::<Event>::new();
-        for t in &trace.tasks {
-            deps.add_task_traced(t.id, &mut events, 0, 0);
+        for i in 0..trace.task_count() {
+            deps.add_task_traced(TaskId(i as u32), &mut events, 0, 0);
         }
         let mut newly = Vec::new();
         deps.release_traced(TaskId(0), 1, o(1), &mut newly, &mut events, 1, 0);
         assert_eq!(newly, [TaskId(2)]);
         newly.clear();
-        deps.complete_traced(TaskId(0), &mut newly, &mut events, 2, 0);
+        deps.complete_traced(TaskId(0), &[false, true], &mut newly, &mut events, 2, 0);
         assert_eq!(newly, [TaskId(1), TaskId(3)]);
         assert_eq!(deps.live_tasks(), 3);
     }
@@ -623,8 +614,8 @@ mod tests {
         both.rd(o(0)).rd(o(1));
         let mut deps = registered(&[wa, wb, both]);
         let mut newly = Vec::new();
-        deps.complete_traced(TaskId(0), &mut newly, &mut Vec::<Event>::new(), 0, 0);
-        deps.complete_traced(TaskId(0), &mut newly, &mut Vec::<Event>::new(), 0, 0);
+        deps.complete_traced(TaskId(0), &[], &mut newly, &mut Vec::<Event>::new(), 0, 0);
+        deps.complete_traced(TaskId(0), &[], &mut newly, &mut Vec::<Event>::new(), 0, 0);
     }
 
     #[test]
@@ -646,7 +637,7 @@ mod tests {
         both.rd(o(0)).rd(o(1));
         let mut deps = registered(&[wa, wb, both]);
         let mut newly = Vec::new();
-        deps.complete_traced(TaskId(0), &mut newly, &mut Vec::<Event>::new(), 0, 0);
+        deps.complete_traced(TaskId(0), &[], &mut newly, &mut Vec::<Event>::new(), 0, 0);
         deps.release_traced(
             TaskId(0),
             0,
@@ -659,22 +650,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "twice")]
-    fn double_release_panics() {
-        let mut r = AccessSpec::new();
-        r.rd(o(0));
-        let mut deps = registered(&[r]);
-        let mut newly = Vec::new();
-        for _ in 0..2 {
-            deps.release_traced(
-                TaskId(0),
-                0,
-                o(0),
-                &mut newly,
-                &mut Vec::<Event>::new(),
-                0,
-                0,
-            );
+    fn a_completion_counts_down_exactly_the_sub_rows_not_released() {
+        // Task 0 writes objects 0, 1 and 2; each later task reads one or
+        // two of them. Completing task 0 with any set of released flags
+        // (and no release made) counts down the unflagged sub-rows, each
+        // edge once, and nothing else; no flags at all count down the row.
+        let mut w = AccessSpec::new();
+        w.wr(o(0)).wr(o(1)).wr(o(2));
+        let readers = [vec![0], vec![1], vec![2], vec![2, 0], vec![1, 2]];
+        let mut specs = vec![w];
+        for objs in readers {
+            let mut r = AccessSpec::new();
+            for k in objs {
+                r.rd(o(k));
+            }
+            specs.push(r);
+        }
+        let g = DepGraph::build(&trace_of(&specs), true);
+        for mask in 0..8u8 {
+            let flags: Vec<bool> = (0..3).map(|k| mask >> k & 1 == 1).collect();
+            let mut want = g.preds.clone();
+            for k in (0..3).filter(|&k| !flags[k]) {
+                sub_row(&g, TaskId(0), k)
+                    .iter()
+                    .for_each(|s| want[s.index()] -= 1);
+            }
+            want[0] = DONE;
+            let mut deps = registered(&specs);
+            let mut newly = Vec::new();
+            let flags: &[bool] = if mask == 0 { &[] } else { &flags };
+            deps.complete_traced(TaskId(0), flags, &mut newly, &mut Vec::<Event>::new(), 0, 0);
+            assert_eq!(deps.left, want, "released {flags:?}");
+            let mut enabled: Vec<TaskId> = (1..specs.len())
+                .filter(|&t| want[t] == 0)
+                .map(|t| TaskId(t as u32))
+                .collect();
+            newly.sort_unstable();
+            enabled.sort_unstable();
+            assert_eq!(newly, enabled, "released {flags:?}");
         }
     }
 
@@ -761,7 +774,7 @@ mod tests {
                 }
             }
             while let Some(id) = ready.pop() {
-                deps.complete_traced(id, &mut ready, &mut events, 1, 0);
+                deps.complete_traced(id, &[], &mut ready, &mut events, 1, 0);
             }
             assert!(deps.all_complete());
             events
@@ -774,7 +787,7 @@ mod tests {
             used.add_task_traced(TaskId(i), &mut events, 0, 0);
         }
         used.release_traced(TaskId(0), 1, o(1), &mut newly, &mut events, 0, 0);
-        used.complete_traced(TaskId(0), &mut newly, &mut events, 0, 0);
+        used.complete_traced(TaskId(0), &[false, true], &mut newly, &mut events, 0, 0);
         assert_eq!(newly, [TaskId(1)]);
         used.rebuild(second.iter(), true);
         let mut fresh = Countdown::default();
@@ -872,7 +885,8 @@ mod tests {
     enum Op {
         Add(TaskId),
         Release(TaskId, usize),
-        Complete(TaskId),
+        /// With the task's released flags, empty if it released nothing.
+        Complete(TaskId, Vec<bool>),
     }
 
     /// Drive `engine` through a seeded legal order of registrations,
@@ -919,9 +933,13 @@ mod tests {
                     engine(Op::Release(id, decl), &mut newly);
                 } else {
                     ready.swap_remove(at);
-                    given_up[id.index()].fill(true);
+                    let all = vec![true; specs[id.index()].len()];
+                    let mut released = std::mem::replace(&mut given_up[id.index()], all);
+                    if !released.contains(&true) {
+                        released.clear();
+                    }
                     done[id.index()] = true;
-                    engine(Op::Complete(id), &mut newly);
+                    engine(Op::Complete(id, released), &mut newly);
                 }
             } else {
                 break;
@@ -1010,7 +1028,9 @@ mod tests {
                         let object = specs[id.index()].decls()[k].object;
                         deps.release_traced(id, k, object, newly, &mut events, 0, 0)
                     }
-                    Op::Complete(id) => deps.complete_traced(id, newly, &mut events, 0, 0),
+                    Op::Complete(id, released) => {
+                        deps.complete_traced(id, &released, newly, &mut events, 0, 0)
+                    }
                 }
                 false
             });
@@ -1026,7 +1046,7 @@ mod tests {
             replay(&specs, replication, (seed, eager, 0), |op, newly| match op {
                 Op::Add(id) => front.add_task(id, &specs[id.index()]),
                 Op::Release(..) => unreachable!("no releases"),
-                Op::Complete(id) => {
+                Op::Complete(id, _) => {
                     front.complete(id, newly);
                     false
                 }

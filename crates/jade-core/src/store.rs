@@ -156,20 +156,12 @@ impl Store {
         self.read(h).clone()
     }
 
-    /// Iterate over `(id, name, size_bytes, cache_bytes, home)` for trace
-    /// recording.
+    /// Iterate over `(name, size_bytes, cache_bytes, home)` in id order,
+    /// for trace recording.
     pub fn object_meta(
         &self,
-    ) -> impl Iterator<Item = (ObjectId, &str, usize, Option<usize>, Option<ProcId>)> {
-        self.slots.iter().enumerate().map(|(i, s)| {
-            (
-                ObjectId(i as u32),
-                s.name.as_str(),
-                s.size_bytes,
-                s.cache_bytes,
-                s.home,
-            )
-        })
+    ) -> impl Iterator<Item = (&str, usize, Option<usize>, Option<ProcId>)> {
+        (self.slots.iter()).map(|s| (s.name.as_str(), s.size_bytes, s.cache_bytes, s.home))
     }
 }
 

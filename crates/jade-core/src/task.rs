@@ -22,10 +22,10 @@
 //! );
 //! ```
 
-use crate::access::{AccessDecl, AccessMode, AccessSpec};
+use crate::access::{AccessDecl, AccessSpec};
 use crate::ids::{Handle, ObjectId, ProcId, TaskId};
 use crate::store::{ReadGuard, Store, WriteGuard};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 /// The closure type of a task body. Bodies receive a [`TaskCtx`] that grants
 /// access to exactly the objects the task declared. Bodies are `Fn`, not
@@ -133,12 +133,14 @@ pub struct TaskCtx<'a> {
     spec: &'a AccessSpec,
     charged: Cell<f64>,
     /// Index of the declaration the last access matched, where the next
-    /// access's search starts (see [`TaskCtx::declared`]).
+    /// access's search starts (see [`TaskCtx::position`]).
     cursor: Cell<usize>,
-    /// Objects whose rights the task gave up mid-execution (`release`).
-    released: std::cell::RefCell<Vec<ObjectId>>,
-    /// Runtime callback invoked on `release` so waiting tasks can proceed.
-    release_hook: Option<&'a dyn Fn(ObjectId)>,
+    /// Per declaration: given up mid-execution (`release`). Empty until the
+    /// first release; the executor takes it when the task completes.
+    released: RefCell<Vec<bool>>,
+    /// Runtime callback invoked on `release`, with the declaration's
+    /// position and object, so waiting tasks can proceed.
+    release_hook: Option<&'a dyn Fn(usize, ObjectId)>,
 }
 
 impl<'a> TaskCtx<'a> {
@@ -151,7 +153,7 @@ impl<'a> TaskCtx<'a> {
             spec,
             charged: Cell::new(0.0),
             cursor: Cell::new(0),
-            released: std::cell::RefCell::new(Vec::new()),
+            released: RefCell::new(Vec::new()),
             release_hook: None,
         }
     }
@@ -163,7 +165,7 @@ impl<'a> TaskCtx<'a> {
         task: TaskId,
         label: &'static str,
         spec: &'a AccessSpec,
-        hook: &'a dyn Fn(ObjectId),
+        hook: &'a dyn Fn(usize, ObjectId),
     ) -> Self {
         let mut ctx = TaskCtx::new(store, task, label, spec);
         ctx.release_hook = Some(hook);
@@ -179,32 +181,42 @@ impl<'a> TaskCtx<'a> {
     /// acquire it at once.
     pub fn release(&self, h: impl Into<ObjectId>) {
         let id = h.into();
+        let decl = self.position(id).unwrap_or_else(|| {
+            panic!(
+                "task {:?} ({}) released undeclared object {:?}",
+                self.task, self.label, id,
+            )
+        });
+        let mut released = self.released.borrow_mut();
+        if released.is_empty() {
+            released.resize(self.spec.len(), false);
+        }
         assert!(
-            !self.released.borrow().contains(&id),
+            !std::mem::replace(&mut released[decl], true),
             "task {:?} ({}) released object {:?} twice",
             self.task,
             self.label,
             id,
         );
-        assert!(
-            self.spec.mode_of(id).is_some(),
-            "task {:?} ({}) released undeclared object {:?}",
-            self.task,
-            self.label,
-            id,
-        );
-        self.released.borrow_mut().push(id);
+        drop(released);
         if let Some(hook) = self.release_hook {
-            hook(id);
+            hook(decl, id);
         }
     }
 
-    /// The declared mode of `id`. The search starts at the declaration the
-    /// last access matched and wraps around, so a body that accesses its
-    /// objects in declaration order pays one or two comparisons an access
-    /// however wide its specification, and no access pays more than the
-    /// full scan of [`AccessSpec::mode_of`].
-    fn declared(&self, id: ObjectId) -> Option<AccessMode> {
+    /// Per declaration of the specification, whether the task released it;
+    /// empty if it released nothing. An executor passes these to its
+    /// countdown when the task completes.
+    pub fn into_released(self) -> Vec<bool> {
+        self.released.into_inner()
+    }
+
+    /// The position of `id` in the specification. The search starts at the
+    /// declaration the last access matched and wraps around, so a body that
+    /// accesses its objects in declaration order pays one or two
+    /// comparisons an access however wide its specification, and no access
+    /// pays more than the full scan of [`AccessSpec::mode_of`].
+    fn position(&self, id: ObjectId) -> Option<usize> {
         let decls = self.spec.decls();
         let start = self.cursor.get();
         let at = |range: &[AccessDecl]| range.iter().position(|d| d.object == id);
@@ -212,19 +224,11 @@ impl<'a> TaskCtx<'a> {
             .map(|i| start + i)
             .or_else(|| at(&decls[..start]))?;
         self.cursor.set(i);
-        Some(decls[i].mode)
+        Some(i)
     }
 
     fn check(&self, id: ObjectId, need_write: bool) {
-        assert!(
-            !self.released.borrow().contains(&id),
-            "access violation: task {:?} ({}) touched released object {} ({:?})",
-            self.task,
-            self.label,
-            self.store.name(id),
-            id,
-        );
-        let mode = self.declared(id).unwrap_or_else(|| {
+        let decl = self.position(id).unwrap_or_else(|| {
             panic!(
                 "access violation: task {:?} ({}) touched undeclared object {} ({:?})",
                 self.task,
@@ -233,6 +237,15 @@ impl<'a> TaskCtx<'a> {
                 id,
             )
         });
+        assert!(
+            self.released.borrow().get(decl) != Some(&true),
+            "access violation: task {:?} ({}) touched released object {} ({:?})",
+            self.task,
+            self.label,
+            self.store.name(id),
+            id,
+        );
+        let mode = self.spec.decls()[decl].mode;
         let ok = if need_write {
             mode.writes()
         } else {
@@ -392,7 +405,9 @@ mod tests {
         /// ascending, descending or as drawn, repeats merging), then accesses
         /// and releases: in declaration order, repeated, or of any object,
         /// declared or not. Each passes or panics exactly as `mode_of` and
-        /// the released list say, with the same message.
+        /// the releases made so far say, with the same message; each
+        /// release calls the hook with the object's position in `decls()`,
+        /// and the context's flags at the end are the releases made.
         #[test]
         fn accesses_follow_mode_of_on_wide_specs(
             stmts in prop::collection::vec((0..WIDE, 0..3u8), 1..301),
@@ -417,7 +432,9 @@ mod tests {
                 };
             }
             let (task, label) = (TaskId(7), "wide");
-            let ctx = TaskCtx::new(&store, task, label, &spec);
+            let hooked = RefCell::new(Vec::new());
+            let hook = |decl: usize, id: ObjectId| hooked.borrow_mut().push((decl, id));
+            let ctx = TaskCtx::with_release_hook(&store, task, label, &spec, &hook);
             let decls = spec.decls();
             let mut released: Vec<ObjectId> = Vec::new();
             let (mut next, mut last) = (0, hs[0].id());
@@ -441,7 +458,10 @@ mod tests {
                         released.push(id);
                         None
                     };
-                    prop_assert_eq!(panic_text(|| ctx.release(h)), want);
+                    prop_assert_eq!(panic_text(|| ctx.release(h)), want.clone());
+                    let position = decls.iter().position(|d| d.object == id);
+                    let call = want.is_none().then(|| (position.unwrap(), id));
+                    prop_assert_eq!(hooked.take(), Vec::from_iter(call));
                     continue;
                 }
                 let want = if released.contains(&id) {
@@ -469,6 +489,9 @@ mod tests {
                 });
                 prop_assert_eq!(got, want);
             }
+            let flags: Vec<bool> = decls.iter().map(|d| released.contains(&d.object)).collect();
+            let want = if released.is_empty() { Vec::new() } else { flags };
+            prop_assert_eq!(ctx.into_released(), want);
         }
     }
 

@@ -19,10 +19,10 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::OnceLock;
 
-/// Everything a machine simulator needs to know about one task.
+/// Everything a machine simulator needs to know about one task. Its id is
+/// its index in [`Trace::tasks`].
 #[derive(Clone, Debug)]
 pub struct TaskRecord {
-    pub id: TaskId,
     /// Diagnostic label from the task builder: borrowed for recorded tasks
     /// (a [`TaskDef`]'s label is `&'static str`), owned only by synthetic
     /// ones, so recording a task allocates nothing for it.
@@ -39,10 +39,10 @@ pub struct TaskRecord {
     pub phase: u32,
 }
 
-/// Metadata for one shared object.
+/// Metadata for one shared object. Its id is its index in
+/// [`Trace::objects`].
 #[derive(Clone, Debug)]
 pub struct ObjectRecord {
-    pub id: ObjectId,
     pub name: String,
     /// Communication size in bytes (final size; objects that grow during
     /// execution are charged at their final size, a documented
@@ -122,9 +122,9 @@ impl Trace {
     /// entry and refuse a trace that fails, since its fields are public;
     /// [`TraceBuilder::build`] asserts them in debug builds.
     ///
-    /// Verifies that access specs reference allocated objects, ids are
-    /// dense and ordered, work values are finite and non-negative, and
-    /// phases are in range. Returns a list of violations (empty = valid).
+    /// Verifies that access specs reference allocated objects, work values
+    /// are finite and non-negative, and phases are in range. Returns a list
+    /// of violations (empty = valid).
     pub fn validate(&self) -> Vec<String> {
         self.check().0
     }
@@ -155,15 +155,7 @@ impl Trace {
     fn check(&self) -> (Vec<String>, u64) {
         let mut problems = Vec::new();
         let mut fingerprint = self.tasks.len() as u64;
-        for (i, ob) in self.objects.iter().enumerate() {
-            if ob.id.index() != i {
-                problems.push(format!("object record {i} has id {:?}", ob.id));
-            }
-        }
         for (i, t) in self.tasks.iter().enumerate() {
-            if t.id.index() != i {
-                problems.push(format!("task record {i} has id {:?}", t.id));
-            }
             if !t.work.is_finite() || t.work < 0.0 {
                 problems.push(format!("task {i} has bad work {}", t.work));
             }
@@ -199,7 +191,6 @@ impl TraceBuilder {
     pub fn object(&mut self, name: &str, size_bytes: usize, home: Option<ProcId>) -> ObjectId {
         let id = ObjectId(self.trace.objects.len() as u32);
         self.trace.objects.push(ObjectRecord {
-            id,
             name: name.to_string(),
             size_bytes,
             cache_bytes: None,
@@ -223,7 +214,6 @@ impl TraceBuilder {
     ) -> TaskId {
         let id = TaskId(self.trace.tasks.len() as u32);
         self.trace.tasks.push(TaskRecord {
-            id,
             label: Cow::Owned(format!("t{}", id.0)),
             spec,
             work,
@@ -294,8 +284,7 @@ impl TraceRuntime {
         let objects = self
             .store
             .object_meta()
-            .map(|(id, name, size, cache, home)| ObjectRecord {
-                id,
+            .map(|(name, size, cache, home)| ObjectRecord {
                 name: name.to_string(),
                 size_bytes: size,
                 cache_bytes: cache,
@@ -329,7 +318,6 @@ impl JadeRuntime for TraceRuntime {
             ctx.charged()
         };
         self.tasks.push(TaskRecord {
-            id,
             label: Cow::Borrowed(def.label),
             spec: def.spec,
             work,
@@ -402,7 +390,6 @@ mod tests {
     fn validate_catches_bad_work() {
         let mut trace = Trace::default();
         trace.tasks.push(TaskRecord {
-            id: TaskId(0),
             label: "bad".into(),
             spec: AccessSpec::new(),
             work: f64::NAN,

@@ -147,7 +147,6 @@ mod tests {
             .zip(sizes)
             .enumerate()
             .map(|(i, (&h, &s))| ObjectRecord {
-                id: ObjectId(i as u32),
                 name: format!("o{i}"),
                 size_bytes: s,
                 cache_bytes: None,

@@ -162,7 +162,7 @@ mod tests {
             }
             let t = enabled.swap_remove(next() % enabled.len());
             let mut newly = Vec::new();
-            deps.complete_traced(t, &mut newly, &mut NullSink, 0, 0);
+            deps.complete_traced(t, &[], &mut newly, &mut NullSink, 0, 0);
             size.complete(&specs[t.index()]);
             enabled.extend(newly);
             if next().is_multiple_of(3) {

@@ -184,12 +184,13 @@ impl Net {
         // the farthest owner's last attempt bounds every other.
         let farthest = net.costs.hop_counts - 1;
         let last = MAX_FETCH_ATTEMPTS - 1;
-        match trace
-            .objects
-            .iter()
-            .find(|ob| net.lossy && net.timeout(ob.id, farthest, last).is_none())
-        {
-            Some(ob) => Err(too_big(format!("the ack timeout of object {}", ob.name))),
+        let unbounded = (0..trace.objects.len() as u32)
+            .find(|&o| net.lossy && net.timeout(ObjectId(o), farthest, last).is_none());
+        match unbounded {
+            Some(o) => Err(too_big(format!(
+                "the ack timeout of object {}",
+                trace.objects[o as usize].name
+            ))),
             None => Ok(net),
         }
     }

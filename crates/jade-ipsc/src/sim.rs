@@ -147,7 +147,7 @@ impl<'a, R: Sink> Sim<'a, R> {
             let mut per: Vec<Vec<TaskId>> = vec![Vec::new(); procs];
             for i in order {
                 if let Some(p) = pin.assign[i] {
-                    per[p.min(procs - 1)].push(trace.tasks[i].id);
+                    per[p.min(procs - 1)].push(TaskId(i as u32));
                 }
             }
             per

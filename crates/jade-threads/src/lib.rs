@@ -292,15 +292,13 @@ impl JadeRuntime for ThreadRuntime {
 // ---------------------------------------------------------------------------
 
 /// Per-worker mutable scratch handed to each worker thread by `&mut` and
-/// recycled across batches: the enable-burst vector a countdown fills, the
-/// running task's released flags (by declaration position; empty until
-/// its first release), and the worker's completions not yet taken off
-/// `live`. Cells because the mid-task release hook (an `Fn`) must reach
-/// them; none ever crosses threads.
+/// recycled across batches: the enable-burst vector a countdown fills and
+/// the worker's completions not yet taken off `live`. Cells because the
+/// mid-task release hook (an `Fn`) must reach them; neither ever crosses
+/// threads.
 #[derive(Default)]
 pub(crate) struct WorkerScratch {
     newly: RefCell<Vec<TaskId>>,
-    released: RefCell<Vec<bool>>,
     done: Cell<u32>,
 }
 
@@ -336,7 +334,7 @@ pub(crate) struct SchedArena {
     /// task the edges into it not yet counted down.
     graph: DepGraph,
     left: Vec<AtomicU32>,
-    /// Per-worker enable and release scratch.
+    /// Per-worker enable scratch.
     scratch: Vec<WorkerScratch>,
     /// How many times a slab had to allocate or grow. A second same-shape
     /// batch must leave this untouched (tested below); the
@@ -535,13 +533,19 @@ impl<'a, S: Sink> Sharded<'a, S> {
         self.wake_all();
     }
 
-    /// Count down what task `local` gives up — on completion every
-    /// declaration it has not released, else the one `release` names — and
-    /// dispatch what that enables in one push burst (DESIGN.md §13.3).
-    /// Traced batches do it under `state`, so that events follow the
-    /// countdown's order.
-    fn settle(&self, w: usize, local: usize, release: Option<Release>, ws: &WorkerScratch) {
-        let released = ws.released.borrow();
+    /// Count down what task `local` gives up — the declaration `release`
+    /// names, else on completion every declaration `released` (its
+    /// context's flags) does not flag — and dispatch what that enables in
+    /// one push burst (DESIGN.md §13.3). Traced batches do it under
+    /// `state`, so that events follow the countdown's order.
+    fn settle(
+        &self,
+        w: usize,
+        local: usize,
+        release: Option<Release>,
+        released: &[bool],
+        ws: &WorkerScratch,
+    ) {
         let mut newly = ws.newly.borrow_mut();
         newly.clear();
         let mut guard = S::ACTIVE.then(|| self.lock_state());
@@ -551,7 +555,7 @@ impl<'a, S: Sink> Sharded<'a, S> {
         self.graph.give_up(
             TaskId(local as u32),
             release.map(|r| r.0),
-            &released,
+            released,
             |row| {
                 for &s in row {
                     let before = self.left[s.index()].fetch_sub(1, Ordering::SeqCst);
@@ -620,9 +624,14 @@ impl<'a, S: Sink> Sharded<'a, S> {
             st.events.emit_task(t, w, EventKind::TaskStarted, id);
         }
 
+        // Mid-task releases (Jade's pipelining statements) count down the
+        // released declaration's successors at once; completion then skips
+        // it, by the context's flags. `TaskCtx` lets a task release only
+        // what it declared, once.
+        let hook = |decl: usize, obj: ObjectId| self.settle(w, local, Some((decl, obj)), &[], ws);
+        let ctx = TaskCtx::with_release_hook(self.store, id, slot.label, &slot.spec, &hook);
         // The task body stays outside the closure (`TaskBody` is `Fn`), so
         // a caught unwind leaves it intact for re-execution.
-        ws.released.borrow_mut().clear();
         let result = catch_unwind(AssertUnwindSafe(|| {
             if injected {
                 // Simulated worker crash before the body runs: unwind
@@ -631,27 +640,12 @@ impl<'a, S: Sink> Sharded<'a, S> {
                 // effect is what makes the re-execution exact.
                 resume_unwind(Box::new(InjectedFailure));
             }
-            // Mid-task releases (Jade's pipelining statements) count down
-            // the released declaration's successors at once; completion
-            // then skips it. `TaskCtx` lets a task release only what it
-            // declared, once.
-            let hook = |obj: ObjectId| {
-                let decls = slot.spec.decls();
-                let decl = (decls.iter().position(|d| d.object == obj))
-                    .expect("a task releases only what it declared");
-                let mut released = ws.released.borrow_mut();
-                released.resize(decls.len(), false);
-                released[decl] = true;
-                drop(released);
-                self.settle(w, local, Some((decl, obj)), ws);
-            };
-            let ctx = TaskCtx::with_release_hook(self.store, id, slot.label, &slot.spec, &hook);
             body(&ctx);
         }));
 
         match result {
             Ok(()) => {
-                self.settle(w, local, None, ws);
+                self.settle(w, local, None, &ctx.into_released(), ws);
                 true
             }
             Err(_) if injected && attempt + 1 < MAX_TASK_ATTEMPTS => {
@@ -702,7 +696,7 @@ fn steal_order(w: usize, workers: usize, r: u64) -> impl Iterator<Item = usize> 
 fn sharded_worker<S: Sink>(w: usize, sh: &Sharded<'_, S>, ws: &mut WorkerScratch) -> BatchStats {
     let mut rng = XorShift64::new(w as u64 + 1);
     let mut stats = BatchStats::default();
-    // `ws` holds the worker's enable and release scratch, recycled across
+    // `ws` holds the worker's enable scratch, recycled across
     // batches; an aborted batch may have left completions in it.
     let ws = &*ws;
     ws.done.set(0);
@@ -1781,7 +1775,7 @@ mod tests {
             let sh = &sh;
             scope.spawn(move || {
                 let ws = WorkerScratch::default();
-                sh.settle(0, 0, None, &ws);
+                sh.settle(0, 0, None, &[], &ws);
                 assert_eq!(sh.live.load(Ordering::SeqCst), 2, "held back");
                 sh.live.fetch_sub(ws.done.take(), Ordering::SeqCst);
                 done.send(()).unwrap();

@@ -32,8 +32,9 @@
 //!   next one under a single acquisition of the core lock; a condvar is
 //!   notified only when someone is parked on it for that very reason and
 //!   has not been notified already (`Core::idle` / `waking`, `awaited`),
-//!   `work` never under the lock; a retired tenant's slabs serve the next
-//!   one. Protocol and no-lost-wake-up argument: DESIGN.md §16.
+//!   `work` never under the lock; resident tenants live in a slab of
+//!   `max_active` slots, and a retired tenant's storage serves the next one
+//!   admitted to its slot. Protocol and no-lost-wake-up argument: DESIGN.md §16.
 //! * **Per-tenant metrics.** Every event is recorded in the tenant's own
 //!   stream ([`TenantReport::events`]), which `check_lifecycle` and
 //!   `Metrics::from_events` take as it is. Times come from one
@@ -51,7 +52,7 @@ use jade_core::{
     AccessSpec, Countdown, Event, EventKind, Handle, Locality, Metrics, ObjectId, Sink, Store,
     TaskBody, TaskCtx, TaskDef, TaskId, TenantId,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -192,11 +193,13 @@ impl TenantReport {
     }
 }
 
-/// The allocations of one tenant that outlive it: a retired tenant's slot
-/// is cleared and parked in [`Core::spares`] for the next registration, so
-/// a warmed service registers a DAG without growing any of these.
+/// One entry of the tenant slab: the tenant resident in it, if any, and
+/// the allocations that outlive a tenant. A retiring tenant's are cleared
+/// for the next one admitted to the slot, so a warmed service registers a
+/// DAG without growing any of them.
 #[derive(Default)]
 struct Slot {
+    tenant: Option<Tenant>,
     /// The tenant's tasks, indexed by tenant-local task id.
     tasks: Vec<TenantTask>,
     /// The tenant's dependence graph, built at admission, and its countdown.
@@ -218,24 +221,23 @@ struct TenantTask {
     body: Option<TaskBody>,
 }
 
-/// Largest tenant (tasks + declared accesses + objects) whose slot is kept
-/// for reuse; a bigger one is dropped at retirement, so one huge DAG cannot
-/// pin its slabs for the life of the service.
+/// Largest tenant (tasks + declared accesses + objects) whose storage its
+/// slot keeps for the next; a bigger one's is dropped at retirement, so one
+/// huge DAG cannot pin its slabs for the life of the service.
 const SPARE_MAX_ENTRIES: usize = 4096;
 
-/// One resident tenant. All fields are guarded by the service's core lock;
-/// only the store (and the executing task's body) escape it.
+/// One resident tenant; its tasks and countdown are its slot's. All
+/// fields are guarded by the service's core lock; only the store (and the
+/// executing task's body) escape it.
 struct Tenant {
+    id: u32,
     store: Arc<Store>,
-    slot: Slot,
     events: Vec<Event>,
-    n_tasks: usize,
     /// Declared accesses over all tasks (sizes the slot, see
     /// [`SPARE_MAX_ENTRIES`]).
     n_decls: usize,
     /// Tasks currently executing on workers.
     running: usize,
-    completed: usize,
     /// The first panic message of a failed tenant. A failed tenant
     /// dispatches nothing further and finalizes when the last running task
     /// drains.
@@ -254,12 +256,13 @@ struct PendingTenant {
 
 #[derive(Default)]
 struct Core {
-    active: BTreeMap<u32, Tenant>,
+    /// The tenant slab: `max_active` slots.
+    slab: Vec<Slot>,
     pending: VecDeque<PendingTenant>,
     finished: HashMap<u32, TenantReport>,
     next_id: u32,
-    /// Tenant picked last; the next pick scans on from just past it.
-    rr_cursor: u32,
+    /// Slab index picked last; the next pick scans on from just past it.
+    rr_cursor: usize,
     /// Service-global logical event clock shared by every tenant's stream.
     clock: u64,
     shutdown: bool,
@@ -277,10 +280,8 @@ struct Core {
     /// Tenant ids some `wait` caller is parked on, one entry per caller.
     awaited: Vec<u32>,
     /// Ready tasks over all resident tenants (`Σ slot.ready.len()`; a
-    /// failed tenant's queue is empty).
+    /// failed tenant's queue is empty, as is a vacant slot's).
     ready_tasks: usize,
-    /// Retired tenants' cleared slots, at most `max_active` of them.
-    spares: Vec<Slot>,
     /// Scratch for the tasks one transition enables.
     newly: Vec<TaskId>,
     #[cfg(test)]
@@ -298,6 +299,15 @@ macro_rules! probe {
 }
 
 impl Core {
+    /// The slab index of a slot no tenant is resident in, if any.
+    fn vacancy(&self) -> Option<usize> {
+        self.slab.iter().position(|s| s.tenant.is_none())
+    }
+
+    fn residents(&self) -> impl Iterator<Item = &Tenant> {
+        self.slab.iter().filter_map(|s| s.tenant.as_ref())
+    }
+
     fn tick(&mut self) -> u64 {
         let t = self.clock;
         self.clock += 1;
@@ -344,7 +354,8 @@ struct Inner {
 
 /// A task picked for execution; everything `execute` needs off-lock.
 struct Picked {
-    tenant: u32,
+    /// The slab index of its tenant.
+    at: usize,
     local: usize,
     label: &'static str,
     spec: AccessSpec,
@@ -368,7 +379,10 @@ impl JadeService {
         };
         let inner = Arc::new(Inner {
             cfg,
-            core: Mutex::new(Core::default()),
+            core: Mutex::new(Core {
+                slab: (0..cfg.max_active).map(|_| Slot::default()).collect(),
+                ..Core::default()
+            }),
             work: Condvar::new(),
             done: Condvar::new(),
         });
@@ -419,9 +433,8 @@ impl JadeService {
         if core.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
-        if core.active.len() >= self.inner.cfg.max_active
-            && core.pending.len() >= self.inner.cfg.max_pending
-        {
+        let vacancy = core.vacancy();
+        if vacancy.is_none() && core.pending.len() >= self.inner.cfg.max_pending {
             return Err(SubmitError::Overloaded {
                 pending: core.pending.len(),
                 limit: self.inner.cfg.max_pending,
@@ -435,10 +448,10 @@ impl JadeService {
             store,
             events,
         };
-        let wake = if core.active.len() < self.inner.cfg.max_active {
-            // A free slot means `pending` is empty (the park invariant, see
+        let wake = if let Some(at) = vacancy {
+            // A vacant slot means `pending` is empty (the park invariant, see
             // `pick`), so registering here does not jump the queue.
-            register_tenant(&mut core, pend);
+            register_tenant(&mut core, at, pend);
             core.wake_worker()
         } else {
             // Every slot is taken: nothing a worker could do about it now.
@@ -470,7 +483,7 @@ impl JadeService {
             }
             assert!(
                 id.0 < core.next_id
-                    && (core.active.contains_key(&id.0)
+                    && (core.residents().any(|t| t.id == id.0)
                         || core.pending.iter().any(|p| p.id == id.0)),
                 "unknown or already-taken tenant {id}"
             );
@@ -519,19 +532,19 @@ impl Drop for JadeService {
     }
 }
 
-/// Move a pending submission into the active set: give it a (recycled)
-/// slot, build the dependence graph of its whole program, register every
-/// task in serial program order, and queue the initially enabled ones.
-fn register_tenant(core: &mut Core, pend: PendingTenant) {
+/// Move a pending submission into the vacant slot `at`: build the
+/// dependence graph of its whole program in the slot's recycled storage,
+/// register every task in serial program order, and queue the initially
+/// enabled ones.
+fn register_tenant(core: &mut Core, at: usize, pend: PendingTenant) {
     let PendingTenant {
         id,
         tasks,
         store,
         mut events,
     } = pend;
-    let n = tasks.len();
-    let mut slot = core.spares.pop().unwrap_or_default();
-    slot.tasks.reserve(n);
+    let mut slot = std::mem::take(&mut core.slab[at]);
+    slot.tasks.reserve(tasks.len());
     let mut n_decls = 0;
     slot.deps.rebuild(tasks.iter().map(|def| &def.spec), true);
     for (i, def) in tasks.into_iter().enumerate() {
@@ -547,102 +560,101 @@ fn register_tenant(core: &mut Core, pend: PendingTenant) {
         });
     }
     core.ready_tasks += slot.ready.len();
-    let tenant = Tenant {
+    slot.tenant = Some(Tenant {
+        id,
         store,
-        slot,
         events,
-        n_tasks: n,
         n_decls,
         running: 0,
-        completed: 0,
         failed: None,
-    };
-    core.active.insert(id, tenant);
+    });
+    core.slab[at] = slot;
 }
 
-/// Fail a tenant whose body panicked with `msg` (the first failure's
-/// message wins): drop its not-yet-dispatched work, and finalize
+/// Fail the tenant at `at` whose body panicked with `msg` (the first
+/// failure's message wins): drop its not-yet-dispatched work, and finalize
 /// immediately if nothing is still running.
-fn fail_tenant(core: &mut Core, inner: &Inner, id: u32, msg: String) {
-    let t = core.active.get_mut(&id).expect("tenant still active");
+fn fail_tenant(core: &mut Core, inner: &Inner, at: usize, msg: String) {
+    let slot = &mut core.slab[at];
+    let t = slot.tenant.as_mut().expect("tenant still resident");
     t.failed.get_or_insert(msg);
-    core.ready_tasks -= t.slot.ready.len();
-    t.slot.ready.clear();
+    core.ready_tasks -= slot.ready.len();
+    slot.ready.clear();
     if t.running == 0 {
-        finalize_tenant(core, inner, id);
+        finalize_tenant(core, inner, at);
     }
 }
 
-/// Remove a terminal tenant from the active set, build its report, wake a
-/// `wait` caller parked on it, and park its cleared slot for reuse. The
-/// freed active slot is refilled by the caller's next `pick`, inside the
-/// same critical section.
-fn finalize_tenant(core: &mut Core, inner: &Inner, id: u32) {
-    let Some(mut t) = core.active.remove(&id) else {
+/// Retire the terminal tenant at `at`: build its report, wake a `wait`
+/// caller parked on it, and clear its slot for the next tenant (or drop
+/// its storage, if oversized). The vacant slot is refilled by the caller's
+/// next `pick`, inside the same critical section.
+fn finalize_tenant(core: &mut Core, inner: &Inner, at: usize) {
+    let slot = &mut core.slab[at];
+    let Some(t) = slot.tenant.take() else {
         return;
     };
-    debug_assert_eq!(t.running, 0, "finalizing tenant {id} with running tasks");
-    let outcome = t.failed.take().map_or(Outcome::Completed, Outcome::Failed);
-    let entries = t.n_tasks + t.n_decls + t.store.len();
+    debug_assert_eq!(t.running, 0, "finalizing a tenant with running tasks");
+    debug_assert!(
+        slot.ready.is_empty(),
+        "a terminal tenant has nothing queued"
+    );
+    let (total, cancelled) = (slot.deps.task_count(), slot.deps.live_tasks());
+    if total + t.n_decls + t.store.len() > SPARE_MAX_ENTRIES {
+        *slot = Slot::default();
+    }
+    // A failed tenant retires mid-flight: bodies never dispatched, counts
+    // never reaching zero. Everything goes; capacity stays.
+    slot.tasks.clear();
     let report = TenantReport {
-        tenant: TenantId(id),
-        outcome,
-        tasks_total: t.n_tasks,
-        tasks_completed: t.completed,
-        tasks_cancelled: t.n_tasks - t.completed,
-        events: std::mem::take(&mut t.events),
+        tenant: TenantId(t.id),
+        outcome: t.failed.map_or(Outcome::Completed, Outcome::Failed),
+        tasks_total: total,
+        tasks_completed: total - cancelled,
+        tasks_cancelled: cancelled,
+        events: t.events,
         store: t.store,
     };
-    core.finished.insert(id, report);
-    core.wake_waiters(inner, id);
-    if core.spares.len() < inner.cfg.max_active && entries <= SPARE_MAX_ENTRIES {
-        // A failed tenant retires mid-flight: bodies never dispatched,
-        // counts never reaching zero. Everything goes; capacity stays.
-        let mut slot = t.slot;
-        debug_assert!(
-            slot.ready.is_empty(),
-            "a terminal tenant has nothing queued"
-        );
-        slot.tasks.clear();
-        core.spares.push(slot);
-    }
+    core.finished.insert(t.id, report);
+    core.wake_waiters(inner, t.id);
 }
 
-/// Admit pending submissions into freed active slots, oldest first.
-fn pump_admissions(core: &mut Core, inner: &Inner) {
-    while core.active.len() < inner.cfg.max_active {
-        let Some(pend) = core.pending.pop_front() else {
+/// Admit pending submissions into vacant slots, oldest first.
+fn pump_admissions(core: &mut Core) {
+    while !core.pending.is_empty() {
+        let Some(at) = core.vacancy() else {
             return;
         };
-        register_tenant(core, pend);
+        let pend = core.pending.pop_front().expect("pending checked non-empty");
+        register_tenant(core, at, pend);
     }
 }
 
-/// Admit pending tenants into free slots, then pick the next task
-/// round-robin: the first tenant with ready work after the one picked
+/// Admit pending tenants into vacant slots, then pick the next task
+/// round-robin: the first tenant with ready work after the slot picked
 /// last, that one itself coming last.
 ///
 /// **Park invariant**: when this returns `None`, no live tenant has ready
-/// work **and** (`pending` is empty **or** `active` is full) — so a worker
-/// that parks on `None` leaves nothing behind that only it could start.
-fn pick(core: &mut Core, inner: &Inner, w: usize) -> Option<Picked> {
-    pump_admissions(core, inner);
+/// work **and** (`pending` is empty **or** no slot is vacant) — so a
+/// worker that parks on `None` leaves nothing behind that only it could
+/// start.
+fn pick(core: &mut Core, w: usize) -> Option<Picked> {
+    pump_admissions(core);
     if core.ready_tasks == 0 {
         return None;
     }
-    use std::ops::Bound::{Excluded, Unbounded};
-    let cursor = core.rr_cursor;
-    let after = core.active.range((Excluded(cursor), Unbounded));
-    let (&id, _) = after
-        .chain(core.active.range(..=cursor))
-        .find(|(_, t)| !t.slot.ready.is_empty())
+    let n = core.slab.len();
+    let at = (1..=n)
+        .map(|k| (core.rr_cursor + k) % n)
+        .find(|&i| !core.slab[i].ready.is_empty())
         .expect("ready_tasks counts a queued task");
     let time = core.tick();
-    core.rr_cursor = id;
+    core.rr_cursor = at;
     core.ready_tasks -= 1;
-    let t = core.active.get_mut(&id).expect("tenant just found");
-    let local = t.slot.ready.pop_front().expect("ready checked non-empty");
-    let task = &mut t.slot.tasks[local];
+    let slot = &mut core.slab[at];
+    let t = slot.tenant.as_mut().expect("tenant resident");
+    let local = slot.ready.pop_front().expect("ready checked non-empty");
+    let task = &mut slot.tasks[local];
     let body = task.body.take().expect("task dispatched twice");
     let (label, spec) = (task.label, std::mem::take(&mut task.spec));
     t.running += 1;
@@ -654,7 +666,7 @@ fn pick(core: &mut Core, inner: &Inner, w: usize) -> Option<Picked> {
     t.events.emit_task(time, w, dispatched, task);
     t.events.emit_task(time, w, EventKind::TaskStarted, task);
     Some(Picked {
-        tenant: id,
+        at,
         local,
         label,
         spec,
@@ -663,21 +675,30 @@ fn pick(core: &mut Core, inner: &Inner, w: usize) -> Option<Picked> {
     })
 }
 
-/// Count down `tenant`'s graph for task `id` — its completion, or its
-/// mid-task `release` — and queue newly enabled tasks (unless the tenant
-/// has failed). Returns whether anything became ready.
-fn settle(core: &mut Core, tenant: u32, id: TaskId, release: Option<Release>, w: usize) -> bool {
+/// Count down the graph of the tenant at `at` for task `id` — its mid-task
+/// `release`, or its completion with its context's `released` flags — and
+/// queue newly enabled tasks (unless the tenant has failed). Returns
+/// whether anything became ready.
+fn settle(
+    core: &mut Core,
+    at: usize,
+    id: TaskId,
+    release: Option<Release>,
+    released: &[bool],
+    w: usize,
+) -> bool {
     #[cfg(test)]
     assert!(!core.probe.settle_panics, "settle panicked on purpose");
     let time = core.tick();
     let mut newly = std::mem::take(&mut core.newly);
-    let t = core.active.get_mut(&tenant).expect("tenant still active");
-    let (slot, events) = (&mut t.slot, &mut t.events);
+    let slot = &mut core.slab[at];
+    let t = slot.tenant.as_mut().expect("tenant still resident");
+    let events = &mut t.events;
     match release {
         Some((decl, obj)) => slot
             .deps
             .release_traced(id, decl, obj, &mut newly, events, time, w),
-        None => slot.deps.complete_traced(id, &mut newly, events, time, w),
+        None => (slot.deps).complete_traced(id, released, &mut newly, events, time, w),
     }
     let enabled = if t.failed.is_none() { newly.len() } else { 0 };
     for id in &newly[..enabled] {
@@ -712,7 +733,7 @@ fn unlock_and_wake(inner: &Inner, core: MutexGuard<'_, Core>, wake: bool) {
 /// in the same critical section, so a task costs one acquisition.
 fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core> {
     let Picked {
-        tenant,
+        at,
         local,
         label,
         spec,
@@ -720,22 +741,18 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core
         store,
     } = p;
     let id = TaskId(local as u32);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        // A mid-task release counts down at once (a deferred one could
-        // deadlock a pipeline whose consumer is the only runnable task).
-        // This worker is busy in the body, so a successor the release
-        // enabled needs a sleeper; with none parked, whoever settles next
-        // picks it up.
-        let hook = |obj: ObjectId| {
-            let decl = (spec.decls().iter().position(|d| d.object == obj))
-                .expect("a task releases only what it declared");
-            let mut core = worker_lock(inner);
-            let wake = settle(&mut core, tenant, id, Some((decl, obj)), w) && core.wake_worker();
-            unlock_and_wake(inner, core, wake);
-        };
-        let ctx = TaskCtx::with_release_hook(&store, id, label, &spec, &hook);
-        body(&ctx);
-    }));
+    // A mid-task release counts down at once (a deferred one could
+    // deadlock a pipeline whose consumer is the only runnable task). This
+    // worker is busy in the body, so a successor the release enabled needs
+    // a sleeper; with none parked, whoever settles next picks it up.
+    let hook = |decl: usize, obj: ObjectId| {
+        let mut core = worker_lock(inner);
+        let wake = settle(&mut core, at, id, Some((decl, obj)), &[], w) && core.wake_worker();
+        unlock_and_wake(inner, core, wake);
+    };
+    let ctx = TaskCtx::with_release_hook(&store, id, label, &spec, &hook);
+    let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
+    let released = ctx.into_released();
     // The closure is the tenant's code: drop it, the specification and a
     // panic's payload off the lock.
     drop((store, body, spec));
@@ -743,24 +760,27 @@ fn execute_and_settle(inner: &Inner, w: usize, p: Picked) -> MutexGuard<'_, Core
     let mut core = worker_lock(inner);
     match failed {
         None => {
-            settle(&mut core, tenant, id, None, w);
-            let t = core.active.get_mut(&tenant).expect("tenant still active");
+            settle(&mut core, at, id, None, &released, w);
+            let slot = &mut core.slab[at];
+            let t = slot.tenant.as_mut().expect("tenant still resident");
             t.running -= 1;
-            t.completed += 1;
             // Finalize on the last task, or — for a failed tenant — once
             // the last in-flight body has drained.
-            if t.completed == t.n_tasks || (t.failed.is_some() && t.running == 0) {
-                finalize_tenant(&mut core, inner, tenant);
+            if slot.deps.all_complete() || (t.failed.is_some() && t.running == 0) {
+                finalize_tenant(&mut core, inner, at);
             }
         }
         Some(msg) => {
             // Contain it: only this tenant is failed; the pool and every
             // other tenant keep running.
             let time = core.tick();
-            let t = core.active.get_mut(&tenant).expect("tenant still active");
+            let t = core.slab[at]
+                .tenant
+                .as_mut()
+                .expect("tenant still resident");
             t.running -= 1;
             t.events.emit(time, w, EventKind::WorkerFailed);
-            fail_tenant(&mut core, inner, tenant, msg);
+            fail_tenant(&mut core, inner, at, msg);
         }
     }
     core
@@ -779,7 +799,7 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 fn worker_loop(inner: &Inner, w: usize) {
     let mut core = worker_lock(inner);
     loop {
-        if let Some(p) = pick(&mut core, inner, w) {
+        if let Some(p) = pick(&mut core, w) {
             // Whatever made work appear (a submit, a release, a settle, an
             // admission) woke at most one sleeper; each worker passes the
             // wake on while ready work is left over after its own pick.
@@ -788,7 +808,7 @@ fn worker_loop(inner: &Inner, w: usize) {
             core = execute_and_settle(inner, w, p);
             continue;
         }
-        let drained = core.active.is_empty() && core.pending.is_empty();
+        let drained = core.residents().next().is_none() && core.pending.is_empty();
         if core.broken.is_some() || (core.shutdown && drained) {
             // The other workers may have parked while this one drained the
             // last tenant: wake them all to see the pool is done. A broken
@@ -800,15 +820,11 @@ fn worker_loop(inner: &Inner, w: usize) {
         // `pick` returned `None` under this guard, so its park invariant
         // holds until the wait releases the lock.
         debug_assert_eq!(
-            core.active
-                .values()
-                .map(|t| t.slot.ready.len())
-                .sum::<usize>(),
+            core.slab.iter().map(|s| s.ready.len()).sum::<usize>(),
             core.ready_tasks
         );
         debug_assert!(
-            core.ready_tasks == 0
-                && (core.pending.is_empty() || core.active.len() >= inner.cfg.max_active)
+            core.ready_tasks == 0 && (core.pending.is_empty() || core.vacancy().is_none())
         );
         core.idle += 1;
         probe!(core, parks);
@@ -992,7 +1008,7 @@ mod tests {
             .submit(blocker(&gate), TenantOptions::default())
             .unwrap();
         // Wait until the blocker actually occupies the only active slot.
-        until(&svc, "blocker resident", |c| !c.active.is_empty());
+        until(&svc, "blocker resident", |c| c.residents().next().is_some());
         let q1 = svc
             .submit(chain_program(3).0, TenantOptions::default())
             .unwrap();
@@ -1066,7 +1082,7 @@ mod tests {
             }
         }));
         let b = svc.submit(blocker, TenantOptions::default()).unwrap();
-        while lock(&svc.inner.core).active.is_empty() {
+        while lock(&svc.inner.core).residents().next().is_none() {
             std::thread::yield_now();
         }
         const TENANTS: usize = 3;
@@ -1291,7 +1307,7 @@ mod tests {
                 .submit(blocker(&gate), TenantOptions::default())
                 .unwrap();
             until(&svc, "blocker running", |c| {
-                c.active.values().any(|t| t.running == 1)
+                c.residents().any(|t| t.running == 1)
             });
             let mut failing = chain_program(5).0;
             failing.tasks[0].body = Box::new(|_| panic!("first task fails"));
@@ -1390,7 +1406,7 @@ mod tests {
             .submit(blocker(&gate), TenantOptions::default())
             .unwrap();
         until(&svc, "blocker running, other worker parked", |c| {
-            c.idle == 1 && c.waking == 0 && c.active.values().any(|t| t.running == 1)
+            c.idle == 1 && c.waking == 0 && c.residents().any(|t| t.running == 1)
         });
         let mut core = lock(&svc.inner.core);
         let before = core.probe.work_notifies;
@@ -1481,7 +1497,7 @@ mod tests {
         );
         let id = svc.submit(prog, TenantOptions::default()).unwrap();
         until(&svc, "producer running, other worker parked", |c| {
-            c.idle == 1 && c.active.values().any(|t| t.running == 1)
+            c.idle == 1 && c.residents().any(|t| t.running == 1)
         });
         others_parked.open();
         let svc2 = Arc::clone(&svc);
@@ -1591,7 +1607,7 @@ mod tests {
             .submit(blocker(&gate), TenantOptions::default())
             .unwrap();
         until(&svc, "blocker running", |c| {
-            c.idle == 0 && c.active.values().any(|t| t.running == 1)
+            c.idle == 0 && c.residents().any(|t| t.running == 1)
         });
         let before = probe(&svc);
         let ids: Vec<TenantId> = [chain_program(50).0, wide_program(50).0, chain_program(50).0]
@@ -1613,8 +1629,8 @@ mod tests {
         notified_once_per_park(&svc);
     }
 
-    /// Retired slots are reused, the spare list is bounded by `max_active`,
-    /// and a slot grown past the cap is dropped with its tenant.
+    /// Retired slots are reused, the slab holds `max_active` of them, and a
+    /// slot grown past the cap is dropped with its tenant.
     #[test]
     fn spare_slots_are_bounded_in_number_and_size() {
         let svc = JadeService::new(config(2, 2));
@@ -1630,11 +1646,12 @@ mod tests {
             }
             until(&svc, "workers parked", |c| c.idle == 2);
             let core = lock(&svc.inner.core);
-            assert!((1..=2).contains(&core.spares.len()));
-            assert!(core
-                .spares
-                .iter()
-                .all(|s| s.tasks.is_empty() && s.ready.is_empty() && s.deps.all_complete()));
+            assert_eq!(core.slab.len(), 2);
+            assert!(core.slab.iter().all(|s| s.tenant.is_none()
+                && s.tasks.is_empty()
+                && s.ready.is_empty()
+                && s.deps.all_complete()));
+            assert!(core.slab.iter().any(|s| s.tasks.capacity() >= 8));
         }
         let huge = SPARE_MAX_ENTRIES;
         let (prog, h) = chain_program(huge);
@@ -1642,8 +1659,8 @@ mod tests {
         let r = svc.wait(id);
         assert_eq!(*r.store.read(h), chain_expected(huge));
         let core = lock(&svc.inner.core);
-        assert!(core.spares.len() <= 2);
-        assert!(core.spares.iter().all(|s| s.tasks.capacity() < huge));
+        assert_eq!(core.slab.len(), 2);
+        assert!(core.slab.iter().all(|s| s.tasks.capacity() < huge));
         drop(core);
         notified_once_per_park(&svc);
     }

@@ -56,7 +56,7 @@ use jade_apps::cholesky::{self, CholeskyConfig};
 use jade_apps::halo::{self, HaloConfig};
 use jade_apps::pagerank::{self, PagerankConfig};
 use jade_core::{
-    AccessSpec, Countdown, JadeRuntime, LocalityMode, NullSink, TaskBuilder, TraceBuilder,
+    AccessSpec, Countdown, JadeRuntime, LocalityMode, NullSink, TaskBuilder, TaskId, TraceBuilder,
 };
 use jade_dash::DashConfig;
 use jade_ipsc::IpscConfig;
@@ -461,11 +461,11 @@ fn countdown_fan_in_allocates_nothing_once_warm() {
     // a few attempts is the countdown's.
     let fan_in = |deps: &mut Countdown, newly: &mut Vec<_>| {
         deps.rebuild(trace.tasks.iter().map(|t| &t.spec), true);
-        for t in &trace.tasks {
-            assert_eq!(deps.add_task_traced(t.id, &mut NullSink, 0, 0), t.id.0 == 0);
+        for i in 0..trace.task_count() as u32 {
+            assert_eq!(deps.add_task_traced(TaskId(i), &mut NullSink, 0, 0), i == 0);
         }
         // One completion enables every reader.
-        deps.complete_traced(trace.tasks[0].id, newly, &mut NullSink, 0, 0);
+        deps.complete_traced(TaskId(0), &[], newly, &mut NullSink, 0, 0);
     };
     let allocs = (0..3)
         .map(|_| {

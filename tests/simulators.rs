@@ -8,7 +8,7 @@ use jade::dash::{self, DashConfig};
 use jade::dsim::driver::SimError;
 use jade::dsim::{FaultPlan, SimDuration};
 use jade::ipsc::{self, IpscConfig, IpscRunResult, PinnedSchedule};
-use jade::{AccessSpec, LocalityMode, ObjectId, TaskId, Trace};
+use jade::{AccessSpec, LocalityMode, ObjectId, Trace};
 
 fn traces(procs: usize) -> Vec<(&'static str, Trace, bool)> {
     vec![
@@ -214,9 +214,6 @@ fn malformed_traces_are_errors_on_both_machines() {
     let mut t = valid();
     t.tasks[0].spec.rd(ObjectId(7));
     cases.push(("references unallocated obj#7", t));
-    let mut t = valid();
-    t.tasks[0].id = TaskId(3);
-    cases.push(("has id task#3", t));
     for (why, trace) in &cases {
         let on_dash = dash::try_run(trace, &DashConfig::paper(4, LocalityMode::Locality, 1e-3));
         let on_ipsc = ipsc::try_run(trace, &IpscConfig::paper(4, LocalityMode::Locality, 1e-3));
